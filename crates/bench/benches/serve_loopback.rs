@@ -223,25 +223,25 @@ fn bench_batching_fanin(c: &mut Criterion) {
         (
             0usize,
             BatchConfig {
-                enabled: false,
+                max_batch: 1,
                 ..BatchConfig::baseline()
             },
         ),
         (
             1usize,
             BatchConfig {
-                enabled: true,
                 max_batch: FANIN,
                 max_delay: Duration::from_millis(500),
             },
         ),
     ] {
-        let hint = if batch.enabled {
+        let grouping = batch.max_batch > 1;
+        let hint = if grouping {
             BatchHint::Throughput
         } else {
             BatchHint::Auto
         };
-        let label = if batch.enabled {
+        let label = if grouping {
             "rotate_fanin_on"
         } else {
             "rotate_fanin_off"
@@ -342,7 +342,7 @@ fn bench_tail_latency(_c: &mut Criterion) {
             queue_capacity: 64,
             key_cache_budget: 1 << 30,
             batch: BatchConfig {
-                enabled: false,
+                max_batch: 1,
                 ..BatchConfig::baseline()
             },
             obs: ObsConfig::baseline(),
@@ -404,7 +404,7 @@ fn bench_obs_overhead(_c: &mut Criterion) {
                 workers: 1,
                 key_cache_budget: 1 << 30,
                 batch: BatchConfig {
-                    enabled: false,
+                    max_batch: 1,
                     ..BatchConfig::baseline()
                 },
                 obs: ObsConfig {

@@ -287,8 +287,9 @@ pub fn run_cell(ctx: &Arc<CkksContext>, spec: &CellSpec) -> CellResult {
         None => 1 << 30,
     };
 
-    // Batching off: the scheduler's key-set pinning would blur the
-    // per-shard residency signal this generator exists to measure.
+    // Grouping off (`max_batch: 1`): a multi-request group's pinned
+    // key-set would blur the per-shard residency signal this generator
+    // exists to measure.
     let server = Server::start(
         ctx.clone(),
         ServeConfig {
@@ -297,7 +298,7 @@ pub fn run_cell(ctx: &Arc<CkksContext>, spec: &CellSpec) -> CellResult {
             key_cache_budget: budget,
             eviction: EvictionPolicy::Lru,
             batch: BatchConfig {
-                enabled: false,
+                max_batch: 1,
                 ..BatchConfig::baseline()
             },
             ..ServeConfig::default()

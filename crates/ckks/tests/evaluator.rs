@@ -309,3 +309,20 @@ fn compressed_galois_keys_halve_bytes_and_rotate_identically() {
         assert!((*x - *y).abs() < 1e-4);
     }
 }
+
+#[test]
+fn repeated_multiplication_leaves_the_scratch_pool_bounded() {
+    // `mul_with_key` recycles its heap-cloned tensor legs into the pool,
+    // so each call hands back three more buffers than it took; the pool's
+    // free list must stay at or under its cap (64) instead of growing
+    // with the call count.
+    let mut h = Harness::new(11);
+    let a = h.values(|i| Complex::new((i as f64 * 0.05).cos(), 0.1));
+    let (ct, sk) = h.encrypt(&a, 4);
+    let rlk = h.keygen.relin_key(&mut h.rng, &sk);
+    for _ in 0..64 {
+        h.evaluator.mul_with_key(&ct, &ct, rlk.switching_key());
+    }
+    let free = h.ctx.scratch().stats().free;
+    assert!(free <= 64, "free list grew to {free} buffers");
+}

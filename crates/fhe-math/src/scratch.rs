@@ -10,10 +10,18 @@
 //!
 //! The pool is internally synchronized (a `Mutex` around the free list) so
 //! it can be shared behind `Arc<CkksContext>`; the lock is held only for
-//! the push/pop, never across kernel work.
+//! the push/pop, never across kernel work. The free list is bounded
+//! (`MAX_FREE`): callers may recycle buffers they did not take (heap
+//! clones), and without a bound every such call grows the list — and the
+//! linear scan under the lock — forever.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+/// Most buffers the free list retains; a recycle beyond it drops the
+/// smallest buffer. Sized for several concurrent key switches (each
+/// holds about a dozen buffers at its peak).
+const MAX_FREE: usize = 64;
 
 /// Counters describing pool behavior since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -66,11 +74,27 @@ impl ScratchPool {
     }
 
     /// Returns a buffer to the pool for reuse. The contents are discarded.
+    /// A full pool keeps its `MAX_FREE` largest buffers (a larger buffer
+    /// serves any smaller request) and drops the surplus one.
     pub fn recycle_vec(&self, buf: Vec<u64>) {
         if buf.capacity() == 0 {
             return;
         }
-        self.free.lock().expect("scratch pool poisoned").push(buf);
+        let surplus = {
+            let mut free = self.free.lock().expect("scratch pool poisoned");
+            if free.len() < MAX_FREE {
+                free.push(buf);
+                return;
+            }
+            match free.iter_mut().min_by_key(|b| b.capacity()) {
+                Some(smallest) if smallest.capacity() < buf.capacity() => {
+                    std::mem::replace(smallest, buf)
+                }
+                _ => buf,
+            }
+        };
+        // Freed outside the lock.
+        drop(surplus);
     }
 
     /// Takes a zeroed buffer that hands itself back to the pool on drop.
@@ -158,6 +182,19 @@ mod tests {
         let g2 = pool.take(64);
         assert_eq!(pool.stats().misses, 1, "second take reuses the buffer");
         drop(g2);
+    }
+
+    #[test]
+    fn free_list_is_bounded_and_keeps_the_largest() {
+        let pool = ScratchPool::new();
+        for len in 1..=2 * MAX_FREE {
+            pool.recycle_vec(vec![0u64; len]);
+        }
+        assert_eq!(pool.stats().free, MAX_FREE);
+        // The survivors are the larger half, so the largest request hits.
+        let big = pool.take_vec(2 * MAX_FREE);
+        assert_eq!(pool.stats().misses, 0);
+        pool.recycle_vec(big);
     }
 
     #[test]

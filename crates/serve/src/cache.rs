@@ -224,13 +224,16 @@ impl KeyCache {
     /// Releases one pin on `(session, kind)`. Dropping the last pin makes
     /// the entry evictable again and immediately re-evicts to budget, so
     /// any transient pinned overage ends with the batch that caused it.
+    /// Like a lookup, the re-eviction never drops the entry just served:
+    /// every keyed request pins its keys, so a budget slice smaller than
+    /// one key would otherwise keep nothing resident between requests.
     /// Unpinning an entry that was purged or never pinned is a no-op.
     pub fn unpin(&self, session: u64, kind: KeyKind) {
         let mut inner = self.inner.lock().expect("cache poisoned");
         if let Some(e) = inner.entries.get_mut(&(session, kind)) {
             e.pins = e.pins.saturating_sub(1);
         }
-        let evicted = self.evict_to_budget(&mut inner, None);
+        let evicted = self.evict_to_budget(&mut inner, Some((session, kind)));
         let mut stats = self.stats.lock().expect("stats poisoned");
         stats.evictions += evicted;
         stats.resident_bytes = inner.bytes;
@@ -533,6 +536,14 @@ mod tests {
         // Unpinning a purged entry is a harmless no-op.
         cache.unpin(1, KeyKind::Galois(2));
         cache.check_invariants();
+        // A slice smaller than one key still holds the key last served.
+        let tiny = KeyCache::new(one_key / 4, EvictionPolicy::Lru);
+        for _ in 0..2 {
+            tiny.get_or_expand_pinned(&ctx, 1, KeyKind::Galois(0), &blobs[0])
+                .unwrap();
+            tiny.unpin(1, KeyKind::Galois(0));
+        }
+        assert_eq!(tiny.check_invariants().misses, 1, "the second lookup hits");
     }
 
     #[test]

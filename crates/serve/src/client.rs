@@ -72,8 +72,8 @@ impl From<SerializeError> for ClientError {
 pub struct HelloInfo {
     /// The session id scoping all uploaded keys.
     pub session: u64,
-    /// Whether the server runs the key-reuse batching scheduler (false
-    /// when talking to a server that predates the flags byte).
+    /// Whether the server runs the key-reuse scheduler (false only when
+    /// talking to a server that predates the flags byte).
     pub batching: bool,
     /// The server's active kernel-backend name (empty if the server
     /// predates the backend field).
@@ -338,39 +338,6 @@ impl Client {
         }
         w.raw(&serialize_ciphertext(ct));
         self.call_ct(Opcode::Bsgs, &w.0)
-    }
-
-    /// One encrypted HELR training step server-side; returns the updated
-    /// weight ciphertexts.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::call_raw`].
-    pub fn helr_step(
-        &mut self,
-        session: u64,
-        weights: &[Ciphertext],
-        xs: &[Ciphertext],
-        y01: &Ciphertext,
-        learning_rate: f64,
-    ) -> Result<Vec<Ciphertext>, ClientError> {
-        assert_eq!(weights.len(), xs.len(), "one feature column per weight");
-        let mut w = BodyWriter::new();
-        w.u64(session).f64(learning_rate).u32(weights.len() as u32);
-        for ct in weights.iter().chain(xs) {
-            w.blob(&serialize_ciphertext(ct));
-        }
-        w.blob(&serialize_ciphertext(y01));
-        let resp = self.call(Opcode::HelrStep, &w.0)?;
-        let mut r = BodyReader::new(&resp);
-        let mut out = Vec::with_capacity(weights.len());
-        for _ in 0..weights.len() {
-            let bytes = r
-                .blob()
-                .ok_or_else(|| ClientError::Protocol("short HELR response".into()))?;
-            out.push(deserialize_ciphertext(&self.ctx, bytes)?);
-        }
-        Ok(out)
     }
 
     /// Uploads a serialized encrypted program; the server validates it

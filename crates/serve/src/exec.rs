@@ -1,0 +1,322 @@
+//! Execution: one parsed request in, one reply body out.
+//!
+//! [`handle`] decodes the body, runs the evaluator call(s) and serializes
+//! the result, attributing decode/serialize time to the executing
+//! request's trace. Keyed ops read their switching keys from the group's
+//! [`PinnedKeys`] — handlers never touch the shard's `KeyCache` (the one
+//! exception is `CloseSession` purging the session's entries).
+
+use crate::obs::{self, Stage};
+use crate::plan::{KeyPlan, PinnedKeys};
+use crate::protocol::{BatchHint, BodyReader, BodyWriter, ErrorCode, Opcode};
+use crate::server::ServerState;
+use crate::session::{Session, StoredProgram};
+use ckks::hoisting::{apply_bsgs, rotate_hoisted, LinearTransform};
+use ckks::serialize::{
+    deserialize_ciphertext, deserialize_plaintext, deserialize_switching_key,
+    galois_key_set_entries, serialize_ciphertext,
+};
+use ckks::Ciphertext;
+use fhe_math::cfft::Complex;
+use fhe_program::program::{Instr, Program, ProgramEnv};
+use fhe_program::{execute_validated, ExecError, ExecInputs, ExecKeys};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+pub(crate) type OpResult = Result<Vec<u8>, (ErrorCode, String)>;
+
+fn fail<T>(code: ErrorCode, msg: impl Into<String>) -> Result<T, (ErrorCode, String)> {
+    Err((code, msg.into()))
+}
+
+pub(crate) fn handle(
+    state: &ServerState,
+    op: Opcode,
+    body: &[u8],
+    plan: &KeyPlan,
+    keys: &PinnedKeys,
+) -> OpResult {
+    let mut r = BodyReader::new(body);
+    match op {
+        Opcode::Hello => {
+            // Optional leading batching-hint byte; anything else in the
+            // body (old clients, fuzzed frames) reads as Auto.
+            let hint = BatchHint::from_u8(body.first().copied().unwrap_or(0));
+            // The shard-local manager mints an id that hashes back to
+            // this shard, so the session's keyed traffic never migrates.
+            let sid = state.sessions.create_with_hint(hint);
+            // 8 LE bytes of session id, a flags byte (bit 0: key-reuse
+            // scheduler present — always, since every keyed request takes
+            // that route), then the active kernel-backend name in UTF-8.
+            // Pre-backend clients read only the first 8 bytes.
+            let mut reply = sid.to_le_bytes().to_vec();
+            reply.push(1);
+            reply.extend_from_slice(state.ctx.kernel_backend().name().as_bytes());
+            Ok(reply)
+        }
+        Opcode::UploadRelin => {
+            let (_sid, session) = need_session(state, &mut r)?;
+            let key_bytes = r.rest();
+            // Validate against the context before filing it away, so MULT
+            // never trips over garbage later.
+            if deserialize_switching_key(&state.ctx, key_bytes).is_err() {
+                return fail(ErrorCode::Malformed, "relin key bytes rejected");
+            }
+            session.set_relin(key_bytes.to_vec());
+            Ok(Vec::new())
+        }
+        Opcode::UploadGalois => {
+            let (_sid, session) = need_session(state, &mut r)?;
+            let bundle = r.rest();
+            let entries = match galois_key_set_entries(bundle) {
+                Ok(e) if !e.is_empty() => e,
+                _ => return fail(ErrorCode::Malformed, "galois bundle rejected"),
+            };
+            // Keys are stored compressed, split but unexpanded — the
+            // cache pays for expansion on first use.
+            for (element, key_bytes) in entries {
+                session.set_galois(element, key_bytes.to_vec());
+            }
+            Ok(Vec::new())
+        }
+        Opcode::CloseSession => {
+            let sid = r.u64().ok_or_else(malformed)?;
+            state
+                .sessions
+                .close(sid)
+                .map_err(|c| (c, format!("session {sid}")))?;
+            state.cache.purge_session(sid);
+            Ok(Vec::new())
+        }
+        Opcode::UploadProgram => {
+            let (_sid, session) = need_session(state, &mut r)?;
+            let wire = r.rest();
+            let program = Program::from_bytes(wire)
+                .map_err(|e| (ErrorCode::Malformed, format!("program rejected: {e}")))?;
+            // Validate against *this server's* parameters once at upload,
+            // so every RunProgram skips straight to execution and a
+            // mis-parameterized program fails loudly up front.
+            let env = ProgramEnv {
+                levels: state.ctx.params().levels(),
+                slots: state.ctx.params().slots(),
+            };
+            let info = program
+                .validate(&env)
+                .map_err(|e| (ErrorCode::Malformed, format!("program rejected: {e}")))?;
+            if program
+                .instrs
+                .iter()
+                .any(|i| matches!(i, Instr::Bootstrap { .. }))
+            {
+                return fail(
+                    ErrorCode::Malformed,
+                    "program uses Bootstrap, which the serving runtime cannot execute",
+                );
+            }
+            let pid = session.store_program(StoredProgram {
+                wire_len: wire.len(),
+                info,
+                program,
+            });
+            Ok(pid.to_le_bytes().to_vec())
+        }
+        Opcode::Add => {
+            let (_sid, _session) = need_session(state, &mut r)?;
+            let a = read_ct(state, r.blob().ok_or_else(malformed)?)?;
+            let b = read_ct(state, r.blob().ok_or_else(malformed)?)?;
+            let (a, b) = state.evaluator.align_levels(&a, &b);
+            Ok(ser_ct(&state.evaluator.add(&a, &b)))
+        }
+        Opcode::PtMult => {
+            let (_sid, _session) = need_session(state, &mut r)?;
+            let ct = read_ct(state, r.blob().ok_or_else(malformed)?)?;
+            let pt = deserialize_plaintext(&state.ctx, r.blob().ok_or_else(malformed)?)
+                .map_err(|e| (ErrorCode::Malformed, e.to_string()))?;
+            if ct.limb_count() != pt.limb_count() || ct.limb_count() < 2 {
+                return fail(ErrorCode::Malformed, "plaintext level mismatch");
+            }
+            Ok(ser_ct(&state.evaluator.mul_plain(&ct, &pt)))
+        }
+        Opcode::Mult => {
+            let (_sid, _session) = need_session(state, &mut r)?;
+            let a = read_ct(state, r.blob().ok_or_else(malformed)?)?;
+            let b = read_ct(state, r.blob().ok_or_else(malformed)?)?;
+            if a.limb_count().min(b.limb_count()) < 2 {
+                return fail(ErrorCode::Malformed, "no level left to multiply at");
+            }
+            let rlk = keys.relin(state)?;
+            let (a, b) = state.evaluator.align_levels(&a, &b);
+            Ok(ser_ct(&state.evaluator.mul_with_key(&a, &b, &rlk)))
+        }
+        Opcode::Rotate => {
+            let (_sid, _session) = need_session(state, &mut r)?;
+            let steps = r.i64().ok_or_else(malformed)?;
+            let ct = read_ct(state, r.rest())?;
+            if steps == 0 {
+                return Ok(ser_ct(&ct));
+            }
+            let gk = keys.galois(state, &plan.galois)?;
+            // The hoisted formulation, as in a hoist-sharing group:
+            // hoisted digit automorphism is only semantically — not
+            // bitwise — equal to the automorph-then-decompose order, so
+            // group-of-k and group-of-1 stay byte-identical only if the
+            // lone rotation hoists too.
+            let out = rotate_hoisted(&state.evaluator, &ct, &[steps], &gk)
+                .pop()
+                .expect("one step in, one ciphertext out");
+            Ok(ser_ct(&out))
+        }
+        Opcode::Rescale => {
+            let (_sid, _session) = need_session(state, &mut r)?;
+            let ct = read_ct(state, r.rest())?;
+            if ct.limb_count() < 2 {
+                return fail(ErrorCode::Malformed, "no limb left to rescale away");
+            }
+            Ok(ser_ct(&state.evaluator.rescale(&ct)))
+        }
+        Opcode::Bsgs => {
+            let (_sid, _session) = need_session(state, &mut r)?;
+            let slots = state.ctx.params().slots();
+            let n1 = r.u32().ok_or_else(malformed)? as usize;
+            let diag_count = r.u32().ok_or_else(malformed)? as usize;
+            if n1 == 0 || n1 > slots || diag_count == 0 || diag_count > slots {
+                return fail(ErrorCode::Malformed, "bad BSGS dimensions");
+            }
+            let mut diagonals = BTreeMap::new();
+            for _ in 0..diag_count {
+                let offset = r.u32().ok_or_else(malformed)? as usize;
+                if offset >= slots {
+                    return fail(ErrorCode::Malformed, "diagonal offset out of range");
+                }
+                diagonals.insert(offset, read_complex(&mut r, slots)?);
+            }
+            let ct = read_ct(state, r.rest())?;
+            let lt = LinearTransform::from_diagonals(diagonals, slots);
+            // The plan walked these same dimensions and offsets, so it
+            // names exactly `bsgs_required_steps(&lt, n1)`.
+            let gk = keys.galois(state, &plan.galois)?;
+            let out = apply_bsgs(&state.evaluator, &state.encoder, &ct, &lt, &gk, n1);
+            Ok(ser_ct(&out))
+        }
+        Opcode::RunProgram => {
+            let (sid, session) = need_session(state, &mut r)?;
+            let pid = r.u64().ok_or_else(malformed)?;
+            let sp = session
+                .program(pid)
+                .map_err(|c| (c, format!("program {pid} not uploaded to session {sid}")))?;
+            let prog = &sp.program;
+            // Inputs arrive in declaration order: ciphertext blobs, then
+            // plaintext vectors, then matrix diagonals (declared offsets,
+            // `slots` complex values each).
+            let mut inputs = ExecInputs::default();
+            for decl in &prog.ct_inputs {
+                let ct = read_ct(state, r.blob().ok_or_else(malformed)?)?;
+                inputs.cts.insert(decl.name.clone(), ct);
+            }
+            for decl in &prog.pt_inputs {
+                let n = r.u32().ok_or_else(malformed)? as usize;
+                if n > state.ctx.params().slots() {
+                    return fail(ErrorCode::Malformed, "plaintext vector exceeds slot count");
+                }
+                inputs
+                    .pts
+                    .insert(decl.name.clone(), read_complex(&mut r, n)?);
+            }
+            for decl in &prog.matrices {
+                let mut diagonals = BTreeMap::new();
+                for &offset in &decl.offsets {
+                    diagonals.insert(offset, read_complex(&mut r, decl.slots)?);
+                }
+                inputs.mats.insert(
+                    decl.name.clone(),
+                    LinearTransform::from_diagonals(diagonals, decl.slots),
+                );
+            }
+            if !r.is_empty() {
+                return fail(ErrorCode::Malformed, "trailing bytes after program inputs");
+            }
+            // The plan was built from this program's manifest, so it names
+            // exactly the keys the program touches.
+            let rlk = if sp.info.manifest.relin {
+                Some(keys.relin(state)?)
+            } else {
+                None
+            };
+            let gk = keys.galois(state, &plan.galois)?;
+            let (relin, galois) = (rlk.as_deref(), Some(&gk));
+            let outs = execute_validated(
+                &state.evaluator,
+                &state.encoder,
+                prog,
+                &sp.info,
+                &inputs,
+                ExecKeys { relin, galois },
+            )
+            .map_err(exec_error)?;
+            let mut out = BodyWriter::new();
+            for (_name, ct) in &outs {
+                out.blob(&ser_ct(ct));
+            }
+            Ok(out.0)
+        }
+        Opcode::Metrics => Ok(state.metrics_text().into_bytes()),
+        Opcode::TraceDump => match body.first().copied().unwrap_or(0) {
+            0 => Ok(state.obs.chrome_trace_json().into_bytes()),
+            1 => Ok(state.obs.slow_log().into_bytes()),
+            m => fail(ErrorCode::Malformed, format!("unknown trace-dump mode {m}")),
+        },
+    }
+}
+
+fn malformed() -> (ErrorCode, String) {
+    (ErrorCode::Malformed, "truncated request body".into())
+}
+
+/// Maps an executor failure onto the protocol's error codes: absent keys
+/// surface as [`ErrorCode::MissingKey`] (upload and retry), everything
+/// else is a client-side [`ErrorCode::Malformed`].
+fn exec_error(e: ExecError) -> (ErrorCode, String) {
+    let code = match e {
+        ExecError::MissingRelinKey | ExecError::MissingGaloisKey(_) => ErrorCode::MissingKey,
+        _ => ErrorCode::Malformed,
+    };
+    (code, e.to_string())
+}
+
+fn need_session(
+    state: &ServerState,
+    r: &mut BodyReader<'_>,
+) -> Result<(u64, Arc<Session>), (ErrorCode, String)> {
+    let sid = r.u64().ok_or_else(malformed)?;
+    let session = state
+        .sessions
+        .get(sid)
+        .map_err(|c| (c, format!("session {sid}")))?;
+    Ok((sid, session))
+}
+
+/// `n` complex values as `f64` pairs.
+fn read_complex(r: &mut BodyReader<'_>, n: usize) -> Result<Vec<Complex>, (ErrorCode, String)> {
+    (0..n)
+        .map(|_| {
+            let re = r.f64().ok_or_else(malformed)?;
+            let im = r.f64().ok_or_else(malformed)?;
+            Ok(Complex::new(re, im))
+        })
+        .collect()
+}
+
+pub(crate) fn read_ct(
+    state: &ServerState,
+    bytes: &[u8],
+) -> Result<Ciphertext, (ErrorCode, String)> {
+    obs::time_stage(Stage::Decode, || {
+        deserialize_ciphertext(&state.ctx, bytes).map_err(|e| (ErrorCode::Malformed, e.to_string()))
+    })
+}
+
+/// Serializes a result ciphertext, attributing the time to the
+/// executing request's serialize stage.
+fn ser_ct(ct: &Ciphertext) -> Vec<u8> {
+    obs::time_stage(Stage::Serialize, || serialize_ciphertext(ct))
+}

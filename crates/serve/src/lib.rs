@@ -22,8 +22,8 @@
 //!
 //! The stack is std-only: a framed TCP protocol ([`protocol`]) over the
 //! `MADf` serialization, a session manager ([`session`]), a key-reuse
-//! batching scheduler ([`batch`]) grouping requests that share switching
-//! keys, and a scale-out server ([`server`]) of N independent shard
+//! scheduler grouping requests whose key plans share switching keys
+//! ([`KeyClass`]), and a scale-out server ([`server`]) of N independent shard
 //! loops driving nonblocking sockets — sessions are placed on shards by
 //! consistent hashing of the session id ([`shard`]), so a tenant's
 //! compressed keys, cache slice, batching groups, and programs live on
@@ -64,25 +64,30 @@
 //! server.shutdown();
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod client;
+mod config;
+mod exec;
 pub mod fault;
 pub mod metrics;
 pub mod obs;
+mod plan;
 pub mod protocol;
+mod sched;
 pub mod server;
 pub mod session;
 pub mod shard;
+mod transport;
 
-pub use batch::{BatchConfig, KeyClass};
 pub use cache::{CacheStats, EvictionPolicy, KeyCache, KeyKind};
 pub use client::{
     Client, ClientError, HelloInfo, ProgramHandle, RetryPolicy, RetryStats, RetryingClient,
 };
+pub use config::{BatchConfig, ObsConfig, ServeConfig};
 pub use fault::{FaultDecision, FaultMix, FaultPlan, InjectedFault};
-pub use obs::{chrome_trace_json, FinishedTrace, ObsConfig, Stage, SubSpan};
+pub use obs::{chrome_trace_json, FinishedTrace, Stage, SubSpan};
+pub use plan::KeyClass;
 pub use protocol::{BatchHint, ErrorCode, Opcode, PROTOCOL_VERSION};
-pub use server::{ServeConfig, Server};
+pub use server::Server;
 pub use session::{Session, SessionManager, StoredProgram};
-pub use shard::{shard_of, shards_from_env, MAX_SHARDS};
+pub use shard::{shard_of, MAX_SHARDS};

@@ -254,9 +254,8 @@ pub struct Metrics {
     /// Faults deliberately injected by a chaos [`crate::fault::FaultPlan`]
     /// (always present in the dump; stays zero outside `chaos` builds).
     pub faults_injected: AtomicU64,
-    /// 1 when the batching scheduler is active, 0 otherwise.
-    pub batching_enabled: AtomicU64,
-    /// Batches dispatched to the worker pool (singletons included).
+    /// Keyed groups dispatched to the worker pool (groups of one
+    /// included; keyless requests are not groups).
     pub batches_total: AtomicU64,
     /// Requests that travelled inside a batch.
     pub batch_jobs_total: AtomicU64,
@@ -409,13 +408,13 @@ impl Metrics {
             (
                 "serve_batching_enabled",
                 "gauge",
-                "1 when the batching scheduler is active.",
-                rel(&self.batching_enabled),
+                "Always 1: every keyed request runs as a scheduler-formed group.",
+                1,
             ),
             (
                 "serve_batches_total",
                 "counter",
-                "Batches dispatched to the worker pool, singletons included.",
+                "Keyed groups dispatched to the worker pool, groups of one included.",
                 rel(&self.batches_total),
             ),
             (
@@ -776,7 +775,7 @@ mod tests {
         assert!(dump.contains("serve_batch_size_count 4"));
         assert!(dump.contains("serve_batches_total 4"));
         assert!(dump.contains("serve_batch_jobs_total 9008"));
-        assert!(dump.contains("serve_batching_enabled 0"));
+        assert!(dump.contains("serve_batching_enabled 1"));
         assert!(dump.contains("serve_key_cache_pinned_keys 0"));
     }
 

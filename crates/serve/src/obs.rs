@@ -34,6 +34,7 @@
 //! request is deep-sampled at a time and a user-initiated trace is
 //! never clobbered (`trace_try_start`).
 
+use crate::config::ObsConfig;
 use crate::metrics::Metrics;
 use crate::protocol::Opcode;
 use std::cell::RefCell;
@@ -97,71 +98,6 @@ impl Stage {
     }
 }
 
-/// Tracing knobs for the serving runtime, a field of
-/// [`crate::ServeConfig`]. [`ObsConfig::from_env`] (the default) reads
-/// the `MAD_SERVE_OBS`, `MAD_SERVE_TRACE_RING`, `MAD_SERVE_DEEP_EVERY`
-/// and `MAD_SERVE_SLOW_MS` environment variables.
-#[derive(Debug, Clone)]
-pub struct ObsConfig {
-    /// Master switch for per-request recording. Off, requests carry no
-    /// trace at all and `TraceDump` returns an empty timeline.
-    pub enabled: bool,
-    /// How many finished request timelines the ring retains.
-    pub ring_capacity: usize,
-    /// Deep-sample (bridge into `fhe_math::telemetry` span tracing)
-    /// every Nth request; `0` disables deep sampling. Sub-spans only
-    /// appear when the crate is built with the `telemetry` feature.
-    pub deep_sample_every: u64,
-    /// Requests slower than this end-to-end land in the slow-request
-    /// log, annotated with their dominant stage.
-    pub slow_threshold: Duration,
-}
-
-impl ObsConfig {
-    /// The hardcoded defaults: recording on, a 128-entry ring, deep
-    /// sampling every 64th request, 500 ms slow threshold.
-    pub fn baseline() -> Self {
-        Self {
-            enabled: true,
-            ring_capacity: 128,
-            deep_sample_every: 64,
-            slow_threshold: Duration::from_millis(500),
-        }
-    }
-
-    /// [`ObsConfig::baseline`] overridden by environment variables:
-    /// `MAD_SERVE_OBS` (`0`/`off`/`false` disables), `MAD_SERVE_TRACE_RING`
-    /// (entries), `MAD_SERVE_DEEP_EVERY` (N, `0` = never) and
-    /// `MAD_SERVE_SLOW_MS` (milliseconds). Unparseable values are
-    /// ignored.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::baseline();
-        if let Ok(v) = std::env::var("MAD_SERVE_OBS") {
-            match v.to_ascii_lowercase().as_str() {
-                "1" | "on" | "true" => cfg.enabled = true,
-                "0" | "off" | "false" => cfg.enabled = false,
-                _ => {}
-            }
-        }
-        if let Ok(v) = std::env::var("MAD_SERVE_TRACE_RING") {
-            if let Ok(n) = v.parse::<usize>() {
-                cfg.ring_capacity = n.max(1);
-            }
-        }
-        if let Ok(v) = std::env::var("MAD_SERVE_DEEP_EVERY") {
-            if let Ok(n) = v.parse::<u64>() {
-                cfg.deep_sample_every = n;
-            }
-        }
-        if let Ok(v) = std::env::var("MAD_SERVE_SLOW_MS") {
-            if let Ok(ms) = v.parse::<u64>() {
-                cfg.slow_threshold = Duration::from_millis(ms);
-            }
-        }
-        cfg
-    }
-}
-
 /// The live, lock-free timeline of one in-flight request. Stamps and
 /// accumulators are relaxed atomics: each field is written by exactly
 /// one thread at a time (reader → scheduler → worker → reader) and read
@@ -195,7 +131,9 @@ impl RequestTrace {
         self.start.elapsed().as_micros() as u64
     }
 
-    fn add_stage(&self, stage: Stage, d: Duration) {
+    /// Adds a measured duration to `stage` (also used from outside the
+    /// handler: a group's shared pin phase, the reply flush).
+    pub(crate) fn add_stage(&self, stage: Stage, d: Duration) {
         self.stage_us[stage.index()].fetch_add(d.as_micros() as u64, Relaxed);
     }
 
@@ -389,12 +327,6 @@ pub(crate) fn time_stage<T>(stage: Stage, f: impl FnOnce() -> T) -> T {
             r
         }
     }
-}
-
-/// Adds an externally-measured duration to `stage` of `trace` (used for
-/// a batch's shared pin phase, which every member waited out).
-pub(crate) fn add_stage(trace: &RequestTrace, stage: Stage, d: Duration) {
-    trace.add_stage(stage, d);
 }
 
 /// The server's tracing state: id source, deep-sampling gate, the ring
@@ -829,7 +761,7 @@ mod tests {
         trace.mark_picked();
         {
             let _g = obs.enter_exec(&trace);
-            add_stage(&trace, Stage::Decode, Duration::from_micros(5));
+            trace.add_stage(Stage::Decode, Duration::from_micros(5));
         }
         obs.finish(&metrics, &trace, 0);
         assert_eq!(obs.recent().len(), 1);
@@ -908,16 +840,5 @@ mod tests {
         assert_eq!((spans[0].begin_us, spans[0].end_us), (100, 112));
         assert_eq!(spans[1].name, "KeySwitch");
         assert_eq!((spans[1].begin_us, spans[1].end_us), (102, 109));
-    }
-
-    #[test]
-    fn env_config_parses_and_ignores_garbage() {
-        // Only exercise the pure parsing; the env-reading path is
-        // covered by construction (set_var in tests races other tests).
-        let cfg = ObsConfig::baseline();
-        assert!(cfg.enabled);
-        assert_eq!(cfg.ring_capacity, 128);
-        assert_eq!(cfg.deep_sample_every, 64);
-        assert_eq!(cfg.slow_threshold, Duration::from_millis(500));
     }
 }

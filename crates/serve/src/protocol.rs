@@ -34,8 +34,9 @@ pub enum Opcode {
     /// optional leading [`BatchHint`] byte (unknown values and any extra
     /// trailing bytes are tolerated and read as [`BatchHint::Auto`], so
     /// older clients and fuzzed frames stay valid). The response body is
-    /// the `u64` session id, a flags byte (bit 0: batching scheduler
-    /// enabled), then the server's kernel-backend name in UTF-8.
+    /// the `u64` session id, a flags byte (bit 0: key-reuse scheduler
+    /// present, always set by this server), then the server's
+    /// kernel-backend name in UTF-8.
     Hello = 0x01,
     /// Upload the relinearization key (compressed seeded form welcome).
     UploadRelin = 0x02,
@@ -60,8 +61,6 @@ pub enum Opcode {
     Rescale = 0x15,
     /// BSGS plaintext matrix–vector product.
     Bsgs = 0x16,
-    /// One encrypted HELR logistic-regression training step.
-    HelrStep = 0x17,
     /// Execute a previously uploaded program: `u64` session id, `u64`
     /// program id, then the program's declared inputs in declaration
     /// order (ciphertexts as blobs, plaintext vectors and matrix
@@ -91,7 +90,6 @@ impl Opcode {
             0x14 => Opcode::Rotate,
             0x15 => Opcode::Rescale,
             0x16 => Opcode::Bsgs,
-            0x17 => Opcode::HelrStep,
             0x18 => Opcode::RunProgram,
             0x20 => Opcode::Metrics,
             0x21 => Opcode::TraceDump,
@@ -113,7 +111,6 @@ impl Opcode {
             Opcode::Rotate => "rotate",
             Opcode::Rescale => "rescale",
             Opcode::Bsgs => "bsgs",
-            Opcode::HelrStep => "helr_step",
             Opcode::RunProgram => "run_program",
             Opcode::Metrics => "metrics",
             Opcode::TraceDump => "trace_dump",
@@ -121,7 +118,7 @@ impl Opcode {
     }
 
     /// Every opcode, for metrics registration.
-    pub const ALL: [Opcode; 15] = [
+    pub const ALL: [Opcode; 14] = [
         Opcode::Hello,
         Opcode::UploadRelin,
         Opcode::UploadGalois,
@@ -133,7 +130,6 @@ impl Opcode {
         Opcode::Rotate,
         Opcode::Rescale,
         Opcode::Bsgs,
-        Opcode::HelrStep,
         Opcode::RunProgram,
         Opcode::Metrics,
         Opcode::TraceDump,
@@ -144,7 +140,7 @@ impl Opcode {
 /// [`Opcode::Hello`] body.
 ///
 /// The hint tells the scheduler how to trade latency for key reuse on
-/// this session's keyed operations (Mult/Rotate/Bsgs/HelrStep):
+/// this session's keyed operations (Mult/Rotate/Bsgs/RunProgram):
 ///
 /// - `Auto`: batch opportunistically — requests coalesce only while the
 ///   worker pool is busy, so an idle server adds no hold latency.
@@ -460,7 +456,8 @@ impl<'a> BodyReader<'a> {
     pub fn is_empty(&self) -> bool {
         self.pos == self.buf.len()
     }
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+    /// Reads (or skips) `n` raw bytes.
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         if self.pos + n > self.buf.len() {
             return None;
         }

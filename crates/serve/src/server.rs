@@ -1,41 +1,11 @@
 //! The server: a nonblocking acceptor feeding N independent shard
-//! loops, each with its own session table, key-cache slice, key-reuse
-//! batching scheduler, and bounded worker pool.
-//!
-//! Threading model (all `std::thread`, no async runtime):
-//!
-//! - The **acceptor** owns a nonblocking listener and deals fresh
-//!   connections round-robin across the shard loops.
-//! - Each **shard loop** drives all of its connections from one thread
-//!   with readiness-based nonblocking I/O: buffer bytes as they arrive,
-//!   parse at most one frame per connection per tick, enqueue the job on
-//!   the shard's bounded [`sync_channel`] (a full queue is answered
-//!   immediately with [`ErrorCode::Overloaded`] — backpressure, never
-//!   buffering), then flush the reply when the worker delivers it. Each
-//!   connection still sees strict request/response ordering. A parked
-//!   loop sleeps on a condvar the workers ping after every completed
-//!   item, so replies flush without polling latency.
-//! - **Shard placement** is consistent hashing of the session id
-//!   ([`crate::shard::shard_of`]): `Hello` mints an id that hashes to
-//!   the shard that accepted the connection, and every keyed frame whose
-//!   session lives elsewhere migrates its connection to the owning shard
-//!   at a frame boundary. A tenant's compressed keys, expanded-key cache
-//!   entries, batching groups, and programs therefore live on exactly
-//!   one shard; each shard's [`KeyCache`] owns `1/N` of the global byte
-//!   budget.
-//! - The per-shard **scheduler** groups keyed jobs by
-//!   `(session, KeyClass)` and dispatches a group as one
-//!   `WorkItem::Batch` when it fills (`max_batch`), when its window
-//!   expires (`max_delay`), or eagerly when the shard's pool is idle. A
-//!   held job's deadline clock restarts at dispatch — the batching
-//!   window is the scheduler's choice, not queue congestion.
-//! - **Workers** pop work items, drop any job whose deadline passed
-//!   while queued, and run ops under `catch_unwind` so a panic becomes a
-//!   structured [`ErrorCode::Internal`] instead of a dead worker. A
-//!   batch pins its whole expanded key-set in the shard's [`KeyCache`]
-//!   first, executes its jobs back-to-back against the pinned `Arc`s,
-//!   and shares one hoisted ModUp decomposition across rotations of the
-//!   same ciphertext.
+//! loops, each with its own session table, key-cache slice (`1/N` of the
+//! global byte budget), key-reuse scheduler, and bounded worker pool.
+//! This module owns the shared state and thread start-up/shutdown; the
+//! threads themselves live in [`crate::transport`] (acceptor, shard
+//! loop), [`crate::sched`] (scheduler, workers) and [`crate::exec`] (the
+//! op handlers), and the one decision they share — which keys a request
+//! needs and where a handler reads them — in [`crate::plan`].
 //!
 //! Metrics and tracing stay global: one [`Metrics`] registry aggregates
 //! across shards (the dump appends per-shard labeled families), and the
@@ -46,98 +16,21 @@
 //! them, the schedulers flush held groups, in-queue jobs still execute,
 //! then every thread is joined.
 
-use crate::batch::{
-    peek_bsgs_steps, peek_program_id, peek_rotate_ct, peek_rotate_steps, peek_session, BatchConfig,
-    KeyClass,
-};
-use crate::cache::{CacheStats, EvictionPolicy, KeyCache, KeyKind};
+use crate::cache::{CacheStats, KeyCache};
+use crate::config::ServeConfig;
 #[cfg(feature = "chaos")]
-use crate::fault::{FaultDecision, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::metrics::{Metrics, ShardSnapshot};
-use crate::obs::{self, FinishedTrace, ObsConfig, Observer, RequestTrace, Stage};
-use crate::protocol::{
-    frame_bytes, peek_frame, take_frame, BatchHint, BodyReader, ErrorCode, Frame, FrameStatus,
-    Opcode, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
-};
-use crate::session::{Session, SessionManager, StoredProgram};
-use ckks::hoisting::{apply_bsgs, bsgs_required_steps, rotate_hoisted, LinearTransform};
-use ckks::serialize::{
-    deserialize_ciphertext, deserialize_plaintext, deserialize_switching_key,
-    galois_key_set_entries, serialize_ciphertext,
-};
-use ckks::{Ciphertext, CkksContext, Encoder, Evaluator, GaloisKeys, SwitchingKey};
-use fhe_apps::{encrypted_lr_step, lr_fold_steps};
-use fhe_math::cfft::Complex;
-use fhe_program::program::{Instr, Program, ProgramEnv};
-use fhe_program::{execute_validated, ExecError, ExecInputs, ExecKeys};
-use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use crate::obs::{FinishedTrace, Observer};
+use crate::sched::{scheduler_loop, worker_loop, Job, JobSinks};
+use crate::session::SessionManager;
+use crate::transport::{accept_loop, shard_loop, ReplySignal, RoutedConn};
+use ckks::{CkksContext, Encoder, Evaluator};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Tuning knobs for [`Server::start`].
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Independent shard loops; sessions are placed by consistent
-    /// hashing of the session id, and each shard owns its own session
-    /// table, key-cache slice (`key_cache_budget / shards`), scheduler,
-    /// and worker pool. The default reads `MAD_SERVE_SHARDS` (clamped to
-    /// `1..=`[`crate::shard::MAX_SHARDS`], default 1).
-    pub shards: usize,
-    /// Worker threads executing FHE ops, **per shard**.
-    pub workers: usize,
-    /// Bounded queue length per shard; a full queue rejects with
-    /// `Overloaded`.
-    pub queue_capacity: usize,
-    /// Global byte budget for expanded switching keys, split evenly
-    /// across the per-shard [`KeyCache`]s.
-    pub key_cache_budget: u64,
-    /// Cache eviction policy.
-    pub eviction: EvictionPolicy,
-    /// Maximum time a request may wait in the queue before a worker
-    /// starts it; exceeded requests answer `DeadlineExceeded`.
-    pub request_deadline: Duration,
-    /// Ceiling on a single frame.
-    pub max_frame_bytes: u32,
-    /// Key-reuse batching scheduler knobs (each shard runs its own
-    /// scheduler). The default reads the `MAD_SERVE_BATCHING` /
-    /// `MAD_SERVE_BATCH_SIZE` / `MAD_SERVE_BATCH_DELAY_MS` environment
-    /// variables.
-    pub batch: BatchConfig,
-    /// Request-tracing knobs ([`crate::obs`]). The default reads the
-    /// `MAD_SERVE_OBS` / `MAD_SERVE_TRACE_RING` / `MAD_SERVE_DEEP_EVERY`
-    /// / `MAD_SERVE_SLOW_MS` environment variables.
-    pub obs: ObsConfig,
-    /// Deterministic fault schedule threaded through the shard loops
-    /// and worker pools; `None` (the default) serves faithfully.
-    /// Only present when built with the `chaos` feature, so the default
-    /// build carries no injection branches.
-    #[cfg(feature = "chaos")]
-    pub fault_plan: Option<Arc<FaultPlan>>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self {
-            shards: crate::shard::shards_from_env(),
-            workers: 2,
-            queue_capacity: 32,
-            key_cache_budget: 64 << 20,
-            eviction: EvictionPolicy::Lru,
-            request_deadline: Duration::from_secs(30),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            batch: BatchConfig::from_env(),
-            obs: ObsConfig::from_env(),
-            #[cfg(feature = "chaos")]
-            fault_plan: None,
-        }
-    }
-}
 
 /// State every shard sees: the crypto context, the global metrics and
 /// tracing registries, and a window onto every shard's tenant-owning
@@ -149,8 +42,6 @@ pub(crate) struct SharedState {
     pub(crate) encoder: Encoder,
     pub(crate) metrics: Metrics,
     pub(crate) obs: Observer,
-    /// Whether the batching scheduler is wired in (reported in Hello).
-    pub(crate) batching: bool,
     /// Every shard's tenant-owning state, indexed by shard id.
     pub(crate) shards: Vec<ShardPublic>,
     #[cfg(feature = "chaos")]
@@ -187,7 +78,7 @@ impl SharedState {
 
     /// The full metrics dump: global families over aggregated cache
     /// stats, then the per-shard labeled families.
-    fn metrics_text(&self) -> String {
+    pub(crate) fn metrics_text(&self) -> String {
         let (agg, snaps) = self.shard_snapshots();
         self.metrics
             .dump_sharded(&agg, self.ctx.kernel_backend().name(), &snaps)
@@ -213,176 +104,21 @@ impl std::ops::Deref for ServerState {
     }
 }
 
-struct Job {
-    op: Opcode,
-    body: Vec<u8>,
-    /// When this request's deadline clock started. The shard loop stamps
-    /// it at enqueue; the scheduler re-stamps it at batch dispatch,
-    /// because a hold inside the batching window is the server's own
-    /// choice and must not be double-counted against the per-op
-    /// deadline.
-    deadline_start: Instant,
-    reply: std::sync::mpsc::Sender<(u8, Vec<u8>)>,
-    /// The request's always-on timeline; `None` when tracing is
-    /// disabled. The shard loop keeps a second handle and finishes the
-    /// trace after flushing the reply.
-    trace: Option<Arc<RequestTrace>>,
-    /// A worker-side fault drawn for this request by the chaos plan.
-    #[cfg(feature = "chaos")]
-    chaos: Option<FaultDecision>,
-}
-
-/// One unit of worker-pool work: a lone request, or a scheduler-formed
-/// group sharing a session and key class.
-enum WorkItem {
-    Single(Job),
-    Batch {
-        sid: u64,
-        class: KeyClass,
-        jobs: Vec<Job>,
-    },
-}
-
-/// Where the shard loop drops parsed jobs: keyed ops into the
-/// scheduler's admission channel (when batching is on), everything else
-/// straight to the worker queue. `backlog` counts work items sent to the
-/// workers but not yet finished — the scheduler's "is the pool idle"
-/// signal.
-struct JobSinks {
-    direct: SyncSender<WorkItem>,
-    batched: Option<SyncSender<Job>>,
-    backlog: Arc<AtomicU64>,
-}
-
-impl JobSinks {
-    /// Routes one job; `Err` mirrors the sync-channel try_send contract
-    /// (`Full` → Overloaded reply, `Disconnected` → drop connection).
-    fn dispatch(&self, job: Job) -> Result<(), TrySendError<()>> {
-        fn strip<T>(e: TrySendError<T>) -> TrySendError<()> {
-            match e {
-                TrySendError::Full(_) => TrySendError::Full(()),
-                TrySendError::Disconnected(_) => TrySendError::Disconnected(()),
-            }
-        }
-        let batchable = KeyClass::of(job.op).is_some() && peek_session(&job.body).is_some();
-        match &self.batched {
-            Some(tx) if batchable => tx.try_send(job).map_err(strip),
-            _ => {
-                self.backlog.fetch_add(1, Ordering::Relaxed);
-                let r = self.direct.try_send(WorkItem::Single(job));
-                if r.is_err() {
-                    self.backlog.fetch_sub(1, Ordering::Relaxed);
-                }
-                r.map_err(strip)
-            }
-        }
-    }
-}
-
-/// A connection in flight between threads: the acceptor hands fresh
-/// sockets to a shard, and a shard migrates a connection (with any bytes
-/// it already buffered) to the shard that owns its session.
-struct RoutedConn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-}
-
-/// The wake-up channel between a shard's workers and its loop: workers
-/// bump the sequence number after every completed work item, and the
-/// loop sleeps on the condvar only while the sequence is unchanged —
-/// a reply can never slip between "checked the channel" and "went to
-/// sleep".
-#[derive(Default)]
-struct ReplySignal {
-    seq: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl ReplySignal {
-    fn notify(&self) {
-        *self.seq.lock().expect("signal poisoned") += 1;
-        self.cv.notify_all();
-    }
-
-    /// Sleeps until the sequence moves past `last_seen` or `timeout`
-    /// elapses, then records the current sequence in `last_seen`.
-    fn wait_if_unchanged(&self, last_seen: &mut u64, timeout: Duration) {
-        let mut seq = self.seq.lock().expect("signal poisoned");
-        if *seq == *last_seen {
-            seq = self
-                .cv
-                .wait_timeout(seq, timeout)
-                .expect("signal poisoned")
-                .0;
-        }
-        *last_seen = *seq;
-    }
-}
-
-/// A reply the shard loop is waiting on from the worker pool.
-struct PendingReply {
-    rx: std::sync::mpsc::Receiver<(u8, Vec<u8>)>,
-    trace: Option<Arc<RequestTrace>>,
-    /// A write-abort fault drawn for this request, applied when the
-    /// reply comes back.
-    #[cfg(feature = "chaos")]
-    write_fault: Option<FaultDecision>,
-}
-
-/// Per-connection state machine driven by the owning shard loop.
-struct Conn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    write_pos: usize,
-    /// When the reply entered the write buffer — the write stage runs
-    /// from reply pickup to flush completion.
-    write_started: Option<Instant>,
-    pending: Option<PendingReply>,
-    /// A trace to finish (with its status) once the reply flushes.
-    finishing: Option<(Arc<RequestTrace>, u8)>,
-    /// Close once the write buffer drains (oversize frames, torn-write
-    /// faults).
-    close_after_flush: bool,
-    /// The peer half-closed its sending side; drain what's owed, then
-    /// drop.
-    peer_closed: bool,
-}
-
-impl Conn {
-    fn new(routed: RoutedConn) -> Self {
-        Conn {
-            stream: routed.stream,
-            read_buf: routed.read_buf,
-            write_buf: Vec::new(),
-            write_pos: 0,
-            write_started: None,
-            pending: None,
-            finishing: None,
-            close_after_flush: false,
-            peer_closed: false,
-        }
-    }
-}
-
-/// What one tick of [`step_conn`] decided about a connection.
-enum ConnVerdict {
-    /// Still alive; `progressed` is whether anything moved this tick.
-    Keep { progressed: bool },
-    /// Close the socket.
-    Drop,
-    /// Migrate the connection to the shard owning its session.
-    Route(usize),
+fn spawn(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(f)
+        .expect("spawn server thread")
 }
 
 /// One shard's runtime threads and queues, torn down in
 /// [`Server::shutdown`].
 struct ShardRuntime {
-    loop_handle: Option<JoinHandle<()>>,
-    scheduler: Option<JoinHandle<()>>,
+    loop_handle: JoinHandle<()>,
+    scheduler: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    queue: Option<SyncSender<WorkItem>>,
-    batch_queue: Option<SyncSender<Job>>,
+    queue: SyncSender<Vec<Job>>,
+    keyed_queue: SyncSender<Job>,
 }
 
 /// A running server; dropping without [`Server::shutdown`] aborts
@@ -391,7 +127,7 @@ pub struct Server {
     addr: SocketAddr,
     state: Arc<SharedState>,
     shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: JoinHandle<()>,
     shards: Vec<ShardRuntime>,
 }
 
@@ -421,26 +157,16 @@ impl Server {
             ctx,
             metrics: Metrics::new(),
             obs: Observer::new(config.obs.clone()),
-            batching: config.batch.enabled,
             shards: shard_public,
             #[cfg(feature = "chaos")]
             fault: config.fault_plan.clone(),
         });
-        shared
-            .metrics
-            .batching_enabled
-            .store(u64::from(config.batch.enabled), Ordering::Relaxed);
         let shutdown = Arc::new(AtomicBool::new(false));
 
         // The connection-migration fabric: every shard (and the
         // acceptor) can hand a connection to any shard.
-        let mut conn_txs: Vec<Sender<RoutedConn>> = Vec::with_capacity(shard_count);
-        let mut conn_rxs: Vec<Receiver<RoutedConn>> = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let (tx, rx) = std::sync::mpsc::channel();
-            conn_txs.push(tx);
-            conn_rxs.push(rx);
-        }
+        let (conn_txs, conn_rxs): (Vec<Sender<RoutedConn>>, Vec<Receiver<RoutedConn>>) =
+            (0..shard_count).map(|_| std::sync::mpsc::channel()).unzip();
 
         let mut shards = Vec::with_capacity(shard_count);
         for (i, conn_rx) in conn_rxs.into_iter().enumerate() {
@@ -453,7 +179,7 @@ impl Server {
             });
             let backlog = Arc::new(AtomicU64::new(0));
             let signal = Arc::new(ReplySignal::default());
-            let (work_tx, work_rx) = sync_channel::<WorkItem>(config.queue_capacity);
+            let (work_tx, work_rx) = sync_channel::<Vec<Job>>(config.queue_capacity);
             let work_rx = Arc::new(Mutex::new(work_rx));
 
             let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
@@ -463,28 +189,21 @@ impl Server {
                     let backlog = backlog.clone();
                     let signal = signal.clone();
                     let deadline = config.request_deadline;
-                    std::thread::Builder::new()
-                        .name(format!("serve-w{i}-{w}"))
-                        .spawn(move || worker_loop(&state, &rx, &backlog, deadline, &signal))
-                        .expect("spawn worker")
+                    spawn(format!("serve-w{i}-{w}"), move || {
+                        worker_loop(&state, &rx, &backlog, deadline, &signal);
+                    })
                 })
                 .collect();
 
-            let (batch_tx, scheduler) = if config.batch.enabled {
-                let (batch_tx, batch_rx) = sync_channel::<Job>(config.queue_capacity);
+            let (keyed_tx, keyed_rx) = sync_channel::<Job>(config.queue_capacity);
+            let scheduler = {
                 let state = state.clone();
                 let work_tx = work_tx.clone();
                 let backlog = backlog.clone();
                 let batch_cfg = config.batch.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("serve-sched-{i}"))
-                    .spawn(move || {
-                        scheduler_loop(&state, &batch_rx, &work_tx, &backlog, &batch_cfg)
-                    })
-                    .expect("spawn scheduler");
-                (Some(batch_tx), Some(handle))
-            } else {
-                (None, None)
+                spawn(format!("serve-sched-{i}"), move || {
+                    scheduler_loop(&state, &keyed_rx, &work_tx, &backlog, &batch_cfg);
+                })
             };
 
             let loop_handle = {
@@ -492,66 +211,41 @@ impl Server {
                 let shutdown = shutdown.clone();
                 let sinks = JobSinks {
                     direct: work_tx.clone(),
-                    batched: batch_tx.clone(),
+                    keyed: keyed_tx.clone(),
                     backlog,
                 };
                 let conn_txs = conn_txs.clone();
                 let signal = signal.clone();
                 let max_frame = config.max_frame_bytes;
-                std::thread::Builder::new()
-                    .name(format!("serve-shard-{i}"))
-                    .spawn(move || {
-                        shard_loop(
-                            &state, &shutdown, &sinks, &conn_rx, &conn_txs, &signal, max_frame,
-                        );
-                    })
-                    .expect("spawn shard loop")
+                spawn(format!("serve-shard-{i}"), move || {
+                    shard_loop(
+                        &state, &shutdown, &sinks, &conn_rx, &conn_txs, &signal, max_frame,
+                    );
+                })
             };
 
             shards.push(ShardRuntime {
-                loop_handle: Some(loop_handle),
+                loop_handle,
                 scheduler,
                 workers,
-                queue: Some(work_tx),
-                batch_queue: batch_tx,
+                queue: work_tx,
+                keyed_queue: keyed_tx,
             });
         }
 
         let acceptor = {
             let shared = shared.clone();
             let shutdown = shutdown.clone();
-            std::thread::Builder::new()
-                .name("serve-acceptor".into())
-                .spawn(move || {
-                    let mut next = 0usize;
-                    while !shutdown.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                shared
-                                    .metrics
-                                    .connections_total
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let routed = RoutedConn {
-                                    stream,
-                                    read_buf: Vec::new(),
-                                };
-                                let _ = conn_txs[next % conn_txs.len()].send(routed);
-                                next = next.wrapping_add(1);
-                            }
-                            // Nothing to accept (or a transient accept
-                            // error): nap and poll the shutdown flag.
-                            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                        }
-                    }
-                })
-                .expect("spawn acceptor")
+            spawn("serve-acceptor".into(), move || {
+                accept_loop(&shared, &listener, &shutdown, &conn_txs);
+            })
         };
 
         Ok(Server {
             addr,
             state: shared,
             shutdown,
-            acceptor: Some(acceptor),
+            acceptor,
             shards,
         })
     }
@@ -631,1453 +325,36 @@ impl Server {
     /// Graceful drain: stop accepting (the listening port closes with
     /// the acceptor), let every shard drain pending replies and flush
     /// them, let queued requests finish, then join every thread.
-    pub fn shutdown(mut self) {
+    pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // The acceptor wakes on its poll tick and exits, dropping the
         // listener — new connects are refused from here on.
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
+        let _ = self.acceptor.join();
         // Shard loops drain: each exits once its connections are gone
         // (idle ones close immediately; ones owed a reply first collect
         // and flush it). Workers are still up, so those replies arrive.
-        for shard in &mut self.shards {
-            if let Some(h) = shard.loop_handle.take() {
-                let _ = h.join();
-            }
+        let mut rest = Vec::new();
+        for shard in self.shards {
+            let _ = shard.loop_handle.join();
+            rest.push((
+                shard.keyed_queue,
+                shard.scheduler,
+                shard.queue,
+                shard.workers,
+            ));
         }
-        for shard in &mut self.shards {
+        for (keyed_queue, scheduler, queue, workers) in rest {
             // The loop's sink clones are gone. Dropping ours disconnects
             // the scheduler's admission channel; it flushes held groups
             // to the workers and exits.
-            drop(shard.batch_queue.take());
-            if let Some(h) = shard.scheduler.take() {
-                let _ = h.join();
-            }
+            drop(keyed_queue);
+            let _ = scheduler.join();
             // Now the last worker-queue sender goes away; workers drain
             // the remaining items and exit.
-            drop(shard.queue.take());
-            for h in std::mem::take(&mut shard.workers) {
+            drop(queue);
+            for h in workers {
                 let _ = h.join();
             }
         }
-    }
-}
-
-/// One shard's event loop: adopt incoming connections, drive each one a
-/// step, migrate mis-placed connections, and park on the reply condvar
-/// when nothing moved.
-fn shard_loop(
-    state: &Arc<ServerState>,
-    shutdown: &AtomicBool,
-    sinks: &JobSinks,
-    conn_rx: &Receiver<RoutedConn>,
-    conn_txs: &[Sender<RoutedConn>],
-    signal: &ReplySignal,
-    max_frame: u32,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut last_seq = 0u64;
-    let mut last_active = Instant::now();
-    loop {
-        let shutting_down = shutdown.load(Ordering::SeqCst);
-        while let Ok(routed) = conn_rx.try_recv() {
-            let _ = routed.stream.set_nonblocking(true);
-            let _ = routed.stream.set_nodelay(true);
-            conns.push(Conn::new(routed));
-        }
-        if shutting_down && conns.is_empty() {
-            break;
-        }
-        let mut progressed = false;
-        let mut any_pending = false;
-        let mut i = 0;
-        while i < conns.len() {
-            match step_conn(state, sinks, &mut conns[i], shutting_down, max_frame) {
-                ConnVerdict::Keep { progressed: p } => {
-                    progressed |= p;
-                    any_pending |= conns[i].pending.is_some() || !conns[i].write_buf.is_empty();
-                    i += 1;
-                }
-                ConnVerdict::Drop => {
-                    conns.swap_remove(i);
-                    progressed = true;
-                }
-                ConnVerdict::Route(target) => {
-                    let conn = conns.swap_remove(i);
-                    // A failed send means the target loop is gone
-                    // (shutdown race); the connection drops with it.
-                    let _ = conn_txs[target].send(RoutedConn {
-                        stream: conn.stream,
-                        read_buf: conn.read_buf,
-                    });
-                    progressed = true;
-                }
-            }
-        }
-        if progressed {
-            last_active = Instant::now();
-            continue;
-        }
-        // Nothing moved. With a reply in flight the condvar ping is the
-        // real wake signal and the timeout only a fallback; right after
-        // activity, stay hot for the closed-loop turnaround; otherwise
-        // settle into a lazy poll for new connections.
-        let timeout = if any_pending {
-            Duration::from_micros(500)
-        } else if last_active.elapsed() < Duration::from_millis(5) {
-            Duration::from_micros(50)
-        } else {
-            Duration::from_millis(2)
-        };
-        signal.wait_if_unchanged(&mut last_seq, timeout);
-    }
-}
-
-/// Advances one connection as far as it will go without blocking:
-/// collect a finished reply, flush the write buffer, then (only when the
-/// reply pipeline is empty) read and act on the next frame.
-fn step_conn(
-    state: &ServerState,
-    sinks: &JobSinks,
-    conn: &mut Conn,
-    shutting_down: bool,
-    max_frame: u32,
-) -> ConnVerdict {
-    let mut progressed = false;
-
-    // 1. Reply pickup: the worker finished, adopt its reply into the
-    //    write buffer.
-    if let Some(pending) = &conn.pending {
-        use std::sync::mpsc::TryRecvError;
-        match pending.rx.try_recv() {
-            Ok((status, body)) => {
-                let pending = conn.pending.take().expect("just checked");
-                adopt_reply(state, conn, pending, status, body);
-                progressed = true;
-            }
-            Err(TryRecvError::Empty) => {}
-            Err(TryRecvError::Disconnected) => {
-                let pending = conn.pending.take().expect("just checked");
-                adopt_reply(
-                    state,
-                    conn,
-                    pending,
-                    ErrorCode::Internal as u8,
-                    b"worker dropped the request".to_vec(),
-                );
-                progressed = true;
-            }
-        }
-    }
-
-    // 2. Flush whatever the socket will take.
-    while conn.write_pos < conn.write_buf.len() {
-        match (&conn.stream).write(&conn.write_buf[conn.write_pos..]) {
-            Ok(0) => return write_failed(state, conn),
-            Ok(n) => {
-                conn.write_pos += n;
-                progressed = true;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                return ConnVerdict::Keep { progressed };
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return write_failed(state, conn),
-        }
-    }
-    if !conn.write_buf.is_empty() {
-        // Fully flushed: the write stage ends here, and only now is the
-        // request's timeline complete.
-        conn.write_buf.clear();
-        conn.write_pos = 0;
-        if let Some((trace, status)) = conn.finishing.take() {
-            if let Some(start) = conn.write_started.take() {
-                obs::add_stage(&trace, Stage::Write, start.elapsed());
-            }
-            state.obs.finish(&state.metrics, &trace, status);
-        }
-        conn.write_started = None;
-        if conn.close_after_flush {
-            return ConnVerdict::Drop;
-        }
-        progressed = true;
-    }
-
-    // 3. Strict request/response order: no new frame while a reply is
-    //    owed.
-    if conn.pending.is_some() {
-        return ConnVerdict::Keep { progressed };
-    }
-    if shutting_down {
-        return ConnVerdict::Drop;
-    }
-
-    // 4. Pull in ready bytes, but only while we still need a frame —
-    //    never buffer ahead of the one-frame-per-tick parse.
-    if !conn.peer_closed
-        && matches!(
-            peek_frame(&conn.read_buf, max_frame),
-            FrameStatus::Incomplete
-        )
-    {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match (&conn.stream).read(&mut buf) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&buf[..n]);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return ConnVerdict::Drop,
-            }
-        }
-    }
-
-    // 5. Act on the frame boundary.
-    match peek_frame(&conn.read_buf, max_frame) {
-        FrameStatus::Incomplete => {
-            if conn.peer_closed {
-                // Clean EOF or a torn partial frame: either way the
-                // conversation is over.
-                return ConnVerdict::Drop;
-            }
-            ConnVerdict::Keep { progressed }
-        }
-        FrameStatus::Corrupt => ConnVerdict::Drop,
-        FrameStatus::TooLarge(len) => {
-            // The unread body leaves the stream out of sync: answer,
-            // then drop the connection once the reply flushes.
-            let msg = format!("frame of {len} bytes exceeds limit {max_frame}");
-            queue_reply(
-                state,
-                conn,
-                ErrorCode::FrameTooLarge as u8,
-                msg.into_bytes(),
-            );
-            conn.close_after_flush = true;
-            ConnVerdict::Keep { progressed: true }
-        }
-        FrameStatus::Ready { .. } => {
-            // Frame boundaries are the only safe migration points: no
-            // reply owed, nothing half-written, nothing half-read beyond
-            // buffered bytes that travel with the connection.
-            if let Some(target) = route_target(state, &conn.read_buf) {
-                return ConnVerdict::Route(target);
-            }
-            let frame = take_frame(&mut conn.read_buf);
-            process_frame(state, sinks, conn, frame)
-        }
-    }
-}
-
-/// A reply write failed mid-flush: close the books on the trace exactly
-/// like a successful write would (the reply *was* produced), then drop.
-fn write_failed(state: &ServerState, conn: &mut Conn) -> ConnVerdict {
-    if let Some((trace, status)) = conn.finishing.take() {
-        if let Some(start) = conn.write_started.take() {
-            obs::add_stage(&trace, Stage::Write, start.elapsed());
-        }
-        state.obs.finish(&state.metrics, &trace, status);
-    }
-    ConnVerdict::Drop
-}
-
-/// Queues a locally-generated reply frame (protocol errors, overload
-/// pushback) for flushing. Error and byte accounting happen here — at
-/// queue time, mirroring the blocking server which counted before the
-/// write.
-fn queue_reply(state: &ServerState, conn: &mut Conn, status: u8, body: Vec<u8>) {
-    if status != 0 {
-        state.metrics.errors_total.fetch_add(1, Ordering::Relaxed);
-    }
-    state
-        .metrics
-        .bytes_written
-        .fetch_add(6 + body.len() as u64, Ordering::Relaxed);
-    conn.write_buf = frame_bytes(status, &body);
-    conn.write_pos = 0;
-}
-
-/// Adopts a worker reply into the connection's write buffer, arming the
-/// write-stage clock and the trace hand-off (or the torn-write fault,
-/// which abandons the trace — a reply that never made it is not timeline
-/// data).
-fn adopt_reply(
-    state: &ServerState,
-    conn: &mut Conn,
-    pending: PendingReply,
-    status: u8,
-    body: Vec<u8>,
-) {
-    #[cfg(feature = "chaos")]
-    if let Some(FaultDecision::WriteAbort { keep }) = pending.write_fault {
-        // Torn frame: a strict prefix of the real response, then the
-        // connection drops. No error/byte accounting — the blocking
-        // server's abort path skipped its `respond` helper entirely.
-        let bytes = frame_bytes(status, &body);
-        let keep = keep.min(bytes.len().saturating_sub(1));
-        conn.write_buf = bytes[..keep].to_vec();
-        conn.write_pos = 0;
-        conn.close_after_flush = true;
-        return;
-    }
-    queue_reply(state, conn, status, body);
-    conn.write_started = Some(Instant::now());
-    if let Some(trace) = pending.trace {
-        conn.finishing = Some((trace, status));
-    }
-}
-
-/// Decides whether the buffered (complete) frame belongs to another
-/// shard: keyed ops carry their session id in the first 8 body bytes,
-/// and the id's consistent hash names the owner. Session-less ops
-/// (Hello, Metrics, TraceDump) and malformed-looking frames stay local —
-/// the local handler produces the correct structured error.
-fn route_target(state: &ServerState, buf: &[u8]) -> Option<usize> {
-    if state.shards.len() <= 1 {
-        return None;
-    }
-    if buf[4] != PROTOCOL_VERSION {
-        return None;
-    }
-    let op = Opcode::from_u8(buf[5])?;
-    if matches!(op, Opcode::Hello | Opcode::Metrics | Opcode::TraceDump) {
-        return None;
-    }
-    let len = u32::from_le_bytes(buf[0..4].try_into().expect("peeked Ready")) as usize;
-    if len < 10 {
-        // Body shorter than a session id: rejected locally as malformed.
-        return None;
-    }
-    let sid = u64::from_le_bytes(buf[6..14].try_into().expect("length checked"));
-    let target = crate::shard::shard_of(sid, state.shards.len());
-    (target != state.shard).then_some(target)
-}
-
-/// Parses and dispatches one frame on the owning shard: protocol errors
-/// answer locally, chaos draws exactly one decision, everything else
-/// becomes a job for this shard's scheduler or worker queue.
-fn process_frame(
-    state: &ServerState,
-    sinks: &JobSinks,
-    conn: &mut Conn,
-    frame: Frame,
-) -> ConnVerdict {
-    state
-        .metrics
-        .bytes_read
-        .fetch_add(6 + frame.body.len() as u64, Ordering::Relaxed);
-    if frame.version != PROTOCOL_VERSION {
-        let msg = format!("version {} unsupported", frame.version);
-        queue_reply(
-            state,
-            conn,
-            ErrorCode::UnsupportedVersion as u8,
-            msg.into_bytes(),
-        );
-        return ConnVerdict::Keep { progressed: true };
-    }
-    let Some(op) = Opcode::from_u8(frame.tag) else {
-        let msg = format!("opcode {:#04x}", frame.tag);
-        queue_reply(
-            state,
-            conn,
-            ErrorCode::UnknownOpcode as u8,
-            msg.into_bytes(),
-        );
-        return ConnVerdict::Keep { progressed: true };
-    };
-    // Chaos: exactly one plan decision per parsed frame, drawn on the
-    // owning shard (routing happens before the frame is "read").
-    // Loop-side faults act right here; worker-side faults ride on the
-    // job; write aborts fire when the reply comes back.
-    #[cfg(feature = "chaos")]
-    let mut worker_fault = None;
-    #[cfg(feature = "chaos")]
-    let mut write_fault = None;
-    #[cfg(feature = "chaos")]
-    if let Some(plan) = &state.fault {
-        if let Some(fault) = plan.decide(op) {
-            state
-                .metrics
-                .faults_injected
-                .fetch_add(1, Ordering::Relaxed);
-            match fault {
-                // A failed socket read: the connection dies with no
-                // reply at all.
-                FaultDecision::ReadError => return ConnVerdict::Drop,
-                // Synthetic admission-control pushback.
-                FaultDecision::Overloaded => {
-                    state
-                        .metrics
-                        .rejected_overload
-                        .fetch_add(1, Ordering::Relaxed);
-                    queue_reply(
-                        state,
-                        conn,
-                        ErrorCode::Overloaded as u8,
-                        b"injected overload, retry later".to_vec(),
-                    );
-                    return ConnVerdict::Keep { progressed: true };
-                }
-                FaultDecision::WriteAbort { .. } => write_fault = Some(fault),
-                other => worker_fault = Some(other),
-            }
-        }
-    }
-    let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-    let trace = state.obs.begin(op, state.shard as u32);
-    let job = Job {
-        op,
-        body: frame.body,
-        deadline_start: Instant::now(),
-        reply: reply_tx,
-        trace: trace.clone(),
-        #[cfg(feature = "chaos")]
-        chaos: worker_fault,
-    };
-    // Count before sending: a worker may pop (and decrement) the
-    // instant `try_send` returns.
-    state.metrics.enqueued();
-    if let Some(t) = &trace {
-        t.mark_enqueued();
-    }
-    match sinks.dispatch(job) {
-        Ok(()) => {
-            state.shards[state.shard]
-                .requests
-                .fetch_add(1, Ordering::Relaxed);
-            conn.pending = Some(PendingReply {
-                rx: reply_rx,
-                trace,
-                #[cfg(feature = "chaos")]
-                write_fault,
-            });
-            ConnVerdict::Keep { progressed: true }
-        }
-        Err(TrySendError::Full(())) => {
-            state.metrics.retracted();
-            state
-                .metrics
-                .rejected_overload
-                .fetch_add(1, Ordering::Relaxed);
-            queue_reply(
-                state,
-                conn,
-                ErrorCode::Overloaded as u8,
-                b"queue full, retry later".to_vec(),
-            );
-            ConnVerdict::Keep { progressed: true }
-        }
-        Err(TrySendError::Disconnected(())) => {
-            state.metrics.retracted();
-            ConnVerdict::Drop
-        }
-    }
-}
-
-fn worker_loop(
-    state: &ServerState,
-    rx: &Arc<Mutex<Receiver<WorkItem>>>,
-    backlog: &AtomicU64,
-    deadline: Duration,
-    signal: &ReplySignal,
-) {
-    loop {
-        let item = {
-            let rx = rx.lock().expect("queue poisoned");
-            rx.recv()
-        };
-        let Ok(item) = item else { break };
-        match item {
-            WorkItem::Single(job) => {
-                state.metrics.dequeued();
-                if let Some(t) = &job.trace {
-                    t.mark_picked();
-                }
-                if admit_job(state, &job, deadline) {
-                    execute_job(state, job, None);
-                }
-            }
-            WorkItem::Batch { sid, class, jobs } => run_batch(state, sid, class, jobs, deadline),
-        }
-        // Decremented after execution, not at pop: backlog == 0 means the
-        // pool is truly idle, which is the scheduler's eager-dispatch
-        // signal.
-        backlog.fetch_sub(1, Ordering::Relaxed);
-        // Wake the shard loop: a reply (or several, for a batch) is
-        // ready for pickup.
-        signal.notify();
-    }
-}
-
-/// Per-job admission: apply worker-side chaos faults, then check the
-/// deadline. Returns `false` (after replying `DeadlineExceeded`) if the
-/// job must not run.
-fn admit_job(state: &ServerState, job: &Job, deadline: Duration) -> bool {
-    #[cfg(feature = "chaos")]
-    if let Some(fault) = job.chaos {
-        match fault {
-            // Slept *before* the deadline check so injected latency
-            // counts against the request deadline exactly like real
-            // queueing delay.
-            FaultDecision::Delay(d) => std::thread::sleep(d),
-            FaultDecision::EvictionStorm => {
-                state.cache.evict_all();
-            }
-            FaultDecision::SessionReset => {
-                state.sessions.close_all();
-                state.cache.evict_all();
-            }
-            // WorkerPanic fires inside catch_unwind during execution;
-            // loop-side faults never reach the queue.
-            _ => {}
-        }
-    }
-    if job.deadline_start.elapsed() > deadline {
-        state
-            .metrics
-            .rejected_deadline
-            .fetch_add(1, Ordering::Relaxed);
-        let _ = job.reply.send((
-            ErrorCode::DeadlineExceeded as u8,
-            format!("queued longer than {deadline:?}").into_bytes(),
-        ));
-        return false;
-    }
-    true
-}
-
-/// Runs one job to completion (chaos/deadline already applied) and
-/// delivers its reply.
-fn execute_job(state: &ServerState, job: Job, keys: Option<&BatchKeys>) {
-    let start = Instant::now();
-    let result = {
-        // Guard scope: exec accounting and the deep-trace bridge close
-        // before the reply is sent, so the shard loop can never finish
-        // the trace while the worker is still writing to it.
-        let _exec = job.trace.as_ref().map(|t| state.obs.enter_exec(t));
-        catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "chaos")]
-            if matches!(job.chaos, Some(FaultDecision::WorkerPanic)) {
-                panic!("injected chaos panic");
-            }
-            handle(state, job.op, &job.body, keys)
-        }))
-    };
-    state.metrics.latency(job.op).observe(start.elapsed());
-    let (status, body) = match result {
-        Ok(Ok(body)) => (0u8, body),
-        Ok(Err((code, msg))) => (code as u8, msg.into_bytes()),
-        Err(_) => (ErrorCode::Internal as u8, b"operation panicked".to_vec()),
-    };
-    let _ = job.reply.send((status, body));
-}
-
-/// The expanded keys a batch pinned up front, consulted by the handler
-/// before it ever touches the shard's cache. Every hit here is a cache
-/// round-trip (and, under budget pressure, a potential re-expansion)
-/// avoided.
-#[derive(Default)]
-struct BatchKeys {
-    map: HashMap<KeyKind, Arc<SwitchingKey>>,
-}
-
-impl BatchKeys {
-    fn get(&self, kind: KeyKind) -> Option<&Arc<SwitchingKey>> {
-        self.map.get(&kind)
-    }
-}
-
-/// Executes a scheduler-formed batch: pin the union key-set, run the
-/// jobs back-to-back against the pinned expansions (rotations of the
-/// same ciphertext jointly, sharing one hoisted ModUp decomposition),
-/// then unpin.
-fn run_batch(state: &ServerState, sid: u64, class: KeyClass, jobs: Vec<Job>, deadline: Duration) {
-    state.metrics.batches_total.fetch_add(1, Ordering::Relaxed);
-    state
-        .metrics
-        .batch_jobs_total
-        .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-    state.metrics.batch_size.observe(jobs.len() as u64);
-
-    let mut runnable = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        state.metrics.dequeued();
-        if let Some(t) = &job.trace {
-            t.mark_picked();
-        }
-        if admit_job(state, &job, deadline) {
-            runnable.push(job);
-        }
-    }
-    if runnable.is_empty() {
-        return;
-    }
-    // A dead session (closed, or chaos-reset while queued) fails every
-    // job through the ordinary per-job path, structured errors included.
-    let Ok(session) = state.sessions.get(sid) else {
-        for job in runnable {
-            execute_job(state, job, None);
-        }
-        return;
-    };
-
-    // Pin the union of the batch's key requirements. Peeks that fail on
-    // malformed bodies contribute nothing; those jobs error per-job.
-    let slots = state.ctx.params().slots();
-    let mut kinds: Vec<KeyKind> = Vec::new();
-    let want = |kinds: &mut Vec<KeyKind>, k: KeyKind| {
-        if !kinds.contains(&k) {
-            kinds.push(k);
-        }
-    };
-    for job in &runnable {
-        match job.op {
-            Opcode::Mult => want(&mut kinds, KeyKind::Relin),
-            Opcode::Rotate => {
-                if let Some(s) = peek_rotate_steps(&job.body) {
-                    if s != 0 {
-                        want(&mut kinds, KeyKind::Galois(state.ctx.rotation_element(s)));
-                    }
-                }
-            }
-            Opcode::Bsgs => {
-                for s in peek_bsgs_steps(&job.body, slots).unwrap_or_default() {
-                    want(&mut kinds, KeyKind::Galois(state.ctx.rotation_element(s)));
-                }
-            }
-            Opcode::HelrStep => {
-                want(&mut kinds, KeyKind::Relin);
-                for s in lr_fold_steps(slots) {
-                    if s != 0 {
-                        want(&mut kinds, KeyKind::Galois(state.ctx.rotation_element(s)));
-                    }
-                }
-            }
-            // The program's own key manifest names the exact pins — the
-            // opcode's static RelinGalois class is only the grouping key.
-            Opcode::RunProgram => {
-                if let Some(sp) =
-                    peek_program_id(&job.body).and_then(|pid| session.program(pid).ok())
-                {
-                    if sp.info.manifest.relin {
-                        want(&mut kinds, KeyKind::Relin);
-                    }
-                    for &s in &sp.info.manifest.galois_steps {
-                        if s != 0 {
-                            want(&mut kinds, KeyKind::Galois(state.ctx.rotation_element(s)));
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    let mut keys = BatchKeys::default();
-    let mut pinned: Vec<KeyKind> = Vec::new();
-    let pin_start = Instant::now();
-    for kind in kinds {
-        // A missing or corrupt key is a per-job error, surfaced with the
-        // right code when the job executes; the pin phase just skips it.
-        let Ok(bytes) = session.key_bytes(kind) else {
-            continue;
-        };
-        if let Ok(key) = state
-            .cache
-            .get_or_expand_pinned(&state.ctx, sid, kind, &bytes)
-        {
-            keys.map.insert(kind, key);
-            pinned.push(kind);
-            state
-                .metrics
-                .batch_keys_pinned
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    // Every batch member waited out the shared pin phase in wall time,
-    // so each job's key stage carries the full phase duration.
-    let pin_elapsed = pin_start.elapsed();
-    if !pin_elapsed.is_zero() {
-        for job in &runnable {
-            if let Some(t) = &job.trace {
-                obs::add_stage(t, Stage::Key, pin_elapsed);
-            }
-        }
-    }
-
-    if class == KeyClass::Galois {
-        run_galois_batch(state, runnable, &keys);
-    } else {
-        for job in runnable {
-            execute_job(state, job, Some(&keys));
-        }
-    }
-
-    for kind in pinned {
-        state.cache.unpin(sid, kind);
-    }
-}
-
-/// Executes a Galois-class batch, folding rotations of bit-identical
-/// ciphertexts into one `rotate_hoisted` call so the ModUp decomposition
-/// of `c1` is computed once per distinct ciphertext instead of once per
-/// request. Jobs that cannot join a group (Bsgs, rotate-by-zero,
-/// malformed bodies, missing keys, chaos-panic carriers) run through the
-/// ordinary per-job path — still against the batch's pinned keys.
-fn run_galois_batch(state: &ServerState, runnable: Vec<Job>, keys: &BatchKeys) {
-    // Group joint-eligible rotations by ciphertext bytes.
-    let eligible = |job: &Job| -> bool {
-        #[cfg(feature = "chaos")]
-        if matches!(job.chaos, Some(FaultDecision::WorkerPanic)) {
-            return false;
-        }
-        job.op == Opcode::Rotate
-            && peek_rotate_ct(&job.body).is_some()
-            && peek_rotate_steps(&job.body).is_some_and(|s| {
-                s != 0
-                    && keys
-                        .get(KeyKind::Galois(state.ctx.rotation_element(s)))
-                        .is_some()
-            })
-    };
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, job) in runnable.iter().enumerate() {
-        if !eligible(job) {
-            continue;
-        }
-        let ct = peek_rotate_ct(&job.body).expect("eligible");
-        match groups
-            .iter_mut()
-            .find(|g| peek_rotate_ct(&runnable[g[0]].body) == Some(ct))
-        {
-            Some(g) => g.push(i),
-            None => groups.push(vec![i]),
-        }
-    }
-    let joint: Vec<Vec<usize>> = groups.into_iter().filter(|g| g.len() >= 2).collect();
-    let in_joint: Vec<bool> = {
-        let mut v = vec![false; runnable.len()];
-        for g in &joint {
-            for &i in g {
-                v[i] = true;
-            }
-        }
-        v
-    };
-
-    let mut slots: Vec<Option<Job>> = runnable.into_iter().map(Some).collect();
-    for g in &joint {
-        let jobs: Vec<Job> = g
-            .iter()
-            .map(|&i| slots[i].take().expect("unused"))
-            .collect();
-        let steps: Vec<i64> = jobs
-            .iter()
-            .map(|j| peek_rotate_steps(&j.body).expect("eligible"))
-            .collect();
-        let ct_bytes = peek_rotate_ct(&jobs[0].body).expect("eligible").to_vec();
-        let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(
-            || -> Result<Vec<Vec<u8>>, (ErrorCode, String)> {
-                let ct = read_ct(state, &ct_bytes)?;
-                // Keys were verified present; resolve through the pinned
-                // set exactly like the per-job path would.
-                let gk = assemble_galois_set(state, &steps, keys)?;
-                let outs = rotate_hoisted(&state.evaluator, &ct, &steps, &gk);
-                Ok(outs.iter().map(serialize_ciphertext).collect())
-            },
-        ));
-        let elapsed = start.elapsed();
-        for job in &jobs {
-            if let Some(t) = &job.trace {
-                t.set_exec_ending_now(elapsed);
-            }
-        }
-        state
-            .metrics
-            .batch_hoist_shared
-            .fetch_add(jobs.len() as u64 - 1, Ordering::Relaxed);
-        match result {
-            Ok(Ok(bodies)) => {
-                for (job, body) in jobs.into_iter().zip(bodies) {
-                    state.metrics.latency(job.op).observe(elapsed);
-                    let _ = job.reply.send((0u8, body));
-                }
-            }
-            Ok(Err((code, msg))) => {
-                for job in jobs {
-                    state.metrics.latency(job.op).observe(elapsed);
-                    let _ = job.reply.send((code as u8, msg.clone().into_bytes()));
-                }
-            }
-            Err(_) => {
-                for job in jobs {
-                    state.metrics.latency(job.op).observe(elapsed);
-                    let _ = job
-                        .reply
-                        .send((ErrorCode::Internal as u8, b"operation panicked".to_vec()));
-                }
-            }
-        }
-    }
-    for (i, slot) in slots.into_iter().enumerate() {
-        if let Some(job) = slot {
-            debug_assert!(!in_joint[i]);
-            execute_job(state, job, Some(keys));
-        }
-    }
-}
-
-/// Builds a Galois key set for `steps` purely from a batch's pinned
-/// expansions (joint rotations pre-verified every key is pinned).
-fn assemble_galois_set(
-    state: &ServerState,
-    steps: &[i64],
-    keys: &BatchKeys,
-) -> Result<GaloisKeys, (ErrorCode, String)> {
-    let mut gk = GaloisKeys::new();
-    for &s in steps {
-        let element = state.ctx.rotation_element(s);
-        if gk.get_shared(element).is_some() {
-            continue;
-        }
-        let key = keys.get(KeyKind::Galois(element)).ok_or_else(|| {
-            (
-                ErrorCode::MissingKey,
-                format!("rotation step {s} (element {element})"),
-            )
-        })?;
-        state
-            .metrics
-            .batch_expansions_avoided
-            .fetch_add(1, Ordering::Relaxed);
-        gk.insert_shared(element, key.clone());
-    }
-    Ok(gk)
-}
-
-/// Pending batch groups, keyed by `(session, KeyClass)`.
-struct PendingGroup {
-    jobs: Vec<Job>,
-    oldest: Instant,
-    /// `Throughput` sessions always wait out the window; `Auto` groups
-    /// flush eagerly the moment the worker pool goes idle.
-    hold: bool,
-}
-
-/// Hands one scheduler-formed group to the worker queue: restarts each
-/// job's deadline clock (time held for batching is the scheduler's
-/// choice, not congestion), stamps the hold on its trace, and — when
-/// the workers are already gone in a shutdown race — retires the
-/// dropped jobs from the queue-depth gauge. Their shard loop counted
-/// them `enqueued()` at admission and no worker will ever `dequeued()`
-/// them, so skipping that here would leak `serve_queue_depth`
-/// permanently.
-fn dispatch_batch(
-    metrics: &Metrics,
-    work: &SyncSender<WorkItem>,
-    backlog: &AtomicU64,
-    sid: u64,
-    class: KeyClass,
-    mut jobs: Vec<Job>,
-) {
-    let now = Instant::now();
-    for j in &mut jobs {
-        j.deadline_start = now;
-        if let Some(t) = &j.trace {
-            t.mark_batch_dispatch();
-        }
-    }
-    backlog.fetch_add(1, Ordering::Relaxed);
-    if let Err(std::sync::mpsc::SendError(item)) = work.send(WorkItem::Batch { sid, class, jobs }) {
-        // Workers already gone (shutdown race); replies drop with the
-        // channel and the shard loop answers Internal.
-        backlog.fetch_sub(1, Ordering::Relaxed);
-        if let WorkItem::Batch { jobs, .. } = item {
-            for _ in &jobs {
-                metrics.dequeued();
-            }
-        }
-    }
-}
-
-/// The scheduler thread: collects keyed jobs into per-`(session, class)`
-/// groups and dispatches each as one `WorkItem::Batch` when it fills,
-/// expires, or the pool idles. On channel disconnect (shutdown) every
-/// held group flushes before the thread exits, so no reply is lost.
-fn scheduler_loop(
-    state: &ServerState,
-    rx: &Receiver<Job>,
-    work: &SyncSender<WorkItem>,
-    backlog: &AtomicU64,
-    cfg: &BatchConfig,
-) {
-    let mut groups: HashMap<(u64, KeyClass), PendingGroup> = HashMap::new();
-    let dispatch = |sid: u64, class: KeyClass, jobs: Vec<Job>| {
-        dispatch_batch(&state.metrics, work, backlog, sid, class, jobs);
-    };
-    let flush = |groups: &mut HashMap<(u64, KeyClass), PendingGroup>,
-                 pred: &dyn Fn(&PendingGroup) -> bool| {
-        let due: Vec<(u64, KeyClass)> = groups
-            .iter()
-            .filter(|(_, p)| pred(p))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in due {
-            let p = groups.remove(&key).expect("listed");
-            dispatch(key.0, key.1, p.jobs);
-        }
-    };
-    loop {
-        let next_due = groups.values().map(|p| p.oldest + cfg.max_delay).min();
-        let job = match next_due {
-            None => match rx.recv() {
-                Ok(j) => Some(j),
-                Err(_) => break,
-            },
-            Some(due) => {
-                let now = Instant::now();
-                if due <= now {
-                    None
-                } else {
-                    match rx.recv_timeout(due - now) {
-                        Ok(j) => Some(j),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            }
-        };
-        if let Some(job) = job {
-            admit_to_group(state, &mut groups, job, cfg, &dispatch);
-            // Coalesce the rest of an already-waiting burst before any
-            // dispatch decision.
-            while let Ok(j) = rx.try_recv() {
-                admit_to_group(state, &mut groups, j, cfg, &dispatch);
-            }
-            // An idle pool means holding buys nothing: flush every group
-            // that didn't ask to wait.
-            if backlog.load(Ordering::Relaxed) == 0 {
-                flush(&mut groups, &|p| !p.hold);
-            }
-        }
-        let now = Instant::now();
-        flush(&mut groups, &|p| p.oldest + cfg.max_delay <= now);
-    }
-    // Shutdown drain: every held job still executes and replies.
-    flush(&mut groups, &|_| true);
-}
-
-/// Files one job into its `(session, class)` group, dispatching the
-/// group if it reaches `max_batch`. `Interactive` sessions and jobs with
-/// no resolvable group dispatch immediately as singletons.
-fn admit_to_group(
-    state: &ServerState,
-    groups: &mut HashMap<(u64, KeyClass), PendingGroup>,
-    job: Job,
-    cfg: &BatchConfig,
-    dispatch: &dyn Fn(u64, KeyClass, Vec<Job>),
-) {
-    let (Some(class), Some(sid)) = (KeyClass::of(job.op), peek_session(&job.body)) else {
-        // The loop only routes keyed ops here, but stay safe: run it
-        // alone.
-        dispatch(0, KeyClass::Relin, vec![job]);
-        return;
-    };
-    let hint = state
-        .sessions
-        .get(sid)
-        .map(|s| s.batch_hint())
-        .unwrap_or(BatchHint::Auto);
-    if hint == BatchHint::Interactive {
-        dispatch(sid, class, vec![job]);
-        return;
-    }
-    let p = groups.entry((sid, class)).or_insert_with(|| PendingGroup {
-        jobs: Vec::new(),
-        oldest: Instant::now(),
-        hold: hint == BatchHint::Throughput,
-    });
-    p.jobs.push(job);
-    if p.jobs.len() >= cfg.max_batch {
-        let p = groups.remove(&(sid, class)).expect("just inserted");
-        dispatch(sid, class, p.jobs);
-    }
-}
-
-type OpResult = Result<Vec<u8>, (ErrorCode, String)>;
-
-fn fail<T>(code: ErrorCode, msg: impl Into<String>) -> Result<T, (ErrorCode, String)> {
-    Err((code, msg.into()))
-}
-
-fn handle(state: &ServerState, op: Opcode, body: &[u8], keys: Option<&BatchKeys>) -> OpResult {
-    match op {
-        Opcode::Hello => {
-            // Optional leading batching-hint byte; anything else in the
-            // body (old clients, fuzzed frames) reads as Auto.
-            let hint = BatchHint::from_u8(body.first().copied().unwrap_or(0));
-            // The shard-local manager mints an id that hashes back to
-            // this shard, so the session's keyed traffic never migrates.
-            let sid = state.sessions.create_with_hint(hint);
-            // 8 LE bytes of session id, a flags byte (bit 0: batching
-            // scheduler enabled), then the active kernel-backend name in
-            // UTF-8. Pre-backend clients read only the first 8 bytes.
-            let mut reply = sid.to_le_bytes().to_vec();
-            reply.push(u8::from(state.batching));
-            reply.extend_from_slice(state.ctx.kernel_backend().name().as_bytes());
-            Ok(reply)
-        }
-        Opcode::UploadRelin => {
-            let mut r = BodyReader::new(body);
-            let (_sid, session) = need_session(state, &mut r)?;
-            let key_bytes = r.rest();
-            // Validate against the context before filing it away, so MULT
-            // never trips over garbage later.
-            if deserialize_switching_key(&state.ctx, key_bytes).is_err() {
-                return fail(ErrorCode::Malformed, "relin key bytes rejected");
-            }
-            session.set_relin(key_bytes.to_vec());
-            Ok(Vec::new())
-        }
-        Opcode::UploadGalois => {
-            let mut r = BodyReader::new(body);
-            let (_sid, session) = need_session(state, &mut r)?;
-            let bundle = r.rest();
-            let entries = match galois_key_set_entries(bundle) {
-                Ok(e) if !e.is_empty() => e,
-                _ => return fail(ErrorCode::Malformed, "galois bundle rejected"),
-            };
-            // Keys are stored compressed, split but unexpanded — the
-            // cache pays for expansion on first use.
-            for (element, key_bytes) in entries {
-                session.set_galois(element, key_bytes.to_vec());
-            }
-            Ok(Vec::new())
-        }
-        Opcode::CloseSession => {
-            let mut r = BodyReader::new(body);
-            let sid = r.u64().ok_or_else(malformed)?;
-            state
-                .sessions
-                .close(sid)
-                .map_err(|c| (c, format!("session {sid}")))?;
-            state.cache.purge_session(sid);
-            Ok(Vec::new())
-        }
-        Opcode::UploadProgram => {
-            let mut r = BodyReader::new(body);
-            let (_sid, session) = need_session(state, &mut r)?;
-            let wire = r.rest();
-            let program = Program::from_bytes(wire)
-                .map_err(|e| (ErrorCode::Malformed, format!("program rejected: {e}")))?;
-            // Validate against *this server's* parameters once at upload,
-            // so every RunProgram skips straight to execution and a
-            // mis-parameterized program fails loudly up front.
-            let env = ProgramEnv {
-                levels: state.ctx.params().levels(),
-                slots: state.ctx.params().slots(),
-            };
-            let info = program
-                .validate(&env)
-                .map_err(|e| (ErrorCode::Malformed, format!("program rejected: {e}")))?;
-            if program
-                .instrs
-                .iter()
-                .any(|i| matches!(i, Instr::Bootstrap { .. }))
-            {
-                return fail(
-                    ErrorCode::Malformed,
-                    "program uses Bootstrap, which the serving runtime cannot execute",
-                );
-            }
-            let pid = session.store_program(StoredProgram {
-                wire_len: wire.len(),
-                info,
-                program,
-            });
-            Ok(pid.to_le_bytes().to_vec())
-        }
-        Opcode::Add => {
-            let mut r = BodyReader::new(body);
-            let (_sid, _session) = need_session(state, &mut r)?;
-            let a = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let b = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let (a, b) = state.evaluator.align_levels(&a, &b);
-            Ok(ser_ct(&state.evaluator.add(&a, &b)))
-        }
-        Opcode::PtMult => {
-            let mut r = BodyReader::new(body);
-            let (_sid, _session) = need_session(state, &mut r)?;
-            let ct = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let pt = deserialize_plaintext(&state.ctx, r.blob().ok_or_else(malformed)?)
-                .map_err(|e| (ErrorCode::Malformed, e.to_string()))?;
-            if ct.limb_count() != pt.limb_count() || ct.limb_count() < 2 {
-                return fail(ErrorCode::Malformed, "plaintext level mismatch");
-            }
-            Ok(ser_ct(&state.evaluator.mul_plain(&ct, &pt)))
-        }
-        Opcode::Mult => {
-            let mut r = BodyReader::new(body);
-            let (sid, session) = need_session(state, &mut r)?;
-            let a = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let b = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            if a.limb_count().min(b.limb_count()) < 2 {
-                return fail(ErrorCode::Malformed, "no level left to multiply at");
-            }
-            let rlk = expand_key(state, sid, &session, KeyKind::Relin, keys)?;
-            let (a, b) = state.evaluator.align_levels(&a, &b);
-            Ok(ser_ct(&state.evaluator.mul_with_key(&a, &b, &rlk)))
-        }
-        Opcode::Rotate => {
-            let mut r = BodyReader::new(body);
-            let (sid, session) = need_session(state, &mut r)?;
-            let steps = r.i64().ok_or_else(malformed)?;
-            let ct = read_ct(state, r.rest())?;
-            if steps == 0 {
-                return Ok(ser_ct(&ct));
-            }
-            let gk = assemble_galois(state, sid, &session, &[steps], keys)?;
-            // The hoisted formulation in *both* modes: hoisted digit
-            // automorphism is only semantically — not bitwise — equal to
-            // the automorph-then-decompose order, so batch-of-k and
-            // batch-of-1 stay byte-identical only if the singleton path
-            // hoists too.
-            let out = rotate_hoisted(&state.evaluator, &ct, &[steps], &gk)
-                .pop()
-                .expect("one step in, one ciphertext out");
-            Ok(ser_ct(&out))
-        }
-        Opcode::Rescale => {
-            let mut r = BodyReader::new(body);
-            let (_sid, _session) = need_session(state, &mut r)?;
-            let ct = read_ct(state, r.rest())?;
-            if ct.limb_count() < 2 {
-                return fail(ErrorCode::Malformed, "no limb left to rescale away");
-            }
-            Ok(ser_ct(&state.evaluator.rescale(&ct)))
-        }
-        Opcode::Bsgs => {
-            let mut r = BodyReader::new(body);
-            let (sid, session) = need_session(state, &mut r)?;
-            let slots = state.ctx.params().slots();
-            let n1 = r.u32().ok_or_else(malformed)? as usize;
-            let diag_count = r.u32().ok_or_else(malformed)? as usize;
-            if n1 == 0 || n1 > slots || diag_count == 0 || diag_count > slots {
-                return fail(ErrorCode::Malformed, "bad BSGS dimensions");
-            }
-            let mut diagonals = BTreeMap::new();
-            for _ in 0..diag_count {
-                let offset = r.u32().ok_or_else(malformed)? as usize;
-                if offset >= slots {
-                    return fail(ErrorCode::Malformed, "diagonal offset out of range");
-                }
-                let mut diag = Vec::with_capacity(slots);
-                for _ in 0..slots {
-                    let re = r.f64().ok_or_else(malformed)?;
-                    let im = r.f64().ok_or_else(malformed)?;
-                    diag.push(Complex::new(re, im));
-                }
-                diagonals.insert(offset, diag);
-            }
-            let ct = read_ct(state, r.rest())?;
-            let lt = LinearTransform::from_diagonals(diagonals, slots);
-            let steps = bsgs_required_steps(&lt, n1);
-            let gk = assemble_galois(state, sid, &session, &steps, keys)?;
-            Ok(ser_ct(&apply_bsgs(
-                &state.evaluator,
-                &state.encoder,
-                &ct,
-                &lt,
-                &gk,
-                n1,
-            )))
-        }
-        Opcode::HelrStep => {
-            let mut r = BodyReader::new(body);
-            let (sid, session) = need_session(state, &mut r)?;
-            let learning_rate = r.f64().ok_or_else(malformed)?;
-            let dim = r.u32().ok_or_else(malformed)? as usize;
-            if dim == 0 || dim > 64 {
-                return fail(ErrorCode::Malformed, "feature dimension out of range");
-            }
-            let read_cts = |n: usize,
-                            r: &mut BodyReader<'_>|
-             -> Result<Vec<Ciphertext>, (ErrorCode, String)> {
-                (0..n)
-                    .map(|_| read_ct(state, r.blob().ok_or_else(malformed)?))
-                    .collect()
-            };
-            let mut weights = read_cts(dim, &mut r)?;
-            let xs = read_cts(dim, &mut r)?;
-            let y01 = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let slots = state.ctx.params().slots();
-            if weights[0].limb_count() <= fhe_apps::helr_enc::LR_STEP_DEPTH {
-                return fail(ErrorCode::Malformed, "not enough levels for a step");
-            }
-            let rlk = expand_key(state, sid, &session, KeyKind::Relin, keys)?;
-            let gk = assemble_galois(state, sid, &session, &lr_fold_steps(slots), keys)?;
-            encrypted_lr_step(
-                &state.evaluator,
-                &rlk,
-                &gk,
-                &mut weights,
-                &xs,
-                &y01,
-                slots,
-                learning_rate,
-            );
-            let mut out = crate::protocol::BodyWriter::new();
-            for w in &weights {
-                out.blob(&ser_ct(w));
-            }
-            Ok(out.0)
-        }
-        Opcode::RunProgram => {
-            let mut r = BodyReader::new(body);
-            let (sid, session) = need_session(state, &mut r)?;
-            let pid = r.u64().ok_or_else(malformed)?;
-            let sp = session
-                .program(pid)
-                .map_err(|c| (c, format!("program {pid} not uploaded to session {sid}")))?;
-            let prog = &sp.program;
-            // Inputs arrive in declaration order: ciphertext blobs, then
-            // plaintext vectors, then matrix diagonals (declared offsets,
-            // `slots` complex values each).
-            let mut inputs = ExecInputs::default();
-            for decl in &prog.ct_inputs {
-                let ct = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-                inputs.cts.insert(decl.name.clone(), ct);
-            }
-            for decl in &prog.pt_inputs {
-                let n = r.u32().ok_or_else(malformed)? as usize;
-                if n > state.ctx.params().slots() {
-                    return fail(ErrorCode::Malformed, "plaintext vector exceeds slot count");
-                }
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let re = r.f64().ok_or_else(malformed)?;
-                    let im = r.f64().ok_or_else(malformed)?;
-                    v.push(Complex::new(re, im));
-                }
-                inputs.pts.insert(decl.name.clone(), v);
-            }
-            for decl in &prog.matrices {
-                let mut diagonals = BTreeMap::new();
-                for &offset in &decl.offsets {
-                    let mut diag = Vec::with_capacity(decl.slots);
-                    for _ in 0..decl.slots {
-                        let re = r.f64().ok_or_else(malformed)?;
-                        let im = r.f64().ok_or_else(malformed)?;
-                        diag.push(Complex::new(re, im));
-                    }
-                    diagonals.insert(offset, diag);
-                }
-                inputs.mats.insert(
-                    decl.name.clone(),
-                    LinearTransform::from_diagonals(diagonals, decl.slots),
-                );
-            }
-            if !r.is_empty() {
-                return fail(ErrorCode::Malformed, "trailing bytes after program inputs");
-            }
-            // The manifest names exactly the keys the program touches;
-            // resolve them through the batch's pinned set first, the
-            // shard's cache second — same path as the scalar opcodes.
-            let rlk = if sp.info.manifest.relin {
-                Some(expand_key(state, sid, &session, KeyKind::Relin, keys)?)
-            } else {
-                None
-            };
-            let gk = assemble_galois(state, sid, &session, &sp.info.manifest.galois_steps, keys)?;
-            let exec_keys = ExecKeys {
-                relin: rlk.as_deref(),
-                galois: Some(&gk),
-            };
-            let outs = execute_validated(
-                &state.evaluator,
-                &state.encoder,
-                prog,
-                &sp.info,
-                &inputs,
-                exec_keys,
-            )
-            .map_err(exec_error)?;
-            let mut out = crate::protocol::BodyWriter::new();
-            for (_name, ct) in &outs {
-                out.blob(&ser_ct(ct));
-            }
-            Ok(out.0)
-        }
-        Opcode::Metrics => Ok(state.metrics_text().into_bytes()),
-        Opcode::TraceDump => match body.first().copied().unwrap_or(0) {
-            0 => Ok(state.obs.chrome_trace_json().into_bytes()),
-            1 => Ok(state.obs.slow_log().into_bytes()),
-            m => fail(ErrorCode::Malformed, format!("unknown trace-dump mode {m}")),
-        },
-    }
-}
-
-fn malformed() -> (ErrorCode, String) {
-    (ErrorCode::Malformed, "truncated request body".into())
-}
-
-/// Maps an executor failure onto the protocol's error codes: absent keys
-/// surface as [`ErrorCode::MissingKey`] (upload and retry), everything
-/// else is a client-side [`ErrorCode::Malformed`].
-fn exec_error(e: ExecError) -> (ErrorCode, String) {
-    let code = match e {
-        ExecError::MissingRelinKey | ExecError::MissingGaloisKey(_) => ErrorCode::MissingKey,
-        _ => ErrorCode::Malformed,
-    };
-    (code, e.to_string())
-}
-
-fn need_session(
-    state: &ServerState,
-    r: &mut BodyReader<'_>,
-) -> Result<(u64, Arc<Session>), (ErrorCode, String)> {
-    let sid = r.u64().ok_or_else(malformed)?;
-    let session = state
-        .sessions
-        .get(sid)
-        .map_err(|c| (c, format!("session {sid}")))?;
-    Ok((sid, session))
-}
-
-fn read_ct(state: &ServerState, bytes: &[u8]) -> Result<Ciphertext, (ErrorCode, String)> {
-    obs::time_stage(Stage::Decode, || {
-        deserialize_ciphertext(&state.ctx, bytes).map_err(|e| (ErrorCode::Malformed, e.to_string()))
-    })
-}
-
-/// Serializes a result ciphertext, attributing the time to the
-/// executing request's serialize stage.
-fn ser_ct(ct: &Ciphertext) -> Vec<u8> {
-    obs::time_stage(Stage::Serialize, || serialize_ciphertext(ct))
-}
-
-/// Fetches one expanded key, consulting the batch's pinned set first and
-/// falling back to the shard's cache, resolving the compressed bytes
-/// from the session store.
-fn expand_key(
-    state: &ServerState,
-    sid: u64,
-    session: &Session,
-    kind: KeyKind,
-    keys: Option<&BatchKeys>,
-) -> Result<Arc<SwitchingKey>, (ErrorCode, String)> {
-    if let Some(key) = keys.and_then(|k| k.get(kind)) {
-        state
-            .metrics
-            .batch_expansions_avoided
-            .fetch_add(1, Ordering::Relaxed);
-        return Ok(key.clone());
-    }
-    let bytes = session
-        .key_bytes(kind)
-        .map_err(|c| (c, format!("{kind:?} for session {sid}")))?;
-    obs::time_stage(Stage::Key, || {
-        state.cache.get_or_expand(&state.ctx, sid, kind, &bytes)
-    })
-    .map_err(|c| (c, format!("{kind:?} failed to expand")))
-}
-
-/// Builds a per-request Galois key set for `steps` from the batch's
-/// pinned expansions or cached shared expansions, failing with
-/// `MissingKey` *before* any evaluator call can panic on an absent key.
-fn assemble_galois(
-    state: &ServerState,
-    sid: u64,
-    session: &Session,
-    steps: &[i64],
-    keys: Option<&BatchKeys>,
-) -> Result<GaloisKeys, (ErrorCode, String)> {
-    let mut gk = GaloisKeys::new();
-    for &s in steps {
-        if s == 0 {
-            continue;
-        }
-        let element = state.ctx.rotation_element(s);
-        if gk.get_shared(element).is_some() {
-            continue;
-        }
-        let key = expand_key(state, sid, session, KeyKind::Galois(element), keys)
-            .map_err(|(c, _)| (c, format!("rotation step {s} (element {element})")))?;
-        gk.insert_shared(element, key);
-    }
-    Ok(gk)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression for the queue-depth leak: a batch dispatched into a
-    /// dead worker channel (shutdown race) must retire every member job
-    /// from the `serve_queue_depth` gauge, or depth/peak drift upward
-    /// forever.
-    #[test]
-    fn dispatch_batch_retires_depth_when_workers_are_gone() {
-        let metrics = Metrics::new();
-        let backlog = AtomicU64::new(0);
-        let (work, rx) = sync_channel::<WorkItem>(4);
-
-        let mk_job = || {
-            let (tx, _rx) = std::sync::mpsc::channel();
-            Job {
-                op: Opcode::Rotate,
-                body: Vec::new(),
-                deadline_start: Instant::now(),
-                reply: tx,
-                trace: None,
-                #[cfg(feature = "chaos")]
-                chaos: None,
-            }
-        };
-
-        // The shard loop counted these at admission.
-        let jobs: Vec<Job> = (0..3).map(|_| mk_job()).collect();
-        for _ in &jobs {
-            metrics.enqueued();
-        }
-        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 3);
-
-        // Live channel: depth stays until a worker pops and dequeues.
-        dispatch_batch(&metrics, &work, &backlog, 7, KeyClass::Relin, jobs);
-        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 3);
-        assert_eq!(backlog.load(Ordering::Relaxed), 1);
-        match rx.recv().unwrap() {
-            WorkItem::Batch { jobs, .. } => {
-                for _ in &jobs {
-                    metrics.dequeued();
-                }
-                backlog.fetch_sub(1, Ordering::Relaxed);
-            }
-            WorkItem::Single(_) => panic!("expected a batch"),
-        }
-        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
-
-        // Dead channel: the dispatch itself must retire the jobs.
-        drop(rx);
-        let jobs: Vec<Job> = (0..3).map(|_| mk_job()).collect();
-        for _ in &jobs {
-            metrics.enqueued();
-        }
-        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 3);
-        dispatch_batch(&metrics, &work, &backlog, 7, KeyClass::Relin, jobs);
-        assert_eq!(
-            metrics.queue_depth.load(Ordering::Relaxed),
-            0,
-            "shutdown race leaked depth"
-        );
-        assert_eq!(backlog.load(Ordering::Relaxed), 0);
     }
 }

@@ -38,17 +38,6 @@ pub fn shard_of(session_id: u64, shards: usize) -> usize {
 /// keeping a misconfigured env from spawning thousands of threads.
 pub const MAX_SHARDS: usize = 64;
 
-/// The shard count selected by the `MAD_SERVE_SHARDS` environment
-/// variable, clamped to `1..=`[`MAX_SHARDS`]. Unset, empty, or
-/// unparsable values mean one shard — the pre-sharding topology.
-#[must_use]
-pub fn shards_from_env() -> usize {
-    std::env::var("MAD_SERVE_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.clamp(1, MAX_SHARDS))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

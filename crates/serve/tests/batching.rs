@@ -1,13 +1,14 @@
-//! The batching scheduler's two contracts, end to end:
+//! The key-reuse scheduler's two contracts, end to end:
 //!
 //! 1. **Byte identity**: a mixed Rotate/BSGS/Mult workload from multiple
-//!    tenants produces bit-identical replies whether the scheduler is on
-//!    or off, and both match the library executed directly — batching may
-//!    only change *when* work runs, never *what* it computes.
+//!    tenants produces bit-identical replies whether requests run as
+//!    groups of one (`max_batch: 1`) or of several, and both match the
+//!    library executed directly — grouping may only change *when* work
+//!    runs, never *what* it computes.
 //! 2. **Fewer expansions**: with a key-cache budget of one key, the
-//!    unbatched server thrashes (every op re-expands), while the batched
-//!    server pins each group's key-set once — so the batched run must
-//!    show strictly fewer cache misses for the same workload.
+//!    ungrouped server thrashes (every op re-expands), while the
+//!    grouping server pins each group's key-set once — so the grouped run
+//!    must show strictly fewer cache misses for the same workload.
 //!
 //! Plus the deadline-vs-hold regression: a request held by the batching
 //! window must not have that hold double-counted against its deadline.
@@ -153,9 +154,9 @@ fn reference_op(
 }
 
 fn start_server(ctx: &Arc<CkksContext>, batch: BatchConfig) -> Server {
-    // Budget of exactly one expanded key: the unbatched server must
-    // re-expand almost every access; the batched server pins a group's
-    // key-set once (pins may transiently exceed the budget by design).
+    // Budget of exactly one expanded key: groups of one must re-expand
+    // almost every access; a larger group pins its key-set once (pins may
+    // transiently exceed the budget by design).
     let probe_bytes = {
         let mut rng = StdRng::seed_from_u64(999);
         let kg = KeyGenerator::new(ctx.clone());
@@ -197,12 +198,12 @@ fn batched_replies_are_byte_identical_and_expand_fewer_keys() {
         .collect();
     let rounds = CYCLES * 3;
 
-    // ---- Phase A: scheduler off, one thread, interleaved lanes. ----
-    // `enabled: false` is explicit so the CI env matrix cannot leak in.
+    // ---- Phase A: groups of one, one thread, interleaved lanes. ----
+    // `max_batch: 1` is explicit so the CI env matrix cannot leak in.
     let server_a = start_server(
         &ctx,
         BatchConfig {
-            enabled: false,
+            max_batch: 1,
             ..BatchConfig::baseline()
         },
     );
@@ -214,7 +215,6 @@ fn batched_replies_are_byte_identical_and_expand_fewer_keys() {
             .map(|t| {
                 let mut c = Client::connect(addr_a, ctx.clone()).unwrap();
                 let info = c.hello_ext(BatchHint::Auto).unwrap();
-                assert!(!info.batching, "phase A server must report batching off");
                 c.upload_relin(info.session, t.rlk.switching_key()).unwrap();
                 c.upload_galois(info.session, &t.gk).unwrap();
                 (c, info.session)
@@ -232,11 +232,10 @@ fn batched_replies_are_byte_identical_and_expand_fewer_keys() {
     let misses_a = server_a.cache_stats().misses;
     server_a.shutdown();
 
-    // ---- Phase B: scheduler on, every round fills a group of 3. ----
+    // ---- Phase B: every round fills a group of 3. ----
     let server_b = start_server(
         &ctx,
         BatchConfig {
-            enabled: true,
             max_batch: LANES,
             // Large window: Throughput sessions hold until the group
             // fills, so dispatch is count-triggered and deterministic.
@@ -249,7 +248,10 @@ fn batched_replies_are_byte_identical_and_expand_fewer_keys() {
         .map(|t| {
             let mut c = Client::connect(addr_b, ctx.clone()).unwrap();
             let info = c.hello_ext(BatchHint::Throughput).unwrap();
-            assert!(info.batching, "phase B server must report batching on");
+            assert!(
+                info.batching,
+                "the Hello flags byte must advertise the scheduler"
+            );
             c.upload_relin(info.session, t.rlk.switching_key()).unwrap();
             c.upload_galois(info.session, &t.gk).unwrap();
             info.session
@@ -360,7 +362,6 @@ fn batching_hold_is_not_charged_against_the_deadline() {
             eviction: EvictionPolicy::Lru,
             request_deadline: Duration::from_millis(120),
             batch: BatchConfig {
-                enabled: true,
                 max_batch: 64,
                 max_delay: Duration::from_millis(400),
             },

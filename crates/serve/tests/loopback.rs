@@ -7,8 +7,9 @@
 use ckks::hoisting::rotate_hoisted;
 use ckks::serialize::{deserialize_switching_key, serialize_ciphertext, serialize_switching_key};
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
-use fhe_apps::{encrypted_lr_step, lr_fold_steps};
+use fhe_apps::{encrypted_lr_step, helr_step_program, lr_fold_steps};
 use fhe_math::cfft::Complex;
+use fhe_program::ExecInputs;
 use fhe_serve::{Client, EvictionPolicy, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -140,7 +141,8 @@ fn concurrent_tenants_bit_identical_under_tight_budget() {
                     "tenant {tenant}: rescale diverged"
                 );
 
-                // A whole HELR training step server-side.
+                // A whole HELR training step server-side, as an uploaded
+                // program — still compared with the hard-coded schedule.
                 let dim = 2;
                 let cols: Vec<Vec<f64>> = (0..dim)
                     .map(|d| (0..slots).map(|i| ((i + d) % 5) as f64 * 0.1).collect())
@@ -155,7 +157,15 @@ fn concurrent_tenants_bit_identical_under_tight_budget() {
                         encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &vec![0.0; slots])
                     })
                     .collect();
-                let remote = client.helr_step(sid, &weights, &xs, &y01, 1.0).unwrap();
+                let prog = helr_step_program(dim, slots, ctx.params().levels(), 1.0);
+                let mut inputs = ExecInputs::default();
+                for (d, (w, x)) in weights.iter().zip(&xs).enumerate() {
+                    inputs.cts.insert(format!("w{d}"), w.clone());
+                    inputs.cts.insert(format!("x{d}"), x.clone());
+                }
+                inputs.cts.insert("y".into(), y01.clone());
+                let pid = client.upload_program(sid, &prog).unwrap();
+                let remote = client.run_program(sid, pid, &prog, &inputs).unwrap();
                 let mut local = weights.clone();
                 encrypted_lr_step(
                     &ev,
@@ -224,7 +234,7 @@ fn concurrent_tenants_bit_identical_under_tight_budget() {
     for needle in [
         "serve_requests_total",
         "serve_key_cache_evictions_total",
-        "serve_op_latency_us_count{op=\"helr_step\"}",
+        "serve_op_latency_us_count{op=\"run_program\"}",
         "serve_bytes_written_total",
     ] {
         assert!(

@@ -104,7 +104,7 @@ fn obs_on() -> ObsConfig {
 
 fn batch_off() -> BatchConfig {
     BatchConfig {
-        enabled: false,
+        max_batch: 1,
         ..BatchConfig::baseline()
     }
 }
@@ -322,7 +322,6 @@ fn queue_depth_returns_to_zero_under_deadline_churn_and_overload() {
             eviction: EvictionPolicy::Lru,
             request_deadline: Duration::ZERO,
             batch: BatchConfig {
-                enabled: true,
                 max_batch: 4,
                 max_delay: Duration::from_millis(5),
             },
@@ -381,7 +380,6 @@ fn batch_hold_is_attributed_to_its_own_stage() {
         &ctx,
         1,
         BatchConfig {
-            enabled: true,
             max_batch: 64,
             max_delay: Duration::from_millis(80),
         },

@@ -1,8 +1,8 @@
 //! `RunProgram` loopback identity: each of the three shipped program-IR
 //! workloads, uploaded once and executed through the server, must return
 //! ciphertexts byte-identical to `fhe_program::execute` run locally with
-//! the same inputs and keys — with the batching scheduler on and off,
-//! and under both kernel backends.
+//! the same inputs and keys — with the scheduler grouping (`max_batch` 8)
+//! and not (`max_batch` 1), and under both kernel backends.
 
 use ckks::hoisting::LinearTransform;
 use ckks::serialize::serialize_ciphertext;
@@ -57,7 +57,7 @@ fn run_suite(backend: BackendKind, batching: bool) {
         ServeConfig {
             workers: 2,
             batch: BatchConfig {
-                enabled: batching,
+                max_batch: if batching { 8 } else { 1 },
                 ..BatchConfig::baseline()
             },
             ..ServeConfig::default()

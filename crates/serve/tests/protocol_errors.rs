@@ -40,6 +40,8 @@ fn structured_errors_cover_the_misuse_space() {
 
     // Unknown opcode.
     expect_code(client.call_raw(0xee, &[]), ErrorCode::UnknownOpcode);
+    // So is the retired 0x17 tag: a HELR step is an uploaded program now.
+    expect_code(client.call_raw(0x17, &[]), ErrorCode::UnknownOpcode);
 
     // Unknown session.
     let mut w = BodyWriter::new();

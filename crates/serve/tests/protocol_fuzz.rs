@@ -7,7 +7,7 @@
 
 use ckks::{CkksContext, CkksParams};
 use fhe_serve::protocol::{frame_bytes, read_frame, FrameRead, DEFAULT_MAX_FRAME_BYTES};
-use fhe_serve::{Client, ErrorCode, Opcode, ServeConfig, Server};
+use fhe_serve::{Client, ClientError, ErrorCode, Opcode, ServeConfig, Server};
 use proptest::prelude::*;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
@@ -128,6 +128,33 @@ fn base_frame(which: usize, garbage: &[u8]) -> Vec<u8> {
             frame_bytes(Opcode::RunProgram as u8, &body)
         }
         _ => frame_bytes(0xEE, garbage), // unknown opcode
+    }
+}
+
+/// Every advertised instruction either runs or is not advertised: each
+/// member of `Opcode::ALL` reaches a handler (success or a structured
+/// error of its own, never `UnknownOpcode`), and the retired HELR-step
+/// tag is refused at the frame parser.
+#[test]
+fn every_advertised_opcode_is_served_and_the_retired_one_is_not() {
+    let (ctx, server) = shared();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    for op in Opcode::ALL {
+        assert_eq!(Opcode::from_u8(op as u8), Some(op));
+        for body in [&[][..], &[0xAB; 40][..]] {
+            match client.call_raw(op as u8, body) {
+                Ok(_) => {}
+                Err(ClientError::Server { code, .. }) => {
+                    assert_ne!(code, ErrorCode::UnknownOpcode, "{op:?} is advertised")
+                }
+                Err(e) => panic!("{op:?}: connection failed: {e:?}"),
+            }
+        }
+    }
+    assert_eq!(Opcode::from_u8(0x17), None);
+    match client.call_raw(0x17, &[]) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::UnknownOpcode),
+        other => panic!("expected UnknownOpcode for 0x17, got {other:?}"),
     }
 }
 
