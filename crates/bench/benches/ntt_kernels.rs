@@ -6,6 +6,7 @@
 #[cfg(feature = "parallel")]
 use ckks::{CkksContext, CkksParams, KeyGenerator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fhe_math::backend::DigitTerm;
 #[cfg(feature = "parallel")]
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
@@ -55,8 +56,10 @@ fn bench_ntt(c: &mut Criterion) {
 }
 
 /// Scalar vs unrolled (lazy-reduction, blocked) kernel backends on the
-/// single-limb NTT — the headline readout for the `KernelBackend` layer.
-/// N = 2^15 is the production ring size the backend work targets.
+/// single-limb NTT — the headline readout for the `KernelBackend` layer —
+/// then on the two accumulating kernels of a key switch (`NewLimb` and the
+/// digit-fused inner product). N = 2^15 is the production ring size the
+/// backend work targets.
 fn bench_backend_comparison(c: &mut Criterion) {
     use fhe_math::BackendKind;
     for log_n in [12u32, 15] {
@@ -123,6 +126,39 @@ fn bench_backend_comparison(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The digit-fused key-switch inner product over one raised limb
+    // (β = 3), per backend: L1/L2-resident at 2^12, streaming at 2^15.
+    for log_n in [12u32, 15] {
+        let n = 1usize << log_n;
+        let q = generate_ntt_primes(1, 50, n)[0];
+        let m = fhe_math::Modulus::new(q).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let operands: Vec<Vec<u64>> = (0..9)
+            .map(|_| (0..n).map(|_| rng.gen_range(0..q)).collect())
+            .collect();
+        let terms: Vec<DigitTerm<'_>> = operands
+            .chunks_exact(3)
+            .map(|t| DigitTerm {
+                d: &t[0],
+                a: &t[1],
+                b: &t[2],
+            })
+            .collect();
+        let mut group = c.benchmark_group(format!("inner_product_n{n}"));
+        group.throughput(Throughput::Elements(n as u64));
+        for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
+            let backend = kind.instance();
+            group.bench_function(BenchmarkId::new(kind.name(), n), |b| {
+                let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
+                b.iter(|| {
+                    backend.inner_product_pair(&m, &terms, &mut u, &mut v);
+                    (u.last().copied(), v.last().copied())
+                })
+            });
+        }
+        group.finish();
+    }
 }
 
 fn bench_basis_extension(c: &mut Criterion) {

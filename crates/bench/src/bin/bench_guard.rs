@@ -8,11 +8,17 @@
 //!
 //! ```text
 //! bench_guard --baseline BENCH_kernels.json --current current.json \
-//!             [--max-ratio 1.25] [--allow-missing]
+//!             [--max-ratio 1.25] [--allow-missing] \
+//!             [--expect-faster <name> <than-name>]...
 //! ```
 //!
 //! Exit status 0 when every benchmark present in the baseline was
 //! measured and stayed within `max_ratio × baseline`; 1 otherwise.
+//! `--expect-faster A B` (repeatable) additionally fails the run unless
+//! the current mean of `A` is below the current mean of `B` — an ordering
+//! two rows must keep whatever their absolute numbers do (an optimized
+//! backend that loses to the reference one is a defect even when both sit
+//! inside their tolerances).
 //! `--allow-missing` downgrades baseline rows absent from the current
 //! run to a warning (for quick-mode runs that filter groups). New
 //! benchmarks with no baseline row never fail the gate — commit a
@@ -26,6 +32,7 @@ fn main() -> ExitCode {
     let mut current_path = None;
     let mut max_ratio = 1.25f64;
     let mut allow_missing = false;
+    let mut orderings: Vec<(String, String)> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -39,6 +46,10 @@ fn main() -> ExitCode {
                     .unwrap_or_else(|| die("--max-ratio needs a number"));
             }
             "--allow-missing" => allow_missing = true,
+            "--expect-faster" => match (args.next(), args.next()) {
+                (Some(fast), Some(slow)) => orderings.push((fast, slow)),
+                _ => die("--expect-faster needs two benchmark names"),
+            },
             other => die(&format!("unknown argument {other}")),
         }
     }
@@ -47,7 +58,8 @@ fn main() -> ExitCode {
 
     let baseline = load(&baseline_path);
     let current = load(&current_path);
-    let report = compare(&baseline, &current, max_ratio, allow_missing);
+    let mut report = compare(&baseline, &current, max_ratio, allow_missing);
+    check_orderings(&mut report, &current, &orderings, allow_missing);
 
     for line in &report.lines {
         println!("{line}");
@@ -181,6 +193,41 @@ fn compare(
     report
 }
 
+/// Holds each `(fast, slow)` pair to `current[fast] < current[slow]`. A
+/// pair with an unmeasured side counts as missing.
+fn check_orderings(
+    report: &mut Report,
+    current: &BTreeMap<String, f64>,
+    orderings: &[(String, String)],
+    allow_missing: bool,
+) {
+    for (fast, slow) in orderings {
+        match (current.get(fast), current.get(slow)) {
+            (Some(&f), Some(&s)) => {
+                let verdict = if f < s {
+                    "ok"
+                } else {
+                    report.regressed += 1;
+                    report.failed = true;
+                    "INVERTED"
+                };
+                report.lines.push(format!(
+                    "{verdict:>9}  {fast} ({f:.0} ns) must be faster than {slow} ({s:.0} ns)"
+                ));
+            }
+            _ => {
+                report.missing += 1;
+                if !allow_missing {
+                    report.failed = true;
+                }
+                report.lines.push(format!(
+                    "  MISSING  ordering {fast} < {slow}: not both measured"
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +265,29 @@ mod tests {
         let bad = compare(&base, &jsonl(&[("a", 126.0), ("b", 80.0)]), 1.25, false);
         assert!(bad.failed);
         assert_eq!(bad.regressed, 1);
+    }
+
+    #[test]
+    fn an_inverted_ordering_fails_even_inside_tolerance() {
+        let base = jsonl(&[("ext/scalar", 100.0), ("ext/unrolled", 110.0)]);
+        let pair = [("ext/unrolled".to_string(), "ext/scalar".to_string())];
+        // The committed anomaly: both rows within tolerance, order wrong.
+        let mut inverted = compare(&base, &base, 1.25, false);
+        check_orderings(&mut inverted, &base, &pair, false);
+        assert!(inverted.failed);
+        let fixed = jsonl(&[("ext/scalar", 100.0), ("ext/unrolled", 60.0)]);
+        let mut ok = compare(&base, &fixed, 1.25, false);
+        check_orderings(&mut ok, &fixed, &pair, false);
+        assert!(!ok.failed);
+        // A filtered quick run that measured neither side is only a
+        // warning under --allow-missing.
+        let other = jsonl(&[("ntt", 1.0)]);
+        let mut strict = compare(&other, &other, 1.25, false);
+        check_orderings(&mut strict, &other, &pair, false);
+        assert!(strict.failed);
+        let mut lax = compare(&other, &other, 1.25, true);
+        check_orderings(&mut lax, &other, &pair, true);
+        assert!(!lax.failed);
     }
 
     #[test]

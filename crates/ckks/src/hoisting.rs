@@ -180,7 +180,7 @@ pub fn rotate_hoisted(
             }
             let (v, u) = complete(ctx, &raised);
             raised.recycle(pool);
-            let mut c0 = ct.c0.automorphism(&auto);
+            let mut c0 = ct.c0.automorphism_with(&auto, pool);
             c0.add_assign(&v);
             v.recycle(pool);
             Ciphertext::new(c0, u, ct.scale)
@@ -256,7 +256,7 @@ pub fn apply_hoisted(
         v.mul_assign_pointwise(&pt_raised.poly);
         merge(&mut acc_v, v, pool);
         // σ(c0) part stays in the base basis.
-        let mut c0_rot = ct.c0.automorphism(&auto);
+        let mut c0_rot = ct.c0.automorphism_with(&auto, pool);
         c0_rot.mul_assign_pointwise(&pt_base.poly);
         merge(&mut acc_c0, c0_rot, pool);
     }

@@ -348,10 +348,8 @@ impl Evaluator {
     pub fn automorphism(&self, a: &Ciphertext, k: u64, ksk: &SwitchingKey) -> Ciphertext {
         let pool = self.ctx.scratch();
         let auto = self.ctx.automorphism(k);
-        let mut c0 = RnsPoly::zero_pooled(a.c0.basis().clone(), a.c0.representation(), pool);
-        a.c0.automorphism_into(&auto, &mut c0);
-        let mut c1 = RnsPoly::zero_pooled(a.c1.basis().clone(), a.c1.representation(), pool);
-        a.c1.automorphism_into(&auto, &mut c1);
+        let mut c0 = a.c0.automorphism_with(&auto, pool);
+        let c1 = a.c1.automorphism_with(&auto, pool);
         let (v, u) = crate::keyswitch::keyswitch(&self.ctx, &c1, ksk);
         c1.recycle(pool);
         c0.add_assign(&v);

@@ -165,3 +165,114 @@ fn keyswitch_and_rescale_under_env_override_still_honor_explicit_choice() {
     assert_eq!(scalar.kernel_backend().name(), "scalar");
     assert_eq!(unrolled.kernel_backend().name(), "unrolled");
 }
+
+/// FNV-1a over a byte stream: a dependency-free digest for the pinned
+/// outputs below.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= b as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// The serialized outputs of `keyswitch`, `rotate`, `mul_with_key`,
+/// `rescale`, `apply_bsgs` and `encode` on a fixed seed, digested.
+fn pipeline_digest(ctx: Arc<CkksContext>) -> u64 {
+    use ckks::serialize::{serialize_ciphertext, serialize_plaintext};
+    let mut rng = StdRng::seed_from_u64(0x004d_4144);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let rlk = kg.relin_key(&mut rng, &sk);
+    let encoder = Encoder::new(ctx.clone());
+    let encryptor = Encryptor::new(ctx.clone());
+    let ev = Evaluator::new(ctx.clone());
+    let scale = ctx.params().scale();
+    let slots = encoder.slots();
+    let levels = ctx.params().levels();
+
+    let diagonals = (0..4usize)
+        .map(|d| {
+            let diag = (0..slots)
+                .map(|j| Complex::new(0.05 * (d + 1) as f64 + j as f64 * 1e-3, -0.02 * d as f64))
+                .collect();
+            (d, diag)
+        })
+        .collect();
+    let lt = LinearTransform::from_diagonals(diagonals, slots);
+    let n1 = 2usize;
+    let mut steps = bsgs_required_steps(&lt, n1);
+    steps.push(3);
+    let gk = kg.galois_keys(&mut rng, &sk, &steps, false);
+
+    let a: Vec<Complex> = (0..slots)
+        .map(|i| Complex::new((i as f64 / 5.0).sin(), (i as f64 / 9.0).cos()))
+        .collect();
+    let b: Vec<Complex> = (0..slots)
+        .map(|i| Complex::new((i as f64 / 7.0).cos(), -(i as f64 / 3.0).sin()))
+        .collect();
+    let pa = encoder.encode(&a, levels, scale).unwrap();
+    let pb = encoder.encode(&b, levels - 1, scale).unwrap();
+    let ca = encryptor.encrypt_symmetric(&mut rng, &pa, &sk);
+    let cb = encryptor.encrypt_symmetric(&mut rng, &pb, &sk);
+
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a(&mut hash, &serialize_plaintext(&pa));
+    fnv1a(&mut hash, &serialize_plaintext(&pb));
+    // Every level's digit shapes, including the partial last digit.
+    for ell in (1..=levels).rev() {
+        let ct = ev.drop_to(&ca, ell);
+        let (v, u) = ckks::keyswitch::keyswitch(&ctx, ct.c1(), rlk.switching_key());
+        fnv1a(
+            &mut hash,
+            &serialize_ciphertext(&Ciphertext::new(v, u, scale)),
+        );
+    }
+    let rot = ev.rotate(&ca, 3, &gk);
+    fnv1a(&mut hash, &serialize_ciphertext(&rot));
+    let cb_up = ev.drop_to(&ca, levels - 1);
+    let prod = ev.mul_with_key(&cb_up, &cb, rlk.switching_key());
+    fnv1a(&mut hash, &serialize_ciphertext(&prod));
+    fnv1a(&mut hash, &serialize_ciphertext(&ev.rescale(&rot)));
+    for ct in rotate_hoisted(&ev, &cb, &[0, 1, 3], &gk) {
+        fnv1a(&mut hash, &serialize_ciphertext(&ct));
+    }
+    let bsgs = apply_bsgs(&ev, &encoder, &ca, &lt, &gk, n1);
+    fnv1a(&mut hash, &serialize_ciphertext(&bsgs));
+    hash
+}
+
+/// The kernels may change how they compute; they may not change a bit of
+/// what they compute. The digests were recorded from the per-digit
+/// inner-product and thrice-reduced `basis_ext_block` kernels, before the
+/// fused ones replaced them, at a narrow (32–40 bit) and a wide
+/// (55–60 bit) parameter set.
+#[test]
+fn outputs_match_the_digests_recorded_before_the_kernel_rewrite() {
+    let narrow = |kind| ctx(kind);
+    let wide = |kind| {
+        CkksContext::with_backend(
+            CkksParams::builder()
+                .log_degree(7)
+                .levels(6)
+                .scale_bits(55)
+                .first_modulus_bits(60)
+                .special_modulus_bits(60)
+                .dnum(3)
+                .build()
+                .unwrap(),
+            Some(kind),
+        )
+    };
+    for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
+        assert_eq!(
+            pipeline_digest(narrow(kind)),
+            0x8296_b13d_14a9_5187,
+            "{kind:?}, narrow"
+        );
+        assert_eq!(
+            pipeline_digest(wide(kind)),
+            0xdbb9_1f1f_1fda_328f,
+            "{kind:?}, wide"
+        );
+    }
+}

@@ -10,8 +10,8 @@
 //!
 //! Two implementations ship today:
 //!
-//! - [`ScalarBackend`] — the original scalar loops, moved verbatim behind
-//!   the trait. Every value is kept fully reduced in `[0, q)` at every step.
+//! - [`ScalarBackend`] — the reference: one obvious loop per kernel, every
+//!   butterfly and pointwise value fully reduced in `[0, q)` at every step.
 //! - [`UnrolledBackend`] — processes butterflies in fixed-width blocks with
 //!   **lazy (deferred) reduction**: operands are kept in the half-reduced
 //!   range `[0, 2q)` across butterfly stages (transiently `[0, 4q)` inside a
@@ -20,6 +20,16 @@
 //!   transform exit. The inner loops are branch-light straight-line blocks
 //!   that LLVM can unroll and auto-vectorize — no nightly `std::simd`
 //!   dependency.
+//!
+//! The two *accumulating* kernels — the `NewLimb` sum `Σ_i y_i·Q_i^*` of a
+//! basis extension and the key-switch inner product `Σ_j d_j·k_j` — defer
+//! reduction in both backends: products are added up in 128 bits and the
+//! sum goes through Barrett **once per output**, not once per term
+//! ([`crate::modular::lazy_products`] says how many terms fit; only primes
+//! over 60 bits ever need a second reduction). What the unrolled backend
+//! adds there is shape, not arithmetic: eight slots of a basis extension
+//! through fixed-size arrays, and the digits of an inner product unrolled
+//! at compile time so their limb pointers and both sums stay in registers.
 //!
 //! Both backends compute the exact same mathematical results and emit fully
 //! reduced canonical residues, so their outputs are **bit-identical** — the
@@ -56,7 +66,7 @@
 //! single new impl; correctness is gated by running the existing
 //! `backend_identity` suites under `MAD_KERNEL_BACKEND=<name>`.
 
-use crate::modular::Modulus;
+use crate::modular::{lazy_products, Modulus, MAX_MODULUS_BITS};
 use crate::ntt::NttTable;
 use std::fmt;
 use std::ops::Range;
@@ -105,12 +115,30 @@ pub struct BasisExtView<'a> {
     pub q_inv_f64: &'a [f64],
     /// `Q_i^* = Q/q_i mod p_j`, indexed `[target][source]`.
     pub q_star: &'a [Vec<u64>],
-    /// `Q mod p_j` per target limb, used to subtract the excess `e·Q`.
-    pub q_mod_target: &'a [u64],
+    /// `e·Q mod p_j`, indexed `[target][e]` for `e ∈ 0..=source_len` (every
+    /// value the excess estimate can take).
+    pub excess: &'a [Vec<u64>],
+    /// How many products `y_i·Q_i^*` may be summed in 128 bits between
+    /// reductions ([`lazy_products`] of the widest source and target
+    /// limb); at least the source length unless the primes exceed 60 bits.
+    pub lazy_terms: usize,
     /// The source limb moduli `q_i`.
     pub source_moduli: &'a [Modulus],
     /// The target limb moduli `p_j`.
     pub target_moduli: &'a [Modulus],
+}
+
+/// One digit's operands for one raised limb of the key-switch inner
+/// product: the digit limb `d` and the matching limbs `a`, `b` of the two
+/// key halves, all of the same length.
+#[derive(Clone, Copy, Debug)]
+pub struct DigitTerm<'a> {
+    /// The raised digit's limb.
+    pub d: &'a [u64],
+    /// The `a`-half key limb (accumulates into `u`).
+    pub a: &'a [u64],
+    /// The `b`-half key limb (accumulates into `v`).
+    pub b: &'a [u64],
 }
 
 /// The pluggable hot-kernel implementation.
@@ -162,9 +190,20 @@ pub trait KernelBackend: Send + Sync + fmt::Debug {
     /// `dst[k] = dst[k] - c mod q` for a reduced constant `c`.
     fn sub_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64);
 
-    /// The key-switch inner-product step for one limb and digit:
-    /// `u[k] += d[k]·a[k]` and `v[k] += d[k]·b[k]`, all mod q.
-    fn fma_pair(&self, m: &Modulus, d: &[u64], a: &[u64], b: &[u64], u: &mut [u64], v: &mut [u64]);
+    /// The key-switch inner product for one raised limb, every digit in
+    /// one pass: `u[k] = Σ_j d_j[k]·a_j[k]` and `v[k] = Σ_j d_j[k]·b_j[k]`,
+    /// all mod q, over the digits `j` in `terms`. `u` and `v` are
+    /// write-only (their previous contents are ignored). Each sum is
+    /// accumulated in 128 bits and reduced once — once per
+    /// [`lazy_products`]`(q.bits(), q.bits())` digits when the modulus is
+    /// wide enough that all of them would not fit.
+    fn inner_product_pair(
+        &self,
+        m: &Modulus,
+        terms: &[DigitTerm<'_>],
+        u: &mut [u64],
+        v: &mut [u64],
+    );
 
     /// The fused `NewLimb` (Eq. 1) inner loops over a block of slots.
     ///
@@ -175,7 +214,8 @@ pub trait KernelBackend: Send + Sync + fmt::Debug {
     /// exactly, **including the excess estimate**: `Σ_i y_i/q_i` must be
     /// accumulated in ascending source-limb order so the float rounding —
     /// and therefore the recovered excess `e` — is identical across
-    /// backends.
+    /// backends. The exact part is `Σ_i y_i·Q_i^*` summed in 128 bits and
+    /// reduced once per `ext.lazy_terms` products, minus `ext.excess[j][e]`.
     fn basis_ext_block(
         &self,
         ext: &BasisExtView<'_>,
@@ -272,9 +312,10 @@ pub fn default_backend() -> Arc<dyn KernelBackend> {
 // Scalar backend: the original fully-reduced loops.
 // ---------------------------------------------------------------------------
 
-/// The original scalar kernels: every intermediate value is fully reduced.
+/// The reference kernels: the one obvious loop for each, butterflies and
+/// pointwise values fully reduced at every step.
 ///
-/// This is the reference implementation the lazy-reduction backends are
+/// This is the implementation the blocked, lazy-reduction backends are
 /// gated against; it favors obviousness over speed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarBackend;
@@ -388,12 +429,31 @@ impl KernelBackend for ScalarBackend {
         }
     }
 
-    fn fma_pair(&self, m: &Modulus, d: &[u64], a: &[u64], b: &[u64], u: &mut [u64], v: &mut [u64]) {
-        for t in 0..d.len() {
-            u[t] = m.mul_add(d[t], a[t], u[t]);
-        }
-        for t in 0..d.len() {
-            v[t] = m.mul_add(d[t], b[t], v[t]);
+    fn inner_product_pair(
+        &self,
+        m: &Modulus,
+        terms: &[DigitTerm<'_>],
+        u: &mut [u64],
+        v: &mut [u64],
+    ) {
+        assert_eq!(u.len(), v.len(), "accumulator length mismatch");
+        let lazy_terms = lazy_products(m.bits(), m.bits());
+        for (k, (us, vs)) in u.iter_mut().zip(v.iter_mut()).enumerate() {
+            let (mut su, mut sv) = (0u128, 0u128);
+            let mut room = lazy_terms;
+            for t in terms {
+                if room == 0 {
+                    su = m.reduce_u128(su) as u128;
+                    sv = m.reduce_u128(sv) as u128;
+                    room = lazy_terms;
+                }
+                room -= 1;
+                let d = t.d[k] as u128;
+                su += d * t.a[k] as u128;
+                sv += d * t.b[k] as u128;
+            }
+            *us = m.reduce_u128(su);
+            *vs = m.reduce_u128(sv);
         }
     }
 
@@ -405,34 +465,53 @@ impl KernelBackend for ScalarBackend {
         range: Range<usize>,
         cols: &mut [&mut [u64]],
     ) {
-        let l = ext.source_moduli.len();
         let base = range.start;
         let mut y = [0u64; 64];
         for k in range {
-            // y_i = [x · Q̃_i]_{q_i}, plus the float excess estimate,
-            // accumulated in ascending limb order (see the trait contract).
-            let mut excess_est = 0.0f64;
-            for i in 0..l {
-                let c = ext.q_tilde[i];
-                y[i] = ext.source_moduli[i].mul_shoup(src[i * n + k], c.value, c.shoup);
-                excess_est += y[i] as f64 * ext.q_inv_f64[i];
-            }
-            let e = excess_est as u64;
-            for (j, col) in cols.iter_mut().enumerate() {
-                let pj = &ext.target_moduli[j];
-                let mut acc = 0u128;
-                for i in 0..l {
-                    acc += y[i] as u128 * ext.q_star[j][i] as u128;
-                    // Accumulate lazily; reduce when nearing overflow.
-                    if i % 4 == 3 {
-                        acc = pj.reduce_u128(acc) as u128;
-                    }
-                }
-                let raw = pj.reduce_u128(acc);
-                let correction = pj.mul(pj.reduce(e), ext.q_mod_target[j]);
-                col[k - base] = pj.sub(raw, correction);
-            }
+            new_limb_slot(ext, src, n, k, &mut y, k - base, cols);
         }
+    }
+}
+
+/// `NewLimb` for slot `k`, written to `cols[j][at]`: the reference loop, and
+/// the ragged tail of the blocked one. `y` is caller-provided scratch.
+#[inline(always)]
+fn new_limb_slot(
+    ext: &BasisExtView<'_>,
+    src: &[u64],
+    n: usize,
+    k: usize,
+    y: &mut [u64; 64],
+    at: usize,
+    cols: &mut [&mut [u64]],
+) {
+    let l = ext.source_moduli.len();
+    // y_i = [x · Q̃_i]_{q_i}, plus the float excess estimate, accumulated
+    // in ascending limb order (see the trait contract). y_i < 2^62, so the
+    // signed conversion is exact and skips the unsigned one's fix-up.
+    let mut est = 0.0f64;
+    for i in 0..l {
+        let c = ext.q_tilde[i];
+        y[i] = ext.source_moduli[i].mul_shoup(src[i * n + k], c.value, c.shoup);
+        est += y[i] as i64 as f64 * ext.q_inv_f64[i];
+    }
+    // Σ y_i Q_i^* = x + e·Q, and Σ y_i/q_i = e + x/Q with x/Q ∈ [0,1), so
+    // flooring the float estimate recovers e exactly (up to the negligible
+    // chance of x within Q·2^{-45} of a multiple of Q).
+    let e = est as i64 as usize;
+    for (j, col) in cols.iter_mut().enumerate() {
+        let pj = &ext.target_moduli[j];
+        let mut acc = 0u128;
+        let mut room = ext.lazy_terms;
+        for (&yi, &w) in y[..l].iter().zip(&ext.q_star[j]) {
+            if room == 0 {
+                acc = pj.reduce_u128(acc) as u128;
+                room = ext.lazy_terms;
+            }
+            room -= 1;
+            acc += yi as u128 * w as u128;
+        }
+        col[at] = pj.sub(pj.reduce_u128(acc), ext.excess[j][e]);
     }
 }
 
@@ -666,31 +745,22 @@ impl KernelBackend for UnrolledBackend {
         }
     }
 
-    fn fma_pair(&self, m: &Modulus, d: &[u64], a: &[u64], b: &[u64], u: &mut [u64], v: &mut [u64]) {
-        let mut db = d.chunks_exact(BLOCK);
-        let mut ab = a.chunks_exact(BLOCK);
-        let mut bb = b.chunks_exact(BLOCK);
-        let mut ub = u.chunks_exact_mut(BLOCK);
-        let mut vb = v.chunks_exact_mut(BLOCK);
-        for ((((dc, ac), bc), uc), vc) in (&mut db)
-            .zip(&mut ab)
-            .zip(&mut bb)
-            .zip(&mut ub)
-            .zip(&mut vb)
-        {
-            for k in 0..BLOCK {
-                uc[k] = m.mul_add(dc[k], ac[k], uc[k]);
-            }
-            for k in 0..BLOCK {
-                vc[k] = m.mul_add(dc[k], bc[k], vc[k]);
-            }
-        }
-        let (dr, ar, br) = (db.remainder(), ab.remainder(), bb.remainder());
-        let ur = ub.into_remainder();
-        let vr = vb.into_remainder();
-        for k in 0..dr.len() {
-            ur[k] = m.mul_add(dr[k], ar[k], ur[k]);
-            vr[k] = m.mul_add(dr[k], br[k], vr[k]);
+    fn inner_product_pair(
+        &self,
+        m: &Modulus,
+        terms: &[DigitTerm<'_>],
+        u: &mut [u64],
+        v: &mut [u64],
+    ) {
+        // The digit counts of practical parameter sets get a loop unrolled
+        // over the digits, their 3β limb pointers and the two sums all in
+        // registers; the rest take the reference loop.
+        match terms.len() {
+            1 => inner_product_unrolled::<1>(m, terms, u, v),
+            2 => inner_product_unrolled::<2>(m, terms, u, v),
+            3 => inner_product_unrolled::<3>(m, terms, u, v),
+            4 => inner_product_unrolled::<4>(m, terms, u, v),
+            _ => ScalarBackend.inner_product_pair(m, terms, u, v),
         }
     }
 
@@ -704,49 +774,101 @@ impl KernelBackend for UnrolledBackend {
     ) {
         let l = ext.source_moduli.len();
         let base = range.start;
-        // Process the slot block in fixed-width chunks: compute the y row
-        // and the excess estimate for BLOCK slots at a time, then sweep the
-        // target limbs over the chunk. The excess estimate accumulates in
-        // ascending limb order per slot — identical float rounding to the
-        // scalar path (trait contract), so the recovered excess matches
-        // bit-for-bit.
-        let mut k = range.start;
-        let mut y = [[0u64; 64]; BLOCK];
-        let mut e = [0u64; BLOCK];
-        while k < range.end {
-            let w = BLOCK.min(range.end - k);
-            for (s, (ys, es)) in y.iter_mut().zip(e.iter_mut()).enumerate().take(w) {
-                let mut est = 0.0f64;
-                let col = k + s;
-                for i in 0..l {
-                    let c = ext.q_tilde[i];
-                    let qi = ext.source_moduli[i].value();
-                    let yi = csub(mul_shoup_lazy(src[i * n + col], c, qi), qi);
-                    ys[i] = yi;
-                    est += yi as f64 * ext.q_inv_f64[i];
+        let full = range.end - range.len() % BLOCK;
+        let head = l.min(ext.lazy_terms);
+        // Full blocks: the y rows and the excess of BLOCK slots at a time
+        // through fixed-size arrays, then the target limbs swept over the
+        // block. The excess estimate accumulates in ascending limb order
+        // per slot — identical float rounding to the scalar path (trait
+        // contract), so the recovered excess matches bit-for-bit.
+        let mut y = [[0u64; BLOCK]; 64];
+        for k in (range.start..full).step_by(BLOCK) {
+            let mut est = [0.0f64; BLOCK];
+            for i in 0..l {
+                let c = ext.q_tilde[i];
+                let qi = ext.source_moduli[i].value();
+                let inv = ext.q_inv_f64[i];
+                let x = block_of(src, i * n + k);
+                for s in 0..BLOCK {
+                    let yi = csub(mul_shoup_lazy(x[s], c, qi), qi);
+                    y[i][s] = yi;
+                    est[s] += yi as i64 as f64 * inv;
                 }
-                *es = est as u64;
             }
-            for (j, col_out) in cols.iter_mut().enumerate() {
+            let e = est.map(|x| x as i64 as usize);
+            for (j, col) in cols.iter_mut().enumerate() {
                 let pj = &ext.target_moduli[j];
-                let row = &ext.q_star[j];
-                for s in 0..w {
-                    let ys = &y[s];
-                    let mut acc = 0u128;
-                    for i in 0..l {
-                        acc += ys[i] as u128 * row[i] as u128;
-                        if i % 4 == 3 {
-                            acc = pj.reduce_u128(acc) as u128;
-                        }
-                    }
-                    let raw = pj.reduce_u128(acc);
-                    let correction = pj.mul(pj.reduce(e[s]), ext.q_mod_target[j]);
-                    col_out[k + s - base] = pj.sub(raw, correction);
+                let row = &ext.q_star[j][..l];
+                let mut acc = [0u128; BLOCK];
+                accumulate_block(&mut acc, &y[..head], row);
+                // Primes over 60 bits only: the products past the first
+                // `lazy_terms` go in after a reduction, a run at a time.
+                for (ys, ws) in y[head..l]
+                    .chunks(ext.lazy_terms)
+                    .zip(row[head..].chunks(ext.lazy_terms))
+                {
+                    acc = acc.map(|a| pj.reduce_u128(a) as u128);
+                    accumulate_block(&mut acc, ys, ws);
+                }
+                let table = &ext.excess[j];
+                let out = &mut col[k - base..k - base + BLOCK];
+                for s in 0..BLOCK {
+                    out[s] = pj.sub(pj.reduce_u128(acc[s]), table[e[s]]);
                 }
             }
-            k += w;
+        }
+        // The ragged tail takes the reference loop.
+        let mut y = [0u64; 64];
+        for k in full..range.end {
+            new_limb_slot(ext, src, n, k, &mut y, k - base, cols);
         }
     }
+}
+
+/// [`KernelBackend::inner_product_pair`] for a digit count known at compile
+/// time (`BETA ≤ 7` products always fit one 128-bit sum, see
+/// [`lazy_products`]).
+fn inner_product_unrolled<const BETA: usize>(
+    m: &Modulus,
+    terms: &[DigitTerm<'_>],
+    u: &mut [u64],
+    v: &mut [u64],
+) {
+    const { assert!(BETA <= lazy_products(MAX_MODULUS_BITS, MAX_MODULUS_BITS)) };
+    let n = u.len();
+    assert_eq!(v.len(), n, "accumulator length mismatch");
+    let d: [&[u64]; BETA] = std::array::from_fn(|j| &terms[j].d[..n]);
+    let a: [&[u64]; BETA] = std::array::from_fn(|j| &terms[j].a[..n]);
+    let b: [&[u64]; BETA] = std::array::from_fn(|j| &terms[j].b[..n]);
+    for k in 0..n {
+        let (mut su, mut sv) = (0u128, 0u128);
+        for j in 0..BETA {
+            let dj = d[j][k] as u128;
+            su += dj * a[j][k] as u128;
+            sv += dj * b[j][k] as u128;
+        }
+        u[k] = m.reduce_u128(su);
+        v[k] = m.reduce_u128(sv);
+    }
+}
+
+/// `acc[s] += Σ_i ys[i][s]·ws[i]` for every slot `s` of a block.
+#[inline(always)]
+fn accumulate_block(acc: &mut [u128; BLOCK], ys: &[[u64; BLOCK]], ws: &[u64]) {
+    for (yi, &w) in ys.iter().zip(ws) {
+        for s in 0..BLOCK {
+            acc[s] += yi[s] as u128 * w as u128;
+        }
+    }
+}
+
+/// The `BLOCK` words of `data` starting at `at`, as a fixed-size array (one
+/// bounds check per block instead of one per word).
+#[inline(always)]
+fn block_of(data: &[u64], at: usize) -> &[u64; BLOCK] {
+    data[at..at + BLOCK]
+        .try_into()
+        .expect("slice of BLOCK words")
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ pub const MAX_MODULUS_BITS: u32 = 62;
 /// use fhe_math::Modulus;
 /// let q = Modulus::new(65537).unwrap();
 /// assert_eq!(q.mul(65536, 65536), 1); // (-1)·(-1) = 1 mod 65537
-/// assert_eq!(q.pow(3, 65536), q.inv(3).unwrap().wrapping_mul(0).wrapping_add(q.pow(3, 65536)));
+/// assert_eq!(q.mul(3, q.inv(3).unwrap()), 1);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Modulus {
@@ -29,6 +29,21 @@ pub struct Modulus {
     /// ⌊2^128 / q⌋ split into two 64-bit words (high, low).
     barrett_hi: u64,
     barrett_lo: u64,
+}
+
+/// How many products `a·b`, `a < 2^a_bits` and `b < 2^b_bits`, a kernel may
+/// add onto one reduced residue (`< 2^b_bits`) before the 128-bit sum must
+/// go through [`Modulus::reduce_u128`], which is exact below `2^127`.
+///
+/// At least 7 for any pair of supported moduli (62 + 62 bits); 60-bit
+/// primes and narrower never need a second reduction at any basis size the
+/// library supports.
+pub const fn lazy_products(a_bits: u32, b_bits: u32) -> usize {
+    assert!(a_bits <= MAX_MODULUS_BITS && b_bits <= MAX_MODULUS_BITS);
+    // (c + 1)·2^(a+b) ≤ 2^127 bounds c products plus the carried residue;
+    // the cap only keeps the shift in range (no basis has 2^16 limbs).
+    let spare = 127 - a_bits - b_bits;
+    (1usize << if spare < 16 { spare } else { 16 }) - 1
 }
 
 /// Error returned when constructing a [`Modulus`] from an unsupported value.
@@ -67,17 +82,15 @@ impl Modulus {
         if value < 2 || value >> MAX_MODULUS_BITS != 0 {
             return Err(InvalidModulusError(value));
         }
-        // Compute ⌊2^128 / value⌋ via 128-bit long division in two halves.
-        let hi = u64::MAX / value; // ⌊(2^64 - 1)/q⌋ approximates the high word
-                                   // Exact: 2^128 / q = ((2^64 / q) << 64) + ((2^64 mod q) << 64) / q.
-        let q128 = u128::MAX / value as u128; // ⌊(2^128 - 1)/q⌋ == ⌊2^128/q⌋ unless q | 2^128 (impossible for q>2 odd; for q=2^k handled below)
+        // ⌊(2^128 - 1)/q⌋ == ⌊2^128/q⌋ unless q | 2^128, i.e. q = 2^k
+        // (handled below).
+        let q128 = u128::MAX / value as u128;
         let barrett = if value.is_power_of_two() {
             // 2^128 / 2^k = 2^(128-k); u128::MAX/q rounds down to 2^(128-k) - 1.
             q128 + 1
         } else {
             q128
         };
-        let _ = hi;
         Ok(Self {
             value,
             barrett_hi: (barrett >> 64) as u64,
@@ -110,7 +123,10 @@ impl Modulus {
     /// Reduces a 128-bit value modulo `q` using Barrett reduction.
     ///
     /// This is the workhorse of [`Modulus::mul`]; it is branch-light and
-    /// division-free.
+    /// division-free. Exact for every `x < 2^127` (the partial products of
+    /// the quotient estimate are summed in 128 bits and could carry out
+    /// above that); [`lazy_products`] says how many products a kernel may
+    /// accumulate before it has to call this.
     #[inline(always)]
     pub fn reduce_u128(&self, x: u128) -> u64 {
         // q̂ = ⌊x · ⌊2^128/q⌋ / 2^128⌋, then r = x - q̂·q, with at most two
@@ -240,11 +256,21 @@ impl Modulus {
         Some(t as u64)
     }
 
-    /// Maps a signed integer into `[0, q)`.
+    /// Maps a signed integer into `[0, q)` (division-free: the encoder and
+    /// `Rescale` call this once per coefficient per limb).
     #[inline]
     pub fn from_i64(&self, x: i64) -> u64 {
-        let r = (x % self.value as i64 + self.value as i64) as u64;
-        self.reduce(r)
+        let mag = x.unsigned_abs();
+        let r = if mag < self.value {
+            mag
+        } else {
+            self.reduce_u128(mag as u128)
+        };
+        if x < 0 && r != 0 {
+            self.value - r
+        } else {
+            r
+        }
     }
 
     /// Maps a reduced residue to its centered representative in
@@ -353,6 +379,49 @@ mod tests {
             q.from_i64(i64::MIN + 1),
             q.from_i64((i64::MIN + 1) % 17 + 17)
         );
+    }
+
+    #[test]
+    fn from_i64_is_rem_euclid_at_the_edges() {
+        for q in [2u64, 17, 65537, (1 << 50) - 27, (1 << 62) - 57] {
+            let m = Modulus::new(q).unwrap();
+            let qi = q as i64;
+            for x in [
+                i64::MIN,
+                i64::MIN + 1,
+                i64::MAX,
+                qi,
+                -qi,
+                qi - 1,
+                1 - qi,
+                0,
+                1,
+                -1,
+            ] {
+                assert_eq!(m.from_i64(x), x.rem_euclid(qi) as u64, "q={q} x={x}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn from_i64_is_rem_euclid(q in 2u64..(1 << 62), x in proptest::prelude::any::<i64>()) {
+            let m = Modulus::new(q).unwrap();
+            proptest::prop_assert_eq!(m.from_i64(x), x.rem_euclid(q as i64) as u64);
+        }
+    }
+
+    #[test]
+    fn lazy_products_keeps_the_sum_below_2_pow_127() {
+        for (a, b) in [(62u32, 62u32), (61, 62), (60, 60), (20, 62), (4, 4)] {
+            let c = lazy_products(a, b) as u128;
+            assert!(c >= 7, "{a}+{b} bits: budget {c}");
+            let worst = c * ((1u128 << a) - 1) * ((1u128 << b) - 1) + ((1u128 << b) - 1);
+            assert!(worst < 1 << 127, "{a}+{b} bits: {c} products overflow");
+        }
+        // The widest primes are the only ones a 64-limb basis must chunk.
+        assert_eq!(lazy_products(62, 62), 7);
+        assert!(lazy_products(60, 60) >= 64);
     }
 
     #[test]

@@ -205,52 +205,52 @@ where
 
 /// Splits the slot dimension `0..n` into contiguous blocks and runs
 /// `f(slot_range, dst_columns)` for each, where `dst_columns[j]` is the
-/// block's window into target limb `j` of the flat `dst` buffer.
+/// block's window into `cols[j]`, target limb `j` (`n` slots long; the
+/// limbs need not be adjacent in memory).
 ///
 /// This is the slot-wise counterpart of [`for_each_limb_mut`]: basis
 /// extension processes one coefficient across *all* limbs at a time
 /// (Table 3's slot-wise pattern), so the parallel split must be along
 /// slots, not limbs. Per-slot results are independent, so the split does
 /// not change any value.
-pub fn for_each_slot_block<F>(dst: &mut [u64], n: usize, f: F)
+pub fn for_each_slot_block<F>(cols: &mut [&mut [u64]], n: usize, f: F)
 where
     F: Fn(std::ops::Range<usize>, &mut [&mut [u64]]) + Sync,
 {
-    debug_assert_eq!(dst.len() % n, 0);
+    debug_assert!(cols.iter().all(|c| c.len() == n));
     #[cfg(feature = "parallel")]
     {
-        let t = dst.len() / n;
-        // Cost scales with slots × (source + target) limbs; use the flat
-        // length as a proxy.
-        let workers = worker_count(n.div_ceil(1024), dst.len());
+        let t = cols.len();
+        // Cost scales with slots × (source + target) limbs; use the total
+        // target length as a proxy.
+        let workers = worker_count(n.div_ceil(1024), t * n);
         if workers > 1 {
             let block = n.div_ceil(workers);
             let blocks = n.div_ceil(block);
             // Carve each target limb into per-block column windows.
             let mut per_block: Vec<Vec<&mut [u64]>> =
                 (0..blocks).map(|_| Vec::with_capacity(t)).collect();
-            for limb in dst.chunks_exact_mut(n) {
-                let mut rest = limb;
-                for cols in per_block.iter_mut() {
+            for limb in cols.iter_mut() {
+                let mut rest = &mut **limb;
+                for windows in per_block.iter_mut() {
                     let take = block.min(rest.len());
                     let (head, tail) = rest.split_at_mut(take);
                     rest = tail;
-                    cols.push(head);
+                    windows.push(head);
                 }
             }
             std::thread::scope(|scope| {
-                for (b, mut cols) in per_block.into_iter().enumerate() {
+                for (b, mut windows) in per_block.into_iter().enumerate() {
                     let f = &f;
                     let lo = b * block;
                     let hi = ((b + 1) * block).min(n);
-                    scope.spawn(move || f(lo..hi, &mut cols));
+                    scope.spawn(move || f(lo..hi, &mut windows));
                 }
             });
             return;
         }
     }
-    let mut cols: Vec<&mut [u64]> = dst.chunks_exact_mut(n).collect();
-    f(0..n, &mut cols);
+    f(0..n, cols);
 }
 
 #[cfg(test)]
@@ -297,7 +297,8 @@ mod tests {
         let n = 1 << 12;
         let t = 3;
         let mut dst = vec![0u64; t * n];
-        for_each_slot_block(&mut dst, n, |range, cols| {
+        let mut limbs: Vec<&mut [u64]> = dst.chunks_exact_mut(n).collect();
+        for_each_slot_block(&mut limbs, n, |range, cols| {
             assert_eq!(cols.len(), t);
             for (j, col) in cols.iter_mut().enumerate() {
                 for (off, x) in col.iter_mut().enumerate() {

@@ -10,7 +10,10 @@
 //! paper's limb-wise access pattern (Table 3) and limb-wise kernels stream
 //! a flat array. Hot operations take a [`ScratchPool`] and perform no heap
 //! allocation once the pool is warm; each `*_with` variant has a plain
-//! wrapper for cold paths and tests.
+//! wrapper for cold paths and tests. Pool leases have unspecified contents
+//! (see [`crate::scratch`]): every operation here overwrites the whole of
+//! each buffer it leases, and [`RnsPoly::zero_pooled`] is the one
+//! constructor that zero-fills.
 //!
 //! Every operation documents its data-access pattern (limb-wise vs
 //! slot-wise per Table 3); the `simfhe` crate charges costs for exactly
@@ -89,6 +92,17 @@ impl RnsPoly {
     /// The zero polynomial with storage leased from `pool` (returned via
     /// [`RnsPoly::recycle`]).
     pub fn zero_pooled(basis: Arc<RnsBasis>, rep: Representation, pool: &ScratchPool) -> Self {
+        let mut out = Self::leased(basis, rep, pool);
+        out.data.fill(0);
+        out
+    }
+
+    /// A polynomial of the given shape with storage leased from `pool` and
+    /// **unspecified contents** — stale residues of whatever polynomial,
+    /// over whatever basis, held the buffer last. For outputs the caller
+    /// overwrites limb by limb (an automorphism target, an inner-product
+    /// accumulator); anything else wants [`RnsPoly::zero_pooled`].
+    pub fn leased(basis: Arc<RnsBasis>, rep: Representation, pool: &ScratchPool) -> Self {
         let len = basis.degree() * basis.len();
         Self {
             basis,
@@ -479,7 +493,13 @@ impl RnsPoly {
     /// Applies a Galois automorphism, producing a new polynomial in the same
     /// representation.
     pub fn automorphism(&self, auto: &Automorphism) -> RnsPoly {
-        let mut out = RnsPoly::zero(self.basis.clone(), self.rep);
+        self.automorphism_with(auto, &ScratchPool::new())
+    }
+
+    /// [`RnsPoly::automorphism`] with the output leased from `pool` (a
+    /// permutation writes every slot, so the lease needs no zero-fill).
+    pub fn automorphism_with(&self, auto: &Automorphism, pool: &ScratchPool) -> RnsPoly {
+        let mut out = RnsPoly::leased(self.basis.clone(), self.rep, pool);
         self.automorphism_into(auto, &mut out);
         out
     }
@@ -643,12 +663,9 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
     out.trace_touch(true);
     let src = poly.flat();
     let last = &last;
+    let q_last_inv = basis.drop_last_inverses();
     parallel::for_each_limb_mut(&mut out.data, n, |i, limb| {
         let qi = basis.modulus(i);
-        let inv = qi
-            .inv(qi.reduce(q_last.value()))
-            .expect("limb moduli are coprime");
-        let inv = ShoupPair::new(qi, inv);
         // Centered image of the dropped limb in q_i, NTT'd in place inside
         // the output limb — no per-limb temporary needed.
         for (x, &c) in limb.iter_mut().zip(last.iter()) {
@@ -658,7 +675,7 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
         let off = i * n;
         basis
             .backend()
-            .sub_scale_shoup(qi, &src[off..off + n], limb, inv);
+            .sub_scale_shoup(qi, &src[off..off + n], limb, q_last_inv[i]);
     });
     out
 }
@@ -847,19 +864,16 @@ pub fn pmod_up_with(poly: &RnsPoly, raised_basis: Arc<RnsBasis>, pool: &ScratchP
         tag: telemetry::OperandTag::scratch(),
     };
     out.trace_touch(true);
-    let out_basis = out.basis.clone();
     let src = poly.flat();
-    // The appended B' limbs stay zero; scale the B limbs by [P]_{q_i}.
-    parallel::for_each_limb_mut(&mut out.data[..l * n], n, |i, limb| {
+    // The appended B' limbs are zero; the B limbs are scaled by [P]_{q_i}.
+    let (lifted, appended) = out.data.split_at_mut(l * n);
+    appended.fill(0);
+    let p_mod_q = out.basis.tail_products(l);
+    parallel::for_each_limb_mut(lifted, n, |i, limb| {
         let qi = basis.modulus(i);
-        let mut p_mod = 1u64;
-        for pj in &out_basis.moduli()[l..] {
-            p_mod = qi.mul(p_mod, qi.reduce(pj.value()));
-        }
-        let p = ShoupPair::new(qi, p_mod);
         let off = i * n;
         limb.copy_from_slice(&src[off..off + n]);
-        basis.backend().scale_shoup(qi, limb, p);
+        basis.backend().scale_shoup(qi, limb, p_mod_q[i]);
     });
     out
 }
@@ -1019,6 +1033,75 @@ mod tests {
         let q = RnsPoly::zero_pooled(basis, Representation::Coefficient, &pool);
         assert_eq!(pool.stats().misses, 1, "second poly reuses the buffer");
         drop(q);
+    }
+
+    #[test]
+    fn zero_pooled_and_pmod_up_produce_zeros_from_a_dirty_pool() {
+        let pool = ScratchPool::new();
+        let q = q_basis(2);
+        let p = p_basis_for(&q, 2);
+        let raised = Arc::new(q.concat(&p));
+        let dirty = |pool: &ScratchPool| {
+            let mut buf = pool.take_vec(4 * N);
+            buf.fill(u64::MAX);
+            pool.recycle_vec(buf);
+        };
+
+        dirty(&pool);
+        let leased = RnsPoly::leased(q.clone(), Representation::Coefficient, &pool);
+        assert!(leased.flat().iter().all(|&x| x == u64::MAX), "lease is raw");
+        leased.recycle(&pool);
+
+        dirty(&pool);
+        let zero = RnsPoly::zero_pooled(q.clone(), Representation::Coefficient, &pool);
+        assert_eq!(zero.flat(), &[0u64; 2 * N][..]);
+        zero.recycle(&pool);
+
+        dirty(&pool);
+        let coeffs: Vec<i64> = (0..N as i64).map(|i| i - 10).collect();
+        let poly = RnsPoly::from_signed_coeffs(q, &coeffs);
+        let lifted = pmod_up_with(&poly, raised, &pool);
+        assert_eq!(&lifted.flat()[2 * N..], &[0u64; 2 * N][..]);
+        assert_eq!(lifted.flat(), pmod_up(&poly, &p).flat());
+        assert_eq!(
+            pool.stats().misses,
+            1,
+            "every lease reused the dirty buffer"
+        );
+    }
+
+    #[test]
+    fn per_basis_constants_match_their_definitions_and_survive_prefixing() {
+        let basis = q_basis(4);
+        // Rescale twice: the second call runs on the first one's freshly
+        // built prefix basis and must find (not recompute differently) the
+        // row for its own last limb.
+        let coeffs: Vec<i64> = (0..N as i64).map(|i| 1000 * i - 7).collect();
+        let mut poly = RnsPoly::from_signed_coeffs(basis.clone(), &coeffs);
+        poly.to_eval();
+        let once = rescale(&poly);
+        let twice = rescale(&once);
+        for (b, l) in [
+            (poly.basis(), 4usize),
+            (once.basis(), 3),
+            (twice.basis(), 2),
+        ] {
+            let q_last = b.modulus(l - 1).value();
+            for (i, inv) in b.drop_last_inverses().iter().enumerate() {
+                let qi = b.modulus(i);
+                assert_eq!(qi.mul(inv.value, qi.reduce(q_last)), 1, "l={l} i={i}");
+                assert_eq!(inv.shoup, qi.shoup(inv.value));
+            }
+        }
+        for split in 1..4 {
+            for (i, p) in basis.tail_products(split).iter().enumerate() {
+                let qi = basis.modulus(i);
+                let want = (split..4).fold(1u64, |acc, j| {
+                    qi.mul(acc, qi.reduce(basis.modulus(j).value()))
+                });
+                assert_eq!((p.value, p.shoup), (want, qi.shoup(want)));
+            }
+        }
     }
 
     #[test]

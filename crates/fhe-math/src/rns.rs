@@ -12,12 +12,12 @@
 //! this excess into the noise; the exact-CRT tests in this module quantify
 //! it.
 
-use crate::backend::{self, BasisExtView, KernelBackend, ShoupPair};
+use crate::backend::{self, BasisExtView, KernelBackend, ScalarBackend, ShoupPair};
 use crate::bigint::UBig;
-use crate::modular::Modulus;
+use crate::modular::{lazy_products, Modulus};
 use crate::ntt::NttTable;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An ordered RNS basis `{q_1, …, q_ℓ}` of distinct primes with NTT tables.
 #[derive(Clone)]
@@ -26,6 +26,19 @@ pub struct RnsBasis {
     ntt_tables: Vec<Arc<NttTable>>,
     degree: usize,
     backend: Arc<dyn KernelBackend>,
+    /// Row `k`: `q_k⁻¹ mod q_i` for `i < k`, the `Rescale` multipliers when
+    /// limb `k` is dropped. Filled on first use and shared with every
+    /// [`RnsBasis::prefix`] (whose limbs, and so whose rows, are the same),
+    /// so a chain of rescales computes each row once.
+    drop_inv: Arc<[OnceLock<Vec<ShoupPair>>]>,
+    /// Row `l`: `∏_{j ≥ l} q_j mod q_i` for `i < l`, the `PModUp` lift
+    /// `[P]_{q_i}` when this basis is `B ∪ B'` split at `l`.
+    tail_products: OnceLock<Vec<Vec<ShoupPair>>>,
+}
+
+/// Empty per-limb constant rows for a basis of `len` limbs.
+fn empty_rows(len: usize) -> Arc<[OnceLock<Vec<ShoupPair>>]> {
+    (0..len).map(|_| OnceLock::new()).collect()
 }
 
 impl fmt::Debug for RnsBasis {
@@ -102,6 +115,8 @@ impl RnsBasis {
             ntt_tables.push(Arc::new(table));
         }
         Ok(Self {
+            drop_inv: empty_rows(moduli.len()),
+            tail_products: OnceLock::new(),
             moduli,
             ntt_tables,
             degree,
@@ -174,6 +189,8 @@ impl RnsBasis {
             ntt_tables: self.ntt_tables[..count].to_vec(),
             degree: self.degree,
             backend: self.backend.clone(),
+            drop_inv: self.drop_inv.clone(),
+            tail_products: OnceLock::new(),
         }
     }
 
@@ -200,6 +217,8 @@ impl RnsBasis {
                 .collect(),
             degree: self.degree,
             backend: self.backend.clone(),
+            drop_inv: empty_rows(indices.len()),
+            tail_products: OnceLock::new(),
         }
     }
 
@@ -222,7 +241,47 @@ impl RnsBasis {
             ntt_tables: [self.ntt_tables.clone(), other.ntt_tables.clone()].concat(),
             degree: self.degree,
             backend: self.backend.clone(),
+            drop_inv: empty_rows(self.len() + other.len()),
+            tail_products: OnceLock::new(),
         }
+    }
+
+    /// `q_last⁻¹ mod q_i` for every limb `i` before the last, with Shoup
+    /// companions: what `Rescale` multiplies by after dropping the last
+    /// limb.
+    pub(crate) fn drop_last_inverses(&self) -> &[ShoupPair] {
+        let last = self.len() - 1;
+        self.drop_inv[last].get_or_init(|| {
+            let q_last = self.moduli[last].value();
+            self.moduli[..last]
+                .iter()
+                .map(|qi| {
+                    let inv = qi.inv(qi.reduce(q_last)).expect("limb moduli are coprime");
+                    ShoupPair::new(qi, inv)
+                })
+                .collect()
+        })
+    }
+
+    /// `∏_{j ≥ split} q_j mod q_i` for every limb `i < split`, with Shoup
+    /// companions: `[P]_{q_i}` when this basis is `B ∪ B'` and `B` has
+    /// `split` limbs.
+    pub(crate) fn tail_products(&self, split: usize) -> &[ShoupPair] {
+        &self.tail_products.get_or_init(|| {
+            (0..self.len())
+                .map(|split| {
+                    self.moduli[..split]
+                        .iter()
+                        .map(|qi| {
+                            let p = self.moduli[split..]
+                                .iter()
+                                .fold(1u64, |acc, pj| qi.mul(acc, qi.reduce(pj.value())));
+                            ShoupPair::new(qi, p)
+                        })
+                        .collect()
+                })
+                .collect()
+        })[split]
     }
 
     /// CRT-reconstructs the integer in `[0, Q)` with residues `residues`
@@ -269,6 +328,11 @@ impl RnsBasis {
 /// `e = ⌊Σ_i y_i / q_i⌉` (exact for word-sized primes and `ℓ ≤ 64`), so
 /// [`BasisExtender::extend_coeff`] returns the *exact* representative
 /// `[x]_p` of the source value `x ∈ [0, Q)`.
+///
+/// Each output costs `ℓ` multiply-accumulates into a 128-bit sum, **one**
+/// Barrett reduction of that sum (or one per `lazy_terms` products when
+/// the primes are wide enough that `ℓ` of them would overflow it), and a
+/// table lookup for `e·Q mod p_j`.
 #[derive(Clone)]
 pub struct BasisExtender {
     /// `Q̃_i = (Q/q_i)^{-1} mod q_i` with Shoup companions, one per source
@@ -278,8 +342,14 @@ pub struct BasisExtender {
     q_inv_f64: Vec<f64>,
     /// `Q_i^* = Q/q_i mod p_j`, indexed `[target][source]`.
     q_star: Vec<Vec<u64>>,
-    /// `Q mod p_j`, used to subtract the excess `e·Q`.
-    q_mod_target: Vec<u64>,
+    /// `e·Q mod p_j` for every excess the estimate can return,
+    /// `e ∈ 0..=source_len`, indexed `[target][e]` — subtracting the excess
+    /// is a lookup, not a multiply.
+    excess: Vec<Vec<u64>>,
+    /// Products `y_i·Q_i^*` that fit one 128-bit sum (plus a carried
+    /// residue) between reductions — from the widest source and target
+    /// limb, see [`lazy_products`].
+    lazy_terms: usize,
     source_moduli: Vec<Modulus>,
     target_moduli: Vec<Modulus>,
     /// Backend the fused flat conversion dispatches to (inherited from the
@@ -345,6 +415,16 @@ impl BasisExtender {
             q_star.push(row);
             q_mod_target.push(qm);
         }
+        // The float estimate of Σ y_i/q_i can round up to ℓ itself, never
+        // past it, so ℓ + 1 entries cover every excess.
+        let excess = target
+            .moduli()
+            .iter()
+            .zip(&q_mod_target)
+            .map(|(pj, &qm)| (0..=l as u64).map(|e| pj.mul(pj.reduce(e), qm)).collect())
+            .collect();
+        let widest = |moduli: &[Modulus]| moduli.iter().map(Modulus::bits).max().unwrap_or(0);
+        let lazy_terms = lazy_products(widest(source.moduli()), widest(target.moduli()));
         let q_inv_f64 = source
             .moduli()
             .iter()
@@ -354,7 +434,8 @@ impl BasisExtender {
             q_tilde,
             q_inv_f64,
             q_star,
-            q_mod_target,
+            excess,
+            lazy_terms,
             source_moduli: source.moduli().to_vec(),
             target_moduli: target.moduli().to_vec(),
             backend: source.backend().clone(),
@@ -369,7 +450,8 @@ impl BasisExtender {
             q_tilde: &self.q_tilde,
             q_inv_f64: &self.q_inv_f64,
             q_star: &self.q_star,
-            q_mod_target: &self.q_mod_target,
+            excess: &self.excess,
+            lazy_terms: self.lazy_terms,
             source_moduli: &self.source_moduli,
             target_moduli: &self.target_moduli,
         }
@@ -390,12 +472,14 @@ impl BasisExtender {
     /// `Q mod p_j` for target limb `j`.
     #[inline]
     pub fn source_product_mod_target(&self, j: usize) -> u64 {
-        self.q_mod_target[j]
+        self.excess[j][1]
     }
 
     /// Applies `NewLimb` to one coefficient: given `residues[i] = [x]_{q_i}`
     /// for the representative `x ∈ [0, Q)`, writes `[x]_{p_j}` for each
-    /// target limb `j` (exact; see the type-level docs).
+    /// target limb `j` (exact; see the type-level docs). This is the
+    /// reference kernel ([`ScalarBackend`]) on a one-slot buffer, whatever
+    /// backend the flat conversion dispatches to.
     ///
     /// # Panics
     ///
@@ -403,61 +487,57 @@ impl BasisExtender {
     pub fn extend_coeff(&self, residues: &[u64], out: &mut [u64]) {
         assert_eq!(residues.len(), self.source_len());
         assert_eq!(out.len(), self.target_len());
-        // y_i = [x · Q̃_i]_{q_i}
-        let l = self.source_len();
-        let mut y = [0u64; 64];
-        assert!(l <= 64, "basis too large for stack buffer");
-        let mut excess_est = 0.0f64;
-        for i in 0..l {
-            let c = self.q_tilde[i];
-            y[i] = self.source_moduli[i].mul_shoup(residues[i], c.value, c.shoup);
-            excess_est += y[i] as f64 * self.q_inv_f64[i];
-        }
-        // Σ y_i Q_i^* = x + e·Q, and Σ y_i/q_i = e + x/Q with x/Q ∈ [0,1),
-        // so flooring the float estimate recovers e exactly (up to the
-        // negligible chance of x within Q·2^{-45} of a multiple of Q).
-        let e = excess_est as u64;
-        for (j, slot) in out.iter_mut().enumerate() {
-            let pj = &self.target_moduli[j];
-            let mut acc = 0u128;
-            for i in 0..l {
-                acc += y[i] as u128 * self.q_star[j][i] as u128;
-                // Accumulate lazily; reduce when nearing overflow.
-                if i % 4 == 3 {
-                    acc = pj.reduce_u128(acc) as u128;
-                }
-            }
-            let raw = pj.reduce_u128(acc);
-            let correction = pj.mul(pj.reduce(e), self.q_mod_target[j]);
-            *slot = pj.sub(raw, correction);
-        }
+        assert!(residues.len() <= 64, "basis too large for stack buffer");
+        let mut cols: Vec<&mut [u64]> = out.chunks_exact_mut(1).collect();
+        ScalarBackend.basis_ext_block(&self.view(), residues, 1, 0..1, &mut cols);
     }
 
     /// Applies `NewLimb` across entire flat limb-major buffers: `src` holds
     /// the `source_len()` limbs of length `n` back to back, and the
     /// `target_len()` result limbs are written to `dst` in the same layout.
     ///
-    /// This is the slot-wise access pattern of the paper: the inner loop
-    /// walks all source limbs of one slot. With the `parallel` feature the
-    /// slot range is split across threads (slots are independent, so the
-    /// split is bit-exact); all per-slot state lives on the stack, so the
-    /// call never allocates.
-    ///
     /// # Panics
     ///
     /// Panics on any length mismatch.
     pub fn extend_flat(&self, src: &[u64], dst: &mut [u64], n: usize) {
+        assert_eq!(
+            dst.len(),
+            self.target_len() * n,
+            "target buffer length mismatch"
+        );
+        let mut cols: Vec<&mut [u64]> = dst.chunks_exact_mut(n).collect();
+        self.extend_columns(src, &mut cols);
+    }
+
+    /// [`BasisExtender::extend_flat`] with each target limb written where
+    /// the caller wants it: `cols[j]` receives target limb `j`, so a
+    /// conversion can land directly in the (non-contiguous) limbs of a
+    /// larger polynomial instead of in a temporary that is then copied.
+    ///
+    /// This is the slot-wise access pattern of the paper: the inner loop
+    /// walks all source limbs of one slot. With the `parallel` feature the
+    /// slot range is split across threads (slots are independent, so the
+    /// split is bit-exact); all per-slot state lives on the stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any length mismatch.
+    pub fn extend_columns(&self, src: &[u64], cols: &mut [&mut [u64]]) {
         let l = self.source_len();
         let t = self.target_len();
+        assert_eq!(cols.len(), t, "target column count mismatch");
+        let n = cols.first().map_or(0, |c| c.len());
+        assert!(
+            cols.iter().all(|c| c.len() == n),
+            "target columns differ in length"
+        );
         assert_eq!(src.len(), l * n, "source buffer length mismatch");
-        assert_eq!(dst.len(), t * n, "target buffer length mismatch");
-        assert!(t <= 64, "target basis too large for stack buffer");
         assert!(l <= 64, "source basis too large for stack buffer");
         // Telemetry is recorded here — at the dispatch site, in logical
         // units — so every backend reports identical counts.
         crate::telemetry::record_basis_ext(l as u64, t as u64, n as u64);
         let ext = self.view();
-        crate::parallel::for_each_slot_block(dst, n, |range, cols| {
+        crate::parallel::for_each_slot_block(cols, n, |range, cols| {
             self.backend.basis_ext_block(&ext, src, n, range, cols);
         });
     }

@@ -8,6 +8,14 @@
 //! so after a warm-up pass the steady state performs **zero heap
 //! allocations per operation** (asserted by `ckks`'s scratch-stats test).
 //!
+//! A lease has **unspecified contents**: a recycled buffer comes back
+//! holding whatever its last user left in it (stale but initialized words;
+//! only a grown tail or a fresh allocation is zero). Every kernel that
+//! leases a buffer overwrites all of it, so zero-filling first would write
+//! each byte twice; the two callers that do read zeros —
+//! [`crate::poly::RnsPoly::zero_pooled`] and the `B'` tail of
+//! [`crate::poly::pmod_up_with`] — fill them in themselves.
+//!
 //! The pool is internally synchronized (a `Mutex` around the free list) so
 //! it can be shared behind `Arc<CkksContext>`; the lock is held only for
 //! the push/pop, never across kernel work. The free list is bounded
@@ -49,20 +57,28 @@ impl ScratchPool {
         Self::default()
     }
 
-    /// Takes a zeroed buffer of exactly `len` words, reusing a pooled
-    /// allocation when one is large enough.
+    /// Takes a buffer of exactly `len` words with **unspecified contents**
+    /// (see the module docs), reusing the smallest pooled allocation that
+    /// is large enough — a small lease must not walk off with a
+    /// raised-basis buffer the next large lease would then have to
+    /// allocate again.
     pub fn take_vec(&self, len: usize) -> Vec<u64> {
         self.leases.fetch_add(1, Ordering::Relaxed);
         crate::telemetry::record_scratch_lease(8 * len as u64);
         let reused = {
             let mut free = self.free.lock().expect("scratch pool poisoned");
-            free.iter()
-                .position(|b| b.capacity() >= len)
-                .map(|idx| free.swap_remove(idx))
+            let best = free
+                .iter()
+                .enumerate()
+                .filter(|(_, b)| b.capacity() >= len)
+                .min_by_key(|(_, b)| b.capacity())
+                .map(|(idx, _)| idx);
+            best.map(|idx| free.swap_remove(idx))
         };
         match reused {
             Some(mut buf) => {
-                buf.clear();
+                // Truncates, or writes only the missing tail: whatever
+                // prefix the buffer holds stays as it is.
                 buf.resize(len, 0);
                 buf
             }
@@ -97,7 +113,8 @@ impl ScratchPool {
         drop(surplus);
     }
 
-    /// Takes a zeroed buffer that hands itself back to the pool on drop.
+    /// [`ScratchPool::take_vec`] as a guard that hands the buffer back to
+    /// the pool on drop.
     pub fn take(&self, len: usize) -> ScratchGuard<'_> {
         ScratchGuard {
             pool: self,
@@ -161,13 +178,47 @@ mod tests {
     }
 
     #[test]
-    fn buffers_come_back_zeroed() {
+    fn recycled_buffers_are_not_zeroed_and_have_the_requested_length() {
         let pool = ScratchPool::new();
         let mut a = pool.take_vec(16);
-        a.iter_mut().for_each(|x| *x = u64::MAX);
+        a.fill(u64::MAX);
         pool.recycle_vec(a);
-        let b = pool.take_vec(16);
-        assert!(b.iter().all(|&x| x == 0));
+        // Equal, shorter and (within capacity) longer leases of the same
+        // allocation: the stale prefix survives, only a grown tail is new.
+        for len in [16usize, 5] {
+            let b = pool.take_vec(len);
+            assert_eq!(b.len(), len);
+            assert!(b.iter().all(|&x| x == u64::MAX), "len {len} was rewritten");
+            pool.recycle_vec(b);
+        }
+        let mut c = pool.take_vec(5);
+        c.reserve_exact(27);
+        pool.recycle_vec(c);
+        let d = pool.take_vec(32);
+        assert_eq!(d.len(), 32);
+        assert!(d[..5].iter().all(|&x| x == u64::MAX));
+        assert!(d[5..].iter().all(|&x| x == 0));
+        assert_eq!(
+            pool.stats().misses,
+            1,
+            "all four leases reused one allocation"
+        );
+    }
+
+    #[test]
+    fn the_smallest_sufficient_buffer_is_taken() {
+        let pool = ScratchPool::new();
+        let big = pool.take_vec(4096);
+        let small = pool.take_vec(64);
+        let (big_ptr, small_ptr) = (big.as_ptr(), small.as_ptr());
+        // Big first, so a first-fit scan would hand it to the small lease.
+        pool.recycle_vec(big);
+        pool.recycle_vec(small);
+        let s = pool.take_vec(48);
+        assert_eq!(s.as_ptr(), small_ptr);
+        let b = pool.take_vec(4000);
+        assert_eq!(b.as_ptr(), big_ptr);
+        assert_eq!(pool.stats().misses, 2, "neither re-lease allocated");
     }
 
     #[test]

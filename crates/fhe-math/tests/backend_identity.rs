@@ -9,6 +9,7 @@
 //! the scheme-level pipelines are covered by the `backend_identity` suites
 //! in `ckks` and `fhe-apps`.
 
+use fhe_math::backend::DigitTerm;
 use fhe_math::poly::{mod_down, mod_up, pmod_up, rescale, ModDownContext, Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
 use fhe_math::rns::{BasisExtender, RnsBasis};
@@ -91,8 +92,34 @@ fn pointwise_kernels_are_bit_identical() {
         be.add_scalar(&m, &mut plus, q / 3);
         let mut minus = a.clone();
         be.sub_scalar(&m, &mut minus, q / 3);
+        // Two digits; the accumulators start dirty because the kernel
+        // must overwrite, not add to, them.
+        let terms = [
+            DigitTerm {
+                d: &d,
+                a: &b,
+                b: &a,
+            },
+            DigitTerm {
+                d: &a,
+                a: &d,
+                b: &b,
+            },
+        ];
         let (mut u, mut v) = (a.clone(), b.clone());
-        be.fma_pair(&m, &d, &b, &a, &mut u, &mut v);
+        be.inner_product_pair(&m, &terms, &mut u, &mut v);
+        for k in 0..n {
+            assert_eq!(
+                u[k],
+                m.mul_add(a[k], d[k], m.mul(d[k], b[k])),
+                "{kind:?} u[{k}]"
+            );
+            assert_eq!(
+                v[k],
+                m.mul_add(a[k], b[k], m.mul(d[k], a[k])),
+                "{kind:?} v[{k}]"
+            );
+        }
         (add, sub, neg, mul, scaled, combined, plus, minus, u, v)
     });
 }

@@ -5,9 +5,9 @@
 //! and the unrolled backend's *lazy* transform entry points must keep every
 //! intermediate in the half-reduced range `[0, 2q)`.
 
-use fhe_math::backend::UnrolledBackend;
+use fhe_math::backend::{DigitTerm, UnrolledBackend};
 use fhe_math::poly::{Representation, RnsPoly};
-use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
+use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding, is_prime};
 use fhe_math::rns::{BasisExtender, RnsBasis};
 use fhe_math::{BackendKind, KernelBackend, Modulus, NttTable};
 use proptest::prelude::*;
@@ -36,6 +36,211 @@ fn random_residues(seed: u64, q: u64, n: usize) -> Vec<u64> {
                 % q
         })
         .collect()
+}
+
+/// Limb widths the accumulating kernels are swept over: narrow, the CKKS
+/// working range, and the two widest the library admits — 62-bit limbs are
+/// where a 128-bit sum of products has to be reduced part-way.
+const WIDTHS: [u32; 5] = [20, 40, 50, 61, 62];
+
+/// Degree of the bases the accumulating kernels are tested over. The
+/// kernels take the slot count as an argument, so the degree only decides
+/// which primes are admissible.
+const SMALL_DEGREE: usize = 8;
+
+/// The 24 largest primes `≡ 1 (mod 2·SMALL_DEGREE)` below `2^bits` —
+/// enough for 12 source and 12 target limbs of one width, at widths
+/// [`generate_ntt_primes`] (≤ 61 bits) does not reach.
+fn primes_of_width(bits: u32) -> Vec<u64> {
+    let step = 2 * SMALL_DEGREE as u64;
+    let mut candidate = (1u64 << bits) - step + 1;
+    let mut out = Vec::new();
+    while out.len() < 24 {
+        if is_prime(candidate) {
+            assert_eq!(64 - candidate.leading_zeros(), bits);
+            out.push(candidate);
+        }
+        candidate -= step;
+    }
+    out
+}
+
+/// `count` distinct primes of seed-chosen mixed widths, none in `taken`.
+fn mixed_primes(seed: u64, count: usize, taken: &[u64]) -> Vec<u64> {
+    let mut out: Vec<u64> = Vec::with_capacity(count);
+    let mut state = seed | 1;
+    while out.len() < count {
+        state = state
+            .wrapping_mul(0x5851f42d4c957f2d)
+            .wrapping_add(0x14057b7ef767814f);
+        let bits = WIDTHS[(state >> 33) as usize % WIDTHS.len()];
+        let fresh = primes_of_width(bits)
+            .into_iter()
+            .find(|q| !out.contains(q) && !taken.contains(q))
+            .expect("24 primes per width cover 12 + 12 limbs");
+        out.push(fresh);
+    }
+    out
+}
+
+/// The residue `x_i = −Q/q_i mod q_i` that drives `y_i = [x·Q̃_i]_{q_i}` to
+/// `q_i − 1`, the largest term a basis extension can sum.
+fn saturating_residue(q: u64, src_primes: &[u64]) -> u64 {
+    let m = Modulus::new(q).unwrap();
+    let q_star = src_primes
+        .iter()
+        .filter(|&&other| other != q)
+        .fold(1u64, |acc, &other| m.mul(acc, m.reduce(other)));
+    m.neg(q_star)
+}
+
+/// The kernel `inner_product_pair` replaced: one read-modify-write
+/// `mul_add` pass over both accumulators per digit.
+fn per_digit_fold(m: &Modulus, terms: &[DigitTerm<'_>], n: usize) -> (Vec<u64>, Vec<u64>) {
+    let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
+    for t in terms {
+        for k in 0..n {
+            u[k] = m.mul_add(t.d[k], t.a[k], u[k]);
+            v[k] = m.mul_add(t.d[k], t.b[k], v[k]);
+        }
+    }
+    (u, v)
+}
+
+/// Eighteen saturated 62-bit products exceed `2^128`: without the mid-sum
+/// reduction the accumulator overflows (a panic in this debug build, a
+/// wrong residue in release), for the inner product and the basis
+/// extension alike.
+#[test]
+fn eighteen_wide_products_need_the_mid_sum_reduction() {
+    let primes = primes_of_width(62);
+    let n = 11usize;
+    let m = Modulus::new(primes[0]).unwrap();
+    let full = vec![primes[0] - 1; n];
+    let terms = vec![
+        DigitTerm {
+            d: &full,
+            a: &full,
+            b: &full
+        };
+        18
+    ];
+    let reference = per_digit_fold(&m, &terms, n);
+    for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
+        let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
+        kind.instance()
+            .inner_product_pair(&m, &terms, &mut u, &mut v);
+        assert_eq!((&u, &v), (&reference.0, &reference.1), "{kind:?}");
+    }
+
+    let (src_primes, dst_primes) = primes.split_at(18);
+    let src = RnsBasis::new(src_primes, SMALL_DEGREE).unwrap();
+    // y_i = q_i − 1 on every limb but the first (see the proptest below).
+    let mut flat = random_residues(7, src_primes[0], n);
+    for &q in &src_primes[1..] {
+        flat.extend(std::iter::repeat_n(saturating_residue(q, src_primes), n));
+    }
+    for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
+        let src_k = RnsBasis::with_backend(src_primes, SMALL_DEGREE, kind.instance()).unwrap();
+        let dst_k = RnsBasis::with_backend(dst_primes, SMALL_DEGREE, kind.instance()).unwrap();
+        let mut out = vec![0u64; dst_primes.len() * n];
+        BasisExtender::new(&src_k, &dst_k).extend_flat(&flat, &mut out, n);
+        for k in 0..n {
+            let residues: Vec<u64> = (0..18).map(|i| flat[i * n + k]).collect();
+            let x = src.crt_reconstruct(&residues);
+            for (j, &p) in dst_primes.iter().enumerate() {
+                assert_eq!(out[j * n + k], x.rem_u64(p), "{kind:?} slot {k} target {j}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Scalar ≡ unrolled ≡ exact CRT, over mixed-width bases (so the
+    /// reduction schedule is exercised on both sides of its threshold:
+    /// eight or more 62-bit source limbs need a mid-sum reduction) and
+    /// slot counts with a ragged tail after the last 8-slot block.
+    #[test]
+    fn basis_extension_is_exact_crt_on_both_backends(
+        src_len in 1usize..=12,
+        dst_len in 1usize..=12,
+        blocks in 0usize..4,
+        tail in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        let n = 8 * blocks + tail;
+        let src_primes = mixed_primes(seed, src_len, &[]);
+        let dst_primes = mixed_primes(seed.rotate_left(17), dst_len, &src_primes);
+        let mut flat = Vec::with_capacity(src_len * n);
+        for (i, &q) in src_primes.iter().enumerate() {
+            // Every fourth case drives every y_i but the first to q_i − 1
+            // (x_i = −Q/q_i mod q_i): the largest sums whose x/Q still
+            // falls anywhere in [0, 1) rather than on the integer where
+            // the float excess estimate is documented to be ambiguous.
+            if seed % 4 == 0 && i > 0 {
+                flat.extend(std::iter::repeat_n(saturating_residue(q, &src_primes), n));
+            } else {
+                flat.extend(random_residues(seed ^ (i as u64), q, n));
+            }
+        }
+        let run = |kind: BackendKind| {
+            let src = RnsBasis::with_backend(&src_primes, SMALL_DEGREE, kind.instance()).unwrap();
+            let dst = RnsBasis::with_backend(&dst_primes, SMALL_DEGREE, kind.instance()).unwrap();
+            let mut out = vec![u64::MAX; dst_len * n];
+            BasisExtender::new(&src, &dst).extend_flat(&flat, &mut out, n);
+            out
+        };
+        let scalar = run(BackendKind::Scalar);
+        prop_assert_eq!(&scalar, &run(BackendKind::Unrolled));
+        let src = RnsBasis::new(&src_primes, SMALL_DEGREE).unwrap();
+        for k in 0..n {
+            let residues: Vec<u64> = (0..src_len).map(|i| flat[i * n + k]).collect();
+            let x = src.crt_reconstruct(&residues);
+            for (j, &p) in dst_primes.iter().enumerate() {
+                prop_assert_eq!(scalar[j * n + k], x.rem_u64(p), "slot {} target {}", k, j);
+            }
+        }
+    }
+
+    /// The digit-fused inner product ≡ the per-digit fold it replaced, for
+    /// every digit count a parameter set can ask for and past the point
+    /// (eight 62-bit products) where the 128-bit sums must be reduced
+    /// part-way; the accumulators start dirty because they are write-only.
+    #[test]
+    fn digit_fused_inner_product_matches_the_per_digit_fold(
+        beta in 1usize..=18,
+        bits in prop::sample::select(WIDTHS.to_vec()),
+        blocks in 0usize..4,
+        tail in 1usize..8,
+        seed in any::<u64>(),
+    ) {
+        let n = 8 * blocks + tail;
+        let q = primes_of_width(bits)[(seed % 24) as usize];
+        let m = Modulus::new(q).unwrap();
+        let operand = |salt: u64| -> Vec<Vec<u64>> {
+            (0..beta as u64)
+                .map(|j| {
+                    if seed % 4 == 0 {
+                        vec![q - 1; n]
+                    } else {
+                        random_residues(seed ^ (salt << 8 | j), q, n)
+                    }
+                })
+                .collect()
+        };
+        let (d, a, b) = (operand(1), operand(2), operand(3));
+        let terms: Vec<DigitTerm<'_>> = (0..beta)
+            .map(|j| DigitTerm { d: &d[j], a: &a[j], b: &b[j] })
+            .collect();
+        let reference = per_digit_fold(&m, &terms, n);
+        for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
+            let (mut u, mut v) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+            kind.instance().inner_product_pair(&m, &terms, &mut u, &mut v);
+            prop_assert_eq!((&u, &v), (&reference.0, &reference.1), "{:?}", kind);
+        }
+    }
 }
 
 proptest! {
@@ -127,7 +332,8 @@ proptest! {
             let mut mul = a.clone();
             be.pointwise_mul(&m, &mut mul, &b);
             let (mut u, mut v) = (b.clone(), a.clone());
-            be.fma_pair(&m, &mul, &a, &b, &mut u, &mut v);
+            let term = DigitTerm { d: &mul, a: &a, b: &b };
+            be.inner_product_pair(&m, &[term, term], &mut u, &mut v);
             (add, mul, u, v)
         };
         prop_assert_eq!(run(&scalar), run(&unrolled));
