@@ -3,11 +3,9 @@
 //! over flat limb-major buffers, and serial-vs-parallel comparisons of the
 //! multithreaded kernels (full-poly NTT and hybrid key switching) at
 //! production ring sizes N = 2^15 and 2^16.
-#[cfg(feature = "parallel")]
 use ckks::{CkksContext, CkksParams, KeyGenerator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fhe_math::backend::DigitTerm;
-#[cfg(feature = "parallel")]
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
 use fhe_math::rns::{BasisExtender, RnsBasis};
@@ -15,7 +13,6 @@ use fhe_math::sampling::sample_uniform_flat;
 use fhe_math::NttTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-#[cfg(feature = "parallel")]
 use std::sync::Arc;
 
 fn bench_ntt(c: &mut Criterion) {
@@ -188,13 +185,15 @@ fn bench_basis_extension(c: &mut Criterion) {
     group.finish();
 }
 
-/// Runs `f` once with the parallel path forced off, then forced on, under
-/// the given Criterion labels — the serial-vs-parallel speedup readout for
-/// the limb-parallel kernels. Only compiled with the `parallel` feature
-/// (without it there is nothing to compare).
-#[cfg(feature = "parallel")]
+/// `serial` forces the limb loops onto the calling thread; `parallel` is
+/// the unforced rule of `fhe_math::parallel` — what a library user gets.
+const THREAD_ROWS: [(&str, Option<bool>); 2] = [("serial", Some(false)), ("parallel", None)];
+
+/// Serial-vs-threaded readout of the limb-parallel kernels: full-poly NTT
+/// at production ring sizes, and a hybrid key switch from one caller and
+/// from two at once (where the rule should leave both on their own
+/// thread, so the two rows should read alike).
 fn bench_serial_vs_parallel(c: &mut Criterion) {
-    // Full-polynomial NTT (all limbs) at production ring sizes.
     for log_n in [15u32, 16] {
         let n = 1usize << log_n;
         let limbs = 8usize;
@@ -205,9 +204,9 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
         let poly = RnsPoly::from_flat(basis, flat, Representation::Coefficient);
         let mut group = c.benchmark_group(format!("ntt_full_poly_n{n}"));
         group.throughput(Throughput::Elements((limbs * n) as u64));
-        for (label, forced) in [("serial", false), ("parallel", true)] {
+        for (label, forced) in THREAD_ROWS {
             group.bench_function(BenchmarkId::new(label, n), |b| {
-                fhe_math::parallel::set_forced(Some(forced));
+                fhe_math::parallel::set_forced(forced);
                 b.iter_batched(
                     || poly.clone(),
                     |mut p| {
@@ -222,8 +221,7 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
         group.finish();
     }
 
-    // Hybrid key switching end to end.
-    for log_n in [15u32, 16] {
+    for (callers, log_n) in [(1usize, 13u32), (1, 15), (1, 16), (2, 13), (2, 15)] {
         let ctx = CkksContext::new(
             CkksParams::builder()
                 .log_degree(log_n)
@@ -247,15 +245,26 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
             sample_uniform_flat(&mut rng, &moduli, n),
             Representation::Evaluation,
         );
-        let mut group = c.benchmark_group(format!("keyswitch_n{n}"));
+        let switch = || {
+            let (v, u) = ckks::keyswitch::keyswitch(&ctx, &x, ksk);
+            v.recycle(ctx.scratch());
+            u.recycle(ctx.scratch());
+        };
+        let name = ["keyswitch", "keyswitch_two_callers"][callers - 1];
+        let mut group = c.benchmark_group(format!("{name}_n{n}"));
         group.sample_size(10);
-        for (label, forced) in [("serial", false), ("parallel", true)] {
+        for (label, forced) in THREAD_ROWS {
             group.bench_function(BenchmarkId::new(label, n), |b| {
-                fhe_math::parallel::set_forced(Some(forced));
+                fhe_math::parallel::set_forced(forced);
+                // One key switch per caller per iteration, the extra
+                // callers on scoped threads beside the timed one.
                 b.iter(|| {
-                    let (v, u) = ckks::keyswitch::keyswitch(&ctx, &x, ksk);
-                    v.recycle(ctx.scratch());
-                    u.recycle(ctx.scratch());
+                    std::thread::scope(|scope| {
+                        for _ in 1..callers {
+                            scope.spawn(switch);
+                        }
+                        switch();
+                    })
                 });
                 fhe_math::parallel::set_forced(None);
             });
@@ -263,9 +272,6 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
         group.finish();
     }
 }
-
-#[cfg(not(feature = "parallel"))]
-fn bench_serial_vs_parallel(_c: &mut Criterion) {}
 
 criterion_group!(
     benches,

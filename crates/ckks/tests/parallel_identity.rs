@@ -5,8 +5,6 @@
 //! thread or many. The force flag is process-global, so a mutex serializes
 //! the tests.
 
-#![cfg(feature = "parallel")]
-
 use ckks::hoisting::rotate_hoisted;
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;

@@ -36,7 +36,8 @@
 //! - [`scratch`]: the reusable buffer pool behind the allocation-free hot
 //!   paths.
 //! - [`parallel`]: limb-level multithreading helpers over flat limb-major
-//!   buffers (feature `parallel`, on by default; bit-identical to serial).
+//!   buffers (always compiled; a call uses threads when its shares are
+//!   large enough and cores are free; bit-identical to the serial loop).
 //! - [`telemetry`]: feature-gated op-count/traffic counters and
 //!   measurement spans (feature `telemetry`, off by default; no-ops when
 //!   disabled) used to cross-validate the `simfhe` cost model.

@@ -3,70 +3,175 @@
 //! RNS limbs are mutually independent in every limb-wise kernel (NTT,
 //! pointwise arithmetic, automorphisms — Table 3 of the paper), so a flat
 //! `[u64; ℓ·N]` buffer splits into disjoint `&mut [u64]` limb chunks that
-//! scoped threads can process without synchronization. Each helper here has
-//! a serial fallback compiled when the `parallel` feature is off, and the
-//! parallel path partitions work identically to the serial loop — the two
-//! builds are **bit-identical** by construction (verified by the
+//! scoped threads can process without synchronization. The four helpers
+//! here only say how their buffers are cut; one private routine
+//! (`Cores::run_shares`) decides how many shares there are, where they
+//! begin, and whether any of them leaves the calling thread. A threaded
+//! call partitions the work exactly as the serial loop walks it, so the
+//! two are **bit-identical** by construction (verified by the
 //! `parallel_identity` tests).
 //!
-//! Work below [`MIN_PAR_ELEMS`] total elements runs serially even with the
-//! feature on: thread spin-up dwarfs the kernel at test-sized rings.
+//! # When a call uses threads
+//!
+//! The decision is made per call from three things the code observes:
+//!
+//! 1. **The cores granted to the process**, read once
+//!    (`available_parallelism` costs 12–14 µs a call on Linux —
+//!    `sched_getaffinity` plus cgroup files — and the old splitters asked
+//!    18 times per key switch).
+//! 2. **The size of a helper's share.** A helper thread is added only if
+//!    its own share reaches [`MIN_PAR_ELEMS`] elements.
+//! 3. **What other callers hold.** One process-wide count of spare cores:
+//!    a call takes one core for the thread it runs on and borrows at most
+//!    what is left for helpers, returning both when it ends. A lone caller
+//!    on two cores gets the second one; two workers inside kernels at the
+//!    same time each find nothing to borrow and run their own loops, so
+//!    kernel threads stop multiplying callers by cores.
+//!
+//! [`set_forced`] overrides all three for the identity suites and the
+//! serial-vs-parallel benches.
 
-/// Minimum total element count before threads are spawned.
+use std::sync::atomic::{AtomicIsize, AtomicU8, Ordering};
+use std::sync::OnceLock;
+
+/// Fewest elements a helper thread's share must hold before the thread is
+/// spawned.
+///
+/// Measured on 2 cores, one caller's hybrid key switch (L = 6, dnum 3,
+/// fastest of 7 alternated rounds, serial loop → this rule): 5.79 → 4.35 ms
+/// at N = 2^13 (only its 4-limb-and-wider calls split), 12.0 → 7.3 ms at
+/// 2^14, 25.9 → 15.7 ms at 2^15. Half this value read the same inside the
+/// host's noise at 2^13 and 2^14 (three alternated runs each); twice it
+/// kept less of the gain (14.4 → 12.5 ms at 2^14, 27.5 → 23.6 at 2^15) and
+/// four times it none at 2^14 (11.5 → 11.8 ms). Two callers at once read
+/// within noise of the serial loop at every size (334 vs 331 key
+/// switches/s at 2^13, 159 vs 159 at 2^14, 66.0 vs 66.4 at 2^15, medians),
+/// where the per-call total this constant used to bound lost 29% at 2^13.
 pub const MIN_PAR_ELEMS: usize = 1 << 14;
 
-#[cfg(feature = "parallel")]
-mod force {
-    use std::sync::atomic::{AtomicU8, Ordering};
+const AUTO: u8 = 0;
+const FORCED_PARALLEL: u8 = 1;
+const FORCED_SERIAL: u8 = 2;
 
-    /// 0 = auto (threshold-based), 1 = always parallel, 2 = always serial.
-    static FORCE: AtomicU8 = AtomicU8::new(0);
+/// The cores kernel threads may occupy and how many are free right now.
+struct Cores {
+    total: usize,
+    /// `total` minus one per call in progress and one per helper lent out.
+    /// Negative while more callers than cores are inside kernels. Relaxed
+    /// everywhere: the count publishes no data, the scope join does.
+    spare: AtomicIsize,
+    forced: AtomicU8,
+}
 
-    pub(super) fn mode() -> u8 {
-        FORCE.load(Ordering::Relaxed)
-    }
+/// Cores a call holds until it ends (also when its closure panics).
+struct Lease<'a> {
+    cores: &'a Cores,
+    held: usize,
+}
 
-    /// Overrides the parallel/serial decision; `None` restores the
-    /// threshold heuristic. Exposed for the bit-identity tests and the
-    /// serial-vs-parallel benches, which need both code paths inside one
-    /// binary.
-    pub fn set_forced(forced: Option<bool>) {
-        let v = match forced {
-            None => 0,
-            Some(true) => 1,
-            Some(false) => 2,
-        };
-        FORCE.store(v, Ordering::Relaxed);
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        self.cores
+            .spare
+            .fetch_add(self.held as isize, Ordering::Relaxed);
     }
 }
 
-#[cfg(feature = "parallel")]
-pub use force::set_forced;
+fn cores() -> &'static Cores {
+    #[cfg(test)]
+    if let Some(cores) = tests::OVERRIDE.get() {
+        return cores;
+    }
+    static HOST: OnceLock<Cores> = OnceLock::new();
+    HOST.get_or_init(|| Cores::new(std::thread::available_parallelism().map_or(1, |p| p.get())))
+}
 
-/// Whether the `parallel` feature is compiled in.
+/// Overrides the parallel/serial decision; `None` restores the rule in the
+/// module docs. Exposed for the bit-identity tests and the
+/// serial-vs-parallel benches, which need both code paths inside one
+/// binary. Forced parallel ignores the spare-core count and splits at
+/// least four ways — even on a single-core host — so the identity tests
+/// exercise the threaded partition rather than the serial loop.
+pub fn set_forced(forced: Option<bool>) {
+    let v = match forced {
+        None => AUTO,
+        Some(true) => FORCED_PARALLEL,
+        Some(false) => FORCED_SERIAL,
+    };
+    cores().forced.store(v, Ordering::Relaxed);
+}
+
+/// Always `true`: the threaded path is part of every build. Kept because
+/// the benchmark header prints it.
 pub const fn compiled() -> bool {
-    cfg!(feature = "parallel")
+    true
 }
 
-#[cfg(feature = "parallel")]
-fn worker_count(jobs: usize, total_elems: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    match force::mode() {
-        // Forced parallel must actually split the work — even on a
-        // single-core host — so the bit-identity tests exercise the
-        // threaded partition rather than silently falling back to the
-        // serial loop.
-        1 => return hw.min(jobs).max(4),
-        2 => return 1,
-        _ => {
-            if total_elems < MIN_PAR_ELEMS {
-                return 1;
-            }
+impl Cores {
+    fn new(total: usize) -> Self {
+        Self {
+            total,
+            spare: AtomicIsize::new(total as isize),
+            forced: AtomicU8::new(AUTO),
         }
     }
-    hw.min(jobs).max(1)
+
+    /// How many shares a call of `jobs` units of `elems_per_job` elements
+    /// may be cut into, and the cores it holds while it runs.
+    fn claim(&self, jobs: usize, elems_per_job: usize) -> (usize, Lease<'_>) {
+        let (shares, held) = match self.forced.load(Ordering::Relaxed) {
+            FORCED_SERIAL => (1, 0),
+            FORCED_PARALLEL => (self.total.max(4), 0),
+            _ => {
+                let min_jobs = MIN_PAR_ELEMS.div_ceil(elems_per_job.max(1));
+                let want = (jobs / min_jobs).saturating_sub(1);
+                // One core for the calling thread whatever the count says,
+                // helpers only out of what is then left.
+                let grant = |spare: isize| want.min((spare - 1).max(0) as usize);
+                let before = self
+                    .spare
+                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |spare| {
+                        Some(spare - 1 - grant(spare) as isize)
+                    })
+                    .expect("the update never declines");
+                (1 + grant(before), 1 + grant(before))
+            }
+        };
+        (shares, Lease { cores: self, held })
+    }
+
+    /// Cuts `jobs` units into contiguous shares — the first `jobs % w`
+    /// one unit longer — and runs `run(first_unit, share)` on each: the
+    /// first on the calling thread, the others on scoped threads.
+    /// `cut(parts, k)` splits the first `k` units off `parts`.
+    fn run_shares<P: Send>(
+        &self,
+        jobs: usize,
+        elems_per_job: usize,
+        parts: P,
+        cut: impl Fn(P, usize) -> (P, P),
+        run: impl Fn(usize, P) + Sync,
+    ) {
+        let (shares, _lease) = self.claim(jobs, elems_per_job);
+        let shares = shares.min(jobs);
+        if shares <= 1 {
+            return run(0, parts);
+        }
+        let (base, extra) = (jobs / shares, jobs % shares);
+        std::thread::scope(|scope| {
+            let run = &run;
+            let mut start = base + usize::from(extra > 0);
+            let (mine, mut rest) = cut(parts, start);
+            for w in 1..shares {
+                let take = base + usize::from(w < extra);
+                let (head, tail) = cut(rest, take);
+                rest = tail;
+                scope.spawn(move || run(start, head));
+                start += take;
+            }
+            run(0, mine);
+        });
+    }
 }
 
 /// Runs `f(limb_index, limb)` over every `n`-element chunk of `data`.
@@ -78,35 +183,17 @@ where
     F: Fn(usize, &mut [u64]) + Sync,
 {
     debug_assert_eq!(data.len() % n, 0);
-    #[cfg(feature = "parallel")]
-    {
-        let l = data.len() / n;
-        let workers = worker_count(l, data.len());
-        if workers > 1 {
-            std::thread::scope(|scope| {
-                let base = l / workers;
-                let extra = l % workers;
-                let mut rest = data;
-                let mut start = 0usize;
-                for w in 0..workers {
-                    let take = base + usize::from(w < extra);
-                    let (head, tail) = rest.split_at_mut(take * n);
-                    rest = tail;
-                    let f = &f;
-                    scope.spawn(move || {
-                        for (j, limb) in head.chunks_exact_mut(n).enumerate() {
-                            f(start + j, limb);
-                        }
-                    });
-                    start += take;
-                }
-            });
-            return;
-        }
-    }
-    for (i, limb) in data.chunks_exact_mut(n).enumerate() {
-        f(i, limb);
-    }
+    cores().run_shares(
+        data.len() / n,
+        n,
+        data,
+        |d, take| d.split_at_mut(take * n),
+        |start, d| {
+            for (j, limb) in d.chunks_exact_mut(n).enumerate() {
+                f(start + j, limb);
+            }
+        },
+    );
 }
 
 /// Runs `f(limb_index, dst_limb, src_limb)` over paired limbs of two flat
@@ -117,42 +204,21 @@ where
 {
     debug_assert_eq!(dst.len(), src.len());
     debug_assert_eq!(dst.len() % n, 0);
-    #[cfg(feature = "parallel")]
-    {
-        let l = dst.len() / n;
-        let workers = worker_count(l, dst.len());
-        if workers > 1 {
-            std::thread::scope(|scope| {
-                let base = l / workers;
-                let extra = l % workers;
-                let mut d_rest = dst;
-                let mut s_rest = src;
-                let mut start = 0usize;
-                for w in 0..workers {
-                    let take = base + usize::from(w < extra);
-                    let (d_head, d_tail) = d_rest.split_at_mut(take * n);
-                    let (s_head, s_tail) = s_rest.split_at(take * n);
-                    d_rest = d_tail;
-                    s_rest = s_tail;
-                    let f = &f;
-                    scope.spawn(move || {
-                        for (j, (d, s)) in d_head
-                            .chunks_exact_mut(n)
-                            .zip(s_head.chunks_exact(n))
-                            .enumerate()
-                        {
-                            f(start + j, d, s);
-                        }
-                    });
-                    start += take;
-                }
-            });
-            return;
-        }
-    }
-    for (i, (d, s)) in dst.chunks_exact_mut(n).zip(src.chunks_exact(n)).enumerate() {
-        f(i, d, s);
-    }
+    cores().run_shares(
+        dst.len() / n,
+        n,
+        (dst, src),
+        |(d, s), take| {
+            let (d_head, d_tail) = d.split_at_mut(take * n);
+            let (s_head, s_tail) = s.split_at(take * n);
+            ((d_head, s_head), (d_tail, s_tail))
+        },
+        |start, (d, s)| {
+            for (j, (d, s)) in d.chunks_exact_mut(n).zip(s.chunks_exact(n)).enumerate() {
+                f(start + j, d, s);
+            }
+        },
+    );
 }
 
 /// Runs `f(limb_index, dst_a_limb, dst_b_limb)` over paired limbs of two
@@ -164,43 +230,22 @@ where
 {
     debug_assert_eq!(a.len(), b.len());
     debug_assert_eq!(a.len() % n, 0);
-    #[cfg(feature = "parallel")]
-    {
-        let l = a.len() / n;
+    cores().run_shares(
+        a.len() / n,
         // Each job runs two limb kernels' worth of work.
-        let workers = worker_count(l, a.len().saturating_mul(2));
-        if workers > 1 {
-            std::thread::scope(|scope| {
-                let base = l / workers;
-                let extra = l % workers;
-                let mut a_rest = a;
-                let mut b_rest = b;
-                let mut start = 0usize;
-                for w in 0..workers {
-                    let take = base + usize::from(w < extra);
-                    let (a_head, a_tail) = a_rest.split_at_mut(take * n);
-                    let (b_head, b_tail) = b_rest.split_at_mut(take * n);
-                    a_rest = a_tail;
-                    b_rest = b_tail;
-                    let f = &f;
-                    scope.spawn(move || {
-                        for (j, (da, db)) in a_head
-                            .chunks_exact_mut(n)
-                            .zip(b_head.chunks_exact_mut(n))
-                            .enumerate()
-                        {
-                            f(start + j, da, db);
-                        }
-                    });
-                    start += take;
-                }
-            });
-            return;
-        }
-    }
-    for (i, (da, db)) in a.chunks_exact_mut(n).zip(b.chunks_exact_mut(n)).enumerate() {
-        f(i, da, db);
-    }
+        2 * n,
+        (a, b),
+        |(a, b), take| {
+            let (a_head, a_tail) = a.split_at_mut(take * n);
+            let (b_head, b_tail) = b.split_at_mut(take * n);
+            ((a_head, b_head), (a_tail, b_tail))
+        },
+        |start, (a, b)| {
+            for (j, (da, db)) in a.chunks_exact_mut(n).zip(b.chunks_exact_mut(n)).enumerate() {
+                f(start + j, da, db);
+            }
+        },
+    );
 }
 
 /// Splits the slot dimension `0..n` into contiguous blocks and runs
@@ -218,44 +263,239 @@ where
     F: Fn(std::ops::Range<usize>, &mut [&mut [u64]]) + Sync,
 {
     debug_assert!(cols.iter().all(|c| c.len() == n));
-    #[cfg(feature = "parallel")]
-    {
-        let t = cols.len();
-        // Cost scales with slots × (source + target) limbs; use the total
-        // target length as a proxy.
-        let workers = worker_count(n.div_ceil(1024), t * n);
-        if workers > 1 {
-            let block = n.div_ceil(workers);
-            let blocks = n.div_ceil(block);
-            // Carve each target limb into per-block column windows.
-            let mut per_block: Vec<Vec<&mut [u64]>> =
-                (0..blocks).map(|_| Vec::with_capacity(t)).collect();
-            for limb in cols.iter_mut() {
-                let mut rest = &mut **limb;
-                for windows in per_block.iter_mut() {
-                    let take = block.min(rest.len());
-                    let (head, tail) = rest.split_at_mut(take);
-                    rest = tail;
-                    windows.push(head);
-                }
-            }
-            std::thread::scope(|scope| {
-                for (b, mut windows) in per_block.into_iter().enumerate() {
-                    let f = &f;
-                    let lo = b * block;
-                    let hi = ((b + 1) * block).min(n);
-                    scope.spawn(move || f(lo..hi, &mut windows));
-                }
-            });
-            return;
-        }
-    }
-    f(0..n, cols);
+    let windows: Vec<&mut [u64]> = cols.iter_mut().map(|c| &mut **c).collect();
+    cores().run_shares(
+        n,
+        // Cost scales with slots × (source + target) limbs; the target
+        // count stands in for both.
+        windows.len(),
+        windows,
+        |windows, take| windows.into_iter().map(|c| c.split_at_mut(take)).unzip(),
+        |start, mut windows| {
+            let len = windows.first().map_or(0, |c| c.len());
+            f(start..start + len, &mut windows)
+        },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::ops::Range;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Barrier, Mutex};
+    use std::thread::ThreadId;
+
+    thread_local! {
+        /// The `Cores` this thread's helper calls use instead of the
+        /// host's, so the rule is tested on a budget the test chose.
+        pub(super) static OVERRIDE: Cell<Option<&'static Cores>> = const { Cell::new(None) };
+    }
+
+    /// Points this thread's helper calls at `cores` until dropped.
+    struct Using;
+
+    fn using(cores: &'static Cores) -> Using {
+        OVERRIDE.set(Some(cores));
+        Using
+    }
+
+    impl Drop for Using {
+        fn drop(&mut self) {
+            OVERRIDE.set(None);
+        }
+    }
+
+    fn budget(total: usize) -> &'static Cores {
+        Box::leak(Box::new(Cores::new(total)))
+    }
+
+    const HELPERS: [&str; 4] = ["limb_mut", "limb_pair_mut", "limb_mut2", "slot_block"];
+
+    /// Calls one public helper over `units` units of `elems` elements
+    /// each (limbs; for the slot helper, slots of `elems` target limbs),
+    /// reporting every closure call as `visit(units_covered)`.
+    fn call(helper: &str, units: usize, elems: usize, visit: &(dyn Fn(Range<usize>) + Sync)) {
+        let mut a = vec![0u64; units * elems];
+        match helper {
+            "limb_mut" => for_each_limb_mut(&mut a, elems, |i, _| visit(i..i + 1)),
+            "limb_pair_mut" => {
+                let b = a.clone();
+                for_each_limb_pair_mut(&mut a, &b, elems, |i, _, _| visit(i..i + 1));
+            }
+            // Two buffers per unit: half the elements in each.
+            "limb_mut2" => {
+                a.truncate(units * elems / 2);
+                let mut b = a.clone();
+                for_each_limb_mut2(&mut a, &mut b, elems / 2, |i, _, _| visit(i..i + 1));
+            }
+            "slot_block" => {
+                let mut cols: Vec<&mut [u64]> = a.chunks_exact_mut(units).collect();
+                for_each_slot_block(&mut cols, units, |range, _| visit(range));
+            }
+            other => unreachable!("{other}"),
+        }
+    }
+
+    /// The shares a helper call was cut into, as `(thread, units)` in unit
+    /// order: consecutive visits by one thread are one share.
+    fn shares(helper: &str, units: usize, elems: usize) -> Vec<(ThreadId, Range<usize>)> {
+        let visits = Mutex::new(Vec::new());
+        call(helper, units, elems, &|r| {
+            visits
+                .lock()
+                .unwrap()
+                .push((std::thread::current().id(), r));
+        });
+        let mut visits = visits.into_inner().unwrap();
+        visits.sort_by_key(|(_, r)| r.start);
+        let mut shares: Vec<(ThreadId, Range<usize>)> = Vec::new();
+        for (tid, r) in visits {
+            match shares.last_mut() {
+                Some((last, range)) if *last == tid => {
+                    assert_eq!(range.end, r.start, "a share is contiguous");
+                    range.end = r.end;
+                }
+                _ => shares.push((tid, r)),
+            }
+        }
+        shares
+    }
+
+    #[test]
+    fn share_boundaries_follow_the_base_extra_rule_in_all_four_helpers() {
+        let me = std::thread::current().id();
+        for helper in HELPERS {
+            for l in 1..=9usize {
+                for workers in 1..=5usize {
+                    let cores = budget(workers);
+                    let _using = using(cores);
+                    // The slot helper's units are slots: give it `l`
+                    // shares' worth of them, two target limbs deep.
+                    let (units, elems) = match helper {
+                        "slot_block" => (l * MIN_PAR_ELEMS / 2, 2),
+                        _ => (l, MIN_PAR_ELEMS),
+                    };
+                    let got = shares(helper, units, elems);
+                    let w = workers.min(l);
+                    let (base, extra) = (units / w, units % w);
+                    let mut start = 0;
+                    let want: Vec<Range<usize>> = (0..w)
+                        .map(|k| {
+                            let take = base + usize::from(k < extra);
+                            start += take;
+                            start - take..start
+                        })
+                        .collect();
+                    let ranges: Vec<Range<usize>> = got.iter().map(|(_, r)| r.clone()).collect();
+                    assert_eq!(ranges, want, "{helper} l={l} workers={workers}");
+                    assert_eq!(got[0].0, me, "the caller runs the first share");
+                    let mut tids: Vec<ThreadId> = got.iter().map(|(t, _)| *t).collect();
+                    tids.dedup();
+                    assert_eq!(tids.len(), w, "one thread per share");
+                    assert_eq!(cores.spare.load(Ordering::Relaxed), workers as isize);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_helper_is_spawned_only_for_a_share_of_min_par_elems() {
+        let _using = using(budget(4));
+        for helper in HELPERS {
+            // Three half-size units: two shares would leave the helper
+            // half a unit short of the minimum.
+            let (units, elems) = match helper {
+                "slot_block" => (3 * MIN_PAR_ELEMS / 4, 2),
+                _ => (3, MIN_PAR_ELEMS / 2),
+            };
+            assert_eq!(shares(helper, units, elems).len(), 1, "{helper}");
+            let units = units / 3 * 4;
+            assert_eq!(shares(helper, units, elems).len(), 2, "{helper}");
+        }
+    }
+
+    #[test]
+    fn with_every_core_lent_out_a_call_stays_on_its_thread_and_returns_what_it_took() {
+        let me = std::thread::current().id();
+        let cores = budget(4);
+        let _using = using(cores);
+        let spare = || cores.spare.load(Ordering::Relaxed);
+        let (_, others) = cores.claim(8, MIN_PAR_ELEMS);
+        assert_eq!(spare(), 0);
+        for helper in HELPERS {
+            let got = shares(helper, 8, MIN_PAR_ELEMS);
+            assert_eq!(got, vec![(me, 0..8)], "{helper}");
+            assert_eq!(spare(), 0, "{helper}");
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                call(helper, 8, MIN_PAR_ELEMS, &|_| panic!("kernel bug"));
+            }));
+            assert!(panicked.is_err());
+            assert_eq!(spare(), 0, "{helper} kept a core across a panic");
+        }
+        drop(others);
+        assert_eq!(spare(), 4);
+        // A threaded call that panics (on the caller or on a helper)
+        // returns its helpers too.
+        for helper in HELPERS {
+            let panicked = catch_unwind(AssertUnwindSafe(|| {
+                call(helper, 8, MIN_PAR_ELEMS, &|_| panic!("kernel bug"));
+            }));
+            assert!(panicked.is_err());
+            assert_eq!(spare(), 4, "{helper}");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_share_one_budget() {
+        const CALLERS: usize = 4;
+        const CORES: usize = 3;
+        static ALIVE: AtomicUsize = AtomicUsize::new(0);
+        static PEAK: AtomicUsize = AtomicUsize::new(0);
+        static HELPERS_ALIVE: AtomicUsize = AtomicUsize::new(0);
+        static HELPERS_PEAK: AtomicUsize = AtomicUsize::new(0);
+        let cores = budget(CORES);
+        let start: &'static Barrier = Box::leak(Box::new(Barrier::new(CALLERS)));
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let _using = using(cores);
+                    let me = std::thread::current().id();
+                    start.wait();
+                    for round in 0..16 {
+                        let helper = HELPERS[round % HELPERS.len()];
+                        call(helper, 8, MIN_PAR_ELEMS, &|_| {
+                            let helper_thread = std::thread::current().id() != me;
+                            PEAK.fetch_max(
+                                ALIVE.fetch_add(1, Ordering::SeqCst) + 1,
+                                Ordering::SeqCst,
+                            );
+                            if helper_thread {
+                                let now = HELPERS_ALIVE.fetch_add(1, Ordering::SeqCst) + 1;
+                                HELPERS_PEAK.fetch_max(now, Ordering::SeqCst);
+                            }
+                            std::thread::yield_now();
+                            if helper_thread {
+                                HELPERS_ALIVE.fetch_sub(1, Ordering::SeqCst);
+                            }
+                            ALIVE.fetch_sub(1, Ordering::SeqCst);
+                        });
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("caller panicked");
+        }
+        // The module spawns fewer threads than there are cores whatever
+        // the callers do; callers are threads it does not own, so kernel
+        // threads in total stay under callers + cores, not callers × cores.
+        assert!(HELPERS_PEAK.load(Ordering::SeqCst) < CORES);
+        assert!(PEAK.load(Ordering::SeqCst) < CALLERS + CORES);
+        assert_eq!(cores.spare.load(Ordering::Relaxed), CORES as isize);
+    }
 
     #[test]
     fn limb_iteration_covers_every_chunk() {
@@ -270,7 +510,6 @@ mod tests {
         assert!(data.iter().enumerate().all(|(k, &x)| x == k as u64));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn forced_parallel_matches_serial() {
         let n = 64;

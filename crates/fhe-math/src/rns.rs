@@ -515,9 +515,9 @@ impl BasisExtender {
     /// larger polynomial instead of in a temporary that is then copied.
     ///
     /// This is the slot-wise access pattern of the paper: the inner loop
-    /// walks all source limbs of one slot. With the `parallel` feature the
-    /// slot range is split across threads (slots are independent, so the
-    /// split is bit-exact); all per-slot state lives on the stack.
+    /// walks all source limbs of one slot. A large enough slot range is
+    /// split across threads (slots are independent, so the split is
+    /// bit-exact); all per-slot state lives on the stack.
     ///
     /// # Panics
     ///

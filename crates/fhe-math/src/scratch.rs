@@ -18,18 +18,30 @@
 //!
 //! The pool is internally synchronized (a `Mutex` around the free list) so
 //! it can be shared behind `Arc<CkksContext>`; the lock is held only for
-//! the push/pop, never across kernel work. The free list is bounded
-//! (`MAX_FREE`): callers may recycle buffers they did not take (heap
-//! clones), and without a bound every such call grows the list — and the
-//! linear scan under the lock — forever.
+//! the push/pop, never across kernel work.
+//!
+//! Callers may recycle buffers they did not take (heap clones, operands
+//! decoded off the wire). Such a buffer is admitted only **in place of a
+//! lease that has not come back**: the pool holds what its kernels have
+//! needed at once, and returning more than was taken swaps a larger
+//! buffer in for a smaller one but never lengthens the list — a server
+//! recycling every request's operands would otherwise fill it to
+//! `MAX_FREE` with buffers no lease is waiting for. Leases that never
+//! return (outputs the caller keeps) leave room that later foreign
+//! buffers fill, which `MAX_FREE` bounds, along with the linear scan under
+//! the lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Most buffers the free list retains; a recycle beyond it drops the
-/// smallest buffer. Sized for several concurrent key switches (each
-/// holds about a dozen buffers at its peak).
-const MAX_FREE: usize = 64;
+/// smallest buffer. Sized for two or three concurrent key switches (each
+/// holds about a dozen buffers at its peak). A server that returns every
+/// request's buffers sits at this bound for good — 13 MB at N = 2^13,
+/// L = 6 — and twice it bought nothing measured: `miss_share` read 0.0015
+/// on the keyed serving workload and 0.1247 on the library programs at
+/// both 32 and 64.
+const MAX_FREE: usize = 32;
 
 /// Counters describing pool behavior since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -43,10 +55,17 @@ pub struct ScratchStats {
     pub free: usize,
 }
 
+#[derive(Debug, Default)]
+struct FreeList {
+    bufs: Vec<Vec<u64>>,
+    /// Leases handed out and not yet matched by a recycle.
+    out: usize,
+}
+
 /// A free-list of `u64` buffers shared by the polynomial kernels.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    free: Mutex<Vec<Vec<u64>>>,
+    free: Mutex<FreeList>,
     leases: AtomicU64,
     misses: AtomicU64,
 }
@@ -67,13 +86,15 @@ impl ScratchPool {
         crate::telemetry::record_scratch_lease(8 * len as u64);
         let reused = {
             let mut free = self.free.lock().expect("scratch pool poisoned");
+            free.out += 1;
             let best = free
+                .bufs
                 .iter()
                 .enumerate()
                 .filter(|(_, b)| b.capacity() >= len)
                 .min_by_key(|(_, b)| b.capacity())
                 .map(|(idx, _)| idx);
-            best.map(|idx| free.swap_remove(idx))
+            best.map(|idx| free.bufs.swap_remove(idx))
         };
         match reused {
             Some(mut buf) => {
@@ -90,19 +111,22 @@ impl ScratchPool {
     }
 
     /// Returns a buffer to the pool for reuse. The contents are discarded.
-    /// A full pool keeps its `MAX_FREE` largest buffers (a larger buffer
-    /// serves any smaller request) and drops the surplus one.
+    /// The list grows only while a lease is still out and it holds fewer
+    /// than `MAX_FREE` buffers; otherwise it keeps its largest buffers (a
+    /// larger buffer serves any smaller request) and drops the surplus one.
     pub fn recycle_vec(&self, buf: Vec<u64>) {
         if buf.capacity() == 0 {
             return;
         }
         let surplus = {
             let mut free = self.free.lock().expect("scratch pool poisoned");
-            if free.len() < MAX_FREE {
-                free.push(buf);
+            let owed = free.out > 0;
+            free.out = free.out.saturating_sub(1);
+            if owed && free.bufs.len() < MAX_FREE {
+                free.bufs.push(buf);
                 return;
             }
-            match free.iter_mut().min_by_key(|b| b.capacity()) {
+            match free.bufs.iter_mut().min_by_key(|b| b.capacity()) {
                 Some(smallest) if smallest.capacity() < buf.capacity() => {
                     std::mem::replace(smallest, buf)
                 }
@@ -127,7 +151,7 @@ impl ScratchPool {
         ScratchStats {
             leases: self.leases.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            free: self.free.lock().expect("scratch pool poisoned").len(),
+            free: self.free.lock().expect("scratch pool poisoned").bufs.len(),
         }
     }
 }
@@ -238,14 +262,39 @@ mod tests {
     #[test]
     fn free_list_is_bounded_and_keeps_the_largest() {
         let pool = ScratchPool::new();
+        // Leases that never come back leave room for foreign buffers.
+        for _ in 0..2 * MAX_FREE {
+            drop(pool.take_vec(1));
+        }
         for len in 1..=2 * MAX_FREE {
             pool.recycle_vec(vec![0u64; len]);
         }
         assert_eq!(pool.stats().free, MAX_FREE);
         // The survivors are the larger half, so the largest request hits.
+        let misses = pool.stats().misses;
         let big = pool.take_vec(2 * MAX_FREE);
-        assert_eq!(pool.stats().misses, 0);
+        assert_eq!(pool.stats().misses, misses);
         pool.recycle_vec(big);
+    }
+
+    #[test]
+    fn returning_more_than_was_taken_does_not_grow_the_list() {
+        let pool = ScratchPool::new();
+        let (a, b) = (pool.take_vec(64), pool.take_vec(64));
+        // A buffer the pool never leased stands in for one that is out.
+        pool.recycle_vec(vec![0u64; 32]);
+        pool.recycle_vec(a);
+        assert_eq!(pool.stats().free, 2);
+        // Both leases are now accounted for: the third return can only
+        // displace the smallest buffer, not add to the list.
+        pool.recycle_vec(b);
+        assert_eq!(pool.stats().free, 2);
+        let _again = (pool.take_vec(64), pool.take_vec(64));
+        assert_eq!(
+            pool.stats().misses,
+            2,
+            "the 32-word stand-in was the one dropped"
+        );
     }
 
     #[test]

@@ -26,8 +26,8 @@
 //! function is an empty `#[inline(always)]` stub and [`Span`] is a
 //! zero-sized type: the kernels compile exactly as before. With the feature
 //! **on**, counters are process-global relaxed atomics — global rather than
-//! thread-local because the `parallel` feature runs limb kernels on scoped
-//! worker threads whose counts must aggregate. Recording happens in *bulk*
+//! thread-local because [`crate::parallel`] runs limb kernels on scoped
+//! helper threads whose counts must aggregate. Recording happens in *bulk*
 //! at kernel loop boundaries (once per transform, once per `extend_flat`),
 //! never per scalar operation, so even the instrumented build stays cheap.
 //!

@@ -7,8 +7,6 @@
 //! serial-vs-parallel benches use. The force flag is process-global, so a
 //! mutex serializes the tests.
 
-#![cfg(feature = "parallel")]
-
 use fhe_math::parallel::set_forced;
 use fhe_math::poly::{mod_down, mod_up, pmod_up, ModDownContext, Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};

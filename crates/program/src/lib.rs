@@ -7,8 +7,7 @@
 //! so a workload expressed as a `Program` is *byte-identical* to its
 //! hard-coded counterpart (asserted for the HELR step in this crate's
 //! tests). Two schedule-level behaviors are shared contracts with the
-//! analytical pricer ([`simfhe::program::CostModel::program_cost`] via
-//! `CostModel`):
+//! analytical pricer ([`simfhe::CostModel::program_cost`]):
 //!
 //! - **Rotation hoisting** — the maximal consecutive-rotation runs
 //!   computed by [`simfhe::program::hoisted_runs`] execute through

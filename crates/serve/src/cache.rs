@@ -8,11 +8,6 @@
 //! entries until it fits. A later request for an evicted key pays the
 //! expansion again — exactly the regenerate-from-seed cost the
 //! `serve_loopback` bench measures against a cache hit.
-//!
-//! Two eviction policies mirror the `simfhe` trace cache's
-//! `CachePolicy::{Lru, PinKeys}`: plain LRU, and a pin-hot-keys variant
-//! that keeps frequently used keys (bootstrapping's working set in the
-//! paper) and sheds cold ones first.
 
 use crate::protocol::ErrorCode;
 use ckks::serialize::deserialize_switching_key;
@@ -34,17 +29,12 @@ pub enum KeyKind {
 pub enum EvictionPolicy {
     /// Evict the least-recently-used expansion.
     Lru,
-    /// Pin hot keys: evict the entry with the fewest hits, breaking ties
-    /// toward the least recently used — the serving analogue of the trace
-    /// simulator's pin-keys cache policy.
-    PinHot,
 }
 
 struct Entry {
     key: Arc<SwitchingKey>,
     bytes: u64,
     last_used: u64,
-    hits: u64,
     /// Active batch pins. A pinned entry is never evicted — not by budget
     /// pressure, not by an eviction storm — so a batch executing against
     /// it cannot lose the expansion mid-flight. Pinned bytes may push the
@@ -105,17 +95,15 @@ impl CacheStats {
 /// per-entry in-flight marker.
 pub struct KeyCache {
     budget_bytes: u64,
-    policy: EvictionPolicy,
     inner: Mutex<Inner>,
     stats: Mutex<CacheStats>,
 }
 
 impl KeyCache {
     /// A cache that keeps at most `budget_bytes` of expanded key material.
-    pub fn new(budget_bytes: u64, policy: EvictionPolicy) -> Self {
+    pub fn new(budget_bytes: u64, _policy: EvictionPolicy) -> Self {
         Self {
             budget_bytes,
-            policy,
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 bytes: 0,
@@ -177,7 +165,6 @@ impl KeyCache {
         let now = inner.clock;
         if let Some(e) = inner.entries.get_mut(&(session, kind)) {
             e.last_used = now;
-            e.hits += 1;
             if pin {
                 e.pins += 1;
             }
@@ -201,7 +188,6 @@ impl KeyCache {
                 key: key.clone(),
                 bytes,
                 last_used: now,
-                hits: 1,
                 pins: u32::from(pin),
             },
         );
@@ -252,10 +238,7 @@ impl KeyCache {
                 .entries
                 .iter()
                 .filter(|(k, e)| Some(**k) != keep && e.pins == 0)
-                .min_by_key(|(_, e)| match self.policy {
-                    EvictionPolicy::Lru => (e.last_used, 0),
-                    EvictionPolicy::PinHot => (e.hits, e.last_used),
-                })
+                .min_by_key(|(_, e)| e.last_used)
                 .map(|(k, _)| *k);
             match victim {
                 Some(k) => {
@@ -433,33 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn pin_hot_keeps_the_frequently_used_key() {
-        let (ctx, blobs) = setup();
-        let one_key = deserialize_switching_key(&ctx, &blobs[0])
-            .unwrap()
-            .size_bytes();
-        let cache = KeyCache::new(2 * one_key, EvictionPolicy::PinHot);
-        // Make key 0 hot, then stream keys 1 and 2 through.
-        for _ in 0..5 {
-            cache
-                .get_or_expand(&ctx, 1, KeyKind::Galois(0), &blobs[0])
-                .unwrap();
-        }
-        cache
-            .get_or_expand(&ctx, 1, KeyKind::Galois(1), &blobs[1])
-            .unwrap();
-        cache
-            .get_or_expand(&ctx, 1, KeyKind::Galois(2), &blobs[2])
-            .unwrap();
-        // Key 0 must still be a hit (LRU would have evicted it as oldest).
-        let before = cache.stats().misses;
-        cache
-            .get_or_expand(&ctx, 1, KeyKind::Galois(0), &blobs[0])
-            .unwrap();
-        assert_eq!(cache.stats().misses, before, "hot key stayed pinned");
-    }
-
-    #[test]
     fn purge_drops_only_that_session() {
         let (ctx, blobs) = setup();
         let cache = KeyCache::new(u64::MAX, EvictionPolicy::Lru);
@@ -570,7 +526,6 @@ mod tests {
                         key,
                         bytes,
                         last_used: i as u64,
-                        hits: 0,
                         pins: 0,
                     },
                 );

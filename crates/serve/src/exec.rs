@@ -124,8 +124,7 @@ pub(crate) fn handle(
             let (_sid, _session) = need_session(state, &mut r)?;
             let a = read_ct(state, r.blob().ok_or_else(malformed)?)?;
             let b = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let (a, b) = state.evaluator.align_levels(&a, &b);
-            Ok(ser_ct(&state.evaluator.add(&a, &b)))
+            reply_ct(state, state.evaluator.add(&a, &b), [a, b])
         }
         Opcode::PtMult => {
             let (_sid, _session) = need_session(state, &mut r)?;
@@ -135,7 +134,7 @@ pub(crate) fn handle(
             if ct.limb_count() != pt.limb_count() || ct.limb_count() < 2 {
                 return fail(ErrorCode::Malformed, "plaintext level mismatch");
             }
-            Ok(ser_ct(&state.evaluator.mul_plain(&ct, &pt)))
+            reply_ct(state, state.evaluator.mul_plain(&ct, &pt), [ct])
         }
         Opcode::Mult => {
             let (_sid, _session) = need_session(state, &mut r)?;
@@ -145,15 +144,14 @@ pub(crate) fn handle(
                 return fail(ErrorCode::Malformed, "no level left to multiply at");
             }
             let rlk = keys.relin(state)?;
-            let (a, b) = state.evaluator.align_levels(&a, &b);
-            Ok(ser_ct(&state.evaluator.mul_with_key(&a, &b, &rlk)))
+            reply_ct(state, state.evaluator.mul_with_key(&a, &b, &rlk), [a, b])
         }
         Opcode::Rotate => {
             let (_sid, _session) = need_session(state, &mut r)?;
             let steps = r.i64().ok_or_else(malformed)?;
             let ct = read_ct(state, r.rest())?;
             if steps == 0 {
-                return Ok(ser_ct(&ct));
+                return reply_ct(state, ct, []);
             }
             let gk = keys.galois(state, &plan.galois)?;
             // The hoisted formulation, as in a hoist-sharing group:
@@ -164,7 +162,7 @@ pub(crate) fn handle(
             let out = rotate_hoisted(&state.evaluator, &ct, &[steps], &gk)
                 .pop()
                 .expect("one step in, one ciphertext out");
-            Ok(ser_ct(&out))
+            reply_ct(state, out, [ct])
         }
         Opcode::Rescale => {
             let (_sid, _session) = need_session(state, &mut r)?;
@@ -172,7 +170,7 @@ pub(crate) fn handle(
             if ct.limb_count() < 2 {
                 return fail(ErrorCode::Malformed, "no limb left to rescale away");
             }
-            Ok(ser_ct(&state.evaluator.rescale(&ct)))
+            reply_ct(state, state.evaluator.rescale(&ct), [ct])
         }
         Opcode::Bsgs => {
             let (_sid, _session) = need_session(state, &mut r)?;
@@ -196,7 +194,7 @@ pub(crate) fn handle(
             // names exactly `bsgs_required_steps(&lt, n1)`.
             let gk = keys.galois(state, &plan.galois)?;
             let out = apply_bsgs(&state.evaluator, &state.encoder, &ct, &lt, &gk, n1);
-            Ok(ser_ct(&out))
+            reply_ct(state, out, [ct])
         }
         Opcode::RunProgram => {
             let (sid, session) = need_session(state, &mut r)?;
@@ -257,6 +255,8 @@ pub(crate) fn handle(
             for (_name, ct) in &outs {
                 out.blob(&ser_ct(ct));
             }
+            let spent = outs.into_iter().chain(inputs.cts).map(|(_name, ct)| ct);
+            recycle(state, spent);
             Ok(out.0)
         }
         Opcode::Metrics => Ok(state.metrics_text().into_bytes()),
@@ -319,4 +319,24 @@ pub(crate) fn read_ct(
 /// executing request's serialize stage.
 fn ser_ct(ct: &Ciphertext) -> Vec<u8> {
     obs::time_stage(Stage::Serialize, || serialize_ciphertext(ct))
+}
+
+/// Hands ciphertexts a request is done with to the context's scratch
+/// pool: once the reply is bytes, the next request's kernels lease these
+/// buffers instead of allocating what this one would have freed.
+pub(crate) fn recycle(state: &ServerState, spent: impl IntoIterator<Item = Ciphertext>) {
+    for ct in spent {
+        ct.recycle(state.ctx.scratch());
+    }
+}
+
+/// The reply carrying `out`, with `out` and the `spent` operands recycled.
+fn reply_ct(
+    state: &ServerState,
+    out: Ciphertext,
+    spent: impl IntoIterator<Item = Ciphertext>,
+) -> OpResult {
+    let body = ser_ct(&out);
+    recycle(state, spent.into_iter().chain([out]));
+    Ok(body)
 }

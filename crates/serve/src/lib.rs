@@ -13,8 +13,7 @@
 //!   seeded keys at half size, sessions store only that compressed form,
 //!   and the [`cache::KeyCache`] regenerates full keys from seeds on
 //!   demand under a server-wide byte budget — trading compute for
-//!   resident key memory, with LRU or pin-hot eviction mirroring the
-//!   trace simulator's cache policies.
+//!   resident key memory, with LRU eviction.
 //! - **Deterministic evaluation** end to end: seeded expansion is
 //!   bit-exact and every evaluator op is deterministic, so a result
 //!   computed through the server is *bit-identical* to the same calls

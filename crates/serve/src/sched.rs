@@ -20,7 +20,7 @@
 
 use crate::cache::KeyKind;
 use crate::config::BatchConfig;
-use crate::exec::{handle, read_ct};
+use crate::exec::{handle, read_ct, recycle};
 #[cfg(feature = "chaos")]
 use crate::fault::FaultDecision;
 use crate::metrics::Metrics;
@@ -254,7 +254,9 @@ fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> 
             let gk = keys.galois(state, &wanted)?;
             let steps: Vec<i64> = wanted.iter().map(|&(s, _)| s).collect();
             let outs = rotate_hoisted(&state.evaluator, &ct, &steps, &gk);
-            Ok(outs.iter().map(serialize_ciphertext).collect::<Vec<_>>())
+            let bodies: Vec<_> = outs.iter().map(serialize_ciphertext).collect();
+            recycle(state, outs.into_iter().chain([ct]));
+            Ok(bodies)
         }));
         let elapsed = start.elapsed();
         state

@@ -2,14 +2,14 @@
 //! loops, each with its own session table, key-cache slice (`1/N` of the
 //! global byte budget), key-reuse scheduler, and bounded worker pool.
 //! This module owns the shared state and thread start-up/shutdown; the
-//! threads themselves live in [`crate::transport`] (acceptor, shard
-//! loop), [`crate::sched`] (scheduler, workers) and [`crate::exec`] (the
+//! threads themselves live in `crate::transport` (acceptor, shard
+//! loop), `crate::sched` (scheduler, workers) and `crate::exec` (the
 //! op handlers), and the one decision they share — which keys a request
-//! needs and where a handler reads them — in [`crate::plan`].
+//! needs and where a handler reads them — in `crate::plan`.
 //!
 //! Metrics and tracing stay global: one [`Metrics`] registry aggregates
 //! across shards (the dump appends per-shard labeled families), and the
-//! [`Observer`] stamps the owning shard into every request timeline.
+//! `Observer` stamps the owning shard into every request timeline.
 //!
 //! Shutdown is a graceful drain: the acceptor exits (closing the
 //! listening port), each shard loop drains pending replies and flushes

@@ -11,7 +11,7 @@ use fhe_serve::{EvictionPolicy, KeyCache, KeyKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const WORKERS: u64 = 4;
 const SESSIONS: u64 = 3;
@@ -69,18 +69,25 @@ fn concurrent_expansion_under_eviction_storms_keeps_invariants() {
     let cache = Arc::new(KeyCache::new(budget, EvictionPolicy::Lru));
     let accesses = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
+    // The workers are held here until the first storm has fired, so the
+    // storms overlap the lookups however the host schedules the threads.
+    let first_storm = Arc::new(Barrier::new(WORKERS as usize + 1));
 
     // Chaos thread: evict everything, as fast as possible, and verify
     // the counters stay consistent at every step.
     let chaos = {
         let cache = cache.clone();
         let stop = stop.clone();
+        let first_storm = first_storm.clone();
         std::thread::spawn(move || {
             let mut storms = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 cache.evict_all();
                 cache.check_invariants();
                 storms += 1;
+                if storms == 1 {
+                    first_storm.wait();
+                }
             }
             storms
         })
@@ -93,7 +100,9 @@ fn concurrent_expansion_under_eviction_storms_keeps_invariants() {
             let compressed = compressed.clone();
             let kinds = kinds.clone();
             let accesses = accesses.clone();
+            let first_storm = first_storm.clone();
             std::thread::spawn(move || {
+                first_storm.wait();
                 for i in 0..ITERS {
                     let session = (w + i) % SESSIONS;
                     let kind_idx = ((w * 7 + i * 3) % kinds.len() as u64) as usize;

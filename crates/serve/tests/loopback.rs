@@ -260,3 +260,45 @@ fn graceful_drain_then_connect_refused() {
         "post-shutdown connect should be refused"
     );
 }
+
+/// Operands and results go back to the context's scratch pool once the
+/// reply is bytes, so a warm loop of identical rotations finds every
+/// buffer it leases already pooled.
+#[test]
+fn warm_rotate_loop_stops_missing_the_scratch_pool() {
+    let ctx = helr_ctx();
+    let server = Server::start(
+        ctx.clone(),
+        ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(6000);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1], false);
+    let encoder = Encoder::new(ctx.clone());
+    let encryptor = Encryptor::new(ctx.clone());
+    let v: Vec<f64> = (0..ctx.params().slots()).map(|i| i as f64 * 0.01).collect();
+    let ct = encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &v);
+
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    client.upload_galois(sid, &gk).unwrap();
+    for _ in 0..4 {
+        client.rotate(sid, &ct, 1).unwrap();
+    }
+    let warm = ctx.scratch().stats();
+    for _ in 0..8 {
+        client.rotate(sid, &ct, 1).unwrap();
+    }
+    let after = ctx.scratch().stats();
+    assert!(after.leases > warm.leases, "rotations lease from the pool");
+    assert_eq!(
+        after.misses, warm.misses,
+        "a warm rotation allocated a buffer the previous one dropped"
+    );
+    server.shutdown();
+}

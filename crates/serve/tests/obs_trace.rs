@@ -26,7 +26,7 @@ use fhe_serve::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_ctx() -> Arc<CkksContext> {
     CkksContext::new(
@@ -390,12 +390,25 @@ fn batch_hold_is_attributed_to_its_own_stage() {
     client.upload_galois(info.session, &tenant.gk).unwrap();
     client.rotate(info.session, &tenant.a, 1).unwrap();
 
-    let traces = server.recent_traces();
-    let t = traces
-        .iter()
-        .filter(|t| t.op == "rotate")
-        .max_by_key(|t| t.total_us)
-        .expect("rotate was traced");
+    // The reply reaches the client before the shard loop closes the
+    // books on its trace (the write stage ends at the flush), so wait for
+    // the trace to land instead of racing the loop for it.
+    let landed = Instant::now();
+    let t = loop {
+        let traces = server.recent_traces();
+        let rotate = traces
+            .into_iter()
+            .filter(|t| t.op == "rotate")
+            .max_by_key(|t| t.total_us);
+        match rotate {
+            Some(t) => break t,
+            None => assert!(
+                landed.elapsed() < Duration::from_secs(5),
+                "rotate was traced"
+            ),
+        }
+        std::thread::yield_now();
+    };
     let hold = t.stage_us(Stage::BatchHold);
     assert!(
         hold >= 50_000,
