@@ -3,10 +3,6 @@
 //! verifies that (a) the computation still decrypts to the plaintext
 //! reference and (b) the span layer attributes the expected structure of
 //! operations to each primitive.
-//!
-//! Compiled only with `--features telemetry`; the default build has
-//! nothing to measure.
-#![cfg(feature = "telemetry")]
 
 use ckks::{CkksContext, CkksParams, Decryptor, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_apps::lr::sigmoid_deg3;

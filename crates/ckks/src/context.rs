@@ -66,9 +66,8 @@ impl CkksContext {
 
     /// Builds a context with an explicit kernel-backend choice.
     ///
-    /// `prefer = None` resolves via the usual precedence (the
-    /// `MAD_KERNEL_BACKEND` environment variable, falling back to the best
-    /// available implementation); an explicit `Some(kind)` overrides both.
+    /// `prefer = None` takes the best available implementation; an
+    /// explicit `Some(kind)` pins that one.
     /// Every basis the context owns — and therefore every polynomial and
     /// key built over it — dispatches its hot kernels to the selected
     /// backend.

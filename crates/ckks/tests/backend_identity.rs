@@ -1,10 +1,9 @@
 //! Scalar-vs-unrolled bit-identity of the full scheme pipeline.
 //!
 //! Mirrors `parallel_identity.rs`, but instead of toggling the thread
-//! count it builds one context per [`BackendKind`] (the explicit
-//! preference beats any `MAD_KERNEL_BACKEND` the CI matrix exports) and
-//! asserts the keygen → encrypt → multiply/relinearize → rescale → rotate
-//! → hoisted-rotation → BSGS pipeline produces byte-for-byte identical
+//! count it builds one context per [`BackendKind`] and asserts the
+//! keygen → encrypt → multiply/relinearize → rescale → rotate →
+//! hoisted-rotation → BSGS pipeline produces byte-for-byte identical
 //! ciphertexts on both.
 
 use ckks::hoisting::{apply_bsgs, bsgs_required_steps, rotate_hoisted, LinearTransform};

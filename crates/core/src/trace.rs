@@ -1,7 +1,7 @@
 //! Memory-access trace replay: a cache simulator that validates the
 //! analytical DRAM-traffic model against the functional implementation.
 //!
-//! The functional crates (built with their `telemetry` feature) can record
+//! The functional crates can record (`fhe_math::telemetry::trace_start`)
 //! every limb-buffer touch as a trace event tagged with an operand class
 //! (ciphertext limb, switching-key digit, plaintext constant, scratch) and
 //! a stable operand id. This module — dependency-free and always compiled —

@@ -1,8 +1,7 @@
 //! Measured-vs-modeled comparison plumbing for the `validate` binary.
 //!
 //! The functional crates (`fhe-math`, `ckks`) count the modular operations
-//! they actually execute when built with their `telemetry` feature; this
-//! module diffs those counts against the analytical predictions of
+//! they actually execute (`fhe_math::telemetry`); this module diffs those counts against the analytical predictions of
 //! [`crate::primitives`] and renders the result as a machine-readable JSON
 //! report. Gating is driven by a committed tolerance file: every gated
 //! `(primitive, metric)` pair must have an entry, and its relative error

@@ -39,12 +39,11 @@
 //!
 //! # Selection
 //!
-//! [`resolve`] picks a backend with precedence: explicit caller choice
-//! (e.g. `CkksContext::with_backend`) > the `MAD_KERNEL_BACKEND` environment
-//! variable (`scalar` or `unrolled`) > the built-in default (the best
-//! available implementation, currently [`UnrolledBackend`]). The env
-//! override lets CI run the entire tier-1 test suite once per backend
-//! without touching any call site.
+//! [`resolve`] picks a backend: an explicit caller choice (e.g.
+//! `CkksContext::with_backend`), else the built-in default (the best
+//! available implementation, currently [`UnrolledBackend`]). Nothing
+//! outside the program selects one; the identity suites pin both kinds
+//! explicitly inside one process.
 //!
 //! # Telemetry contract
 //!
@@ -63,8 +62,8 @@
 //! [`BackendKind::instance`] and [`BackendKind::from_name`], and the whole
 //! stack — `RnsPoly`, key switching, the serving runtime — picks it up
 //! through construction-time selection. A GPU or `std::simd` backend is a
-//! single new impl; correctness is gated by running the existing
-//! `backend_identity` suites under `MAD_KERNEL_BACKEND=<name>`.
+//! single new impl; correctness is gated by adding its kind to the
+//! existing `backend_identity` suites.
 
 use crate::modular::{lazy_products, Modulus, MAX_MODULUS_BITS};
 use crate::ntt::NttTable;
@@ -236,7 +235,8 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Parses a backend name as used by `MAD_KERNEL_BACKEND`.
+    /// Parses a backend name (the inverse of [`BackendKind::name`], plus
+    /// `auto`/`default`/`best` for [`best_available`]).
     pub fn from_name(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Self::Scalar),
@@ -265,42 +265,16 @@ impl BackendKind {
     }
 }
 
-/// The best implementation available on this build (the default when
-/// neither the caller nor the environment picks one).
+/// The best implementation available on this build (the default when the
+/// caller picks none).
 pub const fn best_available() -> BackendKind {
     BackendKind::Unrolled
 }
 
-/// The backend selected by `MAD_KERNEL_BACKEND`, if the variable is set to
-/// a recognized name. Parsed once per process.
-pub fn env_override() -> Option<BackendKind> {
-    static ENV: OnceLock<Option<BackendKind>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        let raw = std::env::var("MAD_KERNEL_BACKEND").ok()?;
-        match BackendKind::from_name(&raw) {
-            Some(k) => Some(k),
-            None => {
-                eprintln!(
-                    "warning: unknown MAD_KERNEL_BACKEND={raw:?} (expected \
-                     \"scalar\" or \"unrolled\"); using the default backend"
-                );
-                None
-            }
-        }
-    })
-}
-
-/// Resolves the backend to use: explicit `prefer` > `MAD_KERNEL_BACKEND` >
+/// Resolves the backend to use: the explicit `prefer`, else
 /// [`best_available`].
-///
-/// An explicit preference wins over the environment so that identity tests
-/// can pin *both* backends inside one process even when CI exports the env
-/// override for the rest of the suite.
 pub fn resolve(prefer: Option<BackendKind>) -> Arc<dyn KernelBackend> {
-    prefer
-        .or_else(env_override)
-        .unwrap_or(best_available())
-        .instance()
+    prefer.unwrap_or(best_available()).instance()
 }
 
 /// The process-default backend ([`resolve`] with no explicit preference).

@@ -38,9 +38,9 @@
 //! - [`parallel`]: limb-level multithreading helpers over flat limb-major
 //!   buffers (always compiled; a call uses threads when its shares are
 //!   large enough and cores are free; bit-identical to the serial loop).
-//! - [`telemetry`]: feature-gated op-count/traffic counters and
-//!   measurement spans (feature `telemetry`, off by default; no-ops when
-//!   disabled) used to cross-validate the `simfhe` cost model.
+//! - [`telemetry`]: op-count/traffic counters, measurement spans and the
+//!   ordered memory-access trace, in every build, used to cross-validate
+//!   the `simfhe` cost model and to time a served request's kernel spans.
 //!
 //! # Example
 //!

@@ -17,37 +17,34 @@ use crate::backend::{self, KernelBackend, ShoupPair};
 use crate::modular::Modulus;
 use crate::prime::{is_prime, primitive_root_of_unity};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Global counters of limb transforms executed, for cross-validating the
 /// `simfhe` cost model against the functional library (the paper's op
-/// accounting is per limb-NTT). Negligible overhead: one relaxed atomic
-/// increment per whole-limb transform.
+/// accounting is per limb-NTT). A view of the transform counters in
+/// [`crate::telemetry`]: [`NttTable::forward`]/[`NttTable::inverse`] record
+/// each transform once, and [`forward_count`](counters::forward_count)
+/// always equals `telemetry::snapshot().ntt_fwd`.
 pub mod counters {
-    use super::*;
-
-    pub(super) static FORWARD: AtomicU64 = AtomicU64::new(0);
-    pub(super) static INVERSE: AtomicU64 = AtomicU64::new(0);
+    use crate::telemetry;
 
     /// Forward limb-NTTs executed since the last [`reset`].
     pub fn forward_count() -> u64 {
-        FORWARD.load(Ordering::Relaxed)
+        telemetry::snapshot().ntt_fwd
     }
 
     /// Inverse limb-NTTs executed since the last [`reset`].
     pub fn inverse_count() -> u64 {
-        INVERSE.load(Ordering::Relaxed)
+        telemetry::snapshot().ntt_inv
     }
 
-    /// Resets both counters to zero.
+    /// Resets both counters to zero (and nothing else `telemetry` counts).
     ///
     /// Note: the counters are process-global; tests that use them should
     /// not run concurrently with other NTT-heavy tests (use a dedicated
     /// integration-test binary, which Cargo runs in its own process).
     pub fn reset() {
-        FORWARD.store(0, Ordering::Relaxed);
-        INVERSE.store(0, Ordering::Relaxed);
+        telemetry::reset_transforms();
     }
 }
 
@@ -240,9 +237,8 @@ impl NttTable {
     /// Panics if `data.len() != self.size()`.
     pub fn forward(&self, data: &mut [u64]) {
         assert_eq!(data.len(), self.n, "NTT size mismatch");
-        // Counters and telemetry are recorded here — at the dispatch site,
-        // in logical units — so every backend reports identical counts.
-        counters::FORWARD.fetch_add(1, Ordering::Relaxed);
+        // Recorded here — at the dispatch site, in logical units — so every
+        // backend reports identical counts.
         crate::telemetry::record_ntt(true, self.butterfly_count(), self.n as u64);
         self.backend.ntt_forward(self, data);
     }
@@ -255,12 +251,7 @@ impl NttTable {
     /// Panics if `data.len() != self.size()`.
     pub fn inverse(&self, data: &mut [u64]) {
         assert_eq!(data.len(), self.n, "NTT size mismatch");
-        counters::INVERSE.fetch_add(1, Ordering::Relaxed);
         crate::telemetry::record_ntt(false, self.butterfly_count(), self.n as u64);
-        // The final n_inv normalization pass below is n extra multiplies
-        // beyond the model's butterfly count (an optimized kernel folds it
-        // into the last stage); record it so measured counts stay honest.
-        crate::telemetry::record_ops(self.n as u64, 0);
         self.backend.ntt_inverse(self, data);
     }
 

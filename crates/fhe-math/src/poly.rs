@@ -44,9 +44,7 @@ pub struct RnsPoly {
     basis: Arc<RnsBasis>,
     rep: Representation,
     data: Vec<u64>,
-    /// Memory-trace identity (stable id + paper traffic class). Exists only
-    /// under the `telemetry` feature so the default layout is unchanged.
-    #[cfg(feature = "telemetry")]
+    /// Memory-trace identity (stable id + paper traffic class).
     tag: telemetry::OperandTag,
 }
 
@@ -57,7 +55,6 @@ impl Clone for RnsPoly {
             rep: self.rep,
             data: self.data.clone(),
             // A clone is a distinct buffer: same class, fresh identity.
-            #[cfg(feature = "telemetry")]
             tag: telemetry::OperandTag {
                 class: self.tag.class,
                 id: telemetry::new_operand_id(),
@@ -84,7 +81,6 @@ impl RnsPoly {
             basis,
             rep,
             data: vec![0u64; len],
-            #[cfg(feature = "telemetry")]
             tag: telemetry::OperandTag::scratch(),
         }
     }
@@ -108,7 +104,6 @@ impl RnsPoly {
             basis,
             rep,
             data: pool.take_vec(len),
-            #[cfg(feature = "telemetry")]
             tag: telemetry::OperandTag::scratch(),
         }
     }
@@ -136,7 +131,6 @@ impl RnsPoly {
             basis,
             rep: Representation::Coefficient,
             data,
-            #[cfg(feature = "telemetry")]
             tag: telemetry::OperandTag::scratch(),
         }
     }
@@ -168,7 +162,6 @@ impl RnsPoly {
             basis,
             rep,
             data,
-            #[cfg(feature = "telemetry")]
             tag: telemetry::OperandTag::scratch(),
         }
     }
@@ -245,62 +238,38 @@ impl RnsPoly {
     }
 
     /// This polynomial's memory-trace identity.
-    ///
-    /// With the `telemetry` feature off, a zero-id scratch tag.
     #[inline(always)]
     pub fn operand_tag(&self) -> telemetry::OperandTag {
-        #[cfg(feature = "telemetry")]
-        {
-            self.tag
-        }
-        #[cfg(not(feature = "telemetry"))]
-        telemetry::OperandTag {
-            class: telemetry::OperandClass::Scratch,
-            id: 0,
-        }
+        self.tag
     }
 
     /// Reclassifies this polynomial for memory-access tracing (e.g. when a
     /// kernel output is wrapped into a ciphertext or key). Emits a
-    /// [`telemetry::TraceRecord::Retag`] if a trace is active; no-op with
-    /// the feature off.
+    /// [`telemetry::TraceRecord::Retag`] if a trace is active.
     #[inline(always)]
     pub fn set_operand_class(&mut self, class: telemetry::OperandClass) {
-        #[cfg(feature = "telemetry")]
-        {
-            self.tag.class = class;
-            telemetry::record_retag(self.tag.id, class);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = class;
+        self.tag.class = class;
+        telemetry::record_retag(self.tag.id, class);
     }
 
     /// Records a whole-buffer streamed touch of this operand for the
     /// memory-access trace (no-op unless a trace is active).
     #[inline(always)]
     pub fn trace_touch(&self, write: bool) {
-        #[cfg(feature = "telemetry")]
         telemetry::record_touch(self.tag, write, 0, 8 * self.data.len() as u64);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = write;
     }
 
     /// Records a streamed touch of `limb_count` limbs starting at
     /// `first_limb` (no-op unless a trace is active).
     #[inline(always)]
     pub fn trace_touch_limbs(&self, write: bool, first_limb: usize, limb_count: usize) {
-        #[cfg(feature = "telemetry")]
-        {
-            let n = self.basis.degree() as u64;
-            telemetry::record_touch(
-                self.tag,
-                write,
-                8 * n * first_limb as u64,
-                8 * n * limb_count as u64,
-            );
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (write, first_limb, limb_count);
+        let n = self.basis.degree() as u64;
+        telemetry::record_touch(
+            self.tag,
+            write,
+            8 * n * first_limb as u64,
+            8 * n * limb_count as u64,
+        );
     }
 
     fn assert_compatible(&self, other: &RnsPoly) {
@@ -545,7 +514,6 @@ impl RnsPoly {
             basis: Arc::new(self.basis.prefix(keep)),
             rep: self.rep,
             data: self.data[..keep * n].to_vec(),
-            #[cfg(feature = "telemetry")]
             tag: telemetry::OperandTag::scratch(),
         };
         out.trace_touch(true);
@@ -657,7 +625,6 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
         basis: Arc::new(basis.prefix(l - 1)),
         rep: Representation::Evaluation,
         data: pool.take_vec((l - 1) * n),
-        #[cfg(feature = "telemetry")]
         tag: telemetry::OperandTag::scratch(),
     };
     out.trace_touch(true);
@@ -803,7 +770,6 @@ pub fn mod_down_with(poly: &RnsPoly, ctx: &ModDownContext, pool: &ScratchPool) -
         basis: ctx.out_basis.clone(),
         rep: Representation::Evaluation,
         data: pool.take_vec(ctx.q_len * n),
-        #[cfg(feature = "telemetry")]
         tag: telemetry::OperandTag::scratch(),
     };
     out.trace_touch(true);
@@ -860,7 +826,6 @@ pub fn pmod_up_with(poly: &RnsPoly, raised_basis: Arc<RnsBasis>, pool: &ScratchP
         rep: poly.representation(),
         data: pool.take_vec(raised_basis.len() * n),
         basis: raised_basis,
-        #[cfg(feature = "telemetry")]
         tag: telemetry::OperandTag::scratch(),
     };
     out.trace_touch(true);
@@ -932,7 +897,6 @@ pub fn mod_up_with(
         rep: Representation::Evaluation,
         data: pool.take_vec(raised_basis.len() * n),
         basis: raised_basis,
-        #[cfg(feature = "telemetry")]
         tag: telemetry::OperandTag::scratch(),
     };
     out.trace_touch(true);

@@ -1,18 +1,21 @@
-//! Feature-gated op-count, traffic, and memory-access-trace telemetry for
-//! the ring kernels.
+//! Op-count, traffic, span and memory-access-trace telemetry for the ring
+//! kernels, compiled into every build.
 //!
 //! The MAD paper's conclusions rest on SimFHE's analytical op counts and
 //! DRAM-transfer estimates (`simfhe::primitives`); this module measures what
 //! the functional kernels *actually* execute so the two can be
-//! cross-validated (the `validate` and `simfhe trace` binaries in
-//! `crates/core`). Counters follow the paper's accounting granularity:
+//! cross-validated (the `validate` binary in `crates/program` and
+//! `simfhe trace` in `crates/core`). Counters follow the paper's accounting
+//! granularity:
 //!
 //! - **Modular multiplications / additions** (Section 4.1: "SimFHE tracks
 //!   compute at the modular arithmetic level"). Butterflies count as
 //!   1 mult + 2 adds, matching `SchemeParams::ntt_ops`.
 //! - **Whole-limb NTT / iNTT transforms** — the limb-wise kernel
 //!   invocations whose count the model predicts exactly (e.g. `ModUp` at
-//!   `ℓ` limbs runs `d` inverse and `ℓ + k − d` forward transforms).
+//!   `ℓ` limbs runs `d` inverse and `ℓ + k − d` forward transforms). These
+//!   are the atomics [`crate::ntt::counters`] reads: a limb transform is
+//!   counted once.
 //! - **Basis-extension terms** — the `src·dst` `NewLimb` inner-product
 //!   terms of Eq. 1, the slot-wise kernel's work measure.
 //! - **Transfer bytes** — a DRAM-traffic proxy: every instrumented kernel
@@ -22,14 +25,13 @@
 //!   streamed traffic can be told apart. See DESIGN.md for how this maps
 //!   onto the paper's per-`CachingLevel` DRAM model.
 //!
-//! With the `telemetry` cargo feature **off** (the default) every recording
-//! function is an empty `#[inline(always)]` stub and [`Span`] is a
-//! zero-sized type: the kernels compile exactly as before. With the feature
-//! **on**, counters are process-global relaxed atomics — global rather than
+//! Counters are process-global relaxed atomics — global rather than
 //! thread-local because [`crate::parallel`] runs limb kernels on scoped
 //! helper threads whose counts must aggregate. Recording happens in *bulk*
 //! at kernel loop boundaries (once per transform, once per `extend_flat`),
-//! never per scalar operation, so even the instrumented build stays cheap.
+//! never per scalar operation, which is what lets one build both serve
+//! requests and account for them (EXPERIMENTS.md, "Always-on telemetry",
+//! has the measured cost).
 //!
 //! # Spans
 //!
@@ -48,38 +50,43 @@
 //!     telemetry::record_ops(10, 20);
 //! }
 //! let snap = telemetry::snapshot();
-//! # if telemetry::enabled() {
 //! assert_eq!(snap.mults, 10);
 //! assert_eq!(telemetry::spans()[0].total.adds, 20);
-//! # }
 //! ```
+//!
+//! A thread that wants the *times* of the spans it runs — the serving
+//! runtime's workers, one request at a time — brackets the work with
+//! [`capture_spans`]: capture is per thread, so a timeline holds that
+//! thread's spans and nothing another thread ran meanwhile, and no
+//! process-global state is switched on.
 //!
 //! # Memory-access tracing
 //!
 //! On top of the aggregate counters, the module can record an *ordered
 //! trace* of limb-buffer touches for cache-replay simulation
-//! (`simfhe::trace`). Each [`RnsPoly`](crate::poly::RnsPoly) carries an
-//! [`OperandTag`] — a stable [`new_operand_id`] plus an [`OperandClass`]
-//! matching the paper's DRAM categories (ciphertext limb, switching-key
-//! digit, plaintext constant, scratch) — and the instrumented kernels emit
-//! one [`TraceRecord::Touch`] per operand streamed. Because kernels write
+//! (`simfhe::trace`, its single consumer). Each
+//! [`RnsPoly`](crate::poly::RnsPoly) carries an [`OperandTag`] — a stable
+//! [`new_operand_id`] plus an [`OperandClass`] matching the paper's DRAM
+//! categories (ciphertext limb, switching-key digit, plaintext constant,
+//! scratch) — and the instrumented kernels emit one
+//! [`TraceRecord::Touch`] per operand streamed. Because kernels write
 //! their outputs *before* the `ckks` layer wraps them in a ciphertext or
 //! key, classes may be assigned late: [`record_retag`] appends a
 //! [`TraceRecord::Retag`] and replay resolves each id to its **last**
 //! recorded class.
 //!
-//! Tracing is runtime-gated on top of the compile-time feature: records
-//! are only buffered between [`trace_start`] and [`trace_stop`], so the
-//! plain `telemetry` configuration (op-count validation) never pays for
-//! trace storage. [`Span`]s emit [`TraceRecord::SpanBegin`]/
+//! Tracing is runtime-gated: records are only buffered between
+//! [`trace_start`] and [`trace_stop`], so nothing else pays for trace
+//! storage. [`Span`]s emit [`TraceRecord::SpanBegin`]/
 //! [`TraceRecord::SpanEnd`] pairs with microsecond timestamps while a
 //! trace is active, which `simfhe trace` exports as Chrome trace-event
 //! JSON for Perfetto.
 
-/// Whether the `telemetry` cargo feature is compiled in.
-pub const fn enabled() -> bool {
-    cfg!(feature = "telemetry")
-}
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// A point-in-time copy of every counter (also used for span deltas).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -246,153 +253,115 @@ pub enum TraceRecord {
     },
 }
 
-#[cfg(feature = "telemetry")]
-mod state {
-    use super::{Snapshot, TraceRecord};
-    use std::collections::BTreeMap;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-    use std::sync::Mutex;
-    use std::time::Instant;
+static MULTS: AtomicU64 = AtomicU64::new(0);
+static ADDS: AtomicU64 = AtomicU64::new(0);
+static NTT_FWD: AtomicU64 = AtomicU64::new(0);
+static NTT_INV: AtomicU64 = AtomicU64::new(0);
+static EXT_TERMS: AtomicU64 = AtomicU64::new(0);
+static BYTES_READ: AtomicU64 = AtomicU64::new(0);
+static BYTES_WRITTEN: AtomicU64 = AtomicU64::new(0);
+static SCRATCH_LEASES: AtomicU64 = AtomicU64::new(0);
+static SCRATCH_BYTES: AtomicU64 = AtomicU64::new(0);
+static KEY_EXPANSIONS: AtomicU64 = AtomicU64::new(0);
+static KEY_EXPANSION_BYTES: AtomicU64 = AtomicU64::new(0);
 
-    pub(super) static MULTS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static ADDS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static NTT_FWD: AtomicU64 = AtomicU64::new(0);
-    pub(super) static NTT_INV: AtomicU64 = AtomicU64::new(0);
-    pub(super) static EXT_TERMS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static BYTES_READ: AtomicU64 = AtomicU64::new(0);
-    pub(super) static BYTES_WRITTEN: AtomicU64 = AtomicU64::new(0);
-    pub(super) static SCRATCH_LEASES: AtomicU64 = AtomicU64::new(0);
-    pub(super) static SCRATCH_BYTES: AtomicU64 = AtomicU64::new(0);
-    pub(super) static KEY_EXPANSIONS: AtomicU64 = AtomicU64::new(0);
-    pub(super) static KEY_EXPANSION_BYTES: AtomicU64 = AtomicU64::new(0);
+/// Aggregated span deltas keyed by span name.
+static SPANS: Mutex<BTreeMap<&'static str, (u64, Snapshot)>> = Mutex::new(BTreeMap::new());
 
-    /// Aggregated span deltas keyed by span name.
-    pub(super) static SPANS: Mutex<BTreeMap<&'static str, (u64, Snapshot)>> =
-        Mutex::new(BTreeMap::new());
+/// Monotonic operand-id source (0 is reserved as "untagged").
+static NEXT_OPERAND_ID: AtomicU64 = AtomicU64::new(1);
 
-    /// Monotonic operand-id source (0 is reserved as "untagged").
-    pub(super) static NEXT_OPERAND_ID: AtomicU64 = AtomicU64::new(1);
+/// Fast path: is a trace being recorded right now?
+static TRACE_ON: AtomicBool = AtomicBool::new(false);
 
-    /// Fast path: is a trace being recorded right now?
-    pub(super) static TRACE_ON: AtomicBool = AtomicBool::new(false);
+struct TraceState {
+    start: Instant,
+    records: Vec<TraceRecord>,
+}
 
-    pub(super) struct TraceState {
-        pub start: Instant,
-        pub records: Vec<TraceRecord>,
+static TRACE: Mutex<Option<TraceState>> = Mutex::new(None);
+
+fn add(counter: &AtomicU64, v: u64) {
+    if v != 0 {
+        counter.fetch_add(v, Relaxed);
     }
+}
 
-    pub(super) static TRACE: Mutex<Option<TraceState>> = Mutex::new(None);
-
-    pub(super) fn add(counter: &AtomicU64, v: u64) {
-        if v != 0 {
-            counter.fetch_add(v, Relaxed);
-        }
+fn push_trace(record: TraceRecord) {
+    if let Some(ts) = TRACE.lock().expect("poisoned").as_mut() {
+        ts.records.push(record);
     }
+}
 
-    pub(super) fn push_trace(record: TraceRecord) {
-        if let Some(ts) = TRACE.lock().expect("poisoned").as_mut() {
-            ts.records.push(record);
-        }
-    }
-
-    pub(super) fn trace_elapsed_us() -> u64 {
-        TRACE
-            .lock()
-            .expect("poisoned")
-            .as_ref()
-            .map(|ts| ts.start.elapsed().as_micros() as u64)
-            .unwrap_or(0)
-    }
-
-    pub(super) fn read_all() -> Snapshot {
-        Snapshot {
-            mults: MULTS.load(Relaxed),
-            adds: ADDS.load(Relaxed),
-            ntt_fwd: NTT_FWD.load(Relaxed),
-            ntt_inv: NTT_INV.load(Relaxed),
-            ext_terms: EXT_TERMS.load(Relaxed),
-            bytes_read: BYTES_READ.load(Relaxed),
-            bytes_written: BYTES_WRITTEN.load(Relaxed),
-            scratch_leases: SCRATCH_LEASES.load(Relaxed),
-            scratch_lease_bytes: SCRATCH_BYTES.load(Relaxed),
-        }
-    }
+fn trace_elapsed_us() -> u64 {
+    TRACE
+        .lock()
+        .expect("poisoned")
+        .as_ref()
+        .map(|ts| ts.start.elapsed().as_micros() as u64)
+        .unwrap_or(0)
 }
 
 /// Records bulk modular operations (`mults` multiplications, `adds`
 /// additions/subtractions).
-#[inline(always)]
+#[inline]
 pub fn record_ops(mults: u64, adds: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        state::add(&state::MULTS, mults);
-        state::add(&state::ADDS, adds);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (mults, adds);
+    add(&MULTS, mults);
+    add(&ADDS, adds);
 }
 
 /// Records one whole-limb NTT transform of `n` coefficients with
 /// `butterflies` butterfly stages-worth of work (1 mult + 2 adds each),
-/// plus the limb's streaming traffic.
-#[inline(always)]
+/// plus the limb's streaming traffic. An inverse transform also records
+/// its `n`-multiply `N⁻¹` normalization pass, which lies beyond the model's
+/// butterfly count (an optimized kernel folds it into the last stage), so
+/// measured counts stay honest.
+#[inline]
 pub fn record_ntt(forward: bool, butterflies: u64, n: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        if forward {
-            state::add(&state::NTT_FWD, 1);
-        } else {
-            state::add(&state::NTT_INV, 1);
-        }
-        state::add(&state::MULTS, butterflies);
-        state::add(&state::ADDS, 2 * butterflies);
-        state::add(&state::BYTES_READ, 8 * n);
-        state::add(&state::BYTES_WRITTEN, 8 * n);
+    if forward {
+        add(&NTT_FWD, 1);
+        add(&MULTS, butterflies);
+    } else {
+        add(&NTT_INV, 1);
+        add(&MULTS, butterflies + n);
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (forward, butterflies, n);
+    add(&ADDS, 2 * butterflies);
+    add(&BYTES_READ, 8 * n);
+    add(&BYTES_WRITTEN, 8 * n);
+}
+
+/// Zeroes the two whole-limb transform counters only
+/// ([`crate::ntt::counters::reset`]).
+pub(crate) fn reset_transforms() {
+    NTT_FWD.store(0, Relaxed);
+    NTT_INV.store(0, Relaxed);
 }
 
 /// Records one bulk fast-basis-extension call (`NewLimb`, Eq. 1) converting
 /// `n` coefficients from `src` to `dst` limbs: per coefficient, `src`
 /// scaled-residue mults, `src·dst` inner-product terms (1 mult + 1 add
 /// each), and `dst` float-excess corrections (1 mult + 1 sub each).
-#[inline(always)]
+#[inline]
 pub fn record_basis_ext(src: u64, dst: u64, n: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        state::add(&state::MULTS, n * (src + src * dst + dst));
-        state::add(&state::ADDS, n * (src * dst + dst));
-        state::add(&state::EXT_TERMS, n * src * dst);
-        state::add(&state::BYTES_READ, 8 * src * n);
-        state::add(&state::BYTES_WRITTEN, 8 * dst * n);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (src, dst, n);
+    add(&MULTS, n * (src + src * dst + dst));
+    add(&ADDS, n * (src * dst + dst));
+    add(&EXT_TERMS, n * src * dst);
+    add(&BYTES_READ, 8 * src * n);
+    add(&BYTES_WRITTEN, 8 * dst * n);
 }
 
 /// Records limb-buffer streaming traffic in bytes.
-#[inline(always)]
+#[inline]
 pub fn record_transfer(read: u64, written: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        state::add(&state::BYTES_READ, read);
-        state::add(&state::BYTES_WRITTEN, written);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (read, written);
+    add(&BYTES_READ, read);
+    add(&BYTES_WRITTEN, written);
 }
 
 /// Records one scratch-pool lease of `bytes` bytes.
-#[inline(always)]
+#[inline]
 pub fn record_scratch_lease(bytes: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        state::add(&state::SCRATCH_LEASES, 1);
-        state::add(&state::SCRATCH_BYTES, bytes);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = bytes;
+    add(&SCRATCH_LEASES, 1);
+    add(&SCRATCH_BYTES, bytes);
 }
 
 /// Records one switching-key expansion: a compute-for-memory event where a
@@ -400,185 +369,114 @@ pub fn record_scratch_lease(bytes: u64) {
 /// polynomial form, producing `bytes` bytes of expanded key material. The
 /// serving runtime's key cache calls this on every miss, making the
 /// paper's §3.2 regeneration trade visible next to the kernel counters.
-#[inline(always)]
+#[inline]
 pub fn record_key_expansion(bytes: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        state::add(&state::KEY_EXPANSIONS, 1);
-        state::add(&state::KEY_EXPANSION_BYTES, bytes);
-    }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = bytes;
+    add(&KEY_EXPANSIONS, 1);
+    add(&KEY_EXPANSION_BYTES, bytes);
 }
 
 /// Totals recorded by [`record_key_expansion`] since the last [`reset`]:
-/// `(expansion count, expanded bytes)`. Zero with the feature off.
+/// `(expansion count, expanded bytes)`.
 pub fn key_expansion_totals() -> (u64, u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        (
-            state::KEY_EXPANSIONS.load(Relaxed),
-            state::KEY_EXPANSION_BYTES.load(Relaxed),
-        )
-    }
-    #[cfg(not(feature = "telemetry"))]
-    (0, 0)
+    (
+        KEY_EXPANSIONS.load(Relaxed),
+        KEY_EXPANSION_BYTES.load(Relaxed),
+    )
 }
 
 /// Allocates a fresh process-unique operand id (never 0).
-///
-/// With the feature off this returns 0 — callers only mint ids from
-/// feature-gated code, so the stub is never observable.
-#[inline(always)]
+#[inline]
 pub fn new_operand_id() -> u64 {
-    #[cfg(feature = "telemetry")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        state::NEXT_OPERAND_ID.fetch_add(1, Relaxed)
-    }
-    #[cfg(not(feature = "telemetry"))]
-    0
+    NEXT_OPERAND_ID.fetch_add(1, Relaxed)
 }
 
 /// True while a trace is being recorded ([`trace_start`] .. [`trace_stop`]).
-#[inline(always)]
+#[inline]
 pub fn trace_active() -> bool {
-    #[cfg(feature = "telemetry")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        state::TRACE_ON.load(Relaxed)
-    }
-    #[cfg(not(feature = "telemetry"))]
-    false
+    TRACE_ON.load(Relaxed)
 }
 
 /// Begins recording a memory-access trace, discarding any prior one.
-///
-/// No-op with the feature off.
 pub fn trace_start() {
-    #[cfg(feature = "telemetry")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        let mut trace = state::TRACE.lock().expect("poisoned");
-        *trace = Some(state::TraceState {
-            start: std::time::Instant::now(),
-            records: Vec::new(),
-        });
-        state::TRACE_ON.store(true, Relaxed);
-    }
-}
-
-/// Begins recording only if no trace is already active, so an
-/// opportunistic caller (e.g. the serving runtime's sampled deep
-/// tracing) never discards a deliberately-started trace. Returns
-/// whether recording started; the caller owns the matching
-/// [`trace_stop`] only when it did.
-///
-/// Always `false` with the feature off.
-pub fn trace_try_start() -> bool {
-    #[cfg(feature = "telemetry")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        let mut trace = state::TRACE.lock().expect("poisoned");
-        if trace.is_some() {
-            return false;
-        }
-        *trace = Some(state::TraceState {
-            start: std::time::Instant::now(),
-            records: Vec::new(),
-        });
-        state::TRACE_ON.store(true, Relaxed);
-        true
-    }
-    #[cfg(not(feature = "telemetry"))]
-    false
+    let mut trace = TRACE.lock().expect("poisoned");
+    *trace = Some(TraceState {
+        start: Instant::now(),
+        records: Vec::new(),
+    });
+    TRACE_ON.store(true, Relaxed);
 }
 
 /// Stops recording and returns the trace in program order.
 ///
-/// Returns an empty vector if no trace was active (or the feature is off).
+/// Returns an empty vector if no trace was active.
 pub fn trace_stop() -> Vec<TraceRecord> {
-    #[cfg(feature = "telemetry")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        state::TRACE_ON.store(false, Relaxed);
-        state::TRACE
-            .lock()
-            .expect("poisoned")
-            .take()
-            .map(|ts| ts.records)
-            .unwrap_or_default()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    Vec::new()
+    TRACE_ON.store(false, Relaxed);
+    TRACE
+        .lock()
+        .expect("poisoned")
+        .take()
+        .map(|ts| ts.records)
+        .unwrap_or_default()
 }
 
 /// Records one streamed touch of `bytes` bytes at `offset` within the
 /// operand identified by `tag`. Only buffered while a trace is active.
-#[inline(always)]
+#[inline]
 pub fn record_touch(tag: OperandTag, write: bool, offset: u64, bytes: u64) {
-    #[cfg(feature = "telemetry")]
-    {
-        if trace_active() && bytes != 0 {
-            state::push_trace(TraceRecord::Touch {
-                tag,
-                write,
-                offset,
-                bytes,
-            });
-        }
+    if trace_active() && bytes != 0 {
+        push_trace(TraceRecord::Touch {
+            tag,
+            write,
+            offset,
+            bytes,
+        });
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (tag, write, offset, bytes);
 }
 
 /// Records that operand `id` now belongs to `class` (last retag wins at
 /// replay). Only buffered while a trace is active.
-#[inline(always)]
+#[inline]
 pub fn record_retag(id: u64, class: OperandClass) {
-    #[cfg(feature = "telemetry")]
-    {
-        if trace_active() && id != 0 {
-            state::push_trace(TraceRecord::Retag { id, class });
-        }
+    if trace_active() && id != 0 {
+        push_trace(TraceRecord::Retag { id, class });
     }
-    #[cfg(not(feature = "telemetry"))]
-    let _ = (id, class);
 }
 
 /// Reads every counter.
-///
-/// Always available; with the feature off all fields are zero.
 pub fn snapshot() -> Snapshot {
-    #[cfg(feature = "telemetry")]
-    {
-        state::read_all()
+    Snapshot {
+        mults: MULTS.load(Relaxed),
+        adds: ADDS.load(Relaxed),
+        ntt_fwd: NTT_FWD.load(Relaxed),
+        ntt_inv: NTT_INV.load(Relaxed),
+        ext_terms: EXT_TERMS.load(Relaxed),
+        bytes_read: BYTES_READ.load(Relaxed),
+        bytes_written: BYTES_WRITTEN.load(Relaxed),
+        scratch_leases: SCRATCH_LEASES.load(Relaxed),
+        scratch_lease_bytes: SCRATCH_BYTES.load(Relaxed),
     }
-    #[cfg(not(feature = "telemetry"))]
-    Snapshot::default()
 }
 
 /// Zeroes every counter and clears the span table.
 ///
 /// Does **not** touch an in-flight trace; use [`trace_stop`] for that.
 pub fn reset() {
-    #[cfg(feature = "telemetry")]
-    {
-        use std::sync::atomic::Ordering::Relaxed;
-        state::MULTS.store(0, Relaxed);
-        state::ADDS.store(0, Relaxed);
-        state::NTT_FWD.store(0, Relaxed);
-        state::NTT_INV.store(0, Relaxed);
-        state::EXT_TERMS.store(0, Relaxed);
-        state::BYTES_READ.store(0, Relaxed);
-        state::BYTES_WRITTEN.store(0, Relaxed);
-        state::SCRATCH_LEASES.store(0, Relaxed);
-        state::SCRATCH_BYTES.store(0, Relaxed);
-        state::KEY_EXPANSIONS.store(0, Relaxed);
-        state::KEY_EXPANSION_BYTES.store(0, Relaxed);
-        state::SPANS.lock().expect("poisoned").clear();
+    for counter in [
+        &MULTS,
+        &ADDS,
+        &NTT_FWD,
+        &NTT_INV,
+        &EXT_TERMS,
+        &BYTES_READ,
+        &BYTES_WRITTEN,
+        &SCRATCH_LEASES,
+        &SCRATCH_BYTES,
+        &KEY_EXPANSIONS,
+        &KEY_EXPANSION_BYTES,
+    ] {
+        counter.store(0, Relaxed);
     }
+    SPANS.lock().expect("poisoned").clear();
 }
 
 /// Aggregated measurements for one span name.
@@ -593,20 +491,13 @@ pub struct SpanReport {
 }
 
 /// All spans closed since the last [`reset`], sorted by name.
-///
-/// Empty with the feature off.
 pub fn spans() -> Vec<SpanReport> {
-    #[cfg(feature = "telemetry")]
-    {
-        state::SPANS
-            .lock()
-            .expect("poisoned")
-            .iter()
-            .map(|(&name, &(calls, total))| SpanReport { name, calls, total })
-            .collect()
-    }
-    #[cfg(not(feature = "telemetry"))]
-    Vec::new()
+    SPANS
+        .lock()
+        .expect("poisoned")
+        .iter()
+        .map(|(&name, &(calls, total))| SpanReport { name, calls, total })
+        .collect()
 }
 
 /// The aggregate for one span name, if any span closed under it.
@@ -614,57 +505,97 @@ pub fn span_report(name: &str) -> Option<SpanReport> {
     spans().into_iter().find(|s| s.name == name)
 }
 
+/// When one [`Span`] ran on a thread that was capturing
+/// ([`capture_spans`]).
+#[derive(Clone, Copy, Debug)]
+pub struct SpanTiming {
+    /// The name passed to [`span`].
+    pub name: &'static str,
+    /// When the span opened.
+    pub begin: Instant,
+    /// When it closed (equal to `begin` for a span still open when the
+    /// list was taken).
+    pub end: Instant,
+}
+
+thread_local! {
+    /// This thread's capture: how many spans it may still hold, and the
+    /// spans opened so far in open order.
+    static CAPTURE: RefCell<(usize, Vec<SpanTiming>)> = const { RefCell::new((0, Vec::new())) };
+}
+
+/// Returns the spans this thread captured since the last call, in the
+/// order they opened, and from now on captures the next `limit` spans the
+/// thread opens (`0` turns capture off). Spans opened past the limit are
+/// counted and aggregated like any other but leave no timing, which bounds
+/// the list whatever runs in between. Call it outside any open span.
+pub fn capture_spans(limit: usize) -> Vec<SpanTiming> {
+    CAPTURE.with(|c| std::mem::replace(&mut *c.borrow_mut(), (limit, Vec::new())).1)
+}
+
 /// An RAII measurement region: snapshots the counters now, records the
 /// delta under `name` when dropped. See the module docs for nesting
-/// semantics. Zero-sized no-op with the feature off.
+/// semantics.
 ///
 /// While a trace is active the span additionally emits
-/// [`TraceRecord::SpanBegin`]/[`TraceRecord::SpanEnd`] markers.
+/// [`TraceRecord::SpanBegin`]/[`TraceRecord::SpanEnd`] markers, and while
+/// its thread is capturing ([`capture_spans`]) it leaves a [`SpanTiming`].
 #[must_use = "a span measures until dropped"]
 pub struct Span {
-    #[cfg(feature = "telemetry")]
     name: &'static str,
-    #[cfg(feature = "telemetry")]
     start: Snapshot,
+    /// Index of this span's entry in the thread's capture list.
+    captured: Option<usize>,
 }
 
 /// Opens a [`Span`] named `name`.
 pub fn span(name: &'static str) -> Span {
-    #[cfg(feature = "telemetry")]
-    {
-        if trace_active() {
-            let ts_us = state::trace_elapsed_us();
-            state::push_trace(TraceRecord::SpanBegin { name, ts_us });
-        }
-        Span {
-            name,
-            start: snapshot(),
-        }
+    if trace_active() {
+        let ts_us = trace_elapsed_us();
+        push_trace(TraceRecord::SpanBegin { name, ts_us });
     }
-    #[cfg(not(feature = "telemetry"))]
-    {
-        let _ = name;
-        Span {}
+    let captured = CAPTURE.with(|c| {
+        let (limit, list) = &mut *c.borrow_mut();
+        (list.len() < *limit).then(|| {
+            let begin = Instant::now();
+            list.push(SpanTiming {
+                name,
+                begin,
+                end: begin,
+            });
+            list.len() - 1
+        })
+    });
+    Span {
+        name,
+        start: snapshot(),
+        captured,
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
-        {
-            let delta = snapshot().delta(&self.start);
-            let mut spans = state::SPANS.lock().expect("poisoned");
-            let entry = spans.entry(self.name).or_insert((0, Snapshot::default()));
-            entry.0 += 1;
-            entry.1.accumulate(&delta);
-            drop(spans);
-            if trace_active() {
-                let ts_us = state::trace_elapsed_us();
-                state::push_trace(TraceRecord::SpanEnd {
-                    name: self.name,
-                    ts_us,
-                });
-            }
+        let delta = snapshot().delta(&self.start);
+        if let Some(at) = self.captured {
+            // `try_with`: a span dropped during thread teardown finds no
+            // list left to write to.
+            let _ = CAPTURE.try_with(|c| {
+                if let Some(timing) = c.borrow_mut().1.get_mut(at) {
+                    timing.end = Instant::now();
+                }
+            });
+        }
+        let mut spans = SPANS.lock().expect("poisoned");
+        let entry = spans.entry(self.name).or_insert((0, Snapshot::default()));
+        entry.0 += 1;
+        entry.1.accumulate(&delta);
+        drop(spans);
+        if trace_active() {
+            let ts_us = trace_elapsed_us();
+            push_trace(TraceRecord::SpanEnd {
+                name: self.name,
+                ts_us,
+            });
         }
     }
 }
@@ -676,8 +607,9 @@ mod tests {
     // Counter semantics (reset, nesting, concurrency) are exercised by the
     // dedicated integration test `tests/telemetry_semantics.rs`, which owns
     // its process — the global counters make in-process unit tests racy
-    // under `cargo test`'s threaded runner. Here we only check the
-    // feature-independent Snapshot arithmetic.
+    // under `cargo test`'s threaded runner. Here we only check what no
+    // other thread can disturb: Snapshot arithmetic, tag identity and the
+    // per-thread span capture.
 
     #[test]
     fn snapshot_delta_saturates() {
@@ -731,9 +663,32 @@ mod tests {
     fn fresh_tags_are_scratch_class() {
         let t = OperandTag::scratch();
         assert_eq!(t.class, OperandClass::Scratch);
-        if enabled() {
-            assert_ne!(t.id, 0, "ids start at 1 so 0 can mean untagged");
-            assert_ne!(t.id, OperandTag::scratch().id, "ids are unique");
+        assert_ne!(t.id, 0, "ids start at 1 so 0 can mean untagged");
+        assert_ne!(t.id, OperandTag::scratch().id, "ids are unique");
+    }
+
+    #[test]
+    fn capture_keeps_this_threads_first_spans_in_open_order() {
+        {
+            let _s = span("uncaptured");
         }
+        assert!(capture_spans(3).is_empty(), "capture starts off");
+        {
+            let _outer = span("outer");
+            let _inner = span("inner");
+            std::thread::scope(|s| {
+                s.spawn(|| drop(span("elsewhere")));
+            });
+        }
+        drop(span("third"));
+        drop(span("past-the-limit"));
+        let got = capture_spans(0);
+        let names: Vec<_> = got.iter().map(|t| t.name).collect();
+        assert_eq!(names, ["outer", "inner", "third"]);
+        // Nesting survives: the inner window lies inside the outer one.
+        assert!(got[0].begin <= got[1].begin && got[1].end <= got[0].end);
+        assert!(got[0].end <= got[2].begin);
+        drop(span("after-stop"));
+        assert!(capture_spans(0).is_empty(), "limit 0 turned capture off");
     }
 }

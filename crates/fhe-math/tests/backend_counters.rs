@@ -7,8 +7,8 @@
 //! accounting. This regression test pins the counts for a fixed workload
 //! under both backends.
 //!
-//! The NTT invocation counters (and the feature-gated telemetry counters)
-//! are process-global, so the whole check lives in one `#[test]` — this
+//! The NTT invocation counters (a view of the telemetry counters) are
+//! process-global, so the whole check lives in one `#[test]` — this
 //! file must not grow a second test or parallel test threads would race
 //! the counts.
 
@@ -50,19 +50,16 @@ fn workload(kind: BackendKind) {
 struct Counts {
     ntt_forward: u64,
     ntt_inverse: u64,
-    #[cfg(feature = "telemetry")]
     telemetry: fhe_math::telemetry::Snapshot,
 }
 
 fn measure(kind: BackendKind) -> Counts {
     ntt::counters::reset();
-    #[cfg(feature = "telemetry")]
     fhe_math::telemetry::reset();
     workload(kind);
     Counts {
         ntt_forward: ntt::counters::forward_count(),
         ntt_inverse: ntt::counters::inverse_count(),
-        #[cfg(feature = "telemetry")]
         telemetry: fhe_math::telemetry::snapshot(),
     }
 }
@@ -81,21 +78,18 @@ fn op_counts_are_identical_across_backends_and_pinned() {
     assert_eq!(scalar.ntt_forward, FORWARD_RUNS);
     assert_eq!(scalar.ntt_inverse, INVERSE_RUNS);
 
-    #[cfg(feature = "telemetry")]
-    {
-        let t = &scalar.telemetry;
-        assert_eq!(t.ntt_fwd, FORWARD_RUNS);
-        assert_eq!(t.ntt_inv, INVERSE_RUNS);
-        // Butterfly accounting: (n/2)·log2(n) mults per transform, and the
-        // inverse adds an n-point `N^{-1}` scaling pass.
-        let butterflies = (N as u64 / 2) * (N as u64).trailing_zeros() as u64;
-        let transform_mults = (FORWARD_RUNS + INVERSE_RUNS) * butterflies + INVERSE_RUNS * N as u64;
-        assert!(
-            t.mults >= transform_mults,
-            "expected at least {transform_mults} mults (transforms alone), got {}",
-            t.mults
-        );
-        // NewLimb inner-product terms: src·dst per coefficient.
-        assert_eq!(t.ext_terms, 2 * 3 * N as u64);
-    }
+    let t = &scalar.telemetry;
+    assert_eq!(t.ntt_fwd, FORWARD_RUNS);
+    assert_eq!(t.ntt_inv, INVERSE_RUNS);
+    // Butterfly accounting: (n/2)·log2(n) mults per transform, and the
+    // inverse adds an n-point `N^{-1}` scaling pass.
+    let butterflies = (N as u64 / 2) * (N as u64).trailing_zeros() as u64;
+    let transform_mults = (FORWARD_RUNS + INVERSE_RUNS) * butterflies + INVERSE_RUNS * N as u64;
+    assert!(
+        t.mults >= transform_mults,
+        "expected at least {transform_mults} mults (transforms alone), got {}",
+        t.mults
+    );
+    // NewLimb inner-product terms: src·dst per coefficient.
+    assert_eq!(t.ext_terms, 2 * 3 * N as u64);
 }

@@ -1,12 +1,11 @@
 //! Telemetry counter and span semantics: reset, bulk recording, and
 //! inclusive nesting.
 //!
-//! The counters are process-global by design (the `parallel` feature runs
-//! kernels on scoped worker threads whose counts must aggregate), so these
+//! The counters are process-global by design (`fhe_math::parallel` runs
+//! kernels on scoped helper threads whose counts must aggregate), so these
 //! assertions live in their own integration-test binary — Cargo gives it a
 //! dedicated process — and run as a single sequential test function rather
 //! than racing under the threaded test runner.
-#![cfg(feature = "telemetry")]
 
 use fhe_math::prime::generate_ntt_primes;
 use fhe_math::telemetry;

@@ -2,7 +2,7 @@
 //!
 //! Runs every CKKS primitive (and two micro application kernels modeled
 //! on HELR and ResNet-20) in the `ckks` crate at a reduced parameter set,
-//! with the `telemetry` feature counting the modular operations actually
+//! with `fhe_math::telemetry` counting the modular operations actually
 //! executed, then diffs those counts against simfhe's `CostModel`
 //! predictions. A `programs` section does the same end-to-end for the
 //! three program-IR workloads (`fhe_program::workloads`): each program is

@@ -18,10 +18,9 @@
 //!   `pt_mat_vec_mult` assumes, so the required Galois steps and the
 //!   rotation count agree between manifest, price, and execution.
 //!
-//! With the `telemetry` feature on, every instruction runs inside a
-//! `Prog.<Mnemonic>` telemetry span; the serving runtime's deep-sampling
-//! observer surfaces these as per-instruction time attribution for
-//! `RunProgram` jobs.
+//! Every instruction runs inside a `Prog.<Mnemonic>` telemetry span; the
+//! serving runtime's request timelines surface these as per-instruction
+//! time attribution for `RunProgram` jobs.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -45,8 +45,8 @@ pub struct ServeConfig {
     /// default reads `MAD_SERVE_BATCH_SIZE` / `MAD_SERVE_BATCH_DELAY_MS`.
     pub batch: BatchConfig,
     /// Request-tracing knobs ([`crate::obs`]). The default reads the
-    /// `MAD_SERVE_OBS` / `MAD_SERVE_TRACE_RING` / `MAD_SERVE_DEEP_EVERY`
-    /// / `MAD_SERVE_SLOW_MS` environment variables.
+    /// `MAD_SERVE_OBS` / `MAD_SERVE_TRACE_RING` / `MAD_SERVE_SLOW_MS`
+    /// environment variables.
     pub obs: ObsConfig,
     /// Deterministic fault schedule threaded through the shard loops
     /// and worker pools; `None` (the default) serves faithfully.
@@ -92,23 +92,18 @@ pub struct ObsConfig {
     pub enabled: bool,
     /// How many finished request timelines the ring retains.
     pub ring_capacity: usize,
-    /// Deep-sample (bridge into `fhe_math::telemetry` span tracing)
-    /// every Nth request; `0` disables deep sampling. Sub-spans only
-    /// appear when the crate is built with the `telemetry` feature.
-    pub deep_sample_every: u64,
     /// Requests slower than this end-to-end land in the slow-request
     /// log, annotated with their dominant stage.
     pub slow_threshold: Duration,
 }
 
 impl ObsConfig {
-    /// The hardcoded defaults: recording on, a 128-entry ring, deep
-    /// sampling every 64th request, 500 ms slow threshold.
+    /// The hardcoded defaults: recording on, a 128-entry ring, 500 ms
+    /// slow threshold.
     pub fn baseline() -> Self {
         Self {
             enabled: true,
             ring_capacity: 128,
-            deep_sample_every: 64,
             slow_threshold: Duration::from_millis(500),
         }
     }
@@ -139,9 +134,6 @@ impl ServeConfig {
         }
         if let Some(n) = parsed::<usize>(lookup("MAD_SERVE_TRACE_RING")) {
             obs.ring_capacity = n.max(1);
-        }
-        if let Some(n) = parsed(lookup("MAD_SERVE_DEEP_EVERY")) {
-            obs.deep_sample_every = n;
         }
         if let Some(ms) = parsed(lookup("MAD_SERVE_SLOW_MS")) {
             obs.slow_threshold = Duration::from_millis(ms);
@@ -183,7 +175,6 @@ mod tests {
         assert_eq!(cfg.batch.max_delay, Duration::from_millis(2));
         assert!(cfg.obs.enabled);
         assert_eq!(cfg.obs.ring_capacity, 128);
-        assert_eq!(cfg.obs.deep_sample_every, 64);
         assert_eq!(cfg.obs.slow_threshold, Duration::from_millis(500));
     }
 
@@ -203,14 +194,12 @@ mod tests {
             ("MAD_SERVE_BATCH_DELAY_MS", "soon"),
             ("MAD_SERVE_OBS", "OFF"),
             ("MAD_SERVE_TRACE_RING", "0"),
-            ("MAD_SERVE_DEEP_EVERY", "0"),
             ("MAD_SERVE_SLOW_MS", "25"),
         ]);
         assert_eq!(cfg.batch.max_batch, 1, "a group holds at least one job");
         assert_eq!(cfg.batch.max_delay, Duration::from_millis(2));
         assert!(!cfg.obs.enabled);
         assert_eq!(cfg.obs.ring_capacity, 1);
-        assert_eq!(cfg.obs.deep_sample_every, 0);
         assert_eq!(cfg.obs.slow_threshold, Duration::from_millis(25));
         let cfg = with(&[
             ("MAD_SERVE_BATCH_SIZE", "3"),

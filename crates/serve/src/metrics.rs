@@ -3,9 +3,10 @@
 //!
 //! Everything is lock-free atomics so the hot path (one histogram update
 //! and a few counter bumps per request) never contends. The dump also
-//! folds in the key cache's counters and, when the `telemetry` feature is
-//! on, the `fhe-math` key-expansion totals — tying the serving layer's
-//! view ("cache miss") to the library's view ("bytes regenerated").
+//! folds in the key cache's counters and the `fhe-math` key-expansion
+//! totals — tying the serving layer's view ("cache miss") to the
+//! library's view ("bytes regenerated"). Those totals are the process's:
+//! two servers in one process read the same pair.
 
 use crate::cache::CacheStats;
 use crate::obs::Stage;

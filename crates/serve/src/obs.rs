@@ -24,22 +24,21 @@
 //! configurable threshold, in a bounded structured slow-request log
 //! annotated with the dominant stage.
 //!
-//! On top of the cheap always-on recording, every Nth request (the
-//! `deep_sample_every` knob) is *deep-sampled*: when the crate is built
-//! with the `telemetry` feature, the worker bridges into
-//! `fhe_math::telemetry` span tracing for that one request, so its
-//! timeline additionally carries the kernel sub-spans (`Rotate`,
-//! `KeySwitch`, `ModUp`, `NTT`…) recorded by the math layer. Deep
-//! capture uses the math layer's single global trace, so at most one
-//! request is deep-sampled at a time and a user-initiated trace is
-//! never clobbered (`trace_try_start`).
+//! Every request that runs a handler also carries the kernel sub-spans
+//! (`ModUp`, `KSKInnerProd`, `ModDown`, `Mult`, `Prog.<Mnemonic>`…) the math
+//! layer opened on the worker's own thread while it ran: the execution
+//! guard turns on `fhe_math::telemetry`'s per-thread span capture and
+//! moves the list, at most [`MAX_SUBSPANS`] long, into the timeline when
+//! the handler returns. Nothing process-global is switched on and no
+//! other worker's spans can land in the list, so concurrent requests each
+//! get their own.
 
 use crate::config::ObsConfig;
 use crate::metrics::Metrics;
 use crate::protocol::Opcode;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -109,8 +108,6 @@ pub(crate) struct RequestTrace {
     shard: u32,
     /// When the frame was parsed; every offset below is relative to it.
     start: Instant,
-    /// Chosen for deep sampling (kernel sub-span capture) at accept.
-    deep: bool,
     /// Offset when the reader enqueued the job (timeline anchor for the
     /// queue/hold spans).
     enqueued_us: AtomicU64,
@@ -122,7 +119,7 @@ pub(crate) struct RequestTrace {
     /// Total handler execution time.
     exec_us: AtomicU64,
     stage_us: [AtomicU64; Stage::ALL.len()],
-    /// Kernel sub-spans captured by a deep sample, absolute offsets.
+    /// Kernel sub-spans of the handler run, offsets from `start`.
     subspans: Mutex<Vec<SubSpan>>,
 }
 
@@ -173,12 +170,12 @@ impl RequestTrace {
     }
 }
 
-/// One kernel sub-span captured by a deep sample, offsets relative to
+/// One kernel sub-span of a request's handler run, offsets relative to
 /// the request's accept time.
 #[derive(Debug, Clone)]
 pub struct SubSpan {
-    /// Span name as recorded by `fhe_math::telemetry` (`Rotate`,
-    /// `KeySwitch`, `ModUp`, `NTT`…).
+    /// Span name as recorded by `fhe_math::telemetry` (`ModUp`,
+    /// `KSKInnerProd`, `ModDown`, `Mult`…).
     pub name: &'static str,
     /// Span open, µs after the request was accepted.
     pub begin_us: u64,
@@ -210,10 +207,9 @@ pub struct FinishedTrace {
     pub exec_begin_us: u64,
     /// Handler execution time in µs.
     pub exec_us: u64,
-    /// Whether this request was deep-sampled.
-    pub deep: bool,
-    /// Kernel sub-spans (non-empty only for deep samples under the
-    /// `telemetry` feature).
+    /// Kernel sub-spans the handler's thread opened, in open order (the
+    /// first [`MAX_SUBSPANS`]; empty for jointly-executed rotations,
+    /// which run outside the per-job guard).
     pub subspans: Vec<SubSpan>,
 }
 
@@ -329,18 +325,14 @@ pub(crate) fn time_stage<T>(stage: Stage, f: impl FnOnce() -> T) -> T {
     }
 }
 
-/// The server's tracing state: id source, deep-sampling gate, the ring
-/// of finished timelines, and the slow-request log.
+/// The server's tracing state: id source, the ring of finished
+/// timelines, and the slow-request log.
 pub(crate) struct Observer {
     cfg: ObsConfig,
     /// When the server started; `FinishedTrace::start_us` offsets are
     /// relative to it so one dump shares a single timebase.
     epoch: Instant,
     next_id: AtomicU64,
-    deep_tick: AtomicU64,
-    /// At most one deep sample at a time — the math layer's trace
-    /// buffer is global.
-    deep_inflight: AtomicBool,
     ring: TraceRing,
     slow: Mutex<VecDeque<String>>,
 }
@@ -348,13 +340,17 @@ pub(crate) struct Observer {
 /// Retained slow-request log lines.
 const SLOW_LOG_CAPACITY: usize = 128;
 
+/// Kernel sub-spans kept per request (the first this many its handler
+/// opens): a served rotate opens 3, a mult 6 and a two-feature HELR step
+/// 123, so only a long program is cut, and the ring holds at most
+/// `ring_capacity` times this many whatever is served.
+pub const MAX_SUBSPANS: usize = 256;
+
 impl Observer {
     pub(crate) fn new(cfg: ObsConfig) -> Self {
         Self {
             epoch: Instant::now(),
             next_id: AtomicU64::new(1),
-            deep_tick: AtomicU64::new(0),
-            deep_inflight: AtomicBool::new(false),
             ring: TraceRing::new(cfg.ring_capacity),
             slow: Mutex::new(VecDeque::new()),
             cfg,
@@ -367,17 +363,11 @@ impl Observer {
         if !self.cfg.enabled {
             return None;
         }
-        let deep = self.cfg.deep_sample_every != 0
-            && self
-                .deep_tick
-                .fetch_add(1, Relaxed)
-                .is_multiple_of(self.cfg.deep_sample_every);
         Some(Arc::new(RequestTrace {
             id: self.next_id.fetch_add(1, Relaxed),
             op,
             shard,
             start: Instant::now(),
-            deep,
             enqueued_us: AtomicU64::new(0),
             wait_from_us: AtomicU64::new(0),
             exec_begin_us: AtomicU64::new(0),
@@ -389,32 +379,22 @@ impl Observer {
 
     /// Marks handler execution for `trace` on the current thread:
     /// stamps the execution window, installs the thread-local for stage
-    /// attribution, and — for a deep sample — bridges into the math
-    /// layer's span tracing. Drop the guard *before* sending the reply,
-    /// so the reader can never finish a trace mid-update.
-    pub(crate) fn enter_exec(&self, trace: &Arc<RequestTrace>) -> ExecGuard<'_> {
-        trace.exec_begin_us.store(trace.elapsed_us(), Relaxed);
+    /// attribution, and turns on the thread's span capture. Drop the
+    /// guard *before* sending the reply, so the reader can never finish
+    /// a trace mid-update.
+    pub(crate) fn enter_exec(&self, trace: &Arc<RequestTrace>) -> ExecGuard {
+        // One reading for both ends of the window, so a sub-span can
+        // never end after `exec_begin_us + exec_us`.
+        let start = Instant::now();
+        trace.exec_begin_us.store(
+            start.duration_since(trace.start).as_micros() as u64,
+            Relaxed,
+        );
         CURRENT.with(|c| *c.borrow_mut() = Some(trace.clone()));
-        let deep = trace.deep
-            && self
-                .deep_inflight
-                .compare_exchange(false, true, Relaxed, Relaxed)
-                .is_ok();
-        let deep = if deep {
-            if fhe_math::telemetry::trace_try_start() {
-                true
-            } else {
-                self.deep_inflight.store(false, Relaxed);
-                false
-            }
-        } else {
-            false
-        };
+        fhe_math::telemetry::capture_spans(MAX_SUBSPANS);
         ExecGuard {
-            obs: self,
             trace: trace.clone(),
-            start: Instant::now(),
-            deep,
+            start,
         }
     }
 
@@ -455,8 +435,7 @@ impl Observer {
             enqueued_us: trace.enqueued_us.load(Relaxed),
             exec_begin_us: trace.exec_begin_us.load(Relaxed),
             exec_us,
-            deep: trace.deep,
-            subspans: trace.subspans.lock().expect("poisoned").clone(),
+            subspans: std::mem::take(&mut *trace.subspans.lock().expect("poisoned")),
         };
         if total_us >= self.cfg.slow_threshold.as_micros() as u64 {
             let mut slow = self.slow.lock().expect("poisoned");
@@ -499,66 +478,30 @@ impl Observer {
 }
 
 /// RAII execution marker returned by [`Observer::enter_exec`].
-pub(crate) struct ExecGuard<'a> {
-    obs: &'a Observer,
+pub(crate) struct ExecGuard {
     trace: Arc<RequestTrace>,
     start: Instant,
-    deep: bool,
 }
 
-impl Drop for ExecGuard<'_> {
+impl Drop for ExecGuard {
     fn drop(&mut self) {
         self.trace
             .exec_us
             .store(self.start.elapsed().as_micros() as u64, Relaxed);
         CURRENT.with(|c| *c.borrow_mut() = None);
-        if self.deep {
-            let records = fhe_math::telemetry::trace_stop();
-            self.obs.deep_inflight.store(false, Relaxed);
-            let base = self.trace.exec_begin_us.load(Relaxed);
-            *self.trace.subspans.lock().expect("poisoned") = subspans_from_records(&records, base);
+        let since_accept = |at: Instant| at.duration_since(self.trace.start).as_micros() as u64;
+        let subspans = fhe_math::telemetry::capture_spans(0)
+            .into_iter()
+            .map(|s| SubSpan {
+                name: s.name,
+                begin_us: since_accept(s.begin),
+                end_us: since_accept(s.end),
+            })
+            .collect();
+        if let Ok(mut slot) = self.trace.subspans.lock() {
+            *slot = subspans;
         }
     }
-}
-
-/// Pairs `SpanBegin`/`SpanEnd` records into [`SubSpan`]s, shifting the
-/// trace-relative timestamps onto the request timeline (`base` = the
-/// request offset where the math trace started). Unclosed spans (a
-/// panic mid-kernel) are dropped.
-fn subspans_from_records(records: &[fhe_math::telemetry::TraceRecord], base: u64) -> Vec<SubSpan> {
-    use fhe_math::telemetry::TraceRecord;
-    let mut out = Vec::new();
-    let mut stack: Vec<(usize, u64, &'static str)> = Vec::new();
-    for r in records {
-        match *r {
-            TraceRecord::SpanBegin { name, ts_us } => {
-                stack.push((out.len(), ts_us, name));
-                out.push(SubSpan {
-                    name,
-                    begin_us: base + ts_us,
-                    end_us: base + ts_us,
-                });
-            }
-            TraceRecord::SpanEnd { name, ts_us } => {
-                // Spans are RAII so ends match opens LIFO; tolerate
-                // interleavings from other threads by matching by name.
-                if let Some(pos) = stack.iter().rposition(|&(_, _, n)| n == name) {
-                    let (idx, _, _) = stack.remove(pos);
-                    out[idx].end_us = base + ts_us;
-                }
-            }
-            _ => {}
-        }
-    }
-    // Drop never-closed spans (their end would lie).
-    let open: Vec<usize> = stack.iter().map(|&(idx, _, _)| idx).collect();
-    let mut i = 0;
-    out.retain(|_| {
-        let keep = !open.contains(&i);
-        i += 1;
-        keep
-    });
-    out
 }
 
 fn json_escape(s: &str) -> String {
@@ -579,10 +522,9 @@ fn json_escape(s: &str) -> String {
 
 /// Renders timelines as Chrome trace-event JSON, one event per line:
 /// a complete (`"ph": "X"`) slice per request, per attributed stage,
-/// and per deep kernel sub-span. Stage slices inside the execution
-/// window are an
-/// *attribution* view — decode/key/serialize/kernel time drawn as
-/// consecutive slices, since the real intervals interleave. Deep
+/// and per kernel sub-span. Stage slices inside the execution window
+/// are an *attribution* view — decode/key/serialize/kernel time drawn
+/// as consecutive slices, since the real intervals interleave. Kernel
 /// sub-spans keep their true timestamps and render on a companion
 /// `kernels` track so the two views never violate slice nesting.
 pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
@@ -658,7 +600,7 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
             let ts = (t.start_us + t.total_us).saturating_sub(write_us);
             event(&mut out, slice("write", ts, write_us, tid));
         }
-        // Deep kernel sub-spans on a companion track, true timestamps.
+        // Kernel sub-spans on a companion track, true timestamps.
         if !t.subspans.is_empty() {
             let ktid = t.id + KERNEL_TRACK_OFFSET;
             event(
@@ -686,7 +628,7 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
     out
 }
 
-/// Offset separating a request's attribution track from its deep
+/// Offset separating a request's attribution track from its
 /// kernel-span track in the exported trace.
 pub const KERNEL_TRACK_OFFSET: u64 = 1 << 32;
 
@@ -709,7 +651,6 @@ mod tests {
             enqueued_us: 1,
             exec_begin_us: total_us / 4,
             exec_us: total_us / 2,
-            deep: false,
             subspans: Vec::new(),
         }
     }
@@ -753,7 +694,6 @@ mod tests {
         let obs = Observer::new(ObsConfig {
             enabled: true,
             ring_capacity: 8,
-            deep_sample_every: 0,
             slow_threshold: Duration::ZERO,
         });
         let trace = obs.begin(Opcode::Add, 0).expect("enabled");
@@ -810,35 +750,28 @@ mod tests {
     }
 
     #[test]
-    fn subspan_pairing_tolerates_unclosed_spans() {
-        use fhe_math::telemetry::TraceRecord;
-        let records = [
-            TraceRecord::SpanBegin {
-                name: "Rotate",
-                ts_us: 0,
-            },
-            TraceRecord::SpanBegin {
-                name: "KeySwitch",
-                ts_us: 2,
-            },
-            TraceRecord::SpanEnd {
-                name: "KeySwitch",
-                ts_us: 9,
-            },
-            TraceRecord::SpanBegin {
-                name: "Orphan",
-                ts_us: 10,
-            },
-            TraceRecord::SpanEnd {
-                name: "Rotate",
-                ts_us: 12,
-            },
-        ];
-        let spans = subspans_from_records(&records, 100);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "Rotate");
-        assert_eq!((spans[0].begin_us, spans[0].end_us), (100, 112));
-        assert_eq!(spans[1].name, "KeySwitch");
-        assert_eq!((spans[1].begin_us, spans[1].end_us), (102, 109));
+    fn a_request_keeps_its_first_subspans_up_to_the_cap() {
+        let metrics = Metrics::new();
+        let obs = Observer::new(ObsConfig::baseline());
+        let trace = obs.begin(Opcode::RunProgram, 0).expect("enabled");
+        {
+            let _g = obs.enter_exec(&trace);
+            let _outer = fhe_math::telemetry::span("outer");
+            for _ in 0..MAX_SUBSPANS + 10 {
+                drop(fhe_math::telemetry::span("inner"));
+            }
+        }
+        // Spans opened once the guard is gone belong to no request.
+        drop(fhe_math::telemetry::span("late"));
+        obs.finish(&metrics, &trace, 0);
+        let t = &obs.recent()[0];
+        assert_eq!(t.subspans.len(), MAX_SUBSPANS);
+        assert_eq!(t.subspans[0].name, "outer");
+        assert!(t.subspans[1..].iter().all(|s| s.name == "inner"));
+        let exec_end = t.exec_begin_us + t.exec_us + 1;
+        for s in &t.subspans {
+            assert!(t.exec_begin_us <= s.begin_us && s.begin_us <= s.end_us);
+            assert!(s.end_us <= exec_end, "{s:?} ends after exec ({exec_end})");
+        }
     }
 }

@@ -12,26 +12,32 @@
 //!    accounting audit of the dequeue paths.
 //! 4. **Hold attribution**: a request held by the batching scheduler
 //!    reports that hold under `batch_hold`, not `queue`.
-//! 5. (With `--features telemetry`) **deep sampling**: a deep-sampled
-//!    request's timeline carries kernel sub-spans bridged from
-//!    `fhe_math::telemetry`.
+//! 5. **Kernel sub-spans**: every request's timeline carries the
+//!    `fhe_math::telemetry` spans its own worker thread opened — the same
+//!    names whether it ran alone or beside another worker — and the
+//!    metrics dump counts the key expansions behind the cache's misses.
 
 use ckks::{
     Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, GaloisKeys, KeyGenerator, SecretKey,
 };
 use fhe_math::cfft::Complex;
+use fhe_serve::obs::FinishedTrace;
 use fhe_serve::{
     BatchConfig, BatchHint, Client, EvictionPolicy, ObsConfig, ServeConfig, Server, Stage,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn test_ctx() -> Arc<CkksContext> {
+    ctx_with_log_degree(5)
+}
+
+fn ctx_with_log_degree(log_degree: u32) -> Arc<CkksContext> {
     CkksContext::new(
         CkksParams::builder()
-            .log_degree(5)
+            .log_degree(log_degree)
             .levels(3)
             .scale_bits(30)
             .first_modulus_bits(36)
@@ -97,7 +103,6 @@ fn obs_on() -> ObsConfig {
     ObsConfig {
         enabled: true,
         ring_capacity: 64,
-        deep_sample_every: 0,
         slow_threshold: Duration::ZERO,
     }
 }
@@ -143,6 +148,27 @@ fn metric_f64(dump: &str, name: &str) -> f64 {
         .trim()
         .parse()
         .unwrap()
+}
+
+/// The finished `rotate` timelines, once `want` of them are in the ring.
+/// A reply reaches its client before the shard loop closes the books on
+/// the trace (the write stage ends at the flush), so wait for the traces
+/// to land instead of racing the loop for them.
+fn rotate_traces(server: &Server, want: usize) -> Vec<FinishedTrace> {
+    let asked = Instant::now();
+    loop {
+        let mut rotates = server.recent_traces();
+        rotates.retain(|t| t.op == "rotate");
+        if rotates.len() >= want {
+            return rotates;
+        }
+        assert!(
+            asked.elapsed() < Duration::from_secs(5),
+            "{want} rotates were traced, found {}",
+            rotates.len()
+        );
+        std::thread::yield_now();
+    }
 }
 
 #[test]
@@ -241,7 +267,11 @@ fn trace_dump_is_perfetto_loadable_with_contained_slices() {
 
 #[test]
 fn stage_latencies_sum_to_end_to_end_with_ordered_quantiles() {
-    let ctx = test_ctx();
+    // N = 2^11: a rotate's kernel stage is hundreds of µs, so the
+    // thread-wakeup gaps (tens of µs) cannot be half of end-to-end. At
+    // N = 2^5 the kernel is ~30 µs, the gaps' own size, and the lower
+    // bound below tripped once in a few hundred runs.
+    let ctx = ctx_with_log_degree(11);
     let tenant = make_tenant(&ctx, 2002);
     // One worker: no cross-request concurrency inside the pool, so the
     // stage attribution has nothing racing it.
@@ -390,25 +420,7 @@ fn batch_hold_is_attributed_to_its_own_stage() {
     client.upload_galois(info.session, &tenant.gk).unwrap();
     client.rotate(info.session, &tenant.a, 1).unwrap();
 
-    // The reply reaches the client before the shard loop closes the
-    // books on its trace (the write stage ends at the flush), so wait for
-    // the trace to land instead of racing the loop for it.
-    let landed = Instant::now();
-    let t = loop {
-        let traces = server.recent_traces();
-        let rotate = traces
-            .into_iter()
-            .filter(|t| t.op == "rotate")
-            .max_by_key(|t| t.total_us);
-        match rotate {
-            Some(t) => break t,
-            None => assert!(
-                landed.elapsed() < Duration::from_secs(5),
-                "rotate was traced"
-            ),
-        }
-        std::thread::yield_now();
-    };
+    let t = rotate_traces(&server, 1).remove(0);
     let hold = t.stage_us(Stage::BatchHold);
     assert!(
         hold >= 50_000,
@@ -425,22 +437,12 @@ fn batch_hold_is_attributed_to_its_own_stage() {
     server.shutdown();
 }
 
-/// Deep sampling bridges the math layer's spans into the request
-/// timeline — only meaningful when the spans are compiled in.
-#[cfg(feature = "telemetry")]
+/// The math layer's spans land in the request timeline.
 #[test]
 fn deep_sample_bridges_kernel_subspans() {
     let ctx = test_ctx();
     let tenant = make_tenant(&ctx, 5005);
-    let server = start_server(
-        &ctx,
-        1,
-        batch_off(),
-        ObsConfig {
-            deep_sample_every: 1,
-            ..obs_on()
-        },
-    );
+    let server = start_server(&ctx, 1, batch_off(), obs_on());
     let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
     let info = client.hello_ext(BatchHint::Auto).unwrap();
     client.upload_galois(info.session, &tenant.gk).unwrap();
@@ -450,9 +452,7 @@ fn deep_sample_bridges_kernel_subspans() {
     let json = client.trace_dump().unwrap();
     server.shutdown();
 
-    // Every request was eligible; serial requests mean the single
-    // global trace slot was always free, so the rotates deep-sampled
-    // and captured the hoisted-rotation span stack.
+    // Every rotate captured the hoisted-rotation span stack.
     assert!(
         json.contains("kernels"),
         "no kernel companion track:\n{json}"
@@ -469,7 +469,7 @@ fn deep_sample_bridges_kernel_subspans() {
         ]
         .iter()
         .any(|n| json.contains(&format!("\"name\": \"{n}\""))),
-        "no kernel sub-span in the deep-sampled timeline:\n{json}"
+        "no kernel sub-span in the timeline:\n{json}"
     );
     // Sub-spans sit inside the request's execution window on the
     // companion track (tid offset by the kernel-track constant).
@@ -480,4 +480,115 @@ fn deep_sample_bridges_kernel_subspans() {
             .any(|l| field_u64(l, "tid").is_some_and(|t| t >= ktrack)),
         "kernel spans not on the companion track"
     );
+}
+
+/// Two workers in kernels at once: each request's timeline holds the
+/// spans of its own handler run and of nothing else.
+#[test]
+fn concurrent_rotates_each_carry_their_own_subspans() {
+    const ROUNDS: usize = 16;
+    // N = 2^11 keeps a rotate in its kernels for around a millisecond, so
+    // two requests released together are in them together.
+    let ctx = ctx_with_log_degree(11);
+    let server = start_server(
+        &ctx,
+        2,
+        batch_off(),
+        ObsConfig {
+            ring_capacity: 128,
+            ..obs_on()
+        },
+    );
+    let connect = |seed: u64| {
+        let tenant = make_tenant(&ctx, seed);
+        let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+        let session = client.hello_ext(BatchHint::Auto).unwrap().session;
+        client.upload_galois(session, &tenant.gk).unwrap();
+        (client, session, tenant.a)
+    };
+    let names = |t: &FinishedTrace| t.subspans.iter().map(|s| s.name).collect::<Vec<_>>();
+
+    // What a lone rotate carries.
+    let mut first = connect(6006);
+    first.0.rotate(first.1, &first.2, 1).unwrap();
+    let lone = names(&rotate_traces(&server, 1)[0]);
+    assert_eq!(lone, ["ModUp", "KSKInnerProd", "ModDown"], "hoisted rotate");
+
+    let second = connect(6007);
+    let release = Barrier::new(2);
+    std::thread::scope(|s| {
+        for (mut client, session, ct) in [first, second] {
+            let release = &release;
+            s.spawn(move || {
+                for _ in 0..ROUNDS {
+                    release.wait();
+                    client.rotate(session, &ct, 1).unwrap();
+                }
+            });
+        }
+    });
+
+    let traces = rotate_traces(&server, 1 + 2 * ROUNDS);
+    assert_eq!(traces.len(), 1 + 2 * ROUNDS);
+    let window = |t: &FinishedTrace| {
+        let begin = t.start_us + t.exec_begin_us;
+        (begin, begin + t.exec_us)
+    };
+    for t in &traces {
+        assert_eq!(names(t), lone, "request {} beside another worker", t.id);
+        // Inside its own exec window (1 µs: three truncated stamps).
+        let exec_end = t.exec_begin_us + t.exec_us + 1;
+        for s in &t.subspans {
+            assert!(
+                t.exec_begin_us <= s.begin_us && s.begin_us <= s.end_us && s.end_us <= exec_end,
+                "request {}: {s:?} outside exec [{}, {exec_end}]",
+                t.id,
+                t.exec_begin_us
+            );
+        }
+    }
+    // The check above means something only if handlers did run two at a
+    // time.
+    let overlapped = traces.iter().any(|a| {
+        let (a0, a1) = window(a);
+        traces.iter().any(|b| {
+            let (b0, b1) = window(b);
+            a.id != b.id && a0 < b1 && b0 < a1
+        })
+    });
+    assert!(
+        overlapped,
+        "no two exec windows overlapped in {ROUNDS} rounds"
+    );
+    server.shutdown();
+}
+
+/// The key cache's misses are switching-key expansions, and the metrics
+/// dump says how many the process has paid for.
+#[test]
+fn metrics_dump_counts_the_expansions_behind_cache_misses() {
+    let ctx = test_ctx();
+    let tenant = make_tenant(&ctx, 7007);
+    let server = start_server(&ctx, 1, batch_off(), obs_on());
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let info = client.hello_ext(BatchHint::Auto).unwrap();
+    client.upload_galois(info.session, &tenant.gk).unwrap();
+    // Cold, then warm.
+    for _ in 0..4 {
+        client.rotate(info.session, &tenant.a, 1).unwrap();
+    }
+    let stats = server.cache_stats();
+    let dump = client.metrics().unwrap();
+    server.shutdown();
+
+    assert!(stats.misses >= 1 && stats.hits >= 1, "{stats:?}");
+    // The counter is the process's: servers of this binary's other tests
+    // add to it, none subtracts.
+    let expansions = metric(&dump, "serve_key_expansions_total");
+    assert!(
+        expansions >= stats.misses,
+        "{expansions} expansions counted, {} cache misses",
+        stats.misses
+    );
+    assert!(metric(&dump, "serve_key_expansion_bytes_total") > 0);
 }

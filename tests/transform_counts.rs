@@ -150,8 +150,18 @@ fn rescale_transform_counts_match_model() {
 
 #[test]
 fn counters_reset_cleanly() {
+    use mad::math::telemetry;
     let _guard = serial();
+    // `counters` and the telemetry snapshot are two views of one pair of
+    // atomics: a key switch moves both alike, a reset zeroes both.
+    let (ctx, ct, rlk) = fresh_ciphertext(LEVELS);
+    let _ = keyswitch(&ctx, ct.c1(), rlk.switching_key());
+    let snap = telemetry::snapshot();
+    assert!(snap.ntt_fwd > 0 && snap.ntt_inv > 0);
+    assert_eq!(counters::forward_count(), snap.ntt_fwd);
+    assert_eq!(counters::inverse_count(), snap.ntt_inv);
     counters::reset();
     assert_eq!(counters::forward_count(), 0);
     assert_eq!(counters::inverse_count(), 0);
+    assert_eq!(telemetry::snapshot().transforms(), 0);
 }
