@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Hot kernels index several slices in lockstep (limbs, roots, outputs);
 // the explicit-index form mirrors the paper's pseudocode and stays clear.

@@ -18,6 +18,7 @@ use crate::keys::{GaloisKeys, RelinKey, SwitchingKey};
 use crate::plaintext::{Ciphertext, Plaintext};
 use fhe_math::poly::{mod_down_with, pmod_up_with, rescale_with, RnsPoly};
 use fhe_math::telemetry;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -73,17 +74,75 @@ impl Evaluator {
         }
     }
 
+    /// The first `ell` limbs of `p`, copied into storage leased from the
+    /// scratch pool — the buffer an elementwise op accumulates into and
+    /// returns. Like a clone, the copy is not a traced kernel pass.
+    fn lease_prefix(&self, p: &RnsPoly, ell: usize) -> RnsPoly {
+        let basis = self.ctx.level_basis(ell).clone();
+        let mut out = RnsPoly::leased(basis, p.representation(), self.ctx.scratch());
+        let len = out.flat().len();
+        out.flat_mut().copy_from_slice(&p.flat()[..len]);
+        out
+    }
+
+    /// The operand an elementwise op only reads, at `ell` limbs: `p`
+    /// itself when it is already there, otherwise a pooled prefix copy
+    /// that [`Evaluator::release`] hands straight back.
+    fn restricted<'p>(&self, p: &'p RnsPoly, ell: usize) -> Cow<'p, RnsPoly> {
+        if p.limb_count() == ell {
+            Cow::Borrowed(p)
+        } else {
+            Cow::Owned(self.lease_prefix(p, ell))
+        }
+    }
+
+    fn release(&self, p: Cow<'_, RnsPoly>) {
+        if let Cow::Owned(p) = p {
+            p.recycle(self.ctx.scratch());
+        }
+    }
+
+    /// `a` at `ell` limbs in pool-leased storage, with `op(c_i, b_i)`
+    /// applied to each component against `b` at the same level — the
+    /// shared body of [`Evaluator::add`] and [`Evaluator::sub`].
+    fn combine(
+        &self,
+        a: &Ciphertext,
+        b: &Ciphertext,
+        op: impl Fn(&mut RnsPoly, &RnsPoly),
+    ) -> Ciphertext {
+        Self::check_scales(a.scale, b.scale);
+        let ell = a.limb_count().min(b.limb_count());
+        let mut c0 = self.lease_prefix(&a.c0, ell);
+        let mut c1 = self.lease_prefix(&a.c1, ell);
+        for (c, b) in [(&mut c0, &b.c0), (&mut c1, &b.c1)] {
+            let b = self.restricted(b, ell);
+            op(c, &b);
+            self.release(b);
+        }
+        Ciphertext::new(c0, c1, a.scale)
+    }
+
+    /// `a` at the common level of `a` and `pt` in pool-leased storage, and
+    /// `pt`'s polynomial at that level — what every ciphertext × plaintext
+    /// op starts from. The caller releases the plaintext side.
+    fn with_plain<'p>(&self, a: &Ciphertext, pt: &'p Plaintext) -> (Ciphertext, Cow<'p, RnsPoly>) {
+        let ell = a.limb_count().min(pt.limb_count());
+        let out = Ciphertext::new(
+            self.lease_prefix(&a.c0, ell),
+            self.lease_prefix(&a.c1, ell),
+            a.scale,
+        );
+        (out, self.restricted(&pt.poly, ell))
+    }
+
     /// `Add`: homomorphic addition of two ciphertexts.
     ///
     /// # Panics
     ///
     /// Panics if the scales disagree beyond tolerance.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        Self::check_scales(a.scale, b.scale);
-        let (mut a, b) = self.align_levels(a, b);
-        a.c0.add_assign(&b.c0);
-        a.c1.add_assign(&b.c1);
-        a
+        self.combine(a, b, RnsPoly::add_assign)
     }
 
     /// Homomorphic subtraction.
@@ -92,11 +151,7 @@ impl Evaluator {
     ///
     /// Panics if the scales disagree beyond tolerance.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        Self::check_scales(a.scale, b.scale);
-        let (mut a, b) = self.align_levels(a, b);
-        a.c0.sub_assign(&b.c0);
-        a.c1.sub_assign(&b.c1);
-        a
+        self.combine(a, b, RnsPoly::sub_assign)
     }
 
     /// Homomorphic negation.
@@ -114,14 +169,10 @@ impl Evaluator {
     /// Panics if the scales disagree beyond tolerance.
     pub fn add_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         Self::check_scales(a.scale, pt.scale);
-        let ell = a.limb_count().min(pt.limb_count());
-        let mut a = self.drop_to(a, ell);
-        if pt.limb_count() == ell {
-            a.c0.add_assign(&pt.poly);
-        } else {
-            a.c0.add_assign(&pt.poly.drop_to(ell));
-        }
-        a
+        let (mut out, p) = self.with_plain(a, pt);
+        out.c0.add_assign(&p);
+        self.release(p);
+        out
     }
 
     /// Subtracts a plaintext from a ciphertext.
@@ -131,31 +182,21 @@ impl Evaluator {
     /// Panics if the scales disagree beyond tolerance.
     pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         Self::check_scales(a.scale, pt.scale);
-        let ell = a.limb_count().min(pt.limb_count());
-        let mut a = self.drop_to(a, ell);
-        if pt.limb_count() == ell {
-            a.c0.sub_assign(&pt.poly);
-        } else {
-            a.c0.sub_assign(&pt.poly.drop_to(ell));
-        }
-        a
+        let (mut out, p) = self.with_plain(a, pt);
+        out.c0.sub_assign(&p);
+        self.release(p);
+        out
     }
 
     /// `PtMult` without the trailing rescale: multiplies by a plaintext,
     /// leaving the product at scale `scale_ct · scale_pt`.
     pub fn mul_plain_no_rescale(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        let ell = a.limb_count().min(pt.limb_count());
-        let mut a = self.drop_to(a, ell);
-        if pt.limb_count() == ell {
-            a.c0.mul_assign_pointwise(&pt.poly);
-            a.c1.mul_assign_pointwise(&pt.poly);
-        } else {
-            let p = pt.poly.drop_to(ell);
-            a.c0.mul_assign_pointwise(&p);
-            a.c1.mul_assign_pointwise(&p);
-        }
-        a.scale *= pt.scale;
-        a
+        let (mut out, p) = self.with_plain(a, pt);
+        out.c0.mul_assign_pointwise(&p);
+        out.c1.mul_assign_pointwise(&p);
+        self.release(p);
+        out.scale *= pt.scale;
+        out
     }
 
     /// `PtMult` (Table 2): plaintext multiplication followed by `Rescale`.

@@ -38,6 +38,12 @@ impl Plaintext {
     pub fn limb_count(&self) -> usize {
         self.poly.limb_count()
     }
+
+    /// Returns the polynomial's storage to `pool` — where a plaintext
+    /// decoded by [`crate::serialize::lease_plaintext`] got it.
+    pub fn recycle(self, pool: &fhe_math::ScratchPool) {
+        self.poly.recycle(pool);
+    }
 }
 
 /// A CKKS ciphertext `(c_0, c_1)` with `Dec(ct) = c_0 + c_1·s`.

@@ -21,6 +21,7 @@ use crate::plaintext::{Ciphertext, Plaintext};
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::rns::RnsBasis;
 use fhe_math::sampling::sample_uniform_flat;
+use fhe_math::ScratchPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -62,14 +63,15 @@ impl fmt::Display for SerializeError {
 
 impl std::error::Error for SerializeError {}
 
-struct Writer(Vec<u8>);
+/// Appends `MADf` fields to a caller-owned buffer — a request frame or a
+/// reply under construction, so a payload is written where it is sent from.
+struct Writer<'a>(&'a mut Vec<u8>);
 
-impl Writer {
-    fn new() -> Self {
-        let mut w = Writer(Vec::new());
-        w.0.extend_from_slice(MAGIC);
-        w.0.push(VERSION);
-        w
+impl<'a> Writer<'a> {
+    fn new(out: &'a mut Vec<u8>) -> Self {
+        out.extend_from_slice(MAGIC);
+        out.push(VERSION);
+        Writer(out)
     }
     fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
@@ -77,13 +79,35 @@ impl Writer {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
+    /// All limbs of `p`: one reserve, then the words converted a block at a
+    /// time on the stack and appended — the destination is written once
+    /// and never zero-filled first.
     fn poly_limbs(&mut self, p: &RnsPoly) {
-        for i in 0..p.limb_count() {
-            for &x in p.limb(i) {
-                self.u64(x);
+        const BLOCK_WORDS: usize = 512;
+        self.0.reserve(8 * p.flat().len());
+        let mut block = [0u8; 8 * BLOCK_WORDS];
+        for words in p.flat().chunks(BLOCK_WORDS) {
+            let bytes = &mut block[..8 * words.len()];
+            for (dst, &x) in bytes.chunks_exact_mut(8).zip(words) {
+                dst.copy_from_slice(&x.to_le_bytes());
             }
+            self.0.extend_from_slice(bytes);
         }
     }
+}
+
+/// True when every word of `limb` is a residue below `q`, in one
+/// branch-free pass. Supported moduli are below `2^62`, so `x < q` exactly
+/// when `x − q` wraps negative while `x` itself has a clear top bit: the
+/// AND of `(x − q) & !x` over the limb keeps its sign bit iff no word is
+/// out of range. (A `max` fold decides the same thing but serializes on
+/// its compare — it measured slower than a branch per coefficient.)
+fn all_below(limb: &[u64], q: u64) -> bool {
+    debug_assert!(q < 1 << 62);
+    let ok = limb
+        .iter()
+        .fold(u64::MAX, |ok, &x| ok & x.wrapping_sub(q) & !x);
+    ok >> 63 == 1
 }
 
 struct Reader<'a> {
@@ -105,12 +129,12 @@ impl<'a> Reader<'a> {
         Ok(Reader { buf, pos: 5 })
     }
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], SerializeError> {
-        if self.pos + n > self.buf.len() {
+        let rest = &self.buf[self.pos..];
+        if n > rest.len() {
             return Err(SerializeError::Truncated);
         }
-        let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
-        Ok(s)
+        Ok(&rest[..n])
     }
     fn u32(&mut self) -> Result<u32, SerializeError> {
         Ok(u32::from_le_bytes(
@@ -122,28 +146,108 @@ impl<'a> Reader<'a> {
             self.bytes(8)?.try_into().expect("8 bytes"),
         ))
     }
-    fn poly(&mut self, basis: &Arc<RnsBasis>) -> Result<RnsPoly, SerializeError> {
+    /// Appends the limbs of one polynomial over `basis` to `flat`, a limb
+    /// at a time: bulk word copy, then the range check over the limb while
+    /// it is still in cache.
+    fn limbs(&mut self, basis: &RnsBasis, flat: &mut Vec<u64>) -> Result<(), SerializeError> {
         let n = basis.degree();
-        let mut flat = Vec::with_capacity(basis.len() * n);
-        for i in 0..basis.len() {
-            let q = basis.modulus(i).value();
-            for _ in 0..n {
-                let x = self.u64()?;
-                if x >= q {
-                    return Err(SerializeError::UnreducedResidue);
-                }
-                flat.push(x);
+        for m in basis.moduli() {
+            let bytes = self.bytes(8 * n)?;
+            let at = flat.len();
+            flat.extend(
+                bytes
+                    .chunks_exact(8)
+                    .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes"))),
+            );
+            if !all_below(&flat[at..], m.value()) {
+                return Err(SerializeError::UnreducedResidue);
             }
         }
-        Ok(RnsPoly::from_flat(
-            basis.clone(),
-            flat,
-            Representation::Evaluation,
-        ))
+        Ok(())
+    }
+    /// One polynomial over `basis`. With a `pool`, its storage is leased
+    /// there — for a request-scoped operand, whose holder recycles it so
+    /// the next decode or kernel output leases the same buffer. Without,
+    /// it is the caller's own heap buffer: a result a client keeps, or a
+    /// switching key, which the key cache owns until eviction frees it
+    /// (leasing those would drain the pool of the buffers kernels need
+    /// back).
+    fn poly(
+        &mut self,
+        basis: &Arc<RnsBasis>,
+        pool: Option<&ScratchPool>,
+    ) -> Result<RnsPoly, SerializeError> {
+        let len = basis.len() * basis.degree();
+        let mut flat = match pool {
+            Some(pool) => pool.take_vec(len),
+            None => Vec::with_capacity(len),
+        };
+        flat.clear();
+        match self.limbs(basis, &mut flat) {
+            Ok(()) => Ok(RnsPoly::from_flat(
+                basis.clone(),
+                flat,
+                Representation::Evaluation,
+            )),
+            Err(e) => {
+                if let Some(pool) = pool {
+                    pool.recycle_vec(flat);
+                }
+                Err(e)
+            }
+        }
+    }
+    /// A ciphertext's two components behind its header and scale.
+    fn ciphertext(
+        mut self,
+        ctx: &CkksContext,
+        pool: Option<&ScratchPool>,
+    ) -> Result<Ciphertext, SerializeError> {
+        let basis = self.level_basis(ctx)?;
+        let scale = f64::from_bits(self.u64()?);
+        let c0 = self.poly(basis, pool)?;
+        match self.poly(basis, pool) {
+            Ok(c1) => Ok(Ciphertext::new(c0, c1, scale)),
+            Err(e) => {
+                if let Some(pool) = pool {
+                    c0.recycle(pool);
+                }
+                Err(e)
+            }
+        }
+    }
+    /// A plaintext's polynomial behind its header and scale.
+    fn plaintext(
+        mut self,
+        ctx: &CkksContext,
+        pool: Option<&ScratchPool>,
+    ) -> Result<Plaintext, SerializeError> {
+        let basis = self.level_basis(ctx)?;
+        let scale = f64::from_bits(self.u64()?);
+        let poly = self.poly(basis, pool)?;
+        Ok(Plaintext { poly, scale })
+    }
+    /// The level basis a ciphertext or plaintext header names by its limb
+    /// count, with the header checked against it.
+    fn level_basis<'c>(
+        &mut self,
+        ctx: &'c CkksContext,
+    ) -> Result<&'c Arc<RnsBasis>, SerializeError> {
+        // Peek the limb count from the header to pick the basis.
+        let ell = match self.buf.get(9..13) {
+            Some(b) => u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize,
+            None => return Err(SerializeError::Truncated),
+        };
+        if ell == 0 || ell > ctx.params().levels() {
+            return Err(SerializeError::ModulusMismatch);
+        }
+        let basis = ctx.level_basis(ell);
+        check_basis_header(self, basis)?;
+        Ok(basis)
     }
 }
 
-fn write_basis_header(w: &mut Writer, basis: &RnsBasis) {
+fn write_basis_header(w: &mut Writer<'_>, basis: &RnsBasis) {
     w.u32(basis.degree() as u32);
     w.u32(basis.len() as u32);
     for m in basis.moduli() {
@@ -163,14 +267,20 @@ fn check_basis_header(r: &mut Reader<'_>, basis: &RnsBasis) -> Result<(), Serial
     Ok(())
 }
 
-/// Serializes a ciphertext.
-pub fn serialize_ciphertext(ct: &Ciphertext) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Appends a ciphertext's wire form to `out`.
+pub fn write_ciphertext(ct: &Ciphertext, out: &mut Vec<u8>) {
+    let mut w = Writer::new(out);
     write_basis_header(&mut w, ct.c0().basis());
     w.u64(ct.scale().to_bits());
     w.poly_limbs(ct.c0());
     w.poly_limbs(ct.c1());
-    w.0
+}
+
+/// Serializes a ciphertext.
+pub fn serialize_ciphertext(ct: &Ciphertext) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_ciphertext(ct, &mut out);
+    out
 }
 
 /// Deserializes a ciphertext against a context (the limb count selects the
@@ -184,30 +294,35 @@ pub fn deserialize_ciphertext(
     ctx: &CkksContext,
     bytes: &[u8],
 ) -> Result<Ciphertext, SerializeError> {
-    let mut r = Reader::new(bytes)?;
-    // Peek the limb count from the header to pick the basis.
-    if bytes.len() < 13 {
-        return Err(SerializeError::Truncated);
-    }
-    let ell = u32::from_le_bytes(bytes[9..13].try_into().expect("4 bytes")) as usize;
-    if ell == 0 || ell > ctx.params().levels() {
-        return Err(SerializeError::ModulusMismatch);
-    }
-    let basis = ctx.level_basis(ell).clone();
-    check_basis_header(&mut r, &basis)?;
-    let scale = f64::from_bits(r.u64()?);
-    let c0 = r.poly(&basis)?;
-    let c1 = r.poly(&basis)?;
-    Ok(Ciphertext::new(c0, c1, scale))
+    Reader::new(bytes)?.ciphertext(ctx, None)
+}
+
+/// [`deserialize_ciphertext`] into storage leased from the context's
+/// scratch pool: for an operand that lives as long as one request, whose
+/// holder hands it back with [`Ciphertext::recycle`] — a server decoding
+/// request after request then allocates for none of them.
+///
+/// # Errors
+///
+/// As [`deserialize_ciphertext`].
+pub fn lease_ciphertext(ctx: &CkksContext, bytes: &[u8]) -> Result<Ciphertext, SerializeError> {
+    Reader::new(bytes)?.ciphertext(ctx, Some(ctx.scratch()))
+}
+
+/// Appends a plaintext's wire form (one encoded polynomial plus its
+/// scale) to `out`.
+pub fn write_plaintext(pt: &Plaintext, out: &mut Vec<u8>) {
+    let mut w = Writer::new(out);
+    write_basis_header(&mut w, pt.poly().basis());
+    w.u64(pt.scale().to_bits());
+    w.poly_limbs(pt.poly());
 }
 
 /// Serializes a plaintext (one encoded polynomial plus its scale).
 pub fn serialize_plaintext(pt: &Plaintext) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_basis_header(&mut w, pt.poly().basis());
-    w.u64(pt.scale().to_bits());
-    w.poly_limbs(pt.poly());
-    w.0
+    let mut out = Vec::new();
+    write_plaintext(pt, &mut out);
+    out
 }
 
 /// Deserializes a plaintext against a context (the limb count selects the
@@ -218,26 +333,25 @@ pub fn serialize_plaintext(pt: &Plaintext) -> Vec<u8> {
 /// Returns [`SerializeError`] on malformed input or a modulus-chain
 /// mismatch.
 pub fn deserialize_plaintext(ctx: &CkksContext, bytes: &[u8]) -> Result<Plaintext, SerializeError> {
-    let mut r = Reader::new(bytes)?;
-    if bytes.len() < 13 {
-        return Err(SerializeError::Truncated);
-    }
-    let ell = u32::from_le_bytes(bytes[9..13].try_into().expect("4 bytes")) as usize;
-    if ell == 0 || ell > ctx.params().levels() {
-        return Err(SerializeError::ModulusMismatch);
-    }
-    let basis = ctx.level_basis(ell).clone();
-    check_basis_header(&mut r, &basis)?;
-    let scale = f64::from_bits(r.u64()?);
-    let poly = r.poly(&basis)?;
-    Ok(Plaintext { poly, scale })
+    Reader::new(bytes)?.plaintext(ctx, None)
 }
 
-/// Serializes a switching key. A seeded key is written in compressed form:
-/// the seed plus only the `b` polynomials (half the bytes); an unseeded
-/// key writes both polynomials per digit.
-pub fn serialize_switching_key(key: &SwitchingKey) -> Vec<u8> {
-    let mut w = Writer::new();
+/// [`deserialize_plaintext`] into storage leased from the context's
+/// scratch pool (see [`lease_ciphertext`]); hand it back with
+/// [`Plaintext::recycle`].
+///
+/// # Errors
+///
+/// As [`deserialize_plaintext`].
+pub fn lease_plaintext(ctx: &CkksContext, bytes: &[u8]) -> Result<Plaintext, SerializeError> {
+    Reader::new(bytes)?.plaintext(ctx, Some(ctx.scratch()))
+}
+
+/// Appends a switching key's wire form to `out`. A seeded key is written
+/// in compressed form: the seed plus only the `b` polynomials (half the
+/// bytes); an unseeded key writes both polynomials per digit.
+pub fn write_switching_key(key: &SwitchingKey, out: &mut Vec<u8>) {
+    let mut w = Writer::new(out);
     let basis = key.digits[0].a.basis();
     write_basis_header(&mut w, basis);
     w.u32(key.digits.len() as u32);
@@ -257,7 +371,13 @@ pub fn serialize_switching_key(key: &SwitchingKey) -> Vec<u8> {
             }
         }
     }
-    w.0
+}
+
+/// Serializes a switching key (see [`write_switching_key`]).
+pub fn serialize_switching_key(key: &SwitchingKey) -> Vec<u8> {
+    let mut out = Vec::new();
+    write_switching_key(key, &mut out);
+    out
 }
 
 /// Deserializes a switching key, regenerating the `a` components from the
@@ -295,7 +415,7 @@ pub fn deserialize_switching_key(
                 sample_uniform_flat(&mut rng, &moduli, n),
                 Representation::Evaluation,
             );
-            let b = r.poly(&basis)?;
+            let b = r.poly(&basis, None)?;
             digits.push(DigitKey { a, b });
         }
         Ok(SwitchingKey {
@@ -304,8 +424,8 @@ pub fn deserialize_switching_key(
         })
     } else {
         for _ in 0..digit_count {
-            let a = r.poly(&basis)?;
-            let b = r.poly(&basis)?;
+            let a = r.poly(&basis, None)?;
+            let b = r.poly(&basis, None)?;
             digits.push(DigitKey { a, b });
         }
         Ok(SwitchingKey { digits, seed: None })
@@ -318,18 +438,23 @@ pub fn deserialize_switching_key(
 /// so seeded keys stay at half size inside the bundle — the transferable
 /// form of uploading every hoisting key at once.
 pub fn serialize_galois_keys(keys: &GaloisKeys) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut out = Vec::new();
+    let mut w = Writer::new(&mut out);
     let mut entries: Vec<(u64, &SwitchingKey)> = keys.iter().collect();
     // Canonical element order so equal sets serialize identically.
     entries.sort_by_key(|&(k, _)| k);
     w.u32(entries.len() as u32);
     for (element, key) in entries {
-        let bytes = serialize_switching_key(key);
         w.u64(element);
-        w.u32(bytes.len() as u32);
-        w.0.extend_from_slice(&bytes);
+        // The entry's length is known only once the key is written:
+        // reserve the field, write the key in place, fill it in.
+        let len_at = w.0.len();
+        w.u32(0);
+        write_switching_key(key, w.0);
+        let len = (w.0.len() - len_at - 4) as u32;
+        w.0[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
     }
-    w.0
+    out
 }
 
 /// Splits a serialized Galois key set into `(galois_element, key bytes)`
@@ -598,6 +723,97 @@ mod tests {
             galois_key_set_entries(&bytes[..bytes.len() - 9]),
             Err(SerializeError::Truncated)
         ));
+    }
+
+    /// The writer this module had before the bulk one — a word at a time,
+    /// field by field — kept as the reference the bulk writer must match
+    /// byte for byte.
+    struct Reference(Vec<u8>);
+
+    impl Reference {
+        fn header(basis: &RnsBasis) -> Self {
+            let mut out = MAGIC.to_vec();
+            out.push(VERSION);
+            out.extend_from_slice(&(basis.degree() as u32).to_le_bytes());
+            out.extend_from_slice(&(basis.len() as u32).to_le_bytes());
+            for m in basis.moduli() {
+                out.extend_from_slice(&m.value().to_le_bytes());
+            }
+            Reference(out)
+        }
+        fn poly(&mut self, p: &RnsPoly) {
+            for i in 0..p.limb_count() {
+                for &x in p.limb(i) {
+                    self.0.extend_from_slice(&x.to_le_bytes());
+                }
+            }
+        }
+        fn ciphertext(ct: &Ciphertext) -> Vec<u8> {
+            let mut w = Self::header(ct.c0().basis());
+            w.0.extend_from_slice(&ct.scale().to_bits().to_le_bytes());
+            w.poly(ct.c0());
+            w.poly(ct.c1());
+            w.0
+        }
+        fn plaintext(pt: &Plaintext) -> Vec<u8> {
+            let mut w = Self::header(pt.poly().basis());
+            w.0.extend_from_slice(&pt.scale().to_bits().to_le_bytes());
+            w.poly(pt.poly());
+            w.0
+        }
+        fn switching_key(key: &SwitchingKey) -> Vec<u8> {
+            let mut w = Self::header(key.digits[0].a.basis());
+            w.0.extend_from_slice(&(key.digits.len() as u32).to_le_bytes());
+            w.0.push(u8::from(key.seed.is_some()));
+            if let Some(seed) = key.seed {
+                w.0.extend_from_slice(&seed);
+            }
+            for d in &key.digits {
+                if key.seed.is_none() {
+                    w.poly(&d.a);
+                }
+                w.poly(&d.b);
+            }
+            w.0
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn bulk_writer_equals_the_per_element_reference(
+            seed in proptest::prelude::any::<u64>(),
+            level in 1usize..=3,
+            re in -1.0f64..1.0,
+        ) {
+            let ctx = ctx();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keygen = KeyGenerator::new(ctx.clone());
+            let sk = keygen.secret_key(&mut rng);
+            let encoder = Encoder::new(ctx.clone());
+            let pt = encoder
+                .encode(&[Complex::new(re, -re)], level, ctx.params().scale())
+                .unwrap();
+            let ct = Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
+            proptest::prop_assert_eq!(serialize_ciphertext(&ct), Reference::ciphertext(&ct));
+            proptest::prop_assert_eq!(serialize_plaintext(&pt), Reference::plaintext(&pt));
+            for key in [
+                keygen.relin_key(&mut rng, &sk),
+                keygen.relin_key_compressed(&mut rng, &sk),
+            ] {
+                let key = key.switching_key();
+                proptest::prop_assert_eq!(
+                    serialize_switching_key(key),
+                    Reference::switching_key(key)
+                );
+            }
+            // The append-into form lands the same bytes behind whatever
+            // the buffer already holds.
+            let mut framed = b"header".to_vec();
+            write_ciphertext(&ct, &mut framed);
+            proptest::prop_assert_eq!(&framed[6..], &Reference::ciphertext(&ct)[..]);
+        }
     }
 
     #[test]

@@ -5,20 +5,27 @@
 //! payloads with [`ckks::serialize`], and exposes one method per opcode.
 //! Every call is strict request/response on one connection; open several
 //! clients for concurrency.
+//!
+//! A request is built where it is sent from: each method appends its
+//! fields to one reusable frame buffer, ciphertexts serialized in place
+//! behind their length prefixes, and the frame leaves in a single write.
+//! The reply body lands in a second reusable buffer and is decoded from
+//! there.
 
 use crate::fault::XorShift64;
 use crate::protocol::{
-    read_frame, write_frame, BatchHint, BodyReader, BodyWriter, ErrorCode, FrameRead, Opcode,
-    DEFAULT_MAX_FRAME_BYTES,
+    begin_frame, finish_frame, read_frame_into, BatchHint, BodyReader, BodyWriter, ErrorCode,
+    FrameRead, Opcode, DEFAULT_MAX_FRAME_BYTES, FRAME_HEADER_LEN,
 };
 use ckks::hoisting::LinearTransform;
 use ckks::serialize::{
-    deserialize_ciphertext, serialize_ciphertext, serialize_galois_keys, serialize_plaintext,
-    serialize_switching_key, SerializeError,
+    deserialize_ciphertext, serialize_galois_keys, serialize_switching_key, write_ciphertext,
+    write_plaintext, write_switching_key, SerializeError,
 };
 use ckks::{Ciphertext, CkksContext, GaloisKeys, Plaintext, SwitchingKey};
 use fhe_program::program::Program;
 use fhe_program::ExecInputs;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -84,6 +91,22 @@ pub struct HelloInfo {
 pub struct Client {
     stream: TcpStream,
     ctx: Arc<CkksContext>,
+    /// The request frame, built in place and reused call after call.
+    request: Vec<u8>,
+    /// The latest reply's body; its buffer is reused for the next.
+    reply: Vec<u8>,
+}
+
+/// Appends `ct` as a length-prefixed blob, serialized in place.
+fn ct_blob(w: &mut BodyWriter, ct: &Ciphertext) {
+    w.blob_with(|out| write_ciphertext(ct, out));
+}
+
+/// A frame begun in `buf` (its capacity reused), ready for body fields.
+fn begin_request(buf: &mut Vec<u8>) -> BodyWriter {
+    let mut frame = std::mem::take(buf);
+    begin_frame(&mut frame);
+    BodyWriter(frame)
 }
 
 impl Client {
@@ -95,7 +118,12 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A, ctx: Arc<CkksContext>) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Self { stream, ctx })
+        Ok(Self {
+            stream,
+            ctx,
+            request: Vec::new(),
+            reply: Vec::new(),
+        })
     }
 
     /// Bounds how long any single response read may block (`None` blocks
@@ -110,6 +138,46 @@ impl Client {
         self.stream.set_read_timeout(timeout)
     }
 
+    /// Sends `frame` — begun with [`begin_frame`], body appended — under
+    /// `tag` with one write, and reads the reply's body into `self.reply`.
+    fn exchange(&mut self, tag: u8, frame: &mut [u8]) -> Result<(), ClientError> {
+        finish_frame(frame, tag);
+        self.stream.write_all(frame)?;
+        let reply = std::mem::take(&mut self.reply);
+        match read_frame_into(&mut self.stream, DEFAULT_MAX_FRAME_BYTES, reply)? {
+            FrameRead::Frame(f) => {
+                self.reply = f.body;
+                if f.tag == 0 {
+                    return Ok(());
+                }
+                let code = ErrorCode::from_u8(f.tag)
+                    .ok_or_else(|| ClientError::Protocol(format!("unknown status {}", f.tag)))?;
+                Err(ClientError::Server {
+                    code,
+                    message: String::from_utf8_lossy(&self.reply).into_owned(),
+                })
+            }
+            FrameRead::Eof => Err(ClientError::Protocol("server closed connection".into())),
+            FrameRead::TooLarge(n) => Err(ClientError::Protocol(format!(
+                "oversize response ({n} bytes)"
+            ))),
+        }
+    }
+
+    /// One request/response: `build` appends the body to the connection's
+    /// request frame (kept for the next request unless this one was an
+    /// upload, [`Opcode::is_upload`]); the reply's body is left in
+    /// `self.reply`.
+    fn call(&mut self, tag: u8, build: impl FnOnce(&mut BodyWriter)) -> Result<(), ClientError> {
+        let mut w = begin_request(&mut self.request);
+        build(&mut w);
+        let sent = self.exchange(tag, &mut w.0);
+        if !Opcode::from_u8(tag).is_some_and(Opcode::is_upload) {
+            self.request = w.0;
+        }
+        sent
+    }
+
     /// Sends one raw frame and returns the response body on success.
     /// Public so protocol tests (and fuzzing drivers) can send frames no
     /// well-behaved method would.
@@ -119,35 +187,27 @@ impl Client {
     /// [`ClientError::Server`] for structured errors, [`ClientError::Io`]
     /// / [`ClientError::Protocol`] for transport trouble.
     pub fn call_raw(&mut self, tag: u8, body: &[u8]) -> Result<Vec<u8>, ClientError> {
-        write_frame(&mut self.stream, tag, body)?;
-        match read_frame(&mut self.stream, DEFAULT_MAX_FRAME_BYTES)? {
-            FrameRead::Frame(f) => {
-                if f.tag == 0 {
-                    Ok(f.body)
-                } else {
-                    let code = ErrorCode::from_u8(f.tag).ok_or_else(|| {
-                        ClientError::Protocol(format!("unknown status {}", f.tag))
-                    })?;
-                    Err(ClientError::Server {
-                        code,
-                        message: String::from_utf8_lossy(&f.body).into_owned(),
-                    })
-                }
-            }
-            FrameRead::Eof => Err(ClientError::Protocol("server closed connection".into())),
-            FrameRead::TooLarge(n) => Err(ClientError::Protocol(format!(
-                "oversize response ({n} bytes)"
-            ))),
-        }
+        self.call(tag, |w| {
+            w.raw(body);
+        })?;
+        Ok(std::mem::take(&mut self.reply))
     }
 
-    fn call(&mut self, op: Opcode, body: &[u8]) -> Result<Vec<u8>, ClientError> {
-        self.call_raw(op as u8, body)
+    fn call_ct(
+        &mut self,
+        op: Opcode,
+        build: impl FnOnce(&mut BodyWriter),
+    ) -> Result<Ciphertext, ClientError> {
+        self.call(op as u8, build)?;
+        Ok(deserialize_ciphertext(&self.ctx, &self.reply)?)
     }
 
-    fn call_ct(&mut self, op: Opcode, body: &[u8]) -> Result<Ciphertext, ClientError> {
-        let resp = self.call(op, body)?;
-        Ok(deserialize_ciphertext(&self.ctx, &resp)?)
+    /// Uploads stored wire bytes (a key, a key bundle, a program) to
+    /// `session`; the reply body is left in `self.reply`.
+    fn upload(&mut self, op: Opcode, session: u64, wire: &[u8]) -> Result<(), ClientError> {
+        self.call(op as u8, |w| {
+            w.u64(session).raw(wire);
+        })
     }
 
     /// Opens a session; the returned id scopes all uploaded keys.
@@ -177,7 +237,7 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn hello_ext(&mut self, hint: BatchHint) -> Result<HelloInfo, ClientError> {
-        let resp = self.call(Opcode::Hello, &[hint as u8])?;
+        let resp = self.call_raw(Opcode::Hello as u8, &[hint as u8])?;
         if resp.len() < 8 {
             return Err(ClientError::Protocol("short session id".into()));
         }
@@ -204,9 +264,10 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn upload_relin(&mut self, session: u64, key: &SwitchingKey) -> Result<(), ClientError> {
-        let mut w = BodyWriter::new();
-        w.u64(session).raw(&serialize_switching_key(key));
-        self.call(Opcode::UploadRelin, &w.0).map(|_| ())
+        self.call(Opcode::UploadRelin as u8, |w| {
+            w.u64(session);
+            write_switching_key(key, &mut w.0);
+        })
     }
 
     /// Uploads a Galois key bundle in one frame.
@@ -215,9 +276,7 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn upload_galois(&mut self, session: u64, keys: &GaloisKeys) -> Result<(), ClientError> {
-        let mut w = BodyWriter::new();
-        w.u64(session).raw(&serialize_galois_keys(keys));
-        self.call(Opcode::UploadGalois, &w.0).map(|_| ())
+        self.upload(Opcode::UploadGalois, session, &serialize_galois_keys(keys))
     }
 
     /// Closes a session, dropping its keys server-side.
@@ -226,9 +285,9 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn close_session(&mut self, session: u64) -> Result<(), ClientError> {
-        let mut w = BodyWriter::new();
-        w.u64(session);
-        self.call(Opcode::CloseSession, &w.0).map(|_| ())
+        self.call(Opcode::CloseSession as u8, |w| {
+            w.u64(session);
+        })
     }
 
     /// Homomorphic addition.
@@ -242,11 +301,11 @@ impl Client {
         a: &Ciphertext,
         b: &Ciphertext,
     ) -> Result<Ciphertext, ClientError> {
-        let mut w = BodyWriter::new();
-        w.u64(session)
-            .blob(&serialize_ciphertext(a))
-            .blob(&serialize_ciphertext(b));
-        self.call_ct(Opcode::Add, &w.0)
+        self.call_ct(Opcode::Add, |w| {
+            w.u64(session);
+            ct_blob(w, a);
+            ct_blob(w, b);
+        })
     }
 
     /// Ciphertext × plaintext multiplication (rescaled).
@@ -260,11 +319,11 @@ impl Client {
         ct: &Ciphertext,
         pt: &Plaintext,
     ) -> Result<Ciphertext, ClientError> {
-        let mut w = BodyWriter::new();
-        w.u64(session)
-            .blob(&serialize_ciphertext(ct))
-            .blob(&serialize_plaintext(pt));
-        self.call_ct(Opcode::PtMult, &w.0)
+        self.call_ct(Opcode::PtMult, |w| {
+            w.u64(session);
+            ct_blob(w, ct);
+            w.blob_with(|out| write_plaintext(pt, out));
+        })
     }
 
     /// Ciphertext multiplication using the session's relin key.
@@ -278,11 +337,11 @@ impl Client {
         a: &Ciphertext,
         b: &Ciphertext,
     ) -> Result<Ciphertext, ClientError> {
-        let mut w = BodyWriter::new();
-        w.u64(session)
-            .blob(&serialize_ciphertext(a))
-            .blob(&serialize_ciphertext(b));
-        self.call_ct(Opcode::Mult, &w.0)
+        self.call_ct(Opcode::Mult, |w| {
+            w.u64(session);
+            ct_blob(w, a);
+            ct_blob(w, b);
+        })
     }
 
     /// Slot rotation by `steps` using the session's Galois keys.
@@ -296,9 +355,10 @@ impl Client {
         ct: &Ciphertext,
         steps: i64,
     ) -> Result<Ciphertext, ClientError> {
-        let mut w = BodyWriter::new();
-        w.u64(session).i64(steps).raw(&serialize_ciphertext(ct));
-        self.call_ct(Opcode::Rotate, &w.0)
+        self.call_ct(Opcode::Rotate, |w| {
+            w.u64(session).i64(steps);
+            write_ciphertext(ct, &mut w.0);
+        })
     }
 
     /// Drops one scale limb.
@@ -307,9 +367,10 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn rescale(&mut self, session: u64, ct: &Ciphertext) -> Result<Ciphertext, ClientError> {
-        let mut w = BodyWriter::new();
-        w.u64(session).raw(&serialize_ciphertext(ct));
-        self.call_ct(Opcode::Rescale, &w.0)
+        self.call_ct(Opcode::Rescale, |w| {
+            w.u64(session);
+            write_ciphertext(ct, &mut w.0);
+        })
     }
 
     /// BSGS plaintext matrix–vector product with baby dimension `n1`. The
@@ -326,18 +387,18 @@ impl Client {
         lt: &LinearTransform,
         n1: usize,
     ) -> Result<Ciphertext, ClientError> {
-        let mut w = BodyWriter::new();
-        let offsets = lt.offsets();
-        w.u64(session).u32(n1 as u32).u32(offsets.len() as u32);
-        for d in offsets {
-            let diag = lt.diagonal(d).expect("offset listed by the transform");
-            w.u32(d as u32);
-            for c in diag {
-                w.f64(c.re).f64(c.im);
+        self.call_ct(Opcode::Bsgs, |w| {
+            let offsets = lt.offsets();
+            w.u64(session).u32(n1 as u32).u32(offsets.len() as u32);
+            for d in offsets {
+                let diag = lt.diagonal(d).expect("offset listed by the transform");
+                w.u32(d as u32);
+                for c in diag {
+                    w.f64(c.re).f64(c.im);
+                }
             }
-        }
-        w.raw(&serialize_ciphertext(ct));
-        self.call_ct(Opcode::Bsgs, &w.0)
+            write_ciphertext(ct, &mut w.0);
+        })
     }
 
     /// Uploads a serialized encrypted program; the server validates it
@@ -349,12 +410,8 @@ impl Client {
     /// See [`Client::call_raw`]; a program the server's parameters cannot
     /// host fails `Malformed` with the validator's diagnostic.
     pub fn upload_program(&mut self, session: u64, prog: &Program) -> Result<u64, ClientError> {
-        let mut w = BodyWriter::new();
-        w.u64(session).raw(&prog.to_bytes());
-        let resp = self.call(Opcode::UploadProgram, &w.0)?;
-        resp.get(..8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-            .ok_or_else(|| ClientError::Protocol("short program id".into()))
+        self.upload(Opcode::UploadProgram, session, &prog.to_bytes())?;
+        program_id(&self.reply)
     }
 
     /// Runs an uploaded program, binding `inputs` by declaration name,
@@ -371,11 +428,13 @@ impl Client {
         prog: &Program,
         inputs: &ExecInputs,
     ) -> Result<Vec<Ciphertext>, ClientError> {
-        let payload = encode_program_inputs(prog, inputs)?;
-        let mut w = BodyWriter::new();
-        w.u64(session).u64(pid).raw(&payload);
-        let resp = self.call(Opcode::RunProgram, &w.0)?;
-        decode_program_outputs(&self.ctx, prog.outputs.len(), &resp)
+        let mut w = begin_request(&mut self.request);
+        w.u64(session).u64(pid);
+        let sent = encode_program_inputs(&mut w, prog, inputs)
+            .and_then(|()| self.exchange(Opcode::RunProgram as u8, &mut w.0));
+        self.request = w.0;
+        sent?;
+        decode_program_outputs(&self.ctx, prog.outputs.len(), &self.reply)
     }
 
     /// Fetches the server's plain-text metrics dump.
@@ -384,7 +443,7 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let resp = self.call(Opcode::Metrics, &[])?;
+        let resp = self.call_raw(Opcode::Metrics as u8, &[])?;
         String::from_utf8(resp).map_err(|_| ClientError::Protocol("metrics not UTF-8".into()))
     }
 
@@ -395,7 +454,7 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn trace_dump(&mut self) -> Result<String, ClientError> {
-        let resp = self.call(Opcode::TraceDump, &[0])?;
+        let resp = self.call_raw(Opcode::TraceDump as u8, &[0])?;
         String::from_utf8(resp).map_err(|_| ClientError::Protocol("trace dump not UTF-8".into()))
     }
 
@@ -407,25 +466,28 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn slow_log(&mut self) -> Result<String, ClientError> {
-        let resp = self.call(Opcode::TraceDump, &[1])?;
+        let resp = self.call_raw(Opcode::TraceDump as u8, &[1])?;
         String::from_utf8(resp).map_err(|_| ClientError::Protocol("slow log not UTF-8".into()))
     }
 }
 
-/// Serializes a program's inputs in wire order — declaration order:
+/// Appends a program's inputs in wire order — declaration order:
 /// ciphertext blobs, then plaintext vectors (`u32` count + `f64` pairs),
 /// then matrix diagonals (declared offsets, `slots` `f64` pairs each).
 /// Fails client-side if any declared input is unbound or mis-shaped.
-fn encode_program_inputs(prog: &Program, inputs: &ExecInputs) -> Result<Vec<u8>, ClientError> {
+fn encode_program_inputs(
+    w: &mut BodyWriter,
+    prog: &Program,
+    inputs: &ExecInputs,
+) -> Result<(), ClientError> {
     let missing =
         |kind: &str, name: &str| ClientError::Protocol(format!("{kind} `{name}` not bound"));
-    let mut w = BodyWriter::new();
     for decl in &prog.ct_inputs {
         let ct = inputs
             .cts
             .get(&decl.name)
             .ok_or_else(|| missing("ciphertext input", &decl.name))?;
-        w.blob(&serialize_ciphertext(ct));
+        ct_blob(w, ct);
     }
     for decl in &prog.pt_inputs {
         let v = inputs
@@ -462,7 +524,14 @@ fn encode_program_inputs(prog: &Program, inputs: &ExecInputs) -> Result<Vec<u8>,
             }
         }
     }
-    Ok(w.0)
+    Ok(())
+}
+
+/// The `u64` program id an `UploadProgram` reply carries.
+fn program_id(resp: &[u8]) -> Result<u64, ClientError> {
+    resp.first_chunk::<8>()
+        .map(|b| u64::from_le_bytes(*b))
+        .ok_or_else(|| ClientError::Protocol("short program id".into()))
 }
 
 /// Decodes a `RunProgram` response: one ciphertext blob per program
@@ -595,7 +664,16 @@ pub struct RetryingClient {
     galois: Option<Vec<u8>>,
     programs: Vec<ProgramSlot>,
     stats: RetryStats,
+    /// The evaluation request being (re)sent: built once per operation,
+    /// outliving any one connection, its buffer reused by the next.
+    request: Vec<u8>,
 }
+
+/// Where a request frame carries its session id — the first body field of
+/// every session-scoped op — and, for `RunProgram`, the program id behind
+/// it: the two fields a retry re-stamps.
+const SESSION_AT: std::ops::Range<usize> = FRAME_HEADER_LEN..FRAME_HEADER_LEN + 8;
+const PROGRAM_AT: std::ops::Range<usize> = SESSION_AT.end..SESSION_AT.end + 8;
 
 /// A program uploaded through [`RetryingClient::upload_program`],
 /// retained for re-upload: the exact wire bytes (so a recovered session
@@ -659,6 +737,7 @@ impl RetryingClient {
             galois: None,
             programs: Vec::new(),
             stats: RetryStats::default(),
+            request: Vec::new(),
         };
         me.with_retry(|_, _| Ok(()))?;
         Ok(me)
@@ -687,27 +766,20 @@ impl RetryingClient {
         let sid = client.hello_ext(self.hint)?.session;
         // Re-upload the stored compressed key bytes verbatim: the
         // recovered session is byte-identical to the lost one.
-        if let Some(bytes) = &self.relin {
-            let mut w = BodyWriter::new();
-            w.u64(sid).raw(bytes);
-            client.call_raw(Opcode::UploadRelin as u8, &w.0)?;
-        }
-        if let Some(bytes) = &self.galois {
-            let mut w = BodyWriter::new();
-            w.u64(sid).raw(bytes);
-            client.call_raw(Opcode::UploadGalois as u8, &w.0)?;
+        let stored = [
+            (Opcode::UploadRelin, &self.relin),
+            (Opcode::UploadGalois, &self.galois),
+        ];
+        for (op, bytes) in stored {
+            if let Some(bytes) = bytes {
+                client.upload(op, sid, bytes)?;
+            }
         }
         // Re-upload stored program wire bytes, re-learning each slot's
         // server-side id under the new session.
         for slot in &mut self.programs {
-            let mut w = BodyWriter::new();
-            w.u64(sid).raw(&slot.wire);
-            let resp = client.call_raw(Opcode::UploadProgram as u8, &w.0)?;
-            let pid = resp
-                .get(..8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-                .ok_or_else(|| ClientError::Protocol("short program id".into()))?;
-            slot.pid = Some(pid);
+            client.upload(Opcode::UploadProgram, sid, &slot.wire)?;
+            slot.pid = Some(program_id(&client.reply)?);
         }
         self.conn = Some((client, sid));
         Ok(())
@@ -726,7 +798,7 @@ impl RetryingClient {
     /// may change between attempts.
     fn with_retry<T>(
         &mut self,
-        f: impl Fn(&mut Client, u64) -> Result<T, ClientError>,
+        mut f: impl FnMut(&mut Client, u64) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
         let mut attempt = 0u32;
         loop {
@@ -763,7 +835,7 @@ impl RetryingClient {
     fn with_retry_program<T>(
         &mut self,
         handle: ProgramHandle,
-        f: impl Fn(&mut Client, u64, u64) -> Result<T, ClientError>,
+        mut f: impl FnMut(&mut Client, u64, u64) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
         let mut attempt = 0u32;
         loop {
@@ -809,11 +881,7 @@ impl RetryingClient {
     pub fn upload_relin(&mut self, key: &SwitchingKey) -> Result<(), ClientError> {
         let bytes = serialize_switching_key(key);
         self.relin = Some(bytes.clone());
-        self.with_retry(move |client, sid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid).raw(&bytes);
-            client.call_raw(Opcode::UploadRelin as u8, &w.0).map(|_| ())
-        })
+        self.with_retry(|client, sid| client.upload(Opcode::UploadRelin, sid, &bytes))
     }
 
     /// Uploads (and stores for re-upload) a Galois key bundle.
@@ -824,13 +892,7 @@ impl RetryingClient {
     pub fn upload_galois(&mut self, keys: &GaloisKeys) -> Result<(), ClientError> {
         let bytes = serialize_galois_keys(keys);
         self.galois = Some(bytes.clone());
-        self.with_retry(move |client, sid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid).raw(&bytes);
-            client
-                .call_raw(Opcode::UploadGalois as u8, &w.0)
-                .map(|_| ())
-        })
+        self.with_retry(|client, sid| client.upload(Opcode::UploadGalois, sid, &bytes))
     }
 
     /// Uploads a program (and stores its wire bytes for re-upload on
@@ -843,14 +905,9 @@ impl RetryingClient {
     /// See [`RetryingClient::connect`].
     pub fn upload_program(&mut self, prog: &Program) -> Result<ProgramHandle, ClientError> {
         let wire = prog.to_bytes();
-        let wire_up = wire.clone();
-        let pid = self.with_retry(move |client, sid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid).raw(&wire_up);
-            let resp = client.call_raw(Opcode::UploadProgram as u8, &w.0)?;
-            resp.get(..8)
-                .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-                .ok_or_else(|| ClientError::Protocol("short program id".into()))
+        let pid = self.with_retry(|client, sid| {
+            client.upload(Opcode::UploadProgram, sid, &wire)?;
+            program_id(&client.reply)
         })?;
         self.programs.push(ProgramSlot {
             wire,
@@ -876,25 +933,48 @@ impl RetryingClient {
             .programs
             .get(handle.0)
             .ok_or_else(|| ClientError::Protocol("unknown program handle".into()))?;
-        let payload = encode_program_inputs(&slot.program, inputs)?;
         let n_outputs = slot.program.outputs.len();
+        // Session and program ids are stamped per attempt.
+        let mut w = begin_request(&mut self.request);
+        w.u64(0).u64(0);
+        let mut frame = match encode_program_inputs(&mut w, &slot.program, inputs) {
+            Ok(()) => w.0,
+            Err(e) => {
+                self.request = w.0;
+                return Err(e);
+            }
+        };
         let ctx = self.ctx.clone();
-        let resp = self.with_retry_program(handle, move |client, sid, pid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid).u64(pid).raw(&payload);
-            client.call_raw(Opcode::RunProgram as u8, &w.0)
-        })?;
-        decode_program_outputs(&ctx, n_outputs, &resp)
+        let result = self.with_retry_program(handle, |client, sid, pid| {
+            frame[SESSION_AT].copy_from_slice(&sid.to_le_bytes());
+            frame[PROGRAM_AT].copy_from_slice(&pid.to_le_bytes());
+            client.exchange(Opcode::RunProgram as u8, &mut frame)?;
+            decode_program_outputs(&ctx, n_outputs, &client.reply)
+        });
+        self.request = frame;
+        result
     }
 
+    /// One evaluation request, serialized exactly once: `build` appends
+    /// everything behind the session id, which each attempt re-stamps with
+    /// the current incarnation's before the same frame goes out again.
     fn call_ct(
         &mut self,
         op: Opcode,
-        make_body: impl Fn(u64) -> Vec<u8>,
+        build: impl FnOnce(&mut BodyWriter),
     ) -> Result<Ciphertext, ClientError> {
+        let mut w = begin_request(&mut self.request);
+        w.u64(0);
+        build(&mut w);
+        let mut frame = w.0;
         let ctx = self.ctx.clone();
-        let resp = self.with_retry(|client, sid| client.call_raw(op as u8, &make_body(sid)))?;
-        Ok(deserialize_ciphertext(&ctx, &resp)?)
+        let result = self.with_retry(|client, sid| {
+            frame[SESSION_AT].copy_from_slice(&sid.to_le_bytes());
+            client.exchange(op as u8, &mut frame)?;
+            Ok(deserialize_ciphertext(&ctx, &client.reply)?)
+        });
+        self.request = frame;
+        result
     }
 
     /// Homomorphic addition, with retries.
@@ -903,11 +983,9 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, ClientError> {
-        let (ab, bb) = (serialize_ciphertext(a), serialize_ciphertext(b));
-        self.call_ct(Opcode::Add, move |sid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid).blob(&ab).blob(&bb);
-            w.0
+        self.call_ct(Opcode::Add, |w| {
+            ct_blob(w, a);
+            ct_blob(w, b);
         })
     }
 
@@ -917,11 +995,9 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn mult(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, ClientError> {
-        let (ab, bb) = (serialize_ciphertext(a), serialize_ciphertext(b));
-        self.call_ct(Opcode::Mult, move |sid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid).blob(&ab).blob(&bb);
-            w.0
+        self.call_ct(Opcode::Mult, |w| {
+            ct_blob(w, a);
+            ct_blob(w, b);
         })
     }
 
@@ -931,11 +1007,9 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn pt_mult(&mut self, ct: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, ClientError> {
-        let (cb, pb) = (serialize_ciphertext(ct), serialize_plaintext(pt));
-        self.call_ct(Opcode::PtMult, move |sid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid).blob(&cb).blob(&pb);
-            w.0
+        self.call_ct(Opcode::PtMult, |w| {
+            ct_blob(w, ct);
+            w.blob_with(|out| write_plaintext(pt, out));
         })
     }
 
@@ -945,11 +1019,9 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn rotate(&mut self, ct: &Ciphertext, steps: i64) -> Result<Ciphertext, ClientError> {
-        let cb = serialize_ciphertext(ct);
-        self.call_ct(Opcode::Rotate, move |sid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid).i64(steps).raw(&cb);
-            w.0
+        self.call_ct(Opcode::Rotate, |w| {
+            w.i64(steps);
+            write_ciphertext(ct, &mut w.0);
         })
     }
 
@@ -959,12 +1031,7 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn rescale(&mut self, ct: &Ciphertext) -> Result<Ciphertext, ClientError> {
-        let cb = serialize_ciphertext(ct);
-        self.call_ct(Opcode::Rescale, move |sid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid).raw(&cb);
-            w.0
-        })
+        self.call_ct(Opcode::Rescale, |w| write_ciphertext(ct, &mut w.0))
     }
 
     /// Fetches the server's metrics dump, with retries.
@@ -990,13 +1057,7 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn close(mut self) -> Result<(), ClientError> {
-        let r = self.with_retry(|client, sid| {
-            let mut w = BodyWriter::new();
-            w.u64(sid);
-            client
-                .call_raw(Opcode::CloseSession as u8, &w.0)
-                .map(|_| ())
-        });
+        let r = self.with_retry(|client, sid| client.close_session(sid));
         self.conn = None;
         r
     }

@@ -1,8 +1,8 @@
 //! Execution: one parsed request in, one reply body out.
 //!
 //! [`handle`] decodes the body, runs the evaluator call(s) and serializes
-//! the result, attributing decode/serialize time to the executing
-//! request's trace. Keyed ops read their switching keys from the group's
+//! the result straight into the reply frame the shard loop will write,
+//! attributing decode/serialize time to the executing request's trace. Keyed ops read their switching keys from the group's
 //! [`PinnedKeys`] — handlers never touch the shard's `KeyCache` (the one
 //! exception is `CloseSession` purging the session's entries).
 
@@ -13,8 +13,8 @@ use crate::server::ServerState;
 use crate::session::{Session, StoredProgram};
 use ckks::hoisting::{apply_bsgs, rotate_hoisted, LinearTransform};
 use ckks::serialize::{
-    deserialize_ciphertext, deserialize_plaintext, deserialize_switching_key,
-    galois_key_set_entries, serialize_ciphertext,
+    deserialize_switching_key, galois_key_set_entries, lease_ciphertext, lease_plaintext,
+    write_ciphertext,
 };
 use ckks::Ciphertext;
 use fhe_math::cfft::Complex;
@@ -23,7 +23,9 @@ use fhe_program::{execute_validated, ExecError, ExecInputs, ExecKeys};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-pub(crate) type OpResult = Result<Vec<u8>, (ErrorCode, String)>;
+/// A handler's verdict; on `Ok` the reply body is whatever it appended to
+/// the reply frame.
+pub(crate) type OpResult = Result<(), (ErrorCode, String)>;
 
 fn fail<T>(code: ErrorCode, msg: impl Into<String>) -> Result<T, (ErrorCode, String)> {
     Err((code, msg.into()))
@@ -35,6 +37,7 @@ pub(crate) fn handle(
     body: &[u8],
     plan: &KeyPlan,
     keys: &PinnedKeys,
+    out: &mut Vec<u8>,
 ) -> OpResult {
     let mut r = BodyReader::new(body);
     match op {
@@ -49,10 +52,10 @@ pub(crate) fn handle(
             // scheduler present — always, since every keyed request takes
             // that route), then the active kernel-backend name in UTF-8.
             // Pre-backend clients read only the first 8 bytes.
-            let mut reply = sid.to_le_bytes().to_vec();
-            reply.push(1);
-            reply.extend_from_slice(state.ctx.kernel_backend().name().as_bytes());
-            Ok(reply)
+            out.extend_from_slice(&sid.to_le_bytes());
+            out.push(1);
+            out.extend_from_slice(state.ctx.kernel_backend().name().as_bytes());
+            Ok(())
         }
         Opcode::UploadRelin => {
             let (_sid, session) = need_session(state, &mut r)?;
@@ -63,7 +66,7 @@ pub(crate) fn handle(
                 return fail(ErrorCode::Malformed, "relin key bytes rejected");
             }
             session.set_relin(key_bytes.to_vec());
-            Ok(Vec::new())
+            Ok(())
         }
         Opcode::UploadGalois => {
             let (_sid, session) = need_session(state, &mut r)?;
@@ -77,7 +80,7 @@ pub(crate) fn handle(
             for (element, key_bytes) in entries {
                 session.set_galois(element, key_bytes.to_vec());
             }
-            Ok(Vec::new())
+            Ok(())
         }
         Opcode::CloseSession => {
             let sid = r.u64().ok_or_else(malformed)?;
@@ -86,7 +89,7 @@ pub(crate) fn handle(
                 .close(sid)
                 .map_err(|c| (c, format!("session {sid}")))?;
             state.cache.purge_session(sid);
-            Ok(Vec::new())
+            Ok(())
         }
         Opcode::UploadProgram => {
             let (_sid, session) = need_session(state, &mut r)?;
@@ -118,23 +121,26 @@ pub(crate) fn handle(
                 info,
                 program,
             });
-            Ok(pid.to_le_bytes().to_vec())
+            out.extend_from_slice(&pid.to_le_bytes());
+            Ok(())
         }
         Opcode::Add => {
             let (_sid, _session) = need_session(state, &mut r)?;
             let a = read_ct(state, r.blob().ok_or_else(malformed)?)?;
             let b = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            reply_ct(state, state.evaluator.add(&a, &b), [a, b])
+            reply_ct(state, out, state.evaluator.add(&a, &b), [a, b])
         }
         Opcode::PtMult => {
             let (_sid, _session) = need_session(state, &mut r)?;
             let ct = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let pt = deserialize_plaintext(&state.ctx, r.blob().ok_or_else(malformed)?)
+            let pt = lease_plaintext(&state.ctx, r.blob().ok_or_else(malformed)?)
                 .map_err(|e| (ErrorCode::Malformed, e.to_string()))?;
             if ct.limb_count() != pt.limb_count() || ct.limb_count() < 2 {
                 return fail(ErrorCode::Malformed, "plaintext level mismatch");
             }
-            reply_ct(state, state.evaluator.mul_plain(&ct, &pt), [ct])
+            let prod = state.evaluator.mul_plain(&ct, &pt);
+            pt.recycle(state.ctx.scratch());
+            reply_ct(state, out, prod, [ct])
         }
         Opcode::Mult => {
             let (_sid, _session) = need_session(state, &mut r)?;
@@ -144,14 +150,19 @@ pub(crate) fn handle(
                 return fail(ErrorCode::Malformed, "no level left to multiply at");
             }
             let rlk = keys.relin(state)?;
-            reply_ct(state, state.evaluator.mul_with_key(&a, &b, &rlk), [a, b])
+            reply_ct(
+                state,
+                out,
+                state.evaluator.mul_with_key(&a, &b, &rlk),
+                [a, b],
+            )
         }
         Opcode::Rotate => {
             let (_sid, _session) = need_session(state, &mut r)?;
             let steps = r.i64().ok_or_else(malformed)?;
             let ct = read_ct(state, r.rest())?;
             if steps == 0 {
-                return reply_ct(state, ct, []);
+                return reply_ct(state, out, ct, []);
             }
             let gk = keys.galois(state, &plan.galois)?;
             // The hoisted formulation, as in a hoist-sharing group:
@@ -159,10 +170,10 @@ pub(crate) fn handle(
             // bitwise — equal to the automorph-then-decompose order, so
             // group-of-k and group-of-1 stay byte-identical only if the
             // lone rotation hoists too.
-            let out = rotate_hoisted(&state.evaluator, &ct, &[steps], &gk)
+            let rotated = rotate_hoisted(&state.evaluator, &ct, &[steps], &gk)
                 .pop()
                 .expect("one step in, one ciphertext out");
-            reply_ct(state, out, [ct])
+            reply_ct(state, out, rotated, [ct])
         }
         Opcode::Rescale => {
             let (_sid, _session) = need_session(state, &mut r)?;
@@ -170,7 +181,7 @@ pub(crate) fn handle(
             if ct.limb_count() < 2 {
                 return fail(ErrorCode::Malformed, "no limb left to rescale away");
             }
-            reply_ct(state, state.evaluator.rescale(&ct), [ct])
+            reply_ct(state, out, state.evaluator.rescale(&ct), [ct])
         }
         Opcode::Bsgs => {
             let (_sid, _session) = need_session(state, &mut r)?;
@@ -193,8 +204,8 @@ pub(crate) fn handle(
             // The plan walked these same dimensions and offsets, so it
             // names exactly `bsgs_required_steps(&lt, n1)`.
             let gk = keys.galois(state, &plan.galois)?;
-            let out = apply_bsgs(&state.evaluator, &state.encoder, &ct, &lt, &gk, n1);
-            reply_ct(state, out, [ct])
+            let product = apply_bsgs(&state.evaluator, &state.encoder, &ct, &lt, &gk, n1);
+            reply_ct(state, out, product, [ct])
         }
         Opcode::RunProgram => {
             let (sid, session) = need_session(state, &mut r)?;
@@ -251,20 +262,28 @@ pub(crate) fn handle(
                 ExecKeys { relin, galois },
             )
             .map_err(exec_error)?;
-            let mut out = BodyWriter::new();
+            let mut reply = BodyWriter(std::mem::take(out));
             for (_name, ct) in &outs {
-                out.blob(&ser_ct(ct));
+                reply.blob_with(|out| ser_ct(ct, out));
             }
+            *out = reply.0;
             let spent = outs.into_iter().chain(inputs.cts).map(|(_name, ct)| ct);
             recycle(state, spent);
-            Ok(out.0)
+            Ok(())
         }
-        Opcode::Metrics => Ok(state.metrics_text().into_bytes()),
-        Opcode::TraceDump => match body.first().copied().unwrap_or(0) {
-            0 => Ok(state.obs.chrome_trace_json().into_bytes()),
-            1 => Ok(state.obs.slow_log().into_bytes()),
-            m => fail(ErrorCode::Malformed, format!("unknown trace-dump mode {m}")),
-        },
+        Opcode::Metrics => {
+            out.extend_from_slice(state.metrics_text().as_bytes());
+            Ok(())
+        }
+        Opcode::TraceDump => {
+            let dump = match body.first().copied().unwrap_or(0) {
+                0 => state.obs.chrome_trace_json(),
+                1 => state.obs.slow_log(),
+                m => return fail(ErrorCode::Malformed, format!("unknown trace-dump mode {m}")),
+            };
+            out.extend_from_slice(dump.as_bytes());
+            Ok(())
+        }
     }
 }
 
@@ -311,14 +330,14 @@ pub(crate) fn read_ct(
     bytes: &[u8],
 ) -> Result<Ciphertext, (ErrorCode, String)> {
     obs::time_stage(Stage::Decode, || {
-        deserialize_ciphertext(&state.ctx, bytes).map_err(|e| (ErrorCode::Malformed, e.to_string()))
+        lease_ciphertext(&state.ctx, bytes).map_err(|e| (ErrorCode::Malformed, e.to_string()))
     })
 }
 
-/// Serializes a result ciphertext, attributing the time to the
-/// executing request's serialize stage.
-fn ser_ct(ct: &Ciphertext) -> Vec<u8> {
-    obs::time_stage(Stage::Serialize, || serialize_ciphertext(ct))
+/// Serializes a result ciphertext onto the reply, attributing the time to
+/// the executing request's serialize stage.
+fn ser_ct(ct: &Ciphertext, out: &mut Vec<u8>) {
+    obs::time_stage(Stage::Serialize, || write_ciphertext(ct, out))
 }
 
 /// Hands ciphertexts a request is done with to the context's scratch
@@ -330,13 +349,15 @@ pub(crate) fn recycle(state: &ServerState, spent: impl IntoIterator<Item = Ciphe
     }
 }
 
-/// The reply carrying `out`, with `out` and the `spent` operands recycled.
+/// Makes `result` the reply body, then recycles it and the `spent`
+/// operands.
 fn reply_ct(
     state: &ServerState,
-    out: Ciphertext,
+    out: &mut Vec<u8>,
+    result: Ciphertext,
     spent: impl IntoIterator<Item = Ciphertext>,
 ) -> OpResult {
-    let body = ser_ct(&out);
-    recycle(state, spent.into_iter().chain([out]));
-    Ok(body)
+    ser_ct(&result, out);
+    recycle(state, spent.into_iter().chain([result]));
+    Ok(())
 }

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! A multi-tenant FHE evaluation server built on the `ckks` crate —

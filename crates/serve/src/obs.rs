@@ -129,9 +129,11 @@ impl RequestTrace {
     }
 
     /// Adds a measured duration to `stage` (also used from outside the
-    /// handler: a group's shared pin phase, the reply flush).
+    /// handler: a group's shared pin phase, the reply flush). A stage that
+    /// ran is on the timeline: one that finished inside a microsecond —
+    /// serializing a toy-ring ciphertext does — counts as one, not none.
     pub(crate) fn add_stage(&self, stage: Stage, d: Duration) {
-        self.stage_us[stage.index()].fetch_add(d.as_micros() as u64, Relaxed);
+        self.stage_us[stage.index()].fetch_add((d.as_micros() as u64).max(1), Relaxed);
     }
 
     /// Reader-side: the job is about to enter a queue.

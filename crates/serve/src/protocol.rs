@@ -15,7 +15,7 @@
 //! [`ckks::serialize`] byte forms, nested inside the frame body with
 //! `u32` length prefixes wherever more than one payload shares a body.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Protocol version carried in every frame.
 pub const PROTOCOL_VERSION: u8 = 1;
@@ -115,6 +115,18 @@ impl Opcode {
             Opcode::Metrics => "metrics",
             Opcode::TraceDump => "trace_dump",
         }
+    }
+
+    /// Whether this op uploads a key, a key bundle or a program — by far
+    /// the largest frames a session sends, and among its rarest. Frame
+    /// buffers are reused from one evaluation request to the next, but
+    /// not kept after one of these: that would hold megabytes per
+    /// connection for a frame that may never recur.
+    pub(crate) fn is_upload(self) -> bool {
+        matches!(
+            self,
+            Opcode::UploadRelin | Opcode::UploadGalois | Opcode::UploadProgram
+        )
     }
 
     /// Every opcode, for metrics registration.
@@ -258,24 +270,41 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
-/// Writes one frame: `[len][version][tag][body]`.
-pub fn write_frame<W: Write>(w: &mut W, tag: u8, body: &[u8]) -> std::io::Result<()> {
-    let len = (2 + body.len()) as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[PROTOCOL_VERSION, tag])?;
-    w.write_all(body)?;
-    w.flush()
+/// Bytes of frame header in front of every body: `[u32 length][version][tag]`.
+pub const FRAME_HEADER_LEN: usize = 6;
+
+/// Starts a frame in `buf`: whatever it held is discarded (its capacity is
+/// kept) and room for the header is reserved, so the body can be built in
+/// place — serialized straight into the buffer that goes on the wire —
+/// and [`finish_frame`] fills the header in once the length is known.
+pub fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.resize(FRAME_HEADER_LEN, 0);
 }
 
-/// The exact byte sequence [`write_frame`] would emit, as one buffer.
-/// Used where a frame must be manipulated before hitting the wire — the
-/// chaos layer's torn-frame injection, fuzzers mutating valid frames.
+/// Completes a frame started with [`begin_frame`]: everything after the
+/// reserved header is the body, `tag` its opcode or status.
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than a header, or its body overflows the
+/// `u32` length field (no frame this crate builds comes near it; a peer
+/// would refuse it at [`DEFAULT_MAX_FRAME_BYTES`] anyway).
+pub fn finish_frame(buf: &mut [u8], tag: u8) {
+    let len = u32::try_from(buf.len() - 4).expect("frame body exceeds the u32 length field");
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    buf[4] = PROTOCOL_VERSION;
+    buf[5] = tag;
+}
+
+/// One frame, `[len][version][tag][body]`, as one buffer. Used where a
+/// frame exists as bytes before it hits the wire — fuzzers mutating valid
+/// frames, tests writing a frame in slices.
 pub fn frame_bytes(tag: u8, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(6 + body.len());
-    out.extend_from_slice(&((2 + body.len()) as u32).to_le_bytes());
-    out.push(PROTOCOL_VERSION);
-    out.push(tag);
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + body.len());
+    begin_frame(&mut out);
     out.extend_from_slice(body);
+    finish_frame(&mut out, tag);
     out
 }
 
@@ -303,9 +332,51 @@ pub enum FrameRead {
     TooLarge(u32),
 }
 
+/// Least capacity [`read_into`] keeps ahead of the bytes a buffer holds.
+const READ_AHEAD_MIN: usize = 64 << 10;
+
+/// Appends up to `want` bytes from `r` to `buf`, read straight into the
+/// buffer's spare capacity — no bounce buffer, no zero-fill. Capacity the
+/// buffer already has (a recycled one) is used as it is; *new* capacity is
+/// reserved only up to `max(64 KiB, 2 × the bytes held)`, so the memory a
+/// peer makes us commit follows the bytes it has sent, not the length it
+/// announced. Returns the bytes appended — fewer than `want` means end of
+/// stream. On an error (`WouldBlock` included) whatever arrived before it
+/// is already in `buf`.
+pub(crate) fn read_into<R: Read>(
+    r: &mut R,
+    buf: &mut Vec<u8>,
+    want: usize,
+) -> std::io::Result<usize> {
+    let start = buf.len();
+    while buf.len() - start < want {
+        let held = buf.len();
+        let ahead = (2 * held).max(READ_AHEAD_MIN).max(buf.capacity()) - held;
+        let step = (want - (held - start)).min(ahead);
+        buf.reserve_exact(step);
+        r.by_ref().take(step as u64).read_to_end(buf)?;
+        if buf.len() - held < step {
+            break;
+        }
+    }
+    Ok(buf.len() - start)
+}
+
 /// Reads one frame. `max_len` bounds the length field; I/O errors
 /// (including read timeouts) surface as `Err`.
 pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> std::io::Result<FrameRead> {
+    read_frame_into(r, max_len, Vec::new())
+}
+
+/// [`read_frame`] with the body read into `body` — cleared first, its
+/// capacity reused — so a caller that reads reply after reply allocates
+/// for the largest once. The buffer comes back as [`Frame::body`]; on any
+/// other outcome it is dropped.
+pub fn read_frame_into<R: Read>(
+    r: &mut R,
+    max_len: u32,
+    mut body: Vec<u8>,
+) -> std::io::Result<FrameRead> {
     let mut len_buf = [0u8; 4];
     // Distinguish clean EOF (no bytes at all) from a torn frame.
     match r.read(&mut len_buf) {
@@ -323,12 +394,16 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: u32) -> std::io::Result<FrameRead
     if len > max_len {
         return Ok(FrameRead::TooLarge(len));
     }
-    let mut rest = vec![0u8; len as usize];
-    r.read_exact(&mut rest)?;
-    let body = rest.split_off(2);
+    let mut head = [0u8; 2];
+    r.read_exact(&mut head)?;
+    body.clear();
+    let want = len as usize - 2;
+    if read_into(r, &mut body, want)? < want {
+        return Err(std::io::ErrorKind::UnexpectedEof.into());
+    }
     Ok(FrameRead::Frame(Frame {
-        version: rest[0],
-        tag: rest[1],
+        version: head[0],
+        tag: head[1],
         body,
     }))
 }
@@ -385,13 +460,15 @@ pub fn take_frame(buf: &mut Vec<u8>) -> Frame {
     let FrameStatus::Ready { wire_len } = peek_frame(buf, u32::MAX) else {
         panic!("take_frame without a Ready peek");
     };
-    let mut wire: Vec<u8> = buf.drain(..wire_len).collect();
-    let body = wire.split_off(6);
-    Frame {
-        version: wire[4],
-        tag: wire[5],
-        body,
-    }
+    let frame = Frame {
+        version: buf[4],
+        tag: buf[5],
+        body: buf[FRAME_HEADER_LEN..wire_len].to_vec(),
+    };
+    // Whatever follows the frame moves to the front; nothing does when the
+    // buffer held exactly one frame.
+    buf.drain(..wire_len);
+    frame
 }
 
 /// Incremental little-endian body writer for multi-payload requests.
@@ -430,8 +507,17 @@ impl BodyWriter {
     }
     /// Appends a `u32` length prefix followed by the bytes.
     pub fn blob(&mut self, bytes: &[u8]) -> &mut Self {
-        self.u32(bytes.len() as u32);
-        self.0.extend_from_slice(bytes);
+        self.blob_with(|out| out.extend_from_slice(bytes))
+    }
+    /// Appends a `u32` length prefix followed by whatever `write` appends
+    /// — a payload serialized in place, its length filled in afterwards,
+    /// instead of serialized elsewhere and copied in.
+    pub fn blob_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> &mut Self {
+        let len_at = self.0.len();
+        self.u32(0);
+        write(&mut self.0);
+        let len = (self.0.len() - len_at - 4) as u32;
+        self.0[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
         self
     }
 }
@@ -497,8 +583,7 @@ mod tests {
 
     #[test]
     fn frame_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, Opcode::Add as u8, b"payload").unwrap();
+        let buf = frame_bytes(Opcode::Add as u8, b"payload");
         let mut cursor = &buf[..];
         match read_frame(&mut cursor, DEFAULT_MAX_FRAME_BYTES).unwrap() {
             FrameRead::Frame(f) => {
@@ -550,10 +635,84 @@ mod tests {
     }
 
     #[test]
-    fn frame_bytes_matches_write_frame() {
-        let mut streamed = Vec::new();
-        write_frame(&mut streamed, Opcode::Mult as u8, b"abc").unwrap();
-        assert_eq!(streamed, frame_bytes(Opcode::Mult as u8, b"abc"));
+    fn frame_layout_is_length_version_tag_body() {
+        let frame = frame_bytes(Opcode::Mult as u8, b"abc");
+        assert_eq!(
+            frame,
+            [5, 0, 0, 0, PROTOCOL_VERSION, 0x13, b'a', b'b', b'c']
+        );
+        // Built in place over a dirty buffer, the frame is the same bytes.
+        let mut buf = vec![0xff; 64];
+        begin_frame(&mut buf);
+        buf.extend_from_slice(b"abc");
+        finish_frame(&mut buf, Opcode::Mult as u8);
+        assert_eq!(buf, frame);
+    }
+
+    /// A reader that hands out its bytes `step` at a time.
+    struct Dribble<'a>(&'a [u8], usize);
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.1.min(out.len()).min(self.0.len());
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn read_into_commits_capacity_only_as_bytes_arrive() {
+        let data: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+        // The peer announced 64 MiB and sent 1 MiB in 1000-byte reads.
+        let mut r = Dribble(&data, 1000);
+        let mut buf = Vec::new();
+        let got = read_into(&mut r, &mut buf, 64 << 20).unwrap();
+        assert_eq!(got, data.len(), "short count reports end of stream");
+        assert_eq!(buf, data);
+        assert!(
+            buf.capacity() <= 2 * data.len(),
+            "capacity {} for {} bytes received",
+            buf.capacity(),
+            data.len()
+        );
+        // A recycled buffer's own capacity is used without regrowing.
+        buf.clear();
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        let mut r = Dribble(&data, 70_000);
+        assert_eq!(read_into(&mut r, &mut buf, data.len()).unwrap(), data.len());
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+        assert_eq!(buf, data);
+        // Nothing is read past `want`.
+        let mut r = Dribble(&data, 7);
+        let mut few = Vec::new();
+        assert_eq!(read_into(&mut r, &mut few, 10).unwrap(), 10);
+        assert_eq!(r.0.len(), data.len() - 10);
+    }
+
+    #[test]
+    fn read_frame_into_reuses_the_body_buffer() {
+        let big = vec![7u8; 100_000];
+        let mut stream = frame_bytes(0, &big);
+        stream.extend_from_slice(&frame_bytes(0, b"small"));
+        let mut cursor = Dribble(&stream, 4096);
+        let FrameRead::Frame(first) =
+            read_frame_into(&mut cursor, DEFAULT_MAX_FRAME_BYTES, Vec::new()).unwrap()
+        else {
+            panic!("first frame");
+        };
+        assert_eq!(first.body, big);
+        let ptr = first.body.as_ptr();
+        let FrameRead::Frame(second) =
+            read_frame_into(&mut cursor, DEFAULT_MAX_FRAME_BYTES, first.body).unwrap()
+        else {
+            panic!("second frame");
+        };
+        assert_eq!(second.body, b"small");
+        assert_eq!(second.body.as_ptr(), ptr, "the buffer was reused");
+        // A body cut short is an error, not a short frame.
+        let torn = &frame_bytes(0, &big)[..5000];
+        assert!(read_frame(&mut Dribble(torn, 512), DEFAULT_MAX_FRAME_BYTES).is_err());
     }
 
     #[test]
@@ -619,6 +778,14 @@ mod tests {
         let mut w = BodyWriter::new();
         w.u64(7).blob(b"abc").i64(-2).f64(0.5);
         let bytes = w.0.clone();
+        // A blob written in place frames the same bytes as one copied in.
+        let mut in_place = BodyWriter::new();
+        in_place
+            .u64(7)
+            .blob_with(|out| out.extend_from_slice(b"abc"))
+            .i64(-2)
+            .f64(0.5);
+        assert_eq!(in_place.0, bytes);
         let mut r = BodyReader::new(&bytes);
         assert_eq!(r.u64(), Some(7));
         assert_eq!(r.blob(), Some(&b"abc"[..]));

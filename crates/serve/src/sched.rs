@@ -26,11 +26,11 @@ use crate::fault::FaultDecision;
 use crate::metrics::Metrics;
 use crate::obs::{RequestTrace, Stage};
 use crate::plan::{rotate_ct, KeyClass, KeyPlan, PinnedKeys};
-use crate::protocol::{BatchHint, ErrorCode, Opcode};
+use crate::protocol::{begin_frame, BatchHint, ErrorCode, Opcode, FRAME_HEADER_LEN};
 use crate::server::ServerState;
 use crate::transport::ReplySignal;
 use ckks::hoisting::rotate_hoisted;
-use ckks::serialize::serialize_ciphertext;
+use ckks::serialize::write_ciphertext;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,10 +38,19 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendErr
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// One parsed request on its way to a worker.
+/// One parsed request on its way to a worker. It carries the
+/// connection's two buffers with it — the request frame exactly as it was
+/// read, and the (empty) buffer the reply is built in — and both ride
+/// back in the [`Reply`], so a connection allocates for its largest
+/// request and reply once.
 pub(crate) struct Job {
     pub(crate) op: Opcode,
-    pub(crate) body: Vec<u8>,
+    /// The whole request frame as read off the socket; the body starts
+    /// behind the header ([`Job::body`]).
+    pub(crate) frame: Vec<u8>,
+    /// Where the reply frame is built: cleared, capacity kept from the
+    /// connection's previous reply.
+    pub(crate) out: Vec<u8>,
     /// The switching keys this request needs, derived at frame parse.
     pub(crate) plan: KeyPlan,
     /// When this request's deadline clock started. The shard loop stamps
@@ -50,7 +59,7 @@ pub(crate) struct Job {
     /// choice and must not be double-counted against the per-op
     /// deadline.
     pub(crate) deadline_start: Instant,
-    pub(crate) reply: Sender<(u8, Vec<u8>)>,
+    pub(crate) reply: Sender<Reply>,
     /// The request's always-on timeline; `None` when tracing is
     /// disabled. The shard loop keeps a second handle and finishes the
     /// trace after flushing the reply.
@@ -58,6 +67,45 @@ pub(crate) struct Job {
     /// A worker-side fault drawn for this request by the chaos plan.
     #[cfg(feature = "chaos")]
     pub(crate) chaos: Option<FaultDecision>,
+}
+
+/// What a worker hands back to the shard loop.
+pub(crate) struct Reply {
+    /// Zero, or the [`ErrorCode`] the request failed with.
+    pub(crate) status: u8,
+    /// The reply frame — header reserved by [`begin_frame`], body behind
+    /// it; the shard loop stamps the header and writes it out as is.
+    pub(crate) frame: Vec<u8>,
+    /// The request's buffer, spent: the connection reads its next frame
+    /// into it.
+    pub(crate) spent: Vec<u8>,
+}
+
+impl Job {
+    /// The request body: everything behind the frame header.
+    pub(crate) fn body(&self) -> &[u8] {
+        &self.frame[FRAME_HEADER_LEN..]
+    }
+
+    /// Delivers `self.out` — a frame begun with [`begin_frame`], its body
+    /// appended — as the reply, under `status`.
+    fn send(self, status: u8) {
+        // A send fails only when the connection is gone; nobody is left
+        // to want the buffers either.
+        let _ = self.reply.send(Reply {
+            status,
+            frame: self.out,
+            spent: self.frame,
+        });
+    }
+
+    /// Delivers an error reply: `(status, message)` as [`outcome`] shapes
+    /// it, in place of whatever the reply buffer held.
+    fn fail(mut self, (status, msg): (u8, Vec<u8>)) {
+        begin_frame(&mut self.out);
+        self.out.extend_from_slice(&msg);
+        self.send(status);
+    }
 }
 
 pub(crate) fn worker_loop(
@@ -85,9 +133,9 @@ pub(crate) fn worker_loop(
 }
 
 /// Per-job admission: apply worker-side chaos faults, then check the
-/// deadline. Returns `false` (after replying `DeadlineExceeded`) if the
+/// deadline. Returns `None` (after replying `DeadlineExceeded`) if the
 /// job must not run.
-fn admit_job(state: &ServerState, job: &Job, deadline: Duration) -> bool {
+fn admit_job(state: &ServerState, job: Job, deadline: Duration) -> Option<Job> {
     #[cfg(feature = "chaos")]
     if let Some(fault) = job.chaos {
         match fault {
@@ -112,13 +160,11 @@ fn admit_job(state: &ServerState, job: &Job, deadline: Duration) -> bool {
             .metrics
             .rejected_deadline
             .fetch_add(1, Ordering::Relaxed);
-        let _ = job.reply.send((
-            ErrorCode::DeadlineExceeded as u8,
-            format!("queued longer than {deadline:?}").into_bytes(),
-        ));
-        return false;
+        let msg = format!("queued longer than {deadline:?}").into_bytes();
+        job.fail((ErrorCode::DeadlineExceeded as u8, msg));
+        return None;
     }
-    true
+    Some(job)
 }
 
 /// What a guarded handler run produced, or the error reply to send: the
@@ -135,8 +181,10 @@ fn outcome<T>(
 
 /// Runs one job to completion (chaos/deadline already applied) and
 /// delivers its reply.
-fn execute_job(state: &ServerState, job: Job, keys: &PinnedKeys) {
+fn execute_job(state: &ServerState, mut job: Job, keys: &PinnedKeys) {
     let start = Instant::now();
+    let mut out = std::mem::take(&mut job.out);
+    begin_frame(&mut out);
     let result = {
         // Guard scope: exec accounting and the deep-trace bridge close
         // before the reply is sent, so the shard loop can never finish
@@ -147,14 +195,15 @@ fn execute_job(state: &ServerState, job: Job, keys: &PinnedKeys) {
             if matches!(job.chaos, Some(FaultDecision::WorkerPanic)) {
                 panic!("injected chaos panic");
             }
-            handle(state, job.op, &job.body, &job.plan, keys)
+            handle(state, job.op, job.body(), &job.plan, keys, &mut out)
         }))
     };
     state.metrics.latency(job.op).observe(start.elapsed());
-    let _ = job.reply.send(match outcome(result) {
-        Ok(body) => (0u8, body),
-        Err(reply) => reply,
-    });
+    job.out = out;
+    match outcome(result) {
+        Ok(()) => job.send(0),
+        Err(reply) => job.fail(reply),
+    }
 }
 
 /// Executes one group: pin the union of its key plans, run the jobs
@@ -178,9 +227,7 @@ fn run_group(state: &ServerState, jobs: Vec<Job>, deadline: Duration) {
         if let Some(t) = &job.trace {
             t.mark_picked();
         }
-        if admit_job(state, &job, deadline) {
-            runnable.push(job);
-        }
+        runnable.extend(admit_job(state, job, deadline));
     }
     if runnable.is_empty() {
         return;
@@ -233,13 +280,13 @@ fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> 
         }
         match folds
             .iter_mut()
-            .find(|f| rotate_ct(&f[0].body) == rotate_ct(&job.body))
+            .find(|f| rotate_ct(f[0].body()) == rotate_ct(job.body()))
         {
             Some(f) => f.push(job),
             None => folds.push(vec![job]),
         }
     }
-    for fold in folds {
+    for mut fold in folds {
         if fold.len() < 2 {
             rest.extend(fold);
             continue;
@@ -248,32 +295,35 @@ fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> 
         let result = catch_unwind(AssertUnwindSafe(|| {
             let ct = read_ct(
                 state,
-                rotate_ct(&fold[0].body).expect("a planned step was read past"),
+                rotate_ct(fold[0].body()).expect("a planned step was read past"),
             )?;
             let wanted: Vec<(i64, u64)> = fold.iter().map(|j| j.plan.galois[0]).collect();
             let gk = keys.galois(state, &wanted)?;
             let steps: Vec<i64> = wanted.iter().map(|&(s, _)| s).collect();
             let outs = rotate_hoisted(&state.evaluator, &ct, &steps, &gk);
-            let bodies: Vec<_> = outs.iter().map(serialize_ciphertext).collect();
+            // Each rotation goes straight into its own request's reply.
+            for (job, out) in fold.iter_mut().zip(&outs) {
+                begin_frame(&mut job.out);
+                write_ciphertext(out, &mut job.out);
+            }
             recycle(state, outs.into_iter().chain([ct]));
-            Ok(bodies)
+            Ok(())
         }));
         let elapsed = start.elapsed();
         state
             .metrics
             .batch_hoist_shared
             .fetch_add(fold.len() as u64 - 1, Ordering::Relaxed);
-        let mut bodies = outcome(result).map(Vec::into_iter);
+        let result = outcome(result);
         for job in fold {
             if let Some(t) = &job.trace {
                 t.set_exec_ending_now(elapsed);
             }
             state.metrics.latency(job.op).observe(elapsed);
-            let reply = match &mut bodies {
-                Ok(bodies) => (0u8, bodies.next().expect("one output per step")),
-                Err(reply) => reply.clone(),
-            };
-            let _ = job.reply.send(reply);
+            match &result {
+                Ok(()) => job.send(0),
+                Err(reply) => job.fail(reply.clone()),
+            }
         }
     }
     rest
@@ -291,23 +341,22 @@ pub(crate) struct JobSinks {
 
 impl JobSinks {
     /// Routes one job; `Err` mirrors the sync-channel try_send contract
-    /// (`Full` → Overloaded reply, `Disconnected` → drop connection).
-    pub(crate) fn dispatch(&self, job: Job) -> Result<(), TrySendError<()>> {
-        fn strip<T>(e: TrySendError<T>) -> TrySendError<()> {
-            match e {
-                TrySendError::Full(_) => TrySendError::Full(()),
-                TrySendError::Disconnected(_) => TrySendError::Disconnected(()),
-            }
-        }
+    /// (`Full` → Overloaded reply, `Disconnected` → drop connection) and
+    /// hands the job back, so its buffers return to the connection.
+    #[allow(clippy::result_large_err)] // the job itself, as `try_send` returns it
+    pub(crate) fn dispatch(&self, job: Job) -> Result<(), TrySendError<Job>> {
         if job.plan.class().is_some() {
-            return self.keyed.try_send(job).map_err(strip);
+            return self.keyed.try_send(job);
         }
         self.backlog.fetch_add(1, Ordering::Relaxed);
-        let r = self.direct.try_send(vec![job]);
-        if r.is_err() {
+        self.direct.try_send(vec![job]).map_err(|e| {
             self.backlog.fetch_sub(1, Ordering::Relaxed);
-        }
-        r.map_err(strip)
+            let job = |mut group: Vec<Job>| group.pop().expect("the group of one just sent");
+            match e {
+                TrySendError::Full(group) => TrySendError::Full(job(group)),
+                TrySendError::Disconnected(group) => TrySendError::Disconnected(job(group)),
+            }
+        })
     }
 }
 
@@ -459,7 +508,8 @@ mod tests {
             let (tx, _rx) = std::sync::mpsc::channel();
             Job {
                 op: Opcode::Rotate,
-                body: Vec::new(),
+                frame: Vec::new(),
+                out: Vec::new(),
                 plan: KeyPlan::default(),
                 deadline_start: Instant::now(),
                 reply: tx,

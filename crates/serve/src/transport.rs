@@ -4,15 +4,18 @@
 //! - The **acceptor** owns a nonblocking listener and deals fresh
 //!   connections round-robin across the shard loops.
 //! - Each **shard loop** drives all of its connections from one thread
-//!   with readiness-based nonblocking I/O: buffer bytes as they arrive,
-//!   parse at most one frame per connection per tick, plan the request's
-//!   keys ([`KeyPlan::of`]) and enqueue the job on the shard's bounded
-//!   queues (a full queue is answered immediately with
-//!   [`ErrorCode::Overloaded`] — backpressure, never buffering), then
-//!   flush the reply when the worker delivers it. Each connection still
-//!   sees strict request/response ordering. A parked loop sleeps on a
-//!   condvar the workers ping after every completed group, so replies
-//!   flush without polling latency.
+//!   with readiness-based nonblocking I/O: read a frame's length prefix,
+//!   then exactly the rest of that frame, straight into the connection's
+//!   frame buffer; plan the request's keys ([`KeyPlan::of`]) and hand the
+//!   buffer itself to the job — the body is never copied out of it — on
+//!   the shard's bounded queues (a full queue is answered immediately
+//!   with [`ErrorCode::Overloaded`] — backpressure, never buffering);
+//!   then write out the reply frame the worker built, as it is, when it
+//!   comes back. A connection's two buffers make that round trip with
+//!   every request, so it allocates for its largest request and reply
+//!   once. Each connection still sees strict request/response ordering.
+//!   A parked loop sleeps on a condvar the workers ping after every
+//!   completed group, so replies flush without polling latency.
 //! - **Routing** is consistent hashing of the session id
 //!   ([`crate::shard::shard_of`]): `Hello` mints an id that hashes to
 //!   the shard that accepted the connection, and every keyed frame whose
@@ -25,11 +28,12 @@ use crate::fault::FaultDecision;
 use crate::obs::{RequestTrace, Stage};
 use crate::plan::KeyPlan;
 use crate::protocol::{
-    frame_bytes, peek_frame, take_frame, ErrorCode, Frame, FrameStatus, Opcode, PROTOCOL_VERSION,
+    begin_frame, finish_frame, peek_frame, read_into, ErrorCode, FrameStatus, Opcode,
+    FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
-use crate::sched::{Job, JobSinks};
+use crate::sched::{Job, JobSinks, Reply};
 use crate::server::{ServerState, SharedState};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TrySendError};
@@ -78,7 +82,7 @@ impl ReplySignal {
 
 /// A reply the shard loop is waiting on from the worker pool.
 struct PendingReply {
-    rx: Receiver<(u8, Vec<u8>)>,
+    rx: Receiver<Reply>,
     trace: Option<Arc<RequestTrace>>,
     /// A write-abort fault drawn for this request, applied when the
     /// reply comes back.
@@ -89,7 +93,12 @@ struct PendingReply {
 /// Per-connection state machine driven by the owning shard loop.
 struct Conn {
     stream: TcpStream,
+    /// The frame being received, and never a byte past its end: reads
+    /// stop at the frame boundary, so the buffer goes to the worker whole
+    /// and comes back empty. Away (empty, no capacity) while a job has it.
     read_buf: Vec<u8>,
+    /// The reply frame being written. Handed, drained, to the next job to
+    /// build its reply in.
     write_buf: Vec<u8>,
     write_pos: usize,
     /// When the reply entered the write buffer — the write stage runs
@@ -252,14 +261,20 @@ fn step_conn(
         let reply = match pending.rx.try_recv() {
             Ok(reply) => Some(reply),
             Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => Some((
-                ErrorCode::Internal as u8,
-                b"worker dropped the request".to_vec(),
-            )),
+            Err(TryRecvError::Disconnected) => {
+                let mut frame = Vec::new();
+                begin_frame(&mut frame);
+                frame.extend_from_slice(b"worker dropped the request");
+                Some(Reply {
+                    status: ErrorCode::Internal as u8,
+                    frame,
+                    spent: Vec::new(),
+                })
+            }
         };
-        if let Some((status, body)) = reply {
+        if let Some(reply) = reply {
             let pending = conn.pending.take().expect("just checked");
-            adopt_reply(state, conn, pending, status, body);
+            adopt_reply(state, conn, pending, reply);
             progressed = true;
         }
     }
@@ -299,29 +314,21 @@ fn step_conn(
         return ConnVerdict::Drop;
     }
 
-    // 4. Pull in ready bytes, but only while we still need a frame —
-    //    never buffer ahead of the one-frame-per-tick parse.
-    if !conn.peer_closed
-        && matches!(
-            peek_frame(&conn.read_buf, max_frame),
-            FrameStatus::Incomplete
-        )
-    {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match (&conn.stream).read(&mut buf) {
-                Ok(0) => {
-                    conn.peer_closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.read_buf.extend_from_slice(&buf[..n]);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return ConnVerdict::Drop,
-            }
+    // 4. Pull in ready bytes, but only those of the frame we still need:
+    //    the rest of its length prefix, then — once the prefix has passed
+    //    the size check — exactly the rest of the frame.
+    while !conn.peer_closed {
+        let want = missing(&conn.read_buf, max_frame);
+        if want == 0 {
+            break;
+        }
+        let held = conn.read_buf.len();
+        let read = read_into(&mut &conn.stream, &mut conn.read_buf, want);
+        progressed |= conn.read_buf.len() > held;
+        match read {
+            Ok(n) => conn.peer_closed = n < want,
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+            Err(_) => return ConnVerdict::Drop,
         }
     }
 
@@ -343,14 +350,15 @@ fn step_conn(
             conn.close_after_flush = true;
             reject(state, conn, ErrorCode::FrameTooLarge, msg)
         }
-        FrameStatus::Ready { .. } => {
+        FrameStatus::Ready { wire_len } => {
+            debug_assert_eq!(wire_len, conn.read_buf.len(), "read past the frame");
             // Frame boundaries are the only safe migration points: no
             // reply owed, nothing half-written, nothing half-read beyond
             // buffered bytes that travel with the connection.
             if let Some(target) = route_target(state, &conn.read_buf) {
                 return ConnVerdict::Route(target);
             }
-            let frame = take_frame(&mut conn.read_buf);
+            let frame = std::mem::take(&mut conn.read_buf);
             process_frame(state, sinks, conn, frame)
         }
     }
@@ -376,57 +384,96 @@ fn write_failed(state: &ServerState, conn: &mut Conn) -> ConnVerdict {
     ConnVerdict::Drop
 }
 
-/// Queues a locally-generated reply frame (protocol errors, overload
-/// pushback) for flushing. Error and byte accounting happen here — at
-/// queue time, mirroring the blocking server which counted before the
-/// write.
-fn queue_reply(state: &ServerState, conn: &mut Conn, status: u8, body: Vec<u8>) {
+/// Bytes the frame at the front of `buf` still lacks: the rest of its
+/// length prefix, then the rest of what the prefix announces. Zero once
+/// [`peek_frame`] has a verdict — complete, or refused on its length
+/// alone, so an oversize announcement is never read (or reserved) for.
+fn missing(buf: &[u8], max_frame: u32) -> usize {
+    match (peek_frame(buf, max_frame), buf.first_chunk::<4>()) {
+        (FrameStatus::Incomplete, None) => 4 - buf.len(),
+        (FrameStatus::Incomplete, Some(len)) => 4 + u32::from_le_bytes(*len) as usize - buf.len(),
+        _ => 0,
+    }
+}
+
+/// Queues `frame` — begun with [`begin_frame`], body appended — as the
+/// connection's reply under `status`. Error and byte accounting happen
+/// here — at queue time, mirroring the blocking server which counted
+/// before the write.
+fn queue_reply(state: &ServerState, conn: &mut Conn, status: u8, mut frame: Vec<u8>) {
     if status != 0 {
         state.metrics.errors_total.fetch_add(1, Ordering::Relaxed);
     }
     state
         .metrics
         .bytes_written
-        .fetch_add(6 + body.len() as u64, Ordering::Relaxed);
-    conn.write_buf = frame_bytes(status, &body);
+        .fetch_add(frame.len() as u64, Ordering::Relaxed);
+    finish_frame(&mut frame, status);
+    conn.write_buf = frame;
     conn.write_pos = 0;
 }
 
-/// Answers a frame locally with a structured error.
+/// Answers a frame locally with a structured error (protocol errors,
+/// overload pushback), built in the connection's own reply buffer.
 fn reject(
     state: &ServerState,
     conn: &mut Conn,
     code: ErrorCode,
-    msg: impl Into<String>,
+    msg: impl AsRef<str>,
 ) -> ConnVerdict {
-    queue_reply(state, conn, code as u8, msg.into().into_bytes());
+    let mut frame = std::mem::take(&mut conn.write_buf);
+    begin_frame(&mut frame);
+    frame.extend_from_slice(msg.as_ref().as_bytes());
+    queue_reply(state, conn, code as u8, frame);
     ConnVerdict::Keep { progressed: true }
 }
 
-/// Adopts a worker reply into the connection's write buffer, arming the
-/// write-stage clock and the trace hand-off (or the torn-write fault,
-/// which abandons the trace — a reply that never made it is not timeline
-/// data).
-fn adopt_reply(
+/// Answers `frame` locally, as [`reject`] does: it goes no further, so its
+/// buffer is the connection's again.
+fn refuse(
     state: &ServerState,
     conn: &mut Conn,
-    pending: PendingReply,
-    status: u8,
-    body: Vec<u8>,
-) {
+    mut frame: Vec<u8>,
+    code: ErrorCode,
+    msg: impl AsRef<str>,
+) -> ConnVerdict {
+    frame.clear();
+    conn.read_buf = frame;
+    reject(state, conn, code, msg)
+}
+
+/// Adopts a worker's reply frame as the connection's write buffer — no
+/// copy — and takes the spent request buffer back for the next read
+/// (unless it held an upload, [`Opcode::is_upload`]), arming the write-stage clock and the trace hand-off (or the torn-write
+/// fault, which abandons the trace — a reply that never made it is not
+/// timeline data).
+fn adopt_reply(state: &ServerState, conn: &mut Conn, pending: PendingReply, reply: Reply) {
+    let Reply {
+        status,
+        frame,
+        mut spent,
+    } = reply;
+    // The spent frame still names its opcode.
+    let tag = spent.get(FRAME_HEADER_LEN - 1).copied();
+    if tag.and_then(Opcode::from_u8).is_some_and(Opcode::is_upload) {
+        spent = Vec::new();
+    }
+    spent.clear();
+    conn.read_buf = spent;
     #[cfg(feature = "chaos")]
     if let Some(FaultDecision::WriteAbort { keep }) = pending.write_fault {
         // Torn frame: a strict prefix of the real response, then the
         // connection drops. No error/byte accounting — the blocking
         // server's abort path skipped its `respond` helper entirely.
-        let bytes = frame_bytes(status, &body);
-        let keep = keep.min(bytes.len().saturating_sub(1));
-        conn.write_buf = bytes[..keep].to_vec();
+        let mut frame = frame;
+        finish_frame(&mut frame, status);
+        frame.truncate(keep.min(frame.len().saturating_sub(1)));
+        conn.write_buf = frame;
         conn.write_pos = 0;
         conn.close_after_flush = true;
         return;
     }
-    queue_reply(state, conn, status, body);
+    queue_reply(state, conn, status, frame);
     conn.write_started = Some(Instant::now());
     if let Some(trace) = pending.trace {
         conn.finishing = Some((trace, status));
@@ -461,25 +508,27 @@ fn route_target(state: &ServerState, buf: &[u8]) -> Option<usize> {
 
 /// Parses and dispatches one frame on the owning shard: protocol errors
 /// answer locally, chaos draws exactly one decision, everything else
-/// becomes a job — its key plan attached — for this shard's scheduler or
-/// worker queue.
+/// becomes a job — its key plan attached, the frame buffer and the
+/// connection's drained reply buffer along for the ride — for this
+/// shard's scheduler or worker queue.
 fn process_frame(
     state: &ServerState,
     sinks: &JobSinks,
     conn: &mut Conn,
-    frame: Frame,
+    frame: Vec<u8>,
 ) -> ConnVerdict {
     state
         .metrics
         .bytes_read
-        .fetch_add(6 + frame.body.len() as u64, Ordering::Relaxed);
-    if frame.version != PROTOCOL_VERSION {
-        let msg = format!("version {} unsupported", frame.version);
-        return reject(state, conn, ErrorCode::UnsupportedVersion, msg);
+        .fetch_add(frame.len() as u64, Ordering::Relaxed);
+    let (version, tag) = (frame[4], frame[5]);
+    if version != PROTOCOL_VERSION {
+        let msg = format!("version {version} unsupported");
+        return refuse(state, conn, frame, ErrorCode::UnsupportedVersion, msg);
     }
-    let Some(op) = Opcode::from_u8(frame.tag) else {
-        let msg = format!("opcode {:#04x}", frame.tag);
-        return reject(state, conn, ErrorCode::UnknownOpcode, msg);
+    let Some(op) = Opcode::from_u8(tag) else {
+        let msg = format!("opcode {tag:#04x}");
+        return refuse(state, conn, frame, ErrorCode::UnknownOpcode, msg);
     };
     // Chaos: exactly one plan decision per parsed frame, drawn on the
     // owning shard (routing happens before the frame is "read").
@@ -507,7 +556,7 @@ fn process_frame(
                         .rejected_overload
                         .fetch_add(1, Ordering::Relaxed);
                     let msg = "injected overload, retry later";
-                    return reject(state, conn, ErrorCode::Overloaded, msg);
+                    return refuse(state, conn, frame, ErrorCode::Overloaded, msg);
                 }
                 FaultDecision::WriteAbort { .. } => write_fault = Some(fault),
                 other => worker_fault = Some(other),
@@ -518,8 +567,9 @@ fn process_frame(
     let trace = state.obs.begin(op, state.shard as u32);
     let job = Job {
         op,
-        plan: KeyPlan::of(&state.ctx, &state.sessions, op, &frame.body),
-        body: frame.body,
+        plan: KeyPlan::of(&state.ctx, &state.sessions, op, &frame[FRAME_HEADER_LEN..]),
+        frame,
+        out: std::mem::take(&mut conn.write_buf),
         deadline_start: Instant::now(),
         reply: reply_tx,
         trace: trace.clone(),
@@ -545,20 +595,17 @@ fn process_frame(
             });
             ConnVerdict::Keep { progressed: true }
         }
-        Err(TrySendError::Full(())) => {
+        Err(TrySendError::Full(job)) => {
             state.metrics.retracted();
             state
                 .metrics
                 .rejected_overload
                 .fetch_add(1, Ordering::Relaxed);
-            reject(
-                state,
-                conn,
-                ErrorCode::Overloaded,
-                "queue full, retry later",
-            )
+            conn.write_buf = job.out;
+            let msg = "queue full, retry later";
+            refuse(state, conn, job.frame, ErrorCode::Overloaded, msg)
         }
-        Err(TrySendError::Disconnected(())) => {
+        Err(TrySendError::Disconnected(_)) => {
             state.metrics.retracted();
             ConnVerdict::Drop
         }

@@ -1,5 +1,9 @@
 //! Error-path coverage for the wire protocol: every structured error code
-//! a client can provoke, plus the echo shortcut and deadline rejection.
+//! a client can provoke, plus the echo shortcut, deadline rejection, and
+//! what a length prefix alone can make the server commit to memory.
+
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use ckks::serialize::serialize_ciphertext;
 use ckks::{CkksContext, CkksParams, Encoder, Encryptor, KeyGenerator};
@@ -165,5 +169,48 @@ fn zero_deadline_rejects_every_queued_request() {
         dump.contains("serve_rejected_deadline_total 1"),
         "deadline rejection must be counted:\n{dump}"
     );
+    server.shutdown();
+}
+
+/// The memory a connection commits follows the bytes it has *received*: a
+/// prefix announcing the largest frame the server accepts, followed by a
+/// stall, must not reserve that frame. The connection's buffer is private
+/// to its shard loop, so its capacity is observed where it is requested —
+/// at the allocator, across every thread of this process (the other tests
+/// of this binary serve 32-coefficient rings and allocate nothing near the
+/// bound asserted here).
+#[test]
+fn a_length_prefix_alone_reserves_no_frame() {
+    let ctx = small_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+
+    counting_alloc::reset();
+    stream
+        .write_all(&DEFAULT_MAX_FRAME_BYTES.to_le_bytes())
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        counting_alloc::largest() <= 128 << 10,
+        "64 MiB announced, 4 bytes sent: something reserved {} bytes",
+        counting_alloc::largest()
+    );
+    // A first slice of the body arrives; the buffer may now run ahead of
+    // it, but only by as much again.
+    let slice = vec![0u8; 100 << 10];
+    stream.write_all(&slice).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    assert!(
+        counting_alloc::largest() <= 2 * slice.len() + (64 << 10),
+        "64 MiB announced, {} bytes sent: something reserved {} bytes",
+        4 + slice.len(),
+        counting_alloc::largest()
+    );
+
+    // The stalled connection holds no one else up.
+    let mut client = Client::connect(server.local_addr(), ctx).unwrap();
+    assert!(client.hello().unwrap() > 0);
+    drop(stream);
     server.shutdown();
 }

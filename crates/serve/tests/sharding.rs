@@ -9,10 +9,13 @@ use ckks::hoisting::rotate_hoisted;
 use ckks::serialize::serialize_ciphertext;
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
+use fhe_serve::protocol::{frame_bytes, read_frame, BodyWriter, FrameRead, Opcode};
 use fhe_serve::{shard_of, Client, ObsConfig, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn small_ctx() -> Arc<CkksContext> {
     CkksContext::new(
@@ -215,6 +218,79 @@ fn keyed_frames_migrate_to_the_owning_shard() {
         "expected the owner shard to have executed the migrated requests, saw {owner_requests}"
     );
 
+    home.close_session(sid).unwrap();
+    server.shutdown();
+}
+
+/// A frame that trickles in on the *wrong* shard: the foreign shard
+/// buffers the partial frame across several of its loop's ticks, and only
+/// when the last byte lands does the connection — buffer and all — move
+/// to the session's owner, which answers from the migrated bytes. The
+/// next frame on the same connection trickles in on the owner.
+#[test]
+fn a_frame_split_across_reads_migrates_whole() {
+    const SHARDS: usize = 4;
+    let ctx = small_ctx();
+    let server = Server::start(ctx.clone(), sharded_config(SHARDS)).unwrap();
+    let addr = server.local_addr();
+
+    let mut rng = StdRng::seed_from_u64(77);
+    let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+    let encoder = Encoder::new(ctx.clone());
+    let encryptor = Encryptor::new(ctx.clone());
+    let v: Vec<f64> = (0..ctx.params().slots()).map(|i| i as f64 * 0.03).collect();
+    let a = encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &v);
+    let expected = serialize_ciphertext(&Evaluator::new(ctx.clone()).add(&a, &a));
+
+    // The first connection's session lives on the shard that accepted it.
+    let mut home = Client::connect(addr, ctx.clone()).unwrap();
+    let sid = home.hello().unwrap();
+    let owner = shard_of(sid, SHARDS);
+    let mut body = BodyWriter::new();
+    let a_bytes = serialize_ciphertext(&a);
+    body.u64(sid).blob(&a_bytes).blob(&a_bytes);
+    let frame = frame_bytes(Opcode::Add as u8, &body.0);
+
+    // The next three connections land on the three other shards.
+    for foreign in 0..SHARDS - 1 {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        for round in 0..2 {
+            // Mid-prefix, mid-session-id (before the routing key is even
+            // complete), mid-body.
+            let mut rest = &frame[..];
+            for cut in [3, 7, frame.len() / 2] {
+                let (piece, tail) = rest.split_at(cut);
+                stream.write_all(piece).unwrap();
+                std::thread::sleep(Duration::from_millis(5));
+                rest = tail;
+            }
+            stream.write_all(rest).unwrap();
+            match read_frame(&mut stream, u32::MAX).unwrap() {
+                FrameRead::Frame(f) => {
+                    assert_eq!(f.tag, 0, "{}", String::from_utf8_lossy(&f.body));
+                    assert_eq!(
+                        f.body, expected,
+                        "foreign connection {foreign} round {round}: add diverged"
+                    );
+                }
+                other => panic!("expected a reply frame, got {other:?}"),
+            }
+        }
+    }
+
+    // Every one of them executed on the owner.
+    let dump = server.metrics_dump();
+    let needle = format!("serve_shard_requests_total{{shard=\"{owner}\"}}");
+    let owner_requests: u64 = dump
+        .lines()
+        .find_map(|l| l.strip_prefix(needle.as_str()))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("owner shard requests metric present");
+    assert!(
+        owner_requests >= 7,
+        "expected the Hello and six migrated adds on shard {owner}, saw {owner_requests}"
+    );
     home.close_session(sid).unwrap();
     server.shutdown();
 }
