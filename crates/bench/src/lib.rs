@@ -4,8 +4,9 @@
 //!
 //! Each `*_table()` function returns a [`simfhe::report::Table`] holding
 //! both the simulated values and the paper's published numbers side by
-//! side; the binaries in `src/bin/` print them, the Criterion benches in
-//! `benches/` time them, and `EXPERIMENTS.md` records the comparison.
+//! side; the binaries in `src/bin/` print them and `EXPERIMENTS.md`
+//! records the comparison. (`benches/` holds the Criterion micro-benchmarks
+//! of the kernels, the functional library and the serving loopback.)
 
 pub mod loadgen;
 

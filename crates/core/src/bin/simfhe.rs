@@ -217,37 +217,6 @@ fn cmd_search(args: &Args) {
     emit(args, t);
 }
 
-/// Memory-trace capture + cache-replay validation (`--features trace`):
-/// records limb touches from the functional crates, exports Perfetto
-/// JSON, sweeps cache sizes, and gates the replayed DRAM bytes against
-/// the committed tolerances.
-#[cfg(feature = "trace")]
-fn cmd_trace(args: &Args) -> i32 {
-    let mut opts = simfhe::capture::TraceOptions::default();
-    if let Some(p) = args.value("tolerances") {
-        opts.tolerances = Some(p.to_string());
-    }
-    if let Some(p) = args.value("perfetto") {
-        opts.perfetto_out = p.to_string();
-    }
-    if let Some(p) = args.value("sweep") {
-        opts.sweep_out = p.to_string();
-    }
-    if let Some(p) = args.value("out") {
-        opts.report_out = Some(p.to_string());
-    }
-    simfhe::capture::run_trace_command(&opts)
-}
-
-#[cfg(not(feature = "trace"))]
-fn cmd_trace(_args: &Args) -> i32 {
-    eprintln!(
-        "the `trace` subcommand needs the capture feature:\n\
-         \x20 cargo run -p simfhe --bin simfhe --features trace -- trace"
-    );
-    2
-}
-
 fn main() {
     let args = Args::parse();
     match args.command.as_str() {
@@ -255,7 +224,6 @@ fn main() {
         "bootstrap" => cmd_bootstrap(&args),
         "designs" => cmd_designs(&args),
         "search" => cmd_search(&args),
-        "trace" => std::process::exit(cmd_trace(&args)),
         other => {
             if other != "help" {
                 eprintln!("unknown command: {other}\n");
@@ -267,8 +235,6 @@ fn main() {
                  \x20 bootstrap [--mad] [--csv]             bootstrap phase breakdown\n\
                  \x20 designs   [--mad]                     roofline across Table-6 designs\n\
                  \x20 search    [--cache MB] [--top N]      parameter search\n\
-                 \x20 trace     [--perfetto F] [--sweep F]  memory-trace capture + cache replay\n\
-                 \x20           [--tolerances F] [--out F]  (needs --features trace)\n\
                  flags:\n\
                  \x20 --params logq,L,dnum,fftIter          override the parameter set\n\
                  \x20 --mad                                 all MAD optimizations on"

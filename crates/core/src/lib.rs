@@ -40,8 +40,6 @@
 
 pub mod area;
 pub mod bootstrap;
-#[cfg(feature = "trace")]
-pub mod capture;
 pub mod cost;
 pub mod hardware;
 pub mod matvec;
@@ -53,7 +51,6 @@ pub mod report;
 pub mod search;
 pub mod throughput;
 pub mod trace;
-#[cfg(feature = "validate")]
 pub mod validate;
 pub mod workload;
 

@@ -9,7 +9,8 @@
 //! 1. **Pricing** — [`CostModel::program_cost`] folds the per-primitive
 //!    costs of [`crate::primitives`] over the instruction stream,
 //!    producing modular-op, DRAM, and whole-limb NTT predictions that the
-//!    `validate` binary diffs against telemetry from a real execution.
+//!    `validate` binary (`fhe-program`) diffs against the counters and the
+//!    cache-replayed memory trace of one real execution.
 //! 2. **Execution** — the `fhe-program` crate interprets the same
 //!    instruction stream against a `CkksContext`, sharing the hoisted
 //!    ModUp path for consecutive rotations of one register (the
@@ -747,7 +748,8 @@ pub struct ProgramCost {
 }
 
 /// Transform counts of a full key switch at `ell` limbs: β digit ModUps
-/// plus two ModDowns. (Mirrors the `validate` binary's accounting.)
+/// plus two ModDowns. (This and the three helpers below are also what the
+/// `validate` binary composes its modeled rows from.)
 pub fn keyswitch_transforms(m: &CostModel, ell: usize) -> (u64, u64) {
     let (fwd, inv) = modup_transforms(m, ell);
     let (f, i) = m.mod_down_transforms(ell, m.params.special_limbs());

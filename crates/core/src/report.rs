@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn renders_cache_sweep_columns() {
-        // The `simfhe trace` sweep CSV is produced through this renderer;
+        // The `validate --sweep` CSV is produced through this renderer;
         // pin its column contract so downstream plots don't silently
         // break.
         let rows = vec![crate::trace::SweepRow {

@@ -8,10 +8,10 @@
 //! replays such a trace through a pluggable on-chip cache model and reports
 //! the DRAM bytes that actually cross the chip boundary, split by operand
 //! class the same way [`crate::cost::Cost`] splits its categories. The
-//! `trace` cargo feature adds the capture side (the `capture` module),
-//! which records traces from the `ckks` crate and diffs the replayed bytes
-//! against the model under committed tolerances, mirroring the op-count
-//! validator (`crate::validate`).
+//! capture side lives with the functional crates: `fhe-program`'s
+//! `validate` binary records one trace of its whole schedule, replays each
+//! row's segment here, and gates the bytes beside that row's op counts
+//! ([`crate::validate`]).
 //!
 //! # Cache model
 //!
@@ -45,6 +45,7 @@
 //! and one counter track per operand class.
 
 use crate::report::Table;
+use crate::validate::json_string;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -452,22 +453,6 @@ pub fn split_top_level(events: &[TraceEvent]) -> Vec<(String, Vec<TraceEvent>)> 
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a trace as Chrome trace-event JSON, loadable in Perfetto.
 ///
 /// Spans become nested `B`/`E` duration events on one thread track;
@@ -478,7 +463,7 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
     let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
     out.push_str(
         "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \
-         \"args\": {\"name\": \"simfhe trace\"}}",
+         \"args\": {\"name\": \"simfhe::trace\"}}",
     );
     let mut touched = [0u64; 4];
     let counter = |out: &mut String, ts: u64, touched: &[u64; 4]| {
@@ -497,18 +482,18 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             TraceEvent::SpanBegin { name, ts_us } => {
                 let _ = write!(
                     out,
-                    ",\n  {{\"name\": \"{}\", \"cat\": \"span\", \"ph\": \"B\", \
+                    ",\n  {{\"name\": {}, \"cat\": \"span\", \"ph\": \"B\", \
                      \"ts\": {ts_us}, \"pid\": 1, \"tid\": 1}}",
-                    json_escape(name)
+                    json_string(name)
                 );
                 counter(&mut out, *ts_us, &touched);
             }
             TraceEvent::SpanEnd { name, ts_us } => {
                 let _ = write!(
                     out,
-                    ",\n  {{\"name\": \"{}\", \"cat\": \"span\", \"ph\": \"E\", \
+                    ",\n  {{\"name\": {}, \"cat\": \"span\", \"ph\": \"E\", \
                      \"ts\": {ts_us}, \"pid\": 1, \"tid\": 1}}",
-                    json_escape(name)
+                    json_string(name)
                 );
                 counter(&mut out, *ts_us, &touched);
             }
@@ -566,47 +551,6 @@ pub fn sweep_table(rows: &[SweepRow]) -> Table {
         ]);
     }
     t
-}
-
-/// Converts the telemetry layer's records into replayable [`TraceEvent`]s.
-#[cfg(feature = "trace")]
-pub fn from_telemetry(records: &[fhe_math::telemetry::TraceRecord]) -> Vec<TraceEvent> {
-    use fhe_math::telemetry::{OperandClass, TraceRecord};
-    let class = |c: OperandClass| match c {
-        OperandClass::Ciphertext => TraceClass::Ciphertext,
-        OperandClass::Key => TraceClass::Key,
-        OperandClass::Plaintext => TraceClass::Plaintext,
-        OperandClass::Scratch => TraceClass::Scratch,
-    };
-    records
-        .iter()
-        .map(|r| match r {
-            TraceRecord::Touch {
-                tag,
-                write,
-                offset,
-                bytes,
-            } => TraceEvent::Touch {
-                id: tag.id,
-                class: class(tag.class),
-                write: *write,
-                offset: *offset,
-                bytes: *bytes,
-            },
-            TraceRecord::Retag { id, class: c } => TraceEvent::Retag {
-                id: *id,
-                class: class(*c),
-            },
-            TraceRecord::SpanBegin { name, ts_us } => TraceEvent::SpanBegin {
-                name: (*name).to_string(),
-                ts_us: *ts_us,
-            },
-            TraceRecord::SpanEnd { name, ts_us } => TraceEvent::SpanEnd {
-                name: (*name).to_string(),
-                ts_us: *ts_us,
-            },
-        })
-        .collect()
 }
 
 #[cfg(test)]

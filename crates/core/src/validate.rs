@@ -1,26 +1,28 @@
-//! Measured-vs-modeled comparison plumbing for the `validate` binary.
+//! Measured-vs-modeled comparison plumbing for the `validate` binary
+//! (`fhe-program`), which fills one [`ValidationReport`] per run.
 //!
 //! The functional crates (`fhe-math`, `ckks`) count the modular operations
-//! they actually execute (`fhe_math::telemetry`); this module diffs those counts against the analytical predictions of
+//! they actually execute (`fhe_math::telemetry`) and record the limb
+//! touches [`crate::trace`] replays into DRAM bytes; this module diffs
+//! those measurements against the analytical predictions of
 //! [`crate::primitives`] and renders the result as a machine-readable JSON
-//! report. Gating is driven by a committed tolerance file: every gated
-//! `(primitive, metric)` pair must have an entry, and its relative error
-//! must not exceed the committed bound.
+//! report. Gating is driven by one committed tolerance file and holds in
+//! both directions: every gated `(row, metric)` pair must have a bound its
+//! relative error does not exceed, and every committed bound must name a
+//! gated metric the report still has.
 //!
-//! The tolerance file is plain text — one `primitive metric tolerance`
-//! triple per line, `#` comments and blank lines ignored:
+//! The tolerance file is plain text — one `row metric tolerance` triple
+//! per line, each pair at most once, `#` comments and blank lines ignored:
 //!
 //! ```text
-//! # primitive   metric   max relative error
+//! # row         metric   max relative error
 //! Add           adds     0.0
 //! KeySwitch     mults    0.12
 //! ```
 //!
 //! Known, deterministic deviations between the implementation and the
-//! model (the inverse NTT's normalization multiplies, the `ModDown`
-//! centering trick, `Rescale`'s direct single-source conversion, the
-//! inner product's accumulation into zeroed buffers) are absorbed by the
-//! committed bounds and documented in `DESIGN.md` §4.
+//! model are absorbed by the committed bounds and documented in
+//! `DESIGN.md` §4.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -85,7 +87,7 @@ pub struct Tolerances {
 
 impl Tolerances {
     /// Parses the plain-text tolerance format. Returns a description of
-    /// the first malformed line on failure.
+    /// the first malformed or repeated line on failure.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut bounds = BTreeMap::new();
         for (idx, raw) in text.lines().enumerate() {
@@ -112,7 +114,17 @@ impl Tolerances {
             if !(0.0..).contains(&tol) {
                 return Err(format!("line {}: tolerance must be non-negative", idx + 1));
             }
-            bounds.insert((name.to_string(), metric.to_string()), tol);
+            // A second line for the same pair would silently replace the
+            // bound a reader saw first.
+            if bounds
+                .insert((name.to_string(), metric.to_string()), tol)
+                .is_some()
+            {
+                return Err(format!(
+                    "line {}: duplicate bound for {name}/{metric}",
+                    idx + 1
+                ));
+            }
         }
         Ok(Self { bounds })
     }
@@ -135,14 +147,15 @@ impl Tolerances {
     }
 }
 
-/// One gate failure: either the relative error exceeded its bound or no
-/// bound was committed for a gated metric.
+/// One gate failure: the relative error exceeded its bound, no bound was
+/// committed for a gated metric, or a committed bound names no gated
+/// metric of the report.
 #[derive(Clone, Debug)]
 pub struct Violation {
     /// Primitive name.
     pub primitive: String,
     /// Metric name.
-    pub metric: &'static str,
+    pub metric: String,
     /// Human-readable description of the failure.
     pub reason: String,
 }
@@ -160,7 +173,9 @@ pub struct ValidationReport {
 
 impl ValidationReport {
     /// Gates every metric against the committed tolerances, returning all
-    /// violations (empty means the report passes).
+    /// violations (empty means the report passes). A committed bound that
+    /// matches no gated metric is a violation too: a renamed row must not
+    /// leave its old bounds behind gating nothing.
     pub fn evaluate(&self, tol: &Tolerances) -> Vec<Violation> {
         let mut out = Vec::new();
         for p in &self.primitives {
@@ -168,7 +183,7 @@ impl ValidationReport {
                 match tol.get(&p.name, m.metric) {
                     None => out.push(Violation {
                         primitive: p.name.clone(),
-                        metric: m.metric,
+                        metric: m.metric.to_string(),
                         reason: format!("no tolerance committed for {}/{}", p.name, m.metric),
                     }),
                     Some(bound) => {
@@ -176,7 +191,7 @@ impl ValidationReport {
                         if err > bound {
                             out.push(Violation {
                                 primitive: p.name.clone(),
-                                metric: m.metric,
+                                metric: m.metric.to_string(),
                                 reason: format!(
                                     "{}/{}: measured {} vs modeled {} (rel err {:.4} > tolerance {:.4})",
                                     p.name, m.metric, m.measured, m.modeled, err, bound
@@ -185,6 +200,21 @@ impl ValidationReport {
                         }
                     }
                 }
+            }
+        }
+        for (name, metric) in tol.bounds.keys() {
+            let gated = self
+                .primitives
+                .iter()
+                .any(|p| p.name == *name && p.metrics.iter().any(|m| m.metric == metric));
+            if !gated {
+                out.push(Violation {
+                    primitive: name.clone(),
+                    metric: metric.clone(),
+                    reason: format!(
+                        "stale tolerance: {name}/{metric} is not a gated metric of this report"
+                    ),
+                });
             }
         }
         out
@@ -256,8 +286,9 @@ impl ValidationReport {
     }
 }
 
-/// Escapes a string as a JSON string literal (quotes included).
-fn json_string(s: &str) -> String {
+/// Escapes a string as a JSON string literal (quotes included) — the one
+/// escaper of this crate, shared with the Chrome-trace writer.
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -340,6 +371,14 @@ mod tests {
             .contains("non-negative"));
     }
 
+    #[test]
+    fn tolerance_parsing_rejects_a_repeated_pair() {
+        // The later line must not quietly loosen (or tighten) the earlier.
+        let err = Tolerances::parse("Add adds 0.0\nAdd mults 0.1\nAdd adds 0.5").unwrap_err();
+        assert!(err.contains("line 3") && err.contains("duplicate"), "{err}");
+        assert!(err.contains("Add/adds"), "{err}");
+    }
+
     fn sample_report() -> ValidationReport {
         ValidationReport {
             params: vec![("log_n".into(), "6".into())],
@@ -384,6 +423,28 @@ mod tests {
     }
 
     #[test]
+    fn evaluation_flags_bounds_that_gate_nothing() {
+        // A bound for a row the report no longer has, for a metric a row
+        // no longer has, or for a metric that is only informational.
+        let report = sample_report();
+        let stale = Tolerances::parse(
+            "Add adds 0.0\nAdd mults 0.25\nAddRenamed adds 0.0\nAdd ntt_fwd 0.0\nAdd bytes 1.0",
+        )
+        .unwrap();
+        let v = report.evaluate(&stale);
+        assert_eq!(v.len(), 3);
+        assert!(v.iter().all(|v| v.reason.contains("stale tolerance")));
+        let named: Vec<(&str, &str)> = v
+            .iter()
+            .map(|v| (v.primitive.as_str(), v.metric.as_str()))
+            .collect();
+        assert!(named.contains(&("AddRenamed", "adds")));
+        assert!(named.contains(&("Add", "ntt_fwd")));
+        assert!(named.contains(&("Add", "bytes")));
+        assert!(report.to_json(&stale).contains("\"pass\": false"));
+    }
+
+    #[test]
     fn json_report_is_well_formed() {
         let report = sample_report();
         let tol = Tolerances::parse("Add adds 0.0\nAdd mults 0.25").unwrap();
@@ -403,7 +464,8 @@ mod tests {
     #[test]
     fn json_strings_are_escaped() {
         assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_string("\r\t"), "\"\\r\\t\"");
+        assert_eq!(json_string("\u{1}\u{1f}"), "\"\\u0001\\u001f\"");
         assert_eq!(json_f64(f64::INFINITY), "1e308");
     }
 }

@@ -4,9 +4,9 @@
 //! The MAD paper's conclusions rest on SimFHE's analytical op counts and
 //! DRAM-transfer estimates (`simfhe::primitives`); this module measures what
 //! the functional kernels *actually* execute so the two can be
-//! cross-validated (the `validate` binary in `crates/program` and
-//! `simfhe trace` in `crates/core`). Counters follow the paper's accounting
-//! granularity:
+//! cross-validated — ops and DRAM bytes in one run of the `validate` binary
+//! in `crates/program` (`cargo run --release -p fhe-program --bin
+//! validate`). Counters follow the paper's accounting granularity:
 //!
 //! - **Modular multiplications / additions** (Section 4.1: "SimFHE tracks
 //!   compute at the modular arithmetic level"). Butterflies count as
@@ -79,8 +79,8 @@
 //! [`trace_start`] and [`trace_stop`], so nothing else pays for trace
 //! storage. [`Span`]s emit [`TraceRecord::SpanBegin`]/
 //! [`TraceRecord::SpanEnd`] pairs with microsecond timestamps while a
-//! trace is active, which `simfhe trace` exports as Chrome trace-event
-//! JSON for Perfetto.
+//! trace is active, which `validate --perfetto` exports as Chrome
+//! trace-event JSON for Perfetto.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

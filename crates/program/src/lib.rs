@@ -33,6 +33,7 @@ use simfhe::program::{
     bsgs_baby_dim, HoistRole, Instr, KeyManifest, Program, ProgramEnv, ProgramInfo, ValidateError,
 };
 
+pub mod ledger;
 pub mod workloads;
 
 pub use simfhe::program;
