@@ -52,14 +52,14 @@ fn bench_ntt(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs unrolled (lazy-reduction, blocked) kernel backends on the
+/// Scalar vs unrolled (lazy-reduction, radix-4) kernel backends on the
 /// single-limb NTT — the headline readout for the `KernelBackend` layer —
 /// then on the two accumulating kernels of a key switch (`NewLimb` and the
-/// digit-fused inner product). N = 2^15 is the production ring size the
-/// backend work targets.
+/// digit-fused inner product). N = 2^12..2^14 are the rings the benchmark
+/// serves; N = 2^15 is the production ring size the backend work targets.
 fn bench_backend_comparison(c: &mut Criterion) {
     use fhe_math::BackendKind;
-    for log_n in [12u32, 15] {
+    for log_n in [12u32, 13, 14, 15] {
         let n = 1usize << log_n;
         let q = generate_ntt_primes(1, 50, n)[0];
         let mut rng = StdRng::seed_from_u64(5);

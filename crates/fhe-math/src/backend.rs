@@ -12,14 +12,16 @@
 //!
 //! - [`ScalarBackend`] — the reference: one obvious loop per kernel, every
 //!   butterfly and pointwise value fully reduced in `[0, q)` at every step.
-//! - [`UnrolledBackend`] — processes butterflies in fixed-width blocks with
-//!   **lazy (deferred) reduction**: operands are kept in the half-reduced
-//!   range `[0, 2q)` across butterfly stages (transiently `[0, 4q)` inside a
-//!   butterfly, which is why [`crate::modular::MAX_MODULUS_BITS`] is 62),
-//!   and the single conditional subtraction down to `[0, q)` happens once at
-//!   transform exit. The inner loops are branch-light straight-line blocks
-//!   that LLVM can unroll and auto-vectorize — no nightly `std::simd`
-//!   dependency.
+//! - [`UnrolledBackend`] — transforms built around registers instead of
+//!   sweeps, with **lazy (deferred) reduction**: radix-4 sweeps carry four
+//!   words through two stages per load and store, the three short stages
+//!   run on eight-word blocks held in registers, and operands stay in
+//!   `[0, 4q)` (forward, Harvey's butterfly) or `[0, 2q)` (inverse) across
+//!   stages — which is why [`crate::modular::MAX_MODULUS_BITS`] is 62 — with
+//!   the reduction to `[0, q)` and the inverse's `N⁻¹` folded into the last
+//!   sweep's stores. The compiled loops are scalar `mul`/`imul`/`cmov`
+//!   (x86-64 has no 64×64→128 vector multiply), so the floor is three
+//!   multiplies per butterfly on one port.
 //!
 //! The two *accumulating* kernels — the `NewLimb` sum `Σ_i y_i·Q_i^*` of a
 //! basis extension and the key-switch inner product `Σ_j d_j·k_j` — defer
@@ -59,7 +61,7 @@
 //!
 //! Implement [`KernelBackend`] (the contract for each method is documented
 //! on the trait), add a [`BackendKind`] variant wired into
-//! [`BackendKind::instance`] and [`BackendKind::from_name`], and the whole
+//! [`BackendKind::instance`] and [`BackendKind::name`], and the whole
 //! stack — `RnsPoly`, key switching, the serving runtime — picks it up
 //! through construction-time selection. A GPU or `std::simd` backend is a
 //! single new impl; correctness is gated by adding its kind to the
@@ -148,7 +150,7 @@ pub struct DigitTerm<'a> {
 /// canonical. Backends must not record telemetry (see the module docs).
 pub trait KernelBackend: Send + Sync + fmt::Debug {
     /// Stable lowercase identifier (`"scalar"`, `"unrolled"`), used for
-    /// env selection, metrics labels, and bench IDs.
+    /// the serving `Hello` reply, metrics labels, and bench IDs.
     fn name(&self) -> &'static str;
 
     /// In-place forward negacyclic NTT over one limb (Cooley–Tukey
@@ -230,22 +232,11 @@ pub trait KernelBackend: Send + Sync + fmt::Debug {
 pub enum BackendKind {
     /// The original fully-reduced scalar loops.
     Scalar,
-    /// Fixed-width blocked butterflies with lazy reduction.
+    /// Register-blocked radix-4 transforms with lazy reduction.
     Unrolled,
 }
 
 impl BackendKind {
-    /// Parses a backend name (the inverse of [`BackendKind::name`], plus
-    /// `auto`/`default`/`best` for [`best_available`]).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(Self::Scalar),
-            "unrolled" | "vectorized" => Some(Self::Unrolled),
-            "" | "auto" | "default" | "best" => Some(best_available()),
-            _ => None,
-        }
-    }
-
     /// The shared instance of this backend.
     pub fn instance(self) -> Arc<dyn KernelBackend> {
         static SCALAR: OnceLock<Arc<dyn KernelBackend>> = OnceLock::new();
@@ -490,17 +481,16 @@ fn new_limb_slot(
 }
 
 // ---------------------------------------------------------------------------
-// Unrolled backend: fixed-width blocks, lazy reduction.
+// Unrolled backend: register-blocked radix-4 transforms, lazy reduction.
 // ---------------------------------------------------------------------------
 
-/// Butterfly block width. Eight 64-bit lanes fill one AVX-512 register or
-/// two AVX2 registers; the remainder loops handle shorter tails so any
-/// power-of-two transform size stays exact.
+/// Block width: the eight words the three short transform stages
+/// (`t` = 4, 2, 1) hold in registers, and the slot block of the basis
+/// extension. Transforms shorter than one block take the reference loops.
 const BLOCK: usize = 8;
 
 /// Conditional subtraction — the only "reduction" the lazy kernels perform
-/// per butterfly. Branchless-friendly: LLVM lowers this to a compare+select
-/// in the blocked loops.
+/// per butterfly. Branchless: LLVM lowers this to a compare + `cmov`.
 #[inline(always)]
 fn csub(x: u64, q: u64) -> u64 {
     if x >= q {
@@ -519,95 +509,227 @@ fn mul_shoup_lazy(a: u64, c: ShoupPair, q: u64) -> u64 {
     a.wrapping_mul(c.value).wrapping_sub(q_hat.wrapping_mul(q))
 }
 
-/// Fixed-width blocked butterflies with lazy reduction.
+/// Harvey's forward (Cooley–Tukey) butterfly: operands and results in
+/// `[0, 4q)`, one conditional subtraction. `x + 2q − t` peaks just under
+/// `4q`, which is why a modulus may not exceed 62 bits.
+#[inline(always)]
+fn ct(u: u64, v: u64, w: ShoupPair, q: u64) -> (u64, u64) {
+    let x = csub(u, 2 * q);
+    let t = mul_shoup_lazy(v, w, q);
+    (x + t, x + 2 * q - t)
+}
+
+/// The inverse (Gentleman–Sande) butterfly: operands and results in
+/// `[0, 2q)`; the difference enters the lazy multiply unreduced.
+#[inline(always)]
+fn gs(u: u64, v: u64, w: ShoupPair, q: u64) -> (u64, u64) {
+    (csub(u + v, 2 * q), mul_shoup_lazy(u + 2 * q - v, w, q))
+}
+
+/// The limb block by block, each with the twiddles its three short stages
+/// use: one for `t` = 4, two for `t` = 2, four for `t` = 1.
+fn short_stage_blocks<'a>(
+    data: &'a mut [u64],
+    roots: &'a [ShoupPair],
+) -> impl Iterator<Item = (&'a mut [u64], ShoupPair, &'a [ShoupPair], &'a [ShoupPair])> {
+    let n = data.len();
+    let (w4, w2, w1) = (&roots[n / 8..n / 4], &roots[n / 4..n / 2], &roots[n / 2..n]);
+    data.chunks_exact_mut(BLOCK)
+        .zip(w4)
+        .zip(w2.chunks_exact(2))
+        .zip(w1.chunks_exact(4))
+        .map(|(((block, &w4), w2), w1)| (block, w4, w2, w1))
+}
+
+/// The eight words of one block, by value.
+#[inline(always)]
+fn load(block: &[u64]) -> [u64; BLOCK] {
+    block.try_into().expect("a block of BLOCK words")
+}
+
+/// Forward stages `(m, t)` and `(2m, t/2)` in one sweep: four words a
+/// quarter-group apart go through both stages between one load and one
+/// store. The bit-reversed table keeps the three twiddles of a group
+/// adjacent: `roots[m+i]`, then `roots[2m+2i]` and `roots[2m+2i+1]`.
+fn forward_pair(data: &mut [u64], roots: &[ShoupPair], m: usize, t: usize, q: u64) {
+    for (i, group) in data.chunks_exact_mut(2 * t).enumerate() {
+        let (w, w_lo, w_hi) = (roots[m + i], roots[2 * m + 2 * i], roots[2 * m + 2 * i + 1]);
+        let (lo, hi) = group.split_at_mut(t);
+        let (a, b) = lo.split_at_mut(t / 2);
+        let (c, d) = hi.split_at_mut(t / 2);
+        for (((a, b), c), d) in a.iter_mut().zip(b).zip(c).zip(d) {
+            let (a1, c1) = ct(*a, *c, w, q);
+            let (b1, d1) = ct(*b, *d, w, q);
+            (*a, *b) = ct(a1, b1, w_lo, q);
+            (*c, *d) = ct(c1, d1, w_hi, q);
+        }
+    }
+}
+
+/// The last three forward stages (`t` = 4, 2, 1) on one block at a time,
+/// held in registers, with `exit` applied to every word on its way out.
+fn forward_tail(data: &mut [u64], roots: &[ShoupPair], q: u64, exit: impl Fn(u64) -> u64) {
+    for (block, w4, w2, w1) in short_stage_blocks(data, roots) {
+        let [x0, x1, x2, x3, x4, x5, x6, x7] = load(block);
+        let (x0, x4) = ct(x0, x4, w4, q);
+        let (x1, x5) = ct(x1, x5, w4, q);
+        let (x2, x6) = ct(x2, x6, w4, q);
+        let (x3, x7) = ct(x3, x7, w4, q);
+        let (x0, x2) = ct(x0, x2, w2[0], q);
+        let (x1, x3) = ct(x1, x3, w2[0], q);
+        let (x4, x6) = ct(x4, x6, w2[1], q);
+        let (x5, x7) = ct(x5, x7, w2[1], q);
+        let (x0, x1) = ct(x0, x1, w1[0], q);
+        let (x2, x3) = ct(x2, x3, w1[1], q);
+        let (x4, x5) = ct(x4, x5, w1[2], q);
+        let (x6, x7) = ct(x6, x7, w1[3], q);
+        block.copy_from_slice(&[x0, x1, x2, x3, x4, x5, x6, x7].map(&exit));
+    }
+}
+
+/// The forward transform: canonical input, every word `< 4q` before `exit`
+/// maps it on the tail's stores. One sweep per two stages — six over the
+/// limb at N = 2^13 where a stage-per-sweep transform makes thirteen and
+/// an exit pass.
+fn forward_transform(table: &NttTable, data: &mut [u64], exit: impl Fn(u64) -> u64) {
+    let n = data.len();
+    if n < BLOCK {
+        return ScalarBackend.ntt_forward(table, data);
+    }
+    let q = table.modulus().value();
+    let roots = table.forward_roots();
+    let (mut m, mut t) = (1, n / 2);
+    // An odd number of stages ahead of the tail: the first goes alone, as
+    // one radix-2 sweep, and the rest pair up.
+    if (n / BLOCK).trailing_zeros() % 2 == 1 {
+        let (us, vs) = data.split_at_mut(t);
+        for (u, v) in us.iter_mut().zip(vs) {
+            (*u, *v) = ct(*u, *v, roots[1], q);
+        }
+        (m, t) = (2, n / 4);
+    }
+    while t > BLOCK {
+        forward_pair(data, roots, m, t, q);
+        (m, t) = (4 * m, t / 4);
+    }
+    forward_tail(data, roots, q, exit);
+}
+
+/// The first three inverse stages (`t` = 1, 2, 4) on one block at a time,
+/// held in registers; `last` is the butterfly of the third.
+fn inverse_head(
+    data: &mut [u64],
+    roots: &[ShoupPair],
+    q: u64,
+    last: impl Fn(u64, u64, ShoupPair) -> (u64, u64),
+) {
+    for (block, w4, w2, w1) in short_stage_blocks(data, roots) {
+        let [x0, x1, x2, x3, x4, x5, x6, x7] = load(block);
+        let (x0, x1) = gs(x0, x1, w1[0], q);
+        let (x2, x3) = gs(x2, x3, w1[1], q);
+        let (x4, x5) = gs(x4, x5, w1[2], q);
+        let (x6, x7) = gs(x6, x7, w1[3], q);
+        let (x0, x2) = gs(x0, x2, w2[0], q);
+        let (x1, x3) = gs(x1, x3, w2[0], q);
+        let (x4, x6) = gs(x4, x6, w2[1], q);
+        let (x5, x7) = gs(x5, x7, w2[1], q);
+        let (x0, x4) = last(x0, x4, w4);
+        let (x1, x5) = last(x1, x5, w4);
+        let (x2, x6) = last(x2, x6, w4);
+        let (x3, x7) = last(x3, x7, w4);
+        block.copy_from_slice(&[x0, x1, x2, x3, x4, x5, x6, x7]);
+    }
+}
+
+/// Inverse stages of spans `t` and `2t` in one sweep, the mirror of
+/// [`forward_pair`]; `last` is the butterfly of the second.
+fn inverse_pair(
+    data: &mut [u64],
+    roots: &[ShoupPair],
+    t: usize,
+    q: u64,
+    last: impl Fn(u64, u64, ShoupPair) -> (u64, u64),
+) {
+    let h = data.len() / (2 * t);
+    for (i, group) in data.chunks_exact_mut(4 * t).enumerate() {
+        let (w_lo, w_hi, w) = (roots[h + 2 * i], roots[h + 2 * i + 1], roots[h / 2 + i]);
+        let (lo, hi) = group.split_at_mut(2 * t);
+        let (a, b) = lo.split_at_mut(t);
+        let (c, d) = hi.split_at_mut(t);
+        for (((a, b), c), d) in a.iter_mut().zip(b).zip(c).zip(d) {
+            let (a1, b1) = gs(*a, *b, w_lo, q);
+            let (c1, d1) = gs(*c, *d, w_hi, q);
+            (*a, *c) = last(a1, c1, w);
+            (*b, *d) = last(b1, d1, w);
+        }
+    }
+}
+
+/// The inverse transform, `N⁻¹` included: canonical input, every word
+/// `< 2q` before `exit` maps it on the last stage's stores. That stage has
+/// one twiddle, so it scales as it goes — `u' = (u+v)·N⁻¹`,
+/// `v' = (u−v)·(w·N⁻¹)` — and there is no normalisation pass.
+fn inverse_transform(table: &NttTable, data: &mut [u64], exit: impl Fn(u64) -> u64) {
+    let n = data.len();
+    if n < BLOCK {
+        return ScalarBackend.ntt_inverse(table, data);
+    }
+    let q = table.modulus().value();
+    let roots = table.inverse_roots();
+    let (n_inv, w_n_inv) = (table.n_inv(), table.n_inv_last_root());
+    let inner = |u, v, w| gs(u, v, w, q);
+    // The last stage's butterfly; its one twiddle is folded into `w_n_inv`.
+    let scaled = |u: u64, v: u64, _| {
+        (
+            exit(mul_shoup_lazy(u + v, n_inv, q)),
+            exit(mul_shoup_lazy(u + 2 * q - v, w_n_inv, q)),
+        )
+    };
+    // Whichever sweep holds the last stage takes `scaled`: the head at
+    // n = 8, else the lone radix-2 sweep when the stages after the head are
+    // odd in number, else the last pair.
+    if n == BLOCK {
+        return inverse_head(data, roots, q, scaled);
+    }
+    inverse_head(data, roots, q, inner);
+    let mut t = BLOCK;
+    while 4 * t < n {
+        inverse_pair(data, roots, t, q, inner);
+        t *= 4;
+    }
+    if 2 * t < n {
+        inverse_pair(data, roots, t, q, scaled);
+    } else {
+        let (us, vs) = data.split_at_mut(t);
+        for (u, v) in us.iter_mut().zip(vs) {
+            (*u, *v) = scaled(*u, *v, w_n_inv);
+        }
+    }
+}
+
+/// Register-blocked radix-4 transforms with lazy reduction, and the blocked
+/// accumulating kernels.
 ///
-/// Invariant: butterfly operands stay in the half-reduced range `[0, 2q)`
-/// across stages (values pass `[0, 4q)` transiently inside a butterfly,
-/// safe because `q < 2^62`); the reduction to canonical `[0, q)` is a
-/// single conditional subtraction at transform exit. The inner loops run in
-/// `BLOCK`-wide (eight-lane) straight-line chunks so LLVM unrolls and
-/// vectorizes them.
+/// Transform invariants: the forward butterflies keep every word in
+/// `[0, 4q)` (Harvey), the inverse ones in `[0, 2q)`; both are legal
+/// because `q < 2^62`. The reduction to canonical `[0, q)` rides on the
+/// stores of the last sweep, and so does the inverse's `N⁻¹`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnrolledBackend;
 
 impl UnrolledBackend {
-    /// Forward NTT leaving the output **half-reduced** in `[0, 2q)` — the
-    /// lazy core of [`KernelBackend::ntt_forward`], exposed so the range
-    /// invariant is directly testable (the `backend_proptests` suite
-    /// asserts every pre-reduction value is `< 2q`).
+    /// [`KernelBackend::ntt_forward`] without the canonical reduction: the
+    /// output is congruent to it with every word in `[0, 4q)`. Exposed so
+    /// the range invariant is directly testable (`backend_proptests`).
     pub fn ntt_forward_lazy(&self, table: &NttTable, data: &mut [u64]) {
-        let n = table.size();
-        let q = table.modulus().value();
-        let two_q = 2 * q;
-        let roots = table.forward_roots();
-        let mut t = n;
-        let mut m = 1usize;
-        while m < n {
-            t >>= 1;
-            for i in 0..m {
-                let w = roots[m + i];
-                let base = 2 * i * t;
-                // Split the group into its (u, v) halves so the block loop
-                // walks two dense slices in lockstep.
-                let (us, vs) = data[base..base + 2 * t].split_at_mut(t);
-                let mut ub = us.chunks_exact_mut(BLOCK);
-                let mut vb = vs.chunks_exact_mut(BLOCK);
-                for (uc, vc) in (&mut ub).zip(&mut vb) {
-                    for k in 0..BLOCK {
-                        let u0 = uc[k];
-                        let tv = mul_shoup_lazy(vc[k], w, q);
-                        uc[k] = csub(u0 + tv, two_q);
-                        vc[k] = csub(u0 + two_q - tv, two_q);
-                    }
-                }
-                for (u, v) in ub.into_remainder().iter_mut().zip(vb.into_remainder()) {
-                    let u0 = *u;
-                    let tv = mul_shoup_lazy(*v, w, q);
-                    *u = csub(u0 + tv, two_q);
-                    *v = csub(u0 + two_q - tv, two_q);
-                }
-            }
-            m <<= 1;
-        }
+        forward_transform(table, data, |x| x);
     }
 
-    /// Inverse NTT butterflies **without** the final `N^{-1}` scaling,
-    /// leaving the output half-reduced in `[0, 2q)` (testable range
-    /// invariant, like [`UnrolledBackend::ntt_forward_lazy`]).
+    /// [`KernelBackend::ntt_inverse`] (`N⁻¹` included) without the
+    /// canonical reduction: every word in `[0, 2q)`. Testable range
+    /// invariant, like [`UnrolledBackend::ntt_forward_lazy`].
     pub fn ntt_inverse_lazy(&self, table: &NttTable, data: &mut [u64]) {
-        let n = table.size();
-        let q = table.modulus().value();
-        let two_q = 2 * q;
-        let roots = table.inverse_roots();
-        let mut t = 1usize;
-        let mut m = n;
-        while m > 1 {
-            let h = m >> 1;
-            let mut base = 0usize;
-            for i in 0..h {
-                let w = roots[h + i];
-                let (us, vs) = data[base..base + 2 * t].split_at_mut(t);
-                let mut ub = us.chunks_exact_mut(BLOCK);
-                let mut vb = vs.chunks_exact_mut(BLOCK);
-                for (uc, vc) in (&mut ub).zip(&mut vb) {
-                    for k in 0..BLOCK {
-                        let u0 = uc[k];
-                        let v0 = vc[k];
-                        uc[k] = csub(u0 + v0, two_q);
-                        vc[k] = mul_shoup_lazy(u0 + two_q - v0, w, q);
-                    }
-                }
-                for (u, v) in ub.into_remainder().iter_mut().zip(vb.into_remainder()) {
-                    let u0 = *u;
-                    let v0 = *v;
-                    *u = csub(u0 + v0, two_q);
-                    *v = mul_shoup_lazy(u0 + two_q - v0, w, q);
-                }
-                base += 2 * t;
-            }
-            t <<= 1;
-            m = h;
-        }
+        inverse_transform(table, data, |x| x);
     }
 }
 
@@ -617,22 +739,13 @@ impl KernelBackend for UnrolledBackend {
     }
 
     fn ntt_forward(&self, table: &NttTable, data: &mut [u64]) {
-        self.ntt_forward_lazy(table, data);
-        // Stage exit: the single conditional subtraction back to [0, q).
         let q = table.modulus().value();
-        for x in data.iter_mut() {
-            *x = csub(*x, q);
-        }
+        forward_transform(table, data, |x| csub(csub(x, 2 * q), q));
     }
 
     fn ntt_inverse(&self, table: &NttTable, data: &mut [u64]) {
-        self.ntt_inverse_lazy(table, data);
-        // Fold the final reduction into the N^{-1} normalization pass.
         let q = table.modulus().value();
-        let n_inv = table.n_inv();
-        for x in data.iter_mut() {
-            *x = csub(mul_shoup_lazy(*x, n_inv, q), q);
-        }
+        inverse_transform(table, data, |x| csub(x, q));
     }
 
     fn pointwise_add(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
@@ -852,13 +965,6 @@ mod tests {
 
     #[test]
     fn selection_precedence_and_names() {
-        assert_eq!(BackendKind::from_name("scalar"), Some(BackendKind::Scalar));
-        assert_eq!(
-            BackendKind::from_name("UNROLLED"),
-            Some(BackendKind::Unrolled)
-        );
-        assert_eq!(BackendKind::from_name("auto"), Some(best_available()));
-        assert_eq!(BackendKind::from_name("gpu"), None);
         assert_eq!(
             resolve(Some(BackendKind::Scalar)).name(),
             "scalar",
@@ -891,8 +997,9 @@ mod tests {
 
     #[test]
     fn unrolled_matches_scalar_on_odd_sizes() {
-        // Sizes below/around the block width exercise every remainder loop.
-        for n in [2usize, 4, 8, 16, 32] {
+        // Below the block width, the lone block, and the first sizes with
+        // and without the lone radix-2 sweep.
+        for n in [2usize, 4, 8, 16, 32, 64, 128] {
             let q = generate_ntt_primes(1, 40, n)[0];
             let ts = NttTable::with_backend(q, n, BackendKind::Scalar.instance()).unwrap();
             let tu = NttTable::with_backend(q, n, BackendKind::Unrolled.instance()).unwrap();

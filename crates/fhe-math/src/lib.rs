@@ -13,8 +13,8 @@
 //! - [`backend`]: the pluggable [`KernelBackend`] trait routing every hot
 //!   kernel (NTT butterflies, pointwise modmul, fused basis extension)
 //!   through a per-context implementation — the fully-reduced scalar
-//!   reference and a lazy-reduction blocked variant that LLVM
-//!   auto-vectorizes.
+//!   reference and a lazy-reduction variant whose transforms are radix-4
+//!   sweeps with the short stages held in registers.
 //! - [`prime`]: deterministic Miller–Rabin primality testing and generation
 //!   of NTT-friendly primes (`q ≡ 1 mod 2N`).
 //! - [`ntt`]: negacyclic number-theoretic transforms over

@@ -75,6 +75,9 @@ pub struct NttTable {
     inv_roots: Vec<ShoupPair>,
     /// N^{-1} mod q for the final inverse scaling.
     n_inv: ShoupPair,
+    /// `inv_roots[1]·N^{-1}`: the last inverse stage's only twiddle with the
+    /// scaling folded in.
+    n_inv_last_root: ShoupPair,
     /// ψ, kept for callers that need evaluation-point bookkeeping.
     psi: u64,
     /// The kernel implementation butterflies dispatch to.
@@ -172,6 +175,7 @@ impl NttTable {
         let fwd_roots = ShoupPair::table(&modulus, &fwd_roots);
         let inv_roots = ShoupPair::table(&modulus, &inv_roots);
         let n_inv = modulus.inv(n as u64).expect("n invertible mod prime q");
+        let n_inv_last_root = ShoupPair::new(&modulus, modulus.mul(inv_roots[1].value, n_inv));
         let n_inv = ShoupPair::new(&modulus, n_inv);
         Ok(Self {
             modulus,
@@ -180,6 +184,7 @@ impl NttTable {
             fwd_roots,
             inv_roots,
             n_inv,
+            n_inv_last_root,
             psi,
             backend,
         })
@@ -229,6 +234,15 @@ impl NttTable {
         self.n_inv
     }
 
+    /// `N^{-1}·ψ^{-br(1)} mod q` with its Shoup companion. The last inverse
+    /// stage has this one twiddle, so a backend can scale there —
+    /// `u' = (u+v)·N^{-1}`, `v' = (u−v)·(w·N^{-1})` — instead of in a pass
+    /// of its own.
+    #[inline]
+    pub fn n_inv_last_root(&self) -> ShoupPair {
+        self.n_inv_last_root
+    }
+
     /// In-place forward negacyclic NTT (coefficient → evaluation,
     /// bit-reversed output order).
     ///
@@ -251,6 +265,8 @@ impl NttTable {
     /// Panics if `data.len() != self.size()`.
     pub fn inverse(&self, data: &mut [u64]) {
         assert_eq!(data.len(), self.n, "NTT size mismatch");
+        // Logical units here too: a backend that folds `N⁻¹` into its last
+        // stage runs n/2 fewer multiplies than this records.
         crate::telemetry::record_ntt(false, self.butterfly_count(), self.n as u64);
         self.backend.ntt_inverse(self, data);
     }

@@ -22,6 +22,7 @@
 use crate::automorph::Automorphism;
 use crate::backend::ShoupPair;
 use crate::bigint::{IBig, UBig};
+use crate::modular::Modulus;
 use crate::parallel;
 use crate::rns::{BasisExtender, RnsBasis};
 use crate::scratch::ScratchPool;
@@ -584,15 +585,48 @@ impl RnsPoly {
     }
 }
 
+/// The centred lift of one limb into another modulus, from the limb
+/// shifted by `h = ⌊from/2⌋`: `shifted[k] = c[k] + h mod from` (`from`
+/// odd). The integer `shifted[k] − h` *is* the centred representative of
+/// `c[k]`, so `out[k] = (shifted[k] mod to) − (h mod to)` equals
+/// `to.from_i64(from.to_centered(c[k]))` with no comparison against
+/// `from/2` and no sign test — the shift `ModDown` uses, for one source limb.
+/// The first reduction is a conditional subtraction when `from ≤ 2·to` and
+/// a Barrett step otherwise.
+pub fn lift_centered(from: &Modulus, to: &Modulus, shifted: &[u64], out: &mut [u64]) {
+    debug_assert!(from.value() % 2 == 1, "the shift centres odd moduli only");
+    let q = to.value();
+    let h = to.reduce(from.value() / 2);
+    // `reduced − h mod q` as add-then-conditional-subtract: a rescale
+    // measured ≈ 3% slower with `Modulus::sub` here.
+    let lift = |reduced: u64| {
+        let x = reduced + q - h;
+        if x >= q {
+            x - q
+        } else {
+            x
+        }
+    };
+    if from.value() <= 2 * q {
+        for (x, &c) in out.iter_mut().zip(shifted) {
+            *x = lift(if c >= q { c - q } else { c });
+        }
+    } else {
+        for (x, &c) in out.iter_mut().zip(shifted) {
+            *x = lift(to.reduce_u128(c as u128));
+        }
+    }
+}
+
 /// `Rescale` (the paper's Table 2 column): divides by the last limb modulus
 /// and drops that limb, keeping the scaling factor stable after a
 /// multiplication.
 ///
 /// Input and output are in evaluation representation. Internally: one iNTT
 /// on the dropped limb (limb-wise), a centered reduction of that limb into
-/// every remaining modulus (slot-wise in spirit, but single-source so it
-/// streams), `ℓ−1` forward NTTs, and a pointwise subtract-and-scale.
-/// Scratch and output storage come from `pool`.
+/// every remaining modulus ([`lift_centered`]: slot-wise in spirit, but
+/// single-source so it streams), `ℓ−1` forward NTTs, and a pointwise
+/// subtract-and-scale. Scratch and output storage come from `pool`.
 ///
 /// # Panics
 ///
@@ -616,10 +650,14 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
     telemetry::record_transfer(8 * (n as u64) * (1 + kept), 8 * n as u64);
     poly.trace_touch(false);
 
-    // iNTT the dropped limb.
+    // iNTT the dropped limb and shift it by ⌊q_last/2⌋, once, for the
+    // centred lifts below.
     let mut last = pool.take(n);
     last.copy_from_slice(poly.limb(l - 1));
     basis.ntt_table(l - 1).inverse(&mut last);
+    basis
+        .backend()
+        .add_scalar(q_last, &mut last, q_last.value() / 2);
 
     let mut out = RnsPoly {
         basis: Arc::new(basis.prefix(l - 1)),
@@ -635,9 +673,7 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
         let qi = basis.modulus(i);
         // Centered image of the dropped limb in q_i, NTT'd in place inside
         // the output limb — no per-limb temporary needed.
-        for (x, &c) in limb.iter_mut().zip(last.iter()) {
-            *x = qi.from_i64(q_last.to_centered(c));
-        }
+        lift_centered(q_last, qi, last, limb);
         basis.ntt_table(i).forward(limb);
         let off = i * n;
         basis

@@ -313,9 +313,10 @@ pub fn record_ops(mults: u64, adds: u64) {
 /// Records one whole-limb NTT transform of `n` coefficients with
 /// `butterflies` butterfly stages-worth of work (1 mult + 2 adds each),
 /// plus the limb's streaming traffic. An inverse transform also records
-/// its `n`-multiply `N⁻¹` normalization pass, which lies beyond the model's
-/// butterfly count (an optimized kernel folds it into the last stage), so
-/// measured counts stay honest.
+/// the `n` multiplies of an `N⁻¹` normalization pass, which lie beyond the
+/// model's butterfly count. These are *logical* units, the same for every
+/// backend by contract: the unrolled backend folds `N⁻¹` into its last
+/// stage and so executes `n/2` fewer multiplies than are recorded here.
 #[inline]
 pub fn record_ntt(forward: bool, butterflies: u64, n: u64) {
     if forward {

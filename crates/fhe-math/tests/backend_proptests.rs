@@ -1,21 +1,22 @@
-//! Property-based backend equivalence: for random NTT-friendly moduli
-//! (50–61 bits — [`generate_ntt_primes`] caps prime sizes at 61 so the
-//! lazy-reduction bound `4q < 2^64` always holds) and random sizes
-//! `2^4..=2^12`, the scalar and unrolled backends must agree bit-for-bit,
-//! and the unrolled backend's *lazy* transform entry points must keep every
-//! intermediate in the half-reduced range `[0, 2q)`.
+//! Property-based backend equivalence: for random NTT-friendly moduli and
+//! random sizes `2^1..=2^14` (below the unrolled transforms' block width,
+//! and with and without their lone radix-2 sweep), the scalar and unrolled
+//! backends must agree bit-for-bit, and the unrolled backend's *lazy*
+//! transform entry points must stay inside their range invariants —
+//! `[0, 4q)` forward, `[0, 2q)` inverse — up to the 62-bit primes where
+//! `4q < 2^64` is tight.
 
 use fhe_math::backend::{DigitTerm, UnrolledBackend};
-use fhe_math::poly::{Representation, RnsPoly};
+use fhe_math::poly::{lift_centered, Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding, is_prime};
 use fhe_math::rns::{BasisExtender, RnsBasis};
 use fhe_math::{BackendKind, KernelBackend, Modulus, NttTable};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// A random transform size `2^4..=2^12` (the ISSUE's proptest envelope).
+/// A random transform size `2^1..=2^14`.
 fn size_strategy() -> impl Strategy<Value = usize> {
-    (4u32..=12).prop_map(|log_n| 1usize << log_n)
+    (1u32..=14).prop_map(|log_n| 1usize << log_n)
 }
 
 /// A random 50–61 bit NTT prime for degree `n`: `seed` picks one of the
@@ -48,14 +49,14 @@ const WIDTHS: [u32; 5] = [20, 40, 50, 61, 62];
 /// which primes are admissible.
 const SMALL_DEGREE: usize = 8;
 
-/// The 24 largest primes `≡ 1 (mod 2·SMALL_DEGREE)` below `2^bits` —
-/// enough for 12 source and 12 target limbs of one width, at widths
-/// [`generate_ntt_primes`] (≤ 61 bits) does not reach.
-fn primes_of_width(bits: u32) -> Vec<u64> {
-    let step = 2 * SMALL_DEGREE as u64;
+/// The `count` largest primes `≡ 1 (mod 2·degree)` below `2^bits`, by a
+/// downward scan of this file's own: [`generate_ntt_primes`] stops at 61
+/// bits, one short of the widest the library admits.
+fn ntt_primes_of_width(bits: u32, degree: usize, count: usize) -> Vec<u64> {
+    let step = 2 * degree as u64;
     let mut candidate = (1u64 << bits) - step + 1;
     let mut out = Vec::new();
-    while out.len() < 24 {
+    while out.len() < count {
         if is_prime(candidate) {
             assert_eq!(64 - candidate.leading_zeros(), bits);
             out.push(candidate);
@@ -63,6 +64,12 @@ fn primes_of_width(bits: u32) -> Vec<u64> {
         candidate -= step;
     }
     out
+}
+
+/// The 24 largest `bits`-bit primes for [`SMALL_DEGREE`] — enough for 12
+/// source and 12 target limbs of one width.
+fn primes_of_width(bits: u32) -> Vec<u64> {
+    ntt_primes_of_width(bits, SMALL_DEGREE, 24)
 }
 
 /// `count` distinct primes of seed-chosen mixed widths, none in `taken`.
@@ -105,6 +112,55 @@ fn per_digit_fold(m: &Modulus, terms: &[DigitTerm<'_>], n: usize) -> (Vec<u64>, 
         }
     }
     (u, v)
+}
+
+/// Every word the unrolled transforms hold before their exit step is
+/// `< 4q` (forward) or `< 2q` (inverse), and scalar ≡ unrolled ≡ round
+/// trip — on a saturated, a zero and a random limb, each taken as
+/// coefficients and as a spectrum. This build checks overflow, so a
+/// wrapped `x + 2q − t` panics here rather than passing.
+fn check_lazy_transforms(bits: u32, log_n: u32, seed: u64) {
+    let n = 1usize << log_n;
+    let q = ntt_primes_of_width(bits, n, 1)[0];
+    let scalar = NttTable::with_backend(q, n, BackendKind::Scalar.instance()).unwrap();
+    let unrolled = NttTable::with_backend(q, n, BackendKind::Unrolled.instance()).unwrap();
+    let canonical = |lazy: &[u64]| lazy.iter().map(|&x| x % q).collect::<Vec<u64>>();
+    for input in [
+        vec![q - 1; n],
+        vec![0; n],
+        random_residues(seed ^ 0xabcd, q, n),
+    ] {
+        let mut spectrum = input.clone();
+        scalar.forward(&mut spectrum);
+        let mut lazy = input.clone();
+        UnrolledBackend.ntt_forward_lazy(&unrolled, &mut lazy);
+        assert!(lazy.iter().all(|&x| x < 4 * q), "forward q={q} n={n}");
+        assert_eq!(canonical(&lazy), spectrum, "forward q={q} n={n}");
+        let mut exact = input.clone();
+        unrolled.forward(&mut exact);
+        assert_eq!(exact, spectrum, "forward q={q} n={n}");
+        unrolled.inverse(&mut exact);
+        assert_eq!(exact, input, "round trip q={q} n={n}");
+
+        let mut coeffs = input.clone();
+        scalar.inverse(&mut coeffs);
+        let mut lazy = input.clone();
+        UnrolledBackend.ntt_inverse_lazy(&unrolled, &mut lazy);
+        assert!(lazy.iter().all(|&x| x < 2 * q), "inverse q={q} n={n}");
+        assert_eq!(canonical(&lazy), coeffs, "inverse q={q} n={n}");
+        let mut exact = input;
+        unrolled.inverse(&mut exact);
+        assert_eq!(exact, coeffs, "inverse q={q} n={n}");
+    }
+}
+
+/// `4q < 2^64` is tight at 62 bits: every size the library serves and every
+/// size below the block width, with and without the lone radix-2 sweep.
+#[test]
+fn lazy_transforms_hold_at_the_62_bit_limit_for_every_size() {
+    for log_n in 1..=14 {
+        check_lazy_transforms(62, log_n, u64::from(log_n));
+    }
 }
 
 /// Eighteen saturated 62-bit products exceed `2^128`: without the mid-sum
@@ -204,6 +260,28 @@ proptest! {
         }
     }
 
+    /// `Rescale`'s shifted lift ≡ `from_i64(to_centered(c))`, the pair it
+    /// replaced, at the ends of both halves of the centred range and in
+    /// between — for a dropped modulus more than twice the kept one (the
+    /// Barrett arm), under twice it, and narrower than it.
+    #[test]
+    fn shifted_lift_is_the_centred_residue(
+        from_bits in prop::sample::select(WIDTHS.to_vec()),
+        to_bits in prop::sample::select(WIDTHS.to_vec()),
+        seed in any::<u64>(),
+    ) {
+        let from = Modulus::new(primes_of_width(from_bits)[(seed % 24) as usize]).unwrap();
+        let to = Modulus::new(primes_of_width(to_bits)[(seed >> 8) as usize % 24]).unwrap();
+        let h = from.value() / 2;
+        let mut c = vec![0, h, h + 1, from.value() - 1];
+        c.extend(random_residues(seed, from.value(), 13));
+        let shifted: Vec<u64> = c.iter().map(|&c| from.add(c, h)).collect();
+        let mut lifted = vec![u64::MAX; c.len()];
+        lift_centered(&from, &to, &shifted, &mut lifted);
+        let expect: Vec<u64> = c.iter().map(|&c| to.from_i64(from.to_centered(c))).collect();
+        prop_assert_eq!(lifted, expect, "from {} to {}", from, to);
+    }
+
     /// The digit-fused inner product ≡ the per-digit fold it replaced, for
     /// every digit count a parameter set can ask for and past the point
     /// (eight 62-bit products) where the 128-bit sums must be reduced
@@ -272,45 +350,14 @@ proptest! {
     }
 
     #[test]
-    fn lazy_transforms_stay_below_2q_and_reduce_to_the_scalar_result(
-        bits in 50u32..=61,
-        n in size_strategy(),
+    fn lazy_transforms_stay_in_range_and_reduce_to_the_scalar_result(
+        bits in 20u32..=62,
+        log_n in 1u32..=14,
         seed in any::<u64>(),
     ) {
-        let q = ntt_prime(bits, n, seed);
-        let input = random_residues(seed ^ 0xabcd, q, n);
-        let scalar = NttTable::with_backend(q, n, BackendKind::Scalar.instance()).unwrap();
-        let lazy_table = NttTable::with_backend(q, n, BackendKind::Unrolled.instance()).unwrap();
-
-        let mut reference = input.clone();
-        scalar.forward(&mut reference);
-
-        let mut lazy = input.clone();
-        UnrolledBackend.ntt_forward_lazy(&lazy_table, &mut lazy);
-        for &x in &lazy {
-            prop_assert!(x < 2 * q, "forward lazy value {x} >= 2q (q={q})");
-        }
-        let reduced: Vec<u64> = lazy.iter().map(|&x| if x >= q { x - q } else { x }).collect();
-        prop_assert_eq!(&reduced, &reference);
-
-        // Inverse: feed the canonical spectrum, check the pre-reduction
-        // range, then apply the `N^{-1}` normalization the lazy entry
-        // point defers and check the result round-trips.
-        let mut lazy_inv = reference.clone();
-        UnrolledBackend.ntt_inverse_lazy(&lazy_table, &mut lazy_inv);
-        for &x in &lazy_inv {
-            prop_assert!(x < 2 * q, "inverse lazy value {x} >= 2q (q={q})");
-        }
-        let m = Modulus::new(q).unwrap();
-        let n_inv = lazy_table.n_inv();
-        let normalized: Vec<u64> = lazy_inv
-            .iter()
-            .map(|&x| {
-                let x = if x >= q { x - q } else { x };
-                m.mul_shoup(x, n_inv.value, n_inv.shoup)
-            })
-            .collect();
-        prop_assert_eq!(&normalized, &input);
+        // A width with no prime `≡ 1 (mod 2n)` in it is widened to one
+        // that has some.
+        check_lazy_transforms(bits.max(log_n + 8), log_n, seed);
     }
 
     #[test]
