@@ -6,9 +6,7 @@
 //! both the simulated values and the paper's published numbers side by
 //! side; the binaries in `src/bin/` print them and `EXPERIMENTS.md`
 //! records the comparison. (`benches/` holds the Criterion micro-benchmarks
-//! of the kernels, the functional library and the serving loopback.)
-
-pub mod loadgen;
+//! of the kernels and the functional library.)
 
 use fhe_apps::{figure6_groups, Fig6Workload};
 use simfhe::bootstrap::BootstrapCost;

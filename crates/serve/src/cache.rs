@@ -6,8 +6,9 @@
 //! on a miss the cache regenerates the `a_j` polynomials from the seed,
 //! charges the expanded bytes against its budget, and evicts other
 //! entries until it fits. A later request for an evicted key pays the
-//! expansion again — exactly the regenerate-from-seed cost the
-//! `serve_loopback` bench measures against a cache hit.
+//! expansion again — the regenerate-from-seed cost the benchmark harness
+//! reports as `fhe_serve.cache.miss_us` against `fhe_serve.cache.hit_us`
+//! on its `serve_thrash` workload.
 
 use crate::protocol::ErrorCode;
 use ckks::serialize::deserialize_switching_key;

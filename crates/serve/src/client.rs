@@ -683,7 +683,7 @@ const PROGRAM_AT: std::ops::Range<usize> = SESSION_AT.end..SESSION_AT.end + 8;
 struct ProgramSlot {
     wire: Vec<u8>,
     program: Program,
-    pid: Option<u64>,
+    pid: u64,
 }
 
 /// Handle to a program uploaded through
@@ -739,7 +739,7 @@ impl RetryingClient {
             stats: RetryStats::default(),
             request: Vec::new(),
         };
-        me.with_retry(|_, _| Ok(()))?;
+        me.with_retry(|_, _, _| Ok(()))?;
         Ok(me)
     }
 
@@ -779,80 +779,30 @@ impl RetryingClient {
         // server-side id under the new session.
         for slot in &mut self.programs {
             client.upload(Opcode::UploadProgram, sid, &slot.wire)?;
-            slot.pid = Some(program_id(&client.reply)?);
+            slot.pid = program_id(&client.reply)?;
         }
         self.conn = Some((client, sid));
         Ok(())
     }
 
-    /// (Re)establishes the connection, session, and uploaded state.
-    fn ensure(&mut self) -> Result<(&mut Client, u64), ClientError> {
-        self.ensure_ready()?;
-        let (client, sid) = self.conn.as_mut().expect("just ensured");
-        Ok((client, *sid))
-    }
-
     /// Runs `f` until it succeeds, retrying per policy. `f` receives the
-    /// live connection and the *current* session id and must re-stamp the
-    /// id into the request on every call — nothing else in the request
-    /// may change between attempts.
+    /// live connection, the *current* session id and the program slots —
+    /// whose server-side ids a reconnect inside the loop re-learns before
+    /// the next attempt — and must re-stamp the ids into the request on
+    /// every call; nothing else in the request may change between
+    /// attempts.
     fn with_retry<T>(
         &mut self,
-        mut f: impl FnMut(&mut Client, u64) -> Result<T, ClientError>,
+        mut f: impl FnMut(&mut Client, u64, &[ProgramSlot]) -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             self.stats.attempts += 1;
-            let result = match self.ensure() {
-                Ok((client, sid)) => f(client, sid),
-                Err(e) => Err(e),
-            };
-            let err = match result {
-                Ok(v) => return Ok(v),
-                Err(e) => e,
-            };
-            let class = classify(&err);
-            if matches!(class, RetryClass::Fatal) || attempt >= self.policy.max_attempts.max(1) {
-                if !matches!(class, RetryClass::Fatal) {
-                    self.stats.gave_up += 1;
-                }
-                return Err(err);
-            }
-            if matches!(class, RetryClass::Reconnect) {
-                self.conn = None;
-                self.stats.reconnects += 1;
-            }
-            self.stats.retries += 1;
-            std::thread::sleep(self.policy.backoff(attempt - 1, &mut self.rng));
-        }
-    }
-
-    /// [`RetryingClient::with_retry`], but `f` also receives the
-    /// program's server-side id under the *current* session incarnation —
-    /// which a reconnect inside the loop re-learns before the next
-    /// attempt, so a retried `run_program` always names a live program.
-    fn with_retry_program<T>(
-        &mut self,
-        handle: ProgramHandle,
-        mut f: impl FnMut(&mut Client, u64, u64) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            self.stats.attempts += 1;
-            let result = match self.ensure_ready() {
-                Ok(()) => {
-                    let pid = self.programs[handle.0].pid;
-                    let (client, sid) = self.conn.as_mut().expect("just ensured");
-                    let sid = *sid;
-                    match pid {
-                        Some(pid) => f(client, sid, pid),
-                        None => Err(ClientError::Protocol("program id never learned".into())),
-                    }
-                }
-                Err(e) => Err(e),
-            };
+            let result = self.ensure_ready().and_then(|()| {
+                let (client, sid) = self.conn.as_mut().expect("just ensured");
+                f(client, *sid, &self.programs)
+            });
             let err = match result {
                 Ok(v) => return Ok(v),
                 Err(e) => e,
@@ -881,7 +831,7 @@ impl RetryingClient {
     pub fn upload_relin(&mut self, key: &SwitchingKey) -> Result<(), ClientError> {
         let bytes = serialize_switching_key(key);
         self.relin = Some(bytes.clone());
-        self.with_retry(|client, sid| client.upload(Opcode::UploadRelin, sid, &bytes))
+        self.with_retry(|client, sid, _| client.upload(Opcode::UploadRelin, sid, &bytes))
     }
 
     /// Uploads (and stores for re-upload) a Galois key bundle.
@@ -892,7 +842,7 @@ impl RetryingClient {
     pub fn upload_galois(&mut self, keys: &GaloisKeys) -> Result<(), ClientError> {
         let bytes = serialize_galois_keys(keys);
         self.galois = Some(bytes.clone());
-        self.with_retry(|client, sid| client.upload(Opcode::UploadGalois, sid, &bytes))
+        self.with_retry(|client, sid, _| client.upload(Opcode::UploadGalois, sid, &bytes))
     }
 
     /// Uploads a program (and stores its wire bytes for re-upload on
@@ -905,14 +855,14 @@ impl RetryingClient {
     /// See [`RetryingClient::connect`].
     pub fn upload_program(&mut self, prog: &Program) -> Result<ProgramHandle, ClientError> {
         let wire = prog.to_bytes();
-        let pid = self.with_retry(|client, sid| {
+        let pid = self.with_retry(|client, sid, _| {
             client.upload(Opcode::UploadProgram, sid, &wire)?;
             program_id(&client.reply)
         })?;
         self.programs.push(ProgramSlot {
             wire,
             program: prog.clone(),
-            pid: Some(pid),
+            pid,
         });
         Ok(ProgramHandle(self.programs.len() - 1))
     }
@@ -945,7 +895,8 @@ impl RetryingClient {
             }
         };
         let ctx = self.ctx.clone();
-        let result = self.with_retry_program(handle, |client, sid, pid| {
+        let result = self.with_retry(|client, sid, programs| {
+            let pid = programs[handle.0].pid;
             frame[SESSION_AT].copy_from_slice(&sid.to_le_bytes());
             frame[PROGRAM_AT].copy_from_slice(&pid.to_le_bytes());
             client.exchange(Opcode::RunProgram as u8, &mut frame)?;
@@ -968,7 +919,7 @@ impl RetryingClient {
         build(&mut w);
         let mut frame = w.0;
         let ctx = self.ctx.clone();
-        let result = self.with_retry(|client, sid| {
+        let result = self.with_retry(|client, sid, _| {
             frame[SESSION_AT].copy_from_slice(&sid.to_le_bytes());
             client.exchange(op as u8, &mut frame)?;
             Ok(deserialize_ciphertext(&ctx, &client.reply)?)
@@ -1040,10 +991,8 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let resp = self.with_retry(|client, sid| {
-            let _ = sid; // metrics is session-free
-            client.call_raw(Opcode::Metrics as u8, &[])
-        })?;
+        // Metrics is session-free.
+        let resp = self.with_retry(|client, _, _| client.call_raw(Opcode::Metrics as u8, &[]))?;
         String::from_utf8(resp).map_err(|_| ClientError::Protocol("metrics not UTF-8".into()))
     }
 
@@ -1057,7 +1006,7 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn close(mut self) -> Result<(), ClientError> {
-        let r = self.with_retry(|client, sid| client.close_session(sid));
+        let r = self.with_retry(|client, sid, _| client.close_session(sid));
         self.conn = None;
         r
     }

@@ -195,7 +195,7 @@ pub struct FinishedTrace {
     pub op: &'static str,
     /// Response status byte (0 = success).
     pub status: u8,
-    /// The shard that served the request (always 0 pre-sharding).
+    /// The shard that served the request.
     pub shard: u32,
     /// Accept time, µs after the server started.
     pub start_us: u64,

@@ -10,7 +10,7 @@ use ckks::serialize::serialize_ciphertext;
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
 use fhe_serve::protocol::{frame_bytes, read_frame, BodyWriter, FrameRead, Opcode};
-use fhe_serve::{shard_of, Client, ObsConfig, ServeConfig, Server};
+use fhe_serve::{shard_of, CacheStats, Client, ObsConfig, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
@@ -293,4 +293,71 @@ fn a_frame_split_across_reads_migrates_whole() {
     );
     home.close_session(sid).unwrap();
     server.shutdown();
+}
+
+/// Four tenants on four open connections, one Galois key each, driven
+/// round-robin for `ROUNDS` rounds of `rotate(1)` against a global budget
+/// of two expanded keys; returns the summed cache counters.
+fn residency_counts(shards: usize) -> CacheStats {
+    const TENANTS: u64 = 4;
+    const ROUNDS: usize = 5;
+    let ctx = small_ctx();
+    let kg = KeyGenerator::new(ctx.clone());
+    let encoder = Encoder::new(ctx.clone());
+    let encryptor = Encryptor::new(ctx.clone());
+    let v: Vec<f64> = (0..ctx.params().slots()).map(|i| i as f64 * 0.02).collect();
+
+    let mut keys = Vec::new();
+    for tenant in 0..TENANTS {
+        let mut rng = StdRng::seed_from_u64(300 + tenant);
+        let sk = kg.secret_key(&mut rng);
+        let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1], false);
+        let ct = encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &v);
+        keys.push((gk, ct));
+    }
+    let key_bytes = keys[0].0.iter().next().expect("one key").1.size_bytes();
+
+    let server = Server::start(
+        ctx.clone(),
+        ServeConfig {
+            key_cache_budget: 2 * key_bytes,
+            ..sharded_config(shards)
+        },
+    )
+    .unwrap();
+    // Sequential connections: the acceptor round-robins them and Hello
+    // mints an id owned by the accepting shard, so with four shards each
+    // tenant's key lives in a slice of its own.
+    let mut tenants = Vec::new();
+    for (gk, ct) in &keys {
+        let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+        let sid = client.hello().unwrap();
+        client.upload_galois(sid, gk).unwrap();
+        tenants.push((client, sid, ct));
+    }
+    for _ in 0..ROUNDS {
+        for (client, sid, ct) in &mut tenants {
+            client.rotate(*sid, ct, 1).unwrap();
+        }
+    }
+    let stats = server.assert_cache_consistent();
+    for (client, sid, _) in &mut tenants {
+        client.close_session(*sid).unwrap();
+    }
+    server.shutdown();
+    stats
+}
+
+/// The scaling claim as counts: on a fixed global key budget, sharding
+/// turns a thrashing cache into a resident one. One shard is a two-key
+/// LRU cycled by four keys, so every lookup misses; four shards give each
+/// tenant a half-key slice, and keep-newest holds the one key that slice
+/// ever sees, so only each tenant's first lookup misses.
+#[test]
+fn sharding_a_fixed_key_budget_turns_misses_into_hits() {
+    let one = residency_counts(1);
+    assert_eq!((one.hits, one.misses), (0, 20), "one shard: {one:?}");
+    let four = residency_counts(4);
+    assert_eq!((four.hits, four.misses), (16, 4), "four shards: {four:?}");
+    assert_eq!(four.evictions, 0, "four shards: {four:?}");
 }
