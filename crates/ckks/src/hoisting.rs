@@ -14,26 +14,58 @@
 //!   `ModUp` and two `ModDown`s regardless of the number of rotations
 //!   (Figure 5c).
 //! - [`apply_bsgs`]: the baby-step/giant-step decomposition used at scale,
-//!   with hoisting applied to the baby steps.
+//!   with both hoistings applied to the baby steps of every giant group
+//!   and the last `ModDown` merged with the rescale.
+//!
+//! A [`LinearTransform`] encodes its diagonals once and keeps them, so a
+//! transform applied repeatedly (a database scored against every query, a
+//! bootstrap's DFT stages) pays the encoding FFT and limb NTTs on first
+//! use only.
 
+use crate::context::CkksContext;
 use crate::encoding::Encoder;
-use crate::keys::GaloisKeys;
-use crate::keyswitch::{automorph_digits_with, complete, decompose_and_raise, inner_product};
+use crate::keys::{GaloisKeys, SwitchingKey};
+use crate::keyswitch::{
+    automorph_digits_with, complete, complete_merged, decompose_and_raise, inner_product, pair_sum,
+    RaisedKeySwitch,
+};
 use crate::ops::Evaluator;
 use crate::plaintext::Ciphertext;
+use fhe_math::automorph::Automorphism;
 use fhe_math::cfft::Complex;
-use fhe_math::poly::mod_down_with;
+use fhe_math::poly::{mod_down_with, pmod_up_add_assign, pmod_up_with, Representation, RnsPoly};
+use fhe_math::rns::RnsBasis;
 use fhe_math::telemetry;
 use fhe_math::ScratchPool;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Arc, Mutex};
+
+/// A transform's diagonals as plaintext polynomials over one raised basis
+/// `Q_ℓ ∪ P` (whose `Q_ℓ` prefix is the base-basis encoding, bit for bit),
+/// each pre-rotated for the giant step baby dimension `n1` puts it in.
+struct EncodedDiagonals {
+    basis: Arc<RnsBasis>,
+    n1: usize,
+    /// One polynomial per diagonal, in offset order.
+    polys: Vec<RnsPoly>,
+}
 
 /// A linear map on slot vectors, stored as its nonzero generalized
 /// diagonals: `y_j = Σ_d diag_d[j] · v_{(j+d) mod n}`.
-#[derive(Clone)]
 pub struct LinearTransform {
     diagonals: BTreeMap<usize, Vec<Complex>>,
     slots: usize,
+    /// The encodings the last application used, reused by the next one at
+    /// the same context, level and baby dimension and replaced otherwise.
+    encoded: Mutex<Option<Arc<EncodedDiagonals>>>,
+}
+
+impl Clone for LinearTransform {
+    /// The clone starts with nothing encoded.
+    fn clone(&self) -> Self {
+        Self::from_diagonals(self.diagonals.clone(), self.slots)
+    }
 }
 
 impl fmt::Debug for LinearTransform {
@@ -65,10 +97,7 @@ impl LinearTransform {
                 diagonals.insert(d, diag);
             }
         }
-        Self {
-            diagonals,
-            slots: n,
-        }
+        Self::from_diagonals(diagonals, n)
     }
 
     /// Builds directly from a diagonal map.
@@ -81,7 +110,11 @@ impl LinearTransform {
             assert!(d < slots, "diagonal index {d} out of range");
             assert_eq!(diag.len(), slots, "diagonal {d} has wrong length");
         }
-        Self { diagonals, slots }
+        Self {
+            diagonals,
+            slots,
+            encoded: Mutex::new(None),
+        }
     }
 
     /// Number of nonzero diagonals (the paper's rotation count `r`).
@@ -116,10 +149,52 @@ impl LinearTransform {
         }
         out
     }
+
+    /// The diagonals encoded over `ctx`'s raised basis at `ell` limbs,
+    /// diagonal `d` rotated right by its giant step `⌊d/n1⌋·n1` so the
+    /// giant rotation aligns it: what the slot holds if it was filled at
+    /// this basis and `n1`, otherwise encoded now (one FFT and `ℓ + k`
+    /// limb NTTs per diagonal) and put in its place.
+    fn encoded(
+        &self,
+        ctx: &CkksContext,
+        encoder: &Encoder,
+        ell: usize,
+        n1: usize,
+    ) -> Arc<EncodedDiagonals> {
+        let basis = ctx.raised_basis(ell);
+        // Encoding runs outside the lock; the lock only ever covers a
+        // pointer copy, so it cannot be poisoned.
+        let slot = || self.encoded.lock().expect("no panic under this lock");
+        let held = slot().clone();
+        if let Some(held) = held.filter(|e| Arc::ptr_eq(&e.basis, basis) && e.n1 == n1) {
+            return held;
+        }
+        let scale = ctx.params().scale();
+        let polys = self
+            .diagonals
+            .iter()
+            .map(|(&d, diag)| {
+                let mut pre = diag.clone();
+                pre.rotate_right(d / n1 * n1);
+                let pt = encoder.encode_raised(&pre, ell, scale);
+                pt.expect("diagonal encodes").poly
+            })
+            .collect();
+        let fresh = Arc::new(EncodedDiagonals {
+            basis: basis.clone(),
+            n1,
+            polys,
+        });
+        *slot() = Some(fresh.clone());
+        fresh
+    }
 }
 
 /// `PtMatVecMult`, naive schedule (Figure 5a): one full `Rotate` (with its
-/// own `ModUp`s and `ModDown`s) per nonzero diagonal.
+/// own `ModUp`s and `ModDown`s) per nonzero diagonal, every diagonal
+/// encoded on the way. The bottom rung of the ladder the hoisted schedules
+/// are tested against.
 ///
 /// # Panics
 ///
@@ -146,6 +221,45 @@ pub fn apply_naive(
     evaluator.rescale(&acc.expect("transform has at least one diagonal"))
 }
 
+/// The automorphism table and switching key of a slot rotation.
+///
+/// # Panics
+///
+/// Panics if `gk` holds no key for it.
+fn rotation<'k>(
+    ctx: &CkksContext,
+    gk: &'k GaloisKeys,
+    steps: i64,
+) -> (Arc<Automorphism>, &'k SwitchingKey) {
+    let k = ctx.rotation_element(steps);
+    let ksk = gk
+        .get(k)
+        .unwrap_or_else(|| panic!("missing Galois key for rotation {steps}"));
+    (ctx.automorphism(k), ksk)
+}
+
+/// One rotation's share of a hoisted decomposition: the shared raised
+/// digits permuted and folded against that rotation's key, left in the
+/// raised basis.
+fn hoisted_inner_product(
+    ctx: &CkksContext,
+    digits: &[RnsPoly],
+    auto: &Automorphism,
+    ksk: &SwitchingKey,
+) -> RaisedKeySwitch {
+    let pool = ctx.scratch();
+    let rotated = automorph_digits_with(digits, auto, pool);
+    let raised = inner_product(ctx, &rotated, ksk);
+    recycle_all(rotated, pool);
+    raised
+}
+
+fn recycle_all(polys: Vec<RnsPoly>, pool: &ScratchPool) {
+    for p in polys {
+        p.recycle(pool);
+    }
+}
+
 /// Rotations sharing one decomposition (**ModUp hoisting**): returns the
 /// rotation of `ct` by each step, at the cost of a single `Decomp`/`ModUp`
 /// and one inner product + `ModDown` pair per step.
@@ -168,16 +282,8 @@ pub fn rotate_hoisted(
             if s == 0 {
                 return ct.clone();
             }
-            let k = ctx.rotation_element(s);
-            let ksk = gk
-                .get(k)
-                .unwrap_or_else(|| panic!("missing Galois key for rotation {s}"));
-            let auto = ctx.automorphism(k);
-            let rotated_digits = automorph_digits_with(&digits, &auto, pool);
-            let raised = inner_product(ctx, &rotated_digits, ksk);
-            for d in rotated_digits {
-                d.recycle(pool);
-            }
+            let (auto, ksk) = rotation(ctx, gk, s);
+            let raised = hoisted_inner_product(ctx, &digits, &auto, ksk);
             let (v, u) = complete(ctx, &raised);
             raised.recycle(pool);
             let mut c0 = ct.c0.automorphism_with(&auto, pool);
@@ -186,17 +292,46 @@ pub fn rotate_hoisted(
             Ciphertext::new(c0, u, ct.scale)
         })
         .collect();
-    for d in digits {
-        d.recycle(pool);
-    }
+    recycle_all(digits, pool);
     out
+}
+
+/// `acc += a ⊙ b` over `basis` (`a` and `b` read through their prefixes
+/// when longer), the accumulator leased by the first product.
+fn accumulate(
+    acc: &mut Option<RnsPoly>,
+    a: &RnsPoly,
+    b: &RnsPoly,
+    basis: &Arc<RnsBasis>,
+    pool: &ScratchPool,
+) {
+    match acc {
+        Some(acc) => acc.mul_add_assign_pointwise(a, b),
+        None => {
+            let mut first = RnsPoly::leased(basis.clone(), Representation::Evaluation, pool);
+            a.mul_pointwise_into(b, &mut first);
+            *acc = Some(first);
+        }
+    }
+}
+
+/// `acc += term`, taking `term` itself as the first one.
+fn merge(acc: &mut Option<RnsPoly>, term: RnsPoly, pool: &ScratchPool) {
+    match acc {
+        None => *acc = Some(term),
+        Some(a) => {
+            a.add_assign(&term);
+            term.recycle(pool);
+        }
+    }
 }
 
 /// `PtMatVecMult` with ModUp **and** ModDown hoisting (Figure 5c): one
 /// `ModUp`, two `ModDown`s, independent of the diagonal count.
 ///
 /// The plaintext diagonals are encoded directly in the raised basis
-/// `Q_ℓ ∪ P`; products and sums accumulate there, and a single `ModDown`
+/// `Q_ℓ ∪ P` (once per transform — see [`LinearTransform`]); products and
+/// sums accumulate there, one diagonal at a time, and a single `ModDown`
 /// per component finishes the job.
 ///
 /// # Panics
@@ -213,56 +348,32 @@ pub fn apply_hoisted(
     let ctx = evaluator.context();
     let pool = ctx.scratch();
     let ell = ct.limb_count();
-    let scale = ctx.params().scale();
+    let (base, raised) = (ctx.level_basis(ell), ctx.raised_basis(ell));
+    // A baby dimension of `slots` makes every diagonal a baby step: no
+    // giant steps, nothing pre-rotated.
+    let encoded = lt.encoded(ctx, encoder, ell, lt.slots);
     let digits = decompose_and_raise(ctx, &ct.c1);
 
-    // Raised-basis accumulators for the keyswitched parts, base-basis
-    // accumulator for the σ(c0)·pt parts.
-    let mut acc_u: Option<fhe_math::poly::RnsPoly> = None;
-    let mut acc_v: Option<fhe_math::poly::RnsPoly> = None;
-    let mut acc_c0: Option<fhe_math::poly::RnsPoly> = None;
-    let mut acc_c1_base: Option<fhe_math::poly::RnsPoly> = None;
-
-    for (&d, diag) in &lt.diagonals {
-        let pt_base = encoder.encode(diag, ell, scale).expect("diagonal encodes");
+    // Raised-basis accumulators for the keyswitched parts, base-basis ones
+    // for the σ(c0)·pt parts and the unrotated diagonal (the Q-prefix of a
+    // raised encoding is the base-basis encoding).
+    let (mut acc_u, mut acc_v, mut acc_c0, mut acc_c1) = (None, None, None, None);
+    for (&d, pt) in lt.diagonals.keys().zip(&encoded.polys) {
         if d == 0 {
-            // No rotation: multiply both components in the base basis.
-            let mut t0 = ct.c0.clone();
-            t0.mul_assign_pointwise(&pt_base.poly);
-            merge(&mut acc_c0, t0, pool);
-            let mut t1 = ct.c1.clone();
-            t1.mul_assign_pointwise(&pt_base.poly);
-            merge(&mut acc_c1_base, t1, pool);
+            accumulate(&mut acc_c0, &ct.c0, pt, base, pool);
+            accumulate(&mut acc_c1, &ct.c1, pt, base, pool);
             continue;
         }
-        let k = ctx.rotation_element(d as i64);
-        let ksk = gk
-            .get(k)
-            .unwrap_or_else(|| panic!("missing Galois key for rotation {d}"));
-        let auto = ctx.automorphism(k);
-        let rotated_digits = automorph_digits_with(&digits, &auto, pool);
-        let raised = inner_product(ctx, &rotated_digits, ksk);
-        for rd in rotated_digits {
-            rd.recycle(pool);
-        }
-        // Plaintext in the raised basis (ModDown hoisting).
-        let pt_raised = encoder
-            .encode_raised(diag, ell, scale)
-            .expect("diagonal encodes");
-        let mut u = raised.u;
-        u.mul_assign_pointwise(&pt_raised.poly);
-        merge(&mut acc_u, u, pool);
-        let mut v = raised.v;
-        v.mul_assign_pointwise(&pt_raised.poly);
-        merge(&mut acc_v, v, pool);
-        // σ(c0) part stays in the base basis.
-        let mut c0_rot = ct.c0.automorphism_with(&auto, pool);
-        c0_rot.mul_assign_pointwise(&pt_base.poly);
-        merge(&mut acc_c0, c0_rot, pool);
+        let (auto, ksk) = rotation(ctx, gk, d as i64);
+        let ks = hoisted_inner_product(ctx, &digits, &auto, ksk);
+        accumulate(&mut acc_u, &ks.u, pt, raised, pool);
+        accumulate(&mut acc_v, &ks.v, pt, raised, pool);
+        ks.recycle(pool);
+        let c0_rot = ct.c0.automorphism_with(&auto, pool);
+        accumulate(&mut acc_c0, &c0_rot, pt, base, pool);
+        c0_rot.recycle(pool);
     }
-    for d in digits {
-        d.recycle(pool);
-    }
+    recycle_all(digits, pool);
 
     let md = ctx.moddown_context(ell, false);
     let mut c0 = acc_c0.expect("at least one diagonal");
@@ -272,47 +383,81 @@ pub fn apply_hoisted(
         lowered.recycle(pool);
         v.recycle(pool);
     }
-    let mut c1 = match acc_u {
-        Some(u) => {
-            let lowered = mod_down_with(&u, &md, pool);
-            u.recycle(pool);
-            lowered
-        }
-        None => fhe_math::poly::RnsPoly::zero(
-            ctx.level_basis(ell).clone(),
-            fhe_math::poly::Representation::Evaluation,
-        ),
-    };
-    if let Some(b) = acc_c1_base {
-        c1.add_assign(&b);
-        b.recycle(pool);
+    if let Some(u) = acc_u {
+        merge(&mut acc_c1, mod_down_with(&u, &md, pool), pool);
+        u.recycle(pool);
     }
-    evaluator.rescale(&Ciphertext::new(c0, c1, ct.scale * scale))
+    let c1 = acc_c1.unwrap_or_else(|| RnsPoly::zero(base.clone(), Representation::Evaluation));
+    let prod = Ciphertext::new(c0, c1, ct.scale * ctx.params().scale());
+    let out = evaluator.rescale(&prod);
+    prod.recycle(pool);
+    out
 }
 
-fn merge(
-    acc: &mut Option<fhe_math::poly::RnsPoly>,
-    term: fhe_math::poly::RnsPoly,
-    pool: &ScratchPool,
-) {
-    match acc {
-        None => *acc = Some(term),
-        Some(a) => {
-            a.add_assign(&term);
-            term.recycle(pool);
-        }
-    }
-}
-
-/// `PtMatVecMult` with the baby-step/giant-step schedule: diagonals
-/// `d = g·n1 + b` are grouped so only `n1` (hoisted) baby rotations and
-/// `⌈r/n1⌉` giant rotations are needed. The paper's §3.2 discusses the
-/// baby/giant trade-off (key reads vs ciphertext reads); `n1` is the baby
-/// dimension.
+/// The baby steps `steps` of `ct` as whole ciphertexts in the raised basis,
+/// scaled by `P`, off one decomposition of `c1`: step `b ≠ 0` is the
+/// key-switch intermediate of `σ_b(c1)` with `σ_b(c0)` lifted into it
+/// (`PModUp` is free), step 0 the lifted ciphertext itself.
 ///
 /// # Panics
 ///
-/// Panics if `n1` is zero or a required Galois key is missing.
+/// Panics if a required Galois key is missing.
+fn raised_baby_steps(
+    ctx: &CkksContext,
+    ct: &Ciphertext,
+    gk: &GaloisKeys,
+    steps: &BTreeSet<usize>,
+) -> BTreeMap<usize, RaisedKeySwitch> {
+    let pool = ctx.scratch();
+    let mut babies = BTreeMap::new();
+    if steps.is_empty() {
+        return babies;
+    }
+    let digits = decompose_and_raise(ctx, &ct.c1);
+    for &b in steps {
+        let baby = if b == 0 {
+            let raised = ctx.raised_basis(ct.limb_count());
+            RaisedKeySwitch {
+                u: pmod_up_with(&ct.c1, raised.clone(), pool),
+                v: pmod_up_with(&ct.c0, raised.clone(), pool),
+            }
+        } else {
+            let (auto, ksk) = rotation(ctx, gk, b as i64);
+            let mut ks = hoisted_inner_product(ctx, &digits, &auto, ksk);
+            pmod_up_add_assign(&mut ks.v, ct.c0.automorphism_with(&auto, pool), pool);
+            ks
+        };
+        babies.insert(b, baby);
+    }
+    recycle_all(digits, pool);
+    babies
+}
+
+/// `PtMatVecMult` with the baby-step/giant-step schedule, double-hoisted:
+/// diagonals `d = g·n1 + b` are grouped by giant index `g`, and
+///
+/// - `c1` is decomposed and raised **once**; a baby step `b` that occurs
+///   is a digit automorphism and an inner product, nothing more — it stays
+///   in the raised basis, `σ_b(c0)` lifted into it;
+/// - a giant group's inner sum is one pass over those and the group's
+///   (pre-rotated) diagonals, each slot's products summed before they are
+///   reduced; a group of the unrotated diagonal alone stays in the base
+///   basis;
+/// - each non-zero giant group pays one `ModDown` pair for its inner sum
+///   and the giant key switch, whose *raised* outputs accumulate across
+///   groups; group 0 needs no rotation and joins them as it is;
+/// - one `ModDown` pair, merged with the rescale, finishes:
+///   `ModUp + (n₂−1)·(ModDown pair + ModUp) + merged pair` for `n₂` giant
+///   groups, where a `ModDown` pair per baby step, a full `Rotate` per
+///   giant step and a `Rescale` used to run.
+///
+/// The paper's §3.2 discusses the baby/giant trade-off (key reads vs
+/// ciphertext reads); `n1` is the baby dimension.
+///
+/// # Panics
+///
+/// Panics if `n1` is zero, a required Galois key is missing or `ct` has a
+/// single limb.
 pub fn apply_bsgs(
     evaluator: &Evaluator,
     encoder: &Encoder,
@@ -324,65 +469,107 @@ pub fn apply_bsgs(
     assert!(n1 >= 1, "baby dimension must be positive");
     let _span = telemetry::span("BsgsMatVec");
     let ctx = evaluator.context();
+    let pool = ctx.scratch();
     let ell = ct.limb_count();
-    let scale = ctx.params().scale();
-    let slots = lt.slots;
+    let (base, raised) = (ctx.level_basis(ell), ctx.raised_basis(ell));
+    let encoded = lt.encoded(ctx, encoder, ell, n1);
 
-    // Group diagonals by giant index.
-    let mut groups: BTreeMap<usize, Vec<(usize, &Vec<Complex>)>> = BTreeMap::new();
-    for (&d, diag) in &lt.diagonals {
-        groups.entry(d / n1).or_default().push((d % n1, diag));
+    // Diagonals by giant step, each with the baby step it lands on. A
+    // group of the unrotated diagonal alone is a plain product over Q_ℓ;
+    // every other group sums in the raised basis.
+    let mut groups: BTreeMap<usize, Vec<(usize, &RnsPoly)>> = BTreeMap::new();
+    for (&d, pt) in lt.diagonals.keys().zip(&encoded.polys) {
+        groups.entry(d / n1 * n1).or_default().push((d % n1, pt));
     }
-    // Baby rotations, hoisted.
-    let baby_steps: Vec<i64> = (0..n1 as i64).collect();
-    let babies = rotate_hoisted(evaluator, ct, &baby_steps, gk);
+    let unrotated_alone = |group: &[(usize, &RnsPoly)]| matches!(group, [(0, _)]);
+    let raised_groups = groups.values().filter(|g| !unrotated_alone(g));
+    let steps = raised_groups.flatten().map(|&(b, _)| b).collect();
+    let babies = raised_baby_steps(ctx, ct, gk, &steps);
 
-    let mut acc: Option<Ciphertext> = None;
-    for (&g, entries) in &groups {
-        let giant = g * n1;
-        // Inner sum: Σ_b σ_{-giant}(diag_{giant+b}) ⊙ rot_b(ct).
-        let mut inner: Option<Ciphertext> = None;
-        for &(b, diag) in entries {
-            // Pre-rotate the diagonal right by `giant` so the giant
-            // rotation aligns it.
-            let pre: Vec<Complex> = (0..slots)
-                .map(|j| diag[(j + slots - giant % slots) % slots])
-                .collect();
-            let pt = encoder.encode(&pre, ell, scale).expect("diagonal encodes");
-            let term = evaluator.mul_plain_no_rescale(&babies[b], &pt);
-            inner = Some(match inner {
-                None => term,
-                Some(a) => evaluator.add(&a, &term),
-            });
-        }
-        let inner = inner.expect("non-empty group");
-        let rotated = if giant == 0 {
-            inner
+    // The running total: raised key-switch outputs, and base-basis legs
+    // that never needed a key switch.
+    let mut total: Option<RaisedKeySwitch> = None;
+    let (mut total_c0, mut total_c1) = (None, None);
+    for (&giant, group) in &groups {
+        // The inner sum Σ_b pt_{g,b} ⊙ rot_b(ct); a raised one is the total
+        // itself (group 0) or comes down to be rotated.
+        let (c0, c1) = if unrotated_alone(group) {
+            pair_sum(base, &[(group[0].1, &ct.c0, &ct.c1)], None, pool)
         } else {
-            evaluator.rotate(&inner, giant as i64, gk)
+            let legs: Vec<_> = group
+                .iter()
+                .map(|&(b, pt)| (pt, &babies[&b].v, &babies[&b].u))
+                .collect();
+            let (v, u) = pair_sum(raised, &legs, None, pool);
+            let inner = RaisedKeySwitch { u, v };
+            if giant == 0 {
+                total = Some(inner);
+                continue;
+            }
+            let lowered = complete(ctx, &inner);
+            inner.recycle(pool);
+            lowered
         };
-        acc = Some(match acc {
-            None => rotated,
-            Some(a) => evaluator.add(&a, &rotated),
-        });
+        if giant == 0 {
+            (total_c0, total_c1) = (Some(c0), Some(c1));
+            continue;
+        }
+        // Rotate the inner sum by the giant step, stopping short of the
+        // key switch's own ModDown.
+        let (auto, ksk) = rotation(ctx, gk, giant as i64);
+        let rotated = c1.automorphism_with(&auto, pool);
+        c1.recycle(pool);
+        let digits = decompose_and_raise(ctx, &rotated);
+        rotated.recycle(pool);
+        let ks = inner_product(ctx, &digits, ksk);
+        recycle_all(digits, pool);
+        match &mut total {
+            None => total = Some(ks),
+            Some(total) => {
+                total.u.add_assign(&ks.u);
+                total.v.add_assign(&ks.v);
+                ks.recycle(pool);
+            }
+        }
+        merge(&mut total_c0, c0.automorphism_with(&auto, pool), pool);
+        c0.recycle(pool);
     }
-    evaluator.rescale(&acc.expect("transform has at least one diagonal"))
+    for (_, baby) in babies {
+        baby.recycle(pool);
+    }
+
+    let scale = ct.scale * ctx.params().scale();
+    let Some(mut total) = total else {
+        // Diagonal 0 alone: nothing was ever raised.
+        let (c0, c1) = (total_c0, total_c1);
+        let prod = Ciphertext::new(c0.expect("a diagonal"), c1.expect("its c1 leg"), scale);
+        let out = evaluator.rescale(&prod);
+        prod.recycle(pool);
+        return out;
+    };
+    for (sum, leg) in [(&mut total.v, total_c0), (&mut total.u, total_c1)] {
+        if let Some(leg) = leg {
+            pmod_up_add_assign(sum, leg, pool);
+        }
+    }
+    let (c0, c1) = complete_merged(ctx, &total);
+    total.recycle(pool);
+    let q_last = ctx.q_basis().modulus(ell - 1).value() as f64;
+    Ciphertext::new(c0, c1, scale / q_last)
 }
 
-/// The Galois keys required by [`apply_bsgs`] for a transform: baby steps
-/// `1..n1` and giant steps `n1, 2n1, …`.
+/// The rotations [`apply_bsgs`] performs for a transform, and so the
+/// Galois keys it needs: the baby steps `d mod n1` some diagonal lands on,
+/// then the giant steps `⌊d/n1⌋·n1`, non-zero ones only, each ascending.
 pub fn bsgs_required_steps(lt: &LinearTransform, n1: usize) -> Vec<i64> {
-    let mut steps: Vec<i64> = (1..n1 as i64).collect();
-    let mut giants: Vec<i64> = lt
-        .diagonals
-        .keys()
-        .map(|&d| ((d / n1) * n1) as i64)
-        .filter(|&g| g != 0)
-        .collect();
-    giants.sort_unstable();
-    giants.dedup();
-    steps.extend(giants);
-    steps
+    let babies: BTreeSet<usize> = lt.diagonals.keys().map(|d| d % n1).collect();
+    let giants: BTreeSet<usize> = lt.diagonals.keys().map(|d| d / n1 * n1).collect();
+    babies
+        .into_iter()
+        .chain(giants)
+        .filter(|&s| s != 0)
+        .map(|s| s as i64)
+        .collect()
 }
 
 #[cfg(test)]

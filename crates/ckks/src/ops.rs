@@ -1,13 +1,13 @@
 //! The homomorphic operations of Table 2: `Add`, `PtAdd`, `PtMult`, `Mult`,
 //! `Rotate`, `Conjugate`, plus `Rescale` and scalar conveniences.
 //!
-//! Two implementations of `Mult` are provided: [`Evaluator::mul`] follows
-//! the standard sequence (KeySwitch with its internal `ModDown`, then
-//! `Rescale` — Figure 4a), while [`Evaluator::mul_merged`] applies the
-//! paper's **ModDown merge** (Figure 4c): the additions happen in the
-//! raised basis via `PModUp` and a *single* `ModDown` drops `P` and the
-//! rescaling prime together. Both compute the same function; the test suite
-//! checks they agree to within rounding noise.
+//! `Mult` ([`Evaluator::mul`]) runs the paper's **ModDown merge**
+//! (Figure 4c): the additions happen in the raised basis via `PModUp` and
+//! a *single* `ModDown` drops `P` and the rescaling prime together. The
+//! standard sequence (KeySwitch with its internal `ModDown`, then
+//! `Rescale` — Figure 4a) is kept as [`Evaluator::mul_standard`], the
+//! reference the test suite checks the merge against: both compute the
+//! same function to within rounding noise.
 //!
 //! Operations mutate their owned intermediates in place and return
 //! short-lived buffers to the context's scratch pool, so steady-state
@@ -15,8 +15,9 @@
 
 use crate::context::CkksContext;
 use crate::keys::{GaloisKeys, RelinKey, SwitchingKey};
+use crate::keyswitch;
 use crate::plaintext::{Ciphertext, Plaintext};
-use fhe_math::poly::{mod_down_with, pmod_up_with, rescale_with, RnsPoly};
+use fhe_math::poly::{pmod_up_add_assign, rescale_with, Representation, RnsPoly};
 use fhe_math::telemetry;
 use std::borrow::Cow;
 use std::fmt;
@@ -279,26 +280,38 @@ impl Evaluator {
     }
 
     /// `Mult` without relinearization or rescale: the raw tensor
-    /// `(d_0, d_1, d_2)`.
+    /// `(d_0, d_1, d_2)` at the operands' common level, in pool-leased
+    /// storage. The operands are read where they are — the deeper one
+    /// through its prefix — and the two products of `d_1` are one
+    /// multiply pass and one fused multiply-accumulate pass.
     fn tensor(&self, a: &Ciphertext, b: &Ciphertext) -> (RnsPoly, RnsPoly, RnsPoly, f64) {
-        let (a, b) = self.align_levels(a, b);
-        let scale = a.scale * b.scale;
-        // Two of the four legs reuse the aligned copies' own storage.
-        let mut d1 = a.c0.clone();
-        d1.mul_assign_pointwise(&b.c1);
-        let mut d0 = a.c0;
-        d0.mul_assign_pointwise(&b.c0);
-        let mut d2 = a.c1.clone();
-        d2.mul_assign_pointwise(&b.c1);
-        let mut d1b = a.c1;
-        d1b.mul_assign_pointwise(&b.c0);
-        d1.add_assign(&d1b);
-        d1b.recycle(self.ctx.scratch());
-        (d0, d1, d2, scale)
+        let ell = a.limb_count().min(b.limb_count());
+        let lease = || {
+            RnsPoly::leased(
+                self.ctx.level_basis(ell).clone(),
+                Representation::Evaluation,
+                self.ctx.scratch(),
+            )
+        };
+        let (mut d0, mut d1, mut d2) = (lease(), lease(), lease());
+        a.c0.mul_pointwise_into(&b.c0, &mut d0);
+        a.c0.mul_pointwise_into(&b.c1, &mut d1);
+        d1.mul_add_assign_pointwise(&a.c1, &b.c0);
+        a.c1.mul_pointwise_into(&b.c1, &mut d2);
+        (d0, d1, d2, a.scale * b.scale)
     }
 
-    /// `Mult` (Table 2), standard sequence (Figure 4a): tensor,
-    /// relinearize (KeySwitch with its own `ModDown`), then `Rescale`.
+    /// `Mult` (Table 2) with the paper's **ModDown merge** (Figure 4c):
+    /// tensor, `Decomp` + `ModUp` and the key-switch inner product on
+    /// `d_2`, the linear legs added *in the raised basis* (`PModUp` is
+    /// free: `v̂_i += [P]_{q_i}·d_{0,i}`), then one `ModDown` per component
+    /// over `{q_{ℓ-1}} ∪ P` — `2(k+ℓ)` limb transforms after the `ModUp`
+    /// where the standard sequence makes `2k + 4ℓ`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the common level is a single limb (nothing to rescale
+    /// into).
     pub fn mul(&self, a: &Ciphertext, b: &Ciphertext, rlk: &RelinKey) -> Ciphertext {
         self.mul_with_key(a, b, rlk.switching_key())
     }
@@ -309,8 +322,37 @@ impl Evaluator {
     pub fn mul_with_key(&self, a: &Ciphertext, b: &Ciphertext, ksk: &SwitchingKey) -> Ciphertext {
         let _span = telemetry::span("Mult");
         let pool = self.ctx.scratch();
+        let (d0, d1, d2, scale) = self.tensor(a, b);
+        let ell = d0.limb_count();
+        assert!(ell >= 2, "multiplication needs a limb to rescale into");
+        let digits = keyswitch::decompose_and_raise(&self.ctx, &d2);
+        d2.recycle(pool);
+        let mut raised = keyswitch::inner_product(&self.ctx, &digits, ksk);
+        for d in digits {
+            d.recycle(pool);
+        }
+        {
+            let _s = telemetry::span("PModUp");
+            pmod_up_add_assign(&mut raised.v, d0, pool);
+            pmod_up_add_assign(&mut raised.u, d1, pool);
+        }
+        let (c0, c1) = keyswitch::complete_merged(&self.ctx, &raised);
+        raised.recycle(pool);
+        let q_last = self.ctx.q_basis().modulus(ell - 1).value() as f64;
+        Ciphertext::new(c0, c1, scale / q_last)
+    }
+
+    /// `Mult` by the standard sequence (Figure 4a): tensor, relinearize
+    /// with a full `KeySwitch` (its own `ModDown` pair), add, then a
+    /// separate `Rescale`. Nothing runs this; it is the reference
+    /// [`Evaluator::mul`] is tested against (the two agree to rounding
+    /// noise) and the baseline the measured-vs-modeled ledger prices the
+    /// merge against.
+    pub fn mul_standard(&self, a: &Ciphertext, b: &Ciphertext, rlk: &RelinKey) -> Ciphertext {
+        let _span = telemetry::span("MultStandard");
+        let pool = self.ctx.scratch();
         let (mut d0, mut d1, d2, scale) = self.tensor(a, b);
-        let (v, u) = crate::keyswitch::keyswitch(&self.ctx, &d2, ksk);
+        let (v, u) = keyswitch::keyswitch(&self.ctx, &d2, rlk.switching_key());
         d2.recycle(pool);
         d0.add_assign(&v);
         d1.add_assign(&u);
@@ -322,65 +364,7 @@ impl Evaluator {
         out
     }
 
-    /// `Mult` with the **ModDown merge** optimization (Figure 4c): the
-    /// tensor legs are lifted to the raised basis with the free `PModUp`,
-    /// added to the key-switch intermediate, and a single `ModDown` divides
-    /// by `P·q_{ℓ-1}` — saving one orientation switch and `ℓ` NTTs.
-    pub fn mul_merged(&self, a: &Ciphertext, b: &Ciphertext, rlk: &RelinKey) -> Ciphertext {
-        self.mul_merged_with_key(a, b, rlk.switching_key())
-    }
-
-    /// [`Evaluator::mul_merged`] taking the raw switching key (see
-    /// [`Evaluator::mul_with_key`]).
-    pub fn mul_merged_with_key(
-        &self,
-        a: &Ciphertext,
-        b: &Ciphertext,
-        ksk: &SwitchingKey,
-    ) -> Ciphertext {
-        let _span = telemetry::span("MultMerged");
-        let pool = self.ctx.scratch();
-        let (d0, d1, d2, scale) = self.tensor(a, b);
-        let ell = d0.limb_count();
-        assert!(
-            ell >= 2,
-            "merged multiplication needs a limb to rescale into"
-        );
-        let digits = crate::keyswitch::decompose_and_raise(&self.ctx, &d2);
-        let mut raised = crate::keyswitch::inner_product(&self.ctx, &digits, ksk);
-        for d in digits {
-            d.recycle(pool);
-        }
-        d2.recycle(pool);
-        // Lift the linear legs: Add in the raised basis (PModUp is free).
-        let raised_basis = self.ctx.raised_basis(ell);
-        let lifted = {
-            let _s = telemetry::span("PModUp");
-            pmod_up_with(&d0, raised_basis.clone(), pool)
-        };
-        raised.v.add_assign(&lifted);
-        lifted.recycle(pool);
-        d0.recycle(pool);
-        let lifted = {
-            let _s = telemetry::span("PModUp");
-            pmod_up_with(&d1, raised_basis.clone(), pool)
-        };
-        raised.u.add_assign(&lifted);
-        lifted.recycle(pool);
-        d1.recycle(pool);
-        // One ModDown dropping {q_{ℓ-1}} ∪ P.
-        let md = self.ctx.moddown_context(ell, true);
-        let q_last = self.ctx.q_basis().modulus(ell - 1).value() as f64;
-        let out = Ciphertext::new(
-            mod_down_with(&raised.v, &md, pool),
-            mod_down_with(&raised.u, &md, pool),
-            scale / q_last,
-        );
-        raised.recycle(pool);
-        out
-    }
-
-    /// Squares a ciphertext (standard path).
+    /// Squares a ciphertext.
     pub fn square(&self, a: &Ciphertext, rlk: &RelinKey) -> Ciphertext {
         self.mul(a, a, rlk)
     }
@@ -391,7 +375,7 @@ impl Evaluator {
         let auto = self.ctx.automorphism(k);
         let mut c0 = a.c0.automorphism_with(&auto, pool);
         let c1 = a.c1.automorphism_with(&auto, pool);
-        let (v, u) = crate::keyswitch::keyswitch(&self.ctx, &c1, ksk);
+        let (v, u) = keyswitch::keyswitch(&self.ctx, &c1, ksk);
         c1.recycle(pool);
         c0.add_assign(&v);
         v.recycle(pool);

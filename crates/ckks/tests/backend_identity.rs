@@ -6,7 +6,9 @@
 //! hoisted-rotation → BSGS pipeline produces byte-for-byte identical
 //! ciphertexts on both.
 
-use ckks::hoisting::{apply_bsgs, bsgs_required_steps, rotate_hoisted, LinearTransform};
+use ckks::hoisting::{
+    apply_bsgs, apply_hoisted, bsgs_required_steps, rotate_hoisted, LinearTransform,
+};
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
 use fhe_math::BackendKind;
@@ -82,11 +84,11 @@ fn multiply_relinearize_rotate_rescale_are_bit_identical() {
         let ca = encryptor.encrypt_symmetric(&mut rng, &encoder.encode(&a, 3, scale).unwrap(), &sk);
         let cb = encryptor.encrypt_symmetric(&mut rng, &encoder.encode(&b, 3, scale).unwrap(), &sk);
         let prod = ev.mul(&ca, &cb, &rlk);
-        let merged = ev.mul_merged(&ca, &cb, &rlk);
+        let standard = ev.mul_standard(&ca, &cb, &rlk);
         let rot = ev.rotate(&prod, 3, &gk);
         let scaled = ev.rescale(&ev.mul_scalar_no_rescale(&rot, 0.75, scale));
         let mut all = words(&prod);
-        all.extend(words(&merged));
+        all.extend(words(&standard));
         all.extend(words(&rot));
         all.extend(words(&scaled));
         all
@@ -174,104 +176,199 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// The serialized outputs of `keyswitch`, `rotate`, `mul_with_key`,
-/// `rescale`, `apply_bsgs` and `encode` on a fixed seed, digested.
-fn pipeline_digest(ctx: Arc<CkksContext>) -> u64 {
+/// Keys, operands and a four-diagonal transform on a fixed seed — what the
+/// pinned digests below are computed from.
+struct Pinned {
+    ctx: Arc<CkksContext>,
+    ev: Evaluator,
+    encoder: Encoder,
+    rlk: ckks::RelinKey,
+    gk: ckks::GaloisKeys,
+    lt: LinearTransform,
+    n1: usize,
+    /// Plaintexts at `L` and `L − 1` limbs and their encryptions.
+    pts: [ckks::Plaintext; 2],
+    cts: [Ciphertext; 2],
+}
+
+impl Pinned {
+    fn new(ctx: Arc<CkksContext>) -> Self {
+        let mut rng = StdRng::seed_from_u64(0x004d_4144);
+        let kg = KeyGenerator::new(ctx.clone());
+        let sk = kg.secret_key(&mut rng);
+        let rlk = kg.relin_key(&mut rng, &sk);
+        let encoder = Encoder::new(ctx.clone());
+        let encryptor = Encryptor::new(ctx.clone());
+        let scale = ctx.params().scale();
+        let slots = encoder.slots();
+        let levels = ctx.params().levels();
+
+        let diagonals = (0..4usize)
+            .map(|d| {
+                let diag = (0..slots)
+                    .map(|j| {
+                        Complex::new(0.05 * (d + 1) as f64 + j as f64 * 1e-3, -0.02 * d as f64)
+                    })
+                    .collect();
+                (d, diag)
+            })
+            .collect();
+        let lt = LinearTransform::from_diagonals(diagonals, slots);
+        let n1 = 2usize;
+        let mut steps = bsgs_required_steps(&lt, n1);
+        steps.push(3);
+        let gk = kg.galois_keys(&mut rng, &sk, &steps, false);
+
+        let a: Vec<Complex> = (0..slots)
+            .map(|i| Complex::new((i as f64 / 5.0).sin(), (i as f64 / 9.0).cos()))
+            .collect();
+        let b: Vec<Complex> = (0..slots)
+            .map(|i| Complex::new((i as f64 / 7.0).cos(), -(i as f64 / 3.0).sin()))
+            .collect();
+        let pa = encoder.encode(&a, levels, scale).unwrap();
+        let pb = encoder.encode(&b, levels - 1, scale).unwrap();
+        let ca = encryptor.encrypt_symmetric(&mut rng, &pa, &sk);
+        let cb = encryptor.encrypt_symmetric(&mut rng, &pb, &sk);
+        Self {
+            ev: Evaluator::new(ctx.clone()),
+            ctx,
+            encoder,
+            rlk,
+            gk,
+            lt,
+            n1,
+            pts: [pa, pb],
+            cts: [ca, cb],
+        }
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The **kernel digest**: the serialized outputs of `encode`, `keyswitch`
+/// at every level, `rotate`, `rescale` and `rotate_hoisted`.
+fn kernel_digest(ctx: Arc<CkksContext>) -> u64 {
     use ckks::serialize::{serialize_ciphertext, serialize_plaintext};
-    let mut rng = StdRng::seed_from_u64(0x004d_4144);
-    let kg = KeyGenerator::new(ctx.clone());
-    let sk = kg.secret_key(&mut rng);
-    let rlk = kg.relin_key(&mut rng, &sk);
-    let encoder = Encoder::new(ctx.clone());
-    let encryptor = Encryptor::new(ctx.clone());
-    let ev = Evaluator::new(ctx.clone());
+    let p = Pinned::new(ctx);
+    let (ctx, ev) = (&p.ctx, &p.ev);
     let scale = ctx.params().scale();
-    let slots = encoder.slots();
-    let levels = ctx.params().levels();
+    let [ca, cb] = &p.cts;
 
-    let diagonals = (0..4usize)
-        .map(|d| {
-            let diag = (0..slots)
-                .map(|j| Complex::new(0.05 * (d + 1) as f64 + j as f64 * 1e-3, -0.02 * d as f64))
-                .collect();
-            (d, diag)
-        })
-        .collect();
-    let lt = LinearTransform::from_diagonals(diagonals, slots);
-    let n1 = 2usize;
-    let mut steps = bsgs_required_steps(&lt, n1);
-    steps.push(3);
-    let gk = kg.galois_keys(&mut rng, &sk, &steps, false);
-
-    let a: Vec<Complex> = (0..slots)
-        .map(|i| Complex::new((i as f64 / 5.0).sin(), (i as f64 / 9.0).cos()))
-        .collect();
-    let b: Vec<Complex> = (0..slots)
-        .map(|i| Complex::new((i as f64 / 7.0).cos(), -(i as f64 / 3.0).sin()))
-        .collect();
-    let pa = encoder.encode(&a, levels, scale).unwrap();
-    let pb = encoder.encode(&b, levels - 1, scale).unwrap();
-    let ca = encryptor.encrypt_symmetric(&mut rng, &pa, &sk);
-    let cb = encryptor.encrypt_symmetric(&mut rng, &pb, &sk);
-
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    fnv1a(&mut hash, &serialize_plaintext(&pa));
-    fnv1a(&mut hash, &serialize_plaintext(&pb));
+    let mut hash = FNV_OFFSET;
+    for pt in &p.pts {
+        fnv1a(&mut hash, &serialize_plaintext(pt));
+    }
     // Every level's digit shapes, including the partial last digit.
-    for ell in (1..=levels).rev() {
-        let ct = ev.drop_to(&ca, ell);
-        let (v, u) = ckks::keyswitch::keyswitch(&ctx, ct.c1(), rlk.switching_key());
+    for ell in (1..=ctx.params().levels()).rev() {
+        let ct = ev.drop_to(ca, ell);
+        let (v, u) = ckks::keyswitch::keyswitch(ctx, ct.c1(), p.rlk.switching_key());
         fnv1a(
             &mut hash,
             &serialize_ciphertext(&Ciphertext::new(v, u, scale)),
         );
     }
-    let rot = ev.rotate(&ca, 3, &gk);
+    let rot = ev.rotate(ca, 3, &p.gk);
     fnv1a(&mut hash, &serialize_ciphertext(&rot));
-    let cb_up = ev.drop_to(&ca, levels - 1);
-    let prod = ev.mul_with_key(&cb_up, &cb, rlk.switching_key());
-    fnv1a(&mut hash, &serialize_ciphertext(&prod));
     fnv1a(&mut hash, &serialize_ciphertext(&ev.rescale(&rot)));
-    for ct in rotate_hoisted(&ev, &cb, &[0, 1, 3], &gk) {
+    for ct in rotate_hoisted(ev, cb, &[0, 1, 3], &p.gk) {
         fnv1a(&mut hash, &serialize_ciphertext(&ct));
     }
-    let bsgs = apply_bsgs(&ev, &encoder, &ca, &lt, &gk, n1);
+    hash
+}
+
+/// The **schedule digest**: the serialized outputs of `mul_with_key` and
+/// `apply_bsgs`, whose bits follow from *which* kernels they sequence.
+fn schedule_digest(ctx: Arc<CkksContext>) -> u64 {
+    use ckks::serialize::serialize_ciphertext;
+    let p = Pinned::new(ctx);
+    let ev = &p.ev;
+    let [ca, cb] = &p.cts;
+
+    let mut hash = FNV_OFFSET;
+    let ca_low = ev.drop_to(ca, cb.limb_count());
+    let prod = ev.mul_with_key(&ca_low, cb, p.rlk.switching_key());
+    fnv1a(&mut hash, &serialize_ciphertext(&prod));
+    let bsgs = apply_bsgs(ev, &p.encoder, ca, &p.lt, &p.gk, p.n1);
     fnv1a(&mut hash, &serialize_ciphertext(&bsgs));
     hash
 }
 
-/// The kernels may change how they compute; they may not change a bit of
-/// what they compute. The digests were recorded from the per-digit
-/// inner-product and thrice-reduced `basis_ext_block` kernels, before the
-/// fused ones replaced them, at a narrow (32–40 bit) and a wide
-/// (55–60 bit) parameter set.
-#[test]
-fn outputs_match_the_digests_recorded_before_the_kernel_rewrite() {
-    let narrow = |kind| ctx(kind);
-    let wide = |kind| {
-        CkksContext::with_backend(
-            CkksParams::builder()
-                .log_degree(7)
-                .levels(6)
-                .scale_bits(55)
-                .first_modulus_bits(60)
-                .special_modulus_bits(60)
-                .dnum(3)
-                .build()
-                .unwrap(),
-            Some(kind),
-        )
-    };
+/// The serialized output of `apply_hoisted` on the pinned transform (its
+/// offsets `1..=3` are among the generated keys).
+fn hoisted_digest(ctx: Arc<CkksContext>) -> u64 {
+    use ckks::serialize::serialize_ciphertext;
+    let p = Pinned::new(ctx);
+    let mut hash = FNV_OFFSET;
+    let out = apply_hoisted(&p.ev, &p.encoder, &p.cts[0], &p.lt, &p.gk);
+    fnv1a(&mut hash, &serialize_ciphertext(&out));
+    hash
+}
+
+/// The narrow (32–40 bit) and the wide (55–60 bit) parameter set the
+/// digests are pinned at.
+fn pinned_contexts(kind: BackendKind) -> [(&'static str, Arc<CkksContext>); 2] {
+    let wide = CkksContext::with_backend(
+        CkksParams::builder()
+            .log_degree(7)
+            .levels(6)
+            .scale_bits(55)
+            .first_modulus_bits(60)
+            .special_modulus_bits(60)
+            .dnum(3)
+            .build()
+            .unwrap(),
+        Some(kind),
+    );
+    [("narrow", ctx(kind)), ("wide", wide)]
+}
+
+/// Asserts `digest` reads `[narrow, wide]` on both backends.
+fn assert_pinned(digest: fn(Arc<CkksContext>) -> u64, want: [u64; 2]) {
     for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
-        assert_eq!(
-            pipeline_digest(narrow(kind)),
-            0x8296_b13d_14a9_5187,
-            "{kind:?}, narrow"
-        );
-        assert_eq!(
-            pipeline_digest(wide(kind)),
-            0xdbb9_1f1f_1fda_328f,
-            "{kind:?}, wide"
-        );
+        for ((name, ctx), want) in pinned_contexts(kind).into_iter().zip(want) {
+            let got = digest(ctx);
+            assert_eq!(got, want, "{kind:?}, {name}: {got:#018x}");
+        }
     }
+}
+
+/// The kernels may change how they compute; they may not change a bit of
+/// what they compute. Recorded on the commit before `Mult` and
+/// `apply_bsgs` changed schedule (the values the unsplit digest's inputs
+/// produced since the per-digit inner-product and thrice-reduced
+/// `basis_ext_block` kernels), and not to be edited: a schedule change
+/// must leave every one of these kernels' outputs alone.
+#[test]
+fn kernel_outputs_match_the_recorded_digests() {
+    assert_pinned(
+        kernel_digest,
+        [0xe4f9_1722_8491_80e4, 0x5c5b_5149_c227_7aea],
+    );
+}
+
+/// Re-recorded once, when the schedules changed: `mul_with_key` became the
+/// ModDown-merged sequence (one ModDown over `{q_last} ∪ P` instead of the
+/// key switch's pair and a `Rescale`) and `apply_bsgs` the double-hoisted
+/// one (baby steps left in the raised basis, a ModDown pair per non-zero
+/// giant group, the last ModDown merged with the rescale). On the commit
+/// the kernel digest was recorded on, with a ModDown pair per baby step and
+/// a full `rotate` per giant step, this read `[0x867a_6e95_f31a_cb68,
+/// 0xa162_9c07_25d8_3088]`; the kernel digest above did not move.
+#[test]
+fn schedule_outputs_match_the_recorded_digests() {
+    assert_pinned(
+        schedule_digest,
+        [0xa46f_a742_8aad_8823, 0x2467_af82_4a14_30b5],
+    );
+}
+
+/// `apply_hoisted` encodes each diagonal once (in the raised basis, whose
+/// Q-prefix serves the base-basis legs) and keeps the encodings; recorded
+/// while it still encoded every diagonal twice per call.
+#[test]
+fn apply_hoisted_matches_the_digest_recorded_before_it_shared_encodings() {
+    assert_pinned(
+        hoisted_digest,
+        [0x8bc7_67f6_4dde_b9c4, 0x9fde_caec_c68b_55c7],
+    );
 }

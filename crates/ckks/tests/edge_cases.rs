@@ -83,7 +83,7 @@ fn rotating_without_a_key_panics() {
 
 #[test]
 #[should_panic(expected = "needs a limb to rescale into")]
-fn merged_mult_at_one_limb_panics() {
+fn mult_at_one_limb_panics() {
     let ctx = ctx();
     let mut rng = StdRng::seed_from_u64(3);
     let keygen = KeyGenerator::new(ctx.clone());
@@ -98,7 +98,7 @@ fn merged_mult_at_one_limb_panics() {
             .unwrap(),
         &sk,
     );
-    let _ = ev.mul_merged(&ct, &ct, &rlk);
+    let _ = ev.mul(&ct, &ct, &rlk);
 }
 
 #[test]

@@ -108,7 +108,7 @@ fn plaintext_operations() {
 }
 
 #[test]
-fn ciphertext_multiplication_standard() {
+fn ciphertext_multiplication() {
     let mut h = Harness::new(3);
     let a = h.values(|i| Complex::new((i as f64 * 0.05).cos(), 0.1));
     let b = h.values(|i| Complex::new(0.7, (i as f64 * 0.03).sin()));
@@ -127,8 +127,9 @@ fn ciphertext_multiplication_standard() {
 
 #[test]
 fn moddown_merge_multiplication_matches_standard() {
-    // The paper's Figure 4: standard Mult (two ModDowns) and merged Mult
-    // (one ModDown over {q_last} ∪ P) must compute the same function.
+    // The paper's Figure 4: the merged Mult that `mul` runs (one ModDown
+    // over {q_last} ∪ P) and the standard one kept as its reference (two
+    // ModDowns, then a Rescale) must compute the same function.
     let mut h = Harness::new(4);
     let a = h.values(|i| Complex::new(0.4 + 0.002 * i as f64, -0.2));
     let b = h.values(|i| Complex::new((i as f64 * 0.07).sin(), 0.3));
@@ -140,8 +141,8 @@ fn moddown_merge_multiplication_matches_standard() {
     let ca = h.encryptor.encrypt_symmetric(&mut h.rng, &pa, &sk);
     let cb = h.encryptor.encrypt_symmetric(&mut h.rng, &pb, &sk);
 
-    let standard = h.evaluator.mul(&ca, &cb, &rlk);
-    let merged = h.evaluator.mul_merged(&ca, &cb, &rlk);
+    let standard = h.evaluator.mul_standard(&ca, &cb, &rlk);
+    let merged = h.evaluator.mul(&ca, &cb, &rlk);
     assert_eq!(standard.limb_count(), merged.limb_count());
     assert!((standard.scale() / merged.scale() - 1.0).abs() < 1e-12);
 
@@ -312,17 +313,37 @@ fn compressed_galois_keys_halve_bytes_and_rotate_identically() {
 
 #[test]
 fn repeated_multiplication_leaves_the_scratch_pool_bounded() {
-    // `mul_with_key` recycles its heap-cloned tensor legs into the pool,
-    // so each call hands back three more buffers than it took; the pool's
-    // free list must stay at or under its cap (64) instead of growing
-    // with the call count.
+    // A caller that drops its products hands the pool nothing back and
+    // takes nothing it was not given: the free list must stay at or under
+    // its cap (64) instead of growing with the call count.
     let mut h = Harness::new(11);
     let a = h.values(|i| Complex::new((i as f64 * 0.05).cos(), 0.1));
     let (ct, sk) = h.encrypt(&a, 4);
     let rlk = h.keygen.relin_key(&mut h.rng, &sk);
+    let pool = h.ctx.scratch();
     for _ in 0..64 {
         h.evaluator.mul_with_key(&ct, &ct, rlk.switching_key());
     }
-    let free = h.ctx.scratch().stats().free;
+    let free = pool.stats().free;
     assert!(free <= 64, "free list grew to {free} buffers");
+
+    // A caller that recycles them runs warm `Mult`s entirely out of the
+    // pool, and every buffer a `Mult` touches is a lease: the three tensor
+    // legs (the operands are read in place, nothing is cloned), a raised
+    // digit and its iNTT staging copy per digit, the two raised
+    // accumulators the lifted legs are added into, and the special-limb
+    // copy plus the output of each of the two merged ModDowns.
+    h.evaluator
+        .mul_with_key(&ct, &ct, rlk.switching_key())
+        .recycle(pool);
+    let warm = pool.stats();
+    for _ in 0..5 {
+        h.evaluator
+            .mul_with_key(&ct, &ct, rlk.switching_key())
+            .recycle(pool);
+    }
+    let after = pool.stats();
+    assert_eq!(warm.misses, after.misses, "a warm Mult allocated");
+    let beta = h.ctx.params().beta_at(4) as u64;
+    assert_eq!(after.leases - warm.leases, 5 * (3 + 2 * beta + 2 + 4));
 }

@@ -71,11 +71,11 @@ fn multiply_relinearize_rotate_rescale_are_bit_identical() {
         let ca = encryptor.encrypt_symmetric(&mut rng, &encoder.encode(&a, 3, scale).unwrap(), &sk);
         let cb = encryptor.encrypt_symmetric(&mut rng, &encoder.encode(&b, 3, scale).unwrap(), &sk);
         let prod = ev.mul(&ca, &cb, &rlk);
-        let merged = ev.mul_merged(&ca, &cb, &rlk);
+        let standard = ev.mul_standard(&ca, &cb, &rlk);
         let rot = ev.rotate(&prod, 3, &gk);
         let scaled = ev.rescale(&ev.mul_scalar_no_rescale(&rot, 0.75, scale));
         let mut all = words(&prod);
-        all.extend(words(&merged));
+        all.extend(words(&standard));
         all.extend(words(&rot));
         all.extend(words(&scaled));
         all

@@ -1,7 +1,8 @@
 //! Cost model for `PtMatVecMult` — the plaintext matrix–vector product at
 //! the core of bootstrapping's CoeffToSlot and SlotToCoeff phases.
 //!
-//! Three schedules (the paper's Figure 5):
+//! Three schedules (the paper's Figure 5), selected by the active
+//! [`crate::opts::AlgoOpts`] for the paper's tables and ablations:
 //!
 //! - **Naive**: every diagonal pays a full `Rotate`.
 //! - **ModUp-hoisted BSGS** (the Jung et al. baseline): one decomposition
@@ -11,10 +12,18 @@
 //!   basis; one `ModUp` and two `ModDown`s total, at the price of reading
 //!   one switching key per diagonal (the §3.2 key-reads-vs-ct-reads
 //!   trade-off).
+//!
+//! And one that no option selects: [`CostModel::matvec_bsgs_double_hoisted`]
+//! prices the schedule the functional library's `apply_bsgs` *runs* — BSGS
+//! with both hoistings inside every giant group and the last `ModDown`
+//! merged with the rescale — for a concrete diagonal set
+//! ([`BsgsSchedule`]). It is what [`CostModel::program_cost`] charges a
+//! `BsgsMatVec`, whatever the configuration's `AlgoOpts` say.
 
 use crate::cost::Cost;
 use crate::opts::CachingLevel;
 use crate::primitives::CostModel;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Shape of one `PtMatVecMult`: limb count and nonzero-diagonal count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,6 +32,84 @@ pub struct MatVecShape {
     pub ell: usize,
     /// Number of nonzero generalized diagonals (`r` rotations).
     pub diagonals: usize,
+}
+
+/// What `apply_bsgs` does for one diagonal set at baby dimension `n1`:
+/// diagonal `d` belongs to the giant group of step `⌊d/n1⌋·n1` and lands on
+/// baby step `d mod n1` — everything its cost and its key set depend on
+/// beyond the limb count.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BsgsSchedule {
+    /// The distinct non-zero baby steps, ascending: one digit automorphism
+    /// + inner product each, off the single `ModUp` of `c1`.
+    pub babies: Vec<usize>,
+    /// The giant groups, ascending.
+    pub groups: Vec<GiantGroup>,
+}
+
+/// The diagonals sharing one giant step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GiantGroup {
+    /// The giant step. A group at a non-zero one has its inner sum rotated
+    /// by a giant key switch (`ModUp` + inner product) on its way into the
+    /// total; the group at step 0 joins it as it is.
+    pub step: usize,
+    /// Diagonals on a non-zero baby step: products with a rotated operand,
+    /// accumulated in the raised basis.
+    pub rotated: usize,
+    /// Whether the diagonal on baby step 0 is present: a product with the
+    /// unrotated ciphertext, in the base basis.
+    pub unrotated: bool,
+}
+
+impl BsgsSchedule {
+    /// The schedule of the (distinct) diagonal `offsets`.
+    pub fn of(offsets: &[usize], n1: usize) -> Self {
+        let mut babies = BTreeSet::new();
+        let mut groups: BTreeMap<usize, GiantGroup> = BTreeMap::new();
+        for &d in offsets {
+            let (step, baby) = (d / n1 * n1, d % n1);
+            let group = groups.entry(step).or_insert(GiantGroup {
+                step,
+                rotated: 0,
+                unrotated: false,
+            });
+            if baby == 0 {
+                group.unrotated = true;
+            } else {
+                group.rotated += 1;
+                babies.insert(baby);
+            }
+        }
+        Self {
+            babies: babies.into_iter().collect(),
+            groups: groups.into_values().collect(),
+        }
+    }
+
+    /// Whether anything reaches the raised basis at all — otherwise the
+    /// transform is diagonal 0 alone and ends in a plain `Rescale`.
+    pub fn raised(&self) -> bool {
+        !self.babies.is_empty() || self.giants().next().is_some()
+    }
+
+    /// The groups at a non-zero giant step.
+    pub fn giants(&self) -> impl Iterator<Item = &GiantGroup> + Clone {
+        self.groups.iter().filter(|g| g.step != 0)
+    }
+
+    /// The rotations the schedule performs, and so the Galois keys it
+    /// needs: the baby steps, then the non-zero giant steps (all of them
+    /// `≥ n1`), each ascending.
+    pub fn galois_steps(&self) -> Vec<i64> {
+        let giants = self.giants().map(|g| g.step);
+        self.babies
+            .iter()
+            .copied()
+            .chain(giants)
+            .map(|s| s as i64)
+            .collect()
+    }
 }
 
 /// Orientation-switch and cost accounting for one `PtMatVecMult`.
@@ -211,6 +298,110 @@ impl CostModel {
         out.orientation_switches += 2;
         out.cost += self.rescale(ell);
         out
+    }
+
+    /// The double-hoisted BSGS schedule `apply_bsgs` runs at `ell` limbs,
+    /// with the diagonals pre-encoded (a transform encodes them once, on
+    /// first use), priced kernel pass by kernel pass — each a stream over
+    /// its operands' limbs, as the library's fused limb loops are:
+    ///
+    /// - one `Decomp` + `ModUp` of `c1`; per baby step the inner product
+    ///   against that rotation's key, whose raised output stays put and
+    ///   takes `σ_b(c0)` in by `PModUp`; the unrotated ciphertext lifted
+    ///   the same way if it shares a group with a rotated step;
+    /// - per giant group, the inner sum over its diagonals in one pass —
+    ///   every operand read once, the two sums written once — in the
+    ///   raised basis, or the base basis for the unrotated diagonal alone;
+    /// - per non-zero giant group, a `ModDown` pair on a raised inner sum,
+    ///   then the giant key switch stopped before its own `ModDown`, its
+    ///   raised output and `σ_g(c0)` added to the running total;
+    /// - the base-basis legs lifted by `PModUp` into the total and one
+    ///   `ModDown` pair merged with the rescale (`k + 1` limbs dropped).
+    pub fn matvec_bsgs_double_hoisted(&self, ell: usize, s: &BsgsSchedule) -> Cost {
+        let k = self.params.special_limbs();
+        let (l, w) = (ell as u64, (ell + k) as u64);
+        let n = self.params.degree();
+        let limb = self.params.limb_bytes();
+        let beta = self.params.beta_at(ell);
+        let mod_up = crate::program::modup_cost(self, ell);
+        // `(Σ pt ⊙ a, Σ pt ⊙ b)` over `terms` terms of `limbs` limbs.
+        let pair_sum = |limbs: u64, terms: u64| Cost {
+            mults: 2 * n * limbs * terms,
+            adds: 2 * n * limbs * (terms - 1),
+            ct_read: 2 * limbs * terms * limb,
+            pt_read: limbs * terms * limb,
+            ct_write: 2 * limbs * limb,
+            ..Cost::ZERO
+        };
+        // `acc += x`, a permutation into a new polynomial, and `PModUp`
+        // folded into an accumulate, each over `l` limbs.
+        let add = |limbs: u64| Cost {
+            adds: n * limbs,
+            ct_read: 2 * limbs * limb,
+            ct_write: limbs * limb,
+            ..Cost::ZERO
+        };
+        let permute = Cost {
+            ct_read: l * limb,
+            ct_write: l * limb,
+            ..Cost::ZERO
+        };
+        let lift = Cost {
+            mults: n * l,
+            ..add(l)
+        };
+        let mut c = Cost::ZERO;
+
+        if !s.babies.is_empty() {
+            c += mod_up;
+        }
+        for _ in &s.babies {
+            c += self.automorph(ell, false);
+            c += self.ksk_inner_product(ell, beta, true, true);
+            c += permute + lift;
+        }
+        if s.groups.iter().any(|g| g.rotated > 0 && g.unrotated) {
+            // PModUp of both components into new raised polynomials.
+            c += Cost {
+                mults: 2 * n * l,
+                ct_read: 2 * l * limb,
+                ct_write: 2 * w * limb,
+                ..Cost::ZERO
+            };
+        }
+
+        // What the running total holds so far: a raised pair, a base c0
+        // leg, a base c1 leg (the unrotated diagonal 0 alone in group 0).
+        let (mut raised_total, mut c0_total, mut c1_total) = (false, false, false);
+        for g in &s.groups {
+            let terms = (g.rotated + usize::from(g.unrotated)) as u64;
+            c += pair_sum(if g.rotated > 0 { w } else { l }, terms);
+            if g.step == 0 {
+                raised_total = g.rotated > 0;
+                (c0_total, c1_total) = (!raised_total, !raised_total);
+                continue;
+            }
+            if g.rotated > 0 {
+                c += self.mod_down(ell, k) * 2;
+            }
+            c += self.automorph(ell, false) + permute;
+            c += mod_up;
+            c += self.ksk_inner_product(ell, beta, true, true);
+            if raised_total {
+                c += add(w) * 2;
+            }
+            c += permute;
+            if c0_total {
+                c += add(l);
+            }
+            (raised_total, c0_total) = (true, true);
+        }
+
+        if !raised_total {
+            return c + self.rescale(ell);
+        }
+        c += lift * (u64::from(c0_total) + u64::from(c1_total));
+        c + self.mod_down(ell - 1, k + 1) * 2
     }
 }
 

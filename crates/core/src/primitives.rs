@@ -3,8 +3,15 @@
 //! sub-operations (`Decomp`, `ModUp`, `KSKInnerProd`, `ModDown`).
 //!
 //! Compute counts follow the paper's convention (modular mults and adds;
-//! an NTT butterfly is one mult and two adds). DRAM traffic is counted at
-//! limb granularity and depends on the [`CachingLevel`]:
+//! an NTT butterfly is one mult and two adds). Where the functional
+//! library executes something else — the inverse transform's `N⁻¹`
+//! scaling, the exact conversion's overflow correction and the centring of
+//! a `ModDown` on top; no `Decomp` constants and no single-source `NewLimb`
+//! products — the difference is carried beside them as the signed
+//! [`Cost::aux_mults`] / [`Cost::aux_adds`], outside [`Cost::ops`].
+//!
+//! DRAM traffic is counted at limb granularity and depends on the
+//! [`CachingLevel`]:
 //!
 //! - `Baseline`: every sub-operation is a separate pass — each limb it
 //!   touches is read from and written to DRAM (Figure 1a).
@@ -69,6 +76,12 @@ impl CostModel {
         Cost::compute(b, 2 * b)
     }
 
+    /// One inverse limb NTT: the butterflies, and executed on top of them
+    /// the `N⁻¹` scaling of every coefficient.
+    fn intt_limb_ops(&self) -> Cost {
+        self.ntt_limb_ops() + Cost::aux(self.n() as i64, 0)
+    }
+
     /// Whole-limb transform counts `(forward NTTs, inverse NTTs)` of one
     /// digit `ModUp` — the unit the functional library's
     /// `fhe_math::ntt::counters` measure, used for cross-validation.
@@ -91,13 +104,15 @@ impl CostModel {
 
     /// Ops of the slot-wise `NewLimb` conversion from `src` limbs into
     /// `dst` new limbs (Eq. 1): per coefficient, `src` mults to form the
-    /// `y_i`, then `src` mults + `src` adds per target limb.
+    /// `y_i`, then `src` mults + `src` adds per target limb — and,
+    /// executed on top, one multiply-subtract per target limb taking off
+    /// the overflow multiple of the source modulus (the conversion is
+    /// exact).
     pub fn newlimb_ops(&self, src: usize, dst: usize) -> Cost {
         let n = self.n();
-        Cost::compute(
-            n * src as u64 + n * (src * dst) as u64,
-            n * (src * dst) as u64,
-        )
+        let (s, d) = (src as u64, dst as u64);
+        let correction = (n * d) as i64;
+        Cost::compute(n * (s + s * d), n * s * d) + Cost::aux(correction, correction)
     }
 
     /// `PtAdd` (Table 2): adds a plaintext to `c_0` only.
@@ -139,12 +154,15 @@ impl CostModel {
     }
 
     /// `Decomp`: splits one polynomial into β digits, multiplying by the
-    /// decomposition constants (2 mults per coefficient). Fusable.
+    /// decomposition constants (2 mults per coefficient). Fusable. The
+    /// library folds the constants into the switching key and executes
+    /// none of them.
     pub fn decomp(&self, ell: usize) -> Cost {
         let l = ell as u64;
         let traffic = if self.fused() { 0 } else { 2 * l * self.limb() };
         Cost {
             mults: 2 * self.n() * l,
+            aux_mults: -((2 * self.n() * l) as i64),
             ct_read: traffic / 2,
             ct_write: traffic / 2,
             ..Cost::ZERO
@@ -157,9 +175,14 @@ impl CostModel {
         let k = self.params.special_limbs();
         let total = ell + k;
         let new = total - digit_limbs;
-        let mut c = self.ntt_limb_ops() * digit_limbs as u64; // iNTT digit
+        let mut c = self.intt_limb_ops() * digit_limbs as u64; // iNTT digit
         c += self.newlimb_ops(digit_limbs, new);
         c += self.ntt_limb_ops() * new as u64; // NTT generated limbs
+        if digit_limbs == 0 {
+            // `β = ⌈(ℓ+1)/α⌉` counts a digit of no limbs where
+            // `ℓ ≤ (β−1)·α`: priced like any other, and raising nothing.
+            c += Cost::aux(-(c.executed_mults() as i64), -(c.executed_adds() as i64));
+        }
         let limb = self.limb();
         let (d, nw) = (digit_limbs as u64, new as u64);
         if self.on_chip_conversion() {
@@ -196,6 +219,10 @@ impl CostModel {
         let w = (ell + k) as u64;
         let b = beta as u64;
         let mut c = Cost::compute(2 * w * self.n() * b, 2 * w * self.n() * (b - 1));
+        // A digit of no limbs (see `mod_up_digit`) meets no key.
+        let empty = (0..beta).filter(|&j| self.digit_width(ell, j) == 0).count();
+        let unmet = -((2 * w * self.n() * empty as u64) as i64);
+        c += Cost::aux(unmet, unmet);
         let limb = self.limb();
         if digit_reads_charged {
             c.ct_read += b * w * limb;
@@ -223,10 +250,15 @@ impl CostModel {
     /// `drop` is the special-limb count `k` (or `k + 1` when merged with
     /// `Rescale` — the paper's ModDown merge).
     pub fn mod_down(&self, ell: usize, drop: usize) -> Cost {
-        let mut c = self.ntt_limb_ops() * drop as u64; // iNTT dropped limbs
+        let mut c = self.intt_limb_ops() * drop as u64; // iNTT dropped limbs
         c += self.newlimb_ops(drop, ell);
         c += self.ntt_limb_ops() * ell as u64; // NTT converted limbs
         c += Cost::compute(self.n() * ell as u64, self.n() * ell as u64); // combine
+
+        // Centring (the division rounds, it does not floor): `⌊P/2⌋` added
+        // to each dropped limb before the conversion and taken off each
+        // converted limb after it.
+        c += Cost::aux(0, (self.n() * (drop + ell) as u64) as i64);
         let limb = self.limb();
         let (l, d) = (ell as u64, drop as u64);
         if self.on_chip_conversion() {
@@ -254,16 +286,20 @@ impl CostModel {
 
     /// `Rescale`: drop the last limb, dividing by it (the `ModDown`
     /// specialization with a single dropped limb and no special basis).
+    /// From one source limb the library's conversion is a centred
+    /// reduction into each kept modulus: the adds of Eq. 1 and none of its
+    /// products.
     pub fn rescale(&self, ell: usize) -> Cost {
         assert!(ell >= 2, "rescale needs a limb to drop");
         // Two polynomials.
         let per_poly = {
-            let mut c = self.ntt_limb_ops(); // iNTT dropped limb
-            c += self.newlimb_ops(1, ell - 1);
-            c += self.ntt_limb_ops() * (ell - 1) as u64;
-            c += Cost::compute(self.n() * (ell - 1) as u64, self.n() * (ell - 1) as u64);
-            let limb = self.limb();
             let l1 = (ell - 1) as u64;
+            let products = self.n() * (1 + l1);
+            let mut c = self.intt_limb_ops(); // iNTT dropped limb
+            c += Cost::compute(products, self.n() * l1) + Cost::aux(-(products as i64), 0);
+            c += self.ntt_limb_ops() * l1;
+            c += Cost::compute(self.n() * l1, self.n() * l1); // combine
+            let limb = self.limb();
             if self.fused() {
                 c.ct_read += (1 + l1) * limb;
                 c.ct_write += l1 * limb;
@@ -313,11 +349,21 @@ impl CostModel {
         ((j + 1) * alpha).min(ell) - (j * alpha).min(ell)
     }
 
-    /// `Mult` (Table 2): tensor, relinearize, rescale. With the ModDown
-    /// merge (Figure 4c), the relinearization `ModDown` and the `Rescale`
-    /// fuse into a single `ModDown` dropping `k + 1` limbs, saving
-    /// roughly `ℓ` NTTs and one orientation switch.
+    /// `Mult` (Table 2): tensor, relinearize, rescale — by the standard
+    /// sequence ([`CostModel::mult_standard`], Figure 4a) or, when the
+    /// configuration enables the ModDown merge, the merged one
+    /// ([`CostModel::mult_merged`], Figure 4c).
     pub fn mult(&self, ell: usize) -> Cost {
+        if self.config.algo.moddown_merge {
+            self.mult_merged(ell)
+        } else {
+            self.mult_standard(ell)
+        }
+    }
+
+    /// What both `Mult` sequences start with: the tensor product, then
+    /// `Decomp`, the β `ModUp`s and the inner product on `d_2`.
+    fn mult_raised(&self, ell: usize) -> Cost {
         let l = ell as u64;
         let n = self.n();
         let limb = self.limb();
@@ -334,29 +380,41 @@ impl CostModel {
         for j in 0..beta {
             c += self.mod_up_digit(ell, self.digit_width(ell, j));
         }
-        c += self.ksk_inner_product(ell, beta, true, true);
-        let k = self.params.special_limbs();
-        if self.config.algo.moddown_merge {
-            // PModUp lifts d0, d1 for free (ℓ scalar mults each, fused),
-            // then one merged ModDown per component drops k + 1 limbs.
-            c += Cost::compute(2 * n * l, 0);
-            c += Cost {
-                ct_read: 2 * l * limb, // d0, d1 re-read into the merge
-                ..Cost::ZERO
-            };
-            c += self.mod_down(ell - 1, k + 1) * 2;
-        } else {
-            c += self.mod_down(ell, k) * 2;
-            // Add (v, u) into (d0, d1): read both, write both.
-            c += Cost {
-                adds: 2 * n * l,
-                ct_read: 4 * l * limb,
-                ct_write: 2 * l * limb,
-                ..Cost::ZERO
-            };
-            c += self.rescale(ell);
-        }
-        c
+        c + self.ksk_inner_product(ell, beta, true, true)
+    }
+
+    /// `Mult` by the standard sequence (Figure 4a): the key switch's own
+    /// `ModDown` pair, the additions over `Q_ℓ`, then a separate `Rescale`.
+    pub fn mult_standard(&self, ell: usize) -> Cost {
+        let l = ell as u64;
+        let mut c = self.mult_raised(ell);
+        c += self.mod_down(ell, self.params.special_limbs()) * 2;
+        // Add (v, u) into (d0, d1): read both, write both.
+        c += Cost {
+            adds: 2 * self.n() * l,
+            ct_read: 4 * l * self.limb(),
+            ct_write: 2 * l * self.limb(),
+            ..Cost::ZERO
+        };
+        c + self.rescale(ell)
+    }
+
+    /// `Mult` with the ModDown merge (Figure 4c): `PModUp` lifts `d_0` and
+    /// `d_1` for free (ℓ scalar mults each) into additions in the raised
+    /// basis, and one `ModDown` per component drops `k + 1` limbs — the
+    /// relinearization `ModDown` and the `Rescale` fused, saving roughly
+    /// `ℓ` NTTs per component and one orientation switch. This is the
+    /// sequence the functional library's `Mult` runs.
+    pub fn mult_merged(&self, ell: usize) -> Cost {
+        let l = ell as u64;
+        let mut c = self.mult_raised(ell);
+        c += Cost {
+            mults: 2 * self.n() * l,
+            adds: 2 * self.n() * l,
+            ct_read: 2 * l * self.limb(), // d0, d1 re-read into the merge
+            ..Cost::ZERO
+        };
+        c + self.mod_down(ell - 1, self.params.special_limbs() + 1) * 2
     }
 
     /// `Rotate`/`Conjugate` (Table 2): automorphism + `KeySwitch` + the
@@ -534,6 +592,37 @@ mod tests {
         for lvl in CachingLevel::ALL {
             assert_eq!(model(lvl).rotate(35).ops(), base_ops, "{lvl}");
         }
+    }
+
+    #[test]
+    fn corrections_sit_beside_the_paper_convention() {
+        let m = model(CachingLevel::OneLimb);
+        let n = 1i64 << 17;
+        // Executed on top of the formulas: N per inverse transform, N mults
+        // and N adds per converted limb, N adds per centred limb.
+        let up = m.mod_up_digit(35, 12);
+        assert_eq!((up.aux_mults, up.aux_adds), (n * (12 + 35), n * 35));
+        let down = m.mod_down(35, 12);
+        assert_eq!(
+            (down.aux_mults, down.aux_adds),
+            (n * (12 + 35), n * (35 + 47))
+        );
+        // Counted and not executed: Decomp's constants, the products of
+        // Rescale's single-source conversion (net of its inverse NTT).
+        assert_eq!(m.decomp(35).executed_mults(), 0);
+        let rescale = m.rescale(35);
+        assert_eq!((rescale.aux_mults, rescale.aux_adds), (-2 * n * 34, 0));
+        // ℓ = 24 = 2α: β = 3 counts a third digit, of no limbs.
+        let empty = m.mod_up_digit(24, 0);
+        assert!(empty.ops() > 0);
+        assert_eq!((empty.executed_mults(), empty.executed_adds()), (0, 0));
+        let (three, two) = (
+            m.ksk_inner_product(24, 3, true, true),
+            m.ksk_inner_product(24, 2, true, true),
+        );
+        assert!(three.ops() > two.ops());
+        assert_eq!(three.executed_mults(), two.executed_mults());
+        assert_eq!(three.executed_adds(), two.executed_adds());
     }
 
     #[test]

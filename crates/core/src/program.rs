@@ -46,7 +46,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::cost::Cost;
-use crate::matvec::MatVecShape;
+use crate::matvec::BsgsSchedule;
 use crate::primitives::CostModel;
 
 /// Upper bound on register/operand name length (bytes).
@@ -139,9 +139,9 @@ pub enum Instr {
         /// Source register.
         a: String,
     },
-    /// `dst = M · a` via the BSGS diagonal schedule (`apply_bsgs`) with
-    /// `n1 = bsgs_baby_dim(diagonals)`; consumes one level (the trailing
-    /// rescale is part of the schedule).
+    /// `dst = M · a` via the double-hoisted BSGS diagonal schedule
+    /// (`apply_bsgs`) with `n1 = bsgs_baby_dim(diagonals)`; consumes one
+    /// level (the rescale is merged into the schedule's last `ModDown`).
     BsgsMatVec {
         /// Destination register.
         dst: String,
@@ -258,9 +258,9 @@ pub struct ProgramEnv {
 
 /// Keys a program needs: relinearization and the exact Galois step set.
 ///
-/// `BsgsMatVec` contributes the same steps `apply_bsgs` rotates by: all
-/// baby steps `1..n1` plus each distinct non-zero giant step
-/// `(offset / n1) · n1`.
+/// `BsgsMatVec` contributes the same steps `apply_bsgs` rotates by: each
+/// non-zero baby step `offset mod n1` some diagonal lands on plus each
+/// distinct non-zero giant step `(offset / n1) · n1`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyManifest {
     /// True when any `Mult` appears (relinearization key required).
@@ -444,17 +444,11 @@ pub fn bsgs_baby_dim(diagonals: usize) -> usize {
 }
 
 /// Galois steps `apply_bsgs` needs for a diagonal set under baby
-/// dimension `n1`: every baby step `1..n1` plus each distinct non-zero
-/// giant step, sorted.
+/// dimension `n1`: the baby steps `d mod n1` some diagonal lands on plus
+/// each distinct giant step `⌊d/n1⌋·n1`, non-zero ones only, sorted — the
+/// rotations of the schedule the pricer charges ([`BsgsSchedule`]).
 pub fn bsgs_galois_steps(offsets: &[usize], n1: usize) -> Vec<i64> {
-    let mut steps: BTreeSet<i64> = (1..n1 as i64).collect();
-    for &d in offsets {
-        let giant = (d / n1) * n1;
-        if giant != 0 {
-            steps.insert(giant as i64);
-        }
-    }
-    steps.into_iter().collect()
+    BsgsSchedule::of(offsets, n1).galois_steps()
 }
 
 /// The rotation-hoisting schedule: maximal runs (start index, length ≥ 2)
@@ -731,7 +725,9 @@ pub struct InstrCost {
 
 /// Modeled price of a whole program: the fold of the per-primitive costs
 /// over the instruction stream, including the executor's on-the-fly
-/// plaintext encodes (each one `ell` forward limb NTTs).
+/// encodes of `PtMult` operands (each one `ell` forward limb NTTs; a
+/// `BsgsMatVec`'s diagonals are encoded once per transform, not per run,
+/// and are priced as pre-encoded).
 #[derive(Clone, Debug, Default)]
 pub struct ProgramCost {
     /// Total modeled cost.
@@ -740,7 +736,7 @@ pub struct ProgramCost {
     pub ntt_fwd: u64,
     /// Total modeled inverse transforms.
     pub ntt_inv: u64,
-    /// Forward limb NTTs spent encoding plaintext operands on the fly
+    /// Forward limb NTTs spent encoding `PtMult` operands on the fly
     /// (already included in `cost`/`ntt_fwd`; reported for visibility).
     pub encode_limb_ntts: u64,
     /// Per-instruction breakdown.
@@ -756,57 +752,85 @@ pub fn keyswitch_transforms(m: &CostModel, ell: usize) -> (u64, u64) {
     (fwd + 2 * f, inv + 2 * i)
 }
 
-/// ModUp-only transform counts (the `Decomp` + raise phase).
+/// ModUp-only transform counts (the `Decomp` + raise phase). A digit the
+/// level leaves empty (the model's `β` counts one where `ℓ ≤ (β−1)·α`)
+/// raises nothing.
 pub fn modup_transforms(m: &CostModel, ell: usize) -> (u64, u64) {
     let (mut fwd, mut inv) = (0, 0);
-    for j in 0..m.params.beta_at(ell) {
-        let (f, i) = m.mod_up_transforms(ell, m.digit_width(ell, j));
+    for width in digit_widths(m, ell) {
+        let (f, i) = m.mod_up_transforms(ell, width);
         fwd += f;
         inv += i;
     }
     (fwd, inv)
 }
 
+/// The non-empty digits at `ell` limbs.
+fn digit_widths(m: &CostModel, ell: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..m.params.beta_at(ell))
+        .map(move |j| m.digit_width(ell, j))
+        .filter(|&width| width > 0)
+}
+
 /// Model of the `Decomp` + `ModUp` phase (everything in a key switch
 /// before the inner product).
 pub fn modup_cost(m: &CostModel, ell: usize) -> Cost {
     let mut c = m.decomp(ell);
-    for j in 0..m.params.beta_at(ell) {
-        c += m.mod_up_digit(ell, m.digit_width(ell, j));
+    for width in digit_widths(m, ell) {
+        c += m.mod_up_digit(ell, width);
     }
     c
 }
 
-/// Transform counts of the BSGS schedule: one shared ModUp, `n1` ModDown
-/// pairs, `n2 − 1` full rotates, one rescale.
-pub fn bsgs_transforms(m: &CostModel, shape: MatVecShape, n1: usize) -> (u64, u64) {
-    let n2 = shape.diagonals.div_ceil(n1);
-    let (mut fwd, mut inv) = modup_transforms(m, shape.ell);
-    let (f, i) = m.mod_down_transforms(shape.ell, m.params.special_limbs());
-    fwd += 2 * f * n1 as u64;
-    inv += 2 * i * n1 as u64;
-    for _ in 0..n2.saturating_sub(1) {
-        let (f, i) = keyswitch_transforms(m, shape.ell);
-        fwd += f;
-        inv += i;
+/// Transform counts of `Mult` as the library runs it (ModDown merge): the
+/// `ModUp` of `d_2`, then one `ModDown` per component over
+/// `{q_{ℓ-1}} ∪ P`.
+pub fn mult_transforms(m: &CostModel, ell: usize) -> (u64, u64) {
+    let (fwd, inv) = modup_transforms(m, ell);
+    let (f, i) = m.mod_down_transforms(ell - 1, m.params.special_limbs() + 1);
+    (fwd + 2 * f, inv + 2 * i)
+}
+
+/// Transform counts of the double-hoisted BSGS schedule, exact for any
+/// diagonal set: one `ModUp` if any baby step is non-zero; per non-zero
+/// giant group a `ModUp` for the giant key switch, preceded by a `ModDown`
+/// pair when the group's inner sum has a raised part; and one `ModDown`
+/// pair merged with the rescale — or, for diagonal 0 alone, which never
+/// leaves the base basis, a plain `Rescale`. Baby steps themselves
+/// transform nothing, and the diagonals are pre-encoded.
+pub fn bsgs_transforms(m: &CostModel, ell: usize, s: &BsgsSchedule) -> (u64, u64) {
+    if !s.raised() {
+        return m.rescale_transforms(ell);
     }
-    let (f, i) = m.rescale_transforms(shape.ell);
-    (fwd + f, inv + i)
+    let k = m.params.special_limbs();
+    let (up_f, up_i) = modup_transforms(m, ell);
+    let (down_f, down_i) = m.mod_down_transforms(ell, k);
+    let (last_f, last_i) = m.mod_down_transforms(ell - 1, k + 1);
+    let ups = u64::from(!s.babies.is_empty()) + s.giants().count() as u64;
+    let downs = 2 * s.giants().filter(|g| g.rotated > 0).count() as u64;
+    (
+        ups * up_f + downs * down_f + 2 * last_f,
+        ups * up_i + downs * down_i + 2 * last_i,
+    )
 }
 
 impl CostModel {
     /// Prices a validated program by folding the per-primitive costs of
-    /// Table 2 over the instruction stream. Hoisted rotation runs charge
-    /// the shared Decomp+ModUp once (the leader) and only the inner
-    /// product, ModDown pair, and final addition per member — exactly the
-    /// schedule the `fhe-program` executor runs.
+    /// Table 2 over the instruction stream — exactly the schedule the
+    /// `fhe-program` executor runs, whatever this model's
+    /// [`crate::opts::AlgoOpts`] say: a `Mult` is the ModDown-merged
+    /// sequence, a `BsgsMatVec` the double-hoisted schedule over
+    /// pre-encoded diagonals, and a hoisted rotation run charges the
+    /// shared Decomp+ModUp once (the leader) and only the inner product,
+    /// ModDown pair, and final addition per member.
     pub fn program_cost(&self, program: &Program, info: &ProgramInfo) -> ProgramCost {
         let n = self.params.degree();
         let limb = self.params.limb_bytes();
-        let encode = |count: u64, ell: usize| -> (Cost, u64) {
-            let transforms = count * ell as u64;
+        // One operand encoded on the fly at `ell` limbs.
+        let encode = |ell: usize| -> (Cost, u64) {
+            let transforms = ell as u64;
             let mut c = self.ntt_limb_ops() * transforms;
-            c.pt_read += count * ell as u64 * limb;
+            c.pt_read += transforms * limb;
             (c, transforms)
         };
         let mats: BTreeMap<&str, &MatDecl> = program
@@ -830,7 +854,7 @@ impl CostModel {
                 Instr::PtMult { .. } => {
                     // On-the-fly encode of the plaintext operand, then the
                     // pointwise product (no rescale).
-                    let (c, f) = encode(1, ell);
+                    let (c, f) = encode(ell);
                     cost += c;
                     fwd += f;
                     total.encode_limb_ntts += f;
@@ -849,15 +873,8 @@ impl CostModel {
                 Instr::Mult { .. } => {
                     add_t(
                         &mut cost,
-                        self.mult(ell),
-                        keyswitch_transforms(self, ell),
-                        &mut fwd,
-                        &mut inv,
-                    );
-                    add_t(
-                        &mut cost,
-                        Cost::ZERO,
-                        self.rescale_transforms(ell),
+                        self.mult_merged(ell),
+                        mult_transforms(self, ell),
                         &mut fwd,
                         &mut inv,
                     );
@@ -902,23 +919,15 @@ impl CostModel {
                     );
                 }
                 Instr::BsgsMatVec { mat, .. } => {
-                    let decl = mats[mat.as_str()];
-                    let shape = MatVecShape {
-                        ell,
-                        diagonals: decl.offsets.len(),
-                    };
-                    let n1 = self.bsgs_baby_dim(shape.diagonals);
+                    let offsets = &mats[mat.as_str()].offsets;
+                    let schedule = BsgsSchedule::of(offsets, bsgs_baby_dim(offsets.len()));
                     add_t(
                         &mut cost,
-                        self.pt_mat_vec_mult(shape).cost,
-                        bsgs_transforms(self, shape, n1),
+                        self.matvec_bsgs_double_hoisted(ell, &schedule),
+                        bsgs_transforms(self, ell, &schedule),
                         &mut fwd,
                         &mut inv,
                     );
-                    let (c, f) = encode(shape.diagonals as u64, ell);
-                    cost += c;
-                    fwd += f;
-                    total.encode_limb_ntts += f;
                 }
                 Instr::Bootstrap { .. } => {
                     // The bootstrap pipeline needs a chain deeper than its
@@ -1537,6 +1546,11 @@ mod tests {
         let n1 = bsgs_baby_dim(8);
         assert_eq!(n1, 4);
         assert_eq!(bsgs_galois_steps(&offsets, n1), vec![1, 2, 3, 4]);
+        // Only the baby steps a diagonal lands on: {0, 5} at n1 = 4 is
+        // baby 1 and giant 4 — steps 2 and 3 rotate nothing.
+        assert_eq!(bsgs_galois_steps(&[0, 5], 4), vec![1, 4]);
+        assert_eq!(bsgs_galois_steps(&[5, 0], 4), vec![1, 4]);
+        assert_eq!(bsgs_galois_steps(&[0], 4), Vec::<i64>::new());
     }
 
     #[test]
@@ -1611,8 +1625,21 @@ mod tests {
         let two_rotates = m.rotate(4) * 2;
         let pair: Cost = priced.per_instr[1..3].iter().map(|r| r.cost).sum();
         assert!(pair.ops() < two_rotates.ops(), "hoisting must save compute");
-        // Encode NTTs are tracked: 3 BSGS diagonals at ℓ = 4.
-        assert_eq!(priced.encode_limb_ntts, 12);
+        // Only `PtMult` operands are encoded per run, and there is none:
+        // the BSGS diagonals are priced pre-encoded.
+        assert_eq!(priced.encode_limb_ntts, 0);
+        // The price is the executor's schedule, not the configuration's:
+        // the paper's algorithmic options move nothing.
+        let all_on = MadConfig {
+            caching: CachingLevel::OneLimb,
+            algo: AlgoOpts::all(),
+        };
+        let repriced = CostModel::new(params, all_on).program_cost(&p, &info);
+        assert_eq!(
+            (repriced.ntt_fwd, repriced.ntt_inv),
+            (priced.ntt_fwd, priced.ntt_inv)
+        );
+        assert_eq!(repriced.cost.ops(), priced.cost.ops());
         // Bootstrap prices through the model's pipeline on a chain deep
         // enough to cover it (and at zero on shallow chains, without
         // panicking).

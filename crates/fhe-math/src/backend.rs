@@ -177,6 +177,11 @@ pub trait KernelBackend: Send + Sync + fmt::Debug {
     /// `out[k] = a[k] · b[k] mod q`, leaving both inputs untouched.
     fn pointwise_mul_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]);
 
+    /// The fused multiply-accumulate `acc[k] = acc[k] + a[k] · b[k] mod q`:
+    /// one pass and one Barrett reduction per slot where a product into a
+    /// temporary and an add would make two of each.
+    fn pointwise_mul_add(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]);
+
     /// `dst[k] = dst[k] · c mod q` with a precomputed Shoup constant.
     fn scale_shoup(&self, m: &Modulus, dst: &mut [u64], c: ShoupPair);
 
@@ -367,6 +372,12 @@ impl KernelBackend for ScalarBackend {
     fn pointwise_mul_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
         for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
             *o = m.mul(x, y);
+        }
+    }
+
+    fn pointwise_mul_add(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        for ((c, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+            *c = m.mul_add(x, y, *c);
         }
     }
 
@@ -799,6 +810,25 @@ impl KernelBackend for UnrolledBackend {
             .zip(bb.remainder())
         {
             *o = m.mul(x, y);
+        }
+    }
+
+    fn pointwise_mul_add(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        let mut cb = acc.chunks_exact_mut(BLOCK);
+        let mut ab = a.chunks_exact(BLOCK);
+        let mut bb = b.chunks_exact(BLOCK);
+        for ((cc, ac), bc) in (&mut cb).zip(&mut ab).zip(&mut bb) {
+            for k in 0..BLOCK {
+                cc[k] = m.mul_add(ac[k], bc[k], cc[k]);
+            }
+        }
+        for ((c, &x), &y) in cb
+            .into_remainder()
+            .iter_mut()
+            .zip(ab.remainder())
+            .zip(bb.remainder())
+        {
+            *c = m.mul_add(x, y, *c);
         }
     }
 

@@ -276,14 +276,7 @@ impl RnsPoly {
     fn assert_compatible(&self, other: &RnsPoly) {
         assert_eq!(self.rep, other.rep, "representation mismatch");
         assert_eq!(self.limb_count(), other.limb_count(), "limb count mismatch");
-        debug_assert!(
-            self.basis
-                .moduli()
-                .iter()
-                .zip(other.basis.moduli())
-                .all(|(a, b)| a.value() == b.value()),
-            "basis mismatch"
-        );
+        debug_assert!(starts_with(&self.basis, &other.basis), "basis mismatch");
     }
 
     /// Converts to evaluation representation in place (`ℓ` forward NTTs;
@@ -386,33 +379,46 @@ impl RnsPoly {
         });
     }
 
-    /// Pointwise product into an existing output polynomial (same basis and
-    /// shape), leaving `self` untouched. Avoids the clone a
-    /// `mul_assign_pointwise` caller would otherwise need when both inputs
-    /// are still live.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both inputs are in evaluation representation and `out`
-    /// has the same shape.
-    pub fn mul_pointwise_into(&self, other: &RnsPoly, out: &mut RnsPoly) {
+    /// Checks that `operand` can be read at this polynomial's shape: in
+    /// evaluation representation, over a basis this one's is a prefix of.
+    fn assert_reads_prefix_of(&self, operand: &RnsPoly) {
         assert_eq!(
-            self.rep,
+            operand.rep,
             Representation::Evaluation,
             "pointwise product requires evaluation representation"
         );
-        self.assert_compatible(other);
-        assert_eq!(out.data.len(), self.data.len(), "output shape mismatch");
+        assert!(
+            operand.limb_count() >= self.limb_count(),
+            "operand has {} limbs, output {}",
+            operand.limb_count(),
+            self.limb_count()
+        );
+        debug_assert!(starts_with(&operand.basis, &self.basis), "basis mismatch");
+    }
+
+    /// Pointwise product `out = self ⊙ other` over `out`'s limbs, leaving
+    /// both inputs untouched. An input over a longer basis is read through
+    /// its prefix, so operands at different levels multiply at the lower
+    /// one without either being copied down first.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both inputs are in evaluation representation with at
+    /// least `out`'s limbs.
+    pub fn mul_pointwise_into(&self, other: &RnsPoly, out: &mut RnsPoly) {
+        out.assert_reads_prefix_of(self);
+        out.assert_reads_prefix_of(other);
         out.rep = Representation::Evaluation;
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        let a = &self.data;
-        let b = &other.data;
-        telemetry::record_ops(a.len() as u64, 0);
-        telemetry::record_transfer(16 * a.len() as u64, 8 * a.len() as u64);
-        self.trace_touch(false);
-        other.trace_touch(false);
+        let n = out.basis.degree();
+        let limbs = out.limb_count();
+        let len = out.data.len();
+        let (a, b) = (&self.data[..len], &other.data[..len]);
+        telemetry::record_ops(len as u64, 0);
+        telemetry::record_transfer(16 * len as u64, 8 * len as u64);
+        self.trace_touch_limbs(false, 0, limbs);
+        other.trace_touch_limbs(false, 0, limbs);
         out.trace_touch(true);
+        let basis = &out.basis;
         parallel::for_each_limb_mut(&mut out.data, n, |i, dst| {
             let off = i * n;
             basis.backend().pointwise_mul_into(
@@ -420,6 +426,44 @@ impl RnsPoly {
                 &a[off..off + n],
                 &b[off..off + n],
                 dst,
+            );
+        });
+    }
+
+    /// The fused multiply-accumulate `self += a ⊙ b` over this
+    /// polynomial's limbs; like [`RnsPoly::mul_pointwise_into`], an input
+    /// over a longer basis is read through its prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless all three are in evaluation representation and the
+    /// inputs have at least this polynomial's limbs.
+    pub fn mul_add_assign_pointwise(&mut self, a: &RnsPoly, b: &RnsPoly) {
+        self.assert_reads_prefix_of(a);
+        self.assert_reads_prefix_of(b);
+        assert_eq!(
+            self.rep,
+            Representation::Evaluation,
+            "pointwise product requires evaluation representation"
+        );
+        let n = self.basis.degree();
+        let limbs = self.limb_count();
+        let len = self.data.len();
+        let (x, y) = (&a.data[..len], &b.data[..len]);
+        telemetry::record_ops(len as u64, len as u64);
+        telemetry::record_transfer(24 * len as u64, 8 * len as u64);
+        self.trace_touch(false);
+        a.trace_touch_limbs(false, 0, limbs);
+        b.trace_touch_limbs(false, 0, limbs);
+        self.trace_touch(true);
+        let basis = &self.basis;
+        parallel::for_each_limb_mut(&mut self.data, n, |i, acc| {
+            let off = i * n;
+            basis.backend().pointwise_mul_add(
+                basis.modulus(i),
+                acc,
+                &x[off..off + n],
+                &y[off..off + n],
             );
         });
     }
@@ -533,11 +577,7 @@ impl RnsPoly {
         assert!(keep >= 1 && keep <= self.limb_count());
         assert_eq!(prefix_basis.len(), keep, "prefix basis length mismatch");
         debug_assert!(
-            prefix_basis
-                .moduli()
-                .iter()
-                .zip(self.basis.moduli())
-                .all(|(a, b)| a.value() == b.value()),
+            starts_with(&self.basis, &prefix_basis),
             "prefix basis mismatch"
         );
         let n = self.basis.degree();
@@ -583,6 +623,15 @@ impl RnsPoly {
             .map(|k| self.coeff_centered(k).to_f64().abs())
             .fold(0.0, f64::max)
     }
+}
+
+/// Whether `long`'s leading moduli are `short`'s (checked as far as the
+/// shorter of the two reaches).
+fn starts_with(long: &RnsBasis, short: &RnsBasis) -> bool {
+    long.moduli()
+        .iter()
+        .zip(short.moduli())
+        .all(|(a, b)| a.value() == b.value())
 }
 
 /// The centred lift of one limb into another modulus, from the limb
@@ -848,11 +897,7 @@ pub fn pmod_up_with(poly: &RnsPoly, raised_basis: Arc<RnsBasis>, pool: &ScratchP
         "raised basis must extend the polynomial's basis"
     );
     debug_assert!(
-        raised_basis
-            .moduli()
-            .iter()
-            .zip(basis.moduli())
-            .all(|(a, b)| a.value() == b.value()),
+        starts_with(&raised_basis, basis),
         "raised basis must start with the polynomial's basis"
     );
     telemetry::record_ops((l * n) as u64, 0);
@@ -877,6 +922,42 @@ pub fn pmod_up_with(poly: &RnsPoly, raised_basis: Arc<RnsBasis>, pool: &ScratchP
         basis.backend().scale_shoup(qi, limb, p_mod_q[i]);
     });
     out
+}
+
+/// `PModUp` folded into an accumulate: `acc += P·x` for `acc` over
+/// `B ∪ B'` and `x` over `B`, without the lifted polynomial ever existing.
+/// `P·x` vanishes on the `B'` limbs, so only the `B` limbs of `acc` change:
+/// limb `i` of `x` is scaled by `[P]_{q_i}` where it lies and added while
+/// still cache-hot. `x` is consumed and its storage returned to `pool`.
+///
+/// # Panics
+///
+/// Panics if the representations differ or `acc` is not longer than `x`.
+pub fn pmod_up_add_assign(acc: &mut RnsPoly, mut x: RnsPoly, pool: &ScratchPool) {
+    assert_eq!(acc.rep, x.rep, "representation mismatch");
+    let l = x.limb_count();
+    let n = x.degree();
+    assert!(
+        acc.limb_count() > l,
+        "raised basis must extend the polynomial's basis"
+    );
+    debug_assert!(
+        starts_with(&acc.basis, &x.basis),
+        "raised basis must start with the polynomial's basis"
+    );
+    telemetry::record_ops((l * n) as u64, (l * n) as u64);
+    telemetry::record_transfer(16 * (l * n) as u64, 8 * (l * n) as u64);
+    x.trace_touch(false);
+    acc.trace_touch_limbs(false, 0, l);
+    acc.trace_touch_limbs(true, 0, l);
+    let basis = &acc.basis;
+    let p_mod_q = basis.tail_products(l);
+    parallel::for_each_limb_mut2(&mut acc.data[..l * n], &mut x.data, n, |i, sum, lifted| {
+        let qi = basis.modulus(i);
+        basis.backend().scale_shoup(qi, lifted, p_mod_q[i]);
+        basis.backend().pointwise_add(qi, sum, lifted);
+    });
+    x.recycle(pool);
 }
 
 /// [`pmod_up_with`] building the joined basis on the fly (cold paths and
@@ -1155,6 +1236,45 @@ mod tests {
         a.mul_pointwise_into(&b, &mut out);
         a.mul_assign_pointwise(&b);
         assert_eq!(a.flat(), out.flat());
+    }
+
+    #[test]
+    fn prefix_products_and_fused_accumulate_match_the_separate_passes() {
+        let deep = q_basis(3);
+        let shallow = Arc::new(deep.prefix(2));
+        let ac: Vec<i64> = (0..N as i64).map(|i| 5 * i - 17).collect();
+        let bc: Vec<i64> = (0..N as i64).map(|i| 40 - 3 * i).collect();
+        let mut a = RnsPoly::from_signed_coeffs(deep, &ac);
+        let mut b = RnsPoly::from_signed_coeffs(shallow.clone(), &bc);
+        a.to_eval();
+        b.to_eval();
+        // The deeper operand is read through its prefix.
+        let mut want = a.drop_to(2);
+        want.mul_assign_pointwise(&b);
+        let mut out = RnsPoly::zero(shallow, Representation::Evaluation);
+        a.mul_pointwise_into(&b, &mut out);
+        assert_eq!(out.flat(), want.flat());
+        // acc += a ⊙ b equals the product added in a second pass.
+        let mut acc = b.clone();
+        acc.mul_add_assign_pointwise(&a, &b);
+        want.add_assign(&b);
+        assert_eq!(acc.flat(), want.flat());
+    }
+
+    #[test]
+    fn pmod_up_add_assign_matches_lift_then_add() {
+        let pool = ScratchPool::new();
+        let q = q_basis(2);
+        let p = p_basis_for(&q, 2);
+        let raised = Arc::new(q.concat(&p));
+        let xc: Vec<i64> = (0..N as i64).map(|i| 9 * i - 100).collect();
+        let x = RnsPoly::from_signed_coeffs(q, &xc);
+        let base: Vec<i64> = (0..N as i64).map(|i| 1_000_003 * i + 7).collect();
+        let mut acc = RnsPoly::from_signed_coeffs(raised.clone(), &base);
+        let mut want = acc.clone();
+        want.add_assign(&pmod_up_with(&x, raised, &pool));
+        pmod_up_add_assign(&mut acc, x, &pool);
+        assert_eq!(acc.flat(), want.flat());
     }
 
     #[test]

@@ -84,6 +84,11 @@ fn pointwise_kernels_are_bit_identical() {
         let mut into = vec![0u64; n];
         be.pointwise_mul_into(&m, &a, &b, &mut into);
         assert_eq!(into, mul, "{kind:?}: mul_into disagrees with in-place mul");
+        let mut fma = d.clone();
+        be.pointwise_mul_add(&m, &mut fma, &a, &b);
+        for k in 0..n {
+            assert_eq!(fma[k], m.add(d[k], mul[k]), "{kind:?} fma[{k}]");
+        }
         let mut scaled = a.clone();
         be.scale_shoup(&m, &mut scaled, c);
         let mut combined = b.clone();
@@ -120,7 +125,7 @@ fn pointwise_kernels_are_bit_identical() {
                 "{kind:?} v[{k}]"
             );
         }
-        (add, sub, neg, mul, scaled, combined, plus, minus, u, v)
+        (add, sub, neg, mul, fma, scaled, combined, plus, minus, u, v)
     });
 }
 

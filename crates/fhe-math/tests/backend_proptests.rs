@@ -378,10 +378,12 @@ proptest! {
             be.pointwise_add(&m, &mut add, &b);
             let mut mul = a.clone();
             be.pointwise_mul(&m, &mut mul, &b);
+            let mut fma = add.clone();
+            be.pointwise_mul_add(&m, &mut fma, &a, &b);
             let (mut u, mut v) = (b.clone(), a.clone());
             let term = DigitTerm { d: &mul, a: &a, b: &b };
             be.inner_product_pair(&m, &[term, term], &mut u, &mut v);
-            (add, mul, u, v)
+            (add, mul, fma, u, v)
         };
         prop_assert_eq!(run(&scalar), run(&unrolled));
     }

@@ -6,17 +6,23 @@
 //! `Evaluator` exactly the way the hand-written application schedules do —
 //! so a workload expressed as a `Program` is *byte-identical* to its
 //! hard-coded counterpart (asserted for the HELR step in this crate's
-//! tests). Two schedule-level behaviors are shared contracts with the
+//! tests). Three schedule-level behaviors are shared contracts with the
 //! analytical pricer ([`simfhe::CostModel::program_cost`]):
 //!
 //! - **Rotation hoisting** — the maximal consecutive-rotation runs
 //!   computed by [`simfhe::program::hoisted_runs`] execute through
 //!   [`ckks::hoisting::rotate_hoisted`], sharing one Decomp+ModUp across
 //!   the run. The pricer charges the same schedule.
-//! - **BSGS baby dimension** — `BsgsMatVec` uses
-//!   [`simfhe::program::bsgs_baby_dim`], the same `n1` the model's
-//!   `pt_mat_vec_mult` assumes, so the required Galois steps and the
-//!   rotation count agree between manifest, price, and execution.
+//! - **ModDown merge** — `Mult` is [`ckks::Evaluator::mul_with_key`], the
+//!   paper's Figure 4c sequence (one `ModDown` over `{q_{ℓ-1}} ∪ P`), and
+//!   is priced as `CostModel::mult_merged`.
+//! - **Double-hoisted BSGS** — `BsgsMatVec` is
+//!   [`ckks::hoisting::apply_bsgs`] at [`simfhe::program::bsgs_baby_dim`],
+//!   priced as `CostModel::matvec_bsgs_double_hoisted` over the declared
+//!   offsets, so the required Galois steps (only baby steps a diagonal
+//!   lands on), the transform count and the execution agree. The bound
+//!   [`LinearTransform`] encodes its diagonals on first use and keeps
+//!   them: a transform executed again pays no encode, and none is priced.
 //!
 //! Every instruction runs inside a `Prog.<Mnemonic>` telemetry span; the
 //! serving runtime's request timelines surface these as per-instruction

@@ -57,24 +57,27 @@ pub(crate) fn rotate_ct(body: &[u8]) -> Option<&[u8]> {
 
 /// The rotation steps a `Bsgs` body (read past its session id) will
 /// require, mirroring `bsgs_required_steps` without materializing the
-/// diagonals: baby steps `1..n1` plus the nonzero giant steps
-/// `(offset/n1)*n1`. Returns `None` on any truncation or bound violation
-/// — the handler will produce the structured error.
+/// diagonals: per diagonal, the baby step `offset mod n1` it lands on and
+/// its giant step `(offset/n1)*n1` (zeros and repeats are dropped by the
+/// caller). Returns `None` on any truncation or bound violation — the
+/// handler will produce the structured error.
 fn bsgs_steps(r: &mut BodyReader<'_>, slots: usize) -> Option<Vec<i64>> {
     let (n1, diag_count) = (r.u32()? as usize, r.u32()? as usize);
     if n1 == 0 || n1 > slots || diag_count == 0 || diag_count > slots {
         return None;
     }
-    let mut steps: Vec<i64> = (1..n1 as i64).collect();
+    let (mut babies, mut giants) = (Vec::new(), Vec::new());
     for _ in 0..diag_count {
         let offset = r.u32()? as usize;
         r.take(slots * 16)?; // the diagonal (`slots` complex f64s): skipped, not parsed
         if offset >= slots {
             return None;
         }
-        steps.push(((offset / n1) * n1) as i64);
+        babies.push((offset % n1) as i64);
+        giants.push((offset / n1 * n1) as i64);
     }
-    Some(steps)
+    babies.extend(giants);
+    Some(babies)
 }
 
 impl KeyPlan {
@@ -313,11 +316,38 @@ mod tests {
             w.raw(b"ct");
             w.0
         };
-        // Baby steps 1..2, giants {2} (offsets 2 and 3 both map to 2).
+        let planned = |n1: u32, offsets: &[u32]| -> Vec<i64> {
+            let plan = KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &body(n1, offsets));
+            plan.galois.iter().map(|&(s, _)| s).collect()
+        };
+        // Baby step 1 (offset 3), giants {2} (offsets 2 and 3 both map to 2).
         let full = body(2, &[0, 2, 3]);
-        let plan = KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &full);
-        let steps: Vec<i64> = plan.galois.iter().map(|&(s, _)| s).collect();
-        assert_eq!(steps, [1, 2]);
+        assert_eq!(planned(2, &[0, 2, 3]), [1, 2]);
+        // The plan, the library and the program validator walk the same
+        // schedule: only baby steps some diagonal lands on, so {0, 5} at
+        // n1 = 4 needs steps 1 and 4 and no key for 2 or 3.
+        assert_eq!(planned(4, &[0, 5]), [1, 4]);
+        let sets: [&[u32]; 5] = [
+            &[0, 5],
+            &[0],
+            &[3, 4, 9, 14],
+            &[1, 2, 3],
+            &[0, 1, 2, 3, 4, 5],
+        ];
+        for offsets in sets {
+            for n1 in [1u32, 2, 4, 8] {
+                let wide: Vec<usize> = offsets.iter().map(|&d| d as usize).collect();
+                let diagonals = wide.iter().map(|&d| (d, vec![Default::default(); slots]));
+                let lt =
+                    ckks::hoisting::LinearTransform::from_diagonals(diagonals.collect(), slots);
+                let library = ckks::hoisting::bsgs_required_steps(&lt, n1 as usize);
+                let validator = fhe_program::program::bsgs_galois_steps(&wide, n1 as usize);
+                assert_eq!(library, validator, "{offsets:?} at n1 = {n1}");
+                let mut plan = planned(n1, offsets);
+                plan.sort_unstable();
+                assert_eq!(plan, validator, "{offsets:?} at n1 = {n1}");
+            }
+        }
         // Truncated diagonals or an out-of-range offset: no plan.
         let cut = &full[..full.len() - slots * 16];
         assert_eq!(

@@ -38,9 +38,9 @@ fn functional_pipeline_through_umbrella_reexports() {
     let pt = encoder.encode(&xs, 4, ctx.params().scale()).unwrap();
     let ct = encryptor.encrypt_symmetric(&mut rng, &pt, &sk);
     // p(x) = (x² + x) computed homomorphically two ways must agree.
-    let sq_std = evaluator.mul(&ct, &ct, &rlk);
-    let sq_mrg = evaluator.mul_merged(&ct, &ct, &rlk);
-    for sq in [sq_std, sq_mrg] {
+    let sq_mrg = evaluator.mul(&ct, &ct, &rlk);
+    let sq_std = evaluator.mul_standard(&ct, &ct, &rlk);
+    for sq in [sq_mrg, sq_std] {
         let sum = evaluator.add(&sq, &evaluator.drop_to(&ct, sq.limb_count()));
         let out = encoder.decode(&decryptor.decrypt(&sum, &sk));
         for (i, (o, x)) in out.iter().zip(&xs).enumerate() {

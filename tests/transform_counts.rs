@@ -1,17 +1,22 @@
 //! Cross-validation of the SimFHE cost model against the functional
 //! library: the number of whole-limb NTT/iNTT transforms the model
-//! charges for `ModUp`, `ModDown`, `Rescale` and `KeySwitch` must equal
-//! the number the real implementation executes (counted by
-//! `fhe_math::ntt::counters`).
+//! charges for `ModUp`, `ModDown`, `Rescale`, `KeySwitch`, `Mult` and the
+//! BSGS `PtMatVecMult` must equal the number the real implementation
+//! executes (counted by `fhe_math::ntt::counters`) — and a transform that
+//! has been applied before must encode nothing.
 //!
 //! This binary runs in its own process (Cargo integration test), so the
 //! process-global counters see only this file's work; the tests
 //! themselves run serially via a mutex.
 
+use mad::math::cfft::Complex;
 use mad::math::ntt::counters;
 use mad::math::poly::rescale as poly_rescale;
+use mad::scheme::hoisting::{apply_bsgs, LinearTransform};
 use mad::scheme::keyswitch::{decompose_and_raise, keyswitch};
-use mad::scheme::{CkksContext, CkksParams, Encoder, Encryptor, KeyGenerator};
+use mad::scheme::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
+use mad::sim::matvec::BsgsSchedule;
+use mad::sim::program::{bsgs_transforms, mult_transforms};
 use mad::sim::{CostModel, MadConfig, SchemeParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -132,6 +137,125 @@ fn full_keyswitch_transform_counts_match_model() {
         assert_eq!(fwd, want_fwd, "forward NTTs at ℓ = {ell}");
         assert_eq!(inv, want_inv, "inverse NTTs at ℓ = {ell}");
     }
+}
+
+#[test]
+fn mult_transform_counts_match_model() {
+    // The ModDown-merged sequence: the ModUp of d2, then one ModDown per
+    // component over {q_last} ∪ P — at ℓ = 4 the model's β counts a third,
+    // empty digit, which must raise nothing.
+    let _guard = serial();
+    for ell in [2usize, 3, 4, 5] {
+        let (ctx, ct, rlk) = fresh_ciphertext(ell);
+        let evaluator = Evaluator::new(ctx);
+        counters::reset();
+        let _ = evaluator.mul(&ct, &ct, &rlk);
+        let measured = (counters::forward_count(), counters::inverse_count());
+        assert_eq!(measured, mult_transforms(&sim_model(), ell), "ℓ = {ell}");
+    }
+}
+
+/// Forward and inverse limb transforms `f` performs.
+fn transforms_of(f: impl FnOnce()) -> (u64, u64) {
+    counters::reset();
+    f();
+    (counters::forward_count(), counters::inverse_count())
+}
+
+#[test]
+fn a_transform_applied_again_encodes_nothing_and_costs_what_the_model_says() {
+    let _guard = serial();
+    let model = sim_model();
+    let setup = |ell: usize| {
+        let (ctx, ct, _) = fresh_ciphertext(ell);
+        let mut rng = StdRng::seed_from_u64(77);
+        let keygen = KeyGenerator::new(ctx.clone());
+        let sk = keygen.secret_key(&mut rng);
+        let all_steps: Vec<i64> = (1..32).collect();
+        let gk = keygen.galois_keys(&mut rng, &sk, &all_steps, false);
+        (
+            Evaluator::new(ctx.clone()),
+            Encoder::new(ctx.clone()),
+            ct,
+            gk,
+        )
+    };
+    let transform = |offsets: &[usize]| {
+        let diagonals = offsets
+            .iter()
+            .map(|&d| (d, vec![Complex::new(0.1 + 0.01 * d as f64, -0.05); 32]));
+        LinearTransform::from_diagonals(diagonals.collect(), 32)
+    };
+    let k = sim_model().params.special_limbs() as u64;
+
+    // Contiguous, sparse, unrotated-only and lone-giant sets at every baby
+    // dimension: the second application performs exactly the modeled
+    // schedule, the first that plus one raised encode per diagonal.
+    let sets: [&[usize]; 6] = [
+        &[0, 1, 2, 3, 4, 5, 6, 7],
+        &[0, 5],
+        &[3, 4, 9, 14],
+        &[0],
+        &[0, 4, 8],
+        &[6],
+    ];
+    let (evaluator, encoder, ct, gk) = setup(LEVELS);
+    for offsets in sets {
+        for n1 in [1usize, 2, 4, 8] {
+            let lt = transform(offsets);
+            let modeled = bsgs_transforms(&model, LEVELS, &BsgsSchedule::of(offsets, n1));
+            let encodes = offsets.len() as u64 * (LEVELS as u64 + k);
+            let apply = || drop(apply_bsgs(&evaluator, &encoder, &ct, &lt, &gk, n1));
+            let what = format!("{offsets:?} at n1 = {n1}");
+            assert_eq!(
+                transforms_of(apply),
+                (modeled.0 + encodes, modeled.1),
+                "{what}, cold"
+            );
+            assert_eq!(transforms_of(apply), modeled, "{what}, warm");
+            assert_eq!(transforms_of(apply), modeled, "{what}, warm again");
+        }
+    }
+
+    // The slot holds one encoding: another level, another baby dimension
+    // or another context replaces it, and coming back pays again.
+    let lt = transform(&[0, 1, 2, 3, 4, 5]);
+    let price = |ell: usize, n1: usize, warm: bool| {
+        let (f, i) = bsgs_transforms(&model, ell, &BsgsSchedule::of(&lt.offsets(), n1));
+        (f + if warm { 0 } else { 6 * (ell as u64 + k) }, i)
+    };
+    let lower = evaluator.drop_to(&ct, LEVELS - 1);
+    let (evaluator2, encoder2, ct2, gk2) = setup(LEVELS);
+    let at_top = |n1| transforms_of(|| drop(apply_bsgs(&evaluator, &encoder, &ct, &lt, &gk, n1)));
+    assert_eq!(at_top(4), price(LEVELS, 4, false));
+    assert_eq!(at_top(4), price(LEVELS, 4, true));
+    let at_lower = transforms_of(|| drop(apply_bsgs(&evaluator, &encoder, &lower, &lt, &gk, 4)));
+    assert_eq!(at_lower, price(LEVELS - 1, 4, false), "another level");
+    assert_eq!(at_top(4), price(LEVELS, 4, false), "the first level again");
+    assert_eq!(at_top(2), price(LEVELS, 2, false), "another baby dimension");
+    assert_eq!(at_top(2), price(LEVELS, 2, true));
+    let elsewhere = || drop(apply_bsgs(&evaluator2, &encoder2, &ct2, &lt, &gk2, 2));
+    assert_eq!(
+        transforms_of(elsewhere),
+        price(LEVELS, 2, false),
+        "another context"
+    );
+    assert_eq!(
+        at_top(2),
+        price(LEVELS, 2, false),
+        "the first context again"
+    );
+
+    // A clone starts with nothing encoded and shares nothing afterwards.
+    let copy = lt.clone();
+    let on_copy = || drop(apply_bsgs(&evaluator, &encoder, &ct, &copy, &gk, 2));
+    assert_eq!(transforms_of(on_copy), price(LEVELS, 2, false), "a clone");
+    assert_eq!(transforms_of(on_copy), price(LEVELS, 2, true));
+    assert_eq!(
+        at_top(2),
+        price(LEVELS, 2, true),
+        "the original, still warm"
+    );
 }
 
 #[test]
