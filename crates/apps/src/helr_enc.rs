@@ -11,6 +11,7 @@
 //! sample in the batch (one sample per slot), `y01` holds the 0/1 labels,
 //! and each weight is a replicated scalar in its own ciphertext.
 
+use ckks::hoisting::{fold_stages, rotate_fold};
 use ckks::{Ciphertext, Evaluator, GaloisKeys, SwitchingKey};
 use simfhe::program::{CtDecl, Instr, Program};
 
@@ -28,13 +29,21 @@ pub const SIGMOID_C3: f64 = -0.004;
 /// one, per step.
 pub const LR_STEP_DEPTH: usize = 7;
 
-/// The rotation steps [`encrypted_lr_step`] needs Galois keys for: the
-/// power-of-two fold `1, 2, 4, …, slots/2` used by the batch mean.
-pub fn lr_fold_steps(slots: usize) -> Vec<i64> {
+/// The rungs `1, 2, 4, …, slots/2` of the batch mean's rotate-and-add
+/// ladder.
+fn lr_fold_rungs(slots: usize) -> Vec<i64> {
     (0..)
         .map(|i| 1i64 << i)
         .take_while(|&s| (s as usize) < slots)
         .collect()
+}
+
+/// The rotation steps [`encrypted_lr_step`] needs Galois keys for:
+/// the batch mean's power-of-two ladder runs two rungs to a stage
+/// ([`fold_stages`]), so beside `1, 2, 4, …, slots/2` each pair's combined
+/// step `3, 12, 48, …`.
+pub fn lr_fold_steps(slots: usize) -> Vec<i64> {
+    fold_stages(&lr_fold_rungs(slots)).concat()
 }
 
 /// Mean over all `slots` slots via a rotate-and-add fold; the mean ends up
@@ -42,16 +51,10 @@ pub fn lr_fold_steps(slots: usize) -> Vec<i64> {
 ///
 /// # Panics
 ///
-/// Panics if a required power-of-two Galois key is missing.
+/// Panics if a Galois key of [`lr_fold_steps`] is missing.
 pub fn slot_mean(ev: &Evaluator, gk: &GaloisKeys, ct: &Ciphertext, slots: usize) -> Ciphertext {
     let scale = ev.context().params().scale();
-    let mut acc = ct.clone();
-    let mut step = 1i64;
-    while (step as usize) < slots {
-        let rotated = ev.rotate(&acc, step, gk);
-        acc = ev.add(&acc, &rotated);
-        step *= 2;
-    }
+    let acc = rotate_fold(ev, ct, &fold_stages(&lr_fold_rungs(slots)), gk);
     ev.rescale(&ev.mul_scalar_no_rescale(&acc, 1.0 / slots as f64, scale))
 }
 
@@ -60,7 +63,7 @@ pub fn slot_mean(ev: &Evaluator, gk: &GaloisKeys, ct: &Ciphertext, slots: usize)
 ///
 /// `rlk` is the raw `s² → s` switching key (a serving runtime's cache
 /// hands these out without the `RelinKey` wrapper); `gk` must contain the
-/// power-of-two rotation keys from [`lr_fold_steps`].
+/// rotation keys of [`lr_fold_steps`].
 ///
 /// # Panics
 ///
@@ -323,7 +326,9 @@ mod tests {
 
     #[test]
     fn fold_steps_cover_the_slot_range() {
-        assert_eq!(lr_fold_steps(16), vec![1, 2, 4, 8]);
+        assert_eq!(lr_fold_steps(16), vec![1, 2, 3, 4, 8, 12]);
+        // An odd last rung is a stage of its own.
+        assert_eq!(lr_fold_steps(8), vec![1, 2, 3, 4]);
         assert_eq!(lr_fold_steps(1), Vec::<i64>::new());
     }
 }

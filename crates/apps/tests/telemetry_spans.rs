@@ -31,7 +31,7 @@ fn encrypted_lr_step_is_measured_and_correct() {
     let mut rng = StdRng::seed_from_u64(99);
     let sk = keygen.secret_key(&mut rng);
     let rlk = keygen.relin_key(&mut rng, &sk);
-    let gk = keygen.galois_keys(&mut rng, &sk, &[1, 2, 4], false);
+    let gk = keygen.galois_keys(&mut rng, &sk, &[1, 2, 3, 4], false);
 
     let slots = encoder.slots();
     let scale = ctx.params().scale();
@@ -79,34 +79,35 @@ fn encrypted_lr_step_is_measured_and_correct() {
     );
     assert!(snap.transfer_bytes() > 0, "transfer proxy was counted");
 
-    // Three rotations → three KeySwitch calls; the two multiplications run
-    // the same three phases without one (their ModDown is merged with the
-    // rescale, so it is not the key switch's own). Nested phases are
-    // attributed inclusively.
-    let ks = telemetry::span_report("KeySwitch").expect("KeySwitch span recorded");
-    assert_eq!(ks.calls, 3);
+    // The three-rung fold runs as the stages {1, 2, 3} and {4} of one
+    // `RotateFold`: a ModUp and a ModDown per stage, an inner product per
+    // step, one more ModDown when the ladder ends — and no full key switch.
+    // The two multiplications run the same three phases (their ModDown is
+    // merged with the rescale). Nested phases are attributed inclusively.
+    assert!(telemetry::span_report("KeySwitch").is_none());
+    assert!(telemetry::span_report("Rotate").is_none());
+    let fold = telemetry::span_report("RotateFold").expect("RotateFold span recorded");
+    assert_eq!(fold.calls, 1);
     let mult = telemetry::span_report("Mult").expect("Mult span recorded");
     assert_eq!(mult.calls, 2);
     let modup = telemetry::span_report("ModUp").expect("ModUp span recorded");
     let inner = telemetry::span_report("KSKInnerProd").expect("inner-product span");
     let moddown = telemetry::span_report("ModDown").expect("ModDown span recorded");
-    assert_eq!(modup.calls, 5);
-    assert_eq!(inner.calls, 5);
-    assert_eq!(moddown.calls, 5);
+    assert_eq!(modup.calls, 2 + 2);
+    assert_eq!(inner.calls, 2 + 4);
+    assert_eq!(moddown.calls, 2 + 3);
     let phase_mults = modup.total.mults + inner.total.mults + moddown.total.mults;
     assert!(
-        phase_mults <= ks.total.mults + mult.total.mults,
+        phase_mults <= fold.total.mults + mult.total.mults,
         "nested phases are included in the enclosing spans"
     );
     assert!(
-        ks.total.mults + mult.total.mults <= snap.mults,
+        fold.total.mults + mult.total.mults <= snap.mults,
         "span totals never exceed the global counters"
     );
-    let rot = telemetry::span_report("Rotate").expect("Rotate span recorded");
-    assert_eq!(rot.calls, 3);
 
     // Reset clears both the counters and the span ledger.
     telemetry::reset();
     assert_eq!(telemetry::snapshot().mults, 0);
-    assert!(telemetry::span_report("KeySwitch").is_none());
+    assert!(telemetry::span_report("RotateFold").is_none());
 }

@@ -17,6 +17,11 @@
 //!   with both hoistings applied to the baby steps of every giant group
 //!   and the last `ModDown` merged with the rescale.
 //!
+//! The same two hoistings apply to the other sum of rotations the paper's
+//! workloads are built on, the log-step slot fold: [`rotate_fold`] runs a
+//! rotate-and-add ladder two rungs to a `ModUp`, with `c0` raised until the
+//! ladder ends.
+//!
 //! A [`LinearTransform`] encodes its diagonals once and keeps them, so a
 //! transform applied repeatedly (a database scored against every query, a
 //! bootstrap's DFT stages) pays the encoding FFT and limb NTTs on first
@@ -294,6 +299,115 @@ pub fn rotate_hoisted(
         .collect();
     recycle_all(digits, pool);
     out
+}
+
+/// The stages a rotate-and-add ladder `acc ← acc + rot(acc, r)` over `rungs`
+/// runs in under [`rotate_fold`]: rungs two at a time from the first,
+/// `(1 + σ_a)(1 + σ_b) = 1 + σ_a + σ_b + σ_{a+b}` making `[a, b]` the one
+/// stage `{a, b, a + b}`, an odd last rung a stage of its own.
+pub fn fold_stages(rungs: &[i64]) -> Vec<Vec<i64>> {
+    rungs
+        .chunks(2)
+        .map(|pair| match *pair {
+            [a, b] => vec![a, b, a + b],
+            _ => pair.to_vec(),
+        })
+        .collect()
+}
+
+/// A rotate-and-add ladder, double-hoisted: for each stage in turn,
+/// `acc ← acc + Σ_{s ∈ stage} rot(acc, s)`, starting from `ct`.
+///
+/// Per stage `c1` is decomposed and raised **once**; a step is a digit
+/// automorphism and an inner product, the `u` sides summed in the raised
+/// basis and brought down by **one** `ModDown` onto `c1`. `c0` is never key
+/// switched again, so it enters the raised basis once (`PModUp` is free),
+/// takes each stage's `σ_s(c0) + v_s` there, and comes back by **one**
+/// `ModDown` when the ladder ends: `stages · (ModUp + ModDown) + ModDown`
+/// where a `Rotate` per step runs `ModUp + 2 ModDown` each. A step that is a
+/// multiple of the slot count adds the running sum itself and needs no key.
+///
+/// # Panics
+///
+/// Panics if a required Galois key is missing.
+pub fn rotate_fold(
+    evaluator: &Evaluator,
+    ct: &Ciphertext,
+    stages: &[Vec<i64>],
+    gk: &GaloisKeys,
+) -> Ciphertext {
+    if stages.is_empty() {
+        return ct.clone();
+    }
+    let _span = telemetry::span("RotateFold");
+    let ctx = evaluator.context();
+    let pool = ctx.scratch();
+    let ell = ct.limb_count();
+    let md = ctx.moddown_context(ell, false);
+    let lower = |raised: RnsPoly| {
+        let _span = telemetry::span("ModDown");
+        let lowered = mod_down_with(&raised, &md, pool);
+        raised.recycle(pool);
+        lowered
+    };
+
+    let mut c0 = {
+        let _span = telemetry::span("PModUp");
+        pmod_up_with(&ct.c0, ctx.raised_basis(ell).clone(), pool)
+    };
+    // `None` while the running `c1` is still the caller's.
+    let mut c1: Option<RnsPoly> = None;
+    for stage in stages {
+        let current = c1.as_ref().unwrap_or(&ct.c1);
+        // The steps that rotate, each with its table and key; every other
+        // step adds the running sum to itself.
+        let keyed: Vec<_> = stage
+            .iter()
+            .filter(|&&s| ctx.rotation_element(s) != 1)
+            .map(|&s| rotation(ctx, gk, s))
+            .collect();
+        let copies = 1 + (stage.len() - keyed.len()) as u64;
+        // c0 ← copies·c0 + Σ_s σ_s(c0): every rotation reads the stage's
+        // incoming c0, so they are summed aside first.
+        let mut rotations: Option<RnsPoly> = None;
+        for (auto, _) in &keyed {
+            merge(&mut rotations, c0.automorphism_with(auto, pool), pool);
+        }
+        if copies > 1 {
+            c0.mul_scalar_assign(copies);
+        }
+        // Then, off one ModUp of c1, each step's v̂_s joins c0 and the û_s
+        // are summed to come down together.
+        let mut sum_u: Option<RnsPoly> = None;
+        if let Some(rotations) = rotations {
+            c0.add_assign(&rotations);
+            rotations.recycle(pool);
+            let digits = decompose_and_raise(ctx, current);
+            for (auto, ksk) in &keyed {
+                let RaisedKeySwitch { u, v } = hoisted_inner_product(ctx, &digits, auto, ksk);
+                c0.add_assign(&v);
+                v.recycle(pool);
+                merge(&mut sum_u, u, pool);
+            }
+            recycle_all(digits, pool);
+        }
+        let mut next = match sum_u {
+            Some(u) => lower(u),
+            None => RnsPoly::zero_pooled(
+                ctx.level_basis(ell).clone(),
+                Representation::Evaluation,
+                pool,
+            ),
+        };
+        for _ in 0..copies {
+            next.add_assign(current);
+        }
+        if let Some(previous) = c1.replace(next) {
+            previous.recycle(pool);
+        }
+    }
+    let c1 = c1.expect("at least one stage ran");
+    Ciphertext::new(lower(c0), c1, ct.scale)
 }
 
 /// `acc += a ⊙ b` over `basis` (`a` and `b` read through their prefixes

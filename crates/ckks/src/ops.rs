@@ -14,6 +14,7 @@
 //! evaluation recycles storage instead of allocating per call.
 
 use crate::context::CkksContext;
+use crate::hoisting::{fold_stages, rotate_fold};
 use crate::keys::{GaloisKeys, RelinKey, SwitchingKey};
 use crate::keyswitch;
 use crate::plaintext::{Ciphertext, Plaintext};
@@ -103,24 +104,28 @@ impl Evaluator {
         }
     }
 
-    /// `a` at `ell` limbs in pool-leased storage, with `op(c_i, b_i)`
-    /// applied to each component against `b` at the same level — the
-    /// shared body of [`Evaluator::add`] and [`Evaluator::sub`].
+    /// `op(a_i, b_i)` per component at the operands' common level, written
+    /// into pool-leased storage in one pass (the deeper operand is read
+    /// through its prefix) — the shared body of [`Evaluator::add`] and
+    /// [`Evaluator::sub`].
     fn combine(
         &self,
         a: &Ciphertext,
         b: &Ciphertext,
-        op: impl Fn(&mut RnsPoly, &RnsPoly),
+        op: impl Fn(&RnsPoly, &RnsPoly, &mut RnsPoly),
     ) -> Ciphertext {
         Self::check_scales(a.scale, b.scale);
         let ell = a.limb_count().min(b.limb_count());
-        let mut c0 = self.lease_prefix(&a.c0, ell);
-        let mut c1 = self.lease_prefix(&a.c1, ell);
-        for (c, b) in [(&mut c0, &b.c0), (&mut c1, &b.c1)] {
-            let b = self.restricted(b, ell);
-            op(c, &b);
-            self.release(b);
-        }
+        let lease = || {
+            RnsPoly::leased(
+                self.ctx.level_basis(ell).clone(),
+                a.c0.representation(),
+                self.ctx.scratch(),
+            )
+        };
+        let (mut c0, mut c1) = (lease(), lease());
+        op(&a.c0, &b.c0, &mut c0);
+        op(&a.c1, &b.c1, &mut c1);
         Ciphertext::new(c0, c1, a.scale)
     }
 
@@ -143,7 +148,7 @@ impl Evaluator {
     ///
     /// Panics if the scales disagree beyond tolerance.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.combine(a, b, RnsPoly::add_assign)
+        self.combine(a, b, RnsPoly::add_into)
     }
 
     /// Homomorphic subtraction.
@@ -152,7 +157,7 @@ impl Evaluator {
     ///
     /// Panics if the scales disagree beyond tolerance.
     pub fn sub(&self, a: &Ciphertext, b: &Ciphertext) -> Ciphertext {
-        self.combine(a, b, RnsPoly::sub_assign)
+        self.combine(a, b, RnsPoly::sub_into)
     }
 
     /// Homomorphic negation.
@@ -401,7 +406,8 @@ impl Evaluator {
 
     /// Sums all `2^log_span` leading slots into every slot of the result
     /// (the rotate-and-add fold used by inner products and mean
-    /// reductions). Requires Galois keys for rotations `1, 2, 4, …`.
+    /// reductions), as one [`rotate_fold`] over the ladder `1, 2, 4, …`.
+    /// Requires Galois keys for the steps of its [`fold_stages`].
     ///
     /// # Panics
     ///
@@ -413,13 +419,8 @@ impl Evaluator {
             (1usize << log_span) <= slots,
             "span 2^{log_span} exceeds {slots} slots"
         );
-        let mut acc = a.clone();
-        for i in 0..log_span {
-            let rotated = self.rotate(&acc, 1i64 << i, gk);
-            acc = self.add(&acc, &rotated);
-            rotated.recycle(self.ctx.scratch());
-        }
-        acc
+        let rungs: Vec<i64> = (0..log_span).map(|i| 1i64 << i).collect();
+        rotate_fold(self, a, &fold_stages(&rungs), gk)
     }
 
     /// `Conjugate` (Table 2): complex-conjugates every slot.

@@ -272,8 +272,8 @@ fn sum_slots_computes_prefix_sums_everywhere() {
     let slots = h.encoder.slots();
     let a = h.values(|i| Complex::new(if i < 8 { 0.125 } else { 0.0 }, 0.0));
     let sk = h.keygen.secret_key(&mut h.rng);
-    let steps: Vec<i64> = (0..3).map(|i| 1i64 << i).collect();
-    let gk = h.keygen.galois_keys(&mut h.rng, &sk, &steps, false);
+    // The ladder 1, 2, 4 folds as the stages {1, 2, 3} and {4}.
+    let gk = h.keygen.galois_keys(&mut h.rng, &sk, &[1, 2, 3, 4], false);
     let pt = h.encoder.encode(&a, 2, h.ctx.params().scale()).unwrap();
     let ct = h.encryptor.encrypt_symmetric(&mut h.rng, &pt, &sk);
     let folded = h.evaluator.sum_slots(&ct, 3, &gk);

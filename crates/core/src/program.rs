@@ -196,6 +196,22 @@ impl Instr {
             | Instr::Bootstrap { dst, .. } => dst,
         }
     }
+
+    /// The ciphertext registers the instruction reads.
+    fn sources(&self) -> (&str, Option<&str>) {
+        match self {
+            Instr::Add { a, b, .. } | Instr::Sub { a, b, .. } | Instr::Mult { a, b, .. } => {
+                (a, Some(b))
+            }
+            Instr::PtMult { a, .. }
+            | Instr::MulConst { a, .. }
+            | Instr::AddConst { a, .. }
+            | Instr::Rotate { a, .. }
+            | Instr::Rescale { a, .. }
+            | Instr::BsgsMatVec { a, .. }
+            | Instr::Bootstrap { a, .. } => (a, None),
+        }
+    }
 }
 
 /// A declared ciphertext input: name plus the limb count it arrives at
@@ -260,7 +276,9 @@ pub struct ProgramEnv {
 ///
 /// `BsgsMatVec` contributes the same steps `apply_bsgs` rotates by: each
 /// non-zero baby step `offset mod n1` some diagonal lands on plus each
-/// distinct non-zero giant step `(offset / n1) · n1`.
+/// distinct non-zero giant step `(offset / n1) · n1`. A folded ladder
+/// ([`folded_ladders`]) contributes, beside its rungs, each paired stage's
+/// combined step ([`ladder_stages`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyManifest {
     /// True when any `Mult` appears (relinearization key required).
@@ -282,6 +300,32 @@ pub enum HoistRole {
     Follower,
 }
 
+/// Role of an instruction in the ladder-folding schedule.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FoldRole {
+    /// Not part of a folded ladder.
+    Single,
+    /// First `Rotate` of the folded ladder at this index of
+    /// [`ProgramInfo::ladders`]: the whole fold is charged and executed
+    /// here.
+    Leader(usize),
+    /// Any later instruction of a folded ladder: nothing left to do.
+    Member,
+}
+
+/// A rotate-and-add ladder the executor runs as one double-hoisted fold
+/// (see [`folded_ladders`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Ladder {
+    /// Index of the first rung's `Rotate`; the ladder is the
+    /// `2 · rungs` instructions from there.
+    pub start: usize,
+    /// Number of `Rotate` + `Add` rungs (≥ 2).
+    pub rungs: usize,
+    /// The stages the fold runs in ([`ladder_stages`] of the rung steps).
+    pub stages: Vec<Vec<i64>>,
+}
+
 /// Per-instruction facts the validator derives for the pricer and the
 /// executor.
 #[derive(Clone, Copy, Debug)]
@@ -295,6 +339,8 @@ pub struct InstrMeta {
     pub out_scale_exp: u32,
     /// Hoisting role of this instruction.
     pub hoist: HoistRole,
+    /// Ladder-folding role of this instruction.
+    pub fold: FoldRole,
 }
 
 /// Result of [`Program::validate`].
@@ -304,6 +350,8 @@ pub struct ProgramInfo {
     pub manifest: KeyManifest,
     /// One entry per instruction.
     pub instrs: Vec<InstrMeta>,
+    /// The folded ladders, in program order.
+    pub ladders: Vec<Ladder>,
     /// `(level, scale_exp)` of each output, in `outputs` order.
     pub outputs: Vec<(usize, u32)>,
 }
@@ -484,6 +532,103 @@ pub fn hoisted_runs(instrs: &[Instr]) -> Vec<(usize, usize)> {
         i += len;
     }
     runs
+}
+
+/// The rung at `at`, as `(acc, t, steps)`: `Rotate{dst: t, a: acc, steps}`
+/// with `steps ≠ 0` and `t ≠ acc`, then `Add{dst: acc, {a, b} = {acc, t}}`.
+fn rung_at(instrs: &[Instr], at: usize) -> Option<(&str, &str, i64)> {
+    let (
+        Instr::Rotate {
+            dst: t,
+            a: acc,
+            steps,
+        },
+        Instr::Add { dst, a, b },
+    ) = (instrs.get(at)?, instrs.get(at + 1)?)
+    else {
+        return None;
+    };
+    let adds_the_rotation = (a == acc && b == t) || (a == t && b == acc);
+    (*steps != 0 && t != acc && dst == acc && adds_the_rotation).then_some((
+        acc.as_str(),
+        t.as_str(),
+        *steps,
+    ))
+}
+
+/// The ladder-folding schedule: maximal runs `(start index, rungs ≥ 2)` of
+/// consecutive rungs `t ← rot(acc, s ≠ 0); acc ← acc + t` (operands in
+/// either order) with `t ≠ acc`, the same `acc` and `t` throughout, and `t`
+/// **dead** after the run — not an output, and not read before it is next
+/// written; a folded ladder never materialises `t`. A `Rotate` that belongs
+/// to a hoisted run ([`hoisted_runs`]) stays there: a ladder starts at the
+/// first rung that does not. The executor runs each ladder as one
+/// double-hoisted fold over [`ladder_stages`]; the pricer charges it the
+/// same way. Linear in the instruction count (up to the name-set lookups).
+pub fn folded_ladders(instrs: &[Instr], outputs: &[String]) -> Vec<(usize, usize)> {
+    let mut hoisted = vec![false; instrs.len()];
+    for (start, len) in hoisted_runs(instrs) {
+        hoisted[start..start + len].fill(true);
+    }
+    let mut candidates = Vec::new();
+    let mut i = 0;
+    while i < instrs.len() {
+        let Some((acc, t, _)) = rung_at(instrs, i).filter(|_| !hoisted[i]) else {
+            i += 1;
+            continue;
+        };
+        let mut rungs = 1;
+        while rung_at(instrs, i + 2 * rungs).is_some_and(|(a, r, _)| (a, r) == (acc, t)) {
+            rungs += 1;
+        }
+        if rungs >= 2 {
+            candidates.push((i, rungs, t));
+        }
+        i += 2 * rungs;
+    }
+    // One backward liveness pass answers "is `t` read after the run?" for
+    // every candidate (they are disjoint and in program order).
+    let mut live: BTreeSet<&str> = outputs.iter().map(String::as_str).collect();
+    let mut ladders = Vec::with_capacity(candidates.len());
+    for (idx, instr) in instrs.iter().enumerate().rev() {
+        if let Some(&(start, rungs, t)) = candidates.last() {
+            if idx + 1 == start + 2 * rungs {
+                candidates.pop();
+                if !live.contains(t) {
+                    ladders.push((start, rungs));
+                }
+            }
+        }
+        live.remove(instr.dst());
+        let (a, b) = instr.sources();
+        live.insert(a);
+        live.extend(b);
+    }
+    ladders.reverse();
+    ladders
+}
+
+/// The stages a folded ladder over `rungs` runs in, for a ring of `slots`
+/// slots — the one pairing rule: rungs two at a time from the first,
+/// `(1 + σ_a)(1 + σ_b) = 1 + σ_a + σ_b + σ_{a+b}` making `[a, b]` the stage
+/// `{a, b, a + b}`, an odd last rung a stage of its own. Radix 4 is a
+/// constant: radix 8 would need seven keys a stage. The combined step is
+/// formed from the rungs' remainders, so it cannot overflow.
+pub fn ladder_stages(rungs: &[i64], slots: usize) -> Vec<Vec<i64>> {
+    let s = slots.max(1) as i64;
+    rungs
+        .chunks(2)
+        .map(|pair| match *pair {
+            [a, b] => vec![a, b, a % s + b % s],
+            _ => pair.to_vec(),
+        })
+        .collect()
+}
+
+/// Whether rotating by `step` moves anything on a ring of `slots` slots: a
+/// multiple of the slot count is the identity and needs no key.
+fn rotates(step: i64, slots: usize) -> bool {
+    step.rem_euclid(slots.max(1) as i64) != 0
 }
 
 impl Program {
@@ -678,6 +823,7 @@ impl Program {
                 out_level,
                 out_scale_exp: out_exp,
                 hoist: HoistRole::Single,
+                fold: FoldRole::Single,
             });
         }
 
@@ -686,6 +832,24 @@ impl Program {
             for m in metas.iter_mut().skip(start + 1).take(len - 1) {
                 m.hoist = HoistRole::Follower;
             }
+        }
+        let mut ladders = Vec::new();
+        for (start, rungs) in folded_ladders(&self.instrs, &self.outputs) {
+            let steps: Vec<i64> = (0..rungs)
+                .map(|r| rung_at(&self.instrs, start + 2 * r).expect("a rung").2)
+                .collect();
+            let stages = ladder_stages(&steps, env.slots);
+            let combined = stages.iter().filter_map(|stage| stage.get(2));
+            galois.extend(combined.filter(|&&s| rotates(s, env.slots)));
+            metas[start].fold = FoldRole::Leader(ladders.len());
+            for m in &mut metas[start + 1..start + 2 * rungs] {
+                m.fold = FoldRole::Member;
+            }
+            ladders.push(Ladder {
+                start,
+                rungs,
+                stages,
+            });
         }
 
         let mut outputs = Vec::with_capacity(self.outputs.len());
@@ -701,6 +865,7 @@ impl Program {
         Ok(ProgramInfo {
             manifest,
             instrs: metas,
+            ladders,
             outputs,
         })
     }
@@ -814,6 +979,24 @@ pub fn bsgs_transforms(m: &CostModel, ell: usize, s: &BsgsSchedule) -> (u64, u64
     )
 }
 
+/// Transform counts of a folded ladder as `rotate_fold` runs it: per stage
+/// that rotates anything one `ModUp` and one `ModDown` (the summed `u`
+/// side), and one `ModDown` of the raised `c0` when the ladder ends.
+pub fn fold_transforms(m: &CostModel, ell: usize, stages: &[Vec<i64>]) -> (u64, u64) {
+    if stages.is_empty() {
+        return (0, 0);
+    }
+    let slots = m.params.slots() as usize;
+    let (up_f, up_i) = modup_transforms(m, ell);
+    let (down_f, down_i) = m.mod_down_transforms(ell, m.params.special_limbs());
+    let rotating = |stage: &&Vec<i64>| stage.iter().any(|&s| rotates(s, slots));
+    let raised = stages.iter().filter(rotating).count() as u64;
+    (
+        raised * (up_f + down_f) + down_f,
+        raised * (up_i + down_i) + down_i,
+    )
+}
+
 impl CostModel {
     /// Prices a validated program by folding the per-primitive costs of
     /// Table 2 over the instruction stream — exactly the schedule the
@@ -822,7 +1005,8 @@ impl CostModel {
     /// sequence, a `BsgsMatVec` the double-hoisted schedule over
     /// pre-encoded diagonals, and a hoisted rotation run charges the
     /// shared Decomp+ModUp once (the leader) and only the inner product,
-    /// ModDown pair, and final addition per member.
+    /// ModDown pair, and final addition per member, and a folded ladder is
+    /// one [`CostModel::rotate_fold`] charged to its first `Rotate`.
     pub fn program_cost(&self, program: &Program, info: &ProgramInfo) -> ProgramCost {
         let n = self.params.degree();
         let limb = self.params.limb_bytes();
@@ -849,7 +1033,19 @@ impl CostModel {
                     *fwd += f;
                     *inv += i;
                 };
+            if let FoldRole::Leader(ladder) = meta.fold {
+                let stages = &info.ladders[ladder].stages;
+                add_t(
+                    &mut cost,
+                    self.rotate_fold(ell, stages),
+                    fold_transforms(self, ell, stages),
+                    &mut fwd,
+                    &mut inv,
+                );
+            }
             match instr {
+                // A folded ladder is charged whole, above, to its leader.
+                _ if meta.fold != FoldRole::Single => {}
                 Instr::Add { .. } | Instr::Sub { .. } => cost += self.add(ell),
                 Instr::PtMult { .. } => {
                     // On-the-fly encode of the plaintext operand, then the
@@ -972,6 +1168,77 @@ impl CostModel {
         };
         let (f, i) = self.mod_down_transforms(ell, self.params.special_limbs());
         (c, (2 * f, 2 * i))
+    }
+
+    /// A rotate-and-add ladder run as the library's `rotate_fold` runs it,
+    /// stage by stage (`acc ← acc + Σ_{s ∈ stage} rot(acc, s)`), from the
+    /// parts priced exactly elsewhere: `c0` lifted once by `PModUp` into a
+    /// raised polynomial that lives until the ladder ends; per stage one
+    /// Decomp+ModUp of `c1`, per step `σ_s(c0)` permuted in the raised
+    /// basis (the permutations summed aside, then added to `c0`), a digit
+    /// automorphism and an inner product (one key read) whose `v` side
+    /// joins `c0` there, the `u` sides summed and brought down by one
+    /// `ModDown` onto `c1`; one `ModDown` of `c0` at the end. A step that
+    /// is a multiple of the slot count rotates nothing: it scales the
+    /// raised `c0` and adds `c1` once more.
+    pub fn rotate_fold(&self, ell: usize, stages: &[Vec<i64>]) -> Cost {
+        if stages.is_empty() {
+            return Cost::ZERO;
+        }
+        let k = self.params.special_limbs();
+        let (l, w) = (ell as u64, (ell + k) as u64);
+        let n = self.params.degree();
+        let limb = self.params.limb_bytes();
+        let beta = self.params.beta_at(ell);
+        let slots = self.params.slots() as usize;
+        // `acc += x` and a permutation into a new polynomial over `limbs`.
+        let add = |limbs: u64| Cost {
+            adds: n * limbs,
+            ct_read: 2 * limbs * limb,
+            ct_write: limbs * limb,
+            ..Cost::ZERO
+        };
+        let permute = Cost {
+            ct_read: w * limb,
+            ct_write: w * limb,
+            ..Cost::ZERO
+        };
+        // PModUp of `c0` into a new raised polynomial.
+        let mut c = Cost {
+            mults: n * l,
+            ct_read: l * limb,
+            ct_write: w * limb,
+            ..Cost::ZERO
+        };
+        for stage in stages {
+            let keyed = stage.iter().filter(|&&s| rotates(s, slots)).count() as u64;
+            let whole = stage.len() as u64 - keyed;
+            if keyed > 0 {
+                c += modup_cost(self, ell);
+                let step = self.automorph(ell, false)
+                    + self.ksk_inner_product(ell, beta, true, true)
+                    + permute
+                    + add(w);
+                // Beside each step's `v` side joining `c0`: the summed
+                // permutations do once, and every step after the first
+                // joins that sum and the sum of the `u` sides.
+                c += step * keyed + add(w) * (1 + 2 * (keyed - 1));
+                c += self.mod_down(ell, k);
+            } else {
+                // Nothing was raised: `c1` restarts from a zeroed lease.
+                c.ct_write += l * limb;
+            }
+            if whole > 0 {
+                c += Cost {
+                    mults: n * w,
+                    ct_read: w * limb,
+                    ct_write: w * limb,
+                    ..Cost::ZERO
+                };
+            }
+            c += add(l) * (1 + whole);
+        }
+        c + self.mod_down(ell, k)
     }
 }
 
@@ -1536,6 +1803,236 @@ mod tests {
             rot("b", "x", 4),
         ];
         assert_eq!(hoisted_runs(&instrs), vec![]);
+    }
+
+    fn rot(dst: &str, a: &str, steps: i64) -> Instr {
+        Instr::Rotate {
+            dst: dst.into(),
+            a: a.into(),
+            steps,
+        }
+    }
+
+    fn add(dst: &str, a: &str, b: &str) -> Instr {
+        Instr::Add {
+            dst: dst.into(),
+            a: a.into(),
+            b: b.into(),
+        }
+    }
+
+    /// The rungs `t ← rot(acc, s); acc ← acc + t` for each step.
+    fn ladder(acc: &str, t: &str, steps: &[i64]) -> Vec<Instr> {
+        steps
+            .iter()
+            .flat_map(|&s| [rot(t, acc, s), add(acc, acc, t)])
+            .collect()
+    }
+
+    fn outputs(names: &[&str]) -> Vec<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn ladders_are_maximal_runs_of_rungs_on_one_pair_of_registers() {
+        let out = outputs(&["x"]);
+        // Doubling, non-doubling and negative steps alike; one rung is none.
+        assert_eq!(
+            folded_ladders(&ladder("x", "t", &[1, 2, 4, 8]), &out),
+            [(0, 4)]
+        );
+        assert_eq!(
+            folded_ladders(&ladder("x", "t", &[5, -3, 7]), &out),
+            [(0, 3)]
+        );
+        assert_eq!(folded_ladders(&ladder("x", "t", &[1]), &out), []);
+        // The `Add` may name its operands in either order.
+        let mut swapped = ladder("x", "t", &[1, 2]);
+        swapped[1] = add("x", "t", "x");
+        assert_eq!(folded_ladders(&swapped, &out), [(0, 2)]);
+        // `t = acc`, a copy (step 0), a `Sub`, a sum written elsewhere: no rung.
+        assert_eq!(folded_ladders(&ladder("x", "x", &[1, 2]), &out), []);
+        assert_eq!(folded_ladders(&ladder("x", "t", &[1, 0, 2]), &out), []);
+        let mut other = ladder("x", "t", &[1, 2]);
+        other[3] = Instr::Sub {
+            dst: "x".into(),
+            a: "x".into(),
+            b: "t".into(),
+        };
+        assert_eq!(folded_ladders(&other, &out), []);
+        let mut elsewhere = ladder("x", "t", &[1, 2]);
+        elsewhere[1] = add("y", "x", "t");
+        assert_eq!(folded_ladders(&elsewhere, &outputs(&["y"])), []);
+        // An instruction that writes `acc` between two rungs ends the run
+        // there; what is left on either side folds if it is long enough.
+        let mut cut = ladder("x", "t", &[1, 2, 4, 8, 16]);
+        cut.insert(
+            4,
+            Instr::AddConst {
+                dst: "x".into(),
+                a: "x".into(),
+                value: 0.0,
+            },
+        );
+        assert_eq!(folded_ladders(&cut, &out), [(0, 2), (5, 3)]);
+        // Two ladders back to back, on different registers or through
+        // different temporaries, are two ladders.
+        let mut two = ladder("x", "t", &[1, 2]);
+        two.extend(ladder("y", "t", &[4, 8, 16]));
+        two.extend(ladder("y", "u", &[1, 2]));
+        assert_eq!(
+            folded_ladders(&two, &outputs(&["x", "y"])),
+            [(0, 2), (4, 3), (10, 2)]
+        );
+    }
+
+    #[test]
+    fn a_ladder_folds_only_if_its_temporary_is_dead_afterwards() {
+        let rungs = ladder("x", "t", &[1, 2]);
+        // Read afterwards, or an output: the rungs run as written.
+        let mut read = rungs.clone();
+        read.push(add("y", "x", "t"));
+        assert_eq!(folded_ladders(&read, &outputs(&["y"])), []);
+        assert_eq!(folded_ladders(&rungs, &outputs(&["x", "t"])), []);
+        // Written again before it is next read: dead.
+        let mut rewritten = rungs.clone();
+        rewritten.push(rot("t", "x", 0));
+        rewritten.push(add("y", "x", "t"));
+        assert_eq!(folded_ladders(&rewritten, &outputs(&["y", "t"])), [(0, 2)]);
+        // A later ladder through the same temporary overwrites it first.
+        let mut again = rungs.clone();
+        again.push(rot("z", "x", 0));
+        again.extend(ladder("x", "t", &[4, 8]));
+        assert_eq!(folded_ladders(&again, &outputs(&["x"])), [(0, 2), (5, 2)]);
+        // Only the last of two is read afterwards.
+        again.push(add("y", "z", "t"));
+        assert_eq!(folded_ladders(&again, &outputs(&["y"])), [(0, 2)]);
+    }
+
+    #[test]
+    fn a_rotation_in_a_hoisted_run_stays_there() {
+        // `r ← rot(x, 3)` and the first rung's rotation read the same
+        // unmodified register back to back: they share a ModUp, and the
+        // ladder starts at the second rung.
+        let mut instrs = vec![rot("r", "x", 3)];
+        instrs.extend(ladder("x", "t", &[1, 2, 4]));
+        instrs.push(add("x", "x", "r"));
+        assert_eq!(hoisted_runs(&instrs), [(0, 2)]);
+        assert_eq!(folded_ladders(&instrs, &outputs(&["x"])), [(3, 2)]);
+        instrs.truncate(5);
+        assert_eq!(folded_ladders(&instrs, &outputs(&["x", "r"])), []);
+    }
+
+    #[test]
+    fn validate_pairs_the_rungs_and_lists_the_combined_steps() {
+        let ladder_program = |steps: &[i64]| Program {
+            name: "fold".into(),
+            ct_inputs: vec![CtDecl {
+                name: "x".into(),
+                level: 4,
+            }],
+            instrs: ladder("x", "t", steps),
+            outputs: outputs(&["x"]),
+            ..Program::default()
+        };
+        let info = ladder_program(&[1, 2, 4, 8, 16]).validate(&env()).unwrap();
+        assert_eq!(info.manifest.galois_steps, vec![1, 2, 3, 4, 8, 12, 16]);
+        assert_eq!(
+            info.ladders,
+            vec![Ladder {
+                start: 0,
+                rungs: 5,
+                stages: vec![vec![1, 2, 3], vec![4, 8, 12], vec![16]],
+            }]
+        );
+        assert_eq!(info.instrs[0].fold, FoldRole::Leader(0));
+        assert!(info.instrs[1..].iter().all(|m| m.fold == FoldRole::Member));
+        assert!(info.instrs.iter().all(|m| m.hoist == HoistRole::Single));
+        // Negative steps pair like any other; a combined step that is a
+        // multiple of the slot count rotates nothing and needs no key.
+        let info = ladder_program(&[-1, -2, 5, 27]).validate(&env()).unwrap();
+        assert_eq!(
+            info.ladders[0].stages,
+            vec![vec![-1, -2, -3], vec![5, 27, 32]]
+        );
+        assert_eq!(info.manifest.galois_steps, vec![-3, -2, -1, 5, 27]);
+        // Steps at the edge of the wire format's range pair without overflow.
+        let info = ladder_program(&[i64::MAX, i64::MAX, i64::MIN, -1])
+            .validate(&env())
+            .unwrap();
+        assert_eq!(info.ladders[0].stages[0][2], 2 * (i64::MAX % 32));
+        assert_eq!(info.ladders[0].stages[1][2], -1);
+        // An unfolded ladder adds nothing to the manifest.
+        let mut kept = ladder_program(&[1, 2]);
+        kept.outputs.push("t".into());
+        let info = kept.validate(&env()).unwrap();
+        assert!(info.ladders.is_empty());
+        assert_eq!(info.manifest.galois_steps, vec![1, 2]);
+        assert!(info.instrs.iter().all(|m| m.fold == FoldRole::Single));
+    }
+
+    #[test]
+    fn a_folded_ladder_is_priced_as_it_runs() {
+        // The `lib_programs` ring's digit geometry: L = 8, dnum = 3.
+        let params = SchemeParams {
+            log_n: 14,
+            log_q: 40,
+            limbs: 8,
+            dnum: 3,
+            fft_iter: 1,
+        };
+        let m = CostModel::new(params, MadConfig::baseline());
+        let rungs: Vec<i64> = (0..13).map(|i| 1i64 << i).collect();
+        let stages = ladder_stages(&rungs, 1 << 13);
+        assert_eq!(stages.len(), 7);
+        // Seven stages: 7·(ModUp + ModDown) + ModDown, where thirteen lone
+        // rotations make 13·(ModUp + 2 ModDown).
+        for (ell, fold, lone) in [(7, 7 * (30 + 10) + 10, 50), (3, 7 * (6 + 6) + 6, 18)] {
+            let (f, i) = fold_transforms(&m, ell, &stages);
+            assert_eq!(f + i, fold, "ℓ = {ell}");
+            let (f, i) = keyswitch_transforms(&m, ell);
+            assert_eq!(f + i, lone, "ℓ = {ell}");
+        }
+        // Three key reads per paired stage, one for the odd rung: 19 where
+        // the rungs read 13 — and far fewer operations.
+        let key = m.ksk_inner_product(7, 3, true, true).key_read;
+        let fold = m.rotate_fold(7, &stages);
+        assert_eq!(fold.key_read, 19 * key);
+        let rung = m.rotate(7) + m.add(7);
+        assert_eq!(rung.key_read, key);
+        assert!(fold.ops() < rung.ops() * 13 * 2 / 3);
+        // A stage that rotates nothing raises nothing.
+        let whole = vec![vec![1 << 13]];
+        assert_eq!(fold_transforms(&m, 7, &whole), m.mod_down_transforms(7, 3));
+        assert_eq!(m.rotate_fold(7, &whole).key_read, 0);
+        // In a program the whole fold is charged to the ladder's first
+        // `Rotate`, and the total is the rows' sum.
+        let p = Program {
+            name: "fold".into(),
+            ct_inputs: vec![CtDecl {
+                name: "x".into(),
+                level: 7,
+            }],
+            instrs: ladder("x", "t", &rungs),
+            outputs: outputs(&["x"]),
+            ..Program::default()
+        };
+        let info = p
+            .validate(&ProgramEnv {
+                levels: 8,
+                slots: 1 << 13,
+            })
+            .unwrap();
+        let combined = [3, 12, 48, 192, 768, 3072];
+        assert!(combined
+            .iter()
+            .all(|s| info.manifest.galois_steps.contains(s)));
+        assert_eq!(info.manifest.galois_steps.len(), 13 + 6);
+        let priced = m.program_cost(&p, &info);
+        assert_eq!(priced.ntt_fwd + priced.ntt_inv, 290);
+        assert_eq!(priced.per_instr[0].cost, fold);
+        assert!(priced.per_instr[1..].iter().all(|r| r.cost == Cost::ZERO));
+        assert_eq!(priced.cost, fold);
     }
 
     #[test]

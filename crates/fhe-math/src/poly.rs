@@ -342,6 +342,63 @@ impl RnsPoly {
         });
     }
 
+    /// `out = self + other` over `out`'s limbs, leaving both inputs
+    /// untouched: one pass, two limbs read per limb written. An input over
+    /// a longer basis is read through its prefix, so operands at different
+    /// levels add at the lower one without either being copied down first.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both inputs share a representation and have at least
+    /// `out`'s limbs.
+    pub fn add_into(&self, other: &RnsPoly, out: &mut RnsPoly) {
+        self.combine_into(other, out, Modulus::add);
+    }
+
+    /// `out = self − other`; see [`RnsPoly::add_into`].
+    pub fn sub_into(&self, other: &RnsPoly, out: &mut RnsPoly) {
+        self.combine_into(other, out, Modulus::sub);
+    }
+
+    /// The shared body of [`RnsPoly::add_into`] and [`RnsPoly::sub_into`].
+    /// The residues are canonical on both sides of `op`, so the result is
+    /// the one `add_assign` / `sub_assign` leave, whatever the backend.
+    fn combine_into(
+        &self,
+        other: &RnsPoly,
+        out: &mut RnsPoly,
+        op: impl Fn(&Modulus, u64, u64) -> u64 + Sync,
+    ) {
+        assert_eq!(self.rep, other.rep, "representation mismatch");
+        let limbs = out.limb_count();
+        assert!(
+            self.limb_count() >= limbs && other.limb_count() >= limbs,
+            "operands have {} and {} limbs, output {limbs}",
+            self.limb_count(),
+            other.limb_count(),
+        );
+        debug_assert!(starts_with(&self.basis, &out.basis), "basis mismatch");
+        debug_assert!(starts_with(&other.basis, &out.basis), "basis mismatch");
+        out.rep = self.rep;
+        let n = out.basis.degree();
+        let len = out.data.len();
+        let (a, b) = (&self.data[..len], &other.data[..len]);
+        telemetry::record_ops(0, len as u64);
+        telemetry::record_transfer(16 * len as u64, 8 * len as u64);
+        self.trace_touch_limbs(false, 0, limbs);
+        other.trace_touch_limbs(false, 0, limbs);
+        out.trace_touch(true);
+        let basis = &out.basis;
+        parallel::for_each_limb_mut(&mut out.data, n, |i, dst| {
+            let m = basis.modulus(i);
+            let off = i * n;
+            let operands = a[off..off + n].iter().zip(&b[off..off + n]);
+            for (d, (&x, &y)) in dst.iter_mut().zip(operands) {
+                *d = op(m, x, y);
+            }
+        });
+    }
+
     /// `self = -self`.
     pub fn negate(&mut self) {
         let n = self.basis.degree();
@@ -1259,6 +1316,37 @@ mod tests {
         acc.mul_add_assign_pointwise(&a, &b);
         want.add_assign(&b);
         assert_eq!(acc.flat(), want.flat());
+    }
+
+    #[test]
+    fn add_into_and_sub_into_match_the_assign_forms_through_a_prefix() {
+        let deep = q_basis(3);
+        let shallow = Arc::new(deep.prefix(2));
+        let ac: Vec<i64> = (0..N as i64).map(|i| 5 * i - 17).collect();
+        let bc: Vec<i64> = (0..N as i64).map(|i| 40 - 3 * i).collect();
+        let mut a = RnsPoly::from_signed_coeffs(deep, &ac);
+        let mut b = RnsPoly::from_signed_coeffs(shallow.clone(), &bc);
+        a.to_eval();
+        b.to_eval();
+        let mut out = RnsPoly::zero(shallow, Representation::Coefficient);
+        for (into, assign) in [
+            (
+                RnsPoly::add_into as fn(&RnsPoly, &RnsPoly, &mut RnsPoly),
+                RnsPoly::add_assign as fn(&mut RnsPoly, &RnsPoly),
+            ),
+            (RnsPoly::sub_into, RnsPoly::sub_assign),
+        ] {
+            // The deeper operand is read through its prefix, on either side.
+            let mut want = a.drop_to(2);
+            assign(&mut want, &b);
+            into(&a, &b, &mut out);
+            assert_eq!(out.flat(), want.flat());
+            assert_eq!(out.representation(), Representation::Evaluation);
+            let mut want = b.clone();
+            assign(&mut want, &a.drop_to(2));
+            into(&b, &a, &mut out);
+            assert_eq!(out.flat(), want.flat());
+        }
     }
 
     #[test]

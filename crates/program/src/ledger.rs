@@ -29,7 +29,7 @@
 
 use crate::program::bsgs_baby_dim;
 use crate::{execute, workloads, ExecInputs, ExecKeys};
-use ckks::hoisting::{apply_bsgs, LinearTransform};
+use ckks::hoisting::{apply_bsgs, rotate_fold, LinearTransform};
 use ckks::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
 use fhe_math::telemetry::{self, OperandClass, Snapshot, TraceRecord};
@@ -37,8 +37,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simfhe::matvec::BsgsSchedule;
 use simfhe::program::{
-    bsgs_transforms, keyswitch_transforms, modup_cost, modup_transforms, mult_transforms,
-    ProgramEnv,
+    bsgs_transforms, fold_transforms, keyswitch_transforms, ladder_stages, modup_cost,
+    modup_transforms, mult_transforms, ProgramEnv,
 };
 use simfhe::trace::{
     replay, split_top_level, CacheConfig, ReplayStats, SweepRow, TraceClass, TraceEvent,
@@ -478,17 +478,27 @@ pub fn run() -> Ledger {
         apply_bsgs(&evaluator, &encoder, &ct_a, &lt3, &gk, n1).recycle(pool)
     });
 
+    // A three-rung rotate-and-add ladder, double-hoisted: the paired stage
+    // {1, 2, 3} and the odd rung {4}, `c0` raised from the first to the
+    // last.
+    let stages = ladder_stages(&[1, 2, 4], slots);
+    let fold_at = |ell: usize| {
+        Modeled::of(
+            m.rotate_fold(ell, &stages),
+            fold_transforms(&m, ell, &stages),
+        )
+    };
+    rows.run("RotateFold", Primitive, fold_at(ell), || {
+        rotate_fold(&evaluator, &ct_a, &stages, &gk).recycle(pool)
+    });
+
     // HELR micro kernel: one logistic-regression-style iteration (the
     // shape of fhe-apps' HELR schedule at toy size) — ct×ct product, a
-    // rotate-and-add fold over 8 slots, a squaring for the sigmoid
-    // polynomial, a plaintext scaling, and the weight update add.
-    let mut modeled = mult_at(ell);
-    for _ in 0..3 {
-        modeled = modeled
-            + Modeled::of(m.rotate(ell - 1), keyswitch_transforms(&m, ell - 1))
-            + Modeled::of(m.add(ell - 1), NO_TRANSFORMS);
-    }
-    let modeled = modeled
+    // rotate-and-add fold over 8 slots (the ladder above, one level down),
+    // a squaring for the sigmoid polynomial, a plaintext scaling, and the
+    // weight update add.
+    let modeled = mult_at(ell)
+        + fold_at(ell - 1)
         + mult_at(ell - 1)
         + Modeled::of(m.pt_mult(ell - 2), m.rescale_transforms(ell - 2))
         + Modeled::of(m.add(ell - 3), NO_TRANSFORMS);

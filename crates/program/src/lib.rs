@@ -6,7 +6,7 @@
 //! `Evaluator` exactly the way the hand-written application schedules do —
 //! so a workload expressed as a `Program` is *byte-identical* to its
 //! hard-coded counterpart (asserted for the HELR step in this crate's
-//! tests). Three schedule-level behaviors are shared contracts with the
+//! tests). Four schedule-level behaviors are shared contracts with the
 //! analytical pricer ([`simfhe::CostModel::program_cost`]):
 //!
 //! - **Rotation hoisting** — the maximal consecutive-rotation runs
@@ -23,20 +23,35 @@
 //!   lands on), the transform count and the execution agree. The bound
 //!   [`LinearTransform`] encodes its diagonals on first use and keeps
 //!   them: a transform executed again pays no encode, and none is priced.
+//! - **Folded ladders** — a rotate-and-add ladder
+//!   `t ← rot(acc, s); acc ← acc + t` of two or more rungs whose `t` is
+//!   dead afterwards ([`simfhe::program::folded_ladders`] — recognised in
+//!   the instruction stream, not declared) executes as one
+//!   [`ckks::hoisting::rotate_fold`] over the stages the validator derived
+//!   ([`simfhe::program::ladder_stages`]: two rungs to a `ModUp`, `c0`
+//!   raised until the ladder ends), never writing `t`; the manifest lists
+//!   the combined steps and the pricer charges `CostModel::rotate_fold`.
+//!
+//! Registers borrow the caller's input ciphertexts until an instruction
+//! overwrites the name: a run copies a ciphertext only where the program
+//! says so (`Rotate` by 0) and on the way out (an output is an exact-sized
+//! copy; the register it came from, a pool lease, is dropped with the rest).
 //!
 //! Every instruction runs inside a `Prog.<Mnemonic>` telemetry span; the
 //! serving runtime's request timelines surface these as per-instruction
 //! time attribution for `RunProgram` jobs.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use ckks::hoisting::{apply_bsgs, rotate_hoisted, LinearTransform};
+use ckks::hoisting::{apply_bsgs, rotate_fold, rotate_hoisted, LinearTransform};
 use ckks::{Ciphertext, CkksContext, Encoder, Evaluator, GaloisKeys, SwitchingKey};
 use fhe_math::cfft::Complex;
 use fhe_math::telemetry;
 use simfhe::program::{
-    bsgs_baby_dim, HoistRole, Instr, KeyManifest, Program, ProgramEnv, ProgramInfo, ValidateError,
+    bsgs_baby_dim, FoldRole, HoistRole, Instr, KeyManifest, Program, ProgramEnv, ProgramInfo,
+    ValidateError,
 };
 
 pub mod ledger;
@@ -258,10 +273,12 @@ pub fn execute_validated(
         }
     }
 
-    let mut regs: BTreeMap<&str, Ciphertext> = BTreeMap::new();
-    for decl in &prog.ct_inputs {
-        regs.insert(&decl.name, inputs.cts[&decl.name].clone());
-    }
+    let mut regs = Registers(
+        prog.ct_inputs
+            .iter()
+            .map(|decl| (decl.name.as_str(), Cow::Borrowed(&inputs.cts[&decl.name])))
+            .collect(),
+    );
 
     let mut idx = 0;
     while idx < prog.instrs.len() {
@@ -284,57 +301,92 @@ pub fn execute_validated(
                 })
                 .collect();
             let gk = keys.galois.expect("checked against the manifest");
-            let rotated = rotate_hoisted(ev, &regs[src], &steps, gk);
+            let rotated = rotate_hoisted(ev, regs.get(src), &steps, gk);
             for (member, out) in prog.instrs[idx..idx + len].iter().zip(rotated) {
-                regs.insert(member.dst(), out);
+                regs.set(member.dst(), out);
             }
             idx += len;
             continue;
         }
 
+        // A folded ladder executes as one rotate_fold call over the stages
+        // the validator derived; only its running sum is written.
+        if let FoldRole::Leader(ladder) = meta.fold {
+            let _span = telemetry::span("Prog.RotateFold");
+            let ladder = &info.ladders[ladder];
+            let acc = match instr {
+                Instr::Rotate { a, .. } => a.as_str(),
+                _ => unreachable!("fold leaders are rotations"),
+            };
+            let gk = keys.galois.expect("checked against the manifest");
+            let folded = rotate_fold(ev, regs.get(acc), &ladder.stages, gk);
+            regs.set(acc, folded);
+            idx += 2 * ladder.rungs;
+            continue;
+        }
+
         let _span = telemetry::span(span_name(instr));
         let out = match instr {
-            Instr::Add { a, b, .. } => ev.add(&regs[a.as_str()], &regs[b.as_str()]),
-            Instr::Sub { a, b, .. } => ev.sub(&regs[a.as_str()], &regs[b.as_str()]),
+            Instr::Add { a, b, .. } => ev.add(regs.get(a), regs.get(b)),
+            Instr::Sub { a, b, .. } => ev.sub(regs.get(a), regs.get(b)),
             Instr::PtMult { a, pt, .. } => {
-                let ct = &regs[a.as_str()];
+                let ct = regs.get(a);
                 let encoded = encoder
                     .encode(&inputs.pts[pt], ct.limb_count(), scale)
                     .map_err(|_| ExecError::Encode(pt.clone()))?;
                 ev.mul_plain_no_rescale(ct, &encoded)
             }
             Instr::MulConst { a, value, .. } => {
-                ev.mul_scalar_no_rescale(&regs[a.as_str()], *value, scale)
+                ev.mul_scalar_no_rescale(regs.get(a), *value, scale)
             }
-            Instr::AddConst { a, value, .. } => ev.add_scalar(&regs[a.as_str()], *value),
+            Instr::AddConst { a, value, .. } => ev.add_scalar(regs.get(a), *value),
             Instr::Mult { a, b, .. } => {
                 let rlk = keys.relin.expect("checked against the manifest");
-                ev.mul_with_key(&regs[a.as_str()], &regs[b.as_str()], rlk)
+                ev.mul_with_key(regs.get(a), regs.get(b), rlk)
             }
             Instr::Rotate { a, steps, .. } => {
                 if *steps == 0 {
-                    regs[a.as_str()].clone()
+                    regs.get(a).clone()
                 } else {
                     let gk = keys.galois.expect("checked against the manifest");
-                    ev.rotate(&regs[a.as_str()], *steps, gk)
+                    ev.rotate(regs.get(a), *steps, gk)
                 }
             }
-            Instr::Rescale { a, .. } => ev.rescale(&regs[a.as_str()]),
+            Instr::Rescale { a, .. } => ev.rescale(regs.get(a)),
             Instr::BsgsMatVec { a, mat, .. } => {
                 let gk = keys.galois.expect("checked against the manifest");
                 let lt = &inputs.mats[mat.as_str()];
                 let n1 = bsgs_baby_dim(lt.diagonal_count());
-                apply_bsgs(ev, encoder, &regs[a.as_str()], lt, gk, n1)
+                apply_bsgs(ev, encoder, regs.get(a), lt, gk, n1)
             }
             Instr::Bootstrap { .. } => unreachable!("rejected above"),
         };
-        regs.insert(instr.dst(), out);
+        regs.set(instr.dst(), out);
         idx += 1;
     }
 
+    // Cloned, not moved: a register's storage is a pool lease, whose
+    // capacity can be several times its length, and the caller keeps what
+    // it is handed (moving them out read 17 MB higher on `lib_programs`'
+    // `peak_rss_mb`).
     Ok(prog
         .outputs
         .iter()
-        .map(|name| (name.clone(), regs[name.as_str()].clone()))
+        .map(|name| (name.clone(), regs.get(name).clone()))
         .collect())
+}
+
+/// The register file of one run: a name holds the caller's input ciphertext
+/// by reference until an instruction writes it.
+struct Registers<'a>(BTreeMap<&'a str, Cow<'a, Ciphertext>>);
+
+impl<'a> Registers<'a> {
+    /// The current value of a register the validator saw written.
+    fn get(&self, name: &str) -> &Ciphertext {
+        &self.0[name]
+    }
+
+    fn set(&mut self, name: &'a str, value: Ciphertext) {
+        self.0.insert(name, Cow::Owned(value));
+    }
 }

@@ -3,9 +3,11 @@
 //! `validate` binary carries a measured-vs-modeled row for every one):
 //!
 //! - [`aggregate_program`] — encrypted aggregate over `k = 3` batched
-//!   vectors: slot-wise mean, a rotate-fold global mean, and a smooth
-//!   maximum (`max(a,b) ≈ (a+b)/2 + (a−b)²/2` on inputs normalized to
-//!   `[0, 1]`).
+//!   vectors: slot-wise mean, a rotate-fold global mean (a ladder the
+//!   validator recognises and the executor runs as one double-hoisted
+//!   `rotate_fold` — the builder emits plain `Rotate` / `Add` rungs), and a
+//!   smooth maximum (`max(a,b) ≈ (a+b)/2 + (a−b)²/2` on inputs normalized
+//!   to `[0, 1]`).
 //! - [`dot_product_program`] — encrypted dot-product similarity search:
 //!   one BSGS matrix-vector product scoring a query against a plaintext
 //!   database, scaled by `1/8`.
@@ -239,7 +241,7 @@ pub fn sha256_stress_program(level: usize, rot_a: i64, rot_b: i64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simfhe::program::ProgramEnv;
+    use simfhe::program::{FoldRole, HoistRole, ProgramEnv};
 
     #[test]
     fn workloads_validate_and_derive_expected_manifests() {
@@ -251,8 +253,19 @@ mod tests {
         let agg = aggregate_program(16, 5);
         let info = agg.validate(&env).expect("aggregate validates");
         assert!(info.manifest.relin);
-        assert_eq!(info.manifest.galois_steps, vec![1, 2, 4, 8]);
+        // The fold's four rungs run as the stages {1, 2, 3} and {4, 8, 12}.
+        assert_eq!(info.manifest.galois_steps, vec![1, 2, 3, 4, 8, 12]);
         assert_eq!(info.outputs, vec![(3, 1), (1, 1)]);
+        let [ladder] = &info.ladders[..] else {
+            panic!("one ladder, got {:?}", info.ladders);
+        };
+        assert_eq!((ladder.start, ladder.rungs), (4, 4));
+        assert_eq!(ladder.stages, vec![vec![1, 2, 3], vec![4, 8, 12]]);
+        assert_eq!(info.instrs[4].fold, FoldRole::Leader(0));
+        assert!(info.instrs[5..12]
+            .iter()
+            .all(|m| m.fold == FoldRole::Member));
+        assert_eq!(info.instrs[12].fold, FoldRole::Single);
 
         let dot = dot_product_program(16, 3, 8);
         let info = dot.validate(&env).expect("dot-product validates");
@@ -267,7 +280,6 @@ mod tests {
         assert_eq!(info.manifest.galois_steps, vec![1, 4]);
         assert_eq!(info.outputs, vec![(1, 1)]);
         // The two rotations of x share a hoisted ModUp.
-        use simfhe::program::HoistRole;
         assert_eq!(info.instrs[0].hoist, HoistRole::Leader(2));
         assert_eq!(info.instrs[1].hoist, HoistRole::Follower);
     }

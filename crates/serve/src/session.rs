@@ -293,6 +293,7 @@ mod tests {
             info: ProgramInfo {
                 manifest: KeyManifest::default(),
                 instrs: Vec::new(),
+                ladders: Vec::new(),
                 outputs: Vec::new(),
             },
             wire_len: 42,

@@ -70,9 +70,9 @@ fn run_suite(backend: BackendKind, batching: bool) {
     let sk = kg.secret_key(&mut rng);
     let rlk = kg.relin_key_compressed(&mut rng, &sk);
     // One Galois key set covering the union of the three manifests:
-    // aggregate's power-of-two fold, dot-product's BSGS steps, sha's
-    // {1, 4}.
-    let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1, 2, 3, 4, 8], false);
+    // aggregate's power-of-two fold with its combined steps 3 and 12,
+    // dot-product's BSGS steps, sha's {1, 4}.
+    let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1, 2, 3, 4, 8, 12], false);
     let encoder = Encoder::new(ctx.clone());
     let encryptor = Encryptor::new(ctx.clone());
     let ev = Evaluator::new(ctx.clone());
