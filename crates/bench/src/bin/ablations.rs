@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release -p mad-bench --bin ablations`
 
 use simfhe::matvec::MatVecShape;
+use simfhe::program::bsgs_baby_dim;
 use simfhe::report::Table;
 use simfhe::throughput::run_mad_bootstrap;
 use simfhe::{AlgoOpts, CachingLevel, CostModel, HardwareConfig, MadConfig, SchemeParams};
@@ -96,7 +97,7 @@ fn bsgs_split() {
     );
     // The library's default split plus the fully-hoisted (flat) schedule.
     let bsgs = model.pt_mat_vec_mult(shape);
-    let n1 = model.bsgs_baby_dim(shape.diagonals);
+    let n1 = bsgs_baby_dim(shape.diagonals);
     let n2 = shape.diagonals.div_ceil(n1);
     t.row(&[
         format!("BSGS n1={n1}, n2={n2}"),

@@ -23,6 +23,7 @@
 use crate::cost::Cost;
 use crate::opts::CachingLevel;
 use crate::primitives::CostModel;
+use crate::program::bsgs_baby_dim;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Shape of one `PtMatVecMult`: limb count and nonzero-diagonal count.
@@ -132,17 +133,6 @@ impl CostModel {
         2 * self.params.limb_bytes()
     }
 
-    /// Baby dimension for the BSGS schedule: the power of two nearest
-    /// `√r`, biased large — the paper chooses the larger baby step
-    /// (more key reads, fewer ciphertext reads).
-    pub fn bsgs_baby_dim(&self, diagonals: usize) -> usize {
-        let mut n1 = 1usize;
-        while n1 * n1 < diagonals {
-            n1 <<= 1;
-        }
-        n1.max(1)
-    }
-
     /// Cost of one `PtMatVecMult` under the active MAD configuration.
     pub fn pt_mat_vec_mult(&self, shape: MatVecShape) -> MatVecCost {
         if self.config.algo.moddown_hoist {
@@ -175,7 +165,7 @@ impl CostModel {
     fn matvec_bsgs(&self, shape: MatVecShape) -> MatVecCost {
         let MatVecShape { ell, diagonals } = shape;
         let beta = self.params.beta_at(ell);
-        let n1 = self.bsgs_baby_dim(diagonals);
+        let n1 = bsgs_baby_dim(diagonals);
         let n2 = diagonals.div_ceil(n1);
         let mut out = MatVecCost::default();
 
@@ -537,10 +527,9 @@ mod tests {
 
     #[test]
     fn baby_dimension_is_near_sqrt() {
-        let m = model(AlgoOpts::none(), CachingLevel::Baseline);
-        assert_eq!(m.bsgs_baby_dim(1), 1);
-        assert_eq!(m.bsgs_baby_dim(16), 4);
-        assert_eq!(m.bsgs_baby_dim(17), 8);
-        assert_eq!(m.bsgs_baby_dim(64), 8);
+        assert_eq!(bsgs_baby_dim(1), 1);
+        assert_eq!(bsgs_baby_dim(16), 4);
+        assert_eq!(bsgs_baby_dim(17), 8);
+        assert_eq!(bsgs_baby_dim(64), 8);
     }
 }

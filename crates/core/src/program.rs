@@ -480,9 +480,10 @@ impl fmt::Display for ValidateError {
 impl std::error::Error for ValidateError {}
 
 /// Baby-step dimension of the BSGS schedule for `diagonals` non-zero
-/// diagonals: the smallest power of two whose square covers the count.
-/// Mirrors [`CostModel::bsgs_baby_dim`] so the manifest, the price, and
-/// the executor agree on the schedule without a model in hand.
+/// diagonals: the smallest power of two whose square covers the count —
+/// the power of two nearest `√r`, biased large, as the paper chooses the
+/// larger baby step (more key reads, fewer ciphertext reads). The one
+/// rule: the manifest, every price and the executor call it.
 pub fn bsgs_baby_dim(diagonals: usize) -> usize {
     let mut n1 = 1usize;
     while n1 * n1 < diagonals {

@@ -28,8 +28,8 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Worker threads executing FHE ops, **per shard**.
     pub workers: usize,
-    /// Bounded queue length per shard; a full queue rejects with
-    /// `Overloaded`.
+    /// Bounded queue length per shard, and the most keyed requests it
+    /// holds for grouping; past either, a request gets `Overloaded`.
     pub queue_capacity: usize,
     /// Global byte budget for expanded switching keys, split evenly
     /// across the per-shard [`crate::KeyCache`]s.

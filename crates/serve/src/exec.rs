@@ -201,8 +201,8 @@ pub(crate) fn handle(
             }
             let ct = read_ct(state, r.rest())?;
             let lt = LinearTransform::from_diagonals(diagonals, slots);
-            // The plan walked these same dimensions and offsets, so it
-            // names exactly `bsgs_required_steps(&lt, n1)`.
+            // The plan ran these offsets through the validator's BSGS
+            // walk, so it names exactly `bsgs_required_steps(&lt, n1)`.
             let gk = keys.galois(state, &plan.galois)?;
             let product = apply_bsgs(&state.evaluator, &state.encoder, &ct, &lt, &gk, n1);
             reply_ct(state, out, product, [ct])

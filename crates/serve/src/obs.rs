@@ -7,22 +7,23 @@
 //! Threads stamp stage transitions as they happen:
 //!
 //! ```text
-//! reader          scheduler        worker                      reader
-//! ──────          ─────────        ──────                      ──────
+//! reader (shard loop)              worker                      reader
+//! ───────────────────              ──────                      ──────
 //! parse ─ enqueue ─ [batch hold] ─ pickup ─ decode/key/kernel ─ write
 //!          └──────── queue ────────┘        └── serialize ──┘
 //! ```
 //!
 //! The taxonomy ([`Stage`]) partitions end-to-end latency: `queue` is
-//! time waiting for a worker, `batch_hold` the scheduler's deliberate
-//! key-reuse window, `decode`/`key`/`serialize` are measured inside the
-//! handler through a thread-local set for the executing job, `kernel`
-//! is the handler remainder (the FHE math itself), and `write` is the
-//! reply flush. Finished timelines land in a fixed-size ring (plus a
-//! dedicated slot that always retains the slowest request seen, so a
-//! tail outlier can never be overwritten by later traffic) and, past a
-//! configurable threshold, in a bounded structured slow-request log
-//! annotated with the dominant stage.
+//! time waiting for a worker, `batch_hold` the deliberate key-reuse
+//! window (the loop's own scheduler stamps it at release),
+//! `decode`/`key`/`serialize` are measured inside the handler through a
+//! thread-local set for the executing job, `kernel` is the handler
+//! remainder (the FHE math itself), and `write` is the reply flush.
+//! Finished timelines land in a fixed-size ring (plus a dedicated slot
+//! that always retains the slowest request seen, so a tail outlier can
+//! never be overwritten by later traffic) and, past a configurable
+//! threshold, in a bounded structured slow-request log annotated with
+//! the dominant stage.
 //!
 //! Every request that runs a handler also carries the kernel sub-spans
 //! (`ModUp`, `KSKInnerProd`, `ModDown`, `Mult`, `Prog.<Mnemonic>`…) the math
@@ -99,7 +100,7 @@ impl Stage {
 
 /// The live, lock-free timeline of one in-flight request. Stamps and
 /// accumulators are relaxed atomics: each field is written by exactly
-/// one thread at a time (reader → scheduler → worker → reader) and read
+/// one thread at a time (reader → worker → reader) and read
 /// only at finish, so no ordering stronger than `Relaxed` is needed.
 pub(crate) struct RequestTrace {
     id: u64,
@@ -143,9 +144,9 @@ impl RequestTrace {
         self.wait_from_us.store(now, Relaxed);
     }
 
-    /// Scheduler-side: the job's group was dispatched to the workers.
-    /// Time since the wait began was a deliberate batching hold; the
-    /// queue clock restarts here.
+    /// Reader-side: the shard loop released the job's group to the
+    /// workers. Time since the wait began was a deliberate batching
+    /// hold; the queue clock restarts here.
     pub(crate) fn mark_batch_dispatch(&self) {
         let now = self.elapsed_us();
         let from = self.wait_from_us.swap(now, Relaxed);

@@ -19,6 +19,7 @@ use crate::protocol::{BodyReader, ErrorCode, Opcode};
 use crate::server::ServerState;
 use crate::session::SessionManager;
 use ckks::{CkksContext, GaloisKeys, SwitchingKey};
+use fhe_program::program::bsgs_galois_steps;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -56,28 +57,25 @@ pub(crate) fn rotate_ct(body: &[u8]) -> Option<&[u8]> {
 }
 
 /// The rotation steps a `Bsgs` body (read past its session id) will
-/// require, mirroring `bsgs_required_steps` without materializing the
-/// diagonals: per diagonal, the baby step `offset mod n1` it lands on and
-/// its giant step `(offset/n1)*n1` (zeros and repeats are dropped by the
-/// caller). Returns `None` on any truncation or bound violation — the
-/// handler will produce the structured error.
+/// require: its diagonal offsets, read without materializing the
+/// diagonals, walked by the program validator's own BSGS schedule
+/// ([`bsgs_galois_steps`]). Returns `None` on any truncation or bound
+/// violation — the handler will produce the structured error.
 fn bsgs_steps(r: &mut BodyReader<'_>, slots: usize) -> Option<Vec<i64>> {
     let (n1, diag_count) = (r.u32()? as usize, r.u32()? as usize);
     if n1 == 0 || n1 > slots || diag_count == 0 || diag_count > slots {
         return None;
     }
-    let (mut babies, mut giants) = (Vec::new(), Vec::new());
+    let mut offsets = Vec::with_capacity(diag_count);
     for _ in 0..diag_count {
         let offset = r.u32()? as usize;
         r.take(slots * 16)?; // the diagonal (`slots` complex f64s): skipped, not parsed
         if offset >= slots {
             return None;
         }
-        babies.push((offset % n1) as i64);
-        giants.push((offset / n1 * n1) as i64);
+        offsets.push(offset);
     }
-    babies.extend(giants);
-    Some(babies)
+    Some(bsgs_galois_steps(&offsets, n1))
 }
 
 impl KeyPlan {

@@ -3,14 +3,15 @@
 //! Every request reaches a worker the same way — as a *group* of one or
 //! more [`Job`]s that share a session and a [`KeyClass`] — and executes
 //! the same way: pin the union of the group's key plans, run the jobs
-//! back-to-back against the pinned expansions, unpin. A keyless request
-//! is a group of one with an empty plan, sent straight to the worker
-//! queue; keyed requests pass through the **scheduler** thread, which
-//! collects them into per-`(session, class)` groups and dispatches a
-//! group when it fills (`max_batch`, so `1` means no grouping), when its
-//! window expires (`max_delay`), or eagerly when the shard's pool is
-//! idle. A held job's deadline clock restarts at dispatch — the grouping
-//! window is the scheduler's choice, not queue congestion.
+//! back-to-back against the pinned expansions, unpin. The shard loop
+//! owns the shard's [`Scheduler`] and hands it every parsed job: a
+//! keyless request is a group of one with an empty plan, sent straight
+//! to the worker queue; keyed requests collect into per-`(session,
+//! class)` groups, released when one fills (`max_batch`, so `1` means no
+//! grouping), when its window expires (`max_delay`), eagerly before the
+//! loop parks on an idle pool, or at once at shutdown. A held job's
+//! deadline clock restarts at release — the grouping window is the
+//! scheduler's choice, not queue congestion.
 //!
 //! **Workers** pop groups, drop any job whose deadline passed while
 //! queued, and run ops under `catch_unwind` so a panic becomes a
@@ -19,7 +20,7 @@
 //! decomposition.
 
 use crate::cache::KeyKind;
-use crate::config::BatchConfig;
+use crate::config::{BatchConfig, ServeConfig};
 use crate::exec::{handle, read_ct, recycle};
 #[cfg(feature = "chaos")]
 use crate::fault::FaultDecision;
@@ -28,13 +29,14 @@ use crate::obs::{RequestTrace, Stage};
 use crate::plan::{rotate_ct, KeyClass, KeyPlan, PinnedKeys};
 use crate::protocol::{begin_frame, BatchHint, ErrorCode, Opcode, FRAME_HEADER_LEN};
 use crate::server::ServerState;
+use crate::session::SessionManager;
 use crate::transport::ReplySignal;
 use ckks::hoisting::rotate_hoisted;
 use ckks::serialize::write_ciphertext;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -54,7 +56,7 @@ pub(crate) struct Job {
     /// The switching keys this request needs, derived at frame parse.
     pub(crate) plan: KeyPlan,
     /// When this request's deadline clock started. The shard loop stamps
-    /// it at enqueue; the scheduler re-stamps it at group dispatch,
+    /// it at enqueue; the scheduler re-stamps it at group release,
     /// because a hold inside the grouping window is the server's own
     /// choice and must not be double-counted against the per-op
     /// deadline.
@@ -329,62 +331,173 @@ fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> 
     rest
 }
 
-/// Where the shard loop drops parsed jobs: keyed ones into the
-/// scheduler's admission channel, keyless ones straight to the worker
-/// queue as a group of one. `backlog` counts groups sent to the workers
-/// but not yet finished — the scheduler's "is the pool idle" signal.
-pub(crate) struct JobSinks {
-    pub(crate) direct: SyncSender<Vec<Job>>,
-    pub(crate) keyed: SyncSender<Job>,
-    pub(crate) backlog: Arc<AtomicU64>,
-}
-
-impl JobSinks {
-    /// Routes one job; `Err` mirrors the sync-channel try_send contract
-    /// (`Full` → Overloaded reply, `Disconnected` → drop connection) and
-    /// hands the job back, so its buffers return to the connection.
-    #[allow(clippy::result_large_err)] // the job itself, as `try_send` returns it
-    pub(crate) fn dispatch(&self, job: Job) -> Result<(), TrySendError<Job>> {
-        if job.plan.class().is_some() {
-            return self.keyed.try_send(job);
-        }
-        self.backlog.fetch_add(1, Ordering::Relaxed);
-        self.direct.try_send(vec![job]).map_err(|e| {
-            self.backlog.fetch_sub(1, Ordering::Relaxed);
-            let job = |mut group: Vec<Job>| group.pop().expect("the group of one just sent");
-            match e {
-                TrySendError::Full(group) => TrySendError::Full(job(group)),
-                TrySendError::Disconnected(group) => TrySendError::Disconnected(job(group)),
-            }
-        })
-    }
-}
-
 /// A group the scheduler is still filling, keyed by `(session, class)`.
 struct PendingGroup {
     jobs: Vec<Job>,
     oldest: Instant,
     /// `Throughput` sessions always wait out the window; `Auto` groups
-    /// flush eagerly the moment the worker pool goes idle.
+    /// go eagerly when the worker pool is idle.
     hold: bool,
 }
 
-type Groups = HashMap<(u64, KeyClass), PendingGroup>;
+/// Which held groups [`Scheduler::release`] lets go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Release {
+    /// Those whose `max_delay` window has run out.
+    Expired,
+    /// Those, and every `Auto` group if the worker pool is idle.
+    Parking,
+    /// Every group: shutdown has begun.
+    All,
+}
 
-/// Hands one scheduler-formed group to the worker queue: restarts each
-/// job's deadline clock (time held for grouping is the scheduler's
-/// choice, not congestion), stamps the hold on its trace, and — when
-/// the workers are already gone in a shutdown race — retires the
-/// dropped jobs from the queue-depth gauge. Their shard loop counted
-/// them `enqueued()` at admission and no worker will ever `dequeued()`
-/// them, so skipping that here would leak `serve_queue_depth`
-/// permanently.
-fn dispatch_group(
-    metrics: &Metrics,
-    work: &SyncSender<Vec<Job>>,
-    backlog: &AtomicU64,
-    mut jobs: Vec<Job>,
-) {
+/// One shard's key-reuse scheduler, owned by its shard loop and the only
+/// sender on the shard's worker queue. It never blocks: a released group
+/// the full queue will not take waits, first in line, for the next
+/// release.
+pub(crate) struct Scheduler {
+    work: SyncSender<Vec<Job>>,
+    /// Groups sent to the workers but not yet finished: the "is the pool
+    /// idle" signal.
+    backlog: Arc<AtomicU64>,
+    cfg: BatchConfig,
+    /// The most keyed jobs held at once; one more is refused.
+    capacity: usize,
+    groups: HashMap<(u64, KeyClass), PendingGroup>,
+    /// Released groups the worker queue has not taken yet, oldest first.
+    released: VecDeque<Vec<Job>>,
+    /// Keyed jobs in `groups` and `released`.
+    held: usize,
+}
+
+impl Scheduler {
+    pub(crate) fn new(
+        work: SyncSender<Vec<Job>>,
+        backlog: Arc<AtomicU64>,
+        cfg: &ServeConfig,
+    ) -> Self {
+        Scheduler {
+            work,
+            backlog,
+            cfg: cfg.batch.clone(),
+            capacity: cfg.queue_capacity,
+            groups: HashMap::new(),
+            released: VecDeque::new(),
+            held: 0,
+        }
+    }
+
+    /// Takes one parsed job: a keyless one goes straight to the worker
+    /// queue; a keyed one joins its group, released at once at
+    /// `max_batch` (or alone, for an `Interactive` session). `Err` hands
+    /// the job back as `try_send` does: `Full` (or `capacity` keyed jobs
+    /// held) → Overloaded reply, `Disconnected` → drop the connection.
+    #[allow(clippy::result_large_err)] // the job itself, as `try_send` returns it
+    pub(crate) fn submit(
+        &mut self,
+        sessions: &SessionManager,
+        metrics: &Metrics,
+        job: Job,
+    ) -> Result<(), TrySendError<Job>> {
+        let Some(class) = job.plan.class() else {
+            self.backlog.fetch_add(1, Ordering::Relaxed);
+            return self.work.try_send(vec![job]).map_err(|e| {
+                self.backlog.fetch_sub(1, Ordering::Relaxed);
+                let job = |mut group: Vec<Job>| group.pop().expect("the group of one just sent");
+                match e {
+                    TrySendError::Full(group) => TrySendError::Full(job(group)),
+                    TrySendError::Disconnected(group) => TrySendError::Disconnected(job(group)),
+                }
+            });
+        };
+        if self.held >= self.capacity {
+            return Err(TrySendError::Full(job));
+        }
+        self.held += 1;
+        let sid = job.plan.sid;
+        let hint = sessions
+            .get(sid)
+            .map_or(BatchHint::Auto, |s| s.batch_hint());
+        let jobs = if hint == BatchHint::Interactive {
+            vec![job]
+        } else {
+            let p = self
+                .groups
+                .entry((sid, class))
+                .or_insert_with(|| PendingGroup {
+                    jobs: Vec::new(),
+                    oldest: Instant::now(),
+                    hold: hint == BatchHint::Throughput,
+                });
+            p.jobs.push(job);
+            if p.jobs.len() < self.cfg.max_batch {
+                return Ok(());
+            }
+            self.groups.remove(&(sid, class)).expect("just filed").jobs
+        };
+        self.released.push_back(stamped(jobs));
+        self.send_released(metrics);
+        Ok(())
+    }
+
+    /// How long until the next held group's window runs out: the shard
+    /// loop parks no longer than this.
+    pub(crate) fn until_due(&self) -> Option<Duration> {
+        let due = self.groups.values().map(|p| p.oldest + self.cfg.max_delay);
+        due.min()
+            .map(|d| d.saturating_duration_since(Instant::now()))
+    }
+
+    /// Lets go of the groups `which` names, then offers every released
+    /// group to the worker queue, oldest first. Called every loop pass:
+    /// with nothing held it does not read the clock.
+    pub(crate) fn release(&mut self, metrics: &Metrics, which: Release) {
+        if !self.groups.is_empty() {
+            let now = Instant::now();
+            let idle = which == Release::Parking && self.backlog.load(Ordering::Relaxed) == 0;
+            let max_delay = self.cfg.max_delay;
+            let due = self.groups.extract_if(|_, p| {
+                which == Release::All || p.oldest + max_delay <= now || (idle && !p.hold)
+            });
+            self.released.extend(due.map(|(_, p)| stamped(p.jobs)));
+        }
+        self.send_released(metrics);
+    }
+
+    /// Sends released groups, oldest first, until the worker queue is
+    /// full. When the workers are already gone (a shutdown race) the
+    /// dropped jobs are retired from the queue-depth gauge: the shard
+    /// loop counted them `enqueued()` and no worker will ever
+    /// `dequeued()` them, so skipping that would leak `serve_queue_depth`
+    /// permanently. Their replies drop with them and the shard loop
+    /// answers `Internal`.
+    fn send_released(&mut self, metrics: &Metrics) {
+        while let Some(jobs) = self.released.pop_front() {
+            let n = jobs.len();
+            self.backlog.fetch_add(1, Ordering::Relaxed);
+            match self.work.try_send(jobs) {
+                Ok(()) => {}
+                Err(TrySendError::Full(jobs)) => {
+                    self.backlog.fetch_sub(1, Ordering::Relaxed);
+                    self.released.push_front(jobs);
+                    return;
+                }
+                Err(TrySendError::Disconnected(jobs)) => {
+                    self.backlog.fetch_sub(1, Ordering::Relaxed);
+                    for _ in &jobs {
+                        metrics.dequeued();
+                    }
+                }
+            }
+            self.held -= n;
+        }
+    }
+}
+
+/// A group at release: each job's deadline clock restarts (time held for
+/// grouping is the scheduler's choice, not congestion) and its trace
+/// stamps the hold.
+fn stamped(mut jobs: Vec<Job>) -> Vec<Job> {
     let now = Instant::now();
     for j in &mut jobs {
         j.deadline_start = now;
@@ -392,101 +505,7 @@ fn dispatch_group(
             t.mark_batch_dispatch();
         }
     }
-    backlog.fetch_add(1, Ordering::Relaxed);
-    if let Err(std::sync::mpsc::SendError(jobs)) = work.send(jobs) {
-        // Workers already gone (shutdown race); replies drop with the
-        // channel and the shard loop answers Internal.
-        backlog.fetch_sub(1, Ordering::Relaxed);
-        for _ in &jobs {
-            metrics.dequeued();
-        }
-    }
-}
-
-/// The scheduler thread: collects keyed jobs into per-`(session, class)`
-/// groups and dispatches each when it fills, expires, or the pool idles.
-/// On channel disconnect (shutdown) every held group flushes before the
-/// thread exits, so no reply is lost.
-pub(crate) fn scheduler_loop(
-    state: &ServerState,
-    rx: &Receiver<Job>,
-    work: &SyncSender<Vec<Job>>,
-    backlog: &AtomicU64,
-    cfg: &BatchConfig,
-) {
-    let mut groups = Groups::new();
-    let dispatch = |jobs: Vec<Job>| dispatch_group(&state.metrics, work, backlog, jobs);
-    let flush = |groups: &mut Groups, pred: &dyn Fn(&PendingGroup) -> bool| {
-        let due: Vec<(u64, KeyClass)> = groups
-            .iter()
-            .filter(|(_, p)| pred(p))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in due {
-            dispatch(groups.remove(&key).expect("listed").jobs);
-        }
-    };
-    loop {
-        let next_due = groups.values().map(|p| p.oldest + cfg.max_delay).min();
-        let job = match next_due {
-            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(due) => rx.recv_timeout(due.saturating_duration_since(Instant::now())),
-        };
-        if let Err(RecvTimeoutError::Disconnected) = job {
-            break;
-        }
-        if let Ok(job) = job {
-            admit_to_group(state, &mut groups, job, cfg, &dispatch);
-            // Coalesce the rest of an already-waiting burst before any
-            // dispatch decision.
-            while let Ok(j) = rx.try_recv() {
-                admit_to_group(state, &mut groups, j, cfg, &dispatch);
-            }
-            // An idle pool means holding buys nothing: flush every group
-            // that didn't ask to wait.
-            if backlog.load(Ordering::Relaxed) == 0 {
-                flush(&mut groups, &|p| !p.hold);
-            }
-        }
-        let now = Instant::now();
-        flush(&mut groups, &|p| p.oldest + cfg.max_delay <= now);
-    }
-    // Shutdown drain: every held job still executes and replies.
-    flush(&mut groups, &|_| true);
-}
-
-/// Files one job into its `(session, class)` group, dispatching the
-/// group if it reaches `max_batch`. `Interactive` sessions dispatch
-/// immediately as groups of one.
-fn admit_to_group(
-    state: &ServerState,
-    groups: &mut Groups,
-    job: Job,
-    cfg: &BatchConfig,
-    dispatch: &dyn Fn(Vec<Job>),
-) {
-    let sid = job.plan.sid;
-    let class = job
-        .plan
-        .class()
-        .expect("the shard loop routes only keyed jobs to the scheduler");
-    let hint = state
-        .sessions
-        .get(sid)
-        .map_or(BatchHint::Auto, |s| s.batch_hint());
-    if hint == BatchHint::Interactive {
-        dispatch(vec![job]);
-        return;
-    }
-    let p = groups.entry((sid, class)).or_insert_with(|| PendingGroup {
-        jobs: Vec::new(),
-        oldest: Instant::now(),
-        hold: hint == BatchHint::Throughput,
-    });
-    p.jobs.push(job);
-    if p.jobs.len() >= cfg.max_batch {
-        dispatch(groups.remove(&(sid, class)).expect("just inserted").jobs);
-    }
+    jobs
 }
 
 #[cfg(test)]
@@ -494,61 +513,82 @@ mod tests {
     use super::*;
     use std::sync::mpsc::sync_channel;
 
-    /// Regression for the queue-depth leak: a group dispatched into a
-    /// dead worker channel (shutdown race) must retire every member job
-    /// from the `serve_queue_depth` gauge, or depth/peak drift upward
-    /// forever.
+    /// Regression for the queue-depth leak, on the release path: a group
+    /// released into a dead worker channel (shutdown race) must retire
+    /// every member job from the `serve_queue_depth` gauge, or depth/peak
+    /// drift upward forever. A live channel keeps the count until a
+    /// worker pops, and a full one keeps the group first in line.
     #[test]
     fn dispatch_group_retires_depth_when_workers_are_gone() {
         let metrics = Metrics::new();
-        let backlog = AtomicU64::new(0);
-        let (work, rx) = sync_channel::<Vec<Job>>(4);
+        let sessions = SessionManager::new();
+        let backlog = Arc::new(AtomicU64::new(0));
+        let (work, rx) = sync_channel::<Vec<Job>>(1);
+        let cfg = ServeConfig {
+            queue_capacity: 8,
+            batch: BatchConfig::baseline(),
+            ..ServeConfig::default()
+        };
+        let mut sched = Scheduler::new(work, backlog.clone(), &cfg);
+        let depth = || metrics.queue_depth.load(Ordering::Relaxed);
 
-        let mk_job = || {
-            let (tx, _rx) = std::sync::mpsc::channel();
-            Job {
-                op: Opcode::Rotate,
-                frame: Vec::new(),
-                out: Vec::new(),
-                plan: KeyPlan::default(),
-                deadline_start: Instant::now(),
-                reply: tx,
-                trace: None,
-                #[cfg(feature = "chaos")]
-                chaos: None,
+        // Three keyed jobs of one (unknown, so `Auto`) session: one
+        // group, held until released. The shard loop counts each at
+        // admission.
+        let submit_three = |sched: &mut Scheduler| {
+            for _ in 0..3 {
+                let (tx, _rx) = std::sync::mpsc::channel();
+                let job = Job {
+                    op: Opcode::Rotate,
+                    frame: Vec::new(),
+                    out: Vec::new(),
+                    plan: KeyPlan {
+                        sid: 1,
+                        relin: false,
+                        galois: vec![(1, 5)],
+                    },
+                    deadline_start: Instant::now(),
+                    reply: tx,
+                    trace: None,
+                    #[cfg(feature = "chaos")]
+                    chaos: None,
+                };
+                metrics.enqueued();
+                assert!(sched.submit(&sessions, &metrics, job).is_ok());
             }
         };
 
-        // The shard loop counted these at admission.
-        let jobs: Vec<Job> = (0..3).map(|_| mk_job()).collect();
-        for _ in &jobs {
-            metrics.enqueued();
-        }
-        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 3);
-
         // Live channel: depth stays until a worker pops and dequeues.
-        dispatch_group(&metrics, &work, &backlog, jobs);
-        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 3);
+        submit_three(&mut sched);
+        assert!(sched.until_due().is_some());
+        sched.release(&metrics, Release::All);
+        assert_eq!((depth(), sched.held), (3, 0));
+        assert_eq!(backlog.load(Ordering::Relaxed), 1);
+
+        // Full channel: the next group waits, still held, first in line.
+        submit_three(&mut sched);
+        sched.release(&metrics, Release::All);
+        assert_eq!((sched.held, sched.released.len()), (3, 1));
         assert_eq!(backlog.load(Ordering::Relaxed), 1);
         for _ in &rx.recv().unwrap() {
             metrics.dequeued();
         }
         backlog.fetch_sub(1, Ordering::Relaxed);
-        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
-
-        // Dead channel: the dispatch itself must retire the jobs.
-        drop(rx);
-        let jobs: Vec<Job> = (0..3).map(|_| mk_job()).collect();
-        for _ in &jobs {
-            metrics.enqueued();
+        sched.release(&metrics, Release::Expired);
+        assert_eq!((depth(), sched.held), (3, 0));
+        for _ in &rx.recv().unwrap() {
+            metrics.dequeued();
         }
-        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 3);
-        dispatch_group(&metrics, &work, &backlog, jobs);
-        assert_eq!(
-            metrics.queue_depth.load(Ordering::Relaxed),
-            0,
-            "shutdown race leaked depth"
-        );
+        backlog.fetch_sub(1, Ordering::Relaxed);
+        assert_eq!(depth(), 0);
+
+        // Dead channel: the release itself must retire the jobs.
+        drop(rx);
+        submit_three(&mut sched);
+        assert_eq!(depth(), 3);
+        sched.release(&metrics, Release::All);
+        assert_eq!(depth(), 0, "shutdown race leaked depth");
+        assert_eq!(sched.held, 0);
         assert_eq!(backlog.load(Ordering::Relaxed), 0);
     }
 }

@@ -1,20 +1,23 @@
 //! The server: a nonblocking acceptor feeding N independent shard
 //! loops, each with its own session table, key-cache slice (`1/N` of the
-//! global byte budget), key-reuse scheduler, and bounded worker pool.
-//! This module owns the shared state and thread start-up/shutdown; the
-//! threads themselves live in `crate::transport` (acceptor, shard
-//! loop), `crate::sched` (scheduler, workers) and `crate::exec` (the
-//! op handlers), and the one decision they share — which keys a request
-//! needs and where a handler reads them — in `crate::plan`.
+//! global byte budget), key-reuse scheduler (run by the loop itself), and
+//! bounded worker pool — one thread, one queue and `workers` threads per
+//! shard. This module owns the shared state and thread start-up/shutdown;
+//! the threads themselves live in `crate::transport` (acceptor, shard
+//! loop), `crate::sched` (the loop's scheduler, workers) and
+//! `crate::exec` (the op handlers), and the one decision they share —
+//! which keys a request needs and where a handler reads them — in
+//! `crate::plan`.
 //!
 //! Metrics and tracing stay global: one [`Metrics`] registry aggregates
 //! across shards (the dump appends per-shard labeled families), and the
 //! `Observer` stamps the owning shard into every request timeline.
 //!
 //! Shutdown is a graceful drain: the acceptor exits (closing the
-//! listening port), each shard loop drains pending replies and flushes
-//! them, the schedulers flush held groups, in-queue jobs still execute,
-//! then every thread is joined.
+//! listening port), each shard loop releases every held group at once,
+//! collects and flushes the replies it is owed and returns, dropping the
+//! only sender on its worker queue; its workers run what is queued and
+//! exit, and every thread is joined.
 
 use crate::cache::{CacheStats, KeyCache};
 use crate::config::ServeConfig;
@@ -22,13 +25,13 @@ use crate::config::ServeConfig;
 use crate::fault::FaultPlan;
 use crate::metrics::{Metrics, ShardSnapshot};
 use crate::obs::{FinishedTrace, Observer};
-use crate::sched::{scheduler_loop, worker_loop, Job, JobSinks};
+use crate::sched::{worker_loop, Job, Scheduler};
 use crate::session::SessionManager;
 use crate::transport::{accept_loop, shard_loop, ReplySignal, RoutedConn};
 use ckks::{CkksContext, Encoder, Evaluator};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -111,14 +114,10 @@ fn spawn(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
         .expect("spawn server thread")
 }
 
-/// One shard's runtime threads and queues, torn down in
-/// [`Server::shutdown`].
+/// One shard's runtime threads, joined in [`Server::shutdown`].
 struct ShardRuntime {
     loop_handle: JoinHandle<()>,
-    scheduler: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    queue: SyncSender<Vec<Job>>,
-    keyed_queue: SyncSender<Job>,
 }
 
 /// A running server; dropping without [`Server::shutdown`] aborts
@@ -133,7 +132,7 @@ pub struct Server {
 
 impl Server {
     /// Binds a loopback listener on an OS-assigned port and starts the
-    /// acceptor and the per-shard loops, schedulers, and worker pools.
+    /// acceptor and the per-shard loops and worker pools.
     ///
     /// # Errors
     ///
@@ -195,41 +194,22 @@ impl Server {
                 })
                 .collect();
 
-            let (keyed_tx, keyed_rx) = sync_channel::<Job>(config.queue_capacity);
-            let scheduler = {
-                let state = state.clone();
-                let work_tx = work_tx.clone();
-                let backlog = backlog.clone();
-                let batch_cfg = config.batch.clone();
-                spawn(format!("serve-sched-{i}"), move || {
-                    scheduler_loop(&state, &keyed_rx, &work_tx, &backlog, &batch_cfg);
-                })
-            };
-
+            // The loop owns the scheduler, and with it the only sender on
+            // the worker queue.
+            let sched = Scheduler::new(work_tx, backlog, &config);
             let loop_handle = {
-                let state = state.clone();
                 let shutdown = shutdown.clone();
-                let sinks = JobSinks {
-                    direct: work_tx.clone(),
-                    keyed: keyed_tx.clone(),
-                    backlog,
-                };
                 let conn_txs = conn_txs.clone();
-                let signal = signal.clone();
                 let max_frame = config.max_frame_bytes;
                 spawn(format!("serve-shard-{i}"), move || {
                     shard_loop(
-                        &state, &shutdown, &sinks, &conn_rx, &conn_txs, &signal, max_frame,
+                        &state, &shutdown, sched, &conn_rx, &conn_txs, &signal, max_frame,
                     );
                 })
             };
-
             shards.push(ShardRuntime {
                 loop_handle,
-                scheduler,
                 workers,
-                queue: work_tx,
-                keyed_queue: keyed_tx,
             });
         }
 
@@ -323,36 +303,22 @@ impl Server {
     }
 
     /// Graceful drain: stop accepting (the listening port closes with
-    /// the acceptor), let every shard drain pending replies and flush
-    /// them, let queued requests finish, then join every thread.
+    /// the acceptor), let every shard release its held groups and flush
+    /// the replies it is owed, let queued requests finish, then join
+    /// every thread.
     pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // The acceptor wakes on its poll tick and exits, dropping the
         // listener — new connects are refused from here on.
         let _ = self.acceptor.join();
-        // Shard loops drain: each exits once its connections are gone
-        // (idle ones close immediately; ones owed a reply first collect
-        // and flush it). Workers are still up, so those replies arrive.
-        let mut rest = Vec::new();
+        // Each shard loop releases every held group at once and exits
+        // once its connections are gone (idle ones close immediately;
+        // ones owed a reply first collect and flush it). Its return drops
+        // the only worker-queue sender, so its workers drain the queue
+        // and exit.
         for shard in self.shards {
             let _ = shard.loop_handle.join();
-            rest.push((
-                shard.keyed_queue,
-                shard.scheduler,
-                shard.queue,
-                shard.workers,
-            ));
-        }
-        for (keyed_queue, scheduler, queue, workers) in rest {
-            // The loop's sink clones are gone. Dropping ours disconnects
-            // the scheduler's admission channel; it flushes held groups
-            // to the workers and exits.
-            drop(keyed_queue);
-            let _ = scheduler.join();
-            // Now the last worker-queue sender goes away; workers drain
-            // the remaining items and exit.
-            drop(queue);
-            for h in workers {
+            for h in shard.workers {
                 let _ = h.join();
             }
         }

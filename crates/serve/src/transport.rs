@@ -7,14 +7,15 @@
 //!   with readiness-based nonblocking I/O: read a frame's length prefix,
 //!   then exactly the rest of that frame, straight into the connection's
 //!   frame buffer; plan the request's keys ([`KeyPlan::of`]) and hand the
-//!   buffer itself to the job — the body is never copied out of it — on
-//!   the shard's bounded queues (a full queue is answered immediately
+//!   buffer itself to the job — the body is never copied out of it — to
+//!   the loop's own [`Scheduler`] (a full queue is answered immediately
 //!   with [`ErrorCode::Overloaded`] — backpressure, never buffering);
 //!   then write out the reply frame the worker built, as it is, when it
 //!   comes back. A connection's two buffers make that round trip with
 //!   every request, so it allocates for its largest request and reply
 //!   once. Each connection still sees strict request/response ordering.
-//!   A parked loop sleeps on a condvar the workers ping after every
+//!   An idle loop releases due groups, then sleeps — never past a held
+//!   group's window — on a condvar the workers ping after every
 //!   completed group, so replies flush without polling latency.
 //! - **Routing** is consistent hashing of the session id
 //!   ([`crate::shard::shard_of`]): `Hello` mints an id that hashes to
@@ -31,7 +32,7 @@ use crate::protocol::{
     begin_frame, finish_frame, peek_frame, read_into, ErrorCode, FrameStatus, Opcode,
     FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
-use crate::sched::{Job, JobSinks, Reply};
+use crate::sched::{Job, Release, Reply, Scheduler};
 use crate::server::{ServerState, SharedState};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -173,12 +174,13 @@ pub(crate) fn accept_loop(
 }
 
 /// One shard's event loop: adopt incoming connections, drive each one a
-/// step, migrate mis-placed connections, and park on the reply condvar
-/// when nothing moved.
+/// step, migrate mis-placed connections, release held groups, and park
+/// on the reply condvar when nothing moved. Returning drops `sched`, the
+/// worker queue's only sender, which ends the shard's workers.
 pub(crate) fn shard_loop(
     state: &ServerState,
     shutdown: &AtomicBool,
-    sinks: &JobSinks,
+    mut sched: Scheduler,
     conn_rx: &Receiver<RoutedConn>,
     conn_txs: &[Sender<RoutedConn>],
     signal: &ReplySignal,
@@ -201,7 +203,7 @@ pub(crate) fn shard_loop(
         let mut any_pending = false;
         let mut i = 0;
         while i < conns.len() {
-            match step_conn(state, sinks, &mut conns[i], shutting_down, max_frame) {
+            match step_conn(state, &mut sched, &mut conns[i], shutting_down, max_frame) {
                 ConnVerdict::Keep { progressed: p } => {
                     progressed |= p;
                     any_pending |= conns[i].pending.is_some() || !conns[i].write_buf.is_empty();
@@ -223,6 +225,15 @@ pub(crate) fn shard_loop(
                 }
             }
         }
+        // Held groups go at the end of every pass whose window ran out (so
+        // traffic on other connections never holds one past `max_delay`),
+        // before every park, and all at once from the start of shutdown.
+        let which = match (shutting_down, progressed) {
+            (true, _) => Release::All,
+            (false, true) => Release::Expired,
+            (false, false) => Release::Parking,
+        };
+        sched.release(&state.metrics, which);
         if progressed {
             last_active = Instant::now();
             continue;
@@ -238,6 +249,7 @@ pub(crate) fn shard_loop(
         } else {
             Duration::from_millis(2)
         };
+        let timeout = sched.until_due().map_or(timeout, |d| d.min(timeout));
         signal.wait_if_unchanged(&mut last_seq, timeout);
     }
 }
@@ -247,7 +259,7 @@ pub(crate) fn shard_loop(
 /// reply pipeline is empty) read and act on the next frame.
 fn step_conn(
     state: &ServerState,
-    sinks: &JobSinks,
+    sched: &mut Scheduler,
     conn: &mut Conn,
     shutting_down: bool,
     max_frame: u32,
@@ -359,7 +371,7 @@ fn step_conn(
                 return ConnVerdict::Route(target);
             }
             let frame = std::mem::take(&mut conn.read_buf);
-            process_frame(state, sinks, conn, frame)
+            process_frame(state, sched, conn, frame)
         }
     }
 }
@@ -510,10 +522,10 @@ fn route_target(state: &ServerState, buf: &[u8]) -> Option<usize> {
 /// answer locally, chaos draws exactly one decision, everything else
 /// becomes a job — its key plan attached, the frame buffer and the
 /// connection's drained reply buffer along for the ride — for this
-/// shard's scheduler or worker queue.
+/// shard's scheduler.
 fn process_frame(
     state: &ServerState,
-    sinks: &JobSinks,
+    sched: &mut Scheduler,
     conn: &mut Conn,
     frame: Vec<u8>,
 ) -> ConnVerdict {
@@ -582,7 +594,7 @@ fn process_frame(
     if let Some(t) = &trace {
         t.mark_enqueued();
     }
-    match sinks.dispatch(job) {
+    match sched.submit(&state.sessions, &state.metrics, job) {
         Ok(()) => {
             state.shards[state.shard]
                 .requests

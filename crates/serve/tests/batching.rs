@@ -10,8 +10,11 @@
 //!    grouping server pins each group's key-set once — so the grouped run
 //!    must show strictly fewer cache misses for the same workload.
 //!
-//! Plus the deadline-vs-hold regression: a request held by the batching
-//! window must not have that hold double-counted against its deadline.
+//! Plus the deadline-vs-hold regression (a request held by the batching
+//! window must not have that hold double-counted against its deadline),
+//! and the two rules of a scheduler its shard loop drives without ever
+//! blocking: shutdown releases every held group at once, and at most
+//! `queue_capacity` keyed jobs are held.
 
 use ckks::hoisting::{apply_bsgs, rotate_hoisted, LinearTransform};
 use ckks::serialize::{deserialize_switching_key, serialize_ciphertext, serialize_switching_key};
@@ -21,8 +24,8 @@ use ckks::{
 };
 use fhe_math::cfft::Complex;
 use fhe_serve::{
-    BatchConfig, BatchHint, Client, EvictionPolicy, RetryPolicy, RetryingClient, ServeConfig,
-    Server,
+    BatchConfig, BatchHint, Client, ClientError, ErrorCode, EvictionPolicy, RetryPolicy,
+    RetryingClient, ServeConfig, Server,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -406,4 +409,108 @@ fn batching_hold_is_not_charged_against_the_deadline() {
         "a batching hold was double-counted against the deadline"
     );
     server.shutdown();
+}
+
+/// A one-worker server holding `Throughput` groups for 5 s, the window
+/// no test waits out: anything a test sees answered came from a release
+/// the loop made on its own (fill, overload, shutdown).
+fn start_holding_server(ctx: &Arc<CkksContext>, queue_capacity: usize) -> Server {
+    Server::start(
+        ctx.clone(),
+        ServeConfig {
+            workers: 1,
+            queue_capacity,
+            batch: BatchConfig {
+                max_batch: 64,
+                max_delay: Duration::from_secs(5),
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap()
+}
+
+/// A `Throughput` session with `tenant`'s Galois keys uploaded.
+fn throughput_session(server: &Server, ctx: &Arc<CkksContext>, tenant: &Tenant) -> (Client, u64) {
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello_ext(BatchHint::Throughput).unwrap().session;
+    client.upload_galois(sid, &tenant.gk).unwrap();
+    (client, sid)
+}
+
+/// A `rotate(a, 1)` of session `sid` on a connection of its own.
+fn rotate_in_thread(
+    server: &Server,
+    ctx: &Arc<CkksContext>,
+    tenant: &Arc<Tenant>,
+    sid: u64,
+) -> std::thread::JoinHandle<Vec<u8>> {
+    let (addr, ctx, tenant) = (server.local_addr(), ctx.clone(), tenant.clone());
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr, ctx).unwrap();
+        serialize_ciphertext(&client.rotate(sid, &tenant.a, 1).unwrap())
+    })
+}
+
+fn rotated_by_library(ctx: &Arc<CkksContext>, tenant: &Tenant) -> Vec<u8> {
+    let ev = Evaluator::new(ctx.clone());
+    serialize_ciphertext(&rotate_hoisted(&ev, &tenant.a, &[1], &tenant.gk)[0])
+}
+
+#[test]
+fn shutdown_releases_held_groups_at_once() {
+    let ctx = test_ctx();
+    let tenant = Arc::new(make_tenant(&ctx, 5151));
+    let server = start_holding_server(&ctx, 32);
+    let (_client, sid) = throughput_session(&server, &ctx, &tenant);
+    let rotate = rotate_in_thread(&server, &ctx, &tenant, sid);
+    std::thread::sleep(Duration::from_millis(100));
+
+    // The rotate is held: its group is one of 64 under a 5 s window.
+    let start = Instant::now();
+    server.shutdown();
+    let took = start.elapsed();
+    assert_eq!(
+        rotate.join().unwrap(),
+        rotated_by_library(&ctx, &tenant),
+        "the held rotate was not answered correctly"
+    );
+    assert!(
+        took < Duration::from_secs(1),
+        "shutdown waited out the held group's window ({took:?})"
+    );
+}
+
+#[test]
+fn held_keyed_jobs_are_bounded_by_queue_capacity() {
+    let ctx = test_ctx();
+    let tenant = Arc::new(make_tenant(&ctx, 6161));
+    let server = start_holding_server(&ctx, 2);
+    let (mut client, sid) = throughput_session(&server, &ctx, &tenant);
+    let held: Vec<_> = (0..2)
+        .map(|_| rotate_in_thread(&server, &ctx, &tenant, sid))
+        .collect();
+    let waited = Instant::now();
+    while metric(&server.metrics_dump(), "serve_queue_depth") < 2 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the two rotates never reached the scheduler"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Two keyed jobs held, `queue_capacity` 2: a third is pushed back.
+    match client.rotate(sid, &tenant.a, 1) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Overloaded),
+        other => panic!("a third held job was not refused: {:?}", other.map(|_| ())),
+    }
+    assert_eq!(
+        metric(&server.metrics_dump(), "serve_rejected_overload_total"),
+        1
+    );
+    server.shutdown();
+    let reference = rotated_by_library(&ctx, &tenant);
+    for rotate in held {
+        assert_eq!(rotate.join().unwrap(), reference, "a held rotate diverged");
+    }
 }

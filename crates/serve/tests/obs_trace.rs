@@ -405,7 +405,7 @@ fn batch_hold_is_attributed_to_its_own_stage() {
     let tenant = make_tenant(&ctx, 4004);
     // A Throughput session's lone rotate cannot fill a group of 64, so
     // it waits out the full 80 ms window — all of which must land in
-    // `batch_hold`, not `queue`.
+    // `batch_hold`, not `queue` — and not much more.
     let server = start_server(
         &ctx,
         1,
@@ -425,6 +425,12 @@ fn batch_hold_is_attributed_to_its_own_stage() {
     assert!(
         hold >= 50_000,
         "the 80 ms batching hold is missing from batch_hold ({hold} µs)"
+    );
+    // The shard loop parks no longer than the window, so its wake ends
+    // the hold.
+    assert!(
+        hold < 180_000,
+        "the 80 ms batching hold overran its window ({hold} µs)"
     );
     assert!(
         t.stage_us(Stage::Queue) < hold,
