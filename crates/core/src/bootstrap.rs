@@ -109,7 +109,7 @@ impl CostModel {
     pub fn mod_raise(&self, in_limbs: usize) -> Cost {
         let l = self.params.limbs;
         let new = l - in_limbs;
-        let mut c = self.ntt_limb_ops() * (2 * in_limbs) as u64; // iNTT both polys
+        let mut c = self.intt_limb_ops() * (2 * in_limbs) as u64; // iNTT both polys
         c += self.newlimb_ops(in_limbs, new) * 2;
         c += self.ntt_limb_ops() * (2 * l) as u64; // NTT the full chain
         let limb = self.params.limb_bytes();
@@ -345,6 +345,16 @@ mod tests {
         };
         let mv = m.pt_mat_vec_mult(shape);
         assert_eq!(mv.orientation_switches, m.params.beta_at(40) as u64 + 2);
+    }
+
+    #[test]
+    fn mod_raise_transforms_both_polynomials() {
+        let m = CostModel::new(SchemeParams::baseline(), MadConfig::baseline());
+        let l = m.params.limbs as u64;
+        for in_limbs in [1, 2, 5] {
+            let c = m.mod_raise(in_limbs);
+            assert_eq!((c.ntt_fwd, c.ntt_inv), (2 * l, 2 * in_limbs as u64));
+        }
     }
 
     #[test]

@@ -25,6 +25,14 @@ use std::ops::{Add, AddAssign, Mul};
 /// the measured-vs-modeled ledger holds the library's counters to
 /// [`Cost::executed_mults`] / [`Cost::executed_adds`] exactly instead of
 /// tolerating the difference.
+///
+/// `ntt_fwd` / `ntt_inv` count whole-limb transforms *executed*, in the
+/// same sense as `executed_mults`: the unit `fhe_math::ntt::counters`
+/// measure. Only [`CostModel::ntt_limb_ops`] and the inverse transform's
+/// ops set them, so every composed cost carries its transform count. Like
+/// the corrections they sit outside [`Cost::ops`] and the paper's tables.
+///
+/// [`CostModel::ntt_limb_ops`]: crate::primitives::CostModel::ntt_limb_ops
 #[derive(Clone, Copy, Default, PartialEq)]
 pub struct Cost {
     /// Modular multiplications.
@@ -44,6 +52,10 @@ pub struct Cost {
     /// DRAM bytes read for plaintext operands (encoded constants,
     /// matrix diagonals).
     pub pt_read: u64,
+    /// Whole-limb forward NTTs executed.
+    pub ntt_fwd: u64,
+    /// Whole-limb inverse NTTs executed.
+    pub ntt_inv: u64,
 }
 
 impl fmt::Debug for Cost {
@@ -73,6 +85,8 @@ impl Cost {
         ct_write: 0,
         key_read: 0,
         pt_read: 0,
+        ntt_fwd: 0,
+        ntt_inv: 0,
     };
 
     /// Pure compute cost.
@@ -145,6 +159,8 @@ impl Add for Cost {
             ct_write: self.ct_write + rhs.ct_write,
             key_read: self.key_read + rhs.key_read,
             pt_read: self.pt_read + rhs.pt_read,
+            ntt_fwd: self.ntt_fwd + rhs.ntt_fwd,
+            ntt_inv: self.ntt_inv + rhs.ntt_inv,
         }
     }
 }
@@ -167,6 +183,8 @@ impl Mul<u64> for Cost {
             ct_write: self.ct_write * k,
             key_read: self.key_read * k,
             pt_read: self.pt_read * k,
+            ntt_fwd: self.ntt_fwd * k,
+            ntt_inv: self.ntt_inv * k,
         }
     }
 }
@@ -192,6 +210,8 @@ mod tests {
             ct_write: 50,
             key_read: 20,
             pt_read: 10,
+            ntt_fwd: 4,
+            ntt_inv: 1,
         };
         let b = a + a;
         assert_eq!(b.ops(), 30);
@@ -199,6 +219,7 @@ mod tests {
         assert_eq!(b.dram_total(), 360);
         assert_eq!((a * 3).mults, 30);
         assert_eq!((a * 3).aux_mults, 6);
+        assert_eq!(((a * 3).ntt_fwd, (a * 3).ntt_inv), (12, 3));
         let mut c = Cost::ZERO;
         c += a;
         c += a;
@@ -218,6 +239,7 @@ mod tests {
             ct_write: 300,
             key_read: 150,
             pt_read: 50,
+            ..Cost::ZERO
         };
         assert!((c.arithmetic_intensity() - 1.0).abs() < 1e-12);
         assert_eq!(Cost::ZERO.arithmetic_intensity(), 0.0);

@@ -88,12 +88,6 @@ impl BsgsSchedule {
         }
     }
 
-    /// Whether anything reaches the raised basis at all — otherwise the
-    /// transform is diagonal 0 alone and ends in a plain `Rescale`.
-    pub fn raised(&self) -> bool {
-        !self.babies.is_empty() || self.giants().next().is_some()
-    }
-
     /// The groups at a non-zero giant step.
     pub fn giants(&self) -> impl Iterator<Item = &GiantGroup> + Clone {
         self.groups.iter().filter(|g| g.step != 0)

@@ -70,36 +70,23 @@ impl CostModel {
         self.config.caches_at_least(CachingLevel::LimbReorder)
     }
 
-    /// Ops of one limb NTT or iNTT.
+    /// One forward limb NTT: its butterflies, counted as one transform.
     pub fn ntt_limb_ops(&self) -> Cost {
         let b = self.params.ntt_butterflies();
-        Cost::compute(b, 2 * b)
+        Cost {
+            ntt_fwd: 1,
+            ..Cost::compute(b, 2 * b)
+        }
     }
 
     /// One inverse limb NTT: the butterflies, and executed on top of them
     /// the `N⁻¹` scaling of every coefficient.
-    fn intt_limb_ops(&self) -> Cost {
-        self.ntt_limb_ops() + Cost::aux(self.n() as i64, 0)
-    }
-
-    /// Whole-limb transform counts `(forward NTTs, inverse NTTs)` of one
-    /// digit `ModUp` — the unit the functional library's
-    /// `fhe_math::ntt::counters` measure, used for cross-validation.
-    pub fn mod_up_transforms(&self, ell: usize, digit_limbs: usize) -> (u64, u64) {
-        let new = ell + self.params.special_limbs() - digit_limbs;
-        (new as u64, digit_limbs as u64)
-    }
-
-    /// Whole-limb transform counts of one `ModDown` dropping `drop` limbs.
-    pub fn mod_down_transforms(&self, ell: usize, drop: usize) -> (u64, u64) {
-        let _ = self;
-        (ell as u64, drop as u64)
-    }
-
-    /// Whole-limb transform counts of one two-polynomial `Rescale`.
-    pub fn rescale_transforms(&self, ell: usize) -> (u64, u64) {
-        let _ = self;
-        (2 * (ell as u64 - 1), 2)
+    pub(crate) fn intt_limb_ops(&self) -> Cost {
+        let b = self.params.ntt_butterflies();
+        Cost {
+            ntt_inv: 1,
+            ..Cost::compute(b, 2 * b) + Cost::aux(self.n() as i64, 0)
+        }
     }
 
     /// Ops of the slot-wise `NewLimb` conversion from `src` limbs into
@@ -182,6 +169,7 @@ impl CostModel {
             // `β = ⌈(ℓ+1)/α⌉` counts a digit of no limbs where
             // `ℓ ≤ (β−1)·α`: priced like any other, and raising nothing.
             c += Cost::aux(-(c.executed_mults() as i64), -(c.executed_adds() as i64));
+            (c.ntt_fwd, c.ntt_inv) = (0, 0);
         }
         let limb = self.limb();
         let (d, nw) = (digit_limbs as u64, new as u64);
@@ -616,6 +604,7 @@ mod tests {
         let empty = m.mod_up_digit(24, 0);
         assert!(empty.ops() > 0);
         assert_eq!((empty.executed_mults(), empty.executed_adds()), (0, 0));
+        assert_eq!((empty.ntt_fwd, empty.ntt_inv), (0, 0));
         let (three, two) = (
             m.ksk_inner_product(24, 3, true, true),
             m.ksk_inner_product(24, 2, true, true),
@@ -623,6 +612,22 @@ mod tests {
         assert!(three.ops() > two.ops());
         assert_eq!(three.executed_mults(), two.executed_mults());
         assert_eq!(three.executed_adds(), two.executed_adds());
+    }
+
+    #[test]
+    fn transforms_are_counted_where_they_run() {
+        let m = model(CachingLevel::OneLimb);
+        let k = m.params.special_limbs() as u64;
+        let t = |c: Cost| (c.ntt_fwd, c.ntt_inv);
+        assert_eq!(t(m.mod_up_digit(35, 12)), (35 + k - 12, 12));
+        assert_eq!(t(m.mod_down(35, 12)), (35, 12));
+        assert_eq!(t(m.rescale(35)), (2 * 34, 2));
+        // A key switch is its parts: three digits up, two ModDowns.
+        assert_eq!(t(m.keyswitch(35)), (3 * (35 + k) - 35 + 2 * 35, 35 + 2 * k));
+        // Caching moves bytes, never transforms.
+        for lvl in CachingLevel::ALL {
+            assert_eq!(t(model(lvl).rotate(35)), t(m.keyswitch(35)), "{lvl}");
+        }
     }
 
     #[test]

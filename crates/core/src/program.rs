@@ -876,19 +876,6 @@ impl Program {
 // Pricing
 // ---------------------------------------------------------------------------
 
-/// Price of one instruction.
-#[derive(Clone, Debug)]
-pub struct InstrCost {
-    /// `"<index>:<mnemonic>@<ell>"`.
-    pub label: String,
-    /// Modeled compute + DRAM cost.
-    pub cost: Cost,
-    /// Modeled whole-limb forward NTT transforms.
-    pub ntt_fwd: u64,
-    /// Modeled whole-limb inverse NTT transforms.
-    pub ntt_inv: u64,
-}
-
 /// Modeled price of a whole program: the fold of the per-primitive costs
 /// over the instruction stream, including the executor's on-the-fly
 /// encodes of `PtMult` operands (each one `ell` forward limb NTTs; a
@@ -896,39 +883,15 @@ pub struct InstrCost {
 /// and are priced as pre-encoded).
 #[derive(Clone, Debug, Default)]
 pub struct ProgramCost {
-    /// Total modeled cost.
+    /// Total modeled cost, transforms included.
     pub cost: Cost,
-    /// Total modeled forward transforms.
+    /// A copy of `cost.ntt_fwd`, kept only because the benchmark harness
+    /// (`benchmark/src/probes.rs`) reads this field.
     pub ntt_fwd: u64,
-    /// Total modeled inverse transforms.
+    /// A copy of `cost.ntt_inv`, kept for the same reader.
     pub ntt_inv: u64,
-    /// Forward limb NTTs spent encoding `PtMult` operands on the fly
-    /// (already included in `cost`/`ntt_fwd`; reported for visibility).
-    pub encode_limb_ntts: u64,
-    /// Per-instruction breakdown.
-    pub per_instr: Vec<InstrCost>,
-}
-
-/// Transform counts of a full key switch at `ell` limbs: β digit ModUps
-/// plus two ModDowns. (This and the three helpers below are also what the
-/// `validate` binary composes its modeled rows from.)
-pub fn keyswitch_transforms(m: &CostModel, ell: usize) -> (u64, u64) {
-    let (fwd, inv) = modup_transforms(m, ell);
-    let (f, i) = m.mod_down_transforms(ell, m.params.special_limbs());
-    (fwd + 2 * f, inv + 2 * i)
-}
-
-/// ModUp-only transform counts (the `Decomp` + raise phase). A digit the
-/// level leaves empty (the model's `β` counts one where `ℓ ≤ (β−1)·α`)
-/// raises nothing.
-pub fn modup_transforms(m: &CostModel, ell: usize) -> (u64, u64) {
-    let (mut fwd, mut inv) = (0, 0);
-    for width in digit_widths(m, ell) {
-        let (f, i) = m.mod_up_transforms(ell, width);
-        fwd += f;
-        inv += i;
-    }
-    (fwd, inv)
+    /// Per-instruction breakdown, one entry per instruction.
+    pub per_instr: Vec<Cost>,
 }
 
 /// The non-empty digits at `ell` limbs.
@@ -948,56 +911,6 @@ pub fn modup_cost(m: &CostModel, ell: usize) -> Cost {
     c
 }
 
-/// Transform counts of `Mult` as the library runs it (ModDown merge): the
-/// `ModUp` of `d_2`, then one `ModDown` per component over
-/// `{q_{ℓ-1}} ∪ P`.
-pub fn mult_transforms(m: &CostModel, ell: usize) -> (u64, u64) {
-    let (fwd, inv) = modup_transforms(m, ell);
-    let (f, i) = m.mod_down_transforms(ell - 1, m.params.special_limbs() + 1);
-    (fwd + 2 * f, inv + 2 * i)
-}
-
-/// Transform counts of the double-hoisted BSGS schedule, exact for any
-/// diagonal set: one `ModUp` if any baby step is non-zero; per non-zero
-/// giant group a `ModUp` for the giant key switch, preceded by a `ModDown`
-/// pair when the group's inner sum has a raised part; and one `ModDown`
-/// pair merged with the rescale — or, for diagonal 0 alone, which never
-/// leaves the base basis, a plain `Rescale`. Baby steps themselves
-/// transform nothing, and the diagonals are pre-encoded.
-pub fn bsgs_transforms(m: &CostModel, ell: usize, s: &BsgsSchedule) -> (u64, u64) {
-    if !s.raised() {
-        return m.rescale_transforms(ell);
-    }
-    let k = m.params.special_limbs();
-    let (up_f, up_i) = modup_transforms(m, ell);
-    let (down_f, down_i) = m.mod_down_transforms(ell, k);
-    let (last_f, last_i) = m.mod_down_transforms(ell - 1, k + 1);
-    let ups = u64::from(!s.babies.is_empty()) + s.giants().count() as u64;
-    let downs = 2 * s.giants().filter(|g| g.rotated > 0).count() as u64;
-    (
-        ups * up_f + downs * down_f + 2 * last_f,
-        ups * up_i + downs * down_i + 2 * last_i,
-    )
-}
-
-/// Transform counts of a folded ladder as `rotate_fold` runs it: per stage
-/// that rotates anything one `ModUp` and one `ModDown` (the summed `u`
-/// side), and one `ModDown` of the raised `c0` when the ladder ends.
-pub fn fold_transforms(m: &CostModel, ell: usize, stages: &[Vec<i64>]) -> (u64, u64) {
-    if stages.is_empty() {
-        return (0, 0);
-    }
-    let slots = m.params.slots() as usize;
-    let (up_f, up_i) = modup_transforms(m, ell);
-    let (down_f, down_i) = m.mod_down_transforms(ell, m.params.special_limbs());
-    let rotating = |stage: &&Vec<i64>| stage.iter().any(|&s| rotates(s, slots));
-    let raised = stages.iter().filter(rotating).count() as u64;
-    (
-        raised * (up_f + down_f) + down_f,
-        raised * (up_i + down_i) + down_i,
-    )
-}
-
 impl CostModel {
     /// Prices a validated program by folding the per-primitive costs of
     /// Table 2 over the instruction stream — exactly the schedule the
@@ -1012,11 +925,10 @@ impl CostModel {
         let n = self.params.degree();
         let limb = self.params.limb_bytes();
         // One operand encoded on the fly at `ell` limbs.
-        let encode = |ell: usize| -> (Cost, u64) {
-            let transforms = ell as u64;
-            let mut c = self.ntt_limb_ops() * transforms;
-            c.pt_read += transforms * limb;
-            (c, transforms)
+        let encode = |ell: usize| -> Cost {
+            let mut c = self.ntt_limb_ops() * ell as u64;
+            c.pt_read += ell as u64 * limb;
+            c
         };
         let mats: BTreeMap<&str, &MatDecl> = program
             .matrices
@@ -1024,25 +936,11 @@ impl CostModel {
             .map(|d| (d.name.as_str(), d))
             .collect();
         let mut total = ProgramCost::default();
-        for (idx, (instr, meta)) in program.instrs.iter().zip(&info.instrs).enumerate() {
+        for (instr, meta) in program.instrs.iter().zip(&info.instrs) {
             let ell = meta.ell;
             let mut cost = Cost::ZERO;
-            let (mut fwd, mut inv) = (0u64, 0u64);
-            let add_t =
-                |c: &mut Cost, extra: Cost, (f, i): (u64, u64), fwd: &mut u64, inv: &mut u64| {
-                    *c += extra;
-                    *fwd += f;
-                    *inv += i;
-                };
             if let FoldRole::Leader(ladder) = meta.fold {
-                let stages = &info.ladders[ladder].stages;
-                add_t(
-                    &mut cost,
-                    self.rotate_fold(ell, stages),
-                    fold_transforms(self, ell, stages),
-                    &mut fwd,
-                    &mut inv,
-                );
+                cost += self.rotate_fold(ell, &info.ladders[ladder].stages);
             }
             match instr {
                 // A folded ladder is charged whole, above, to its leader.
@@ -1051,11 +949,7 @@ impl CostModel {
                 Instr::PtMult { .. } => {
                     // On-the-fly encode of the plaintext operand, then the
                     // pointwise product (no rescale).
-                    let (c, f) = encode(ell);
-                    cost += c;
-                    fwd += f;
-                    total.encode_limb_ntts += f;
-                    cost += self.pt_mult_no_rescale(ell);
+                    cost += encode(ell) + self.pt_mult_no_rescale(ell);
                 }
                 Instr::MulConst { .. } => cost += self.pt_mult_no_rescale(ell),
                 Instr::AddConst { .. } => {
@@ -1067,64 +961,23 @@ impl CostModel {
                         ..Cost::ZERO
                     };
                 }
-                Instr::Mult { .. } => {
-                    add_t(
-                        &mut cost,
-                        self.mult_merged(ell),
-                        mult_transforms(self, ell),
-                        &mut fwd,
-                        &mut inv,
-                    );
-                }
+                Instr::Mult { .. } => cost += self.mult_merged(ell),
                 Instr::Rotate { steps, .. } => {
                     if *steps != 0 {
-                        match meta.hoist {
-                            HoistRole::Single => {
-                                add_t(
-                                    &mut cost,
-                                    self.rotate(ell),
-                                    keyswitch_transforms(self, ell),
-                                    &mut fwd,
-                                    &mut inv,
-                                );
-                            }
+                        cost += match meta.hoist {
+                            HoistRole::Single => self.rotate(ell),
                             HoistRole::Leader(_) => {
-                                add_t(
-                                    &mut cost,
-                                    modup_cost(self, ell),
-                                    modup_transforms(self, ell),
-                                    &mut fwd,
-                                    &mut inv,
-                                );
-                                let (c, t) = self.hoisted_member_cost(ell);
-                                add_t(&mut cost, c, t, &mut fwd, &mut inv);
+                                modup_cost(self, ell) + self.hoisted_member_cost(ell)
                             }
-                            HoistRole::Follower => {
-                                let (c, t) = self.hoisted_member_cost(ell);
-                                add_t(&mut cost, c, t, &mut fwd, &mut inv);
-                            }
-                        }
+                            HoistRole::Follower => self.hoisted_member_cost(ell),
+                        };
                     }
                 }
-                Instr::Rescale { .. } => {
-                    add_t(
-                        &mut cost,
-                        self.rescale(ell),
-                        self.rescale_transforms(ell),
-                        &mut fwd,
-                        &mut inv,
-                    );
-                }
+                Instr::Rescale { .. } => cost += self.rescale(ell),
                 Instr::BsgsMatVec { mat, .. } => {
                     let offsets = &mats[mat.as_str()].offsets;
                     let schedule = BsgsSchedule::of(offsets, bsgs_baby_dim(offsets.len()));
-                    add_t(
-                        &mut cost,
-                        self.matvec_bsgs_double_hoisted(ell, &schedule),
-                        bsgs_transforms(self, ell, &schedule),
-                        &mut fwd,
-                        &mut inv,
-                    );
+                    cost += self.matvec_bsgs_double_hoisted(ell, &schedule);
                 }
                 Instr::Bootstrap { .. } => {
                     // The bootstrap pipeline needs a chain deeper than its
@@ -1138,15 +991,10 @@ impl CostModel {
                 }
             }
             total.cost += cost;
-            total.ntt_fwd += fwd;
-            total.ntt_inv += inv;
-            total.per_instr.push(InstrCost {
-                label: format!("{idx}:{}@{ell}", instr.name()),
-                cost,
-                ntt_fwd: fwd,
-                ntt_inv: inv,
-            });
+            total.per_instr.push(cost);
         }
+        total.ntt_fwd = total.cost.ntt_fwd;
+        total.ntt_inv = total.cost.ntt_inv;
         total
     }
 
@@ -1154,21 +1002,19 @@ impl CostModel {
     /// (fused, compute-free), the KSK inner product, the ModDown pair,
     /// and the final `σ(c0)` addition — everything in `rotate` except the
     /// shared Decomp+ModUp.
-    fn hoisted_member_cost(&self, ell: usize) -> (Cost, (u64, u64)) {
+    fn hoisted_member_cost(&self, ell: usize) -> Cost {
         let n = self.params.degree();
         let limb = self.params.limb_bytes();
         let beta = self.params.beta_at(ell);
         let mut c = self.automorph(ell, false);
         c += self.ksk_inner_product(ell, beta, true, true);
         c += self.mod_down(ell, self.params.special_limbs()) * 2;
-        c += Cost {
+        c + Cost {
             adds: n * ell as u64,
             ct_read: 2 * ell as u64 * limb,
             ct_write: ell as u64 * limb,
             ..Cost::ZERO
-        };
-        let (f, i) = self.mod_down_transforms(ell, self.params.special_limbs());
-        (c, (2 * f, 2 * i))
+        }
     }
 
     /// A rotate-and-add ladder run as the library's `rotate_fold` runs it,
@@ -1988,11 +1834,10 @@ mod tests {
         assert_eq!(stages.len(), 7);
         // Seven stages: 7·(ModUp + ModDown) + ModDown, where thirteen lone
         // rotations make 13·(ModUp + 2 ModDown).
+        let transforms = |c: Cost| c.ntt_fwd + c.ntt_inv;
         for (ell, fold, lone) in [(7, 7 * (30 + 10) + 10, 50), (3, 7 * (6 + 6) + 6, 18)] {
-            let (f, i) = fold_transforms(&m, ell, &stages);
-            assert_eq!(f + i, fold, "ℓ = {ell}");
-            let (f, i) = keyswitch_transforms(&m, ell);
-            assert_eq!(f + i, lone, "ℓ = {ell}");
+            assert_eq!(transforms(m.rotate_fold(ell, &stages)), fold, "ℓ = {ell}");
+            assert_eq!(transforms(m.keyswitch(ell)), lone, "ℓ = {ell}");
         }
         // Three key reads per paired stage, one for the odd rung: 19 where
         // the rungs read 13 — and far fewer operations.
@@ -2004,8 +1849,13 @@ mod tests {
         assert!(fold.ops() < rung.ops() * 13 * 2 / 3);
         // A stage that rotates nothing raises nothing.
         let whole = vec![vec![1 << 13]];
-        assert_eq!(fold_transforms(&m, 7, &whole), m.mod_down_transforms(7, 3));
-        assert_eq!(m.rotate_fold(7, &whole).key_read, 0);
+        let whole_fold = m.rotate_fold(7, &whole);
+        let down = m.mod_down(7, 3);
+        assert_eq!(
+            (whole_fold.ntt_fwd, whole_fold.ntt_inv),
+            (down.ntt_fwd, down.ntt_inv)
+        );
+        assert_eq!(whole_fold.key_read, 0);
         // In a program the whole fold is charged to the ladder's first
         // `Rotate`, and the total is the rows' sum.
         let p = Program {
@@ -2030,9 +1880,9 @@ mod tests {
             .all(|s| info.manifest.galois_steps.contains(s)));
         assert_eq!(info.manifest.galois_steps.len(), 13 + 6);
         let priced = m.program_cost(&p, &info);
-        assert_eq!(priced.ntt_fwd + priced.ntt_inv, 290);
-        assert_eq!(priced.per_instr[0].cost, fold);
-        assert!(priced.per_instr[1..].iter().all(|r| r.cost == Cost::ZERO));
+        assert_eq!(transforms(priced.cost), 290);
+        assert_eq!(priced.per_instr[0], fold);
+        assert!(priced.per_instr[1..].iter().all(|&r| r == Cost::ZERO));
         assert_eq!(priced.cost, fold);
     }
 
@@ -2117,15 +1967,13 @@ mod tests {
         let priced = m.program_cost(&p, &info);
         assert_eq!(priced.per_instr.len(), p.instrs.len());
         // The fold equals the sum of the per-instruction rows.
-        let sum: Cost = priced.per_instr.iter().map(|r| r.cost).sum();
-        assert_eq!(sum.ops(), priced.cost.ops());
+        let sum: Cost = priced.per_instr.iter().copied().sum();
+        assert_eq!(sum, priced.cost);
+        assert_eq!((priced.ntt_fwd, priced.ntt_inv), (sum.ntt_fwd, sum.ntt_inv));
         // A hoisted pair prices strictly below two standalone rotates.
         let two_rotates = m.rotate(4) * 2;
-        let pair: Cost = priced.per_instr[1..3].iter().map(|r| r.cost).sum();
+        let pair: Cost = priced.per_instr[1..3].iter().copied().sum();
         assert!(pair.ops() < two_rotates.ops(), "hoisting must save compute");
-        // Only `PtMult` operands are encoded per run, and there is none:
-        // the BSGS diagonals are priced pre-encoded.
-        assert_eq!(priced.encode_limb_ntts, 0);
         // The price is the executor's schedule, not the configuration's:
         // the paper's algorithmic options move nothing.
         let all_on = MadConfig {
@@ -2134,8 +1982,8 @@ mod tests {
         };
         let repriced = CostModel::new(params, all_on).program_cost(&p, &info);
         assert_eq!(
-            (repriced.ntt_fwd, repriced.ntt_inv),
-            (priced.ntt_fwd, priced.ntt_inv)
+            (repriced.cost.ntt_fwd, repriced.cost.ntt_inv),
+            (priced.cost.ntt_fwd, priced.cost.ntt_inv)
         );
         assert_eq!(repriced.cost.ops(), priced.cost.ops());
         // Bootstrap prices through the model's pipeline on a chain deep
@@ -2168,7 +2016,11 @@ mod tests {
             },
             m.config,
         );
-        assert!(deep.program_cost(&pb, &info_b).cost.ops() > 0);
-        assert_eq!(m.program_cost(&pb, &info_b).cost.ops(), 0);
+        let boot = deep.program_cost(&pb, &info_b).cost;
+        assert!(boot.ops() > 0);
+        // Its transforms are the ones its priced ops contain.
+        assert_eq!(boot, deep.bootstrap_from(2).cost);
+        assert_eq!((boot.ntt_fwd, boot.ntt_inv), (6937, 3031));
+        assert_eq!(m.program_cost(&pb, &info_b).cost, Cost::ZERO);
     }
 }

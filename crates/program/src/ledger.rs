@@ -2,7 +2,7 @@
 //! application kernels and the three program-IR workloads, each executed
 //! **once** in the functional `ckks` crate and checked against one modeled
 //! [`Cost`] — modular ops *and* DRAM bytes, the two columns SimFHE prices
-//! per primitive.
+//! per primitive, plus the limb transforms the same `Cost` carries.
 //!
 //! [`run`] builds one context, one key set and one set of inputs, starts a
 //! memory trace, and runs each row inside its own top-level telemetry span
@@ -36,10 +36,7 @@ use fhe_math::telemetry::{self, OperandClass, Snapshot, TraceRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simfhe::matvec::BsgsSchedule;
-use simfhe::program::{
-    bsgs_transforms, fold_transforms, keyswitch_transforms, ladder_stages, modup_cost,
-    modup_transforms, mult_transforms, ProgramEnv,
-};
+use simfhe::program::{ladder_stages, modup_cost, ProgramEnv};
 use simfhe::trace::{
     replay, split_top_level, CacheConfig, ReplayStats, SweepRow, TraceClass, TraceEvent,
 };
@@ -97,36 +94,6 @@ fn model(caching: CachingLevel) -> CostModel {
     )
 }
 
-/// A row's modeled cost (ops and bytes) plus its whole-limb transform
-/// counts, composed op by op the way the measured row executes.
-#[derive(Clone, Copy)]
-struct Modeled {
-    cost: Cost,
-    fwd: u64,
-    inv: u64,
-}
-
-/// A transform-free step.
-const NO_TRANSFORMS: (u64, u64) = (0, 0);
-
-impl Modeled {
-    fn of(cost: Cost, (fwd, inv): (u64, u64)) -> Self {
-        Self { cost, fwd, inv }
-    }
-}
-
-impl std::ops::Add for Modeled {
-    type Output = Self;
-
-    fn add(self, next: Self) -> Self {
-        Self {
-            cost: self.cost + next.cost,
-            fwd: self.fwd + next.fwd,
-            inv: self.inv + next.inv,
-        }
-    }
-}
-
 /// Encoding `count` plaintexts at `ell` limbs inside a measured region:
 /// the analytical model assumes pre-encoded operands, and a
 /// `LinearTransform`'s diagonals are (each transform is applied once
@@ -134,7 +101,7 @@ impl std::ops::Add for Modeled {
 /// code itself — the ResNet micro kernel's bias — is `ell` forward limb
 /// NTTs and materializes one plaintext polynomial that later spills and
 /// reloads.
-fn encodes(m: &CostModel, count: u64, ell: usize) -> Modeled {
+fn encodes(m: &CostModel, count: u64, ell: usize) -> Cost {
     let limbs = count * ell as u64;
     let bytes = limbs * m.params.limb_bytes();
     let traffic = Cost {
@@ -142,7 +109,7 @@ fn encodes(m: &CostModel, count: u64, ell: usize) -> Modeled {
         pt_read: bytes,
         ..Cost::ZERO
     };
-    Modeled::of(m.ntt_limb_ops() * limbs + traffic, (limbs, 0))
+    m.ntt_limb_ops() * limbs + traffic
 }
 
 /// Where a row's measurements come from.
@@ -161,7 +128,7 @@ struct Row {
     name: &'static str,
     source: Source,
     ops: Snapshot,
-    modeled: Modeled,
+    modeled: Cost,
 }
 
 /// The rows measured so far.
@@ -171,7 +138,7 @@ struct Rows(Vec<Row>);
 impl Rows {
     /// Executes `body` once as row `name`: counters reset, one top-level
     /// span around it.
-    fn run(&mut self, name: &'static str, source: Source, modeled: Modeled, body: impl FnOnce()) {
+    fn run(&mut self, name: &'static str, source: Source, modeled: Cost, body: impl FnOnce()) {
         telemetry::reset();
         {
             let _span = telemetry::span(name);
@@ -187,7 +154,7 @@ impl Rows {
     }
 
     /// Records sub-span `name` of the row that just ran.
-    fn phase(&mut self, name: &'static str, modeled: Modeled) {
+    fn phase(&mut self, name: &'static str, modeled: Cost) {
         let ops = telemetry::span_report(name)
             .unwrap_or_else(|| panic!("span {name} not recorded"))
             .total;
@@ -211,13 +178,13 @@ fn metric(metric: &'static str, measured: u64, modeled: u64) -> MetricCheck {
 /// One row of the report: four gated op metrics, the replayed bytes
 /// (gated for primitives) and the telemetry byte proxies.
 fn check(row: &Row, bytes: Option<ReplayStats>) -> PrimitiveCheck {
-    let (snap, modeled, cost) = (row.ops, row.modeled, row.modeled.cost);
+    let (snap, cost) = (row.ops, row.modeled);
     let mut p = PrimitiveCheck::new(row.name);
     p.metrics = vec![
         metric("mults", snap.mults, cost.executed_mults()),
         metric("adds", snap.adds, cost.executed_adds()),
-        metric("ntt_fwd", snap.ntt_fwd, modeled.fwd),
-        metric("ntt_inv", snap.ntt_inv, modeled.inv),
+        metric("ntt_fwd", snap.ntt_fwd, cost.ntt_fwd),
+        metric("ntt_inv", snap.ntt_inv, cost.ntt_inv),
     ];
     if let Some(s) = bytes {
         let totals = [
@@ -361,37 +328,24 @@ pub fn run() -> Ledger {
     let ell = LEVELS;
     let k = m.params.special_limbs();
     let beta = m.params.beta_at(ell);
-    let mult_at = |ell: usize| Modeled::of(m.mult_merged(ell), mult_transforms(&m, ell));
 
     // --- the schedule: each row exactly once ------------------------------
     use Source::Primitive;
     let mut rows = Rows::default();
     telemetry::trace_start();
 
-    rows.run(
-        "Add",
-        Primitive,
-        Modeled::of(m.add(ell), NO_TRANSFORMS),
-        || evaluator.add(&ct_a, &ct_b).recycle(pool),
-    );
-    rows.run(
-        "PtAdd",
-        Primitive,
-        Modeled::of(m.pt_add(ell), NO_TRANSFORMS),
-        || evaluator.add_plain(&ct_a, &pt_top).recycle(pool),
-    );
-    rows.run(
-        "PtMult",
-        Primitive,
-        Modeled::of(m.pt_mult(ell), m.rescale_transforms(ell)),
-        || evaluator.mul_plain(&ct_a, &pt_top).recycle(pool),
-    );
-    rows.run(
-        "Rescale",
-        Primitive,
-        Modeled::of(m.rescale(ell), m.rescale_transforms(ell)),
-        || evaluator.rescale(&ct_a).recycle(pool),
-    );
+    rows.run("Add", Primitive, m.add(ell), || {
+        evaluator.add(&ct_a, &ct_b).recycle(pool)
+    });
+    rows.run("PtAdd", Primitive, m.pt_add(ell), || {
+        evaluator.add_plain(&ct_a, &pt_top).recycle(pool)
+    });
+    rows.run("PtMult", Primitive, m.pt_mult(ell), || {
+        evaluator.mul_plain(&ct_a, &pt_top).recycle(pool)
+    });
+    rows.run("Rescale", Primitive, m.rescale(ell), || {
+        evaluator.rescale(&ct_a).recycle(pool)
+    });
 
     // PModUp exists precisely to avoid a DRAM round-trip (Algorithm 5):
     // transform-free, one multiply by the lift constant per coefficient of
@@ -404,74 +358,42 @@ pub fn run() -> Ledger {
         ct_read: ell as u64 * m.params.limb_bytes(),
         ..Cost::ZERO
     };
-    rows.run(
-        "PModUp",
-        Primitive,
-        Modeled::of(pmodup, NO_TRANSFORMS),
-        || {
-            fhe_math::poly::pmod_up_with(ct_a.c0(), ctx.raised_basis(ell).clone(), pool)
-                .recycle(pool)
-        },
-    );
+    rows.run("PModUp", Primitive, pmodup, || {
+        fhe_math::poly::pmod_up_with(ct_a.c0(), ctx.raised_basis(ell).clone(), pool).recycle(pool)
+    });
 
     // One full key switch; its nested spans give the three phases.
-    rows.run(
-        "KeySwitch",
-        Primitive,
-        Modeled::of(m.keyswitch(ell), keyswitch_transforms(&m, ell)),
-        || {
-            let (mut v, mut u) = ckks::keyswitch::keyswitch(&ctx, ct_a.c1(), rlk.switching_key());
-            // The raw key-switch outputs are live results (an evaluator
-            // wraps them into a ciphertext); tag them so the replay flushes
-            // them the way the model's `write_output` does.
-            v.set_operand_class(OperandClass::Ciphertext);
-            u.set_operand_class(OperandClass::Ciphertext);
-            v.recycle(pool);
-            u.recycle(pool);
-        },
-    );
-    rows.phase(
-        "ModUp",
-        Modeled::of(modup_cost(&m, ell), modup_transforms(&m, ell)),
-    );
-    rows.phase(
-        "KSKInnerProd",
-        Modeled::of(m.ksk_inner_product(ell, beta, true, true), NO_TRANSFORMS),
-    );
-    let (f, i) = m.mod_down_transforms(ell, k);
-    rows.phase(
-        "ModDown",
-        Modeled::of(m.mod_down(ell, k) * 2, (2 * f, 2 * i)),
-    );
+    rows.run("KeySwitch", Primitive, m.keyswitch(ell), || {
+        let (mut v, mut u) = ckks::keyswitch::keyswitch(&ctx, ct_a.c1(), rlk.switching_key());
+        // The raw key-switch outputs are live results (an evaluator wraps
+        // them into a ciphertext); tag them so the replay flushes them the
+        // way the model's `write_output` does.
+        v.set_operand_class(OperandClass::Ciphertext);
+        u.set_operand_class(OperandClass::Ciphertext);
+        v.recycle(pool);
+        u.recycle(pool);
+    });
+    rows.phase("ModUp", modup_cost(&m, ell));
+    rows.phase("KSKInnerProd", m.ksk_inner_product(ell, beta, true, true));
+    rows.phase("ModDown", m.mod_down(ell, k) * 2);
 
-    rows.run(
-        "Rotate",
-        Primitive,
-        Modeled::of(m.rotate(ell), keyswitch_transforms(&m, ell)),
-        || evaluator.rotate(&ct_a, 1, &gk).recycle(pool),
-    );
+    rows.run("Rotate", Primitive, m.rotate(ell), || {
+        evaluator.rotate(&ct_a, 1, &gk).recycle(pool)
+    });
     // `Mult` is the ModDown-merged sequence (Figure 4c); the standard one
     // (Figure 4a) is the baseline the merge is priced against.
-    rows.run("Mult", Primitive, mult_at(ell), || {
+    rows.run("Mult", Primitive, m.mult_merged(ell), || {
         evaluator.mul(&ct_a, &ct_b, &rlk).recycle(pool)
     });
-    rows.run(
-        "MultStandard",
-        Primitive,
-        Modeled::of(m.mult_standard(ell), keyswitch_transforms(&m, ell))
-            + Modeled::of(Cost::ZERO, m.rescale_transforms(ell)),
-        || evaluator.mul_standard(&ct_a, &ct_b, &rlk).recycle(pool),
-    );
+    rows.run("MultStandard", Primitive, m.mult_standard(ell), || {
+        evaluator.mul_standard(&ct_a, &ct_b, &rlk).recycle(pool)
+    });
 
     // BSGS PtMatVecMult: the double-hoisted schedule of the diagonal set.
     let bsgs_at = |lt: &LinearTransform| {
         let n1 = bsgs_baby_dim(lt.diagonal_count());
         let schedule = BsgsSchedule::of(&lt.offsets(), n1);
-        let modeled = Modeled::of(
-            m.matvec_bsgs_double_hoisted(ell, &schedule),
-            bsgs_transforms(&m, ell, &schedule),
-        );
-        (n1, modeled)
+        (n1, m.matvec_bsgs_double_hoisted(ell, &schedule))
     };
     let (n1, modeled) = bsgs_at(&lt3);
     rows.run("BsgsMatVec", Primitive, modeled, || {
@@ -482,13 +404,7 @@ pub fn run() -> Ledger {
     // {1, 2, 3} and the odd rung {4}, `c0` raised from the first to the
     // last.
     let stages = ladder_stages(&[1, 2, 4], slots);
-    let fold_at = |ell: usize| {
-        Modeled::of(
-            m.rotate_fold(ell, &stages),
-            fold_transforms(&m, ell, &stages),
-        )
-    };
-    rows.run("RotateFold", Primitive, fold_at(ell), || {
+    rows.run("RotateFold", Primitive, m.rotate_fold(ell, &stages), || {
         rotate_fold(&evaluator, &ct_a, &stages, &gk).recycle(pool)
     });
 
@@ -497,11 +413,11 @@ pub fn run() -> Ledger {
     // rotate-and-add fold over 8 slots (the ladder above, one level down),
     // a squaring for the sigmoid polynomial, a plaintext scaling, and the
     // weight update add.
-    let modeled = mult_at(ell)
-        + fold_at(ell - 1)
-        + mult_at(ell - 1)
-        + Modeled::of(m.pt_mult(ell - 2), m.rescale_transforms(ell - 2))
-        + Modeled::of(m.add(ell - 3), NO_TRANSFORMS);
+    let modeled = m.mult_merged(ell)
+        + m.rotate_fold(ell - 1, &stages)
+        + m.mult_merged(ell - 1)
+        + m.pt_mult(ell - 2)
+        + m.add(ell - 3);
     rows.run("HelrMicro", Primitive, modeled, || {
         let prod = evaluator.mul(&ct_a, &ct_b, &rlk);
         let folded = evaluator.sum_slots(&prod, 3, &gk);
@@ -514,10 +430,7 @@ pub fn run() -> Ledger {
     // diagonals, the 3×3 kernel footprint of fhe-apps' ResNet-20 layers),
     // a squaring activation proxy, and the bias add.
     let (n1, modeled) = bsgs_at(&lt9);
-    let modeled = modeled
-        + mult_at(ell - 1)
-        + encodes(&m, 1, ell - 2)
-        + Modeled::of(m.pt_add(ell - 2), NO_TRANSFORMS);
+    let modeled = modeled + m.mult_merged(ell - 1) + encodes(&m, 1, ell - 2) + m.pt_add(ell - 2);
     rows.run("ResNetMicro", Primitive, modeled, || {
         let y = apply_bsgs(&evaluator, &encoder, &ct_a, &lt9, &gk, n1);
         let act = evaluator.square(&y, &rlk);
@@ -531,20 +444,15 @@ pub fn run() -> Ledger {
     // `CostModel::program_cost` (the fold of Table-2 primitive costs over
     // the instruction stream) and executed by `execute`.
     for (row, prog, info, prog_gk, inputs) in &programs {
-        let pc = m.program_cost(prog, info);
+        let modeled = m.program_cost(prog, info).cost;
         let keys = ExecKeys {
             relin: Some(rlk.switching_key()),
             galois: Some(prog_gk),
         };
-        rows.run(
-            row,
-            Source::Program,
-            Modeled::of(pc.cost, (pc.ntt_fwd, pc.ntt_inv)),
-            || {
-                execute(&evaluator, &encoder, prog, inputs, keys)
-                    .unwrap_or_else(|e| panic!("{row} fails to execute: {e}"));
-            },
-        );
+        rows.run(row, Source::Program, modeled, || {
+            execute(&evaluator, &encoder, prog, inputs, keys)
+                .unwrap_or_else(|e| panic!("{row} fails to execute: {e}"));
+        });
     }
 
     let events = from_telemetry(&telemetry::trace_stop());

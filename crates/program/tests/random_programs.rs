@@ -11,14 +11,14 @@
 //!    bound for now; deriving it from the validator's level / scale tracking
 //!    is the open half of ROADMAP item 5(a));
 //! 2. `CostModel::program_cost` predicts the run's forward and inverse limb
-//!    transforms *exactly* (`fhe_math::ntt::counters`), on every drawn
-//!    program;
+//!    transforms, modular mults and modular adds *exactly*
+//!    (`fhe_math::telemetry`), on every drawn program;
 //! 3. folding changes nothing but rounding noise: the same program with an
 //!    `AddConst 0.0` spliced between the rungs of each folded ladder (which
 //!    defeats recognition) decrypts to the same slots within
 //!    [`FUSION_NOISE_BOUND`].
 //!
-//! This binary runs in its own process, so the process-global transform
+//! This binary runs in its own process, so the process-global telemetry
 //! counters see only this file's work; the tests run serially via a mutex.
 
 use ckks::hoisting::{fold_stages, rotate_fold, LinearTransform};
@@ -27,7 +27,7 @@ use ckks::{
     KeyGenerator, RelinKey, SecretKey,
 };
 use fhe_math::cfft::Complex;
-use fhe_math::ntt::counters;
+use fhe_math::telemetry;
 use fhe_program::program::{
     ladder_stages, CtDecl, Instr, Ladder, MatDecl, Program, ProgramEnv, ProgramInfo, PtDecl,
 };
@@ -708,11 +708,16 @@ proptest! {
         // The first run encodes each transform's diagonals; the second is
         // what the model prices, and must repeat the first byte for byte.
         let warm = run(&prog, &info, &inputs);
-        counters::reset();
+        telemetry::reset();
         let outputs = run(&prog, &info, &inputs);
-        let counted = (counters::forward_count(), counters::inverse_count());
-        let priced = fixture().model.program_cost(&prog, &info);
-        prop_assert_eq!(counted, (priced.ntt_fwd, priced.ntt_inv), "{:#?}", prog.instrs);
+        let s = telemetry::snapshot();
+        let c = fixture().model.program_cost(&prog, &info).cost;
+        prop_assert_eq!(
+            (s.ntt_fwd, s.ntt_inv, s.mults, s.adds),
+            (c.ntt_fwd, c.ntt_inv, c.executed_mults(), c.executed_adds()),
+            "{:#?}",
+            prog.instrs
+        );
         for (first, second) in warm.iter().zip(&outputs) {
             prop_assert!(first.c0().flat() == second.c0().flat());
             prop_assert!(first.c1().flat() == second.c1().flat());

@@ -16,8 +16,7 @@ use mad::scheme::hoisting::{apply_bsgs, LinearTransform};
 use mad::scheme::keyswitch::{decompose_and_raise, keyswitch};
 use mad::scheme::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use mad::sim::matvec::BsgsSchedule;
-use mad::sim::program::{bsgs_transforms, mult_transforms};
-use mad::sim::{CostModel, MadConfig, SchemeParams};
+use mad::sim::{Cost, CostModel, MadConfig, SchemeParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -62,6 +61,11 @@ fn sim_model() -> CostModel {
     )
 }
 
+/// The whole-limb transforms a modeled cost carries.
+fn transforms(c: Cost) -> (u64, u64) {
+    (c.ntt_fwd, c.ntt_inv)
+}
+
 /// Builds a fresh ciphertext at `ell` limbs with everything precomputed,
 /// returning (context, ciphertext, keygen artifacts) without counting the
 /// setup's NTTs.
@@ -97,17 +101,12 @@ fn mod_up_transform_counts_match_model() {
         let digits = decompose_and_raise(&ctx, ct.c1());
         let fwd = counters::forward_count();
         let inv = counters::inverse_count();
-        // Expected: per functional digit j, the model's ModUp transforms
-        // with that digit's actual width.
-        let (mut want_fwd, mut want_inv) = (0u64, 0u64);
-        for j in 0..digits.len() {
-            let width = ctx.digit_range(ell, j).len();
-            let (f, i) = model.mod_up_transforms(ell, width);
-            want_fwd += f;
-            want_inv += i;
-        }
-        assert_eq!(fwd, want_fwd, "forward NTTs at ℓ = {ell}");
-        assert_eq!(inv, want_inv, "inverse NTTs at ℓ = {ell}");
+        // Expected: per functional digit j, the model's ModUp with that
+        // digit's actual width.
+        let want: Cost = (0..digits.len())
+            .map(|j| model.mod_up_digit(ell, ctx.digit_range(ell, j).len()))
+            .sum();
+        assert_eq!((fwd, inv), transforms(want), "ℓ = {ell}");
     }
 }
 
@@ -119,23 +118,9 @@ fn full_keyswitch_transform_counts_match_model() {
         let model = sim_model();
         counters::reset();
         let _ = keyswitch(&ctx, ct.c1(), rlk.switching_key());
-        let fwd = counters::forward_count();
-        let inv = counters::inverse_count();
-        let k = ctx.p_basis().len();
-        let beta = ctx.params().beta_at(ell);
-        let (mut want_fwd, mut want_inv) = (0u64, 0u64);
-        for j in 0..beta {
-            let width = ctx.digit_range(ell, j).len();
-            let (f, i) = model.mod_up_transforms(ell, width);
-            want_fwd += f;
-            want_inv += i;
-        }
-        // Two ModDowns dropping the k special limbs each.
-        let (f, i) = model.mod_down_transforms(ell, k);
-        want_fwd += 2 * f;
-        want_inv += 2 * i;
-        assert_eq!(fwd, want_fwd, "forward NTTs at ℓ = {ell}");
-        assert_eq!(inv, want_inv, "inverse NTTs at ℓ = {ell}");
+        let measured = (counters::forward_count(), counters::inverse_count());
+        // β digit ModUps and two ModDowns dropping the k special limbs each.
+        assert_eq!(measured, transforms(model.keyswitch(ell)), "ℓ = {ell}");
     }
 }
 
@@ -151,7 +136,8 @@ fn mult_transform_counts_match_model() {
         counters::reset();
         let _ = evaluator.mul(&ct, &ct, &rlk);
         let measured = (counters::forward_count(), counters::inverse_count());
-        assert_eq!(measured, mult_transforms(&sim_model(), ell), "ℓ = {ell}");
+        let modeled = transforms(sim_model().mult_merged(ell));
+        assert_eq!(measured, modeled, "ℓ = {ell}");
     }
 }
 
@@ -203,7 +189,8 @@ fn a_transform_applied_again_encodes_nothing_and_costs_what_the_model_says() {
     for offsets in sets {
         for n1 in [1usize, 2, 4, 8] {
             let lt = transform(offsets);
-            let modeled = bsgs_transforms(&model, LEVELS, &BsgsSchedule::of(offsets, n1));
+            let schedule = BsgsSchedule::of(offsets, n1);
+            let modeled = transforms(model.matvec_bsgs_double_hoisted(LEVELS, &schedule));
             let encodes = offsets.len() as u64 * (LEVELS as u64 + k);
             let apply = || drop(apply_bsgs(&evaluator, &encoder, &ct, &lt, &gk, n1));
             let what = format!("{offsets:?} at n1 = {n1}");
@@ -221,7 +208,8 @@ fn a_transform_applied_again_encodes_nothing_and_costs_what_the_model_says() {
     // or another context replaces it, and coming back pays again.
     let lt = transform(&[0, 1, 2, 3, 4, 5]);
     let price = |ell: usize, n1: usize, warm: bool| {
-        let (f, i) = bsgs_transforms(&model, ell, &BsgsSchedule::of(&lt.offsets(), n1));
+        let schedule = BsgsSchedule::of(&lt.offsets(), n1);
+        let (f, i) = transforms(model.matvec_bsgs_double_hoisted(ell, &schedule));
         (f + if warm { 0 } else { 6 * (ell as u64 + k) }, i)
     };
     let lower = evaluator.drop_to(&ct, LEVELS - 1);
@@ -267,9 +255,8 @@ fn rescale_transform_counts_match_model() {
     counters::reset();
     let _ = poly_rescale(ct.c0());
     let _ = poly_rescale(ct.c1());
-    let (want_fwd, want_inv) = model.rescale_transforms(ell);
-    assert_eq!(counters::forward_count(), want_fwd);
-    assert_eq!(counters::inverse_count(), want_inv);
+    let measured = (counters::forward_count(), counters::inverse_count());
+    assert_eq!(measured, transforms(model.rescale(ell)));
 }
 
 #[test]
