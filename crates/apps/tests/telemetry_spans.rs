@@ -45,9 +45,11 @@ fn encrypted_lr_step_is_measured_and_correct() {
     // One gradient-style step: inner product fold of w·x, then the
     // degree-3 sigmoid's quadratic term via squaring.
     telemetry::reset();
+    telemetry::capture_spans(usize::MAX);
     let prod = evaluator.mul(&ct_x, &ct_w, &rlk);
     let folded = evaluator.sum_slots(&prod, 3, &gk);
     let act = evaluator.square(&folded, &rlk);
+    let spans = telemetry::capture_spans(0);
     let snap = telemetry::snapshot();
 
     // Plaintext reference for the same schedule.
@@ -84,30 +86,40 @@ fn encrypted_lr_step_is_measured_and_correct() {
     // step, one more ModDown when the ladder ends — and no full key switch.
     // The two multiplications run the same three phases (their ModDown is
     // merged with the rescale). Nested phases are attributed inclusively.
-    assert!(telemetry::span_report("KeySwitch").is_none());
-    assert!(telemetry::span_report("Rotate").is_none());
-    let fold = telemetry::span_report("RotateFold").expect("RotateFold span recorded");
-    assert_eq!(fold.calls, 1);
-    let mult = telemetry::span_report("Mult").expect("Mult span recorded");
-    assert_eq!(mult.calls, 2);
-    let modup = telemetry::span_report("ModUp").expect("ModUp span recorded");
-    let inner = telemetry::span_report("KSKInnerProd").expect("inner-product span");
-    let moddown = telemetry::span_report("ModDown").expect("ModDown span recorded");
-    assert_eq!(modup.calls, 2 + 2);
-    assert_eq!(inner.calls, 2 + 4);
-    assert_eq!(moddown.calls, 2 + 3);
-    let phase_mults = modup.total.mults + inner.total.mults + moddown.total.mults;
+    // Per span name: how many closed, and their summed counter deltas.
+    let report = |name: &str| {
+        let mut total = telemetry::Snapshot::default();
+        let calls = spans.iter().filter(|s| s.name == name).fold(0, |n, s| {
+            total.accumulate(&s.ops);
+            n + 1
+        });
+        (calls, total)
+    };
+    assert_eq!(report("KeySwitch").0, 0);
+    assert_eq!(report("Rotate").0, 0);
+    let (fold_calls, fold) = report("RotateFold");
+    assert_eq!(fold_calls, 1);
+    let (mult_calls, mult) = report("Mult");
+    assert_eq!(mult_calls, 2);
+    let (modup_calls, modup) = report("ModUp");
+    let (inner_calls, inner) = report("KSKInnerProd");
+    let (moddown_calls, moddown) = report("ModDown");
+    assert_eq!(modup_calls, 2 + 2);
+    assert_eq!(inner_calls, 2 + 4);
+    assert_eq!(moddown_calls, 2 + 3);
+    let phase_mults = modup.mults + inner.mults + moddown.mults;
     assert!(
-        phase_mults <= fold.total.mults + mult.total.mults,
+        phase_mults <= fold.mults + mult.mults,
         "nested phases are included in the enclosing spans"
     );
     assert!(
-        fold.total.mults + mult.total.mults <= snap.mults,
+        fold.mults + mult.mults <= snap.mults,
         "span totals never exceed the global counters"
     );
 
-    // Reset clears both the counters and the span ledger.
+    // Reset clears the counters; capture, once off, records nothing.
     telemetry::reset();
     assert_eq!(telemetry::snapshot().mults, 0);
-    assert!(telemetry::span_report("RotateFold").is_none());
+    let _ = evaluator.rotate(&ct_x, 1, &gk);
+    assert!(telemetry::capture_spans(0).is_empty());
 }

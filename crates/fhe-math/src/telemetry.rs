@@ -35,30 +35,33 @@
 //!
 //! # Spans
 //!
-//! A [`Span`] snapshots the counters when opened and records the delta
-//! under its name when dropped. Spans are **inclusive**: a nested span's
-//! ops are also attributed to every enclosing span (`KeySwitch` contains
-//! its `ModUp` and `ModDown` children). [`reset`] zeroes the counters and
-//! clears the span table.
+//! A [`Span`] marks a named region of one thread's work. A thread that
+//! wants to read its spans brackets the work with [`capture_spans`]: each
+//! span it opens then leaves one [`SpanTiming`] — its name, when it opened
+//! and closed, and the counter delta over it. Capture is per thread, so
+//! the list holds that thread's spans and nothing another thread opened
+//! meanwhile; no process-global state is switched on, and a span opened
+//! while its thread is not capturing reads neither the clock nor the
+//! counters. Deltas are **inclusive**: a nested span's ops are also in
+//! every enclosing span's (`KeySwitch` contains its `ModUp` and `ModDown`
+//! children). The counters themselves stay process-global, so a delta
+//! also holds what other threads recorded in the window — the helper
+//! threads of [`crate::parallel`] by design. [`reset`] zeroes the counters;
+//! a span open across it saturates at zero.
 //!
 //! ```
 //! use fhe_math::telemetry;
 //!
 //! telemetry::reset();
+//! telemetry::capture_spans(8);
 //! {
 //!     let _s = telemetry::span("demo");
 //!     telemetry::record_ops(10, 20);
 //! }
-//! let snap = telemetry::snapshot();
-//! assert_eq!(snap.mults, 10);
-//! assert_eq!(telemetry::spans()[0].total.adds, 20);
+//! let spans = telemetry::capture_spans(0);
+//! assert_eq!(telemetry::snapshot().mults, 10);
+//! assert_eq!((spans[0].name, spans[0].ops.adds), ("demo", 20));
 //! ```
-//!
-//! A thread that wants the *times* of the spans it runs — the serving
-//! runtime's workers, one request at a time — brackets the work with
-//! [`capture_spans`]: capture is per thread, so a timeline holds that
-//! thread's spans and nothing another thread ran meanwhile, and no
-//! process-global state is switched on.
 //!
 //! # Memory-access tracing
 //!
@@ -83,7 +86,6 @@
 //! trace-event JSON for Perfetto.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -264,9 +266,6 @@ static SCRATCH_LEASES: AtomicU64 = AtomicU64::new(0);
 static SCRATCH_BYTES: AtomicU64 = AtomicU64::new(0);
 static KEY_EXPANSIONS: AtomicU64 = AtomicU64::new(0);
 static KEY_EXPANSION_BYTES: AtomicU64 = AtomicU64::new(0);
-
-/// Aggregated span deltas keyed by span name.
-static SPANS: Mutex<BTreeMap<&'static str, (u64, Snapshot)>> = Mutex::new(BTreeMap::new());
 
 /// Monotonic operand-id source (0 is reserved as "untagged").
 static NEXT_OPERAND_ID: AtomicU64 = AtomicU64::new(1);
@@ -458,7 +457,7 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Zeroes every counter and clears the span table.
+/// Zeroes every counter.
 ///
 /// Does **not** touch an in-flight trace; use [`trace_stop`] for that.
 pub fn reset() {
@@ -477,36 +476,9 @@ pub fn reset() {
     ] {
         counter.store(0, Relaxed);
     }
-    SPANS.lock().expect("poisoned").clear();
 }
 
-/// Aggregated measurements for one span name.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpanReport {
-    /// The name passed to [`span`].
-    pub name: &'static str,
-    /// How many spans closed under this name since the last [`reset`].
-    pub calls: u64,
-    /// Summed counter deltas over those spans (inclusive of nested spans).
-    pub total: Snapshot,
-}
-
-/// All spans closed since the last [`reset`], sorted by name.
-pub fn spans() -> Vec<SpanReport> {
-    SPANS
-        .lock()
-        .expect("poisoned")
-        .iter()
-        .map(|(&name, &(calls, total))| SpanReport { name, calls, total })
-        .collect()
-}
-
-/// The aggregate for one span name, if any span closed under it.
-pub fn span_report(name: &str) -> Option<SpanReport> {
-    spans().into_iter().find(|s| s.name == name)
-}
-
-/// When one [`Span`] ran on a thread that was capturing
+/// One [`Span`] that ran on a thread that was capturing
 /// ([`capture_spans`]).
 #[derive(Clone, Copy, Debug)]
 pub struct SpanTiming {
@@ -517,6 +489,9 @@ pub struct SpanTiming {
     /// When it closed (equal to `begin` for a span still open when the
     /// list was taken).
     pub end: Instant,
+    /// The counter delta from open to close, nested spans included (zero
+    /// for a span still open when the list was taken).
+    pub ops: Snapshot,
 }
 
 thread_local! {
@@ -527,26 +502,24 @@ thread_local! {
 
 /// Returns the spans this thread captured since the last call, in the
 /// order they opened, and from now on captures the next `limit` spans the
-/// thread opens (`0` turns capture off). Spans opened past the limit are
-/// counted and aggregated like any other but leave no timing, which bounds
-/// the list whatever runs in between. Call it outside any open span.
+/// thread opens (`0` turns capture off). Spans opened past the limit leave
+/// nothing, which bounds the list whatever runs in between. Call it
+/// outside any open span.
 pub fn capture_spans(limit: usize) -> Vec<SpanTiming> {
     CAPTURE.with(|c| std::mem::replace(&mut *c.borrow_mut(), (limit, Vec::new())).1)
 }
 
-/// An RAII measurement region: snapshots the counters now, records the
-/// delta under `name` when dropped. See the module docs for nesting
+/// An RAII measurement region. While its thread is capturing
+/// ([`capture_spans`]) it leaves a [`SpanTiming`] with its counter delta;
+/// while a trace is active it emits [`TraceRecord::SpanBegin`]/
+/// [`TraceRecord::SpanEnd`] markers. See the module docs for nesting
 /// semantics.
-///
-/// While a trace is active the span additionally emits
-/// [`TraceRecord::SpanBegin`]/[`TraceRecord::SpanEnd`] markers, and while
-/// its thread is capturing ([`capture_spans`]) it leaves a [`SpanTiming`].
 #[must_use = "a span measures until dropped"]
 pub struct Span {
     name: &'static str,
-    start: Snapshot,
-    /// Index of this span's entry in the thread's capture list.
-    captured: Option<usize>,
+    /// This span's entry in the thread's capture list and the counters
+    /// when it opened.
+    captured: Option<(usize, Snapshot)>,
 }
 
 /// Opens a [`Span`] named `name`.
@@ -563,34 +536,27 @@ pub fn span(name: &'static str) -> Span {
                 name,
                 begin,
                 end: begin,
+                ops: Snapshot::default(),
             });
-            list.len() - 1
+            (list.len() - 1, snapshot())
         })
     });
-    Span {
-        name,
-        start: snapshot(),
-        captured,
-    }
+    Span { name, captured }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let delta = snapshot().delta(&self.start);
-        if let Some(at) = self.captured {
+        if let Some((at, start)) = self.captured {
+            let ops = snapshot().delta(&start);
             // `try_with`: a span dropped during thread teardown finds no
             // list left to write to.
             let _ = CAPTURE.try_with(|c| {
                 if let Some(timing) = c.borrow_mut().1.get_mut(at) {
                     timing.end = Instant::now();
+                    timing.ops = ops;
                 }
             });
         }
-        let mut spans = SPANS.lock().expect("poisoned");
-        let entry = spans.entry(self.name).or_insert((0, Snapshot::default()));
-        entry.0 += 1;
-        entry.1.accumulate(&delta);
-        drop(spans);
         if trace_active() {
             let ts_us = trace_elapsed_us();
             push_trace(TraceRecord::SpanEnd {

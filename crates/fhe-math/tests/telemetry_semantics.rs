@@ -15,10 +15,8 @@ use fhe_math::{NttTable, ScratchPool};
 fn counter_and_span_semantics() {
     // --- reset() zeroes everything -------------------------------------
     telemetry::record_ops(3, 4);
-    let _ = telemetry::span("stale");
     telemetry::reset();
     assert_eq!(telemetry::snapshot(), telemetry::Snapshot::default());
-    assert!(telemetry::spans().is_empty());
 
     // --- bulk recording feeds the matching counters --------------------
     telemetry::record_ops(10, 20);
@@ -59,8 +57,10 @@ fn counter_and_span_semantics() {
     assert_eq!(snap.scratch_leases, 2);
     assert_eq!(snap.scratch_lease_bytes, 8 * (128 + 64));
 
-    // --- spans: delta capture and aggregation by name ------------------
+    // --- spans: a capturing thread reads each span's delta ------------
     telemetry::reset();
+    drop(telemetry::span("uncaptured"));
+    assert!(telemetry::capture_spans(8).is_empty(), "capture starts off");
     {
         let _s = telemetry::span("phase");
         telemetry::record_ops(7, 0);
@@ -69,11 +69,9 @@ fn counter_and_span_semantics() {
         let _s = telemetry::span("phase");
         telemetry::record_ops(5, 1);
     }
-    let report = telemetry::span_report("phase").expect("span recorded");
-    assert_eq!(report.calls, 2);
-    assert_eq!(report.total.mults, 12);
-    assert_eq!(report.total.adds, 1);
-    assert!(telemetry::span_report("absent").is_none());
+    let spans = telemetry::capture_spans(8);
+    let ops: Vec<_> = spans.iter().map(|s| (s.name, s.ops.mults, s.ops.adds)).collect();
+    assert_eq!(ops, [("phase", 7, 0), ("phase", 5, 1)]);
 
     // --- nesting is inclusive: inner ops count toward the outer span ---
     telemetry::reset();
@@ -86,10 +84,11 @@ fn counter_and_span_semantics() {
         }
         telemetry::record_ops(4, 0);
     }
-    let outer = telemetry::span_report("outer").unwrap();
-    let inner = telemetry::span_report("inner").unwrap();
-    assert_eq!(inner.total.mults, 2, "inner sees only its own window");
-    assert_eq!(outer.total.mults, 7, "outer includes the nested span");
+    let spans = telemetry::capture_spans(8);
+    let (outer, inner) = (spans[0], spans[1]);
+    assert_eq!((outer.name, inner.name), ("outer", "inner"));
+    assert_eq!(inner.ops.mults, 2, "inner sees only its own window");
+    assert_eq!(outer.ops.mults, 7, "outer includes the nested span");
 
     // --- a reset between a span's open and close must not panic --------
     telemetry::reset();
@@ -98,6 +97,7 @@ fn counter_and_span_semantics() {
         telemetry::record_ops(9, 9);
         telemetry::reset();
     }
-    let report = telemetry::span_report("crosses-reset").unwrap();
-    assert_eq!(report.total.mults, 0, "delta saturates after reset");
+    let spans = telemetry::capture_spans(0);
+    assert_eq!(spans[0].name, "crosses-reset");
+    assert_eq!(spans[0].ops.mults, 0, "delta saturates after reset");
 }

@@ -7,8 +7,9 @@
 //! [`run`] builds one context, one key set and one set of inputs, starts a
 //! memory trace, and runs each row inside its own top-level telemetry span
 //! with the counters reset at the row's start. A row's op counts are the
-//! counters when its span closes (`ModUp` / `KSKInnerProd` / `ModDown` are
-//! the `KeySwitch` row's sub-spans); its DRAM bytes are its trace segment
+//! counters when its span closes; the `KeySwitch` row's `ModUp` /
+//! `KSKInnerProd` / `ModDown` sub-spans are read from the thread's span
+//! capture (`telemetry::capture_spans`). Its DRAM bytes are its trace segment
 //! replayed through [`simfhe::trace`] at [`gate_config`]. The `validate`
 //! binary gates the report against the committed [`TOLERANCES`].
 //!
@@ -32,7 +33,7 @@ use crate::{execute, workloads, ExecInputs, ExecKeys};
 use ckks::hoisting::{apply_bsgs, rotate_fold, LinearTransform};
 use ckks::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
-use fhe_math::telemetry::{self, OperandClass, Snapshot, TraceRecord};
+use fhe_math::telemetry::{self, OperandClass, Snapshot, SpanTiming, TraceRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simfhe::matvec::BsgsSchedule;
@@ -131,21 +132,26 @@ struct Row {
     modeled: Cost,
 }
 
-/// The rows measured so far.
+/// The rows measured so far, and the spans the last one opened.
 #[derive(Default)]
-struct Rows(Vec<Row>);
+struct Rows {
+    rows: Vec<Row>,
+    spans: Vec<SpanTiming>,
+}
 
 impl Rows {
     /// Executes `body` once as row `name`: counters reset, one top-level
-    /// span around it.
+    /// span around it, every span it opens captured.
     fn run(&mut self, name: &'static str, source: Source, modeled: Cost, body: impl FnOnce()) {
         telemetry::reset();
+        telemetry::capture_spans(usize::MAX);
         {
             let _span = telemetry::span(name);
             body();
         }
+        self.spans = telemetry::capture_spans(0);
         let ops = telemetry::snapshot();
-        self.0.push(Row {
+        self.rows.push(Row {
             name,
             source,
             ops,
@@ -153,12 +159,15 @@ impl Rows {
         });
     }
 
-    /// Records sub-span `name` of the row that just ran.
+    /// Records sub-span `name` of the row that just ran: the summed
+    /// deltas of every span it opened under that name.
     fn phase(&mut self, name: &'static str, modeled: Cost) {
-        let ops = telemetry::span_report(name)
-            .unwrap_or_else(|| panic!("span {name} not recorded"))
-            .total;
-        self.0.push(Row {
+        let mut ops = None::<Snapshot>;
+        for s in self.spans.iter().filter(|s| s.name == name) {
+            ops.get_or_insert_default().accumulate(&s.ops);
+        }
+        let ops = ops.unwrap_or_else(|| panic!("span {name} not recorded"));
+        self.rows.push(Row {
             name,
             source: Source::Phase,
             ops,
@@ -478,7 +487,7 @@ pub fn run() -> Ledger {
         .map(|(k, v)| (k.to_string(), v))
         .into(),
         primitives: rows
-            .0
+            .rows
             .iter()
             .map(|row| {
                 let traced = row.source != Source::Phase;

@@ -47,6 +47,10 @@ struct Inner {
     entries: HashMap<(u64, KeyKind), Entry>,
     bytes: u64,
     clock: u64,
+    hits: u64,
+    misses: u64,
+    accesses: u64,
+    evictions: u64,
 }
 
 /// Counters exported by [`KeyCache::stats`].
@@ -89,7 +93,8 @@ impl CacheStats {
 /// A byte-budgeted cache of expanded switching keys, shared by every
 /// worker.
 ///
-/// One mutex guards the whole cache, held across expansion on a miss.
+/// One mutex guards the whole cache — entries, byte ledger and counters
+/// — held across expansion on a miss.
 /// That serializes concurrent misses — a deliberate simplification at
 /// this scale (it also prevents two workers from expanding the same key
 /// twice); a production server would expand outside the lock with a
@@ -97,7 +102,6 @@ impl CacheStats {
 pub struct KeyCache {
     budget_bytes: u64,
     inner: Mutex<Inner>,
-    stats: Mutex<CacheStats>,
 }
 
 impl KeyCache {
@@ -109,8 +113,11 @@ impl KeyCache {
                 entries: HashMap::new(),
                 bytes: 0,
                 clock: 0,
+                hits: 0,
+                misses: 0,
+                accesses: 0,
+                evictions: 0,
             }),
-            stats: Mutex::new(CacheStats::default()),
         }
     }
 
@@ -162,24 +169,20 @@ impl KeyCache {
         pin: bool,
     ) -> Result<Arc<SwitchingKey>, ErrorCode> {
         let mut inner = self.inner.lock().expect("cache poisoned");
+        let inner = &mut *inner;
         inner.clock += 1;
-        let now = inner.clock;
         if let Some(e) = inner.entries.get_mut(&(session, kind)) {
-            e.last_used = now;
-            if pin {
-                e.pins += 1;
-            }
-            let pinned = Self::pinned_count(&inner);
-            let key = inner.entries[&(session, kind)].key.clone();
-            let mut stats = self.stats.lock().expect("stats poisoned");
-            stats.hits += 1;
-            stats.accesses += 1;
-            stats.pinned_keys = pinned;
-            return Ok(key);
+            e.last_used = inner.clock;
+            e.pins += u32::from(pin);
+            inner.hits += 1;
+            inner.accesses += 1;
+            return Ok(e.key.clone());
         }
         // Miss: regenerate the full key from its compressed form. The
         // telemetry counter records the compute-for-memory price paid.
         let key = deserialize_switching_key(ctx, compressed).map_err(|_| ErrorCode::Malformed)?;
+        inner.misses += 1;
+        inner.accesses += 1;
         let bytes = key.size_bytes();
         fhe_math::telemetry::record_key_expansion(bytes);
         let key = Arc::new(key);
@@ -188,24 +191,13 @@ impl KeyCache {
             Entry {
                 key: key.clone(),
                 bytes,
-                last_used: now,
+                last_used: inner.clock,
                 pins: u32::from(pin),
             },
         );
         inner.bytes += bytes;
-        let evicted = self.evict_to_budget(&mut inner, Some((session, kind)));
-        let mut stats = self.stats.lock().expect("stats poisoned");
-        stats.misses += 1;
-        stats.accesses += 1;
-        stats.evictions += evicted;
-        stats.resident_bytes = inner.bytes;
-        stats.resident_keys = inner.entries.len() as u64;
-        stats.pinned_keys = Self::pinned_count(&inner);
+        self.evict_to_budget(inner, Some((session, kind)));
         Ok(key)
-    }
-
-    fn pinned_count(inner: &Inner) -> u64 {
-        inner.entries.values().filter(|e| e.pins > 0).count() as u64
     }
 
     /// Releases one pin on `(session, kind)`. Dropping the last pin makes
@@ -220,20 +212,14 @@ impl KeyCache {
         if let Some(e) = inner.entries.get_mut(&(session, kind)) {
             e.pins = e.pins.saturating_sub(1);
         }
-        let evicted = self.evict_to_budget(&mut inner, Some((session, kind)));
-        let mut stats = self.stats.lock().expect("stats poisoned");
-        stats.evictions += evicted;
-        stats.resident_bytes = inner.bytes;
-        stats.resident_keys = inner.entries.len() as u64;
-        stats.pinned_keys = Self::pinned_count(&inner);
+        self.evict_to_budget(&mut inner, Some((session, kind)));
     }
 
-    /// Evicts unpinned entries (never `keep`) until within budget; returns
-    /// how many were dropped. If the surviving set — `keep` plus anything
+    /// Evicts unpinned entries (never `keep`) until within budget, counting
+    /// each. If the surviving set — `keep` plus anything
     /// pinned — alone exceeds the budget it stays resident (the in-flight
     /// requests need those keys regardless) and everything else goes.
-    fn evict_to_budget(&self, inner: &mut Inner, keep: Option<(u64, KeyKind)>) -> u64 {
-        let mut evicted = 0;
+    fn evict_to_budget(&self, inner: &mut Inner, keep: Option<(u64, KeyKind)>) {
         while inner.bytes > self.budget_bytes {
             let victim = inner
                 .entries
@@ -245,12 +231,11 @@ impl KeyCache {
                 Some(k) => {
                     let e = inner.entries.remove(&k).expect("victim exists");
                     inner.bytes -= e.bytes;
-                    evicted += 1;
+                    inner.evictions += 1;
                 }
                 None => break,
             }
         }
-        evicted
     }
 
     /// Forcibly evicts every resident *unpinned* expansion (a chaos
@@ -266,21 +251,16 @@ impl KeyCache {
         inner.entries.retain(|_, e| e.pins > 0);
         inner.bytes = inner.entries.values().map(|e| e.bytes).sum();
         let dropped = before - inner.entries.len() as u64;
-        let mut stats = self.stats.lock().expect("stats poisoned");
-        stats.evictions += dropped;
-        stats.resident_bytes = inner.bytes;
-        stats.resident_keys = inner.entries.len() as u64;
-        stats.pinned_keys = Self::pinned_count(&inner);
+        inner.evictions += dropped;
         dropped
     }
 
     /// Asserts the cache's internal invariants and returns a consistent
-    /// stats snapshot. Both locks are taken in writer order, so the view
-    /// cannot tear against a concurrent insert, storm, or purge:
+    /// stats snapshot, taken under the one lock, so the view cannot tear
+    /// against a concurrent insert, storm, or purge:
     ///
     /// - the byte ledger equals the sum of resident entry sizes,
-    /// - the stats mirror (`resident_bytes`/`resident_keys`/`pinned_keys`)
-    ///   matches,
+    /// - every lookup counted as exactly one hit or miss,
     /// - the *unpinned* bytes fit the budget, except when a single
     ///   unpinned entry alone exceeds it (the in-flight request needs
     ///   that key regardless). Pinned bytes are exempt: a batch may pin a
@@ -296,25 +276,10 @@ impl KeyCache {
             sum, inner.bytes,
             "byte ledger diverged from resident entries"
         );
-        let stats = *self.stats.lock().expect("stats poisoned");
         assert_eq!(
-            stats.hits + stats.misses,
-            stats.accesses,
+            inner.hits + inner.misses,
+            inner.accesses,
             "lookups must partition into hits and misses"
-        );
-        assert_eq!(
-            stats.resident_bytes, inner.bytes,
-            "stats byte mirror diverged"
-        );
-        assert_eq!(
-            stats.resident_keys,
-            inner.entries.len() as u64,
-            "stats key-count mirror diverged"
-        );
-        assert_eq!(
-            stats.pinned_keys,
-            Self::pinned_count(&inner),
-            "stats pin-count mirror diverged"
         );
         let unpinned: Vec<&Entry> = inner.entries.values().filter(|e| e.pins == 0).collect();
         let unpinned_bytes: u64 = unpinned.iter().map(|e| e.bytes).sum();
@@ -325,7 +290,7 @@ impl KeyCache {
             unpinned_bytes,
             self.budget_bytes
         );
-        stats
+        Self::stats_of(&inner)
     }
 
     /// Drops every expansion belonging to `session` (session close),
@@ -343,15 +308,24 @@ impl KeyCache {
             let e = inner.entries.remove(&k).expect("key exists");
             inner.bytes -= e.bytes;
         }
-        let mut stats = self.stats.lock().expect("stats poisoned");
-        stats.resident_bytes = inner.bytes;
-        stats.resident_keys = inner.entries.len() as u64;
-        stats.pinned_keys = Self::pinned_count(&inner);
     }
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock().expect("stats poisoned")
+        Self::stats_of(&self.inner.lock().expect("cache poisoned"))
+    }
+
+    /// The counters, and the residency gauges derived from the entries.
+    fn stats_of(inner: &Inner) -> CacheStats {
+        CacheStats {
+            hits: inner.hits,
+            misses: inner.misses,
+            accesses: inner.accesses,
+            evictions: inner.evictions,
+            resident_bytes: inner.bytes,
+            resident_keys: inner.entries.len() as u64,
+            pinned_keys: inner.entries.values().filter(|e| e.pins > 0).count() as u64,
+        }
     }
 }
 
@@ -532,9 +506,6 @@ mod tests {
                 );
                 inner.bytes += bytes;
             }
-            let mut stats = cache.stats.lock().unwrap();
-            stats.resident_bytes = inner.bytes;
-            stats.resident_keys = inner.entries.len() as u64;
         }
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.check_invariants();
@@ -554,7 +525,7 @@ mod tests {
         cache
             .get_or_expand(&ctx, 1, KeyKind::Galois(0), &blobs[0])
             .unwrap();
-        cache.stats.lock().unwrap().accesses += 1;
+        cache.inner.lock().unwrap().accesses += 1;
         assert!(
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 cache.check_invariants();

@@ -336,7 +336,7 @@ pub(crate) fn read_ct(
 
 /// Serializes a result ciphertext onto the reply, attributing the time to
 /// the executing request's serialize stage.
-fn ser_ct(ct: &Ciphertext, out: &mut Vec<u8>) {
+pub(crate) fn ser_ct(ct: &Ciphertext, out: &mut Vec<u8>) {
     obs::time_stage(Stage::Serialize, || write_ciphertext(ct, out))
 }
 

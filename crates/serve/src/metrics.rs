@@ -15,35 +15,58 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Number of log2 microsecond buckets. Bucket 0 is the labeled floor:
-/// everything at or below 1 µs (sub-microsecond requests included, not
-/// collapsed into an unlabeled slot). Bucket `i ≥ 1` counts latencies in
-/// `(2^{i-1}, 2^i]` µs, so every bucket's upper bound is its `le` label.
-/// The final slot is an unlabeled overflow (> 2^{BUCKETS-2} µs ≈ 4.2 s)
-/// that only ever surfaces through the `le="+Inf"` line of the dump.
+/// Number of log2 buckets. Bucket 0 is the labeled floor: everything at
+/// or below 1 (sub-microsecond requests included, not collapsed into an
+/// unlabeled slot). Bucket `i ≥ 1` counts values in `(2^{i-1}, 2^i]`, so
+/// every bucket's upper bound is its `le` label. The final slot is an
+/// unlabeled overflow (> 2^{BUCKETS-2} µs ≈ 4.2 s) that only ever surfaces
+/// through the `le="+Inf"` line of the dump.
 const BUCKETS: usize = 24;
 
-/// A log2 latency histogram with total count and sum.
+/// Labeled batch-size buckets in the dump: `le = 1, 2, 4, …, 2^10`; larger
+/// batches surface only through `+Inf`.
+const SIZE_LABELS: usize = 11;
+
+/// What a [`Histogram`] records: a latency, in whole microseconds, or a
+/// count (a batch size).
+pub trait Observation {
+    /// The value recorded.
+    fn value(self) -> u64;
+}
+
+impl Observation for Duration {
+    fn value(self) -> u64 {
+        self.as_micros() as u64
+    }
+}
+
+impl Observation for u64 {
+    fn value(self) -> u64 {
+        self
+    }
+}
+
+/// A log2 histogram with total count and sum.
 #[derive(Default)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
-    sum_us: AtomicU64,
+    sum: AtomicU64,
 }
 
 impl Histogram {
-    /// Records one observation, clamping sub-microsecond durations into
-    /// the labeled `le="1"` floor bucket.
-    pub fn observe(&self, d: Duration) {
-        let us = d.as_micros() as u64;
-        let idx = if us <= 1 {
+    /// Records one observation, clamping sub-microsecond durations (and
+    /// a zero count) into the labeled `le="1"` floor bucket.
+    pub fn observe(&self, v: impl Observation) {
+        let v = v.value();
+        let idx = if v <= 1 {
             0
         } else {
-            (64 - (us - 1).leading_zeros() as usize).min(BUCKETS - 1)
+            (64 - (v - 1).leading_zeros() as usize).min(BUCKETS - 1)
         };
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Observations recorded.
@@ -51,9 +74,9 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of recorded latencies in microseconds.
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
+    /// Sum of observed values (µs, for a latency).
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
     }
 
     /// The `[lo, hi]` µs range bucket `i` covers, with the overflow
@@ -95,15 +118,15 @@ impl Histogram {
     }
 
     /// Emits the cumulative bucket/count/sum sample lines for family
-    /// `name`. `labels` is either empty or a `key="value"` fragment
-    /// spliced before the `le` label.
-    fn dump_into(&self, out: &mut String, name: &str, labels: &str) {
+    /// `name`, the first `buckets` buckets labeled. `labels` is either
+    /// empty or a `key="value"` fragment spliced before the `le` label.
+    fn dump_into(&self, out: &mut String, name: &str, labels: &str, buckets: usize) {
         let sep = if labels.is_empty() { "" } else { "," };
         let mut cumulative = 0;
-        // The last slot is the unlabeled overflow bucket: it is rendered
-        // only through the `+Inf` line below, never with a numeric `le`
-        // it would violate.
-        for (i, b) in self.buckets.iter().take(BUCKETS - 1).enumerate() {
+        // Past the labeled buckets everything is overflow: rendered only
+        // through the `+Inf` line below, never with a numeric `le` it
+        // would violate.
+        for (i, b) in self.buckets.iter().take(buckets).enumerate() {
             let n = b.load(Ordering::Relaxed);
             if n == 0 {
                 continue;
@@ -128,7 +151,7 @@ impl Histogram {
             }
         };
         let _ = writeln!(out, "{name}_count{} {}", braces(labels), self.count());
-        let _ = writeln!(out, "{name}_sum{} {}", braces(labels), self.sum_us());
+        let _ = writeln!(out, "{name}_sum{} {}", braces(labels), self.sum());
     }
 
     /// Emits `p50`/`p95`/`p99` gauge samples for family `name` (empty
@@ -142,59 +165,6 @@ impl Histogram {
             let v = self.quantile(q).expect("non-empty");
             let _ = writeln!(out, "{name}{{{labels}{sep}q=\"{q}\"}} {v:.1}");
         }
-    }
-}
-
-/// Number of pow-2 batch-size buckets: `le = 1, 2, 4, …, 2^10`, plus an
-/// unlabeled overflow rendered only through `+Inf`.
-const SIZE_BUCKETS: usize = 12;
-
-/// A log2 histogram over small counts (batch sizes), mirroring
-/// [`Histogram`]'s cumulative dump format.
-#[derive(Default)]
-pub struct CountHistogram {
-    buckets: [AtomicU64; SIZE_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl CountHistogram {
-    /// Records one observation (`n ≥ 1`; zero clamps to the floor bucket).
-    pub fn observe(&self, n: u64) {
-        let idx = if n <= 1 {
-            0
-        } else {
-            (64 - (n - 1).leading_zeros() as usize).min(SIZE_BUCKETS - 1)
-        };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    fn dump_into(&self, out: &mut String, name: &str) {
-        let mut cumulative = 0;
-        for (i, b) in self.buckets.iter().take(SIZE_BUCKETS - 1).enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            cumulative += n;
-            let le = 1u64 << i;
-            let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-        }
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", self.count());
-        let _ = writeln!(out, "{name}_count {}", self.count());
-        let _ = writeln!(out, "{name}_sum {}", self.sum());
     }
 }
 
@@ -261,7 +231,7 @@ pub struct Metrics {
     /// Requests that travelled inside a batch.
     pub batch_jobs_total: AtomicU64,
     /// Distribution of dispatched batch sizes.
-    pub batch_size: CountHistogram,
+    pub batch_size: Histogram,
     /// Keys pinned in the cache on behalf of a batch (one per key per
     /// batch).
     pub batch_keys_pinned: AtomicU64,
@@ -490,7 +460,8 @@ impl Metrics {
             "Distribution of dispatched batch sizes.",
         );
         if self.batch_size.count() > 0 {
-            self.batch_size.dump_into(&mut out, "serve_batch_size");
+            self.batch_size
+                .dump_into(&mut out, "serve_batch_size", "", SIZE_LABELS);
         }
 
         let (expansions, expansion_bytes) = fhe_math::telemetry::key_expansion_totals();
@@ -522,6 +493,7 @@ impl Metrics {
                     &mut out,
                     "serve_op_latency_us",
                     &format!("op=\"{}\"", op.name()),
+                    BUCKETS - 1,
                 );
             }
         }
@@ -552,6 +524,7 @@ impl Metrics {
                     &mut out,
                     "serve_stage_latency_us",
                     &format!("stage=\"{}\"", s.name()),
+                    BUCKETS - 1,
                 );
             }
         }
@@ -577,7 +550,7 @@ impl Metrics {
         );
         if self.e2e_latency.count() > 0 {
             self.e2e_latency
-                .dump_into(&mut out, "serve_e2e_latency_us", "");
+                .dump_into(&mut out, "serve_e2e_latency_us", "", BUCKETS - 1);
         }
         family(
             &mut out,

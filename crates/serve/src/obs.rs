@@ -7,32 +7,35 @@
 //! Threads stamp stage transitions as they happen:
 //!
 //! ```text
-//! reader (shard loop)              worker                      reader
-//! ───────────────────              ──────                      ──────
-//! parse ─ enqueue ─ [batch hold] ─ pickup ─ decode/key/kernel ─ write
-//!          └──────── queue ────────┘        └── serialize ──┘
+//! reader (shard loop)              worker                           reader
+//! ───────────────────              ──────                           ──────
+//! parse ─ enqueue ─ [batch hold] ─ pickup ─ key ─ decode/kernel ─ write
+//!          └──────── queue ────────┘              └─ serialize ─┘
 //! ```
 //!
 //! The taxonomy ([`Stage`]) partitions end-to-end latency: `queue` is
 //! time waiting for a worker, `batch_hold` the deliberate key-reuse
-//! window (the loop's own scheduler stamps it at release),
-//! `decode`/`key`/`serialize` are measured inside the handler through a
-//! thread-local set for the executing job, `kernel` is the handler
-//! remainder (the FHE math itself), and `write` is the reply flush.
+//! window (the loop's own scheduler stamps it at release), `key` the
+//! group's pin phase before execution, `decode`/`serialize` are measured
+//! inside the execution window through a thread-local set for the
+//! executing jobs, `kernel` is the rest of that window (the FHE math
+//! itself), and `write` is the reply flush.
 //! Finished timelines land in a fixed-size ring (plus a dedicated slot
 //! that always retains the slowest request seen, so a tail outlier can
 //! never be overwritten by later traffic) and, past a configurable
 //! threshold, in a bounded structured slow-request log annotated with
 //! the dominant stage.
 //!
-//! Every request that runs a handler also carries the kernel sub-spans
-//! (`ModUp`, `KSKInnerProd`, `ModDown`, `Mult`, `Prog.<Mnemonic>`…) the math
-//! layer opened on the worker's own thread while it ran: the execution
-//! guard turns on `fhe_math::telemetry`'s per-thread span capture and
-//! moves the list, at most [`MAX_SUBSPANS`] long, into the timeline when
-//! the handler returns. Nothing process-global is switched on and no
-//! other worker's spans can land in the list, so concurrent requests each
-//! get their own.
+//! Every request that runs also carries the kernel sub-spans (`ModUp`,
+//! `KSKInnerProd`, `ModDown`, `Mult`, `Prog.<Mnemonic>`…) the math layer
+//! opened on the worker's own thread while it ran: the execution guard —
+//! the one way a job's execution is stamped — turns on
+//! `fhe_math::telemetry`'s per-thread span capture and moves the list, at
+//! most [`SUBSPAN_CAP`] long, into the timeline when execution ends.
+//! Nothing process-global is switched on and no other worker's spans can
+//! land in the list, so concurrent requests each get their own. Rotations
+//! that share one hoisted decomposition run under one guard: each member
+//! carries the whole fold's window, sub-spans, decode and serialize.
 
 use crate::config::ObsConfig;
 use crate::metrics::Metrics;
@@ -56,11 +59,12 @@ pub enum Stage {
     BatchHold,
     /// Deserializing request payloads (ciphertexts, plaintexts).
     Decode,
-    /// Switching-key access: cache lookup, seeded expansion on miss,
-    /// and this job's share of its batch's pin phase.
+    /// Switching-key access before execution: the group's pin phase
+    /// (cache lookup, seeded expansion on miss), which every member
+    /// waits out in full.
     Key,
-    /// The FHE math itself — handler time not spent in decode, key
-    /// access, or serialization.
+    /// The FHE math itself — execution time not spent in decode or
+    /// serialization.
     Kernel,
     /// Serializing result ciphertexts.
     Serialize,
@@ -130,9 +134,10 @@ impl RequestTrace {
     }
 
     /// Adds a measured duration to `stage` (also used from outside the
-    /// handler: a group's shared pin phase, the reply flush). A stage that
-    /// ran is on the timeline: one that finished inside a microsecond —
-    /// serializing a toy-ring ciphertext does — counts as one, not none.
+    /// execution window: a group's shared pin phase, the reply flush). A
+    /// stage that ran is on the timeline: one that finished inside a
+    /// microsecond — serializing a toy-ring ciphertext does — counts as
+    /// one, not none.
     pub(crate) fn add_stage(&self, stage: Stage, d: Duration) {
         self.stage_us[stage.index()].fetch_add((d.as_micros() as u64).max(1), Relaxed);
     }
@@ -160,16 +165,8 @@ impl RequestTrace {
         self.stage_us[Stage::Queue.index()].fetch_add(now.saturating_sub(from), Relaxed);
     }
 
-    /// Worker-side: handler execution took `dur` and just finished. Set
-    /// directly for jointly-executed batch jobs that never run through
-    /// the per-job execution guard (their decode/key/serialize work is
-    /// shared, so the whole window attributes to the kernel stage).
-    pub(crate) fn set_exec_ending_now(&self, dur: Duration) {
-        let now = self.elapsed_us();
-        let dur_us = dur.as_micros() as u64;
-        self.exec_begin_us
-            .store(now.saturating_sub(dur_us), Relaxed);
-        self.exec_us.store(dur_us, Relaxed);
+    fn since_start(&self, at: Instant) -> u64 {
+        at.duration_since(self.start).as_micros() as u64
     }
 }
 
@@ -210,9 +207,8 @@ pub struct FinishedTrace {
     pub exec_begin_us: u64,
     /// Handler execution time in µs.
     pub exec_us: u64,
-    /// Kernel sub-spans the handler's thread opened, in open order (the
-    /// first [`MAX_SUBSPANS`]; empty for jointly-executed rotations,
-    /// which run outside the per-job guard).
+    /// Kernel sub-spans the executing thread opened, in open order (the
+    /// first [`SUBSPAN_CAP`]).
     pub subspans: Vec<SubSpan>,
 }
 
@@ -307,25 +303,25 @@ impl TraceRing {
 }
 
 thread_local! {
-    /// The trace of the request the current worker thread is executing,
-    /// letting `decode`/`key`/`serialize` helpers attribute their time
-    /// without threading a handle through every handler signature.
-    static CURRENT: RefCell<Option<Arc<RequestTrace>>> = const { RefCell::new(None) };
+    /// The traces of the requests the current worker thread is executing
+    /// (one, or every member of a hoist-shared fold), letting the
+    /// `decode`/`serialize` helpers attribute their time without
+    /// threading a handle through every handler signature. Emptied, not
+    /// freed, when execution ends.
+    static CURRENT: RefCell<Vec<Arc<RequestTrace>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Times `f` against `stage` of the request the current thread is
-/// executing; a plain passthrough when no trace is active.
+/// Times `f` against `stage` of every request the current thread is
+/// executing; a plain passthrough when none is traced.
 pub(crate) fn time_stage<T>(stage: Stage, f: impl FnOnce() -> T) -> T {
-    let trace = CURRENT.with(|c| c.borrow().clone());
-    match trace {
-        None => f(),
-        Some(t) => {
-            let t0 = Instant::now();
-            let r = f();
-            t.add_stage(stage, t0.elapsed());
-            r
-        }
+    if CURRENT.with(|c| c.borrow().is_empty()) {
+        return f();
     }
+    let t0 = Instant::now();
+    let r = f();
+    let d = t0.elapsed();
+    CURRENT.with(|c| c.borrow().iter().for_each(|t| t.add_stage(stage, d)));
+    r
 }
 
 /// The server's tracing state: id source, the ring of finished
@@ -347,7 +343,7 @@ const SLOW_LOG_CAPACITY: usize = 128;
 /// opens): a served rotate opens 3, a mult 6 and a two-feature HELR step
 /// 123, so only a long program is cut, and the ring holds at most
 /// `ring_capacity` times this many whatever is served.
-pub const MAX_SUBSPANS: usize = 256;
+pub const SUBSPAN_CAP: usize = 256;
 
 impl Observer {
     pub(crate) fn new(cfg: ObsConfig) -> Self {
@@ -380,25 +376,31 @@ impl Observer {
         }))
     }
 
-    /// Marks handler execution for `trace` on the current thread:
-    /// stamps the execution window, installs the thread-local for stage
-    /// attribution, and turns on the thread's span capture. Drop the
-    /// guard *before* sending the reply, so the reader can never finish
-    /// a trace mid-update.
-    pub(crate) fn enter_exec(&self, trace: &Arc<RequestTrace>) -> ExecGuard {
+    /// Marks one execution window on the current thread for `traces` —
+    /// one job's, or every member's of a fold that runs once for all of
+    /// them: stamps each one's window, installs them for stage
+    /// attribution, and turns on the thread's span capture. `None` when
+    /// no job is traced. Drop the guard *before* sending the replies, so
+    /// the reader can never finish a trace mid-update.
+    pub(crate) fn enter_exec<'a>(
+        &self,
+        traces: impl IntoIterator<Item = &'a Arc<RequestTrace>>,
+    ) -> Option<ExecGuard> {
         // One reading for both ends of the window, so a sub-span can
         // never end after `exec_begin_us + exec_us`.
         let start = Instant::now();
-        trace.exec_begin_us.store(
-            start.duration_since(trace.start).as_micros() as u64,
-            Relaxed,
-        );
-        CURRENT.with(|c| *c.borrow_mut() = Some(trace.clone()));
-        fhe_math::telemetry::capture_spans(MAX_SUBSPANS);
-        ExecGuard {
-            trace: trace.clone(),
-            start,
-        }
+        let traced = CURRENT.with(|c| {
+            let mut current = c.borrow_mut();
+            for t in traces {
+                t.exec_begin_us.store(t.since_start(start), Relaxed);
+                current.push(t.clone());
+            }
+            !current.is_empty()
+        });
+        traced.then(|| {
+            fhe_math::telemetry::capture_spans(SUBSPAN_CAP);
+            ExecGuard { start }
+        })
     }
 
     /// Commits a finished request: derives the kernel remainder,
@@ -411,13 +413,11 @@ impl Observer {
         for s in Stage::ALL {
             stages[s.index()] = trace.stage_us[s.index()].load(Relaxed);
         }
-        // The kernel stage is the handler remainder: execution time not
-        // attributed to decode, key access, or serialization.
-        stages[Stage::Kernel.index()] = exec_us.saturating_sub(
-            stages[Stage::Decode.index()]
-                + stages[Stage::Key.index()]
-                + stages[Stage::Serialize.index()],
-        );
+        // The kernel stage is the rest of the execution window: time not
+        // attributed to decode or serialization. Key access (the pin
+        // phase) ran before the window opened.
+        stages[Stage::Kernel.index()] = exec_us
+            .saturating_sub(stages[Stage::Decode.index()] + stages[Stage::Serialize.index()]);
         for s in Stage::ALL {
             metrics
                 .stage_latency(s)
@@ -482,28 +482,29 @@ impl Observer {
 
 /// RAII execution marker returned by [`Observer::enter_exec`].
 pub(crate) struct ExecGuard {
-    trace: Arc<RequestTrace>,
     start: Instant,
 }
 
 impl Drop for ExecGuard {
     fn drop(&mut self) {
-        self.trace
-            .exec_us
-            .store(self.start.elapsed().as_micros() as u64, Relaxed);
-        CURRENT.with(|c| *c.borrow_mut() = None);
-        let since_accept = |at: Instant| at.duration_since(self.trace.start).as_micros() as u64;
-        let subspans = fhe_math::telemetry::capture_spans(0)
-            .into_iter()
-            .map(|s| SubSpan {
-                name: s.name,
-                begin_us: since_accept(s.begin),
-                end_us: since_accept(s.end),
-            })
-            .collect();
-        if let Ok(mut slot) = self.trace.subspans.lock() {
-            *slot = subspans;
-        }
+        let exec_us = self.start.elapsed().as_micros() as u64;
+        let spans = fhe_math::telemetry::capture_spans(0);
+        CURRENT.with(|c| {
+            for t in c.borrow_mut().drain(..) {
+                t.exec_us.store(exec_us, Relaxed);
+                let subspans = spans
+                    .iter()
+                    .map(|s| SubSpan {
+                        name: s.name,
+                        begin_us: t.since_start(s.begin),
+                        end_us: t.since_start(s.end),
+                    })
+                    .collect();
+                if let Ok(mut slot) = t.subspans.lock() {
+                    *slot = subspans;
+                }
+            }
+        });
     }
 }
 
@@ -526,8 +527,8 @@ fn json_escape(s: &str) -> String {
 /// Renders timelines as Chrome trace-event JSON, one event per line:
 /// a complete (`"ph": "X"`) slice per request, per attributed stage,
 /// and per kernel sub-span. Stage slices inside the execution window
-/// are an *attribution* view — decode/key/serialize/kernel time drawn
-/// as consecutive slices, since the real intervals interleave. Kernel
+/// are an *attribution* view — decode/kernel/serialize time drawn as
+/// consecutive slices, since the real intervals interleave. Kernel
 /// sub-spans keep their true timestamps and render on a companion
 /// `kernels` track so the two views never violate slice nesting.
 pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
@@ -572,10 +573,10 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
                 tid,
             ),
         );
-        // Wait spans at their true offsets: hold begins at enqueue,
-        // queue follows it (dispatch order on the real timeline).
+        // Pre-execution spans at their true offsets: hold begins at
+        // enqueue, queue follows it, then the group's pin phase.
         let mut cursor = t.start_us + t.enqueued_us;
-        for s in [Stage::BatchHold, Stage::Queue] {
+        for s in [Stage::BatchHold, Stage::Queue, Stage::Key] {
             let dur = t.stage_us(s);
             if dur > 0 {
                 event(&mut out, slice(s.name(), cursor, dur, tid));
@@ -587,7 +588,7 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
             let exec_start = t.start_us + t.exec_begin_us;
             event(&mut out, slice("exec", exec_start, t.exec_us, tid));
             let mut cursor = exec_start;
-            for s in [Stage::Decode, Stage::Key, Stage::Kernel, Stage::Serialize] {
+            for s in [Stage::Decode, Stage::Kernel, Stage::Serialize] {
                 let dur = t
                     .stage_us(s)
                     .min(t.exec_us.saturating_sub(cursor - exec_start));
@@ -703,7 +704,7 @@ mod tests {
         trace.mark_enqueued();
         trace.mark_picked();
         {
-            let _g = obs.enter_exec(&trace);
+            let _g = obs.enter_exec([&trace]);
             trace.add_stage(Stage::Decode, Duration::from_micros(5));
         }
         obs.finish(&metrics, &trace, 0);
@@ -718,6 +719,48 @@ mod tests {
             ..ObsConfig::baseline()
         });
         assert!(off.begin(Opcode::Add, 0).is_none());
+    }
+
+    #[test]
+    fn key_access_before_the_window_leaves_the_kernel_stage_whole() {
+        let metrics = Metrics::new();
+        let obs = Observer::new(ObsConfig::baseline());
+        let trace = obs.begin(Opcode::Rotate, 0).expect("enabled");
+        trace.mark_enqueued();
+        trace.mark_picked();
+        // The group's pin phase runs before the execution window opens.
+        let pin = Instant::now();
+        std::thread::sleep(Duration::from_millis(1));
+        trace.add_stage(Stage::Key, pin.elapsed());
+        {
+            let _g = obs.enter_exec([&trace]);
+            time_stage(Stage::Decode, || std::thread::sleep(Duration::from_micros(100)));
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        obs.finish(&metrics, &trace, 0);
+        let t = &obs.recent()[0];
+        let rest = t.exec_us - t.stage_us(Stage::Decode) - t.stage_us(Stage::Serialize);
+        assert!(t.stage_us(Stage::Key) >= 1_000);
+        assert!(
+            t.stage_us(Stage::Kernel) + 50 >= rest,
+            "kernel {} understates exec − decode − serialize = {rest}",
+            t.stage_us(Stage::Kernel)
+        );
+        // The exported key slice ends before the exec slice begins.
+        let json = chrome_trace_json(&obs.recent());
+        let slice = |name: &str| {
+            let line = json
+                .lines()
+                .find(|l| l.contains(&format!("\"name\": \"{name}\"")))
+                .unwrap_or_else(|| panic!("no {name} slice"));
+            let field = |f: &str| -> u64 {
+                let rest = &line[line.find(f).expect("field") + f.len()..];
+                rest[..rest.find(',').expect("comma")].parse().expect("number")
+            };
+            (field("\"ts\": "), field("\"dur\": "))
+        };
+        let ((key_ts, key_dur), (exec_ts, _)) = (slice("key"), slice("exec"));
+        assert!(key_ts + key_dur <= exec_ts, "key slice overlaps exec");
     }
 
     #[test]
@@ -758,9 +801,9 @@ mod tests {
         let obs = Observer::new(ObsConfig::baseline());
         let trace = obs.begin(Opcode::RunProgram, 0).expect("enabled");
         {
-            let _g = obs.enter_exec(&trace);
+            let _g = obs.enter_exec([&trace]);
             let _outer = fhe_math::telemetry::span("outer");
-            for _ in 0..MAX_SUBSPANS + 10 {
+            for _ in 0..SUBSPAN_CAP + 10 {
                 drop(fhe_math::telemetry::span("inner"));
             }
         }
@@ -768,7 +811,7 @@ mod tests {
         drop(fhe_math::telemetry::span("late"));
         obs.finish(&metrics, &trace, 0);
         let t = &obs.recent()[0];
-        assert_eq!(t.subspans.len(), MAX_SUBSPANS);
+        assert_eq!(t.subspans.len(), SUBSPAN_CAP);
         assert_eq!(t.subspans[0].name, "outer");
         assert!(t.subspans[1..].iter().all(|s| s.name == "inner"));
         let exec_end = t.exec_begin_us + t.exec_us + 1;

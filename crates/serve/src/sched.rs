@@ -21,7 +21,7 @@
 
 use crate::cache::KeyKind;
 use crate::config::{BatchConfig, ServeConfig};
-use crate::exec::{handle, read_ct, recycle};
+use crate::exec::{handle, read_ct, recycle, ser_ct};
 #[cfg(feature = "chaos")]
 use crate::fault::FaultDecision;
 use crate::metrics::Metrics;
@@ -32,7 +32,6 @@ use crate::server::ServerState;
 use crate::session::SessionManager;
 use crate::transport::ReplySignal;
 use ckks::hoisting::rotate_hoisted;
-use ckks::serialize::write_ciphertext;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -191,7 +190,7 @@ fn execute_job(state: &ServerState, mut job: Job, keys: &PinnedKeys) {
         // Guard scope: exec accounting and the deep-trace bridge close
         // before the reply is sent, so the shard loop can never finish
         // the trace while the worker is still writing to it.
-        let _exec = job.trace.as_ref().map(|t| state.obs.enter_exec(t));
+        let _exec = state.obs.enter_exec(&job.trace);
         catch_unwind(AssertUnwindSafe(|| {
             #[cfg(feature = "chaos")]
             if matches!(job.chaos, Some(FaultDecision::WorkerPanic)) {
@@ -240,7 +239,8 @@ fn run_group(state: &ServerState, jobs: Vec<Job>, deadline: Duration) {
         let plans = runnable.iter().map(|j| &j.plan);
         keys = PinnedKeys::pin(state, runnable[0].plan.sid, plans);
         // Every group member waited out the shared pin phase in wall
-        // time, so each job's key stage carries the full phase duration.
+        // time, before its execution window opens, so each job's key
+        // stage carries the full phase duration.
         let pin_elapsed = pin_start.elapsed();
         for job in &runnable {
             if let Some(t) = &job.trace {
@@ -262,7 +262,9 @@ fn run_group(state: &ServerState, jobs: Vec<Job>, deadline: Duration) {
 /// computed once per distinct ciphertext instead of once per request,
 /// and returns the jobs that could not join such a fold (Bsgs, programs,
 /// lone rotations, malformed bodies, missing keys, chaos-panic carriers)
-/// for the ordinary per-job path.
+/// for the ordinary per-job path. A fold runs under one execution guard
+/// for all its members: each carries the fold's window, its kernel
+/// sub-spans, and its decode and serialize time.
 fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> Vec<Job> {
     let eligible = |job: &Job| -> bool {
         #[cfg(feature = "chaos")]
@@ -294,23 +296,26 @@ fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> 
             continue;
         }
         let start = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let ct = read_ct(
-                state,
-                rotate_ct(fold[0].body()).expect("a planned step was read past"),
-            )?;
-            let wanted: Vec<(i64, u64)> = fold.iter().map(|j| j.plan.galois[0]).collect();
-            let gk = keys.galois(state, &wanted)?;
-            let steps: Vec<i64> = wanted.iter().map(|&(s, _)| s).collect();
-            let outs = rotate_hoisted(&state.evaluator, &ct, &steps, &gk);
-            // Each rotation goes straight into its own request's reply.
-            for (job, out) in fold.iter_mut().zip(&outs) {
-                begin_frame(&mut job.out);
-                write_ciphertext(out, &mut job.out);
-            }
-            recycle(state, outs.into_iter().chain([ct]));
-            Ok(())
-        }));
+        let result = {
+            let _exec = state.obs.enter_exec(fold.iter().flat_map(|j| &j.trace));
+            catch_unwind(AssertUnwindSafe(|| {
+                let ct = read_ct(
+                    state,
+                    rotate_ct(fold[0].body()).expect("a planned step was read past"),
+                )?;
+                let wanted: Vec<(i64, u64)> = fold.iter().map(|j| j.plan.galois[0]).collect();
+                let gk = keys.galois(state, &wanted)?;
+                let steps: Vec<i64> = wanted.iter().map(|&(s, _)| s).collect();
+                let outs = rotate_hoisted(&state.evaluator, &ct, &steps, &gk);
+                // Each rotation goes straight into its own request's reply.
+                for (job, out) in fold.iter_mut().zip(&outs) {
+                    begin_frame(&mut job.out);
+                    ser_ct(out, &mut job.out);
+                }
+                recycle(state, outs.into_iter().chain([ct]));
+                Ok(())
+            }))
+        };
         let elapsed = start.elapsed();
         state
             .metrics
@@ -318,9 +323,6 @@ fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> 
             .fetch_add(fold.len() as u64 - 1, Ordering::Relaxed);
         let result = outcome(result);
         for job in fold {
-            if let Some(t) = &job.trace {
-                t.set_exec_ending_now(elapsed);
-            }
             state.metrics.latency(job.op).observe(elapsed);
             match &result {
                 Ok(()) => job.send(0),

@@ -14,8 +14,9 @@
 //!    reports that hold under `batch_hold`, not `queue`.
 //! 5. **Kernel sub-spans**: every request's timeline carries the
 //!    `fhe_math::telemetry` spans its own worker thread opened — the same
-//!    names whether it ran alone or beside another worker — and the
-//!    metrics dump counts the key expansions behind the cache's misses.
+//!    names whether it ran alone or beside another worker, and inside the
+//!    shared window when it ran in a hoist-shared fold — and the metrics
+//!    dump counts the key expansions behind the cache's misses.
 
 use ckks::{
     Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, GaloisKeys, KeyGenerator, SecretKey,
@@ -567,6 +568,67 @@ fn concurrent_rotates_each_carry_their_own_subspans() {
         "no two exec windows overlapped in {ROUNDS} rounds"
     );
     server.shutdown();
+}
+
+/// Two rotates of one ciphertext in one `Throughput` group share one
+/// hoisted decomposition, and that fold runs under the one execution
+/// guard: each member's timeline carries the fold's window, its kernel
+/// sub-spans, and its decode and serialize time.
+#[test]
+fn hoist_shared_rotates_each_carry_the_folds_timeline() {
+    let ctx = test_ctx();
+    let tenant = make_tenant(&ctx, 8008);
+    let server = start_server(
+        &ctx,
+        1,
+        BatchConfig {
+            max_batch: 2,
+            max_delay: Duration::from_secs(5),
+        },
+        obs_on(),
+    );
+    let mut owner = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let session = owner.hello_ext(BatchHint::Throughput).unwrap().session;
+    owner.upload_galois(session, &tenant.gk).unwrap();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+                client.rotate(session, &tenant.a, 1).unwrap();
+            });
+        }
+    });
+    let dump = server.metrics_dump();
+    let traces = rotate_traces(&server, 2);
+    server.shutdown();
+    assert_eq!(
+        metric(&dump, "serve_batch_hoist_shared_total"),
+        1,
+        "the two rotates did not fold"
+    );
+
+    for t in &traces {
+        let names: Vec<_> = t.subspans.iter().map(|s| s.name).collect();
+        for phase in ["ModUp", "KSKInnerProd", "ModDown"] {
+            assert!(names.contains(&phase), "request {}: no {phase} in {names:?}", t.id);
+        }
+        let exec_end = t.exec_begin_us + t.exec_us + 1;
+        for s in &t.subspans {
+            assert!(
+                t.exec_begin_us <= s.begin_us && s.end_us <= exec_end,
+                "request {}: {s:?} outside exec [{}, {exec_end}]",
+                t.id,
+                t.exec_begin_us
+            );
+        }
+        assert!(t.stage_us(Stage::Decode) > 0, "request {}: no decode", t.id);
+        assert!(t.stage_us(Stage::Serialize) > 0, "request {}: no serialize", t.id);
+    }
+    // One window for both members (1 µs: truncated stamps).
+    let (a, b) = (&traces[0], &traces[1]);
+    assert_eq!(a.exec_us, b.exec_us);
+    let (a0, b0) = (a.start_us + a.exec_begin_us, b.start_us + b.exec_begin_us);
+    assert!(a0.abs_diff(b0) <= 1, "windows open at {a0} and {b0}");
 }
 
 /// The key cache's misses are switching-key expansions, and the metrics
