@@ -7,10 +7,11 @@
 //! a stable operand id. This module — dependency-free and always compiled —
 //! replays such a trace through a pluggable on-chip cache model and reports
 //! the DRAM bytes that actually cross the chip boundary, split by operand
-//! class the same way [`crate::cost::Cost`] splits its categories. The
+//! class the same way [`crate::cost::Cost`] splits its categories. A trace
+//! holds bytes only — touches and retags, no spans or timestamps. The
 //! capture side lives with the functional crates: `fhe-program`'s
-//! `validate` binary records one trace of its whole schedule, replays each
-//! row's segment here, and gates the bytes beside that row's op counts
+//! `validate` binary records one trace per row of its schedule, replays it
+//! here, and gates the bytes beside that row's op counts
 //! ([`crate::validate`]).
 //!
 //! # Cache model
@@ -36,18 +37,9 @@
 //! allocate outputs as scratch and the `ckks` wrappers re-tag them (a
 //! fresh ciphertext's limbs become `ct`, a switching-key digit's `key`),
 //! so the final class of an operand attributes all of its traffic.
-//!
-//! # Span export
-//!
-//! [`chrome_trace_json`] renders a trace's RAII spans and per-class byte
-//! counters as Chrome trace-event JSON (`{"traceEvents": [...]}`), which
-//! loads directly in Perfetto (`ui.perfetto.dev`) with nested span tracks
-//! and one counter track per operand class.
 
 use crate::report::Table;
-use crate::validate::json_string;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::fmt::Write as _;
 
 /// Operand class of a traced buffer — the replay-side mirror of the
 /// functional crates' `fhe_math::telemetry::OperandClass`, kept separate
@@ -96,7 +88,7 @@ impl TraceClass {
 }
 
 /// One recorded memory-trace event, in program order.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A kernel touched `bytes` bytes of operand `id` starting at byte
     /// `offset` within the operand's buffer.
@@ -118,20 +110,6 @@ pub enum TraceEvent {
         id: u64,
         /// Its new class.
         class: TraceClass,
-    },
-    /// A measurement span opened.
-    SpanBegin {
-        /// Span name.
-        name: String,
-        /// Microseconds since the trace started.
-        ts_us: u64,
-    },
-    /// A measurement span closed.
-    SpanEnd {
-        /// Span name.
-        name: String,
-        /// Microseconds since the trace started.
-        ts_us: u64,
     },
 }
 
@@ -377,12 +355,8 @@ impl CacheSim {
 fn final_classes(events: &[TraceEvent]) -> HashMap<u64, TraceClass> {
     let mut map = HashMap::new();
     for e in events {
-        match e {
-            TraceEvent::Touch { id, class, .. } | TraceEvent::Retag { id, class } => {
-                map.insert(*id, *class);
-            }
-            _ => {}
-        }
+        let (TraceEvent::Touch { id, class, .. } | TraceEvent::Retag { id, class }) = *e;
+        map.insert(id, class);
     }
     map
 }
@@ -413,95 +387,6 @@ pub fn replay(events: &[TraceEvent], cfg: &CacheConfig) -> ReplayStats {
         }
     }
     sim.finish()
-}
-
-/// Splits a trace into its top-level span segments, in trace order: each
-/// returned `(name, events)` pair holds everything recorded between a
-/// depth-0 `SpanBegin` and its matching `SpanEnd` (boundaries included).
-/// Events outside any span are dropped.
-pub fn split_top_level(events: &[TraceEvent]) -> Vec<(String, Vec<TraceEvent>)> {
-    let mut out: Vec<(String, Vec<TraceEvent>)> = Vec::new();
-    let mut depth = 0usize;
-    for e in events {
-        match e {
-            TraceEvent::SpanBegin { name, .. } => {
-                if depth == 0 {
-                    out.push((name.clone(), Vec::new()));
-                }
-                depth += 1;
-                if let Some((_, seg)) = out.last_mut() {
-                    seg.push(e.clone());
-                }
-            }
-            TraceEvent::SpanEnd { .. } => {
-                if depth > 0 {
-                    if let Some((_, seg)) = out.last_mut() {
-                        seg.push(e.clone());
-                    }
-                    depth -= 1;
-                }
-            }
-            _ => {
-                if depth > 0 {
-                    if let Some((_, seg)) = out.last_mut() {
-                        seg.push(e.clone());
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Renders a trace as Chrome trace-event JSON, loadable in Perfetto.
-///
-/// Spans become nested `B`/`E` duration events on one thread track;
-/// cumulative bytes touched per operand class become one `C` counter
-/// track, sampled at every span boundary (touch records carry no
-/// timestamp of their own).
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    out.push_str(
-        "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \
-         \"args\": {\"name\": \"simfhe::trace\"}}",
-    );
-    let mut touched = [0u64; 4];
-    let counter = |out: &mut String, ts: u64, touched: &[u64; 4]| {
-        let _ = write!(
-            out,
-            ",\n  {{\"name\": \"bytes touched\", \"ph\": \"C\", \"ts\": {ts}, \"pid\": 1, \
-             \"args\": {{\"ct\": {}, \"key\": {}, \"pt\": {}, \"scratch\": {}}}}}",
-            touched[0], touched[1], touched[2], touched[3]
-        );
-    };
-    for e in events {
-        match e {
-            TraceEvent::Touch { class, bytes, .. } => {
-                touched[class.index()] += bytes;
-            }
-            TraceEvent::SpanBegin { name, ts_us } => {
-                let _ = write!(
-                    out,
-                    ",\n  {{\"name\": {}, \"cat\": \"span\", \"ph\": \"B\", \
-                     \"ts\": {ts_us}, \"pid\": 1, \"tid\": 1}}",
-                    json_string(name)
-                );
-                counter(&mut out, *ts_us, &touched);
-            }
-            TraceEvent::SpanEnd { name, ts_us } => {
-                let _ = write!(
-                    out,
-                    ",\n  {{\"name\": {}, \"cat\": \"span\", \"ph\": \"E\", \
-                     \"ts\": {ts_us}, \"pid\": 1, \"tid\": 1}}",
-                    json_string(name)
-                );
-                counter(&mut out, *ts_us, &touched);
-            }
-            TraceEvent::Retag { .. } => {}
-        }
-    }
-    out.push_str("\n]}\n");
-    out
 }
 
 /// One point of the measured-vs-modeled cache sweep (Figure-6 style): a
@@ -694,78 +579,6 @@ mod tests {
         let s = replay(&t, &CacheConfig::unbounded(B));
         assert_eq!(s.misses, 3);
         assert_eq!(s.ct_read_bytes(), 3 * B);
-    }
-
-    #[test]
-    fn split_top_level_segments_by_outermost_span() {
-        let t = vec![
-            TraceEvent::SpanBegin {
-                name: "Add".into(),
-                ts_us: 0,
-            },
-            touch(0, TraceClass::Ciphertext, false, 0, B),
-            TraceEvent::SpanEnd {
-                name: "Add".into(),
-                ts_us: 5,
-            },
-            touch(9, TraceClass::Scratch, true, 0, B), // outside any span
-            TraceEvent::SpanBegin {
-                name: "Mult".into(),
-                ts_us: 10,
-            },
-            TraceEvent::SpanBegin {
-                name: "KeySwitch".into(),
-                ts_us: 11,
-            },
-            touch(1, TraceClass::Key, false, 0, B),
-            TraceEvent::SpanEnd {
-                name: "KeySwitch".into(),
-                ts_us: 12,
-            },
-            TraceEvent::SpanEnd {
-                name: "Mult".into(),
-                ts_us: 20,
-            },
-        ];
-        let segs = split_top_level(&t);
-        assert_eq!(segs.len(), 2);
-        assert_eq!(segs[0].0, "Add");
-        assert_eq!(segs[0].1.len(), 3);
-        assert_eq!(segs[1].0, "Mult");
-        assert_eq!(segs[1].1.len(), 5, "nested span events stay inside");
-    }
-
-    #[test]
-    fn chrome_trace_is_structurally_sound() {
-        let t = vec![
-            TraceEvent::SpanBegin {
-                name: "KeySwitch".into(),
-                ts_us: 1,
-            },
-            touch(0, TraceClass::Key, false, 0, 3 * B),
-            TraceEvent::SpanBegin {
-                name: "ModUp".into(),
-                ts_us: 2,
-            },
-            TraceEvent::SpanEnd {
-                name: "ModUp".into(),
-                ts_us: 3,
-            },
-            TraceEvent::SpanEnd {
-                name: "KeySwitch".into(),
-                ts_us: 4,
-            },
-        ];
-        let json = chrome_trace_json(&t);
-        assert!(json.starts_with("{\"displayTimeUnit\""));
-        assert!(json.contains("\"traceEvents\""));
-        assert_eq!(json.matches("\"ph\": \"B\"").count(), 2);
-        assert_eq!(json.matches("\"ph\": \"E\"").count(), 2);
-        // A counter sample at every span boundary, keys bytes visible.
-        assert_eq!(json.matches("\"ph\": \"C\"").count(), 4);
-        assert!(json.contains(&format!("\"key\": {}", 3 * B)));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

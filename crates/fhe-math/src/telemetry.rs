@@ -80,12 +80,21 @@
 //!
 //! Tracing is runtime-gated: records are only buffered between
 //! [`trace_start`] and [`trace_stop`], so nothing else pays for trace
-//! storage. [`Span`]s emit [`TraceRecord::SpanBegin`]/
-//! [`TraceRecord::SpanEnd`] pairs with microsecond timestamps while a
-//! trace is active, which `validate --perfetto` exports as Chrome
-//! trace-event JSON for Perfetto.
+//! storage. The trace carries bytes only: a span leaves its one record in
+//! its thread's capture and nothing in the trace, so a reader that wants
+//! one trace per region brackets each region with its own
+//! `trace_start`/`trace_stop` (the ledger does, one per row).
+//!
+//! # Trace-event export
+//!
+//! [`ChromeTrace`] is the workspace's one writer of Chrome trace-event
+//! JSON (Perfetto, `chrome://tracing`): process and thread names, `X`
+//! slices with optional integer args, and `C` counters, one event per
+//! line. `fhe_serve`'s `TraceDump` and `validate --perfetto` both render
+//! through it.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -238,21 +247,6 @@ pub enum TraceRecord {
         /// Its new class.
         class: OperandClass,
     },
-    /// An RAII [`Span`] named `name` opened `ts_us` microseconds after
-    /// [`trace_start`].
-    SpanBegin {
-        /// Span name.
-        name: &'static str,
-        /// Microseconds since the trace started.
-        ts_us: u64,
-    },
-    /// The matching span close.
-    SpanEnd {
-        /// Span name.
-        name: &'static str,
-        /// Microseconds since the trace started.
-        ts_us: u64,
-    },
 }
 
 static MULTS: AtomicU64 = AtomicU64::new(0);
@@ -273,12 +267,7 @@ static NEXT_OPERAND_ID: AtomicU64 = AtomicU64::new(1);
 /// Fast path: is a trace being recorded right now?
 static TRACE_ON: AtomicBool = AtomicBool::new(false);
 
-struct TraceState {
-    start: Instant,
-    records: Vec<TraceRecord>,
-}
-
-static TRACE: Mutex<Option<TraceState>> = Mutex::new(None);
+static TRACE: Mutex<Option<Vec<TraceRecord>>> = Mutex::new(None);
 
 fn add(counter: &AtomicU64, v: u64) {
     if v != 0 {
@@ -287,18 +276,9 @@ fn add(counter: &AtomicU64, v: u64) {
 }
 
 fn push_trace(record: TraceRecord) {
-    if let Some(ts) = TRACE.lock().expect("poisoned").as_mut() {
-        ts.records.push(record);
+    if let Some(records) = TRACE.lock().expect("poisoned").as_mut() {
+        records.push(record);
     }
-}
-
-fn trace_elapsed_us() -> u64 {
-    TRACE
-        .lock()
-        .expect("poisoned")
-        .as_ref()
-        .map(|ts| ts.start.elapsed().as_micros() as u64)
-        .unwrap_or(0)
 }
 
 /// Records bulk modular operations (`mults` multiplications, `adds`
@@ -398,11 +378,7 @@ pub fn trace_active() -> bool {
 
 /// Begins recording a memory-access trace, discarding any prior one.
 pub fn trace_start() {
-    let mut trace = TRACE.lock().expect("poisoned");
-    *trace = Some(TraceState {
-        start: Instant::now(),
-        records: Vec::new(),
-    });
+    *TRACE.lock().expect("poisoned") = Some(Vec::new());
     TRACE_ON.store(true, Relaxed);
 }
 
@@ -411,12 +387,7 @@ pub fn trace_start() {
 /// Returns an empty vector if no trace was active.
 pub fn trace_stop() -> Vec<TraceRecord> {
     TRACE_ON.store(false, Relaxed);
-    TRACE
-        .lock()
-        .expect("poisoned")
-        .take()
-        .map(|ts| ts.records)
-        .unwrap_or_default()
+    TRACE.lock().expect("poisoned").take().unwrap_or_default()
 }
 
 /// Records one streamed touch of `bytes` bytes at `offset` within the
@@ -510,13 +481,10 @@ pub fn capture_spans(limit: usize) -> Vec<SpanTiming> {
 }
 
 /// An RAII measurement region. While its thread is capturing
-/// ([`capture_spans`]) it leaves a [`SpanTiming`] with its counter delta;
-/// while a trace is active it emits [`TraceRecord::SpanBegin`]/
-/// [`TraceRecord::SpanEnd`] markers. See the module docs for nesting
-/// semantics.
+/// ([`capture_spans`]) it leaves a [`SpanTiming`] with its counter delta,
+/// and otherwise nothing. See the module docs for nesting semantics.
 #[must_use = "a span measures until dropped"]
 pub struct Span {
-    name: &'static str,
     /// This span's entry in the thread's capture list and the counters
     /// when it opened.
     captured: Option<(usize, Snapshot)>,
@@ -524,10 +492,6 @@ pub struct Span {
 
 /// Opens a [`Span`] named `name`.
 pub fn span(name: &'static str) -> Span {
-    if trace_active() {
-        let ts_us = trace_elapsed_us();
-        push_trace(TraceRecord::SpanBegin { name, ts_us });
-    }
     let captured = CAPTURE.with(|c| {
         let (limit, list) = &mut *c.borrow_mut();
         (list.len() < *limit).then(|| {
@@ -541,7 +505,7 @@ pub fn span(name: &'static str) -> Span {
             (list.len() - 1, snapshot())
         })
     });
-    Span { name, captured }
+    Span { captured }
 }
 
 impl Drop for Span {
@@ -557,14 +521,109 @@ impl Drop for Span {
                 }
             });
         }
-        if trace_active() {
-            let ts_us = trace_elapsed_us();
-            push_trace(TraceRecord::SpanEnd {
-                name: self.name,
-                ts_us,
-            });
+    }
+}
+
+/// A Chrome trace-event JSON document for one process (pid 1), built one
+/// event per line: `{"displayTimeUnit": "ms", "traceEvents": [ … ]}`.
+/// Timestamps and durations are microseconds.
+pub struct ChromeTrace {
+    out: String,
+}
+
+impl ChromeTrace {
+    /// Starts a document whose process is named `process`.
+    pub fn new(process: &str) -> Self {
+        let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
+        let _ = write!(
+            out,
+            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"args\": {{\"name\": {}}}}}",
+            json_string(process)
+        );
+        Self { out }
+    }
+
+    /// Names track `tid`.
+    pub fn thread_name(&mut self, tid: u64, name: &str) {
+        let _ = write!(
+            self.out,
+            ",\n{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
+             \"args\": {{\"name\": {}}}}}",
+            json_string(name)
+        );
+    }
+
+    /// A complete (`X`) slice on track `tid`; `args` is left out when
+    /// empty.
+    pub fn slice(
+        &mut self,
+        tid: u64,
+        cat: &str,
+        name: &str,
+        ts: u64,
+        dur: u64,
+        args: &[(&str, u64)],
+    ) {
+        let _ = write!(
+            self.out,
+            ",\n{{\"name\": {}, \"cat\": {}, \"ph\": \"X\", \"ts\": {ts}, \"dur\": {dur}, \
+             \"pid\": 1, \"tid\": {tid}",
+            json_string(name),
+            json_string(cat)
+        );
+        if !args.is_empty() {
+            self.args(args);
+        }
+        self.out.push('}');
+    }
+
+    /// One sample of counter track `name`, one series per value.
+    pub fn counter(&mut self, name: &str, ts: u64, values: &[(&str, u64)]) {
+        let _ = write!(
+            self.out,
+            ",\n{{\"name\": {}, \"ph\": \"C\", \"ts\": {ts}, \"pid\": 1",
+            json_string(name)
+        );
+        self.args(values);
+        self.out.push('}');
+    }
+
+    fn args(&mut self, args: &[(&str, u64)]) {
+        self.out.push_str(", \"args\": {");
+        for (i, (key, value)) in args.iter().enumerate() {
+            let sep = if i == 0 { "" } else { ", " };
+            let _ = write!(self.out, "{sep}{}: {value}", json_string(key));
+        }
+        self.out.push('}');
+    }
+
+    /// Closes the document and returns its text.
+    pub fn finish(mut self) -> String {
+        self.out.push_str("\n]}\n");
+        self.out
+    }
+}
+
+/// `s` as a JSON string literal: quoted, with `"`, `\` and control
+/// characters escaped.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
         }
     }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -657,5 +716,70 @@ mod tests {
         assert!(got[0].end <= got[2].begin);
         drop(span("after-stop"));
         assert!(capture_spans(0).is_empty(), "limit 0 turned capture off");
+    }
+
+    #[test]
+    fn trace_writer_emits_the_trace_dump_lines_byte_for_byte() {
+        let mut t = ChromeTrace::new("fhe-serve");
+        t.thread_name(7, "req 7 rotate");
+        t.slice(7, "request", "request:rotate (status 0)", 1000, 250, &[]);
+        t.slice(7, "request", "queue", 1001, 4, &[]);
+        let want = concat!(
+            r#"{"displayTimeUnit": "ms", "traceEvents": ["#,
+            "\n",
+            r#"{"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "fhe-serve"}},"#,
+            "\n",
+            r#"{"name": "thread_name", "ph": "M", "pid": 1, "tid": 7, "args": {"name": "req 7 rotate"}},"#,
+            "\n",
+            r#"{"name": "request:rotate (status 0)", "cat": "request", "ph": "X", "ts": 1000, "dur": 250, "pid": 1, "tid": 7},"#,
+            "\n",
+            r#"{"name": "queue", "cat": "request", "ph": "X", "ts": 1001, "dur": 4, "pid": 1, "tid": 7}"#,
+            "\n]}\n",
+        );
+        assert_eq!(t.finish(), want);
+    }
+
+    #[test]
+    fn json_strings_escape_quotes_backslashes_and_controls() {
+        assert_eq!(json_string("plain"), "\"plain\"");
+        assert_eq!(
+            json_string("a\"b\\c\nd\u{1}e"),
+            "\"a\\\"b\\\\c\\nd\\u0001e\""
+        );
+    }
+
+    #[test]
+    fn a_slice_carries_its_args_and_a_counter_its_series() {
+        let mut t = ChromeTrace::new("p");
+        t.slice(1, "span", "ModUp", 5, 3, &[("mults", 12), ("adds", 0)]);
+        t.counter("bytes touched", 8, &[("ct", 64), ("key", 0)]);
+        let json = t.finish();
+        let lines: Vec<&str> = json.lines().collect();
+        assert_eq!(
+            lines[2],
+            r#"{"name": "ModUp", "cat": "span", "ph": "X", "ts": 5, "dur": 3, "pid": 1, "tid": 1, "args": {"mults": 12, "adds": 0}},"#
+        );
+        assert_eq!(
+            lines[3],
+            r#"{"name": "bytes touched", "ph": "C", "ts": 8, "pid": 1, "args": {"ct": 64, "key": 0}}"#
+        );
+    }
+
+    #[test]
+    fn a_document_is_balanced_with_no_trailing_comma() {
+        let empty = ChromeTrace::new("empty").finish();
+        let mut t = ChromeTrace::new("full");
+        for tid in 1..4 {
+            t.thread_name(tid, "track");
+            t.slice(tid, "span", "a", tid, 1, &[("n", tid)]);
+            t.slice(tid, "span", "b", tid, 0, &[]);
+            t.counter("c", tid, &[("x", tid)]);
+        }
+        for json in [empty, t.finish()] {
+            assert_eq!(json.matches('{').count(), json.matches('}').count());
+            assert_eq!(json.matches('[').count(), json.matches(']').count());
+            assert!(!json.contains(",\n]") && !json.contains(", }"));
+            assert!(json.ends_with("}\n]}\n"), "{json}");
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! Telemetry counter and span semantics: reset, bulk recording, and
-//! inclusive nesting.
+//! Telemetry counter and span semantics: reset, bulk recording, inclusive
+//! nesting, and a memory trace that holds touches and no spans.
 //!
 //! The counters are process-global by design (`fhe_math::parallel` runs
 //! kernels on scoped helper threads whose counts must aggregate), so these
@@ -70,7 +70,10 @@ fn counter_and_span_semantics() {
         telemetry::record_ops(5, 1);
     }
     let spans = telemetry::capture_spans(8);
-    let ops: Vec<_> = spans.iter().map(|s| (s.name, s.ops.mults, s.ops.adds)).collect();
+    let ops: Vec<_> = spans
+        .iter()
+        .map(|s| (s.name, s.ops.mults, s.ops.adds))
+        .collect();
     assert_eq!(ops, [("phase", 7, 0), ("phase", 5, 1)]);
 
     // --- nesting is inclusive: inner ops count toward the outer span ---
@@ -100,4 +103,25 @@ fn counter_and_span_semantics() {
     let spans = telemetry::capture_spans(0);
     assert_eq!(spans[0].name, "crosses-reset");
     assert_eq!(spans[0].ops.mults, 0, "delta saturates after reset");
+
+    // --- the memory trace carries bytes only: spans leave no record ----
+    let tag = telemetry::OperandTag::scratch();
+    telemetry::trace_start();
+    {
+        let _outer = telemetry::span("outer");
+        let _inner = telemetry::span("inner");
+        telemetry::record_touch(tag, true, 0, 64);
+    }
+    drop(telemetry::span("after"));
+    let records = telemetry::trace_stop();
+    assert_eq!(
+        records,
+        [telemetry::TraceRecord::Touch {
+            tag,
+            write: true,
+            offset: 0,
+            bytes: 64,
+        }],
+        "a span opened while a trace records must leave nothing in it"
+    );
 }

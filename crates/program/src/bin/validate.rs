@@ -8,12 +8,12 @@
 //! tolerance file, or unwritable output.
 //!
 //! Usage: `validate [--tolerances PATH] [--out PATH] [--perfetto PATH]
-//! [--sweep PATH]` — `--perfetto` writes the run's spans and per-class byte
-//! counters as Chrome trace-event JSON (load in `ui.perfetto.dev`),
-//! `--sweep` the cache-size sweep CSV of [`fhe_program::ledger::sweep`].
+//! [--sweep PATH]` — `--perfetto` writes [`fhe_program::ledger::perfetto_json`]
+//! (load in `ui.perfetto.dev`), `--sweep` the cache-size sweep CSV of
+//! [`fhe_program::ledger::sweep`].
 
 use fhe_program::ledger;
-use simfhe::trace::{chrome_trace_json, sweep_table};
+use simfhe::trace::sweep_table;
 use simfhe::validate::Tolerances;
 use std::process::ExitCode;
 
@@ -68,7 +68,7 @@ fn gate() -> Result<bool, String> {
         write(p, json)?;
     }
     if let Some(p) = &perfetto {
-        write(p, chrome_trace_json(&run.events))?;
+        write(p, ledger::perfetto_json(&run.events))?;
     }
     if let Some(p) = &sweep {
         write(p, sweep_table(&ledger::sweep(&run.events)).to_csv())?;

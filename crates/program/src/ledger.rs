@@ -4,12 +4,12 @@
 //! [`Cost`] — modular ops *and* DRAM bytes, the two columns SimFHE prices
 //! per primitive, plus the limb transforms the same `Cost` carries.
 //!
-//! [`run`] builds one context, one key set and one set of inputs, starts a
-//! memory trace, and runs each row inside its own top-level telemetry span
-//! with the counters reset at the row's start. A row's op counts are the
-//! counters when its span closes; the `KeySwitch` row's `ModUp` /
+//! [`run`] builds one context, one key set and one set of inputs, then runs
+//! each row inside its own top-level telemetry span, with the counters
+//! reset and a memory trace started at the row's start. A row's op counts
+//! are the counters when its span closes; the `KeySwitch` row's `ModUp` /
 //! `KSKInnerProd` / `ModDown` sub-spans are read from the thread's span
-//! capture (`telemetry::capture_spans`). Its DRAM bytes are its trace segment
+//! capture (`telemetry::capture_spans`). Its DRAM bytes are its own trace
 //! replayed through [`simfhe::trace`] at [`gate_config`]. The `validate`
 //! binary gates the report against the committed [`TOLERANCES`].
 //!
@@ -33,16 +33,15 @@ use crate::{execute, workloads, ExecInputs, ExecKeys};
 use ckks::hoisting::{apply_bsgs, rotate_fold, LinearTransform};
 use ckks::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
-use fhe_math::telemetry::{self, OperandClass, Snapshot, SpanTiming, TraceRecord};
+use fhe_math::telemetry::{self, ChromeTrace, OperandClass, Snapshot, SpanTiming, TraceRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simfhe::matvec::BsgsSchedule;
 use simfhe::program::{ladder_stages, modup_cost, ProgramEnv};
-use simfhe::trace::{
-    replay, split_top_level, CacheConfig, ReplayStats, SweepRow, TraceClass, TraceEvent,
-};
+use simfhe::trace::{replay, CacheConfig, ReplayStats, SweepRow, TraceClass, TraceEvent};
 use simfhe::validate::{MetricCheck, PrimitiveCheck, ValidationReport};
 use simfhe::{AlgoOpts, CachingLevel, Cost, CostModel, HardwareConfig, MadConfig, SchemeParams};
+use std::time::Instant;
 
 /// Reduced parameter set: small enough to run in seconds, large enough
 /// that every primitive exercises its full digit/limb structure.
@@ -65,13 +64,25 @@ pub fn gate_config() -> CacheConfig {
     CacheConfig::pin_keys(8 * limb, limb)
 }
 
-/// What one [`run`] leaves: the report the gate evaluates and the recorded
-/// trace it was replayed from (for the Perfetto export and [`sweep`]).
+/// What one [`run`] leaves: the report the gate evaluates and what each
+/// executed row recorded (for [`perfetto_json`] and [`sweep`]).
 pub struct Ledger {
     /// One check per row, in schedule order.
     pub report: ValidationReport,
-    /// The whole schedule's trace: one top-level span per executed row.
+    /// One recording per executed row — the 13 primitives and the 3
+    /// programs; the key-switch phases are spans of their row — in
+    /// schedule order.
+    pub events: Vec<RowTrace>,
+}
+
+/// What one executed row recorded.
+pub struct RowTrace {
+    /// The row's name.
+    pub name: &'static str,
+    /// Its memory trace, started and stopped with the row.
     pub events: Vec<TraceEvent>,
+    /// Every span it opened in open order, its own top-level span first.
+    pub spans: Vec<SpanTiming>,
 }
 
 const SCHEME: SchemeParams = SchemeParams {
@@ -117,7 +128,7 @@ fn encodes(m: &CostModel, count: u64, ell: usize) -> Cost {
 #[derive(Clone, Copy, PartialEq)]
 enum Source {
     /// Its own top-level span: the counters over the row and the bytes of
-    /// its trace segment, all gated.
+    /// its trace, all gated.
     Primitive,
     /// A sub-span of the `KeySwitch` row: op counts only.
     Phase,
@@ -130,32 +141,41 @@ struct Row {
     source: Source,
     ops: Snapshot,
     modeled: Cost,
+    /// Its trace replayed at [`gate_config`] (none for a phase).
+    bytes: Option<ReplayStats>,
 }
 
-/// The rows measured so far, and the spans the last one opened.
+/// The rows measured so far, and what each executed one recorded.
 #[derive(Default)]
 struct Rows {
     rows: Vec<Row>,
-    spans: Vec<SpanTiming>,
+    traces: Vec<RowTrace>,
 }
 
 impl Rows {
-    /// Executes `body` once as row `name`: counters reset, one top-level
-    /// span around it, every span it opens captured.
+    /// Executes `body` once as row `name`: counters reset, its own memory
+    /// trace, one top-level span around it, every span it opens captured.
     fn run(&mut self, name: &'static str, source: Source, modeled: Cost, body: impl FnOnce()) {
         telemetry::reset();
         telemetry::capture_spans(usize::MAX);
+        telemetry::trace_start();
         {
             let _span = telemetry::span(name);
             body();
         }
-        self.spans = telemetry::capture_spans(0);
-        let ops = telemetry::snapshot();
+        let events = from_telemetry(&telemetry::trace_stop());
+        let spans = telemetry::capture_spans(0);
         self.rows.push(Row {
             name,
             source,
-            ops,
+            ops: telemetry::snapshot(),
             modeled,
+            bytes: Some(replay(&events, &gate_config())),
+        });
+        self.traces.push(RowTrace {
+            name,
+            events,
+            spans,
         });
     }
 
@@ -163,7 +183,8 @@ impl Rows {
     /// deltas of every span it opened under that name.
     fn phase(&mut self, name: &'static str, modeled: Cost) {
         let mut ops = None::<Snapshot>;
-        for s in self.spans.iter().filter(|s| s.name == name) {
+        let row = self.traces.last().expect("a phase follows its row");
+        for s in row.spans.iter().filter(|s| s.name == name) {
             ops.get_or_insert_default().accumulate(&s.ops);
         }
         let ops = ops.unwrap_or_else(|| panic!("span {name} not recorded"));
@@ -172,6 +193,7 @@ impl Rows {
             source: Source::Phase,
             ops,
             modeled,
+            bytes: None,
         });
     }
 }
@@ -186,7 +208,7 @@ fn metric(metric: &'static str, measured: u64, modeled: u64) -> MetricCheck {
 
 /// One row of the report: four gated op metrics, the replayed bytes
 /// (gated for primitives) and the telemetry byte proxies.
-fn check(row: &Row, bytes: Option<ReplayStats>) -> PrimitiveCheck {
+fn check(row: &Row) -> PrimitiveCheck {
     let (snap, cost) = (row.ops, row.modeled);
     let mut p = PrimitiveCheck::new(row.name);
     p.metrics = vec![
@@ -195,7 +217,7 @@ fn check(row: &Row, bytes: Option<ReplayStats>) -> PrimitiveCheck {
         metric("ntt_fwd", snap.ntt_fwd, cost.ntt_fwd),
         metric("ntt_inv", snap.ntt_inv, cost.ntt_inv),
     ];
-    if let Some(s) = bytes {
+    if let Some(s) = row.bytes {
         let totals = [
             metric("dram_read", s.dram_read(), cost.dram_read()),
             metric("dram_write", s.dram_write(), cost.ct_write),
@@ -224,7 +246,8 @@ fn check(row: &Row, bytes: Option<ReplayStats>) -> PrimitiveCheck {
     p
 }
 
-/// Runs the whole schedule once and returns the report and the trace.
+/// Runs the whole schedule once and returns the report and each row's
+/// recording.
 pub fn run() -> Ledger {
     // --- functional side: context, keys and inputs, built once ------------
     let ctx = CkksContext::new(
@@ -266,8 +289,8 @@ pub fn run() -> Ledger {
     let lt9 = banded_transform(slots, &[0, 1, 2, 3, 4, 5, 6, 7, 8]);
 
     // Each program workload with its validation info, Galois keys and bound
-    // inputs — set up here so the recorded trace holds the rows and nothing
-    // else.
+    // inputs — set up here so a row's trace holds its execution and
+    // nothing else.
     let env = ProgramEnv {
         levels: LEVELS,
         slots,
@@ -341,7 +364,6 @@ pub fn run() -> Ledger {
     // --- the schedule: each row exactly once ------------------------------
     use Source::Primitive;
     let mut rows = Rows::default();
-    telemetry::trace_start();
 
     rows.run("Add", Primitive, m.add(ell), || {
         evaluator.add(&ct_a, &ct_b).recycle(pool)
@@ -464,11 +486,8 @@ pub fn run() -> Ledger {
         });
     }
 
-    let events = from_telemetry(&telemetry::trace_stop());
-
     // --- the report: ops from the counters, bytes from the replay ---------
     let cfg = gate_config();
-    let segments = split_top_level(&events);
     let report = ValidationReport {
         params: [
             ("log_n", LOG_N.to_string()),
@@ -486,34 +505,23 @@ pub fn run() -> Ledger {
         ]
         .map(|(k, v)| (k.to_string(), v))
         .into(),
-        primitives: rows
-            .rows
-            .iter()
-            .map(|row| {
-                let traced = row.source != Source::Phase;
-                check(
-                    row,
-                    traced.then(|| replay(segment(&segments, row.name), &cfg)),
-                )
-            })
-            .collect(),
+        primitives: rows.rows.iter().map(check).collect(),
     };
-    Ledger { report, events }
-}
-
-fn segment<'a>(segments: &'a [(String, Vec<TraceEvent>)], name: &str) -> &'a [TraceEvent] {
-    let (_, events) = segments
-        .iter()
-        .find(|(n, _)| n == name)
-        .unwrap_or_else(|| panic!("no trace segment for row {name}"));
-    events
+    Ledger {
+        report,
+        events: rows.traces,
+    }
 }
 
 /// Sweeps the cache-replayed DRAM traffic of six primitive rows across
 /// on-chip sizes against the model at the caching level each size affords
 /// — the measured counterpart of the Figure-6 cache-size axis.
-pub fn sweep(events: &[TraceEvent]) -> Vec<SweepRow> {
-    let segments = split_top_level(events);
+pub fn sweep(rows: &[RowTrace]) -> Vec<SweepRow> {
+    let trace = |name: &str| {
+        let row = rows.iter().find(|r| r.name == name);
+        &row.unwrap_or_else(|| panic!("no trace for row {name}"))
+            .events
+    };
     let limb_mb = SCHEME.limb_mib();
     let (alpha, beta) = (SCHEME.alpha(), SCHEME.beta_at(LEVELS));
     let ell = LEVELS;
@@ -532,7 +540,7 @@ pub fn sweep(events: &[TraceEvent]) -> Vec<SweepRow> {
             ("Mult", m.mult_merged(ell)),
         ] {
             let measured = replay(
-                segment(&segments, name),
+                trace(name),
                 &CacheConfig::pin_keys(capacity, SCHEME.limb_bytes()),
             );
             rows.push(SweepRow {
@@ -592,14 +600,45 @@ fn from_telemetry(records: &[TraceRecord]) -> Vec<TraceEvent> {
                 id,
                 class: class(c),
             },
-            TraceRecord::SpanBegin { name, ts_us } => TraceEvent::SpanBegin {
-                name: name.to_string(),
-                ts_us,
-            },
-            TraceRecord::SpanEnd { name, ts_us } => TraceEvent::SpanEnd {
-                name: name.to_string(),
-                ts_us,
-            },
         })
         .collect()
+}
+
+/// Renders the rows' captured spans as Chrome trace-event JSON (load it at
+/// `ui.perfetto.dev`): one `X` slice per span, with its counter delta as
+/// args, over a per-class bytes-touched counter sampled at each row's start
+/// and end — a touch carries no timestamp, so row edges are where the
+/// counter is exact.
+pub fn perfetto_json(rows: &[RowTrace]) -> String {
+    let mut trace = ChromeTrace::new("fhe-program ledger");
+    let Some(epoch) = rows.first().map(|r| r.spans[0].begin) else {
+        return trace.finish();
+    };
+    let us = |t: Instant| t.duration_since(epoch).as_micros() as u64;
+    let mut touched: Vec<(&str, u64)> = TraceClass::ALL.iter().map(|c| (c.name(), 0)).collect();
+    for row in rows {
+        let own = &row.spans[0];
+        trace.counter("bytes touched", us(own.begin), &touched);
+        for s in &row.spans {
+            let o = s.ops;
+            let args = [
+                ("mults", o.mults),
+                ("adds", o.adds),
+                ("ntt_fwd", o.ntt_fwd),
+                ("ntt_inv", o.ntt_inv),
+                ("bytes_read", o.bytes_read),
+                ("bytes_written", o.bytes_written),
+            ];
+            let (begin, end) = (us(s.begin), us(s.end));
+            trace.slice(1, "span", s.name, begin, end - begin, &args);
+        }
+        for e in &row.events {
+            if let TraceEvent::Touch { class, bytes, .. } = *e {
+                let at = TraceClass::ALL.iter().position(|&c| c == class);
+                touched[at.expect("every class is listed")].1 += bytes;
+            }
+        }
+        trace.counter("bytes touched", us(own.end), &touched);
+    }
+    trace.finish()
 }

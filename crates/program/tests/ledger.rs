@@ -7,7 +7,7 @@
 use std::sync::OnceLock;
 
 use fhe_program::ledger::{self, Ledger};
-use simfhe::trace::{chrome_trace_json, replay, split_top_level};
+use simfhe::trace::replay;
 use simfhe::validate::Tolerances;
 
 /// Two runs of the schedule, made back to back by whichever test asks
@@ -198,15 +198,15 @@ fn two_runs_agree_on_op_counts_and_bytes() {
 #[test]
 fn capture_is_deterministic() {
     // Raw events are not literally comparable (operand ids come from a
-    // global counter and span timestamps are wall-clock), so compare what
-    // the gate actually consumes: the replayed per-segment traffic —
-    // including the program rows', which no bound covers yet.
-    let measure = |run: &Ledger| -> Vec<(String, u64, u64)> {
-        split_top_level(&run.events)
+    // global counter), so compare what the gate actually consumes: each
+    // row's own trace replayed — including the program rows', which no
+    // bound covers yet.
+    let measure = |run: &Ledger| -> Vec<(&str, u64, u64)> {
+        run.events
             .iter()
-            .map(|(name, seg)| {
-                let s = replay(seg, &ledger::gate_config());
-                (name.clone(), s.dram_read(), s.dram_write())
+            .map(|row| {
+                let s = replay(&row.events, &ledger::gate_config());
+                (row.name, s.dram_read(), s.dram_write())
             })
             .collect()
     };
@@ -215,16 +215,32 @@ fn capture_is_deterministic() {
 }
 
 #[test]
-fn perfetto_export_has_balanced_spans_and_counter_track() {
-    let json = chrome_trace_json(&runs()[0].events);
-    let begins = json.matches("\"ph\": \"B\"").count();
-    let ends = json.matches("\"ph\": \"E\"").count();
-    assert!(begins > 0, "no spans exported");
-    assert_eq!(begins, ends, "unbalanced B/E span events");
-    assert!(
-        json.matches("\"ph\": \"C\"").count() > 0,
-        "no counter track"
-    );
+fn perfetto_export_has_one_slice_per_captured_span_and_a_counter_at_each_row_edge() {
+    let rows = &runs()[0].events;
+    let json = ledger::perfetto_json(rows);
+    // Past the header and the process name, one event per line: per row,
+    // a counter sample, one `X` slice per captured span (the row's own
+    // first) with its op deltas as args, and a counter sample.
+    let mut events = json.lines().skip(2).filter(|l| l.starts_with('{'));
+    let sample = |line: Option<&str>| line.is_some_and(|l| l.contains("\"ph\": \"C\""));
+    for row in rows {
+        assert!(sample(events.next()), "no sample opens {}", row.name);
+        for span in &row.spans {
+            let line = events.next().expect("a slice per span");
+            let head = format!(
+                "{{\"name\": \"{}\", \"cat\": \"span\", \"ph\": \"X\"",
+                span.name
+            );
+            let o = span.ops;
+            let args = format!(
+                "\"args\": {{\"mults\": {}, \"adds\": {}, \"ntt_fwd\": {}, \"ntt_inv\": {}",
+                o.mults, o.adds, o.ntt_fwd, o.ntt_inv
+            );
+            assert!(line.starts_with(&head) && line.contains(&args), "{line}");
+        }
+        assert!(sample(events.next()), "no sample closes {}", row.name);
+    }
+    assert!(events.next().is_none(), "only slices and row-edge samples");
     assert!(json.contains("\"displayTimeUnit\""));
     // Cheap structural sanity in place of a JSON parser: balanced
     // braces/brackets and no trailing comma before a closing bracket.
@@ -258,12 +274,21 @@ fn sweep_covers_all_sizes_and_larger_caches_never_cost_more() {
 
 #[test]
 fn trace_segments_cover_every_row_once() {
-    // One top-level span per executed row: the 13 primitives and the 3
-    // programs (the key-switch phases are sub-spans of their row).
-    let segments = split_top_level(&runs()[0].events);
-    assert_eq!(segments.len(), 16);
-    let mut names: Vec<&str> = segments.iter().map(|(n, _)| n.as_str()).collect();
-    names.sort_unstable();
-    names.dedup();
-    assert_eq!(names.len(), 16, "duplicate top-level span names");
+    // One trace per executed row, named as the row: the 13 primitives and
+    // the 3 programs (the key-switch phases are sub-spans of their row).
+    let run = &runs()[0];
+    assert_eq!(run.events.len(), 16);
+    let executed: Vec<&str> = run
+        .report
+        .primitives
+        .iter()
+        .map(|p| p.name.as_str())
+        .filter(|n| !["ModUp", "KSKInnerProd", "ModDown"].contains(n))
+        .collect();
+    let names: Vec<&str> = run.events.iter().map(|r| r.name).collect();
+    assert_eq!(names, executed);
+    for row in &run.events {
+        assert_eq!(row.spans[0].name, row.name, "a row's own span comes first");
+        assert!(!row.events.is_empty(), "{} recorded no touches", row.name);
+    }
 }

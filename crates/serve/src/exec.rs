@@ -277,7 +277,7 @@ pub(crate) fn handle(
         }
         Opcode::TraceDump => {
             let dump = match body.first().copied().unwrap_or(0) {
-                0 => state.obs.chrome_trace_json(),
+                0 => obs::chrome_trace_json(&state.obs.recent()),
                 1 => state.obs.slow_log(),
                 m => return fail(ErrorCode::Malformed, format!("unknown trace-dump mode {m}")),
             };

@@ -40,6 +40,7 @@
 use crate::config::ObsConfig;
 use crate::metrics::Metrics;
 use crate::protocol::Opcode;
+use fhe_math::telemetry::ChromeTrace;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
@@ -472,12 +473,6 @@ impl Observer {
         }
         out
     }
-
-    /// Chrome trace-event JSON of every retained timeline (same format
-    /// as the simulator's exporter — loadable in Perfetto / `chrome://tracing`).
-    pub(crate) fn chrome_trace_json(&self) -> String {
-        chrome_trace_json(&self.recent())
-    }
 }
 
 /// RAII execution marker returned by [`Observer::enter_exec`].
@@ -508,92 +503,44 @@ impl Drop for ExecGuard {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders timelines as Chrome trace-event JSON, one event per line:
-/// a complete (`"ph": "X"`) slice per request, per attributed stage,
-/// and per kernel sub-span. Stage slices inside the execution window
-/// are an *attribution* view — decode/kernel/serialize time drawn as
-/// consecutive slices, since the real intervals interleave. Kernel
-/// sub-spans keep their true timestamps and render on a companion
+/// Renders timelines through the one trace-event writer
+/// ([`ChromeTrace`]): a complete (`"ph": "X"`) slice per request, per
+/// attributed stage, and per kernel sub-span. Stage slices inside the
+/// execution window are an *attribution* view — decode/kernel/serialize
+/// time drawn as consecutive slices, since the real intervals interleave.
+/// Kernel sub-spans keep their true timestamps and render on a companion
 /// `kernels` track so the two views never violate slice nesting.
 pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    let mut first = true;
-    let mut event = |out: &mut String, body: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&body);
-    };
-    event(
-        &mut out,
-        "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \
-         \"args\": {\"name\": \"fhe-serve\"}}"
-            .into(),
-    );
-    let slice = |name: &str, ts: u64, dur: u64, tid: u64| {
-        format!(
-            "{{\"name\": \"{}\", \"cat\": \"request\", \"ph\": \"X\", \
-             \"ts\": {ts}, \"dur\": {dur}, \"pid\": 1, \"tid\": {tid}}}",
-            json_escape(name)
-        )
-    };
+    let mut out = ChromeTrace::new("fhe-serve");
     for t in traces {
         let tid = t.id;
-        event(
-            &mut out,
-            format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"req {} {}\"}}}}",
-                t.id, t.op
-            ),
-        );
-        event(
-            &mut out,
-            slice(
-                &format!("request:{} (status {})", t.op, t.status),
-                t.start_us,
-                t.total_us.max(1),
-                tid,
-            ),
-        );
+        let slice = |out: &mut ChromeTrace, name: &str, ts, dur| {
+            out.slice(tid, "request", name, ts, dur, &[]);
+        };
+        out.thread_name(tid, &format!("req {} {}", t.id, t.op));
+        let request = format!("request:{} (status {})", t.op, t.status);
+        slice(&mut out, &request, t.start_us, t.total_us.max(1));
         // Pre-execution spans at their true offsets: hold begins at
         // enqueue, queue follows it, then the group's pin phase.
         let mut cursor = t.start_us + t.enqueued_us;
         for s in [Stage::BatchHold, Stage::Queue, Stage::Key] {
             let dur = t.stage_us(s);
             if dur > 0 {
-                event(&mut out, slice(s.name(), cursor, dur, tid));
+                slice(&mut out, s.name(), cursor, dur);
                 cursor += dur;
             }
         }
         // Execution window with its attribution slices.
         if t.exec_us > 0 {
             let exec_start = t.start_us + t.exec_begin_us;
-            event(&mut out, slice("exec", exec_start, t.exec_us, tid));
+            slice(&mut out, "exec", exec_start, t.exec_us);
             let mut cursor = exec_start;
             for s in [Stage::Decode, Stage::Kernel, Stage::Serialize] {
                 let dur = t
                     .stage_us(s)
                     .min(t.exec_us.saturating_sub(cursor - exec_start));
                 if dur > 0 {
-                    event(&mut out, slice(s.name(), cursor, dur, tid));
+                    slice(&mut out, s.name(), cursor, dur);
                     cursor += dur;
                 }
             }
@@ -602,34 +549,19 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
         let write_us = t.stage_us(Stage::Write);
         if write_us > 0 {
             let ts = (t.start_us + t.total_us).saturating_sub(write_us);
-            event(&mut out, slice("write", ts, write_us, tid));
+            slice(&mut out, "write", ts, write_us);
         }
         // Kernel sub-spans on a companion track, true timestamps.
         if !t.subspans.is_empty() {
             let ktid = t.id + KERNEL_TRACK_OFFSET;
-            event(
-                &mut out,
-                format!(
-                    "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {ktid}, \
-                     \"args\": {{\"name\": \"req {} kernels\"}}}}",
-                    t.id
-                ),
-            );
+            out.thread_name(ktid, &format!("req {} kernels", t.id));
             for s in &t.subspans {
-                event(
-                    &mut out,
-                    slice(
-                        s.name,
-                        t.start_us + s.begin_us,
-                        (s.end_us - s.begin_us).max(1),
-                        ktid,
-                    ),
-                );
+                let dur = (s.end_us - s.begin_us).max(1);
+                out.slice(ktid, "request", s.name, t.start_us + s.begin_us, dur, &[]);
             }
         }
     }
-    out.push_str("\n]}\n");
-    out
+    out.finish()
 }
 
 /// Offset separating a request's attribution track from its
@@ -734,7 +666,9 @@ mod tests {
         trace.add_stage(Stage::Key, pin.elapsed());
         {
             let _g = obs.enter_exec([&trace]);
-            time_stage(Stage::Decode, || std::thread::sleep(Duration::from_micros(100)));
+            time_stage(Stage::Decode, || {
+                std::thread::sleep(Duration::from_micros(100))
+            });
             std::thread::sleep(Duration::from_millis(2));
         }
         obs.finish(&metrics, &trace, 0);
@@ -755,7 +689,9 @@ mod tests {
                 .unwrap_or_else(|| panic!("no {name} slice"));
             let field = |f: &str| -> u64 {
                 let rest = &line[line.find(f).expect("field") + f.len()..];
-                rest[..rest.find(',').expect("comma")].parse().expect("number")
+                rest[..rest.find(',').expect("comma")]
+                    .parse()
+                    .expect("number")
             };
             (field("\"ts\": "), field("\"dur\": "))
         };

@@ -24,7 +24,7 @@ use crate::config::ServeConfig;
 #[cfg(feature = "chaos")]
 use crate::fault::FaultPlan;
 use crate::metrics::{Metrics, ShardSnapshot};
-use crate::obs::{FinishedTrace, Observer};
+use crate::obs::{chrome_trace_json, FinishedTrace, Observer};
 use crate::sched::{worker_loop, Job, Scheduler};
 use crate::session::SessionManager;
 use crate::transport::{accept_loop, shard_loop, ReplySignal, RoutedConn};
@@ -293,7 +293,7 @@ impl Server {
     /// Chrome trace-event JSON of the retained request timelines —
     /// server-side twin of the `TraceDump` opcode, loadable in Perfetto.
     pub fn trace_json(&self) -> String {
-        self.state.obs.chrome_trace_json()
+        chrome_trace_json(&self.state.obs.recent())
     }
 
     /// The structured slow-request log (requests over the configured
