@@ -22,10 +22,10 @@
 //! rotate-and-add ladder two rungs to a `ModUp`, with `c0` raised until the
 //! ladder ends.
 //!
-//! A [`LinearTransform`] encodes its diagonals once and keeps them, so a
-//! transform applied repeatedly (a database scored against every query, a
-//! bootstrap's DFT stages) pays the encoding FFT and limb NTTs on first
-//! use only.
+//! A [`LinearTransform`] encodes its diagonals once per level and baby
+//! dimension it is applied at and keeps them, so a transform applied
+//! repeatedly (a database scored against every query, a bootstrap's DFT
+//! stages) pays the encoding FFT and limb NTTs on first use only.
 
 use crate::context::CkksContext;
 use crate::encoding::Encoder;
@@ -61,9 +61,9 @@ struct EncodedDiagonals {
 pub struct LinearTransform {
     diagonals: BTreeMap<usize, Vec<Complex>>,
     slots: usize,
-    /// The encodings the last application used, reused by the next one at
-    /// the same context, level and baby dimension and replaced otherwise.
-    encoded: Mutex<Option<Arc<EncodedDiagonals>>>,
+    /// One encoding per (context, level, baby dimension) the transform has
+    /// been applied at, reused by every later application there.
+    encoded: Mutex<Vec<Arc<EncodedDiagonals>>>,
 }
 
 impl Clone for LinearTransform {
@@ -118,7 +118,7 @@ impl LinearTransform {
         Self {
             diagonals,
             slots,
-            encoded: Mutex::new(None),
+            encoded: Mutex::new(Vec::new()),
         }
     }
 
@@ -157,9 +157,10 @@ impl LinearTransform {
 
     /// The diagonals encoded over `ctx`'s raised basis at `ell` limbs,
     /// diagonal `d` rotated right by its giant step `⌊d/n1⌋·n1` so the
-    /// giant rotation aligns it: what the slot holds if it was filled at
-    /// this basis and `n1`, otherwise encoded now (one FFT and `ℓ + k`
-    /// limb NTTs per diagonal) and put in its place.
+    /// giant rotation aligns it: the encoding kept for this basis and `n1`
+    /// if there is one, otherwise encoded now (one FFT and `ℓ + k` limb
+    /// NTTs per diagonal) and kept beside the others for the transform's
+    /// life.
     fn encoded(
         &self,
         ctx: &CkksContext,
@@ -169,11 +170,14 @@ impl LinearTransform {
     ) -> Arc<EncodedDiagonals> {
         let basis = ctx.raised_basis(ell);
         // Encoding runs outside the lock; the lock only ever covers a
-        // pointer copy, so it cannot be poisoned.
-        let slot = || self.encoded.lock().expect("no panic under this lock");
-        let held = slot().clone();
-        if let Some(held) = held.filter(|e| Arc::ptr_eq(&e.basis, basis) && e.n1 == n1) {
-            return held;
+        // scan and a push, so it cannot be poisoned.
+        let held = || self.encoded.lock().expect("no panic under this lock");
+        let found = held()
+            .iter()
+            .find(|e| Arc::ptr_eq(&e.basis, basis) && e.n1 == n1)
+            .cloned();
+        if let Some(found) = found {
+            return found;
         }
         let scale = ctx.params().scale();
         let polys = self
@@ -191,7 +195,7 @@ impl LinearTransform {
             n1,
             polys,
         });
-        *slot() = Some(fresh.clone());
+        held().push(fresh.clone());
         fresh
     }
 }

@@ -328,7 +328,7 @@ pub struct Ladder {
 
 /// Per-instruction facts the validator derives for the pricer and the
 /// executor.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct InstrMeta {
     /// Working limb count: the level the primitive's arithmetic runs at
     /// (the minimum of the ciphertext operands at entry).
@@ -341,6 +341,12 @@ pub struct InstrMeta {
     pub hoist: HoistRole,
     /// Ladder-folding role of this instruction.
     pub fold: FoldRole,
+    /// Registers whose value dies here: the sources this instruction reads
+    /// for the last time, and its destination if nothing reads it (a dead
+    /// store). An output's final value never dies. An executor may free
+    /// them once the instruction has run — for a member of a hoisted run
+    /// or a folded ladder, once the whole run or ladder has.
+    pub dies: Vec<String>,
 }
 
 /// Result of [`Program::validate`].
@@ -557,21 +563,44 @@ fn rung_at(instrs: &[Instr], at: usize) -> Option<(&str, &str, i64)> {
     ))
 }
 
+/// The death table: per instruction, the registers whose value dies there
+/// ([`InstrMeta::dies`]) — every name it touches that is not live after
+/// it. The one backward liveness pass of [`Program::validate`]; the
+/// registers named in `outputs` are live at the end.
+fn deaths(instrs: &[Instr], outputs: &[String]) -> Vec<Vec<String>> {
+    let mut live: BTreeSet<&str> = outputs.iter().map(String::as_str).collect();
+    let mut table = vec![Vec::new(); instrs.len()];
+    for (dies, instr) in table.iter_mut().zip(instrs).rev() {
+        let (dst, (a, b)) = (instr.dst(), instr.sources());
+        for name in [Some(dst), Some(a), b].into_iter().flatten() {
+            if !live.contains(name) && !dies.iter().any(|d| d == name) {
+                dies.push(name.to_string());
+            }
+        }
+        live.remove(dst);
+        live.insert(a);
+        live.extend(b);
+    }
+    table
+}
+
 /// The ladder-folding schedule: maximal runs `(start index, rungs ≥ 2)` of
 /// consecutive rungs `t ← rot(acc, s ≠ 0); acc ← acc + t` (operands in
 /// either order) with `t ≠ acc`, the same `acc` and `t` throughout, and `t`
 /// **dead** after the run — not an output, and not read before it is next
-/// written; a folded ladder never materialises `t`. A `Rotate` that belongs
-/// to a hoisted run ([`hoisted_runs`]) stays there: a ladder starts at the
-/// first rung that does not. The executor runs each ladder as one
-/// double-hoisted fold over [`ladder_stages`]; the pricer charges it the
-/// same way. Linear in the instruction count (up to the name-set lookups).
-pub fn folded_ladders(instrs: &[Instr], outputs: &[String]) -> Vec<(usize, usize)> {
+/// written; a folded ladder never materialises `t`. Whether it is dead is
+/// the death table's answer (`dies`, one entry per instruction, as
+/// [`Program::validate`] derives it): `t` dies at the run's last `Add`. A
+/// `Rotate` that belongs to a hoisted run ([`hoisted_runs`]) stays there: a
+/// ladder starts at the first rung that does not. The executor runs each
+/// ladder as one double-hoisted fold over [`ladder_stages`]; the pricer
+/// charges it the same way. Linear in the instruction count.
+pub fn folded_ladders(instrs: &[Instr], dies: &[Vec<String>]) -> Vec<(usize, usize)> {
     let mut hoisted = vec![false; instrs.len()];
     for (start, len) in hoisted_runs(instrs) {
         hoisted[start..start + len].fill(true);
     }
-    let mut candidates = Vec::new();
+    let mut ladders = Vec::new();
     let mut i = 0;
     while i < instrs.len() {
         let Some((acc, t, _)) = rung_at(instrs, i).filter(|_| !hoisted[i]) else {
@@ -582,30 +611,11 @@ pub fn folded_ladders(instrs: &[Instr], outputs: &[String]) -> Vec<(usize, usize
         while rung_at(instrs, i + 2 * rungs).is_some_and(|(a, r, _)| (a, r) == (acc, t)) {
             rungs += 1;
         }
-        if rungs >= 2 {
-            candidates.push((i, rungs, t));
+        if rungs >= 2 && dies[i + 2 * rungs - 1].iter().any(|d| d == t) {
+            ladders.push((i, rungs));
         }
         i += 2 * rungs;
     }
-    // One backward liveness pass answers "is `t` read after the run?" for
-    // every candidate (they are disjoint and in program order).
-    let mut live: BTreeSet<&str> = outputs.iter().map(String::as_str).collect();
-    let mut ladders = Vec::with_capacity(candidates.len());
-    for (idx, instr) in instrs.iter().enumerate().rev() {
-        if let Some(&(start, rungs, t)) = candidates.last() {
-            if idx + 1 == start + 2 * rungs {
-                candidates.pop();
-                if !live.contains(t) {
-                    ladders.push((start, rungs));
-                }
-            }
-        }
-        live.remove(instr.dst());
-        let (a, b) = instr.sources();
-        live.insert(a);
-        live.extend(b);
-    }
-    ladders.reverse();
     ladders
 }
 
@@ -641,7 +651,8 @@ impl Program {
     }
 
     /// Statically checks the program and derives the per-instruction
-    /// levels, scales, hoisting schedule, and key manifest.
+    /// levels, scales, hoisting and folding schedules, death table, and key
+    /// manifest.
     pub fn validate(&self, env: &ProgramEnv) -> Result<ProgramInfo, ValidateError> {
         if self.instrs.is_empty() || self.outputs.is_empty() {
             return Err(ValidateError::Empty);
@@ -825,9 +836,11 @@ impl Program {
                 out_scale_exp: out_exp,
                 hoist: HoistRole::Single,
                 fold: FoldRole::Single,
+                dies: Vec::new(),
             });
         }
 
+        let dies = deaths(&self.instrs, &self.outputs);
         for (start, len) in hoisted_runs(&self.instrs) {
             metas[start].hoist = HoistRole::Leader(len);
             for m in metas.iter_mut().skip(start + 1).take(len - 1) {
@@ -835,7 +848,7 @@ impl Program {
             }
         }
         let mut ladders = Vec::new();
-        for (start, rungs) in folded_ladders(&self.instrs, &self.outputs) {
+        for (start, rungs) in folded_ladders(&self.instrs, &dies) {
             let steps: Vec<i64> = (0..rungs)
                 .map(|r| rung_at(&self.instrs, start + 2 * r).expect("a rung").2)
                 .collect();
@@ -851,6 +864,9 @@ impl Program {
                 rungs,
                 stages,
             });
+        }
+        for (meta, dies) in metas.iter_mut().zip(dies) {
+            meta.dies = dies;
         }
 
         let mut outputs = Vec::with_capacity(self.outputs.len());
@@ -1676,40 +1692,156 @@ mod tests {
             .collect()
     }
 
-    fn outputs(names: &[&str]) -> Vec<String> {
+    fn names(names: &[&str]) -> Vec<String> {
         names.iter().map(|n| n.to_string()).collect()
+    }
+
+    /// The ladders of `instrs` under the death table `outputs` leaves it.
+    fn ladders_of(instrs: &[Instr], outputs: &[String]) -> Vec<(usize, usize)> {
+        folded_ladders(instrs, &deaths(instrs, outputs))
+    }
+
+    /// `program`'s death table as validated, one name list per instruction.
+    fn death_table(program: &Program) -> Vec<Vec<String>> {
+        let info = program.validate(&env()).expect("valid program");
+        info.instrs.into_iter().map(|m| m.dies).collect()
+    }
+
+    #[test]
+    fn the_death_table_frees_each_value_after_its_last_read() {
+        // `d` is never read: a dead store dies where it is written. `x`
+        // dies at its last read; `s` is an output and never dies, though
+        // it is read along the way; `y` is read by the instruction that
+        // overwrites it, which frees the old value by itself.
+        let p = Program {
+            name: "deaths".into(),
+            ct_inputs: vec![
+                CtDecl {
+                    name: "x".into(),
+                    level: 5,
+                },
+                CtDecl {
+                    name: "y".into(),
+                    level: 5,
+                },
+            ],
+            instrs: vec![
+                add("s", "x", "y"),
+                add("d", "s", "s"),
+                add("y", "y", "x"),
+                add("s", "s", "y"),
+            ],
+            outputs: names(&["s"]),
+            ..Program::default()
+        };
+        let dies = death_table(&p);
+        assert_eq!(
+            dies,
+            [names(&[]), names(&["d"]), names(&["x"]), names(&["y"])]
+        );
+        // Only an output's final value is kept: an earlier one dies at its
+        // last read like any other, and `y`, now never read, is a dead store.
+        let mut twice = p.clone();
+        twice.instrs[3] = add("s", "x", "x");
+        assert_eq!(
+            death_table(&twice),
+            [names(&[]), names(&["d", "s"]), names(&["y"]), names(&["x"])]
+        );
+        // An output that is an input, never written, never dies.
+        let mut input_out = p.clone();
+        input_out.outputs.push("x".into());
+        assert!(death_table(&input_out).iter().flatten().all(|d| d != "x"));
+    }
+
+    #[test]
+    fn a_hoisted_runs_source_dies_at_its_last_member() {
+        let p = Program {
+            name: "hoist".into(),
+            ct_inputs: vec![CtDecl {
+                name: "x".into(),
+                level: 5,
+            }],
+            instrs: vec![
+                Instr::MulConst {
+                    dst: "p".into(),
+                    a: "x".into(),
+                    value: 1.0,
+                },
+                rot("r1", "p", 1),
+                rot("r2", "p", 2),
+                rot("r3", "p", 3),
+                add("s", "r1", "r2"),
+                add("s", "s", "r3"),
+            ],
+            outputs: names(&["s"]),
+            ..Program::default()
+        };
+        let info = p.validate(&env()).expect("valid");
+        assert_eq!(info.instrs[1].hoist, HoistRole::Leader(3));
+        assert_eq!(
+            death_table(&p),
+            [
+                names(&["x"]),
+                names(&[]),
+                names(&[]),
+                names(&["p"]),
+                names(&["r1", "r2"]),
+                names(&["r3"]),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_folded_ladders_temporary_dies_at_every_add() {
+        let mut instrs = ladder("x", "t", &[1, 2, 4]);
+        instrs.push(Instr::MulConst {
+            dst: "y".into(),
+            a: "x".into(),
+            value: 0.5,
+        });
+        let p = Program {
+            name: "fold".into(),
+            ct_inputs: vec![CtDecl {
+                name: "x".into(),
+                level: 5,
+            }],
+            instrs,
+            outputs: names(&["y"]),
+            ..Program::default()
+        };
+        let info = p.validate(&env()).expect("valid");
+        assert_eq!(info.ladders.len(), 1);
+        let dies = death_table(&p);
+        let rung = [names(&[]), names(&["t"])];
+        assert_eq!(dies[..6], [rung.clone(), rung.clone(), rung].concat());
+        // The running sum is live until the instruction after the ladder.
+        assert_eq!(dies[6], names(&["x"]));
     }
 
     #[test]
     fn ladders_are_maximal_runs_of_rungs_on_one_pair_of_registers() {
-        let out = outputs(&["x"]);
+        let out = names(&["x"]);
         // Doubling, non-doubling and negative steps alike; one rung is none.
-        assert_eq!(
-            folded_ladders(&ladder("x", "t", &[1, 2, 4, 8]), &out),
-            [(0, 4)]
-        );
-        assert_eq!(
-            folded_ladders(&ladder("x", "t", &[5, -3, 7]), &out),
-            [(0, 3)]
-        );
-        assert_eq!(folded_ladders(&ladder("x", "t", &[1]), &out), []);
+        assert_eq!(ladders_of(&ladder("x", "t", &[1, 2, 4, 8]), &out), [(0, 4)]);
+        assert_eq!(ladders_of(&ladder("x", "t", &[5, -3, 7]), &out), [(0, 3)]);
+        assert_eq!(ladders_of(&ladder("x", "t", &[1]), &out), []);
         // The `Add` may name its operands in either order.
         let mut swapped = ladder("x", "t", &[1, 2]);
         swapped[1] = add("x", "t", "x");
-        assert_eq!(folded_ladders(&swapped, &out), [(0, 2)]);
+        assert_eq!(ladders_of(&swapped, &out), [(0, 2)]);
         // `t = acc`, a copy (step 0), a `Sub`, a sum written elsewhere: no rung.
-        assert_eq!(folded_ladders(&ladder("x", "x", &[1, 2]), &out), []);
-        assert_eq!(folded_ladders(&ladder("x", "t", &[1, 0, 2]), &out), []);
+        assert_eq!(ladders_of(&ladder("x", "x", &[1, 2]), &out), []);
+        assert_eq!(ladders_of(&ladder("x", "t", &[1, 0, 2]), &out), []);
         let mut other = ladder("x", "t", &[1, 2]);
         other[3] = Instr::Sub {
             dst: "x".into(),
             a: "x".into(),
             b: "t".into(),
         };
-        assert_eq!(folded_ladders(&other, &out), []);
+        assert_eq!(ladders_of(&other, &out), []);
         let mut elsewhere = ladder("x", "t", &[1, 2]);
         elsewhere[1] = add("y", "x", "t");
-        assert_eq!(folded_ladders(&elsewhere, &outputs(&["y"])), []);
+        assert_eq!(ladders_of(&elsewhere, &names(&["y"])), []);
         // An instruction that writes `acc` between two rungs ends the run
         // there; what is left on either side folds if it is long enough.
         let mut cut = ladder("x", "t", &[1, 2, 4, 8, 16]);
@@ -1721,14 +1853,14 @@ mod tests {
                 value: 0.0,
             },
         );
-        assert_eq!(folded_ladders(&cut, &out), [(0, 2), (5, 3)]);
+        assert_eq!(ladders_of(&cut, &out), [(0, 2), (5, 3)]);
         // Two ladders back to back, on different registers or through
         // different temporaries, are two ladders.
         let mut two = ladder("x", "t", &[1, 2]);
         two.extend(ladder("y", "t", &[4, 8, 16]));
         two.extend(ladder("y", "u", &[1, 2]));
         assert_eq!(
-            folded_ladders(&two, &outputs(&["x", "y"])),
+            ladders_of(&two, &names(&["x", "y"])),
             [(0, 2), (4, 3), (10, 2)]
         );
     }
@@ -1739,21 +1871,21 @@ mod tests {
         // Read afterwards, or an output: the rungs run as written.
         let mut read = rungs.clone();
         read.push(add("y", "x", "t"));
-        assert_eq!(folded_ladders(&read, &outputs(&["y"])), []);
-        assert_eq!(folded_ladders(&rungs, &outputs(&["x", "t"])), []);
+        assert_eq!(ladders_of(&read, &names(&["y"])), []);
+        assert_eq!(ladders_of(&rungs, &names(&["x", "t"])), []);
         // Written again before it is next read: dead.
         let mut rewritten = rungs.clone();
         rewritten.push(rot("t", "x", 0));
         rewritten.push(add("y", "x", "t"));
-        assert_eq!(folded_ladders(&rewritten, &outputs(&["y", "t"])), [(0, 2)]);
+        assert_eq!(ladders_of(&rewritten, &names(&["y", "t"])), [(0, 2)]);
         // A later ladder through the same temporary overwrites it first.
         let mut again = rungs.clone();
         again.push(rot("z", "x", 0));
         again.extend(ladder("x", "t", &[4, 8]));
-        assert_eq!(folded_ladders(&again, &outputs(&["x"])), [(0, 2), (5, 2)]);
+        assert_eq!(ladders_of(&again, &names(&["x"])), [(0, 2), (5, 2)]);
         // Only the last of two is read afterwards.
         again.push(add("y", "z", "t"));
-        assert_eq!(folded_ladders(&again, &outputs(&["y"])), [(0, 2)]);
+        assert_eq!(ladders_of(&again, &names(&["y"])), [(0, 2)]);
     }
 
     #[test]
@@ -1765,9 +1897,9 @@ mod tests {
         instrs.extend(ladder("x", "t", &[1, 2, 4]));
         instrs.push(add("x", "x", "r"));
         assert_eq!(hoisted_runs(&instrs), [(0, 2)]);
-        assert_eq!(folded_ladders(&instrs, &outputs(&["x"])), [(3, 2)]);
+        assert_eq!(ladders_of(&instrs, &names(&["x"])), [(3, 2)]);
         instrs.truncate(5);
-        assert_eq!(folded_ladders(&instrs, &outputs(&["x", "r"])), []);
+        assert_eq!(ladders_of(&instrs, &names(&["x", "r"])), []);
     }
 
     #[test]
@@ -1779,7 +1911,7 @@ mod tests {
                 level: 4,
             }],
             instrs: ladder("x", "t", steps),
-            outputs: outputs(&["x"]),
+            outputs: names(&["x"]),
             ..Program::default()
         };
         let info = ladder_program(&[1, 2, 4, 8, 16]).validate(&env()).unwrap();
@@ -1865,7 +1997,7 @@ mod tests {
                 level: 7,
             }],
             instrs: ladder("x", "t", &rungs),
-            outputs: outputs(&["x"]),
+            outputs: names(&["x"]),
             ..Program::default()
         };
         let info = p

@@ -53,6 +53,9 @@ pub struct ScratchStats {
     pub misses: u64,
     /// Buffers currently sitting in the free list.
     pub free: usize,
+    /// Bytes the free list holds: its buffers' capacity, which can be
+    /// several times the length they were last leased at.
+    pub free_bytes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -148,10 +151,12 @@ impl ScratchPool {
 
     /// Current counters.
     pub fn stats(&self) -> ScratchStats {
+        let free = self.free.lock().expect("scratch pool poisoned");
         ScratchStats {
             leases: self.leases.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            free: self.free.lock().expect("scratch pool poisoned").bufs.len(),
+            free: free.bufs.len(),
+            free_bytes: free.bufs.iter().map(|b| 8 * b.capacity() as u64).sum(),
         }
     }
 }
@@ -199,6 +204,9 @@ mod tests {
         assert_eq!(stats.leases, 2);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.free, 1);
+        // The free list holds the allocation's capacity, not the last
+        // lease's length.
+        assert_eq!(stats.free_bytes, 8 * 1024);
     }
 
     #[test]

@@ -36,6 +36,12 @@
 //! overwrites the name: a run copies a ciphertext only where the program
 //! says so (`Rotate` by 0) and on the way out (an output is an exact-sized
 //! copy; the register it came from, a pool lease, is dropped with the rest).
+//! A register lives until its last read: the validator's death table
+//! ([`simfhe::program::InstrMeta::dies`], one backward liveness pass) names
+//! the values each instruction reads for the last time and its dead store,
+//! and the executor drops them to the allocator once the instruction — or
+//! the hoisted run or folded ladder it belongs to — has run. Outputs never
+//! die.
 //!
 //! Every instruction runs inside a `Prog.<Mnemonic>` telemetry span; the
 //! serving runtime's request timelines surface these as per-instruction
@@ -302,8 +308,9 @@ pub fn execute_validated(
                 .collect();
             let gk = keys.galois.expect("checked against the manifest");
             let rotated = rotate_hoisted(ev, regs.get(src), &steps, gk);
-            for (member, out) in prog.instrs[idx..idx + len].iter().zip(rotated) {
-                regs.set(member.dst(), out);
+            for (at, out) in (idx..idx + len).zip(rotated) {
+                regs.set(prog.instrs[at].dst(), out);
+                regs.free(&info.instrs[at].dies);
             }
             idx += len;
             continue;
@@ -321,7 +328,11 @@ pub fn execute_validated(
             let gk = keys.galois.expect("checked against the manifest");
             let folded = rotate_fold(ev, regs.get(acc), &ladder.stages, gk);
             regs.set(acc, folded);
-            idx += 2 * ladder.rungs;
+            let end = idx + 2 * ladder.rungs;
+            for member in &info.instrs[idx..end] {
+                regs.free(&member.dies);
+            }
+            idx = end;
             continue;
         }
 
@@ -362,13 +373,14 @@ pub fn execute_validated(
             Instr::Bootstrap { .. } => unreachable!("rejected above"),
         };
         regs.set(instr.dst(), out);
+        regs.free(&meta.dies);
         idx += 1;
     }
 
-    // Cloned, not moved: a register's storage is a pool lease, whose
-    // capacity can be several times its length, and the caller keeps what
-    // it is handed (moving them out read 17 MB higher on `lib_programs`'
-    // `peak_rss_mb`).
+    // Cloned, not moved: an output never dies, so it is still a pool lease
+    // here, whose capacity can be several times its length, and the caller
+    // keeps what it is handed (moving them out read 17 MB higher on
+    // `lib_programs`' `peak_rss_mb`).
     Ok(prog
         .outputs
         .iter()
@@ -377,7 +389,8 @@ pub fn execute_validated(
 }
 
 /// The register file of one run: a name holds the caller's input ciphertext
-/// by reference until an instruction writes it.
+/// by reference until an instruction writes it, and nothing once its value
+/// has died.
 struct Registers<'a>(BTreeMap<&'a str, Cow<'a, Ciphertext>>);
 
 impl<'a> Registers<'a> {
@@ -388,5 +401,14 @@ impl<'a> Registers<'a> {
 
     fn set(&mut self, name: &'a str, value: Ciphertext) {
         self.0.insert(name, Cow::Owned(value));
+    }
+
+    /// Drops the values the death table says are never read again. They go
+    /// back to the allocator, not to the scratch pool: a lease's capacity
+    /// can be several times its length, and the pool would keep it.
+    fn free(&mut self, dead: &[String]) {
+        for name in dead {
+            self.0.remove(name.as_str());
+        }
     }
 }

@@ -195,7 +195,7 @@ fn distance(a: &Slots, b: &Slots) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// Every shape the coverage test wants to see drawn.
-const SHAPES: [&str; 17] = [
+const SHAPES: [&str; 18] = [
     "folded",
     "read_after",
     "t_output",
@@ -209,6 +209,7 @@ const SHAPES: [&str; 17] = [
     "cancelling",
     "swapped_add",
     "sparse_diagonals",
+    "matrix_at_two_levels",
     "unequal_mult",
     "hoisted_run",
     "output_twice",
@@ -332,6 +333,7 @@ impl Draft {
     /// One instruction of soup (dropped if it does not fit).
     fn soup(&mut self) {
         let (a, b, dst) = (self.pick(), self.pick(), self.dst());
+        let declared = self.prog.matrices.len();
         let instr = match self.rng.gen_range(0..12) {
             0 | 1 => Instr::Add { dst, a, b },
             2 => Instr::Sub { dst, a, b },
@@ -364,7 +366,6 @@ impl Draft {
         };
         // A scaled value usually comes straight back down.
         let scaled = matches!(instr, Instr::PtMult { .. } | Instr::MulConst { .. });
-        let transform = matches!(instr, Instr::BsgsMatVec { .. });
         let dst = instr.dst().to_string();
         let pushed = self.try_push(instr);
         if pushed && scaled && self.rng.gen_bool(0.7) {
@@ -372,18 +373,20 @@ impl Draft {
                 dst: dst.clone(),
                 a: dst,
             });
-        } else if transform && !pushed {
+        } else if !pushed && self.prog.matrices.len() > declared {
             let unused = self.prog.matrices.pop().expect("just declared");
             self.bound.mats.remove(&unused.name);
         }
     }
 
-    /// Declares a matrix over a sparse diagonal set — a few offsets anywhere
-    /// in the ring — for one `BsgsMatVec`. (One each: a `LinearTransform`
-    /// keeps the encodings of one level, so a matrix applied at two levels
-    /// in one program encodes again on every run, which the model, pricing
-    /// diagonals as pre-encoded, does not see.)
+    /// A matrix for one `BsgsMatVec`: often one already declared, so a
+    /// transform is applied at several levels, otherwise a new one over a
+    /// sparse diagonal set — a few offsets anywhere in the ring.
     fn matrix(&mut self) -> String {
+        if !self.prog.matrices.is_empty() && self.rng.gen_bool(0.8) {
+            let at = self.rng.gen_range(0..self.prog.matrices.len());
+            return self.prog.matrices[at].name.clone();
+        }
         let mut offsets: Vec<usize> = (0..SLOTS).filter(|_| self.rng.gen_bool(0.25)).collect();
         if offsets.is_empty() {
             offsets.push(self.rng.gen_range(0..SLOTS));
@@ -546,6 +549,16 @@ impl Draft {
                 && m.offsets.windows(2).any(|w| w[1] - w[0] > 1)
         });
         shapes.note("sparse_diagonals", sparse);
+        let mut levels: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+        for (instr, meta) in prog.instrs.iter().zip(&info.instrs) {
+            if let Instr::BsgsMatVec { mat, .. } = instr {
+                levels.entry(mat).or_default().insert(meta.ell);
+            }
+        }
+        shapes.note(
+            "matrix_at_two_levels",
+            levels.values().any(|at| at.len() > 1),
+        );
         let unequal = |idx: usize| {
             // `Mult` operands at different levels: the working level is
             // below one of them.

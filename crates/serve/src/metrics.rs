@@ -11,6 +11,7 @@
 use crate::cache::CacheStats;
 use crate::obs::Stage;
 use crate::protocol::Opcode;
+use fhe_math::ScratchStats;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -169,8 +170,9 @@ impl Histogram {
 }
 
 /// One shard's contribution to the sharded metrics dump: its request
-/// count, open sessions, and key-cache slice, captured together so the
-/// per-shard lines in [`Metrics::dump_sharded`] describe one moment.
+/// count, open sessions, stored bytes and key-cache slice, captured
+/// together so the per-shard lines in [`Metrics::dump_sharded`] describe
+/// one moment.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardSnapshot {
     /// The shard index (the `shard="i"` label value).
@@ -183,6 +185,9 @@ pub struct ShardSnapshot {
     pub cache: CacheStats,
     /// This shard's slice of the global cache byte budget.
     pub budget_bytes: u64,
+    /// Compressed key and program bytes this shard's sessions store
+    /// (`SessionManager::stored_bytes`).
+    pub stored_bytes: u64,
 }
 
 /// One row of the per-shard family table in
@@ -287,15 +292,15 @@ impl Metrics {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Renders every counter, plus the cache's, as plain text in the
-    /// Prometheus exposition format: every family gets a `# HELP` and
-    /// `# TYPE` header immediately before its samples, families appear
-    /// in a fixed order regardless of traffic, and histogram families
-    /// additionally derive `p50`/`p95`/`p99` gauge estimates from their
-    /// log2 buckets. `backend` is the context's active kernel backend,
-    /// exported as an info-style gauge so dashboards can attribute
-    /// latency shifts to kernel changes.
-    pub fn dump(&self, cache: &CacheStats, backend: &str) -> String {
+    /// Renders every counter, plus the cache's and the scratch pool's, as
+    /// plain text in the Prometheus exposition format: every family gets a
+    /// `# HELP` and `# TYPE` header immediately before its samples,
+    /// families appear in a fixed order regardless of traffic, and
+    /// histogram families additionally derive `p50`/`p95`/`p99` gauge
+    /// estimates from their log2 buckets. `backend` is the context's
+    /// active kernel backend, exported as an info-style gauge so dashboards
+    /// can attribute latency shifts to kernel changes.
+    pub fn dump(&self, cache: &CacheStats, scratch: &ScratchStats, backend: &str) -> String {
         let mut out = String::new();
         let family = |out: &mut String, name: &str, ty: &str, help: &str| {
             let _ = writeln!(out, "# HELP {name} {help}");
@@ -315,7 +320,7 @@ impl Metrics {
         let _ = writeln!(out, "serve_kernel_backend{{backend=\"{backend}\"}} 1");
 
         let rel = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let counters: [(&str, &str, &str, u64); 22] = [
+        let counters: [(&str, &str, &str, u64); 23] = [
             (
                 "serve_requests_total",
                 "counter",
@@ -448,6 +453,12 @@ impl Metrics {
                 "Keys currently pinned by executing batches.",
                 cache.pinned_keys,
             ),
+            (
+                "serve_scratch_free_bytes",
+                "gauge",
+                "Bytes held by the scratch pool's free list (buffer capacity).",
+                scratch.free_bytes,
+            ),
         ];
         for (name, ty, help, v) in counters {
             g(&mut out, name, ty, help, v);
@@ -565,7 +576,8 @@ impl Metrics {
 
     /// [`Metrics::dump`] plus the per-shard families of a sharded
     /// server: the shard count, then per-shard request counters, open
-    /// sessions, and each shard's key-cache slice (`shard="i"` labels).
+    /// sessions, each shard's key-cache slice and its sessions' stored
+    /// bytes (`shard="i"` labels).
     /// `cache` must be the *aggregate* of every shard's stats so the
     /// global families keep reading as one fleet-wide cache; family
     /// order is fixed and traffic-independent, exactly like
@@ -573,10 +585,11 @@ impl Metrics {
     pub fn dump_sharded(
         &self,
         cache: &CacheStats,
+        scratch: &ScratchStats,
         backend: &str,
         shards: &[ShardSnapshot],
     ) -> String {
-        let mut out = self.dump(cache, backend);
+        let mut out = self.dump(cache, scratch, backend);
         let family = |out: &mut String, name: &str, ty: &str, help: &str| {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {ty}");
@@ -588,7 +601,7 @@ impl Metrics {
             "Number of independent shard loops.",
         );
         let _ = writeln!(out, "serve_shards {}", shards.len());
-        let labeled: [ShardFamily; 7] = [
+        let labeled: [ShardFamily; 8] = [
             (
                 "serve_shard_requests_total",
                 "counter",
@@ -631,6 +644,12 @@ impl Metrics {
                 "Expanded keys evicted from this shard's slice.",
                 |s| s.cache.evictions,
             ),
+            (
+                "serve_shard_stored_key_bytes",
+                "gauge",
+                "Compressed key (and program) bytes stored by this shard's sessions.",
+                |s| s.stored_bytes,
+            ),
         ];
         for (name, ty, help, get) in labeled {
             family(&mut out, name, ty, help);
@@ -656,7 +675,7 @@ mod tests {
         assert_eq!(h.count(), 4);
         let m = Metrics::new();
         m.latency(Opcode::Add).observe(Duration::from_micros(5));
-        let dump = m.dump(&CacheStats::default(), "scalar");
+        let dump = m.dump(&CacheStats::default(), &ScratchStats::default(), "scalar");
         assert!(dump.contains("serve_op_latency_us_count{op=\"add\"} 1"));
         assert!(dump.contains("serve_op_latency_us_bucket{op=\"add\",le=\"+Inf\"} 1"));
         assert!(dump.contains("serve_requests_total 0"));
@@ -683,7 +702,7 @@ mod tests {
         h.observe(Duration::from_nanos(0));
         h.observe(Duration::from_nanos(300));
         h.observe(Duration::from_micros(1));
-        let dump = m.dump(&CacheStats::default(), "scalar");
+        let dump = m.dump(&CacheStats::default(), &ScratchStats::default(), "scalar");
         let lines = bucket_lines(&dump, "rotate");
         assert_eq!(
             lines.first(),
@@ -701,7 +720,7 @@ mod tests {
         for us in samples_us {
             h.observe(Duration::from_micros(us));
         }
-        let dump = m.dump(&CacheStats::default(), "scalar");
+        let dump = m.dump(&CacheStats::default(), &ScratchStats::default(), "scalar");
         let lines = bucket_lines(&dump, "mult");
         assert!(lines.len() >= 2);
         // Every rendered bucket is labeled except the final +Inf; labels
@@ -741,7 +760,7 @@ mod tests {
         m.batch_jobs_total.fetch_add(9008, Ordering::Relaxed);
         assert_eq!(m.batch_size.count(), 4);
         assert_eq!(m.batch_size.sum(), 9008);
-        let dump = m.dump(&CacheStats::default(), "scalar");
+        let dump = m.dump(&CacheStats::default(), &ScratchStats::default(), "scalar");
         assert!(dump.contains("serve_batch_size_bucket{le=\"1\"} 1"));
         // 3 and 4 both land in le="4"; cumulative counts 1+2.
         assert!(dump.contains("serve_batch_size_bucket{le=\"4\"} 3"));
@@ -808,7 +827,11 @@ mod tests {
         m.e2e_latency().observe(Duration::from_micros(800));
         m.batch_size.observe(3);
         m.enqueued();
-        let dump = m.dump(&CacheStats::default(), "scalar");
+        let scratch = ScratchStats {
+            free_bytes: 4096,
+            ..ScratchStats::default()
+        };
+        let dump = m.dump(&CacheStats::default(), &scratch, "scalar");
 
         let mut families_in_order = Vec::new();
         let mut typed = std::collections::HashSet::new();
@@ -847,13 +870,20 @@ mod tests {
         // families in the same order.
         let m2 = Metrics::new();
         m2.latency(Opcode::Add).observe(Duration::from_micros(5));
-        let dump2 = m2.dump(&CacheStats::default(), "unrolled");
+        let dump2 = m2.dump(&CacheStats::default(), &ScratchStats::default(), "unrolled");
         let families2: Vec<String> = dump2
             .lines()
             .filter_map(|l| l.strip_prefix("# TYPE "))
             .map(|r| r.split(' ').next().unwrap().to_string())
             .collect();
         assert_eq!(families_in_order, families2, "family order must be stable");
+        // The pool's free-list bytes follow the key cache's residency.
+        let at = |name: &str| families_in_order.iter().position(|f| f == name);
+        assert_eq!(
+            at("serve_scratch_free_bytes"),
+            at("serve_key_cache_pinned_keys").map(|i| i + 1)
+        );
+        assert!(dump.contains("\nserve_scratch_free_bytes 4096\n"));
 
         // Quantile estimates honour the bucket that fed them.
         assert!(dump.contains("serve_stage_latency_us_quantile{stage=\"kernel\",q=\"0.5\"}"));
@@ -883,6 +913,7 @@ mod tests {
                     ..CacheStats::default()
                 },
                 budget_bytes: 512,
+                stored_bytes: 1234,
             },
             ShardSnapshot {
                 shard: 1,
@@ -894,17 +925,20 @@ mod tests {
                     ..CacheStats::default()
                 },
                 budget_bytes: 512,
+                stored_bytes: 0,
             },
         ];
-        let dump = m.dump_sharded(&agg, "scalar", &shards);
+        let scratch = ScratchStats::default();
+        let dump = m.dump_sharded(&agg, &scratch, "scalar", &shards);
         // The global families are the plain dump, byte for byte.
-        assert!(dump.starts_with(&m.dump(&agg, "scalar")));
+        assert!(dump.starts_with(&m.dump(&agg, &scratch, "scalar")));
         assert!(dump.contains("serve_shards 2"));
         assert!(dump.contains("serve_shard_requests_total{shard=\"0\"} 1"));
         assert!(dump.contains("serve_shard_requests_total{shard=\"1\"} 0"));
         assert!(dump.contains("serve_shard_sessions{shard=\"0\"} 2"));
         assert!(dump.contains("serve_shard_key_cache_hits_total{shard=\"0\"} 3"));
         assert!(dump.contains("serve_shard_key_cache_budget_bytes{shard=\"1\"} 512"));
+        assert!(dump.contains("serve_shard_stored_key_bytes{shard=\"0\"} 1234"));
         // Every appended family is declared before its samples.
         for name in [
             "serve_shards",
@@ -915,6 +949,7 @@ mod tests {
             "serve_shard_key_cache_resident_bytes",
             "serve_shard_key_cache_budget_bytes",
             "serve_shard_key_cache_evictions_total",
+            "serve_shard_stored_key_bytes",
         ] {
             assert!(dump.contains(&format!("# HELP {name} ")), "{name}");
             assert!(dump.contains(&format!("# TYPE {name} ")), "{name}");

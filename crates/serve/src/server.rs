@@ -74,17 +74,20 @@ impl SharedState {
                 sessions: s.sessions.len() as u64,
                 cache: stats,
                 budget_bytes: s.cache.budget_bytes(),
+                stored_bytes: s.sessions.stored_bytes(),
             });
         }
         (agg, snaps)
     }
 
     /// The full metrics dump: global families over aggregated cache
-    /// stats, then the per-shard labeled families.
+    /// stats and the context's scratch pool, then the per-shard labeled
+    /// families.
     pub(crate) fn metrics_text(&self) -> String {
         let (agg, snaps) = self.shard_snapshots();
-        self.metrics
-            .dump_sharded(&agg, self.ctx.kernel_backend().name(), &snaps)
+        let scratch = self.ctx.scratch().stats();
+        let backend = self.ctx.kernel_backend().name();
+        self.metrics.dump_sharded(&agg, &scratch, backend, &snaps)
     }
 }
 

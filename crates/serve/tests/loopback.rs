@@ -261,6 +261,48 @@ fn graceful_drain_then_connect_refused() {
     );
 }
 
+/// The sum of a family's samples across every shard of a metrics dump.
+fn shard_total(dump: &str, family: &str) -> u64 {
+    let prefix = format!("{family}{{shard=\"");
+    dump.lines()
+        .filter(|line| line.starts_with(&prefix))
+        .map(|line| line.rsplit_once(' ').expect("a sample").1.parse::<u64>())
+        .map(|v| v.expect("an integer sample"))
+        .sum()
+}
+
+/// The per-shard stored-bytes gauge is the sessions' compressed keys, byte
+/// for byte as uploaded, and falls back to zero when the session closes.
+#[test]
+fn stored_key_bytes_are_the_uploaded_compressed_keys() {
+    let ctx = helr_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut rng = StdRng::seed_from_u64(7000);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let rlk = kg.relin_key_compressed(&mut rng, &sk);
+    let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1, 2, 4], false);
+    let uploaded = serialize_switching_key(rlk.switching_key()).len()
+        + gk.iter()
+            .map(|(_, key)| serialize_switching_key(key).len())
+            .sum::<usize>();
+
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let stored = |client: &mut Client| {
+        let dump = client.metrics().unwrap();
+        assert!(dump.contains("\nserve_scratch_free_bytes "), "{dump}");
+        shard_total(&dump, "serve_shard_stored_key_bytes")
+    };
+    assert_eq!(stored(&mut client), 0);
+    let sid = client.hello().unwrap();
+    client.upload_relin(sid, rlk.switching_key()).unwrap();
+    client.upload_galois(sid, &gk).unwrap();
+    assert_eq!(stored(&mut client), uploaded as u64);
+    client.close_session(sid).unwrap();
+    assert_eq!(stored(&mut client), 0);
+    server.shutdown();
+}
+
 /// Operands and results go back to the context's scratch pool once the
 /// reply is bytes, so a warm loop of identical rotations finds every
 /// buffer it leases already pooled.

@@ -204,8 +204,8 @@ fn a_transform_applied_again_encodes_nothing_and_costs_what_the_model_says() {
         }
     }
 
-    // The slot holds one encoding: another level, another baby dimension
-    // or another context replaces it, and coming back pays again.
+    // One encoding per (context, level, baby dimension): another of any of
+    // them pays once, and coming back to one already applied at is free.
     let lt = transform(&[0, 1, 2, 3, 4, 5]);
     let price = |ell: usize, n1: usize, warm: bool| {
         let schedule = BsgsSchedule::of(&lt.offsets(), n1);
@@ -219,20 +219,28 @@ fn a_transform_applied_again_encodes_nothing_and_costs_what_the_model_says() {
     assert_eq!(at_top(4), price(LEVELS, 4, true));
     let at_lower = transforms_of(|| drop(apply_bsgs(&evaluator, &encoder, &lower, &lt, &gk, 4)));
     assert_eq!(at_lower, price(LEVELS - 1, 4, false), "another level");
-    assert_eq!(at_top(4), price(LEVELS, 4, false), "the first level again");
+    assert_eq!(at_top(4), price(LEVELS, 4, true), "the first level again");
+    let at_lower = transforms_of(|| drop(apply_bsgs(&evaluator, &encoder, &lower, &lt, &gk, 4)));
+    assert_eq!(
+        at_lower,
+        price(LEVELS - 1, 4, true),
+        "the second level again"
+    );
     assert_eq!(at_top(2), price(LEVELS, 2, false), "another baby dimension");
     assert_eq!(at_top(2), price(LEVELS, 2, true));
+    assert_eq!(
+        at_top(4),
+        price(LEVELS, 4, true),
+        "the first dimension again"
+    );
     let elsewhere = || drop(apply_bsgs(&evaluator2, &encoder2, &ct2, &lt, &gk2, 2));
     assert_eq!(
         transforms_of(elsewhere),
         price(LEVELS, 2, false),
         "another context"
     );
-    assert_eq!(
-        at_top(2),
-        price(LEVELS, 2, false),
-        "the first context again"
-    );
+    assert_eq!(transforms_of(elsewhere), price(LEVELS, 2, true));
+    assert_eq!(at_top(2), price(LEVELS, 2, true), "the first context again");
 
     // A clone starts with nothing encoded and shares nothing afterwards.
     let copy = lt.clone();
