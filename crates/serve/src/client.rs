@@ -79,9 +79,6 @@ impl From<SerializeError> for ClientError {
 pub struct HelloInfo {
     /// The session id scoping all uploaded keys.
     pub session: u64,
-    /// Whether the server runs the key-reuse scheduler (false only when
-    /// talking to a server that predates the flags byte).
-    pub batching: bool,
     /// The server's active kernel-backend name (empty if the server
     /// predates the backend field).
     pub backend: String,
@@ -216,18 +213,7 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn hello(&mut self) -> Result<u64, ClientError> {
-        self.hello_info().map(|(sid, _)| sid)
-    }
-
-    /// Opens a session, also returning the server's active kernel-backend
-    /// name (empty if the server predates the backend field).
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::call_raw`].
-    pub fn hello_info(&mut self) -> Result<(u64, String), ClientError> {
-        self.hello_ext(BatchHint::Auto)
-            .map(|info| (info.session, info.backend))
+        self.hello_ext(BatchHint::Auto).map(|info| info.session)
     }
 
     /// Opens a session carrying a [`BatchHint`] for the scheduler, and
@@ -242,19 +228,13 @@ impl Client {
             return Err(ClientError::Protocol("short session id".into()));
         }
         let session = u64::from_le_bytes(resp[..8].try_into().expect("8 bytes"));
-        // Reply layout: sid, then an optional flags byte (bit 0 =
-        // batching scheduler active), then the backend name. Older
-        // servers stop after the sid.
-        let batching = resp.get(8).is_some_and(|flags| flags & 1 != 0);
+        // Reply layout: sid, a reserved flags byte, then the backend
+        // name. Older servers stop after the sid.
         let backend = resp
             .get(9..)
             .map(|b| String::from_utf8_lossy(b).into_owned())
             .unwrap_or_default();
-        Ok(HelloInfo {
-            session,
-            batching,
-            backend,
-        })
+        Ok(HelloInfo { session, backend })
     }
 
     /// Uploads the relinearization key (send the seeded/compressed form —

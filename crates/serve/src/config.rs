@@ -8,12 +8,10 @@
 //! Explicit struct values always win over the environment.
 
 use crate::cache::EvictionPolicy;
-#[cfg(feature = "chaos")]
 use crate::fault::FaultPlan;
 use crate::protocol::DEFAULT_MAX_FRAME_BYTES;
 use crate::shard::MAX_SHARDS;
 use std::str::FromStr;
-#[cfg(feature = "chaos")]
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,10 +24,11 @@ pub struct ServeConfig {
     /// and worker pool. The default reads `MAD_SERVE_SHARDS` (clamped to
     /// `1..=`[`MAX_SHARDS`], default 1).
     pub shards: usize,
-    /// Worker threads executing FHE ops, **per shard**.
+    /// Worker threads executing FHE ops, **per shard**; `0` runs one.
     pub workers: usize,
     /// Bounded queue length per shard, and the most keyed requests it
     /// holds for grouping; past either, a request gets `Overloaded`.
+    /// `0` is served as 1.
     pub queue_capacity: usize,
     /// Global byte budget for expanded switching keys, split evenly
     /// across the per-shard [`crate::KeyCache`]s.
@@ -44,15 +43,12 @@ pub struct ServeConfig {
     /// Key-reuse grouping knobs (each shard runs its own scheduler). The
     /// default reads `MAD_SERVE_BATCH_SIZE` / `MAD_SERVE_BATCH_DELAY_MS`.
     pub batch: BatchConfig,
-    /// Request-tracing knobs ([`crate::obs`]). The default reads the
-    /// `MAD_SERVE_OBS` / `MAD_SERVE_TRACE_RING` / `MAD_SERVE_SLOW_MS`
-    /// environment variables.
+    /// Request-tracing knobs ([`crate::obs`]); tracing itself is always
+    /// on.
     pub obs: ObsConfig,
     /// Deterministic fault schedule threaded through the shard loops
-    /// and worker pools; `None` (the default) serves faithfully.
-    /// Only present when built with the `chaos` feature, so the default
-    /// build carries no injection branches.
-    #[cfg(feature = "chaos")]
+    /// and worker pools; `None` (the default) serves faithfully and
+    /// never consults a plan.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -85,11 +81,9 @@ impl BatchConfig {
 }
 
 /// Tracing knobs for the serving runtime, a field of [`ServeConfig`].
+/// Every request is traced; these size what is retained.
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
-    /// Master switch for per-request recording. Off, requests carry no
-    /// trace at all and `TraceDump` returns an empty timeline.
-    pub enabled: bool,
     /// How many finished request timelines the ring retains.
     pub ring_capacity: usize,
     /// Requests slower than this end-to-end land in the slow-request
@@ -98,11 +92,9 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// The hardcoded defaults: recording on, a 128-entry ring, 500 ms
-    /// slow threshold.
+    /// The hardcoded defaults: a 128-entry ring, 500 ms slow threshold.
     pub fn baseline() -> Self {
         Self {
-            enabled: true,
             ring_capacity: 128,
             slow_threshold: Duration::from_millis(500),
         }
@@ -125,19 +117,6 @@ impl ServeConfig {
         if let Some(ms) = parsed(lookup("MAD_SERVE_BATCH_DELAY_MS")) {
             batch.max_delay = Duration::from_millis(ms);
         }
-        let mut obs = ObsConfig::baseline();
-        let switch = lookup("MAD_SERVE_OBS").map(|v| v.to_ascii_lowercase());
-        match switch.as_deref() {
-            Some("1" | "on" | "true") => obs.enabled = true,
-            Some("0" | "off" | "false") => obs.enabled = false,
-            _ => {}
-        }
-        if let Some(n) = parsed::<usize>(lookup("MAD_SERVE_TRACE_RING")) {
-            obs.ring_capacity = n.max(1);
-        }
-        if let Some(ms) = parsed(lookup("MAD_SERVE_SLOW_MS")) {
-            obs.slow_threshold = Duration::from_millis(ms);
-        }
         Self {
             shards: parsed::<usize>(lookup("MAD_SERVE_SHARDS"))
                 .map_or(1, |n| n.clamp(1, MAX_SHARDS)),
@@ -148,8 +127,7 @@ impl ServeConfig {
             request_deadline: Duration::from_secs(30),
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
             batch,
-            obs,
-            #[cfg(feature = "chaos")]
+            obs: ObsConfig::baseline(),
             fault_plan: None,
         }
     }
@@ -173,7 +151,6 @@ mod tests {
         assert_eq!(cfg.shards, 1);
         assert_eq!(cfg.batch.max_batch, 8);
         assert_eq!(cfg.batch.max_delay, Duration::from_millis(2));
-        assert!(cfg.obs.enabled);
         assert_eq!(cfg.obs.ring_capacity, 128);
         assert_eq!(cfg.obs.slow_threshold, Duration::from_millis(500));
     }
@@ -188,26 +165,18 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_obs_overrides_are_lenient() {
+    fn batch_overrides_are_lenient() {
         let cfg = with(&[
             ("MAD_SERVE_BATCH_SIZE", "0"),
             ("MAD_SERVE_BATCH_DELAY_MS", "soon"),
-            ("MAD_SERVE_OBS", "OFF"),
-            ("MAD_SERVE_TRACE_RING", "0"),
-            ("MAD_SERVE_SLOW_MS", "25"),
         ]);
         assert_eq!(cfg.batch.max_batch, 1, "a group holds at least one job");
         assert_eq!(cfg.batch.max_delay, Duration::from_millis(2));
-        assert!(!cfg.obs.enabled);
-        assert_eq!(cfg.obs.ring_capacity, 1);
-        assert_eq!(cfg.obs.slow_threshold, Duration::from_millis(25));
         let cfg = with(&[
             ("MAD_SERVE_BATCH_SIZE", "3"),
             ("MAD_SERVE_BATCH_DELAY_MS", "7"),
-            ("MAD_SERVE_OBS", "maybe"),
         ]);
         assert_eq!(cfg.batch.max_batch, 3);
         assert_eq!(cfg.batch.max_delay, Duration::from_millis(7));
-        assert!(cfg.obs.enabled, "an unknown switch value is ignored");
     }
 }

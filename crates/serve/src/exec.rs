@@ -48,10 +48,10 @@ pub(crate) fn handle(
             // The shard-local manager mints an id that hashes back to
             // this shard, so the session's keyed traffic never migrates.
             let sid = state.sessions.create_with_hint(hint);
-            // 8 LE bytes of session id, a flags byte (bit 0: key-reuse
-            // scheduler present — always, since every keyed request takes
-            // that route), then the active kernel-backend name in UTF-8.
-            // Pre-backend clients read only the first 8 bytes.
+            // 8 LE bytes of session id, a reserved flags byte (always 1,
+            // so the backend name stays at offset 9 for existing clients),
+            // then the active kernel-backend name in UTF-8. Pre-backend
+            // clients read only the first 8 bytes.
             out.extend_from_slice(&sid.to_le_bytes());
             out.push(1);
             out.extend_from_slice(state.ctx.kernel_backend().name().as_bytes());

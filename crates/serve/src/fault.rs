@@ -8,10 +8,10 @@
 //! same faults, which is what lets the `chaos_matrix` suite commit a seed
 //! grid and assert invariants for every cell.
 //!
-//! The types here are always compiled (they are pure logic and the
-//! [`crate::client::RetryPolicy`] borrows the RNG for backoff jitter),
-//! but the server only *injects* faults when built with the `chaos`
-//! feature — the default build carries no injection branches.
+//! The injection sites are always compiled: a server started with
+//! [`crate::ServeConfig::fault_plan`] set consults the plan once per
+//! frame, and one started without (the default) never does. The
+//! [`crate::client::RetryPolicy`] borrows the RNG for backoff jitter.
 //!
 //! The taxonomy mirrors how a memory-constrained FHE server actually
 //! fails in the field:

@@ -35,12 +35,13 @@
 //! it with capped exponential backoff, per-op timeouts, and transparent
 //! reconnect with session re-setup and compressed-key re-upload.
 //!
-//! Building with `--features chaos` adds a deterministic fault-injection
-//! layer ([`fault`]): a seeded [`fault::FaultPlan`] wired into
-//! [`ServeConfig`] injects I/O errors, torn frames, latency, eviction
-//! storms, overload rejections, and worker panics on a fixed schedule,
-//! so every failure a test observes replays bit-for-bit from its seed.
-//! The default build compiles none of the injection sites.
+//! There is one build. A deterministic fault-injection layer ([`fault`])
+//! is always compiled: a seeded [`fault::FaultPlan`] set as
+//! [`ServeConfig::fault_plan`] injects I/O errors, torn frames, latency,
+//! eviction storms, overload rejections, and worker panics on a fixed
+//! schedule, so every failure a test observes replays bit-for-bit from
+//! its seed. Without a plan (the default) no injection site consults
+//! anything but that empty `Option`.
 //!
 //! ```no_run
 //! use fhe_serve::{Client, ServeConfig, Server};

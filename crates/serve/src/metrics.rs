@@ -228,7 +228,7 @@ pub struct Metrics {
     /// Connections accepted.
     pub connections_total: AtomicU64,
     /// Faults deliberately injected by a chaos [`crate::fault::FaultPlan`]
-    /// (always present in the dump; stays zero outside `chaos` builds).
+    /// (always present in the dump; stays zero on a server without one).
     pub faults_injected: AtomicU64,
     /// Keyed groups dispatched to the worker pool (groups of one
     /// included; keyless requests are not groups).
@@ -320,7 +320,7 @@ impl Metrics {
         let _ = writeln!(out, "serve_kernel_backend{{backend=\"{backend}\"}} 1");
 
         let rel = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let counters: [(&str, &str, &str, u64); 23] = [
+        let counters: [(&str, &str, &str, u64); 22] = [
             (
                 "serve_requests_total",
                 "counter",
@@ -380,12 +380,6 @@ impl Metrics {
                 "counter",
                 "Faults deliberately injected by a chaos plan.",
                 rel(&self.faults_injected),
-            ),
-            (
-                "serve_batching_enabled",
-                "gauge",
-                "Always 1: every keyed request runs as a scheduler-formed group.",
-                1,
             ),
             (
                 "serve_batches_total",
@@ -768,7 +762,6 @@ mod tests {
         assert!(dump.contains("serve_batch_size_count 4"));
         assert!(dump.contains("serve_batches_total 4"));
         assert!(dump.contains("serve_batch_jobs_total 9008"));
-        assert!(dump.contains("serve_batching_enabled 1"));
         assert!(dump.contains("serve_key_cache_pinned_keys 0"));
     }
 

@@ -2,8 +2,9 @@
 //! of recent request timelines, a slow-request log, and a Perfetto
 //! (Chrome trace-event) exporter behind the `TraceDump` opcode.
 //!
-//! Every request gets an id at frame parse and an always-on, lock-free
-//! `RequestTrace` that rides on the job through the whole lifecycle.
+//! Every request gets an id at frame parse and a lock-free
+//! `RequestTrace` that rides on the job through the whole lifecycle;
+//! there is no untraced mode.
 //! Threads stamp stage transitions as they happen:
 //!
 //! ```text
@@ -29,7 +30,8 @@
 //! Every request that runs also carries the kernel sub-spans (`ModUp`,
 //! `KSKInnerProd`, `ModDown`, `Mult`, `Prog.<Mnemonic>`…) the math layer
 //! opened on the worker's own thread while it ran: the execution guard —
-//! the one way a job's execution is stamped — turns on
+//! the one way a job's execution is stamped, and the one clock behind the
+//! `serve_op_latency_us` histogram — turns on
 //! `fhe_math::telemetry`'s per-thread span capture and moves the list, at
 //! most [`SUBSPAN_CAP`] long, into the timeline when execution ends.
 //! Nothing process-global is switched on and no other worker's spans can
@@ -313,11 +315,8 @@ thread_local! {
 }
 
 /// Times `f` against `stage` of every request the current thread is
-/// executing; a plain passthrough when none is traced.
+/// executing.
 pub(crate) fn time_stage<T>(stage: Stage, f: impl FnOnce() -> T) -> T {
-    if CURRENT.with(|c| c.borrow().is_empty()) {
-        return f();
-    }
     let t0 = Instant::now();
     let r = f();
     let d = t0.elapsed();
@@ -357,13 +356,9 @@ impl Observer {
         }
     }
 
-    /// Opens a trace for a freshly-parsed request on `shard`; `None`
-    /// when recording is disabled.
-    pub(crate) fn begin(&self, op: Opcode, shard: u32) -> Option<Arc<RequestTrace>> {
-        if !self.cfg.enabled {
-            return None;
-        }
-        Some(Arc::new(RequestTrace {
+    /// Opens a trace for a freshly-parsed request on `shard`.
+    pub(crate) fn begin(&self, op: Opcode, shard: u32) -> Arc<RequestTrace> {
+        Arc::new(RequestTrace {
             id: self.next_id.fetch_add(1, Relaxed),
             op,
             shard,
@@ -374,34 +369,33 @@ impl Observer {
             exec_us: AtomicU64::new(0),
             stage_us: Default::default(),
             subspans: Mutex::new(Vec::new()),
-        }))
+        })
     }
 
     /// Marks one execution window on the current thread for `traces` —
     /// one job's, or every member's of a fold that runs once for all of
     /// them: stamps each one's window, installs them for stage
-    /// attribution, and turns on the thread's span capture. `None` when
-    /// no job is traced. Drop the guard *before* sending the replies, so
-    /// the reader can never finish a trace mid-update.
-    pub(crate) fn enter_exec<'a>(
+    /// attribution, and turns on the thread's span capture. When the
+    /// guard drops, each member's op observes the window in `metrics`'s
+    /// `serve_op_latency_us`. Drop the guard *before* sending the
+    /// replies, so the reader can never finish a trace mid-update.
+    pub(crate) fn enter_exec<'a, 'm>(
         &self,
+        metrics: &'m Metrics,
         traces: impl IntoIterator<Item = &'a Arc<RequestTrace>>,
-    ) -> Option<ExecGuard> {
+    ) -> ExecGuard<'m> {
         // One reading for both ends of the window, so a sub-span can
         // never end after `exec_begin_us + exec_us`.
         let start = Instant::now();
-        let traced = CURRENT.with(|c| {
+        CURRENT.with(|c| {
             let mut current = c.borrow_mut();
             for t in traces {
                 t.exec_begin_us.store(t.since_start(start), Relaxed);
                 current.push(t.clone());
             }
-            !current.is_empty()
         });
-        traced.then(|| {
-            fhe_math::telemetry::capture_spans(SUBSPAN_CAP);
-            ExecGuard { start }
-        })
+        fhe_math::telemetry::capture_spans(SUBSPAN_CAP);
+        ExecGuard { start, metrics }
     }
 
     /// Commits a finished request: derives the kernel remainder,
@@ -476,16 +470,19 @@ impl Observer {
 }
 
 /// RAII execution marker returned by [`Observer::enter_exec`].
-pub(crate) struct ExecGuard {
+pub(crate) struct ExecGuard<'m> {
     start: Instant,
+    metrics: &'m Metrics,
 }
 
-impl Drop for ExecGuard {
+impl Drop for ExecGuard<'_> {
     fn drop(&mut self) {
-        let exec_us = self.start.elapsed().as_micros() as u64;
+        let window = self.start.elapsed();
+        let exec_us = window.as_micros() as u64;
         let spans = fhe_math::telemetry::capture_spans(0);
         CURRENT.with(|c| {
             for t in c.borrow_mut().drain(..) {
+                self.metrics.latency(t.op).observe(window);
                 t.exec_us.store(exec_us, Relaxed);
                 let subspans = spans
                     .iter()
@@ -628,15 +625,14 @@ mod tests {
     fn observer_records_and_thresholds() {
         let metrics = Metrics::new();
         let obs = Observer::new(ObsConfig {
-            enabled: true,
             ring_capacity: 8,
             slow_threshold: Duration::ZERO,
         });
-        let trace = obs.begin(Opcode::Add, 0).expect("enabled");
+        let trace = obs.begin(Opcode::Add, 0);
         trace.mark_enqueued();
         trace.mark_picked();
         {
-            let _g = obs.enter_exec([&trace]);
+            let _g = obs.enter_exec(&metrics, [&trace]);
             trace.add_stage(Stage::Decode, Duration::from_micros(5));
         }
         obs.finish(&metrics, &trace, 0);
@@ -645,19 +641,34 @@ mod tests {
         assert_eq!(metrics.stage_latency(Stage::Decode).count(), 1);
         // Zero threshold: everything is a slow request.
         assert!(obs.slow_log().starts_with("slow_request id=1 op=add"));
+    }
 
-        let off = Observer::new(ObsConfig {
-            enabled: false,
-            ..ObsConfig::baseline()
-        });
-        assert!(off.begin(Opcode::Add, 0).is_none());
+    /// The op-latency histogram is fed by the execution window alone:
+    /// one observation per member when the guard drops, equal to the
+    /// window the timeline records.
+    #[test]
+    fn the_execution_window_is_the_op_latency_clock() {
+        let metrics = Metrics::new();
+        let obs = Observer::new(ObsConfig::baseline());
+        let (a, b) = (obs.begin(Opcode::Rotate, 0), obs.begin(Opcode::Rotate, 0));
+        {
+            let _g = obs.enter_exec(&metrics, [&a, &b]);
+            std::thread::sleep(Duration::from_millis(1));
+            assert_eq!(metrics.latency(Opcode::Rotate).count(), 0);
+        }
+        let h = metrics.latency(Opcode::Rotate);
+        assert_eq!(h.count(), 2, "one observation per fold member");
+        let exec_us = a.exec_us.load(Relaxed);
+        assert_eq!(exec_us, b.exec_us.load(Relaxed));
+        assert!(exec_us >= 1_000);
+        assert_eq!(h.sum(), 2 * exec_us);
     }
 
     #[test]
     fn key_access_before_the_window_leaves_the_kernel_stage_whole() {
         let metrics = Metrics::new();
         let obs = Observer::new(ObsConfig::baseline());
-        let trace = obs.begin(Opcode::Rotate, 0).expect("enabled");
+        let trace = obs.begin(Opcode::Rotate, 0);
         trace.mark_enqueued();
         trace.mark_picked();
         // The group's pin phase runs before the execution window opens.
@@ -665,7 +676,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         trace.add_stage(Stage::Key, pin.elapsed());
         {
-            let _g = obs.enter_exec([&trace]);
+            let _g = obs.enter_exec(&metrics, [&trace]);
             time_stage(Stage::Decode, || {
                 std::thread::sleep(Duration::from_micros(100))
             });
@@ -735,9 +746,9 @@ mod tests {
     fn a_request_keeps_its_first_subspans_up_to_the_cap() {
         let metrics = Metrics::new();
         let obs = Observer::new(ObsConfig::baseline());
-        let trace = obs.begin(Opcode::RunProgram, 0).expect("enabled");
+        let trace = obs.begin(Opcode::RunProgram, 0);
         {
-            let _g = obs.enter_exec([&trace]);
+            let _g = obs.enter_exec(&metrics, [&trace]);
             let _outer = fhe_math::telemetry::span("outer");
             for _ in 0..SUBSPAN_CAP + 10 {
                 drop(fhe_math::telemetry::span("inner"));

@@ -34,9 +34,8 @@ pub enum Opcode {
     /// optional leading [`BatchHint`] byte (unknown values and any extra
     /// trailing bytes are tolerated and read as [`BatchHint::Auto`], so
     /// older clients and fuzzed frames stay valid). The response body is
-    /// the `u64` session id, a flags byte (bit 0: key-reuse scheduler
-    /// present, always set by this server), then the server's
-    /// kernel-backend name in UTF-8.
+    /// the `u64` session id, a reserved flags byte (always `1`), then the
+    /// server's kernel-backend name in UTF-8.
     Hello = 0x01,
     /// Upload the relinearization key (compressed seeded form welcome).
     UploadRelin = 0x02,
@@ -156,7 +155,6 @@ impl Opcode {
 ///
 /// - `Auto`: batch opportunistically — requests coalesce only while the
 ///   worker pool is busy, so an idle server adds no hold latency.
-/// - `Interactive`: never hold a request to form a batch.
 /// - `Throughput`: always hold up to the configured max-batch-delay (or
 ///   until the batch fills), maximizing key reuse.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -165,18 +163,16 @@ pub enum BatchHint {
     /// Batch only under load (the default).
     #[default]
     Auto = 0,
-    /// Latency first: dispatch immediately, never hold.
-    Interactive = 1,
     /// Throughput first: always wait out the batching window.
     Throughput = 2,
 }
 
 impl BatchHint {
-    /// Decodes a hint byte; unknown values read as [`BatchHint::Auto`]
-    /// so the Hello body stays forward-compatible.
+    /// Decodes a hint byte: `2` is [`BatchHint::Throughput`], every other
+    /// value reads as [`BatchHint::Auto`] so the Hello body stays
+    /// forward-compatible.
     pub fn from_u8(v: u8) -> Self {
         match v {
-            1 => BatchHint::Interactive,
             2 => BatchHint::Throughput,
             _ => BatchHint::Auto,
         }
@@ -632,6 +628,15 @@ mod tests {
         }
         assert_eq!(ErrorCode::from_u8(0), None);
         assert_eq!(ErrorCode::from_u8(99), None);
+    }
+
+    #[test]
+    fn batch_hint_bytes_decode_to_the_two_hints() {
+        for v in [0, 1, 255] {
+            assert_eq!(BatchHint::from_u8(v), BatchHint::Auto, "byte {v}");
+        }
+        assert_eq!(BatchHint::from_u8(2), BatchHint::Throughput);
+        assert_eq!(BatchHint::Throughput as u8, 2);
     }
 
     #[test]

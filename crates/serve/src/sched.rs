@@ -22,7 +22,6 @@
 use crate::cache::KeyKind;
 use crate::config::{BatchConfig, ServeConfig};
 use crate::exec::{handle, read_ct, recycle, ser_ct};
-#[cfg(feature = "chaos")]
 use crate::fault::FaultDecision;
 use crate::metrics::Metrics;
 use crate::obs::{RequestTrace, Stage};
@@ -61,12 +60,10 @@ pub(crate) struct Job {
     /// deadline.
     pub(crate) deadline_start: Instant,
     pub(crate) reply: Sender<Reply>,
-    /// The request's always-on timeline; `None` when tracing is
-    /// disabled. The shard loop keeps a second handle and finishes the
-    /// trace after flushing the reply.
-    pub(crate) trace: Option<Arc<RequestTrace>>,
-    /// A worker-side fault drawn for this request by the chaos plan.
-    #[cfg(feature = "chaos")]
+    /// The request's timeline. The shard loop keeps a second handle and
+    /// finishes the trace after flushing the reply.
+    pub(crate) trace: Arc<RequestTrace>,
+    /// A worker-side fault drawn for this request by the fault plan.
     pub(crate) chaos: Option<FaultDecision>,
 }
 
@@ -137,7 +134,6 @@ pub(crate) fn worker_loop(
 /// deadline. Returns `None` (after replying `DeadlineExceeded`) if the
 /// job must not run.
 fn admit_job(state: &ServerState, job: Job, deadline: Duration) -> Option<Job> {
-    #[cfg(feature = "chaos")]
     if let Some(fault) = job.chaos {
         match fault {
             // Slept *before* the deadline check so injected latency
@@ -147,9 +143,12 @@ fn admit_job(state: &ServerState, job: Job, deadline: Duration) -> Option<Job> {
             FaultDecision::EvictionStorm => {
                 state.cache.evict_all();
             }
+            // Each lost session is purged as `CloseSession` purges it,
+            // pinned expansions included.
             FaultDecision::SessionReset => {
-                state.sessions.close_all();
-                state.cache.evict_all();
+                for sid in state.sessions.close_all() {
+                    state.cache.purge_session(sid);
+                }
             }
             // WorkerPanic fires inside catch_unwind during execution;
             // loop-side faults never reach the queue.
@@ -183,23 +182,21 @@ fn outcome<T>(
 /// Runs one job to completion (chaos/deadline already applied) and
 /// delivers its reply.
 fn execute_job(state: &ServerState, mut job: Job, keys: &PinnedKeys) {
-    let start = Instant::now();
     let mut out = std::mem::take(&mut job.out);
     begin_frame(&mut out);
     let result = {
-        // Guard scope: exec accounting and the deep-trace bridge close
-        // before the reply is sent, so the shard loop can never finish
-        // the trace while the worker is still writing to it.
-        let _exec = state.obs.enter_exec(&job.trace);
+        // Guard scope: exec accounting, the op-latency histogram and the
+        // deep-trace bridge close before the reply is sent, so the shard
+        // loop can never finish the trace while the worker is still
+        // writing to it.
+        let _exec = state.obs.enter_exec(&state.metrics, [&job.trace]);
         catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "chaos")]
-            if matches!(job.chaos, Some(FaultDecision::WorkerPanic)) {
+            if job.chaos == Some(FaultDecision::WorkerPanic) {
                 panic!("injected chaos panic");
             }
             handle(state, job.op, job.body(), &job.plan, keys, &mut out)
         }))
     };
-    state.metrics.latency(job.op).observe(start.elapsed());
     job.out = out;
     match outcome(result) {
         Ok(()) => job.send(0),
@@ -225,9 +222,7 @@ fn run_group(state: &ServerState, jobs: Vec<Job>, deadline: Duration) {
     let mut runnable = Vec::with_capacity(jobs.len());
     for job in jobs {
         state.metrics.dequeued();
-        if let Some(t) = &job.trace {
-            t.mark_picked();
-        }
+        job.trace.mark_picked();
         runnable.extend(admit_job(state, job, deadline));
     }
     if runnable.is_empty() {
@@ -243,9 +238,7 @@ fn run_group(state: &ServerState, jobs: Vec<Job>, deadline: Duration) {
         // stage carries the full phase duration.
         let pin_elapsed = pin_start.elapsed();
         for job in &runnable {
-            if let Some(t) = &job.trace {
-                t.add_stage(Stage::Key, pin_elapsed);
-            }
+            job.trace.add_stage(Stage::Key, pin_elapsed);
         }
     }
     if class == Some(KeyClass::Galois) {
@@ -267,11 +260,8 @@ fn run_group(state: &ServerState, jobs: Vec<Job>, deadline: Duration) {
 /// sub-spans, and its decode and serialize time.
 fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> Vec<Job> {
     let eligible = |job: &Job| -> bool {
-        #[cfg(feature = "chaos")]
-        if matches!(job.chaos, Some(FaultDecision::WorkerPanic)) {
-            return false;
-        }
         job.op == Opcode::Rotate
+            && job.chaos != Some(FaultDecision::WorkerPanic)
             && matches!(job.plan.galois[..], [(_, e)] if keys.has(KeyKind::Galois(e)))
     };
     // Group joint-eligible rotations by ciphertext bytes.
@@ -295,9 +285,10 @@ fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> 
             rest.extend(fold);
             continue;
         }
-        let start = Instant::now();
         let result = {
-            let _exec = state.obs.enter_exec(fold.iter().flat_map(|j| &j.trace));
+            let _exec = state
+                .obs
+                .enter_exec(&state.metrics, fold.iter().map(|j| &j.trace));
             catch_unwind(AssertUnwindSafe(|| {
                 let ct = read_ct(
                     state,
@@ -316,14 +307,12 @@ fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> 
                 Ok(())
             }))
         };
-        let elapsed = start.elapsed();
         state
             .metrics
             .batch_hoist_shared
             .fetch_add(fold.len() as u64 - 1, Ordering::Relaxed);
         let result = outcome(result);
         for job in fold {
-            state.metrics.latency(job.op).observe(elapsed);
             match &result {
                 Ok(()) => job.send(0),
                 Err(reply) => job.fail(reply.clone()),
@@ -391,9 +380,9 @@ impl Scheduler {
 
     /// Takes one parsed job: a keyless one goes straight to the worker
     /// queue; a keyed one joins its group, released at once at
-    /// `max_batch` (or alone, for an `Interactive` session). `Err` hands
-    /// the job back as `try_send` does: `Full` (or `capacity` keyed jobs
-    /// held) → Overloaded reply, `Disconnected` → drop the connection.
+    /// `max_batch`. `Err` hands the job back as `try_send` does: `Full`
+    /// (or `capacity` keyed jobs held) → Overloaded reply,
+    /// `Disconnected` → drop the connection.
     #[allow(clippy::result_large_err)] // the job itself, as `try_send` returns it
     pub(crate) fn submit(
         &mut self,
@@ -420,23 +409,19 @@ impl Scheduler {
         let hint = sessions
             .get(sid)
             .map_or(BatchHint::Auto, |s| s.batch_hint());
-        let jobs = if hint == BatchHint::Interactive {
-            vec![job]
-        } else {
-            let p = self
-                .groups
-                .entry((sid, class))
-                .or_insert_with(|| PendingGroup {
-                    jobs: Vec::new(),
-                    oldest: Instant::now(),
-                    hold: hint == BatchHint::Throughput,
-                });
-            p.jobs.push(job);
-            if p.jobs.len() < self.cfg.max_batch {
-                return Ok(());
-            }
-            self.groups.remove(&(sid, class)).expect("just filed").jobs
-        };
+        let p = self
+            .groups
+            .entry((sid, class))
+            .or_insert_with(|| PendingGroup {
+                jobs: Vec::new(),
+                oldest: Instant::now(),
+                hold: hint == BatchHint::Throughput,
+            });
+        p.jobs.push(job);
+        if p.jobs.len() < self.cfg.max_batch {
+            return Ok(());
+        }
+        let jobs = self.groups.remove(&(sid, class)).expect("just filed").jobs;
         self.released.push_back(stamped(jobs));
         self.send_released(metrics);
         Ok(())
@@ -503,9 +488,7 @@ fn stamped(mut jobs: Vec<Job>) -> Vec<Job> {
     let now = Instant::now();
     for j in &mut jobs {
         j.deadline_start = now;
-        if let Some(t) = &j.trace {
-            t.mark_batch_dispatch();
-        }
+        j.trace.mark_batch_dispatch();
     }
     jobs
 }
@@ -513,7 +496,36 @@ fn stamped(mut jobs: Vec<Job>) -> Vec<Job> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{EvictionPolicy, KeyCache};
+    use crate::config::ObsConfig;
+    use crate::obs::Observer;
+    use crate::server::SharedState;
+    use ckks::serialize::serialize_switching_key;
+    use ckks::{CkksContext, CkksParams, Encoder, Evaluator, KeyGenerator};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use std::sync::mpsc::sync_channel;
+
+    /// A keyed rotate for session 1, as the shard loop builds one, and the
+    /// end its reply arrives at.
+    fn rotate_job(chaos: Option<FaultDecision>) -> (Job, Receiver<Reply>) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let job = Job {
+            op: Opcode::Rotate,
+            frame: Vec::new(),
+            out: Vec::new(),
+            plan: KeyPlan {
+                sid: 1,
+                relin: false,
+                galois: vec![(1, 5)],
+            },
+            deadline_start: Instant::now(),
+            reply: tx,
+            trace: Observer::new(ObsConfig::baseline()).begin(Opcode::Rotate, 0),
+            chaos,
+        };
+        (job, rx)
+    }
 
     /// Regression for the queue-depth leak, on the release path: a group
     /// released into a dead worker channel (shutdown race) must retire
@@ -539,22 +551,7 @@ mod tests {
         // admission.
         let submit_three = |sched: &mut Scheduler| {
             for _ in 0..3 {
-                let (tx, _rx) = std::sync::mpsc::channel();
-                let job = Job {
-                    op: Opcode::Rotate,
-                    frame: Vec::new(),
-                    out: Vec::new(),
-                    plan: KeyPlan {
-                        sid: 1,
-                        relin: false,
-                        galois: vec![(1, 5)],
-                    },
-                    deadline_start: Instant::now(),
-                    reply: tx,
-                    trace: None,
-                    #[cfg(feature = "chaos")]
-                    chaos: None,
-                };
+                let (job, _reply) = rotate_job(None);
                 metrics.enqueued();
                 assert!(sched.submit(&sessions, &metrics, job).is_ok());
             }
@@ -592,5 +589,69 @@ mod tests {
         assert_eq!(depth(), 0, "shutdown race leaked depth");
         assert_eq!(sched.held, 0);
         assert_eq!(backlog.load(Ordering::Relaxed), 0);
+    }
+
+    /// A session reset purges each lost session's expansions exactly as
+    /// `CloseSession` does: pinned ones too, and none counted as an
+    /// eviction. A key pinned by a group on another worker must not stay
+    /// resident for a session that no longer exists once it is unpinned.
+    #[test]
+    fn a_session_reset_purges_the_lost_sessions_keys() {
+        let ctx = CkksContext::new(
+            CkksParams::builder()
+                .log_degree(5)
+                .levels(3)
+                .scale_bits(30)
+                .first_modulus_bits(36)
+                .dnum(2)
+                .build()
+                .unwrap(),
+        );
+        let mut rng = StdRng::seed_from_u64(42);
+        let kg = KeyGenerator::new(ctx.clone());
+        let sk = kg.secret_key(&mut rng);
+        let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1, 2], false);
+        let state = ServerState {
+            shared: Arc::new(SharedState {
+                evaluator: Evaluator::new(ctx.clone()),
+                encoder: Encoder::new(ctx.clone()),
+                ctx: ctx.clone(),
+                metrics: Metrics::new(),
+                obs: Observer::new(ObsConfig::baseline()),
+                shards: Vec::new(),
+                fault: None,
+            }),
+            shard: 0,
+            sessions: Arc::new(SessionManager::new()),
+            cache: Arc::new(KeyCache::new(u64::MAX, EvictionPolicy::Lru)),
+        };
+        let sid = state.sessions.create();
+        assert_eq!(sid, 1);
+        // One key pinned by a group in flight, one merely resident.
+        let mut elements = Vec::new();
+        for (i, (element, key)) in gk.iter().enumerate() {
+            let bytes = serialize_switching_key(key);
+            let kind = KeyKind::Galois(element);
+            if i == 0 {
+                state.cache.get_or_expand_pinned(&ctx, sid, kind, &bytes)
+            } else {
+                state.cache.get_or_expand(&ctx, sid, kind, &bytes)
+            }
+            .unwrap();
+            elements.push(element);
+        }
+        assert_eq!(state.cache.stats().resident_keys, 2);
+
+        let (job, _reply) = rotate_job(Some(FaultDecision::SessionReset));
+        assert!(admit_job(&state, job, Duration::from_secs(30)).is_some());
+        state.cache.unpin(sid, KeyKind::Galois(elements[0]));
+
+        assert!(state.sessions.is_empty());
+        let stats = state.cache.check_invariants();
+        assert_eq!(
+            stats.resident_keys, 0,
+            "a lost session's key stayed resident"
+        );
+        assert_eq!(stats.evictions, 0, "a purge is not an eviction");
     }
 }

@@ -21,7 +21,6 @@
 
 use crate::cache::{CacheStats, KeyCache};
 use crate::config::ServeConfig;
-#[cfg(feature = "chaos")]
 use crate::fault::FaultPlan;
 use crate::metrics::{Metrics, ShardSnapshot};
 use crate::obs::{chrome_trace_json, FinishedTrace, Observer};
@@ -47,7 +46,7 @@ pub(crate) struct SharedState {
     pub(crate) obs: Observer,
     /// Every shard's tenant-owning state, indexed by shard id.
     pub(crate) shards: Vec<ShardPublic>,
-    #[cfg(feature = "chaos")]
+    /// The fault schedule, if the server was started with one.
     pub(crate) fault: Option<Arc<FaultPlan>>,
 }
 
@@ -135,16 +134,21 @@ pub struct Server {
 
 impl Server {
     /// Binds a loopback listener on an OS-assigned port and starts the
-    /// acceptor and the per-shard loops and worker pools.
+    /// acceptor and the per-shard loops and worker pools. Shards are
+    /// clamped to `1..=`[`crate::MAX_SHARDS`], and workers and queue
+    /// capacity to at least 1.
     ///
     /// # Errors
     ///
     /// Propagates listener-creation I/O errors.
-    pub fn start(ctx: Arc<CkksContext>, config: ServeConfig) -> std::io::Result<Self> {
+    pub fn start(ctx: Arc<CkksContext>, mut config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shard_count = config.shards.clamp(1, crate::shard::MAX_SHARDS);
+        config.shards = config.shards.clamp(1, crate::shard::MAX_SHARDS);
+        config.workers = config.workers.max(1);
+        config.queue_capacity = config.queue_capacity.max(1);
+        let shard_count = config.shards;
         let per_shard_budget = config.key_cache_budget / shard_count as u64;
         let shard_public: Vec<ShardPublic> = (0..shard_count)
             .map(|i| ShardPublic {
@@ -160,7 +164,6 @@ impl Server {
             metrics: Metrics::new(),
             obs: Observer::new(config.obs.clone()),
             shards: shard_public,
-            #[cfg(feature = "chaos")]
             fault: config.fault_plan.clone(),
         });
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -184,7 +187,7 @@ impl Server {
             let (work_tx, work_rx) = sync_channel::<Vec<Job>>(config.queue_capacity);
             let work_rx = Arc::new(Mutex::new(work_rx));
 
-            let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
+            let workers: Vec<JoinHandle<()>> = (0..config.workers)
                 .map(|w| {
                     let state = state.clone();
                     let rx = work_rx.clone();

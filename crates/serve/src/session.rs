@@ -222,13 +222,12 @@ impl SessionManager {
     }
 
     /// Drops every open session at once (a chaos session-table loss, or
-    /// an operator reset); returns how many were closed. Callers must
-    /// also purge the key cache, exactly as with [`SessionManager::close`].
-    pub fn close_all(&self) -> usize {
+    /// an operator reset) and returns the ids it closed. Callers must
+    /// also purge each one from the key cache, exactly as with
+    /// [`SessionManager::close`].
+    pub fn close_all(&self) -> Vec<u64> {
         let mut sessions = self.sessions.lock().expect("sessions poisoned");
-        let n = sessions.len();
-        sessions.clear();
-        n
+        sessions.drain().map(|(id, _)| id).collect()
     }
 
     /// Number of open sessions.
@@ -310,10 +309,8 @@ mod tests {
         let mgr = SessionManager::new();
         let a = mgr.create();
         let b = mgr.create_with_hint(BatchHint::Throughput);
-        let c = mgr.create_with_hint(BatchHint::Interactive);
         assert_eq!(mgr.get(a).unwrap().batch_hint(), BatchHint::Auto);
         assert_eq!(mgr.get(b).unwrap().batch_hint(), BatchHint::Throughput);
-        assert_eq!(mgr.get(c).unwrap().batch_hint(), BatchHint::Interactive);
     }
 
     #[test]
@@ -341,13 +338,15 @@ mod tests {
         let mgr = SessionManager::new();
         let a = mgr.create();
         let b = mgr.create();
-        assert_eq!(mgr.close_all(), 2);
+        let mut closed = mgr.close_all();
+        closed.sort_unstable();
+        assert_eq!(closed, [a, b]);
         assert!(mgr.is_empty());
         assert!(matches!(mgr.get(a), Err(ErrorCode::NoSession)));
         assert!(matches!(mgr.get(b), Err(ErrorCode::NoSession)));
         // Ids keep monotonically increasing across a reset.
         let c = mgr.create();
         assert!(c > b);
-        assert_eq!(mgr.close_all(), 1);
+        assert_eq!(mgr.close_all(), [c]);
     }
 }

@@ -24,7 +24,6 @@
 //!   at a frame boundary, so a tenant's keys, cache entries, pending
 //!   groups and programs live on exactly one shard.
 
-#[cfg(feature = "chaos")]
 use crate::fault::FaultDecision;
 use crate::obs::{RequestTrace, Stage};
 use crate::plan::KeyPlan;
@@ -84,10 +83,9 @@ impl ReplySignal {
 /// A reply the shard loop is waiting on from the worker pool.
 struct PendingReply {
     rx: Receiver<Reply>,
-    trace: Option<Arc<RequestTrace>>,
+    trace: Arc<RequestTrace>,
     /// A write-abort fault drawn for this request, applied when the
     /// reply comes back.
-    #[cfg(feature = "chaos")]
     write_fault: Option<FaultDecision>,
 }
 
@@ -102,12 +100,11 @@ struct Conn {
     /// build its reply in.
     write_buf: Vec<u8>,
     write_pos: usize,
-    /// When the reply entered the write buffer — the write stage runs
-    /// from reply pickup to flush completion.
-    write_started: Option<Instant>,
     pending: Option<PendingReply>,
-    /// A trace to finish (with its status) once the reply flushes.
-    finishing: Option<(Arc<RequestTrace>, u8)>,
+    /// A trace to finish once the reply flushes: its status, and when
+    /// the reply entered the write buffer — the write stage runs from
+    /// reply pickup to flush completion.
+    finishing: Option<(Arc<RequestTrace>, u8, Instant)>,
     /// Close once the write buffer drains (oversize frames, torn-write
     /// faults).
     close_after_flush: bool,
@@ -123,7 +120,6 @@ impl Conn {
             read_buf: routed.read_buf,
             write_buf: Vec::new(),
             write_pos: 0,
-            write_started: None,
             pending: None,
             finishing: None,
             close_after_flush: false,
@@ -380,11 +376,8 @@ fn step_conn(
 /// buffer: the write stage ends here, and only now is the request's
 /// timeline complete.
 fn finish_trace(state: &ServerState, conn: &mut Conn) {
-    let started = conn.write_started.take();
-    if let Some((trace, status)) = conn.finishing.take() {
-        if let Some(start) = started {
-            trace.add_stage(Stage::Write, start.elapsed());
-        }
+    if let Some((trace, status, started)) = conn.finishing.take() {
+        trace.add_stage(Stage::Write, started.elapsed());
         state.obs.finish(&state.metrics, &trace, status);
     }
 }
@@ -472,7 +465,6 @@ fn adopt_reply(state: &ServerState, conn: &mut Conn, pending: PendingReply, repl
     }
     spent.clear();
     conn.read_buf = spent;
-    #[cfg(feature = "chaos")]
     if let Some(FaultDecision::WriteAbort { keep }) = pending.write_fault {
         // Torn frame: a strict prefix of the real response, then the
         // connection drops. No error/byte accounting — the blocking
@@ -486,10 +478,7 @@ fn adopt_reply(state: &ServerState, conn: &mut Conn, pending: PendingReply, repl
         return;
     }
     queue_reply(state, conn, status, frame);
-    conn.write_started = Some(Instant::now());
-    if let Some(trace) = pending.trace {
-        conn.finishing = Some((trace, status));
-    }
+    conn.finishing = Some((pending.trace, status, Instant::now()));
 }
 
 /// Decides whether the buffered (complete) frame belongs to another
@@ -542,15 +531,11 @@ fn process_frame(
         let msg = format!("opcode {tag:#04x}");
         return refuse(state, conn, frame, ErrorCode::UnknownOpcode, msg);
     };
-    // Chaos: exactly one plan decision per parsed frame, drawn on the
-    // owning shard (routing happens before the frame is "read").
+    // Chaos: with a plan, exactly one decision per parsed frame, drawn
+    // on the owning shard (routing happens before the frame is "read").
     // Loop-side faults act right here; worker-side faults ride on the
     // job; write aborts fire when the reply comes back.
-    #[cfg(feature = "chaos")]
-    let mut worker_fault = None;
-    #[cfg(feature = "chaos")]
-    let mut write_fault = None;
-    #[cfg(feature = "chaos")]
+    let (mut worker_fault, mut write_fault) = (None, None);
     if let Some(plan) = &state.fault {
         if let Some(fault) = plan.decide(op) {
             state
@@ -585,15 +570,12 @@ fn process_frame(
         deadline_start: Instant::now(),
         reply: reply_tx,
         trace: trace.clone(),
-        #[cfg(feature = "chaos")]
         chaos: worker_fault,
     };
     // Count before sending: a worker may pop (and decrement) the
     // instant `try_send` returns.
     state.metrics.enqueued();
-    if let Some(t) = &trace {
-        t.mark_enqueued();
-    }
+    trace.mark_enqueued();
     match sched.submit(&state.sessions, &state.metrics, job) {
         Ok(()) => {
             state.shards[state.shard]
@@ -602,7 +584,6 @@ fn process_frame(
             conn.pending = Some(PendingReply {
                 rx: reply_rx,
                 trace,
-                #[cfg(feature = "chaos")]
                 write_fault,
             });
             ConnVerdict::Keep { progressed: true }

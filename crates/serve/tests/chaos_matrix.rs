@@ -17,10 +17,8 @@
 //!
 //! A failing cell writes a replay artifact (seed, mix, injection log) to
 //! `target/chaos/` and names the seed in the panic, so
-//! `CHAOS_SEEDS=<seed> cargo test -p fhe-serve --features chaos --test
-//! chaos_matrix` reproduces it in isolation.
-
-#![cfg(feature = "chaos")]
+//! `CHAOS_SEEDS=<seed> cargo test -p fhe-serve --test chaos_matrix`
+//! reproduces it in isolation.
 
 use ckks::hoisting::rotate_hoisted;
 use ckks::serialize::{deserialize_switching_key, serialize_ciphertext, serialize_switching_key};
@@ -340,7 +338,7 @@ fn fail<T>(seed: u64, mix: &str, plan: &FaultPlan, what: &str) -> T {
         ));
     }
     report.push_str(&format!(
-        "\nreproduce:\n  CHAOS_SEEDS={seed} cargo test -p fhe-serve --features chaos --test chaos_matrix\n"
+        "\nreproduce:\n  CHAOS_SEEDS={seed} cargo test -p fhe-serve --test chaos_matrix\n"
     ));
     let _ = std::fs::write(&path, &report);
     panic!(

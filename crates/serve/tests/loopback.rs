@@ -344,3 +344,54 @@ fn warm_rotate_loop_stops_missing_the_scratch_pool() {
     );
     server.shutdown();
 }
+
+/// A zero queue capacity is served as one, as zero workers are: keyed
+/// requests run instead of all being refused `Overloaded`.
+#[test]
+fn a_zero_queue_capacity_still_serves_keyed_requests() {
+    let ctx = helr_ctx();
+    let server = Server::start(
+        ctx.clone(),
+        ServeConfig {
+            queue_capacity: 0,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(8000);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1], false);
+    let encoder = Encoder::new(ctx.clone());
+    let encryptor = Encryptor::new(ctx.clone());
+    let v: Vec<f64> = (0..ctx.params().slots()).map(|i| i as f64 * 0.02).collect();
+    let ct = encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &v);
+
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    client.upload_galois(sid, &gk).unwrap();
+    let remote = client.rotate(sid, &ct, 1).unwrap();
+    let local = rotate_hoisted(&Evaluator::new(ctx.clone()), &ct, &[1], &gk)
+        .pop()
+        .expect("one rotation");
+    assert_eq!(serialize_ciphertext(&remote), serialize_ciphertext(&local));
+    server.shutdown();
+}
+
+/// The Hello reply's wire layout: the 8-byte session id, the reserved
+/// flags byte `1`, then the kernel-backend name.
+#[test]
+fn hello_reply_is_session_id_flags_byte_then_backend_name() {
+    let ctx = helr_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx).unwrap();
+    let reply = client
+        .call_raw(fhe_serve::Opcode::Hello as u8, &[])
+        .unwrap();
+    let sid = u64::from_le_bytes(reply[..8].try_into().unwrap());
+    assert_ne!(sid, 0);
+    assert_eq!(reply[8], 1, "the flags byte");
+    assert_eq!(&reply[9..], server.kernel_backend_name().as_bytes());
+    client.close_session(sid).unwrap();
+    server.shutdown();
+}

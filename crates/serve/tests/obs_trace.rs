@@ -102,7 +102,6 @@ fn start_server(
 
 fn obs_on() -> ObsConfig {
     ObsConfig {
-        enabled: true,
         ring_capacity: 64,
         slow_threshold: Duration::ZERO,
     }
@@ -659,4 +658,90 @@ fn metrics_dump_counts_the_expansions_behind_cache_misses() {
         stats.misses
     );
     assert!(metric(&dump, "serve_key_expansion_bytes_total") > 0);
+}
+
+/// Polls the server-side dump until `accepted` timelines have finished (a
+/// trace closes only after its reply flushes), then checks that exactly
+/// that many requests were accepted and that the end-to-end family and
+/// every stage family counted each of them once.
+fn assert_one_timeline_per_request(server: &Server, accepted: u64) {
+    let asked = Instant::now();
+    let dump = loop {
+        let dump = server.metrics_dump();
+        let finished = if dump.contains("\nserve_e2e_latency_us_count ") {
+            metric(&dump, "serve_e2e_latency_us_count")
+        } else {
+            0
+        };
+        if finished >= accepted {
+            break dump;
+        }
+        assert!(
+            asked.elapsed() < Duration::from_secs(5),
+            "{finished} of {accepted} timelines finished:\n{dump}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert_eq!(metric(&dump, "serve_requests_total"), accepted);
+    assert_eq!(metric(&dump, "serve_e2e_latency_us_count"), accepted);
+    for s in Stage::ALL {
+        let label = format!("serve_stage_latency_us_count{{stage=\"{}\"}}", s.name());
+        assert_eq!(metric(&dump, &label), accepted, "{label}");
+    }
+}
+
+/// Every request the server accepts finishes exactly one timeline,
+/// whatever its fate — served keyless or keyed, failed in its handler, or
+/// refused at its deadline — so `serve_e2e_latency_us_count`, which every
+/// per-request stage cell is divided by, equals `serve_requests_total`.
+#[test]
+fn every_accepted_request_finishes_exactly_one_timeline() {
+    use fhe_serve::{ClientError, ErrorCode, Opcode};
+    fn code<T>(r: Result<T, ClientError>) -> ErrorCode {
+        match r {
+            Err(ClientError::Server { code, .. }) => code,
+            Err(e) => panic!("{e}"),
+            Ok(_) => panic!("the request succeeded"),
+        }
+    }
+    let ctx = test_ctx();
+    let tenant = make_tenant(&ctx, 9009);
+
+    let server = start_server(&ctx, 2, BatchConfig::baseline(), obs_on());
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let session = client.hello_ext(BatchHint::Auto).unwrap().session;
+    client.upload_galois(session, &tenant.gk).unwrap();
+    for _ in 0..3 {
+        client.add(session, &tenant.a, &tenant.b).unwrap();
+        client.rotate(session, &tenant.a, 1).unwrap();
+    }
+    // An `Add` body that ends after its session id fails in the handler.
+    let truncated = client.call_raw(Opcode::Add as u8, &session.to_le_bytes());
+    assert_eq!(code(truncated), ErrorCode::Malformed);
+    // An unknown opcode is refused before it is accepted: neither family
+    // counts it.
+    assert_eq!(code(client.call_raw(0xee, &[])), ErrorCode::UnknownOpcode);
+    assert_one_timeline_per_request(&server, 1 + 1 + 6 + 1);
+    server.shutdown();
+
+    // A zero deadline refuses every request at pickup.
+    let server = Server::start(
+        ctx.clone(),
+        ServeConfig {
+            workers: 1,
+            request_deadline: Duration::ZERO,
+            obs: obs_on(),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    for _ in 0..3 {
+        let add = client.add(9999, &tenant.a, &tenant.b);
+        assert_eq!(code(add), ErrorCode::DeadlineExceeded);
+        let rotate = client.rotate(9999, &tenant.a, 1);
+        assert_eq!(code(rotate), ErrorCode::DeadlineExceeded);
+    }
+    assert_one_timeline_per_request(&server, 6);
+    server.shutdown();
 }

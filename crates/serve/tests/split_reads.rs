@@ -3,9 +3,9 @@
 //! buffer, so where the socket happens to cut the byte stream — inside the
 //! prefix, between header and body, every few bytes of a ciphertext — must
 //! not show in the reply: every slicing of a valid `Add` frame is answered
-//! with the byte-identical frame an unsliced send gets. With `--features
-//! chaos`, the torn-write fault is pinned the same way from the other
-//! side: what it lets through is a strict prefix of that real frame.
+//! with the byte-identical frame an unsliced send gets. The fault plan's
+//! torn write is pinned the same way from the other side: what it lets
+//! through is a strict prefix of that real frame.
 
 use ckks::serialize::serialize_ciphertext;
 use ckks::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
@@ -144,7 +144,6 @@ fn a_frame_larger_than_any_one_read_arrives_in_64k_slices() {
 
 /// The chaos layer's torn write lets through a strict prefix of the frame
 /// a faithful server would have sent, then drops the connection.
-#[cfg(feature = "chaos")]
 #[test]
 fn a_write_abort_sends_a_strict_prefix_of_the_real_frame() {
     use fhe_serve::{FaultMix, FaultPlan};
