@@ -269,9 +269,42 @@ fn recycle_all(polys: Vec<RnsPoly>, pool: &ScratchPool) {
     }
 }
 
+/// The library's one key-switched automorphism, for each of `maps` off one
+/// decomposition of `ct.c1`: the raised digits permuted and folded against
+/// the map's key, a `ModDown` pair, `σ(c0)` added. A `None` map is a copy
+/// and raises nothing. Every rotation and conjugation runs here, so an
+/// automorphism has the same bits alone or hoisted.
+pub(crate) fn switch_automorphisms<'k>(
+    ctx: &CkksContext,
+    ct: &Ciphertext,
+    maps: impl IntoIterator<Item = Option<(Arc<Automorphism>, &'k SwitchingKey)>>,
+) -> Vec<Ciphertext> {
+    let pool = ctx.scratch();
+    let mut digits = None;
+    let out = maps
+        .into_iter()
+        .map(|map| {
+            let Some((auto, ksk)) = map else {
+                return ct.clone();
+            };
+            let digits = digits.get_or_insert_with(|| decompose_and_raise(ctx, &ct.c1));
+            let raised = hoisted_inner_product(ctx, digits, &auto, ksk);
+            let (v, u) = complete(ctx, &raised);
+            raised.recycle(pool);
+            let mut c0 = ct.c0.automorphism_with(&auto, pool);
+            c0.add_assign(&v);
+            v.recycle(pool);
+            Ciphertext::new(c0, u, ct.scale)
+        })
+        .collect();
+    recycle_all(digits.unwrap_or_default(), pool);
+    out
+}
+
 /// Rotations sharing one decomposition (**ModUp hoisting**): returns the
 /// rotation of `ct` by each step, at the cost of a single `Decomp`/`ModUp`
-/// and one inner product + `ModDown` pair per step.
+/// and one inner product + `ModDown` pair per step (none for a step that
+/// is a multiple of the slot count: a copy, with no key).
 ///
 /// # Panics
 ///
@@ -283,26 +316,10 @@ pub fn rotate_hoisted(
     gk: &GaloisKeys,
 ) -> Vec<Ciphertext> {
     let ctx = evaluator.context();
-    let pool = ctx.scratch();
-    let digits = decompose_and_raise(ctx, &ct.c1);
-    let out = steps
+    let maps = steps
         .iter()
-        .map(|&s| {
-            if s == 0 {
-                return ct.clone();
-            }
-            let (auto, ksk) = rotation(ctx, gk, s);
-            let raised = hoisted_inner_product(ctx, &digits, &auto, ksk);
-            let (v, u) = complete(ctx, &raised);
-            raised.recycle(pool);
-            let mut c0 = ct.c0.automorphism_with(&auto, pool);
-            c0.add_assign(&v);
-            v.recycle(pool);
-            Ciphertext::new(c0, u, ct.scale)
-        })
-        .collect();
-    recycle_all(digits, pool);
-    out
+        .map(|&s| (ctx.rotation_element(s) != 1).then(|| rotation(ctx, gk, s)));
+    switch_automorphisms(ctx, ct, maps)
 }
 
 /// The stages a rotate-and-add ladder `acc ← acc + rot(acc, r)` over `rungs`
@@ -592,13 +609,9 @@ pub fn apply_bsgs(
     let (base, raised) = (ctx.level_basis(ell), ctx.raised_basis(ell));
     let encoded = lt.encoded(ctx, encoder, ell, n1);
 
-    // Diagonals by giant step, each with the baby step it lands on. A
-    // group of the unrotated diagonal alone is a plain product over Q_ℓ;
+    // A group of the unrotated diagonal alone is a plain product over Q_ℓ;
     // every other group sums in the raised basis.
-    let mut groups: BTreeMap<usize, Vec<(usize, &RnsPoly)>> = BTreeMap::new();
-    for (&d, pt) in lt.diagonals.keys().zip(&encoded.polys) {
-        groups.entry(d / n1 * n1).or_default().push((d % n1, pt));
-    }
+    let groups = giant_groups(lt.diagonals.keys().copied().zip(&encoded.polys), n1);
     let unrotated_alone = |group: &[(usize, &RnsPoly)]| matches!(group, [(0, _)]);
     let raised_groups = groups.values().filter(|g| !unrotated_alone(g));
     let steps = raised_groups.flatten().map(|&(b, _)| b).collect();
@@ -676,15 +689,29 @@ pub fn apply_bsgs(
     Ciphertext::new(c0, c1, scale / q_last)
 }
 
+/// The one BSGS walk, of [`apply_bsgs`] and [`bsgs_required_steps`]: each
+/// diagonal `d` (with its `item`) under its giant step `⌊d/n1⌋·n1`, beside
+/// the baby step `d mod n1` it lands on, in offset order.
+fn giant_groups<T>(
+    diagonals: impl IntoIterator<Item = (usize, T)>,
+    n1: usize,
+) -> BTreeMap<usize, Vec<(usize, T)>> {
+    let mut groups: BTreeMap<usize, Vec<(usize, T)>> = BTreeMap::new();
+    for (d, item) in diagonals {
+        groups.entry(d / n1 * n1).or_default().push((d % n1, item));
+    }
+    groups
+}
+
 /// The rotations [`apply_bsgs`] performs for a transform, and so the
 /// Galois keys it needs: the baby steps `d mod n1` some diagonal lands on,
 /// then the giant steps `⌊d/n1⌋·n1`, non-zero ones only, each ascending.
 pub fn bsgs_required_steps(lt: &LinearTransform, n1: usize) -> Vec<i64> {
-    let babies: BTreeSet<usize> = lt.diagonals.keys().map(|d| d % n1).collect();
-    let giants: BTreeSet<usize> = lt.diagonals.keys().map(|d| d / n1 * n1).collect();
+    let groups = giant_groups(lt.diagonals.keys().map(|&d| (d, ())), n1);
+    let babies: BTreeSet<usize> = groups.values().flatten().map(|&(b, _)| b).collect();
     babies
         .into_iter()
-        .chain(giants)
+        .chain(groups.into_keys())
         .filter(|&s| s != 0)
         .map(|s| s as i64)
         .collect()
@@ -774,22 +801,45 @@ mod tests {
     fn hoisted_rotations_match_plain_rotations() {
         let (ctx, encoder, encryptor, decryptor, evaluator, keygen, mut rng) = setup();
         let sk = keygen.secret_key(&mut rng);
-        let gk = keygen.galois_keys(&mut rng, &sk, &[1, 2, 7], false);
+        let gk = keygen.galois_keys(&mut rng, &sk, &[1, -3, 7], true);
         let slots = encoder.slots();
         let v: Vec<Complex> = (0..slots)
             .map(|i| Complex::new((i as f64 * 0.3).sin(), 0.1))
             .collect();
         let pt = encoder.encode(&v, 3, ctx.params().scale()).unwrap();
         let ct = encryptor.encrypt_symmetric(&mut rng, &pt, &sk);
+        let bytes = |ct: &Ciphertext| [ct.c0.flat(), ct.c1.flat()].concat();
 
-        let hoisted = rotate_hoisted(&evaluator, &ct, &[0, 1, 2, 7], &gk);
-        for (idx, &steps) in [0i64, 1, 2, 7].iter().enumerate() {
-            let direct = evaluator.rotate(&ct, steps, &gk);
-            let a = encoder.decode(&decryptor.decrypt(&hoisted[idx], &sk));
-            let b = encoder.decode(&decryptor.decrypt(&direct, &sk));
-            for (x, y) in a.iter().zip(&b) {
-                assert!((*x - *y).abs() < 1e-4, "steps {steps}");
+        // One rotation: alone or hoisted, the same bits; a multiple of the
+        // slot count is a copy.
+        let steps = [0i64, 1, -3, 7, slots as i64];
+        let hoisted = rotate_hoisted(&evaluator, &ct, &steps, &gk);
+        for (rotated, &s) in hoisted.iter().zip(&steps) {
+            assert_eq!(bytes(rotated), bytes(&evaluator.rotate(&ct, s, &gk)), "{s}");
+            let want: Vec<Complex> = (0..slots)
+                .map(|j| v[(j as i64 + s).rem_euclid(slots as i64) as usize])
+                .collect();
+            let got = encoder.decode(&decryptor.decrypt(rotated, &sk));
+            for (x, y) in got.iter().zip(&want) {
+                assert!((*x - *y).abs() < 1e-4, "steps {s}");
             }
+        }
+        assert_eq!(bytes(&hoisted[4]), bytes(&ct));
+
+        // Conjugation is the same body at another element, and shares a
+        // decomposition with rotations bit for bit.
+        let conj = ctx.conjugation_element();
+        let maps = [
+            Some(rotation(&ctx, &gk, 1)),
+            Some((ctx.automorphism(conj), gk.get(conj).unwrap())),
+        ];
+        let shared = switch_automorphisms(&ctx, &ct, maps);
+        assert_eq!(bytes(&shared[0]), bytes(&hoisted[1]));
+        let conjugated = evaluator.conjugate(&ct, &gk);
+        assert_eq!(bytes(&shared[1]), bytes(&conjugated));
+        let got = encoder.decode(&decryptor.decrypt(&conjugated, &sk));
+        for (x, y) in got.iter().zip(&v) {
+            assert!((*x - y.conj()).abs() < 1e-4);
         }
     }
 

@@ -14,7 +14,7 @@
 //! evaluation recycles storage instead of allocating per call.
 
 use crate::context::CkksContext;
-use crate::hoisting::{fold_stages, rotate_fold};
+use crate::hoisting::{fold_stages, rotate_fold, rotate_hoisted, switch_automorphisms};
 use crate::keys::{GaloisKeys, RelinKey, SwitchingKey};
 use crate::keyswitch;
 use crate::plaintext::{Ciphertext, Plaintext};
@@ -374,34 +374,16 @@ impl Evaluator {
         self.mul(a, a, rlk)
     }
 
-    /// Applies the Galois automorphism `k` with its switching key.
-    pub fn automorphism(&self, a: &Ciphertext, k: u64, ksk: &SwitchingKey) -> Ciphertext {
-        let pool = self.ctx.scratch();
-        let auto = self.ctx.automorphism(k);
-        let mut c0 = a.c0.automorphism_with(&auto, pool);
-        let c1 = a.c1.automorphism_with(&auto, pool);
-        let (v, u) = keyswitch::keyswitch(&self.ctx, &c1, ksk);
-        c1.recycle(pool);
-        c0.add_assign(&v);
-        v.recycle(pool);
-        Ciphertext::new(c0, u, a.scale)
-    }
-
-    /// `Rotate` (Table 2): rotates the slot vector left by `steps`.
+    /// `Rotate` (Table 2): rotates the slot vector left by `steps` — the
+    /// one-step [`rotate_hoisted`], bit for bit. A multiple of the slot
+    /// count is a copy and needs no key.
     ///
     /// # Panics
     ///
     /// Panics if the Galois key for this rotation was not generated.
     pub fn rotate(&self, a: &Ciphertext, steps: i64, gk: &GaloisKeys) -> Ciphertext {
-        if steps == 0 {
-            return a.clone();
-        }
         let _span = telemetry::span("Rotate");
-        let k = self.ctx.rotation_element(steps);
-        let ksk = gk
-            .get(k)
-            .unwrap_or_else(|| panic!("missing Galois key for rotation {steps}"));
-        self.automorphism(a, k, ksk)
+        rotate_hoisted(self, a, &[steps], gk).remove(0)
     }
 
     /// Sums all `2^log_span` leading slots into every slot of the result
@@ -423,7 +405,8 @@ impl Evaluator {
         rotate_fold(self, a, &fold_stages(&rungs), gk)
     }
 
-    /// `Conjugate` (Table 2): complex-conjugates every slot.
+    /// `Conjugate` (Table 2): complex-conjugates every slot — a rotation's
+    /// key-switched automorphism, at the conjugation element.
     ///
     /// # Panics
     ///
@@ -431,6 +414,7 @@ impl Evaluator {
     pub fn conjugate(&self, a: &Ciphertext, gk: &GaloisKeys) -> Ciphertext {
         let k = self.ctx.conjugation_element();
         let ksk = gk.get(k).expect("missing conjugation key");
-        self.automorphism(a, k, ksk)
+        let map = Some((self.ctx.automorphism(k), ksk));
+        switch_automorphisms(&self.ctx, a, [map]).remove(0)
     }
 }

@@ -245,8 +245,24 @@ impl Pinned {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// A rotation by `steps` sequenced from the public kernels in the order
+/// the digest was recorded with — automorphism of both components, then a
+/// full key switch of `σ(c1)`. The digest pins what the kernels compute;
+/// the order `Evaluator::rotate` sequences them in is a schedule.
+fn automorph_then_keyswitch(p: &Pinned, ct: &Ciphertext, steps: i64) -> Ciphertext {
+    let (ctx, pool) = (&p.ctx, p.ctx.scratch());
+    let k = ctx.rotation_element(steps);
+    let auto = ctx.automorphism(k);
+    let c1 = ct.c1().automorphism_with(&auto, pool);
+    let (v, u) = ckks::keyswitch::keyswitch(ctx, &c1, p.gk.get(k).expect("a key"));
+    let mut c0 = ct.c0().automorphism_with(&auto, pool);
+    c0.add_assign(&v);
+    Ciphertext::new(c0, u, ct.scale())
+}
+
 /// The **kernel digest**: the serialized outputs of `encode`, `keyswitch`
-/// at every level, `rotate`, `rescale` and `rotate_hoisted`.
+/// at every level, an automorphism-then-key-switch rotation, `rescale` and
+/// `rotate_hoisted`.
 fn kernel_digest(ctx: Arc<CkksContext>) -> u64 {
     use ckks::serialize::{serialize_ciphertext, serialize_plaintext};
     let p = Pinned::new(ctx);
@@ -267,7 +283,7 @@ fn kernel_digest(ctx: Arc<CkksContext>) -> u64 {
             &serialize_ciphertext(&Ciphertext::new(v, u, scale)),
         );
     }
-    let rot = ev.rotate(ca, 3, &p.gk);
+    let rot = automorph_then_keyswitch(&p, ca, 3);
     fnv1a(&mut hash, &serialize_ciphertext(&rot));
     fnv1a(&mut hash, &serialize_ciphertext(&ev.rescale(&rot)));
     for ct in rotate_hoisted(ev, cb, &[0, 1, 3], &p.gk) {

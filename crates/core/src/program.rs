@@ -121,15 +121,16 @@ pub enum Instr {
         /// Right source register.
         b: String,
     },
-    /// `dst = rot(a, steps)`; `steps == 0` is an explicit copy and needs
-    /// no key. Consecutive rotations of one unmodified register form a
-    /// hoisted run sharing a single ModUp (see [`hoisted_runs`]).
+    /// `dst = rot(a, steps)`; a multiple of the slot count (0 among them)
+    /// is an explicit copy and needs no key. Consecutive rotations of one
+    /// unmodified register form a hoisted run sharing a single ModUp (see
+    /// [`hoisted_runs`]).
     Rotate {
         /// Destination register.
         dst: String,
         /// Source register.
         a: String,
-        /// Slot-rotation step count (0 copies).
+        /// Slot-rotation step count (a multiple of the slot count copies).
         steps: i64,
     },
     /// `dst = rescale(a)`: drop the last limb, dividing the scale by it.
@@ -292,6 +293,9 @@ pub struct KeyManifest {
 pub enum HoistRole {
     /// Not part of a hoisted run (priced/executed standalone).
     Single,
+    /// A `Rotate` by a multiple of the slot count: a key-free copy, priced
+    /// at zero.
+    Copy,
     /// First rotation of a hoisted run of the given length (≥ 2): the
     /// shared Decomp+ModUp is charged here.
     Leader(usize),
@@ -498,6 +502,13 @@ pub fn bsgs_baby_dim(diagonals: usize) -> usize {
     n1.max(1)
 }
 
+/// The baby dimensions a BSGS schedule over `slots` slots runs at:
+/// `1..=slots`. [`bsgs_baby_dim`] of at most `slots` diagonals is always
+/// one; a served `Bsgs`, which names its own `n1`, is held to this.
+pub fn valid_baby_dim(n1: usize, slots: usize) -> bool {
+    (1..=slots).contains(&n1)
+}
+
 /// Galois steps `apply_bsgs` needs for a diagonal set under baby
 /// dimension `n1`: the baby steps `d mod n1` some diagonal lands on plus
 /// each distinct giant step `⌊d/n1⌋·n1`, non-zero ones only, sorted — the
@@ -506,17 +517,18 @@ pub fn bsgs_galois_steps(offsets: &[usize], n1: usize) -> Vec<i64> {
     BsgsSchedule::of(offsets, n1).galois_steps()
 }
 
-/// The rotation-hoisting schedule: maximal runs (start index, length ≥ 2)
-/// of consecutive `Rotate` instructions that read the same register with
-/// non-zero steps, where no rotation before the last overwrites the
-/// source. The executor shares one Decomp+ModUp per run
-/// (`rotate_hoisted`); the pricer charges the run the same way.
-pub fn hoisted_runs(instrs: &[Instr]) -> Vec<(usize, usize)> {
+/// The rotation-hoisting schedule on a ring of `slots` slots: maximal runs
+/// (start index, length ≥ 2) of consecutive `Rotate` instructions that read
+/// the same register with steps that rotate (not a multiple of the slot
+/// count), where no rotation before the last overwrites the source. The
+/// executor shares one Decomp+ModUp per run (`rotate_hoisted`); the pricer
+/// charges the run the same way.
+pub fn hoisted_runs(instrs: &[Instr], slots: usize) -> Vec<(usize, usize)> {
     let mut runs = Vec::new();
     let mut i = 0;
     while i < instrs.len() {
         let (src, dst0) = match &instrs[i] {
-            Instr::Rotate { a, steps, dst } if *steps != 0 => (a.clone(), dst.clone()),
+            Instr::Rotate { a, steps, dst } if rotates(*steps, slots) => (a.clone(), dst.clone()),
             _ => {
                 i += 1;
                 continue;
@@ -526,7 +538,7 @@ pub fn hoisted_runs(instrs: &[Instr]) -> Vec<(usize, usize)> {
         let mut source_overwritten = dst0 == src;
         while !source_overwritten {
             match instrs.get(i + len) {
-                Some(Instr::Rotate { a, steps, dst }) if *a == src && *steps != 0 => {
+                Some(Instr::Rotate { a, steps, dst }) if *a == src && rotates(*steps, slots) => {
                     source_overwritten = *dst == src;
                     len += 1;
                 }
@@ -542,8 +554,9 @@ pub fn hoisted_runs(instrs: &[Instr]) -> Vec<(usize, usize)> {
 }
 
 /// The rung at `at`, as `(acc, t, steps)`: `Rotate{dst: t, a: acc, steps}`
-/// with `steps ≠ 0` and `t ≠ acc`, then `Add{dst: acc, {a, b} = {acc, t}}`.
-fn rung_at(instrs: &[Instr], at: usize) -> Option<(&str, &str, i64)> {
+/// with `steps` rotating on `slots` slots and `t ≠ acc`, then
+/// `Add{dst: acc, {a, b} = {acc, t}}`.
+fn rung_at(instrs: &[Instr], at: usize, slots: usize) -> Option<(&str, &str, i64)> {
     let (
         Instr::Rotate {
             dst: t,
@@ -556,7 +569,7 @@ fn rung_at(instrs: &[Instr], at: usize) -> Option<(&str, &str, i64)> {
         return None;
     };
     let adds_the_rotation = (a == acc && b == t) || (a == t && b == acc);
-    (*steps != 0 && t != acc && dst == acc && adds_the_rotation).then_some((
+    (rotates(*steps, slots) && t != acc && dst == acc && adds_the_rotation).then_some((
         acc.as_str(),
         t.as_str(),
         *steps,
@@ -584,9 +597,10 @@ fn deaths(instrs: &[Instr], outputs: &[String]) -> Vec<Vec<String>> {
     table
 }
 
-/// The ladder-folding schedule: maximal runs `(start index, rungs ≥ 2)` of
-/// consecutive rungs `t ← rot(acc, s ≠ 0); acc ← acc + t` (operands in
-/// either order) with `t ≠ acc`, the same `acc` and `t` throughout, and `t`
+/// The ladder-folding schedule on a ring of `slots` slots: maximal runs
+/// `(start index, rungs ≥ 2)` of consecutive rungs `t ← rot(acc, s);
+/// acc ← acc + t` (operands in either order, `s` not a multiple of the slot
+/// count) with `t ≠ acc`, the same `acc` and `t` throughout, and `t`
 /// **dead** after the run — not an output, and not read before it is next
 /// written; a folded ladder never materialises `t`. Whether it is dead is
 /// the death table's answer (`dies`, one entry per instruction, as
@@ -595,20 +609,21 @@ fn deaths(instrs: &[Instr], outputs: &[String]) -> Vec<Vec<String>> {
 /// ladder starts at the first rung that does not. The executor runs each
 /// ladder as one double-hoisted fold over [`ladder_stages`]; the pricer
 /// charges it the same way. Linear in the instruction count.
-pub fn folded_ladders(instrs: &[Instr], dies: &[Vec<String>]) -> Vec<(usize, usize)> {
+pub fn folded_ladders(instrs: &[Instr], dies: &[Vec<String>], slots: usize) -> Vec<(usize, usize)> {
     let mut hoisted = vec![false; instrs.len()];
-    for (start, len) in hoisted_runs(instrs) {
+    for (start, len) in hoisted_runs(instrs, slots) {
         hoisted[start..start + len].fill(true);
     }
+    let rung_at = |at| rung_at(instrs, at, slots);
     let mut ladders = Vec::new();
     let mut i = 0;
     while i < instrs.len() {
-        let Some((acc, t, _)) = rung_at(instrs, i).filter(|_| !hoisted[i]) else {
+        let Some((acc, t, _)) = rung_at(i).filter(|_| !hoisted[i]) else {
             i += 1;
             continue;
         };
         let mut rungs = 1;
-        while rung_at(instrs, i + 2 * rungs).is_some_and(|(a, r, _)| (a, r) == (acc, t)) {
+        while rung_at(i + 2 * rungs).is_some_and(|(a, r, _)| (a, r) == (acc, t)) {
             rungs += 1;
         }
         if rungs >= 2 && dies[i + 2 * rungs - 1].iter().any(|d| d == t) {
@@ -725,6 +740,7 @@ impl Program {
 
         for (idx, instr) in self.instrs.iter().enumerate() {
             Self::check_name(instr.dst())?;
+            let mut hoist = HoistRole::Single;
             let (ell, out_level, out_exp) = match instr {
                 Instr::Add { a, b, .. } | Instr::Sub { a, b, .. } => {
                     let (la, ea) = read(&regs, idx, a)?;
@@ -779,8 +795,10 @@ impl Program {
                 }
                 Instr::Rotate { a, steps, .. } => {
                     let (la, ea) = read(&regs, idx, a)?;
-                    if *steps != 0 {
+                    if rotates(*steps, env.slots) {
                         galois.insert(*steps);
+                    } else {
+                        hoist = HoistRole::Copy;
                     }
                     (la, la, ea)
                 }
@@ -834,23 +852,27 @@ impl Program {
                 ell,
                 out_level,
                 out_scale_exp: out_exp,
-                hoist: HoistRole::Single,
+                hoist,
                 fold: FoldRole::Single,
                 dies: Vec::new(),
             });
         }
 
         let dies = deaths(&self.instrs, &self.outputs);
-        for (start, len) in hoisted_runs(&self.instrs) {
+        for (start, len) in hoisted_runs(&self.instrs, env.slots) {
             metas[start].hoist = HoistRole::Leader(len);
             for m in metas.iter_mut().skip(start + 1).take(len - 1) {
                 m.hoist = HoistRole::Follower;
             }
         }
         let mut ladders = Vec::new();
-        for (start, rungs) in folded_ladders(&self.instrs, &dies) {
+        for (start, rungs) in folded_ladders(&self.instrs, &dies, env.slots) {
             let steps: Vec<i64> = (0..rungs)
-                .map(|r| rung_at(&self.instrs, start + 2 * r).expect("a rung").2)
+                .map(|r| {
+                    rung_at(&self.instrs, start + 2 * r, env.slots)
+                        .expect("a rung")
+                        .2
+                })
                 .collect();
             let stages = ladder_stages(&steps, env.slots);
             let combined = stages.iter().filter_map(|stage| stage.get(2));
@@ -978,16 +1000,15 @@ impl CostModel {
                     };
                 }
                 Instr::Mult { .. } => cost += self.mult_merged(ell),
-                Instr::Rotate { steps, .. } => {
-                    if *steps != 0 {
-                        cost += match meta.hoist {
-                            HoistRole::Single => self.rotate(ell),
-                            HoistRole::Leader(_) => {
-                                modup_cost(self, ell) + self.hoisted_member_cost(ell)
-                            }
-                            HoistRole::Follower => self.hoisted_member_cost(ell),
-                        };
-                    }
+                Instr::Rotate { .. } => {
+                    cost += match meta.hoist {
+                        HoistRole::Single => self.rotate(ell),
+                        HoistRole::Copy => Cost::ZERO,
+                        HoistRole::Leader(_) => {
+                            modup_cost(self, ell) + self.hoisted_member_cost(ell)
+                        }
+                        HoistRole::Follower => self.hoisted_member_cost(ell),
+                    };
                 }
                 Instr::Rescale { .. } => cost += self.rescale(ell),
                 Instr::BsgsMatVec { mat, .. } => {
@@ -1550,6 +1571,43 @@ mod tests {
     }
 
     #[test]
+    fn a_rotation_by_a_multiple_of_the_slot_count_is_a_free_copy() {
+        let p = Program {
+            name: "turn".into(),
+            ct_inputs: vec![CtDecl {
+                name: "x".into(),
+                level: 5,
+            }],
+            instrs: vec![
+                rot("a", "x", 32),
+                rot("b", "x", -64),
+                rot("c", "x", 0),
+                add("s", "a", "b"),
+                add("s", "s", "c"),
+            ],
+            outputs: names(&["s"]),
+            ..Program::default()
+        };
+        let info = p.validate(&env()).expect("valid");
+        assert!(info.manifest.galois_steps.is_empty());
+        let roles: Vec<_> = info.instrs.iter().map(|m| m.hoist).collect();
+        assert_eq!(roles[..3], [HoistRole::Copy; 3]);
+        // Nor is one a rung: a ladder of whole turns folds nothing.
+        assert_eq!(ladders_of(&ladder("x", "t", &[32, 64]), &names(&["x"])), []);
+        // The price follows the validator's decision, even on a model of
+        // another ring (64 slots, where 32 would rotate).
+        let params = SchemeParams {
+            log_n: 7,
+            log_q: 30,
+            limbs: 5,
+            dnum: 2,
+            fft_iter: 1,
+        };
+        let priced = CostModel::new(params, MadConfig::baseline()).program_cost(&p, &info);
+        assert!(priced.per_instr[..3].iter().all(|&c| c == Cost::ZERO));
+    }
+
+    #[test]
     fn rejects_level_underflow() {
         let mut p = small_program();
         p.ct_inputs[0].level = 2;
@@ -1651,10 +1709,12 @@ mod tests {
         // Three rotations of x, but the second overwrites x: the run is
         // the first two only.
         let instrs = vec![rot("a", "x", 1), rot("x", "x", 2), rot("b", "x", 4)];
-        assert_eq!(hoisted_runs(&instrs), vec![(0, 2)]);
-        // Zero steps never join a run.
-        let instrs = vec![rot("a", "x", 1), rot("b", "x", 0), rot("c", "x", 4)];
-        assert_eq!(hoisted_runs(&instrs), vec![]);
+        assert_eq!(hoisted_runs(&instrs, 32), vec![(0, 2)]);
+        // Copies — zero steps, whole turns — never join a run.
+        for copy in [0, 32, -96] {
+            let instrs = vec![rot("a", "x", 1), rot("b", "x", copy), rot("c", "x", 4)];
+            assert_eq!(hoisted_runs(&instrs, 32), vec![]);
+        }
         // Interleaving a non-rotate breaks the run.
         let instrs = vec![
             rot("a", "x", 1),
@@ -1665,7 +1725,7 @@ mod tests {
             },
             rot("b", "x", 4),
         ];
-        assert_eq!(hoisted_runs(&instrs), vec![]);
+        assert_eq!(hoisted_runs(&instrs, 32), vec![]);
     }
 
     fn rot(dst: &str, a: &str, steps: i64) -> Instr {
@@ -1698,7 +1758,7 @@ mod tests {
 
     /// The ladders of `instrs` under the death table `outputs` leaves it.
     fn ladders_of(instrs: &[Instr], outputs: &[String]) -> Vec<(usize, usize)> {
-        folded_ladders(instrs, &deaths(instrs, outputs))
+        folded_ladders(instrs, &deaths(instrs, outputs), env().slots)
     }
 
     /// `program`'s death table as validated, one name list per instruction.
@@ -1896,7 +1956,7 @@ mod tests {
         let mut instrs = vec![rot("r", "x", 3)];
         instrs.extend(ladder("x", "t", &[1, 2, 4]));
         instrs.push(add("x", "x", "r"));
-        assert_eq!(hoisted_runs(&instrs), [(0, 2)]);
+        assert_eq!(hoisted_runs(&instrs, 32), [(0, 2)]);
         assert_eq!(ladders_of(&instrs, &names(&["x"])), [(3, 2)]);
         instrs.truncate(5);
         assert_eq!(ladders_of(&instrs, &names(&["x", "r"])), []);
@@ -1935,12 +1995,17 @@ mod tests {
             vec![vec![-1, -2, -3], vec![5, 27, 32]]
         );
         assert_eq!(info.manifest.galois_steps, vec![-3, -2, -1, 5, 27]);
-        // Steps at the edge of the wire format's range pair without overflow.
-        let info = ladder_program(&[i64::MAX, i64::MAX, i64::MIN, -1])
+        // Steps at the edge of the wire format's range pair without overflow
+        // (`i64::MIN` itself is a whole number of turns: a copy, no rung).
+        let info = ladder_program(&[i64::MAX, i64::MAX, i64::MIN + 1, -1])
             .validate(&env())
             .unwrap();
         assert_eq!(info.ladders[0].stages[0][2], 2 * (i64::MAX % 32));
-        assert_eq!(info.ladders[0].stages[1][2], -1);
+        assert_eq!(info.ladders[0].stages[1][2], -32);
+        let info = ladder_program(&[i64::MAX, i64::MAX, i64::MIN, -1])
+            .validate(&env())
+            .unwrap();
+        assert_eq!(info.ladders[0].rungs, 2);
         // An unfolded ladder adds nothing to the manifest.
         let mut kept = ladder_program(&[1, 2]);
         kept.outputs.push("t".into());

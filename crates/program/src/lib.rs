@@ -34,8 +34,9 @@
 //!
 //! Registers borrow the caller's input ciphertexts until an instruction
 //! overwrites the name: a run copies a ciphertext only where the program
-//! says so (`Rotate` by 0) and on the way out (an output is an exact-sized
-//! copy; the register it came from, a pool lease, is dropped with the rest).
+//! says so (a `Rotate` by a multiple of the slot count) and on the way out
+//! (an output is an exact-sized copy; the register it came from, a pool
+//! lease, is dropped with the rest).
 //! A register lives until its last read: the validator's death table
 //! ([`simfhe::program::InstrMeta::dies`], one backward liveness pass) names
 //! the values each instruction reads for the last time and its dead store,
@@ -286,6 +287,10 @@ pub fn execute_validated(
             .collect(),
     );
 
+    // With an empty manifest nothing looks a key up: a rotation by a
+    // multiple of the slot count is a copy.
+    let no_keys = GaloisKeys::new();
+    let gk = keys.galois.unwrap_or(&no_keys);
     let mut idx = 0;
     while idx < prog.instrs.len() {
         let instr = &prog.instrs[idx];
@@ -306,7 +311,6 @@ pub fn execute_validated(
                     _ => unreachable!("hoisted runs contain only rotations"),
                 })
                 .collect();
-            let gk = keys.galois.expect("checked against the manifest");
             let rotated = rotate_hoisted(ev, regs.get(src), &steps, gk);
             for (at, out) in (idx..idx + len).zip(rotated) {
                 regs.set(prog.instrs[at].dst(), out);
@@ -325,7 +329,6 @@ pub fn execute_validated(
                 Instr::Rotate { a, .. } => a.as_str(),
                 _ => unreachable!("fold leaders are rotations"),
             };
-            let gk = keys.galois.expect("checked against the manifest");
             let folded = rotate_fold(ev, regs.get(acc), &ladder.stages, gk);
             regs.set(acc, folded);
             let end = idx + 2 * ladder.rungs;
@@ -355,17 +358,9 @@ pub fn execute_validated(
                 let rlk = keys.relin.expect("checked against the manifest");
                 ev.mul_with_key(regs.get(a), regs.get(b), rlk)
             }
-            Instr::Rotate { a, steps, .. } => {
-                if *steps == 0 {
-                    regs.get(a).clone()
-                } else {
-                    let gk = keys.galois.expect("checked against the manifest");
-                    ev.rotate(regs.get(a), *steps, gk)
-                }
-            }
+            Instr::Rotate { a, steps, .. } => ev.rotate(regs.get(a), *steps, gk),
             Instr::Rescale { a, .. } => ev.rescale(regs.get(a)),
             Instr::BsgsMatVec { a, mat, .. } => {
-                let gk = keys.galois.expect("checked against the manifest");
                 let lt = &inputs.mats[mat.as_str()];
                 let n1 = bsgs_baby_dim(lt.diagonal_count());
                 apply_bsgs(ev, encoder, regs.get(a), lt, gk, n1)

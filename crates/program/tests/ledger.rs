@@ -77,10 +77,14 @@ const RECORDED: [Recorded; 19] = [
     ("ModUp", [6144, 8576, 11, 5], None),
     ("KSKInnerProd", [2048, 1024, 0, 0], None),
     ("ModDown", [7040, 10368, 10, 6], None),
+    // Re-recorded when `Evaluator::rotate` became the one-step hoisted
+    // formulation (decompose `c1`, then permute the digits): the same ops
+    // and transforms, and the trace now sees the β permuted digit copies, as
+    // it does `RotateFold`'s — 44,032 / 29,184 bytes before.
     (
         "Rotate",
         [15232, 20288, 21, 11],
-        Some([44032, 29184, 16384]),
+        Some([51200, 34816, 16384]),
     ),
     ("Mult", [17280, 20800, 19, 13], Some([64512, 35840, 16384])),
     (

@@ -540,7 +540,7 @@ impl Draft {
         shapes.note("folded", !info.ladders.is_empty());
         shapes.note(
             "hoisted_run",
-            !simfhe::program::hoisted_runs(&prog.instrs).is_empty(),
+            !simfhe::program::hoisted_runs(&prog.instrs, SLOTS).is_empty(),
         );
         let sparse = prog.matrices.iter().any(|m| {
             prog.instrs
@@ -790,6 +790,52 @@ fn the_generator_draws_every_shape() {
         "a shape is (almost) never drawn: {seen:?}"
     );
     assert!(ladders > 200 && unfolded_programs > 20);
+}
+
+// ---------------------------------------------------------------------------
+// A whole number of turns is a copy
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_whole_turn_needs_no_key_and_copies_bit_for_bit() {
+    let _guard = serial();
+    let f = fixture();
+    let prog = Program {
+        name: "turn".into(),
+        ct_inputs: vec![CtDecl {
+            name: "x".into(),
+            level: 4,
+        }],
+        instrs: [SLOTS as i64, -2 * SLOTS as i64, 0]
+            .iter()
+            .enumerate()
+            .map(|(i, &steps)| Instr::Rotate {
+                dst: format!("y{i}"),
+                a: "x".into(),
+                steps,
+            })
+            .collect(),
+        outputs: vec!["y0".into(), "y1".into(), "y2".into()],
+        ..Program::default()
+    };
+    let info = prog.validate(&ENV).unwrap();
+    assert!(info.manifest.galois_steps.is_empty());
+    let mut bound = Bindings::default();
+    bound.cts.insert(
+        "x".into(),
+        Draft::values(&mut StdRng::seed_from_u64(6), 0.5),
+    );
+    let inputs = encrypt_inputs(&prog, &bound, 6);
+    let keys = ExecKeys {
+        relin: None,
+        galois: None,
+    };
+    let outs = execute_validated(&f.ev, &f.encoder, &prog, &info, &inputs, keys).unwrap();
+    let x = &inputs.cts["x"];
+    for (_, y) in &outs {
+        assert!(y.c0().flat() == x.c0().flat() && y.c1().flat() == x.c1().flat());
+    }
+    assert_eq!(f.model.program_cost(&prog, &info).cost.ops(), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@
 //! exception is `CloseSession` purging the session's entries).
 
 use crate::obs::{self, Stage};
-use crate::plan::{KeyPlan, PinnedKeys};
+use crate::plan::{read_bsgs, KeyPlan, PinnedKeys};
 use crate::protocol::{BatchHint, BodyReader, BodyWriter, ErrorCode, Opcode};
 use crate::server::ServerState;
 use crate::session::{Session, StoredProgram};
-use ckks::hoisting::{apply_bsgs, rotate_hoisted, LinearTransform};
+use ckks::hoisting::{apply_bsgs, LinearTransform};
 use ckks::serialize::{
     deserialize_switching_key, galois_key_set_entries, lease_ciphertext, lease_plaintext,
     write_ciphertext,
@@ -161,18 +161,8 @@ pub(crate) fn handle(
             let (_sid, _session) = need_session(state, &mut r)?;
             let steps = r.i64().ok_or_else(malformed)?;
             let ct = read_ct(state, r.rest())?;
-            if steps == 0 {
-                return reply_ct(state, out, ct, []);
-            }
             let gk = keys.galois(state, &plan.galois)?;
-            // The hoisted formulation, as in a hoist-sharing group:
-            // hoisted digit automorphism is only semantically — not
-            // bitwise — equal to the automorph-then-decompose order, so
-            // group-of-k and group-of-1 stay byte-identical only if the
-            // lone rotation hoists too.
-            let rotated = rotate_hoisted(&state.evaluator, &ct, &[steps], &gk)
-                .pop()
-                .expect("one step in, one ciphertext out");
+            let rotated = state.evaluator.rotate(&ct, steps, &gk);
             reply_ct(state, out, rotated, [ct])
         }
         Opcode::Rescale => {
@@ -186,23 +176,14 @@ pub(crate) fn handle(
         Opcode::Bsgs => {
             let (_sid, _session) = need_session(state, &mut r)?;
             let slots = state.ctx.params().slots();
-            let n1 = r.u32().ok_or_else(malformed)? as usize;
-            let diag_count = r.u32().ok_or_else(malformed)? as usize;
-            if n1 == 0 || n1 > slots || diag_count == 0 || diag_count > slots {
-                return fail(ErrorCode::Malformed, "bad BSGS dimensions");
-            }
-            let mut diagonals = BTreeMap::new();
-            for _ in 0..diag_count {
-                let offset = r.u32().ok_or_else(malformed)? as usize;
-                if offset >= slots {
-                    return fail(ErrorCode::Malformed, "diagonal offset out of range");
-                }
-                diagonals.insert(offset, read_complex(&mut r, slots)?);
-            }
+            let (n1, offsets, diagonals) =
+                read_bsgs(&mut r, slots, |r| read_complex(r, slots).ok())
+                    .ok_or_else(|| (ErrorCode::Malformed, "bad BSGS body".to_string()))?;
             let ct = read_ct(state, r.rest())?;
+            let diagonals = offsets.into_iter().zip(diagonals).collect();
             let lt = LinearTransform::from_diagonals(diagonals, slots);
-            // The plan ran these offsets through the validator's BSGS
-            // walk, so it names exactly `bsgs_required_steps(&lt, n1)`.
+            // The plan walked the same offsets by the validator's BSGS
+            // schedule, so it names exactly `bsgs_required_steps(&lt, n1)`.
             let gk = keys.galois(state, &plan.galois)?;
             let product = apply_bsgs(&state.evaluator, &state.encoder, &ct, &lt, &gk, n1);
             reply_ct(state, out, product, [ct])

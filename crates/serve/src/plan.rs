@@ -19,7 +19,7 @@ use crate::protocol::{BodyReader, ErrorCode, Opcode};
 use crate::server::ServerState;
 use crate::session::SessionManager;
 use ckks::{CkksContext, GaloisKeys, SwitchingKey};
-use fhe_program::program::bsgs_galois_steps;
+use fhe_program::program::{bsgs_galois_steps, valid_baby_dim};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -44,8 +44,8 @@ pub(crate) struct KeyPlan {
     /// non-empty).
     pub(crate) sid: u64,
     pub(crate) relin: bool,
-    /// `(rotation step, Galois element)`, nonzero steps only, one entry
-    /// per distinct element.
+    /// `(rotation step, Galois element)`, steps that rotate only, one
+    /// entry per distinct element.
     pub(crate) galois: Vec<(i64, u64)>,
 }
 
@@ -56,26 +56,30 @@ pub(crate) fn rotate_ct(body: &[u8]) -> Option<&[u8]> {
     body.get(16..)
 }
 
-/// The rotation steps a `Bsgs` body (read past its session id) will
-/// require: its diagonal offsets, read without materializing the
-/// diagonals, walked by the program validator's own BSGS schedule
-/// ([`bsgs_galois_steps`]). Returns `None` on any truncation or bound
-/// violation — the handler will produce the structured error.
-fn bsgs_steps(r: &mut BodyReader<'_>, slots: usize) -> Option<Vec<i64>> {
-    let (n1, diag_count) = (r.u32()? as usize, r.u32()? as usize);
-    if n1 == 0 || n1 > slots || diag_count == 0 || diag_count > slots {
+/// A `Bsgs` body past its session id (`n1, count: u32`, then per diagonal
+/// `offset: u32` and `slots` complex values, read by `diagonal`), for the
+/// plan and the handler alike: `None` on truncation, an `n1` the validator
+/// refuses ([`valid_baby_dim`]), a count outside `1..=slots`, or offsets
+/// out of range or not strictly increasing (a repeat replaces a diagonal).
+pub(crate) fn read_bsgs<T>(
+    r: &mut BodyReader<'_>,
+    slots: usize,
+    mut diagonal: impl FnMut(&mut BodyReader<'_>) -> Option<T>,
+) -> Option<(usize, Vec<usize>, Vec<T>)> {
+    let (n1, count) = (r.u32()? as usize, r.u32()? as usize);
+    if !valid_baby_dim(n1, slots) || count == 0 || count > slots {
         return None;
     }
-    let mut offsets = Vec::with_capacity(diag_count);
-    for _ in 0..diag_count {
+    let (mut offsets, mut diagonals) = (Vec::with_capacity(count), Vec::with_capacity(count));
+    for _ in 0..count {
         let offset = r.u32()? as usize;
-        r.take(slots * 16)?; // the diagonal (`slots` complex f64s): skipped, not parsed
-        if offset >= slots {
+        if offset >= slots || offsets.last().is_some_and(|&last| last >= offset) {
             return None;
         }
         offsets.push(offset);
+        diagonals.push(diagonal(r)?);
     }
-    Some(bsgs_galois_steps(&offsets, n1))
+    Some((n1, offsets, diagonals))
 }
 
 impl KeyPlan {
@@ -100,7 +104,14 @@ impl KeyPlan {
                 Vec::new()
             }
             Opcode::Rotate => r.i64().into_iter().collect(),
-            Opcode::Bsgs => bsgs_steps(&mut r, ctx.params().slots()).unwrap_or_default(),
+            // The validator's own BSGS walk; the diagonals are skipped.
+            Opcode::Bsgs => {
+                let slots = ctx.params().slots();
+                let body = read_bsgs(&mut r, slots, |r| r.take(slots * 16).map(drop));
+                body.map_or(Vec::new(), |(n1, offsets, _)| {
+                    bsgs_galois_steps(&offsets, n1)
+                })
+            }
             // The stored program's manifest names its exact keys.
             Opcode::RunProgram => {
                 let stored = r
@@ -114,11 +125,9 @@ impl KeyPlan {
             _ => Vec::new(),
         };
         for s in steps {
-            if s == 0 {
-                continue;
-            }
+            // A multiple of the slot count (0 among them) is a copy.
             let element = ctx.rotation_element(s);
-            if !plan.galois.iter().any(|&(_, e)| e == element) {
+            if element != 1 && !plan.galois.iter().any(|&(_, e)| e == element) {
                 plan.galois.push((s, element));
             }
         }
@@ -285,10 +294,13 @@ mod tests {
         // nobody uploaded plan nothing and are never held for grouping.
         let mut zero = BodyWriter::new();
         zero.u64(7).i64(0);
+        let mut turn = BodyWriter::new();
+        turn.u64(7).i64(-3 * ctx.params().slots() as i64);
         for (op, body) in [
             (Opcode::Add, &w.0[..]),
             (Opcode::Hello, &[][..]),
             (Opcode::Rotate, &zero.0[..]),
+            (Opcode::Rotate, &turn.0[..]),
             (Opcode::Rotate, &w.0[..12]),
             (Opcode::Mult, &[1, 2, 3][..]),
             (Opcode::RunProgram, &w.0[..]),
@@ -357,5 +369,18 @@ mod tests {
             KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &bad).class(),
             None
         );
+        // Nor for offsets that repeat or descend, or a baby dimension the
+        // validator refuses.
+        for bad in [
+            body(2, &[1, 1]),
+            body(2, &[2, 1]),
+            body(0, &[1]),
+            body(slots as u32 + 1, &[1]),
+        ] {
+            assert_eq!(
+                KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &bad).class(),
+                None
+            );
+        }
     }
 }

@@ -518,7 +518,11 @@ fn concurrent_rotates_each_carry_their_own_subspans() {
     let mut first = connect(6006);
     first.0.rotate(first.1, &first.2, 1).unwrap();
     let lone = names(&rotate_traces(&server, 1)[0]);
-    assert_eq!(lone, ["ModUp", "KSKInnerProd", "ModDown"], "hoisted rotate");
+    assert_eq!(
+        lone,
+        ["Rotate", "ModUp", "KSKInnerProd", "ModDown"],
+        "Evaluator::rotate"
+    );
 
     let second = connect(6007);
     let release = Barrier::new(2);

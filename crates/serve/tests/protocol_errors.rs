@@ -107,6 +107,61 @@ fn structured_errors_cover_the_misuse_space() {
     server.shutdown();
 }
 
+/// A `Bsgs` body whose diagonal offsets repeat or descend is refused, as a
+/// program's `MatDecl` is: a repeated offset would replace a diagonal, and
+/// the client would get the product of a matrix it never sent. A rotation
+/// by a whole number of turns is a copy and needs no key.
+#[test]
+fn bsgs_offsets_must_increase_and_a_whole_turn_is_a_free_copy() {
+    let ctx = small_ctx();
+    let slots = ctx.params().slots();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+
+    let mut rng = StdRng::seed_from_u64(11);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let encoder = Encoder::new(ctx.clone());
+    let pt = encoder
+        .encode(&[Complex::new(0.25, 0.5)], 3, ctx.params().scale())
+        .unwrap();
+    let ct = Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
+
+    // No key uploaded yet: a whole turn either way echoes the input.
+    for steps in [slots as i64, -2 * slots as i64] {
+        let echoed = client.rotate(sid, &ct, steps).unwrap();
+        assert_eq!(serialize_ciphertext(&echoed), serialize_ciphertext(&ct));
+    }
+
+    client
+        .upload_galois(
+            sid,
+            &kg.galois_keys_compressed(&mut rng, &sk, &[1, 2], false),
+        )
+        .unwrap();
+    let body = |offsets: &[u32]| {
+        let mut w = BodyWriter::new();
+        w.u64(sid).u32(2).u32(offsets.len() as u32);
+        for &d in offsets {
+            w.u32(d);
+            for _ in 0..2 * slots {
+                w.f64(0.125);
+            }
+        }
+        w.raw(&serialize_ciphertext(&ct));
+        w.0
+    };
+    assert!(client.call_raw(Opcode::Bsgs as u8, &body(&[1, 2])).is_ok());
+    for offsets in [[1, 1], [2, 1]] {
+        expect_code(
+            client.call_raw(Opcode::Bsgs as u8, &body(&offsets)),
+            ErrorCode::Malformed,
+        );
+    }
+    server.shutdown();
+}
+
 #[test]
 fn version_mismatch_is_answered_not_dropped() {
     let ctx = small_ctx();
