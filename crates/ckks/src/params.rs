@@ -6,6 +6,7 @@
 //! `α = ⌈L/dnum⌉` (limbs per digit) and `β = ⌈ℓ/α⌉` (digits at the current
 //! level) drive both the functional key switch and the `simfhe` cost model.
 
+use fhe_math::rns::MAX_SOURCE_LIMBS;
 use std::fmt;
 
 /// Validated CKKS parameters.
@@ -47,6 +48,9 @@ pub enum ParamsError {
     BadModulusBits(u32),
     /// `dnum` must be in `[1, levels]`.
     BadDnum(usize),
+    /// The digit width `α = ⌈levels/dnum⌉` exceeds
+    /// [`MAX_SOURCE_LIMBS`], the widest basis a key switch extends from.
+    DigitTooWide(usize),
 }
 
 impl fmt::Display for ParamsError {
@@ -56,6 +60,12 @@ impl fmt::Display for ParamsError {
             ParamsError::NoLevels => write!(f, "at least one level is required"),
             ParamsError::BadModulusBits(b) => write!(f, "modulus size {b} outside [20, 60]"),
             ParamsError::BadDnum(d) => write!(f, "dnum {d} outside [1, levels]"),
+            ParamsError::DigitTooWide(a) => {
+                write!(
+                    f,
+                    "digit of {a} limbs exceeds {MAX_SOURCE_LIMBS}; raise dnum"
+                )
+            }
         }
     }
 }
@@ -151,6 +161,10 @@ impl CkksParamsBuilder {
         }
         if self.dnum == 0 || self.dnum > self.levels {
             return Err(ParamsError::BadDnum(self.dnum));
+        }
+        let alpha = self.levels.div_ceil(self.dnum);
+        if alpha > MAX_SOURCE_LIMBS {
+            return Err(ParamsError::DigitTooWide(alpha));
         }
         Ok(CkksParams {
             log_degree: self.log_degree,
@@ -270,6 +284,27 @@ mod tests {
             CkksParams::builder().levels(3).dnum(4).build(),
             Err(ParamsError::BadDnum(4))
         ));
+    }
+
+    #[test]
+    fn digits_wider_than_a_basis_extension_source_are_rejected() {
+        assert_eq!(
+            CkksParams::builder()
+                .log_degree(4)
+                .levels(70)
+                .dnum(1)
+                .build(),
+            Err(ParamsError::DigitTooWide(70))
+        );
+        for (levels, dnum) in [(64, 1), (128, 2)] {
+            let p = CkksParams::builder()
+                .log_degree(4)
+                .levels(levels)
+                .dnum(dnum)
+                .build()
+                .unwrap();
+            assert_eq!(p.alpha(), MAX_SOURCE_LIMBS);
+        }
     }
 
     #[test]

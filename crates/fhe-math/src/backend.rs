@@ -19,9 +19,14 @@
 //!   `[0, 4q)` (forward, Harvey's butterfly) or `[0, 2q)` (inverse) across
 //!   stages — which is why [`crate::modular::MAX_MODULUS_BITS`] is 62 — with
 //!   the reduction to `[0, q)` and the inverse's `N⁻¹` folded into the last
-//!   sweep's stores. The compiled loops are scalar `mul`/`imul`/`cmov`
-//!   (x86-64 has no 64×64→128 vector multiply), so the floor is three
-//!   multiplies per butterfly on one port.
+//!   sweep's stores. x86-64 has no 64×64→128 vector multiply, but AVX-512
+//!   IFMA multiplies 52-bit lanes: on a CPU with `avx512f` and
+//!   `avx512ifma`, a transform with `q < 2^50` (so `4q < 2^52`) and
+//!   `N ≥ 16` runs the same schedule eight lanes at a time, reading the
+//!   same twiddle tables (the `ifma` module). Every other transform runs
+//!   the portable scalar `mul`/`imul`/`cmov` loops, whose floor is three
+//!   multiplies per butterfly on one port. The choice is made per call
+//!   from the CPU and the modulus; it is not a backend of its own.
 //!
 //! The two *accumulating* kernels — the `NewLimb` sum `Σ_i y_i·Q_i^*` of a
 //! basis extension and the key-switch inner product `Σ_j d_j·k_j` — defer
@@ -67,8 +72,10 @@
 //! single new impl; correctness is gated by adding its kind to the
 //! existing `backend_identity` suites.
 
+use crate::ifma;
 use crate::modular::{lazy_products, Modulus, MAX_MODULUS_BITS};
 use crate::ntt::NttTable;
+use crate::rns::MAX_SOURCE_LIMBS;
 use std::fmt;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -81,7 +88,11 @@ use std::sync::{Arc, OnceLock};
 /// and the scalar/rescale multipliers (`poly.rs`) all store `ShoupPair`s
 /// built here instead of each computing and carrying parallel
 /// `(value, shoup)` vectors.
+///
+/// `#[repr(C)]`: the IFMA transforms read a twiddle table as words, value
+/// then companion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C)]
 pub struct ShoupPair {
     /// The reduced constant `value < q`.
     pub value: u64,
@@ -105,6 +116,9 @@ impl ShoupPair {
         values.iter().map(|&v| Self::new(m, v)).collect()
     }
 }
+
+// Two words and no padding: a table of `P` pairs is `2P` words.
+const _: () = assert!(std::mem::size_of::<ShoupPair>() == 2 * std::mem::size_of::<u64>());
 
 /// Borrowed view of a `BasisExtender`'s precomputed constants, handed to
 /// [`KernelBackend::basis_ext_block`] so backends can fuse the `NewLimb`
@@ -442,7 +456,7 @@ impl KernelBackend for ScalarBackend {
         cols: &mut [&mut [u64]],
     ) {
         let base = range.start;
-        let mut y = [0u64; 64];
+        let mut y = [0u64; MAX_SOURCE_LIMBS];
         for k in range {
             new_limb_slot(ext, src, n, k, &mut y, k - base, cols);
         }
@@ -457,7 +471,7 @@ fn new_limb_slot(
     src: &[u64],
     n: usize,
     k: usize,
-    y: &mut [u64; 64],
+    y: &mut [u64; MAX_SOURCE_LIMBS],
     at: usize,
     cols: &mut [&mut [u64]],
 ) {
@@ -724,23 +738,49 @@ fn inverse_transform(table: &NttTable, data: &mut [u64], exit: impl Fn(u64) -> u
 /// Transform invariants: the forward butterflies keep every word in
 /// `[0, 4q)` (Harvey), the inverse ones in `[0, 2q)`; both are legal
 /// because `q < 2^62`. The reduction to canonical `[0, q)` rides on the
-/// stores of the last sweep, and so does the inverse's `N⁻¹`.
+/// stores of the last sweep, and so does the inverse's `N⁻¹`. Transforms
+/// with `q < 2^50` and `N ≥ 16` run on AVX-512 IFMA lanes where the CPU
+/// has them, with the same invariants and bit-identical output.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnrolledBackend;
 
 impl UnrolledBackend {
     /// [`KernelBackend::ntt_forward`] without the canonical reduction: the
     /// output is congruent to it with every word in `[0, 4q)`. Exposed so
-    /// the range invariant is directly testable (`backend_proptests`).
+    /// the range invariant is directly testable (`backend_proptests`), on
+    /// whichever path the modulus and the CPU choose.
     pub fn ntt_forward_lazy(&self, table: &NttTable, data: &mut [u64]) {
-        forward_transform(table, data, |x| x);
+        forward(table, data, false);
     }
 
     /// [`KernelBackend::ntt_inverse`] (`N⁻¹` included) without the
     /// canonical reduction: every word in `[0, 2q)`. Testable range
     /// invariant, like [`UnrolledBackend::ntt_forward_lazy`].
     pub fn ntt_inverse_lazy(&self, table: &NttTable, data: &mut [u64]) {
-        inverse_transform(table, data, |x| x);
+        inverse(table, data, false);
+    }
+}
+
+/// The unrolled forward transform: on IFMA lanes where [`ifma::lanes`]
+/// grants them, else the portable one; reduced to `[0, q)` on the last
+/// stores when `canonical`, else left in `[0, 4q)`.
+fn forward(table: &NttTable, data: &mut [u64], canonical: bool) {
+    let q = table.modulus().value();
+    match ifma::lanes(q, data.len()) {
+        Some(lanes) => lanes.forward(table, data, canonical),
+        None if canonical => forward_transform(table, data, |x| csub(csub(x, 2 * q), q)),
+        None => forward_transform(table, data, |x| x),
+    }
+}
+
+/// The unrolled inverse transform, chosen like [`forward`]; reduced to
+/// `[0, q)` when `canonical`, else left in `[0, 2q)`.
+fn inverse(table: &NttTable, data: &mut [u64], canonical: bool) {
+    let q = table.modulus().value();
+    match ifma::lanes(q, data.len()) {
+        Some(lanes) => lanes.inverse(table, data, canonical),
+        None if canonical => inverse_transform(table, data, |x| csub(x, q)),
+        None => inverse_transform(table, data, |x| x),
     }
 }
 
@@ -750,13 +790,11 @@ impl KernelBackend for UnrolledBackend {
     }
 
     fn ntt_forward(&self, table: &NttTable, data: &mut [u64]) {
-        let q = table.modulus().value();
-        forward_transform(table, data, |x| csub(csub(x, 2 * q), q));
+        forward(table, data, true);
     }
 
     fn ntt_inverse(&self, table: &NttTable, data: &mut [u64]) {
-        let q = table.modulus().value();
-        inverse_transform(table, data, |x| csub(x, q));
+        inverse(table, data, true);
     }
 
     fn pointwise_add(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
@@ -898,7 +936,7 @@ impl KernelBackend for UnrolledBackend {
         // block. The excess estimate accumulates in ascending limb order
         // per slot — identical float rounding to the scalar path (trait
         // contract), so the recovered excess matches bit-for-bit.
-        let mut y = [[0u64; BLOCK]; 64];
+        let mut y = [[0u64; BLOCK]; MAX_SOURCE_LIMBS];
         for k in (range.start..full).step_by(BLOCK) {
             let mut est = [0.0f64; BLOCK];
             for i in 0..l {
@@ -935,7 +973,7 @@ impl KernelBackend for UnrolledBackend {
             }
         }
         // The ragged tail takes the reference loop.
-        let mut y = [0u64; 64];
+        let mut y = [0u64; MAX_SOURCE_LIMBS];
         for k in full..range.end {
             new_limb_slot(ext, src, n, k, &mut y, k - base, cols);
         }
@@ -991,7 +1029,7 @@ fn block_of(data: &[u64], at: usize) -> &[u64; BLOCK] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prime::generate_ntt_primes;
+    use crate::prime::{generate_ntt_primes, is_prime};
 
     #[test]
     fn selection_precedence_and_names() {
@@ -1022,6 +1060,37 @@ mod tests {
             let r = mul_shoup_lazy(a, c, q);
             assert!(r < 2 * q, "a={a}: {r} >= 2q");
             assert_eq!(csub(r, q), m.mul(m.reduce(a), c.value));
+        }
+    }
+
+    #[test]
+    fn transforms_take_the_lanes_below_2_pow_50_only() {
+        let n = 64usize;
+        let step = 2 * n as u64;
+        // The largest prime ≡ 1 (mod 2n) below 2^50, and the smallest above.
+        let below = (1..)
+            .map(|k| (1u64 << 50) + 1 - k * step)
+            .find(|&q| is_prime(q))
+            .unwrap();
+        let above = (0..)
+            .map(|k| (1u64 << 50) + 1 + k * step)
+            .find(|&q| is_prime(q))
+            .unwrap();
+        assert_eq!(ifma::lanes(below, n).is_some(), ifma::detected());
+        assert!(ifma::lanes(below, ifma::MIN_SIZE / 2).is_none());
+        assert!(ifma::lanes(above, n).is_none());
+        assert_eq!(64 - above.leading_zeros(), 51);
+        for q in [below, above] {
+            let ts = NttTable::with_backend(q, n, BackendKind::Scalar.instance()).unwrap();
+            let tu = NttTable::with_backend(q, n, BackendKind::Unrolled.instance()).unwrap();
+            let data = vec![q - 1; n];
+            let (mut a, mut b) = (data.clone(), data.clone());
+            ts.forward(&mut a);
+            tu.forward(&mut b);
+            assert_eq!(a, b, "forward q={q}");
+            ts.inverse(&mut a);
+            tu.inverse(&mut b);
+            assert_eq!((&a, &b), (&data, &data), "inverse q={q}");
         }
     }
 

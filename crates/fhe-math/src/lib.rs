@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// The one exception is the IFMA transform module.
+#![deny(unsafe_code)]
 // Hot kernels index several slices in lockstep (limbs, roots, outputs);
 // the explicit-index form mirrors the paper's pseudocode and stays clear.
 #![allow(clippy::needless_range_loop)]
@@ -14,7 +16,8 @@
 //!   kernel (NTT butterflies, pointwise modmul, fused basis extension)
 //!   through a per-context implementation — the fully-reduced scalar
 //!   reference and a lazy-reduction variant whose transforms are radix-4
-//!   sweeps with the short stages held in registers.
+//!   sweeps with the short stages held in registers, on AVX-512 IFMA lanes
+//!   for moduli below `2^50` where the CPU has them.
 //! - [`prime`]: deterministic Miller–Rabin primality testing and generation
 //!   of NTT-friendly primes (`q ≡ 1 mod 2N`).
 //! - [`ntt`]: negacyclic number-theoretic transforms over
@@ -64,6 +67,8 @@ pub mod automorph;
 pub mod backend;
 pub mod bigint;
 pub mod cfft;
+#[allow(unsafe_code)]
+mod ifma;
 pub mod modular;
 pub mod ntt;
 pub mod parallel;

@@ -320,12 +320,19 @@ impl RnsBasis {
     }
 }
 
+/// The widest source basis a [`BasisExtender`] converts from: a slot's
+/// per-limb terms live in fixed-size stack arrays of this length. In CKKS
+/// the source is one key-switch digit (or the special basis, as wide), so
+/// this bounds a parameter set's `α`.
+pub const MAX_SOURCE_LIMBS: usize = 64;
+
 /// Precomputed fast basis extension from a source basis `B` to a target
 /// basis `B'` (Eq. 1 of the paper, `NewLimb`).
 ///
 /// The raw sum `Σ_i [x·Q̃_i]_{q_i} · Q_i^*` equals `x + e·Q` for an excess
 /// `e ∈ [0, ℓ)`. We remove `e` with the standard floating-point estimate
-/// `e = ⌊Σ_i y_i / q_i⌉` (exact for word-sized primes and `ℓ ≤ 64`), so
+/// `e = ⌊Σ_i y_i / q_i⌉` (exact for word-sized primes and
+/// `ℓ ≤` [`MAX_SOURCE_LIMBS`]), so
 /// [`BasisExtender::extend_coeff`] returns the *exact* representative
 /// `[x]_p` of the source value `x ∈ [0, Q)`.
 ///
@@ -532,7 +539,10 @@ impl BasisExtender {
             "target columns differ in length"
         );
         assert_eq!(src.len(), l * n, "source buffer length mismatch");
-        assert!(l <= 64, "source basis too large for stack buffer");
+        assert!(
+            l <= MAX_SOURCE_LIMBS,
+            "source basis of {l} limbs exceeds MAX_SOURCE_LIMBS"
+        );
         // Telemetry is recorded here — at the dispatch site, in logical
         // units — so every backend reports identical counts.
         crate::telemetry::record_basis_ext(l as u64, t as u64, n as u64);

@@ -8,6 +8,11 @@
 //! tests pin that equality for every trait method at the `fhe-math` layer;
 //! the scheme-level pipelines are covered by the `backend_identity` suites
 //! in `ckks` and `fhe-apps`.
+//!
+//! The unrolled transforms take AVX-512 IFMA lanes for moduli below `2^50`
+//! on a CPU that has them and the portable path otherwise; the transform
+//! test's moduli fall on both sides. On a CPU without IFMA the suite still
+//! passes, exercising the portable path only.
 
 use fhe_math::backend::DigitTerm;
 use fhe_math::poly::{mod_down, mod_up, pmod_up, rescale, ModDownContext, Representation, RnsPoly};
@@ -45,7 +50,7 @@ fn assert_backends_agree<T: PartialEq + std::fmt::Debug>(f: impl Fn(BackendKind)
 fn ntt_round_trip_is_bit_identical_across_sizes_and_moduli() {
     for log_n in [4usize, 6, 8, 10] {
         let n = 1usize << log_n;
-        for bits in [30u32, 50, 61] {
+        for bits in [30u32, 40, 49, 50, 61] {
             let q = generate_ntt_primes(1, bits, n)[0];
             let input = random_flat(q ^ n as u64, &[q], n);
             assert_backends_agree(|kind| {

@@ -5,6 +5,12 @@
 //! transform entry points must stay inside their range invariants —
 //! `[0, 4q)` forward, `[0, 2q)` inverse — up to the 62-bit primes where
 //! `4q < 2^64` is tight.
+//!
+//! The unrolled transforms run on AVX-512 IFMA lanes when the CPU has them,
+//! `q < 2^50` and `n ≥ 16`, and on the portable path otherwise, so the
+//! moduli here fall on both sides of `2^50` and the 50-bit limit, where
+//! `4q < 2^52` is tight, gets a test of its own. On a CPU without IFMA
+//! every test still passes, exercising the portable path only.
 
 use fhe_math::backend::{DigitTerm, UnrolledBackend};
 use fhe_math::poly::{lift_centered, Representation, RnsPoly};
@@ -19,8 +25,10 @@ fn size_strategy() -> impl Strategy<Value = usize> {
     (1u32..=14).prop_map(|log_n| 1usize << log_n)
 }
 
-/// A random 50–61 bit NTT prime for degree `n`: `seed` picks one of the
-/// first three primes of that width so cases see different moduli.
+/// A random `bits`-bit NTT prime for degree `n`: `seed` picks one of the
+/// first three primes of that width so cases see different moduli. The
+/// transform proptests draw 40–61 bits, both sides of the IFMA lanes'
+/// `2^50` bound.
 fn ntt_prime(bits: u32, n: usize, seed: u64) -> u64 {
     *generate_ntt_primes((seed % 3) as usize + 1, bits, n)
         .last()
@@ -160,6 +168,15 @@ fn check_lazy_transforms(bits: u32, log_n: u32, seed: u64) {
 fn lazy_transforms_hold_at_the_62_bit_limit_for_every_size() {
     for log_n in 1..=14 {
         check_lazy_transforms(62, log_n, u64::from(log_n));
+    }
+}
+
+/// `4q < 2^52` is tight at 50 bits, the widest modulus the IFMA lanes
+/// take: every size from below the lanes' 16-word minimum up to 2^16.
+#[test]
+fn lazy_transforms_hold_at_the_50_bit_limit_for_every_size() {
+    for log_n in 1..=16 {
+        check_lazy_transforms(50, log_n, u64::from(log_n));
     }
 }
 
@@ -326,7 +343,7 @@ proptest! {
 
     #[test]
     fn ntt_forward_and_inverse_agree_across_backends(
-        bits in 50u32..=61,
+        bits in 40u32..=61,
         n in size_strategy(),
         seed in any::<u64>(),
     ) {
@@ -413,7 +430,7 @@ proptest! {
 
     #[test]
     fn poly_round_trip_agrees_across_backends(
-        bits in 50u32..=61,
+        bits in 40u32..=61,
         n in size_strategy(),
         seed in any::<u64>(),
     ) {

@@ -613,7 +613,11 @@ fn hoist_shared_rotates_each_carry_the_folds_timeline() {
     for t in &traces {
         let names: Vec<_> = t.subspans.iter().map(|s| s.name).collect();
         for phase in ["ModUp", "KSKInnerProd", "ModDown"] {
-            assert!(names.contains(&phase), "request {}: no {phase} in {names:?}", t.id);
+            assert!(
+                names.contains(&phase),
+                "request {}: no {phase} in {names:?}",
+                t.id
+            );
         }
         let exec_end = t.exec_begin_us + t.exec_us + 1;
         for s in &t.subspans {
@@ -625,7 +629,11 @@ fn hoist_shared_rotates_each_carry_the_folds_timeline() {
             );
         }
         assert!(t.stage_us(Stage::Decode) > 0, "request {}: no decode", t.id);
-        assert!(t.stage_us(Stage::Serialize) > 0, "request {}: no serialize", t.id);
+        assert!(
+            t.stage_us(Stage::Serialize) > 0,
+            "request {}: no serialize",
+            t.id
+        );
     }
     // One window for both members (1 µs: truncated stamps).
     let (a, b) = (&traces[0], &traces[1]);
