@@ -5,7 +5,7 @@
 //! production ring sizes N = 2^15 and 2^16.
 use ckks::{CkksContext, CkksParams, KeyGenerator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fhe_math::backend::DigitTerm;
+use fhe_math::backend::{DigitTerm, ScalarBackend, UnrolledBackend};
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
 use fhe_math::rns::{BasisExtender, RnsBasis};
@@ -52,37 +52,51 @@ fn bench_ntt(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar vs unrolled (lazy-reduction, radix-4) kernel backends on the
-/// single-limb NTT — the headline readout for the `KernelBackend` layer —
-/// then on the two accumulating kernels of a key switch (`NewLimb` and the
-/// digit-fused inner product). N = 2^12..2^14 are the rings the benchmark
-/// serves; N = 2^15 is the production ring size the backend work targets.
+/// The reference scalar kernels (`scalar` rows, called directly) against
+/// the production lazy-reduction, radix-4 path (`unrolled` rows, through
+/// the library's entry points) on the single-limb NTT, then on the two
+/// accumulating kernels of a key switch (`NewLimb` and the digit-fused
+/// inner product). N = 2^12..2^14 are the rings the benchmark serves;
+/// N = 2^15 is the production ring size the kernel work targets.
 ///
 /// The 50-bit primes are the workloads' limbs, so on a CPU with AVX-512
 /// IFMA the `unrolled` rows time the IFMA transform; the `unrolled-q55`
-/// rows take a 55-bit prime, which keeps the unrolled backend on its
-/// portable transform everywhere.
+/// rows take a 55-bit prime, which keeps the production transform on its
+/// portable path everywhere.
 fn bench_backend_comparison(c: &mut Criterion) {
-    use fhe_math::BackendKind;
     for log_n in [12u32, 13, 14, 15] {
         let n = 1usize << log_n;
         let q = generate_ntt_primes(1, 50, n)[0];
         let q55 = generate_ntt_primes(1, 55, n)[0];
         let mut group = c.benchmark_group(format!("ntt_backends_n{n}"));
         group.throughput(Throughput::Elements(n as u64));
-        for (label, kind, q) in [
-            ("scalar", BackendKind::Scalar, q),
-            ("unrolled", BackendKind::Unrolled, q),
-            ("unrolled-q55", BackendKind::Unrolled, q55),
+        for (label, reference, q) in [
+            ("scalar", true, q),
+            ("unrolled", false, q),
+            ("unrolled-q55", false, q55),
         ] {
             let mut rng = StdRng::seed_from_u64(5);
             let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..q)).collect();
-            let table = NttTable::with_backend(q, n, kind.instance()).unwrap();
+            let table = NttTable::new(q, n).unwrap();
+            let forward = |d: &mut [u64]| {
+                if reference {
+                    ScalarBackend.ntt_forward(&table, d)
+                } else {
+                    table.forward(d)
+                }
+            };
+            let inverse = |d: &mut [u64]| {
+                if reference {
+                    ScalarBackend.ntt_inverse(&table, d)
+                } else {
+                    table.inverse(d)
+                }
+            };
             group.bench_function(BenchmarkId::new(format!("{label}/forward"), n), |b| {
                 b.iter_batched(
                     || data.clone(),
                     |mut d| {
-                        table.forward(&mut d);
+                        forward(&mut d);
                         d
                     },
                     criterion::BatchSize::SmallInput,
@@ -96,7 +110,7 @@ fn bench_backend_comparison(c: &mut Criterion) {
                         d
                     },
                     |mut d| {
-                        table.inverse(&mut d);
+                        inverse(&mut d);
                         d
                     },
                     criterion::BatchSize::SmallInput,
@@ -106,30 +120,42 @@ fn bench_backend_comparison(c: &mut Criterion) {
         group.finish();
     }
 
-    // The fused basis-extension inner loops, per backend.
+    // The fused basis-extension inner loops: the reference kernel over the
+    // same slot blocks `extend_flat` splits the ring into, and
+    // `extend_flat` itself.
     let n = 1usize << 12;
     let src_primes = generate_ntt_primes(8, 45, n);
     let dst_primes = generate_ntt_primes_excluding(4, 46, n, &src_primes);
     let mut rng = StdRng::seed_from_u64(6);
     let src = sample_uniform_flat(&mut rng, &src_primes, n);
+    let src_basis = RnsBasis::new(&src_primes, n).unwrap();
+    let dst_basis = RnsBasis::new(&dst_primes, n).unwrap();
+    let ext = BasisExtender::new(&src_basis, &dst_basis);
     let mut group = c.benchmark_group(format!("basis_ext_backends_n{n}"));
     group.throughput(Throughput::Elements(n as u64));
-    for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
-        let src_basis = RnsBasis::with_backend(&src_primes, n, kind.instance()).unwrap();
-        let dst_basis = RnsBasis::with_backend(&dst_primes, n, kind.instance()).unwrap();
-        let ext = BasisExtender::new(&src_basis, &dst_basis);
-        group.bench_function(BenchmarkId::new(kind.name(), n), |b| {
-            let mut out = vec![0u64; dst_primes.len() * n];
-            b.iter(|| {
-                ext.extend_flat(&src, &mut out, n);
-                out.last().copied()
-            })
-        });
-    }
+    group.bench_function(BenchmarkId::new("scalar", n), |b| {
+        let mut out = vec![0u64; dst_primes.len() * n];
+        let view = ext.view();
+        b.iter(|| {
+            let mut cols: Vec<&mut [u64]> = out.chunks_exact_mut(n).collect();
+            fhe_math::parallel::for_each_slot_block(&mut cols, n, |range, cols| {
+                ScalarBackend.basis_ext_block(&view, &src, n, range, cols);
+            });
+            out.last().copied()
+        })
+    });
+    group.bench_function(BenchmarkId::new("unrolled", n), |b| {
+        let mut out = vec![0u64; dst_primes.len() * n];
+        b.iter(|| {
+            ext.extend_flat(&src, &mut out, n);
+            out.last().copied()
+        })
+    });
     group.finish();
 
     // The digit-fused key-switch inner product over one raised limb
-    // (β = 3), per backend: L1/L2-resident at 2^12, streaming at 2^15.
+    // (β = 3), reference and production: L1/L2-resident at 2^12, streaming
+    // at 2^15.
     for log_n in [12u32, 15] {
         let n = 1usize << log_n;
         let q = generate_ntt_primes(1, 50, n)[0];
@@ -148,16 +174,20 @@ fn bench_backend_comparison(c: &mut Criterion) {
             .collect();
         let mut group = c.benchmark_group(format!("inner_product_n{n}"));
         group.throughput(Throughput::Elements(n as u64));
-        for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
-            let backend = kind.instance();
-            group.bench_function(BenchmarkId::new(kind.name(), n), |b| {
-                let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
-                b.iter(|| {
-                    backend.inner_product_pair(&m, &terms, &mut u, &mut v);
-                    (u.last().copied(), v.last().copied())
-                })
-            });
-        }
+        group.bench_function(BenchmarkId::new("scalar", n), |b| {
+            let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
+            b.iter(|| {
+                ScalarBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+                (u.last().copied(), v.last().copied())
+            })
+        });
+        group.bench_function(BenchmarkId::new("unrolled", n), |b| {
+            let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
+            b.iter(|| {
+                UnrolledBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+                (u.last().copied(), v.last().copied())
+            })
+        });
         group.finish();
     }
 }

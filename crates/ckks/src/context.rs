@@ -3,11 +3,11 @@
 
 use crate::params::CkksParams;
 use fhe_math::automorph::{conjugation_galois_element, rotation_galois_element, Automorphism};
-use fhe_math::backend::{self, BackendKind};
+use fhe_math::backend::UnrolledBackend;
 use fhe_math::poly::ModDownContext;
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
 use fhe_math::rns::{BasisExtender, RnsBasis};
-use fhe_math::{KernelBackend, ScratchPool};
+use fhe_math::ScratchPool;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -38,9 +38,6 @@ pub struct CkksContext {
     /// Reusable word buffers for the hot ring operations: after warm-up,
     /// key switching and rescaling allocate nothing per call.
     scratch: ScratchPool,
-    /// The kernel backend every basis (and thus every polynomial op) in
-    /// this context dispatches to.
-    kernel_backend: Arc<dyn KernelBackend>,
 }
 
 impl fmt::Debug for CkksContext {
@@ -61,23 +58,6 @@ impl CkksContext {
     /// Panics if the prime generator cannot find enough NTT-friendly primes
     /// for the requested sizes (a parameter-selection bug).
     pub fn new(params: CkksParams) -> Arc<Self> {
-        Self::with_backend(params, None)
-    }
-
-    /// Builds a context with an explicit kernel-backend choice.
-    ///
-    /// `prefer = None` takes the best available implementation; an
-    /// explicit `Some(kind)` pins that one.
-    /// Every basis the context owns — and therefore every polynomial and
-    /// key built over it — dispatches its hot kernels to the selected
-    /// backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the prime generator cannot find enough NTT-friendly primes
-    /// for the requested sizes (a parameter-selection bug).
-    pub fn with_backend(params: CkksParams, prefer: Option<BackendKind>) -> Arc<Self> {
-        let kernel_backend = backend::resolve(prefer);
         let n = params.degree();
         let levels = params.levels();
         let first = generate_ntt_primes(1, params.first_modulus_bits(), n);
@@ -96,12 +76,8 @@ impl CkksContext {
             n,
             &q_primes,
         );
-        let q_basis = Arc::new(
-            RnsBasis::with_backend(&q_primes, n, kernel_backend.clone()).expect("valid Q chain"),
-        );
-        let p_basis = Arc::new(
-            RnsBasis::with_backend(&p_primes, n, kernel_backend.clone()).expect("valid P chain"),
-        );
+        let q_basis = Arc::new(RnsBasis::new(&q_primes, n).expect("valid Q chain"));
+        let p_basis = Arc::new(RnsBasis::new(&p_primes, n).expect("valid P chain"));
         let full_basis = Arc::new(q_basis.concat(&p_basis));
         let level_bases: Vec<Arc<RnsBasis>> = (1..=levels)
             .map(|ell| Arc::new(q_basis.prefix(ell)))
@@ -120,13 +96,14 @@ impl CkksContext {
             extender_cache: Mutex::new(HashMap::new()),
             automorphism_cache: Mutex::new(HashMap::new()),
             scratch: ScratchPool::new(),
-            kernel_backend,
         })
     }
 
-    /// The kernel backend this context's bases dispatch to.
-    pub fn kernel_backend(&self) -> &Arc<dyn KernelBackend> {
-        &self.kernel_backend
+    /// The kernels every polynomial op over this context's bases runs
+    /// (there is one production set; its `name()` is what a server
+    /// reports).
+    pub fn kernel_backend(&self) -> UnrolledBackend {
+        UnrolledBackend
     }
 
     /// The parameter set.
@@ -324,6 +301,11 @@ mod tests {
         let e_last = ctx.digit_extender(3, 1);
         assert_eq!(e_last.source_len(), 1);
         assert_eq!(e_last.target_len(), 4); // 2 q + 2 p
+    }
+
+    #[test]
+    fn kernel_backend_is_the_unrolled_set() {
+        assert_eq!(small_ctx().kernel_backend().name(), "unrolled");
     }
 
     #[test]

@@ -1,23 +1,25 @@
-//! Scalar-vs-unrolled bit-identity of the full scheme pipeline.
+//! Bit-identity of the full scheme pipeline, pinned by digest.
 //!
-//! Mirrors `parallel_identity.rs`, but instead of toggling the thread
-//! count it builds one context per [`BackendKind`] and asserts the
-//! keygen → encrypt → multiply/relinearize → rescale → rotate →
-//! hoisted-rotation → BSGS pipeline produces byte-for-byte identical
-//! ciphertexts on both.
+//! The keygen → encrypt → multiply/relinearize → rescale → rotate →
+//! hoisted-rotation → BSGS pipeline must keep producing the ciphertexts it
+//! produced when a context could still be built on the reference scalar
+//! kernels: each digest below was recorded on the commit before the
+//! kernel selector went, where a scalar-kernel and an unrolled-kernel
+//! context both produced it. The kernels themselves are compared against
+//! the reference directly in `fhe-math`'s `backend_identity` and
+//! `backend_proptests`.
 
 use ckks::hoisting::{
     apply_bsgs, apply_hoisted, bsgs_required_steps, rotate_hoisted, LinearTransform,
 };
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
-use fhe_math::BackendKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-fn ctx(kind: BackendKind) -> Arc<CkksContext> {
-    CkksContext::with_backend(
+fn ctx() -> Arc<CkksContext> {
+    CkksContext::new(
         CkksParams::builder()
             .log_degree(6)
             .levels(4)
@@ -27,27 +29,29 @@ fn ctx(kind: BackendKind) -> Arc<CkksContext> {
             .dnum(2)
             .build()
             .unwrap(),
-        Some(kind),
     )
 }
 
-/// Flattens a ciphertext to its raw words so equality is bit-equality.
+/// Flattens a ciphertext to its raw words, which the digests hash.
 fn words(ct: &Ciphertext) -> Vec<u64> {
     let mut out = ct.c0().flat().to_vec();
     out.extend_from_slice(ct.c1().flat());
     out
 }
 
-/// Runs `f` once per backend and asserts bit-equal outputs.
-fn assert_backends_agree(f: impl Fn(Arc<CkksContext>) -> Vec<u64>) {
-    let scalar = f(ctx(BackendKind::Scalar));
-    let unrolled = f(ctx(BackendKind::Unrolled));
-    assert_eq!(scalar, unrolled, "scalar and unrolled pipelines diverged");
+/// Asserts that the FNV-1a digest of the little-endian bytes of `f`'s
+/// words is `want`.
+fn assert_digest(want: u64, f: impl Fn(Arc<CkksContext>) -> Vec<u64>) {
+    let mut hash = FNV_OFFSET;
+    for w in f(ctx()) {
+        fnv1a(&mut hash, &w.to_le_bytes());
+    }
+    assert_eq!(hash, want, "{hash:#018x}");
 }
 
 #[test]
 fn encrypt_decrypt_is_bit_identical() {
-    assert_backends_agree(|ctx| {
+    assert_digest(0x0e0d_7c27_2042_9bd2, |ctx| {
         let mut rng = StdRng::seed_from_u64(404);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
@@ -65,7 +69,7 @@ fn encrypt_decrypt_is_bit_identical() {
 
 #[test]
 fn multiply_relinearize_rotate_rescale_are_bit_identical() {
-    assert_backends_agree(|ctx| {
+    assert_digest(0x0051_2152_14dd_8a41, |ctx| {
         let mut rng = StdRng::seed_from_u64(101);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
@@ -97,7 +101,7 @@ fn multiply_relinearize_rotate_rescale_are_bit_identical() {
 
 #[test]
 fn hoisted_rotations_are_bit_identical() {
-    assert_backends_agree(|ctx| {
+    assert_digest(0x328c_b64a_5c41_0a18, |ctx| {
         let mut rng = StdRng::seed_from_u64(202);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
@@ -119,7 +123,7 @@ fn hoisted_rotations_are_bit_identical() {
 
 #[test]
 fn bsgs_matvec_is_bit_identical() {
-    assert_backends_agree(|ctx| {
+    assert_digest(0xe551_a3a9_1164_ab2b, |ctx| {
         let mut rng = StdRng::seed_from_u64(303);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
@@ -155,16 +159,6 @@ fn bsgs_matvec_is_bit_identical() {
             encryptor.encrypt_symmetric(&mut rng, &encoder.encode(&values, 3, scale).unwrap(), &sk);
         words(&apply_bsgs(&ev, &encoder, &ct, &lt, &gk, n1))
     });
-}
-
-#[test]
-fn keyswitch_and_rescale_under_env_override_still_honor_explicit_choice() {
-    // `with_backend(_, Some(kind))` must pin the kind regardless of the
-    // process environment; both contexts here must report their own name.
-    let scalar = ctx(BackendKind::Scalar);
-    let unrolled = ctx(BackendKind::Unrolled);
-    assert_eq!(scalar.kernel_backend().name(), "scalar");
-    assert_eq!(unrolled.kernel_backend().name(), "unrolled");
 }
 
 /// FNV-1a over a byte stream: a dependency-free digest for the pinned
@@ -322,8 +316,8 @@ fn hoisted_digest(ctx: Arc<CkksContext>) -> u64 {
 
 /// The narrow (32–40 bit) and the wide (55–60 bit) parameter set the
 /// digests are pinned at.
-fn pinned_contexts(kind: BackendKind) -> [(&'static str, Arc<CkksContext>); 2] {
-    let wide = CkksContext::with_backend(
+fn pinned_contexts() -> [(&'static str, Arc<CkksContext>); 2] {
+    let wide = CkksContext::new(
         CkksParams::builder()
             .log_degree(7)
             .levels(6)
@@ -333,18 +327,15 @@ fn pinned_contexts(kind: BackendKind) -> [(&'static str, Arc<CkksContext>); 2] {
             .dnum(3)
             .build()
             .unwrap(),
-        Some(kind),
     );
-    [("narrow", ctx(kind)), ("wide", wide)]
+    [("narrow", ctx()), ("wide", wide)]
 }
 
-/// Asserts `digest` reads `[narrow, wide]` on both backends.
+/// Asserts `digest` reads `[narrow, wide]`.
 fn assert_pinned(digest: fn(Arc<CkksContext>) -> u64, want: [u64; 2]) {
-    for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
-        for ((name, ctx), want) in pinned_contexts(kind).into_iter().zip(want) {
-            let got = digest(ctx);
-            assert_eq!(got, want, "{kind:?}, {name}: {got:#018x}");
-        }
+    for ((name, ctx), want) in pinned_contexts().into_iter().zip(want) {
+        let got = digest(ctx);
+        assert_eq!(got, want, "{name}: {got:#018x}");
     }
 }
 

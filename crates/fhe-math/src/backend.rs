@@ -1,84 +1,66 @@
-//! Pluggable kernel backends for the hot ring kernels.
+//! The hot ring kernels: the one production path and the reference it is
+//! tested against.
 //!
 //! The MAD paper's thesis is that FHE throughput is decided by how the hot
 //! kernels — negacyclic NTT/iNTT butterflies, Barrett/Shoup modular
 //! multiplication, and the `NewLimb` basis-extension inner products — move
-//! data. This module makes those kernels *pluggable*: every call site that
-//! used to open-code a modmul loop now dispatches through the
-//! [`KernelBackend`] trait, selected per [`NttTable`]/[`crate::rns::RnsBasis`] (and, one
-//! layer up, per `ckks::CkksContext`) at construction time.
+//! data. Every one of them lives here, as a method of one of two unit
+//! structs with the same method set:
 //!
-//! Two implementations ship today:
-//!
+//! - [`UnrolledBackend`] — the production path: [`NttTable::forward`] /
+//!   [`NttTable::inverse`], the `RnsPoly` ops, `BasisExtender` and the
+//!   key-switch inner product call it directly. Its transforms are built
+//!   around registers instead of sweeps, with **lazy (deferred)
+//!   reduction**: radix-4 sweeps carry four words through two stages per
+//!   load and store, the three short stages run on eight-word blocks held
+//!   in registers, and operands stay in `[0, 4q)` (forward, Harvey's
+//!   butterfly) or `[0, 2q)` (inverse) across stages — which is why
+//!   [`crate::modular::MAX_MODULUS_BITS`] is 62 — with the reduction to
+//!   `[0, q)` and the inverse's `N⁻¹` folded into the last sweep's stores.
+//!   x86-64 has no 64×64→128 vector multiply, but AVX-512 IFMA multiplies
+//!   52-bit lanes: on a CPU with `avx512f` and `avx512ifma`, a transform
+//!   with `q < 2^50` (so `4q < 2^52`) and `N ≥ 16` runs the same schedule
+//!   eight lanes at a time, reading the same twiddle tables (the `ifma`
+//!   module). Every other transform runs the portable scalar
+//!   `mul`/`imul`/`cmov` loops, whose floor is three multiplies per
+//!   butterfly on one port. The choice is made per call from the CPU and
+//!   the modulus.
 //! - [`ScalarBackend`] — the reference: one obvious loop per kernel, every
 //!   butterfly and pointwise value fully reduced in `[0, q)` at every step.
-//! - [`UnrolledBackend`] — transforms built around registers instead of
-//!   sweeps, with **lazy (deferred) reduction**: radix-4 sweeps carry four
-//!   words through two stages per load and store, the three short stages
-//!   run on eight-word blocks held in registers, and operands stay in
-//!   `[0, 4q)` (forward, Harvey's butterfly) or `[0, 2q)` (inverse) across
-//!   stages — which is why [`crate::modular::MAX_MODULUS_BITS`] is 62 — with
-//!   the reduction to `[0, q)` and the inverse's `N⁻¹` folded into the last
-//!   sweep's stores. x86-64 has no 64×64→128 vector multiply, but AVX-512
-//!   IFMA multiplies 52-bit lanes: on a CPU with `avx512f` and
-//!   `avx512ifma`, a transform with `q < 2^50` (so `4q < 2^52`) and
-//!   `N ≥ 16` runs the same schedule eight lanes at a time, reading the
-//!   same twiddle tables (the `ifma` module). Every other transform runs
-//!   the portable scalar `mul`/`imul`/`cmov` loops, whose floor is three
-//!   multiplies per butterfly on one port. The choice is made per call
-//!   from the CPU and the modulus; it is not a backend of its own.
+//!   The library reaches it only as the unrolled kernels' fallback for
+//!   transforms shorter than a block and for more than four digits; the
+//!   kernel tests and the `ntt_kernels` bench call it directly.
 //!
 //! The two *accumulating* kernels — the `NewLimb` sum `Σ_i y_i·Q_i^*` of a
 //! basis extension and the key-switch inner product `Σ_j d_j·k_j` — defer
-//! reduction in both backends: products are added up in 128 bits and the
-//! sum goes through Barrett **once per output**, not once per term
+//! reduction in both: products are added up in 128 bits and the sum goes
+//! through Barrett **once per output**, not once per term
 //! ([`crate::modular::lazy_products`] says how many terms fit; only primes
-//! over 60 bits ever need a second reduction). What the unrolled backend
-//! adds there is shape, not arithmetic: eight slots of a basis extension
+//! over 60 bits ever need a second reduction). What the unrolled kernels
+//! add there is shape, not arithmetic: eight slots of a basis extension
 //! through fixed-size arrays, and the digits of an inner product unrolled
 //! at compile time so their limb pointers and both sums stay in registers.
 //!
-//! Both backends compute the exact same mathematical results and emit fully
-//! reduced canonical residues, so their outputs are **bit-identical** — the
-//! `backend_identity` test suites assert this end to end (NTT round-trips,
-//! key switching, rescaling, hoisted rotation, a full HELR step), the same
-//! way the `parallel_identity` suites gate the limb-parallel kernels.
-//!
-//! # Selection
-//!
-//! [`resolve`] picks a backend: an explicit caller choice (e.g.
-//! `CkksContext::with_backend`), else the built-in default (the best
-//! available implementation, currently [`UnrolledBackend`]). Nothing
-//! outside the program selects one; the identity suites pin both kinds
-//! explicitly inside one process.
+//! Every method takes canonical inputs and emits fully reduced canonical
+//! residues, whatever its internal representation, so the two sets'
+//! outputs are **bit-identical** — the `backend_identity` and
+//! `backend_proptests` suites compare the reference against the production
+//! entry points on the same inputs.
 //!
 //! # Telemetry contract
 //!
-//! Backends perform **no telemetry recording**. Butterfly, multiplication,
-//! and basis-extension counters are recorded by the dispatching layer
-//! ([`NttTable::forward`], `BasisExtender::extend_flat`, the `RnsPoly`
-//! ops) in units of *logical* operations, so measured counts are identical
-//! across backends by construction — a blocked backend must not inflate
-//! counters with per-block increments. The `backend_counters_identical`
-//! regression test pins this.
-//!
-//! # Adding a backend
-//!
-//! Implement [`KernelBackend`] (the contract for each method is documented
-//! on the trait), add a [`BackendKind`] variant wired into
-//! [`BackendKind::instance`] and [`BackendKind::name`], and the whole
-//! stack — `RnsPoly`, key switching, the serving runtime — picks it up
-//! through construction-time selection. A GPU or `std::simd` backend is a
-//! single new impl; correctness is gated by adding its kind to the
-//! existing `backend_identity` suites.
+//! The kernels perform **no telemetry recording**. Butterfly,
+//! multiplication, and basis-extension counters are recorded by the
+//! callers ([`NttTable::forward`], `BasisExtender::extend_columns`, the
+//! `RnsPoly` ops) in units of *logical* operations, so a blocked kernel
+//! cannot inflate counters with per-block increments. The
+//! `backend_counters` regression test pins the counts.
 
 use crate::ifma;
 use crate::modular::{lazy_products, Modulus, MAX_MODULUS_BITS};
 use crate::ntt::NttTable;
 use crate::rns::MAX_SOURCE_LIMBS;
-use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
 
 /// A constant multiplicand paired with its Shoup companion
 /// `⌊value·2^64/q⌋`.
@@ -121,8 +103,8 @@ impl ShoupPair {
 const _: () = assert!(std::mem::size_of::<ShoupPair>() == 2 * std::mem::size_of::<u64>());
 
 /// Borrowed view of a `BasisExtender`'s precomputed constants, handed to
-/// [`KernelBackend::basis_ext_block`] so backends can fuse the `NewLimb`
-/// inner loops without `rns.rs` exposing its fields.
+/// [`UnrolledBackend::basis_ext_block`] (and the reference) so the kernels
+/// can fuse the `NewLimb` inner loops without `rns.rs` exposing its fields.
 pub struct BasisExtView<'a> {
     /// `Q̃_i = (Q/q_i)^{-1} mod q_i` with Shoup companions, per source limb.
     pub q_tilde: &'a [ShoupPair],
@@ -156,160 +138,22 @@ pub struct DigitTerm<'a> {
     pub b: &'a [u64],
 }
 
-/// The pluggable hot-kernel implementation.
-///
-/// Every method must produce **fully reduced canonical residues**
-/// (`< q`) in its outputs, regardless of internal representation — this is
-/// what makes backends interchangeable bit-for-bit. Inputs are always
-/// canonical. Backends must not record telemetry (see the module docs).
-pub trait KernelBackend: Send + Sync + fmt::Debug {
-    /// Stable lowercase identifier (`"scalar"`, `"unrolled"`), used for
-    /// the serving `Hello` reply, metrics labels, and bench IDs.
-    fn name(&self) -> &'static str;
-
-    /// In-place forward negacyclic NTT over one limb (Cooley–Tukey
-    /// decimation-in-time, bit-reversed output), using `table`'s
-    /// precomputed twiddles. `data.len() == table.size()`.
-    fn ntt_forward(&self, table: &NttTable, data: &mut [u64]);
-
-    /// In-place inverse negacyclic NTT (Gentleman–Sande, bit-reversed
-    /// input, natural output), including the final `N^{-1}` scaling.
-    fn ntt_inverse(&self, table: &NttTable, data: &mut [u64]);
-
-    /// `dst[k] = dst[k] + src[k] mod q`.
-    fn pointwise_add(&self, m: &Modulus, dst: &mut [u64], src: &[u64]);
-
-    /// `dst[k] = dst[k] - src[k] mod q`.
-    fn pointwise_sub(&self, m: &Modulus, dst: &mut [u64], src: &[u64]);
-
-    /// `dst[k] = -dst[k] mod q`.
-    fn pointwise_neg(&self, m: &Modulus, dst: &mut [u64]);
-
-    /// `dst[k] = dst[k] · src[k] mod q` (Barrett).
-    fn pointwise_mul(&self, m: &Modulus, dst: &mut [u64], src: &[u64]);
-
-    /// `out[k] = a[k] · b[k] mod q`, leaving both inputs untouched.
-    fn pointwise_mul_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]);
-
-    /// The fused multiply-accumulate `acc[k] = acc[k] + a[k] · b[k] mod q`:
-    /// one pass and one Barrett reduction per slot where a product into a
-    /// temporary and an add would make two of each.
-    fn pointwise_mul_add(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]);
-
-    /// `dst[k] = dst[k] · c mod q` with a precomputed Shoup constant.
-    fn scale_shoup(&self, m: &Modulus, dst: &mut [u64], c: ShoupPair);
-
-    /// The fused rescale/`ModDown` combine:
-    /// `dst[k] = (minuend[k] - dst[k]) · c mod q`.
-    fn sub_scale_shoup(&self, m: &Modulus, minuend: &[u64], dst: &mut [u64], c: ShoupPair);
-
-    /// `dst[k] = dst[k] + c mod q` for a reduced constant `c` (the
-    /// `ModDown` centering trick).
-    fn add_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64);
-
-    /// `dst[k] = dst[k] - c mod q` for a reduced constant `c`.
-    fn sub_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64);
-
-    /// The key-switch inner product for one raised limb, every digit in
-    /// one pass: `u[k] = Σ_j d_j[k]·a_j[k]` and `v[k] = Σ_j d_j[k]·b_j[k]`,
-    /// all mod q, over the digits `j` in `terms`. `u` and `v` are
-    /// write-only (their previous contents are ignored). Each sum is
-    /// accumulated in 128 bits and reduced once — once per
-    /// [`lazy_products`]`(q.bits(), q.bits())` digits when the modulus is
-    /// wide enough that all of them would not fit.
-    fn inner_product_pair(
-        &self,
-        m: &Modulus,
-        terms: &[DigitTerm<'_>],
-        u: &mut [u64],
-        v: &mut [u64],
-    );
-
-    /// The fused `NewLimb` (Eq. 1) inner loops over a block of slots.
-    ///
-    /// `src` is the whole flat limb-major source buffer (`source_moduli`
-    /// limbs of length `n`); `range` is the slot block to convert and
-    /// `cols[j]` is the matching window (`range.len()` long) into target
-    /// limb `j`. Implementations must reproduce the scalar conversion
-    /// exactly, **including the excess estimate**: `Σ_i y_i/q_i` must be
-    /// accumulated in ascending source-limb order so the float rounding —
-    /// and therefore the recovered excess `e` — is identical across
-    /// backends. The exact part is `Σ_i y_i·Q_i^*` summed in 128 bits and
-    /// reduced once per `ext.lazy_terms` products, minus `ext.excess[j][e]`.
-    fn basis_ext_block(
-        &self,
-        ext: &BasisExtView<'_>,
-        src: &[u64],
-        n: usize,
-        range: Range<usize>,
-        cols: &mut [&mut [u64]],
-    );
-}
-
-/// Named backend selector (the construction-time configuration surface).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum BackendKind {
-    /// The original fully-reduced scalar loops.
-    Scalar,
-    /// Register-blocked radix-4 transforms with lazy reduction.
-    Unrolled,
-}
-
-impl BackendKind {
-    /// The shared instance of this backend.
-    pub fn instance(self) -> Arc<dyn KernelBackend> {
-        static SCALAR: OnceLock<Arc<dyn KernelBackend>> = OnceLock::new();
-        static UNROLLED: OnceLock<Arc<dyn KernelBackend>> = OnceLock::new();
-        match self {
-            Self::Scalar => SCALAR.get_or_init(|| Arc::new(ScalarBackend)).clone(),
-            Self::Unrolled => UNROLLED.get_or_init(|| Arc::new(UnrolledBackend)).clone(),
-        }
-    }
-
-    /// The backend's stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Scalar => "scalar",
-            Self::Unrolled => "unrolled",
-        }
-    }
-}
-
-/// The best implementation available on this build (the default when the
-/// caller picks none).
-pub const fn best_available() -> BackendKind {
-    BackendKind::Unrolled
-}
-
-/// Resolves the backend to use: the explicit `prefer`, else
-/// [`best_available`].
-pub fn resolve(prefer: Option<BackendKind>) -> Arc<dyn KernelBackend> {
-    prefer.unwrap_or(best_available()).instance()
-}
-
-/// The process-default backend ([`resolve`] with no explicit preference).
-pub fn default_backend() -> Arc<dyn KernelBackend> {
-    resolve(None)
-}
-
 // ---------------------------------------------------------------------------
-// Scalar backend: the original fully-reduced loops.
+// The reference: the original fully-reduced loops.
 // ---------------------------------------------------------------------------
 
 /// The reference kernels: the one obvious loop for each, butterflies and
 /// pointwise values fully reduced at every step.
 ///
-/// This is the implementation the blocked, lazy-reduction backends are
-/// gated against; it favors obviousness over speed.
+/// This is what the production kernels ([`UnrolledBackend`]) are tested
+/// against; it favors obviousness over speed.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarBackend;
 
-impl KernelBackend for ScalarBackend {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn ntt_forward(&self, table: &NttTable, data: &mut [u64]) {
+impl ScalarBackend {
+    /// The reference [`UnrolledBackend::ntt_forward`]: one radix-2 stage per
+    /// sweep, every butterfly fully reduced.
+    pub fn ntt_forward(&self, table: &NttTable, data: &mut [u64]) {
         let n = table.size();
         let q = table.modulus();
         let roots = table.forward_roots();
@@ -331,7 +175,9 @@ impl KernelBackend for ScalarBackend {
         }
     }
 
-    fn ntt_inverse(&self, table: &NttTable, data: &mut [u64]) {
+    /// The reference [`UnrolledBackend::ntt_inverse`], with `N⁻¹` applied in a
+    /// pass of its own.
+    pub fn ntt_inverse(&self, table: &NttTable, data: &mut [u64]) {
         let n = table.size();
         let q = table.modulus();
         let roots = table.inverse_roots();
@@ -359,67 +205,78 @@ impl KernelBackend for ScalarBackend {
         }
     }
 
-    fn pointwise_add(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
+    /// The reference [`UnrolledBackend::pointwise_add`].
+    pub fn pointwise_add(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = m.add(*d, s);
         }
     }
 
-    fn pointwise_sub(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
+    /// The reference [`UnrolledBackend::pointwise_sub`].
+    pub fn pointwise_sub(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = m.sub(*d, s);
         }
     }
 
-    fn pointwise_neg(&self, m: &Modulus, dst: &mut [u64]) {
+    /// The reference [`UnrolledBackend::pointwise_neg`].
+    pub fn pointwise_neg(&self, m: &Modulus, dst: &mut [u64]) {
         for d in dst.iter_mut() {
             *d = m.neg(*d);
         }
     }
 
-    fn pointwise_mul(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
+    /// The reference [`UnrolledBackend::pointwise_mul`].
+    pub fn pointwise_mul(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = m.mul(*d, s);
         }
     }
 
-    fn pointwise_mul_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
+    /// The reference [`UnrolledBackend::pointwise_mul_into`].
+    pub fn pointwise_mul_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
         for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
             *o = m.mul(x, y);
         }
     }
 
-    fn pointwise_mul_add(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+    /// The reference [`UnrolledBackend::pointwise_mul_add`].
+    pub fn pointwise_mul_add(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
         for ((c, &x), &y) in acc.iter_mut().zip(a).zip(b) {
             *c = m.mul_add(x, y, *c);
         }
     }
 
-    fn scale_shoup(&self, m: &Modulus, dst: &mut [u64], c: ShoupPair) {
+    /// The reference [`UnrolledBackend::scale_shoup`].
+    pub fn scale_shoup(&self, m: &Modulus, dst: &mut [u64], c: ShoupPair) {
         for d in dst.iter_mut() {
             *d = m.mul_shoup(*d, c.value, c.shoup);
         }
     }
 
-    fn sub_scale_shoup(&self, m: &Modulus, minuend: &[u64], dst: &mut [u64], c: ShoupPair) {
+    /// The reference [`UnrolledBackend::sub_scale_shoup`].
+    pub fn sub_scale_shoup(&self, m: &Modulus, minuend: &[u64], dst: &mut [u64], c: ShoupPair) {
         for (d, &s) in dst.iter_mut().zip(minuend) {
             *d = m.mul_shoup(m.sub(s, *d), c.value, c.shoup);
         }
     }
 
-    fn add_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
+    /// The reference [`UnrolledBackend::add_scalar`].
+    pub fn add_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
         for d in dst.iter_mut() {
             *d = m.add(*d, c);
         }
     }
 
-    fn sub_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
+    /// The reference [`UnrolledBackend::sub_scalar`].
+    pub fn sub_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
         for d in dst.iter_mut() {
             *d = m.sub(*d, c);
         }
     }
 
-    fn inner_product_pair(
+    /// The reference [`UnrolledBackend::inner_product_pair`].
+    pub fn inner_product_pair(
         &self,
         m: &Modulus,
         terms: &[DigitTerm<'_>],
@@ -447,7 +304,8 @@ impl KernelBackend for ScalarBackend {
         }
     }
 
-    fn basis_ext_block(
+    /// The reference [`UnrolledBackend::basis_ext_block`].
+    pub fn basis_ext_block(
         &self,
         ext: &BasisExtView<'_>,
         src: &[u64],
@@ -477,7 +335,7 @@ fn new_limb_slot(
 ) {
     let l = ext.source_moduli.len();
     // y_i = [x · Q̃_i]_{q_i}, plus the float excess estimate, accumulated
-    // in ascending limb order (see the trait contract). y_i < 2^62, so the
+    // in ascending limb order (see `basis_ext_block`). y_i < 2^62, so the
     // signed conversion is exact and skips the unsigned one's fix-up.
     let mut est = 0.0f64;
     for i in 0..l {
@@ -506,7 +364,7 @@ fn new_limb_slot(
 }
 
 // ---------------------------------------------------------------------------
-// Unrolled backend: register-blocked radix-4 transforms, lazy reduction.
+// The production kernels: register-blocked radix-4 transforms, lazy reduction.
 // ---------------------------------------------------------------------------
 
 /// Block width: the eight words the three short transform stages
@@ -732,7 +590,9 @@ fn inverse_transform(table: &NttTable, data: &mut [u64], exit: impl Fn(u64) -> u
     }
 }
 
-/// Register-blocked radix-4 transforms with lazy reduction, and the blocked
+/// The production kernels, which every transform, pointwise op, basis
+/// extension and key-switch inner product of the library runs:
+/// register-blocked radix-4 transforms with lazy reduction, and the blocked
 /// accumulating kernels.
 ///
 /// Transform invariants: the forward butterflies keep every word in
@@ -743,23 +603,6 @@ fn inverse_transform(table: &NttTable, data: &mut [u64], exit: impl Fn(u64) -> u
 /// has them, with the same invariants and bit-identical output.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnrolledBackend;
-
-impl UnrolledBackend {
-    /// [`KernelBackend::ntt_forward`] without the canonical reduction: the
-    /// output is congruent to it with every word in `[0, 4q)`. Exposed so
-    /// the range invariant is directly testable (`backend_proptests`), on
-    /// whichever path the modulus and the CPU choose.
-    pub fn ntt_forward_lazy(&self, table: &NttTable, data: &mut [u64]) {
-        forward(table, data, false);
-    }
-
-    /// [`KernelBackend::ntt_inverse`] (`N⁻¹` included) without the
-    /// canonical reduction: every word in `[0, 2q)`. Testable range
-    /// invariant, like [`UnrolledBackend::ntt_forward_lazy`].
-    pub fn ntt_inverse_lazy(&self, table: &NttTable, data: &mut [u64]) {
-        inverse(table, data, false);
-    }
-}
 
 /// The unrolled forward transform: on IFMA lanes where [`ifma::lanes`]
 /// grants them, else the portable one; reduced to `[0, q)` on the last
@@ -784,34 +627,59 @@ fn inverse(table: &NttTable, data: &mut [u64], canonical: bool) {
     }
 }
 
-impl KernelBackend for UnrolledBackend {
-    fn name(&self) -> &'static str {
+impl UnrolledBackend {
+    /// Stable lowercase identifier, `"unrolled"`: the serving `Hello`
+    /// reply and the `serve_kernel_backend` metric label.
+    pub fn name(&self) -> &'static str {
         "unrolled"
     }
 
-    fn ntt_forward(&self, table: &NttTable, data: &mut [u64]) {
+    /// In-place forward negacyclic NTT over one limb (Cooley–Tukey
+    /// decimation-in-time, bit-reversed output), using `table`'s
+    /// precomputed twiddles. `data.len() == table.size()`.
+    pub fn ntt_forward(&self, table: &NttTable, data: &mut [u64]) {
         forward(table, data, true);
     }
 
-    fn ntt_inverse(&self, table: &NttTable, data: &mut [u64]) {
+    /// In-place inverse negacyclic NTT (Gentleman–Sande, bit-reversed
+    /// input, natural output), including the final `N^{-1}` scaling.
+    pub fn ntt_inverse(&self, table: &NttTable, data: &mut [u64]) {
         inverse(table, data, true);
     }
 
-    fn pointwise_add(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
+    /// [`UnrolledBackend::ntt_forward`] without the canonical reduction: the
+    /// output is congruent to it with every word in `[0, 4q)`. Exposed so
+    /// the range invariant is directly testable (`backend_proptests`), on
+    /// whichever path the modulus and the CPU choose.
+    pub fn ntt_forward_lazy(&self, table: &NttTable, data: &mut [u64]) {
+        forward(table, data, false);
+    }
+
+    /// [`UnrolledBackend::ntt_inverse`] (`N⁻¹` included) without the
+    /// canonical reduction: every word in `[0, 2q)`. Testable range
+    /// invariant, like [`UnrolledBackend::ntt_forward_lazy`].
+    pub fn ntt_inverse_lazy(&self, table: &NttTable, data: &mut [u64]) {
+        inverse(table, data, false);
+    }
+
+    /// `dst[k] = dst[k] + src[k] mod q`.
+    pub fn pointwise_add(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
         let q = m.value();
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = csub(*d + s, q);
         }
     }
 
-    fn pointwise_sub(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
+    /// `dst[k] = dst[k] - src[k] mod q`.
+    pub fn pointwise_sub(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
         let q = m.value();
         for (d, &s) in dst.iter_mut().zip(src) {
             *d = csub(*d + q - s, q);
         }
     }
 
-    fn pointwise_neg(&self, m: &Modulus, dst: &mut [u64]) {
+    /// `dst[k] = -dst[k] mod q`.
+    pub fn pointwise_neg(&self, m: &Modulus, dst: &mut [u64]) {
         let q = m.value();
         for d in dst.iter_mut() {
             // q - x is in (0, q] for x in (0, q); csub maps q (x = 0) to 0.
@@ -819,7 +687,8 @@ impl KernelBackend for UnrolledBackend {
         }
     }
 
-    fn pointwise_mul(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
+    /// `dst[k] = dst[k] · src[k] mod q` (Barrett).
+    pub fn pointwise_mul(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
         let mut db = dst.chunks_exact_mut(BLOCK);
         let mut sb = src.chunks_exact(BLOCK);
         for (dc, sc) in (&mut db).zip(&mut sb) {
@@ -832,7 +701,8 @@ impl KernelBackend for UnrolledBackend {
         }
     }
 
-    fn pointwise_mul_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
+    /// `out[k] = a[k] · b[k] mod q`, leaving both inputs untouched.
+    pub fn pointwise_mul_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
         let mut ob = out.chunks_exact_mut(BLOCK);
         let mut ab = a.chunks_exact(BLOCK);
         let mut bb = b.chunks_exact(BLOCK);
@@ -851,7 +721,10 @@ impl KernelBackend for UnrolledBackend {
         }
     }
 
-    fn pointwise_mul_add(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+    /// The fused multiply-accumulate `acc[k] = acc[k] + a[k] · b[k] mod q`:
+    /// one pass and one Barrett reduction per slot where a product into a
+    /// temporary and an add would make two of each.
+    pub fn pointwise_mul_add(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
         let mut cb = acc.chunks_exact_mut(BLOCK);
         let mut ab = a.chunks_exact(BLOCK);
         let mut bb = b.chunks_exact(BLOCK);
@@ -870,14 +743,17 @@ impl KernelBackend for UnrolledBackend {
         }
     }
 
-    fn scale_shoup(&self, m: &Modulus, dst: &mut [u64], c: ShoupPair) {
+    /// `dst[k] = dst[k] · c mod q` with a precomputed Shoup constant.
+    pub fn scale_shoup(&self, m: &Modulus, dst: &mut [u64], c: ShoupPair) {
         let q = m.value();
         for d in dst.iter_mut() {
             *d = csub(mul_shoup_lazy(*d, c, q), q);
         }
     }
 
-    fn sub_scale_shoup(&self, m: &Modulus, minuend: &[u64], dst: &mut [u64], c: ShoupPair) {
+    /// The fused rescale/`ModDown` combine:
+    /// `dst[k] = (minuend[k] - dst[k]) · c mod q`.
+    pub fn sub_scale_shoup(&self, m: &Modulus, minuend: &[u64], dst: &mut [u64], c: ShoupPair) {
         let q = m.value();
         for (d, &s) in dst.iter_mut().zip(minuend) {
             // Feed the half-reduced difference (< 2q) straight into the lazy
@@ -886,21 +762,31 @@ impl KernelBackend for UnrolledBackend {
         }
     }
 
-    fn add_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
+    /// `dst[k] = dst[k] + c mod q` for a reduced constant `c` (the
+    /// `ModDown` centering trick).
+    pub fn add_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
         let q = m.value();
         for d in dst.iter_mut() {
             *d = csub(*d + c, q);
         }
     }
 
-    fn sub_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
+    /// `dst[k] = dst[k] - c mod q` for a reduced constant `c`.
+    pub fn sub_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
         let q = m.value();
         for d in dst.iter_mut() {
             *d = csub(*d + q - c, q);
         }
     }
 
-    fn inner_product_pair(
+    /// The key-switch inner product for one raised limb, every digit in
+    /// one pass: `u[k] = Σ_j d_j[k]·a_j[k]` and `v[k] = Σ_j d_j[k]·b_j[k]`,
+    /// all mod q, over the digits `j` in `terms`. `u` and `v` are
+    /// write-only (their previous contents are ignored). Each sum is
+    /// accumulated in 128 bits and reduced once — once per
+    /// [`lazy_products`]`(q.bits(), q.bits())` digits when the modulus is
+    /// wide enough that all of them would not fit.
+    pub fn inner_product_pair(
         &self,
         m: &Modulus,
         terms: &[DigitTerm<'_>],
@@ -919,7 +805,18 @@ impl KernelBackend for UnrolledBackend {
         }
     }
 
-    fn basis_ext_block(
+    /// The fused `NewLimb` (Eq. 1) inner loops over a block of slots.
+    ///
+    /// `src` is the whole flat limb-major source buffer (`source_moduli`
+    /// limbs of length `n`); `range` is the slot block to convert and
+    /// `cols[j]` is the matching window (`range.len()` long) into target
+    /// limb `j`. The result is the reference conversion's exactly,
+    /// **including the excess estimate**: `Σ_i y_i/q_i` is accumulated in
+    /// ascending source-limb order so the float rounding — and therefore
+    /// the recovered excess `e` — is the same on both kernel sets. The exact
+    /// part is `Σ_i y_i·Q_i^*` summed in 128 bits and reduced once per
+    /// `ext.lazy_terms` products, minus `ext.excess[j][e]`.
+    pub fn basis_ext_block(
         &self,
         ext: &BasisExtView<'_>,
         src: &[u64],
@@ -934,8 +831,8 @@ impl KernelBackend for UnrolledBackend {
         // Full blocks: the y rows and the excess of BLOCK slots at a time
         // through fixed-size arrays, then the target limbs swept over the
         // block. The excess estimate accumulates in ascending limb order
-        // per slot — identical float rounding to the scalar path (trait
-        // contract), so the recovered excess matches bit-for-bit.
+        // per slot — identical float rounding to the reference, so the
+        // recovered excess matches bit-for-bit.
         let mut y = [[0u64; BLOCK]; MAX_SOURCE_LIMBS];
         for k in (range.start..full).step_by(BLOCK) {
             let mut est = [0.0f64; BLOCK];
@@ -980,7 +877,7 @@ impl KernelBackend for UnrolledBackend {
     }
 }
 
-/// [`KernelBackend::inner_product_pair`] for a digit count known at compile
+/// [`UnrolledBackend::inner_product_pair`] for a digit count known at compile
 /// time (`BETA ≤ 7` products always fit one 128-bit sum, see
 /// [`lazy_products`]).
 fn inner_product_unrolled<const BETA: usize>(
@@ -1032,17 +929,6 @@ mod tests {
     use crate::prime::{generate_ntt_primes, is_prime};
 
     #[test]
-    fn selection_precedence_and_names() {
-        assert_eq!(
-            resolve(Some(BackendKind::Scalar)).name(),
-            "scalar",
-            "explicit preference must win"
-        );
-        assert_eq!(BackendKind::Scalar.name(), "scalar");
-        assert_eq!(BackendKind::Unrolled.name(), "unrolled");
-    }
-
-    #[test]
     fn shoup_pair_matches_modulus_shoup() {
         let m = Modulus::new((1 << 50) - 27).unwrap();
         let pairs = ShoupPair::table(&m, &[1, 42, m.value() - 1]);
@@ -1081,15 +967,14 @@ mod tests {
         assert!(ifma::lanes(above, n).is_none());
         assert_eq!(64 - above.leading_zeros(), 51);
         for q in [below, above] {
-            let ts = NttTable::with_backend(q, n, BackendKind::Scalar.instance()).unwrap();
-            let tu = NttTable::with_backend(q, n, BackendKind::Unrolled.instance()).unwrap();
+            let table = NttTable::new(q, n).unwrap();
             let data = vec![q - 1; n];
             let (mut a, mut b) = (data.clone(), data.clone());
-            ts.forward(&mut a);
-            tu.forward(&mut b);
+            ScalarBackend.ntt_forward(&table, &mut a);
+            table.forward(&mut b);
             assert_eq!(a, b, "forward q={q}");
-            ts.inverse(&mut a);
-            tu.inverse(&mut b);
+            ScalarBackend.ntt_inverse(&table, &mut a);
+            table.inverse(&mut b);
             assert_eq!((&a, &b), (&data, &data), "inverse q={q}");
         }
     }
@@ -1100,16 +985,15 @@ mod tests {
         // and without the lone radix-2 sweep.
         for n in [2usize, 4, 8, 16, 32, 64, 128] {
             let q = generate_ntt_primes(1, 40, n)[0];
-            let ts = NttTable::with_backend(q, n, BackendKind::Scalar.instance()).unwrap();
-            let tu = NttTable::with_backend(q, n, BackendKind::Unrolled.instance()).unwrap();
+            let table = NttTable::new(q, n).unwrap();
             let data: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % q).collect();
             let mut a = data.clone();
             let mut b = data.clone();
-            ts.forward(&mut a);
-            tu.forward(&mut b);
+            ScalarBackend.ntt_forward(&table, &mut a);
+            table.forward(&mut b);
             assert_eq!(a, b, "forward n={n}");
-            ts.inverse(&mut a);
-            tu.inverse(&mut b);
+            ScalarBackend.ntt_inverse(&table, &mut a);
+            table.inverse(&mut b);
             assert_eq!(a, b, "inverse n={n}");
             assert_eq!(a, data, "round trip n={n}");
         }

@@ -1,4 +1,4 @@
-//! The unrolled backend's transforms on AVX-512 IFMA: eight 52-bit lanes
+//! The production (`UnrolledBackend`) transforms on AVX-512 IFMA: eight 52-bit lanes
 //! per instruction.
 //!
 //! `vpmadd52luq` / `vpmadd52huq` multiply the low 52 bits of each 64-bit

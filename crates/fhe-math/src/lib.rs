@@ -12,12 +12,13 @@
 //!
 //! - [`modular`]: arithmetic in 64-bit prime fields (Barrett reduction,
 //!   Shoup multiplication, modular inverses and exponentiation).
-//! - [`backend`]: the pluggable [`KernelBackend`] trait routing every hot
-//!   kernel (NTT butterflies, pointwise modmul, fused basis extension)
-//!   through a per-context implementation — the fully-reduced scalar
-//!   reference and a lazy-reduction variant whose transforms are radix-4
-//!   sweeps with the short stages held in registers, on AVX-512 IFMA lanes
-//!   for moduli below `2^50` where the CPU has them.
+//! - [`backend`]: every hot kernel (NTT butterflies, pointwise modmul,
+//!   fused basis extension, the key-switch inner product) — the
+//!   production [`backend::UnrolledBackend`], whose transforms are radix-4
+//!   lazy-reduction sweeps with the short stages held in registers, on
+//!   AVX-512 IFMA lanes for moduli below `2^50` where the CPU has them, and
+//!   the fully-reduced [`backend::ScalarBackend`] reference it is tested
+//!   against.
 //! - [`prime`]: deterministic Miller–Rabin primality testing and generation
 //!   of NTT-friendly primes (`q ≡ 1 mod 2N`).
 //! - [`ntt`]: negacyclic number-theoretic transforms over
@@ -79,7 +80,7 @@ pub mod sampling;
 pub mod scratch;
 pub mod telemetry;
 
-pub use backend::{BackendKind, KernelBackend, ShoupPair};
+pub use backend::ShoupPair;
 pub use modular::Modulus;
 pub use ntt::NttTable;
 pub use poly::{Representation, RnsPoly};

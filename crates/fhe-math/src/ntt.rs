@@ -13,11 +13,10 @@
 //! pre/post scaling passes. All butterfly constants carry precomputed Shoup
 //! companions.
 
-use crate::backend::{self, KernelBackend, ShoupPair};
+use crate::backend::{ShoupPair, UnrolledBackend};
 use crate::modular::Modulus;
 use crate::prime::{is_prime, primitive_root_of_unity};
 use std::fmt;
-use std::sync::Arc;
 
 /// Global counters of limb transforms executed, for cross-validating the
 /// `simfhe` cost model against the functional library (the paper's op
@@ -80,8 +79,6 @@ pub struct NttTable {
     n_inv_last_root: ShoupPair,
     /// ψ, kept for callers that need evaluation-point bookkeeping.
     psi: u64,
-    /// The kernel implementation butterflies dispatch to.
-    backend: Arc<dyn KernelBackend>,
 }
 
 impl fmt::Debug for NttTable {
@@ -128,22 +125,6 @@ impl NttTable {
     /// Returns [`NttError`] if `n` is not a power of two or `q` is not a
     /// prime with `q ≡ 1 (mod 2n)`.
     pub fn new(q: u64, n: usize) -> Result<Self, NttError> {
-        Self::with_backend(q, n, backend::default_backend())
-    }
-
-    /// Builds NTT tables that dispatch butterflies to an explicit kernel
-    /// backend (see [`crate::backend`]); [`NttTable::new`] uses the
-    /// process-default backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NttError`] if `n` is not a power of two or `q` is not a
-    /// prime with `q ≡ 1 (mod 2n)`.
-    pub fn with_backend(
-        q: u64,
-        n: usize,
-        backend: Arc<dyn KernelBackend>,
-    ) -> Result<Self, NttError> {
         if !n.is_power_of_two() || n < 2 {
             return Err(NttError::InvalidDegree(n));
         }
@@ -186,7 +167,6 @@ impl NttTable {
             n_inv,
             n_inv_last_root,
             psi,
-            backend,
         })
     }
 
@@ -208,14 +188,8 @@ impl NttTable {
         self.psi
     }
 
-    /// The kernel backend this table dispatches butterflies to.
-    #[inline]
-    pub fn backend(&self) -> &Arc<dyn KernelBackend> {
-        &self.backend
-    }
-
     /// Forward twiddles `ψ^br(i)` in bit-reversed order, with Shoup
-    /// companions (consumed by [`crate::backend::KernelBackend`] impls).
+    /// companions (read by the transform kernels in [`crate::backend`]).
     #[inline]
     pub fn forward_roots(&self) -> &[ShoupPair] {
         &self.fwd_roots
@@ -235,7 +209,7 @@ impl NttTable {
     }
 
     /// `N^{-1}·ψ^{-br(1)} mod q` with its Shoup companion. The last inverse
-    /// stage has this one twiddle, so a backend can scale there —
+    /// stage has this one twiddle, so a transform can scale there —
     /// `u' = (u+v)·N^{-1}`, `v' = (u−v)·(w·N^{-1})` — instead of in a pass
     /// of its own.
     #[inline]
@@ -244,31 +218,31 @@ impl NttTable {
     }
 
     /// In-place forward negacyclic NTT (coefficient → evaluation,
-    /// bit-reversed output order).
+    /// bit-reversed output order), on [`UnrolledBackend::ntt_forward`].
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != self.size()`.
     pub fn forward(&self, data: &mut [u64]) {
         assert_eq!(data.len(), self.n, "NTT size mismatch");
-        // Recorded here — at the dispatch site, in logical units — so every
-        // backend reports identical counts.
+        // Recorded here, in logical units: the kernel records nothing.
         crate::telemetry::record_ntt(true, self.butterfly_count(), self.n as u64);
-        self.backend.ntt_forward(self, data);
+        UnrolledBackend.ntt_forward(self, data);
     }
 
     /// In-place inverse negacyclic NTT (evaluation → coefficient, consumes
-    /// bit-reversed input order, emits natural order).
+    /// bit-reversed input order, emits natural order), on
+    /// [`UnrolledBackend::ntt_inverse`].
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != self.size()`.
     pub fn inverse(&self, data: &mut [u64]) {
         assert_eq!(data.len(), self.n, "NTT size mismatch");
-        // Logical units here too: a backend that folds `N⁻¹` into its last
-        // stage runs n/2 fewer multiplies than this records.
+        // Logical units here too: the kernel folds `N⁻¹` into its last
+        // stage and runs n/2 fewer multiplies than this records.
         crate::telemetry::record_ntt(false, self.butterfly_count(), self.n as u64);
-        self.backend.ntt_inverse(self, data);
+        UnrolledBackend.ntt_inverse(self, data);
     }
 
     /// Number of butterfly operations in one transform: `(N/2)·log2 N`.

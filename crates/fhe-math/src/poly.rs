@@ -20,7 +20,7 @@
 //! these patterns.
 
 use crate::automorph::Automorphism;
-use crate::backend::ShoupPair;
+use crate::backend::{ShoupPair, UnrolledBackend};
 use crate::bigint::{IBig, UBig};
 use crate::modular::Modulus;
 use crate::parallel;
@@ -323,7 +323,7 @@ impl RnsPoly {
         other.trace_touch(false);
         self.trace_touch(true);
         parallel::for_each_limb_pair_mut(&mut self.data, &other.data, n, |i, dst, src| {
-            basis.backend().pointwise_add(basis.modulus(i), dst, src);
+            UnrolledBackend.pointwise_add(basis.modulus(i), dst, src);
         });
     }
 
@@ -338,7 +338,7 @@ impl RnsPoly {
         other.trace_touch(false);
         self.trace_touch(true);
         parallel::for_each_limb_pair_mut(&mut self.data, &other.data, n, |i, dst, src| {
-            basis.backend().pointwise_sub(basis.modulus(i), dst, src);
+            UnrolledBackend.pointwise_sub(basis.modulus(i), dst, src);
         });
     }
 
@@ -362,7 +362,7 @@ impl RnsPoly {
 
     /// The shared body of [`RnsPoly::add_into`] and [`RnsPoly::sub_into`].
     /// The residues are canonical on both sides of `op`, so the result is
-    /// the one `add_assign` / `sub_assign` leave, whatever the backend.
+    /// the one `add_assign` / `sub_assign` leave.
     fn combine_into(
         &self,
         other: &RnsPoly,
@@ -408,7 +408,7 @@ impl RnsPoly {
         self.trace_touch(false);
         self.trace_touch(true);
         parallel::for_each_limb_mut(&mut self.data, n, |i, limb| {
-            basis.backend().pointwise_neg(basis.modulus(i), limb);
+            UnrolledBackend.pointwise_neg(basis.modulus(i), limb);
         });
     }
 
@@ -432,7 +432,7 @@ impl RnsPoly {
         other.trace_touch(false);
         self.trace_touch(true);
         parallel::for_each_limb_pair_mut(&mut self.data, &other.data, n, |i, dst, src| {
-            basis.backend().pointwise_mul(basis.modulus(i), dst, src);
+            UnrolledBackend.pointwise_mul(basis.modulus(i), dst, src);
         });
     }
 
@@ -478,7 +478,7 @@ impl RnsPoly {
         let basis = &out.basis;
         parallel::for_each_limb_mut(&mut out.data, n, |i, dst| {
             let off = i * n;
-            basis.backend().pointwise_mul_into(
+            UnrolledBackend.pointwise_mul_into(
                 basis.modulus(i),
                 &a[off..off + n],
                 &b[off..off + n],
@@ -516,7 +516,7 @@ impl RnsPoly {
         let basis = &self.basis;
         parallel::for_each_limb_mut(&mut self.data, n, |i, acc| {
             let off = i * n;
-            basis.backend().pointwise_mul_add(
+            UnrolledBackend.pointwise_mul_add(
                 basis.modulus(i),
                 acc,
                 &x[off..off + n],
@@ -536,7 +536,7 @@ impl RnsPoly {
         parallel::for_each_limb_mut(&mut self.data, n, |i, limb| {
             let m = basis.modulus(i);
             let s = ShoupPair::new(m, m.reduce(scalar));
-            basis.backend().scale_shoup(m, limb, s);
+            UnrolledBackend.scale_shoup(m, limb, s);
         });
     }
 
@@ -557,7 +557,7 @@ impl RnsPoly {
         parallel::for_each_limb_mut(&mut self.data, n, |i, limb| {
             let m = basis.modulus(i);
             let s = ShoupPair::new(m, m.reduce(scalars[i]));
-            basis.backend().scale_shoup(m, limb, s);
+            UnrolledBackend.scale_shoup(m, limb, s);
         });
     }
 
@@ -761,9 +761,7 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
     let mut last = pool.take(n);
     last.copy_from_slice(poly.limb(l - 1));
     basis.ntt_table(l - 1).inverse(&mut last);
-    basis
-        .backend()
-        .add_scalar(q_last, &mut last, q_last.value() / 2);
+    UnrolledBackend.add_scalar(q_last, &mut last, q_last.value() / 2);
 
     let mut out = RnsPoly {
         basis: Arc::new(basis.prefix(l - 1)),
@@ -782,9 +780,7 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
         lift_centered(q_last, qi, last, limb);
         basis.ntt_table(i).forward(limb);
         let off = i * n;
-        basis
-            .backend()
-            .sub_scale_shoup(qi, &src[off..off + n], limb, q_last_inv[i]);
+        UnrolledBackend.sub_scale_shoup(qi, &src[off..off + n], limb, q_last_inv[i]);
     });
     out
 }
@@ -903,7 +899,7 @@ pub fn mod_down_with(poly: &RnsPoly, ctx: &ModDownContext, pool: &ScratchPool) -
     parallel::for_each_limb_mut(&mut special, n, |j, limb| {
         let pj = basis.modulus(ctx.q_len + j);
         basis.ntt_table(ctx.q_len + j).inverse(limb);
-        basis.backend().add_scalar(pj, limb, ctx.half_p_mod_p[j]);
+        UnrolledBackend.add_scalar(pj, limb, ctx.half_p_mod_p[j]);
     });
 
     // Step 2: NewLimb into each q_i (slot-wise), written straight into the
@@ -921,12 +917,10 @@ pub fn mod_down_with(poly: &RnsPoly, ctx: &ModDownContext, pool: &ScratchPool) -
     let src = poly.flat();
     parallel::for_each_limb_mut(&mut out.data, n, |i, limb| {
         let qi = basis.modulus(i);
-        basis.backend().sub_scalar(qi, limb, ctx.half_p_mod_q[i]);
+        UnrolledBackend.sub_scalar(qi, limb, ctx.half_p_mod_q[i]);
         basis.ntt_table(i).forward(limb);
         let off = i * n;
-        basis
-            .backend()
-            .sub_scale_shoup(qi, &src[off..off + n], limb, ctx.p_inv[i]);
+        UnrolledBackend.sub_scale_shoup(qi, &src[off..off + n], limb, ctx.p_inv[i]);
     });
     out
 }
@@ -976,7 +970,7 @@ pub fn pmod_up_with(poly: &RnsPoly, raised_basis: Arc<RnsBasis>, pool: &ScratchP
         let qi = basis.modulus(i);
         let off = i * n;
         limb.copy_from_slice(&src[off..off + n]);
-        basis.backend().scale_shoup(qi, limb, p_mod_q[i]);
+        UnrolledBackend.scale_shoup(qi, limb, p_mod_q[i]);
     });
     out
 }
@@ -1011,8 +1005,8 @@ pub fn pmod_up_add_assign(acc: &mut RnsPoly, mut x: RnsPoly, pool: &ScratchPool)
     let p_mod_q = basis.tail_products(l);
     parallel::for_each_limb_mut2(&mut acc.data[..l * n], &mut x.data, n, |i, sum, lifted| {
         let qi = basis.modulus(i);
-        basis.backend().scale_shoup(qi, lifted, p_mod_q[i]);
-        basis.backend().pointwise_add(qi, sum, lifted);
+        UnrolledBackend.scale_shoup(qi, lifted, p_mod_q[i]);
+        UnrolledBackend.pointwise_add(qi, sum, lifted);
     });
     x.recycle(pool);
 }

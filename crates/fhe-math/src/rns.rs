@@ -12,7 +12,7 @@
 //! this excess into the noise; the exact-CRT tests in this module quantify
 //! it.
 
-use crate::backend::{self, BasisExtView, KernelBackend, ScalarBackend, ShoupPair};
+use crate::backend::{BasisExtView, ScalarBackend, ShoupPair, UnrolledBackend};
 use crate::bigint::UBig;
 use crate::modular::{lazy_products, Modulus};
 use crate::ntt::NttTable;
@@ -25,7 +25,6 @@ pub struct RnsBasis {
     moduli: Vec<Modulus>,
     ntt_tables: Vec<Arc<NttTable>>,
     degree: usize,
-    backend: Arc<dyn KernelBackend>,
     /// Row `k`: `q_k⁻¹ mod q_i` for `i < k`, the `Rescale` multipliers when
     /// limb `k` is dropped. Filled on first use and shared with every
     /// [`RnsBasis::prefix`] (whose limbs, and so whose rows, are the same),
@@ -82,24 +81,6 @@ impl RnsBasis {
     /// Returns [`RnsError`] if `primes` is empty, contains duplicates, or
     /// contains a value that is not an NTT-friendly prime for `degree`.
     pub fn new(primes: &[u64], degree: usize) -> Result<Self, RnsError> {
-        Self::with_backend(primes, degree, backend::default_backend())
-    }
-
-    /// Builds a basis whose limbs dispatch their kernels (NTT butterflies,
-    /// pointwise ops, basis extension) to an explicit backend;
-    /// [`RnsBasis::new`] uses the process-default backend. Sub-bases formed
-    /// by [`RnsBasis::prefix`]/[`RnsBasis::select`]/[`RnsBasis::concat`]
-    /// inherit the backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RnsError`] if `primes` is empty, contains duplicates, or
-    /// contains a value that is not an NTT-friendly prime for `degree`.
-    pub fn with_backend(
-        primes: &[u64],
-        degree: usize,
-        backend: Arc<dyn KernelBackend>,
-    ) -> Result<Self, RnsError> {
         if primes.is_empty() {
             return Err(RnsError::Empty);
         }
@@ -109,8 +90,7 @@ impl RnsBasis {
             if primes[..i].contains(&q) {
                 return Err(RnsError::DuplicateLimb(q));
             }
-            let table = NttTable::with_backend(q, degree, backend.clone())
-                .map_err(|_| RnsError::BadLimb(q))?;
+            let table = NttTable::new(q, degree).map_err(|_| RnsError::BadLimb(q))?;
             moduli.push(*table.modulus());
             ntt_tables.push(Arc::new(table));
         }
@@ -120,15 +100,7 @@ impl RnsBasis {
             moduli,
             ntt_tables,
             degree,
-            backend,
         })
-    }
-
-    /// The kernel backend this basis (and every polynomial over it)
-    /// dispatches to.
-    #[inline]
-    pub fn backend(&self) -> &Arc<dyn KernelBackend> {
-        &self.backend
     }
 
     /// Number of limbs `ℓ`.
@@ -188,7 +160,6 @@ impl RnsBasis {
             moduli: self.moduli[..count].to_vec(),
             ntt_tables: self.ntt_tables[..count].to_vec(),
             degree: self.degree,
-            backend: self.backend.clone(),
             drop_inv: self.drop_inv.clone(),
             tail_products: OnceLock::new(),
         }
@@ -216,7 +187,6 @@ impl RnsBasis {
                 .map(|&i| self.ntt_tables[i].clone())
                 .collect(),
             degree: self.degree,
-            backend: self.backend.clone(),
             drop_inv: empty_rows(indices.len()),
             tail_products: OnceLock::new(),
         }
@@ -240,7 +210,6 @@ impl RnsBasis {
             moduli: [self.moduli.clone(), other.moduli.clone()].concat(),
             ntt_tables: [self.ntt_tables.clone(), other.ntt_tables.clone()].concat(),
             degree: self.degree,
-            backend: self.backend.clone(),
             drop_inv: empty_rows(self.len() + other.len()),
             tail_products: OnceLock::new(),
         }
@@ -359,9 +328,6 @@ pub struct BasisExtender {
     lazy_terms: usize,
     source_moduli: Vec<Modulus>,
     target_moduli: Vec<Modulus>,
-    /// Backend the fused flat conversion dispatches to (inherited from the
-    /// source basis).
-    backend: Arc<dyn KernelBackend>,
 }
 
 impl fmt::Debug for BasisExtender {
@@ -445,12 +411,11 @@ impl BasisExtender {
             lazy_terms,
             source_moduli: source.moduli().to_vec(),
             target_moduli: target.moduli().to_vec(),
-            backend: source.backend().clone(),
         }
     }
 
     /// Borrowed view of the precomputed constants, in the shape
-    /// [`crate::backend::KernelBackend::basis_ext_block`] consumes.
+    /// [`UnrolledBackend::basis_ext_block`] consumes.
     #[inline]
     pub fn view(&self) -> BasisExtView<'_> {
         BasisExtView {
@@ -485,8 +450,7 @@ impl BasisExtender {
     /// Applies `NewLimb` to one coefficient: given `residues[i] = [x]_{q_i}`
     /// for the representative `x ∈ [0, Q)`, writes `[x]_{p_j}` for each
     /// target limb `j` (exact; see the type-level docs). This is the
-    /// reference kernel ([`ScalarBackend`]) on a one-slot buffer, whatever
-    /// backend the flat conversion dispatches to.
+    /// reference kernel ([`ScalarBackend`]) on a one-slot buffer.
     ///
     /// # Panics
     ///
@@ -494,7 +458,11 @@ impl BasisExtender {
     pub fn extend_coeff(&self, residues: &[u64], out: &mut [u64]) {
         assert_eq!(residues.len(), self.source_len());
         assert_eq!(out.len(), self.target_len());
-        assert!(residues.len() <= 64, "basis too large for stack buffer");
+        assert!(
+            residues.len() <= MAX_SOURCE_LIMBS,
+            "source basis of {} limbs exceeds MAX_SOURCE_LIMBS",
+            residues.len()
+        );
         let mut cols: Vec<&mut [u64]> = out.chunks_exact_mut(1).collect();
         ScalarBackend.basis_ext_block(&self.view(), residues, 1, 0..1, &mut cols);
     }
@@ -543,12 +511,12 @@ impl BasisExtender {
             l <= MAX_SOURCE_LIMBS,
             "source basis of {l} limbs exceeds MAX_SOURCE_LIMBS"
         );
-        // Telemetry is recorded here — at the dispatch site, in logical
-        // units — so every backend reports identical counts.
+        // Telemetry is recorded here, in logical units: the kernel records
+        // nothing.
         crate::telemetry::record_basis_ext(l as u64, t as u64, n as u64);
         let ext = self.view();
         crate::parallel::for_each_slot_block(cols, n, |range, cols| {
-            self.backend.basis_ext_block(&ext, src, n, range, cols);
+            UnrolledBackend.basis_ext_block(&ext, src, n, range, cols);
         });
     }
 }
@@ -579,6 +547,14 @@ mod tests {
             RnsBasis::new(&[91], 8),
             Err(RnsError::BadLimb(91))
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_SOURCE_LIMBS")]
+    fn extend_coeff_rejects_a_source_past_max_source_limbs() {
+        let (src, dst) = bases(MAX_SOURCE_LIMBS + 1, 1, 30, 8);
+        let ext = BasisExtender::new(&src, &dst);
+        ext.extend_coeff(&[0; MAX_SOURCE_LIMBS + 1], &mut [0]);
     }
 
     #[test]

@@ -293,9 +293,9 @@ pub fn record_ops(mults: u64, adds: u64) {
 /// `butterflies` butterfly stages-worth of work (1 mult + 2 adds each),
 /// plus the limb's streaming traffic. An inverse transform also records
 /// the `n` multiplies of an `N⁻¹` normalization pass, which lie beyond the
-/// model's butterfly count. These are *logical* units, the same for every
-/// backend by contract: the unrolled backend folds `N⁻¹` into its last
-/// stage and so executes `n/2` fewer multiplies than are recorded here.
+/// model's butterfly count. These are *logical* units, not the kernel's
+/// instructions: the production transform folds `N⁻¹` into its last stage
+/// and so executes `n/2` fewer multiplies than are recorded here.
 #[inline]
 pub fn record_ntt(forward: bool, butterflies: u64, n: u64) {
     if forward {

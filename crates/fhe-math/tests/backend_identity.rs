@@ -1,27 +1,27 @@
-//! Scalar-vs-unrolled bit-identity of the kernel backends.
+//! Bit-identity of the production kernels with the reference ones.
 //!
-//! The [`fhe_math::KernelBackend`] contract says every backend produces
-//! fully reduced canonical residues, so running the same kernel through
-//! [`BackendKind::Scalar`] and [`BackendKind::Unrolled`] must yield
-//! byte-for-byte equal buffers — lazy reduction, blocking, and the fused
-//! basis-extension loops are all internal representation choices. These
-//! tests pin that equality for every trait method at the `fhe-math` layer;
-//! the scheme-level pipelines are covered by the `backend_identity` suites
-//! in `ckks` and `fhe-apps`.
+//! Every kernel emits fully reduced canonical residues, so the reference
+//! [`ScalarBackend`] and the production entry points — [`NttTable`]'s
+//! transforms, the `RnsPoly` ops, [`BasisExtender::extend_flat`] and
+//! [`UnrolledBackend::inner_product_pair`] — must yield byte-for-byte
+//! equal buffers on the same inputs: lazy reduction, blocking, and the
+//! fused basis-extension loops are all internal representation choices.
+//! The ring pipelines above them (`ModUp` / `ModDown` / `Rescale` /
+//! `PModUp`, and an NTT–multiply–add chain) are pinned by digest; the
+//! scheme-level pipelines are pinned the same way by the `backend_identity`
+//! suites in `ckks` and `fhe-apps`.
 //!
-//! The unrolled transforms take AVX-512 IFMA lanes for moduli below `2^50`
-//! on a CPU that has them and the portable path otherwise; the transform
-//! test's moduli fall on both sides. On a CPU without IFMA the suite still
-//! passes, exercising the portable path only.
+//! The production transforms take AVX-512 IFMA lanes for moduli below
+//! `2^50` on a CPU that has them and the portable path otherwise; the
+//! transform test's moduli fall on both sides. On a CPU without IFMA the
+//! suite still passes, exercising the portable path only.
 
-use fhe_math::backend::DigitTerm;
+use fhe_math::backend::{DigitTerm, ScalarBackend, UnrolledBackend};
 use fhe_math::poly::{mod_down, mod_up, pmod_up, rescale, ModDownContext, Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
 use fhe_math::rns::{BasisExtender, RnsBasis};
-use fhe_math::{BackendKind, Modulus, NttTable, ShoupPair};
+use fhe_math::{Modulus, NttTable, ShoupPair};
 use std::sync::Arc;
-
-const KINDS: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Unrolled];
 
 /// Deterministic pseudo-random residues for limb `i` of a flat buffer.
 fn random_flat(seed: u64, moduli: &[u64], n: usize) -> Vec<u64> {
@@ -39,11 +39,22 @@ fn random_flat(seed: u64, moduli: &[u64], n: usize) -> Vec<u64> {
     out
 }
 
-/// Runs `f` once per backend kind and asserts both results are equal.
-fn assert_backends_agree<T: PartialEq + std::fmt::Debug>(f: impl Fn(BackendKind) -> T) {
-    let scalar = f(BackendKind::Scalar);
-    let unrolled = f(BackendKind::Unrolled);
-    assert_eq!(scalar, unrolled, "scalar and unrolled backends diverged");
+/// FNV-1a over a byte stream: a dependency-free digest for the pinned
+/// outputs below.
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= b as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// FNV-1a of `words`' little-endian bytes.
+fn digest(words: &[u64]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for w in words {
+        fnv1a(&mut hash, &w.to_le_bytes());
+    }
+    hash
 }
 
 #[test]
@@ -53,15 +64,16 @@ fn ntt_round_trip_is_bit_identical_across_sizes_and_moduli() {
         for bits in [30u32, 40, 49, 50, 61] {
             let q = generate_ntt_primes(1, bits, n)[0];
             let input = random_flat(q ^ n as u64, &[q], n);
-            assert_backends_agree(|kind| {
-                let table = NttTable::with_backend(q, n, kind.instance()).unwrap();
-                let mut fwd = input.clone();
-                table.forward(&mut fwd);
-                let mut back = fwd.clone();
-                table.inverse(&mut back);
-                assert_eq!(back, input, "{kind:?} round trip lost data (n={n}, q={q})");
-                fwd
-            });
+            let table = NttTable::new(q, n).unwrap();
+            let mut reference = input.clone();
+            ScalarBackend.ntt_forward(&table, &mut reference);
+            let mut fwd = input.clone();
+            table.forward(&mut fwd);
+            assert_eq!(fwd, reference, "forward diverged (n={n}, q={q})");
+            ScalarBackend.ntt_inverse(&table, &mut reference);
+            table.inverse(&mut fwd);
+            assert_eq!(fwd, reference, "inverse diverged (n={n}, q={q})");
+            assert_eq!(fwd, input, "round trip lost data (n={n}, q={q})");
         }
     }
 }
@@ -75,63 +87,90 @@ fn pointwise_kernels_are_bit_identical() {
     let b = random_flat(22, &[q], n);
     let d = random_flat(33, &[q], n);
     let c = ShoupPair::new(&m, m.reduce(0x1234_5678_9abc_def0));
+    // Two digits; the accumulators start dirty because the kernel must
+    // overwrite, not add to, them.
+    let terms = [
+        DigitTerm {
+            d: &d,
+            a: &b,
+            b: &a,
+        },
+        DigitTerm {
+            d: &a,
+            a: &d,
+            b: &b,
+        },
+    ];
 
-    assert_backends_agree(|kind| {
-        let be = kind.instance();
-        let mut add = a.clone();
-        be.pointwise_add(&m, &mut add, &b);
-        let mut sub = a.clone();
-        be.pointwise_sub(&m, &mut sub, &b);
-        let mut neg = a.clone();
-        be.pointwise_neg(&m, &mut neg);
-        let mut mul = a.clone();
-        be.pointwise_mul(&m, &mut mul, &b);
-        let mut into = vec![0u64; n];
-        be.pointwise_mul_into(&m, &a, &b, &mut into);
-        assert_eq!(into, mul, "{kind:?}: mul_into disagrees with in-place mul");
-        let mut fma = d.clone();
-        be.pointwise_mul_add(&m, &mut fma, &a, &b);
-        for k in 0..n {
-            assert_eq!(fma[k], m.add(d[k], mul[k]), "{kind:?} fma[{k}]");
-        }
-        let mut scaled = a.clone();
-        be.scale_shoup(&m, &mut scaled, c);
-        let mut combined = b.clone();
-        be.sub_scale_shoup(&m, &a, &mut combined, c);
-        let mut plus = a.clone();
-        be.add_scalar(&m, &mut plus, q / 3);
-        let mut minus = a.clone();
-        be.sub_scalar(&m, &mut minus, q / 3);
-        // Two digits; the accumulators start dirty because the kernel
-        // must overwrite, not add to, them.
-        let terms = [
-            DigitTerm {
-                d: &d,
-                a: &b,
-                b: &a,
-            },
-            DigitTerm {
-                d: &a,
-                a: &d,
-                b: &b,
-            },
-        ];
-        let (mut u, mut v) = (a.clone(), b.clone());
-        be.inner_product_pair(&m, &terms, &mut u, &mut v);
-        for k in 0..n {
-            assert_eq!(
-                u[k],
-                m.mul_add(a[k], d[k], m.mul(d[k], b[k])),
-                "{kind:?} u[{k}]"
-            );
-            assert_eq!(
-                v[k],
-                m.mul_add(a[k], b[k], m.mul(d[k], a[k])),
-                "{kind:?} v[{k}]"
-            );
-        }
-        (add, sub, neg, mul, fma, scaled, combined, plus, minus, u, v)
-    });
+    // Every kernel on one kernel set, outputs in a tuple.
+    macro_rules! kernels {
+        ($k:expr) => {{
+            let mut add = a.clone();
+            $k.pointwise_add(&m, &mut add, &b);
+            let mut sub = a.clone();
+            $k.pointwise_sub(&m, &mut sub, &b);
+            let mut neg = a.clone();
+            $k.pointwise_neg(&m, &mut neg);
+            let mut mul = a.clone();
+            $k.pointwise_mul(&m, &mut mul, &b);
+            let mut into = vec![0u64; n];
+            $k.pointwise_mul_into(&m, &a, &b, &mut into);
+            let mut fma = d.clone();
+            $k.pointwise_mul_add(&m, &mut fma, &a, &b);
+            let mut scaled = a.clone();
+            $k.scale_shoup(&m, &mut scaled, c);
+            let mut combined = b.clone();
+            $k.sub_scale_shoup(&m, &a, &mut combined, c);
+            let mut plus = a.clone();
+            $k.add_scalar(&m, &mut plus, q / 3);
+            let mut minus = a.clone();
+            $k.sub_scalar(&m, &mut minus, q / 3);
+            let (mut u, mut v) = (a.clone(), b.clone());
+            $k.inner_product_pair(&m, &terms, &mut u, &mut v);
+            (
+                add, sub, neg, mul, into, fma, scaled, combined, plus, minus, u, v,
+            )
+        }};
+    }
+    let reference = kernels!(ScalarBackend);
+    let (add, sub, neg, mul, into, fma, scaled, _, _, _, u, v) = &reference;
+    assert_eq!(into, mul, "mul_into disagrees with in-place mul");
+    for k in 0..n {
+        assert_eq!(fma[k], m.add(d[k], mul[k]), "fma[{k}]");
+        assert_eq!(u[k], m.mul_add(a[k], d[k], m.mul(d[k], b[k])), "u[{k}]");
+        assert_eq!(v[k], m.mul_add(a[k], b[k], m.mul(d[k], a[k])), "v[{k}]");
+    }
+    assert_eq!(kernels!(UnrolledBackend), reference, "kernel sets diverged");
+
+    // The same kernels through the `RnsPoly` ops, over a one-limb ring of
+    // degree 256: the kernels are slot-wise, so each op must match the
+    // first 256 words of the reference.
+    let n = 256usize;
+    let basis = Arc::new(RnsBasis::new(&[q], n).unwrap());
+    let poly =
+        |w: &[u64]| RnsPoly::from_flat(basis.clone(), w[..n].to_vec(), Representation::Evaluation);
+    let (pa, pb, pd) = (poly(&a), poly(&b), poly(&d));
+    let mut got = pa.clone();
+    got.add_assign(&pb);
+    assert_eq!(got.flat(), &add[..n], "add_assign");
+    let mut got = pa.clone();
+    got.sub_assign(&pb);
+    assert_eq!(got.flat(), &sub[..n], "sub_assign");
+    let mut got = pa.clone();
+    got.negate();
+    assert_eq!(got.flat(), &neg[..n], "negate");
+    let mut got = pa.clone();
+    got.mul_assign_pointwise(&pb);
+    assert_eq!(got.flat(), &mul[..n], "mul_assign_pointwise");
+    let mut got = pd.clone();
+    pa.mul_pointwise_into(&pb, &mut got);
+    assert_eq!(got.flat(), &mul[..n], "mul_pointwise_into");
+    let mut got = pd.clone();
+    got.mul_add_assign_pointwise(&pa, &pb);
+    assert_eq!(got.flat(), &fma[..n], "mul_add_assign_pointwise");
+    let mut got = pa.clone();
+    got.mul_scalar_assign(c.value);
+    assert_eq!(got.flat(), &scaled[..n], "mul_scalar_assign");
 }
 
 #[test]
@@ -140,77 +179,69 @@ fn basis_extension_is_bit_identical() {
     let src_primes = generate_ntt_primes(3, 45, n);
     let dst_primes = generate_ntt_primes_excluding(2, 46, n, &src_primes);
     let flat = random_flat(77, &src_primes, n);
-    assert_backends_agree(|kind| {
-        let src = RnsBasis::with_backend(&src_primes, n, kind.instance()).unwrap();
-        let dst = RnsBasis::with_backend(&dst_primes, n, kind.instance()).unwrap();
-        let ext = BasisExtender::new(&src, &dst);
-        let mut out = vec![0u64; dst_primes.len() * n];
-        ext.extend_flat(&flat, &mut out, n);
-        out
-    });
+    let src = RnsBasis::new(&src_primes, n).unwrap();
+    let dst = RnsBasis::new(&dst_primes, n).unwrap();
+    let ext = BasisExtender::new(&src, &dst);
+    let mut reference = vec![0u64; dst_primes.len() * n];
+    let mut cols: Vec<&mut [u64]> = reference.chunks_exact_mut(n).collect();
+    ScalarBackend.basis_ext_block(&ext.view(), &flat, n, 0..n, &mut cols);
+    let mut out = vec![0u64; dst_primes.len() * n];
+    ext.extend_flat(&flat, &mut out, n);
+    assert_eq!(out, reference, "extend_flat diverged from the reference");
 }
 
+/// Recorded on the commit before the kernel sets lost their runtime
+/// selector, where a basis built on the scalar kernels and one built on
+/// the unrolled kernels both produced it.
 #[test]
 fn mod_up_down_and_rescale_are_bit_identical() {
     let n = 64usize;
     let q_primes = generate_ntt_primes(3, 40, n);
     let p_primes = generate_ntt_primes_excluding(2, 41, n, &q_primes);
     let flat = random_flat(99, &q_primes, n);
-    assert_backends_agree(|kind| {
-        let q_basis = Arc::new(RnsBasis::with_backend(&q_primes, n, kind.instance()).unwrap());
-        let p_basis = RnsBasis::with_backend(&p_primes, n, kind.instance()).unwrap();
-        let ext = BasisExtender::new(&q_basis, &p_basis);
-        let ctx = ModDownContext::new(q_basis.clone(), &p_basis);
+    let q_basis = Arc::new(RnsBasis::new(&q_primes, n).unwrap());
+    let p_basis = RnsBasis::new(&p_primes, n).unwrap();
+    let ext = BasisExtender::new(&q_basis, &p_basis);
+    let ctx = ModDownContext::new(q_basis.clone(), &p_basis);
 
-        let poly = RnsPoly::from_flat(q_basis.clone(), flat.clone(), Representation::Evaluation);
-        let raised = mod_up(&poly, &p_basis, &ext);
-        let lowered = mod_down(&raised, &ctx);
-        let praised = pmod_up(&poly, &p_basis);
-        let rescaled = rescale(&poly);
-        let mut all = raised.flat().to_vec();
-        all.extend_from_slice(lowered.flat());
-        all.extend_from_slice(praised.flat());
-        all.extend_from_slice(rescaled.flat());
-        all
-    });
+    let poly = RnsPoly::from_flat(q_basis.clone(), flat, Representation::Evaluation);
+    let raised = mod_up(&poly, &p_basis, &ext);
+    let lowered = mod_down(&raised, &ctx);
+    let praised = pmod_up(&poly, &p_basis);
+    let rescaled = rescale(&poly);
+    let mut all = raised.flat().to_vec();
+    all.extend_from_slice(lowered.flat());
+    all.extend_from_slice(praised.flat());
+    all.extend_from_slice(rescaled.flat());
+    let got = digest(&all);
+    assert_eq!(got, 0x6c7e_f0a5_6317_8e8c, "{got:#018x}");
 }
 
+/// Recorded like the digest above, on both kernel sets.
 #[test]
 fn full_poly_pipeline_is_bit_identical() {
     let n = 256usize;
     let primes = generate_ntt_primes(4, 50, n);
-    let fa = random_flat(5, &primes, n);
-    let fb = random_flat(6, &primes, n);
-    assert_backends_agree(|kind| {
-        let basis = Arc::new(RnsBasis::with_backend(&primes, n, kind.instance()).unwrap());
-        let mut a = RnsPoly::from_flat(basis.clone(), fa.clone(), Representation::Coefficient);
-        let mut b = RnsPoly::from_flat(basis.clone(), fb.clone(), Representation::Coefficient);
-        a.to_eval();
-        b.to_eval();
-        let mut prod = RnsPoly::from_flat(basis, a.flat().to_vec(), Representation::Evaluation);
-        prod.mul_assign_pointwise(&b);
-        prod.add_assign(&a);
-        prod.sub_assign(&b);
-        prod.mul_scalar_assign(0x0123_4567_89ab_cdef);
-        prod.negate();
-        prod.to_coeff();
-        prod.flat().to_vec()
-    });
-}
-
-const KIND_NAMES: [(&str, BackendKind); 2] = [
-    ("scalar", BackendKind::Scalar),
-    ("unrolled", BackendKind::Unrolled),
-];
-
-#[test]
-fn backend_names_round_trip_through_selection() {
-    for (name, kind) in KIND_NAMES {
-        assert_eq!(kind.name(), name);
-        assert_eq!(kind.instance().name(), name);
-    }
-    for kind in KINDS {
-        let table = NttTable::with_backend(65537, 16, kind.instance()).unwrap();
-        assert_eq!(table.backend().name(), kind.name());
-    }
+    let basis = Arc::new(RnsBasis::new(&primes, n).unwrap());
+    let mut a = RnsPoly::from_flat(
+        basis.clone(),
+        random_flat(5, &primes, n),
+        Representation::Coefficient,
+    );
+    let mut b = RnsPoly::from_flat(
+        basis.clone(),
+        random_flat(6, &primes, n),
+        Representation::Coefficient,
+    );
+    a.to_eval();
+    b.to_eval();
+    let mut prod = RnsPoly::from_flat(basis, a.flat().to_vec(), Representation::Evaluation);
+    prod.mul_assign_pointwise(&b);
+    prod.add_assign(&a);
+    prod.sub_assign(&b);
+    prod.mul_scalar_assign(0x0123_4567_89ab_cdef);
+    prod.negate();
+    prod.to_coeff();
+    let got = digest(prod.flat());
+    assert_eq!(got, 0x61d9_98cc_5744_f91d, "{got:#018x}");
 }

@@ -1,10 +1,10 @@
-//! Property-based backend equivalence: for random NTT-friendly moduli and
+//! Property-based kernel equivalence: for random NTT-friendly moduli and
 //! random sizes `2^1..=2^14` (below the unrolled transforms' block width,
-//! and with and without their lone radix-2 sweep), the scalar and unrolled
-//! backends must agree bit-for-bit, and the unrolled backend's *lazy*
-//! transform entry points must stay inside their range invariants —
-//! `[0, 4q)` forward, `[0, 2q)` inverse — up to the 62-bit primes where
-//! `4q < 2^64` is tight.
+//! and with and without their lone radix-2 sweep), the production entry
+//! points must agree bit-for-bit with the reference [`ScalarBackend`], and
+//! the production kernels' *lazy* transform entry points must stay inside
+//! their range invariants — `[0, 4q)` forward, `[0, 2q)` inverse — up to
+//! the 62-bit primes where `4q < 2^64` is tight.
 //!
 //! The unrolled transforms run on AVX-512 IFMA lanes when the CPU has them,
 //! `q < 2^50` and `n ≥ 16`, and on the portable path otherwise, so the
@@ -12,11 +12,11 @@
 //! `4q < 2^52` is tight, gets a test of its own. On a CPU without IFMA
 //! every test still passes, exercising the portable path only.
 
-use fhe_math::backend::{DigitTerm, UnrolledBackend};
+use fhe_math::backend::{DigitTerm, ScalarBackend, UnrolledBackend};
 use fhe_math::poly::{lift_centered, Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding, is_prime};
 use fhe_math::rns::{BasisExtender, RnsBasis};
-use fhe_math::{BackendKind, KernelBackend, Modulus, NttTable};
+use fhe_math::{Modulus, NttTable};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -122,16 +122,31 @@ fn per_digit_fold(m: &Modulus, terms: &[DigitTerm<'_>], n: usize) -> (Vec<u64>, 
     (u, v)
 }
 
+/// The reference basis extension: [`ScalarBackend`]'s kernel over every
+/// slot of a flat limb-major buffer.
+fn reference_extension(ext: &BasisExtender, flat: &[u64], n: usize) -> Vec<u64> {
+    let mut out = vec![u64::MAX; ext.target_len() * n];
+    let mut cols: Vec<&mut [u64]> = out.chunks_exact_mut(n).collect();
+    ScalarBackend.basis_ext_block(&ext.view(), flat, n, 0..n, &mut cols);
+    out
+}
+
+/// The production basis extension, [`BasisExtender::extend_flat`].
+fn production_extension(ext: &BasisExtender, flat: &[u64], n: usize) -> Vec<u64> {
+    let mut out = vec![u64::MAX; ext.target_len() * n];
+    ext.extend_flat(flat, &mut out, n);
+    out
+}
+
 /// Every word the unrolled transforms hold before their exit step is
-/// `< 4q` (forward) or `< 2q` (inverse), and scalar ≡ unrolled ≡ round
-/// trip — on a saturated, a zero and a random limb, each taken as
+/// `< 4q` (forward) or `< 2q` (inverse), and reference ≡ production ≡
+/// round trip — on a saturated, a zero and a random limb, each taken as
 /// coefficients and as a spectrum. This build checks overflow, so a
 /// wrapped `x + 2q − t` panics here rather than passing.
 fn check_lazy_transforms(bits: u32, log_n: u32, seed: u64) {
     let n = 1usize << log_n;
     let q = ntt_primes_of_width(bits, n, 1)[0];
-    let scalar = NttTable::with_backend(q, n, BackendKind::Scalar.instance()).unwrap();
-    let unrolled = NttTable::with_backend(q, n, BackendKind::Unrolled.instance()).unwrap();
+    let table = NttTable::new(q, n).unwrap();
     let canonical = |lazy: &[u64]| lazy.iter().map(|&x| x % q).collect::<Vec<u64>>();
     for input in [
         vec![q - 1; n],
@@ -139,25 +154,25 @@ fn check_lazy_transforms(bits: u32, log_n: u32, seed: u64) {
         random_residues(seed ^ 0xabcd, q, n),
     ] {
         let mut spectrum = input.clone();
-        scalar.forward(&mut spectrum);
+        ScalarBackend.ntt_forward(&table, &mut spectrum);
         let mut lazy = input.clone();
-        UnrolledBackend.ntt_forward_lazy(&unrolled, &mut lazy);
+        UnrolledBackend.ntt_forward_lazy(&table, &mut lazy);
         assert!(lazy.iter().all(|&x| x < 4 * q), "forward q={q} n={n}");
         assert_eq!(canonical(&lazy), spectrum, "forward q={q} n={n}");
         let mut exact = input.clone();
-        unrolled.forward(&mut exact);
+        table.forward(&mut exact);
         assert_eq!(exact, spectrum, "forward q={q} n={n}");
-        unrolled.inverse(&mut exact);
+        table.inverse(&mut exact);
         assert_eq!(exact, input, "round trip q={q} n={n}");
 
         let mut coeffs = input.clone();
-        scalar.inverse(&mut coeffs);
+        ScalarBackend.ntt_inverse(&table, &mut coeffs);
         let mut lazy = input.clone();
-        UnrolledBackend.ntt_inverse_lazy(&unrolled, &mut lazy);
+        UnrolledBackend.ntt_inverse_lazy(&table, &mut lazy);
         assert!(lazy.iter().all(|&x| x < 2 * q), "inverse q={q} n={n}");
         assert_eq!(canonical(&lazy), coeffs, "inverse q={q} n={n}");
         let mut exact = input;
-        unrolled.inverse(&mut exact);
+        table.inverse(&mut exact);
         assert_eq!(exact, coeffs, "inverse q={q} n={n}");
     }
 }
@@ -199,12 +214,11 @@ fn eighteen_wide_products_need_the_mid_sum_reduction() {
         18
     ];
     let reference = per_digit_fold(&m, &terms, n);
-    for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
-        let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
-        kind.instance()
-            .inner_product_pair(&m, &terms, &mut u, &mut v);
-        assert_eq!((&u, &v), (&reference.0, &reference.1), "{kind:?}");
-    }
+    let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
+    ScalarBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+    assert_eq!((&u, &v), (&reference.0, &reference.1), "reference");
+    UnrolledBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+    assert_eq!((&u, &v), (&reference.0, &reference.1), "production");
 
     let (src_primes, dst_primes) = primes.split_at(18);
     let src = RnsBasis::new(src_primes, SMALL_DEGREE).unwrap();
@@ -213,16 +227,17 @@ fn eighteen_wide_products_need_the_mid_sum_reduction() {
     for &q in &src_primes[1..] {
         flat.extend(std::iter::repeat_n(saturating_residue(q, src_primes), n));
     }
-    for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
-        let src_k = RnsBasis::with_backend(src_primes, SMALL_DEGREE, kind.instance()).unwrap();
-        let dst_k = RnsBasis::with_backend(dst_primes, SMALL_DEGREE, kind.instance()).unwrap();
-        let mut out = vec![0u64; dst_primes.len() * n];
-        BasisExtender::new(&src_k, &dst_k).extend_flat(&flat, &mut out, n);
+    let dst = RnsBasis::new(dst_primes, SMALL_DEGREE).unwrap();
+    let ext = BasisExtender::new(&src, &dst);
+    for (label, out) in [
+        ("reference", reference_extension(&ext, &flat, n)),
+        ("production", production_extension(&ext, &flat, n)),
+    ] {
         for k in 0..n {
             let residues: Vec<u64> = (0..18).map(|i| flat[i * n + k]).collect();
             let x = src.crt_reconstruct(&residues);
             for (j, &p) in dst_primes.iter().enumerate() {
-                assert_eq!(out[j * n + k], x.rem_u64(p), "{kind:?} slot {k} target {j}");
+                assert_eq!(out[j * n + k], x.rem_u64(p), "{label} slot {k} target {j}");
             }
         }
     }
@@ -231,7 +246,7 @@ fn eighteen_wide_products_need_the_mid_sum_reduction() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Scalar ≡ unrolled ≡ exact CRT, over mixed-width bases (so the
+    /// Reference ≡ production ≡ exact CRT, over mixed-width bases (so the
     /// reduction schedule is exercised on both sides of its threshold:
     /// eight or more 62-bit source limbs need a mid-sum reduction) and
     /// slot counts with a ragged tail after the last 8-slot block.
@@ -258,16 +273,11 @@ proptest! {
                 flat.extend(random_residues(seed ^ (i as u64), q, n));
             }
         }
-        let run = |kind: BackendKind| {
-            let src = RnsBasis::with_backend(&src_primes, SMALL_DEGREE, kind.instance()).unwrap();
-            let dst = RnsBasis::with_backend(&dst_primes, SMALL_DEGREE, kind.instance()).unwrap();
-            let mut out = vec![u64::MAX; dst_len * n];
-            BasisExtender::new(&src, &dst).extend_flat(&flat, &mut out, n);
-            out
-        };
-        let scalar = run(BackendKind::Scalar);
-        prop_assert_eq!(&scalar, &run(BackendKind::Unrolled));
         let src = RnsBasis::new(&src_primes, SMALL_DEGREE).unwrap();
+        let dst = RnsBasis::new(&dst_primes, SMALL_DEGREE).unwrap();
+        let ext = BasisExtender::new(&src, &dst);
+        let scalar = reference_extension(&ext, &flat, n);
+        prop_assert_eq!(&scalar, &production_extension(&ext, &flat, n));
         for k in 0..n {
             let residues: Vec<u64> = (0..src_len).map(|i| flat[i * n + k]).collect();
             let x = src.crt_reconstruct(&residues);
@@ -330,11 +340,12 @@ proptest! {
             .map(|j| DigitTerm { d: &d[j], a: &a[j], b: &b[j] })
             .collect();
         let reference = per_digit_fold(&m, &terms, n);
-        for kind in [BackendKind::Scalar, BackendKind::Unrolled] {
-            let (mut u, mut v) = (vec![u64::MAX; n], vec![u64::MAX; n]);
-            kind.instance().inner_product_pair(&m, &terms, &mut u, &mut v);
-            prop_assert_eq!((&u, &v), (&reference.0, &reference.1), "{:?}", kind);
-        }
+        let (mut u, mut v) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+        ScalarBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+        prop_assert_eq!((&u, &v), (&reference.0, &reference.1), "reference");
+        let (mut u, mut v) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+        UnrolledBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+        prop_assert_eq!((&u, &v), (&reference.0, &reference.1), "production");
     }
 }
 
@@ -349,19 +360,18 @@ proptest! {
     ) {
         let q = ntt_prime(bits, n, seed);
         let input = random_residues(seed, q, n);
-        let scalar = NttTable::with_backend(q, n, BackendKind::Scalar.instance()).unwrap();
-        let unrolled = NttTable::with_backend(q, n, BackendKind::Unrolled.instance()).unwrap();
+        let table = NttTable::new(q, n).unwrap();
 
         let mut fs = input.clone();
-        scalar.forward(&mut fs);
+        ScalarBackend.ntt_forward(&table, &mut fs);
         let mut fu = input.clone();
-        unrolled.forward(&mut fu);
+        table.forward(&mut fu);
         prop_assert_eq!(&fs, &fu);
 
         let mut is_ = fs.clone();
-        scalar.inverse(&mut is_);
+        ScalarBackend.ntt_inverse(&table, &mut is_);
         let mut iu = fu.clone();
-        unrolled.inverse(&mut iu);
+        table.inverse(&mut iu);
         prop_assert_eq!(&is_, &input);
         prop_assert_eq!(&iu, &input);
     }
@@ -387,22 +397,33 @@ proptest! {
         let m = Modulus::new(q).unwrap();
         let a = random_residues(seed, q, n);
         let b = random_residues(seed ^ 0x5555, q, n);
-        let scalar = BackendKind::Scalar.instance();
-        let unrolled = BackendKind::Unrolled.instance();
+        // The reference kernels, then the production ones: the kernels
+        // directly and the `RnsPoly` ops over a one-limb basis.
+        let mut add = a.clone();
+        ScalarBackend.pointwise_add(&m, &mut add, &b);
+        let mut mul = a.clone();
+        ScalarBackend.pointwise_mul(&m, &mut mul, &b);
+        let mut fma = add.clone();
+        ScalarBackend.pointwise_mul_add(&m, &mut fma, &a, &b);
+        let (mut u, mut v) = (b.clone(), a.clone());
+        let term = DigitTerm { d: &mul, a: &a, b: &b };
+        ScalarBackend.inner_product_pair(&m, &[term, term], &mut u, &mut v);
 
-        let run = |be: &Arc<dyn KernelBackend>| {
-            let mut add = a.clone();
-            be.pointwise_add(&m, &mut add, &b);
-            let mut mul = a.clone();
-            be.pointwise_mul(&m, &mut mul, &b);
-            let mut fma = add.clone();
-            be.pointwise_mul_add(&m, &mut fma, &a, &b);
-            let (mut u, mut v) = (b.clone(), a.clone());
-            let term = DigitTerm { d: &mul, a: &a, b: &b };
-            be.inner_product_pair(&m, &[term, term], &mut u, &mut v);
-            (add, mul, fma, u, v)
-        };
-        prop_assert_eq!(run(&scalar), run(&unrolled));
+        let (mut pu, mut pv) = (b.clone(), a.clone());
+        UnrolledBackend.inner_product_pair(&m, &[term, term], &mut pu, &mut pv);
+        prop_assert_eq!((&pu, &pv), (&u, &v));
+        let basis = Arc::new(RnsBasis::new(&[q], n).unwrap());
+        let poly = |w: &[u64]| RnsPoly::from_flat(basis.clone(), w.to_vec(), Representation::Evaluation);
+        let (pa, pb) = (poly(&a), poly(&b));
+        let mut padd = pa.clone();
+        padd.add_assign(&pb);
+        prop_assert_eq!(padd.flat(), &add[..]);
+        let mut pmul = pa.clone();
+        pmul.mul_assign_pointwise(&pb);
+        prop_assert_eq!(pmul.flat(), &mul[..]);
+        let mut pfma = padd.clone();
+        pfma.mul_add_assign_pointwise(&pa, &pb);
+        prop_assert_eq!(pfma.flat(), &fma[..]);
     }
 
     #[test]
@@ -417,15 +438,10 @@ proptest! {
         for (i, &q) in src_primes.iter().enumerate() {
             flat.extend(random_residues(seed ^ (i as u64), q, n));
         }
-        let run = |kind: BackendKind| {
-            let src = RnsBasis::with_backend(&src_primes, n, kind.instance()).unwrap();
-            let dst = RnsBasis::with_backend(&dst_primes, n, kind.instance()).unwrap();
-            let ext = BasisExtender::new(&src, &dst);
-            let mut out = vec![0u64; dst_primes.len() * n];
-            ext.extend_flat(&flat, &mut out, n);
-            out
-        };
-        prop_assert_eq!(run(BackendKind::Scalar), run(BackendKind::Unrolled));
+        let src = RnsBasis::new(&src_primes, n).unwrap();
+        let dst = RnsBasis::new(&dst_primes, n).unwrap();
+        let ext = BasisExtender::new(&src, &dst);
+        prop_assert_eq!(reference_extension(&ext, &flat, n), production_extension(&ext, &flat, n));
     }
 
     #[test]
@@ -439,15 +455,15 @@ proptest! {
         for (i, &q) in primes.iter().enumerate() {
             flat.extend(random_residues(seed ^ (i as u64), q, n));
         }
-        let run = |kind: BackendKind| {
-            let basis = Arc::new(RnsBasis::with_backend(&primes, n, kind.instance()).unwrap());
-            let mut p = RnsPoly::from_flat(basis, flat.clone(), Representation::Coefficient);
-            p.to_eval();
-            let eval = p.flat().to_vec();
-            p.to_coeff();
-            prop_assert_eq!(p.flat(), &flat[..]);
-            Ok(eval)
-        };
-        prop_assert_eq!(run(BackendKind::Scalar)?, run(BackendKind::Unrolled)?);
+        let basis = Arc::new(RnsBasis::new(&primes, n).unwrap());
+        let mut p = RnsPoly::from_flat(basis.clone(), flat.clone(), Representation::Coefficient);
+        p.to_eval();
+        let mut reference = flat.clone();
+        for (i, limb) in reference.chunks_exact_mut(n).enumerate() {
+            ScalarBackend.ntt_forward(basis.ntt_table(i), limb);
+        }
+        prop_assert_eq!(p.flat(), &reference[..]);
+        p.to_coeff();
+        prop_assert_eq!(p.flat(), &flat[..]);
     }
 }

@@ -2,12 +2,11 @@
 //! workloads, uploaded once and executed through the server, must return
 //! ciphertexts byte-identical to `fhe_program::execute` run locally with
 //! the same inputs and keys — with the scheduler grouping (`max_batch` 8)
-//! and not (`max_batch` 1), and under both kernel backends.
+//! and not (`max_batch` 1).
 
 use ckks::hoisting::LinearTransform;
 use ckks::serialize::serialize_ciphertext;
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
-use fhe_math::backend::BackendKind;
 use fhe_math::cfft::Complex;
 use fhe_program::{execute, workloads, ExecInputs, ExecKeys};
 use fhe_serve::{BatchConfig, Client, ServeConfig, Server};
@@ -18,8 +17,8 @@ use std::sync::Arc;
 
 const LEVELS: usize = 10;
 
-fn ctx_with(backend: BackendKind) -> Arc<CkksContext> {
-    CkksContext::with_backend(
+fn ctx() -> Arc<CkksContext> {
+    CkksContext::new(
         CkksParams::builder()
             .log_degree(5)
             .levels(LEVELS)
@@ -29,7 +28,6 @@ fn ctx_with(backend: BackendKind) -> Arc<CkksContext> {
             .dnum(5)
             .build()
             .unwrap(),
-        Some(backend),
     )
 }
 
@@ -48,8 +46,8 @@ fn encrypt_vec(
 
 /// Uploads all three workloads over one session and checks every remote
 /// output against the local executor, byte for byte.
-fn run_suite(backend: BackendKind, batching: bool) {
-    let ctx = ctx_with(backend);
+fn run_suite(batching: bool) {
+    let ctx = ctx();
     let slots = ctx.params().slots();
 
     let server = Server::start(
@@ -99,7 +97,7 @@ fn run_suite(backend: BackendKind, batching: bool) {
                 serialize_ciphertext(got),
                 serialize_ciphertext(want),
                 "{label}/{name}: RunProgram diverged from the library executor \
-                 (backend {backend:?}, batching {batching})"
+                 (batching {batching})"
             );
         }
     };
@@ -156,21 +154,11 @@ fn run_suite(backend: BackendKind, batching: bool) {
 }
 
 #[test]
-fn run_program_matches_library_scalar_batched() {
-    run_suite(BackendKind::Scalar, true);
-}
-
-#[test]
-fn run_program_matches_library_scalar_unbatched() {
-    run_suite(BackendKind::Scalar, false);
-}
-
-#[test]
 fn run_program_matches_library_unrolled_batched() {
-    run_suite(BackendKind::Unrolled, true);
+    run_suite(true);
 }
 
 #[test]
 fn run_program_matches_library_unrolled_unbatched() {
-    run_suite(BackendKind::Unrolled, false);
+    run_suite(false);
 }
