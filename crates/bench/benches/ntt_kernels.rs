@@ -60,9 +60,9 @@ fn bench_ntt(c: &mut Criterion) {
 /// N = 2^15 is the production ring size the kernel work targets.
 ///
 /// The 50-bit primes are the workloads' limbs, so on a CPU with AVX-512
-/// IFMA the `unrolled` rows time the IFMA transform; the `unrolled-q55`
-/// rows take a 55-bit prime, which keeps the production transform on its
-/// portable path everywhere.
+/// IFMA the `unrolled` rows time the IFMA transforms and multiply-accumulates;
+/// the `unrolled-q55` rows take 55-bit primes, which keep the production
+/// kernels on their portable paths everywhere.
 fn bench_backend_comparison(c: &mut Criterion) {
     for log_n in [12u32, 13, 14, 15] {
         let n = 1usize << log_n;
@@ -122,19 +122,24 @@ fn bench_backend_comparison(c: &mut Criterion) {
 
     // The fused basis-extension inner loops: the reference kernel over the
     // same slot blocks `extend_flat` splits the ring into, and
-    // `extend_flat` itself.
+    // `extend_flat` itself — on 45/46-bit limbs, which take the IFMA lanes
+    // where the CPU has them, and (`unrolled-q55`) on 55/56-bit limbs, which
+    // keep the production kernel on its portable body everywhere.
     let n = 1usize << 12;
-    let src_primes = generate_ntt_primes(8, 45, n);
-    let dst_primes = generate_ntt_primes_excluding(4, 46, n, &src_primes);
-    let mut rng = StdRng::seed_from_u64(6);
-    let src = sample_uniform_flat(&mut rng, &src_primes, n);
-    let src_basis = RnsBasis::new(&src_primes, n).unwrap();
-    let dst_basis = RnsBasis::new(&dst_primes, n).unwrap();
-    let ext = BasisExtender::new(&src_basis, &dst_basis);
+    let extender = |bits: u32| {
+        let src_primes = generate_ntt_primes(8, bits, n);
+        let dst_primes = generate_ntt_primes_excluding(4, bits + 1, n, &src_primes);
+        let mut rng = StdRng::seed_from_u64(6);
+        let src = sample_uniform_flat(&mut rng, &src_primes, n);
+        let src_basis = RnsBasis::new(&src_primes, n).unwrap();
+        let dst_basis = RnsBasis::new(&dst_primes, n).unwrap();
+        (BasisExtender::new(&src_basis, &dst_basis), src)
+    };
+    let (ext, src) = extender(45);
     let mut group = c.benchmark_group(format!("basis_ext_backends_n{n}"));
     group.throughput(Throughput::Elements(n as u64));
     group.bench_function(BenchmarkId::new("scalar", n), |b| {
-        let mut out = vec![0u64; dst_primes.len() * n];
+        let mut out = vec![0u64; ext.target_len() * n];
         let view = ext.view();
         b.iter(|| {
             let mut cols: Vec<&mut [u64]> = out.chunks_exact_mut(n).collect();
@@ -144,50 +149,57 @@ fn bench_backend_comparison(c: &mut Criterion) {
             out.last().copied()
         })
     });
-    group.bench_function(BenchmarkId::new("unrolled", n), |b| {
-        let mut out = vec![0u64; dst_primes.len() * n];
-        b.iter(|| {
-            ext.extend_flat(&src, &mut out, n);
-            out.last().copied()
-        })
-    });
+    for (label, bits) in [("unrolled", 45), ("unrolled-q55", 55)] {
+        let (ext, src) = extender(bits);
+        group.bench_function(BenchmarkId::new(label, n), |b| {
+            let mut out = vec![0u64; ext.target_len() * n];
+            b.iter(|| {
+                ext.extend_flat(&src, &mut out, n);
+                out.last().copied()
+            })
+        });
+    }
     group.finish();
 
     // The digit-fused key-switch inner product over one raised limb
     // (β = 3), reference and production: L1/L2-resident at 2^12, streaming
-    // at 2^15.
+    // at 2^15. The `unrolled-q55` rows take a 55-bit prime, the portable
+    // body on every CPU.
     for log_n in [12u32, 15] {
         let n = 1usize << log_n;
-        let q = generate_ntt_primes(1, 50, n)[0];
-        let m = fhe_math::Modulus::new(q).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let operands: Vec<Vec<u64>> = (0..9)
-            .map(|_| (0..n).map(|_| rng.gen_range(0..q)).collect())
-            .collect();
-        let terms: Vec<DigitTerm<'_>> = operands
-            .chunks_exact(3)
-            .map(|t| DigitTerm {
-                d: &t[0],
-                a: &t[1],
-                b: &t[2],
-            })
-            .collect();
         let mut group = c.benchmark_group(format!("inner_product_n{n}"));
         group.throughput(Throughput::Elements(n as u64));
-        group.bench_function(BenchmarkId::new("scalar", n), |b| {
-            let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
-            b.iter(|| {
-                ScalarBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
-                (u.last().copied(), v.last().copied())
-            })
-        });
-        group.bench_function(BenchmarkId::new("unrolled", n), |b| {
-            let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
-            b.iter(|| {
-                UnrolledBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
-                (u.last().copied(), v.last().copied())
-            })
-        });
+        for (label, reference, bits) in [
+            ("scalar", true, 50),
+            ("unrolled", false, 50),
+            ("unrolled-q55", false, 55),
+        ] {
+            let q = generate_ntt_primes(1, bits, n)[0];
+            let m = fhe_math::Modulus::new(q).unwrap();
+            let mut rng = StdRng::seed_from_u64(7);
+            let operands: Vec<Vec<u64>> = (0..9)
+                .map(|_| (0..n).map(|_| rng.gen_range(0..q)).collect())
+                .collect();
+            let terms: Vec<DigitTerm<'_>> = operands
+                .chunks_exact(3)
+                .map(|t| DigitTerm {
+                    d: &t[0],
+                    a: &t[1],
+                    b: &t[2],
+                })
+                .collect();
+            group.bench_function(BenchmarkId::new(label, n), |b| {
+                let (mut u, mut v) = (vec![0u64; n], vec![0u64; n]);
+                b.iter(|| {
+                    if reference {
+                        ScalarBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+                    } else {
+                        UnrolledBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+                    }
+                    (u.last().copied(), v.last().copied())
+                })
+            });
+        }
         group.finish();
     }
 }

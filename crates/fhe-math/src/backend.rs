@@ -27,19 +27,32 @@
 //!   the modulus.
 //! - [`ScalarBackend`] — the reference: one obvious loop per kernel, every
 //!   butterfly and pointwise value fully reduced in `[0, q)` at every step.
-//!   The library reaches it only as the unrolled kernels' fallback for
-//!   transforms shorter than a block and for more than four digits; the
-//!   kernel tests and the `ntt_kernels` bench call it directly.
+//!   The library reaches it only as the production transforms' fallback
+//!   below one block (`n < 8`) and through `BasisExtender::extend_coeff`'s
+//!   single slot; the kernel tests and the `ntt_kernels` bench call it
+//!   directly.
 //!
-//! The two *accumulating* kernels — the `NewLimb` sum `Σ_i y_i·Q_i^*` of a
-//! basis extension and the key-switch inner product `Σ_j d_j·k_j` — defer
-//! reduction in both: products are added up in 128 bits and the sum goes
-//! through Barrett **once per output**, not once per term
-//! ([`crate::modular::lazy_products`] says how many terms fit; only primes
-//! over 60 bits ever need a second reduction). What the unrolled kernels
-//! add there is shape, not arithmetic: eight slots of a basis extension
-//! through fixed-size arrays, and the digits of an inner product unrolled
-//! at compile time so their limb pointers and both sums stay in registers.
+//! The *accumulating* kernels — the `NewLimb` sum `Σ_i y_i·Q_i^*` of a basis
+//! extension, the key-switch inner product `Σ_j d_j·k_j` and the pointwise
+//! products `a·b` and `c + a·b` — are one production kernel: a lazy
+//! "`Σ aᵢ·bᵢ`, reduce once" multiply-accumulate over slots. Two callers
+//! feed it: `sum_products`, whose factors are limbs (one or two outputs,
+//! any number of terms), and [`UnrolledBackend::basis_ext_block`], whose
+//! `Q_i^*` is one constant per target limb. It has two bodies, chosen per
+//! call from the CPU and the moduli like the transforms:
+//!
+//! - the **lane body** (`ifma`), where every modulus is below `2^50` and
+//!   the CPU has AVX-512 IFMA: eight slots per register, each product's low
+//!   and high 52 bits added to two accumulators, and one fold and two lazy
+//!   Shoup products per output ([`crate::modular::lane_products`] states the
+//!   bound: sixteen products per run). Whole 8-slot blocks only; a basis
+//!   extension also needs a source basis of at most 15 limbs.
+//! - the **portable body**: products added up in 128 bits and Barrett-reduced
+//!   once per output ([`crate::modular::lazy_products`] says how many terms
+//!   fit; only primes over 60 bits ever need a second reduction), eight
+//!   slots per block with each term's limbs bounds-checked once per block.
+//!   It takes ragged tails, moduli at or above `2^50` and CPUs without
+//!   IFMA.
 //!
 //! Every method takes canonical inputs and emits fully reduced canonical
 //! residues, whatever its internal representation, so the two sets'
@@ -57,7 +70,7 @@
 //! `backend_counters` regression test pins the counts.
 
 use crate::ifma;
-use crate::modular::{lazy_products, Modulus, MAX_MODULUS_BITS};
+use crate::modular::{lazy_products, Modulus};
 use crate::ntt::NttTable;
 use crate::rns::MAX_SOURCE_LIMBS;
 use std::ops::Range;
@@ -592,15 +605,17 @@ fn inverse_transform(table: &NttTable, data: &mut [u64], exit: impl Fn(u64) -> u
 
 /// The production kernels, which every transform, pointwise op, basis
 /// extension and key-switch inner product of the library runs:
-/// register-blocked radix-4 transforms with lazy reduction, and the blocked
-/// accumulating kernels.
+/// register-blocked radix-4 transforms with lazy reduction, and the one
+/// multiply-accumulate kernel behind the pointwise products, the inner
+/// product and `NewLimb`.
 ///
 /// Transform invariants: the forward butterflies keep every word in
 /// `[0, 4q)` (Harvey), the inverse ones in `[0, 2q)`; both are legal
 /// because `q < 2^62`. The reduction to canonical `[0, q)` rides on the
 /// stores of the last sweep, and so does the inverse's `N⁻¹`. Transforms
 /// with `q < 2^50` and `N ≥ 16` run on AVX-512 IFMA lanes where the CPU
-/// has them, with the same invariants and bit-identical output.
+/// has them, with the same invariants and bit-identical output, and so does
+/// every multiply-accumulate whose moduli are all below `2^50`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnrolledBackend;
 
@@ -687,60 +702,23 @@ impl UnrolledBackend {
         }
     }
 
-    /// `dst[k] = dst[k] · src[k] mod q` (Barrett).
+    /// `dst[k] = dst[k] · src[k] mod q`: the multiply-accumulate kernel
+    /// with no terms, started from the product.
     pub fn pointwise_mul(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
-        let mut db = dst.chunks_exact_mut(BLOCK);
-        let mut sb = src.chunks_exact(BLOCK);
-        for (dc, sc) in (&mut db).zip(&mut sb) {
-            for k in 0..BLOCK {
-                dc[k] = m.mul(dc[k], sc[k]);
-            }
-        }
-        for (d, &s) in db.into_remainder().iter_mut().zip(sb.remainder()) {
-            *d = m.mul(*d, s);
-        }
+        sum_products::<false>(m, Start::OutTimes(src), &[], dst, &mut []);
     }
 
-    /// `out[k] = a[k] · b[k] mod q`, leaving both inputs untouched.
+    /// `out[k] = a[k] · b[k] mod q`, leaving both inputs untouched: the
+    /// multiply-accumulate kernel with one term.
     pub fn pointwise_mul_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
-        let mut ob = out.chunks_exact_mut(BLOCK);
-        let mut ab = a.chunks_exact(BLOCK);
-        let mut bb = b.chunks_exact(BLOCK);
-        for ((oc, ac), bc) in (&mut ob).zip(&mut ab).zip(&mut bb) {
-            for k in 0..BLOCK {
-                oc[k] = m.mul(ac[k], bc[k]);
-            }
-        }
-        for ((o, &x), &y) in ob
-            .into_remainder()
-            .iter_mut()
-            .zip(ab.remainder())
-            .zip(bb.remainder())
-        {
-            *o = m.mul(x, y);
-        }
+        sum_products::<false>(m, Start::Zero, &[single(a, b)], out, &mut []);
     }
 
     /// The fused multiply-accumulate `acc[k] = acc[k] + a[k] · b[k] mod q`:
-    /// one pass and one Barrett reduction per slot where a product into a
+    /// one pass and one reduction per slot where a product into a
     /// temporary and an add would make two of each.
     pub fn pointwise_mul_add(&self, m: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        let mut cb = acc.chunks_exact_mut(BLOCK);
-        let mut ab = a.chunks_exact(BLOCK);
-        let mut bb = b.chunks_exact(BLOCK);
-        for ((cc, ac), bc) in (&mut cb).zip(&mut ab).zip(&mut bb) {
-            for k in 0..BLOCK {
-                cc[k] = m.mul_add(ac[k], bc[k], cc[k]);
-            }
-        }
-        for ((c, &x), &y) in cb
-            .into_remainder()
-            .iter_mut()
-            .zip(ab.remainder())
-            .zip(bb.remainder())
-        {
-            *c = m.mul_add(x, y, *c);
-        }
+        sum_products::<false>(m, Start::Out, &[single(a, b)], acc, &mut []);
     }
 
     /// `dst[k] = dst[k] · c mod q` with a precomputed Shoup constant.
@@ -781,11 +759,9 @@ impl UnrolledBackend {
 
     /// The key-switch inner product for one raised limb, every digit in
     /// one pass: `u[k] = Σ_j d_j[k]·a_j[k]` and `v[k] = Σ_j d_j[k]·b_j[k]`,
-    /// all mod q, over the digits `j` in `terms`. `u` and `v` are
-    /// write-only (their previous contents are ignored). Each sum is
-    /// accumulated in 128 bits and reduced once — once per
-    /// [`lazy_products`]`(q.bits(), q.bits())` digits when the modulus is
-    /// wide enough that all of them would not fit.
+    /// all mod q, over the digits `j` in `terms` — the multiply-accumulate
+    /// kernel with a pair of outputs, any number of digits. `u` and `v` are
+    /// write-only (their previous contents are ignored).
     pub fn inner_product_pair(
         &self,
         m: &Modulus,
@@ -793,16 +769,8 @@ impl UnrolledBackend {
         u: &mut [u64],
         v: &mut [u64],
     ) {
-        // The digit counts of practical parameter sets get a loop unrolled
-        // over the digits, their 3β limb pointers and the two sums all in
-        // registers; the rest take the reference loop.
-        match terms.len() {
-            1 => inner_product_unrolled::<1>(m, terms, u, v),
-            2 => inner_product_unrolled::<2>(m, terms, u, v),
-            3 => inner_product_unrolled::<3>(m, terms, u, v),
-            4 => inner_product_unrolled::<4>(m, terms, u, v),
-            _ => ScalarBackend.inner_product_pair(m, terms, u, v),
-        }
+        assert_eq!(u.len(), v.len(), "accumulator length mismatch");
+        sum_products::<true>(m, Start::Zero, terms, u, v);
     }
 
     /// The fused `NewLimb` (Eq. 1) inner loops over a block of slots.
@@ -814,8 +782,13 @@ impl UnrolledBackend {
     /// **including the excess estimate**: `Σ_i y_i/q_i` is accumulated in
     /// ascending source-limb order so the float rounding — and therefore
     /// the recovered excess `e` — is the same on both kernel sets. The exact
-    /// part is `Σ_i y_i·Q_i^*` summed in 128 bits and reduced once per
-    /// `ext.lazy_terms` products, minus `ext.excess[j][e]`.
+    /// part is the multiply-accumulate `Σ_i y_i·Q_i^*`, reduced once (once
+    /// per `ext.lazy_terms` products on the portable body), minus
+    /// `ext.excess[j][e]`.
+    ///
+    /// Where every source and target modulus is below `2^50`, the source
+    /// basis has at most 15 limbs and the CPU has AVX-512 IFMA, the whole
+    /// 8-slot blocks run on lanes (`ifma`); the rest runs the portable body.
     pub fn basis_ext_block(
         &self,
         ext: &BasisExtView<'_>,
@@ -824,83 +797,233 @@ impl UnrolledBackend {
         range: Range<usize>,
         cols: &mut [&mut [u64]],
     ) {
-        let l = ext.source_moduli.len();
-        let base = range.start;
-        let full = range.end - range.len() % BLOCK;
-        let head = l.min(ext.lazy_terms);
-        // Full blocks: the y rows and the excess of BLOCK slots at a time
-        // through fixed-size arrays, then the target limbs swept over the
-        // block. The excess estimate accumulates in ascending limb order
-        // per slot — identical float rounding to the reference, so the
-        // recovered excess matches bit-for-bit.
-        let mut y = [[0u64; BLOCK]; MAX_SOURCE_LIMBS];
-        for k in (range.start..full).step_by(BLOCK) {
-            let mut est = [0.0f64; BLOCK];
-            for i in 0..l {
-                let c = ext.q_tilde[i];
-                let qi = ext.source_moduli[i].value();
-                let inv = ext.q_inv_f64[i];
-                let x = block_of(src, i * n + k);
-                for s in 0..BLOCK {
-                    let yi = csub(mul_shoup_lazy(x[s], c, qi), qi);
-                    y[i][s] = yi;
-                    est[s] += yi as i64 as f64 * inv;
-                }
+        let full = match ifma::extension_lanes(ext) {
+            Some(lanes) => {
+                lanes.new_limb(ext, src, n, range.clone(), cols);
+                range.end - range.len() % BLOCK
             }
-            let e = est.map(|x| x as i64 as usize);
-            for (j, col) in cols.iter_mut().enumerate() {
-                let pj = &ext.target_moduli[j];
-                let row = &ext.q_star[j][..l];
-                let mut acc = [0u128; BLOCK];
-                accumulate_block(&mut acc, &y[..head], row);
-                // Primes over 60 bits only: the products past the first
-                // `lazy_terms` go in after a reduction, a run at a time.
-                for (ys, ws) in y[head..l]
-                    .chunks(ext.lazy_terms)
-                    .zip(row[head..].chunks(ext.lazy_terms))
-                {
-                    acc = acc.map(|a| pj.reduce_u128(a) as u128);
-                    accumulate_block(&mut acc, ys, ws);
-                }
-                let table = &ext.excess[j];
-                let out = &mut col[k - base..k - base + BLOCK];
-                for s in 0..BLOCK {
-                    out[s] = pj.sub(pj.reduce_u128(acc[s]), table[e[s]]);
-                }
-            }
-        }
-        // The ragged tail takes the reference loop.
-        let mut y = [0u64; MAX_SOURCE_LIMBS];
-        for k in full..range.end {
-            new_limb_slot(ext, src, n, k, &mut y, k - base, cols);
-        }
+            None => range.start,
+        };
+        new_limb_portable(ext, src, n, range.start, full..range.end, cols);
     }
 }
 
-/// [`UnrolledBackend::inner_product_pair`] for a digit count known at compile
-/// time (`BETA ≤ 7` products always fit one 128-bit sum, see
-/// [`lazy_products`]).
-fn inner_product_unrolled<const BETA: usize>(
+/// What each output of [`sum_products`] holds before its terms are added.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Start<'a> {
+    /// Zero: the outputs are write-only.
+    Zero,
+    /// The output's own value, a carried residue (a multiply-accumulate).
+    Out,
+    /// The output's own value times the same slot of this limb (an in-place
+    /// product).
+    OutTimes(&'a [u64]),
+}
+
+/// One product `a[k]·b[k]` as a term of a single-output [`sum_products`],
+/// which reads only `d` and `a`.
+fn single<'a>(a: &'a [u64], b: &'a [u64]) -> DigitTerm<'a> {
+    DigitTerm { d: a, a: b, b: &[] }
+}
+
+/// The multiply-accumulate kernel every accumulating kernel but `NewLimb`
+/// runs (`NewLimb` is the same sum with a broadcast factor): for every slot
+/// `k` of `u`,
+/// `u[k] = start(u)[k] + Σ_t t.d[k]·t.a[k] mod q`, and with `PAIR`
+/// `v[k] = start(v)[k] + Σ_t t.d[k]·t.b[k] mod q` in the same pass, each
+/// `d` read once for both. Every output is reduced once per run of
+/// products: [`lazy_products`] of the modulus on the portable body (one run
+/// for any modulus up to 60 bits), [`crate::modular::lane_products`] on the
+/// lanes, which take whole 8-slot blocks where the CPU has AVX-512 IFMA and
+/// `q < 2^50`. Canonical inputs, canonical outputs: the two bodies agree
+/// bit for bit.
+fn sum_products<const PAIR: bool>(
     m: &Modulus,
+    start: Start<'_>,
     terms: &[DigitTerm<'_>],
     u: &mut [u64],
     v: &mut [u64],
 ) {
-    const { assert!(BETA <= lazy_products(MAX_MODULUS_BITS, MAX_MODULUS_BITS)) };
     let n = u.len();
-    assert_eq!(v.len(), n, "accumulator length mismatch");
-    let d: [&[u64]; BETA] = std::array::from_fn(|j| &terms[j].d[..n]);
-    let a: [&[u64]; BETA] = std::array::from_fn(|j| &terms[j].a[..n]);
-    let b: [&[u64]; BETA] = std::array::from_fn(|j| &terms[j].b[..n]);
-    for k in 0..n {
-        let (mut su, mut sv) = (0u128, 0u128);
-        for j in 0..BETA {
-            let dj = d[j][k] as u128;
-            su += dj * a[j][k] as u128;
-            sv += dj * b[j][k] as u128;
+    let full = match ifma::sum_lanes([m]) {
+        Some(lanes) => {
+            lanes.sum_products::<PAIR>(m, start, terms, u, v);
+            n - n % BLOCK
         }
-        u[k] = m.reduce_u128(su);
-        v[k] = m.reduce_u128(sv);
+        None => 0,
+    };
+    // The portable body takes the start as a closure, so a slot's sum
+    // begins without a branch.
+    let slots = full..n;
+    match start {
+        Start::Zero => sum_products_portable::<PAIR>(m, terms, u, v, slots, None, |_, _, _| (0, 0)),
+        Start::Out => sum_products_portable::<PAIR>(m, terms, u, v, slots, None, |x, y, _| {
+            (x.into(), y.into())
+        }),
+        Start::OutTimes(f) => {
+            sum_products_portable::<PAIR>(m, terms, u, v, slots, Some(f), |x, y, f| {
+                (x as u128 * f as u128, y as u128 * f as u128)
+            })
+        }
+    }
+}
+
+/// [`sum_products`]' portable body over the slots `slots`: products summed
+/// in 128 bits and Barrett-reduced once per [`lazy_products`] run. A slot's
+/// sum starts at `seed(u[k], v[k], factor[k])`, one product when there is a
+/// `factor`.
+///
+/// Eight slots at a time: the first [`GATHER`] terms have their blocks
+/// gathered once per block (one bounds check per term and block), then each
+/// slot sums them in registers, adds any further terms, and is reduced and
+/// stored.
+fn sum_products_portable<const PAIR: bool>(
+    m: &Modulus,
+    terms: &[DigitTerm<'_>],
+    u: &mut [u64],
+    v: &mut [u64],
+    slots: Range<usize>,
+    factor: Option<&[u64]>,
+    seed: impl Fn(u64, u64, u64) -> (u128, u128),
+) {
+    let lazy = lazy_products(m.bits(), m.bits());
+    let room = lazy - usize::from(factor.is_some());
+    let full = slots.end - slots.len() % BLOCK;
+    let (gathered, rest) = terms.split_at(terms.len().min(GATHER).min(room));
+    let unset = &[0u64; BLOCK];
+    let (mut d, mut a, mut b) = ([unset; GATHER], [unset; GATHER], [unset; GATHER]);
+    let mut unused = [0u64; BLOCK];
+    for k in (slots.start..full).step_by(BLOCK) {
+        for (i, t) in gathered.iter().enumerate() {
+            d[i] = block_of(t.d, k);
+            a[i] = block_of(t.a, k);
+            if PAIR {
+                b[i] = block_of(t.b, k);
+            }
+        }
+        let f = factor.map_or(unset, |f| block_of(f, k));
+        let ou = block_of_mut(u, k);
+        let ov = if PAIR {
+            block_of_mut(v, k)
+        } else {
+            &mut unused
+        };
+        for s in 0..BLOCK {
+            let (mut x, mut y) = seed(ou[s], ov[s], f[s]);
+            for i in 0..gathered.len() {
+                let di = d[i][s] as u128;
+                x += di * a[i][s] as u128;
+                if PAIR {
+                    y += di * b[i][s] as u128;
+                }
+            }
+            let room = room - gathered.len();
+            (ou[s], ov[s]) = slot_sum::<PAIR>(m, lazy, rest, k + s, (x, y), room);
+        }
+    }
+    for k in full..slots.end {
+        let vk = if PAIR { v[k] } else { 0 };
+        let sums = seed(u[k], vk, factor.map_or(0, |f| f[k]));
+        let (uk, vk) = slot_sum::<PAIR>(m, lazy, terms, k, sums, room);
+        u[k] = uk;
+        if PAIR {
+            v[k] = vk;
+        }
+    }
+}
+
+/// How many terms' blocks [`sum_products_portable`] gathers at once.
+const GATHER: usize = 8;
+
+/// One slot of [`sum_products_portable`]: `sums` plus the products of
+/// `terms` at slot `k`, `room` products to go before the next reduction,
+/// then reduced.
+#[inline(always)]
+fn slot_sum<const PAIR: bool>(
+    m: &Modulus,
+    lazy: usize,
+    terms: &[DigitTerm<'_>],
+    k: usize,
+    (mut x, mut y): (u128, u128),
+    mut room: usize,
+) -> (u64, u64) {
+    for t in terms {
+        if room == 0 {
+            x = m.reduce_u128(x) as u128;
+            if PAIR {
+                y = m.reduce_u128(y) as u128;
+            }
+            room = lazy;
+        }
+        room -= 1;
+        let d = t.d[k] as u128;
+        x += d * t.a[k] as u128;
+        if PAIR {
+            y += d * t.b[k] as u128;
+        }
+    }
+    (m.reduce_u128(x), if PAIR { m.reduce_u128(y) } else { 0 })
+}
+
+/// [`UnrolledBackend::basis_ext_block`]'s portable body over the slots
+/// `slots`, written to `cols[j][k - base]`: eight slots at a time through
+/// fixed-size arrays, the ragged tail on the reference loop.
+fn new_limb_portable(
+    ext: &BasisExtView<'_>,
+    src: &[u64],
+    n: usize,
+    base: usize,
+    slots: Range<usize>,
+    cols: &mut [&mut [u64]],
+) {
+    let l = ext.source_moduli.len();
+    let full = slots.end - slots.len() % BLOCK;
+    let head = l.min(ext.lazy_terms);
+    // Full blocks: the y rows and the excess of BLOCK slots at a time
+    // through fixed-size arrays, then the target limbs swept over the
+    // block. The excess estimate accumulates in ascending limb order
+    // per slot — identical float rounding to the reference, so the
+    // recovered excess matches bit-for-bit.
+    let mut y = [[0u64; BLOCK]; MAX_SOURCE_LIMBS];
+    for k in (slots.start..full).step_by(BLOCK) {
+        let mut est = [0.0f64; BLOCK];
+        for i in 0..l {
+            let c = ext.q_tilde[i];
+            let qi = ext.source_moduli[i].value();
+            let inv = ext.q_inv_f64[i];
+            let x = block_of(src, i * n + k);
+            for s in 0..BLOCK {
+                let yi = csub(mul_shoup_lazy(x[s], c, qi), qi);
+                y[i][s] = yi;
+                est[s] += yi as i64 as f64 * inv;
+            }
+        }
+        let e = est.map(|x| x as i64 as usize);
+        for (j, col) in cols.iter_mut().enumerate() {
+            let pj = &ext.target_moduli[j];
+            let row = &ext.q_star[j][..l];
+            let mut acc = [0u128; BLOCK];
+            accumulate_block(&mut acc, &y[..head], row);
+            // Primes over 60 bits only: the products past the first
+            // `lazy_terms` go in after a reduction, a run at a time.
+            for (ys, ws) in y[head..l]
+                .chunks(ext.lazy_terms)
+                .zip(row[head..].chunks(ext.lazy_terms))
+            {
+                acc = acc.map(|a| pj.reduce_u128(a) as u128);
+                accumulate_block(&mut acc, ys, ws);
+            }
+            let table = &ext.excess[j];
+            let out = &mut col[k - base..k - base + BLOCK];
+            for s in 0..BLOCK {
+                out[s] = pj.sub(pj.reduce_u128(acc[s]), table[e[s]]);
+            }
+        }
+    }
+    // The ragged tail takes the reference loop.
+    let mut y = [0u64; MAX_SOURCE_LIMBS];
+    for k in full..slots.end {
+        new_limb_slot(ext, src, n, k, &mut y, k - base, cols);
     }
 }
 
@@ -919,6 +1042,14 @@ fn accumulate_block(acc: &mut [u128; BLOCK], ys: &[[u64; BLOCK]], ws: &[u64]) {
 #[inline(always)]
 fn block_of(data: &[u64], at: usize) -> &[u64; BLOCK] {
     data[at..at + BLOCK]
+        .try_into()
+        .expect("slice of BLOCK words")
+}
+
+/// [`block_of`], writable.
+#[inline(always)]
+fn block_of_mut(data: &mut [u64], at: usize) -> &mut [u64; BLOCK] {
+    (&mut data[at..at + BLOCK])
         .try_into()
         .expect("slice of BLOCK words")
 }
@@ -977,6 +1108,45 @@ mod tests {
             table.inverse(&mut b);
             assert_eq!((&a, &b), (&data, &data), "inverse q={q}");
         }
+    }
+
+    /// `modular::lane_products`' bound on the kernel itself: the largest
+    /// prime below 2^50, every operand `q − 1`, sums of 15, 16 and 17
+    /// products (one run, a full run, a run and a carried residue) and past
+    /// two runs, on two whole blocks and a ragged tail.
+    #[test]
+    fn multiply_accumulate_holds_at_the_2_pow_50_edge() {
+        let q = (1..1u64 << 50).rev().find(|&q| is_prime(q)).unwrap();
+        let m = Modulus::new(q).unwrap();
+        assert_eq!(ifma::sum_lanes([&m]).is_some(), ifma::detected());
+        let above = ((1u64 << 50) + 1..).find(|&q| is_prime(q)).unwrap();
+        assert!(ifma::sum_lanes([&m, &Modulus::new(above).unwrap()]).is_none());
+        let n = 19;
+        let full = vec![q - 1; n];
+        for count in [1usize, 15, 16, 17, 33] {
+            let terms = vec![
+                DigitTerm {
+                    d: &full,
+                    a: &full,
+                    b: &full
+                };
+                count
+            ];
+            let (mut u, mut v) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+            UnrolledBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+            // (q − 1)² ≡ 1, so each sum is its term count.
+            let expect = vec![count as u64; n];
+            assert_eq!((&u, &v), (&expect, &expect), "{count} terms");
+        }
+        let mut product = full.clone();
+        UnrolledBackend.pointwise_mul(&m, &mut product, &full);
+        assert_eq!(product, vec![1; n]);
+        let mut product = vec![u64::MAX; n];
+        UnrolledBackend.pointwise_mul_into(&m, &full, &full, &mut product);
+        assert_eq!(product, vec![1; n]);
+        let mut acc = full.clone();
+        UnrolledBackend.pointwise_mul_add(&m, &mut acc, &full, &full);
+        assert_eq!(acc, vec![0; n]);
     }
 
     #[test]

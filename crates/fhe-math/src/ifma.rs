@@ -1,5 +1,7 @@
-//! The production (`UnrolledBackend`) transforms on AVX-512 IFMA: eight 52-bit lanes
-//! per instruction.
+//! The production (`UnrolledBackend`) kernels on AVX-512 IFMA: eight 52-bit
+//! lanes per instruction, for the transforms and for the multiply-accumulate
+//! kernel that carries `NewLimb`, the key-switch inner product and the
+//! pointwise products.
 //!
 //! `vpmadd52luq` / `vpmadd52huq` multiply the low 52 bits of each 64-bit
 //! lane and add the low / high 52 bits of the 104-bit product to an
@@ -17,14 +19,28 @@
 //! 8-word blocks in two registers and load their twiddle pairs as words
 //! (`ShoupPair` is `#[repr(C)]`), split by lane permutes.
 //!
+//! The multiply-accumulate sums `Σ aᵢ·bᵢ` of operands below `2^50` in two
+//! accumulators per output — `madd52lo` adds each product's low 52 bits,
+//! `madd52hi` its high bits — and reduces once: `lo >> 52` folds into `hi`,
+//! then two lazy Shoup products `hi·(2^52 mod p)` and `(lo mod 2^52)·1` and
+//! two conditional subtractions give the canonical residue.
+//! [`lane_products`] bounds the sum (sixteen products); longer ones reduce in
+//! runs. Lanes run across eight slots; a ragged tail of fewer than eight
+//! slots takes the portable body. Its constants are computed per call and
+//! live on the stack.
+//!
 //! This is the crate's only `unsafe` code. A [`Lanes`] is made only after
 //! the CPU was found to have `avx512f` and `avx512ifma`, which is what the
 //! `unsafe fn`s below require; the rest is memory access through
 //! fixed-size arrays.
 //!
 //! [`ShoupPair::shoup`]: crate::backend::ShoupPair::shoup
+//! [`lane_products`]: crate::modular::lane_products
 
+use crate::backend::{BasisExtView, DigitTerm, Start};
+use crate::modular::Modulus;
 use crate::ntt::NttTable;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Moduli below this bound take the lanes: `4q < 2^52`.
@@ -33,6 +49,11 @@ const MODULUS_BOUND: u64 = 1 << 50;
 /// The shortest transform the lanes take: the short stages work on two
 /// 8-word blocks at a time.
 pub(crate) const MIN_SIZE: usize = 16;
+
+/// The longest source basis a basis extension takes on lanes: its
+/// `e·Q mod p_j` table has `ℓ + 1 ≤ 16` entries, two registers that one
+/// `permutex2var` indexes by the excess.
+const MAX_EXTENSION_SOURCE: usize = 15;
 
 /// Whether this CPU has `avx512f` and `avx512ifma` (detected once).
 pub(crate) fn detected() -> bool {
@@ -49,7 +70,8 @@ pub(crate) fn detected() -> bool {
     })
 }
 
-/// Proof that this CPU has the lanes; only [`lanes`] makes one.
+/// Proof that this CPU has the lanes; only [`lanes`], [`sum_lanes`] and
+/// [`extension_lanes`] make one.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Lanes(());
 
@@ -57,6 +79,23 @@ pub(crate) struct Lanes(());
 /// portable transform runs: a CPU without IFMA, `q ≥ 2^50` or `n < 16`.
 pub(crate) fn lanes(q: u64, n: usize) -> Option<Lanes> {
     (q < MODULUS_BOUND && n >= MIN_SIZE && detected()).then_some(Lanes(()))
+}
+
+/// The lanes for a multiply-accumulate whose operands are residues mod
+/// `moduli`, or `None` where the portable body runs: a CPU without IFMA or
+/// any modulus at or above `2^50`.
+pub(crate) fn sum_lanes<'a>(moduli: impl IntoIterator<Item = &'a Modulus>) -> Option<Lanes> {
+    (detected() && moduli.into_iter().all(|m| m.value() < MODULUS_BOUND)).then_some(Lanes(()))
+}
+
+/// The lanes for a basis extension, or `None` where the portable body runs:
+/// as [`sum_lanes`] over the source and target moduli, and a source basis of
+/// at most [`MAX_EXTENSION_SOURCE`] limbs.
+pub(crate) fn extension_lanes(ext: &BasisExtView<'_>) -> Option<Lanes> {
+    if ext.source_moduli.len() > MAX_EXTENSION_SOURCE {
+        return None;
+    }
+    sum_lanes(ext.source_moduli.iter().chain(ext.target_moduli))
 }
 
 impl Lanes {
@@ -100,13 +139,64 @@ impl Lanes {
             unreachable!("a `Lanes` is only made on x86-64");
         }
     }
+
+    /// The multiply-accumulate over the whole 8-slot blocks of `u`: see
+    /// `backend::sum_products`, whose portable body takes the slots past
+    /// the last whole block. Every operand is a canonical residue mod `m`.
+    pub(crate) fn sum_products<const PAIR: bool>(
+        self,
+        m: &Modulus,
+        start: Start<'_>,
+        terms: &[DigitTerm<'_>],
+        u: &mut [u64],
+        v: &mut [u64],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self` exists only where `detected()` found avx512f and
+        // avx512ifma, the target features of the function.
+        unsafe {
+            x86::sum_products::<PAIR>(m, start, terms, u, v);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (m, start, terms, u, v);
+            unreachable!("a `Lanes` is only made on x86-64");
+        }
+    }
+
+    /// `NewLimb` over the whole 8-slot blocks of `range`, written to
+    /// `cols[j][k - range.start]`: see `backend::UnrolledBackend::basis_ext_block`,
+    /// whose portable body takes the slots past the last whole block.
+    pub(crate) fn new_limb(
+        self,
+        ext: &BasisExtView<'_>,
+        src: &[u64],
+        n: usize,
+        range: Range<usize>,
+        cols: &mut [&mut [u64]],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self` exists only where `detected()` found avx512f and
+        // avx512ifma, the target features of the function.
+        unsafe {
+            x86::new_limb(ext, src, n, range, cols);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (ext, src, n, range, cols);
+            unreachable!("a `Lanes` is only made on x86-64");
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use crate::backend::ShoupPair;
+    use super::MAX_EXTENSION_SOURCE;
+    use crate::backend::{BasisExtView, DigitTerm, ShoupPair, Start};
+    use crate::modular::{lane_products, Modulus};
     use crate::ntt::NttTable;
     use std::arch::x86_64::*;
+    use std::ops::Range;
 
     /// One register: eight words.
     type Words = [u64; 8];
@@ -510,6 +600,232 @@ mod x86 {
                 store(b, b2);
                 store(c, c2);
                 store(d, d2);
+            }
+        }
+    }
+
+    /// The eight words of `words` from `at` on.
+    #[inline(always)]
+    fn words_at(words: &[u64], at: usize) -> &Words {
+        words[at..at + 8].try_into().expect("eight words")
+    }
+
+    /// The eight writable words of `words` from `at` on.
+    #[inline(always)]
+    fn words_at_mut(words: &mut [u64], at: usize) -> &mut Words {
+        (&mut words[at..at + 8]).try_into().expect("eight words")
+    }
+
+    /// How many products a [`Sum`] takes onto a carried residue before it
+    /// is reduced: every operand is below `2^50`.
+    const RUN: usize = lane_products(50);
+
+    /// The constants that reduce a [`Sum`] mod one `p < 2^50`.
+    #[derive(Clone, Copy)]
+    struct Reducer {
+        p: __m512i,
+        p2: __m512i,
+        /// `2^52 mod p` and its companion: the weight of the high word.
+        radix: Twiddle,
+        /// 1 and its companion `⌊2^52/p⌋`: the low word's reduction.
+        one: Twiddle,
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn reducer(m: &Modulus) -> Reducer {
+        let p = m.value();
+        Reducer {
+            p: _mm512_set1_epi64(p as i64),
+            p2: _mm512_set1_epi64(2 * p as i64),
+            radix: splat(ShoupPair::new(m, m.reduce_u128(1 << 52))),
+            one: splat(ShoupPair::new(m, 1)),
+        }
+    }
+
+    /// `Σ aᵢ·bᵢ` per lane as `lo + hi·2^52`: `madd52lo` adds each product's
+    /// low 52 bits to `lo`, `madd52hi` its high bits to `hi`. [`RUN`]
+    /// products onto a carried residue keep `hi + (lo >> 52) < 2^52`
+    /// ([`lane_products`]), which [`Sum::reduce`] needs.
+    #[derive(Clone, Copy)]
+    struct Sum {
+        lo: __m512i,
+        hi: __m512i,
+    }
+
+    impl Sum {
+        /// A sum holding `x` (zero or a carried residue below `2^50`).
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        fn new(x: __m512i) -> Sum {
+            Sum {
+                lo: x,
+                hi: _mm512_setzero_si512(),
+            }
+        }
+
+        /// Adds `a·b`, both below `2^50`.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn add(&mut self, a: __m512i, b: __m512i) {
+            self.lo = _mm512_madd52lo_epu64(self.lo, a, b);
+            self.hi = _mm512_madd52hi_epu64(self.hi, a, b);
+        }
+
+        /// The sum mod `p`, canonical: fold `lo >> 52` into `hi`, then
+        /// `hi·(2^52 mod p) + (lo mod 2^52)·1` as two lazy Shoup products,
+        /// each in `[0, 2p)`, and two conditional subtractions.
+        #[inline]
+        #[target_feature(enable = "avx512f,avx512ifma")]
+        fn reduce(self, r: &Reducer) -> __m512i {
+            let hi = _mm512_add_epi64(self.hi, _mm512_srli_epi64::<52>(self.lo));
+            let lo = _mm512_and_si512(self.lo, _mm512_set1_epi64(LOW52));
+            let x = _mm512_add_epi64(mul_lazy(hi, r.radix, r.p), mul_lazy(lo, r.one, r.p));
+            csub(csub(x, r.p2), r.p)
+        }
+    }
+
+    /// The multiply-accumulate over the whole 8-slot blocks of `u` (and
+    /// `v` when `PAIR`); see [`super::Lanes::sum_products`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `avx512f` and `avx512ifma`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn sum_products<const PAIR: bool>(
+        m: &Modulus,
+        start: Start<'_>,
+        terms: &[DigitTerm<'_>],
+        u: &mut [u64],
+        v: &mut [u64],
+    ) {
+        let r = reducer(m);
+        let zero = _mm512_setzero_si512();
+        for at in (0..u.len() - u.len() % 8).step_by(8) {
+            let (mut su, mut sv, mut room) = match start {
+                Start::Zero => (Sum::new(zero), Sum::new(zero), RUN),
+                Start::Out => {
+                    let sv = if PAIR { load(words_at(v, at)) } else { zero };
+                    (Sum::new(load(words_at(u, at))), Sum::new(sv), RUN)
+                }
+                Start::OutTimes(f) => {
+                    let f = load(words_at(f, at));
+                    let (mut su, mut sv) = (Sum::new(zero), Sum::new(zero));
+                    su.add(load(words_at(u, at)), f);
+                    if PAIR {
+                        sv.add(load(words_at(v, at)), f);
+                    }
+                    (su, sv, RUN - 1)
+                }
+            };
+            for t in terms {
+                if room == 0 {
+                    su = Sum::new(su.reduce(&r));
+                    if PAIR {
+                        sv = Sum::new(sv.reduce(&r));
+                    }
+                    room = RUN;
+                }
+                room -= 1;
+                let d = load(words_at(t.d, at));
+                su.add(d, load(words_at(t.a, at)));
+                if PAIR {
+                    sv.add(d, load(words_at(t.b, at)));
+                }
+            }
+            store(words_at_mut(u, at), su.reduce(&r));
+            if PAIR {
+                store(words_at_mut(v, at), sv.reduce(&r));
+            }
+        }
+    }
+
+    /// One target limb's constants in [`new_limb`].
+    #[derive(Clone, Copy)]
+    struct Target {
+        reducer: Reducer,
+        /// `e·Q mod p_j` for `e` in `0..8` and `8..16` (zero past `ℓ`).
+        excess: (__m512i, __m512i),
+    }
+
+    /// How many target limbs' constants [`new_limb`] holds at once.
+    const TARGETS: usize = 16;
+
+    /// `NewLimb` over the whole 8-slot blocks of `range`; see
+    /// [`super::Lanes::new_limb`]. Per block: `y_i` as a lazy Shoup product
+    /// and one conditional subtraction, the excess estimate `Σ y_i/q_i` in
+    /// f64 lanes in ascending limb order (the reference's rounding), then
+    /// per target limb one [`Sum`] over the broadcast `Q_i^*` and the
+    /// excess's `e·Q mod p_j` picked by one `permutex2var`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `avx512f` and `avx512ifma`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn new_limb(
+        ext: &BasisExtView<'_>,
+        src: &[u64],
+        n: usize,
+        range: Range<usize>,
+        cols: &mut [&mut [u64]],
+    ) {
+        let l = ext.source_moduli.len();
+        assert!(l <= MAX_EXTENSION_SOURCE, "{l} source limbs");
+        let zero = _mm512_setzero_si512();
+        let unset = Twiddle {
+            value: zero,
+            shoup: zero,
+        };
+        let mut q_tilde = [unset; MAX_EXTENSION_SOURCE];
+        let mut q = [zero; MAX_EXTENSION_SOURCE];
+        let mut q_inv = [_mm512_setzero_pd(); MAX_EXTENSION_SOURCE];
+        for i in 0..l {
+            q_tilde[i] = splat(ext.q_tilde[i]);
+            q[i] = _mm512_set1_epi64(ext.source_moduli[i].value() as i64);
+            q_inv[i] = _mm512_set1_pd(ext.q_inv_f64[i]);
+        }
+        // `y | bits(2^52)` read as a double is `2^52 + y` exactly for
+        // `y < 2^52`, so subtracting 2^52 converts `y` exactly.
+        let magic = _mm512_set1_epi64(0x4330_0000_0000_0000);
+        let two52 = _mm512_set1_pd(4_503_599_627_370_496.0);
+        let mut y = [zero; MAX_EXTENSION_SOURCE];
+        let blocks = range.start..range.end - range.len() % 8;
+        for (chunk, cols) in cols.chunks_mut(TARGETS).enumerate() {
+            let first = chunk * TARGETS;
+            let mut targets = [Target {
+                reducer: reducer(&ext.target_moduli[first]),
+                excess: (zero, zero),
+            }; TARGETS];
+            for (c, target) in targets.iter_mut().take(cols.len()).enumerate() {
+                let mut table = [0u64; 16];
+                table[..=l].copy_from_slice(&ext.excess[first + c][..=l]);
+                *target = Target {
+                    reducer: reducer(&ext.target_moduli[first + c]),
+                    excess: (load(words_at(&table, 0)), load(words_at(&table, 8))),
+                };
+            }
+            for k in blocks.clone().step_by(8) {
+                let mut est = _mm512_setzero_pd();
+                for i in 0..l {
+                    let x = load(words_at(src, i * n + k));
+                    let yi = csub(mul_lazy(x, q_tilde[i], q[i]), q[i]);
+                    y[i] = yi;
+                    let yf = _mm512_sub_pd(_mm512_castsi512_pd(_mm512_or_si512(yi, magic)), two52);
+                    est = _mm512_add_pd(est, _mm512_mul_pd(yf, q_inv[i]));
+                }
+                let e = _mm512_cvtepi32_epi64(_mm512_cvttpd_epi32(est));
+                for (c, col) in cols.iter_mut().enumerate() {
+                    let target = &targets[c];
+                    let mut sum = Sum::new(zero);
+                    for (&yi, &w) in y[..l].iter().zip(&ext.q_star[first + c][..l]) {
+                        sum.add(yi, _mm512_set1_epi64(w as i64));
+                    }
+                    let p = target.reducer.p;
+                    let excess = _mm512_permutex2var_epi64(target.excess.0, e, target.excess.1);
+                    let diff =
+                        _mm512_sub_epi64(_mm512_add_epi64(sum.reduce(&target.reducer), p), excess);
+                    store(words_at_mut(col, k - range.start), csub(diff, p));
+                }
             }
         }
     }

@@ -46,6 +46,32 @@ pub const fn lazy_products(a_bits: u32, b_bits: u32) -> usize {
     (1usize << if spare < 16 { spare } else { 16 }) - 1
 }
 
+/// How many products of operands below `2^bits` the IFMA
+/// multiply-accumulate (`crate::ifma`) may add onto one carried residue
+/// below `2^bits` before it has to reduce — the lanes' counterpart of
+/// [`lazy_products`]. Lanes take moduli below `2^50` only.
+///
+/// A lane keeps its sum `V` in two 64-bit accumulators: `madd52lo` adds the
+/// low 52 bits of each product to `lo`, `madd52hi` the high bits to `hi`, so
+/// `V = lo + hi·2^52` exactly. The reduction folds `lo >> 52` into `hi`,
+/// which leaves `hi + (lo >> 52) = ⌊V/2^52⌋`, and multiplies that by
+/// `2^52 mod p` with a 52-bit Shoup product, whose multiplicand must be
+/// below `2^52`. So the bound is `V < 2^104`:
+/// `c·(2^bits − 1)² + (2^bits − 1) < 2^104`. At 50 bits
+/// `16·(2^50 − 1)² + 2^50 − 1 = 2^104 − 2^55 + 2^50 + 15`, so sixteen
+/// products keep `hi + (lo >> 52) < 2^52`, and seventeen can reach past
+/// it. Narrower moduli are capped like [`lazy_products`].
+pub const fn lane_products(bits: u32) -> usize {
+    assert!(bits >= 1 && bits <= 50);
+    let max = (1u128 << bits) - 1;
+    let c = ((1u128 << 104) - 1 - max) / (max * max);
+    if c < 1 << 16 {
+        c as usize
+    } else {
+        (1 << 16) - 1
+    }
+}
+
 /// Error returned when constructing a [`Modulus`] from an unsupported value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InvalidModulusError(pub u64);
@@ -422,6 +448,23 @@ mod tests {
         // The widest primes are the only ones a 64-limb basis must chunk.
         assert_eq!(lazy_products(62, 62), 7);
         assert!(lazy_products(60, 60) >= 64);
+    }
+
+    #[test]
+    fn lane_products_keeps_the_folded_high_word_below_2_pow_52() {
+        // A modulus just under 2^50, every operand q − 1, a carried q − 1:
+        // the widest sums the lanes take, checked in exact integers (the
+        // kernels are checked at the same edge in `backend`).
+        let q = (1u128 << 50) - 27;
+        let c = lane_products(50);
+        assert_eq!(c, 16);
+        let folded = |terms: u128| (terms * (q - 1) * (q - 1) + (q - 1)) >> 52;
+        assert!(folded(15) < 1 << 52);
+        assert!(folded(16) < 1 << 52);
+        // One more and it takes the widest operands past the bound.
+        let max = (1u128 << 50) - 1;
+        assert!((17 * max * max + max) >> 52 >= 1 << 52);
+        assert_eq!(lane_products(1), (1 << 16) - 1);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! scheme-level pipelines are pinned the same way by the `backend_identity`
 //! suites in `ckks` and `fhe-apps`.
 //!
-//! The production transforms take AVX-512 IFMA lanes for moduli below
-//! `2^50` on a CPU that has them and the portable path otherwise; the
-//! transform test's moduli fall on both sides. On a CPU without IFMA the
-//! suite still passes, exercising the portable path only.
+//! The production transforms and multiply-accumulates take AVX-512 IFMA
+//! lanes for moduli below `2^50` on a CPU that has them and the portable
+//! path otherwise; the transform and multiply-accumulate tests' moduli fall
+//! on both sides. On a CPU without IFMA the suite still passes, exercising
+//! the portable path only.
 
 use fhe_math::backend::{DigitTerm, ScalarBackend, UnrolledBackend};
 use fhe_math::poly::{mod_down, mod_up, pmod_up, rescale, ModDownContext, Representation, RnsPoly};
@@ -171,6 +172,61 @@ fn pointwise_kernels_are_bit_identical() {
     let mut got = pa.clone();
     got.mul_scalar_assign(c.value);
     assert_eq!(got.flat(), &scaled[..n], "mul_scalar_assign");
+}
+
+/// The multiply-accumulate kernel's entry points against the reference on
+/// both sides of the IFMA lanes' `2^50` bound: the three pointwise products,
+/// and the inner product at β = 5 and β = 7, digit counts that used to run
+/// the reference loop itself. Random and all-`(q − 1)` operands over a slot
+/// count with a ragged tail after the last 8-slot block.
+#[test]
+fn multiply_accumulate_is_bit_identical_on_both_sides_of_2_pow_50() {
+    let n = 259usize;
+    for bits in [40u32, 50, 51, 55] {
+        let q = generate_ntt_primes(1, bits, 256)[0];
+        let m = Modulus::new(q).unwrap();
+        for saturated in [false, true] {
+            let limb = |seed: u64| {
+                if saturated {
+                    vec![q - 1; n]
+                } else {
+                    random_flat(seed, &[q], n)
+                }
+            };
+            let (a, b, c) = (limb(1), limb(2), limb(3));
+            let case = format!("{bits}-bit, saturated: {saturated}");
+
+            let (mut reference, mut production) = (a.clone(), a.clone());
+            ScalarBackend.pointwise_mul(&m, &mut reference, &b);
+            UnrolledBackend.pointwise_mul(&m, &mut production, &b);
+            assert_eq!(production, reference, "pointwise_mul, {case}");
+            let (mut reference, mut production) = (c.clone(), c.clone());
+            ScalarBackend.pointwise_mul_into(&m, &a, &b, &mut reference);
+            UnrolledBackend.pointwise_mul_into(&m, &a, &b, &mut production);
+            assert_eq!(production, reference, "pointwise_mul_into, {case}");
+            let (mut reference, mut production) = (c.clone(), c.clone());
+            ScalarBackend.pointwise_mul_add(&m, &mut reference, &a, &b);
+            UnrolledBackend.pointwise_mul_add(&m, &mut production, &a, &b);
+            assert_eq!(production, reference, "pointwise_mul_add, {case}");
+
+            for beta in [5usize, 7] {
+                let operands: Vec<Vec<u64>> = (0..3 * beta as u64).map(|i| limb(10 + i)).collect();
+                let terms: Vec<DigitTerm<'_>> = operands
+                    .chunks_exact(3)
+                    .map(|t| DigitTerm {
+                        d: &t[0],
+                        a: &t[1],
+                        b: &t[2],
+                    })
+                    .collect();
+                let (mut u, mut v) = (a.clone(), b.clone());
+                ScalarBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+                let (mut pu, mut pv) = (a.clone(), b.clone());
+                UnrolledBackend.inner_product_pair(&m, &terms, &mut pu, &mut pv);
+                assert_eq!((pu, pv), (u, v), "inner product, β = {beta}, {case}");
+            }
+        }
+    }
 }
 
 #[test]

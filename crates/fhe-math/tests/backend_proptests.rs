@@ -15,7 +15,7 @@
 use fhe_math::backend::{DigitTerm, ScalarBackend, UnrolledBackend};
 use fhe_math::poly::{lift_centered, Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding, is_prime};
-use fhe_math::rns::{BasisExtender, RnsBasis};
+use fhe_math::rns::{BasisExtender, RnsBasis, MAX_SOURCE_LIMBS};
 use fhe_math::{Modulus, NttTable};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -243,6 +243,77 @@ fn eighteen_wide_products_need_the_mid_sum_reduction() {
     }
 }
 
+/// Widths around the IFMA lanes' `2^50` bound: limbs of 49 and 50 bits
+/// take the lanes (where the CPU has them), 51 and 55 bits never do.
+const LANE_EDGE_WIDTHS: [u32; 4] = [49, 50, 51, 55];
+
+/// The source limbs of `flat` at slot `k`: random, or (every fourth seed)
+/// driven so every `y_i` but the first is `q_i − 1`.
+fn extension_source(seed: u64, src_primes: &[u64], n: usize) -> Vec<u64> {
+    let mut flat = Vec::with_capacity(src_primes.len() * n);
+    for (i, &q) in src_primes.iter().enumerate() {
+        if seed.is_multiple_of(4) && i > 0 {
+            flat.extend(std::iter::repeat_n(saturating_residue(q, src_primes), n));
+        } else {
+            flat.extend(random_residues(seed ^ (i as u64), q, n));
+        }
+    }
+    flat
+}
+
+/// [`ScalarBackend`] and [`UnrolledBackend`]'s `basis_ext_block` on the same
+/// slot range, each into its own windows.
+fn extension_blocks(
+    ext: &BasisExtender,
+    flat: &[u64],
+    n: usize,
+    range: std::ops::Range<usize>,
+) -> [Vec<u64>; 2] {
+    let len = range.len();
+    let run = |production: bool| {
+        let mut out = vec![u64::MAX; ext.target_len() * len];
+        let mut cols: Vec<&mut [u64]> = out.chunks_mut(len.max(1)).collect();
+        cols.truncate(ext.target_len());
+        if production {
+            UnrolledBackend.basis_ext_block(&ext.view(), flat, n, range.clone(), &mut cols);
+        } else {
+            ScalarBackend.basis_ext_block(&ext.view(), flat, n, range.clone(), &mut cols);
+        }
+        out
+    };
+    [run(false), run(true)]
+}
+
+/// A source basis of `MAX_SOURCE_LIMBS` 50-bit limbs, and the 15 and 16
+/// limbs on either side of the lanes' source limit: production ≡ reference
+/// ≡ exact CRT on a ragged slot count.
+#[test]
+fn basis_extension_is_exact_at_every_source_limit() {
+    let all = ntt_primes_of_width(50, SMALL_DEGREE, MAX_SOURCE_LIMBS);
+    let dst_primes = primes_of_width(49)[..5].to_vec();
+    let n = 21usize;
+    for src_len in [15, 16, MAX_SOURCE_LIMBS] {
+        let src_primes = &all[..src_len];
+        let flat = extension_source(src_len as u64 * 4, src_primes, n);
+        let src = RnsBasis::new(src_primes, SMALL_DEGREE).unwrap();
+        let dst = RnsBasis::new(&dst_primes, SMALL_DEGREE).unwrap();
+        let ext = BasisExtender::new(&src, &dst);
+        let out = production_extension(&ext, &flat, n);
+        assert_eq!(out, reference_extension(&ext, &flat, n), "{src_len} limbs");
+        for k in 0..n {
+            let residues: Vec<u64> = (0..src_len).map(|i| flat[i * n + k]).collect();
+            let x = src.crt_reconstruct(&residues);
+            for (j, &p) in dst_primes.iter().enumerate() {
+                assert_eq!(
+                    out[j * n + k],
+                    x.rem_u64(p),
+                    "{src_len} limbs, slot {k}, target {j}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -285,6 +356,82 @@ proptest! {
                 prop_assert_eq!(scalar[j * n + k], x.rem_u64(p), "slot {} target {}", k, j);
             }
         }
+    }
+
+    /// Production ≡ reference on the slot ranges `for_each_slot_block`
+    /// hands the kernel — starting and ending off the 8-slot grid — for
+    /// sources of 1..=16 limbs around the lanes' 15-limb limit, and targets
+    /// either all below `2^50` or with one at or above it, which sends the
+    /// whole call to the portable body.
+    #[test]
+    fn basis_extension_blocks_match_the_reference_on_cut_ranges(
+        src_len in 1usize..=16,
+        dst_len in 1usize..=12,
+        wide_target in any::<bool>(),
+        start in 0usize..12,
+        len in 0usize..40,
+        seed in any::<u64>(),
+    ) {
+        let n = start + len + 5;
+        let src_primes = ntt_primes_of_width(50, SMALL_DEGREE, src_len);
+        let mut dst_primes = primes_of_width(49)[..dst_len].to_vec();
+        if wide_target {
+            dst_primes[seed as usize % dst_len] = primes_of_width(51)[0];
+        }
+        let flat = extension_source(seed, &src_primes, n);
+        let src = RnsBasis::new(&src_primes, SMALL_DEGREE).unwrap();
+        let dst = RnsBasis::new(&dst_primes, SMALL_DEGREE).unwrap();
+        let ext = BasisExtender::new(&src, &dst);
+        let [reference, production] = extension_blocks(&ext, &flat, n, start..start + len);
+        prop_assert_eq!(production, reference);
+    }
+
+    /// The multiply-accumulate's single-output shapes — the pointwise
+    /// products — and its pair shape at 1..=16 terms, on both sides of
+    /// `2^50`, random or all-`(q − 1)` operands, slot counts with a ragged
+    /// tail: production ≡ reference.
+    #[test]
+    fn multiply_accumulate_agrees_across_backends(
+        terms in 1usize..=16,
+        bits in prop::sample::select(LANE_EDGE_WIDTHS.to_vec()),
+        blocks in 0usize..4,
+        tail in 0usize..8,
+        seed in any::<u64>(),
+    ) {
+        let n = 8 * blocks + tail;
+        let q = primes_of_width(bits)[(seed % 24) as usize];
+        let m = Modulus::new(q).unwrap();
+        let limb = |salt: u64| {
+            if seed % 4 == 0 {
+                vec![q - 1; n]
+            } else {
+                random_residues(seed ^ salt, q, n)
+            }
+        };
+        let (a, b, c) = (limb(1), limb(2), limb(3));
+        let (mut reference, mut production) = (a.clone(), a.clone());
+        ScalarBackend.pointwise_mul(&m, &mut reference, &b);
+        UnrolledBackend.pointwise_mul(&m, &mut production, &b);
+        prop_assert_eq!(&production, &reference, "pointwise_mul");
+        let (mut reference, mut production) = (c.clone(), c.clone());
+        ScalarBackend.pointwise_mul_into(&m, &a, &b, &mut reference);
+        UnrolledBackend.pointwise_mul_into(&m, &a, &b, &mut production);
+        prop_assert_eq!(&production, &reference, "pointwise_mul_into");
+        let (mut reference, mut production) = (c.clone(), c.clone());
+        ScalarBackend.pointwise_mul_add(&m, &mut reference, &a, &b);
+        UnrolledBackend.pointwise_mul_add(&m, &mut production, &a, &b);
+        prop_assert_eq!(&production, &reference, "pointwise_mul_add");
+
+        let operands: Vec<Vec<u64>> = (0..3 * terms as u64).map(|i| limb(16 + i)).collect();
+        let terms: Vec<DigitTerm<'_>> = operands
+            .chunks_exact(3)
+            .map(|t| DigitTerm { d: &t[0], a: &t[1], b: &t[2] })
+            .collect();
+        let (mut u, mut v) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+        ScalarBackend.inner_product_pair(&m, &terms, &mut u, &mut v);
+        let (mut pu, mut pv) = (vec![u64::MAX; n], vec![u64::MAX; n]);
+        UnrolledBackend.inner_product_pair(&m, &terms, &mut pu, &mut pv);
+        prop_assert_eq!((pu, pv), (u, v), "inner product");
     }
 
     /// `Rescale`'s shifted lift ≡ `from_i64(to_centered(c))`, the pair it
