@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the limb-wise and slot-wise kernels
 //! (Table 3 of the paper): negacyclic NTT/iNTT, the fast basis extension
-//! over flat limb-major buffers, and serial-vs-parallel comparisons of the
+//! over flat limb-major buffers, the streaming single-word kernels, and
+//! serial-vs-parallel comparisons of the
 //! multithreaded kernels (full-poly NTT and hybrid key switching) at
 //! production ring sizes N = 2^15 and 2^16.
 use ckks::{CkksContext, CkksParams, KeyGenerator};
@@ -204,6 +205,74 @@ fn bench_backend_comparison(c: &mut Criterion) {
     }
 }
 
+/// Three of the streaming kernels over one 2^14-word limb, the ring the
+/// benchmark serves: `pointwise_add`, the rescale / `ModDown` combine
+/// `sub_scale_shoup`, and `Rescale`'s centred lift from a modulus more
+/// than twice the target (its lazy-Shoup arm). The `scalar` rows call the
+/// reference loops. The `unrolled` rows take 50-bit limbs (the lift 50 →
+/// 40 bits), which run on AVX-512 IFMA lanes where the CPU has them; the
+/// `unrolled-q55` rows take 55-bit limbs (the lift 57 → 55 bits), which
+/// keep the production kernel on its portable body everywhere.
+fn bench_streaming(c: &mut Criterion) {
+    let n = 1usize << 14;
+    let mut group = c.benchmark_group(format!("streaming_n{n}"));
+    group.throughput(Throughput::Elements(n as u64));
+    for (label, reference, bits, lift_bits) in [
+        ("scalar", true, 50, (50, 40)),
+        ("unrolled", false, 50, (50, 40)),
+        ("unrolled-q55", false, 55, (57, 55)),
+    ] {
+        let modulus = |bits| fhe_math::Modulus::new(generate_ntt_primes(1, bits, n)[0]).unwrap();
+        let m = modulus(bits);
+        let (from, to) = (modulus(lift_bits.0), modulus(lift_bits.1));
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut limb = |q: u64| -> Vec<u64> { (0..n).map(|_| rng.gen_range(0..q)).collect() };
+        let (a, b) = (limb(m.value()), limb(m.value()));
+        let shifted = limb(from.value());
+        let c = fhe_math::ShoupPair::new(&m, m.value() / 3);
+        group.bench_function(BenchmarkId::new(format!("{label}/add"), n), |bench| {
+            let mut dst = a.clone();
+            bench.iter(|| {
+                if reference {
+                    ScalarBackend.pointwise_add(&m, &mut dst, &b);
+                } else {
+                    UnrolledBackend.pointwise_add(&m, &mut dst, &b);
+                }
+                dst.last().copied()
+            })
+        });
+        group.bench_function(
+            BenchmarkId::new(format!("{label}/sub_scale_shoup"), n),
+            |bench| {
+                let mut dst = a.clone();
+                bench.iter(|| {
+                    if reference {
+                        ScalarBackend.sub_scale_shoup(&m, &b, &mut dst, c);
+                    } else {
+                        UnrolledBackend.sub_scale_shoup(&m, &b, &mut dst, c);
+                    }
+                    dst.last().copied()
+                })
+            },
+        );
+        group.bench_function(
+            BenchmarkId::new(format!("{label}/lift_centered"), n),
+            |bench| {
+                let mut out = vec![0u64; n];
+                bench.iter(|| {
+                    if reference {
+                        ScalarBackend.lift_centered(&from, &to, &shifted, &mut out);
+                    } else {
+                        UnrolledBackend.lift_centered(&from, &to, &shifted, &mut out);
+                    }
+                    out.last().copied()
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_basis_extension(c: &mut Criterion) {
     let mut group = c.benchmark_group("basis_extension");
     let n = 1usize << 12;
@@ -323,6 +392,7 @@ criterion_group!(
     benches,
     bench_ntt,
     bench_backend_comparison,
+    bench_streaming,
     bench_basis_extension,
     bench_serial_vs_parallel
 );

@@ -18,6 +18,7 @@ use crate::hoisting::{fold_stages, rotate_fold, rotate_hoisted, switch_automorph
 use crate::keys::{GaloisKeys, RelinKey, SwitchingKey};
 use crate::keyswitch;
 use crate::plaintext::{Ciphertext, Plaintext};
+use fhe_math::backend::UnrolledBackend;
 use fhe_math::poly::{pmod_up_add_assign, rescale_with, Representation, RnsPoly};
 use fhe_math::telemetry;
 use std::borrow::Cow;
@@ -262,11 +263,8 @@ impl Evaluator {
         // evaluation representation is the constant in every position.
         let mut out = a.clone();
         for i in 0..out.c0.limb_count() {
-            let m = *basis.modulus(i);
-            let v = m.from_i64(scaled);
-            for x in out.c0.limb_mut(i).iter_mut() {
-                *x = m.add(*x, v);
-            }
+            let m = basis.modulus(i);
+            UnrolledBackend.add_scalar(m, out.c0.limb_mut(i), m.from_i64(scaled));
         }
         telemetry::record_ops(0, (out.c0.limb_count() * self.ctx.params().degree()) as u64);
         out

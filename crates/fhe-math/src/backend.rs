@@ -21,16 +21,32 @@
 //!   52-bit lanes: on a CPU with `avx512f` and `avx512ifma`, a transform
 //!   with `q < 2^50` (so `4q < 2^52`) and `N ≥ 16` runs the same schedule
 //!   eight lanes at a time, reading the same twiddle tables (the `ifma`
-//!   module). Every other transform runs the portable scalar
-//!   `mul`/`imul`/`cmov` loops, whose floor is three multiplies per
-//!   butterfly on one port. The choice is made per call from the CPU and
-//!   the modulus.
+//!   module). A transform with `q ≥ 2^50`, or on a CPU without IFMA, runs
+//!   the portable scalar `mul`/`imul`/`cmov` loops, whose floor is three
+//!   multiplies per butterfly on one port. The choice is made per call
+//!   from the CPU and the modulus.
 //! - [`ScalarBackend`] — the reference: one obvious loop per kernel, every
 //!   butterfly and pointwise value fully reduced in `[0, q)` at every step.
 //!   The library reaches it only as the production transforms' fallback
 //!   below one block (`n < 8`) and through `BasisExtender::extend_coeff`'s
 //!   single slot; the kernel tests and the `ntt_kernels` bench call it
 //!   directly.
+//!
+//! Besides the transforms, two kernels carry all the arithmetic. Like the
+//! transforms, each runs on eight IFMA lanes where the CPU has them and
+//! every modulus of the call is below `2^50` — every limb of every
+//! workload ring — and on its portable body otherwise, which also takes
+//! the ragged tail (`len % 8` slots):
+//!
+//! - The **multiply-accumulate** below.
+//! - The **streaming kernel** `map_limb`: one canonical word out per slot
+//!   from one or two canonical words in, with one conditional subtraction
+//!   and at most one lazy Shoup product — `pointwise_add` / `_sub` / `_neg`
+//!   and their `_into` forms, `add_scalar` / `sub_scalar`, `scale_shoup` /
+//!   `sub_scale_shoup` and the centred lift of `Rescale`. The portable
+//!   body is the scalar `csub` / `mul` loops; the lane body does the same
+//!   arithmetic with `min_epu64` as the conditional subtraction and the
+//!   transforms' 52-bit lazy Shoup product.
 //!
 //! The *accumulating* kernels — the `NewLimb` sum `Σ_i y_i·Q_i^*` of a basis
 //! extension, the key-switch inner product `Σ_j d_j·k_j` and the pointwise
@@ -232,6 +248,20 @@ impl ScalarBackend {
         }
     }
 
+    /// The reference [`UnrolledBackend::pointwise_add_into`].
+    pub fn pointwise_add_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = m.add(x, y);
+        }
+    }
+
+    /// The reference [`UnrolledBackend::pointwise_sub_into`].
+    pub fn pointwise_sub_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = m.sub(x, y);
+        }
+    }
+
     /// The reference [`UnrolledBackend::pointwise_neg`].
     pub fn pointwise_neg(&self, m: &Modulus, dst: &mut [u64]) {
         for d in dst.iter_mut() {
@@ -276,6 +306,7 @@ impl ScalarBackend {
 
     /// The reference [`UnrolledBackend::add_scalar`].
     pub fn add_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
+        assert_reduced(m, c);
         for d in dst.iter_mut() {
             *d = m.add(*d, c);
         }
@@ -283,8 +314,18 @@ impl ScalarBackend {
 
     /// The reference [`UnrolledBackend::sub_scalar`].
     pub fn sub_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
+        assert_reduced(m, c);
         for d in dst.iter_mut() {
             *d = m.sub(*d, c);
+        }
+    }
+
+    /// The reference [`UnrolledBackend::lift_centered`]: the shifted word
+    /// reduced into `to`, minus the shift reduced into `to`.
+    pub fn lift_centered(&self, from: &Modulus, to: &Modulus, shifted: &[u64], out: &mut [u64]) {
+        let h = to.reduce(from.value() / 2);
+        for (o, &c) in out.iter_mut().zip(shifted) {
+            *o = to.sub(to.reduce(c), h);
         }
     }
 
@@ -605,9 +646,10 @@ fn inverse_transform(table: &NttTable, data: &mut [u64], exit: impl Fn(u64) -> u
 
 /// The production kernels, which every transform, pointwise op, basis
 /// extension and key-switch inner product of the library runs:
-/// register-blocked radix-4 transforms with lazy reduction, and the one
+/// register-blocked radix-4 transforms with lazy reduction, the one
 /// multiply-accumulate kernel behind the pointwise products, the inner
-/// product and `NewLimb`.
+/// product and `NewLimb`, and the one streaming kernel behind every
+/// single-word pass.
 ///
 /// Transform invariants: the forward butterflies keep every word in
 /// `[0, 4q)` (Harvey), the inverse ones in `[0, 2q)`; both are legal
@@ -615,7 +657,8 @@ fn inverse_transform(table: &NttTable, data: &mut [u64], exit: impl Fn(u64) -> u
 /// stores of the last sweep, and so does the inverse's `N⁻¹`. Transforms
 /// with `q < 2^50` and `N ≥ 16` run on AVX-512 IFMA lanes where the CPU
 /// has them, with the same invariants and bit-identical output, and so does
-/// every multiply-accumulate whose moduli are all below `2^50`.
+/// every multiply-accumulate and every streaming pass whose moduli are all
+/// below `2^50`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct UnrolledBackend;
 
@@ -677,29 +720,29 @@ impl UnrolledBackend {
         inverse(table, data, false);
     }
 
-    /// `dst[k] = dst[k] + src[k] mod q`.
+    /// `dst[k] = dst[k] + src[k] mod q`: the streaming kernel.
     pub fn pointwise_add(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
-        let q = m.value();
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = csub(*d + s, q);
-        }
+        map_limb(m, SlotOp::Add, dst, None, src);
+    }
+
+    /// `out[k] = a[k] + b[k] mod q`, leaving both inputs untouched.
+    pub fn pointwise_add_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
+        map_limb(m, SlotOp::Add, out, Some(a), b);
     }
 
     /// `dst[k] = dst[k] - src[k] mod q`.
     pub fn pointwise_sub(&self, m: &Modulus, dst: &mut [u64], src: &[u64]) {
-        let q = m.value();
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = csub(*d + q - s, q);
-        }
+        map_limb(m, SlotOp::Sub, dst, None, src);
+    }
+
+    /// `out[k] = a[k] - b[k] mod q`, leaving both inputs untouched.
+    pub fn pointwise_sub_into(&self, m: &Modulus, a: &[u64], b: &[u64], out: &mut [u64]) {
+        map_limb(m, SlotOp::Sub, out, Some(a), b);
     }
 
     /// `dst[k] = -dst[k] mod q`.
     pub fn pointwise_neg(&self, m: &Modulus, dst: &mut [u64]) {
-        let q = m.value();
-        for d in dst.iter_mut() {
-            // q - x is in (0, q] for x in (0, q); csub maps q (x = 0) to 0.
-            *d = csub(q - *d, q);
-        }
+        map_limb(m, SlotOp::Neg, dst, None, &[]);
     }
 
     /// `dst[k] = dst[k] · src[k] mod q`: the multiply-accumulate kernel
@@ -723,38 +766,47 @@ impl UnrolledBackend {
 
     /// `dst[k] = dst[k] · c mod q` with a precomputed Shoup constant.
     pub fn scale_shoup(&self, m: &Modulus, dst: &mut [u64], c: ShoupPair) {
-        let q = m.value();
-        for d in dst.iter_mut() {
-            *d = csub(mul_shoup_lazy(*d, c, q), q);
-        }
+        map_limb(m, SlotOp::Scale(c), dst, None, &[]);
     }
 
     /// The fused rescale/`ModDown` combine:
     /// `dst[k] = (minuend[k] - dst[k]) · c mod q`.
     pub fn sub_scale_shoup(&self, m: &Modulus, minuend: &[u64], dst: &mut [u64], c: ShoupPair) {
-        let q = m.value();
-        for (d, &s) in dst.iter_mut().zip(minuend) {
-            // Feed the half-reduced difference (< 2q) straight into the lazy
-            // multiply — mul_shoup_lazy accepts any u64 multiplicand.
-            *d = csub(mul_shoup_lazy(s + q - *d, c, q), q);
-        }
+        map_limb(m, SlotOp::SubScale(c), dst, None, minuend);
     }
 
     /// `dst[k] = dst[k] + c mod q` for a reduced constant `c` (the
     /// `ModDown` centering trick).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `c < q`.
     pub fn add_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
-        let q = m.value();
-        for d in dst.iter_mut() {
-            *d = csub(*d + c, q);
-        }
+        assert_reduced(m, c);
+        map_limb(m, SlotOp::AddScalar(c), dst, None, &[]);
     }
 
     /// `dst[k] = dst[k] - c mod q` for a reduced constant `c`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `c < q`.
     pub fn sub_scalar(&self, m: &Modulus, dst: &mut [u64], c: u64) {
-        let q = m.value();
-        for d in dst.iter_mut() {
-            *d = csub(*d + q - c, q);
-        }
+        assert_reduced(m, c);
+        map_limb(m, SlotOp::SubScalar(c), dst, None, &[]);
+    }
+
+    /// The centred lift of one limb into another modulus, from the limb
+    /// shifted by `h = ⌊from/2⌋`: `shifted[k] = c[k] + h mod from` (`from`
+    /// odd). The integer `shifted[k] − h` *is* the centred representative
+    /// of `c[k]`, so `out[k] = (shifted[k] mod to) − (h mod to)` equals
+    /// `to.from_i64(from.to_centered(c[k]))` with no comparison against
+    /// `from/2` and no sign test — the shift `ModDown` uses, for one source
+    /// limb. The first reduction is a conditional subtraction when
+    /// `from ≤ 2·to` and a lazy Shoup product by 1 otherwise.
+    pub fn lift_centered(&self, from: &Modulus, to: &Modulus, shifted: &[u64], out: &mut [u64]) {
+        debug_assert!(from.value() % 2 == 1, "the shift centres odd moduli only");
+        map_limb(to, SlotOp::Lift(from), out, Some(shifted), &[]);
     }
 
     /// The key-switch inner product for one raised limb, every digit in
@@ -805,6 +857,144 @@ impl UnrolledBackend {
             None => range.start,
         };
         new_limb_portable(ext, src, n, range.start, full..range.end, cols);
+    }
+}
+
+/// The scalar-constant contract of `add_scalar` / `sub_scalar`: a
+/// constant `c ≥ q` would leave a non-canonical word (`c = 2q`) or wrap
+/// (`d + q − c`), so it is refused once per call.
+fn assert_reduced(m: &Modulus, c: u64) {
+    assert!(c < m.value(), "scalar {c} is not reduced mod {m}");
+}
+
+/// What [`map_limb`] computes in one slot from `x` — the output's own
+/// word, or the first input limb's — and, for the binary ops, `y`, the
+/// second input limb's. Every operand is a canonical residue mod `q` (the
+/// lift's `x` is one mod `from`), and so is every result.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum SlotOp<'a> {
+    /// `x + y`.
+    Add,
+    /// `x − y`.
+    Sub,
+    /// `−x`.
+    Neg,
+    /// `x + c`, for `c < q`.
+    AddScalar(u64),
+    /// `x − c`, for `c < q`.
+    SubScalar(u64),
+    /// `x·c`.
+    Scale(ShoupPair),
+    /// `(y − x)·c`: the rescale / `ModDown` combine.
+    SubScale(ShoupPair),
+    /// `(x mod q) − (⌊from/2⌋ mod q)` for `x < from`: the centred lift of a
+    /// limb mod `from` that was shifted by `⌊from/2⌋`.
+    Lift(&'a Modulus),
+}
+
+impl SlotOp<'_> {
+    /// Whether the op reads a second input limb.
+    fn binary(&self) -> bool {
+        matches!(self, SlotOp::Add | SlotOp::Sub | SlotOp::SubScale(_))
+    }
+
+    /// How the lift brings `x < from` into `[0, 2q)` ahead of its
+    /// conditional subtraction: as it is where `from ≤ 2q` (`None`), else
+    /// by the lazy Shoup product `x·1` with this pair, which takes any `x`.
+    pub(crate) fn lift_one(from: &Modulus, to: &Modulus) -> Option<ShoupPair> {
+        (from.value() > 2 * to.value()).then(|| ShoupPair::new(to, 1))
+    }
+}
+
+/// The streaming kernel every single-word pass runs: `out[k] =
+/// op(x[k], y[k]) mod q` over every slot of `out`, where `x` is `out`'s
+/// own word (`None`, in place) or a limb's, and `y` is read by the binary
+/// ops only. Whole 8-slot blocks run on AVX-512 IFMA lanes where the CPU has
+/// them and every modulus of the call (`q`, and the lift's `from`) is below
+/// `2^50`; the rest takes the portable body. Canonical inputs, canonical
+/// outputs: the two bodies agree bit for bit.
+fn map_limb(m: &Modulus, op: SlotOp<'_>, out: &mut [u64], x: Option<&[u64]>, y: &[u64]) {
+    let n = out.len();
+    assert!(
+        x.is_none_or(|x| x.len() == n) && (!op.binary() || y.len() == n),
+        "operand length mismatch"
+    );
+    let from = match op {
+        SlotOp::Lift(from) => from,
+        _ => m,
+    };
+    let full = match ifma::sum_lanes([m, from]) {
+        Some(lanes) => {
+            lanes.map_limb(m, op, out, x, y);
+            n - n % BLOCK
+        }
+        None => 0,
+    };
+    let y = if op.binary() { &y[full..] } else { y };
+    map_limb_portable(m, op, &mut out[full..], x.map(|x| &x[full..]), y);
+}
+
+/// [`map_limb`]'s portable body: one `csub`, after at most one lazy Shoup
+/// product, per slot. Kept out of line: inlined, it shares its loops with
+/// the lanes' ragged tail, whose trip count is below 8, and LLVM stops
+/// unrolling them (20% slower on a whole limb).
+#[inline(never)]
+fn map_limb_portable(m: &Modulus, op: SlotOp<'_>, out: &mut [u64], x: Option<&[u64]>, y: &[u64]) {
+    let q = m.value();
+    match op {
+        SlotOp::Add => binary(out, x, y, |x, y| csub(x + y, q)),
+        SlotOp::Sub => binary(out, x, y, |x, y| csub(x + q - y, q)),
+        // q − x is in (0, q] for x in (0, q); csub maps q (x = 0) to 0.
+        SlotOp::Neg => unary(out, x, |x| csub(q - x, q)),
+        SlotOp::AddScalar(c) => unary(out, x, |x| csub(x + c, q)),
+        SlotOp::SubScalar(c) => unary(out, x, |x| csub(x + q - c, q)),
+        SlotOp::Scale(c) => unary(out, x, |x| csub(mul_shoup_lazy(x, c, q), q)),
+        // The half-reduced difference (< 2q) goes straight into the lazy
+        // multiply, which accepts any u64 multiplicand.
+        SlotOp::SubScale(c) => binary(out, x, y, |x, y| csub(mul_shoup_lazy(y + q - x, c, q), q)),
+        SlotOp::Lift(from) => {
+            let q_minus_h = q - m.reduce(from.value() / 2);
+            match SlotOp::lift_one(from, m) {
+                None => unary(out, x, |x| csub(csub(x, q) + q_minus_h, q)),
+                Some(one) => unary(out, x, |x| {
+                    csub(csub(mul_shoup_lazy(x, one, q), q) + q_minus_h, q)
+                }),
+            }
+        }
+    }
+}
+
+/// `out[k] = f(x[k])`, `x` defaulting to `out` itself.
+#[inline(always)]
+fn unary(out: &mut [u64], x: Option<&[u64]>, f: impl Fn(u64) -> u64) {
+    match x {
+        None => {
+            for d in out {
+                *d = f(*d);
+            }
+        }
+        Some(x) => {
+            for (d, &x) in out.iter_mut().zip(x) {
+                *d = f(x);
+            }
+        }
+    }
+}
+
+/// `out[k] = f(x[k], y[k])`, `x` defaulting to `out` itself.
+#[inline(always)]
+fn binary(out: &mut [u64], x: Option<&[u64]>, y: &[u64], f: impl Fn(u64, u64) -> u64) {
+    match x {
+        None => {
+            for (d, &y) in out.iter_mut().zip(y) {
+                *d = f(*d, y);
+            }
+        }
+        Some(x) => {
+            for ((d, &x), &y) in out.iter_mut().zip(x).zip(y) {
+                *d = f(x, y);
+            }
+        }
     }
 }
 

@@ -1,7 +1,9 @@
 //! The production (`UnrolledBackend`) kernels on AVX-512 IFMA: eight 52-bit
-//! lanes per instruction, for the transforms and for the multiply-accumulate
+//! lanes per instruction, for the transforms, for the multiply-accumulate
 //! kernel that carries `NewLimb`, the key-switch inner product and the
-//! pointwise products.
+//! pointwise products, and for the streaming kernel that carries every
+//! single-word pass — add, sub, neg, the scalar ops, the Shoup scalings
+//! and the centred lift.
 //!
 //! `vpmadd52luq` / `vpmadd52huq` multiply the low 52 bits of each 64-bit
 //! lane and add the low / high 52 bits of the 104-bit product to an
@@ -29,6 +31,13 @@
 //! slots takes the portable body. Its constants are computed per call and
 //! live on the stack.
 //!
+//! The streaming kernel maps a limb eight slots at a time: an add or a
+//! subtract, or one lazy Shoup product (the transforms' `mul_lazy`, with
+//! the companion `shoup >> 12`), then one `min_epu64` conditional
+//! subtraction. Every operand is below `2q < 2^51` where it meets that
+//! subtraction, and below `2^52` where it enters `mul_lazy` — `y + q − x`
+//! for `sub_scale_shoup`, the lift's shifted word `x < from < 2^50`.
+//!
 //! This is the crate's only `unsafe` code. A [`Lanes`] is made only after
 //! the CPU was found to have `avx512f` and `avx512ifma`, which is what the
 //! `unsafe fn`s below require; the rest is memory access through
@@ -37,7 +46,7 @@
 //! [`ShoupPair::shoup`]: crate::backend::ShoupPair::shoup
 //! [`lane_products`]: crate::modular::lane_products
 
-use crate::backend::{BasisExtView, DigitTerm, Start};
+use crate::backend::{BasisExtView, DigitTerm, SlotOp, Start};
 use crate::modular::Modulus;
 use crate::ntt::NttTable;
 use std::ops::Range;
@@ -81,9 +90,9 @@ pub(crate) fn lanes(q: u64, n: usize) -> Option<Lanes> {
     (q < MODULUS_BOUND && n >= MIN_SIZE && detected()).then_some(Lanes(()))
 }
 
-/// The lanes for a multiply-accumulate whose operands are residues mod
-/// `moduli`, or `None` where the portable body runs: a CPU without IFMA or
-/// any modulus at or above `2^50`.
+/// The lanes for a multiply-accumulate or a streaming kernel whose operands
+/// are residues mod `moduli`, or `None` where the portable body runs: a CPU
+/// without IFMA or any modulus at or above `2^50`.
 pub(crate) fn sum_lanes<'a>(moduli: impl IntoIterator<Item = &'a Modulus>) -> Option<Lanes> {
     (detected() && moduli.into_iter().all(|m| m.value() < MODULUS_BOUND)).then_some(Lanes(()))
 }
@@ -164,6 +173,32 @@ impl Lanes {
         }
     }
 
+    /// The streaming kernel over the whole 8-slot blocks of `out`: see
+    /// `backend::map_limb`, whose portable body takes the slots past the
+    /// last whole block. Every operand is a canonical residue mod `m` (the
+    /// lift's shifted limb one mod its `from`), and every modulus is below
+    /// `2^50`.
+    pub(crate) fn map_limb(
+        self,
+        m: &Modulus,
+        op: SlotOp<'_>,
+        out: &mut [u64],
+        x: Option<&[u64]>,
+        y: &[u64],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self` exists only where `detected()` found avx512f and
+        // avx512ifma, the target features of the function.
+        unsafe {
+            x86::map_limb(m, op, out, x, y);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (m, op, out, x, y);
+            unreachable!("a `Lanes` is only made on x86-64");
+        }
+    }
+
     /// `NewLimb` over the whole 8-slot blocks of `range`, written to
     /// `cols[j][k - range.start]`: see `backend::UnrolledBackend::basis_ext_block`,
     /// whose portable body takes the slots past the last whole block.
@@ -192,7 +227,7 @@ impl Lanes {
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::MAX_EXTENSION_SOURCE;
-    use crate::backend::{BasisExtView, DigitTerm, ShoupPair, Start};
+    use crate::backend::{BasisExtView, DigitTerm, ShoupPair, SlotOp, Start};
     use crate::modular::{lane_products, Modulus};
     use crate::ntt::NttTable;
     use std::arch::x86_64::*;
@@ -825,6 +860,103 @@ mod x86 {
                     let diff =
                         _mm512_sub_epi64(_mm512_add_epi64(sum.reduce(&target.reducer), p), excess);
                     store(words_at_mut(col, k - range.start), csub(diff, p));
+                }
+            }
+        }
+    }
+
+    /// The streaming kernel over the whole 8-slot blocks of `out`; see
+    /// [`super::Lanes::map_limb`]. The portable body's arithmetic on eight
+    /// lanes: each `+ q − c` is one add of the broadcast `q − c`, each
+    /// product a [`mul_lazy`] (operand below `2^52`), each reduction one
+    /// [`csub`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `avx512f` and `avx512ifma`.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn map_limb(
+        m: &Modulus,
+        op: SlotOp<'_>,
+        out: &mut [u64],
+        x: Option<&[u64]>,
+        y: &[u64],
+    ) {
+        let q = _mm512_set1_epi64(m.value() as i64);
+        let add = |a, b| _mm512_add_epi64(a, b);
+        let minus = |c: u64| _mm512_set1_epi64((m.value() - c) as i64);
+        match op {
+            SlotOp::Add => binary(out, x, y, |x, y| csub(add(x, y), q)),
+            SlotOp::Sub => binary(out, x, y, |x, y| csub(_mm512_sub_epi64(add(x, q), y), q)),
+            SlotOp::Neg => unary(out, x, |x| csub(_mm512_sub_epi64(q, x), q)),
+            SlotOp::AddScalar(c) => {
+                let c = _mm512_set1_epi64(c as i64);
+                unary(out, x, |x| csub(add(x, c), q))
+            }
+            SlotOp::SubScalar(c) => {
+                let q_minus_c = minus(c);
+                unary(out, x, |x| csub(add(x, q_minus_c), q))
+            }
+            SlotOp::Scale(c) => {
+                let c = splat(c);
+                unary(out, x, |x| csub(mul_lazy(x, c, q), q))
+            }
+            SlotOp::SubScale(c) => {
+                let c = splat(c);
+                binary(out, x, y, |x, y| {
+                    csub(mul_lazy(_mm512_sub_epi64(add(y, q), x), c, q), q)
+                })
+            }
+            SlotOp::Lift(from) => {
+                let q_minus_h = minus(m.reduce(from.value() / 2));
+                match SlotOp::lift_one(from, m) {
+                    None => unary(out, x, |x| csub(add(csub(x, q), q_minus_h), q)),
+                    Some(one) => {
+                        let one = splat(one);
+                        unary(out, x, |x| {
+                            csub(add(csub(mul_lazy(x, one, q), q), q_minus_h), q)
+                        })
+                    }
+                }
+            }
+        }
+    }
+
+    /// `out[k] = f(x[k])` over the whole blocks of `out`, `x` defaulting to
+    /// `out` itself.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn unary(out: &mut [u64], x: Option<&[u64]>, f: impl Fn(__m512i) -> __m512i) {
+        match x {
+            None => blocks(out).for_each(|d| store(d, f(load(d)))),
+            Some(x) => {
+                for (d, x) in blocks(out).zip(x.as_chunks().0) {
+                    store(d, f(load(x)));
+                }
+            }
+        }
+    }
+
+    /// `out[k] = f(x[k], y[k])` over the whole blocks of `out`, `x`
+    /// defaulting to `out` itself.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn binary(
+        out: &mut [u64],
+        x: Option<&[u64]>,
+        y: &[u64],
+        f: impl Fn(__m512i, __m512i) -> __m512i,
+    ) {
+        let y = y.as_chunks().0;
+        match x {
+            None => {
+                for (d, y) in blocks(out).zip(y) {
+                    store(d, f(load(d), load(y)));
+                }
+            }
+            Some(x) => {
+                for ((d, x), y) in blocks(out).zip(x.as_chunks().0).zip(y) {
+                    store(d, f(load(x), load(y)));
                 }
             }
         }

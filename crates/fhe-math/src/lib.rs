@@ -13,10 +13,11 @@
 //! - [`modular`]: arithmetic in 64-bit prime fields (Barrett reduction,
 //!   Shoup multiplication, modular inverses and exponentiation).
 //! - [`backend`]: every hot kernel (NTT butterflies, pointwise modmul,
-//!   fused basis extension, the key-switch inner product) — the
-//!   production [`backend::UnrolledBackend`], whose transforms are radix-4
-//!   lazy-reduction sweeps with the short stages held in registers, on
-//!   AVX-512 IFMA lanes for moduli below `2^50` where the CPU has them, and
+//!   fused basis extension, the key-switch inner product, the single-word
+//!   streaming passes) — the production [`backend::UnrolledBackend`],
+//!   whose transforms are radix-4 lazy-reduction sweeps with the short
+//!   stages held in registers, every kernel on AVX-512 IFMA lanes for
+//!   moduli below `2^50` where the CPU has them, and
 //!   the fully-reduced [`backend::ScalarBackend`] reference it is tested
 //!   against.
 //! - [`prime`]: deterministic Miller–Rabin primality testing and generation

@@ -352,22 +352,22 @@ impl RnsPoly {
     /// Panics unless both inputs share a representation and have at least
     /// `out`'s limbs.
     pub fn add_into(&self, other: &RnsPoly, out: &mut RnsPoly) {
-        self.combine_into(other, out, Modulus::add);
+        self.combine_into(other, out, UnrolledBackend::pointwise_add_into);
     }
 
     /// `out = self − other`; see [`RnsPoly::add_into`].
     pub fn sub_into(&self, other: &RnsPoly, out: &mut RnsPoly) {
-        self.combine_into(other, out, Modulus::sub);
+        self.combine_into(other, out, UnrolledBackend::pointwise_sub_into);
     }
 
-    /// The shared body of [`RnsPoly::add_into`] and [`RnsPoly::sub_into`].
-    /// The residues are canonical on both sides of `op`, so the result is
-    /// the one `add_assign` / `sub_assign` leave.
+    /// The shared body of [`RnsPoly::add_into`] and [`RnsPoly::sub_into`]:
+    /// `kernel` per limb. The residues are canonical on both sides of it,
+    /// so the result is the one `add_assign` / `sub_assign` leave.
     fn combine_into(
         &self,
         other: &RnsPoly,
         out: &mut RnsPoly,
-        op: impl Fn(&Modulus, u64, u64) -> u64 + Sync,
+        kernel: impl Fn(&UnrolledBackend, &Modulus, &[u64], &[u64], &mut [u64]) + Sync,
     ) {
         assert_eq!(self.rep, other.rep, "representation mismatch");
         let limbs = out.limb_count();
@@ -390,12 +390,14 @@ impl RnsPoly {
         out.trace_touch(true);
         let basis = &out.basis;
         parallel::for_each_limb_mut(&mut out.data, n, |i, dst| {
-            let m = basis.modulus(i);
-            let off = i * n;
-            let operands = a[off..off + n].iter().zip(&b[off..off + n]);
-            for (d, (&x, &y)) in dst.iter_mut().zip(operands) {
-                *d = op(m, x, y);
-            }
+            let limb = i * n..(i + 1) * n;
+            kernel(
+                &UnrolledBackend,
+                basis.modulus(i),
+                &a[limb.clone()],
+                &b[limb],
+                dst,
+            );
         });
     }
 
@@ -691,46 +693,14 @@ fn starts_with(long: &RnsBasis, short: &RnsBasis) -> bool {
         .all(|(a, b)| a.value() == b.value())
 }
 
-/// The centred lift of one limb into another modulus, from the limb
-/// shifted by `h = ⌊from/2⌋`: `shifted[k] = c[k] + h mod from` (`from`
-/// odd). The integer `shifted[k] − h` *is* the centred representative of
-/// `c[k]`, so `out[k] = (shifted[k] mod to) − (h mod to)` equals
-/// `to.from_i64(from.to_centered(c[k]))` with no comparison against
-/// `from/2` and no sign test — the shift `ModDown` uses, for one source limb.
-/// The first reduction is a conditional subtraction when `from ≤ 2·to` and
-/// a Barrett step otherwise.
-pub fn lift_centered(from: &Modulus, to: &Modulus, shifted: &[u64], out: &mut [u64]) {
-    debug_assert!(from.value() % 2 == 1, "the shift centres odd moduli only");
-    let q = to.value();
-    let h = to.reduce(from.value() / 2);
-    // `reduced − h mod q` as add-then-conditional-subtract: a rescale
-    // measured ≈ 3% slower with `Modulus::sub` here.
-    let lift = |reduced: u64| {
-        let x = reduced + q - h;
-        if x >= q {
-            x - q
-        } else {
-            x
-        }
-    };
-    if from.value() <= 2 * q {
-        for (x, &c) in out.iter_mut().zip(shifted) {
-            *x = lift(if c >= q { c - q } else { c });
-        }
-    } else {
-        for (x, &c) in out.iter_mut().zip(shifted) {
-            *x = lift(to.reduce_u128(c as u128));
-        }
-    }
-}
-
 /// `Rescale` (the paper's Table 2 column): divides by the last limb modulus
 /// and drops that limb, keeping the scaling factor stable after a
 /// multiplication.
 ///
 /// Input and output are in evaluation representation. Internally: one iNTT
 /// on the dropped limb (limb-wise), a centered reduction of that limb into
-/// every remaining modulus ([`lift_centered`]: slot-wise in spirit, but
+/// every remaining modulus ([`UnrolledBackend::lift_centered`]: slot-wise
+/// in spirit, but
 /// single-source so it streams), `ℓ−1` forward NTTs, and a pointwise
 /// subtract-and-scale. Scratch and output storage come from `pool`.
 ///
@@ -777,7 +747,7 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
         let qi = basis.modulus(i);
         // Centered image of the dropped limb in q_i, NTT'd in place inside
         // the output limb — no per-limb temporary needed.
-        lift_centered(q_last, qi, last, limb);
+        UnrolledBackend.lift_centered(q_last, qi, last, limb);
         basis.ntt_table(i).forward(limb);
         let off = i * n;
         UnrolledBackend.sub_scale_shoup(qi, &src[off..off + n], limb, q_last_inv[i]);

@@ -11,10 +11,10 @@
 //! scheme-level pipelines are pinned the same way by the `backend_identity`
 //! suites in `ckks` and `fhe-apps`.
 //!
-//! The production transforms and multiply-accumulates take AVX-512 IFMA
-//! lanes for moduli below `2^50` on a CPU that has them and the portable
-//! path otherwise; the transform and multiply-accumulate tests' moduli fall
-//! on both sides. On a CPU without IFMA the suite still passes, exercising
+//! The production transforms, multiply-accumulates and streaming kernels
+//! take AVX-512 IFMA lanes for moduli below `2^50` on a CPU that has them
+//! and the portable path otherwise; the transform, multiply-accumulate and
+//! streaming tests' moduli fall on both sides. On a CPU without IFMA the suite still passes, exercising
 //! the portable path only.
 
 use fhe_math::backend::{DigitTerm, ScalarBackend, UnrolledBackend};
@@ -224,6 +224,125 @@ fn multiply_accumulate_is_bit_identical_on_both_sides_of_2_pow_50() {
                 let (mut pu, mut pv) = (a.clone(), b.clone());
                 UnrolledBackend.inner_product_pair(&m, &terms, &mut pu, &mut pv);
                 assert_eq!((pu, pv), (u, v), "inner product, β = {beta}, {case}");
+            }
+        }
+    }
+}
+
+/// The streaming kernel's entry points against the reference on both
+/// sides of the IFMA lanes' `2^50` bound: add, sub and their `_into` forms,
+/// neg, the scalar ops at `c ∈ {0, q − 1}` and a random `c`, and both
+/// Shoup scalings with those constants — random and all-`(q − 1)` operands
+/// over a slot count with a ragged tail after the last 8-slot block.
+#[test]
+fn streaming_kernels_are_bit_identical_on_both_sides_of_2_pow_50() {
+    let n = 259usize;
+    for bits in [40u32, 50, 51, 55] {
+        let q = generate_ntt_primes(1, bits, 256)[0];
+        let m = Modulus::new(q).unwrap();
+        for saturated in [false, true] {
+            let limb = |seed: u64| {
+                if saturated {
+                    vec![q - 1; n]
+                } else {
+                    random_flat(seed, &[q], n)
+                }
+            };
+            let (a, b) = (limb(1), limb(2));
+            for c in [0, q - 1, q / 3] {
+                let case = format!("{bits}-bit, saturated: {saturated}, c = {c}");
+                let s = ShoupPair::new(&m, c);
+                macro_rules! kernels {
+                    ($k:expr) => {{
+                        let mut add = a.clone();
+                        $k.pointwise_add(&m, &mut add, &b);
+                        let mut add_into = vec![u64::MAX; n];
+                        $k.pointwise_add_into(&m, &a, &b, &mut add_into);
+                        let mut sub = a.clone();
+                        $k.pointwise_sub(&m, &mut sub, &b);
+                        let mut sub_into = vec![u64::MAX; n];
+                        $k.pointwise_sub_into(&m, &a, &b, &mut sub_into);
+                        let mut neg = a.clone();
+                        $k.pointwise_neg(&m, &mut neg);
+                        let mut plus = a.clone();
+                        $k.add_scalar(&m, &mut plus, c);
+                        let mut minus = a.clone();
+                        $k.sub_scalar(&m, &mut minus, c);
+                        let mut scaled = a.clone();
+                        $k.scale_shoup(&m, &mut scaled, s);
+                        let mut combined = b.clone();
+                        $k.sub_scale_shoup(&m, &a, &mut combined, s);
+                        [
+                            add, add_into, sub, sub_into, neg, plus, minus, scaled, combined,
+                        ]
+                    }};
+                }
+                let reference = kernels!(ScalarBackend);
+                assert_eq!(reference[0], reference[1], "add_into, {case}");
+                assert_eq!(reference[2], reference[3], "sub_into, {case}");
+                assert_eq!(kernels!(UnrolledBackend), reference, "{case}");
+            }
+        }
+    }
+}
+
+/// `Rescale`'s centred lift against the reference for a source modulus at
+/// most twice the target (the conditional-subtraction arm), between twice
+/// the target and `2^50` (the lazy Shoup product on lanes), and at or
+/// above `2^50`, which takes the portable body: shifted words at both ends
+/// of the source range and in between, on a ragged slot count.
+#[test]
+fn centred_lift_is_bit_identical_on_both_sides_of_2_pow_50() {
+    let n = 43usize;
+    let prime = |bits: u32| Modulus::new(generate_ntt_primes(1, bits, 256)[0]).unwrap();
+    for (from_bits, to_bits) in [
+        (40, 40),
+        (40, 50),
+        (49, 49),
+        (50, 40),
+        (50, 45),
+        (51, 40),
+        (55, 50),
+        (61, 49),
+    ] {
+        let (from, to) = (prime(from_bits), prime(to_bits));
+        let f = from.value();
+        let mut shifted = vec![0, 1, f / 2, f / 2 + 1, f - 2, f - 1, f - 1, f - 1];
+        shifted.extend(random_flat(u64::from(from_bits), &[f], n - shifted.len()));
+        for input in [shifted, vec![f - 1; n]] {
+            let mut reference = vec![u64::MAX; n];
+            ScalarBackend.lift_centered(&from, &to, &input, &mut reference);
+            let mut production = vec![u64::MAX; n];
+            UnrolledBackend.lift_centered(&from, &to, &input, &mut production);
+            assert_eq!(production, reference, "from {from} to {to}");
+        }
+    }
+}
+
+/// `add_scalar` and `sub_scalar` take a reduced constant: `c ≥ q` is
+/// refused once per call on either kernel set, where it would otherwise
+/// leave a non-canonical word (`c = 2q` on `add_scalar`) or wrap
+/// (`d + q − c` on `sub_scalar`).
+#[test]
+fn scalar_ops_refuse_an_unreduced_constant() {
+    for bits in [50u32, 55] {
+        let q = generate_ntt_primes(1, bits, 256)[0];
+        let m = Modulus::new(q).unwrap();
+        for c in [q, q + 1, 2 * q, u64::MAX] {
+            for (reference, sub) in [(true, false), (true, true), (false, false), (false, true)] {
+                let case = format!("reference: {reference}, sub: {sub}, c = {c} mod {q}");
+                let err = std::panic::catch_unwind(|| {
+                    let mut limb = vec![0u64; 24];
+                    match (reference, sub) {
+                        (true, false) => ScalarBackend.add_scalar(&m, &mut limb, c),
+                        (true, true) => ScalarBackend.sub_scalar(&m, &mut limb, c),
+                        (false, false) => UnrolledBackend.add_scalar(&m, &mut limb, c),
+                        (false, true) => UnrolledBackend.sub_scalar(&m, &mut limb, c),
+                    }
+                })
+                .expect_err(&format!("accepted, {case}"));
+                let message = err.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(message.contains("is not reduced"), "{case}: {message}");
             }
         }
     }

@@ -9,11 +9,13 @@
 //! The unrolled transforms run on AVX-512 IFMA lanes when the CPU has them,
 //! `q < 2^50` and `n ≥ 16`, and on the portable path otherwise, so the
 //! moduli here fall on both sides of `2^50` and the 50-bit limit, where
-//! `4q < 2^52` is tight, gets a test of its own. On a CPU without IFMA
-//! every test still passes, exercising the portable path only.
+//! `4q < 2^52` is tight, gets a test of its own. The multiply-accumulate
+//! and streaming kernels choose the same way, per call, from every modulus
+//! they touch. On a CPU without IFMA every test still passes, exercising
+//! the portable path only.
 
 use fhe_math::backend::{DigitTerm, ScalarBackend, UnrolledBackend};
-use fhe_math::poly::{lift_centered, Representation, RnsPoly};
+use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding, is_prime};
 use fhe_math::rns::{BasisExtender, RnsBasis, MAX_SOURCE_LIMBS};
 use fhe_math::{Modulus, NttTable};
@@ -247,6 +249,10 @@ fn eighteen_wide_products_need_the_mid_sum_reduction() {
 /// take the lanes (where the CPU has them), 51 and 55 bits never do.
 const LANE_EDGE_WIDTHS: [u32; 4] = [49, 50, 51, 55];
 
+/// Widths the streaming kernel is swept over: the lanes' edge, and the
+/// narrowest and widest the library admits.
+const STREAM_WIDTHS: [u32; 8] = [20, 40, 49, 50, 51, 55, 61, 62];
+
 /// The source limbs of `flat` at slot `k`: random, or (every fourth seed)
 /// driven so every `y_i` but the first is `q_i − 1`.
 fn extension_source(seed: u64, src_primes: &[u64], n: usize) -> Vec<u64> {
@@ -434,26 +440,88 @@ proptest! {
         prop_assert_eq!((pu, pv), (u, v), "inner product");
     }
 
+    /// The streaming kernel's ops — add, sub and their `_into` forms, neg,
+    /// the scalar ops and both Shoup scalings — on both sides of `2^50`,
+    /// random or all-`(q − 1)` operands, a constant of `0`, `q − 1` or
+    /// anything between, slot counts with a ragged tail: production ≡
+    /// reference.
+    #[test]
+    fn streaming_kernels_agree_across_backends(
+        bits in prop::sample::select(STREAM_WIDTHS.to_vec()),
+        blocks in 0usize..4,
+        tail in 0usize..8,
+        seed in any::<u64>(),
+    ) {
+        let n = 8 * blocks + tail;
+        let q = primes_of_width(bits)[(seed % 24) as usize];
+        let m = Modulus::new(q).unwrap();
+        let limb = |salt: u64| {
+            if seed % 4 == 0 {
+                vec![q - 1; n]
+            } else {
+                random_residues(seed ^ salt, q, n)
+            }
+        };
+        let (a, b) = (limb(1), limb(2));
+        let c = [0, q - 1, (seed >> 8) % q][(seed >> 2) as usize % 3];
+        let s = fhe_math::ShoupPair::new(&m, c);
+        macro_rules! kernels {
+            ($k:expr) => {{
+                let mut add = a.clone();
+                $k.pointwise_add(&m, &mut add, &b);
+                let mut add_into = vec![u64::MAX; n];
+                $k.pointwise_add_into(&m, &a, &b, &mut add_into);
+                let mut sub = a.clone();
+                $k.pointwise_sub(&m, &mut sub, &b);
+                let mut sub_into = vec![u64::MAX; n];
+                $k.pointwise_sub_into(&m, &a, &b, &mut sub_into);
+                let mut neg = a.clone();
+                $k.pointwise_neg(&m, &mut neg);
+                let mut plus = a.clone();
+                $k.add_scalar(&m, &mut plus, c);
+                let mut minus = a.clone();
+                $k.sub_scalar(&m, &mut minus, c);
+                let mut scaled = a.clone();
+                $k.scale_shoup(&m, &mut scaled, s);
+                let mut combined = b.clone();
+                $k.sub_scale_shoup(&m, &a, &mut combined, s);
+                [add, add_into, sub, sub_into, neg, plus, minus, scaled, combined]
+            }};
+        }
+        prop_assert_eq!(kernels!(UnrolledBackend), kernels!(ScalarBackend), "c = {}", c);
+    }
+
     /// `Rescale`'s shifted lift ≡ `from_i64(to_centered(c))`, the pair it
-    /// replaced, at the ends of both halves of the centred range and in
-    /// between — for a dropped modulus more than twice the kept one (the
-    /// Barrett arm), under twice it, and narrower than it.
+    /// replaced, and ≡ the reference, at the ends of both halves of the
+    /// centred range and in between — for a dropped modulus more than twice
+    /// the kept one (the lazy Shoup arm, on lanes below `2^50` and on the
+    /// portable body at or above it), under twice it, and narrower than
+    /// it — on random or all-`(from − 1)` words and ragged slot counts.
     #[test]
     fn shifted_lift_is_the_centred_residue(
-        from_bits in prop::sample::select(WIDTHS.to_vec()),
-        to_bits in prop::sample::select(WIDTHS.to_vec()),
+        from_bits in prop::sample::select(STREAM_WIDTHS.to_vec()),
+        to_bits in prop::sample::select(STREAM_WIDTHS.to_vec()),
+        blocks in 0usize..4,
+        tail in 0usize..8,
         seed in any::<u64>(),
     ) {
         let from = Modulus::new(primes_of_width(from_bits)[(seed % 24) as usize]).unwrap();
         let to = Modulus::new(primes_of_width(to_bits)[(seed >> 8) as usize % 24]).unwrap();
         let h = from.value() / 2;
         let mut c = vec![0, h, h + 1, from.value() - 1];
-        c.extend(random_residues(seed, from.value(), 13));
+        if seed % 4 == 0 {
+            c.resize(4 + 8 * blocks + tail, from.value() - 1);
+        } else {
+            c.extend(random_residues(seed, from.value(), 8 * blocks + tail));
+        }
         let shifted: Vec<u64> = c.iter().map(|&c| from.add(c, h)).collect();
         let mut lifted = vec![u64::MAX; c.len()];
-        lift_centered(&from, &to, &shifted, &mut lifted);
+        UnrolledBackend.lift_centered(&from, &to, &shifted, &mut lifted);
         let expect: Vec<u64> = c.iter().map(|&c| to.from_i64(from.to_centered(c))).collect();
-        prop_assert_eq!(lifted, expect, "from {} to {}", from, to);
+        prop_assert_eq!(&lifted, &expect, "from {} to {}", from, to);
+        let mut reference = vec![u64::MAX; c.len()];
+        ScalarBackend.lift_centered(&from, &to, &shifted, &mut reference);
+        prop_assert_eq!(&reference, &expect, "reference, from {} to {}", from, to);
     }
 
     /// The digit-fused inner product ≡ the per-digit fold it replaced, for
