@@ -79,7 +79,7 @@ fn encrypted_lr_step_is_measured_and_correct() {
         snap.ntt_fwd > 0 && snap.ntt_inv > 0,
         "transforms were counted"
     );
-    assert!(snap.transfer_bytes() > 0, "transfer proxy was counted");
+    assert!(snap.ext_terms > 0, "basis-extension terms were counted");
 
     // The three-rung fold runs as the stages {1, 2, 3} and {4} of one
     // `RotateFold`: a ModUp and a ModDown per stage, an inner product per

@@ -93,21 +93,6 @@ impl Encoder {
         self.encode_in_basis(values, basis, scale)
     }
 
-    /// Encodes real values (imaginary parts zero).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Encoder::encode`].
-    pub fn encode_real(
-        &self,
-        values: &[f64],
-        ell: usize,
-        scale: f64,
-    ) -> Result<Plaintext, EncodeError> {
-        let v: Vec<Complex> = values.iter().map(|&x| Complex::new(x, 0.0)).collect();
-        self.encode(&v, ell, scale)
-    }
-
     fn encode_in_basis(
         &self,
         values: &[Complex],

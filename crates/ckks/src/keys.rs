@@ -190,13 +190,6 @@ impl fmt::Debug for RelinKey {
 }
 
 impl RelinKey {
-    /// Wraps a switching key (e.g. one restored by
-    /// [`crate::serialize::deserialize_switching_key`]) as a
-    /// relinearization key.
-    pub fn from_switching_key(key: SwitchingKey) -> Self {
-        RelinKey(key)
-    }
-
     /// The underlying switching key.
     pub fn switching_key(&self) -> &SwitchingKey {
         &self.0

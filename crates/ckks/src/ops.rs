@@ -182,19 +182,6 @@ impl Evaluator {
         out
     }
 
-    /// Subtracts a plaintext from a ciphertext.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scales disagree beyond tolerance.
-    pub fn sub_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
-        Self::check_scales(a.scale, pt.scale);
-        let (mut out, p) = self.with_plain(a, pt);
-        out.c0.sub_assign(&p);
-        self.release(p);
-        out
-    }
-
     /// `PtMult` without the trailing rescale: multiplies by a plaintext,
     /// leaving the product at scale `scale_ct · scale_pt`.
     pub fn mul_plain_no_rescale(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {

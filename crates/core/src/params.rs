@@ -138,11 +138,6 @@ impl SchemeParams {
         self.log_q * (self.limbs + self.special_limbs()) as u32
     }
 
-    /// Total ciphertext-modulus bits `log2 Q`.
-    pub fn log_q_total(&self) -> u32 {
-        self.log_q * self.limbs as u32
-    }
-
     /// True if `log2(QP)` respects the 128-bit-security bound for this
     /// ring degree.
     pub fn is_secure_128(&self) -> bool {

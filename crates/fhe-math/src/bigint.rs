@@ -54,11 +54,6 @@ impl UBig {
         UBig::from(1u64)
     }
 
-    /// True if the value is zero.
-    pub fn is_zero(&self) -> bool {
-        self.limbs.is_empty()
-    }
-
     fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();

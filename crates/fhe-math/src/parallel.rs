@@ -3,7 +3,7 @@
 //! RNS limbs are mutually independent in every limb-wise kernel (NTT,
 //! pointwise arithmetic, automorphisms — Table 3 of the paper), so a flat
 //! `[u64; ℓ·N]` buffer splits into disjoint `&mut [u64]` limb chunks that
-//! scoped threads can process without synchronization. The four helpers
+//! scoped threads can process without synchronization. The three helpers
 //! here only say how their buffers are cut; one private routine
 //! (`Cores::run_shares`) decides how many shares there are, where they
 //! begin, and whether any of them leaves the calling thread. A threaded
@@ -37,16 +37,17 @@ use std::sync::OnceLock;
 /// Fewest elements a helper thread's share must hold before the thread is
 /// spawned.
 ///
-/// Measured on 2 cores, one caller's hybrid key switch (L = 6, dnum 3,
-/// fastest of 7 alternated rounds, serial loop → this rule): 5.79 → 4.35 ms
-/// at N = 2^13 (only its 4-limb-and-wider calls split), 12.0 → 7.3 ms at
-/// 2^14, 25.9 → 15.7 ms at 2^15. Half this value read the same inside the
-/// host's noise at 2^13 and 2^14 (three alternated runs each); twice it
-/// kept less of the gain (14.4 → 12.5 ms at 2^14, 27.5 → 23.6 at 2^15) and
-/// four times it none at 2^14 (11.5 → 11.8 ms). Two callers at once read
-/// within noise of the serial loop at every size (334 vs 331 key
-/// switches/s at 2^13, 159 vs 159 at 2^14, 66.0 vs 66.4 at 2^15, medians),
-/// where the per-call total this constant used to bound lost 29% at 2^13.
+/// Measured on 2 vCPUs with the transforms on AVX-512 IFMA lanes, the
+/// hybrid key switch of `ntt_kernels` (`keyswitch_*` rows: L = 6, dnum 3,
+/// 50-bit first prime; medians of six runs, serial loop → this rule). One
+/// caller: 3.16 → 2.00 ms at N = 2^15 and 6.66 → 3.93 ms at 2^16, faster
+/// in every run. At 2^13, where only the 4-limb-and-wider calls split,
+/// the rule read 510 → 586 µs, slower in five runs and level in one; two
+/// runs before those read 618 → 889 and 559 → 599 µs, so the size of the
+/// loss is unresolved. Two callers at once read 619 → 745 µs at 2^13 and
+/// 3.49 → 4.17 ms at 2^15. This value was chosen before the IFMA
+/// transforms, against half, twice and four times it (one caller, the
+/// slower portable transforms); that comparison has not been repeated.
 pub const MIN_PAR_ELEMS: usize = 1 << 14;
 
 const AUTO: u8 = 0;
@@ -196,31 +197,6 @@ where
     );
 }
 
-/// Runs `f(limb_index, dst_limb, src_limb)` over paired limbs of two flat
-/// buffers of equal shape (the elementwise add/sub/mul kernels).
-pub fn for_each_limb_pair_mut<F>(dst: &mut [u64], src: &[u64], n: usize, f: F)
-where
-    F: Fn(usize, &mut [u64], &[u64]) + Sync,
-{
-    debug_assert_eq!(dst.len(), src.len());
-    debug_assert_eq!(dst.len() % n, 0);
-    cores().run_shares(
-        dst.len() / n,
-        n,
-        (dst, src),
-        |(d, s), take| {
-            let (d_head, d_tail) = d.split_at_mut(take * n);
-            let (s_head, s_tail) = s.split_at(take * n);
-            ((d_head, s_head), (d_tail, s_tail))
-        },
-        |start, (d, s)| {
-            for (j, (d, s)) in d.chunks_exact_mut(n).zip(s.chunks_exact(n)).enumerate() {
-                f(start + j, d, s);
-            }
-        },
-    );
-}
-
 /// Runs `f(limb_index, dst_a_limb, dst_b_limb)` over paired limbs of two
 /// flat buffers mutated together (e.g. the `(u, v)` accumulators of a key
 /// switch inner product).
@@ -312,7 +288,7 @@ mod tests {
         Box::leak(Box::new(Cores::new(total)))
     }
 
-    const HELPERS: [&str; 4] = ["limb_mut", "limb_pair_mut", "limb_mut2", "slot_block"];
+    const HELPERS: [&str; 3] = ["limb_mut", "limb_mut2", "slot_block"];
 
     /// Calls one public helper over `units` units of `elems` elements
     /// each (limbs; for the slot helper, slots of `elems` target limbs),
@@ -321,10 +297,6 @@ mod tests {
         let mut a = vec![0u64; units * elems];
         match helper {
             "limb_mut" => for_each_limb_mut(&mut a, elems, |i, _| visit(i..i + 1)),
-            "limb_pair_mut" => {
-                let b = a.clone();
-                for_each_limb_pair_mut(&mut a, &b, elems, |i, _, _| visit(i..i + 1));
-            }
             // Two buffers per unit: half the elements in each.
             "limb_mut2" => {
                 a.truncate(units * elems / 2);
@@ -365,7 +337,7 @@ mod tests {
     }
 
     #[test]
-    fn share_boundaries_follow_the_base_extra_rule_in_all_four_helpers() {
+    fn share_boundaries_follow_the_base_extra_rule_in_every_helper() {
         let me = std::thread::current().id();
         for helper in HELPERS {
             for l in 1..=9usize {
@@ -546,22 +518,5 @@ mod tests {
             }
         });
         assert!(dst.iter().enumerate().all(|(k, &x)| x == k as u64));
-    }
-
-    #[test]
-    fn paired_iteration_lines_up() {
-        let n = 32;
-        let src: Vec<u64> = (0..(4 * n) as u64).collect();
-        let mut dst = vec![0u64; 4 * n];
-        for_each_limb_pair_mut(&mut dst, &src, n, |i, d, s| {
-            for (x, &y) in d.iter_mut().zip(s) {
-                *x = y + i as u64;
-            }
-        });
-        for i in 0..4 {
-            for k in 0..n {
-                assert_eq!(dst[i * n + k], (i * n + k) as u64 + i as u64);
-            }
-        }
     }
 }

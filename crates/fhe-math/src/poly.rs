@@ -210,11 +210,6 @@ impl RnsPoly {
         self.data.chunks_exact(self.basis.degree())
     }
 
-    /// Iterates over limbs mutably (caller must preserve reduction).
-    pub fn limbs_iter_mut(&mut self) -> impl Iterator<Item = &mut [u64]> {
-        self.data.chunks_exact_mut(self.basis.degree())
-    }
-
     /// The whole limb-major buffer.
     #[inline]
     pub fn flat(&self) -> &[u64] {
@@ -236,12 +231,6 @@ impl RnsPoly {
     /// Consumes the polynomial, returning its storage to `pool`.
     pub fn recycle(self, pool: &ScratchPool) {
         pool.recycle_vec(self.data);
-    }
-
-    /// This polynomial's memory-trace identity.
-    #[inline(always)]
-    pub fn operand_tag(&self) -> telemetry::OperandTag {
-        self.tag
     }
 
     /// Reclassifies this polynomial for memory-access tracing (e.g. when a
@@ -311,34 +300,51 @@ impl RnsPoly {
         self.rep = Representation::Coefficient;
     }
 
+    /// One element-wise pass writing this polynomial's limbs: records
+    /// `mults` / `adds` per element written and the pass's trace touches —
+    /// this polynomial's read when `reads_self`, each input's prefix in
+    /// argument order, then this polynomial's write — and runs
+    /// `kernel(i, q_i, limb, input_limbs)` per limb. Inputs are read
+    /// through their first `self.limb_count()` limbs; each op checks its
+    /// own shapes first.
+    fn elementwise<const K: usize>(
+        &mut self,
+        reads_self: bool,
+        inputs: [&RnsPoly; K],
+        (mults, adds): (u64, u64),
+        kernel: impl Fn(usize, &Modulus, &mut [u64], [&[u64]; K]) + Sync,
+    ) {
+        let (n, limbs, len) = (self.degree(), self.limb_count(), self.data.len());
+        telemetry::record_ops(mults * len as u64, adds * len as u64);
+        if reads_self {
+            self.trace_touch(false);
+        }
+        for x in inputs {
+            x.trace_touch_limbs(false, 0, limbs);
+        }
+        self.trace_touch(true);
+        let inputs = inputs.map(|x| &x.data[..len]);
+        let basis = &self.basis;
+        parallel::for_each_limb_mut(&mut self.data, n, |i, dst| {
+            let limb = i * n..(i + 1) * n;
+            kernel(i, basis.modulus(i), dst, inputs.map(|x| &x[limb.clone()]));
+        });
+    }
+
     /// `self += other` (works in either representation; both operands must
     /// match).
     pub fn add_assign(&mut self, other: &RnsPoly) {
         self.assert_compatible(other);
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        telemetry::record_ops(0, self.data.len() as u64);
-        telemetry::record_transfer(16 * self.data.len() as u64, 8 * self.data.len() as u64);
-        self.trace_touch(false);
-        other.trace_touch(false);
-        self.trace_touch(true);
-        parallel::for_each_limb_pair_mut(&mut self.data, &other.data, n, |i, dst, src| {
-            UnrolledBackend.pointwise_add(basis.modulus(i), dst, src);
+        self.elementwise(true, [other], (0, 1), |_, m, dst, [src]| {
+            UnrolledBackend.pointwise_add(m, dst, src)
         });
     }
 
     /// `self -= other`.
     pub fn sub_assign(&mut self, other: &RnsPoly) {
         self.assert_compatible(other);
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        telemetry::record_ops(0, self.data.len() as u64);
-        telemetry::record_transfer(16 * self.data.len() as u64, 8 * self.data.len() as u64);
-        self.trace_touch(false);
-        other.trace_touch(false);
-        self.trace_touch(true);
-        parallel::for_each_limb_pair_mut(&mut self.data, &other.data, n, |i, dst, src| {
-            UnrolledBackend.pointwise_sub(basis.modulus(i), dst, src);
+        self.elementwise(true, [other], (0, 1), |_, m, dst, [src]| {
+            UnrolledBackend.pointwise_sub(m, dst, src)
         });
     }
 
@@ -352,65 +358,42 @@ impl RnsPoly {
     /// Panics unless both inputs share a representation and have at least
     /// `out`'s limbs.
     pub fn add_into(&self, other: &RnsPoly, out: &mut RnsPoly) {
-        self.combine_into(other, out, UnrolledBackend::pointwise_add_into);
+        out.assert_combines(self, other);
+        out.rep = self.rep;
+        out.elementwise(false, [self, other], (0, 1), |_, m, dst, [a, b]| {
+            UnrolledBackend.pointwise_add_into(m, a, b, dst)
+        });
     }
 
     /// `out = self − other`; see [`RnsPoly::add_into`].
     pub fn sub_into(&self, other: &RnsPoly, out: &mut RnsPoly) {
-        self.combine_into(other, out, UnrolledBackend::pointwise_sub_into);
+        out.assert_combines(self, other);
+        out.rep = self.rep;
+        out.elementwise(false, [self, other], (0, 1), |_, m, dst, [a, b]| {
+            UnrolledBackend.pointwise_sub_into(m, a, b, dst)
+        });
     }
 
-    /// The shared body of [`RnsPoly::add_into`] and [`RnsPoly::sub_into`]:
-    /// `kernel` per limb. The residues are canonical on both sides of it,
-    /// so the result is the one `add_assign` / `sub_assign` leave.
-    fn combine_into(
-        &self,
-        other: &RnsPoly,
-        out: &mut RnsPoly,
-        kernel: impl Fn(&UnrolledBackend, &Modulus, &[u64], &[u64], &mut [u64]) + Sync,
-    ) {
-        assert_eq!(self.rep, other.rep, "representation mismatch");
-        let limbs = out.limb_count();
+    /// The checks of [`RnsPoly::add_into`] and [`RnsPoly::sub_into`]. The
+    /// residues are canonical on both sides of either kernel, so the result
+    /// is the one `add_assign` / `sub_assign` leave.
+    fn assert_combines(&self, a: &RnsPoly, b: &RnsPoly) {
+        assert_eq!(a.rep, b.rep, "representation mismatch");
+        let limbs = self.limb_count();
         assert!(
-            self.limb_count() >= limbs && other.limb_count() >= limbs,
+            a.limb_count() >= limbs && b.limb_count() >= limbs,
             "operands have {} and {} limbs, output {limbs}",
-            self.limb_count(),
-            other.limb_count(),
+            a.limb_count(),
+            b.limb_count(),
         );
-        debug_assert!(starts_with(&self.basis, &out.basis), "basis mismatch");
-        debug_assert!(starts_with(&other.basis, &out.basis), "basis mismatch");
-        out.rep = self.rep;
-        let n = out.basis.degree();
-        let len = out.data.len();
-        let (a, b) = (&self.data[..len], &other.data[..len]);
-        telemetry::record_ops(0, len as u64);
-        telemetry::record_transfer(16 * len as u64, 8 * len as u64);
-        self.trace_touch_limbs(false, 0, limbs);
-        other.trace_touch_limbs(false, 0, limbs);
-        out.trace_touch(true);
-        let basis = &out.basis;
-        parallel::for_each_limb_mut(&mut out.data, n, |i, dst| {
-            let limb = i * n..(i + 1) * n;
-            kernel(
-                &UnrolledBackend,
-                basis.modulus(i),
-                &a[limb.clone()],
-                &b[limb],
-                dst,
-            );
-        });
+        debug_assert!(starts_with(&a.basis, &self.basis), "basis mismatch");
+        debug_assert!(starts_with(&b.basis, &self.basis), "basis mismatch");
     }
 
     /// `self = -self`.
     pub fn negate(&mut self) {
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        telemetry::record_ops(0, self.data.len() as u64);
-        telemetry::record_transfer(8 * self.data.len() as u64, 8 * self.data.len() as u64);
-        self.trace_touch(false);
-        self.trace_touch(true);
-        parallel::for_each_limb_mut(&mut self.data, n, |i, limb| {
-            UnrolledBackend.pointwise_neg(basis.modulus(i), limb);
+        self.elementwise(true, [], (0, 1), |_, m, dst, []| {
+            UnrolledBackend.pointwise_neg(m, dst)
         });
     }
 
@@ -426,15 +409,8 @@ impl RnsPoly {
             "pointwise product requires evaluation representation"
         );
         self.assert_compatible(other);
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        telemetry::record_ops(self.data.len() as u64, 0);
-        telemetry::record_transfer(16 * self.data.len() as u64, 8 * self.data.len() as u64);
-        self.trace_touch(false);
-        other.trace_touch(false);
-        self.trace_touch(true);
-        parallel::for_each_limb_pair_mut(&mut self.data, &other.data, n, |i, dst, src| {
-            UnrolledBackend.pointwise_mul(basis.modulus(i), dst, src);
+        self.elementwise(true, [other], (1, 0), |_, m, dst, [src]| {
+            UnrolledBackend.pointwise_mul(m, dst, src)
         });
     }
 
@@ -468,24 +444,8 @@ impl RnsPoly {
         out.assert_reads_prefix_of(self);
         out.assert_reads_prefix_of(other);
         out.rep = Representation::Evaluation;
-        let n = out.basis.degree();
-        let limbs = out.limb_count();
-        let len = out.data.len();
-        let (a, b) = (&self.data[..len], &other.data[..len]);
-        telemetry::record_ops(len as u64, 0);
-        telemetry::record_transfer(16 * len as u64, 8 * len as u64);
-        self.trace_touch_limbs(false, 0, limbs);
-        other.trace_touch_limbs(false, 0, limbs);
-        out.trace_touch(true);
-        let basis = &out.basis;
-        parallel::for_each_limb_mut(&mut out.data, n, |i, dst| {
-            let off = i * n;
-            UnrolledBackend.pointwise_mul_into(
-                basis.modulus(i),
-                &a[off..off + n],
-                &b[off..off + n],
-                dst,
-            );
+        out.elementwise(false, [self, other], (1, 0), |_, m, dst, [a, b]| {
+            UnrolledBackend.pointwise_mul_into(m, a, b, dst)
         });
     }
 
@@ -505,40 +465,15 @@ impl RnsPoly {
             Representation::Evaluation,
             "pointwise product requires evaluation representation"
         );
-        let n = self.basis.degree();
-        let limbs = self.limb_count();
-        let len = self.data.len();
-        let (x, y) = (&a.data[..len], &b.data[..len]);
-        telemetry::record_ops(len as u64, len as u64);
-        telemetry::record_transfer(24 * len as u64, 8 * len as u64);
-        self.trace_touch(false);
-        a.trace_touch_limbs(false, 0, limbs);
-        b.trace_touch_limbs(false, 0, limbs);
-        self.trace_touch(true);
-        let basis = &self.basis;
-        parallel::for_each_limb_mut(&mut self.data, n, |i, acc| {
-            let off = i * n;
-            UnrolledBackend.pointwise_mul_add(
-                basis.modulus(i),
-                acc,
-                &x[off..off + n],
-                &y[off..off + n],
-            );
+        self.elementwise(true, [a, b], (1, 1), |_, m, acc, [x, y]| {
+            UnrolledBackend.pointwise_mul_add(m, acc, x, y)
         });
     }
 
     /// Multiplies every limb by a (per-limb-reduced) scalar.
     pub fn mul_scalar_assign(&mut self, scalar: u64) {
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        telemetry::record_ops(self.data.len() as u64, 0);
-        telemetry::record_transfer(8 * self.data.len() as u64, 8 * self.data.len() as u64);
-        self.trace_touch(false);
-        self.trace_touch(true);
-        parallel::for_each_limb_mut(&mut self.data, n, |i, limb| {
-            let m = basis.modulus(i);
-            let s = ShoupPair::new(m, m.reduce(scalar));
-            UnrolledBackend.scale_shoup(m, limb, s);
+        self.elementwise(true, [], (1, 0), |_, m, limb, []| {
+            UnrolledBackend.scale_shoup(m, limb, ShoupPair::new(m, m.reduce(scalar)))
         });
     }
 
@@ -550,16 +485,8 @@ impl RnsPoly {
     /// Panics if `scalars.len() != self.limb_count()`.
     pub fn mul_scalar_per_limb_assign(&mut self, scalars: &[u64]) {
         assert_eq!(scalars.len(), self.limb_count());
-        let n = self.basis.degree();
-        let basis = &self.basis;
-        telemetry::record_ops(self.data.len() as u64, 0);
-        telemetry::record_transfer(8 * self.data.len() as u64, 8 * self.data.len() as u64);
-        self.trace_touch(false);
-        self.trace_touch(true);
-        parallel::for_each_limb_mut(&mut self.data, n, |i, limb| {
-            let m = basis.modulus(i);
-            let s = ShoupPair::new(m, m.reduce(scalars[i]));
-            UnrolledBackend.scale_shoup(m, limb, s);
+        self.elementwise(true, [], (1, 0), |i, m, limb, []| {
+            UnrolledBackend.scale_shoup(m, limb, ShoupPair::new(m, m.reduce(scalars[i])))
         });
     }
 
@@ -591,7 +518,6 @@ impl RnsPoly {
         let rep = self.rep;
         let src = &self.data;
         // A pure permutation: no modular ops, only streamed limb traffic.
-        telemetry::record_transfer(8 * src.len() as u64, 8 * src.len() as u64);
         self.trace_touch(false);
         out.trace_touch(true);
         parallel::for_each_limb_mut(&mut out.data, n, |i, dst| {
@@ -723,7 +649,6 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
     // n centered reductions (counted as adds), n subtracts, n scale mults.
     let kept = (l - 1) as u64;
     telemetry::record_ops(kept * n as u64, 2 * kept * n as u64);
-    telemetry::record_transfer(8 * (n as u64) * (1 + kept), 8 * n as u64);
     poly.trace_touch(false);
 
     // iNTT the dropped limb and shift it by ⌊q_last/2⌋, once, for the
@@ -858,7 +783,6 @@ pub fn mod_down_with(poly: &RnsPoly, ctx: &ModDownContext, pool: &ScratchPool) -
         (ctx.q_len * n) as u64,
         ((ctx.p_len + 2 * ctx.q_len) * n) as u64,
     );
-    telemetry::record_transfer(8 * ((ctx.p_len + ctx.q_len) * n) as u64, 0);
     poly.trace_touch(false);
 
     // Step 1: iNTT the special limbs (limb-wise), then apply the centering
@@ -922,7 +846,6 @@ pub fn pmod_up_with(poly: &RnsPoly, raised_basis: Arc<RnsBasis>, pool: &ScratchP
         "raised basis must start with the polynomial's basis"
     );
     telemetry::record_ops((l * n) as u64, 0);
-    telemetry::record_transfer(8 * (l * n) as u64, 8 * (raised_basis.len() * n) as u64);
     poly.trace_touch(false);
     let mut out = RnsPoly {
         rep: poly.representation(),
@@ -967,7 +890,6 @@ pub fn pmod_up_add_assign(acc: &mut RnsPoly, mut x: RnsPoly, pool: &ScratchPool)
         "raised basis must start with the polynomial's basis"
     );
     telemetry::record_ops((l * n) as u64, (l * n) as u64);
-    telemetry::record_transfer(16 * (l * n) as u64, 8 * (l * n) as u64);
     x.trace_touch(false);
     acc.trace_touch_limbs(false, 0, l);
     acc.trace_touch_limbs(true, 0, l);
@@ -1022,7 +944,6 @@ pub fn mod_up_with(
 
     // Transforms and the NewLimb conversion are recorded by their own
     // hooks; the two pass-through copies are pure limb traffic.
-    telemetry::record_transfer(16 * (l * n) as u64, 16 * (l * n) as u64);
     poly.trace_touch(false);
 
     let mut coeff = pool.take(l * n);

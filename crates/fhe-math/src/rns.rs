@@ -441,12 +441,6 @@ impl BasisExtender {
         self.target_moduli.len()
     }
 
-    /// `Q mod p_j` for target limb `j`.
-    #[inline]
-    pub fn source_product_mod_target(&self, j: usize) -> u64 {
-        self.excess[j][1]
-    }
-
     /// Applies `NewLimb` to one coefficient: given `residues[i] = [x]_{q_i}`
     /// for the representative `x ∈ [0, Q)`, writes `[x]_{p_j}` for each
     /// target limb `j` (exact; see the type-level docs). This is the

@@ -86,7 +86,6 @@ impl ScratchPool {
     /// allocate again.
     pub fn take_vec(&self, len: usize) -> Vec<u64> {
         self.leases.fetch_add(1, Ordering::Relaxed);
-        crate::telemetry::record_scratch_lease(8 * len as u64);
         let reused = {
             let mut free = self.free.lock().expect("scratch pool poisoned");
             free.out += 1;

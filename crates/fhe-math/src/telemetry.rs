@@ -1,5 +1,5 @@
-//! Op-count, traffic, span and memory-access-trace telemetry for the ring
-//! kernels, compiled into every build.
+//! Op-count, span and memory-access-trace telemetry for the ring kernels,
+//! compiled into every build.
 //!
 //! The MAD paper's conclusions rest on SimFHE's analytical op counts and
 //! DRAM-transfer estimates (`simfhe::primitives`); this module measures what
@@ -18,12 +18,10 @@
 //!   counted once.
 //! - **Basis-extension terms** — the `src·dst` `NewLimb` inner-product
 //!   terms of Eq. 1, the slot-wise kernel's work measure.
-//! - **Transfer bytes** — a DRAM-traffic proxy: every instrumented kernel
-//!   records the limb-buffer bytes it streams (reads/writes). Separately,
-//!   [`crate::scratch::ScratchPool`] records leased bytes
-//!   ([`Snapshot::scratch_lease_bytes`]) so working-set pressure and
-//!   streamed traffic can be told apart. See DESIGN.md for how this maps
-//!   onto the paper's per-`CachingLevel` DRAM model.
+//!
+//! The counters hold no bytes: DRAM bytes come from replaying the
+//! memory-access trace (below) through a cache, and scratch leases are
+//! counted by the pool itself ([`crate::scratch::ScratchStats`]).
 //!
 //! Counters are process-global relaxed atomics — global rather than
 //! thread-local because [`crate::parallel`] runs limb kernels on scoped
@@ -113,15 +111,6 @@ pub struct Snapshot {
     /// Basis-extension (`NewLimb`) inner-product terms: `src·dst` per
     /// coefficient converted.
     pub ext_terms: u64,
-    /// Limb-buffer bytes read by instrumented kernels.
-    pub bytes_read: u64,
-    /// Limb-buffer bytes written by instrumented kernels.
-    pub bytes_written: u64,
-    /// Buffers leased from a [`crate::ScratchPool`].
-    pub scratch_leases: u64,
-    /// Total bytes of those leases (working-set pressure, *not* streamed
-    /// traffic — see [`Snapshot::transfer_bytes`] for that).
-    pub scratch_lease_bytes: u64,
 }
 
 impl Snapshot {
@@ -135,14 +124,6 @@ impl Snapshot {
         self.ntt_fwd + self.ntt_inv
     }
 
-    /// Total limb-buffer bytes streamed by instrumented kernels
-    /// (`bytes_read + bytes_written`) — the DRAM-traffic proxy. Scratch
-    /// leases are accounted separately in
-    /// [`scratch_lease_bytes`](Snapshot::scratch_lease_bytes).
-    pub fn transfer_bytes(&self) -> u64 {
-        self.bytes_read + self.bytes_written
-    }
-
     /// Counter-wise difference `self − earlier`, saturating at zero (a
     /// [`reset`] between the two snapshots must not panic).
     pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
@@ -152,12 +133,6 @@ impl Snapshot {
             ntt_fwd: self.ntt_fwd.saturating_sub(earlier.ntt_fwd),
             ntt_inv: self.ntt_inv.saturating_sub(earlier.ntt_inv),
             ext_terms: self.ext_terms.saturating_sub(earlier.ext_terms),
-            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
-            bytes_written: self.bytes_written.saturating_sub(earlier.bytes_written),
-            scratch_leases: self.scratch_leases.saturating_sub(earlier.scratch_leases),
-            scratch_lease_bytes: self
-                .scratch_lease_bytes
-                .saturating_sub(earlier.scratch_lease_bytes),
         }
     }
 
@@ -168,10 +143,6 @@ impl Snapshot {
         self.ntt_fwd += other.ntt_fwd;
         self.ntt_inv += other.ntt_inv;
         self.ext_terms += other.ext_terms;
-        self.bytes_read += other.bytes_read;
-        self.bytes_written += other.bytes_written;
-        self.scratch_leases += other.scratch_leases;
-        self.scratch_lease_bytes += other.scratch_lease_bytes;
     }
 }
 
@@ -254,10 +225,6 @@ static ADDS: AtomicU64 = AtomicU64::new(0);
 static NTT_FWD: AtomicU64 = AtomicU64::new(0);
 static NTT_INV: AtomicU64 = AtomicU64::new(0);
 static EXT_TERMS: AtomicU64 = AtomicU64::new(0);
-static BYTES_READ: AtomicU64 = AtomicU64::new(0);
-static BYTES_WRITTEN: AtomicU64 = AtomicU64::new(0);
-static SCRATCH_LEASES: AtomicU64 = AtomicU64::new(0);
-static SCRATCH_BYTES: AtomicU64 = AtomicU64::new(0);
 static KEY_EXPANSIONS: AtomicU64 = AtomicU64::new(0);
 static KEY_EXPANSION_BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -290,8 +257,8 @@ pub fn record_ops(mults: u64, adds: u64) {
 }
 
 /// Records one whole-limb NTT transform of `n` coefficients with
-/// `butterflies` butterfly stages-worth of work (1 mult + 2 adds each),
-/// plus the limb's streaming traffic. An inverse transform also records
+/// `butterflies` butterfly stages-worth of work (1 mult + 2 adds each).
+/// An inverse transform also records
 /// the `n` multiplies of an `N⁻¹` normalization pass, which lie beyond the
 /// model's butterfly count. These are *logical* units, not the kernel's
 /// instructions: the production transform folds `N⁻¹` into its last stage
@@ -306,8 +273,6 @@ pub fn record_ntt(forward: bool, butterflies: u64, n: u64) {
         add(&MULTS, butterflies + n);
     }
     add(&ADDS, 2 * butterflies);
-    add(&BYTES_READ, 8 * n);
-    add(&BYTES_WRITTEN, 8 * n);
 }
 
 /// Zeroes the two whole-limb transform counters only
@@ -326,22 +291,6 @@ pub fn record_basis_ext(src: u64, dst: u64, n: u64) {
     add(&MULTS, n * (src + src * dst + dst));
     add(&ADDS, n * (src * dst + dst));
     add(&EXT_TERMS, n * src * dst);
-    add(&BYTES_READ, 8 * src * n);
-    add(&BYTES_WRITTEN, 8 * dst * n);
-}
-
-/// Records limb-buffer streaming traffic in bytes.
-#[inline]
-pub fn record_transfer(read: u64, written: u64) {
-    add(&BYTES_READ, read);
-    add(&BYTES_WRITTEN, written);
-}
-
-/// Records one scratch-pool lease of `bytes` bytes.
-#[inline]
-pub fn record_scratch_lease(bytes: u64) {
-    add(&SCRATCH_LEASES, 1);
-    add(&SCRATCH_BYTES, bytes);
 }
 
 /// Records one switching-key expansion: a compute-for-memory event where a
@@ -421,10 +370,6 @@ pub fn snapshot() -> Snapshot {
         ntt_fwd: NTT_FWD.load(Relaxed),
         ntt_inv: NTT_INV.load(Relaxed),
         ext_terms: EXT_TERMS.load(Relaxed),
-        bytes_read: BYTES_READ.load(Relaxed),
-        bytes_written: BYTES_WRITTEN.load(Relaxed),
-        scratch_leases: SCRATCH_LEASES.load(Relaxed),
-        scratch_lease_bytes: SCRATCH_BYTES.load(Relaxed),
     }
 }
 
@@ -438,10 +383,6 @@ pub fn reset() {
         &NTT_FWD,
         &NTT_INV,
         &EXT_TERMS,
-        &BYTES_READ,
-        &BYTES_WRITTEN,
-        &SCRATCH_LEASES,
-        &SCRATCH_BYTES,
         &KEY_EXPANSIONS,
         &KEY_EXPANSION_BYTES,
     ] {
@@ -664,17 +605,13 @@ mod tests {
             ntt_fwd: 3,
             ntt_inv: 4,
             ext_terms: 5,
-            bytes_read: 6,
-            bytes_written: 7,
-            scratch_leases: 8,
-            scratch_lease_bytes: 9,
         };
         acc.accumulate(&x);
         acc.accumulate(&x);
         assert_eq!(acc.ntt_fwd, 6);
         assert_eq!(acc.transforms(), 14);
-        assert_eq!(acc.transfer_bytes(), 26);
-        assert_eq!(acc.scratch_lease_bytes, 18);
+        assert_eq!(acc.ext_terms, 10);
+        assert_eq!(acc.ops(), 6);
     }
 
     #[test]

@@ -206,8 +206,8 @@ fn metric(metric: &'static str, measured: u64, modeled: u64) -> MetricCheck {
     }
 }
 
-/// One row of the report: four gated op metrics, the replayed bytes
-/// (gated for primitives) and the telemetry byte proxies.
+/// One row of the report: four gated op metrics and the replayed bytes
+/// (gated for primitives).
 fn check(row: &Row) -> PrimitiveCheck {
     let (snap, cost) = (row.ops, row.modeled);
     let mut p = PrimitiveCheck::new(row.name);
@@ -235,14 +235,6 @@ fn check(row: &Row) -> PrimitiveCheck {
             metric("dram_total", s.dram_total(), cost.dram_total()),
         ]);
     }
-    p.info.extend([
-        metric("transfer_bytes", snap.transfer_bytes(), cost.dram_total()),
-        metric(
-            "scratch_lease_bytes",
-            snap.scratch_lease_bytes,
-            cost.dram_total(),
-        ),
-    ]);
     p
 }
 
@@ -626,8 +618,6 @@ pub fn perfetto_json(rows: &[RowTrace]) -> String {
                 ("adds", o.adds),
                 ("ntt_fwd", o.ntt_fwd),
                 ("ntt_inv", o.ntt_inv),
-                ("bytes_read", o.bytes_read),
-                ("bytes_written", o.bytes_written),
             ];
             let (begin, end) = (us(s.begin), us(s.end));
             trace.slice(1, "span", s.name, begin, end - begin, &args);
