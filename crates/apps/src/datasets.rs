@@ -1,11 +1,10 @@
-//! Synthetic datasets shaped like the paper's workloads.
+//! A synthetic dataset shaped like the paper's HELR workload.
 //!
 //! The paper trains HELR on an MNIST-like binary task (1024 samples × 196
-//! features after downsampling) and runs ResNet-20 inference on CIFAR-10
-//! images (32 × 32 × 3). Neither dataset ships with this repository; these
-//! generators produce data of identical shape and dynamic range, which is
-//! all that matters for FHE cost (ciphertext computation is
-//! data-independent) and enough for the functional examples to show
+//! features after downsampling). The dataset does not ship with this
+//! repository; the generator produces data of identical shape and dynamic
+//! range, which is all that matters for FHE cost (ciphertext computation
+//! is data-independent) and enough for the functional example to show
 //! learning actually happens.
 
 use rand::Rng;
@@ -59,43 +58,6 @@ pub fn synthetic_mnist_like<R: Rng + ?Sized>(
     data
 }
 
-/// A CIFAR-shaped image: `channels × height × width`, values in `[0, 1]`.
-#[derive(Clone, Debug)]
-pub struct Image {
-    /// Channel count (3 for CIFAR).
-    pub channels: usize,
-    /// Spatial height.
-    pub height: usize,
-    /// Spatial width.
-    pub width: usize,
-    /// Channel-major pixel data.
-    pub pixels: Vec<f64>,
-}
-
-impl Image {
-    /// Pixel at `(c, y, x)`.
-    pub fn at(&self, c: usize, y: usize, x: usize) -> f64 {
-        self.pixels[(c * self.height + y) * self.width + x]
-    }
-}
-
-/// Generates a CIFAR-10-shaped random image (3 × 32 × 32 by default use).
-pub fn synthetic_cifar_like<R: Rng + ?Sized>(
-    rng: &mut R,
-    channels: usize,
-    height: usize,
-    width: usize,
-) -> Image {
-    Image {
-        channels,
-        height,
-        width,
-        pixels: (0..channels * height * width)
-            .map(|_| rng.gen_range(0.0..1.0))
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,13 +92,5 @@ mod tests {
         let a = synthetic_mnist_like(&mut rng, 64, 16);
         let b = synthetic_mnist_like(&mut rng, 64, 16);
         assert_ne!(a.features[0], b.features[0]);
-    }
-
-    #[test]
-    fn cifar_like_shape() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let img = synthetic_cifar_like(&mut rng, 3, 32, 32);
-        assert_eq!(img.pixels.len(), 3 * 32 * 32);
-        assert!((0.0..=1.0).contains(&img.at(2, 31, 31)));
     }
 }

@@ -1,9 +1,10 @@
 #![warn(missing_docs)]
 
-//! FHE application workloads for the MAD reproduction: HELR
-//! logistic-regression training and ResNet-20 CKKS inference, with
-//! plaintext reference implementations, synthetic datasets of the paper's
-//! shapes, and the simulator schedules behind Figure 6.
+//! FHE application workloads for the MAD reproduction: the simulator
+//! schedules behind Figure 6 (HELR logistic-regression training and
+//! ResNet-20 CKKS inference), the encrypted HELR step as one program with
+//! its plaintext reference, and a synthetic dataset of the HELR task's
+//! shape.
 
 pub mod datasets;
 pub mod figure6;
@@ -11,8 +12,8 @@ pub mod helr_enc;
 pub mod lr;
 pub mod resnet;
 
-pub use datasets::{synthetic_cifar_like, synthetic_mnist_like, BinaryDataset, Image};
+pub use datasets::{synthetic_mnist_like, BinaryDataset};
 pub use figure6::{design_bars, figure6_groups, Fig6Bar, Fig6Workload};
-pub use helr_enc::{encrypted_lr_step, helr_step_program, lr_fold_steps, plain_lr_step};
-pub use lr::{helr_workload, HelrShape, PlainLr};
-pub use resnet::{resnet20_layers, resnet20_workload, ConvLayer, PlainConv};
+pub use helr_enc::{helr_step_program, plain_lr_step};
+pub use lr::{helr_workload, HelrShape};
+pub use resnet::{resnet20_layers, resnet20_workload, ConvLayer};

@@ -1,88 +1,15 @@
 //! HELR logistic-regression training (Han et al., AAAI'19), as evaluated
-//! by the MAD paper (Figure 6a–e).
+//! by the MAD paper (Figure 6a–e): [`helr_workload`], the simulator
+//! schedule — per iteration, the slot-packed matrix–vector products, the
+//! polynomial sigmoid, and the gradient update; a bootstrap every
+//! `iters_per_bootstrap` iterations (3 at the paper's parameters).
 //!
-//! Two artifacts live here:
-//!
-//! - [`PlainLr`], a plaintext reference implementation using HELR's
-//!   degree-3 sigmoid approximation — the ground truth the encrypted
-//!   example is validated against, and evidence that the synthetic data is
-//!   learnable.
-//! - [`helr_workload`], the simulator schedule: per iteration, the
-//!   slot-packed matrix–vector products, the polynomial sigmoid, and the
-//!   gradient update; a bootstrap every `iters_per_bootstrap` iterations
-//!   (3 at the paper's parameters).
+//! The functional step and its plaintext reference are in
+//! [`crate::helr_enc`].
 
-use crate::datasets::BinaryDataset;
 use simfhe::bootstrap::EVAL_MOD_DEPTH;
 use simfhe::params::SchemeParams;
 use simfhe::workload::{Workload, WorkloadOp};
-
-/// HELR-style degree-3 least-squares approximation of the sigmoid on
-/// `[-4, 4]`: `σ(x) ≈ 0.5 + 0.197x − 0.004x³`.
-pub fn sigmoid_deg3(x: f64) -> f64 {
-    0.5 + 0.197 * x - 0.004 * x * x * x
-}
-
-/// Plaintext logistic-regression trainer using the HELR update rule
-/// (full-batch gradient descent with the polynomial sigmoid).
-#[derive(Clone, Debug)]
-pub struct PlainLr {
-    /// Current weights (including no bias term, as in HELR's packing).
-    pub weights: Vec<f64>,
-    /// Learning rate.
-    pub learning_rate: f64,
-}
-
-impl PlainLr {
-    /// Zero-initialized model of the given dimension.
-    pub fn new(dim: usize, learning_rate: f64) -> Self {
-        Self {
-            weights: vec![0.0; dim],
-            learning_rate,
-        }
-    }
-
-    /// One full-batch gradient step; returns the mean squared gradient
-    /// magnitude (a convergence diagnostic).
-    pub fn step(&mut self, data: &BinaryDataset) -> f64 {
-        let n = data.len() as f64;
-        let dim = self.weights.len();
-        let mut grad = vec![0.0f64; dim];
-        for (x, &y) in data.features.iter().zip(&data.labels) {
-            let z: f64 = x.iter().zip(&self.weights).map(|(a, b)| a * b).sum();
-            // HELR minimizes Σ log(1 + e^{-y·z}); with the polynomial
-            // sigmoid the per-sample gradient is −σ(−y·z)·y·x.
-            let s = sigmoid_deg3(-y * z);
-            for (g, &xi) in grad.iter_mut().zip(x) {
-                *g -= s * y * xi / n;
-            }
-        }
-        for (w, g) in self.weights.iter_mut().zip(&grad) {
-            *w -= self.learning_rate * g;
-        }
-        grad.iter().map(|g| g * g).sum::<f64>() / dim as f64
-    }
-
-    /// Runs `iterations` full-batch steps, returning the gradient-norm
-    /// trajectory (a simple convergence curve).
-    pub fn train(&mut self, data: &BinaryDataset, iterations: usize) -> Vec<f64> {
-        (0..iterations).map(|_| self.step(data)).collect()
-    }
-
-    /// Classification accuracy on a dataset.
-    pub fn accuracy(&self, data: &BinaryDataset) -> f64 {
-        let correct = data
-            .features
-            .iter()
-            .zip(&data.labels)
-            .filter(|(x, &y)| {
-                let z: f64 = x.iter().zip(&self.weights).map(|(a, b)| a * b).sum();
-                (z >= 0.0) == (y > 0.0)
-            })
-            .count();
-        correct as f64 / data.len() as f64
-    }
-}
 
 /// Shape of the HELR encrypted-training schedule.
 #[derive(Clone, Copy, Debug)]
@@ -165,6 +92,7 @@ pub fn helr_workload(params: &SchemeParams, shape: HelrShape) -> Workload {
 mod tests {
     use super::*;
     use crate::datasets::synthetic_mnist_like;
+    use crate::helr_enc::{plain_lr_step, SIGMOID_C0, SIGMOID_C1, SIGMOID_C3};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use simfhe::opts::MadConfig;
@@ -172,13 +100,14 @@ mod tests {
 
     #[test]
     fn sigmoid_approximation_is_close_on_core_range() {
+        let sigmoid = |x: f64| SIGMOID_C0 + SIGMOID_C1 * x + SIGMOID_C3 * x * x * x;
         for i in -40..=40 {
             let x = i as f64 / 10.0;
             let exact = 1.0 / (1.0 + (-x).exp());
             assert!(
-                (sigmoid_deg3(x) - exact).abs() < 0.08,
+                (sigmoid(x) - exact).abs() < 0.08,
                 "x={x}: {} vs {exact}",
-                sigmoid_deg3(x)
+                sigmoid(x)
             );
         }
     }
@@ -187,12 +116,28 @@ mod tests {
     fn plaintext_lr_learns_synthetic_task() {
         let mut rng = StdRng::seed_from_u64(42);
         let data = synthetic_mnist_like(&mut rng, 512, 32);
-        let mut model = PlainLr::new(32, 1.0);
-        let initial = model.accuracy(&data);
+        let columns: Vec<Vec<f64>> = (0..32)
+            .map(|d| data.features.iter().map(|row| row[d]).collect())
+            .collect();
+        let y01: Vec<f64> = data.labels.iter().map(|&l| (l + 1.0) / 2.0).collect();
+        let accuracy = |weights: &[f64]| {
+            let correct = data
+                .features
+                .iter()
+                .zip(&data.labels)
+                .filter(|(x, &y)| {
+                    let z: f64 = x.iter().zip(weights).map(|(a, b)| a * b).sum();
+                    (z >= 0.0) == (y > 0.0)
+                })
+                .count();
+            correct as f64 / data.len() as f64
+        };
+        let mut weights = vec![0.0; 32];
+        let initial = accuracy(&weights);
         for _ in 0..30 {
-            model.step(&data);
+            plain_lr_step(&mut weights, &columns, &y01, 1.0);
         }
-        let trained = model.accuracy(&data);
+        let trained = accuracy(&weights);
         assert!(
             trained > 0.85 && trained > initial,
             "accuracy {initial} -> {trained}"
@@ -230,27 +175,5 @@ mod tests {
             ..SchemeParams::baseline()
         };
         let _ = helr_workload(&p, HelrShape::default());
-    }
-}
-#[cfg(test)]
-mod train_tests {
-    use super::*;
-    use crate::datasets::synthetic_mnist_like;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn gradient_norm_decays_over_training() {
-        let mut rng = StdRng::seed_from_u64(99);
-        let data = synthetic_mnist_like(&mut rng, 256, 16);
-        let mut model = PlainLr::new(16, 1.0);
-        let curve = model.train(&data, 25);
-        assert_eq!(curve.len(), 25);
-        let early: f64 = curve[..5].iter().sum();
-        let late: f64 = curve[20..].iter().sum();
-        assert!(
-            late < early,
-            "gradient norm should decay: {early} -> {late}"
-        );
     }
 }

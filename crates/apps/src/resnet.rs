@@ -5,10 +5,8 @@
 //! matrix–vector product over rotated copies of the feature map, replace
 //! ReLU with a composite minimax polynomial (depth ≈ 10), and bootstrap
 //! once per layer to replenish levels. [`resnet20_workload`] reproduces
-//! that schedule shape; [`PlainConv`] is a plaintext reference of the
-//! convolution used to sanity-check the layer geometry.
+//! that schedule shape.
 
-use crate::datasets::Image;
 use simfhe::bootstrap::EVAL_MOD_DEPTH;
 use simfhe::params::SchemeParams;
 use simfhe::workload::{Workload, WorkloadOp};
@@ -111,81 +109,9 @@ pub fn resnet20_workload(params: &SchemeParams) -> Workload {
     w
 }
 
-/// Plaintext 3×3 convolution reference (stride-aware, zero padding).
-#[derive(Clone, Debug)]
-pub struct PlainConv {
-    /// Layer geometry.
-    pub layer: ConvLayer,
-    /// Weights `[out][in][3][3]`, flattened.
-    pub weights: Vec<f64>,
-}
-
-impl PlainConv {
-    /// A deterministic test-pattern convolution for the layer.
-    pub fn test_pattern(layer: ConvLayer) -> Self {
-        let count = layer.out_channels * layer.in_channels * 9;
-        let weights = (0..count).map(|i| ((i % 7) as f64 - 3.0) / 10.0).collect();
-        Self { layer, weights }
-    }
-
-    fn weight(&self, o: usize, i: usize, ky: usize, kx: usize) -> f64 {
-        self.weights[((o * self.layer.in_channels + i) * 3 + ky) * 3 + kx]
-    }
-
-    /// Applies the convolution to an image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the image does not match the layer geometry.
-    pub fn apply(&self, img: &Image) -> Image {
-        let l = &self.layer;
-        assert_eq!(img.channels, l.in_channels, "channel mismatch");
-        // `spatial` is the output size; the input is `stride` times larger.
-        assert_eq!(img.height, l.spatial * l.stride, "spatial mismatch");
-        assert_eq!(img.width, l.spatial * l.stride, "spatial mismatch");
-        let out_h = img.height / l.stride;
-        let out_w = img.width / l.stride;
-        let mut out = Image {
-            channels: l.out_channels,
-            height: out_h,
-            width: out_w,
-            pixels: vec![0.0; l.out_channels * out_h * out_w],
-        };
-        for o in 0..l.out_channels {
-            for y in 0..out_h {
-                for x in 0..out_w {
-                    let mut acc = 0.0;
-                    for i in 0..l.in_channels {
-                        for ky in 0..3 {
-                            for kx in 0..3 {
-                                let sy = (y * l.stride + ky) as isize - 1;
-                                let sx = (x * l.stride + kx) as isize - 1;
-                                if sy < 0
-                                    || sx < 0
-                                    || sy >= img.height as isize
-                                    || sx >= img.width as isize
-                                {
-                                    continue;
-                                }
-                                acc +=
-                                    self.weight(o, i, ky, kx) * img.at(i, sy as usize, sx as usize);
-                            }
-                        }
-                    }
-                    out.pixels[(o * out_h + y) * out_w + x] = acc;
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets::synthetic_cifar_like;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn layer_stack_is_resnet20_shaped() {
@@ -243,45 +169,5 @@ mod tests {
             "bootstrapping should dominate ResNet-20 DRAM traffic ({:.0}%)",
             100.0 * boot / total
         );
-    }
-
-    #[test]
-    fn plain_conv_identity_kernel() {
-        // A kernel that is 1 at the center of channel 0 and 0 elsewhere
-        // reproduces channel 0.
-        let layer = ConvLayer {
-            in_channels: 2,
-            out_channels: 1,
-            spatial: 8,
-            stride: 1,
-        };
-        let mut conv = PlainConv::test_pattern(layer);
-        conv.weights.iter_mut().for_each(|w| *w = 0.0);
-        // center tap (ky = kx = 1) of in-channel 0.
-        conv.weights[4] = 1.0; // index (o=0, i=0, ky=1, kx=1)
-        let mut rng = StdRng::seed_from_u64(5);
-        let img = synthetic_cifar_like(&mut rng, 2, 8, 8);
-        let out = conv.apply(&img);
-        for y in 0..8 {
-            for x in 0..8 {
-                assert!((out.at(0, y, x) - img.at(0, y, x)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn strided_conv_halves_spatial() {
-        let layer = ConvLayer {
-            in_channels: 1,
-            out_channels: 1,
-            spatial: 8,
-            stride: 2,
-        };
-        let conv = PlainConv::test_pattern(layer);
-        let mut rng = StdRng::seed_from_u64(6);
-        let img = synthetic_cifar_like(&mut rng, 1, 16, 16);
-        let out = conv.apply(&img);
-        assert_eq!(out.height, 8);
-        assert_eq!(out.width, 8);
     }
 }

@@ -1,18 +1,17 @@
 //! End-to-end telemetry check: runs one encrypted HELR-style update step
-//! (the kernel shape of [`fhe_apps::lr`]) with measurement spans active and
-//! verifies that (a) the computation still decrypts to the plaintext
-//! reference and (b) the span layer attributes the expected structure of
-//! operations to each primitive.
+//! (an inner-product fold, then the sigmoid's quadratic term) with
+//! measurement spans active and verifies that (a) the computation still
+//! decrypts to the plaintext reference and (b) the span layer attributes
+//! the expected structure of operations to each primitive.
 
 use ckks::{CkksContext, CkksParams, Decryptor, Encoder, Encryptor, Evaluator, KeyGenerator};
-use fhe_apps::lr::sigmoid_deg3;
 use fhe_math::cfft::Complex;
 use fhe_math::telemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-fn encrypted_lr_step_is_measured_and_correct() {
+fn helr_style_step_is_measured_and_correct() {
     let ctx = CkksContext::new(
         CkksParams::builder()
             .log_degree(6)
@@ -69,9 +68,6 @@ fn encrypted_lr_step_is_measured_and_correct() {
             got.re
         );
     }
-    // `sigmoid_deg3` ties the kernel to the app: the quadratic term the
-    // schedule computes feeds the same polynomial the plaintext model uses.
-    assert!(sigmoid_deg3(0.0) > 0.49 && sigmoid_deg3(0.0) < 0.51);
 
     // Structural assertions on the measured profile.
     assert!(snap.mults > 0 && snap.adds > 0, "ops were counted");

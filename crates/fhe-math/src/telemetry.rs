@@ -225,8 +225,6 @@ static ADDS: AtomicU64 = AtomicU64::new(0);
 static NTT_FWD: AtomicU64 = AtomicU64::new(0);
 static NTT_INV: AtomicU64 = AtomicU64::new(0);
 static EXT_TERMS: AtomicU64 = AtomicU64::new(0);
-static KEY_EXPANSIONS: AtomicU64 = AtomicU64::new(0);
-static KEY_EXPANSION_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Monotonic operand-id source (0 is reserved as "untagged").
 static NEXT_OPERAND_ID: AtomicU64 = AtomicU64::new(1);
@@ -293,26 +291,6 @@ pub fn record_basis_ext(src: u64, dst: u64, n: u64) {
     add(&EXT_TERMS, n * src * dst);
 }
 
-/// Records one switching-key expansion: a compute-for-memory event where a
-/// seeded (compressed) key was regenerated into its full `2 × dnum`
-/// polynomial form, producing `bytes` bytes of expanded key material. The
-/// serving runtime's key cache calls this on every miss, making the
-/// paper's §3.2 regeneration trade visible next to the kernel counters.
-#[inline]
-pub fn record_key_expansion(bytes: u64) {
-    add(&KEY_EXPANSIONS, 1);
-    add(&KEY_EXPANSION_BYTES, bytes);
-}
-
-/// Totals recorded by [`record_key_expansion`] since the last [`reset`]:
-/// `(expansion count, expanded bytes)`.
-pub fn key_expansion_totals() -> (u64, u64) {
-    (
-        KEY_EXPANSIONS.load(Relaxed),
-        KEY_EXPANSION_BYTES.load(Relaxed),
-    )
-}
-
 /// Allocates a fresh process-unique operand id (never 0).
 #[inline]
 pub fn new_operand_id() -> u64 {
@@ -377,15 +355,7 @@ pub fn snapshot() -> Snapshot {
 ///
 /// Does **not** touch an in-flight trace; use [`trace_stop`] for that.
 pub fn reset() {
-    for counter in [
-        &MULTS,
-        &ADDS,
-        &NTT_FWD,
-        &NTT_INV,
-        &EXT_TERMS,
-        &KEY_EXPANSIONS,
-        &KEY_EXPANSION_BYTES,
-    ] {
+    for counter in [&MULTS, &ADDS, &NTT_FWD, &NTT_INV, &EXT_TERMS] {
         counter.store(0, Relaxed);
     }
 }

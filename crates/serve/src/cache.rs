@@ -49,6 +49,7 @@ struct Inner {
     clock: u64,
     hits: u64,
     misses: u64,
+    expanded_bytes: u64,
     accesses: u64,
     evictions: u64,
 }
@@ -58,8 +59,12 @@ struct Inner {
 pub struct CacheStats {
     /// Lookups served from an existing expansion.
     pub hits: u64,
-    /// Lookups that had to expand from the compressed form.
+    /// Lookups that had to expand from the compressed form — one
+    /// switching-key expansion each.
     pub misses: u64,
+    /// Expanded key bytes those misses produced, cumulative: the
+    /// compute-for-memory price paid, not what is resident.
+    pub expanded_bytes: u64,
     /// Total lookups. Always `hits + misses`; kept as its own counter so
     /// the per-shard invariant check can assert the partition instead of
     /// assuming it.
@@ -76,12 +81,13 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Folds another shard's counters into this one. Monotone counters
-    /// (`hits`/`misses`/`accesses`/`evictions`) and residency gauges
-    /// (`resident_bytes`/`resident_keys`/`pinned_keys`) all sum: the
-    /// aggregate reads as one fleet-wide cache.
+    /// (`hits`/`misses`/`expanded_bytes`/`accesses`/`evictions`) and
+    /// residency gauges (`resident_bytes`/`resident_keys`/`pinned_keys`)
+    /// all sum: the aggregate reads as one fleet-wide cache.
     pub fn accumulate(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
+        self.expanded_bytes += other.expanded_bytes;
         self.accesses += other.accesses;
         self.evictions += other.evictions;
         self.resident_bytes += other.resident_bytes;
@@ -115,6 +121,7 @@ impl KeyCache {
                 clock: 0,
                 hits: 0,
                 misses: 0,
+                expanded_bytes: 0,
                 accesses: 0,
                 evictions: 0,
             }),
@@ -178,13 +185,13 @@ impl KeyCache {
             inner.accesses += 1;
             return Ok(e.key.clone());
         }
-        // Miss: regenerate the full key from its compressed form. The
-        // telemetry counter records the compute-for-memory price paid.
+        // Miss: regenerate the full key from its compressed form, and
+        // count the compute-for-memory price paid.
         let key = deserialize_switching_key(ctx, compressed).map_err(|_| ErrorCode::Malformed)?;
-        inner.misses += 1;
-        inner.accesses += 1;
         let bytes = key.size_bytes();
-        fhe_math::telemetry::record_key_expansion(bytes);
+        inner.misses += 1;
+        inner.expanded_bytes += bytes;
+        inner.accesses += 1;
         let key = Arc::new(key);
         inner.entries.insert(
             (session, kind),
@@ -320,6 +327,7 @@ impl KeyCache {
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
+            expanded_bytes: inner.expanded_bytes,
             accesses: inner.accesses,
             evictions: inner.evictions,
             resident_bytes: inner.bytes,
@@ -383,6 +391,7 @@ mod tests {
             .unwrap();
         let s = cache.stats();
         assert_eq!(s.misses, 4, "evicted key must be re-expanded");
+        assert_eq!(s.expanded_bytes, 4 * one_key, "every miss pays one key");
         assert_eq!(
             s.hits + s.misses,
             5,
@@ -540,6 +549,7 @@ mod tests {
         let a = CacheStats {
             hits: 1,
             misses: 2,
+            expanded_bytes: 50,
             accesses: 3,
             evictions: 4,
             resident_bytes: 100,
@@ -554,6 +564,7 @@ mod tests {
             CacheStats {
                 hits: 2,
                 misses: 4,
+                expanded_bytes: 100,
                 accesses: 6,
                 evictions: 8,
                 resident_bytes: 200,

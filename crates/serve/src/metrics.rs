@@ -3,10 +3,10 @@
 //!
 //! Everything is lock-free atomics so the hot path (one histogram update
 //! and a few counter bumps per request) never contends. The dump also
-//! folds in the key cache's counters and the `fhe-math` key-expansion
-//! totals — tying the serving layer's view ("cache miss") to the
-//! library's view ("bytes regenerated"). Those totals are the process's:
-//! two servers in one process read the same pair.
+//! folds in the key cache's counters: each miss is one switching-key
+//! expansion, so the expansion families read the cache's misses and the
+//! expanded bytes it counts beside them — the server's own, summed over
+//! its shards.
 
 use crate::cache::CacheStats;
 use crate::obs::Stage;
@@ -469,20 +469,20 @@ impl Metrics {
                 .dump_into(&mut out, "serve_batch_size", "", SIZE_LABELS);
         }
 
-        let (expansions, expansion_bytes) = fhe_math::telemetry::key_expansion_totals();
+        // Every cache miss is one expansion from the seeded form.
         g(
             &mut out,
             "serve_key_expansions_total",
             "counter",
             "Switching-key expansions performed by the math layer.",
-            expansions,
+            cache.misses,
         );
         g(
             &mut out,
             "serve_key_expansion_bytes_total",
             "counter",
             "Bytes of switching-key material regenerated from seeds.",
-            expansion_bytes,
+            cache.expanded_bytes,
         );
 
         family(

@@ -7,9 +7,10 @@
 use ckks::hoisting::rotate_hoisted;
 use ckks::serialize::{deserialize_switching_key, serialize_ciphertext, serialize_switching_key};
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
-use fhe_apps::{encrypted_lr_step, helr_step_program, lr_fold_steps};
+use fhe_apps::helr_step_program;
 use fhe_math::cfft::Complex;
-use fhe_program::ExecInputs;
+use fhe_program::program::ProgramEnv;
+use fhe_program::{execute, ExecInputs, ExecKeys};
 use fhe_serve::{Client, EvictionPolicy, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,6 +50,16 @@ fn concurrent_tenants_bit_identical_under_tight_budget() {
     const TENANTS: u64 = 4;
     let ctx = helr_ctx();
     let slots = ctx.params().slots();
+    let levels = ctx.params().levels();
+    // The HELR step each tenant runs server-side; its Galois keys are the
+    // tenants' whole rotation key set.
+    let dim = 2;
+    let prog = Arc::new(helr_step_program(dim, slots, levels, 1.0));
+    let fold_steps = prog
+        .validate(&ProgramEnv { levels, slots })
+        .unwrap()
+        .manifest
+        .galois_steps;
 
     // Measure one expanded key so the budget can be set in key units:
     // every switching key here has the same full-basis shape.
@@ -60,8 +71,8 @@ fn concurrent_tenants_bit_identical_under_tight_budget() {
         let wire = serialize_switching_key(rlk.switching_key());
         deserialize_switching_key(&ctx, &wire).unwrap().size_bytes()
     };
-    // Each tenant uploads 1 relin + 4 fold keys = 5 expanded keys; 4
-    // tenants need 20. Six keys of budget forces steady eviction.
+    // Each tenant uploads 1 relin + 6 fold keys = 7 expanded keys; 4
+    // tenants need 28. Six keys of budget forces steady eviction.
     let budget = 6 * probe_bytes;
 
     let server = Server::start(
@@ -80,12 +91,14 @@ fn concurrent_tenants_bit_identical_under_tight_budget() {
     let handles: Vec<_> = (0..TENANTS)
         .map(|tenant| {
             let ctx = ctx.clone();
+            let prog = prog.clone();
+            let fold_steps = fold_steps.clone();
             std::thread::spawn(move || {
                 let mut rng = StdRng::seed_from_u64(1000 + tenant);
                 let kg = KeyGenerator::new(ctx.clone());
                 let sk = kg.secret_key(&mut rng);
                 let rlk = kg.relin_key_compressed(&mut rng, &sk);
-                let gk = kg.galois_keys_compressed(&mut rng, &sk, &lr_fold_steps(slots), false);
+                let gk = kg.galois_keys_compressed(&mut rng, &sk, &fold_steps, false);
                 let encoder = Encoder::new(ctx.clone());
                 let encryptor = Encryptor::new(ctx.clone());
                 let ev = Evaluator::new(ctx.clone());
@@ -145,8 +158,7 @@ fn concurrent_tenants_bit_identical_under_tight_budget() {
                 );
 
                 // A whole HELR training step server-side, as an uploaded
-                // program — still compared with the hard-coded schedule.
-                let dim = 2;
+                // program — compared with the same program run locally.
                 let cols: Vec<Vec<f64>> = (0..dim)
                     .map(|d| (0..slots).map(|i| ((i + d) % 5) as f64 * 0.1).collect())
                     .collect();
@@ -155,32 +167,23 @@ fn concurrent_tenants_bit_identical_under_tight_budget() {
                     .map(|c| encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, c))
                     .collect();
                 let y01 = encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &ys_plain);
-                let weights: Vec<Ciphertext> = (0..dim)
-                    .map(|_| {
-                        encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &vec![0.0; slots])
-                    })
-                    .collect();
-                let prog = helr_step_program(dim, slots, ctx.params().levels(), 1.0);
                 let mut inputs = ExecInputs::default();
-                for (d, (w, x)) in weights.iter().zip(&xs).enumerate() {
-                    inputs.cts.insert(format!("w{d}"), w.clone());
+                for (d, x) in xs.iter().enumerate() {
+                    let w =
+                        encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &vec![0.0; slots]);
+                    inputs.cts.insert(format!("w{d}"), w);
                     inputs.cts.insert(format!("x{d}"), x.clone());
                 }
-                inputs.cts.insert("y".into(), y01.clone());
+                inputs.cts.insert("y".into(), y01);
                 let pid = client.upload_program(sid, &prog).unwrap();
                 let remote = client.run_program(sid, pid, &prog, &inputs).unwrap();
-                let mut local = weights.clone();
-                encrypted_lr_step(
-                    &ev,
-                    rlk.switching_key(),
-                    &gk,
-                    &mut local,
-                    &xs,
-                    &y01,
-                    slots,
-                    1.0,
-                );
-                for (d, (r, l)) in remote.iter().zip(&local).enumerate() {
+                let keys = ExecKeys {
+                    relin: Some(rlk.switching_key()),
+                    galois: Some(&gk),
+                };
+                let local = execute(&ev, &encoder, &prog, &inputs, keys).unwrap();
+                assert_eq!(remote.len(), dim);
+                for (d, (r, (_, l))) in remote.iter().zip(&local).enumerate() {
                     assert_eq!(
                         serialize_ciphertext(r),
                         serialize_ciphertext(l),

@@ -643,7 +643,7 @@ fn hoist_shared_rotates_each_carry_the_folds_timeline() {
 }
 
 /// The key cache's misses are switching-key expansions, and the metrics
-/// dump says how many the process has paid for.
+/// dump says how many the server has paid for.
 #[test]
 fn metrics_dump_counts_the_expansions_behind_cache_misses() {
     let ctx = test_ctx();
@@ -661,11 +661,11 @@ fn metrics_dump_counts_the_expansions_behind_cache_misses() {
     server.shutdown();
 
     assert!(stats.misses >= 1 && stats.hits >= 1, "{stats:?}");
-    // The counter is the process's: servers of this binary's other tests
-    // add to it, none subtracts.
+    // The counter is this server's: other servers of the binary's tests
+    // do not add to it.
     let expansions = metric(&dump, "serve_key_expansions_total");
-    assert!(
-        expansions >= stats.misses,
+    assert_eq!(
+        expansions, stats.misses,
         "{expansions} expansions counted, {} cache misses",
         stats.misses
     );

@@ -3,20 +3,25 @@
 //!
 //! The server holds encrypted features, encrypted labels and encrypted
 //! weights; every gradient step happens under encryption (the step itself
-//! is `mad::apps::encrypted_lr_step`, the same routine the serving
-//! runtime executes as its HELR job). After two steps the decrypted
-//! weights are checked against a plaintext run of the identical
-//! algorithm, and the simulator reports what full-scale HELR training
-//! would cost with and without the MAD optimizations.
+//! is `mad::apps::helr_step_program` run through `mad::program::execute`,
+//! the same program the serving runtime executes as a `RunProgram` job).
+//! Each step consumes `LR_STEP_DEPTH` levels, so the second runs at the
+//! weights' level with the features and labels dropped to it. After two
+//! steps the decrypted weights are checked against a plaintext run of the
+//! identical algorithm (`mad::apps::plain_lr_step`), and the simulator
+//! reports what full-scale HELR training would cost with and without the
+//! MAD optimizations.
 //!
 //! Run with: `cargo run --release --example encrypted_logistic_regression`
 
-use mad::apps::{encrypted_lr_step, lr_fold_steps, plain_lr_step, synthetic_mnist_like};
+use mad::apps::{helr_step_program, plain_lr_step, synthetic_mnist_like};
 use mad::math::cfft::Complex;
+use mad::program::{execute, ExecInputs, ExecKeys};
 use mad::scheme::{
     Ciphertext, CkksContext, CkksParams, Decryptor, Encoder, Encryptor, Evaluator, KeyGenerator,
 };
 use mad::sim::hardware::HardwareConfig;
+use mad::sim::program::ProgramEnv;
 use mad::sim::{CostModel, MadConfig, SchemeParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,20 +43,25 @@ fn main() {
             .expect("valid parameters"),
     );
     let slots = ctx.params().slots();
+    let levels = ctx.params().levels();
     let mut rng = StdRng::seed_from_u64(77);
     let data = synthetic_mnist_like(&mut rng, slots, FEATURES);
 
+    // The step's rotations are the same at every level: take the Galois
+    // keys from the full-level program's manifest.
+    let info = helr_step_program(FEATURES, slots, levels, LEARNING_RATE)
+        .validate(&ProgramEnv { levels, slots })
+        .expect("the HELR step validates");
     let keygen = KeyGenerator::new(ctx.clone());
     let sk = keygen.secret_key(&mut rng);
     let rlk = keygen.relin_key(&mut rng, &sk);
-    let gk = keygen.galois_keys(&mut rng, &sk, &lr_fold_steps(slots), false);
+    let gk = keygen.galois_keys(&mut rng, &sk, &info.manifest.galois_steps, false);
     let encoder = Encoder::new(ctx.clone());
     let encryptor = Encryptor::new(ctx.clone());
     let decryptor = Decryptor::new(ctx.clone());
     let evaluator = Evaluator::new(ctx.clone());
 
     // Pack: xs[d] = feature d across the batch, y01 = labels as 0/1.
-    let levels = ctx.params().levels();
     let scale = ctx.params().scale();
     let columns: Vec<Vec<f64>> = (0..FEATURES)
         .map(|d| data.features.iter().map(|row| row[d]).collect())
@@ -62,25 +72,36 @@ fn main() {
         let pt = encoder.encode(&cv, levels, scale).expect("encodes");
         encryptor.encrypt_symmetric(rng, &pt, &sk)
     };
-    let xs: Vec<Ciphertext> = columns.iter().map(|c| encrypt_vec(c, &mut rng)).collect();
-    let y_ct = encrypt_vec(&y01, &mut rng);
+    let mut xs: Vec<Ciphertext> = columns.iter().map(|c| encrypt_vec(c, &mut rng)).collect();
+    let mut y_ct = encrypt_vec(&y01, &mut rng);
     let mut weights: Vec<Ciphertext> = (0..FEATURES)
         .map(|_| encrypt_vec(&vec![0.0; slots], &mut rng))
         .collect();
     let mut plain_weights = vec![0.0f64; FEATURES];
 
+    let keys = ExecKeys {
+        relin: Some(rlk.switching_key()),
+        galois: Some(&gk),
+    };
     println!("training {ITERATIONS} encrypted iterations on {slots} samples × {FEATURES} features");
     for it in 0..ITERATIONS {
-        encrypted_lr_step(
-            &evaluator,
-            rlk.switching_key(),
-            &gk,
-            &mut weights,
-            &xs,
-            &y_ct,
-            slots,
-            LEARNING_RATE,
-        );
+        // Each step runs at the weights' level, with the features and
+        // labels dropped to it.
+        let level = weights[0].limb_count();
+        xs = xs.iter().map(|x| evaluator.drop_to(x, level)).collect();
+        y_ct = evaluator.drop_to(&y_ct, level);
+        let mut inputs = ExecInputs::default();
+        for (d, (w, x)) in weights.iter().zip(&xs).enumerate() {
+            inputs.cts.insert(format!("w{d}"), w.clone());
+            inputs.cts.insert(format!("x{d}"), x.clone());
+        }
+        inputs.cts.insert("y".into(), y_ct.clone());
+        let step = helr_step_program(FEATURES, slots, level, LEARNING_RATE);
+        weights = execute(&evaluator, &encoder, &step, &inputs, keys)
+            .expect("the HELR step executes")
+            .into_iter()
+            .map(|(_, w)| w)
+            .collect();
         plain_lr_step(&mut plain_weights, &columns, &y01, LEARNING_RATE);
         println!(
             "  iteration {} done (weights at {} limbs)",
