@@ -8,15 +8,16 @@
 //! (baseline caching/algorithms at the design's published cache size), so
 //! every bar comes from one consistent model. The +MAD bars follow the
 //! paper: all algorithmic optimizations, caching auto-selected from the
-//! cache size.
+//! cache size. Both workloads are [`Program`]s, priced by
+//! [`CostModel::program_cost`] under each bar's configuration.
 
-use crate::lr::{helr_workload, HelrShape};
-use crate::resnet::resnet20_workload;
+use crate::lr::{helr_training_program, HelrShape};
+use crate::resnet::resnet20_program;
 use simfhe::hardware::HardwareConfig;
 use simfhe::opts::{AlgoOpts, CachingLevel, MadConfig};
 use simfhe::params::SchemeParams;
 use simfhe::primitives::CostModel;
-use simfhe::workload::Workload;
+use simfhe::program::{Program, ProgramCost, ProgramEnv};
 
 /// Which Figure-6 workload to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,11 +45,29 @@ pub struct Fig6Bar {
     pub memory_bound: bool,
 }
 
-fn build_workload(kind: Fig6Workload, params: &SchemeParams) -> Workload {
+/// The program of one Figure-6 workload at `params`.
+pub fn figure6_program(kind: Fig6Workload, params: &SchemeParams) -> Program {
     match kind {
-        Fig6Workload::LrTraining => helr_workload(params, HelrShape::default()),
-        Fig6Workload::ResNetInference => resnet20_workload(params),
+        Fig6Workload::LrTraining => helr_training_program(params, HelrShape::default()),
+        Fig6Workload::ResNetInference => resnet20_program(params),
     }
+}
+
+/// Validates `program` against the whole chain and slot count of
+/// `model`'s parameters, then prices it.
+///
+/// # Panics
+///
+/// Panics if the program does not validate there.
+pub fn price(model: &CostModel, program: &Program) -> ProgramCost {
+    let env = ProgramEnv {
+        levels: model.params.limbs,
+        slots: model.params.slots() as usize,
+    };
+    let info = program
+        .validate(&env)
+        .unwrap_or_else(|e| panic!("{}: {e}", program.name));
+    model.program_cost(program, &info)
 }
 
 /// Simulates one bar: the design `hw` at `cache_mb`, with or without MAD.
@@ -67,28 +86,22 @@ pub fn simulate_bar(
         SchemeParams::baseline()
     };
     let hw = base_hw.with_cache_mb(cache_mb);
-    let limb_mb = params.limb_mib();
-    let caching = if mad {
-        CachingLevel::best_for_cache(
+    let config = if mad {
+        let caching = CachingLevel::best_for_cache(
             cache_mb,
             params.alpha(),
             params.beta_at(params.limbs),
-            limb_mb,
-        )
-    } else {
-        CachingLevel::Baseline
-    };
-    let algo = if mad {
-        AlgoOpts::all()
-    } else {
-        AlgoOpts {
-            modup_hoist: true,
-            ..AlgoOpts::none()
+            params.limb_mib(),
+        );
+        MadConfig {
+            caching,
+            algo: AlgoOpts::all(),
         }
+    } else {
+        MadConfig::baseline()
     };
-    let model = CostModel::new(params, MadConfig { caching, algo });
-    let w = build_workload(kind, &params);
-    let cost = model.workload_cost(&w);
+    let model = CostModel::new(params, config);
+    let cost = price(&model, &figure6_program(kind, &params)).cost;
     Fig6Bar {
         label: if mad {
             format!("{}+MAD-{}", base_hw.name, cache_mb as u64)
@@ -97,7 +110,7 @@ pub fn simulate_bar(
         },
         cache_mb,
         mad,
-        caching,
+        caching: config.caching,
         runtime_s: hw.runtime_seconds(&cost),
         memory_bound: hw.is_memory_bound(&cost),
     }
@@ -135,6 +148,8 @@ pub fn figure6_groups(kind: Fig6Workload) -> Vec<(HardwareConfig, Vec<Fig6Bar>)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lr::HELR_ITERATION_DEPTH;
+    use simfhe::bootstrap::EVAL_MOD_DEPTH;
 
     #[test]
     fn gpu_mad_improves_lr_training() {
@@ -173,6 +188,32 @@ mod tests {
         let lr = simulate_bar(&gpu, 32.0, true, Fig6Workload::LrTraining);
         let rn = simulate_bar(&gpu, 32.0, true, Fig6Workload::ResNetInference);
         assert!(rn.runtime_s > lr.runtime_s * 0.5);
+    }
+
+    #[test]
+    fn both_programs_validate_at_every_paper_parameter_set() {
+        for params in [
+            SchemeParams::baseline(),
+            SchemeParams::mad_practical(),
+            SchemeParams::mad_optimal(),
+        ] {
+            let env = ProgramEnv {
+                levels: params.limbs,
+                slots: params.slots() as usize,
+            };
+            let budget = params.limbs - (2 * params.fft_iter + 2 + EVAL_MOD_DEPTH);
+            // Thirty iterations of 39 instructions and nine bootstraps; the
+            // weights leave three iterations below the last refresh.
+            let lr = figure6_program(Fig6Workload::LrTraining, &params);
+            assert_eq!(lr.instrs.len(), 30 * 39 + 9);
+            let info = lr.validate(&env).expect("HELR validates");
+            assert_eq!(info.outputs, [(budget - 3 * HELR_ITERATION_DEPTH, 1)]);
+            // Nineteen layers of 19 instructions, each ending in a refresh.
+            let resnet = figure6_program(Fig6Workload::ResNetInference, &params);
+            assert_eq!(resnet.instrs.len(), 19 * 19);
+            let info = resnet.validate(&env).expect("ResNet-20 validates");
+            assert_eq!(info.outputs, [(budget, 1)]);
+        }
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! HELR logistic-regression training (Han et al., AAAI'19), as evaluated
-//! by the MAD paper (Figure 6a–e): [`helr_workload`], the simulator
-//! schedule — per iteration, the slot-packed matrix–vector products, the
-//! polynomial sigmoid, and the gradient update; a bootstrap every
-//! `iters_per_bootstrap` iterations (3 at the paper's parameters).
+//! by the MAD paper (Figure 6a–e): [`helr_training_program`], the whole
+//! training run as one [`Program`] — per iteration, the slot-packed
+//! inner product and its fold, the polynomial sigmoid, and the gradient
+//! update; a bootstrap every `iters_per_bootstrap` iterations (3 at the
+//! paper's parameters).
 //!
 //! The functional step and its plaintext reference are in
 //! [`crate::helr_enc`].
 
+use crate::helr_enc::SIGMOID_C0;
 use simfhe::bootstrap::EVAL_MOD_DEPTH;
 use simfhe::params::SchemeParams;
-use simfhe::workload::{Workload, WorkloadOp};
+use simfhe::program::{CtDecl, Instr, Program, PtDecl};
 
 /// Shape of the HELR encrypted-training schedule.
 #[derive(Clone, Copy, Debug)]
@@ -36,11 +38,12 @@ impl Default for HelrShape {
 /// (2), gradient re-aggregation (1).
 pub const HELR_ITERATION_DEPTH: usize = 4;
 
-/// Builds the simulator workload for HELR training at the given
-/// parameters. The bootstrap cadence is derived from the post-bootstrap
-/// level budget — 3 iterations at both the baseline and MAD-optimal
-/// parameter sets, matching §4.3.
-pub fn helr_workload(params: &SchemeParams, shape: HelrShape) -> Workload {
+/// Builds HELR training at the given parameters as one program over the
+/// weights `w` and the features `x`, both entering at the post-bootstrap
+/// level budget. The bootstrap cadence is derived from that budget — 3
+/// iterations at both the baseline and MAD-optimal parameter sets,
+/// matching §4.3 — and each bootstrap refreshes `w` to the budget.
+pub fn helr_training_program(params: &SchemeParams, shape: HelrShape) -> Program {
     let consumed = 2 * params.fft_iter + 2 + EVAL_MOD_DEPTH;
     assert!(
         params.limbs > consumed + HELR_ITERATION_DEPTH,
@@ -49,54 +52,95 @@ pub fn helr_workload(params: &SchemeParams, shape: HelrShape) -> Workload {
     let budget = params.limbs - consumed;
     let iters_per_bootstrap = (budget.saturating_sub(1) / HELR_ITERATION_DEPTH).clamp(1, 3);
 
-    // Rotations per slot-packed inner product: log2 of the replicated
-    // feature block (Halevi–Shoup style fold).
-    let fold_rots = (shape.features.next_power_of_two().trailing_zeros()) as u64;
+    // Rungs per slot-packed inner product: log2 of the replicated feature
+    // block (Halevi–Shoup style fold).
+    let fold_rungs = shape.features.next_power_of_two().trailing_zeros();
+    let mult = |dst: &str, a: &str, b: &str| Instr::Mult {
+        dst: dst.into(),
+        a: a.into(),
+        b: b.into(),
+    };
+    let add = |dst: &str, a: &str, b: &str| Instr::Add {
+        dst: dst.into(),
+        a: a.into(),
+        b: b.into(),
+    };
+    let fold = |instrs: &mut Vec<Instr>, acc: &str| {
+        for i in 0..fold_rungs {
+            instrs.push(Instr::Rotate {
+                dst: "t".into(),
+                a: acc.into(),
+                steps: 1 << i,
+            });
+            instrs.push(add(acc, acc, "t"));
+        }
+    };
 
-    let mut w = Workload::new(format!(
-        "HELR {}x{} ({} iters, bootstrap every {})",
-        shape.batch, shape.features, shape.iterations, iters_per_bootstrap
-    ));
-    let mut ell = budget;
+    let mut instrs = Vec::new();
     for it in 0..shape.iterations {
         if it > 0 && it % iters_per_bootstrap == 0 {
-            w.push(
-                WorkloadOp::Bootstrap {
-                    from_limbs: ell.clamp(2, 3),
-                },
-                1,
-            );
-            ell = budget;
+            instrs.push(Instr::Bootstrap {
+                dst: "w".into(),
+                a: "w".into(),
+                to_level: budget,
+            });
         }
-        assert!(ell > HELR_ITERATION_DEPTH, "level budget exhausted");
         // z = X·w: replicate weights, multiply, fold-rotate-add.
-        w.push(WorkloadOp::Mult { ell }, 1);
-        w.push(WorkloadOp::Rotate { ell: ell - 1 }, fold_rots);
-        w.push(WorkloadOp::Add { ell: ell - 1 }, fold_rots);
-        // Degree-3 sigmoid: two Mult levels plus scalar terms.
-        w.push(WorkloadOp::Mult { ell: ell - 1 }, 1);
-        w.push(WorkloadOp::Mult { ell: ell - 2 }, 1);
-        w.push(WorkloadOp::PtAdd { ell: ell - 3 }, 1);
+        instrs.push(mult("z", "w", "x"));
+        fold(&mut instrs, "z");
+        // Degree-3 sigmoid: two Mult levels plus the constant term.
+        instrs.push(mult("z2", "z", "z"));
+        instrs.push(mult("s", "z2", "z"));
+        instrs.push(Instr::AddConst {
+            dst: "s".into(),
+            a: "s".into(),
+            value: SIGMOID_C0,
+        });
         // Gradient: X^T · σ — transpose fold plus masking PtMult.
-        w.push(WorkloadOp::Rotate { ell: ell - 3 }, fold_rots);
-        w.push(WorkloadOp::Add { ell: ell - 3 }, fold_rots);
-        w.push(WorkloadOp::PtMult { ell: ell - 3 }, 1);
+        fold(&mut instrs, "s");
+        instrs.push(Instr::PtMult {
+            dst: "g".into(),
+            a: "s".into(),
+            pt: "mask".into(),
+        });
+        instrs.push(Instr::Rescale {
+            dst: "g".into(),
+            a: "g".into(),
+        });
         // Weight update.
-        w.push(WorkloadOp::Add { ell: ell - 4 }, 1);
-        ell -= HELR_ITERATION_DEPTH;
+        instrs.push(add("w", "w", "g"));
     }
-    w
+    Program {
+        name: format!(
+            "HELR {}x{} ({} iters, bootstrap every {})",
+            shape.batch, shape.features, shape.iterations, iters_per_bootstrap
+        ),
+        ct_inputs: ["w", "x"]
+            .map(|name| CtDecl {
+                name: name.into(),
+                level: budget,
+            })
+            .into(),
+        pt_inputs: vec![PtDecl {
+            name: "mask".into(),
+        }],
+        matrices: Vec::new(),
+        instrs,
+        outputs: vec!["w".into()],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::datasets::synthetic_mnist_like;
+    use crate::figure6::price;
     use crate::helr_enc::{plain_lr_step, SIGMOID_C0, SIGMOID_C1, SIGMOID_C3};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use simfhe::opts::MadConfig;
     use simfhe::primitives::CostModel;
+    use simfhe::Cost;
 
     #[test]
     fn sigmoid_approximation_is_close_on_core_range() {
@@ -144,26 +188,36 @@ mod tests {
         );
     }
 
+    fn bootstraps(p: &Program) -> usize {
+        p.instrs.iter().filter(|i| i.name() == "Bootstrap").count()
+    }
+
     #[test]
     fn workload_bootstrap_cadence_matches_paper() {
         // §4.3: "with our optimal parameter set we need to perform
         // bootstrapping after every three training iterations".
-        let w = helr_workload(&SchemeParams::mad_optimal(), HelrShape::default());
+        let p = helr_training_program(&SchemeParams::mad_optimal(), HelrShape::default());
         // 30 iterations, bootstrap before iterations 3,6,…,27 → 9.
-        assert_eq!(w.bootstrap_count(), 9);
-        let w2 = helr_workload(&SchemeParams::baseline(), HelrShape::default());
-        assert_eq!(w2.bootstrap_count(), 9);
+        assert_eq!(bootstraps(&p), 9);
+        let p2 = helr_training_program(&SchemeParams::baseline(), HelrShape::default());
+        assert_eq!(bootstraps(&p2), 9);
     }
 
     #[test]
-    fn workload_cost_is_bootstrap_dominated() {
+    fn training_cost_is_bootstrap_dominated() {
         // The paper: bootstrapping consumes ~80% of ML application time.
         let params = SchemeParams::baseline();
         let model = CostModel::new(params, MadConfig::baseline());
-        let w = helr_workload(&params, HelrShape::default());
-        let total = model.workload_cost(&w);
-        let boots = model.bootstrap_from(2).cost * w.bootstrap_count();
-        let frac = boots.dram_total() as f64 / total.dram_total() as f64;
+        let p = helr_training_program(&params, HelrShape::default());
+        let priced = price(&model, &p);
+        let boots: Cost = p
+            .instrs
+            .iter()
+            .zip(&priced.per_instr)
+            .filter(|(i, _)| i.name() == "Bootstrap")
+            .map(|(_, &c)| c)
+            .sum();
+        let frac = boots.dram_total() as f64 / priced.cost.dram_total() as f64;
         assert!(frac > 0.6, "bootstrap fraction {frac}");
     }
 
@@ -174,6 +228,6 @@ mod tests {
             limbs: 16,
             ..SchemeParams::baseline()
         };
-        let _ = helr_workload(&p, HelrShape::default());
+        let _ = helr_training_program(&p, HelrShape::default());
     }
 }

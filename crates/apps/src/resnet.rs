@@ -4,12 +4,12 @@
 //! Lee et al. evaluate each 3×3 convolution as a packed plaintext
 //! matrix–vector product over rotated copies of the feature map, replace
 //! ReLU with a composite minimax polynomial (depth ≈ 10), and bootstrap
-//! once per layer to replenish levels. [`resnet20_workload`] reproduces
-//! that schedule shape.
+//! once per layer to replenish levels. [`resnet20_program`] reproduces
+//! that schedule shape as one [`Program`].
 
 use simfhe::bootstrap::EVAL_MOD_DEPTH;
 use simfhe::params::SchemeParams;
-use simfhe::workload::{Workload, WorkloadOp};
+use simfhe::program::{CtDecl, Instr, MatDecl, Program};
 
 /// One convolutional layer's geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,50 +63,89 @@ pub const RELU_DEPTH: usize = 10;
 /// `Mult` count of the composite-minimax ReLU evaluation.
 pub const RELU_MULTS: usize = 15;
 
-/// Builds the simulator workload for one ResNet-20 inference.
+// The ReLU's products, two a level, fit its depth.
+const _: () = assert!(RELU_MULTS.div_ceil(2) <= RELU_DEPTH);
+
+/// Builds one ResNet-20 inference as a program over the input `x`, which
+/// enters at the post-bootstrap level budget.
 ///
-/// Each layer: one packed convolution (`MatVec`), the polynomial ReLU, and
-/// a bootstrap to replenish the consumed levels (Lee et al. bootstrap every
-/// layer; the MAD paper adopts the same structure).
-pub fn resnet20_workload(params: &SchemeParams) -> Workload {
+/// Each layer: one packed convolution (`BsgsMatVec` over
+/// [`ConvLayer::rotation_count`] contiguous diagonals), the residual add
+/// and a packing fixup, the polynomial ReLU, and a bootstrap back to the
+/// budget (Lee et al. bootstrap every layer; the MAD paper adopts the same
+/// structure).
+pub fn resnet20_program(params: &SchemeParams) -> Program {
     let consumed = 2 * params.fft_iter + 2 + EVAL_MOD_DEPTH;
     assert!(
-        params.limbs > consumed,
+        params.limbs > consumed + 1,
         "parameters too shallow for ResNet-20"
     );
     let budget = params.limbs - consumed;
+    let slots = params.slots() as usize;
     let layers = resnet20_layers();
-    let mut w = Workload::new(format!(
-        "ResNet-20 inference ({} conv layers)",
-        layers.len()
-    ));
+    let mult = |dst: &str, a: &str, b: &str| Instr::Mult {
+        dst: dst.into(),
+        a: a.into(),
+        b: b.into(),
+    };
+    let add = |dst: &str, a: &str, b: &str| Instr::Add {
+        dst: dst.into(),
+        a: a.into(),
+        b: b.into(),
+    };
 
-    for layer in &layers {
-        let ell = budget;
+    let mut matrices = Vec::new();
+    let mut instrs = Vec::new();
+    for (i, layer) in layers.iter().enumerate() {
+        let conv = format!("conv{i}");
+        matrices.push(MatDecl {
+            name: conv.clone(),
+            slots,
+            offsets: (0..layer.rotation_count()).collect(),
+        });
         // Convolution as a hoistable matrix–vector product.
-        w.push(
-            WorkloadOp::MatVec {
-                ell,
-                diagonals: layer.rotation_count(),
-            },
-            1,
-        );
-        // Residual add and packing fixups.
-        w.push(WorkloadOp::Add { ell: ell - 1 }, 2);
-        // Composite-minimax ReLU: RELU_MULTS Mults over RELU_DEPTH levels.
-        let mut e = ell - 1;
-        let per_level = RELU_MULTS.div_ceil(RELU_DEPTH);
+        instrs.push(Instr::BsgsMatVec {
+            dst: "y".into(),
+            a: "x".into(),
+            mat: conv,
+        });
+        // Residual add and packing fixup.
+        instrs.push(add("y", "y", "x"));
+        instrs.push(add("o", "y", "y"));
+        // Composite-minimax ReLU: RELU_MULTS products, two a level — the
+        // odd chain `o ← o·y` and the square `y ← y·y` — and an odd last
+        // one closing the chain, `y ← o·y`.
+        let mut level = budget - 1;
         let mut remaining = RELU_MULTS;
-        while remaining > 0 && e > 1 {
-            let m = per_level.min(remaining);
-            w.push(WorkloadOp::Mult { ell: e }, m as u64);
-            remaining -= m;
-            e -= 1;
+        while remaining > 0 && level > 1 {
+            if remaining > 1 {
+                instrs.push(mult("o", "o", "y"));
+                instrs.push(mult("y", "y", "y"));
+                remaining -= 2;
+            } else {
+                instrs.push(mult("y", "o", "y"));
+                remaining -= 1;
+            }
+            level -= 1;
         }
         // Bootstrap back to the working level.
-        w.push(WorkloadOp::Bootstrap { from_limbs: 2 }, 1);
+        instrs.push(Instr::Bootstrap {
+            dst: "x".into(),
+            a: "y".into(),
+            to_level: budget,
+        });
     }
-    w
+    Program {
+        name: format!("ResNet-20 inference ({} conv layers)", layers.len()),
+        ct_inputs: vec![CtDecl {
+            name: "x".into(),
+            level: budget,
+        }],
+        pt_inputs: Vec::new(),
+        matrices,
+        instrs,
+        outputs: vec!["x".into()],
+    }
 }
 
 #[cfg(test)]
@@ -146,24 +185,29 @@ mod tests {
 
     #[test]
     fn workload_bootstraps_once_per_layer() {
-        let w = resnet20_workload(&SchemeParams::mad_optimal());
-        assert_eq!(w.bootstrap_count(), 19);
+        let p = resnet20_program(&SchemeParams::mad_optimal());
+        let bootstraps = p.instrs.iter().filter(|i| i.name() == "Bootstrap");
+        assert_eq!(bootstraps.count(), 19);
     }
 
     #[test]
     fn resnet_cost_is_bootstrap_dominated() {
+        use crate::figure6::price;
         use simfhe::opts::MadConfig;
         use simfhe::primitives::CostModel;
         let params = SchemeParams::mad_practical();
         let model = CostModel::new(params, MadConfig::all());
-        let w = resnet20_workload(&params);
-        let breakdown = model.workload_breakdown(&w);
-        let total = model.workload_cost(&w).dram_total() as f64;
-        let boot = breakdown
+        let p = resnet20_program(&params);
+        let priced = price(&model, &p);
+        let total = priced.cost.dram_total() as f64;
+        let boot: u64 = p
+            .instrs
             .iter()
-            .find(|(k, _)| *k == "Bootstrap")
-            .map(|&(_, c)| c.dram_total() as f64)
-            .unwrap_or(0.0);
+            .zip(&priced.per_instr)
+            .filter(|(i, _)| i.name() == "Bootstrap")
+            .map(|(_, c)| c.dram_total())
+            .sum();
+        let boot = boot as f64;
         assert!(
             boot / total > 0.5,
             "bootstrapping should dominate ResNet-20 DRAM traffic ({:.0}%)",

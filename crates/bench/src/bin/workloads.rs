@@ -4,18 +4,32 @@
 //!
 //! Run with: `cargo run --release -p mad-bench --bin workloads`
 
-use fhe_apps::{helr_workload, resnet20_workload, HelrShape};
+use fhe_apps::{figure6_program, price, Fig6Workload};
+use simfhe::program::Program;
 use simfhe::report::Table;
-use simfhe::workload::Workload;
-use simfhe::{CostModel, HardwareConfig, MadConfig, SchemeParams};
+use simfhe::{Cost, CostModel, HardwareConfig, MadConfig, SchemeParams};
 
-fn print_breakdown(name: &str, w: &Workload, model: &CostModel, hw: &HardwareConfig) {
-    let total = model.workload_cost(w);
+/// The program's price per instruction kind (`Instr::name`), in
+/// first-seen order.
+fn cost_by_kind(p: &Program, per_instr: &[Cost]) -> Vec<(&'static str, Cost)> {
+    let mut kinds: Vec<(&'static str, Cost)> = Vec::new();
+    for (instr, &cost) in p.instrs.iter().zip(per_instr) {
+        match kinds.iter_mut().find(|(k, _)| *k == instr.name()) {
+            Some((_, sum)) => *sum += cost,
+            None => kinds.push((instr.name(), cost)),
+        }
+    }
+    kinds
+}
+
+fn print_breakdown(name: &str, p: &Program, model: &CostModel, hw: &HardwareConfig) {
+    let priced = price(model, p);
+    let total = priced.cost;
     let mut t = Table::new(
-        format!("{name} — {w}"),
+        format!("{name} — {} ({} instructions)", p.name, p.instrs.len()),
         &["op kind", "Gops", "GB", "share%", "time ms"],
     );
-    for (kind, c) in model.workload_breakdown(w) {
+    for (kind, c) in cost_by_kind(p, &priced.per_instr) {
         t.row(&[
             kind.to_string(),
             format!("{:.1}", c.ops() as f64 / 1e9),
@@ -44,17 +58,12 @@ fn main() {
         ("MAD", SchemeParams::mad_practical(), MadConfig::all()),
     ] {
         let model = CostModel::new(params, config);
-        print_breakdown(
-            &format!("HELR LR training [{label}]"),
-            &helr_workload(&params, HelrShape::default()),
-            &model,
-            &hw,
-        );
-        print_breakdown(
-            &format!("ResNet-20 inference [{label}]"),
-            &resnet20_workload(&params),
-            &model,
-            &hw,
-        );
+        for (title, kind) in [
+            ("HELR LR training", Fig6Workload::LrTraining),
+            ("ResNet-20 inference", Fig6Workload::ResNetInference),
+        ] {
+            let p = figure6_program(kind, &params);
+            print_breakdown(&format!("{title} [{label}]"), &p, &model, &hw);
+        }
     }
 }

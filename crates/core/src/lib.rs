@@ -20,8 +20,10 @@
 //!   (Eq. 3).
 //! - [`search`] runs the brute-force memory-aware parameter search that
 //!   produces Table 5.
-//! - [`workload`] executes application schedules (HELR logistic
-//!   regression, ResNet-20 inference — built in the `fhe-apps` crate).
+//! - [`program`] is the one workload language: the straight-line IR the
+//!   functional library executes and [`CostModel::program_cost`] prices,
+//!   the applications of Figure 6 (built in the `fhe-apps` crate) among
+//!   them.
 //!
 //! # Example
 //!
@@ -52,11 +54,9 @@ pub mod search;
 pub mod throughput;
 pub mod trace;
 pub mod validate;
-pub mod workload;
 
 pub use cost::Cost;
 pub use hardware::HardwareConfig;
 pub use opts::{AlgoOpts, CachingLevel, MadConfig};
 pub use params::SchemeParams;
 pub use primitives::CostModel;
-pub use workload::{Workload, WorkloadOp};

@@ -13,12 +13,13 @@
 //!   one switching key per diagonal (the §3.2 key-reads-vs-ct-reads
 //!   trade-off).
 //!
-//! And one that no option selects: [`CostModel::matvec_bsgs_double_hoisted`]
-//! prices the schedule the functional library's `apply_bsgs` *runs* — BSGS
-//! with both hoistings inside every giant group and the last `ModDown`
-//! merged with the rescale — for a concrete diagonal set
-//! ([`BsgsSchedule`]). It is what [`CostModel::program_cost`] charges a
-//! `BsgsMatVec`, whatever the configuration's `AlgoOpts` say.
+//! And the one the functional library's `apply_bsgs` *runs*:
+//! [`CostModel::matvec_bsgs_double_hoisted`] prices BSGS with both
+//! hoistings inside every giant group and the last `ModDown` merged with
+//! the rescale, for a concrete diagonal set ([`BsgsSchedule`]).
+//! [`CostModel::program_cost`] charges a `BsgsMatVec` with it under
+//! `moddown_hoist`, and with [`CostModel::pt_mat_vec_mult`] otherwise. It
+//! streams every pass through DRAM whatever the caching level.
 
 use crate::cost::Cost;
 use crate::opts::CachingLevel;

@@ -112,6 +112,15 @@ impl AlgoOpts {
         }
     }
 
+    /// The schedule the functional library runs: every optimization but
+    /// key compression, since each key switch reads an expanded key.
+    pub fn library() -> Self {
+        Self {
+            key_compression: false,
+            ..Self::all()
+        }
+    }
+
     /// The cumulative ladder of Figure 3: baseline (hoisted ModUp only, as
     /// in Jung et al.), + merge, + ModDown hoisting, + key compression.
     pub fn figure3_ladder() -> [(&'static str, AlgoOpts); 4] {

@@ -46,7 +46,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::cost::Cost;
-use crate::matvec::BsgsSchedule;
+use crate::matvec::{BsgsSchedule, MatVecShape};
+use crate::opts::CachingLevel;
 use crate::primitives::CostModel;
 
 /// Upper bound on register/operand name length (bytes).
@@ -951,17 +952,21 @@ pub fn modup_cost(m: &CostModel, ell: usize) -> Cost {
 
 impl CostModel {
     /// Prices a validated program by folding the per-primitive costs of
-    /// Table 2 over the instruction stream — exactly the schedule the
-    /// `fhe-program` executor runs, whatever this model's
-    /// [`crate::opts::AlgoOpts`] say: a `Mult` is the ModDown-merged
-    /// sequence, a `BsgsMatVec` the double-hoisted schedule over
-    /// pre-encoded diagonals, and a hoisted rotation run charges the
-    /// shared Decomp+ModUp once (the leader) and only the inner product,
-    /// ModDown pair, and final addition per member, and a folded ladder is
-    /// one [`CostModel::rotate_fold`] charged to its first `Rotate`.
+    /// Table 2 over the instruction stream, with the algorithms this
+    /// model's [`crate::opts::AlgoOpts`] select: a `Mult` is
+    /// [`CostModel::mult`]; under `modup_hoist` a hoisted rotation run
+    /// charges the shared Decomp+ModUp once (the leader) and only the inner
+    /// product, ModDown pair, and final addition per member; under
+    /// `moddown_hoist` a folded ladder is one [`CostModel::rotate_fold`]
+    /// charged to its first `Rotate` and a `BsgsMatVec` is the
+    /// double-hoisted schedule over pre-encoded diagonals, and otherwise
+    /// each rung is priced as written and a `BsgsMatVec` is
+    /// [`CostModel::pt_mat_vec_mult`]. At [`crate::opts::AlgoOpts::library`]
+    /// this is exactly the schedule the `fhe-program` executor runs.
     pub fn program_cost(&self, program: &Program, info: &ProgramInfo) -> ProgramCost {
         let n = self.params.degree();
         let limb = self.params.limb_bytes();
+        let algo = self.config.algo;
         // One operand encoded on the fly at `ell` limbs.
         let encode = |ell: usize| -> Cost {
             let mut c = self.ntt_limb_ops() * ell as u64;
@@ -977,12 +982,17 @@ impl CostModel {
         for (instr, meta) in program.instrs.iter().zip(&info.instrs) {
             let ell = meta.ell;
             let mut cost = Cost::ZERO;
-            if let FoldRole::Leader(ladder) = meta.fold {
+            let fold = if algo.moddown_hoist {
+                meta.fold
+            } else {
+                FoldRole::Single
+            };
+            if let FoldRole::Leader(ladder) = fold {
                 cost += self.rotate_fold(ell, &info.ladders[ladder].stages);
             }
             match instr {
                 // A folded ladder is charged whole, above, to its leader.
-                _ if meta.fold != FoldRole::Single => {}
+                _ if fold != FoldRole::Single => {}
                 Instr::Add { .. } | Instr::Sub { .. } => cost += self.add(ell),
                 Instr::PtMult { .. } => {
                     // On-the-fly encode of the plaintext operand, then the
@@ -999,22 +1009,27 @@ impl CostModel {
                         ..Cost::ZERO
                     };
                 }
-                Instr::Mult { .. } => cost += self.mult_merged(ell),
+                Instr::Mult { .. } => cost += self.mult(ell),
                 Instr::Rotate { .. } => {
                     cost += match meta.hoist {
-                        HoistRole::Single => self.rotate(ell),
                         HoistRole::Copy => Cost::ZERO,
-                        HoistRole::Leader(_) => {
+                        HoistRole::Leader(_) if algo.modup_hoist => {
                             modup_cost(self, ell) + self.hoisted_member_cost(ell)
                         }
-                        HoistRole::Follower => self.hoisted_member_cost(ell),
+                        HoistRole::Follower if algo.modup_hoist => self.hoisted_member_cost(ell),
+                        _ => self.rotate(ell),
                     };
                 }
                 Instr::Rescale { .. } => cost += self.rescale(ell),
                 Instr::BsgsMatVec { mat, .. } => {
                     let offsets = &mats[mat.as_str()].offsets;
-                    let schedule = BsgsSchedule::of(offsets, bsgs_baby_dim(offsets.len()));
-                    cost += self.matvec_bsgs_double_hoisted(ell, &schedule);
+                    cost += if algo.moddown_hoist {
+                        let schedule = BsgsSchedule::of(offsets, bsgs_baby_dim(offsets.len()));
+                        self.matvec_bsgs_double_hoisted(ell, &schedule)
+                    } else {
+                        let diagonals = offsets.len();
+                        self.pt_mat_vec_mult(MatVecShape { ell, diagonals }).cost
+                    };
                 }
                 Instr::Bootstrap { .. } => {
                     // The bootstrap pipeline needs a chain deeper than its
@@ -1065,6 +1080,12 @@ impl CostModel {
     /// `ModDown` onto `c1`; one `ModDown` of `c0` at the end. A step that
     /// is a multiple of the slot count rotates nothing: it scales the
     /// raised `c0` and adds `c1` once more.
+    ///
+    /// Each pass streams through DRAM below `BetaLimbs` caching. From
+    /// there a stage runs limb-major, as `matvec_fully_hoisted` does: its
+    /// digits are read once, each step's inner product and permutation
+    /// feed the stage's accumulators on-chip, and the raised `c0` and the
+    /// summed `u` cross DRAM once per stage. Caching moves bytes only.
     pub fn rotate_fold(&self, ell: usize, stages: &[Vec<i64>]) -> Cost {
         if stages.is_empty() {
             return Cost::ZERO;
@@ -1075,6 +1096,7 @@ impl CostModel {
         let limb = self.params.limb_bytes();
         let beta = self.params.beta_at(ell);
         let slots = self.params.slots() as usize;
+        let limb_major = self.config.caches_at_least(CachingLevel::BetaLimbs);
         // `acc += x` and a permutation into a new polynomial over `limbs`.
         let add = |limbs: u64| Cost {
             adds: n * limbs,
@@ -1099,14 +1121,25 @@ impl CostModel {
             let whole = stage.len() as u64 - keyed;
             if keyed > 0 {
                 c += modup_cost(self, ell);
-                let step = self.automorph(ell, false)
-                    + self.ksk_inner_product(ell, beta, true, true)
-                    + permute
-                    + add(w);
-                // Beside each step's `v` side joining `c0`: the summed
-                // permutations do once, and every step after the first
-                // joins that sum and the sum of the `u` sides.
-                c += step * keyed + add(w) * (1 + 2 * (keyed - 1));
+                for i in 0..keyed {
+                    c += self.automorph(ell, false);
+                    c += self.ksk_inner_product(ell, beta, !limb_major || i == 0, !limb_major);
+                }
+                // Each step's permutation and its `v` side joining `c0`;
+                // the summed permutations joining once; every step after
+                // the first joining that sum and the sum of the `u` sides.
+                let joins = permute * keyed + add(w) * (keyed + 1 + 2 * (keyed - 1));
+                c += if limb_major {
+                    // The raised `c0` read and written once, the summed
+                    // `u` written once.
+                    Cost {
+                        ct_read: w * limb,
+                        ct_write: 2 * w * limb,
+                        ..Cost::compute(joins.mults, joins.adds)
+                    }
+                } else {
+                    joins
+                };
                 c += self.mod_down(ell, k);
             } else {
                 // Nothing was raised: `c1` restarts from a zeroed lease.
@@ -2025,7 +2058,11 @@ mod tests {
             dnum: 3,
             fft_iter: 1,
         };
-        let m = CostModel::new(params, MadConfig::baseline());
+        let library = MadConfig {
+            caching: CachingLevel::Baseline,
+            algo: AlgoOpts::library(),
+        };
+        let m = CostModel::new(params, library);
         let rungs: Vec<i64> = (0..13).map(|i| 1i64 << i).collect();
         let stages = ladder_stages(&rungs, 1 << 13);
         assert_eq!(stages.len(), 7);
@@ -2081,6 +2118,47 @@ mod tests {
         assert_eq!(priced.per_instr[0], fold);
         assert!(priced.per_instr[1..].iter().all(|&r| r == Cost::ZERO));
         assert_eq!(priced.cost, fold);
+    }
+
+    #[test]
+    fn a_fold_runs_limb_major_from_beta_limb_caching() {
+        // The `lib_programs` ring's digit geometry, the thirteen-rung fold
+        // plus a stage that rotates nothing and one that is partly a copy.
+        let params = SchemeParams {
+            log_n: 14,
+            log_q: 40,
+            limbs: 8,
+            dnum: 3,
+            fft_iter: 1,
+        };
+        let rungs: Vec<i64> = (0..13).map(|i| 1i64 << i).collect();
+        let mut stages = ladder_stages(&rungs, 1 << 13);
+        stages.push(vec![1 << 13]);
+        stages.push(vec![5, 1 << 13, 5 + (1 << 13)]);
+        let fold = |caching| {
+            let algo = AlgoOpts::library();
+            CostModel::new(params, MadConfig { caching, algo }).rotate_fold(7, &stages)
+        };
+        let one_limb = fold(CachingLevel::OneLimb);
+        for caching in CachingLevel::ALL {
+            let c = fold(caching);
+            // Caching moves bytes, never operations or key reads.
+            assert_eq!(c.ops(), one_limb.ops(), "{caching}");
+            assert_eq!((c.ntt_fwd, c.ntt_inv), (one_limb.ntt_fwd, one_limb.ntt_inv));
+            assert_eq!(c.key_read, one_limb.key_read, "{caching}");
+            if caching >= CachingLevel::BetaLimbs {
+                assert!(c.ct_read < one_limb.ct_read, "{caching}");
+                assert!(c.ct_write < one_limb.ct_write, "{caching}");
+            }
+        }
+        // Below `BetaLimbs` every pass streams, as it always has: the bytes
+        // the stream-everything pricing gave.
+        let bytes = |c: Cost| (c.ct_read, c.ct_write, c.key_read, c.pt_read);
+        assert_eq!(
+            bytes(fold(CachingLevel::Baseline)),
+            (394_526_720, 299_368_448, 165_150_720, 0)
+        );
+        assert_eq!(bytes(one_limb), (340_393_984, 245_235_712, 165_150_720, 0));
     }
 
     #[test]
@@ -2151,38 +2229,60 @@ mod tests {
             dnum: 2,
             fft_iter: 1,
         };
-        let m = CostModel::new(
-            params,
-            MadConfig {
-                caching: CachingLevel::OneLimb,
-                algo: AlgoOpts {
-                    modup_hoist: true,
-                    ..AlgoOpts::none()
-                },
-            },
-        );
+        let at = |algo| {
+            let caching = CachingLevel::OneLimb;
+            CostModel::new(params, MadConfig { caching, algo })
+        };
+        let m = at(AlgoOpts::library());
         let priced = m.program_cost(&p, &info);
         assert_eq!(priced.per_instr.len(), p.instrs.len());
         // The fold equals the sum of the per-instruction rows.
         let sum: Cost = priced.per_instr.iter().copied().sum();
         assert_eq!(sum, priced.cost);
         assert_eq!((priced.ntt_fwd, priced.ntt_inv), (sum.ntt_fwd, sum.ntt_inv));
-        // A hoisted pair prices strictly below two standalone rotates.
+        // A hoisted pair prices strictly below two standalone rotates, and
+        // at them without ModUp hoisting.
         let two_rotates = m.rotate(4) * 2;
         let pair: Cost = priced.per_instr[1..3].iter().copied().sum();
         assert!(pair.ops() < two_rotates.ops(), "hoisting must save compute");
-        // The price is the executor's schedule, not the configuration's:
-        // the paper's algorithmic options move nothing.
-        let all_on = MadConfig {
-            caching: CachingLevel::OneLimb,
-            algo: AlgoOpts::all(),
-        };
-        let repriced = CostModel::new(params, all_on).program_cost(&p, &info);
+        let unhoisted = at(AlgoOpts::none()).program_cost(&p, &info);
+        assert_eq!(unhoisted.per_instr[1..3], [m.rotate(4); 2]);
+        // The price is what the configuration's algorithms say. At the
+        // library's schedule a `Mult` is the merged sequence and a
+        // `BsgsMatVec` the double-hoisted one; at the paper's baseline,
+        // the standard sequence and the ModUp-hoisted BSGS.
+        let schedule = BsgsSchedule::of(&[0, 1, 5], bsgs_baby_dim(3));
+        assert_eq!(priced.per_instr[0], m.mult_merged(5));
         assert_eq!(
-            (repriced.cost.ntt_fwd, repriced.cost.ntt_inv),
-            (priced.cost.ntt_fwd, priced.cost.ntt_inv)
+            priced.per_instr[4],
+            m.matvec_bsgs_double_hoisted(4, &schedule)
         );
-        assert_eq!(repriced.cost.ops(), priced.cost.ops());
+        let base = CostModel::new(params, MadConfig::baseline());
+        let plain = base.program_cost(&p, &info);
+        assert_eq!(plain.per_instr[0], base.mult_standard(5));
+        let shape = MatVecShape {
+            ell: 4,
+            diagonals: 3,
+        };
+        assert_eq!(plain.per_instr[4], base.pt_mat_vec_mult(shape).cost);
+        // A folded ladder is one fold under ModDown hoisting, and its rungs
+        // as written otherwise.
+        let lp = Program {
+            name: "fold".into(),
+            ct_inputs: vec![CtDecl {
+                name: "x".into(),
+                level: 5,
+            }],
+            instrs: ladder("x", "t", &[1, 2]),
+            outputs: names(&["x"]),
+            ..Program::default()
+        };
+        let linfo = lp.validate(&env()).expect("valid");
+        let stages = &linfo.ladders[0].stages;
+        assert_eq!(m.program_cost(&lp, &linfo).cost, m.rotate_fold(5, stages));
+        let rungs = base.program_cost(&lp, &linfo);
+        assert_eq!(rungs.per_instr, [base.rotate(5), base.add(5)].repeat(2));
+        assert_eq!(rungs.cost, (base.rotate(5) + base.add(5)) * 2);
         // Bootstrap prices through the model's pipeline on a chain deep
         // enough to cover it (and at zero on shallow chains, without
         // panicking).
@@ -2211,7 +2311,7 @@ mod tests {
                 limbs: 24,
                 ..params
             },
-            m.config,
+            base.config,
         );
         let boot = deep.program_cost(&pb, &info_b).cost;
         assert!(boot.ops() > 0);

@@ -98,10 +98,7 @@ fn model(caching: CachingLevel) -> CostModel {
         SCHEME,
         MadConfig {
             caching,
-            algo: AlgoOpts {
-                modup_hoist: true,
-                ..AlgoOpts::none()
-            },
+            algo: AlgoOpts::library(),
         },
     )
 }

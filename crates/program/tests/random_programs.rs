@@ -35,7 +35,7 @@ use fhe_program::{execute_validated, workloads, ExecInputs, ExecKeys};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simfhe::{CostModel, MadConfig, SchemeParams};
+use simfhe::{AlgoOpts, CachingLevel, CostModel, MadConfig, SchemeParams};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -117,7 +117,10 @@ fn fixture() -> &'static Fixture {
                     dnum: 3,
                     fft_iter: 1,
                 },
-                MadConfig::baseline(),
+                MadConfig {
+                    caching: CachingLevel::Baseline,
+                    algo: AlgoOpts::library(),
+                },
             ),
         }
     })

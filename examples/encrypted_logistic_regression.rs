@@ -152,14 +152,14 @@ fn main() {
             32.0,
         ),
     ] {
-        let w = mad::apps::helr_workload(&params, shape);
-        let cost = CostModel::new(params, config).workload_cost(&w);
+        let p = mad::apps::helr_training_program(&params, shape);
+        let cost = mad::apps::price(&CostModel::new(params, config), &p).cost;
         let hw = gpu.with_cache_mb(cache);
         println!(
             "{label}: {:.2} s for {} iterations ({} bootstraps), {}",
             hw.runtime_seconds(&cost),
             shape.iterations,
-            w.bootstrap_count(),
+            p.instrs.iter().filter(|i| i.name() == "Bootstrap").count(),
             if hw.is_memory_bound(&cost) {
                 "memory-bound"
             } else {

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the functional scheme, the applications and
 //! the simulator working together through the umbrella crate.
 
-use mad::apps::{plain_lr_step, synthetic_mnist_like, HelrShape};
+use mad::apps::{helr_training_program, plain_lr_step, price, synthetic_mnist_like, HelrShape};
 use mad::math::cfft::Complex;
 use mad::scheme::{
     CkksContext, CkksParams, Decryptor, Encoder, Encryptor, Evaluator, KeyGenerator,
@@ -55,12 +55,12 @@ fn simulated_helr_improves_under_mad_on_every_design() {
     // Crosses fhe-apps (schedule) and simfhe (cost + hardware): MAD must
     // reduce HELR training time on each memory-bound design.
     let shape = HelrShape::default();
-    let base_w = mad::apps::helr_workload(&SchemeParams::baseline(), shape);
-    let mad_w = mad::apps::helr_workload(&SchemeParams::mad_practical(), shape);
-    let base_cost =
-        CostModel::new(SchemeParams::baseline(), MadConfig::baseline()).workload_cost(&base_w);
-    let mad_cost =
-        CostModel::new(SchemeParams::mad_practical(), MadConfig::all()).workload_cost(&mad_w);
+    let base_p = helr_training_program(&SchemeParams::baseline(), shape);
+    let mad_p = helr_training_program(&SchemeParams::mad_practical(), shape);
+    let base_model = CostModel::new(SchemeParams::baseline(), MadConfig::baseline());
+    let base_cost = price(&base_model, &base_p).cost;
+    let mad_model = CostModel::new(SchemeParams::mad_practical(), MadConfig::all());
+    let mad_cost = price(&mad_model, &mad_p).cost;
     for hw in [HardwareConfig::gpu(), HardwareConfig::f1()] {
         let hw32 = hw.with_cache_mb(32.0);
         let before = hw32.runtime_seconds(&base_cost);
@@ -75,7 +75,7 @@ fn simulated_helr_improves_under_mad_on_every_design() {
 
 #[test]
 fn plaintext_reference_learns_what_the_schedule_models() {
-    // The workload's iteration count and the plaintext trainer line up:
+    // The program's iteration count and the plaintext trainer line up:
     // running the reference for the scheduled iteration count converges.
     let mut rng = StdRng::seed_from_u64(321);
     let data = synthetic_mnist_like(&mut rng, 256, 24);
@@ -84,8 +84,8 @@ fn plaintext_reference_learns_what_the_schedule_models() {
         features: 24,
         batch: 256,
     };
-    let w = mad::apps::helr_workload(&SchemeParams::baseline(), shape);
-    assert!(w.op_count() > 0);
+    let p = helr_training_program(&SchemeParams::baseline(), shape);
+    assert!(!p.instrs.is_empty());
     let columns: Vec<Vec<f64>> = (0..24)
         .map(|d| data.features.iter().map(|row| row[d]).collect())
         .collect();
