@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the limb-wise and slot-wise kernels
 //! (Table 3 of the paper): negacyclic NTT/iNTT, the fast basis extension
-//! over flat limb-major buffers, the streaming single-word kernels, and
-//! serial-vs-parallel comparisons of the
+//! over flat limb-major buffers, the streaming single-word kernels, seeded
+//! key expansion, and serial-vs-parallel comparisons of the
 //! multithreaded kernels (full-poly NTT and hybrid key switching) at
 //! production ring sizes N = 2^15 and 2^16.
 use ckks::{CkksContext, CkksParams, KeyGenerator};
@@ -10,7 +10,7 @@ use fhe_math::backend::{DigitTerm, ScalarBackend, UnrolledBackend};
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
 use fhe_math::rns::{BasisExtender, RnsBasis};
-use fhe_math::sampling::sample_uniform_flat;
+use fhe_math::sampling::{sample_uniform_flat, SeededUniform};
 use fhe_math::NttTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -273,6 +273,25 @@ fn bench_streaming(c: &mut Criterion) {
     group.finish();
 }
 
+/// Seeded expansion of a switching key's `a_j` at the thrash ring's key
+/// shape (N = 2^12, four digits of 15 limbs over `Q ∪ P`). The `q45` row
+/// takes 45-bit limbs, which run on eight AVX-512 IFMA lanes where the CPU
+/// has them; the `q55` row takes 55-bit limbs, which keep the serial body
+/// everywhere.
+fn bench_seed_expansion(c: &mut Criterion) {
+    let n = 1usize << 12;
+    let (count, limbs) = (4, 15);
+    let mut group = c.benchmark_group(format!("seed_expand_n{n}"));
+    group.throughput(Throughput::Elements((count * limbs * n) as u64));
+    for (label, bits) in [("q45", 45), ("q55", 55)] {
+        let expansion = SeededUniform::new(&generate_ntt_primes(limbs, bits, n), n, count);
+        group.bench_function(BenchmarkId::new(label, n), |b| {
+            b.iter(|| expansion.expand([7; 32]))
+        });
+    }
+    group.finish();
+}
+
 fn bench_basis_extension(c: &mut Criterion) {
     let mut group = c.benchmark_group("basis_extension");
     let n = 1usize << 12;
@@ -393,6 +412,7 @@ criterion_group!(
     bench_ntt,
     bench_backend_comparison,
     bench_streaming,
+    bench_seed_expansion,
     bench_basis_extension,
     bench_serial_vs_parallel
 );

@@ -4,9 +4,10 @@
 use crate::params::CkksParams;
 use fhe_math::automorph::{conjugation_galois_element, rotation_galois_element, Automorphism};
 use fhe_math::backend::UnrolledBackend;
-use fhe_math::poly::ModDownContext;
+use fhe_math::poly::{ModDownContext, Representation, RnsPoly};
 use fhe_math::prime::{generate_ntt_primes, generate_ntt_primes_excluding};
 use fhe_math::rns::{BasisExtender, RnsBasis};
+use fhe_math::sampling::SeededUniform;
 use fhe_math::ScratchPool;
 use std::collections::HashMap;
 use std::fmt;
@@ -35,6 +36,9 @@ pub struct CkksContext {
     moddown_cache: Mutex<HashMap<(usize, bool), Arc<ModDownContext>>>,
     extender_cache: Mutex<HashMap<(usize, usize), Arc<BasisExtender>>>,
     automorphism_cache: Mutex<HashMap<u64, Arc<Automorphism>>>,
+    /// The expansion of a switching key's seed into its `dnum` `a_j` over
+    /// `Q ∪ P`, its lane jump built once here.
+    key_a: SeededUniform,
     /// Reusable word buffers for the hot ring operations: after warm-up,
     /// key switching and rescaling allocate nothing per call.
     scratch: ScratchPool,
@@ -85,6 +89,8 @@ impl CkksContext {
         let raised_bases: Vec<Arc<RnsBasis>> = (1..=levels)
             .map(|ell| Arc::new(q_basis.prefix(ell).concat(&p_basis)))
             .collect();
+        let key_a =
+            SeededUniform::new(&[q_primes.as_slice(), &p_primes].concat(), n, params.dnum());
         Arc::new(Self {
             params,
             q_basis,
@@ -95,6 +101,7 @@ impl CkksContext {
             moddown_cache: Mutex::new(HashMap::new()),
             extender_cache: Mutex::new(HashMap::new()),
             automorphism_cache: Mutex::new(HashMap::new()),
+            key_a,
             scratch: ScratchPool::new(),
         })
     }
@@ -212,6 +219,14 @@ impl CkksContext {
             .entry(k)
             .or_insert_with(|| Arc::new(Automorphism::new(k, self.q_basis.ntt_table(0))))
             .clone()
+    }
+
+    /// The `a_j` of every digit of the switching key `seed` regenerates
+    /// (key compression): `StdRng::from_seed(seed)`'s uniform draws over
+    /// `Q ∪ P`, digit after digit, each polynomial in its own buffer.
+    pub(crate) fn seeded_key_a(&self, seed: [u8; 32]) -> impl Iterator<Item = RnsPoly> + '_ {
+        (self.key_a.expand(seed).into_iter())
+            .map(|a| RnsPoly::from_flat(self.full_basis.clone(), a, Representation::Evaluation))
     }
 
     /// The Galois element for a slot rotation by `steps`.

@@ -7,8 +7,7 @@ use crate::context::CkksContext;
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::sampling::{sample_gaussian, sample_ternary, sample_uniform_flat};
 use fhe_math::telemetry::OperandClass;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -298,14 +297,17 @@ impl KeyGenerator {
             })
             .collect();
 
-        let mut seeded_rng = seed.map(StdRng::from_seed);
+        let mut seeded_a = seed.map(|seed| self.ctx.seeded_key_a(seed));
         let mut digits = Vec::with_capacity(dnum);
         for j in 0..dnum {
-            let a_flat = match seeded_rng.as_mut() {
-                Some(sr) => sample_uniform_flat(sr, &moduli, n),
-                None => sample_uniform_flat(rng, &moduli, n),
+            let a = match seeded_a.as_mut() {
+                Some(a) => a.next().expect("one a_j per digit"),
+                None => RnsPoly::from_flat(
+                    full.clone(),
+                    sample_uniform_flat(rng, &moduli, n),
+                    Representation::Evaluation,
+                ),
             };
-            let a = RnsPoly::from_flat(full.clone(), a_flat, Representation::Evaluation);
             let e_signed = sample_gaussian(rng, n);
             let mut b = RnsPoly::from_signed_coeffs(full.clone(), &e_signed);
             b.to_eval();
@@ -346,9 +348,9 @@ impl KeyGenerator {
         RelinKey(self.switching_key(rng, &s2, sk, Some(seed)))
     }
 
-    /// Generates the Galois key for element `k` (`σ_k(s) → s`).
-    pub fn galois_key<R: Rng + ?Sized>(&self, rng: &mut R, sk: &SecretKey, k: u64) -> SwitchingKey {
-        // Apply σ_k to the signed secret, then re-embed: x^i ↦ ±x^{ik mod 2N}.
+    /// `σ_k(s)` over `Q ∪ P` in evaluation representation: the signed
+    /// secret permuted `x^i ↦ ±x^{ik mod 2N}`, then re-embedded.
+    fn automorphed_secret(&self, sk: &SecretKey, k: u64) -> RnsPoly {
         let n = self.ctx.params().degree();
         let mut permuted = vec![0i64; n];
         let two_n = 2 * n as u64;
@@ -362,7 +364,12 @@ impl KeyGenerator {
         }
         let mut src = RnsPoly::from_signed_coeffs(self.ctx.full_basis().clone(), &permuted);
         src.to_eval();
-        self.switching_key(rng, &src, sk, None)
+        src
+    }
+
+    /// Generates the Galois key for element `k` (`σ_k(s) → s`).
+    pub fn galois_key<R: Rng + ?Sized>(&self, rng: &mut R, sk: &SecretKey, k: u64) -> SwitchingKey {
+        self.switching_key(rng, &self.automorphed_secret(sk, k), sk, None)
     }
 
     /// Generates the Galois key for element `k` in compressed (seeded)
@@ -375,20 +382,24 @@ impl KeyGenerator {
         k: u64,
     ) -> SwitchingKey {
         let seed = rng.gen::<[u8; 32]>();
-        let n = self.ctx.params().degree();
-        let mut permuted = vec![0i64; n];
-        let two_n = 2 * n as u64;
-        for (i, &c) in sk.signed.iter().enumerate() {
-            let e = (i as u64 * k) % two_n;
-            if e < n as u64 {
-                permuted[e as usize] = c;
-            } else {
-                permuted[(e - n as u64) as usize] = -c;
-            }
+        self.switching_key(rng, &self.automorphed_secret(sk, k), sk, Some(seed))
+    }
+
+    /// One key per distinct Galois element of `steps` (then conjugation,
+    /// if asked), each made by `key` in that order.
+    fn galois_key_set(
+        &self,
+        steps: &[i64],
+        with_conjugation: bool,
+        mut key: impl FnMut(u64) -> SwitchingKey,
+    ) -> GaloisKeys {
+        let conjugation = with_conjugation.then(|| self.ctx.conjugation_element());
+        let elements = steps.iter().map(|&s| self.ctx.rotation_element(s));
+        let mut keys = HashMap::new();
+        for k in elements.chain(conjugation) {
+            keys.entry(k).or_insert_with(|| Arc::new(key(k)));
         }
-        let mut src = RnsPoly::from_signed_coeffs(self.ctx.full_basis().clone(), &permuted);
-        src.to_eval();
-        self.switching_key(rng, &src, sk, Some(seed))
+        GaloisKeys { keys }
     }
 
     /// Generates a fully seeded Galois key set: every key can be
@@ -400,18 +411,9 @@ impl KeyGenerator {
         steps: &[i64],
         with_conjugation: bool,
     ) -> GaloisKeys {
-        let mut keys = HashMap::new();
-        for &s in steps {
-            let k = self.ctx.rotation_element(s);
-            keys.entry(k)
-                .or_insert_with(|| Arc::new(self.galois_key_compressed(rng, sk, k)));
-        }
-        if with_conjugation {
-            let k = self.ctx.conjugation_element();
-            keys.entry(k)
-                .or_insert_with(|| Arc::new(self.galois_key_compressed(rng, sk, k)));
-        }
-        GaloisKeys { keys }
+        self.galois_key_set(steps, with_conjugation, |k| {
+            self.galois_key_compressed(rng, sk, k)
+        })
     }
 
     /// Generates Galois keys for the given rotation steps (plus optional
@@ -423,18 +425,7 @@ impl KeyGenerator {
         steps: &[i64],
         with_conjugation: bool,
     ) -> GaloisKeys {
-        let mut keys = HashMap::new();
-        for &s in steps {
-            let k = self.ctx.rotation_element(s);
-            keys.entry(k)
-                .or_insert_with(|| Arc::new(self.galois_key(rng, sk, k)));
-        }
-        if with_conjugation {
-            let k = self.ctx.conjugation_element();
-            keys.entry(k)
-                .or_insert_with(|| Arc::new(self.galois_key(rng, sk, k)));
-        }
-        GaloisKeys { keys }
+        self.galois_key_set(steps, with_conjugation, |k| self.galois_key(rng, sk, k))
     }
 }
 

@@ -20,10 +20,7 @@ use crate::keys::{DigitKey, GaloisKeys, SwitchingKey};
 use crate::plaintext::{Ciphertext, Plaintext};
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::rns::RnsBasis;
-use fhe_math::sampling::sample_uniform_flat;
 use fhe_math::ScratchPool;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
 
@@ -43,6 +40,8 @@ pub enum SerializeError {
     ModulusMismatch,
     /// A residue was out of range for its modulus.
     UnreducedResidue,
+    /// A switching key's digit count (carried) is not the context's `dnum`.
+    DigitCount(usize),
 }
 
 impl fmt::Display for SerializeError {
@@ -57,6 +56,7 @@ impl fmt::Display for SerializeError {
                 write!(f, "limb moduli do not match the context")
             }
             SerializeError::UnreducedResidue => write!(f, "residue out of range"),
+            SerializeError::DigitCount(d) => write!(f, "{d} key digits, not the context's dnum"),
         }
     }
 }
@@ -385,8 +385,8 @@ pub fn serialize_switching_key(key: &SwitchingKey) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`SerializeError`] on malformed input or a modulus-chain
-/// mismatch.
+/// Returns [`SerializeError`] on malformed input, a modulus-chain mismatch,
+/// or a digit count other than the context's `dnum`.
 pub fn deserialize_switching_key(
     ctx: &CkksContext,
     bytes: &[u8],
@@ -395,41 +395,32 @@ pub fn deserialize_switching_key(
     let basis = ctx.full_basis().clone();
     check_basis_header(&mut r, &basis)?;
     let digit_count = r.u32()? as usize;
-    if digit_count == 0 || digit_count > 64 {
-        return Err(SerializeError::BadHeader);
+    let dnum = ctx.params().dnum();
+    if digit_count != dnum {
+        return Err(SerializeError::DigitCount(digit_count));
     }
-    let compressed = match r.bytes(1)?[0] {
-        0 => false,
-        1 => true,
+    let seed = match r.bytes(1)?[0] {
+        0 => None,
+        1 => Some(r.bytes(32)?.try_into().expect("32 bytes")),
         _ => return Err(SerializeError::BadHeader),
     };
-    let moduli: Vec<u64> = basis.moduli().iter().map(|m| m.value()).collect();
-    let n = basis.degree();
-    let mut digits = Vec::with_capacity(digit_count);
-    if compressed {
-        let seed: [u8; 32] = r.bytes(32)?.try_into().expect("32 bytes");
-        let mut rng = StdRng::from_seed(seed);
-        for _ in 0..digit_count {
-            let a = RnsPoly::from_flat(
-                basis.clone(),
-                sample_uniform_flat(&mut rng, &moduli, n),
-                Representation::Evaluation,
-            );
-            let b = r.poly(&basis, None)?;
-            digits.push(DigitKey { a, b });
-        }
-        Ok(SwitchingKey {
-            digits,
-            seed: Some(seed),
+    // The wire's polynomials — `a_j, b_j` per digit, or only the `b_j`
+    // after a seed — are all read and checked before a seed is expanded.
+    let mut wire = (0..dnum * if seed.is_some() { 1 } else { 2 })
+        .map(|_| r.poly(&basis, None))
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter();
+    let mut seeded_a = seed.map(|seed| ctx.seeded_key_a(seed));
+    let digits = (0..dnum)
+        .map(|_| DigitKey {
+            a: seeded_a
+                .as_mut()
+                .map_or_else(|| wire.next(), Iterator::next)
+                .expect("a_j"),
+            b: wire.next().expect("b_j"),
         })
-    } else {
-        for _ in 0..digit_count {
-            let a = r.poly(&basis, None)?;
-            let b = r.poly(&basis, None)?;
-            digits.push(DigitKey { a, b });
-        }
-        Ok(SwitchingKey { digits, seed: None })
-    }
+        .collect();
+    Ok(SwitchingKey { digits, seed })
 }
 
 /// Serializes a whole Galois (rotation) key set as one framed message:
@@ -508,7 +499,8 @@ mod tests {
     use crate::ops::Evaluator;
     use crate::params::CkksParams;
     use fhe_math::cfft::Complex;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ctx() -> Arc<CkksContext> {
         CkksContext::new(
@@ -589,6 +581,36 @@ mod tests {
         let sq = ev.mul(&ct, &ct, &rlk);
         let out = encoder.decode(&decryptor.decrypt(&sq, &sk));
         assert!((out[0].re - 0.49).abs() < 1e-3);
+    }
+
+    #[test]
+    fn a_key_with_another_digit_count_is_rejected() {
+        let ctx = ctx(); // dnum = 2
+        let mut rng = StdRng::seed_from_u64(16);
+        let keygen = KeyGenerator::new(ctx.clone());
+        let sk = keygen.secret_key(&mut rng);
+        let full = ctx.full_basis();
+        let poly_bytes = 8 * full.len() * full.degree();
+        let count_at = 5 + 8 + 8 * full.len();
+        for (key, polys_per_digit) in [
+            (keygen.relin_key_compressed(&mut rng, &sk), 1),
+            (keygen.relin_key(&mut rng, &sk), 2),
+        ] {
+            let good = serialize_switching_key(key.switching_key());
+            assert!(deserialize_switching_key(&ctx, &good).is_ok());
+            // One digit fewer and one more, the bytes cut or padded to
+            // match, as a tampered upload would be.
+            for found in [1usize, 3] {
+                let mut bytes = good.clone();
+                bytes[count_at..count_at + 4].copy_from_slice(&(found as u32).to_le_bytes());
+                let digit_bytes = polys_per_digit * poly_bytes;
+                bytes.resize(good.len() - 2 * digit_bytes + found * digit_bytes, 0);
+                assert_eq!(
+                    deserialize_switching_key(&ctx, &bytes).err(),
+                    Some(SerializeError::DigitCount(found))
+                );
+            }
+        }
     }
 
     #[test]

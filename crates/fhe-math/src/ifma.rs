@@ -1,9 +1,10 @@
 //! The production (`UnrolledBackend`) kernels on AVX-512 IFMA: eight 52-bit
 //! lanes per instruction, for the transforms, for the multiply-accumulate
 //! kernel that carries `NewLimb`, the key-switch inner product and the
-//! pointwise products, and for the streaming kernel that carries every
+//! pointwise products, for the streaming kernel that carries every
 //! single-word pass — add, sub, neg, the scalar ops, the Shoup scalings
-//! and the centred lift.
+//! and the centred lift — and for the seeded uniform expansion that
+//! regenerates a compressed switching key's `a_j`.
 //!
 //! `vpmadd52luq` / `vpmadd52huq` multiply the low 52 bits of each 64-bit
 //! lane and add the low / high 52 bits of the 104-bit product to an
@@ -38,10 +39,19 @@
 //! subtraction, and below `2^52` where it enters `mul_lazy` — `y + q − x`
 //! for `sub_scale_shoup`, the lift's shifted word `x < from < 2^50`.
 //!
+//! The seeded expansion runs eight xoshiro256++ generators, one per lane,
+//! each started by a GF(2) jump at its own stretch of the one stream
+//! (`sampling::SeededUniform` says which). Eight steps draw eight words per
+//! lane; the `Uniform` draw `⌊r·q/2^64⌋` for `q < 2^50` is two `madd52hi`
+//! and one `madd52lo`; an 8×8 transpose — the short stages' three
+//! permutes — turns them into one 8-word block per lane, stored into that
+//! lane's limb of its digit's own buffer, so nothing is zero-filled first.
+//!
 //! This is the crate's only `unsafe` code. A [`Lanes`] is made only after
 //! the CPU was found to have `avx512f` and `avx512ifma`, which is what the
 //! `unsafe fn`s below require; the rest is memory access through
-//! fixed-size arrays.
+//! fixed-size arrays, and the seeded expansion's stores into buffers it
+//! reserved itself, each written whole before its length is set.
 //!
 //! [`ShoupPair::shoup`]: crate::backend::ShoupPair::shoup
 //! [`lane_products`]: crate::modular::lane_products
@@ -49,6 +59,7 @@
 use crate::backend::{BasisExtView, DigitTerm, SlotOp, Start};
 use crate::modular::Modulus;
 use crate::ntt::NttTable;
+use crate::xoshiro::State;
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -79,8 +90,8 @@ pub(crate) fn detected() -> bool {
     })
 }
 
-/// Proof that this CPU has the lanes; only [`lanes`], [`sum_lanes`] and
-/// [`extension_lanes`] make one.
+/// Proof that this CPU has the lanes; only [`lanes`], [`sum_lanes`],
+/// [`extension_lanes`] and [`uniform_lanes`] make one.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Lanes(());
 
@@ -105,6 +116,14 @@ pub(crate) fn extension_lanes(ext: &BasisExtView<'_>) -> Option<Lanes> {
         return None;
     }
     sum_lanes(ext.source_moduli.iter().chain(ext.target_moduli))
+}
+
+/// The lanes for seeded uniform expansion into `n`-word limbs mod
+/// `moduli`, or `None` where the portable body runs: a CPU without IFMA, a
+/// modulus at or above `2^50`, or `n` not a multiple of 8.
+pub(crate) fn uniform_lanes(moduli: &[u64], n: usize) -> Option<Lanes> {
+    (detected() && n.is_multiple_of(8) && moduli.iter().all(|&q| q < MODULUS_BOUND))
+        .then_some(Lanes(()))
 }
 
 impl Lanes {
@@ -219,6 +238,34 @@ impl Lanes {
         #[cfg(not(target_arch = "x86_64"))]
         {
             let _ = (ext, src, n, range, cols);
+            unreachable!("a `Lanes` is only made on x86-64");
+        }
+    }
+
+    /// `count` uniform polynomials of `n`-word limbs mod `moduli`, drawn by
+    /// eight generators: lane `j` starts from `starts[j]` and draws limbs
+    /// `[j·per_lane, (j+1)·per_lane)` of the `count·|moduli|`; see
+    /// `sampling::SeededUniform`. Every modulus is below `2^50`, `n` is a
+    /// multiple of 8, and `8·per_lane` covers every limb.
+    pub(crate) fn uniform(
+        self,
+        starts: &[State; 8],
+        moduli: &[u64],
+        n: usize,
+        count: usize,
+        per_lane: usize,
+    ) -> Vec<Vec<u64>> {
+        assert!(n.is_multiple_of(8) && 8 * per_lane >= count * moduli.len());
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self` exists only where `detected()` found avx512f and
+        // avx512ifma, the target features of the function; the assertion
+        // above is the rest of its contract.
+        unsafe {
+            x86::uniform(&starts.map(|s| s.0), moduli, n, count, per_lane)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (starts, moduli, n, count, per_lane);
             unreachable!("a `Lanes` is only made on x86-64");
         }
     }
@@ -960,5 +1007,119 @@ mod x86 {
                 }
             }
         }
+    }
+
+    /// One step of eight xoshiro256++ generators, lane `j` of the four
+    /// state words being generator `j`: the eight output words.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn next(s: &mut [__m512i; 4]) -> __m512i {
+        let result = _mm512_add_epi64(_mm512_rol_epi64::<23>(_mm512_add_epi64(s[0], s[3])), s[0]);
+        let t = _mm512_slli_epi64::<17>(s[1]);
+        s[2] = _mm512_xor_si512(s[2], s[0]);
+        s[3] = _mm512_xor_si512(s[3], s[1]);
+        s[1] = _mm512_xor_si512(s[1], s[2]);
+        s[0] = _mm512_xor_si512(s[0], s[3]);
+        s[2] = _mm512_xor_si512(s[2], t);
+        s[3] = _mm512_rol_epi64::<45>(s[3]);
+        result
+    }
+
+    /// The vendored `Uniform`'s draw `⌊r·q/2^64⌋` per lane, for `q < 2^50`.
+    /// With `r = r₁·2^52 + r₀` it is `⌊(r₁·q + ⌊r₀·q/2^52⌋)/2^12⌋`: the low
+    /// 52 bits of `r₀·q` cannot carry past `2^64`. `madd52hi` gives
+    /// `⌊r₀·q/2^52⌋` (it reads only the low 52 bits of `r`, which are
+    /// `r₀`), and `r₁·q < 2^62` is `hi·2^52 + lo` from one `madd52lo`,
+    /// which adds the former in the same instruction, and one `madd52hi`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    fn lemire(r: __m512i, q: __m512i) -> __m512i {
+        let zero = _mm512_setzero_si512();
+        let r1 = _mm512_srli_epi64::<52>(r);
+        let lo = _mm512_madd52lo_epu64(_mm512_madd52hi_epu64(zero, r, q), r1, q);
+        let hi = _mm512_madd52hi_epu64(zero, r1, q);
+        _mm512_add_epi64(_mm512_slli_epi64::<40>(hi), _mm512_srli_epi64::<12>(lo))
+    }
+
+    /// The 8×8 transpose `rows[t][j]` → `cols[j][t]`: three rounds of
+    /// two-register permutes that pair words, then word pairs, then
+    /// quads — the short stages' orders.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn transpose(r: [__m512i; 8]) -> [__m512i; 8] {
+        let (t0, t1) = permute(r[0], r[1], SPAN2_TO_1);
+        let (t2, t3) = permute(r[2], r[3], SPAN2_TO_1);
+        let (t4, t5) = permute(r[4], r[5], SPAN2_TO_1);
+        let (t6, t7) = permute(r[6], r[7], SPAN2_TO_1);
+        let (u0, u2) = permute(t0, t2, SPAN4_TO_2);
+        let (u1, u3) = permute(t1, t3, SPAN4_TO_2);
+        let (u4, u6) = permute(t4, t6, SPAN4_TO_2);
+        let (u5, u7) = permute(t5, t7, SPAN4_TO_2);
+        let (c0, c4) = permute(u0, u4, SPAN4);
+        let (c1, c5) = permute(u1, u5, SPAN4);
+        let (c2, c6) = permute(u2, u6, SPAN4);
+        let (c3, c7) = permute(u3, u7, SPAN4);
+        [c0, c1, c2, c3, c4, c5, c6, c7]
+    }
+
+    /// Seeded uniform expansion; see [`super::Lanes::uniform`]. Per 8-slot
+    /// block of a lane's current limb: eight steps draw eight words per
+    /// lane, [`lemire`] maps each into its lane's modulus, and
+    /// [`transpose`] turns the eight draws of a lane into one register,
+    /// stored into that lane's limb of its digit's own buffer. Every lane
+    /// crosses a limb boundary at the same step, so a lane's modulus
+    /// changes only between limbs; a lane past the last limb draws and
+    /// stores nothing.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `avx512f` and `avx512ifma`, `n` must be a
+    /// multiple of 8, and `8·per_lane ≥ count·|moduli|`: then every word
+    /// of every buffer is written before its length is set.
+    #[target_feature(enable = "avx512f,avx512ifma")]
+    pub(super) unsafe fn uniform(
+        starts: &[[u64; 4]; 8],
+        moduli: &[u64],
+        n: usize,
+        count: usize,
+        per_lane: usize,
+    ) -> Vec<Vec<u64>> {
+        let limbs = moduli.len();
+        let mut out: Vec<Vec<u64>> = (0..count).map(|_| Vec::with_capacity(limbs * n)).collect();
+        let buffers: Vec<*mut u64> = out.iter_mut().map(|v| v.as_mut_ptr()).collect();
+        let mut s = [0, 1, 2, 3].map(|w| load(&starts.map(|lane| lane[w])));
+        for k in 0..per_lane {
+            // Lane `j` is on limb `j·per_lane + k` of the flat sequence.
+            let mut q = [1u64; 8];
+            let mut dst = [std::ptr::null_mut::<u64>(); 8];
+            for j in 0..8 {
+                let limb = j * per_lane + k;
+                if limb < count * limbs {
+                    q[j] = moduli[limb % limbs];
+                    // SAFETY: limb `limb % limbs` of a buffer of
+                    // `limbs·n` words' capacity.
+                    dst[j] = unsafe { buffers[limb / limbs].add(limb % limbs * n) };
+                }
+            }
+            let q = load(&q);
+            for at in (0..n).step_by(8) {
+                let mut rows = [_mm512_setzero_si512(); 8];
+                for row in &mut rows {
+                    *row = lemire(next(&mut s), q);
+                }
+                for (&d, col) in dst.iter().zip(transpose(rows)) {
+                    if !d.is_null() {
+                        // SAFETY: words `at..at + 8` of the lane's limb.
+                        unsafe { _mm512_storeu_epi64(d.add(at).cast(), col) }
+                    }
+                }
+            }
+        }
+        for v in &mut out {
+            // SAFETY: every limb below `count·limbs` belongs to one lane at
+            // one `k`, whose blocks wrote all `n` of its words.
+            unsafe { v.set_len(limbs * n) }
+        }
+        out
     }
 }

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-// The one exception is the IFMA transform module.
+// The one exception is `ifma`, the AVX-512 IFMA lane bodies of the kernels.
 #![deny(unsafe_code)]
 // Hot kernels index several slices in lockstep (limbs, roots, outputs);
 // the explicit-index form mirrors the paper's pseudocode and stays clear.
@@ -37,7 +37,9 @@
 //! - [`bigint`]: a minimal arbitrary-precision unsigned integer used for CRT
 //!   reconstruction in decoding and in tests.
 //! - [`sampling`]: secret/noise distributions (ternary, centered binomial,
-//!   rounded Gaussian).
+//!   rounded Gaussian), uniform limbs, and the seeded expansion
+//!   ([`sampling::SeededUniform`]) that regenerates a compressed key's
+//!   `a_j`, on eight jump-ahead generators on IFMA lanes where it can.
 //! - [`scratch`]: the reusable buffer pool behind the allocation-free hot
 //!   paths.
 //! - [`parallel`]: limb-level multithreading helpers over flat limb-major
@@ -80,6 +82,7 @@ pub mod rns;
 pub mod sampling;
 pub mod scratch;
 pub mod telemetry;
+mod xoshiro;
 
 pub use backend::ShoupPair;
 pub use modular::Modulus;

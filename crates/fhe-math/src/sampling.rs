@@ -6,8 +6,11 @@
 //! `a` component of ciphertexts and switching keys — the component the MAD
 //! key-compression optimization replaces with a PRNG seed.
 
+use crate::ifma::{self, Lanes};
+use crate::xoshiro::{Jump, State};
 use rand::distributions::{Distribution, Uniform};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Standard deviation of the encryption noise mandated by the HE standard.
 pub const NOISE_STDDEV: f64 = 3.2;
@@ -87,6 +90,67 @@ pub fn sample_uniform_flat<R: Rng + ?Sized>(rng: &mut R, moduli: &[u64], n: usiz
     out
 }
 
+/// The uniform polynomials a seed expands into, for one shape: exactly
+/// what `StdRng::from_seed(seed)` followed by `count` calls of
+/// [`sample_uniform_flat`]`(rng, moduli, n)` draws — the `a_j` of a seeded
+/// switching key.
+///
+/// Where the CPU has AVX-512 IFMA, every modulus is below `2^50` and `n` is
+/// a multiple of 8, eight xoshiro256++ generators on lanes draw eight
+/// stretches of that one stream at once. Lane `j` owns limbs
+/// `[j·c, (j+1)·c)` of the `count·|moduli|`, `c = ⌈count·|moduli|/8⌉`, so it
+/// starts `j·c·n` draws in: one GF(2) jump by `c·n` steps from lane
+/// `j − 1`'s start, the jump polynomial built once here. Elsewhere, and for
+/// the all-zero seed (which `from_seed` remixes through splitmix64), the
+/// serial loop runs. Both emit the same words.
+#[derive(Clone, Debug)]
+pub struct SeededUniform {
+    moduli: Vec<u64>,
+    n: usize,
+    count: usize,
+    /// `c`: the limbs each lane draws.
+    per_lane: usize,
+    /// The lanes, and the jump from one lane's start to the next's.
+    lanes: Option<(Lanes, Jump)>,
+}
+
+impl SeededUniform {
+    /// The expansion into `count` polynomials of `n`-word limbs mod
+    /// `moduli`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a modulus is zero.
+    pub fn new(moduli: &[u64], n: usize, count: usize) -> Self {
+        assert!(moduli.iter().all(|&q| q > 0), "a modulus is zero");
+        let per_lane = (count * moduli.len()).div_ceil(8);
+        let lanes = ifma::uniform_lanes(moduli, n).map(|l| (l, Jump::new((per_lane * n) as u64)));
+        Self {
+            moduli: moduli.to_vec(),
+            n,
+            count,
+            per_lane,
+            lanes,
+        }
+    }
+
+    /// The `count` polynomials `seed` expands into, each a flat limb-major
+    /// buffer of its own as [`sample_uniform_flat`] returns it.
+    pub fn expand(&self, seed: [u8; 32]) -> Vec<Vec<u64>> {
+        if let (Some((lanes, jump)), Some(first)) = (&self.lanes, State::from_seed(seed)) {
+            let mut starts = [first; 8];
+            for j in 1..8 {
+                starts[j] = starts[j - 1].jumped(jump);
+            }
+            return lanes.uniform(&starts, &self.moduli, self.n, self.count, self.per_lane);
+        }
+        let mut rng = StdRng::from_seed(seed);
+        (0..self.count)
+            .map(|_| sample_uniform_flat(&mut rng, &self.moduli, self.n))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +215,17 @@ mod tests {
         let a = sample_uniform_flat(&mut StdRng::seed_from_u64(99), &moduli, 64);
         let b = sample_uniform_flat(&mut StdRng::seed_from_u64(99), &moduli, 64);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn seeded_expansion_takes_the_lanes_where_it_can() {
+        let narrow = [(1u64 << 50) - 1, 97, 1 << 40];
+        assert_eq!(
+            SeededUniform::new(&narrow, 64, 3).lanes.is_some(),
+            ifma::detected()
+        );
+        assert!(SeededUniform::new(&[1 << 50, 97], 64, 3).lanes.is_none());
+        assert!(SeededUniform::new(&narrow, 20, 3).lanes.is_none());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
-use ckks::serialize::serialize_ciphertext;
+use ckks::serialize::{serialize_ciphertext, serialize_switching_key};
 use ckks::{CkksContext, CkksParams, Encoder, Encryptor, KeyGenerator};
 use fhe_math::cfft::Complex;
 use fhe_serve::protocol::{read_frame, BodyWriter, FrameRead, Opcode, DEFAULT_MAX_FRAME_BYTES};
@@ -104,6 +104,38 @@ fn structured_errors_cover_the_misuse_space() {
     let echoed = client.rotate(sid, &ct, 0).unwrap();
     assert_eq!(serialize_ciphertext(&echoed), serialize_ciphertext(&ct));
 
+    server.shutdown();
+}
+
+/// A relin key whose digit count is not the context's `dnum` is refused at
+/// upload, so no `Mult` ever runs a key switch it cannot finish.
+#[test]
+fn a_relin_key_with_the_wrong_digit_count_is_malformed_at_upload() {
+    let ctx = small_ctx(); // dnum = 2
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    let mut rng = StdRng::seed_from_u64(9);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let good = serialize_switching_key(kg.relin_key_compressed(&mut rng, &sk).switching_key());
+
+    // One digit: the count rewritten and the second `b` cut off.
+    let full = ctx.full_basis();
+    let count_at = 5 + 8 + 8 * full.len();
+    let mut one = good.clone();
+    one[count_at..count_at + 4].copy_from_slice(&1u32.to_le_bytes());
+    one.truncate(good.len() - 8 * full.len() * full.degree());
+    let mut w = BodyWriter::new();
+    w.u64(sid).raw(&one);
+    expect_code(
+        client.call_raw(Opcode::UploadRelin as u8, &w.0),
+        ErrorCode::Malformed,
+    );
+
+    let mut w = BodyWriter::new();
+    w.u64(sid).raw(&good);
+    client.call_raw(Opcode::UploadRelin as u8, &w.0).unwrap();
     server.shutdown();
 }
 
