@@ -1,8 +1,7 @@
 //! Criterion micro-benchmarks of the limb-wise and slot-wise kernels
 //! (Table 3 of the paper): negacyclic NTT/iNTT, the fast basis extension
 //! over flat limb-major buffers, the streaming single-word kernels, seeded
-//! key expansion, and serial-vs-parallel comparisons of the
-//! multithreaded kernels (full-poly NTT and hybrid key switching) at
+//! key expansion, and the full-poly NTT and hybrid key switching at
 //! production ring sizes N = 2^15 and 2^16.
 use ckks::{CkksContext, CkksParams, KeyGenerator};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -122,7 +121,7 @@ fn bench_backend_comparison(c: &mut Criterion) {
     }
 
     // The fused basis-extension inner loops: the reference kernel over the
-    // same slot blocks `extend_flat` splits the ring into, and
+    // whole slot range, as `extend_flat` calls the production one, and
     // `extend_flat` itself — on 45/46-bit limbs, which take the IFMA lanes
     // where the CPU has them, and (`unrolled-q55`) on 55/56-bit limbs, which
     // keep the production kernel on its portable body everywhere.
@@ -144,9 +143,7 @@ fn bench_backend_comparison(c: &mut Criterion) {
         let view = ext.view();
         b.iter(|| {
             let mut cols: Vec<&mut [u64]> = out.chunks_exact_mut(n).collect();
-            fhe_math::parallel::for_each_slot_block(&mut cols, n, |range, cols| {
-                ScalarBackend.basis_ext_block(&view, &src, n, range, cols);
-            });
+            ScalarBackend.basis_ext_block(&view, &src, n, 0..n, &mut cols);
             out.last().copied()
         })
     });
@@ -319,15 +316,9 @@ fn bench_basis_extension(c: &mut Criterion) {
     group.finish();
 }
 
-/// `serial` forces the limb loops onto the calling thread; `parallel` is
-/// the unforced rule of `fhe_math::parallel` — what a library user gets.
-const THREAD_ROWS: [(&str, Option<bool>); 2] = [("serial", Some(false)), ("parallel", None)];
-
-/// Serial-vs-threaded readout of the limb-parallel kernels: full-poly NTT
-/// at production ring sizes, and a hybrid key switch from one caller and
-/// from two at once (where the rule should leave both on their own
-/// thread, so the two rows should read alike).
-fn bench_serial_vs_parallel(c: &mut Criterion) {
+/// The limb-wise kernels at production ring sizes, one caller: a
+/// full-poly NTT and a hybrid key switch, each on the calling thread.
+fn bench_production_rings(c: &mut Criterion) {
     for log_n in [15u32, 16] {
         let n = 1usize << log_n;
         let limbs = 8usize;
@@ -338,24 +329,20 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
         let poly = RnsPoly::from_flat(basis, flat, Representation::Coefficient);
         let mut group = c.benchmark_group(format!("ntt_full_poly_n{n}"));
         group.throughput(Throughput::Elements((limbs * n) as u64));
-        for (label, forced) in THREAD_ROWS {
-            group.bench_function(BenchmarkId::new(label, n), |b| {
-                fhe_math::parallel::set_forced(forced);
-                b.iter_batched(
-                    || poly.clone(),
-                    |mut p| {
-                        p.to_eval();
-                        p
-                    },
-                    criterion::BatchSize::LargeInput,
-                );
-                fhe_math::parallel::set_forced(None);
-            });
-        }
+        group.bench_function(BenchmarkId::from_parameter(n), |b| {
+            b.iter_batched(
+                || poly.clone(),
+                |mut p| {
+                    p.to_eval();
+                    p
+                },
+                criterion::BatchSize::LargeInput,
+            );
+        });
         group.finish();
     }
 
-    for (callers, log_n) in [(1usize, 13u32), (1, 15), (1, 16), (2, 13), (2, 15)] {
+    for log_n in [13u32, 15, 16] {
         let ctx = CkksContext::new(
             CkksParams::builder()
                 .log_degree(log_n)
@@ -379,30 +366,15 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
             sample_uniform_flat(&mut rng, &moduli, n),
             Representation::Evaluation,
         );
-        let switch = || {
-            let (v, u) = ckks::keyswitch::keyswitch(&ctx, &x, ksk);
-            v.recycle(ctx.scratch());
-            u.recycle(ctx.scratch());
-        };
-        let name = ["keyswitch", "keyswitch_two_callers"][callers - 1];
-        let mut group = c.benchmark_group(format!("{name}_n{n}"));
+        let mut group = c.benchmark_group(format!("keyswitch_n{n}"));
         group.sample_size(10);
-        for (label, forced) in THREAD_ROWS {
-            group.bench_function(BenchmarkId::new(label, n), |b| {
-                fhe_math::parallel::set_forced(forced);
-                // One key switch per caller per iteration, the extra
-                // callers on scoped threads beside the timed one.
-                b.iter(|| {
-                    std::thread::scope(|scope| {
-                        for _ in 1..callers {
-                            scope.spawn(switch);
-                        }
-                        switch();
-                    })
-                });
-                fhe_math::parallel::set_forced(None);
-            });
-        }
+        group.bench_function(BenchmarkId::from_parameter(n), |b| {
+            b.iter(|| {
+                let (v, u) = ckks::keyswitch::keyswitch(&ctx, &x, ksk);
+                v.recycle(ctx.scratch());
+                u.recycle(ctx.scratch());
+            })
+        });
         group.finish();
     }
 }
@@ -414,6 +386,6 @@ criterion_group!(
     bench_streaming,
     bench_seed_expansion,
     bench_basis_extension,
-    bench_serial_vs_parallel
+    bench_production_rings
 );
 criterion_main!(benches);

@@ -42,9 +42,9 @@
 //!   `a_j`, on eight jump-ahead generators on IFMA lanes where it can.
 //! - [`scratch`]: the reusable buffer pool behind the allocation-free hot
 //!   paths.
-//! - [`parallel`]: limb-level multithreading helpers over flat limb-major
-//!   buffers (always compiled; a call uses threads when its shares are
-//!   large enough and cores are free; bit-identical to the serial loop).
+//! - [`parallel`]: only `compiled()`, always `false` — every kernel call
+//!   runs on its caller's thread; kept for the benchmark header that
+//!   prints it.
 //! - [`telemetry`]: op-count/traffic counters, measurement spans and the
 //!   ordered memory-access trace, in every build, used to cross-validate
 //!   the `simfhe` cost model and to time a served request's kernel spans.

@@ -23,7 +23,6 @@ use crate::automorph::Automorphism;
 use crate::backend::{ShoupPair, UnrolledBackend};
 use crate::bigint::{IBig, UBig};
 use crate::modular::Modulus;
-use crate::parallel;
 use crate::rns::{BasisExtender, RnsBasis};
 use crate::scratch::ScratchPool;
 use crate::telemetry;
@@ -119,14 +118,11 @@ impl RnsPoly {
         let n = basis.degree();
         assert_eq!(coeffs.len(), n, "coefficient count mismatch");
         let mut data = vec![0u64; n * basis.len()];
-        {
-            let basis = &basis;
-            parallel::for_each_limb_mut(&mut data, n, |i, limb| {
-                let m = basis.modulus(i);
-                for (d, &c) in limb.iter_mut().zip(coeffs) {
-                    *d = m.from_i64(c);
-                }
-            });
+        for (i, limb) in data.chunks_exact_mut(n).enumerate() {
+            let m = basis.modulus(i);
+            for (d, &c) in limb.iter_mut().zip(coeffs) {
+                *d = m.from_i64(c);
+            }
         }
         Self {
             basis,
@@ -277,10 +273,9 @@ impl RnsPoly {
         self.trace_touch(false);
         self.trace_touch(true);
         let n = self.basis.degree();
-        let basis = &self.basis;
-        parallel::for_each_limb_mut(&mut self.data, n, |i, limb| {
-            basis.ntt_table(i).forward(limb);
-        });
+        for (i, limb) in self.data.chunks_exact_mut(n).enumerate() {
+            self.basis.ntt_table(i).forward(limb);
+        }
         self.rep = Representation::Evaluation;
     }
 
@@ -293,10 +288,9 @@ impl RnsPoly {
         self.trace_touch(false);
         self.trace_touch(true);
         let n = self.basis.degree();
-        let basis = &self.basis;
-        parallel::for_each_limb_mut(&mut self.data, n, |i, limb| {
-            basis.ntt_table(i).inverse(limb);
-        });
+        for (i, limb) in self.data.chunks_exact_mut(n).enumerate() {
+            self.basis.ntt_table(i).inverse(limb);
+        }
         self.rep = Representation::Coefficient;
     }
 
@@ -312,7 +306,7 @@ impl RnsPoly {
         reads_self: bool,
         inputs: [&RnsPoly; K],
         (mults, adds): (u64, u64),
-        kernel: impl Fn(usize, &Modulus, &mut [u64], [&[u64]; K]) + Sync,
+        kernel: impl Fn(usize, &Modulus, &mut [u64], [&[u64]; K]),
     ) {
         let (n, limbs, len) = (self.degree(), self.limb_count(), self.data.len());
         telemetry::record_ops(mults * len as u64, adds * len as u64);
@@ -325,10 +319,10 @@ impl RnsPoly {
         self.trace_touch(true);
         let inputs = inputs.map(|x| &x.data[..len]);
         let basis = &self.basis;
-        parallel::for_each_limb_mut(&mut self.data, n, |i, dst| {
+        for (i, dst) in self.data.chunks_exact_mut(n).enumerate() {
             let limb = i * n..(i + 1) * n;
             kernel(i, basis.modulus(i), dst, inputs.map(|x| &x[limb.clone()]));
-        });
+        }
     }
 
     /// `self += other` (works in either representation; both operands must
@@ -520,13 +514,13 @@ impl RnsPoly {
         // A pure permutation: no modular ops, only streamed limb traffic.
         self.trace_touch(false);
         out.trace_touch(true);
-        parallel::for_each_limb_mut(&mut out.data, n, |i, dst| {
+        for (i, dst) in out.data.chunks_exact_mut(n).enumerate() {
             let s = &src[i * n..(i + 1) * n];
             match rep {
                 Representation::Coefficient => auto.apply_coeff(s, dst, basis.modulus(i).value()),
                 Representation::Evaluation => auto.apply_eval(s, dst),
             }
-        });
+        }
     }
 
     /// Drops trailing limbs, restricting to the first `keep` limbs of the
@@ -668,7 +662,7 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
     let src = poly.flat();
     let last = &last;
     let q_last_inv = basis.drop_last_inverses();
-    parallel::for_each_limb_mut(&mut out.data, n, |i, limb| {
+    for (i, limb) in out.data.chunks_exact_mut(n).enumerate() {
         let qi = basis.modulus(i);
         // Centered image of the dropped limb in q_i, NTT'd in place inside
         // the output limb — no per-limb temporary needed.
@@ -676,7 +670,7 @@ pub fn rescale_with(poly: &RnsPoly, pool: &ScratchPool) -> RnsPoly {
         basis.ntt_table(i).forward(limb);
         let off = i * n;
         UnrolledBackend.sub_scale_shoup(qi, &src[off..off + n], limb, q_last_inv[i]);
-    });
+    }
     out
 }
 
@@ -790,11 +784,11 @@ pub fn mod_down_with(poly: &RnsPoly, ctx: &ModDownContext, pool: &ScratchPool) -
     // turning the floor of the fast conversion into a round.
     let mut special = pool.take(ctx.p_len * n);
     special.copy_from_slice(&poly.flat()[ctx.q_len * n..]);
-    parallel::for_each_limb_mut(&mut special, n, |j, limb| {
+    for (j, limb) in special.chunks_exact_mut(n).enumerate() {
         let pj = basis.modulus(ctx.q_len + j);
         basis.ntt_table(ctx.q_len + j).inverse(limb);
         UnrolledBackend.add_scalar(pj, limb, ctx.half_p_mod_p[j]);
-    });
+    }
 
     // Step 2: NewLimb into each q_i (slot-wise), written straight into the
     // output buffer.
@@ -809,13 +803,13 @@ pub fn mod_down_with(poly: &RnsPoly, ctx: &ModDownContext, pool: &ScratchPool) -
 
     // Step 3: un-center, NTT the converted limbs, combine (limb-wise).
     let src = poly.flat();
-    parallel::for_each_limb_mut(&mut out.data, n, |i, limb| {
+    for (i, limb) in out.data.chunks_exact_mut(n).enumerate() {
         let qi = basis.modulus(i);
         UnrolledBackend.sub_scalar(qi, limb, ctx.half_p_mod_q[i]);
         basis.ntt_table(i).forward(limb);
         let off = i * n;
         UnrolledBackend.sub_scale_shoup(qi, &src[off..off + n], limb, ctx.p_inv[i]);
-    });
+    }
     out
 }
 
@@ -859,12 +853,12 @@ pub fn pmod_up_with(poly: &RnsPoly, raised_basis: Arc<RnsBasis>, pool: &ScratchP
     let (lifted, appended) = out.data.split_at_mut(l * n);
     appended.fill(0);
     let p_mod_q = out.basis.tail_products(l);
-    parallel::for_each_limb_mut(lifted, n, |i, limb| {
+    for (i, limb) in lifted.chunks_exact_mut(n).enumerate() {
         let qi = basis.modulus(i);
         let off = i * n;
         limb.copy_from_slice(&src[off..off + n]);
         UnrolledBackend.scale_shoup(qi, limb, p_mod_q[i]);
-    });
+    }
     out
 }
 
@@ -895,11 +889,14 @@ pub fn pmod_up_add_assign(acc: &mut RnsPoly, mut x: RnsPoly, pool: &ScratchPool)
     acc.trace_touch_limbs(true, 0, l);
     let basis = &acc.basis;
     let p_mod_q = basis.tail_products(l);
-    parallel::for_each_limb_mut2(&mut acc.data[..l * n], &mut x.data, n, |i, sum, lifted| {
+    let limbs = acc.data[..l * n]
+        .chunks_exact_mut(n)
+        .zip(x.data.chunks_exact_mut(n));
+    for (i, (sum, lifted)) in limbs.enumerate() {
         let qi = basis.modulus(i);
         UnrolledBackend.scale_shoup(qi, lifted, p_mod_q[i]);
         UnrolledBackend.pointwise_add(qi, sum, lifted);
-    });
+    }
     x.recycle(pool);
 }
 
@@ -948,9 +945,9 @@ pub fn mod_up_with(
 
     let mut coeff = pool.take(l * n);
     coeff.copy_from_slice(poly.flat());
-    parallel::for_each_limb_mut(&mut coeff, n, |i, limb| {
+    for (i, limb) in coeff.chunks_exact_mut(n).enumerate() {
         basis.ntt_table(i).inverse(limb);
-    });
+    }
 
     let mut out = RnsPoly {
         rep: Representation::Evaluation,
@@ -962,10 +959,9 @@ pub fn mod_up_with(
     out.data[..l * n].copy_from_slice(poly.flat());
     let (_, new_limbs) = out.data.split_at_mut(l * n);
     extender.extend_flat(&coeff, new_limbs, n);
-    let out_basis = out.basis.clone();
-    parallel::for_each_limb_mut(new_limbs, n, |j, limb| {
-        out_basis.ntt_table(l + j).forward(limb);
-    });
+    for (j, limb) in new_limbs.chunks_exact_mut(n).enumerate() {
+        out.basis.ntt_table(l + j).forward(limb);
+    }
     out
 }
 

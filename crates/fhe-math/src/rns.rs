@@ -484,9 +484,8 @@ impl BasisExtender {
     /// larger polynomial instead of in a temporary that is then copied.
     ///
     /// This is the slot-wise access pattern of the paper: the inner loop
-    /// walks all source limbs of one slot. A large enough slot range is
-    /// split across threads (slots are independent, so the split is
-    /// bit-exact); all per-slot state lives on the stack.
+    /// walks all source limbs of one slot, and all per-slot state lives on
+    /// the stack.
     ///
     /// # Panics
     ///
@@ -509,9 +508,7 @@ impl BasisExtender {
         // nothing.
         crate::telemetry::record_basis_ext(l as u64, t as u64, n as u64);
         let ext = self.view();
-        crate::parallel::for_each_slot_block(cols, n, |range, cols| {
-            UnrolledBackend.basis_ext_block(&ext, src, n, range, cols);
-        });
+        UnrolledBackend.basis_ext_block(&ext, src, n, 0..n, cols);
     }
 }
 

@@ -24,8 +24,9 @@
 //! counted by the pool itself ([`crate::scratch::ScratchStats`]).
 //!
 //! Counters are process-global relaxed atomics — global rather than
-//! thread-local because [`crate::parallel`] runs limb kernels on scoped
-//! helper threads whose counts must aggregate. Recording happens in *bulk*
+//! thread-local because the threads that run kernels share them: a
+//! server's workers each run their own requests' kernels on their own
+//! thread, and one total holds all of them. Recording happens in *bulk*
 //! at kernel loop boundaries (once per transform, once per `extend_flat`),
 //! never per scalar operation, which is what lets one build both serve
 //! requests and account for them (EXPERIMENTS.md, "Always-on telemetry",
@@ -43,8 +44,8 @@
 //! counters. Deltas are **inclusive**: a nested span's ops are also in
 //! every enclosing span's (`KeySwitch` contains its `ModUp` and `ModDown`
 //! children). The counters themselves stay process-global, so a delta
-//! also holds what other threads recorded in the window — the helper
-//! threads of [`crate::parallel`] by design. [`reset`] zeroes the counters;
+//! also holds what other threads recorded in the window — a concurrent
+//! worker's kernels by design. [`reset`] zeroes the counters;
 //! a span open across it saturates at zero.
 //!
 //! ```

@@ -364,11 +364,10 @@ proptest! {
         }
     }
 
-    /// Production ≡ reference on the slot ranges `for_each_slot_block`
-    /// hands the kernel — starting and ending off the 8-slot grid — for
-    /// sources of 1..=16 limbs around the lanes' 15-limb limit, and targets
-    /// either all below `2^50` or with one at or above it, which sends the
-    /// whole call to the portable body.
+    /// Production ≡ reference on slot ranges that start and end off the
+    /// 8-slot grid, for sources of 1..=16 limbs around the lanes' 15-limb
+    /// limit, and targets either all below `2^50` or with one at or above
+    /// it, which sends the whole call to the portable body.
     #[test]
     fn basis_extension_blocks_match_the_reference_on_cut_ranges(
         src_len in 1usize..=16,

@@ -1,8 +1,8 @@
 //! Telemetry counter and span semantics: reset, bulk recording, inclusive
 //! nesting, and a memory trace that holds touches and no spans.
 //!
-//! The counters are process-global by design (`fhe_math::parallel` runs
-//! kernels on scoped helper threads whose counts must aggregate), so these
+//! The counters are process-global by design (every thread that runs
+//! kernels — a server's workers — counts into the one total), so these
 //! assertions live in their own integration-test binary — Cargo gives it a
 //! dedicated process — and run as a single sequential test function rather
 //! than racing under the threaded test runner.

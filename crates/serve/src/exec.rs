@@ -149,7 +149,7 @@ pub(crate) fn handle(
             if a.limb_count().min(b.limb_count()) < 2 {
                 return fail(ErrorCode::Malformed, "no level left to multiply at");
             }
-            let rlk = keys.relin(state)?;
+            let rlk = keys.relin()?;
             reply_ct(
                 state,
                 out,
@@ -161,7 +161,7 @@ pub(crate) fn handle(
             let (_sid, _session) = need_session(state, &mut r)?;
             let steps = r.i64().ok_or_else(malformed)?;
             let ct = read_ct(state, r.rest())?;
-            let gk = keys.galois(state, &plan.galois)?;
+            let gk = keys.galois(&plan.galois)?;
             let rotated = state.evaluator.rotate(&ct, steps, &gk);
             reply_ct(state, out, rotated, [ct])
         }
@@ -184,7 +184,7 @@ pub(crate) fn handle(
             let lt = LinearTransform::from_diagonals(diagonals, slots);
             // The plan walked the same offsets by the validator's BSGS
             // schedule, so it names exactly `bsgs_required_steps(&lt, n1)`.
-            let gk = keys.galois(state, &plan.galois)?;
+            let gk = keys.galois(&plan.galois)?;
             let product = apply_bsgs(&state.evaluator, &state.encoder, &ct, &lt, &gk, n1);
             reply_ct(state, out, product, [ct])
         }
@@ -228,11 +228,11 @@ pub(crate) fn handle(
             // The plan was built from this program's manifest, so it names
             // exactly the keys the program touches.
             let rlk = if sp.info.manifest.relin {
-                Some(keys.relin(state)?)
+                Some(keys.relin()?)
             } else {
                 None
             };
-            let gk = keys.galois(state, &plan.galois)?;
+            let gk = keys.galois(&plan.galois)?;
             let (relin, galois) = (rlk.as_deref(), Some(&gk));
             let outs = execute_validated(
                 &state.evaluator,

@@ -240,9 +240,11 @@ pub struct Metrics {
     /// Keys pinned in the cache on behalf of a batch (one per key per
     /// batch).
     pub batch_keys_pinned: AtomicU64,
-    /// Cache fetches short-circuited because the key was already pinned
-    /// for the executing batch — each one is a lookup that, unbatched and
-    /// under budget pressure, could have been a fresh expansion.
+    /// Key lookups a batch saved: one per request whose key an earlier
+    /// request of the same batch had already pinned (`k − 1` for a batch
+    /// of `k` sharing a key) — each one a lookup that, unbatched and under
+    /// budget pressure, could have been a fresh expansion. 0 while every
+    /// batch holds one request.
     pub batch_expansions_avoided: AtomicU64,
     /// Rotations that reused another request's hoisted ModUp
     /// decomposition (batch size minus one, per hoist-shared group).
@@ -402,7 +404,7 @@ impl Metrics {
             (
                 "serve_batch_expansions_avoided_total",
                 "counter",
-                "Cache fetches short-circuited by a batch's pinned key-set.",
+                "Key lookups saved because an earlier request of the same batch pinned the key.",
                 rel(&self.batch_expansions_avoided),
             ),
             (

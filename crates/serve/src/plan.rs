@@ -166,7 +166,9 @@ impl PinnedKeys {
     /// missing or fails to expand is recorded with its error code and
     /// surfaces when a job asks for it; a dead session (closed, or
     /// chaos-reset while queued) pins nothing and its jobs fail in the
-    /// handler's own session lookup.
+    /// handler's own session lookup. Each plan that names a key an earlier
+    /// plan of the group already pinned counts one avoided expansion: a
+    /// group of `k` sharing a key saves `k − 1` cache lookups.
     pub(crate) fn pin<'a>(
         state: &ServerState,
         sid: u64,
@@ -176,6 +178,10 @@ impl PinnedKeys {
         if let Ok(session) = state.sessions.get(sid) {
             for kind in plans.flat_map(KeyPlan::kinds) {
                 if keys.iter().any(|(k, _)| *k == kind) {
+                    state
+                        .metrics
+                        .batch_expansions_avoided
+                        .fetch_add(1, Ordering::Relaxed);
                     continue;
                 }
                 let key = session.key_bytes(kind).and_then(|bytes| {
@@ -209,43 +215,32 @@ impl PinnedKeys {
         self.keys.iter().any(|(k, r)| *k == kind && r.is_ok())
     }
 
-    fn get(&self, state: &ServerState, kind: KeyKind) -> Result<Arc<SwitchingKey>, ErrorCode> {
+    fn get(&self, kind: KeyKind) -> Result<Arc<SwitchingKey>, ErrorCode> {
         let (_, key) = self
             .keys
             .iter()
             .find(|(k, _)| *k == kind)
             .ok_or(ErrorCode::MissingKey)?;
-        state
-            .metrics
-            .batch_expansions_avoided
-            .fetch_add(1, Ordering::Relaxed);
         key.clone()
     }
 
     /// The pinned relinearization key.
-    pub(crate) fn relin(
-        &self,
-        state: &ServerState,
-    ) -> Result<Arc<SwitchingKey>, (ErrorCode, String)> {
-        self.get(state, KeyKind::Relin)
+    pub(crate) fn relin(&self) -> Result<Arc<SwitchingKey>, (ErrorCode, String)> {
+        self.get(KeyKind::Relin)
             .map_err(|c| (c, format!("relin key of session {}", self.sid)))
     }
 
     /// A Galois key set holding the `(step, element)` keys `wanted`,
     /// failing with the recorded code *before* any evaluator call can
     /// panic on an absent key.
-    pub(crate) fn galois(
-        &self,
-        state: &ServerState,
-        wanted: &[(i64, u64)],
-    ) -> Result<GaloisKeys, (ErrorCode, String)> {
+    pub(crate) fn galois(&self, wanted: &[(i64, u64)]) -> Result<GaloisKeys, (ErrorCode, String)> {
         let mut gk = GaloisKeys::new();
         for &(s, element) in wanted {
             if gk.get_shared(element).is_some() {
                 continue;
             }
             let key = self
-                .get(state, KeyKind::Galois(element))
+                .get(KeyKind::Galois(element))
                 .map_err(|c| (c, format!("rotation step {s} (element {element})")))?;
             gk.insert_shared(element, key);
         }

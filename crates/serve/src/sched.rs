@@ -295,7 +295,7 @@ fn run_shared_hoists(state: &ServerState, jobs: Vec<Job>, keys: &PinnedKeys) -> 
                     rotate_ct(fold[0].body()).expect("a planned step was read past"),
                 )?;
                 let wanted: Vec<(i64, u64)> = fold.iter().map(|j| j.plan.galois[0]).collect();
-                let gk = keys.galois(state, &wanted)?;
+                let gk = keys.galois(&wanted)?;
                 let steps: Vec<i64> = wanted.iter().map(|&(s, _)| s).collect();
                 let outs = rotate_hoisted(&state.evaluator, &ct, &steps, &gk);
                 // Each rotation goes straight into its own request's reply.

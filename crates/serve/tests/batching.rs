@@ -10,11 +10,12 @@
 //!    grouping server pins each group's key-set once — so the grouped run
 //!    must show strictly fewer cache misses for the same workload.
 //!
-//! Plus the deadline-vs-hold regression (a request held by the batching
-//! window must not have that hold double-counted against its deadline),
-//! and the two rules of a scheduler its shard loop drives without ever
-//! blocking: shutdown releases every held group at once, and at most
-//! `queue_capacity` keyed jobs are held.
+//! Plus the count of avoided expansions (0 while every group holds one
+//! request), the deadline-vs-hold regression (a request held by the
+//! batching window must not have that hold double-counted against its
+//! deadline), and the two rules of a scheduler its shard loop drives
+//! without ever blocking: shutdown releases every held group at once, and
+//! at most `queue_capacity` keyed jobs are held.
 
 use ckks::hoisting::{apply_bsgs, rotate_hoisted, LinearTransform};
 use ckks::serialize::{deserialize_switching_key, serialize_ciphertext, serialize_switching_key};
@@ -23,6 +24,8 @@ use ckks::{
     RelinKey, SecretKey,
 };
 use fhe_math::cfft::Complex;
+use fhe_program::workloads::sha256_stress_program;
+use fhe_program::ExecInputs;
 use fhe_serve::{
     BatchConfig, BatchHint, Client, ClientError, ErrorCode, EvictionPolicy, RetryPolicy,
     RetryingClient, ServeConfig, Server,
@@ -334,6 +337,43 @@ fn batched_replies_are_byte_identical_and_expand_fewer_keys() {
         metric(&dump, "serve_batch_hoist_shared_total") >= 2,
         "no hoisted decompositions were shared"
     );
+}
+
+/// Groups of one share nothing, so they avoid no expansion: every keyed
+/// opcode pins its keys and reads them, and the counter stays at 0.
+#[test]
+fn groups_of_one_avoid_no_expansions() {
+    let ctx = test_ctx();
+    let tenant = make_tenant(&ctx, 5150);
+    let server = start_server(
+        &ctx,
+        BatchConfig {
+            max_batch: 1,
+            ..BatchConfig::baseline()
+        },
+    );
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello_ext(BatchHint::Auto).unwrap().session;
+    client
+        .upload_relin(sid, tenant.rlk.switching_key())
+        .unwrap();
+    client.upload_galois(sid, &tenant.gk).unwrap();
+    // Relin and Galois {1, 2}: the keys the tenant uploaded.
+    let prog = sha256_stress_program(ctx.params().levels(), 1, 2);
+    let pid = client.upload_program(sid, &prog).unwrap();
+    let mut inputs = ExecInputs::default();
+    for name in ["x", "y", "z", "w"] {
+        inputs.cts.insert(name.into(), tenant.a.clone());
+    }
+    for _ in 0..2 {
+        client.mult(sid, &tenant.a, &tenant.b).unwrap();
+        client.rotate(sid, &tenant.a, 1).unwrap();
+        client.run_program(sid, pid, &prog, &inputs).unwrap();
+    }
+    let dump = server.metrics_dump();
+    server.shutdown();
+    assert!(metric(&dump, "serve_batch_keys_pinned_total") > 0);
+    assert_eq!(metric(&dump, "serve_batch_expansions_avoided_total"), 0);
 }
 
 #[test]
