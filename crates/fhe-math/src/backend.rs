@@ -825,12 +825,11 @@ impl UnrolledBackend {
         sum_products::<true>(m, Start::Zero, terms, u, v);
     }
 
-    /// The fused `NewLimb` (Eq. 1) inner loops over a block of slots.
+    /// The fused `NewLimb` (Eq. 1) inner loops over every slot.
     ///
     /// `src` is the whole flat limb-major source buffer (`source_moduli`
-    /// limbs of length `n`); `range` is the slot block to convert and
-    /// `cols[j]` is the matching window (`range.len()` long) into target
-    /// limb `j`. The result is the reference conversion's exactly,
+    /// limbs of length `n`) and `cols[j]` is target limb `j` (`n` long).
+    /// The result is the reference conversion's exactly,
     /// **including the excess estimate**: `Σ_i y_i/q_i` is accumulated in
     /// ascending source-limb order so the float rounding — and therefore
     /// the recovered excess `e` — is the same on both kernel sets. The exact
@@ -846,17 +845,16 @@ impl UnrolledBackend {
         ext: &BasisExtView<'_>,
         src: &[u64],
         n: usize,
-        range: Range<usize>,
         cols: &mut [&mut [u64]],
     ) {
-        let full = match ifma::extension_lanes(ext) {
+        let done = match ifma::extension_lanes(ext) {
             Some(lanes) => {
-                lanes.new_limb(ext, src, n, range.clone(), cols);
-                range.end - range.len() % BLOCK
+                lanes.new_limb(ext, src, n, cols);
+                n - n % BLOCK
             }
-            None => range.start,
+            None => 0,
         };
-        new_limb_portable(ext, src, n, range.start, full..range.end, cols);
+        new_limb_portable(ext, src, n, done, cols);
     }
 }
 
@@ -1156,18 +1154,18 @@ fn slot_sum<const PAIR: bool>(
 }
 
 /// [`UnrolledBackend::basis_ext_block`]'s portable body over the slots
-/// `slots`, written to `cols[j][k - base]`: eight slots at a time through
-/// fixed-size arrays, the ragged tail on the reference loop.
+/// `start..n` (`start` on the 8-slot grid), written to `cols[j][k]`: eight
+/// slots at a time through fixed-size arrays, the ragged tail on the
+/// reference loop.
 fn new_limb_portable(
     ext: &BasisExtView<'_>,
     src: &[u64],
     n: usize,
-    base: usize,
-    slots: Range<usize>,
+    start: usize,
     cols: &mut [&mut [u64]],
 ) {
     let l = ext.source_moduli.len();
-    let full = slots.end - slots.len() % BLOCK;
+    let full = n - n % BLOCK;
     let head = l.min(ext.lazy_terms);
     // Full blocks: the y rows and the excess of BLOCK slots at a time
     // through fixed-size arrays, then the target limbs swept over the
@@ -1175,7 +1173,7 @@ fn new_limb_portable(
     // per slot — identical float rounding to the reference, so the
     // recovered excess matches bit-for-bit.
     let mut y = [[0u64; BLOCK]; MAX_SOURCE_LIMBS];
-    for k in (slots.start..full).step_by(BLOCK) {
+    for k in (start..full).step_by(BLOCK) {
         let mut est = [0.0f64; BLOCK];
         for i in 0..l {
             let c = ext.q_tilde[i];
@@ -1204,7 +1202,7 @@ fn new_limb_portable(
                 accumulate_block(&mut acc, ys, ws);
             }
             let table = &ext.excess[j];
-            let out = &mut col[k - base..k - base + BLOCK];
+            let out = &mut col[k..k + BLOCK];
             for s in 0..BLOCK {
                 out[s] = pj.sub(pj.reduce_u128(acc[s]), table[e[s]]);
             }
@@ -1212,8 +1210,8 @@ fn new_limb_portable(
     }
     // The ragged tail takes the reference loop.
     let mut y = [0u64; MAX_SOURCE_LIMBS];
-    for k in full..slots.end {
-        new_limb_slot(ext, src, n, k, &mut y, k - base, cols);
+    for k in full.max(start)..n {
+        new_limb_slot(ext, src, n, k, &mut y, k, cols);
     }
 }
 

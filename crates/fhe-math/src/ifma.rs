@@ -60,7 +60,6 @@ use crate::backend::{BasisExtView, DigitTerm, SlotOp, Start};
 use crate::modular::Modulus;
 use crate::ntt::NttTable;
 use crate::xoshiro::State;
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Moduli below this bound take the lanes: `4q < 2^52`.
@@ -218,26 +217,25 @@ impl Lanes {
         }
     }
 
-    /// `NewLimb` over the whole 8-slot blocks of `range`, written to
-    /// `cols[j][k - range.start]`: see `backend::UnrolledBackend::basis_ext_block`,
-    /// whose portable body takes the slots past the last whole block.
+    /// `NewLimb` over the whole 8-slot blocks of the `n` slots, written to
+    /// `cols[j][k]`: see `backend::UnrolledBackend::basis_ext_block`, whose
+    /// portable body takes the slots past the last whole block.
     pub(crate) fn new_limb(
         self,
         ext: &BasisExtView<'_>,
         src: &[u64],
         n: usize,
-        range: Range<usize>,
         cols: &mut [&mut [u64]],
     ) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `self` exists only where `detected()` found avx512f and
         // avx512ifma, the target features of the function.
         unsafe {
-            x86::new_limb(ext, src, n, range, cols);
+            x86::new_limb(ext, src, n, cols);
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (ext, src, n, range, cols);
+            let _ = (ext, src, n, cols);
             unreachable!("a `Lanes` is only made on x86-64");
         }
     }
@@ -278,7 +276,6 @@ mod x86 {
     use crate::modular::{lane_products, Modulus};
     use crate::ntt::NttTable;
     use std::arch::x86_64::*;
-    use std::ops::Range;
 
     /// One register: eight words.
     type Words = [u64; 8];
@@ -848,7 +845,6 @@ mod x86 {
         ext: &BasisExtView<'_>,
         src: &[u64],
         n: usize,
-        range: Range<usize>,
         cols: &mut [&mut [u64]],
     ) {
         let l = ext.source_moduli.len();
@@ -871,7 +867,6 @@ mod x86 {
         let magic = _mm512_set1_epi64(0x4330_0000_0000_0000);
         let two52 = _mm512_set1_pd(4_503_599_627_370_496.0);
         let mut y = [zero; MAX_EXTENSION_SOURCE];
-        let blocks = range.start..range.end - range.len() % 8;
         for (chunk, cols) in cols.chunks_mut(TARGETS).enumerate() {
             let first = chunk * TARGETS;
             let mut targets = [Target {
@@ -886,7 +881,7 @@ mod x86 {
                     excess: (load(words_at(&table, 0)), load(words_at(&table, 8))),
                 };
             }
-            for k in blocks.clone().step_by(8) {
+            for k in (0..n - n % 8).step_by(8) {
                 let mut est = _mm512_setzero_pd();
                 for i in 0..l {
                     let x = load(words_at(src, i * n + k));
@@ -906,7 +901,7 @@ mod x86 {
                     let excess = _mm512_permutex2var_epi64(target.excess.0, e, target.excess.1);
                     let diff =
                         _mm512_sub_epi64(_mm512_add_epi64(sum.reduce(&target.reducer), p), excess);
-                    store(words_at_mut(col, k - range.start), csub(diff, p));
+                    store(words_at_mut(col, k), csub(diff, p));
                 }
             }
         }

@@ -508,7 +508,7 @@ impl BasisExtender {
         // nothing.
         crate::telemetry::record_basis_ext(l as u64, t as u64, n as u64);
         let ext = self.view();
-        UnrolledBackend.basis_ext_block(&ext, src, n, 0..n, cols);
+        UnrolledBackend.basis_ext_block(&ext, src, n, cols);
     }
 }
 

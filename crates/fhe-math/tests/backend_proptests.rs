@@ -267,29 +267,6 @@ fn extension_source(seed: u64, src_primes: &[u64], n: usize) -> Vec<u64> {
     flat
 }
 
-/// [`ScalarBackend`] and [`UnrolledBackend`]'s `basis_ext_block` on the same
-/// slot range, each into its own windows.
-fn extension_blocks(
-    ext: &BasisExtender,
-    flat: &[u64],
-    n: usize,
-    range: std::ops::Range<usize>,
-) -> [Vec<u64>; 2] {
-    let len = range.len();
-    let run = |production: bool| {
-        let mut out = vec![u64::MAX; ext.target_len() * len];
-        let mut cols: Vec<&mut [u64]> = out.chunks_mut(len.max(1)).collect();
-        cols.truncate(ext.target_len());
-        if production {
-            UnrolledBackend.basis_ext_block(&ext.view(), flat, n, range.clone(), &mut cols);
-        } else {
-            ScalarBackend.basis_ext_block(&ext.view(), flat, n, range.clone(), &mut cols);
-        }
-        out
-    };
-    [run(false), run(true)]
-}
-
 /// A source basis of `MAX_SOURCE_LIMBS` 50-bit limbs, and the 15 and 16
 /// limbs on either side of the lanes' source limit: production ≡ reference
 /// ≡ exact CRT on a ragged slot count.
@@ -362,33 +339,6 @@ proptest! {
                 prop_assert_eq!(scalar[j * n + k], x.rem_u64(p), "slot {} target {}", k, j);
             }
         }
-    }
-
-    /// Production ≡ reference on slot ranges that start and end off the
-    /// 8-slot grid, for sources of 1..=16 limbs around the lanes' 15-limb
-    /// limit, and targets either all below `2^50` or with one at or above
-    /// it, which sends the whole call to the portable body.
-    #[test]
-    fn basis_extension_blocks_match_the_reference_on_cut_ranges(
-        src_len in 1usize..=16,
-        dst_len in 1usize..=12,
-        wide_target in any::<bool>(),
-        start in 0usize..12,
-        len in 0usize..40,
-        seed in any::<u64>(),
-    ) {
-        let n = start + len + 5;
-        let src_primes = ntt_primes_of_width(50, SMALL_DEGREE, src_len);
-        let mut dst_primes = primes_of_width(49)[..dst_len].to_vec();
-        if wide_target {
-            dst_primes[seed as usize % dst_len] = primes_of_width(51)[0];
-        }
-        let flat = extension_source(seed, &src_primes, n);
-        let src = RnsBasis::new(&src_primes, SMALL_DEGREE).unwrap();
-        let dst = RnsBasis::new(&dst_primes, SMALL_DEGREE).unwrap();
-        let ext = BasisExtender::new(&src, &dst);
-        let [reference, production] = extension_blocks(&ext, &flat, n, start..start + len);
-        prop_assert_eq!(production, reference);
     }
 
     /// The multiply-accumulate's single-output shapes — the pointwise

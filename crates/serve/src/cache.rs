@@ -36,10 +36,11 @@ struct Entry {
     key: Arc<SwitchingKey>,
     bytes: u64,
     last_used: u64,
-    /// Active batch pins. A pinned entry is never evicted — not by budget
-    /// pressure, not by an eviction storm — so a batch executing against
-    /// it cannot lose the expansion mid-flight. Pinned bytes may push the
-    /// cache transiently over budget; [`KeyCache::unpin`] re-evicts.
+    /// Active request pins. A pinned entry is never evicted — not by
+    /// budget pressure, not by an eviction storm — so a request executing
+    /// against it cannot lose the expansion mid-flight. Pinned bytes may
+    /// push the cache transiently over budget; [`KeyCache::unpin`]
+    /// re-evicts.
     pins: u32,
 }
 
@@ -75,7 +76,7 @@ pub struct CacheStats {
     pub resident_bytes: u64,
     /// Number of resident expansions.
     pub resident_keys: u64,
-    /// Resident expansions currently pinned by an executing batch.
+    /// Resident expansions currently pinned by an executing request.
     pub pinned_keys: u64,
 }
 
@@ -154,9 +155,9 @@ impl KeyCache {
     /// Like [`KeyCache::get_or_expand`], but additionally takes a pin on
     /// the entry before releasing the cache lock. A pinned entry survives
     /// budget eviction, eviction storms, and policy pressure until every
-    /// pin is released via [`KeyCache::unpin`]. The batch executor pins a
-    /// group's whole key-set up front so back-to-back requests in the
-    /// batch can never re-expand a key mid-flight.
+    /// pin is released via [`KeyCache::unpin`]. A worker pins a request's
+    /// whole key plan up front so the request can never re-expand a key
+    /// mid-flight.
     pub fn get_or_expand_pinned(
         &self,
         ctx: &CkksContext,
@@ -209,7 +210,7 @@ impl KeyCache {
 
     /// Releases one pin on `(session, kind)`. Dropping the last pin makes
     /// the entry evictable again and immediately re-evicts to budget, so
-    /// any transient pinned overage ends with the batch that caused it.
+    /// any transient pinned overage ends with the request that caused it.
     /// Like a lookup, the re-eviction never drops the entry just served:
     /// every keyed request pins its keys, so a budget slice smaller than
     /// one key would otherwise keep nothing resident between requests.
@@ -247,7 +248,7 @@ impl KeyCache {
 
     /// Forcibly evicts every resident *unpinned* expansion (a chaos
     /// "eviction storm", or an operator flushing the cache). Entries
-    /// pinned by an in-flight batch survive — the batch holds `Arc`s to
+    /// pinned by an in-flight request survive — the request holds `Arc`s to
     /// them anyway, so evicting would only lie about residency. Later
     /// lookups re-expand from the compressed forms bit-exactly; only the
     /// compute price is paid again. Returns how many expansions were
@@ -270,9 +271,9 @@ impl KeyCache {
     /// - every lookup counted as exactly one hit or miss,
     /// - the *unpinned* bytes fit the budget, except when a single
     ///   unpinned entry alone exceeds it (the in-flight request needs
-    ///   that key regardless). Pinned bytes are exempt: a batch may pin a
-    ///   key-set larger than the budget for its duration, and
-    ///   [`KeyCache::unpin`] re-evicts the moment the batch ends.
+    ///   that key regardless). Pinned bytes are exempt: a request may pin
+    ///   a key-set larger than the budget for its duration, and
+    ///   [`KeyCache::unpin`] re-evicts the moment the request ends.
     ///
     /// Used by the concurrency stress and chaos suites; cheap enough to
     /// call mid-storm.
@@ -301,7 +302,7 @@ impl KeyCache {
     }
 
     /// Drops every expansion belonging to `session` (session close),
-    /// pinned or not — the session is gone, and any batch still executing
+    /// pinned or not — the session is gone, and any request still executing
     /// against it keeps its `Arc`s alive independently of residency.
     pub fn purge_session(&self, session: u64) {
         let mut inner = self.inner.lock().expect("cache poisoned");
@@ -457,7 +458,7 @@ mod tests {
         let s = cache.check_invariants();
         assert_eq!(s.resident_keys, 2, "both pinned keys resident over budget");
         assert_eq!(s.pinned_keys, 2);
-        // A storm mid-batch drops nothing pinned.
+        // A storm mid-request drops nothing pinned.
         assert_eq!(cache.evict_all(), 0);
         assert_eq!(cache.check_invariants().resident_keys, 2);
         // A pinned hit takes a second pin; one unpin leaves it pinned.

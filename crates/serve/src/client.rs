@@ -14,8 +14,8 @@
 
 use crate::fault::XorShift64;
 use crate::protocol::{
-    begin_frame, finish_frame, read_frame_into, BatchHint, BodyReader, BodyWriter, ErrorCode,
-    FrameRead, Opcode, DEFAULT_MAX_FRAME_BYTES, FRAME_HEADER_LEN,
+    begin_frame, finish_frame, read_frame_into, BodyReader, BodyWriter, ErrorCode, FrameRead,
+    Opcode, DEFAULT_MAX_FRAME_BYTES, FRAME_HEADER_LEN,
 };
 use ckks::hoisting::LinearTransform;
 use ckks::serialize::{
@@ -71,17 +71,6 @@ impl From<SerializeError> for ClientError {
     fn from(e: SerializeError) -> Self {
         ClientError::Serialize(e)
     }
-}
-
-/// What a `Hello` handshake established: the session id plus what the
-/// server disclosed about itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HelloInfo {
-    /// The session id scoping all uploaded keys.
-    pub session: u64,
-    /// The server's active kernel-backend name (empty if the server
-    /// predates the backend field).
-    pub backend: String,
 }
 
 /// One connection to a serving runtime.
@@ -213,28 +202,11 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn hello(&mut self) -> Result<u64, ClientError> {
-        self.hello_ext(BatchHint::Auto).map(|info| info.session)
-    }
-
-    /// Opens a session carrying a [`BatchHint`] for the scheduler, and
-    /// returns everything the server disclosed in the handshake.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::call_raw`].
-    pub fn hello_ext(&mut self, hint: BatchHint) -> Result<HelloInfo, ClientError> {
-        let resp = self.call_raw(Opcode::Hello as u8, &[hint as u8])?;
-        if resp.len() < 8 {
-            return Err(ClientError::Protocol("short session id".into()));
-        }
-        let session = u64::from_le_bytes(resp[..8].try_into().expect("8 bytes"));
-        // Reply layout: sid, a reserved flags byte, then the backend
-        // name. Older servers stop after the sid.
-        let backend = resp
-            .get(9..)
-            .map(|b| String::from_utf8_lossy(b).into_owned())
-            .unwrap_or_default();
-        Ok(HelloInfo { session, backend })
+        self.call(Opcode::Hello as u8, |_| {})?;
+        // Reply layout: sid, a reserved flags byte, then the backend name.
+        let sid = self.reply.first_chunk::<8>();
+        let sid = sid.ok_or_else(|| ClientError::Protocol("short session id".into()))?;
+        Ok(u64::from_le_bytes(*sid))
     }
 
     /// Uploads the relinearization key (send the seeded/compressed form —
@@ -638,7 +610,6 @@ pub struct RetryingClient {
     ctx: Arc<CkksContext>,
     policy: RetryPolicy,
     rng: XorShift64,
-    hint: BatchHint,
     conn: Option<(Client, u64)>,
     relin: Option<Vec<u8>>,
     galois: Option<Vec<u8>>,
@@ -685,22 +656,6 @@ impl RetryingClient {
         ctx: Arc<CkksContext>,
         policy: RetryPolicy,
     ) -> Result<Self, ClientError> {
-        Self::connect_with_hint(addr, ctx, policy, BatchHint::Auto)
-    }
-
-    /// Like [`RetryingClient::connect`], but the session (and every
-    /// session opened by a later reconnect) carries `hint` for the
-    /// server's batching scheduler.
-    ///
-    /// # Errors
-    ///
-    /// See [`RetryingClient::connect`].
-    pub fn connect_with_hint<A: ToSocketAddrs>(
-        addr: A,
-        ctx: Arc<CkksContext>,
-        policy: RetryPolicy,
-        hint: BatchHint,
-    ) -> Result<Self, ClientError> {
         let addr = addr
             .to_socket_addrs()?
             .next()
@@ -711,7 +666,6 @@ impl RetryingClient {
             ctx,
             policy,
             rng,
-            hint,
             conn: None,
             relin: None,
             galois: None,
@@ -743,7 +697,7 @@ impl RetryingClient {
         let client = Client::connect(self.addr, self.ctx.clone())?;
         client.set_read_timeout(self.policy.op_timeout)?;
         let mut client = client;
-        let sid = client.hello_ext(self.hint)?.session;
+        let sid = client.hello()?;
         // Re-upload the stored compressed key bytes verbatim: the
         // recovered session is byte-identical to the lost one.
         let stored = [

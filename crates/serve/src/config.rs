@@ -1,17 +1,16 @@
-//! Server configuration and the one reader of the `MAD_SERVE_*`
-//! environment variables.
+//! Server configuration and the one reader of the `MAD_SERVE_SHARDS`
+//! environment variable.
 //!
 //! [`ServeConfig::default`] is the only place the crate consults the
 //! process environment, and it does so through an injected lookup so the
-//! clamps and the leniency (unset, empty or unparseable values fall back
-//! to the baseline) are unit-tested without mutating process state.
+//! clamp and the leniency (an unset, empty or unparseable value falls
+//! back to the baseline) are unit-tested without mutating process state.
 //! Explicit struct values always win over the environment.
 
 use crate::cache::EvictionPolicy;
 use crate::fault::FaultPlan;
 use crate::protocol::DEFAULT_MAX_FRAME_BYTES;
 use crate::shard::MAX_SHARDS;
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,15 +19,15 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Independent shard loops; sessions are placed by consistent
     /// hashing of the session id, and each shard owns its own session
-    /// table, key-cache slice (`key_cache_budget / shards`), scheduler,
-    /// and worker pool. The default reads `MAD_SERVE_SHARDS` (clamped to
-    /// `1..=`[`MAX_SHARDS`], default 1).
+    /// table, key-cache slice (`key_cache_budget / shards`), worker
+    /// queue and worker pool. The default reads `MAD_SERVE_SHARDS`
+    /// (clamped to `1..=`[`MAX_SHARDS`], default 1).
     pub shards: usize,
     /// Worker threads executing FHE ops, **per shard**; `0` runs one.
     pub workers: usize,
-    /// Bounded queue length per shard, and the most keyed requests it
-    /// holds for grouping; past either, a request gets `Overloaded`.
-    /// `0` is served as 1.
+    /// Bounded worker-queue length per shard: the most parsed requests
+    /// waiting for a worker at once. Past it, a request gets
+    /// `Overloaded`. `0` is served as 1.
     pub queue_capacity: usize,
     /// Global byte budget for expanded switching keys, split evenly
     /// across the per-shard [`crate::KeyCache`]s.
@@ -40,8 +39,9 @@ pub struct ServeConfig {
     pub request_deadline: Duration,
     /// Ceiling on a single frame.
     pub max_frame_bytes: u32,
-    /// Key-reuse grouping knobs (each shard runs its own scheduler). The
-    /// default reads `MAD_SERVE_BATCH_SIZE` / `MAD_SERVE_BATCH_DELAY_MS`.
+    /// Ignored: the server holds no request back to group it with
+    /// others, so there is nothing to tune. Kept so existing
+    /// `ServeConfig` literals still build.
     pub batch: BatchConfig,
     /// Request-tracing knobs ([`crate::obs`]); tracing itself is always
     /// on.
@@ -58,25 +58,14 @@ impl Default for ServeConfig {
     }
 }
 
-/// Knobs for the key-reuse scheduler, part of [`ServeConfig`].
-#[derive(Debug, Clone)]
-pub struct BatchConfig {
-    /// A group dispatches as soon as it holds this many requests; `1`
-    /// disables grouping (every keyed request runs as a group of one).
-    pub max_batch: usize,
-    /// A group dispatches at latest this long after its first request
-    /// (the hold applies to `Auto` sessions only while the worker pool
-    /// is busy, and to `Throughput` sessions always).
-    pub max_delay: Duration,
-}
+/// The type of the ignored [`ServeConfig::batch`] field: no knobs.
+#[derive(Debug, Clone, Default)]
+pub struct BatchConfig;
 
 impl BatchConfig {
-    /// Built-in defaults: groups of up to 8, 2 ms window.
+    /// The only value.
     pub const fn baseline() -> Self {
-        Self {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
-        }
+        Self
     }
 }
 
@@ -102,31 +91,20 @@ impl ObsConfig {
 }
 
 impl ServeConfig {
-    /// The baseline overridden by whatever `lookup` returns for the
-    /// `MAD_SERVE_*` variables named on the fields above; counts are
-    /// clamped to at least 1 (shards to `1..=`[`MAX_SHARDS`]) and
-    /// unparseable values are ignored.
+    /// The baseline overridden by whatever `lookup` returns for
+    /// `MAD_SERVE_SHARDS`, the one variable read, clamped to
+    /// `1..=`[`MAX_SHARDS`]; an unparseable value is ignored.
     fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Self {
-        fn parsed<T: FromStr>(value: Option<String>) -> Option<T> {
-            value?.trim().parse().ok()
-        }
-        let mut batch = BatchConfig::baseline();
-        if let Some(n) = parsed::<usize>(lookup("MAD_SERVE_BATCH_SIZE")) {
-            batch.max_batch = n.max(1);
-        }
-        if let Some(ms) = parsed(lookup("MAD_SERVE_BATCH_DELAY_MS")) {
-            batch.max_delay = Duration::from_millis(ms);
-        }
+        let shards = lookup("MAD_SERVE_SHARDS").and_then(|v| v.trim().parse::<usize>().ok());
         Self {
-            shards: parsed::<usize>(lookup("MAD_SERVE_SHARDS"))
-                .map_or(1, |n| n.clamp(1, MAX_SHARDS)),
+            shards: shards.map_or(1, |n| n.clamp(1, MAX_SHARDS)),
             workers: 2,
             queue_capacity: 32,
             key_cache_budget: 64 << 20,
             eviction: EvictionPolicy::Lru,
             request_deadline: Duration::from_secs(30),
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            batch,
+            batch: BatchConfig,
             obs: ObsConfig::baseline(),
             fault_plan: None,
         }
@@ -149,8 +127,6 @@ mod tests {
     fn unset_environment_is_the_baseline() {
         let cfg = with(&[]);
         assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.batch.max_batch, 8);
-        assert_eq!(cfg.batch.max_delay, Duration::from_millis(2));
         assert_eq!(cfg.obs.ring_capacity, 128);
         assert_eq!(cfg.obs.slow_threshold, Duration::from_millis(500));
     }
@@ -162,21 +138,5 @@ mod tests {
         assert_eq!(with(&[("MAD_SERVE_SHARDS", " 4 ")]).shards, 4);
         assert_eq!(with(&[("MAD_SERVE_SHARDS", "many")]).shards, 1);
         assert_eq!(with(&[("MAD_SERVE_SHARDS", "")]).shards, 1);
-    }
-
-    #[test]
-    fn batch_overrides_are_lenient() {
-        let cfg = with(&[
-            ("MAD_SERVE_BATCH_SIZE", "0"),
-            ("MAD_SERVE_BATCH_DELAY_MS", "soon"),
-        ]);
-        assert_eq!(cfg.batch.max_batch, 1, "a group holds at least one job");
-        assert_eq!(cfg.batch.max_delay, Duration::from_millis(2));
-        let cfg = with(&[
-            ("MAD_SERVE_BATCH_SIZE", "3"),
-            ("MAD_SERVE_BATCH_DELAY_MS", "7"),
-        ]);
-        assert_eq!(cfg.batch.max_batch, 3);
-        assert_eq!(cfg.batch.max_delay, Duration::from_millis(7));
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! [`handle`] decodes the body, runs the evaluator call(s) and serializes
 //! the result straight into the reply frame the shard loop will write,
-//! attributing decode/serialize time to the executing request's trace. Keyed ops read their switching keys from the group's
+//! attributing decode/serialize time to the executing request's trace.
+//! Keyed ops read their switching keys from the request's
 //! [`PinnedKeys`] — handlers never touch the shard's `KeyCache` (the one
 //! exception is `CloseSession` purging the session's entries).
 
 use crate::obs::{self, Stage};
 use crate::plan::{read_bsgs, KeyPlan, PinnedKeys};
-use crate::protocol::{BatchHint, BodyReader, BodyWriter, ErrorCode, Opcode};
+use crate::protocol::{BodyReader, BodyWriter, ErrorCode, Opcode};
 use crate::server::ServerState;
 use crate::session::{Session, StoredProgram};
 use ckks::hoisting::{apply_bsgs, LinearTransform};
@@ -42,12 +43,11 @@ pub(crate) fn handle(
     let mut r = BodyReader::new(body);
     match op {
         Opcode::Hello => {
-            // Optional leading batching-hint byte; anything else in the
-            // body (old clients, fuzzed frames) reads as Auto.
-            let hint = BatchHint::from_u8(body.first().copied().unwrap_or(0));
-            // The shard-local manager mints an id that hashes back to
-            // this shard, so the session's keyed traffic never migrates.
-            let sid = state.sessions.create_with_hint(hint);
+            // The body is not read: an older client's batching-hint byte
+            // opens a session like an empty body does. The shard-local
+            // manager mints an id that hashes back to this shard, so the
+            // session's keyed traffic never migrates.
+            let sid = state.sessions.create();
             // 8 LE bytes of session id, a reserved flags byte (always 1,
             // so the backend name stays at offset 9 for existing clients),
             // then the active kernel-backend name in UTF-8. Pre-backend
@@ -306,10 +306,7 @@ fn read_complex(r: &mut BodyReader<'_>, n: usize) -> Result<Vec<Complex>, (Error
         .collect()
 }
 
-pub(crate) fn read_ct(
-    state: &ServerState,
-    bytes: &[u8],
-) -> Result<Ciphertext, (ErrorCode, String)> {
+fn read_ct(state: &ServerState, bytes: &[u8]) -> Result<Ciphertext, (ErrorCode, String)> {
     obs::time_stage(Stage::Decode, || {
         lease_ciphertext(&state.ctx, bytes).map_err(|e| (ErrorCode::Malformed, e.to_string()))
     })
@@ -317,14 +314,14 @@ pub(crate) fn read_ct(
 
 /// Serializes a result ciphertext onto the reply, attributing the time to
 /// the executing request's serialize stage.
-pub(crate) fn ser_ct(ct: &Ciphertext, out: &mut Vec<u8>) {
+fn ser_ct(ct: &Ciphertext, out: &mut Vec<u8>) {
     obs::time_stage(Stage::Serialize, || write_ciphertext(ct, out))
 }
 
 /// Hands ciphertexts a request is done with to the context's scratch
 /// pool: once the reply is bytes, the next request's kernels lease these
 /// buffers instead of allocating what this one would have freed.
-pub(crate) fn recycle(state: &ServerState, spent: impl IntoIterator<Item = Ciphertext>) {
+fn recycle(state: &ServerState, spent: impl IntoIterator<Item = Ciphertext>) {
     for ct in spent {
         ct.recycle(state.ctx.scratch());
     }

@@ -88,7 +88,7 @@ pub struct FaultMix {
     /// Weight of panicking mid-request inside the worker.
     pub worker_panic: u16,
     /// Upper bound on an injected [`FaultDecision::Delay`].
-    pub max_delay: Duration,
+    pub delay_cap: Duration,
     /// When true, session-setup and introspection opcodes (`Hello`,
     /// uploads, `CloseSession`, `Metrics`) are never faulted — useful
     /// for mixes that target the evaluation hot path only.
@@ -107,7 +107,7 @@ impl FaultMix {
             session_reset: 40,
             overloaded: 60,
             worker_panic: 0,
-            max_delay: Duration::ZERO,
+            delay_cap: Duration::ZERO,
             spare_setup: false,
         }
     }
@@ -123,7 +123,7 @@ impl FaultMix {
             session_reset: 0,
             overloaded: 150,
             worker_panic: 0,
-            max_delay: Duration::from_millis(25),
+            delay_cap: Duration::from_millis(25),
             spare_setup: true,
         }
     }
@@ -139,7 +139,7 @@ impl FaultMix {
             session_reset: 40,
             overloaded: 60,
             worker_panic: 70,
-            max_delay: Duration::from_millis(15),
+            delay_cap: Duration::from_millis(15),
             spare_setup: false,
         }
     }
@@ -284,7 +284,7 @@ impl FaultPlan {
                 keep: 1 + st.rng.below(64) as usize,
             },
             Kind::Delay => {
-                let max_us = self.mix.max_delay.as_micros().max(1) as u64;
+                let max_us = self.mix.delay_cap.as_micros().max(1) as u64;
                 FaultDecision::Delay(Duration::from_micros(1 + st.rng.below(max_us)))
             }
             Kind::EvictionStorm => FaultDecision::EvictionStorm,
@@ -423,7 +423,7 @@ mod tests {
         // Injected delays respect the mix's ceiling.
         for e in &log {
             if let FaultDecision::Delay(d) = e.fault {
-                assert!(d <= FaultMix::havoc().max_delay);
+                assert!(d <= FaultMix::havoc().delay_cap);
                 assert!(d > Duration::ZERO);
             }
         }

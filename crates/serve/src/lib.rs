@@ -21,13 +21,14 @@
 //!   made locally — which the loopback integration test asserts.
 //!
 //! The stack is std-only: a framed TCP protocol ([`protocol`]) over the
-//! `MADf` serialization, a session manager ([`session`]), a key-reuse
-//! scheduler grouping requests whose key plans share switching keys
-//! ([`KeyClass`]), and a scale-out server ([`server`]) of N independent shard
-//! loops driving nonblocking sockets — sessions are placed on shards by
-//! consistent hashing of the session id ([`shard`]), so a tenant's
-//! compressed keys, cache slice, batching groups, and programs live on
-//! exactly one shard. Plain-text metrics ([`metrics`]) aggregate across
+//! `MADf` serialization, a session manager ([`session`]), and a scale-out
+//! server ([`server`]) of N independent shard loops driving nonblocking
+//! sockets. Each request takes one path: its shard loop parses it, plans
+//! its keys and hands it to the shard's bounded worker queue; a worker
+//! pins that request's keys, runs it and unpins. Sessions are placed on
+//! shards by consistent hashing of the session id ([`shard`]), so a
+//! tenant's compressed keys, cache slice and programs live on exactly
+//! one shard. Plain-text metrics ([`metrics`]) aggregate across
 //! shards with per-shard labels, and request-scoped tracing attributes
 //! per-stage latency with the owning shard stamped on every timeline
 //! ([`obs`]). [`client::Client`]
@@ -81,14 +82,11 @@ pub mod shard;
 mod transport;
 
 pub use cache::{CacheStats, EvictionPolicy, KeyCache, KeyKind};
-pub use client::{
-    Client, ClientError, HelloInfo, ProgramHandle, RetryPolicy, RetryStats, RetryingClient,
-};
+pub use client::{Client, ClientError, ProgramHandle, RetryPolicy, RetryStats, RetryingClient};
 pub use config::{BatchConfig, ObsConfig, ServeConfig};
 pub use fault::{FaultDecision, FaultMix, FaultPlan, InjectedFault};
 pub use obs::{chrome_trace_json, FinishedTrace, Stage, SubSpan};
-pub use plan::KeyClass;
-pub use protocol::{BatchHint, ErrorCode, Opcode, PROTOCOL_VERSION};
+pub use protocol::{ErrorCode, Opcode, PROTOCOL_VERSION};
 pub use server::Server;
 pub use session::{Session, SessionManager, StoredProgram};
 pub use shard::{shard_of, MAX_SHARDS};

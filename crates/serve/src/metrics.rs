@@ -24,30 +24,8 @@ use std::time::Duration;
 /// through the `le="+Inf"` line of the dump.
 const BUCKETS: usize = 24;
 
-/// Labeled batch-size buckets in the dump: `le = 1, 2, 4, …, 2^10`; larger
-/// batches surface only through `+Inf`.
-const SIZE_LABELS: usize = 11;
-
-/// What a [`Histogram`] records: a latency, in whole microseconds, or a
-/// count (a batch size).
-pub trait Observation {
-    /// The value recorded.
-    fn value(self) -> u64;
-}
-
-impl Observation for Duration {
-    fn value(self) -> u64 {
-        self.as_micros() as u64
-    }
-}
-
-impl Observation for u64 {
-    fn value(self) -> u64 {
-        self
-    }
-}
-
-/// A log2 histogram with total count and sum.
+/// A log2 histogram of latencies in whole microseconds, with total count
+/// and sum.
 #[derive(Default)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -56,10 +34,10 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Records one observation, clamping sub-microsecond durations (and
-    /// a zero count) into the labeled `le="1"` floor bucket.
-    pub fn observe(&self, v: impl Observation) {
-        let v = v.value();
+    /// Records one observation, clamping sub-microsecond durations into
+    /// the labeled `le="1"` floor bucket.
+    pub fn observe(&self, d: Duration) {
+        let v = d.as_micros() as u64;
         let idx = if v <= 1 {
             0
         } else {
@@ -75,7 +53,7 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of observed values (µs, for a latency).
+    /// Sum of observed latencies, µs.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
@@ -230,25 +208,6 @@ pub struct Metrics {
     /// Faults deliberately injected by a chaos [`crate::fault::FaultPlan`]
     /// (always present in the dump; stays zero on a server without one).
     pub faults_injected: AtomicU64,
-    /// Keyed groups dispatched to the worker pool (groups of one
-    /// included; keyless requests are not groups).
-    pub batches_total: AtomicU64,
-    /// Requests that travelled inside a batch.
-    pub batch_jobs_total: AtomicU64,
-    /// Distribution of dispatched batch sizes.
-    pub batch_size: Histogram,
-    /// Keys pinned in the cache on behalf of a batch (one per key per
-    /// batch).
-    pub batch_keys_pinned: AtomicU64,
-    /// Key lookups a batch saved: one per request whose key an earlier
-    /// request of the same batch had already pinned (`k − 1` for a batch
-    /// of `k` sharing a key) — each one a lookup that, unbatched and under
-    /// budget pressure, could have been a fresh expansion. 0 while every
-    /// batch holds one request.
-    pub batch_expansions_avoided: AtomicU64,
-    /// Rotations that reused another request's hoisted ModUp
-    /// decomposition (batch size minus one, per hoist-shared group).
-    pub batch_hoist_shared: AtomicU64,
 }
 
 impl Metrics {
@@ -322,7 +281,7 @@ impl Metrics {
         let _ = writeln!(out, "serve_kernel_backend{{backend=\"{backend}\"}} 1");
 
         let rel = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let counters: [(&str, &str, &str, u64); 22] = [
+        let counters: [(&str, &str, &str, u64); 17] = [
             (
                 "serve_requests_total",
                 "counter",
@@ -384,36 +343,6 @@ impl Metrics {
                 rel(&self.faults_injected),
             ),
             (
-                "serve_batches_total",
-                "counter",
-                "Keyed groups dispatched to the worker pool, groups of one included.",
-                rel(&self.batches_total),
-            ),
-            (
-                "serve_batch_jobs_total",
-                "counter",
-                "Requests that travelled inside a batch.",
-                rel(&self.batch_jobs_total),
-            ),
-            (
-                "serve_batch_keys_pinned_total",
-                "counter",
-                "Keys pinned in the cache on behalf of a batch.",
-                rel(&self.batch_keys_pinned),
-            ),
-            (
-                "serve_batch_expansions_avoided_total",
-                "counter",
-                "Key lookups saved because an earlier request of the same batch pinned the key.",
-                rel(&self.batch_expansions_avoided),
-            ),
-            (
-                "serve_batch_hoist_shared_total",
-                "counter",
-                "Rotations that reused another request's hoisted decomposition.",
-                rel(&self.batch_hoist_shared),
-            ),
-            (
                 "serve_key_cache_hits_total",
                 "counter",
                 "Key-cache hits.",
@@ -446,7 +375,7 @@ impl Metrics {
             (
                 "serve_key_cache_pinned_keys",
                 "gauge",
-                "Keys currently pinned by executing batches.",
+                "Keys currently pinned by executing requests.",
                 cache.pinned_keys,
             ),
             (
@@ -458,17 +387,6 @@ impl Metrics {
         ];
         for (name, ty, help, v) in counters {
             g(&mut out, name, ty, help, v);
-        }
-
-        family(
-            &mut out,
-            "serve_batch_size",
-            "histogram",
-            "Distribution of dispatched batch sizes.",
-        );
-        if self.batch_size.count() > 0 {
-            self.batch_size
-                .dump_into(&mut out, "serve_batch_size", "", SIZE_LABELS);
         }
 
         // Every cache miss is one expansion from the seeded form.
@@ -746,28 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_histogram_buckets_by_pow2_and_dumps() {
-        let m = Metrics::new();
-        m.batch_size.observe(1);
-        m.batch_size.observe(3);
-        m.batch_size.observe(4);
-        m.batch_size.observe(9000); // overflow, +Inf only
-        m.batches_total.fetch_add(4, Ordering::Relaxed);
-        m.batch_jobs_total.fetch_add(9008, Ordering::Relaxed);
-        assert_eq!(m.batch_size.count(), 4);
-        assert_eq!(m.batch_size.sum(), 9008);
-        let dump = m.dump(&CacheStats::default(), &ScratchStats::default(), "scalar");
-        assert!(dump.contains("serve_batch_size_bucket{le=\"1\"} 1"));
-        // 3 and 4 both land in le="4"; cumulative counts 1+2.
-        assert!(dump.contains("serve_batch_size_bucket{le=\"4\"} 3"));
-        assert!(dump.contains("serve_batch_size_bucket{le=\"+Inf\"} 4"));
-        assert!(dump.contains("serve_batch_size_count 4"));
-        assert!(dump.contains("serve_batches_total 4"));
-        assert!(dump.contains("serve_batch_jobs_total 9008"));
-        assert!(dump.contains("serve_key_cache_pinned_keys 0"));
-    }
-
-    #[test]
     fn quantiles_interpolate_inside_log2_buckets() {
         let h = Histogram::default();
         assert_eq!(h.quantile(0.5), None, "empty histogram has no quantiles");
@@ -820,7 +716,6 @@ mod tests {
         m.stage_latency(Stage::Kernel)
             .observe(Duration::from_micros(650));
         m.e2e_latency().observe(Duration::from_micros(800));
-        m.batch_size.observe(3);
         m.enqueued();
         let scratch = ScratchStats {
             free_bytes: 4096,

@@ -8,19 +8,18 @@
 //! Threads stamp stage transitions as they happen:
 //!
 //! ```text
-//! reader (shard loop)              worker                           reader
-//! ───────────────────              ──────                           ──────
-//! parse ─ enqueue ─ [batch hold] ─ pickup ─ key ─ decode/kernel ─ write
-//!          └──────── queue ────────┘              └─ serialize ─┘
+//! reader (shard loop)    worker                           reader
+//! ───────────────────    ──────                           ──────
+//! parse ─ enqueue ─────── pickup ─ key ─ decode/kernel ─ write
+//!          └─── queue ────┘              └─ serialize ─┘
 //! ```
 //!
 //! The taxonomy ([`Stage`]) partitions end-to-end latency: `queue` is
-//! time waiting for a worker, `batch_hold` the deliberate key-reuse
-//! window (the loop's own scheduler stamps it at release), `key` the
-//! group's pin phase before execution, `decode`/`serialize` are measured
-//! inside the execution window through a thread-local set for the
-//! executing jobs, `kernel` is the rest of that window (the FHE math
-//! itself), and `write` is the reply flush.
+//! time waiting for a worker, `key` the request's pin phase before
+//! execution, `decode`/`serialize` are measured inside the execution
+//! window through a thread-local slot for the executing request, `kernel`
+//! is the rest of that window (the FHE math itself), and `write` is the
+//! reply flush.
 //! Finished timelines land in a fixed-size ring (plus a dedicated slot
 //! that always retains the slowest request seen, so a tail outlier can
 //! never be overwritten by later traffic) and, past a configurable
@@ -35,9 +34,7 @@
 //! `fhe_math::telemetry`'s per-thread span capture and moves the list, at
 //! most [`SUBSPAN_CAP`] long, into the timeline when execution ends.
 //! Nothing process-global is switched on and no other worker's spans can
-//! land in the list, so concurrent requests each get their own. Rotations
-//! that share one hoisted decomposition run under one guard: each member
-//! carries the whole fold's window, sub-spans, decode and serialize.
+//! land in the list, so concurrent requests each get their own.
 
 use crate::config::ObsConfig;
 use crate::metrics::Metrics;
@@ -54,17 +51,12 @@ use std::time::{Duration, Instant};
 /// microseconds between threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Waiting in the admission/worker queue for a worker to pick the
-    /// job up (excluding any deliberate batching hold).
+    /// Waiting in the worker queue for a worker to pick the job up.
     Queue,
-    /// Held by the batching scheduler to form a key-sharing group — the
-    /// server's own choice, reported separately from congestion.
-    BatchHold,
     /// Deserializing request payloads (ciphertexts, plaintexts).
     Decode,
-    /// Switching-key access before execution: the group's pin phase
-    /// (cache lookup, seeded expansion on miss), which every member
-    /// waits out in full.
+    /// Switching-key access before execution: the request's pin phase
+    /// (cache lookup, seeded expansion on miss).
     Key,
     /// The FHE math itself — execution time not spent in decode or
     /// serialization.
@@ -77,9 +69,8 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in timeline order (metrics registration order).
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 6] = [
         Stage::Queue,
-        Stage::BatchHold,
         Stage::Decode,
         Stage::Key,
         Stage::Kernel,
@@ -91,7 +82,6 @@ impl Stage {
     pub fn name(self) -> &'static str {
         match self {
             Stage::Queue => "queue",
-            Stage::BatchHold => "batch_hold",
             Stage::Decode => "decode",
             Stage::Key => "key",
             Stage::Kernel => "kernel",
@@ -117,11 +107,8 @@ pub(crate) struct RequestTrace {
     /// When the frame was parsed; every offset below is relative to it.
     start: Instant,
     /// Offset when the reader enqueued the job (timeline anchor for the
-    /// queue/hold spans).
+    /// queue span).
     enqueued_us: AtomicU64,
-    /// Where the current wait began: enqueue, restamped at batch
-    /// dispatch so hold and queue time separate cleanly.
-    wait_from_us: AtomicU64,
     /// Offset when handler execution began.
     exec_begin_us: AtomicU64,
     /// Total handler execution time.
@@ -137,7 +124,7 @@ impl RequestTrace {
     }
 
     /// Adds a measured duration to `stage` (also used from outside the
-    /// execution window: a group's shared pin phase, the reply flush). A
+    /// execution window: the pin phase, the reply flush). A
     /// stage that ran is on the timeline: one that finished inside a
     /// microsecond — serializing a toy-ring ciphertext does — counts as
     /// one, not none.
@@ -145,27 +132,17 @@ impl RequestTrace {
         self.stage_us[stage.index()].fetch_add((d.as_micros() as u64).max(1), Relaxed);
     }
 
-    /// Reader-side: the job is about to enter a queue.
+    /// Reader-side: the job is about to enter the worker queue.
     pub(crate) fn mark_enqueued(&self) {
-        let now = self.elapsed_us();
-        self.enqueued_us.store(now, Relaxed);
-        self.wait_from_us.store(now, Relaxed);
-    }
-
-    /// Reader-side: the shard loop released the job's group to the
-    /// workers. Time since the wait began was a deliberate batching
-    /// hold; the queue clock restarts here.
-    pub(crate) fn mark_batch_dispatch(&self) {
-        let now = self.elapsed_us();
-        let from = self.wait_from_us.swap(now, Relaxed);
-        self.stage_us[Stage::BatchHold.index()].fetch_add(now.saturating_sub(from), Relaxed);
+        self.enqueued_us.store(self.elapsed_us(), Relaxed);
     }
 
     /// Worker-side: the job was popped from the worker queue.
     pub(crate) fn mark_picked(&self) {
-        let now = self.elapsed_us();
-        let from = self.wait_from_us.swap(now, Relaxed);
-        self.stage_us[Stage::Queue.index()].fetch_add(now.saturating_sub(from), Relaxed);
+        let waited = self
+            .elapsed_us()
+            .saturating_sub(self.enqueued_us.load(Relaxed));
+        self.stage_us[Stage::Queue.index()].fetch_add(waited, Relaxed);
     }
 
     fn since_start(&self, at: Instant) -> u64 {
@@ -204,7 +181,7 @@ pub struct FinishedTrace {
     pub total_us: u64,
     /// Per-stage attributed µs, indexed like [`Stage::ALL`].
     pub stages: [u64; Stage::ALL.len()],
-    /// Offset of the enqueue stamp (start of the hold/queue spans).
+    /// Offset of the enqueue stamp (start of the queue span).
     pub enqueued_us: u64,
     /// Offset where handler execution began.
     pub exec_begin_us: u64,
@@ -306,21 +283,23 @@ impl TraceRing {
 }
 
 thread_local! {
-    /// The traces of the requests the current worker thread is executing
-    /// (one, or every member of a hoist-shared fold), letting the
-    /// `decode`/`serialize` helpers attribute their time without
-    /// threading a handle through every handler signature. Emptied, not
-    /// freed, when execution ends.
-    static CURRENT: RefCell<Vec<Arc<RequestTrace>>> = const { RefCell::new(Vec::new()) };
+    /// The trace of the request the current worker thread is executing,
+    /// letting the `decode`/`serialize` helpers attribute their time
+    /// without threading a handle through every handler signature.
+    static CURRENT: RefCell<Option<Arc<RequestTrace>>> = const { RefCell::new(None) };
 }
 
-/// Times `f` against `stage` of every request the current thread is
+/// Times `f` against `stage` of the request the current thread is
 /// executing.
 pub(crate) fn time_stage<T>(stage: Stage, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
     let r = f();
     let d = t0.elapsed();
-    CURRENT.with(|c| c.borrow().iter().for_each(|t| t.add_stage(stage, d)));
+    CURRENT.with(|c| {
+        if let Some(t) = &*c.borrow() {
+            t.add_stage(stage, d);
+        }
+    });
     r
 }
 
@@ -364,7 +343,6 @@ impl Observer {
             shard,
             start: Instant::now(),
             enqueued_us: AtomicU64::new(0),
-            wait_from_us: AtomicU64::new(0),
             exec_begin_us: AtomicU64::new(0),
             exec_us: AtomicU64::new(0),
             stage_us: Default::default(),
@@ -372,28 +350,22 @@ impl Observer {
         })
     }
 
-    /// Marks one execution window on the current thread for `traces` —
-    /// one job's, or every member's of a fold that runs once for all of
-    /// them: stamps each one's window, installs them for stage
-    /// attribution, and turns on the thread's span capture. When the
-    /// guard drops, each member's op observes the window in `metrics`'s
-    /// `serve_op_latency_us`. Drop the guard *before* sending the
-    /// replies, so the reader can never finish a trace mid-update.
-    pub(crate) fn enter_exec<'a, 'm>(
+    /// Marks one request's execution window on the current thread:
+    /// stamps the window, installs `trace` for stage attribution, and
+    /// turns on the thread's span capture. When the guard drops, the op
+    /// observes the window in `metrics`'s `serve_op_latency_us`. Drop the
+    /// guard *before* sending the reply, so the reader can never finish
+    /// the trace mid-update.
+    pub(crate) fn enter_exec<'m>(
         &self,
         metrics: &'m Metrics,
-        traces: impl IntoIterator<Item = &'a Arc<RequestTrace>>,
+        trace: &Arc<RequestTrace>,
     ) -> ExecGuard<'m> {
         // One reading for both ends of the window, so a sub-span can
         // never end after `exec_begin_us + exec_us`.
         let start = Instant::now();
-        CURRENT.with(|c| {
-            let mut current = c.borrow_mut();
-            for t in traces {
-                t.exec_begin_us.store(t.since_start(start), Relaxed);
-                current.push(t.clone());
-            }
-        });
+        trace.exec_begin_us.store(trace.since_start(start), Relaxed);
+        CURRENT.with(|c| *c.borrow_mut() = Some(trace.clone()));
         fhe_math::telemetry::capture_spans(SUBSPAN_CAP);
         ExecGuard { start, metrics }
     }
@@ -480,23 +452,23 @@ impl Drop for ExecGuard<'_> {
         let window = self.start.elapsed();
         let exec_us = window.as_micros() as u64;
         let spans = fhe_math::telemetry::capture_spans(0);
-        CURRENT.with(|c| {
-            for t in c.borrow_mut().drain(..) {
-                self.metrics.latency(t.op).observe(window);
-                t.exec_us.store(exec_us, Relaxed);
-                let subspans = spans
-                    .iter()
-                    .map(|s| SubSpan {
-                        name: s.name,
-                        begin_us: t.since_start(s.begin),
-                        end_us: t.since_start(s.end),
-                    })
-                    .collect();
-                if let Ok(mut slot) = t.subspans.lock() {
-                    *slot = subspans;
-                }
-            }
-        });
+        let Some(t) = CURRENT.with(|c| c.borrow_mut().take()) else {
+            return;
+        };
+        self.metrics.latency(t.op).observe(window);
+        t.exec_us.store(exec_us, Relaxed);
+        let subspans = spans
+            .into_iter()
+            .map(|s| SubSpan {
+                name: s.name,
+                begin_us: t.since_start(s.begin),
+                end_us: t.since_start(s.end),
+            })
+            .collect();
+        let Ok(mut slot) = t.subspans.lock() else {
+            return;
+        };
+        *slot = subspans;
     }
 }
 
@@ -517,10 +489,10 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
         out.thread_name(tid, &format!("req {} {}", t.id, t.op));
         let request = format!("request:{} (status {})", t.op, t.status);
         slice(&mut out, &request, t.start_us, t.total_us.max(1));
-        // Pre-execution spans at their true offsets: hold begins at
-        // enqueue, queue follows it, then the group's pin phase.
+        // Pre-execution spans at their true offsets: queue begins at
+        // enqueue, then the request's pin phase.
         let mut cursor = t.start_us + t.enqueued_us;
-        for s in [Stage::BatchHold, Stage::Queue, Stage::Key] {
+        for s in [Stage::Queue, Stage::Key] {
             let dur = t.stage_us(s);
             if dur > 0 {
                 slice(&mut out, s.name(), cursor, dur);
@@ -632,7 +604,7 @@ mod tests {
         trace.mark_enqueued();
         trace.mark_picked();
         {
-            let _g = obs.enter_exec(&metrics, [&trace]);
+            let _g = obs.enter_exec(&metrics, &trace);
             trace.add_stage(Stage::Decode, Duration::from_micros(5));
         }
         obs.finish(&metrics, &trace, 0);
@@ -644,24 +616,23 @@ mod tests {
     }
 
     /// The op-latency histogram is fed by the execution window alone:
-    /// one observation per member when the guard drops, equal to the
-    /// window the timeline records.
+    /// one observation when the guard drops, equal to the window the
+    /// timeline records.
     #[test]
     fn the_execution_window_is_the_op_latency_clock() {
         let metrics = Metrics::new();
         let obs = Observer::new(ObsConfig::baseline());
-        let (a, b) = (obs.begin(Opcode::Rotate, 0), obs.begin(Opcode::Rotate, 0));
+        let trace = obs.begin(Opcode::Rotate, 0);
         {
-            let _g = obs.enter_exec(&metrics, [&a, &b]);
+            let _g = obs.enter_exec(&metrics, &trace);
             std::thread::sleep(Duration::from_millis(1));
             assert_eq!(metrics.latency(Opcode::Rotate).count(), 0);
         }
         let h = metrics.latency(Opcode::Rotate);
-        assert_eq!(h.count(), 2, "one observation per fold member");
-        let exec_us = a.exec_us.load(Relaxed);
-        assert_eq!(exec_us, b.exec_us.load(Relaxed));
+        assert_eq!(h.count(), 1);
+        let exec_us = trace.exec_us.load(Relaxed);
         assert!(exec_us >= 1_000);
-        assert_eq!(h.sum(), 2 * exec_us);
+        assert_eq!(h.sum(), exec_us);
     }
 
     #[test]
@@ -671,12 +642,12 @@ mod tests {
         let trace = obs.begin(Opcode::Rotate, 0);
         trace.mark_enqueued();
         trace.mark_picked();
-        // The group's pin phase runs before the execution window opens.
+        // The request's pin phase runs before the execution window opens.
         let pin = Instant::now();
         std::thread::sleep(Duration::from_millis(1));
         trace.add_stage(Stage::Key, pin.elapsed());
         {
-            let _g = obs.enter_exec(&metrics, [&trace]);
+            let _g = obs.enter_exec(&metrics, &trace);
             time_stage(Stage::Decode, || {
                 std::thread::sleep(Duration::from_micros(100))
             });
@@ -715,15 +686,7 @@ mod tests {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(
             names,
-            [
-                "queue",
-                "batch_hold",
-                "decode",
-                "key",
-                "kernel",
-                "serialize",
-                "write"
-            ]
+            ["queue", "decode", "key", "kernel", "serialize", "write"]
         );
         for (i, s) in Stage::ALL.iter().enumerate() {
             assert_eq!(s.index(), i);
@@ -748,7 +711,7 @@ mod tests {
         let obs = Observer::new(ObsConfig::baseline());
         let trace = obs.begin(Opcode::RunProgram, 0);
         {
-            let _g = obs.enter_exec(&metrics, [&trace]);
+            let _g = obs.enter_exec(&metrics, &trace);
             let _outer = fhe_math::telemetry::span("outer");
             for _ in 0..SUBSPAN_CAP + 10 {
                 drop(fhe_math::telemetry::span("inner"));

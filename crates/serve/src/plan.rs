@@ -1,18 +1,12 @@
 //! The key plan: which switching keys a request needs, and the one place
 //! a handler reads them from.
 //!
-//! FHE serving time is dominated by moving switching keys, so the lever
-//! is *inter-operation key reuse*: run requests that need the same keys
-//! back-to-back so each expansion is paid for once (ARK's insight,
-//! applied cross-request). That decision is made exactly once, here:
-//!
 //! 1. [`KeyPlan::of`] maps `(op, body, session)` to the request's plan at
 //!    frame parse — relin yes/no plus the Galois elements. It is the only
 //!    code in the crate that turns a rotation step into a Galois element.
-//! 2. The scheduler groups jobs by `(session, `[`KeyClass`]` of the plan)`.
-//! 3. The worker pins the union of a group's plans ([`PinnedKeys::pin`]),
-//!    runs the jobs, and unpins. Handlers read keys from the pinned set
-//!    and nowhere else.
+//! 2. The worker pins the request's plan ([`PinnedKeys::pin`]), runs the
+//!    request, and unpins. Handlers read keys from the pinned set and
+//!    nowhere else.
 
 use crate::cache::KeyKind;
 use crate::protocol::{BodyReader, ErrorCode, Opcode};
@@ -20,22 +14,7 @@ use crate::server::ServerState;
 use crate::session::SessionManager;
 use ckks::{CkksContext, GaloisKeys, SwitchingKey};
 use fhe_program::program::{bsgs_galois_steps, valid_baby_dim};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Which shared key material a plan names — the second half of the
-/// scheduler's grouping key `(session, KeyClass)`. Requests in the same
-/// class on the same session reuse each other's pinned expansions;
-/// requests with an empty plan have no class and are never held back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KeyClass {
-    /// The relinearization key only (`Mult`, relin-only programs).
-    Relin,
-    /// Galois keys only (`Rotate`, `Bsgs`, Galois-only programs).
-    Galois,
-    /// Both (programs whose manifest names relin and Galois keys).
-    RelinGalois,
-}
 
 /// The keys one request needs, derived once at frame parse.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -47,13 +26,6 @@ pub(crate) struct KeyPlan {
     /// `(rotation step, Galois element)`, steps that rotate only, one
     /// entry per distinct element.
     pub(crate) galois: Vec<(i64, u64)>,
-}
-
-/// The ciphertext bytes of a `Rotate` body (`sid:u64, steps:i64, ct`) —
-/// the grouping key for hoist-sharing: rotations of bit-identical
-/// ciphertexts share one ModUp decomposition.
-pub(crate) fn rotate_ct(body: &[u8]) -> Option<&[u8]> {
-    body.get(16..)
 }
 
 /// A `Bsgs` body past its session id (`n1, count: u32`, then per diagonal
@@ -134,14 +106,9 @@ impl KeyPlan {
         plan
     }
 
-    /// The grouping class, or `None` for a request that needs no keys.
-    pub(crate) fn class(&self) -> Option<KeyClass> {
-        match (self.relin, !self.galois.is_empty()) {
-            (true, true) => Some(KeyClass::RelinGalois),
-            (true, false) => Some(KeyClass::Relin),
-            (false, true) => Some(KeyClass::Galois),
-            (false, false) => None,
-        }
+    /// Whether the request needs no key at all.
+    pub(crate) fn is_empty(&self) -> bool {
+        !self.relin && self.galois.is_empty()
     }
 
     fn kinds(&self) -> impl Iterator<Item = KeyKind> + '_ {
@@ -153,8 +120,9 @@ impl KeyPlan {
     }
 }
 
-/// The expanded keys a group pinned in the shard's cache before running —
-/// the only place a handler reads a key from. Empty for a keyless group.
+/// The expanded keys a request pinned in the shard's cache before running
+/// — the only place a handler reads a key from. Empty for a keyless
+/// request.
 #[derive(Default)]
 pub(crate) struct PinnedKeys {
     sid: u64,
@@ -162,42 +130,30 @@ pub(crate) struct PinnedKeys {
 }
 
 impl PinnedKeys {
-    /// Pins the union of `plans`, all of session `sid`. A key that is
-    /// missing or fails to expand is recorded with its error code and
-    /// surfaces when a job asks for it; a dead session (closed, or
-    /// chaos-reset while queued) pins nothing and its jobs fail in the
-    /// handler's own session lookup. Each plan that names a key an earlier
-    /// plan of the group already pinned counts one avoided expansion: a
-    /// group of `k` sharing a key saves `k − 1` cache lookups.
-    pub(crate) fn pin<'a>(
-        state: &ServerState,
-        sid: u64,
-        plans: impl Iterator<Item = &'a KeyPlan>,
-    ) -> Self {
-        let mut keys: Vec<(KeyKind, Result<Arc<SwitchingKey>, ErrorCode>)> = Vec::new();
-        if let Ok(session) = state.sessions.get(sid) {
-            for kind in plans.flat_map(KeyPlan::kinds) {
-                if keys.iter().any(|(k, _)| *k == kind) {
-                    state
-                        .metrics
-                        .batch_expansions_avoided
-                        .fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
+    /// Pins every key of `plan`. A key that is missing or fails to
+    /// expand is recorded with its error code and surfaces when the
+    /// handler asks for it; a dead session (closed, or chaos-reset while
+    /// queued) pins nothing and the request fails in the handler's own
+    /// session lookup.
+    pub(crate) fn pin(state: &ServerState, plan: &KeyPlan) -> Self {
+        let sid = plan.sid;
+        let Ok(session) = state.sessions.get(sid) else {
+            return PinnedKeys {
+                sid,
+                keys: Vec::new(),
+            };
+        };
+        let keys = plan
+            .kinds()
+            .map(|kind| {
                 let key = session.key_bytes(kind).and_then(|bytes| {
                     state
                         .cache
                         .get_or_expand_pinned(&state.ctx, sid, kind, &bytes)
                 });
-                if key.is_ok() {
-                    state
-                        .metrics
-                        .batch_keys_pinned
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                keys.push((kind, key));
-            }
-        }
+                (kind, key)
+            })
+            .collect();
         PinnedKeys { sid, keys }
     }
 
@@ -208,11 +164,6 @@ impl PinnedKeys {
                 state.cache.unpin(self.sid, kind);
             }
         }
-    }
-
-    /// Whether `kind` is pinned and usable.
-    pub(crate) fn has(&self, kind: KeyKind) -> bool {
-        self.keys.iter().any(|(k, r)| *k == kind && r.is_ok())
     }
 
     fn get(&self, kind: KeyKind) -> Result<Arc<SwitchingKey>, ErrorCode> {
@@ -268,7 +219,7 @@ mod tests {
     }
 
     #[test]
-    fn plans_follow_the_wire_layout_and_class_follows_the_plan() {
+    fn plans_follow_the_wire_layout() {
         let ctx = ctx();
         let sessions = SessionManager::new();
         let of = |op, body: &[u8]| KeyPlan::of(&ctx, &sessions, op, body);
@@ -278,15 +229,13 @@ mod tests {
         let rotate = of(Opcode::Rotate, &w.0);
         assert_eq!(rotate.sid, 7);
         assert_eq!(rotate.galois, vec![(-3, ctx.rotation_element(-3))]);
-        assert_eq!(rotate.class(), Some(KeyClass::Galois));
-        assert_eq!(rotate_ct(&w.0), Some(&b"ciphertext"[..]));
+        assert!(!rotate.is_empty());
 
         let mult = of(Opcode::Mult, &w.0);
         assert!(mult.relin && mult.galois.is_empty());
-        assert_eq!(mult.class(), Some(KeyClass::Relin));
 
         // Keyless ops, rotate-by-zero, truncated bodies and programs
-        // nobody uploaded plan nothing and are never held for grouping.
+        // nobody uploaded plan nothing and pin nothing.
         let mut zero = BodyWriter::new();
         zero.u64(7).i64(0);
         let mut turn = BodyWriter::new();
@@ -300,7 +249,7 @@ mod tests {
             (Opcode::Mult, &[1, 2, 3][..]),
             (Opcode::RunProgram, &w.0[..]),
         ] {
-            assert_eq!(of(op, body).class(), None, "{op:?}");
+            assert!(of(op, body).is_empty(), "{op:?}");
         }
     }
 
@@ -355,15 +304,9 @@ mod tests {
         }
         // Truncated diagonals or an out-of-range offset: no plan.
         let cut = &full[..full.len() - slots * 16];
-        assert_eq!(
-            KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, cut).class(),
-            None
-        );
+        assert!(KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, cut).is_empty());
         let bad = body(2, &[slots as u32]);
-        assert_eq!(
-            KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &bad).class(),
-            None
-        );
+        assert!(KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &bad).is_empty());
         // Nor for offsets that repeat or descend, or a baby dimension the
         // validator refuses.
         for bad in [
@@ -372,10 +315,7 @@ mod tests {
             body(0, &[1]),
             body(slots as u32 + 1, &[1]),
         ] {
-            assert_eq!(
-                KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &bad).class(),
-                None
-            );
+            assert!(KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &bad).is_empty());
         }
     }
 }

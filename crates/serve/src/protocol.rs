@@ -30,12 +30,11 @@ pub const DEFAULT_MAX_FRAME_BYTES: u32 = 64 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Opcode {
-    /// Open a session. The request body may be empty, or carry an
-    /// optional leading [`BatchHint`] byte (unknown values and any extra
-    /// trailing bytes are tolerated and read as [`BatchHint::Auto`], so
-    /// older clients and fuzzed frames stay valid). The response body is
-    /// the `u64` session id, a reserved flags byte (always `1`), then the
-    /// server's kernel-backend name in UTF-8.
+    /// Open a session. The request body is ignored: clients send it
+    /// empty, and older ones sent a batching-hint byte, which the server
+    /// no longer reads. The response body is the `u64` session id, a
+    /// reserved flags byte (always `1`), then the server's kernel-backend
+    /// name in UTF-8.
     Hello = 0x01,
     /// Upload the relinearization key (compressed seeded form welcome).
     UploadRelin = 0x02,
@@ -145,38 +144,6 @@ impl Opcode {
         Opcode::Metrics,
         Opcode::TraceDump,
     ];
-}
-
-/// Per-session batching hint carried in the optional first byte of a
-/// [`Opcode::Hello`] body.
-///
-/// The hint tells the scheduler how to trade latency for key reuse on
-/// this session's keyed operations (Mult/Rotate/Bsgs/RunProgram):
-///
-/// - `Auto`: batch opportunistically — requests coalesce only while the
-///   worker pool is busy, so an idle server adds no hold latency.
-/// - `Throughput`: always hold up to the configured max-batch-delay (or
-///   until the batch fills), maximizing key reuse.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[repr(u8)]
-pub enum BatchHint {
-    /// Batch only under load (the default).
-    #[default]
-    Auto = 0,
-    /// Throughput first: always wait out the batching window.
-    Throughput = 2,
-}
-
-impl BatchHint {
-    /// Decodes a hint byte: `2` is [`BatchHint::Throughput`], every other
-    /// value reads as [`BatchHint::Auto`] so the Hello body stays
-    /// forward-compatible.
-    pub fn from_u8(v: u8) -> Self {
-        match v {
-            2 => BatchHint::Throughput,
-            _ => BatchHint::Auto,
-        }
-    }
 }
 
 /// Structured error codes carried in the response status byte.
@@ -628,15 +595,6 @@ mod tests {
         }
         assert_eq!(ErrorCode::from_u8(0), None);
         assert_eq!(ErrorCode::from_u8(99), None);
-    }
-
-    #[test]
-    fn batch_hint_bytes_decode_to_the_two_hints() {
-        for v in [0, 1, 255] {
-            assert_eq!(BatchHint::from_u8(v), BatchHint::Auto, "byte {v}");
-        }
-        assert_eq!(BatchHint::from_u8(2), BatchHint::Throughput);
-        assert_eq!(BatchHint::Throughput as u8, 2);
     }
 
     #[test]

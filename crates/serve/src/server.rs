@@ -1,10 +1,10 @@
 //! The server: a nonblocking acceptor feeding N independent shard
 //! loops, each with its own session table, key-cache slice (`1/N` of the
-//! global byte budget), key-reuse scheduler (run by the loop itself), and
-//! bounded worker pool — one thread, one queue and `workers` threads per
-//! shard. This module owns the shared state and thread start-up/shutdown;
-//! the threads themselves live in `crate::transport` (acceptor, shard
-//! loop), `crate::sched` (the loop's scheduler, workers) and
+//! global byte budget) and bounded worker pool — one thread, one queue
+//! and `workers` threads per shard. This module owns the shared state and
+//! thread start-up/shutdown; the threads themselves live in
+//! `crate::transport` (acceptor, shard loop), `crate::sched` (the send
+//! onto the worker queue, workers) and
 //! `crate::exec` (the op handlers), and the one decision they share —
 //! which keys a request needs and where a handler reads them — in
 //! `crate::plan`.
@@ -14,17 +14,16 @@
 //! `Observer` stamps the owning shard into every request timeline.
 //!
 //! Shutdown is a graceful drain: the acceptor exits (closing the
-//! listening port), each shard loop releases every held group at once,
-//! collects and flushes the replies it is owed and returns, dropping the
-//! only sender on its worker queue; its workers run what is queued and
-//! exit, and every thread is joined.
+//! listening port), each shard loop collects and flushes the replies it
+//! is owed and returns, dropping the only sender on its worker queue; its
+//! workers run what is queued and exit, and every thread is joined.
 
 use crate::cache::{CacheStats, KeyCache};
 use crate::config::ServeConfig;
 use crate::fault::FaultPlan;
 use crate::metrics::{Metrics, ShardSnapshot};
 use crate::obs::{chrome_trace_json, FinishedTrace, Observer};
-use crate::sched::{worker_loop, Job, Scheduler};
+use crate::sched::{worker_loop, Job};
 use crate::session::SessionManager;
 use crate::transport::{accept_loop, shard_loop, ReplySignal, RoutedConn};
 use ckks::{CkksContext, Encoder, Evaluator};
@@ -182,34 +181,30 @@ impl Server {
                 sessions: public.sessions.clone(),
                 cache: public.cache.clone(),
             });
-            let backlog = Arc::new(AtomicU64::new(0));
             let signal = Arc::new(ReplySignal::default());
-            let (work_tx, work_rx) = sync_channel::<Vec<Job>>(config.queue_capacity);
+            let (work_tx, work_rx) = sync_channel::<Job>(config.queue_capacity);
             let work_rx = Arc::new(Mutex::new(work_rx));
 
             let workers: Vec<JoinHandle<()>> = (0..config.workers)
                 .map(|w| {
                     let state = state.clone();
                     let rx = work_rx.clone();
-                    let backlog = backlog.clone();
                     let signal = signal.clone();
                     let deadline = config.request_deadline;
                     spawn(format!("serve-w{i}-{w}"), move || {
-                        worker_loop(&state, &rx, &backlog, deadline, &signal);
+                        worker_loop(&state, &rx, deadline, &signal);
                     })
                 })
                 .collect();
 
-            // The loop owns the scheduler, and with it the only sender on
-            // the worker queue.
-            let sched = Scheduler::new(work_tx, backlog, &config);
+            // The loop owns the only sender on the worker queue.
             let loop_handle = {
                 let shutdown = shutdown.clone();
                 let conn_txs = conn_txs.clone();
                 let max_frame = config.max_frame_bytes;
                 spawn(format!("serve-shard-{i}"), move || {
                     shard_loop(
-                        &state, &shutdown, sched, &conn_rx, &conn_txs, &signal, max_frame,
+                        &state, &shutdown, work_tx, &conn_rx, &conn_txs, &signal, max_frame,
                     );
                 })
             };
@@ -309,16 +304,14 @@ impl Server {
     }
 
     /// Graceful drain: stop accepting (the listening port closes with
-    /// the acceptor), let every shard release its held groups and flush
-    /// the replies it is owed, let queued requests finish, then join
-    /// every thread.
+    /// the acceptor), let every shard flush the replies it is owed, let
+    /// queued requests finish, then join every thread.
     pub fn shutdown(self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // The acceptor wakes on its poll tick and exits, dropping the
         // listener — new connects are refused from here on.
         let _ = self.acceptor.join();
-        // Each shard loop releases every held group at once and exits
-        // once its connections are gone (idle ones close immediately;
+        // Each shard loop exits once its connections are gone (idle ones close immediately;
         // ones owed a reply first collect and flush it). Its return drops
         // the only worker-queue sender, so its workers drain the queue
         // and exit.

@@ -8,10 +8,10 @@
 //! a single server-wide knob.
 
 use crate::cache::KeyKind;
-use crate::protocol::{BatchHint, ErrorCode};
+use crate::protocol::ErrorCode;
 use fhe_program::program::{Program, ProgramInfo};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A validated encrypted program uploaded to a session: the decoded IR,
@@ -21,28 +21,23 @@ pub struct StoredProgram {
     /// The decoded program.
     pub program: Program,
     /// `validate()` output: per-instruction metadata plus the key
-    /// manifest the batching scheduler pins from.
+    /// manifest a `RunProgram` request's key plan is read from.
     pub info: ProgramInfo,
     /// Size of the `MADP` wire form as uploaded.
     pub wire_len: usize,
 }
 
-/// One tenant's uploaded keys, in compressed serialized form, plus the
-/// batching hint it declared in Hello and any uploaded programs.
+/// One tenant's uploaded keys, in compressed serialized form, plus any
+/// uploaded programs.
 #[derive(Default)]
 pub struct Session {
     relin: Mutex<Option<Arc<Vec<u8>>>>,
     galois: Mutex<HashMap<u64, Arc<Vec<u8>>>>,
     programs: Mutex<HashMap<u64, Arc<StoredProgram>>>,
     next_program: AtomicU64,
-    hint: AtomicU8,
 }
 
 impl Session {
-    /// The batching hint declared at Hello.
-    pub fn batch_hint(&self) -> BatchHint {
-        BatchHint::from_u8(self.hint.load(Ordering::Relaxed))
-    }
     /// Stores (or replaces) the relinearization key bytes.
     pub fn set_relin(&self, bytes: Vec<u8>) {
         *self.relin.lock().expect("session poisoned") = Some(Arc::new(bytes));
@@ -176,28 +171,21 @@ impl SessionManager {
         }
     }
 
-    /// Opens a session with the default [`BatchHint::Auto`] hint.
+    /// Opens a session and returns its id. The id is drawn from the
+    /// candidate sequence until one hashes to this manager's shard — with
+    /// one shard every candidate matches, reproducing the historical dense
+    /// sequence.
     pub fn create(&self) -> u64 {
-        self.create_with_hint(BatchHint::Auto)
-    }
-
-    /// Opens a session carrying the tenant's declared batching hint and
-    /// returns its id. The id is drawn from the candidate sequence
-    /// until one hashes to this manager's shard — with one shard every
-    /// candidate matches, reproducing the historical dense sequence.
-    pub fn create_with_hint(&self, hint: BatchHint) -> u64 {
         let id = loop {
             let candidate = self.next_id.fetch_add(1, Ordering::Relaxed);
             if crate::shard::shard_of(candidate, self.shards) == self.shard {
                 break candidate;
             }
         };
-        let session = Session::default();
-        session.hint.store(hint as u8, Ordering::Relaxed);
         self.sessions
             .lock()
             .expect("sessions poisoned")
-            .insert(id, Arc::new(session));
+            .insert(id, Arc::default());
         id
     }
 
@@ -302,15 +290,6 @@ mod tests {
         assert_eq!(s.program(id).unwrap().wire_len, 42);
         assert_eq!(s.stored_bytes(), 42);
         assert_eq!(mgr.stored_bytes(), 42);
-    }
-
-    #[test]
-    fn hints_stick_to_their_session() {
-        let mgr = SessionManager::new();
-        let a = mgr.create();
-        let b = mgr.create_with_hint(BatchHint::Throughput);
-        assert_eq!(mgr.get(a).unwrap().batch_hint(), BatchHint::Auto);
-        assert_eq!(mgr.get(b).unwrap().batch_hint(), BatchHint::Throughput);
     }
 
     #[test]

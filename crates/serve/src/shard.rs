@@ -1,14 +1,13 @@
 //! Session-to-shard placement.
 //!
 //! The serving runtime runs N independent shard loops; a session — and
-//! with it the tenant's compressed keys, expanded-key cache entries,
-//! batching groups, and program table — lives entirely on the shard
-//! chosen by [`shard_of`]. Placement uses the jump consistent hash of
-//! Lamping & Veach ("A Fast, Minimal Memory, Consistent Hash
-//! Algorithm"): stateless, O(ln n), and *monotone* — growing the shard
-//! count only ever moves a session id onto one of the new shards, never
-//! between surviving ones, so a resize invalidates the minimum number
-//! of cache slices.
+//! with it the tenant's compressed keys, expanded-key cache entries and
+//! program table — lives entirely on the shard chosen by [`shard_of`].
+//! Placement uses the jump consistent hash of Lamping & Veach ("A Fast,
+//! Minimal Memory, Consistent Hash Algorithm"): stateless, O(ln n), and
+//! *monotone* — growing the shard count only ever moves a session id onto
+//! one of the new shards, never between surviving ones, so a resize
+//! invalidates the minimum number of cache slices.
 
 /// The shard owning `session_id` in a server running `shards` shard
 /// loops. Deterministic and stable: the same `(session_id, shards)`

@@ -8,21 +8,21 @@
 //!   then exactly the rest of that frame, straight into the connection's
 //!   frame buffer; plan the request's keys ([`KeyPlan::of`]) and hand the
 //!   buffer itself to the job — the body is never copied out of it — to
-//!   the loop's own [`Scheduler`] (a full queue is answered immediately
-//!   with [`ErrorCode::Overloaded`] — backpressure, never buffering);
-//!   then write out the reply frame the worker built, as it is, when it
-//!   comes back. A connection's two buffers make that round trip with
-//!   every request, so it allocates for its largest request and reply
-//!   once. Each connection still sees strict request/response ordering.
-//!   An idle loop releases due groups, then sleeps — never past a held
-//!   group's window — on a condvar the workers ping after every
-//!   completed group, so replies flush without polling latency.
+//!   the shard's worker queue with one `try_send` ([`dispatch`]; a full
+//!   queue is answered immediately with [`ErrorCode::Overloaded`] —
+//!   backpressure, never buffering); then write out the reply frame the
+//!   worker built, as it is, when it comes back. A connection's two
+//!   buffers make that round trip with every request, so it allocates
+//!   for its largest request and reply once. Each connection still sees
+//!   strict request/response ordering. An idle loop sleeps on a condvar
+//!   the workers ping after every completed request, so replies flush
+//!   without polling latency.
 //! - **Routing** is consistent hashing of the session id
 //!   ([`crate::shard::shard_of`]): `Hello` mints an id that hashes to
 //!   the shard that accepted the connection, and every keyed frame whose
 //!   session lives elsewhere migrates its connection to the owning shard
-//!   at a frame boundary, so a tenant's keys, cache entries, pending
-//!   groups and programs live on exactly one shard.
+//!   at a frame boundary, so a tenant's keys, cache entries and programs
+//!   live on exactly one shard.
 
 use crate::fault::FaultDecision;
 use crate::obs::{RequestTrace, Stage};
@@ -31,12 +31,12 @@ use crate::protocol::{
     begin_frame, finish_frame, peek_frame, read_into, ErrorCode, FrameStatus, Opcode,
     FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
-use crate::sched::{Job, Release, Reply, Scheduler};
+use crate::sched::{dispatch, Job, Reply};
 use crate::server::{ServerState, SharedState};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -49,7 +49,7 @@ pub(crate) struct RoutedConn {
 }
 
 /// The wake-up channel between a shard's workers and its loop: workers
-/// bump the sequence number after every completed work item, and the
+/// bump the sequence number after every completed request, and the
 /// loop sleeps on the condvar only while the sequence is unchanged —
 /// a reply can never slip between "checked the channel" and "went to
 /// sleep".
@@ -170,13 +170,13 @@ pub(crate) fn accept_loop(
 }
 
 /// One shard's event loop: adopt incoming connections, drive each one a
-/// step, migrate mis-placed connections, release held groups, and park
-/// on the reply condvar when nothing moved. Returning drops `sched`, the
-/// worker queue's only sender, which ends the shard's workers.
+/// step, migrate mis-placed connections, and park on the reply condvar
+/// when nothing moved. Returning drops `work`, the worker queue's only
+/// sender, which ends the shard's workers.
 pub(crate) fn shard_loop(
     state: &ServerState,
     shutdown: &AtomicBool,
-    mut sched: Scheduler,
+    work: SyncSender<Job>,
     conn_rx: &Receiver<RoutedConn>,
     conn_txs: &[Sender<RoutedConn>],
     signal: &ReplySignal,
@@ -199,7 +199,7 @@ pub(crate) fn shard_loop(
         let mut any_pending = false;
         let mut i = 0;
         while i < conns.len() {
-            match step_conn(state, &mut sched, &mut conns[i], shutting_down, max_frame) {
+            match step_conn(state, &work, &mut conns[i], shutting_down, max_frame) {
                 ConnVerdict::Keep { progressed: p } => {
                     progressed |= p;
                     any_pending |= conns[i].pending.is_some() || !conns[i].write_buf.is_empty();
@@ -221,15 +221,6 @@ pub(crate) fn shard_loop(
                 }
             }
         }
-        // Held groups go at the end of every pass whose window ran out (so
-        // traffic on other connections never holds one past `max_delay`),
-        // before every park, and all at once from the start of shutdown.
-        let which = match (shutting_down, progressed) {
-            (true, _) => Release::All,
-            (false, true) => Release::Expired,
-            (false, false) => Release::Parking,
-        };
-        sched.release(&state.metrics, which);
         if progressed {
             last_active = Instant::now();
             continue;
@@ -245,7 +236,6 @@ pub(crate) fn shard_loop(
         } else {
             Duration::from_millis(2)
         };
-        let timeout = sched.until_due().map_or(timeout, |d| d.min(timeout));
         signal.wait_if_unchanged(&mut last_seq, timeout);
     }
 }
@@ -255,7 +245,7 @@ pub(crate) fn shard_loop(
 /// reply pipeline is empty) read and act on the next frame.
 fn step_conn(
     state: &ServerState,
-    sched: &mut Scheduler,
+    work: &SyncSender<Job>,
     conn: &mut Conn,
     shutting_down: bool,
     max_frame: u32,
@@ -367,7 +357,7 @@ fn step_conn(
                 return ConnVerdict::Route(target);
             }
             let frame = std::mem::take(&mut conn.read_buf);
-            process_frame(state, sched, conn, frame)
+            process_frame(state, work, conn, frame)
         }
     }
 }
@@ -510,11 +500,11 @@ fn route_target(state: &ServerState, buf: &[u8]) -> Option<usize> {
 /// Parses and dispatches one frame on the owning shard: protocol errors
 /// answer locally, chaos draws exactly one decision, everything else
 /// becomes a job — its key plan attached, the frame buffer and the
-/// connection's drained reply buffer along for the ride — for this
-/// shard's scheduler.
+/// connection's drained reply buffer along for the ride — on this
+/// shard's worker queue.
 fn process_frame(
     state: &ServerState,
-    sched: &mut Scheduler,
+    work: &SyncSender<Job>,
     conn: &mut Conn,
     frame: Vec<u8>,
 ) -> ConnVerdict {
@@ -572,11 +562,7 @@ fn process_frame(
         trace: trace.clone(),
         chaos: worker_fault,
     };
-    // Count before sending: a worker may pop (and decrement) the
-    // instant `try_send` returns.
-    state.metrics.enqueued();
-    trace.mark_enqueued();
-    match sched.submit(&state.sessions, &state.metrics, job) {
+    match dispatch(work, &state.metrics, job) {
         Ok(()) => {
             state.shards[state.shard]
                 .requests
@@ -589,7 +575,6 @@ fn process_frame(
             ConnVerdict::Keep { progressed: true }
         }
         Err(TrySendError::Full(job)) => {
-            state.metrics.retracted();
             state
                 .metrics
                 .rejected_overload
@@ -598,9 +583,6 @@ fn process_frame(
             let msg = "queue full, retry later";
             refuse(state, conn, job.frame, ErrorCode::Overloaded, msg)
         }
-        Err(TrySendError::Disconnected(_)) => {
-            state.metrics.retracted();
-            ConnVerdict::Drop
-        }
+        Err(TrySendError::Disconnected(_)) => ConnVerdict::Drop,
     }
 }

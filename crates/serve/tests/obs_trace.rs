@@ -10,22 +10,17 @@
 //! 3. **Gauge integrity**: `serve_queue_depth` returns to zero after a
 //!    churn of deadline-expired and overload-rejected requests — the
 //!    accounting audit of the dequeue paths.
-//! 4. **Hold attribution**: a request held by the batching scheduler
-//!    reports that hold under `batch_hold`, not `queue`.
-//! 5. **Kernel sub-spans**: every request's timeline carries the
+//! 4. **Kernel sub-spans**: every request's timeline carries the
 //!    `fhe_math::telemetry` spans its own worker thread opened — the same
-//!    names whether it ran alone or beside another worker, and inside the
-//!    shared window when it ran in a hoist-shared fold — and the metrics
-//!    dump counts the key expansions behind the cache's misses.
+//!    names whether it ran alone or beside another worker — and the
+//!    metrics dump counts the key expansions behind the cache's misses.
 
 use ckks::{
     Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, GaloisKeys, KeyGenerator, SecretKey,
 };
 use fhe_math::cfft::Complex;
 use fhe_serve::obs::FinishedTrace;
-use fhe_serve::{
-    BatchConfig, BatchHint, Client, EvictionPolicy, ObsConfig, ServeConfig, Server, Stage,
-};
+use fhe_serve::{Client, EvictionPolicy, ObsConfig, ServeConfig, Server, Stage};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Barrier};
@@ -79,12 +74,7 @@ fn encrypt_vec(ctx: &Arc<CkksContext>, sk: &SecretKey, rng: &mut StdRng, v: &[f6
 
 /// A server with tracing pinned to explicit knobs (the env matrix must
 /// not leak into these assertions).
-fn start_server(
-    ctx: &Arc<CkksContext>,
-    workers: usize,
-    batch: BatchConfig,
-    obs: ObsConfig,
-) -> Server {
+fn start_server(ctx: &Arc<CkksContext>, workers: usize, obs: ObsConfig) -> Server {
     Server::start(
         ctx.clone(),
         ServeConfig {
@@ -92,7 +82,6 @@ fn start_server(
             queue_capacity: 32,
             key_cache_budget: 64 << 20,
             eviction: EvictionPolicy::Lru,
-            batch,
             obs,
             ..ServeConfig::default()
         },
@@ -104,13 +93,6 @@ fn obs_on() -> ObsConfig {
     ObsConfig {
         ring_capacity: 64,
         slow_threshold: Duration::ZERO,
-    }
-}
-
-fn batch_off() -> BatchConfig {
-    BatchConfig {
-        max_batch: 1,
-        ..BatchConfig::baseline()
     }
 }
 
@@ -175,13 +157,13 @@ fn rotate_traces(server: &Server, want: usize) -> Vec<FinishedTrace> {
 fn trace_dump_is_perfetto_loadable_with_contained_slices() {
     let ctx = test_ctx();
     let tenant = make_tenant(&ctx, 1001);
-    let server = start_server(&ctx, 2, batch_off(), obs_on());
+    let server = start_server(&ctx, 2, obs_on());
     let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
-    let info = client.hello_ext(BatchHint::Auto).unwrap();
-    client.upload_galois(info.session, &tenant.gk).unwrap();
+    let session = client.hello().unwrap();
+    client.upload_galois(session, &tenant.gk).unwrap();
     for _ in 0..4 {
-        client.add(info.session, &tenant.a, &tenant.b).unwrap();
-        client.rotate(info.session, &tenant.a, 1).unwrap();
+        client.add(session, &tenant.a, &tenant.b).unwrap();
+        client.rotate(session, &tenant.a, 1).unwrap();
     }
 
     let json = client.trace_dump().unwrap();
@@ -275,18 +257,18 @@ fn stage_latencies_sum_to_end_to_end_with_ordered_quantiles() {
     let tenant = make_tenant(&ctx, 2002);
     // One worker: no cross-request concurrency inside the pool, so the
     // stage attribution has nothing racing it.
-    let server = start_server(&ctx, 1, batch_off(), obs_on());
+    let server = start_server(&ctx, 1, obs_on());
     let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
-    let info = client.hello_ext(BatchHint::Auto).unwrap();
-    client.upload_galois(info.session, &tenant.gk).unwrap();
+    let session = client.hello().unwrap();
+    client.upload_galois(session, &tenant.gk).unwrap();
     let reqs = 16u64;
     for _ in 0..reqs {
-        client.rotate(info.session, &tenant.a, 1).unwrap();
+        client.rotate(session, &tenant.a, 1).unwrap();
     }
     let dump = client.metrics().unwrap();
     server.shutdown();
 
-    // Every finished request observed e2e and all seven stages.
+    // Every finished request observed e2e and all six stages.
     let e2e_count = metric(&dump, "serve_e2e_latency_us_count");
     assert!(e2e_count >= reqs, "e2e count {e2e_count} < {reqs}");
     let mut stage_sum = 0u64;
@@ -341,8 +323,7 @@ fn queue_depth_returns_to_zero_under_deadline_churn_and_overload() {
     // A zero deadline expires every queued job deterministically (the
     // stamp-to-pickup gap is never literally zero), so every dequeue
     // runs the deadline-expired path; a tiny queue forces overload
-    // rejections on top. Batching is on so keyed ops also cross the
-    // scheduler's restamp-and-dispatch path.
+    // rejections on top.
     let server = Server::start(
         ctx.clone(),
         ServeConfig {
@@ -351,10 +332,6 @@ fn queue_depth_returns_to_zero_under_deadline_churn_and_overload() {
             key_cache_budget: 64 << 20,
             eviction: EvictionPolicy::Lru,
             request_deadline: Duration::ZERO,
-            batch: BatchConfig {
-                max_batch: 4,
-                max_delay: Duration::from_millis(5),
-            },
             obs: obs_on(),
             ..ServeConfig::default()
         },
@@ -399,61 +376,17 @@ fn queue_depth_returns_to_zero_under_deadline_churn_and_overload() {
     server.shutdown();
 }
 
-#[test]
-fn batch_hold_is_attributed_to_its_own_stage() {
-    let ctx = test_ctx();
-    let tenant = make_tenant(&ctx, 4004);
-    // A Throughput session's lone rotate cannot fill a group of 64, so
-    // it waits out the full 80 ms window — all of which must land in
-    // `batch_hold`, not `queue` — and not much more.
-    let server = start_server(
-        &ctx,
-        1,
-        BatchConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(80),
-        },
-        obs_on(),
-    );
-    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
-    let info = client.hello_ext(BatchHint::Throughput).unwrap();
-    client.upload_galois(info.session, &tenant.gk).unwrap();
-    client.rotate(info.session, &tenant.a, 1).unwrap();
-
-    let t = rotate_traces(&server, 1).remove(0);
-    let hold = t.stage_us(Stage::BatchHold);
-    assert!(
-        hold >= 50_000,
-        "the 80 ms batching hold is missing from batch_hold ({hold} µs)"
-    );
-    // The shard loop parks no longer than the window, so its wake ends
-    // the hold.
-    assert!(
-        hold < 180_000,
-        "the 80 ms batching hold overran its window ({hold} µs)"
-    );
-    assert!(
-        t.stage_us(Stage::Queue) < hold,
-        "the hold leaked into queue time ({} µs queue, {hold} µs hold)",
-        t.stage_us(Stage::Queue)
-    );
-    assert!(t.total_us >= hold, "e2e below its own hold");
-    // The hold is visible in the exported timeline too.
-    assert!(server.trace_json().contains("\"name\": \"batch_hold\""));
-    server.shutdown();
-}
-
 /// The math layer's spans land in the request timeline.
 #[test]
 fn deep_sample_bridges_kernel_subspans() {
     let ctx = test_ctx();
     let tenant = make_tenant(&ctx, 5005);
-    let server = start_server(&ctx, 1, batch_off(), obs_on());
+    let server = start_server(&ctx, 1, obs_on());
     let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
-    let info = client.hello_ext(BatchHint::Auto).unwrap();
-    client.upload_galois(info.session, &tenant.gk).unwrap();
+    let session = client.hello().unwrap();
+    client.upload_galois(session, &tenant.gk).unwrap();
     for _ in 0..4 {
-        client.rotate(info.session, &tenant.a, 1).unwrap();
+        client.rotate(session, &tenant.a, 1).unwrap();
     }
     let json = client.trace_dump().unwrap();
     server.shutdown();
@@ -499,7 +432,6 @@ fn concurrent_rotates_each_carry_their_own_subspans() {
     let server = start_server(
         &ctx,
         2,
-        batch_off(),
         ObsConfig {
             ring_capacity: 128,
             ..obs_on()
@@ -508,7 +440,7 @@ fn concurrent_rotates_each_carry_their_own_subspans() {
     let connect = |seed: u64| {
         let tenant = make_tenant(&ctx, seed);
         let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
-        let session = client.hello_ext(BatchHint::Auto).unwrap().session;
+        let session = client.hello().unwrap();
         client.upload_galois(session, &tenant.gk).unwrap();
         (client, session, tenant.a)
     };
@@ -573,88 +505,19 @@ fn concurrent_rotates_each_carry_their_own_subspans() {
     server.shutdown();
 }
 
-/// Two rotates of one ciphertext in one `Throughput` group share one
-/// hoisted decomposition, and that fold runs under the one execution
-/// guard: each member's timeline carries the fold's window, its kernel
-/// sub-spans, and its decode and serialize time.
-#[test]
-fn hoist_shared_rotates_each_carry_the_folds_timeline() {
-    let ctx = test_ctx();
-    let tenant = make_tenant(&ctx, 8008);
-    let server = start_server(
-        &ctx,
-        1,
-        BatchConfig {
-            max_batch: 2,
-            max_delay: Duration::from_secs(5),
-        },
-        obs_on(),
-    );
-    let mut owner = Client::connect(server.local_addr(), ctx.clone()).unwrap();
-    let session = owner.hello_ext(BatchHint::Throughput).unwrap().session;
-    owner.upload_galois(session, &tenant.gk).unwrap();
-    std::thread::scope(|s| {
-        for _ in 0..2 {
-            s.spawn(|| {
-                let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
-                client.rotate(session, &tenant.a, 1).unwrap();
-            });
-        }
-    });
-    let dump = server.metrics_dump();
-    let traces = rotate_traces(&server, 2);
-    server.shutdown();
-    assert_eq!(
-        metric(&dump, "serve_batch_hoist_shared_total"),
-        1,
-        "the two rotates did not fold"
-    );
-
-    for t in &traces {
-        let names: Vec<_> = t.subspans.iter().map(|s| s.name).collect();
-        for phase in ["ModUp", "KSKInnerProd", "ModDown"] {
-            assert!(
-                names.contains(&phase),
-                "request {}: no {phase} in {names:?}",
-                t.id
-            );
-        }
-        let exec_end = t.exec_begin_us + t.exec_us + 1;
-        for s in &t.subspans {
-            assert!(
-                t.exec_begin_us <= s.begin_us && s.end_us <= exec_end,
-                "request {}: {s:?} outside exec [{}, {exec_end}]",
-                t.id,
-                t.exec_begin_us
-            );
-        }
-        assert!(t.stage_us(Stage::Decode) > 0, "request {}: no decode", t.id);
-        assert!(
-            t.stage_us(Stage::Serialize) > 0,
-            "request {}: no serialize",
-            t.id
-        );
-    }
-    // One window for both members (1 µs: truncated stamps).
-    let (a, b) = (&traces[0], &traces[1]);
-    assert_eq!(a.exec_us, b.exec_us);
-    let (a0, b0) = (a.start_us + a.exec_begin_us, b.start_us + b.exec_begin_us);
-    assert!(a0.abs_diff(b0) <= 1, "windows open at {a0} and {b0}");
-}
-
 /// The key cache's misses are switching-key expansions, and the metrics
 /// dump says how many the server has paid for.
 #[test]
 fn metrics_dump_counts_the_expansions_behind_cache_misses() {
     let ctx = test_ctx();
     let tenant = make_tenant(&ctx, 7007);
-    let server = start_server(&ctx, 1, batch_off(), obs_on());
+    let server = start_server(&ctx, 1, obs_on());
     let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
-    let info = client.hello_ext(BatchHint::Auto).unwrap();
-    client.upload_galois(info.session, &tenant.gk).unwrap();
+    let session = client.hello().unwrap();
+    client.upload_galois(session, &tenant.gk).unwrap();
     // Cold, then warm.
     for _ in 0..4 {
-        client.rotate(info.session, &tenant.a, 1).unwrap();
+        client.rotate(session, &tenant.a, 1).unwrap();
     }
     let stats = server.cache_stats();
     let dump = client.metrics().unwrap();
@@ -719,9 +582,9 @@ fn every_accepted_request_finishes_exactly_one_timeline() {
     let ctx = test_ctx();
     let tenant = make_tenant(&ctx, 9009);
 
-    let server = start_server(&ctx, 2, BatchConfig::baseline(), obs_on());
+    let server = start_server(&ctx, 2, obs_on());
     let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
-    let session = client.hello_ext(BatchHint::Auto).unwrap().session;
+    let session = client.hello().unwrap();
     client.upload_galois(session, &tenant.gk).unwrap();
     for _ in 0..3 {
         client.add(session, &tenant.a, &tenant.b).unwrap();

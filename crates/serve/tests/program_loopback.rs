@@ -1,15 +1,14 @@
 //! `RunProgram` loopback identity: each of the three shipped program-IR
 //! workloads, uploaded once and executed through the server, must return
 //! ciphertexts byte-identical to `fhe_program::execute` run locally with
-//! the same inputs and keys — with the scheduler grouping (`max_batch` 8)
-//! and not (`max_batch` 1).
+//! the same inputs and keys.
 
 use ckks::hoisting::LinearTransform;
 use ckks::serialize::serialize_ciphertext;
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
 use fhe_program::{execute, workloads, ExecInputs, ExecKeys};
-use fhe_serve::{BatchConfig, Client, ServeConfig, Server};
+use fhe_serve::{Client, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -46,7 +45,8 @@ fn encrypt_vec(
 
 /// Uploads all three workloads over one session and checks every remote
 /// output against the local executor, byte for byte.
-fn run_suite(batching: bool) {
+#[test]
+fn run_program_matches_library_unrolled() {
     let ctx = ctx();
     let slots = ctx.params().slots();
 
@@ -54,10 +54,6 @@ fn run_suite(batching: bool) {
         ctx.clone(),
         ServeConfig {
             workers: 2,
-            batch: BatchConfig {
-                max_batch: if batching { 8 } else { 1 },
-                ..BatchConfig::baseline()
-            },
             ..ServeConfig::default()
         },
     )
@@ -96,8 +92,7 @@ fn run_suite(batching: bool) {
             assert_eq!(
                 serialize_ciphertext(got),
                 serialize_ciphertext(want),
-                "{label}/{name}: RunProgram diverged from the library executor \
-                 (batching {batching})"
+                "{label}/{name}: RunProgram diverged from the library executor"
             );
         }
     };
@@ -151,14 +146,4 @@ fn run_suite(batching: bool) {
 
     client.close_session(sid).unwrap();
     server.shutdown();
-}
-
-#[test]
-fn run_program_matches_library_unrolled_batched() {
-    run_suite(true);
-}
-
-#[test]
-fn run_program_matches_library_unrolled_unbatched() {
-    run_suite(false);
 }

@@ -1,20 +1,23 @@
 //! Error-path coverage for the wire protocol: every structured error code
-//! a client can provoke, plus the echo shortcut, deadline rejection, and
-//! what a length prefix alone can make the server commit to memory.
+//! a client can provoke, plus the echo shortcut, deadline rejection, the
+//! worker queue's bound, the Hello bodies older clients send, and what a
+//! length prefix alone can make the server commit to memory.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use ckks::serialize::{serialize_ciphertext, serialize_switching_key};
-use ckks::{CkksContext, CkksParams, Encoder, Encryptor, KeyGenerator};
+use ckks::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
 use fhe_serve::protocol::{read_frame, BodyWriter, FrameRead, Opcode, DEFAULT_MAX_FRAME_BYTES};
-use fhe_serve::{Client, ClientError, ErrorCode, ServeConfig, Server};
+use fhe_serve::{
+    Client, ClientError, ErrorCode, FaultDecision, FaultMix, FaultPlan, ServeConfig, Server,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn small_ctx() -> Arc<CkksContext> {
     CkksContext::new(
@@ -299,5 +302,128 @@ fn a_length_prefix_alone_reserves_no_frame() {
     let mut client = Client::connect(server.local_addr(), ctx).unwrap();
     assert!(client.hello().unwrap() > 0);
     drop(stream);
+    server.shutdown();
+}
+
+/// The value of a label-less sample in the server's metrics dump.
+fn metric(server: &Server, name: &str) -> u64 {
+    let dump = server.metrics_dump();
+    let line = dump
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+    line.unwrap_or_else(|| panic!("{name} missing from the dump"))
+        .parse()
+        .unwrap()
+}
+
+/// Polls until the server has accepted `requests` requests and exactly
+/// `depth` of them wait in the worker queue.
+fn await_queue(server: &Server, requests: u64, depth: u64) {
+    let asked = Instant::now();
+    while (
+        metric(server, "serve_requests_total"),
+        metric(server, "serve_queue_depth"),
+    ) != (requests, depth)
+    {
+        assert!(
+            asked.elapsed() < Duration::from_secs(10),
+            "never saw {requests} accepted with {depth} queued"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// The worker queue holds at most `queue_capacity` requests, keyed ones
+/// included. One worker, `queue_capacity` 1: while an injected delay
+/// holds the worker on the first rotate, a second waits in the queue and
+/// a third is refused `Overloaded` at once. Both accepted rotates answer
+/// what the library computes.
+#[test]
+fn a_full_worker_queue_refuses_the_next_keyed_request() {
+    // Every evaluation op draws a delay (setup frames are spared) and the
+    // budget is one: seed 6 draws 858 ms of the 1 s range for the first.
+    const SEED: u64 = 6;
+    let mix = FaultMix {
+        delay: 1000,
+        overloaded: 0,
+        delay_cap: Duration::from_secs(1),
+        ..FaultMix::latency()
+    };
+    assert!(mix.spare_setup);
+    match FaultPlan::new(SEED, mix.clone(), 1).decide(Opcode::Rotate) {
+        Some(FaultDecision::Delay(d)) => assert!(d >= Duration::from_millis(500), "{d:?}"),
+        other => panic!("seed {SEED} draws {other:?}"),
+    }
+
+    let ctx = small_ctx();
+    let server = Server::start(
+        ctx.clone(),
+        ServeConfig {
+            shards: 1,
+            workers: 1,
+            queue_capacity: 1,
+            fault_plan: Some(Arc::new(FaultPlan::new(SEED, mix, 1))),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(13);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1], false);
+    let pt = Encoder::new(ctx.clone())
+        .encode(&[Complex::new(0.5, -0.25)], 3, ctx.params().scale())
+        .unwrap();
+    let ct = Arc::new(Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk));
+
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    client.upload_galois(sid, &gk).unwrap();
+    let rotate_in_thread = || {
+        let (addr, ctx, ct) = (server.local_addr(), ctx.clone(), ct.clone());
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr, ctx).unwrap();
+            serialize_ciphertext(&client.rotate(sid, &ct, 1).unwrap())
+        })
+    };
+    // Hello and the upload, then the first rotate, picked up and held.
+    let held = rotate_in_thread();
+    await_queue(&server, 3, 0);
+    let queued = rotate_in_thread();
+    await_queue(&server, 4, 1);
+
+    match client.rotate(sid, &ct, 1) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Overloaded),
+        other => panic!("a full queue took a request: {:?}", other.map(|_| ())),
+    }
+    assert_eq!(metric(&server, "serve_rejected_overload_total"), 1);
+
+    let reference = Evaluator::new(ctx.clone()).rotate(&ct, 1, &gk);
+    for rotate in [held, queued] {
+        assert_eq!(rotate.join().unwrap(), serialize_ciphertext(&reference));
+    }
+    server.shutdown();
+}
+
+/// A Hello body is not read: the empty body of today's client, an older
+/// client's batching-hint byte (`0` or `2`) and trailing garbage each
+/// open a session, and the reply keeps its layout — session id, flags
+/// byte 1, backend name.
+#[test]
+fn legacy_hello_bodies_each_open_a_session() {
+    let ctx = small_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx).unwrap();
+    let mut sessions = Vec::new();
+    for body in [&[][..], &[0], &[2], &[0xff, 0xff, 0xff]] {
+        let reply = client.call_raw(Opcode::Hello as u8, body).unwrap();
+        assert_eq!(reply[8], 1, "flags byte after {body:?}");
+        assert_eq!(&reply[9..], server.kernel_backend_name().as_bytes());
+        sessions.push(u64::from_le_bytes(reply[..8].try_into().unwrap()));
+    }
+    for (i, &sid) in sessions.iter().enumerate() {
+        assert!(!sessions[..i].contains(&sid), "session {sid} minted twice");
+        client.close_session(sid).unwrap();
+    }
     server.shutdown();
 }
