@@ -52,9 +52,17 @@ impl Evaluator {
         &self.ctx
     }
 
+    /// Whether two operands at scales `a` and `b` can be added: both
+    /// finite and positive, and equal within the tolerance additions
+    /// allow. Every addition asserts it.
+    pub fn scales_agree(a: f64, b: f64) -> bool {
+        let valid = |s: f64| s.is_finite() && s > 0.0;
+        valid(a) && valid(b) && (a / b - 1.0).abs() < SCALE_TOLERANCE
+    }
+
     fn check_scales(a: f64, b: f64) {
         assert!(
-            (a / b - 1.0).abs() < SCALE_TOLERANCE,
+            Self::scales_agree(a, b),
             "scale mismatch: 2^{:.3} vs 2^{:.3}",
             a.log2(),
             b.log2()

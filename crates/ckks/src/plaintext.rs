@@ -116,4 +116,12 @@ impl Ciphertext {
         self.c0.recycle(pool);
         self.c1.recycle(pool);
     }
+
+    /// Releases both components' storage beyond their length
+    /// ([`RnsPoly::shrink_to_fit`]): for a pool-leased result its caller
+    /// keeps.
+    pub fn shrink_to_fit(&mut self) {
+        self.c0.shrink_to_fit();
+        self.c1.shrink_to_fit();
+    }
 }

@@ -229,6 +229,12 @@ impl RnsPoly {
         pool.recycle_vec(self.data);
     }
 
+    /// Releases storage beyond the polynomial's length — a pool lease's
+    /// capacity can be several times it — in place, copying nothing.
+    pub fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
+    }
+
     /// Reclassifies this polynomial for memory-access tracing (e.g. when a
     /// kernel output is wrapped into a ciphertext or key). Emits a
     /// [`telemetry::TraceRecord::Retag`] if a trace is active.

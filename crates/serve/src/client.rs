@@ -6,21 +6,21 @@
 //! Every call is strict request/response on one connection; open several
 //! clients for concurrency.
 //!
-//! A request is built where it is sent from: each method appends its
-//! fields to one reusable frame buffer, ciphertexts serialized in place
-//! behind their length prefixes, and the frame leaves in a single write.
-//! The reply body lands in a second reusable buffer and is decoded from
-//! there.
+//! A request is built where it is sent from: the codec
+//! ([`crate::protocol`]) encodes its body into one reusable frame buffer,
+//! ciphertexts serialized in place behind their length prefixes, and the
+//! frame leaves in a single write. The reply body lands in a second
+//! reusable buffer and is decoded from there.
 
 use crate::fault::XorShift64;
 use crate::protocol::{
-    begin_frame, finish_frame, read_frame_into, BodyReader, BodyWriter, ErrorCode, FrameRead,
-    Opcode, DEFAULT_MAX_FRAME_BYTES, FRAME_HEADER_LEN,
+    begin_frame, finish_frame, read_frame_into, BodyReader, BodyWriter, Call, ErrorCode, FrameRead,
+    Opcode, ProgramInputs, DEFAULT_MAX_FRAME_BYTES,
 };
 use ckks::hoisting::LinearTransform;
 use ckks::serialize::{
-    deserialize_ciphertext, serialize_galois_keys, serialize_switching_key, write_ciphertext,
-    write_plaintext, write_switching_key, SerializeError,
+    deserialize_ciphertext, serialize_galois_keys, serialize_switching_key, write_switching_key,
+    SerializeError,
 };
 use ckks::{Ciphertext, CkksContext, GaloisKeys, Plaintext, SwitchingKey};
 use fhe_program::program::Program;
@@ -81,11 +81,6 @@ pub struct Client {
     request: Vec<u8>,
     /// The latest reply's body; its buffer is reused for the next.
     reply: Vec<u8>,
-}
-
-/// Appends `ct` as a length-prefixed blob, serialized in place.
-fn ct_blob(w: &mut BodyWriter, ct: &Ciphertext) {
-    w.blob_with(|out| write_ciphertext(ct, out));
 }
 
 /// A frame begun in `buf` (its capacity reused), ready for body fields.
@@ -179,12 +174,14 @@ impl Client {
         Ok(std::mem::take(&mut self.reply))
     }
 
-    fn call_ct(
-        &mut self,
-        op: Opcode,
-        build: impl FnOnce(&mut BodyWriter),
-    ) -> Result<Ciphertext, ClientError> {
-        self.call(op as u8, build)?;
+    /// One evaluation request: `call` encoded behind `session`, its reply
+    /// body left in `self.reply`.
+    fn send(&mut self, session: u64, call: &Call<'_>) -> Result<(), ClientError> {
+        self.call(call.op() as u8, |w| call.encode(session, w))
+    }
+
+    fn eval(&mut self, session: u64, call: Call<'_>) -> Result<Ciphertext, ClientError> {
+        self.send(session, &call)?;
         Ok(deserialize_ciphertext(&self.ctx, &self.reply)?)
     }
 
@@ -253,11 +250,7 @@ impl Client {
         a: &Ciphertext,
         b: &Ciphertext,
     ) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::Add, |w| {
-            w.u64(session);
-            ct_blob(w, a);
-            ct_blob(w, b);
-        })
+        self.eval(session, Call::Add(a, b))
     }
 
     /// Ciphertext × plaintext multiplication (rescaled).
@@ -271,11 +264,7 @@ impl Client {
         ct: &Ciphertext,
         pt: &Plaintext,
     ) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::PtMult, |w| {
-            w.u64(session);
-            ct_blob(w, ct);
-            w.blob_with(|out| write_plaintext(pt, out));
-        })
+        self.eval(session, Call::PtMult(ct, pt))
     }
 
     /// Ciphertext multiplication using the session's relin key.
@@ -289,11 +278,7 @@ impl Client {
         a: &Ciphertext,
         b: &Ciphertext,
     ) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::Mult, |w| {
-            w.u64(session);
-            ct_blob(w, a);
-            ct_blob(w, b);
-        })
+        self.eval(session, Call::Mult(a, b))
     }
 
     /// Slot rotation by `steps` using the session's Galois keys.
@@ -307,10 +292,7 @@ impl Client {
         ct: &Ciphertext,
         steps: i64,
     ) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::Rotate, |w| {
-            w.u64(session).i64(steps);
-            write_ciphertext(ct, &mut w.0);
-        })
+        self.eval(session, Call::Rotate(steps, ct))
     }
 
     /// Drops one scale limb.
@@ -319,10 +301,7 @@ impl Client {
     ///
     /// See [`Client::call_raw`].
     pub fn rescale(&mut self, session: u64, ct: &Ciphertext) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::Rescale, |w| {
-            w.u64(session);
-            write_ciphertext(ct, &mut w.0);
-        })
+        self.eval(session, Call::Rescale(ct))
     }
 
     /// BSGS plaintext matrix–vector product with baby dimension `n1`. The
@@ -339,18 +318,7 @@ impl Client {
         lt: &LinearTransform,
         n1: usize,
     ) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::Bsgs, |w| {
-            let offsets = lt.offsets();
-            w.u64(session).u32(n1 as u32).u32(offsets.len() as u32);
-            for d in offsets {
-                let diag = lt.diagonal(d).expect("offset listed by the transform");
-                w.u32(d as u32);
-                for c in diag {
-                    w.f64(c.re).f64(c.im);
-                }
-            }
-            write_ciphertext(ct, &mut w.0);
-        })
+        self.eval(session, Call::Bsgs(n1, lt, ct))
     }
 
     /// Uploads a serialized encrypted program; the server validates it
@@ -380,12 +348,8 @@ impl Client {
         prog: &Program,
         inputs: &ExecInputs,
     ) -> Result<Vec<Ciphertext>, ClientError> {
-        let mut w = begin_request(&mut self.request);
-        w.u64(session).u64(pid);
-        let sent = encode_program_inputs(&mut w, prog, inputs)
-            .and_then(|()| self.exchange(Opcode::RunProgram as u8, &mut w.0));
-        self.request = w.0;
-        sent?;
+        let inputs = ProgramInputs::bind(prog, inputs).map_err(ClientError::Protocol)?;
+        self.send(session, &Call::RunProgram(pid, inputs))?;
         decode_program_outputs(&self.ctx, prog.outputs.len(), &self.reply)
     }
 
@@ -423,62 +387,6 @@ impl Client {
     }
 }
 
-/// Appends a program's inputs in wire order — declaration order:
-/// ciphertext blobs, then plaintext vectors (`u32` count + `f64` pairs),
-/// then matrix diagonals (declared offsets, `slots` `f64` pairs each).
-/// Fails client-side if any declared input is unbound or mis-shaped.
-fn encode_program_inputs(
-    w: &mut BodyWriter,
-    prog: &Program,
-    inputs: &ExecInputs,
-) -> Result<(), ClientError> {
-    let missing =
-        |kind: &str, name: &str| ClientError::Protocol(format!("{kind} `{name}` not bound"));
-    for decl in &prog.ct_inputs {
-        let ct = inputs
-            .cts
-            .get(&decl.name)
-            .ok_or_else(|| missing("ciphertext input", &decl.name))?;
-        ct_blob(w, ct);
-    }
-    for decl in &prog.pt_inputs {
-        let v = inputs
-            .pts
-            .get(&decl.name)
-            .ok_or_else(|| missing("plaintext input", &decl.name))?;
-        w.u32(v.len() as u32);
-        for c in v {
-            w.f64(c.re).f64(c.im);
-        }
-    }
-    for decl in &prog.matrices {
-        let lt = inputs
-            .mats
-            .get(&decl.name)
-            .ok_or_else(|| missing("matrix input", &decl.name))?;
-        for &offset in &decl.offsets {
-            let diag = lt.diagonal(offset).ok_or_else(|| {
-                ClientError::Protocol(format!(
-                    "matrix `{}` is missing declared diagonal {offset}",
-                    decl.name
-                ))
-            })?;
-            if diag.len() != decl.slots {
-                return Err(ClientError::Protocol(format!(
-                    "matrix `{}` diagonal {offset} has {} slots, declared {}",
-                    decl.name,
-                    diag.len(),
-                    decl.slots
-                )));
-            }
-            for c in diag {
-                w.f64(c.re).f64(c.im);
-            }
-        }
-    }
-    Ok(())
-}
-
 /// The `u64` program id an `UploadProgram` reply carries.
 fn program_id(resp: &[u8]) -> Result<u64, ClientError> {
     resp.first_chunk::<8>()
@@ -494,14 +402,10 @@ fn decode_program_outputs(
     resp: &[u8],
 ) -> Result<Vec<Ciphertext>, ClientError> {
     let mut r = BodyReader::new(resp);
-    let mut out = Vec::with_capacity(n_outputs);
-    for _ in 0..n_outputs {
-        let bytes = r
-            .blob()
-            .ok_or_else(|| ClientError::Protocol("short program response".into()))?;
-        out.push(deserialize_ciphertext(ctx, bytes)?);
-    }
-    Ok(out)
+    let short = || ClientError::Protocol("short program response".into());
+    (0..n_outputs)
+        .map(|_| Ok(deserialize_ciphertext(ctx, r.blob().ok_or_else(short)?)?))
+        .collect()
 }
 
 /// How [`RetryingClient`] paces its attempts: capped exponential backoff
@@ -599,12 +503,12 @@ fn classify(e: &ClientError) -> RetryClass {
 /// `DeadlineExceeded`, `Internal`, `NoSession`) are retried under
 /// [`RetryPolicy`]; client-side mistakes are surfaced immediately.
 ///
-/// **Idempotency guard:** every operation serializes its operands exactly
-/// once and each retry re-sends those same bytes (only the session-id
-/// prefix is re-stamped after a re-setup). Because every evaluation
-/// opcode is a pure function of its request body, a retried `Mult` or
-/// `Rotate` is *re-sent*, never re-applied — a response that was computed
-/// but lost in transit is simply recomputed bit-identically.
+/// **Idempotency guard:** serialization is deterministic, so every
+/// attempt sends the same bytes but for the current incarnation's session
+/// (and program) id. Because every evaluation opcode is a pure function
+/// of its request body, a retried `Mult` or `Rotate` is *re-sent*, never
+/// re-applied — a response that was computed but lost in transit is
+/// simply recomputed bit-identically.
 pub struct RetryingClient {
     addr: SocketAddr,
     ctx: Arc<CkksContext>,
@@ -615,16 +519,7 @@ pub struct RetryingClient {
     galois: Option<Vec<u8>>,
     programs: Vec<ProgramSlot>,
     stats: RetryStats,
-    /// The evaluation request being (re)sent: built once per operation,
-    /// outliving any one connection, its buffer reused by the next.
-    request: Vec<u8>,
 }
-
-/// Where a request frame carries its session id — the first body field of
-/// every session-scoped op — and, for `RunProgram`, the program id behind
-/// it: the two fields a retry re-stamps.
-const SESSION_AT: std::ops::Range<usize> = FRAME_HEADER_LEN..FRAME_HEADER_LEN + 8;
-const PROGRAM_AT: std::ops::Range<usize> = SESSION_AT.end..SESSION_AT.end + 8;
 
 /// A program uploaded through [`RetryingClient::upload_program`],
 /// retained for re-upload: the exact wire bytes (so a recovered session
@@ -671,7 +566,6 @@ impl RetryingClient {
             galois: None,
             programs: Vec::new(),
             stats: RetryStats::default(),
-            request: Vec::new(),
         };
         me.with_retry(|_, _, _| Ok(()))?;
         Ok(me)
@@ -722,9 +616,8 @@ impl RetryingClient {
     /// Runs `f` until it succeeds, retrying per policy. `f` receives the
     /// live connection, the *current* session id and the program slots —
     /// whose server-side ids a reconnect inside the loop re-learns before
-    /// the next attempt — and must re-stamp the ids into the request on
-    /// every call; nothing else in the request may change between
-    /// attempts.
+    /// the next attempt — and must send the request under those ids;
+    /// nothing else in the request may change between attempts.
     fn with_retry<T>(
         &mut self,
         mut f: impl FnMut(&mut Client, u64, &[ProgramSlot]) -> Result<T, ClientError>,
@@ -817,49 +710,12 @@ impl RetryingClient {
             .programs
             .get(handle.0)
             .ok_or_else(|| ClientError::Protocol("unknown program handle".into()))?;
-        let n_outputs = slot.program.outputs.len();
-        // Session and program ids are stamped per attempt.
-        let mut w = begin_request(&mut self.request);
-        w.u64(0).u64(0);
-        let mut frame = match encode_program_inputs(&mut w, &slot.program, inputs) {
-            Ok(()) => w.0,
-            Err(e) => {
-                self.request = w.0;
-                return Err(e);
-            }
-        };
-        let ctx = self.ctx.clone();
-        let result = self.with_retry(|client, sid, programs| {
-            let pid = programs[handle.0].pid;
-            frame[SESSION_AT].copy_from_slice(&sid.to_le_bytes());
-            frame[PROGRAM_AT].copy_from_slice(&pid.to_le_bytes());
-            client.exchange(Opcode::RunProgram as u8, &mut frame)?;
-            decode_program_outputs(&ctx, n_outputs, &client.reply)
-        });
-        self.request = frame;
-        result
-    }
-
-    /// One evaluation request, serialized exactly once: `build` appends
-    /// everything behind the session id, which each attempt re-stamps with
-    /// the current incarnation's before the same frame goes out again.
-    fn call_ct(
-        &mut self,
-        op: Opcode,
-        build: impl FnOnce(&mut BodyWriter),
-    ) -> Result<Ciphertext, ClientError> {
-        let mut w = begin_request(&mut self.request);
-        w.u64(0);
-        build(&mut w);
-        let mut frame = w.0;
-        let ctx = self.ctx.clone();
-        let result = self.with_retry(|client, sid, _| {
-            frame[SESSION_AT].copy_from_slice(&sid.to_le_bytes());
-            client.exchange(op as u8, &mut frame)?;
-            Ok(deserialize_ciphertext(&ctx, &client.reply)?)
-        });
-        self.request = frame;
-        result
+        // Bound once here, so a binding error is not retried.
+        ProgramInputs::bind(&slot.program, inputs).map_err(ClientError::Protocol)?;
+        self.with_retry(|client, sid, programs| {
+            let slot = &programs[handle.0];
+            client.run_program(sid, slot.pid, &slot.program, inputs)
+        })
     }
 
     /// Homomorphic addition, with retries.
@@ -868,10 +724,7 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn add(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::Add, |w| {
-            ct_blob(w, a);
-            ct_blob(w, b);
-        })
+        self.with_retry(|client, sid, _| client.add(sid, a, b))
     }
 
     /// Ciphertext multiplication, with retries.
@@ -880,10 +733,7 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn mult(&mut self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::Mult, |w| {
-            ct_blob(w, a);
-            ct_blob(w, b);
-        })
+        self.with_retry(|client, sid, _| client.mult(sid, a, b))
     }
 
     /// Ciphertext × plaintext multiplication, with retries.
@@ -892,10 +742,7 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn pt_mult(&mut self, ct: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::PtMult, |w| {
-            ct_blob(w, ct);
-            w.blob_with(|out| write_plaintext(pt, out));
-        })
+        self.with_retry(|client, sid, _| client.pt_mult(sid, ct, pt))
     }
 
     /// Slot rotation, with retries.
@@ -904,10 +751,7 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn rotate(&mut self, ct: &Ciphertext, steps: i64) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::Rotate, |w| {
-            w.i64(steps);
-            write_ciphertext(ct, &mut w.0);
-        })
+        self.with_retry(|client, sid, _| client.rotate(sid, ct, steps))
     }
 
     /// Drops one scale limb, with retries.
@@ -916,7 +760,7 @@ impl RetryingClient {
     ///
     /// See [`RetryingClient::connect`].
     pub fn rescale(&mut self, ct: &Ciphertext) -> Result<Ciphertext, ClientError> {
-        self.call_ct(Opcode::Rescale, |w| write_ciphertext(ct, &mut w.0))
+        self.with_retry(|client, sid, _| client.rescale(sid, ct))
     }
 
     /// Fetches the server's metrics dump, with retries.

@@ -1,15 +1,19 @@
-//! Execution: one parsed request in, one reply body out.
+//! Execution: one request in, one reply body out.
 //!
-//! [`handle`] decodes the body, runs the evaluator call(s) and serializes
-//! the result straight into the reply frame the shard loop will write,
-//! attributing decode/serialize time to the executing request's trace.
-//! Keyed ops read their switching keys from the request's
-//! [`PinnedKeys`] — handlers never touch the shard's `KeyCache` (the one
-//! exception is `CloseSession` purging the session's entries).
+//! A worker [`decode`]s a request once, pins the keys it plans from the
+//! decoded form ([`Decoded::pin`]), and [`execute`] deserializes the
+//! operands, runs the evaluator call(s) and serializes the result straight
+//! into the reply frame the shard loop will write, attributing
+//! decode/serialize time to the executing request's trace. Keyed ops read
+//! their switching keys from the request's [`PinnedKeys`] — handlers
+//! never touch the shard's `KeyCache` (the one exception is
+//! `CloseSession` purging the session's entries).
 
 use crate::obs::{self, Stage};
-use crate::plan::{read_bsgs, KeyPlan, PinnedKeys};
-use crate::protocol::{BodyReader, BodyWriter, ErrorCode, Opcode};
+use crate::plan::{KeyPlan, PinnedKeys};
+use crate::protocol::{
+    slot_values, split_session, BodyWriter, ErrorCode, InputBytes, Opcode, ProgramInputs, Request,
+};
 use crate::server::ServerState;
 use crate::session::{Session, StoredProgram};
 use ckks::hoisting::{apply_bsgs, LinearTransform};
@@ -17,11 +21,9 @@ use ckks::serialize::{
     deserialize_switching_key, galois_key_set_entries, lease_ciphertext, lease_plaintext,
     write_ciphertext,
 };
-use ckks::Ciphertext;
-use fhe_math::cfft::Complex;
+use ckks::{Ciphertext, Evaluator};
 use fhe_program::program::{Instr, Program, ProgramEnv};
 use fhe_program::{execute_validated, ExecError, ExecInputs, ExecKeys};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A handler's verdict; on `Ok` the reply body is whatever it appended to
@@ -32,17 +34,78 @@ fn fail<T>(code: ErrorCode, msg: impl Into<String>) -> Result<T, (ErrorCode, Str
     Err((code, msg.into()))
 }
 
-pub(crate) fn handle(
+/// A request as its worker decoded it, operands still bytes: every
+/// session-scoped op with its session id and session, looked up once.
+pub(crate) enum Decoded<'a> {
+    /// `Hello`, `Metrics` or `TraceDump`, with the body as sent.
+    Unscoped(Opcode, &'a [u8]),
+    /// An upload or `CloseSession`, with the payload behind the id.
+    Manage(Opcode, u64, Arc<Session>, &'a [u8]),
+    /// An evaluation op's fields, as the codec read them.
+    Eval(u64, Arc<Session>, Request<'a>),
+    /// A `RunProgram`'s stored program and its inputs.
+    Program(u64, Arc<Session>, Arc<StoredProgram>, InputBytes<'a>),
+}
+
+/// Decodes `body` once. Errors in the order a client has always seen
+/// them: `NoSession`, then `Malformed`; a missing key surfaces later,
+/// when the handler asks the pinned set for it.
+pub(crate) fn decode<'a>(
     state: &ServerState,
     op: Opcode,
-    body: &[u8],
-    plan: &KeyPlan,
+    body: &'a [u8],
+) -> Result<Decoded<'a>, (ErrorCode, String)> {
+    if !op.has_session() {
+        return Ok(Decoded::Unscoped(op, body));
+    }
+    let (sid, fields) = split_session(body).ok_or_else(malformed)?;
+    let session = state
+        .sessions
+        .get(sid)
+        .map_err(|c| (c, format!("session {sid}")))?;
+    let slots = state.ctx.params().slots();
+    Ok(match op {
+        _ if op.is_upload() || op == Opcode::CloseSession => {
+            Decoded::Manage(op, sid, session, fields)
+        }
+        _ => match Request::decode(op, fields, slots).ok_or_else(malformed)? {
+            Request::RunProgram(pid, inputs) => {
+                let sp = session
+                    .program(pid)
+                    .map_err(|c| (c, format!("program {pid} not uploaded to session {sid}")))?;
+                let inputs = ProgramInputs::decode(&sp.program, slots, inputs);
+                let inputs = inputs.ok_or_else(malformed)?;
+                Decoded::Program(sid, session, sp, inputs)
+            }
+            req => Decoded::Eval(sid, session, req),
+        },
+    })
+}
+
+impl Decoded<'_> {
+    /// Plans the request's keys from what was decoded and pins them;
+    /// `None` for a request that needs no key.
+    pub(crate) fn pin(&self, state: &ServerState) -> Option<PinnedKeys> {
+        let ctx = &state.ctx;
+        let (sid, session, plan) = match self {
+            Decoded::Eval(sid, s, req) => (sid, s, KeyPlan::for_request(ctx, req)),
+            Decoded::Program(sid, s, p, _) => (sid, s, KeyPlan::for_program(ctx, &p.info.manifest)),
+            _ => return None,
+        };
+        (!plan.is_empty()).then(|| PinnedKeys::pin(state, *sid, session, plan))
+    }
+}
+
+/// Runs a decoded request, its keys pinned in `keys`.
+pub(crate) fn execute(
+    state: &ServerState,
+    request: Decoded<'_>,
     keys: &PinnedKeys,
     out: &mut Vec<u8>,
 ) -> OpResult {
-    let mut r = BodyReader::new(body);
-    match op {
-        Opcode::Hello => {
+    let ev = &state.evaluator;
+    match request {
+        Decoded::Unscoped(Opcode::Hello, _) => {
             // The body is not read: an older client's batching-hint byte
             // opens a session like an empty body does. The shard-local
             // manager mints an id that hashes back to this shard, so the
@@ -55,22 +118,27 @@ pub(crate) fn handle(
             out.extend_from_slice(&sid.to_le_bytes());
             out.push(1);
             out.extend_from_slice(state.ctx.kernel_backend().name().as_bytes());
-            Ok(())
         }
-        Opcode::UploadRelin => {
-            let (_sid, session) = need_session(state, &mut r)?;
-            let key_bytes = r.rest();
+        Decoded::Unscoped(Opcode::Metrics, _) => {
+            out.extend_from_slice(state.metrics_text().as_bytes());
+        }
+        Decoded::Unscoped(_, body) => {
+            let dump = match body.first().copied().unwrap_or(0) {
+                0 => obs::chrome_trace_json(&state.obs.recent()),
+                1 => state.obs.slow_log(),
+                m => return fail(ErrorCode::Malformed, format!("unknown trace-dump mode {m}")),
+            };
+            out.extend_from_slice(dump.as_bytes());
+        }
+        Decoded::Manage(Opcode::UploadRelin, _, session, key_bytes) => {
             // Validate against the context before filing it away, so MULT
             // never trips over garbage later.
             if deserialize_switching_key(&state.ctx, key_bytes).is_err() {
                 return fail(ErrorCode::Malformed, "relin key bytes rejected");
             }
             session.set_relin(key_bytes.to_vec());
-            Ok(())
         }
-        Opcode::UploadGalois => {
-            let (_sid, session) = need_session(state, &mut r)?;
-            let bundle = r.rest();
+        Decoded::Manage(Opcode::UploadGalois, _, session, bundle) => {
             let entries = match galois_key_set_entries(bundle) {
                 Ok(e) if !e.is_empty() => e,
                 _ => return fail(ErrorCode::Malformed, "galois bundle rejected"),
@@ -80,20 +148,8 @@ pub(crate) fn handle(
             for (element, key_bytes) in entries {
                 session.set_galois(element, key_bytes.to_vec());
             }
-            Ok(())
         }
-        Opcode::CloseSession => {
-            let sid = r.u64().ok_or_else(malformed)?;
-            state
-                .sessions
-                .close(sid)
-                .map_err(|c| (c, format!("session {sid}")))?;
-            state.cache.purge_session(sid);
-            Ok(())
-        }
-        Opcode::UploadProgram => {
-            let (_sid, session) = need_session(state, &mut r)?;
-            let wire = r.rest();
+        Decoded::Manage(Opcode::UploadProgram, _, session, wire) => {
             let program = Program::from_bytes(wire)
                 .map_err(|e| (ErrorCode::Malformed, format!("program rejected: {e}")))?;
             // Validate against *this server's* parameters once at upload,
@@ -122,108 +178,80 @@ pub(crate) fn handle(
                 program,
             });
             out.extend_from_slice(&pid.to_le_bytes());
-            Ok(())
         }
-        Opcode::Add => {
-            let (_sid, _session) = need_session(state, &mut r)?;
-            let a = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let b = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            reply_ct(state, out, state.evaluator.add(&a, &b), [a, b])
+        Decoded::Manage(_, sid, ..) => {
+            state
+                .sessions
+                .close(sid)
+                .map_err(|c| (c, format!("session {sid}")))?;
+            state.cache.purge_session(sid);
         }
-        Opcode::PtMult => {
-            let (_sid, _session) = need_session(state, &mut r)?;
-            let ct = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let pt = lease_plaintext(&state.ctx, r.blob().ok_or_else(malformed)?)
+        Decoded::Eval(_, _, Request::Add(a, b)) => {
+            let (a, b) = (read_ct(state, a)?, read_ct(state, b)?);
+            // Refused here, not by the evaluator's panic: a retry would
+            // send the same operands again.
+            if !Evaluator::scales_agree(a.scale(), b.scale()) {
+                return fail(ErrorCode::Malformed, "operand scales disagree");
+            }
+            reply_ct(state, out, ev.add(&a, &b), [a, b]);
+        }
+        Decoded::Eval(_, _, Request::PtMult(ct, pt)) => {
+            let ct = read_ct(state, ct)?;
+            let pt = lease_plaintext(&state.ctx, pt)
                 .map_err(|e| (ErrorCode::Malformed, e.to_string()))?;
             if ct.limb_count() != pt.limb_count() || ct.limb_count() < 2 {
                 return fail(ErrorCode::Malformed, "plaintext level mismatch");
             }
-            let prod = state.evaluator.mul_plain(&ct, &pt);
+            let prod = ev.mul_plain(&ct, &pt);
             pt.recycle(state.ctx.scratch());
-            reply_ct(state, out, prod, [ct])
+            reply_ct(state, out, prod, [ct]);
         }
-        Opcode::Mult => {
-            let (_sid, _session) = need_session(state, &mut r)?;
-            let a = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-            let b = read_ct(state, r.blob().ok_or_else(malformed)?)?;
+        Decoded::Eval(_, _, Request::Mult(a, b)) => {
+            let (a, b) = (read_ct(state, a)?, read_ct(state, b)?);
             if a.limb_count().min(b.limb_count()) < 2 {
                 return fail(ErrorCode::Malformed, "no level left to multiply at");
             }
             let rlk = keys.relin()?;
-            reply_ct(
-                state,
-                out,
-                state.evaluator.mul_with_key(&a, &b, &rlk),
-                [a, b],
-            )
+            reply_ct(state, out, ev.mul_with_key(&a, &b, &rlk), [a, b]);
         }
-        Opcode::Rotate => {
-            let (_sid, _session) = need_session(state, &mut r)?;
-            let steps = r.i64().ok_or_else(malformed)?;
-            let ct = read_ct(state, r.rest())?;
-            let gk = keys.galois(&plan.galois)?;
-            let rotated = state.evaluator.rotate(&ct, steps, &gk);
-            reply_ct(state, out, rotated, [ct])
+        Decoded::Eval(_, _, Request::Rotate(steps, ct)) => {
+            let ct = read_ct(state, ct)?;
+            let rotated = ev.rotate(&ct, steps, &keys.galois()?);
+            reply_ct(state, out, rotated, [ct]);
         }
-        Opcode::Rescale => {
-            let (_sid, _session) = need_session(state, &mut r)?;
-            let ct = read_ct(state, r.rest())?;
+        Decoded::Eval(_, _, Request::Rescale(ct)) => {
+            let ct = read_ct(state, ct)?;
             if ct.limb_count() < 2 {
                 return fail(ErrorCode::Malformed, "no limb left to rescale away");
             }
-            reply_ct(state, out, state.evaluator.rescale(&ct), [ct])
+            reply_ct(state, out, ev.rescale(&ct), [ct]);
         }
-        Opcode::Bsgs => {
-            let (_sid, _session) = need_session(state, &mut r)?;
+        Decoded::Eval(_, _, Request::Bsgs(n1, diagonals, ct)) => {
+            let ct = read_ct(state, ct)?;
             let slots = state.ctx.params().slots();
-            let (n1, offsets, diagonals) =
-                read_bsgs(&mut r, slots, |r| read_complex(r, slots).ok())
-                    .ok_or_else(|| (ErrorCode::Malformed, "bad BSGS body".to_string()))?;
-            let ct = read_ct(state, r.rest())?;
-            let diagonals = offsets.into_iter().zip(diagonals).collect();
-            let lt = LinearTransform::from_diagonals(diagonals, slots);
+            let diagonals = diagonals.into_iter().map(|(d, v)| (d, slot_values(v)));
+            let lt = LinearTransform::from_diagonals(diagonals.collect(), slots);
             // The plan walked the same offsets by the validator's BSGS
             // schedule, so it names exactly `bsgs_required_steps(&lt, n1)`.
-            let gk = keys.galois(&plan.galois)?;
-            let product = apply_bsgs(&state.evaluator, &state.encoder, &ct, &lt, &gk, n1);
-            reply_ct(state, out, product, [ct])
+            let gk = keys.galois()?;
+            let product = apply_bsgs(ev, &state.encoder, &ct, &lt, &gk, n1);
+            reply_ct(state, out, product, [ct]);
         }
-        Opcode::RunProgram => {
-            let (sid, session) = need_session(state, &mut r)?;
-            let pid = r.u64().ok_or_else(malformed)?;
-            let sp = session
-                .program(pid)
-                .map_err(|c| (c, format!("program {pid} not uploaded to session {sid}")))?;
+        Decoded::Eval(_, _, Request::RunProgram(..)) => unreachable!("decoded as a Program"),
+        Decoded::Program(_, _, sp, wire) => {
             let prog = &sp.program;
-            // Inputs arrive in declaration order: ciphertext blobs, then
-            // plaintext vectors, then matrix diagonals (declared offsets,
-            // `slots` complex values each).
             let mut inputs = ExecInputs::default();
-            for decl in &prog.ct_inputs {
-                let ct = read_ct(state, r.blob().ok_or_else(malformed)?)?;
-                inputs.cts.insert(decl.name.clone(), ct);
+            for (decl, bytes) in prog.ct_inputs.iter().zip(wire.cts) {
+                inputs.cts.insert(decl.name.clone(), read_ct(state, bytes)?);
             }
-            for decl in &prog.pt_inputs {
-                let n = r.u32().ok_or_else(malformed)? as usize;
-                if n > state.ctx.params().slots() {
-                    return fail(ErrorCode::Malformed, "plaintext vector exceeds slot count");
-                }
-                inputs
-                    .pts
-                    .insert(decl.name.clone(), read_complex(&mut r, n)?);
+            for (decl, bytes) in prog.pt_inputs.iter().zip(wire.pts) {
+                inputs.pts.insert(decl.name.clone(), slot_values(bytes));
             }
-            for decl in &prog.matrices {
-                let mut diagonals = BTreeMap::new();
-                for &offset in &decl.offsets {
-                    diagonals.insert(offset, read_complex(&mut r, decl.slots)?);
-                }
-                inputs.mats.insert(
-                    decl.name.clone(),
-                    LinearTransform::from_diagonals(diagonals, decl.slots),
-                );
-            }
-            if !r.is_empty() {
-                return fail(ErrorCode::Malformed, "trailing bytes after program inputs");
+            for (decl, diagonals) in prog.matrices.iter().zip(wire.mats) {
+                let values = diagonals.into_iter().map(slot_values);
+                let diagonals = decl.offsets.iter().copied().zip(values).collect();
+                let lt = LinearTransform::from_diagonals(diagonals, decl.slots);
+                inputs.mats.insert(decl.name.clone(), lt);
             }
             // The plan was built from this program's manifest, so it names
             // exactly the keys the program touches.
@@ -232,10 +260,10 @@ pub(crate) fn handle(
             } else {
                 None
             };
-            let gk = keys.galois(&plan.galois)?;
+            let gk = keys.galois()?;
             let (relin, galois) = (rlk.as_deref(), Some(&gk));
             let outs = execute_validated(
-                &state.evaluator,
+                ev,
                 &state.encoder,
                 prog,
                 &sp.info,
@@ -250,22 +278,9 @@ pub(crate) fn handle(
             *out = reply.0;
             let spent = outs.into_iter().chain(inputs.cts).map(|(_name, ct)| ct);
             recycle(state, spent);
-            Ok(())
-        }
-        Opcode::Metrics => {
-            out.extend_from_slice(state.metrics_text().as_bytes());
-            Ok(())
-        }
-        Opcode::TraceDump => {
-            let dump = match body.first().copied().unwrap_or(0) {
-                0 => obs::chrome_trace_json(&state.obs.recent()),
-                1 => state.obs.slow_log(),
-                m => return fail(ErrorCode::Malformed, format!("unknown trace-dump mode {m}")),
-            };
-            out.extend_from_slice(dump.as_bytes());
-            Ok(())
         }
     }
+    Ok(())
 }
 
 fn malformed() -> (ErrorCode, String) {
@@ -281,29 +296,6 @@ fn exec_error(e: ExecError) -> (ErrorCode, String) {
         _ => ErrorCode::Malformed,
     };
     (code, e.to_string())
-}
-
-fn need_session(
-    state: &ServerState,
-    r: &mut BodyReader<'_>,
-) -> Result<(u64, Arc<Session>), (ErrorCode, String)> {
-    let sid = r.u64().ok_or_else(malformed)?;
-    let session = state
-        .sessions
-        .get(sid)
-        .map_err(|c| (c, format!("session {sid}")))?;
-    Ok((sid, session))
-}
-
-/// `n` complex values as `f64` pairs.
-fn read_complex(r: &mut BodyReader<'_>, n: usize) -> Result<Vec<Complex>, (ErrorCode, String)> {
-    (0..n)
-        .map(|_| {
-            let re = r.f64().ok_or_else(malformed)?;
-            let im = r.f64().ok_or_else(malformed)?;
-            Ok(Complex::new(re, im))
-        })
-        .collect()
 }
 
 fn read_ct(state: &ServerState, bytes: &[u8]) -> Result<Ciphertext, (ErrorCode, String)> {
@@ -334,8 +326,7 @@ fn reply_ct(
     out: &mut Vec<u8>,
     result: Ciphertext,
     spent: impl IntoIterator<Item = Ciphertext>,
-) -> OpResult {
+) {
     ser_ct(&result, out);
     recycle(state, spent.into_iter().chain([result]));
-    Ok(())
 }

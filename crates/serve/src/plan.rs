@@ -1,100 +1,36 @@
 //! The key plan: which switching keys a request needs, and the one place
 //! a handler reads them from.
 //!
-//! 1. [`KeyPlan::of`] maps `(op, body, session)` to the request's plan at
-//!    frame parse — relin yes/no plus the Galois elements. It is the only
-//!    code in the crate that turns a rotation step into a Galois element.
-//! 2. The worker pins the request's plan ([`PinnedKeys::pin`]), runs the
-//!    request, and unpins. Handlers read keys from the pinned set and
-//!    nowhere else.
+//! 1. The worker plans a request's keys from the request it decoded —
+//!    [`KeyPlan::for_request`] from an evaluation op's fields,
+//!    [`KeyPlan::for_program`] from a stored program's manifest: relin
+//!    yes/no plus the Galois elements. This is the only code in the crate
+//!    that turns a rotation step into a Galois element.
+//! 2. It pins the plan ([`PinnedKeys::pin`]), runs the request, and
+//!    unpins. Handlers read keys from the pinned set and nowhere else.
 
 use crate::cache::KeyKind;
-use crate::protocol::{BodyReader, ErrorCode, Opcode};
+use crate::protocol::{ErrorCode, Request};
 use crate::server::ServerState;
-use crate::session::SessionManager;
+use crate::session::Session;
 use ckks::{CkksContext, GaloisKeys, SwitchingKey};
-use fhe_program::program::{bsgs_galois_steps, valid_baby_dim};
+use fhe_program::program::{bsgs_galois_steps, KeyManifest};
 use std::sync::Arc;
 
-/// The keys one request needs, derived once at frame parse.
+/// The keys one request needs.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub(crate) struct KeyPlan {
-    /// The session the keys belong to (meaningful when the plan is
-    /// non-empty).
-    pub(crate) sid: u64,
     pub(crate) relin: bool,
     /// `(rotation step, Galois element)`, steps that rotate only, one
     /// entry per distinct element.
     pub(crate) galois: Vec<(i64, u64)>,
 }
 
-/// A `Bsgs` body past its session id (`n1, count: u32`, then per diagonal
-/// `offset: u32` and `slots` complex values, read by `diagonal`), for the
-/// plan and the handler alike: `None` on truncation, an `n1` the validator
-/// refuses ([`valid_baby_dim`]), a count outside `1..=slots`, or offsets
-/// out of range or not strictly increasing (a repeat replaces a diagonal).
-pub(crate) fn read_bsgs<T>(
-    r: &mut BodyReader<'_>,
-    slots: usize,
-    mut diagonal: impl FnMut(&mut BodyReader<'_>) -> Option<T>,
-) -> Option<(usize, Vec<usize>, Vec<T>)> {
-    let (n1, count) = (r.u32()? as usize, r.u32()? as usize);
-    if !valid_baby_dim(n1, slots) || count == 0 || count > slots {
-        return None;
-    }
-    let (mut offsets, mut diagonals) = (Vec::with_capacity(count), Vec::with_capacity(count));
-    for _ in 0..count {
-        let offset = r.u32()? as usize;
-        if offset >= slots || offsets.last().is_some_and(|&last| last >= offset) {
-            return None;
-        }
-        offsets.push(offset);
-        diagonals.push(diagonal(r)?);
-    }
-    Some((n1, offsets, diagonals))
-}
-
 impl KeyPlan {
-    /// The plan of one parsed frame. Keyless ops, truncated bodies and
-    /// programs that were never uploaded plan nothing; the handler
-    /// produces their structured errors.
-    pub(crate) fn of(
-        ctx: &CkksContext,
-        sessions: &SessionManager,
-        op: Opcode,
-        body: &[u8],
-    ) -> Self {
-        let mut plan = KeyPlan::default();
-        let mut r = BodyReader::new(body);
-        let Some(sid) = r.u64() else {
-            return plan;
-        };
-        plan.sid = sid;
-        let steps = match op {
-            Opcode::Mult => {
-                plan.relin = true;
-                Vec::new()
-            }
-            Opcode::Rotate => r.i64().into_iter().collect(),
-            // The validator's own BSGS walk; the diagonals are skipped.
-            Opcode::Bsgs => {
-                let slots = ctx.params().slots();
-                let body = read_bsgs(&mut r, slots, |r| r.take(slots * 16).map(drop));
-                body.map_or(Vec::new(), |(n1, offsets, _)| {
-                    bsgs_galois_steps(&offsets, n1)
-                })
-            }
-            // The stored program's manifest names its exact keys.
-            Opcode::RunProgram => {
-                let stored = r
-                    .u64()
-                    .and_then(|pid| sessions.get(sid).ok()?.program(pid).ok());
-                stored.map_or(Vec::new(), |sp| {
-                    plan.relin = sp.info.manifest.relin;
-                    sp.info.manifest.galois_steps.clone()
-                })
-            }
-            _ => Vec::new(),
+    fn new(ctx: &CkksContext, relin: bool, steps: impl IntoIterator<Item = i64>) -> Self {
+        let mut plan = KeyPlan {
+            relin,
+            galois: Vec::new(),
         };
         for s in steps {
             // A multiple of the slot count (0 among them) is a copy.
@@ -106,94 +42,93 @@ impl KeyPlan {
         plan
     }
 
+    /// The keys a decoded evaluation request names: the relin key for a
+    /// `Mult`, a `Rotate`'s step, a `Bsgs`'s baby and giant steps by the
+    /// validator's own walk. A `RunProgram` names none itself; its stored
+    /// program's manifest does ([`KeyPlan::for_program`]).
+    pub(crate) fn for_request(ctx: &CkksContext, req: &Request<'_>) -> Self {
+        match req {
+            Request::Mult(..) => KeyPlan::new(ctx, true, []),
+            Request::Rotate(steps, _) => KeyPlan::new(ctx, false, [*steps]),
+            Request::Bsgs(n1, diagonals, _) => {
+                let offsets: Vec<usize> = diagonals.iter().map(|&(d, _)| d).collect();
+                KeyPlan::new(ctx, false, bsgs_galois_steps(&offsets, *n1))
+            }
+            _ => KeyPlan::default(),
+        }
+    }
+
+    /// The exact keys a stored program's manifest names.
+    pub(crate) fn for_program(ctx: &CkksContext, manifest: &KeyManifest) -> Self {
+        KeyPlan::new(ctx, manifest.relin, manifest.galois_steps.iter().copied())
+    }
+
     /// Whether the request needs no key at all.
     pub(crate) fn is_empty(&self) -> bool {
         !self.relin && self.galois.is_empty()
-    }
-
-    fn kinds(&self) -> impl Iterator<Item = KeyKind> + '_ {
-        let galois = self.galois.iter().map(|&(_, e)| KeyKind::Galois(e));
-        self.relin
-            .then_some(KeyKind::Relin)
-            .into_iter()
-            .chain(galois)
     }
 }
 
 /// The expanded keys a request pinned in the shard's cache before running
 /// — the only place a handler reads a key from. Empty for a keyless
-/// request.
+/// request. A key that is missing or failed to expand keeps its error
+/// code, which surfaces when the handler asks for it.
 #[derive(Default)]
 pub(crate) struct PinnedKeys {
     sid: u64,
-    keys: Vec<(KeyKind, Result<Arc<SwitchingKey>, ErrorCode>)>,
+    relin: Option<Result<Arc<SwitchingKey>, ErrorCode>>,
+    /// `(rotation step, Galois element, key)` per planned Galois key.
+    galois: Vec<(i64, u64, Result<Arc<SwitchingKey>, ErrorCode>)>,
 }
 
 impl PinnedKeys {
-    /// Pins every key of `plan`. A key that is missing or fails to
-    /// expand is recorded with its error code and surfaces when the
-    /// handler asks for it; a dead session (closed, or chaos-reset while
-    /// queued) pins nothing and the request fails in the handler's own
-    /// session lookup.
-    pub(crate) fn pin(state: &ServerState, plan: &KeyPlan) -> Self {
-        let sid = plan.sid;
-        let Ok(session) = state.sessions.get(sid) else {
-            return PinnedKeys {
-                sid,
-                keys: Vec::new(),
-            };
+    /// Pins every key of `plan` for session `sid`, which the worker looked
+    /// up when it decoded the request.
+    pub(crate) fn pin(state: &ServerState, sid: u64, session: &Session, plan: KeyPlan) -> Self {
+        let pin = |kind| {
+            let bytes = session.key_bytes(kind)?;
+            state
+                .cache
+                .get_or_expand_pinned(&state.ctx, sid, kind, &bytes)
         };
-        let keys = plan
-            .kinds()
-            .map(|kind| {
-                let key = session.key_bytes(kind).and_then(|bytes| {
-                    state
-                        .cache
-                        .get_or_expand_pinned(&state.ctx, sid, kind, &bytes)
-                });
-                (kind, key)
-            })
-            .collect();
-        PinnedKeys { sid, keys }
+        let galois = plan.galois.iter();
+        PinnedKeys {
+            sid,
+            relin: plan.relin.then(|| pin(KeyKind::Relin)),
+            galois: galois
+                .map(|&(s, e)| (s, e, pin(KeyKind::Galois(e))))
+                .collect(),
+        }
     }
 
     /// Releases every pin; the cache re-evicts to its budget.
     pub(crate) fn unpin(self, state: &ServerState) {
-        for (kind, key) in self.keys {
+        let relin = self.relin.map(|key| (KeyKind::Relin, key));
+        let galois = self
+            .galois
+            .into_iter()
+            .map(|(_, e, key)| (KeyKind::Galois(e), key));
+        for (kind, key) in relin.into_iter().chain(galois) {
             if key.is_ok() {
                 state.cache.unpin(self.sid, kind);
             }
         }
     }
 
-    fn get(&self, kind: KeyKind) -> Result<Arc<SwitchingKey>, ErrorCode> {
-        let (_, key) = self
-            .keys
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .ok_or(ErrorCode::MissingKey)?;
-        key.clone()
-    }
-
     /// The pinned relinearization key.
     pub(crate) fn relin(&self) -> Result<Arc<SwitchingKey>, (ErrorCode, String)> {
-        self.get(KeyKind::Relin)
-            .map_err(|c| (c, format!("relin key of session {}", self.sid)))
+        let key = self.relin.clone().unwrap_or(Err(ErrorCode::MissingKey));
+        key.map_err(|c| (c, format!("relin key of session {}", self.sid)))
     }
 
-    /// A Galois key set holding the `(step, element)` keys `wanted`,
-    /// failing with the recorded code *before* any evaluator call can
-    /// panic on an absent key.
-    pub(crate) fn galois(&self, wanted: &[(i64, u64)]) -> Result<GaloisKeys, (ErrorCode, String)> {
+    /// A Galois key set holding every planned Galois key, failing with the
+    /// recorded code *before* any evaluator call can panic on an absent
+    /// key.
+    pub(crate) fn galois(&self) -> Result<GaloisKeys, (ErrorCode, String)> {
         let mut gk = GaloisKeys::new();
-        for &(s, element) in wanted {
-            if gk.get_shared(element).is_some() {
-                continue;
-            }
-            let key = self
-                .get(KeyKind::Galois(element))
-                .map_err(|c| (c, format!("rotation step {s} (element {element})")))?;
-            gk.insert_shared(element, key);
+        for (s, element, key) in &self.galois {
+            let failed = |c| (c, format!("rotation step {s} (element {element})"));
+            gk.insert_shared(*element, key.clone().map_err(failed)?);
         }
         Ok(gk)
     }
@@ -202,7 +137,7 @@ impl PinnedKeys {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::BodyWriter;
+    use crate::protocol::{split_session, BodyWriter, Opcode};
     use ckks::CkksParams;
 
     fn ctx() -> Arc<CkksContext> {
@@ -218,46 +153,71 @@ mod tests {
         )
     }
 
+    /// What the worker plans for one frame body: `None` when the body
+    /// does not decode (it is answered `Malformed` before any pin).
+    fn plan_of(ctx: &CkksContext, op: Opcode, body: &[u8]) -> Option<KeyPlan> {
+        let (_sid, fields) = split_session(body)?;
+        let req = Request::decode(op, fields, ctx.params().slots())?;
+        Some(KeyPlan::for_request(ctx, &req))
+    }
+
     #[test]
-    fn plans_follow_the_wire_layout() {
+    fn plans_follow_the_decoded_request() {
         let ctx = ctx();
-        let sessions = SessionManager::new();
-        let of = |op, body: &[u8]| KeyPlan::of(&ctx, &sessions, op, body);
+        let of = |op, body: &[u8]| plan_of(&ctx, op, body);
 
         let mut w = BodyWriter::new();
         w.u64(7).i64(-3).raw(b"ciphertext");
-        let rotate = of(Opcode::Rotate, &w.0);
-        assert_eq!(rotate.sid, 7);
+        assert_eq!(split_session(&w.0).map(|(sid, _)| sid), Some(7));
+        let rotate = of(Opcode::Rotate, &w.0).unwrap();
         assert_eq!(rotate.galois, vec![(-3, ctx.rotation_element(-3))]);
         assert!(!rotate.is_empty());
 
-        let mult = of(Opcode::Mult, &w.0);
+        let mut two = BodyWriter::new();
+        two.u64(7).blob(b"a").blob(b"b");
+        let mult = of(Opcode::Mult, &two.0).unwrap();
         assert!(mult.relin && mult.galois.is_empty());
 
-        // Keyless ops, rotate-by-zero, truncated bodies and programs
-        // nobody uploaded plan nothing and pin nothing.
+        // Keyless ops, rotate-by-zero and by a whole turn plan nothing; a
+        // run program's request names no key itself (its manifest does);
+        // truncated bodies and session-less ops never reach a plan.
         let mut zero = BodyWriter::new();
         zero.u64(7).i64(0);
         let mut turn = BodyWriter::new();
         turn.u64(7).i64(-3 * ctx.params().slots() as i64);
+        let mut run = BodyWriter::new();
+        run.u64(7).u64(1);
         for (op, body) in [
-            (Opcode::Add, &w.0[..]),
-            (Opcode::Hello, &[][..]),
+            (Opcode::Add, &two.0[..]),
             (Opcode::Rotate, &zero.0[..]),
             (Opcode::Rotate, &turn.0[..]),
+            (Opcode::RunProgram, &run.0[..]),
+        ] {
+            assert!(of(op, body).unwrap().is_empty(), "{op:?}");
+        }
+        for (op, body) in [
+            (Opcode::Hello, &[][..]),
             (Opcode::Rotate, &w.0[..12]),
             (Opcode::Mult, &[1, 2, 3][..]),
-            (Opcode::RunProgram, &w.0[..]),
+            (Opcode::Mult, &w.0[..]),
         ] {
-            assert!(of(op, body).is_empty(), "{op:?}");
+            assert_eq!(of(op, body), None, "{op:?}");
         }
+
+        let manifest = KeyManifest {
+            relin: true,
+            galois_steps: vec![1, 2, ctx.params().slots() as i64],
+        };
+        let program = KeyPlan::for_program(&ctx, &manifest);
+        assert!(program.relin);
+        let steps: Vec<i64> = program.galois.iter().map(|&(s, _)| s).collect();
+        assert_eq!(steps, [1, 2]);
     }
 
     #[test]
-    fn bsgs_plan_skips_diagonals_and_collects_baby_and_giant_steps() {
+    fn bsgs_plan_collects_baby_and_giant_steps() {
         let ctx = ctx();
         let slots = ctx.params().slots();
-        let sessions = SessionManager::new();
         let body = |n1: u32, offsets: &[u32]| {
             let mut w = BodyWriter::new();
             w.u64(9).u32(n1).u32(offsets.len() as u32);
@@ -270,8 +230,9 @@ mod tests {
             w.raw(b"ct");
             w.0
         };
+        let plan = |body: &[u8]| plan_of(&ctx, Opcode::Bsgs, body);
         let planned = |n1: u32, offsets: &[u32]| -> Vec<i64> {
-            let plan = KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &body(n1, offsets));
+            let plan = plan(&body(n1, offsets)).expect("a valid body");
             plan.galois.iter().map(|&(s, _)| s).collect()
         };
         // Baby step 1 (offset 3), giants {2} (offsets 2 and 3 both map to 2).
@@ -302,20 +263,19 @@ mod tests {
                 assert_eq!(plan, validator, "{offsets:?} at n1 = {n1}");
             }
         }
-        // Truncated diagonals or an out-of-range offset: no plan.
-        let cut = &full[..full.len() - slots * 16];
-        assert!(KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, cut).is_empty());
-        let bad = body(2, &[slots as u32]);
-        assert!(KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &bad).is_empty());
-        // Nor for offsets that repeat or descend, or a baby dimension the
+        // Truncated diagonals or an out-of-range offset do not decode, nor
+        // do offsets that repeat or descend, or a baby dimension the
         // validator refuses.
+        let cut = &full[..full.len() - slots * 16];
         for bad in [
+            cut.to_vec(),
+            body(2, &[slots as u32]),
             body(2, &[1, 1]),
             body(2, &[2, 1]),
             body(0, &[1]),
             body(slots as u32 + 1, &[1]),
         ] {
-            assert!(KeyPlan::of(&ctx, &sessions, Opcode::Bsgs, &bad).is_empty());
+            assert_eq!(plan(&bad), None);
         }
     }
 }

@@ -14,7 +14,17 @@
 //! body. Ciphertexts, plaintexts and keys travel as their
 //! [`ckks::serialize`] byte forms, nested inside the frame body with
 //! `u32` length prefixes wherever more than one payload shares a body.
+//!
+//! It is also the one codec of every evaluation request body: `Call` for
+//! the clients, `Request` and `ProgramInputs` for the worker.
 
+use ckks::hoisting::LinearTransform;
+use ckks::serialize::{write_ciphertext, write_plaintext};
+use ckks::{Ciphertext, Plaintext};
+use fhe_math::cfft::Complex;
+use fhe_program::program::{valid_baby_dim, Program};
+use fhe_program::ExecInputs;
+use std::collections::BTreeMap;
 use std::io::Read;
 
 /// Protocol version carried in every frame.
@@ -125,6 +135,12 @@ impl Opcode {
             self,
             Opcode::UploadRelin | Opcode::UploadGalois | Opcode::UploadProgram
         )
+    }
+
+    /// Whether the body starts with a session id ([`split_session`]):
+    /// every op but `Hello`, `Metrics` and `TraceDump`.
+    pub(crate) fn has_session(self) -> bool {
+        !matches!(self, Opcode::Hello | Opcode::Metrics | Opcode::TraceDump)
     }
 
     /// Every opcode, for metrics registration.
@@ -540,6 +556,221 @@ impl<'a> BodyReader<'a> {
     }
 }
 
+/// A session-scoped body's session id — its first field, which the shard
+/// loop routes by — and the op's fields behind it.
+pub(crate) fn split_session(body: &[u8]) -> Option<(u64, &[u8])> {
+    let (sid, fields) = body.split_first_chunk::<8>()?;
+    Some((u64::from_le_bytes(*sid), fields))
+}
+
+/// Bytes one slot value occupies: an `f64` pair.
+const SLOT_BYTES: usize = 16;
+
+/// Slot values as [`BodyWriter::slots`] writes them.
+pub(crate) fn slot_values(bytes: &[u8]) -> Vec<Complex> {
+    let mut r = BodyReader::new(bytes);
+    std::iter::from_fn(|| Some(Complex::new(r.f64()?, r.f64()?))).collect()
+}
+
+impl BodyWriter {
+    /// Appends slot values as `f64` pairs, with no count.
+    pub(crate) fn slots(&mut self, values: &[Complex]) -> &mut Self {
+        for c in values {
+            self.f64(c.re).f64(c.im);
+        }
+        self
+    }
+}
+
+/// An evaluation request as a client builds it: fields in wire order,
+/// operands the library's own values. [`Call::encode`] writes the bodies
+/// [`Request::decode`] and [`ProgramInputs::decode`] read.
+pub(crate) enum Call<'a> {
+    Add(&'a Ciphertext, &'a Ciphertext),
+    PtMult(&'a Ciphertext, &'a Plaintext),
+    Mult(&'a Ciphertext, &'a Ciphertext),
+    Rotate(i64, &'a Ciphertext),
+    Rescale(&'a Ciphertext),
+    /// Baby dimension `n1`, the transform, the input.
+    Bsgs(usize, &'a LinearTransform, &'a Ciphertext),
+    /// Program id and the program's inputs ([`ProgramInputs::bind`]).
+    RunProgram(u64, ProgramInputs<&'a Ciphertext, &'a [Complex]>),
+}
+
+impl Call<'_> {
+    /// The opcode the request goes under.
+    pub(crate) fn op(&self) -> Opcode {
+        match self {
+            Call::Add(..) => Opcode::Add,
+            Call::PtMult(..) => Opcode::PtMult,
+            Call::Mult(..) => Opcode::Mult,
+            Call::Rotate(..) => Opcode::Rotate,
+            Call::Rescale(..) => Opcode::Rescale,
+            Call::Bsgs(..) => Opcode::Bsgs,
+            Call::RunProgram(..) => Opcode::RunProgram,
+        }
+    }
+
+    /// Appends the body: `session`, then the op's fields, ciphertexts and
+    /// plaintexts serialized in place.
+    pub(crate) fn encode(&self, session: u64, w: &mut BodyWriter) {
+        let ct = |w: &mut BodyWriter, ct: &Ciphertext| {
+            w.blob_with(|out| write_ciphertext(ct, out));
+        };
+        w.u64(session);
+        match *self {
+            Call::Add(a, b) | Call::Mult(a, b) => {
+                ct(w, a);
+                ct(w, b);
+            }
+            Call::PtMult(a, pt) => {
+                ct(w, a);
+                w.blob_with(|out| write_plaintext(pt, out));
+            }
+            Call::Rotate(steps, a) => write_ciphertext(a, &mut w.i64(steps).0),
+            Call::Rescale(a) => write_ciphertext(a, &mut w.0),
+            Call::Bsgs(n1, lt, a) => {
+                let offsets = lt.offsets();
+                w.u32(n1 as u32).u32(offsets.len() as u32);
+                for d in offsets {
+                    let diag = lt.diagonal(d).expect("offset listed by the transform");
+                    w.u32(d as u32).slots(diag);
+                }
+                write_ciphertext(a, &mut w.0);
+            }
+            Call::RunProgram(pid, ref inputs) => {
+                w.u64(pid);
+                for &c in &inputs.cts {
+                    ct(w, c);
+                }
+                for v in &inputs.pts {
+                    w.u32(v.len() as u32).slots(v);
+                }
+                for diagonal in inputs.mats.iter().flatten() {
+                    w.slots(diagonal);
+                }
+            }
+        }
+    }
+}
+
+/// A program input by its declaration's name.
+fn bound<'i, T>(inputs: &'i BTreeMap<String, T>, name: &str) -> Result<&'i T, String> {
+    inputs
+        .get(name)
+        .ok_or_else(|| format!("input `{name}` not bound"))
+}
+
+/// An evaluation request as the server decodes it: scalars read, every
+/// ciphertext, plaintext and diagonal still the bytes it arrived as — the
+/// worker deserializes them once the request's keys are pinned.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Request<'a> {
+    Add(&'a [u8], &'a [u8]),
+    PtMult(&'a [u8], &'a [u8]),
+    Mult(&'a [u8], &'a [u8]),
+    Rotate(i64, &'a [u8]),
+    Rescale(&'a [u8]),
+    /// `n1`, `(offset, slot values)` per diagonal in increasing offset
+    /// order, the input.
+    Bsgs(usize, Vec<(usize, &'a [u8])>, &'a [u8]),
+    /// Program id and the input section ([`ProgramInputs::decode`]).
+    RunProgram(u64, &'a [u8]),
+}
+
+impl<'a> Request<'a> {
+    /// Reads an evaluation op's `fields` (the body behind its session id)
+    /// for a context of `slots` slots. `None` for a truncated body, a
+    /// `Bsgs` whose `n1` the program validator refuses
+    /// ([`valid_baby_dim`]), whose diagonal count is outside `1..=slots` or
+    /// whose offsets are out of range or not strictly increasing (a repeat
+    /// would replace a diagonal), and for an op that is not an evaluation.
+    pub(crate) fn decode(op: Opcode, fields: &'a [u8], slots: usize) -> Option<Self> {
+        let mut r = BodyReader::new(fields);
+        Some(match op {
+            Opcode::Add => Request::Add(r.blob()?, r.blob()?),
+            Opcode::PtMult => Request::PtMult(r.blob()?, r.blob()?),
+            Opcode::Mult => Request::Mult(r.blob()?, r.blob()?),
+            Opcode::Rotate => Request::Rotate(r.i64()?, r.rest()),
+            Opcode::Rescale => Request::Rescale(r.rest()),
+            Opcode::RunProgram => Request::RunProgram(r.u64()?, r.rest()),
+            Opcode::Bsgs => {
+                let (n1, count) = (r.u32()? as usize, r.u32()? as usize);
+                if !valid_baby_dim(n1, slots) || count == 0 || count > slots {
+                    return None;
+                }
+                let mut diagonals: Vec<(usize, &[u8])> = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let d = r.u32()? as usize;
+                    if d >= slots || diagonals.last().is_some_and(|&(last, _)| last >= d) {
+                        return None;
+                    }
+                    diagonals.push((d, r.take(slots * SLOT_BYTES)?));
+                }
+                Request::Bsgs(n1, diagonals, r.rest())
+            }
+            _ => return None,
+        })
+    }
+}
+
+/// A program's declared inputs in declaration order (per matrix, its
+/// declared diagonals): the library's values for the encoder
+/// ([`ProgramInputs::bind`]), bytes for the worker ([`InputBytes`]).
+pub(crate) struct ProgramInputs<C, V> {
+    pub(crate) cts: Vec<C>,
+    pub(crate) pts: Vec<V>,
+    pub(crate) mats: Vec<Vec<V>>,
+}
+
+impl<'a> ProgramInputs<&'a Ciphertext, &'a [Complex]> {
+    /// `prog`'s inputs looked up by name in `inputs`. Fails on the first
+    /// one left unbound or mis-shaped.
+    pub(crate) fn bind(prog: &Program, inputs: &'a ExecInputs) -> Result<Self, String> {
+        let cts = prog.ct_inputs.iter().map(|d| bound(&inputs.cts, &d.name));
+        let pts = prog.pt_inputs.iter().map(|d| bound(&inputs.pts, &d.name));
+        let mut mats = Vec::new();
+        for m in &prog.matrices {
+            let lt = bound(&inputs.mats, &m.name)?;
+            let diagonal = |&d: &usize| lt.diagonal(d).filter(|v| v.len() == m.slots);
+            let diagonals = m.offsets.iter().map(diagonal).collect::<Option<_>>();
+            mats.push(diagonals.ok_or_else(|| format!("matrix `{}` is mis-shaped", m.name))?);
+        }
+        Ok(ProgramInputs {
+            cts: cts.collect::<Result<_, _>>()?,
+            pts: pts
+                .map(|v| v.map(Vec::as_slice))
+                .collect::<Result<_, _>>()?,
+            mats,
+        })
+    }
+}
+
+/// A `RunProgram`'s inputs as the bytes they arrived as.
+pub(crate) type InputBytes<'a> = ProgramInputs<&'a [u8], &'a [u8]>;
+
+impl<'a> InputBytes<'a> {
+    /// Reads `prog`'s input section for a context of `slots` slots. `None`
+    /// when it is truncated, a plaintext vector is longer than `slots`, or
+    /// bytes trail the last input.
+    pub(crate) fn decode(prog: &Program, slots: usize, bytes: &'a [u8]) -> Option<Self> {
+        let mut r = BodyReader::new(bytes);
+        let (mut cts, mut pts, mut mats) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in &prog.ct_inputs {
+            cts.push(r.blob()?);
+        }
+        for _ in &prog.pt_inputs {
+            let n = r.u32()? as usize;
+            pts.push(r.take(n * SLOT_BYTES).filter(|_| n <= slots)?);
+        }
+        for m in &prog.matrices {
+            let diagonals = m.offsets.iter().map(|_| r.take(m.slots * SLOT_BYTES));
+            mats.push(diagonals.collect::<Option<_>>()?);
+        }
+        r.is_empty().then_some(ProgramInputs { cts, pts, mats })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,6 +993,218 @@ mod tests {
             let _ = r.blob();
             let _ = r.i64();
             let _ = r.f64();
+        }
+    }
+
+    mod codec {
+        use super::*;
+        use ckks::serialize::{
+            deserialize_ciphertext, deserialize_plaintext, serialize_ciphertext,
+            serialize_plaintext,
+        };
+        use ckks::{CkksContext, CkksParams, Encoder, Encryptor, KeyGenerator};
+        use fhe_program::program::{CtDecl, MatDecl, PtDecl};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::sync::Arc;
+
+        /// One value of every operand kind an evaluation body carries.
+        struct Operands {
+            ctx: Arc<CkksContext>,
+            ct: Ciphertext,
+            other: Ciphertext,
+            pt: Plaintext,
+            lt: LinearTransform,
+            prog: Program,
+            inputs: ExecInputs,
+        }
+
+        fn operands() -> Operands {
+            let ctx = CkksContext::new(
+                CkksParams::builder()
+                    .log_degree(5)
+                    .levels(3)
+                    .scale_bits(30)
+                    .first_modulus_bits(36)
+                    .dnum(2)
+                    .build()
+                    .unwrap(),
+            );
+            let slots = ctx.params().slots();
+            let mut rng = StdRng::seed_from_u64(5);
+            let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+            let pt = Encoder::new(ctx.clone())
+                .encode(&[Complex::new(0.5, -0.25)], 3, ctx.params().scale())
+                .unwrap();
+            let encryptor = Encryptor::new(ctx.clone());
+            let ct = encryptor.encrypt_symmetric(&mut rng, &pt, &sk);
+            let other = encryptor.encrypt_symmetric(&mut rng, &pt, &sk);
+            let diagonal = |d: usize| -> Vec<Complex> {
+                let value = |i: usize| Complex::new(i as f64, -(d as f64));
+                (0..slots).map(value).collect()
+            };
+            let diagonals = [1, 2, 5].into_iter().map(|d| (d, diagonal(d)));
+            let lt = LinearTransform::from_diagonals(diagonals.collect(), slots);
+            let decl = |name: &str| CtDecl {
+                name: name.into(),
+                level: 3,
+            };
+            let prog = Program {
+                name: "codec".into(),
+                ct_inputs: vec![decl("x"), decl("y")],
+                pt_inputs: vec![PtDecl { name: "w".into() }],
+                matrices: vec![MatDecl {
+                    name: "m".into(),
+                    slots,
+                    offsets: lt.offsets(),
+                }],
+                ..Program::default()
+            };
+            let mut inputs = ExecInputs::default();
+            inputs.cts.insert("x".into(), ct.clone());
+            inputs.cts.insert("y".into(), other.clone());
+            inputs.pts.insert("w".into(), diagonal(7)[..3].to_vec());
+            inputs.mats.insert("m".into(), lt.clone());
+            Operands {
+                ctx,
+                ct,
+                other,
+                pt,
+                lt,
+                prog,
+                inputs,
+            }
+        }
+
+        /// A request of every evaluation opcode.
+        fn calls(o: &Operands) -> Vec<Call<'_>> {
+            let inputs = ProgramInputs::bind(&o.prog, &o.inputs).expect("every input bound");
+            vec![
+                Call::Add(&o.ct, &o.other),
+                Call::PtMult(&o.ct, &o.pt),
+                Call::Mult(&o.other, &o.ct),
+                Call::Rotate(-3, &o.ct),
+                Call::Rescale(&o.other),
+                Call::Bsgs(2, &o.lt, &o.ct),
+                Call::RunProgram(11, inputs),
+            ]
+        }
+
+        fn encode(call: &Call<'_>) -> (Opcode, Vec<u8>) {
+            let mut w = BodyWriter::new();
+            call.encode(42, &mut w);
+            (call.op(), w.0)
+        }
+
+        fn slot_bytes(values: &[Complex]) -> Vec<u8> {
+            let mut w = BodyWriter::new();
+            w.slots(values);
+            w.0
+        }
+
+        /// For every evaluation opcode, the decoder reads back the session
+        /// id, the scalars and every operand's bytes the encoder wrote.
+        #[test]
+        fn what_a_client_encodes_the_server_decodes() {
+            let o = operands();
+            let slots = o.ctx.params().slots();
+            let (ct, other) = (serialize_ciphertext(&o.ct), serialize_ciphertext(&o.other));
+            let pt = serialize_plaintext(&o.pt);
+            let diagonals: Vec<(usize, Vec<u8>)> =
+                o.lt.offsets()
+                    .into_iter()
+                    .map(|d| (d, slot_bytes(o.lt.diagonal(d).unwrap())))
+                    .collect();
+            let mut ops = Vec::new();
+            for call in calls(&o) {
+                let (op, body) = encode(&call);
+                ops.push(op);
+                let (sid, fields) = split_session(&body).unwrap();
+                assert_eq!(sid, 42);
+                let decoded = Request::decode(op, fields, slots).unwrap();
+                let want = match call {
+                    Call::Add(..) => Request::Add(&ct, &other),
+                    Call::PtMult(..) => Request::PtMult(&ct, &pt),
+                    Call::Mult(..) => Request::Mult(&other, &ct),
+                    Call::Rotate(..) => Request::Rotate(-3, &ct),
+                    Call::Rescale(..) => Request::Rescale(&other),
+                    Call::Bsgs(..) => {
+                        let diagonals = diagonals.iter().map(|(d, v)| (*d, &v[..]));
+                        Request::Bsgs(2, diagonals.collect(), &ct)
+                    }
+                    Call::RunProgram(..) => {
+                        let Request::RunProgram(pid, section) = decoded else {
+                            panic!("{decoded:?}");
+                        };
+                        assert_eq!(pid, 11);
+                        let inputs = ProgramInputs::decode(&o.prog, slots, section).unwrap();
+                        assert_eq!(inputs.cts, [&ct[..], &other[..]]);
+                        assert_eq!(slot_values(inputs.pts[0]), o.inputs.pts["w"]);
+                        assert_eq!(inputs.pts.len(), 1);
+                        let mats: Vec<&[u8]> = diagonals.iter().map(|(_, v)| &v[..]).collect();
+                        assert_eq!(inputs.mats, [mats]);
+                        continue;
+                    }
+                };
+                assert_eq!(decoded, want);
+            }
+            use Opcode::*;
+            assert_eq!(ops, [Add, PtMult, Mult, Rotate, Rescale, Bsgs, RunProgram]);
+        }
+
+        /// Whether `body` decodes whole: its fields, a program's inputs and
+        /// every ciphertext and plaintext in them.
+        fn decodes(o: &Operands, op: Opcode, body: &[u8]) -> bool {
+            let slots = o.ctx.params().slots();
+            let ct = |b: &[u8]| deserialize_ciphertext(&o.ctx, b).is_ok();
+            let fields = split_session(body).map(|(_, fields)| fields);
+            let Some(req) = fields.and_then(|f| Request::decode(op, f, slots)) else {
+                return false;
+            };
+            match req {
+                Request::Add(a, b) | Request::Mult(a, b) => ct(a) && ct(b),
+                Request::PtMult(a, p) => ct(a) && deserialize_plaintext(&o.ctx, p).is_ok(),
+                Request::Rotate(_, a) | Request::Rescale(a) | Request::Bsgs(.., a) => ct(a),
+                Request::RunProgram(_, section) => {
+                    let inputs = ProgramInputs::decode(&o.prog, slots, section);
+                    inputs.is_some_and(|inputs| inputs.cts.into_iter().all(ct))
+                }
+            }
+        }
+
+        /// Every strict prefix of a valid body is refused — by the codec,
+        /// or by the operand it cut short — and none panics.
+        #[test]
+        fn every_strict_prefix_of_a_body_fails_to_decode() {
+            let o = operands();
+            for call in calls(&o) {
+                let (op, body) = encode(&call);
+                assert!(decodes(&o, op, &body), "{op:?}");
+                for cut in 0..body.len() {
+                    assert!(!decodes(&o, op, &body[..cut]), "{op:?} cut at {cut}");
+                }
+            }
+        }
+
+        /// A `RunProgram` whose inputs leave a declaration unbound or
+        /// mis-shaped fails client-side, and one with bytes behind its
+        /// inputs does not decode.
+        #[test]
+        fn program_inputs_bind_every_declaration_exactly() {
+            let o = operands();
+            let bind = |inputs: &ExecInputs| ProgramInputs::bind(&o.prog, inputs).err();
+            let mut partial = o.inputs.clone();
+            partial.mats.clear();
+            assert_eq!(bind(&partial).unwrap(), "input `m` not bound");
+            let mut narrow = o.inputs.clone();
+            let diagonals = [(1, vec![Complex::new(1.0, 0.0); 3])].into_iter().collect();
+            narrow
+                .mats
+                .insert("m".into(), LinearTransform::from_diagonals(diagonals, 3));
+            assert_eq!(bind(&narrow).unwrap(), "matrix `m` is mis-shaped");
+            let (op, mut trailing) = encode(&calls(&o)[6]);
+            trailing.push(0);
+            assert!(!decodes(&o, op, &trailing));
         }
     }
 }

@@ -1,21 +1,22 @@
 //! Scheduling: the one send path onto a shard's worker queue, and the
 //! worker pool behind it.
 //!
-//! Every request reaches a worker the same way: the shard loop parses it,
-//! plans its keys, and hands it to [`dispatch`] — one `try_send` on the
+//! Every request reaches a worker the same way: the shard loop parses its
+//! frame header and hands it to [`dispatch`] — one `try_send` on the
 //! shard's bounded queue, so a full queue is answered at once with
-//! `Overloaded`. Every request executes the same way too: a worker pins
-//! the request's own key plan, runs it, and unpins.
+//! `Overloaded`. Every request executes the same way too: a worker
+//! decodes its body once, pins the keys it plans from what it decoded,
+//! runs it, and unpins.
 //!
 //! **Workers** pop jobs, drop any whose deadline passed while queued, and
 //! run ops under `catch_unwind` so a panic becomes a structured
 //! [`ErrorCode::Internal`] instead of a dead worker.
 
-use crate::exec::handle;
+use crate::exec::{decode, execute};
 use crate::fault::FaultDecision;
 use crate::metrics::Metrics;
 use crate::obs::{RequestTrace, Stage};
-use crate::plan::{KeyPlan, PinnedKeys};
+use crate::plan::PinnedKeys;
 use crate::protocol::{begin_frame, ErrorCode, Opcode, FRAME_HEADER_LEN};
 use crate::server::ServerState;
 use crate::transport::ReplySignal;
@@ -38,8 +39,6 @@ pub(crate) struct Job {
     /// Where the reply frame is built: cleared, capacity kept from the
     /// connection's previous reply.
     pub(crate) out: Vec<u8>,
-    /// The switching keys this request needs, derived at frame parse.
-    pub(crate) plan: KeyPlan,
     /// When this request's deadline clock started: at enqueue.
     pub(crate) deadline_start: Instant,
     pub(crate) reply: Sender<Reply>,
@@ -63,11 +62,6 @@ pub(crate) struct Reply {
 }
 
 impl Job {
-    /// The request body: everything behind the frame header.
-    pub(crate) fn body(&self) -> &[u8] {
-        &self.frame[FRAME_HEADER_LEN..]
-    }
-
     /// Delivers `self.out` — a frame begun with [`begin_frame`], its body
     /// appended — as the reply, under `status`.
     fn send(self, status: u8) {
@@ -174,18 +168,20 @@ fn outcome<T>(
     }
 }
 
-/// Runs one popped job: admit it, pin its key plan (a keyless request
-/// pins nothing), execute it, deliver its reply, unpin.
+/// Runs one popped job: admit it, decode it, pin the keys it plans (a
+/// keyless request pins nothing), execute it, deliver its reply, unpin.
 fn run_job(state: &ServerState, job: Job, deadline: Duration) {
     state.metrics.dequeued();
     job.trace.mark_picked();
     let Some(mut job) = admit_job(state, job, deadline) else {
         return;
     };
+    let frame = std::mem::take(&mut job.frame);
+    let request = decode(state, job.op, &frame[FRAME_HEADER_LEN..]);
     let mut keys = PinnedKeys::default();
-    if !job.plan.is_empty() {
-        let pin_start = Instant::now();
-        keys = PinnedKeys::pin(state, &job.plan);
+    let pin_start = Instant::now();
+    if let Some(pinned) = request.as_ref().ok().and_then(|r| r.pin(state)) {
+        keys = pinned;
         // The pin phase runs before the execution window opens.
         job.trace.add_stage(Stage::Key, pin_start.elapsed());
     }
@@ -201,10 +197,13 @@ fn run_job(state: &ServerState, job: Job, deadline: Duration) {
             if job.chaos == Some(FaultDecision::WorkerPanic) {
                 panic!("injected chaos panic");
             }
-            handle(state, job.op, job.body(), &job.plan, &keys, &mut out)
+            // A request that failed to decode answers inside the window,
+            // as every request does.
+            execute(state, request?, &keys, &mut out)
         }))
     };
     job.out = out;
+    job.frame = frame;
     match outcome(result) {
         Ok(()) => job.send(0),
         Err(reply) => job.fail(reply),
@@ -234,11 +233,6 @@ mod tests {
             op: Opcode::Rotate,
             frame: Vec::new(),
             out: Vec::new(),
-            plan: KeyPlan {
-                sid: 1,
-                relin: false,
-                galois: vec![(1, 5)],
-            },
             deadline_start: Instant::now(),
             reply: tx,
             trace: Observer::new(ObsConfig::baseline()).begin(Opcode::Rotate, 0),

@@ -6,17 +6,17 @@
 //! - Each **shard loop** drives all of its connections from one thread
 //!   with readiness-based nonblocking I/O: read a frame's length prefix,
 //!   then exactly the rest of that frame, straight into the connection's
-//!   frame buffer; plan the request's keys ([`KeyPlan::of`]) and hand the
-//!   buffer itself to the job — the body is never copied out of it — to
-//!   the shard's worker queue with one `try_send` ([`dispatch`]; a full
-//!   queue is answered immediately with [`ErrorCode::Overloaded`] —
-//!   backpressure, never buffering); then write out the reply frame the
-//!   worker built, as it is, when it comes back. A connection's two
-//!   buffers make that round trip with every request, so it allocates
-//!   for its largest request and reply once. Each connection still sees
-//!   strict request/response ordering. An idle loop sleeps on a condvar
-//!   the workers ping after every completed request, so replies flush
-//!   without polling latency.
+//!   frame buffer; check its header and hand the buffer itself to the
+//!   job — the body is never copied out of it, nor read past the session
+//!   id it is routed by — to the shard's worker queue with one `try_send`
+//!   ([`dispatch`]; a full queue is answered immediately with
+//!   [`ErrorCode::Overloaded`] — backpressure, never buffering); then
+//!   write out the reply frame the worker built, as it is, when it comes
+//!   back. A connection's two buffers make that round trip with every
+//!   request, so it allocates for its largest request and reply once.
+//!   Each connection still sees strict request/response ordering. An idle
+//!   loop sleeps on a condvar the workers ping after every completed
+//!   request, so replies flush without polling latency.
 //! - **Routing** is consistent hashing of the session id
 //!   ([`crate::shard::shard_of`]): `Hello` mints an id that hashes to
 //!   the shard that accepted the connection, and every keyed frame whose
@@ -26,10 +26,9 @@
 
 use crate::fault::FaultDecision;
 use crate::obs::{RequestTrace, Stage};
-use crate::plan::KeyPlan;
 use crate::protocol::{
-    begin_frame, finish_frame, peek_frame, read_into, ErrorCode, FrameStatus, Opcode,
-    FRAME_HEADER_LEN, PROTOCOL_VERSION,
+    begin_frame, finish_frame, peek_frame, read_into, split_session, ErrorCode, FrameStatus,
+    Opcode, FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
 use crate::sched::{dispatch, Job, Reply};
 use crate::server::{ServerState, SharedState};
@@ -483,25 +482,20 @@ fn route_target(state: &ServerState, buf: &[u8]) -> Option<usize> {
     if buf[4] != PROTOCOL_VERSION {
         return None;
     }
-    let op = Opcode::from_u8(buf[5])?;
-    if matches!(op, Opcode::Hello | Opcode::Metrics | Opcode::TraceDump) {
+    if !Opcode::from_u8(buf[5])?.has_session() {
         return None;
     }
-    let len = u32::from_le_bytes(buf[0..4].try_into().expect("peeked Ready")) as usize;
-    if len < 10 {
-        // Body shorter than a session id: rejected locally as malformed.
-        return None;
-    }
-    let sid = u64::from_le_bytes(buf[6..14].try_into().expect("length checked"));
+    // A body shorter than a session id is rejected locally as malformed.
+    let (sid, _) = split_session(&buf[FRAME_HEADER_LEN..])?;
     let target = crate::shard::shard_of(sid, state.shards.len());
     (target != state.shard).then_some(target)
 }
 
 /// Parses and dispatches one frame on the owning shard: protocol errors
 /// answer locally, chaos draws exactly one decision, everything else
-/// becomes a job — its key plan attached, the frame buffer and the
-/// connection's drained reply buffer along for the ride — on this
-/// shard's worker queue.
+/// becomes a job — the frame buffer and the connection's drained reply
+/// buffer along for the ride — on this shard's worker queue, whose worker
+/// decodes the body.
 fn process_frame(
     state: &ServerState,
     work: &SyncSender<Job>,
@@ -554,7 +548,6 @@ fn process_frame(
     let trace = state.obs.begin(op, state.shard as u32);
     let job = Job {
         op,
-        plan: KeyPlan::of(&state.ctx, &state.sessions, op, &frame[FRAME_HEADER_LEN..]),
         frame,
         out: std::mem::take(&mut conn.write_buf),
         deadline_start: Instant::now(),

@@ -7,11 +7,12 @@
 mod counting_alloc;
 
 use ckks::serialize::{serialize_ciphertext, serialize_switching_key};
-use ckks::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
+use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
 use fhe_serve::protocol::{read_frame, BodyWriter, FrameRead, Opcode, DEFAULT_MAX_FRAME_BYTES};
 use fhe_serve::{
-    Client, ClientError, ErrorCode, FaultDecision, FaultMix, FaultPlan, ServeConfig, Server,
+    Client, ClientError, ErrorCode, FaultDecision, FaultMix, FaultPlan, RetryPolicy,
+    RetryingClient, ServeConfig, Server,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -194,6 +195,58 @@ fn bsgs_offsets_must_increase_and_a_whole_turn_is_a_free_copy() {
             ErrorCode::Malformed,
         );
     }
+    server.shutdown();
+}
+
+/// An `Add` whose operands' scales the evaluator would refuse — apart
+/// beyond its tolerance, or not finite positive numbers — is a client
+/// mistake: it is answered `Malformed`, which a retrying client gives up on
+/// after one attempt, not `Internal` from a caught panic, which it retries.
+#[test]
+fn an_add_of_mismatched_or_garbage_scales_is_malformed_and_not_retried() {
+    let ctx = small_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+
+    let mut rng = StdRng::seed_from_u64(13);
+    let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+    let delta = ctx.params().scale();
+    let pt = Encoder::new(ctx.clone())
+        .encode(&[Complex::new(0.5, 0.0)], 3, delta)
+        .unwrap();
+    let ct = Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
+    let at = |scale: f64| Ciphertext::new(ct.c0().clone(), ct.c1().clone(), scale);
+    let squared = at(delta * delta);
+    for (a, b) in [
+        (at(delta), at(delta * delta)),
+        (at(f64::NAN), at(f64::NAN)),
+        (at(f64::INFINITY), at(f64::INFINITY)),
+        (at(0.0), at(0.0)),
+        (at(-delta), at(-delta)),
+    ] {
+        match client.add(sid, &a, &b) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("scales {} and {}: {other:?}", a.scale(), b.scale()),
+        }
+    }
+    // The connection and the worker are fine: a well-formed add succeeds.
+    client.add(sid, &ct, &ct).unwrap();
+
+    let policy = RetryPolicy {
+        max_attempts: 4,
+        base_backoff: Duration::from_millis(1),
+        ..RetryPolicy::default()
+    };
+    let mut retrying = RetryingClient::connect(server.local_addr(), ctx, policy).unwrap();
+    let before = retrying.stats();
+    match retrying.add(&ct, &squared) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+    let after = retrying.stats();
+    assert_eq!(after.attempts - before.attempts, 1, "{after:?}");
+    assert_eq!((after.retries, after.gave_up), (0, 0), "{after:?}");
     server.shutdown();
 }
 
