@@ -25,6 +25,12 @@
 //!   the applications of Figure 6 (built in the `fhe-apps` crate) among
 //!   them.
 //!
+//! The crate is the analytical model and the IR only, and links nothing
+//! of the functional crates. The measured side — op counters and the
+//! memory trace (`fhe_math::telemetry`), the trace's cache replay
+//! (`fhe_program::replay`) and the measured-vs-modeled report
+//! (`fhe_program::report`) — lives where the trace is written and read.
+//!
 //! # Example
 //!
 //! ```
@@ -52,8 +58,6 @@ pub mod program;
 pub mod report;
 pub mod search;
 pub mod throughput;
-pub mod trace;
-pub mod validate;
 
 pub use cost::Cost;
 pub use hardware::HardwareConfig;

@@ -10,7 +10,8 @@
 //!    costs of [`crate::primitives`] over the instruction stream,
 //!    producing modular-op, DRAM, and whole-limb NTT predictions that the
 //!    `validate` binary (`fhe-program`) diffs against the counters and the
-//!    cache-replayed memory trace of one real execution.
+//!    memory trace of one real execution, replayed through
+//!    `fhe_program::replay`.
 //! 2. **Execution** — the `fhe-program` crate interprets the same
 //!    instruction stream against a `CkksContext`, sharing the hoisted
 //!    ModUp path for consecutive rotations of one register (the

@@ -184,32 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn renders_cache_sweep_columns() {
-        // The `validate --sweep` CSV is produced through this renderer;
-        // pin its column contract so downstream plots don't silently
-        // break.
-        let rows = vec![crate::trace::SweepRow {
-            primitive: "KeySwitch".into(),
-            cache_mb: 4.0 / 1024.0,
-            caching: "O(1)-limb".into(),
-            modeled_bytes: 87040,
-            measured_bytes: 56832,
-        }];
-        let t = crate::trace::sweep_table(&rows);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(
-            lines[0],
-            "primitive,cache_KiB,caching,modeled_B,measured_B,meas/model"
-        );
-        assert_eq!(lines[1], "KeySwitch,4.0,O(1)-limb,87040,56832,0.653");
-        // The aligned rendering carries the same cells.
-        let rendered = t.render();
-        assert!(rendered.contains("meas/model"));
-        assert!(rendered.contains("0.653"));
-    }
-
-    #[test]
     fn sig3_formatting() {
         assert_eq!(sig3(0.0), "0");
         assert_eq!(sig3(1234.2), "1234");

@@ -66,7 +66,8 @@
 //!
 //! On top of the aggregate counters, the module can record an *ordered
 //! trace* of limb-buffer touches for cache-replay simulation
-//! (`simfhe::trace`, its single consumer). Each
+//! (`fhe_program::replay`, its single consumer, reads these records
+//! as they are). Each
 //! [`RnsPoly`](crate::poly::RnsPoly) carries an [`OperandTag`] — a stable
 //! [`new_operand_id`] plus an [`OperandClass`] matching the paper's DRAM
 //! categories (ciphertext limb, switching-key digit, plaintext constant,
@@ -163,6 +164,14 @@ pub enum OperandClass {
 }
 
 impl OperandClass {
+    /// Every class, in declaration order: `ALL[c as usize] == c`.
+    pub const ALL: [OperandClass; 4] = [
+        OperandClass::Ciphertext,
+        OperandClass::Key,
+        OperandClass::Plaintext,
+        OperandClass::Scratch,
+    ];
+
     /// Stable lowercase name (used in exports and reports).
     pub fn name(self) -> &'static str {
         match self {
@@ -517,8 +526,9 @@ impl ChromeTrace {
 }
 
 /// `s` as a JSON string literal: quoted, with `"`, `\` and control
-/// characters escaped.
-fn json_string(s: &str) -> String {
+/// characters escaped — the workspace's one escaper, shared by
+/// [`ChromeTrace`] and the `fhe-program` validation report.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -591,6 +601,9 @@ mod tests {
         assert_eq!(OperandClass::Key.name(), "key");
         assert_eq!(OperandClass::Plaintext.name(), "pt");
         assert_eq!(OperandClass::Scratch.name(), "scratch");
+        for (i, c) in OperandClass::ALL.into_iter().enumerate() {
+            assert_eq!(c as usize, i, "{c:?} indexes its own slot");
+        }
     }
 
     #[test]
@@ -654,6 +667,8 @@ mod tests {
             json_string("a\"b\\c\nd\u{1}e"),
             "\"a\\\"b\\\\c\\nd\\u0001e\""
         );
+        assert_eq!(json_string("\r\t"), "\"\\r\\t\"");
+        assert_eq!(json_string("\u{1}\u{1f}"), "\"\\u0001\\u001f\"");
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! [`fhe_program::ledger::sweep`].
 
 use fhe_program::ledger;
-use simfhe::trace::sweep_table;
-use simfhe::validate::Tolerances;
+use fhe_program::report::{sweep_table, Tolerances};
 use std::process::ExitCode;
 
 const USAGE: &str =

@@ -10,7 +10,7 @@
 //! are the counters when its span closes; the `KeySwitch` row's `ModUp` /
 //! `KSKInnerProd` / `ModDown` sub-spans are read from the thread's span
 //! capture (`telemetry::capture_spans`). Its DRAM bytes are its own trace
-//! replayed through [`simfhe::trace`] at [`gate_config`]. The `validate`
+//! replayed through [`crate::replay`] at [`gate_config`]. The `validate`
 //! binary gates the report against the committed [`TOLERANCES`].
 //!
 //! The parameter point (`N = 2^6`, `L = 5`, `dnum = 2`) is chosen so the
@@ -29,6 +29,8 @@
 //! [`run`] at a time per process.
 
 use crate::program::bsgs_baby_dim;
+use crate::replay::{replay, CacheConfig, ReplayStats};
+use crate::report::{MetricCheck, PrimitiveCheck, SweepRow, ValidationReport};
 use crate::{execute, workloads, ExecInputs, ExecKeys};
 use ckks::hoisting::{apply_bsgs, rotate_fold, LinearTransform};
 use ckks::{CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
@@ -38,8 +40,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simfhe::matvec::BsgsSchedule;
 use simfhe::program::{ladder_stages, modup_cost, ProgramEnv};
-use simfhe::trace::{replay, CacheConfig, ReplayStats, SweepRow, TraceClass, TraceEvent};
-use simfhe::validate::{MetricCheck, PrimitiveCheck, ValidationReport};
 use simfhe::{AlgoOpts, CachingLevel, Cost, CostModel, HardwareConfig, MadConfig, SchemeParams};
 use std::time::Instant;
 
@@ -80,7 +80,7 @@ pub struct RowTrace {
     /// The row's name.
     pub name: &'static str,
     /// Its memory trace, started and stopped with the row.
-    pub events: Vec<TraceEvent>,
+    pub events: Vec<TraceRecord>,
     /// Every span it opened in open order, its own top-level span first.
     pub spans: Vec<SpanTiming>,
 }
@@ -160,7 +160,7 @@ impl Rows {
             let _span = telemetry::span(name);
             body();
         }
-        let events = from_telemetry(&telemetry::trace_stop());
+        let events = telemetry::trace_stop();
         let spans = telemetry::capture_spans(0);
         self.rows.push(Row {
             name,
@@ -485,12 +485,9 @@ pub fn run() -> Ledger {
             ("alpha", ctx.params().alpha().to_string()),
             ("beta", ctx.params().beta_at(ell).to_string()),
             ("degree", ctx.params().degree().to_string()),
-            (
-                "cache_bytes",
-                cfg.capacity_bytes.map_or("inf".into(), |c| c.to_string()),
-            ),
+            ("cache_bytes", cfg.capacity_bytes.to_string()),
             ("block_bytes", cfg.block_bytes.to_string()),
-            ("policy", format!("{:?}", cfg.policy)),
+            ("policy", "PinKeys".to_string()),
         ]
         .map(|(k, v)| (k.to_string(), v))
         .into(),
@@ -561,38 +558,6 @@ fn banded_transform(slots: usize, diagonals: &[usize]) -> LinearTransform {
     LinearTransform::from_diagonals(map, slots)
 }
 
-/// Converts the telemetry layer's records into replayable [`TraceEvent`]s
-/// (`simfhe` mirrors the record types so the model crate links nothing).
-fn from_telemetry(records: &[TraceRecord]) -> Vec<TraceEvent> {
-    let class = |c: OperandClass| match c {
-        OperandClass::Ciphertext => TraceClass::Ciphertext,
-        OperandClass::Key => TraceClass::Key,
-        OperandClass::Plaintext => TraceClass::Plaintext,
-        OperandClass::Scratch => TraceClass::Scratch,
-    };
-    records
-        .iter()
-        .map(|r| match *r {
-            TraceRecord::Touch {
-                tag,
-                write,
-                offset,
-                bytes,
-            } => TraceEvent::Touch {
-                id: tag.id,
-                class: class(tag.class),
-                write,
-                offset,
-                bytes,
-            },
-            TraceRecord::Retag { id, class: c } => TraceEvent::Retag {
-                id,
-                class: class(c),
-            },
-        })
-        .collect()
-}
-
 /// Renders the rows' captured spans as Chrome trace-event JSON (load it at
 /// `ui.perfetto.dev`): one `X` slice per span, with its counter delta as
 /// args, over a per-class bytes-touched counter sampled at each row's start
@@ -604,7 +569,7 @@ pub fn perfetto_json(rows: &[RowTrace]) -> String {
         return trace.finish();
     };
     let us = |t: Instant| t.duration_since(epoch).as_micros() as u64;
-    let mut touched: Vec<(&str, u64)> = TraceClass::ALL.iter().map(|c| (c.name(), 0)).collect();
+    let mut touched = OperandClass::ALL.map(|c| (c.name(), 0));
     for row in rows {
         let own = &row.spans[0];
         trace.counter("bytes touched", us(own.begin), &touched);
@@ -620,9 +585,8 @@ pub fn perfetto_json(rows: &[RowTrace]) -> String {
             trace.slice(1, "span", s.name, begin, end - begin, &args);
         }
         for e in &row.events {
-            if let TraceEvent::Touch { class, bytes, .. } = *e {
-                let at = TraceClass::ALL.iter().position(|&c| c == class);
-                touched[at.expect("every class is listed")].1 += bytes;
+            if let TraceRecord::Touch { tag, bytes, .. } = *e {
+                touched[tag.class as usize].1 += bytes;
             }
         }
         trace.counter("bytes touched", us(own.end), &touched);

@@ -35,8 +35,9 @@
 //! Registers borrow the caller's input ciphertexts until an instruction
 //! overwrites the name: a run copies a ciphertext only where the program
 //! says so (a `Rotate` by a multiple of the slot count) and on the way out
-//! (an output is an exact-sized copy; the register it came from, a pool
-//! lease, is dropped with the rest).
+//! for an output named twice or still holding a caller's input. Every
+//! other output is moved out of the register file and its pool lease
+//! shrunk to its length in place.
 //! A register lives until its last read: the validator's death table
 //! ([`simfhe::program::InstrMeta::dies`], one backward liveness pass) names
 //! the values each instruction reads for the last time and its dead store,
@@ -62,6 +63,8 @@ use simfhe::program::{
 };
 
 pub mod ledger;
+pub mod replay;
+pub mod report;
 pub mod workloads;
 
 pub use simfhe::program;

@@ -7,8 +7,8 @@
 use std::sync::OnceLock;
 
 use fhe_program::ledger::{self, Ledger};
-use simfhe::trace::replay;
-use simfhe::validate::Tolerances;
+use fhe_program::replay::replay;
+use fhe_program::report::Tolerances;
 
 /// Two runs of the schedule, made back to back by whichever test asks
 /// first: the telemetry counters and the trace buffer are process-global,

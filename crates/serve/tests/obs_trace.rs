@@ -425,7 +425,13 @@ fn deep_sample_bridges_kernel_subspans() {
 /// spans of its own handler run and of nothing else.
 #[test]
 fn concurrent_rotates_each_carry_their_own_subspans() {
-    const ROUNDS: usize = 16;
+    // Rounds of two released-together rotates run until a round's two
+    // exec windows overlap. Idle, one of the first four rounds does; on a
+    // two-vCPU host beside one busy-loop process, 60 runs needed 14 rounds
+    // at the median and 287 at most. A round costs well under a
+    // millisecond, so the cap is generous, and the ring keeps every
+    // round's timelines.
+    const MAX_ROUNDS: usize = 2048;
     // N = 2^11 keeps a rotate in its kernels for around a millisecond, so
     // two requests released together are in them together.
     let ctx = ctx_with_log_degree(11);
@@ -433,7 +439,7 @@ fn concurrent_rotates_each_carry_their_own_subspans() {
         &ctx,
         2,
         ObsConfig {
-            ring_capacity: 128,
+            ring_capacity: 1 + 2 * MAX_ROUNDS,
             ..obs_on()
         },
     );
@@ -445,6 +451,14 @@ fn concurrent_rotates_each_carry_their_own_subspans() {
         (client, session, tenant.a)
     };
     let names = |t: &FinishedTrace| t.subspans.iter().map(|s| s.name).collect::<Vec<_>>();
+    let overlap = |a: &FinishedTrace, b: &FinishedTrace| {
+        let window = |t: &FinishedTrace| {
+            let begin = t.start_us + t.exec_begin_us;
+            (begin, begin + t.exec_us)
+        };
+        let ((a0, a1), (b0, b1)) = (window(a), window(b));
+        a.id != b.id && a0 < b1 && b0 < a1
+    };
 
     // What a lone rotate carries.
     let mut first = connect(6006);
@@ -456,26 +470,31 @@ fn concurrent_rotates_each_carry_their_own_subspans() {
         "Evaluator::rotate"
     );
 
-    let second = connect(6007);
+    let mut clients = [first, connect(6007)];
     let release = Barrier::new(2);
-    std::thread::scope(|s| {
-        for (mut client, session, ct) in [first, second] {
-            let release = &release;
-            s.spawn(move || {
-                for _ in 0..ROUNDS {
+    let mut rounds = 0;
+    let traces = loop {
+        rounds += 1;
+        std::thread::scope(|s| {
+            for (client, session, ct) in &mut clients {
+                let release = &release;
+                s.spawn(move || {
                     release.wait();
-                    client.rotate(session, &ct, 1).unwrap();
-                }
-            });
+                    client.rotate(*session, ct, 1).unwrap();
+                });
+            }
+        });
+        // Both replies are in, so this round's two timelines close last.
+        let traces = rotate_traces(&server, 1 + 2 * rounds);
+        let [.., a, b] = &traces[..] else {
+            unreachable!("at least three rotates were traced")
+        };
+        if overlap(a, b) || rounds == MAX_ROUNDS {
+            break traces;
         }
-    });
-
-    let traces = rotate_traces(&server, 1 + 2 * ROUNDS);
-    assert_eq!(traces.len(), 1 + 2 * ROUNDS);
-    let window = |t: &FinishedTrace| {
-        let begin = t.start_us + t.exec_begin_us;
-        (begin, begin + t.exec_us)
     };
+
+    assert_eq!(traces.len(), 1 + 2 * rounds);
     for t in &traces {
         assert_eq!(names(t), lone, "request {} beside another worker", t.id);
         // Inside its own exec window (1 µs: three truncated stamps).
@@ -491,16 +510,10 @@ fn concurrent_rotates_each_carry_their_own_subspans() {
     }
     // The check above means something only if handlers did run two at a
     // time.
-    let overlapped = traces.iter().any(|a| {
-        let (a0, a1) = window(a);
-        traces.iter().any(|b| {
-            let (b0, b1) = window(b);
-            a.id != b.id && a0 < b1 && b0 < a1
-        })
-    });
+    let overlapped = traces.iter().any(|a| traces.iter().any(|b| overlap(a, b)));
     assert!(
         overlapped,
-        "no two exec windows overlapped in {ROUNDS} rounds"
+        "no two exec windows overlapped in {rounds} rounds"
     );
     server.shutdown();
 }
