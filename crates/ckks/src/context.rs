@@ -37,7 +37,7 @@ pub struct CkksContext {
     extender_cache: Mutex<HashMap<(usize, usize), Arc<BasisExtender>>>,
     automorphism_cache: Mutex<HashMap<u64, Arc<Automorphism>>>,
     /// The expansion of a switching key's seed into its `dnum` `a_j` over
-    /// `Q ∪ P`, its lane jump built once here.
+    /// `Q ∪ P`, or any level's share of them, its jumps built once here.
     key_a: SeededUniform,
     /// Reusable word buffers for the hot ring operations: after warm-up,
     /// key switching and rescaling allocate nothing per call.
@@ -86,8 +86,10 @@ impl CkksContext {
         let level_bases: Vec<Arc<RnsBasis>> = (1..=levels)
             .map(|ell| Arc::new(q_basis.prefix(ell)))
             .collect();
-        let raised_bases: Vec<Arc<RnsBasis>> = (1..=levels)
+        // `Q_L ∪ P` is `Q ∪ P` itself: a whole key's basis.
+        let raised_bases: Vec<Arc<RnsBasis>> = (1..levels)
             .map(|ell| Arc::new(q_basis.prefix(ell).concat(&p_basis)))
+            .chain([full_basis.clone()])
             .collect();
         let key_a =
             SeededUniform::new(&[q_primes.as_slice(), &p_primes].concat(), n, params.dnum());
@@ -221,12 +223,48 @@ impl CkksContext {
             .clone()
     }
 
-    /// The `a_j` of every digit of the switching key `seed` regenerates
-    /// (key compression): `StdRng::from_seed(seed)`'s uniform draws over
-    /// `Q ∪ P`, digit after digit, each polynomial in its own buffer.
-    pub(crate) fn seeded_key_a(&self, seed: [u8; 32]) -> impl Iterator<Item = RnsPoly> + '_ {
-        (self.key_a.expand(seed).into_iter())
-            .map(|a| RnsPoly::from_flat(self.full_basis.clone(), a, Representation::Evaluation))
+    /// The digits of a switching key expanded at limb count `ell`: the
+    /// `β(ℓ)` a key switch there reads, and all `dnum` at `ℓ = L`, where
+    /// the key is whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ell` is zero or exceeds `L`.
+    pub fn key_digits_at(&self, ell: usize) -> usize {
+        assert!((1..=self.params.levels()).contains(&ell), "no level {ell}");
+        if ell == self.params.levels() {
+            self.params.dnum()
+        } else {
+            self.params.beta_at(ell)
+        }
+    }
+
+    /// Bytes of a whole expanded switching key: both polynomials of each of
+    /// the `dnum` digits over `Q ∪ P`.
+    pub fn switching_key_bytes(&self) -> u64 {
+        let words = self.full_basis.len() * self.full_basis.degree();
+        (2 * self.params.dnum() * words * 8) as u64
+    }
+
+    /// The limbs of `Q ∪ P` a switching key expanded at limb count `ell`
+    /// holds, in order: `Q_ℓ`, then `P`.
+    pub(crate) fn key_limbs_at(&self, ell: usize) -> Vec<usize> {
+        (0..ell)
+            .chain(self.params.levels()..self.full_basis.len())
+            .collect()
+    }
+
+    /// The `a_j` the switching key `seed` regenerates (key compression),
+    /// expanded at limb count `ell` ([`CkksContext::key_digits_at`] digits
+    /// over `Q_ℓ ∪ P`): `StdRng::from_seed(seed)`'s uniform draws over
+    /// `Q ∪ P`, digit after digit, with only those limbs drawn, each
+    /// polynomial in its own buffer.
+    pub(crate) fn seeded_key_a(&self, seed: [u8; 32], ell: usize) -> Vec<RnsPoly> {
+        let (digits, limbs) = (self.key_digits_at(ell), self.key_limbs_at(ell));
+        let basis = self.raised_basis(ell);
+        (self.key_a.expand_limbs(seed, digits, &limbs).into_iter())
+            .map(|a| RnsPoly::from_flat(basis.clone(), a, Representation::Evaluation))
+            .collect()
     }
 
     /// The Galois element for a slot rotation by `steps`.
@@ -265,6 +303,12 @@ mod tests {
         assert_eq!(ctx.full_basis().len(), 6);
         assert_eq!(ctx.level_basis(2).len(), 2);
         assert_eq!(ctx.raised_basis(3).len(), 5);
+        assert!(Arc::ptr_eq(ctx.raised_basis(4), ctx.full_basis()));
+        // A key at the top level is whole; below, it holds β(ℓ) digits.
+        assert_eq!(ctx.key_digits_at(4), 2);
+        assert_eq!(ctx.key_digits_at(2), 1);
+        assert_eq!(ctx.key_limbs_at(2), [0, 1, 4, 5]);
+        assert_eq!(ctx.switching_key_bytes(), 2 * 2 * 6 * 32 * 8);
         // q_0 is the large modulus.
         assert!(ctx.q_basis().modulus(0).bits() >= 35);
         assert!(ctx.q_basis().modulus(1).bits() <= 31);

@@ -297,7 +297,7 @@ impl KeyGenerator {
             })
             .collect();
 
-        let mut seeded_a = seed.map(|seed| self.ctx.seeded_key_a(seed));
+        let mut seeded_a = seed.map(|seed| self.ctx.seeded_key_a(seed, l).into_iter());
         let mut digits = Vec::with_capacity(dnum);
         for j in 0..dnum {
             let a = match seeded_a.as_mut() {

@@ -102,12 +102,31 @@ impl<'a> Writer<'a> {
 /// AND of `(x − q) & !x` over the limb keeps its sign bit iff no word is
 /// out of range. (A `max` fold decides the same thing but serializes on
 /// its compare — it measured slower than a branch per coefficient.)
-fn all_below(limb: &[u64], q: u64) -> bool {
+fn all_below(limb: impl IntoIterator<Item = u64>, q: u64) -> bool {
     debug_assert!(q < 1 << 62);
     let ok = limb
-        .iter()
-        .fold(u64::MAX, |ok, &x| ok & x.wrapping_sub(q) & !x);
+        .into_iter()
+        .fold(u64::MAX, |ok, x| ok & x.wrapping_sub(q) & !x);
     ok >> 63 == 1
+}
+
+/// The words of a limb as written.
+fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+}
+
+/// Appends one limb's words, `bytes` as written, to `flat`: bulk word
+/// copy, then the range check over the limb while it is still in cache.
+fn read_limb(bytes: &[u8], q: u64, flat: &mut Vec<u64>) -> Result<(), SerializeError> {
+    let at = flat.len();
+    flat.extend(words(bytes));
+    if all_below(flat[at..].iter().copied(), q) {
+        Ok(())
+    } else {
+        Err(SerializeError::UnreducedResidue)
+    }
 }
 
 struct Reader<'a> {
@@ -147,21 +166,11 @@ impl<'a> Reader<'a> {
         ))
     }
     /// Appends the limbs of one polynomial over `basis` to `flat`, a limb
-    /// at a time: bulk word copy, then the range check over the limb while
-    /// it is still in cache.
+    /// at a time ([`read_limb`]).
     fn limbs(&mut self, basis: &RnsBasis, flat: &mut Vec<u64>) -> Result<(), SerializeError> {
         let n = basis.degree();
         for m in basis.moduli() {
-            let bytes = self.bytes(8 * n)?;
-            let at = flat.len();
-            flat.extend(
-                bytes
-                    .chunks_exact(8)
-                    .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes"))),
-            );
-            if !all_below(&flat[at..], m.value()) {
-                return Err(SerializeError::UnreducedResidue);
-            }
+            read_limb(self.bytes(8 * n)?, m.value(), flat)?;
         }
         Ok(())
     }
@@ -233,18 +242,23 @@ impl<'a> Reader<'a> {
         &mut self,
         ctx: &'c CkksContext,
     ) -> Result<&'c Arc<RnsBasis>, SerializeError> {
-        // Peek the limb count from the header to pick the basis.
-        let ell = match self.buf.get(9..13) {
-            Some(b) => u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize,
-            None => return Err(SerializeError::Truncated),
-        };
-        if ell == 0 || ell > ctx.params().levels() {
-            return Err(SerializeError::ModulusMismatch);
-        }
-        let basis = ctx.level_basis(ell);
+        let basis = ctx.level_basis(header_limbs(ctx, self.buf)?);
         check_basis_header(self, basis)?;
         Ok(basis)
     }
+}
+
+/// The limb count a ciphertext or plaintext header names, peeked without
+/// reading further: one of the context's levels, or an error.
+fn header_limbs(ctx: &CkksContext, buf: &[u8]) -> Result<usize, SerializeError> {
+    let ell = match buf.get(9..13) {
+        Some(b) => u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize,
+        None => return Err(SerializeError::Truncated),
+    };
+    if ell == 0 || ell > ctx.params().levels() {
+        return Err(SerializeError::ModulusMismatch);
+    }
+    Ok(ell)
 }
 
 fn write_basis_header(w: &mut Writer<'_>, basis: &RnsBasis) {
@@ -281,6 +295,20 @@ pub fn serialize_ciphertext(ct: &Ciphertext) -> Vec<u8> {
     let mut out = Vec::new();
     write_ciphertext(ct, &mut out);
     out
+}
+
+/// The limb count a serialized ciphertext's header names, read from the
+/// header alone — what a server plans a request's keys at before it
+/// decodes the operand. [`deserialize_ciphertext`] reads the same field,
+/// so an operand that decodes has exactly this many limbs.
+///
+/// # Errors
+///
+/// [`SerializeError`] for a bad magic or version, a buffer too short for
+/// the field, or a count outside the context's levels.
+pub fn ciphertext_limb_count(ctx: &CkksContext, bytes: &[u8]) -> Result<usize, SerializeError> {
+    Reader::new(bytes)?;
+    header_limbs(ctx, bytes)
 }
 
 /// Deserializes a ciphertext against a context (the limb count selects the
@@ -380,8 +408,99 @@ pub fn serialize_switching_key(key: &SwitchingKey) -> Vec<u8> {
     out
 }
 
+/// A switching key's wire form, parsed once: the header checked against
+/// the context, the polynomials still bytes.
+struct KeyWire<'a> {
+    seed: Option<[u8; 32]>,
+    /// The `a_j, b_j` of every digit, or only the `b_j` behind a seed, each
+    /// `|Q ∪ P|` limbs of `N` words.
+    polys: &'a [u8],
+}
+
+impl<'a> KeyWire<'a> {
+    fn parse(ctx: &CkksContext, bytes: &'a [u8]) -> Result<Self, SerializeError> {
+        let mut r = Reader::new(bytes)?;
+        let full = ctx.full_basis();
+        check_basis_header(&mut r, full)?;
+        let digit_count = r.u32()? as usize;
+        let dnum = ctx.params().dnum();
+        if digit_count != dnum {
+            return Err(SerializeError::DigitCount(digit_count));
+        }
+        let seed = match r.bytes(1)?[0] {
+            0 => None,
+            1 => Some(r.bytes(32)?.try_into().expect("32 bytes")),
+            _ => return Err(SerializeError::BadHeader),
+        };
+        let per_digit = if seed.is_some() { 1 } else { 2 };
+        let polys = r.bytes(per_digit * dnum * full.len() * 8 * full.degree())?;
+        Ok(KeyWire { seed, polys })
+    }
+
+    /// Limb `i` of `Q ∪ P` of wire polynomial `p`, as bytes.
+    fn limb(&self, ctx: &CkksContext, p: usize, i: usize) -> &'a [u8] {
+        let full = ctx.full_basis();
+        let limb_bytes = 8 * full.degree();
+        let at = (p * full.len() + i) * limb_bytes;
+        &self.polys[at..at + limb_bytes]
+    }
+
+    /// Whether every stored residue is below its modulus, nothing decoded.
+    fn check(&self, ctx: &CkksContext) -> Result<(), SerializeError> {
+        let full = ctx.full_basis();
+        let polys = self.polys.len() / (8 * full.degree() * full.len());
+        for p in 0..polys {
+            for (i, m) in full.moduli().iter().enumerate() {
+                if !all_below(words(self.limb(ctx, p, i)), m.value()) {
+                    return Err(SerializeError::UnreducedResidue);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The key expanded at limb count `ell`: the `b_j` (and written `a_j`)
+    /// of its digits decoded and checked at its limbs only, then a seed's
+    /// `a_j` drawn at those limbs.
+    fn expand(&self, ctx: &CkksContext, ell: usize) -> Result<SwitchingKey, SerializeError> {
+        let (digits, limbs) = (ctx.key_digits_at(ell), ctx.key_limbs_at(ell));
+        let basis = ctx.raised_basis(ell);
+        let full = ctx.full_basis();
+        let poly = |p: usize| -> Result<RnsPoly, SerializeError> {
+            let mut flat = Vec::with_capacity(limbs.len() * full.degree());
+            for &i in &limbs {
+                read_limb(self.limb(ctx, p, i), full.modulus(i).value(), &mut flat)?;
+            }
+            Ok(RnsPoly::from_flat(
+                basis.clone(),
+                flat,
+                Representation::Evaluation,
+            ))
+        };
+        // The wire's polynomials are all read and checked before a seed is
+        // expanded.
+        let (a, b): (Vec<RnsPoly>, Vec<RnsPoly>) = match self.seed {
+            Some(seed) => {
+                let b = (0..digits).map(poly).collect::<Result<_, _>>()?;
+                (ctx.seeded_key_a(seed, ell), b)
+            }
+            None => {
+                let a = (0..digits).map(|j| poly(2 * j)).collect::<Result<_, _>>()?;
+                let b = (0..digits).map(|j| poly(2 * j + 1));
+                (a, b.collect::<Result<_, _>>()?)
+            }
+        };
+        let digits = a.into_iter().zip(b).map(|(a, b)| DigitKey { a, b });
+        Ok(SwitchingKey {
+            digits: digits.collect(),
+            seed: self.seed,
+        })
+    }
+}
+
 /// Deserializes a switching key, regenerating the `a` components from the
-/// seed when the key was written in compressed form.
+/// seed when the key was written in compressed form: the whole key, the
+/// top-level case of [`deserialize_switching_key_at`].
 ///
 /// # Errors
 ///
@@ -391,36 +510,43 @@ pub fn deserialize_switching_key(
     ctx: &CkksContext,
     bytes: &[u8],
 ) -> Result<SwitchingKey, SerializeError> {
-    let mut r = Reader::new(bytes)?;
-    let basis = ctx.full_basis().clone();
-    check_basis_header(&mut r, &basis)?;
-    let digit_count = r.u32()? as usize;
-    let dnum = ctx.params().dnum();
-    if digit_count != dnum {
-        return Err(SerializeError::DigitCount(digit_count));
-    }
-    let seed = match r.bytes(1)?[0] {
-        0 => None,
-        1 => Some(r.bytes(32)?.try_into().expect("32 bytes")),
-        _ => return Err(SerializeError::BadHeader),
-    };
-    // The wire's polynomials — `a_j, b_j` per digit, or only the `b_j`
-    // after a seed — are all read and checked before a seed is expanded.
-    let mut wire = (0..dnum * if seed.is_some() { 1 } else { 2 })
-        .map(|_| r.poly(&basis, None))
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter();
-    let mut seeded_a = seed.map(|seed| ctx.seeded_key_a(seed));
-    let digits = (0..dnum)
-        .map(|_| DigitKey {
-            a: seeded_a
-                .as_mut()
-                .map_or_else(|| wire.next(), Iterator::next)
-                .expect("a_j"),
-            b: wire.next().expect("b_j"),
-        })
-        .collect();
-    Ok(SwitchingKey { digits, seed })
+    deserialize_switching_key_at(ctx, bytes, ctx.params().levels())
+}
+
+/// Deserializes a switching key expanded at limb count `ell`: the
+/// [`CkksContext::key_digits_at`] digits a key switch at up to `ell` limbs
+/// reads, over `Q_ℓ ∪ P`. Only those limbs are decoded and range-checked,
+/// and only those of a seeded key's `a_j` regenerated; the rest of the
+/// wire form is checked only for its length (see [`check_switching_key`]).
+/// Such a key gives every key switch at `ell` limbs or fewer the bits the
+/// whole key gives, and is not itself a wire form: serialize the whole key.
+///
+/// # Errors
+///
+/// As [`deserialize_switching_key`].
+///
+/// # Panics
+///
+/// Panics if `ell` is zero or exceeds `L`.
+pub fn deserialize_switching_key_at(
+    ctx: &CkksContext,
+    bytes: &[u8],
+    ell: usize,
+) -> Result<SwitchingKey, SerializeError> {
+    KeyWire::parse(ctx, bytes)?.expand(ctx, ell)
+}
+
+/// Checks a switching key's wire form without expanding it: the header
+/// against the context, a digit count of `dnum`, the length, and every
+/// stored residue below its modulus — what a key must pass before a server
+/// files it away and expands only the share of it a level reads.
+///
+/// # Errors
+///
+/// As [`deserialize_switching_key`], which accepts exactly the keys this
+/// does.
+pub fn check_switching_key(ctx: &CkksContext, bytes: &[u8]) -> Result<(), SerializeError> {
+    KeyWire::parse(ctx, bytes)?.check(ctx)
 }
 
 /// Serializes a whole Galois (rotation) key set as one framed message:
@@ -704,6 +830,84 @@ mod tests {
         for i in 0..pt.limb_count() {
             assert_eq!(back.poly().limb(i), pt.poly().limb(i));
         }
+    }
+
+    #[test]
+    fn a_key_is_checked_whole_and_expanded_by_level() {
+        let ctx = ctx(); // L = 3, α = k = 2, dnum = 2
+        let mut rng = StdRng::seed_from_u64(17);
+        let keygen = KeyGenerator::new(ctx.clone());
+        let sk = keygen.secret_key(&mut rng);
+        let full = ctx.full_basis();
+        let limb_bytes = 8 * full.degree();
+        let polys_at = 5 + 8 + 8 * full.len() + 4 + 1;
+        for (key, seed_bytes) in [
+            (keygen.relin_key_compressed(&mut rng, &sk), 32),
+            (keygen.relin_key(&mut rng, &sk), 0),
+        ] {
+            let good = serialize_switching_key(key.switching_key());
+            assert_eq!(check_switching_key(&ctx, &good), Ok(()));
+            // An unreduced word in Q-limb 2 of the first wire polynomial: a
+            // level-2 expansion never decodes it, the check and the whole
+            // key do.
+            let mut bad = good.clone();
+            let at = polys_at + seed_bytes + 2 * limb_bytes;
+            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(deserialize_switching_key_at(&ctx, &bad, 2).is_ok());
+            for err in [
+                check_switching_key(&ctx, &bad).err(),
+                deserialize_switching_key(&ctx, &bad).err(),
+            ] {
+                assert_eq!(err, Some(SerializeError::UnreducedResidue));
+            }
+            // A short key is short at every level.
+            let cut = &good[..good.len() - 1];
+            assert_eq!(
+                check_switching_key(&ctx, cut),
+                Err(SerializeError::Truncated)
+            );
+            assert_eq!(
+                deserialize_switching_key_at(&ctx, cut, 1).err(),
+                Some(SerializeError::Truncated)
+            );
+        }
+    }
+
+    #[test]
+    fn the_limb_count_is_peeked_from_the_header() {
+        let ctx = ctx();
+        let mut rng = StdRng::seed_from_u64(18);
+        let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+        let encoder = Encoder::new(ctx.clone());
+        let encryptor = Encryptor::new(ctx.clone());
+        for ell in 1..=3 {
+            let pt = encoder
+                .encode(&[Complex::new(0.5, 0.0)], ell, ctx.params().scale())
+                .unwrap();
+            let bytes = serialize_ciphertext(&encryptor.encrypt_symmetric(&mut rng, &pt, &sk));
+            assert_eq!(ciphertext_limb_count(&ctx, &bytes), Ok(ell));
+            // The header alone is enough.
+            assert_eq!(ciphertext_limb_count(&ctx, &bytes[..13]), Ok(ell));
+        }
+        let mut bytes = vec![0; 13];
+        bytes[..4].copy_from_slice(MAGIC);
+        bytes[4] = VERSION;
+        for (count, want) in [
+            (0u32, Err(SerializeError::ModulusMismatch)),
+            (4, Err(SerializeError::ModulusMismatch)),
+            (2, Ok(2)),
+        ] {
+            bytes[9..13].copy_from_slice(&count.to_le_bytes());
+            assert_eq!(ciphertext_limb_count(&ctx, &bytes), want);
+        }
+        assert_eq!(
+            ciphertext_limb_count(&ctx, &bytes[..12]),
+            Err(SerializeError::Truncated)
+        );
+        assert_eq!(
+            ciphertext_limb_count(&ctx, b"nope"),
+            Err(SerializeError::Truncated)
+        );
     }
 
     #[test]

@@ -40,7 +40,8 @@
 //! for `sub_scale_shoup`, the lift's shifted word `x < from < 2^50`.
 //!
 //! The seeded expansion runs eight xoshiro256++ generators, one per lane,
-//! each started by a GF(2) jump at its own stretch of the one stream
+//! each started, and restarted where its limbs skip part of the stream, by
+//! a GF(2) jump to its own stretch of the one stream
 //! (`sampling::SeededUniform` says which). Eight steps draw eight words per
 //! lane; the `Uniform` draw `⌊r·q/2^64⌋` for `q < 2^50` is two `madd52hi`
 //! and one `madd52lo`; an 8×8 transpose — the short stages' three
@@ -59,6 +60,7 @@
 use crate::backend::{BasisExtView, DigitTerm, SlotOp, Start};
 use crate::modular::Modulus;
 use crate::ntt::NttTable;
+use crate::sampling::LimbDraw;
 use crate::xoshiro::State;
 use std::sync::OnceLock;
 
@@ -240,30 +242,31 @@ impl Lanes {
         }
     }
 
-    /// `count` uniform polynomials of `n`-word limbs mod `moduli`, drawn by
-    /// eight generators: lane `j` starts from `starts[j]` and draws limbs
-    /// `[j·per_lane, (j+1)·per_lane)` of the `count·|moduli|`; see
-    /// `sampling::SeededUniform`. Every modulus is below `2^50`, `n` is a
-    /// multiple of 8, and `8·per_lane` covers every limb.
+    /// The limbs `draws` names, drawn by eight generators into `polys`
+    /// buffers of equal length (draw `g` is limb `g mod m/polys` of buffer
+    /// `g·polys/m`): lane `j` draws `[j·c, (j+1)·c)` of the `m`,
+    /// `c = ⌈m/8⌉`, starting each run of stream-adjacent limbs from
+    /// `restart(t)`, the state at limb `t`'s first word; see
+    /// `sampling::SeededUniform`. Every modulus is below `2^50` and `n` is a
+    /// multiple of 8.
     pub(crate) fn uniform(
         self,
-        starts: &[State; 8],
-        moduli: &[u64],
+        draws: &[LimbDraw],
+        polys: usize,
         n: usize,
-        count: usize,
-        per_lane: usize,
+        restart: &dyn Fn(usize) -> State,
     ) -> Vec<Vec<u64>> {
-        assert!(n.is_multiple_of(8) && 8 * per_lane >= count * moduli.len());
+        assert!(n.is_multiple_of(8) && draws.len() == polys * (draws.len() / polys.max(1)));
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `self` exists only where `detected()` found avx512f and
         // avx512ifma, the target features of the function; the assertion
         // above is the rest of its contract.
         unsafe {
-            x86::uniform(&starts.map(|s| s.0), moduli, n, count, per_lane)
+            x86::uniform(draws, polys, n, &|t| restart(t).0)
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (starts, moduli, n, count, per_lane);
+            let _ = (draws, polys, n, restart);
             unreachable!("a `Lanes` is only made on x86-64");
         }
     }
@@ -275,6 +278,7 @@ mod x86 {
     use crate::backend::{BasisExtView, DigitTerm, ShoupPair, SlotOp, Start};
     use crate::modular::{lane_products, Modulus};
     use crate::ntt::NttTable;
+    use crate::sampling::LimbDraw;
     use std::arch::x86_64::*;
 
     /// One register: eight words.
@@ -1061,40 +1065,58 @@ mod x86 {
     /// block of a lane's current limb: eight steps draw eight words per
     /// lane, [`lemire`] maps each into its lane's modulus, and
     /// [`transpose`] turns the eight draws of a lane into one register,
-    /// stored into that lane's limb of its digit's own buffer. Every lane
-    /// crosses a limb boundary at the same step, so a lane's modulus
-    /// changes only between limbs; a lane past the last limb draws and
-    /// stores nothing.
+    /// stored into that lane's limb of its buffer. Every lane crosses a
+    /// limb boundary at the same step, so a lane's modulus changes, and a
+    /// lane restarts from a jumped state, only between limbs; a lane past
+    /// the last limb draws and stores nothing.
     ///
     /// # Safety
     ///
     /// The CPU must have `avx512f` and `avx512ifma`, `n` must be a
-    /// multiple of 8, and `8·per_lane ≥ count·|moduli|`: then every word
-    /// of every buffer is written before its length is set.
+    /// multiple of 8, and `draws` must split evenly into `polys` buffers:
+    /// then every word of every buffer is written before its length is
+    /// set.
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) unsafe fn uniform(
-        starts: &[[u64; 4]; 8],
-        moduli: &[u64],
+        draws: &[LimbDraw],
+        polys: usize,
         n: usize,
-        count: usize,
-        per_lane: usize,
+        restart: &dyn Fn(usize) -> [u64; 4],
     ) -> Vec<Vec<u64>> {
-        let limbs = moduli.len();
-        let mut out: Vec<Vec<u64>> = (0..count).map(|_| Vec::with_capacity(limbs * n)).collect();
+        let per_poly = draws.len() / polys.max(1);
+        let per_lane = draws.len().div_ceil(8);
+        let mut out: Vec<Vec<u64>> = (0..polys)
+            .map(|_| Vec::with_capacity(per_poly * n))
+            .collect();
         let buffers: Vec<*mut u64> = out.iter_mut().map(|v| v.as_mut_ptr()).collect();
-        let mut s = [0, 1, 2, 3].map(|w| load(&starts.map(|lane| lane[w])));
+        let mut s = [_mm512_setzero_si512(); 4];
         for k in 0..per_lane {
-            // Lane `j` is on limb `j·per_lane + k` of the flat sequence.
+            // Lane `j` is on draw `j·per_lane + k`.
             let mut q = [1u64; 8];
             let mut dst = [std::ptr::null_mut::<u64>(); 8];
+            let mut starts: [Option<[u64; 4]>; 8] = [None; 8];
             for j in 0..8 {
-                let limb = j * per_lane + k;
-                if limb < count * limbs {
-                    q[j] = moduli[limb % limbs];
-                    // SAFETY: limb `limb % limbs` of a buffer of
-                    // `limbs·n` words' capacity.
-                    dst[j] = unsafe { buffers[limb / limbs].add(limb % limbs * n) };
+                let g = j * per_lane + k;
+                let Some(d) = draws.get(g) else { continue };
+                q[j] = d.q;
+                // SAFETY: limb `g mod per_poly` of a buffer of
+                // `per_poly·n` words' capacity.
+                dst[j] = unsafe { buffers[g / per_poly].add(g % per_poly * n) };
+                if k == 0 || draws[g - 1].t + 1 != d.t {
+                    starts[j] = Some(restart(d.t));
                 }
+            }
+            if starts.iter().any(Option::is_some) {
+                let mut words = [[0u64; 8]; 4];
+                for (w, r) in words.iter_mut().zip(s) {
+                    store(w, r);
+                }
+                for (j, start) in starts.iter().enumerate() {
+                    for (w, &x) in words.iter_mut().zip(start.iter().flatten()) {
+                        w[j] = x;
+                    }
+                }
+                s = words.map(|w| load(&w));
             }
             let q = load(&q);
             for at in (0..n).step_by(8) {
@@ -1111,9 +1133,10 @@ mod x86 {
             }
         }
         for v in &mut out {
-            // SAFETY: every limb below `count·limbs` belongs to one lane at
-            // one `k`, whose blocks wrote all `n` of its words.
-            unsafe { v.set_len(limbs * n) }
+            // SAFETY: every draw belongs to one lane at one `k`, whose
+            // blocks wrote all `n` of its words, and the draws tile every
+            // buffer.
+            unsafe { v.set_len(per_poly * n) }
         }
         out
     }

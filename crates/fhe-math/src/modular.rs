@@ -284,6 +284,12 @@ impl Modulus {
 
     /// Maps a signed integer into `[0, q)` (division-free: the encoder and
     /// `Rescale` call this once per coefficient per limb).
+    ///
+    /// The sign costs no branch — random-sign coefficients would mispredict
+    /// one — only the magnitude does, and `|x| < q` for every coefficient
+    /// of a typical encoding or error. With `r = |x| mod q` and `s` the
+    /// sign mask, `(r ^ s) − s` is `−r` in two's complement for a negative
+    /// `x`; where that wraps below zero, `q` is added back.
     #[inline]
     pub fn from_i64(&self, x: i64) -> u64 {
         let mag = x.unsigned_abs();
@@ -292,11 +298,9 @@ impl Modulus {
         } else {
             self.reduce_u128(mag as u128)
         };
-        if x < 0 && r != 0 {
-            self.value - r
-        } else {
-            r
-        }
+        let sign = (x >> 63) as u64;
+        let signed = (r ^ sign).wrapping_sub(sign);
+        signed.wrapping_add(self.value & ((signed as i64) >> 63) as u64)
     }
 
     /// Maps a reduced residue to its centered representative in

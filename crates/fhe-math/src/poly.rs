@@ -118,10 +118,21 @@ impl RnsPoly {
         let n = basis.degree();
         assert_eq!(coeffs.len(), n, "coefficient count mismatch");
         let mut data = vec![0u64; n * basis.len()];
+        // Below every modulus the widest coefficient is under, a
+        // coefficient's residue is itself, plus `q` where it is negative:
+        // a loop without a branch. Other limbs reduce per coefficient.
+        let widest = coeffs.iter().fold(0, |w, c| w.max(c.unsigned_abs()));
         for (i, limb) in data.chunks_exact_mut(n).enumerate() {
             let m = basis.modulus(i);
-            for (d, &c) in limb.iter_mut().zip(coeffs) {
-                *d = m.from_i64(c);
+            let q = m.value();
+            if widest < q {
+                for (d, &c) in limb.iter_mut().zip(coeffs) {
+                    *d = (c as u64).wrapping_add(q & (c >> 63) as u64);
+                }
+            } else {
+                for (d, &c) in limb.iter_mut().zip(coeffs) {
+                    *d = m.from_i64(c);
+                }
             }
         }
         Self {

@@ -9,8 +9,7 @@
 use crate::ifma::{self, Lanes};
 use crate::xoshiro::{Jump, State};
 use rand::distributions::{Distribution, Uniform};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Standard deviation of the encryption noise mandated by the HE standard.
 pub const NOISE_STDDEV: f64 = 3.2;
@@ -93,25 +92,39 @@ pub fn sample_uniform_flat<R: Rng + ?Sized>(rng: &mut R, moduli: &[u64], n: usiz
 /// The uniform polynomials a seed expands into, for one shape: exactly
 /// what `StdRng::from_seed(seed)` followed by `count` calls of
 /// [`sample_uniform_flat`]`(rng, moduli, n)` draws — the `a_j` of a seeded
-/// switching key.
+/// switching key — or any selection of their limbs.
+///
+/// The vendored `Uniform` takes one draw `r` per word and maps it to
+/// `⌊r·q/2^64⌋`, so limb `i` of polynomial `p` is the `n` draws from
+/// stream offset `t·n`, `t = p·|moduli| + i`. A selection of limbs is drawn
+/// in runs of limbs that follow each other in the stream, each run from the
+/// seed's state jumped to its first word; the jump to every limb is built
+/// once, by [`SeededUniform::new`]. [`SeededUniform::expand`] is the
+/// selection of every limb of every polynomial: one run.
 ///
 /// Where the CPU has AVX-512 IFMA, every modulus is below `2^50` and `n` is
-/// a multiple of 8, eight xoshiro256++ generators on lanes draw eight
-/// stretches of that one stream at once. Lane `j` owns limbs
-/// `[j·c, (j+1)·c)` of the `count·|moduli|`, `c = ⌈count·|moduli|/8⌉`, so it
-/// starts `j·c·n` draws in: one GF(2) jump by `c·n` steps from lane
-/// `j − 1`'s start, the jump polynomial built once here. Elsewhere, and for
-/// the all-zero seed (which `from_seed` remixes through splitmix64), the
-/// serial loop runs. Both emit the same words.
+/// a multiple of 8, eight xoshiro256++ generators on lanes draw the
+/// selection at once: of its `m` limbs, lane `j` draws `[j·c, (j+1)·c)`,
+/// `c = ⌈m/8⌉`, restarting from a jumped state wherever its next limb does
+/// not follow its last. Elsewhere one generator draws them in order. Both
+/// emit the same words.
 #[derive(Clone, Debug)]
 pub struct SeededUniform {
     moduli: Vec<u64>,
     n: usize,
     count: usize,
-    /// `c`: the limbs each lane draws.
-    per_lane: usize,
-    /// The lanes, and the jump from one lane's start to the next's.
-    lanes: Option<(Lanes, Jump)>,
+    /// `jumps[t]`: from the stream's start to limb `t`'s first word, `t·n`
+    /// steps, for every limb of the `count·|moduli|`.
+    jumps: Vec<Jump>,
+    lanes: Option<Lanes>,
+}
+
+/// One limb of a selection: the `n` draws from stream offset `t·n`, each
+/// mapped below `q`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LimbDraw {
+    pub(crate) t: usize,
+    pub(crate) q: u64,
 }
 
 impl SeededUniform {
@@ -123,31 +136,69 @@ impl SeededUniform {
     /// Panics if a modulus is zero.
     pub fn new(moduli: &[u64], n: usize, count: usize) -> Self {
         assert!(moduli.iter().all(|&q| q > 0), "a modulus is zero");
-        let per_lane = (count * moduli.len()).div_ceil(8);
-        let lanes = ifma::uniform_lanes(moduli, n).map(|l| (l, Jump::new((per_lane * n) as u64)));
+        let limb = Jump::new(n as u64);
+        let jumps = std::iter::successors(Some(Jump::new(0)), |j| Some(j.then(&limb)))
+            .take(count * moduli.len())
+            .collect();
         Self {
             moduli: moduli.to_vec(),
             n,
             count,
-            per_lane,
-            lanes,
+            jumps,
+            lanes: ifma::uniform_lanes(moduli, n),
         }
     }
 
     /// The `count` polynomials `seed` expands into, each a flat limb-major
     /// buffer of its own as [`sample_uniform_flat`] returns it.
     pub fn expand(&self, seed: [u8; 32]) -> Vec<Vec<u64>> {
-        if let (Some((lanes, jump)), Some(first)) = (&self.lanes, State::from_seed(seed)) {
-            let mut starts = [first; 8];
-            for j in 1..8 {
-                starts[j] = starts[j - 1].jumped(jump);
-            }
-            return lanes.uniform(&starts, &self.moduli, self.n, self.count, self.per_lane);
+        let every: Vec<usize> = (0..self.moduli.len()).collect();
+        self.expand_limbs(seed, self.count, &every)
+    }
+
+    /// The first `polys` of the polynomials `seed` expands into, each at
+    /// only the limbs `limbs` (increasing indices into the moduli): buffer
+    /// `p` holds, in that order, those limbs of [`SeededUniform::expand`]'s
+    /// polynomial `p`, and nothing else is drawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `polys` exceeds the shape's count, or `limbs` is not
+    /// strictly increasing within the moduli.
+    pub fn expand_limbs(&self, seed: [u8; 32], polys: usize, limbs: &[usize]) -> Vec<Vec<u64>> {
+        let width = self.moduli.len();
+        assert!(polys <= self.count, "{polys} polynomials of {}", self.count);
+        assert!(
+            limbs.windows(2).all(|w| w[0] < w[1]) && limbs.last().is_none_or(|&i| i < width),
+            "limbs {limbs:?} are not an increasing selection of {width}"
+        );
+        let draws: Vec<LimbDraw> = (0..polys)
+            .flat_map(|p| {
+                limbs.iter().map(move |&i| LimbDraw {
+                    t: p * width + i,
+                    q: self.moduli[i],
+                })
+            })
+            .collect();
+        let first = State::from_seed(seed);
+        let restart = |t: usize| first.jumped(&self.jumps[t]);
+        if let Some(lanes) = self.lanes {
+            return lanes.uniform(&draws, polys, self.n, &restart);
         }
-        let mut rng = StdRng::from_seed(seed);
-        (0..self.count)
-            .map(|_| sample_uniform_flat(&mut rng, &self.moduli, self.n))
-            .collect()
+        let per_poly = limbs.len();
+        let mut out: Vec<Vec<u64>> = (0..polys)
+            .map(|_| Vec::with_capacity(per_poly * self.n))
+            .collect();
+        let mut state = first;
+        for (g, d) in draws.iter().enumerate() {
+            if g == 0 || draws[g - 1].t + 1 != d.t {
+                state = restart(d.t);
+            }
+            let q = d.q as u128;
+            out[g / per_poly]
+                .extend((0..self.n).map(|_| ((state.next() as u128 * q) >> 64) as u64));
+        }
+        out
     }
 }
 
@@ -226,6 +277,13 @@ mod tests {
         );
         assert!(SeededUniform::new(&[1 << 50, 97], 64, 3).lanes.is_none());
         assert!(SeededUniform::new(&narrow, 20, 3).lanes.is_none());
+    }
+
+    #[test]
+    fn every_limb_has_its_jump() {
+        let shape = SeededUniform::new(&[97, 101, 103], 16, 4);
+        assert_eq!(shape.jumps.len(), 12);
+        assert_eq!(shape.jumps[5], Jump::new(5 * 16));
     }
 
     #[test]

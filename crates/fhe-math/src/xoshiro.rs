@@ -6,7 +6,7 @@
 //! is `J(T)` for `J(x) = x^d mod p(x)`, where `p` is the characteristic
 //! polynomial of `T` (degree 256, [`CHARACTERISTIC`]). A [`Jump`] holds
 //! `J`; applying it walks 256 steps and sums the states whose coefficient
-//! is set, whatever `d` is. The `++` scrambler only reads the state, so a
+//! is set, whatever `d` is, and two jumps compose by one product mod `p`. The `++` scrambler only reads the state, so a
 //! jumped state draws exactly the words the stream draws from that offset
 //! on. The tests pin `p` against Berlekamp–Massey and every jump against
 //! serial steps; the identity tests in `sampling` pin the words against
@@ -73,6 +73,11 @@ impl Jump {
         }
         Jump(r)
     }
+
+    /// The jump by this jump's `d` plus `other`'s: `x^{d + d'} mod p(x)`.
+    pub(crate) fn then(&self, other: &Jump) -> Self {
+        Jump(mul(self.0, other.0))
+    }
 }
 
 /// A xoshiro256++ state.
@@ -80,15 +85,25 @@ impl Jump {
 pub(crate) struct State(pub(crate) [u64; 4]);
 
 impl State {
-    /// The state `StdRng::from_seed(seed)` starts from, or `None` for the
-    /// all-zero seed, which the vendored `from_seed` remixes through
-    /// splitmix64 instead.
-    pub(crate) fn from_seed(seed: [u8; 32]) -> Option<Self> {
+    /// The state `StdRng::from_seed(seed)` starts from: the seed's words,
+    /// except that the all-zero seed (a state xoshiro never leaves) is
+    /// remixed through splitmix64, as the vendored `from_seed` does.
+    pub(crate) fn from_seed(seed: [u8; 32]) -> Self {
         let mut s = [0u64; 4];
         for (word, chunk) in s.iter_mut().zip(seed.chunks_exact(8)) {
             *word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
         }
-        (s != [0; 4]).then_some(State(s))
+        if s == [0; 4] {
+            let mut mix = 0x853c_49e6_748f_ea9b_u64;
+            for word in &mut s {
+                mix = mix.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = mix;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                *word = z ^ (z >> 31);
+            }
+        }
+        State(s)
     }
 
     /// One draw: the output word, then the step.
@@ -188,6 +203,28 @@ mod tests {
                 serial.next();
             }
             assert_eq!(start.jumped(&Jump::new(d)), serial, "d = {d}");
+        }
+    }
+
+    #[test]
+    fn jumps_compose_by_adding_their_distances() {
+        let start = State([9, 8, 7, 6]);
+        let (a, b) = (Jump::new(4096), Jump::new(3 << 12));
+        assert_eq!(a.then(&b), Jump::new(4096 + (3 << 12)));
+        assert_eq!(start.jumped(&a.then(&b)), start.jumped(&a).jumped(&b));
+    }
+
+    #[test]
+    fn every_seed_starts_where_std_rng_does() {
+        use rand::rngs::StdRng;
+        use rand::{RngCore, SeedableRng};
+        let mut words = [0u8; 32];
+        words[3] = 0x5a;
+        for seed in [[0u8; 32], [0xff; 32], words] {
+            let (mut ours, mut std) = (State::from_seed(seed), StdRng::from_seed(seed));
+            for _ in 0..16 {
+                assert_eq!(ours.next(), std.next_u64(), "seed {seed:?}");
+            }
         }
     }
 

@@ -325,3 +325,25 @@ proptest! {
         prop_assert_eq!(x.shr(sh), UBig::from(a >> sh.min(127)));
     }
 }
+
+proptest! {
+    /// Every limb of a polynomial built from signed coefficients is each
+    /// coefficient's `rem_euclid`, whether the coefficients all sit below
+    /// the limb's modulus (the branch-free loop) or some reach past it.
+    #[test]
+    fn signed_coefficients_reduce_like_rem_euclid(
+        raw in prop::collection::vec(any::<i64>(), 16),
+        shift in 0u32..64,
+    ) {
+        let n = 16;
+        let mut primes = generate_ntt_primes(2, 20, n);
+        primes.extend(generate_ntt_primes_excluding(2, 50, n, &primes));
+        let basis = Arc::new(RnsBasis::new(&primes, n).unwrap());
+        let coeffs: Vec<i64> = raw.iter().map(|&c| c >> shift).collect();
+        let poly = RnsPoly::from_signed_coeffs(basis, &coeffs);
+        for (limb, &q) in poly.flat().chunks_exact(n).zip(&primes) {
+            let want: Vec<u64> = coeffs.iter().map(|&c| c.rem_euclid(q as i64) as u64).collect();
+            prop_assert_eq!(limb, &want[..], "q = {}, shift = {}", q, shift);
+        }
+    }
+}

@@ -1,14 +1,15 @@
 //! Seeded expansion against the stream it reproduces: for random seeds and
 //! the all-zero seed, [`SeededUniform::expand`] must return exactly the
 //! polynomials that `StdRng::from_seed(seed)` followed by `count` calls of
-//! [`sample_uniform_flat`] draws, each in a buffer of exactly its own size.
+//! [`sample_uniform_flat`] draws, each in a buffer of exactly its own size,
+//! and [`SeededUniform::expand_limbs`] exactly the limbs it selects of
+//! them.
 //!
 //! The expansion runs on eight AVX-512 IFMA lanes when the CPU has them,
 //! every modulus is below `2^50` and `n` is a multiple of 8, and serially
-//! otherwise (and for the all-zero seed, which `from_seed` remixes). So the
-//! moduli here fall on both sides of `2^50`, and the limb totals (10, 12,
-//! 24, 33, 60) leave the last lanes short or empty. On a CPU without IFMA
-//! every test still passes, exercising the serial body only.
+//! otherwise. So the moduli here fall on both sides of `2^50`, and the limb
+//! totals (10, 12, 24, 33, 60) leave the last lanes short or empty. On a CPU
+//! without IFMA every test still passes, exercising the serial body only.
 
 use fhe_math::sampling::{sample_uniform_flat, SeededUniform};
 use proptest::prelude::*;
@@ -87,6 +88,84 @@ fn the_all_zero_seed_expands_like_the_stream() {
     }
 }
 
+/// The limbs `limbs` of each of the first `polys` polynomials of `full`.
+fn slices(full: &[Vec<u64>], polys: usize, limbs: &[usize], n: usize) -> Vec<Vec<u64>> {
+    full[..polys]
+        .iter()
+        .map(|p| {
+            limbs
+                .iter()
+                .flat_map(|&i| &p[i * n..(i + 1) * n])
+                .copied()
+                .collect()
+        })
+        .collect()
+}
+
+fn assert_selects_like_the_full_expansion(
+    seed: [u8; 32],
+    moduli: &[u64],
+    n: usize,
+    count: usize,
+    polys: usize,
+    limbs: &[usize],
+) {
+    let shape = SeededUniform::new(moduli, n, count);
+    let got = shape.expand_limbs(seed, polys, limbs);
+    let want = slices(&shape.expand(seed), polys, limbs, n);
+    assert_eq!(got.len(), polys);
+    for (p, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got.capacity(), limbs.len() * n, "polynomial {p} owns more");
+        assert!(
+            got == want,
+            "polynomial {p} of {polys} differs at limbs {limbs:?} (n = {n}, {} limbs)",
+            moduli.len()
+        );
+    }
+}
+
+/// A key switch's selection at `ell` of `levels` Q-limbs and `special`
+/// P-limbs: `Q_ℓ ∪ P`.
+fn raised(ell: usize, levels: usize, special: usize) -> Vec<usize> {
+    (0..ell).chain(levels..levels + special).collect()
+}
+
+#[test]
+fn a_raised_selection_is_the_matching_slices_of_the_full_expansion() {
+    let mut rng = StdRng::seed_from_u64(0x7e11);
+    // The thrash ring's key (L = 12, α = 3, dnum = 4), a dnum = 3 key
+    // (L = 8, α = 3) and a ragged one (L = 5, α = 2): every level, the
+    // β(ℓ) digits a key switch there reads.
+    for (levels, special, count) in [(12, 3, 4), (8, 3, 3), (5, 2, 3)] {
+        for wide in [false, true] {
+            let moduli = moduli(&mut rng, levels + special, wide);
+            for ell in 1..=levels {
+                let polys = ell.div_ceil(special).min(count);
+                let seed: [u8; 32] = if ell == 2 { [0; 32] } else { rng.gen() };
+                let limbs = raised(ell, levels, special);
+                assert_selects_like_the_full_expansion(seed, &moduli, 64, count, polys, &limbs);
+            }
+        }
+    }
+}
+
+#[test]
+fn degenerate_selections_draw_nothing_or_everything() {
+    let mut rng = StdRng::seed_from_u64(3);
+    let moduli = moduli(&mut rng, 5, false);
+    let shape = SeededUniform::new(&moduli, 16, 3);
+    assert!(shape.expand_limbs([1; 32], 0, &[0, 1]).is_empty());
+    assert!(shape
+        .expand_limbs([1; 32], 2, &[])
+        .iter()
+        .all(Vec::is_empty));
+    let every: Vec<usize> = (0..5).collect();
+    assert_eq!(
+        shape.expand_limbs([1; 32], 3, &every),
+        shape.expand([1; 32])
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -102,5 +181,22 @@ proptest! {
         let seed: [u8; 32] = if zero_seed == 0 { [0; 32] } else { rng.gen() };
         let moduli = moduli(&mut rng, limbs, wide);
         assert_expands_like_the_stream(seed, &moduli, n, count);
+    }
+
+    #[test]
+    fn any_selection_is_the_matching_slices(
+        case in any::<u64>(),
+        zero_seed in 0u8..6,
+        wide in any::<bool>(),
+        n in prop::sample::select(DEGREES[..3].to_vec()),
+        (count, limbs) in prop::sample::select(SHAPES.to_vec()),
+        pick in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(case);
+        let seed: [u8; 32] = if zero_seed == 0 { [0; 32] } else { rng.gen() };
+        let moduli = moduli(&mut rng, limbs, wide);
+        let polys = rng.gen_range(0..=count);
+        let chosen: Vec<usize> = (0..limbs).filter(|i| pick >> (i % 64) & 1 == 1).collect();
+        assert_selects_like_the_full_expansion(seed, &moduli, n, count, polys, &chosen);
     }
 }

@@ -2,16 +2,26 @@
 //! trade made operational.
 //!
 //! Sessions store keys only in their seeded-compressed wire form (half
-//! size, §3.2). An evaluation op asks the cache for the *expanded* key;
-//! on a miss the cache regenerates the `a_j` polynomials from the seed,
-//! charges the expanded bytes against its budget, and evicts other
-//! entries until it fits. A later request for an evicted key pays the
-//! expansion again — the regenerate-from-seed cost the benchmark harness
-//! reports as `fhe_serve.cache.miss_us` against `fhe_serve.cache.hit_us`
-//! on its `serve_thrash` workload.
+//! size, §3.2), checked whole at upload. An evaluation op asks the cache
+//! for the *expanded* key at the limb count `ℓ` its key switches run at;
+//! on a miss the cache regenerates only what a key switch at `ℓ` reads —
+//! the first `β(ℓ)` digits over `Q_ℓ ∪ P`, `b_j` decoded and `a_j` drawn
+//! from the seed at those limbs (`deserialize_switching_key_at`), the whole
+//! key at `ℓ = L` — and evicts other entries until it fits. A later
+//! request at a higher level widens the entry in place: a hit, and one
+//! more expansion, counted by [`CacheStats::widenings`]. A request for an
+//! evicted key pays the expansion again — the regenerate-from-seed cost the
+//! benchmark harness reports as `fhe_serve.cache.miss_us` against
+//! `fhe_serve.cache.hit_us` on its `serve_thrash` workload.
+//!
+//! The budget charges every entry its whole key's size, however little of
+//! it is expanded ([`CacheStats::resident_bytes`] is that reservation;
+//! [`CacheStats::materialized_bytes`] is what the entries hold). So which
+//! lookup hits, misses, evicts or is pinned does not depend on the levels
+//! the keys are read at: it is what a cache of whole keys would do.
 
 use crate::protocol::ErrorCode;
-use ckks::serialize::deserialize_switching_key;
+use ckks::serialize::deserialize_switching_key_at;
 use ckks::{CkksContext, SwitchingKey};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -34,6 +44,9 @@ pub enum EvictionPolicy {
 
 struct Entry {
     key: Arc<SwitchingKey>,
+    /// The limb count `key` was expanded at.
+    ell: usize,
+    /// The whole key's size, which the budget charges.
     bytes: u64,
     last_used: u64,
     /// Active request pins. A pinned entry is never evicted — not by
@@ -53,6 +66,7 @@ struct Inner {
     expanded_bytes: u64,
     accesses: u64,
     evictions: u64,
+    widenings: u64,
 }
 
 /// Counters exported by [`KeyCache::stats`].
@@ -63,8 +77,9 @@ pub struct CacheStats {
     /// Lookups that had to expand from the compressed form — one
     /// switching-key expansion each.
     pub misses: u64,
-    /// Expanded key bytes those misses produced, cumulative: the
-    /// compute-for-memory price paid, not what is resident.
+    /// Expanded key bytes those misses and widenings produced,
+    /// cumulative: the compute-for-memory price paid, not what is
+    /// resident.
     pub expanded_bytes: u64,
     /// Total lookups. Always `hits + misses`; kept as its own counter so
     /// the per-shard invariant check can assert the partition instead of
@@ -72,8 +87,15 @@ pub struct CacheStats {
     pub accesses: u64,
     /// Expansions evicted to fit the budget.
     pub evictions: u64,
-    /// Expanded bytes currently resident.
+    /// Hits on an entry expanded below the requested limb count, which
+    /// re-expand it at that count in place: one expansion each.
+    pub widenings: u64,
+    /// Bytes the budget charges the resident entries: each its whole
+    /// key's size (the reservation), however much of it is expanded.
     pub resident_bytes: u64,
+    /// Bytes of key material the resident entries actually hold, each
+    /// expanded at the highest limb count it was asked for.
+    pub materialized_bytes: u64,
     /// Number of resident expansions.
     pub resident_keys: u64,
     /// Resident expansions currently pinned by an executing request.
@@ -82,16 +104,19 @@ pub struct CacheStats {
 
 impl CacheStats {
     /// Folds another shard's counters into this one. Monotone counters
-    /// (`hits`/`misses`/`expanded_bytes`/`accesses`/`evictions`) and
-    /// residency gauges (`resident_bytes`/`resident_keys`/`pinned_keys`)
-    /// all sum: the aggregate reads as one fleet-wide cache.
+    /// (`hits`/`misses`/`expanded_bytes`/`accesses`/`evictions`/
+    /// `widenings`) and residency gauges (`resident_bytes`/
+    /// `materialized_bytes`/`resident_keys`/`pinned_keys`) all sum: the
+    /// aggregate reads as one fleet-wide cache.
     pub fn accumulate(&mut self, other: &CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
         self.expanded_bytes += other.expanded_bytes;
         self.accesses += other.accesses;
         self.evictions += other.evictions;
+        self.widenings += other.widenings;
         self.resident_bytes += other.resident_bytes;
+        self.materialized_bytes += other.materialized_bytes;
         self.resident_keys += other.resident_keys;
         self.pinned_keys += other.pinned_keys;
     }
@@ -125,6 +150,7 @@ impl KeyCache {
                 expanded_bytes: 0,
                 accesses: 0,
                 evictions: 0,
+                widenings: 0,
             }),
         }
     }
@@ -134,9 +160,10 @@ impl KeyCache {
         self.budget_bytes
     }
 
-    /// Returns the expanded key for `(session, kind)`, expanding
+    /// Returns the whole expanded key for `(session, kind)`, expanding
     /// `compressed` (a serialized switching-key message, typically seeded)
-    /// on a miss and evicting per policy to stay within budget.
+    /// on a miss and evicting per policy to stay within budget: the
+    /// `ℓ = L` lookup, which serves a key switch at any level.
     ///
     /// # Errors
     ///
@@ -149,23 +176,33 @@ impl KeyCache {
         kind: KeyKind,
         compressed: &[u8],
     ) -> Result<Arc<SwitchingKey>, ErrorCode> {
-        self.lookup(ctx, session, kind, compressed, false)
+        self.lookup(ctx, session, kind, compressed, ctx.params().levels(), false)
     }
 
-    /// Like [`KeyCache::get_or_expand`], but additionally takes a pin on
-    /// the entry before releasing the cache lock. A pinned entry survives
-    /// budget eviction, eviction storms, and policy pressure until every
-    /// pin is released via [`KeyCache::unpin`]. A worker pins a request's
-    /// whole key plan up front so the request can never re-expand a key
-    /// mid-flight.
+    /// Returns the key for `(session, kind)` expanded at least at limb
+    /// count `ell` — a miss expands only that share, an entry expanded
+    /// below it widens — and takes a pin on the entry before releasing
+    /// the cache lock. A pinned entry survives budget eviction, eviction
+    /// storms, and policy pressure until every pin is released via
+    /// [`KeyCache::unpin`]. A worker pins a request's whole key plan up
+    /// front so the request can never re-expand a key mid-flight.
+    ///
+    /// # Errors
+    ///
+    /// As [`KeyCache::get_or_expand`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ell` is zero or exceeds `L`.
     pub fn get_or_expand_pinned(
         &self,
         ctx: &CkksContext,
         session: u64,
         kind: KeyKind,
         compressed: &[u8],
+        ell: usize,
     ) -> Result<Arc<SwitchingKey>, ErrorCode> {
-        self.lookup(ctx, session, kind, compressed, true)
+        self.lookup(ctx, session, kind, compressed, ell, true)
     }
 
     fn lookup(
@@ -174,30 +211,43 @@ impl KeyCache {
         session: u64,
         kind: KeyKind,
         compressed: &[u8],
+        ell: usize,
         pin: bool,
     ) -> Result<Arc<SwitchingKey>, ErrorCode> {
+        let expand =
+            || deserialize_switching_key_at(ctx, compressed, ell).map_err(|_| ErrorCode::Malformed);
         let mut inner = self.inner.lock().expect("cache poisoned");
         let inner = &mut *inner;
         inner.clock += 1;
         if let Some(e) = inner.entries.get_mut(&(session, kind)) {
             e.last_used = inner.clock;
-            e.pins += u32::from(pin);
             inner.hits += 1;
             inner.accesses += 1;
+            if e.ell < ell {
+                // Widen in place: requests still holding the narrower key
+                // keep it, and the reservation already covers the whole
+                // key.
+                let key = expand()?;
+                inner.widenings += 1;
+                inner.expanded_bytes += key.size_bytes();
+                (e.key, e.ell) = (Arc::new(key), ell);
+            }
+            e.pins += u32::from(pin);
             return Ok(e.key.clone());
         }
-        // Miss: regenerate the full key from its compressed form, and
-        // count the compute-for-memory price paid.
-        let key = deserialize_switching_key(ctx, compressed).map_err(|_| ErrorCode::Malformed)?;
-        let bytes = key.size_bytes();
+        // Miss: regenerate the share of the key this level reads, count
+        // the compute-for-memory price paid, and reserve the whole key.
+        let key = expand()?;
         inner.misses += 1;
-        inner.expanded_bytes += bytes;
+        inner.expanded_bytes += key.size_bytes();
         inner.accesses += 1;
         let key = Arc::new(key);
+        let bytes = ctx.switching_key_bytes();
         inner.entries.insert(
             (session, kind),
             Entry {
                 key: key.clone(),
+                ell,
                 bytes,
                 last_used: inner.clock,
                 pins: u32::from(pin),
@@ -267,7 +317,8 @@ impl KeyCache {
     /// stats snapshot, taken under the one lock, so the view cannot tear
     /// against a concurrent insert, storm, or purge:
     ///
-    /// - the byte ledger equals the sum of resident entry sizes,
+    /// - the byte ledger equals the sum of resident entry sizes, and no
+    ///   entry holds more than its reservation,
     /// - every lookup counted as exactly one hit or miss,
     /// - the *unpinned* bytes fit the budget, except when a single
     ///   unpinned entry alone exceeds it (the in-flight request needs
@@ -283,6 +334,13 @@ impl KeyCache {
         assert_eq!(
             sum, inner.bytes,
             "byte ledger diverged from resident entries"
+        );
+        assert!(
+            inner
+                .entries
+                .values()
+                .all(|e| e.key.size_bytes() <= e.bytes),
+            "an entry holds more than its reservation"
         );
         assert_eq!(
             inner.hits + inner.misses,
@@ -331,7 +389,9 @@ impl KeyCache {
             expanded_bytes: inner.expanded_bytes,
             accesses: inner.accesses,
             evictions: inner.evictions,
+            widenings: inner.widenings,
             resident_bytes: inner.bytes,
+            materialized_bytes: inner.entries.values().map(|e| e.key.size_bytes()).sum(),
             resident_keys: inner.entries.len() as u64,
             pinned_keys: inner.entries.values().filter(|e| e.pins > 0).count() as u64,
         }
@@ -341,16 +401,19 @@ impl KeyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckks::serialize::serialize_switching_key;
+    use ckks::serialize::{deserialize_switching_key, serialize_switching_key};
     use ckks::{CkksParams, KeyGenerator};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The test ring's top level.
+    const L: usize = 3;
 
     fn setup() -> (Arc<CkksContext>, Vec<Vec<u8>>) {
         let ctx = CkksContext::new(
             CkksParams::builder()
                 .log_degree(5)
-                .levels(3)
+                .levels(L)
                 .scale_bits(30)
                 .first_modulus_bits(36)
                 .dnum(2)
@@ -398,6 +461,106 @@ mod tests {
             5,
             "accesses partition into hits and misses"
         );
+    }
+
+    #[test]
+    fn a_miss_expands_its_level_and_a_higher_level_widens_it() {
+        let (ctx, blobs) = setup(); // L = 3, α = 2, dnum = 2
+        let whole = deserialize_switching_key(&ctx, &blobs[0]).unwrap();
+        assert_eq!(ctx.switching_key_bytes(), whole.size_bytes());
+        let cache = KeyCache::new(u64::MAX, EvictionPolicy::Lru);
+        let kind = KeyKind::Galois(0);
+        let low = cache
+            .get_or_expand_pinned(&ctx, 1, kind, &blobs[0], 1)
+            .unwrap();
+        let s = cache.check_invariants();
+        assert_eq!((s.misses, s.widenings), (1, 0));
+        assert_eq!(
+            s.resident_bytes,
+            whole.size_bytes(),
+            "the whole key reserved"
+        );
+        // One digit over Q_1 ∪ P: 3 of the whole key's 2·5 limb-polys.
+        assert_eq!(low.size_bytes(), whole.size_bytes() * 3 / 10);
+        assert_eq!(s.materialized_bytes, low.size_bytes());
+        assert_eq!(s.expanded_bytes, low.size_bytes());
+        // A higher level widens the entry in place: a hit, one expansion;
+        // the request holding the narrow key keeps it.
+        let top = cache
+            .get_or_expand_pinned(&ctx, 1, kind, &blobs[0], L)
+            .unwrap();
+        let s = cache.check_invariants();
+        assert_eq!((s.hits, s.misses, s.widenings), (1, 1, 1));
+        assert_eq!(s.materialized_bytes, whole.size_bytes());
+        assert_eq!(s.expanded_bytes, low.size_bytes() + whole.size_bytes());
+        assert_eq!(serialize_switching_key(&top), blobs[0]);
+        assert_eq!(low.digit_count(), 1);
+        // A lower level reads the wider entry as it is.
+        let again = cache.get_or_expand(&ctx, 1, kind, &blobs[0]).unwrap();
+        assert!(Arc::ptr_eq(&again, &top));
+        let again = cache
+            .get_or_expand_pinned(&ctx, 1, kind, &blobs[0], 2)
+            .unwrap();
+        assert!(Arc::ptr_eq(&again, &top));
+        assert_eq!(cache.check_invariants().widenings, 1);
+    }
+
+    #[test]
+    fn mixed_levels_hit_miss_and_evict_like_a_whole_key_cache() {
+        let (ctx, blobs) = setup();
+        let budget = 2 * ctx.switching_key_bytes();
+        let leveled = KeyCache::new(budget, EvictionPolicy::Lru);
+        let whole = KeyCache::new(budget, EvictionPolicy::Lru);
+        let mut rng = StdRng::seed_from_u64(0x1e7e1);
+        let mut pinned: Vec<(u64, KeyKind)> = Vec::new();
+        let mut widenings = 0;
+        for step in 0..400 {
+            match rng.gen_range(0..20) {
+                0 => assert_eq!(leveled.evict_all(), whole.evict_all(), "step {step}"),
+                1 => {
+                    let session = rng.gen_range(1..=3);
+                    pinned.retain(|&(s, _)| s != session);
+                    leveled.purge_session(session);
+                    whole.purge_session(session);
+                }
+                2..=5 if !pinned.is_empty() => {
+                    let (session, kind) = pinned.swap_remove(rng.gen_range(0..pinned.len()));
+                    leveled.unpin(session, kind);
+                    whole.unpin(session, kind);
+                }
+                _ => {
+                    let (session, key) = (rng.gen_range(1..=3), rng.gen_range(0..blobs.len()));
+                    let kind = KeyKind::Galois(key as u64);
+                    let ell = rng.gen_range(1..=L);
+                    let inner = leveled.inner.lock().unwrap();
+                    let at = inner.entries.get(&(session, kind)).map(|e| e.ell);
+                    drop(inner);
+                    widenings += u64::from(at.is_some_and(|at| at < ell));
+                    let blob = &blobs[key];
+                    let got = leveled.get_or_expand_pinned(&ctx, session, kind, blob, ell);
+                    let want = whole.get_or_expand_pinned(&ctx, session, kind, blob, L);
+                    assert!(got.unwrap().digit_count() <= want.unwrap().digit_count());
+                    pinned.push((session, kind));
+                }
+            }
+            let (a, b) = (leveled.check_invariants(), whole.check_invariants());
+            let policy = |s: CacheStats| {
+                let CacheStats {
+                    hits,
+                    misses,
+                    accesses,
+                    evictions,
+                    ..
+                } = s;
+                let resident = (s.resident_bytes, s.resident_keys, s.pinned_keys);
+                (hits, misses, accesses, evictions, resident)
+            };
+            assert_eq!(policy(a), policy(b), "step {step}");
+            assert_eq!(a.widenings, widenings, "step {step}");
+            assert_eq!(b.widenings, 0);
+            assert!(a.materialized_bytes <= b.materialized_bytes);
+        }
+        assert!(widenings > 0 && whole.stats().evictions > 0);
     }
 
     #[test]
@@ -450,10 +613,10 @@ mod tests {
         // Budget fits a single key; pinning two must hold both resident.
         let cache = KeyCache::new(one_key, EvictionPolicy::Lru);
         cache
-            .get_or_expand_pinned(&ctx, 1, KeyKind::Galois(0), &blobs[0])
+            .get_or_expand_pinned(&ctx, 1, KeyKind::Galois(0), &blobs[0], L)
             .unwrap();
         cache
-            .get_or_expand_pinned(&ctx, 1, KeyKind::Galois(1), &blobs[1])
+            .get_or_expand_pinned(&ctx, 1, KeyKind::Galois(1), &blobs[1], L)
             .unwrap();
         let s = cache.check_invariants();
         assert_eq!(s.resident_keys, 2, "both pinned keys resident over budget");
@@ -463,7 +626,7 @@ mod tests {
         assert_eq!(cache.check_invariants().resident_keys, 2);
         // A pinned hit takes a second pin; one unpin leaves it pinned.
         cache
-            .get_or_expand_pinned(&ctx, 1, KeyKind::Galois(0), &blobs[0])
+            .get_or_expand_pinned(&ctx, 1, KeyKind::Galois(0), &blobs[0], L)
             .unwrap();
         assert_eq!(cache.stats().hits, 1);
         cache.unpin(1, KeyKind::Galois(0));
@@ -480,7 +643,7 @@ mod tests {
         // A slice smaller than one key still holds the key last served.
         let tiny = KeyCache::new(one_key / 4, EvictionPolicy::Lru);
         for _ in 0..2 {
-            tiny.get_or_expand_pinned(&ctx, 1, KeyKind::Galois(0), &blobs[0])
+            tiny.get_or_expand_pinned(&ctx, 1, KeyKind::Galois(0), &blobs[0], L)
                 .unwrap();
             tiny.unpin(1, KeyKind::Galois(0));
         }
@@ -509,6 +672,7 @@ mod tests {
                     (1, KeyKind::Galois(i as u64)),
                     Entry {
                         key,
+                        ell: L,
                         bytes,
                         last_used: i as u64,
                         pins: 0,
@@ -553,7 +717,9 @@ mod tests {
             expanded_bytes: 50,
             accesses: 3,
             evictions: 4,
+            widenings: 6,
             resident_bytes: 100,
+            materialized_bytes: 40,
             resident_keys: 5,
             pinned_keys: 1,
         };
@@ -568,7 +734,9 @@ mod tests {
                 expanded_bytes: 100,
                 accesses: 6,
                 evictions: 8,
+                widenings: 12,
                 resident_bytes: 200,
+                materialized_bytes: 80,
                 resident_keys: 10,
                 pinned_keys: 2,
             }

@@ -18,7 +18,7 @@ use crate::server::ServerState;
 use crate::session::{Session, StoredProgram};
 use ckks::hoisting::{apply_bsgs, LinearTransform};
 use ckks::serialize::{
-    deserialize_switching_key, galois_key_set_entries, lease_ciphertext, lease_plaintext,
+    check_switching_key, galois_key_set_entries, lease_ciphertext, lease_plaintext,
     write_ciphertext,
 };
 use ckks::{Ciphertext, Evaluator};
@@ -89,7 +89,9 @@ impl Decoded<'_> {
         let ctx = &state.ctx;
         let (sid, session, plan) = match self {
             Decoded::Eval(sid, s, req) => (sid, s, KeyPlan::for_request(ctx, req)),
-            Decoded::Program(sid, s, p, _) => (sid, s, KeyPlan::for_program(ctx, &p.info.manifest)),
+            Decoded::Program(sid, s, p, _) => {
+                (sid, s, KeyPlan::for_program(ctx, &p.program, &p.info))
+            }
             _ => return None,
         };
         (!plan.is_empty()).then(|| PinnedKeys::pin(state, *sid, session, plan))
@@ -130,10 +132,12 @@ pub(crate) fn execute(
             };
             out.extend_from_slice(dump.as_bytes());
         }
+        // Every key is checked whole against the context before it is
+        // filed away — header, digit count, every stored residue — without
+        // expanding it: the cache expands only the share of a key a level
+        // reads, so a bad limb above that level would otherwise go unseen.
         Decoded::Manage(Opcode::UploadRelin, _, session, key_bytes) => {
-            // Validate against the context before filing it away, so MULT
-            // never trips over garbage later.
-            if deserialize_switching_key(&state.ctx, key_bytes).is_err() {
+            if check_switching_key(&state.ctx, key_bytes).is_err() {
                 return fail(ErrorCode::Malformed, "relin key bytes rejected");
             }
             session.set_relin(key_bytes.to_vec());
@@ -143,6 +147,13 @@ pub(crate) fn execute(
                 Ok(e) if !e.is_empty() => e,
                 _ => return fail(ErrorCode::Malformed, "galois bundle rejected"),
             };
+            if let Some((element, _)) = entries
+                .iter()
+                .find(|(_, key)| check_switching_key(&state.ctx, key).is_err())
+            {
+                let msg = format!("galois bundle rejected: key for element {element}");
+                return fail(ErrorCode::Malformed, msg);
+            }
             // Keys are stored compressed, split but unexpanded — the
             // cache pays for expansion on first use.
             for (element, key_bytes) in entries {

@@ -281,7 +281,7 @@ impl Metrics {
         let _ = writeln!(out, "serve_kernel_backend{{backend=\"{backend}\"}} 1");
 
         let rel = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let counters: [(&str, &str, &str, u64); 17] = [
+        let counters: [(&str, &str, &str, u64); 19] = [
             (
                 "serve_requests_total",
                 "counter",
@@ -363,8 +363,20 @@ impl Metrics {
             (
                 "serve_key_cache_resident_bytes",
                 "gauge",
-                "Bytes of expanded keys currently resident.",
+                "Bytes the key-cache budget charges its resident keys (each a whole key).",
                 cache.resident_bytes,
+            ),
+            (
+                "serve_cache_materialized_bytes",
+                "gauge",
+                "Bytes of key material resident keys hold, each expanded for the levels it was read at.",
+                cache.materialized_bytes,
+            ),
+            (
+                "serve_cache_widenings_total",
+                "counter",
+                "Key-cache hits that re-expanded a key for a higher level.",
+                cache.widenings,
             ),
             (
                 "serve_key_cache_resident_keys",
@@ -389,13 +401,14 @@ impl Metrics {
             g(&mut out, name, ty, help, v);
         }
 
-        // Every cache miss is one expansion from the seeded form.
+        // Every cache miss and every widening is one expansion from the
+        // seeded form.
         g(
             &mut out,
             "serve_key_expansions_total",
             "counter",
             "Switching-key expansions performed by the math layer.",
-            cache.misses,
+            cache.misses + cache.widenings,
         );
         g(
             &mut out,
@@ -721,7 +734,14 @@ mod tests {
             free_bytes: 4096,
             ..ScratchStats::default()
         };
-        let dump = m.dump(&CacheStats::default(), &scratch, "scalar");
+        let cache = CacheStats {
+            misses: 3,
+            widenings: 2,
+            resident_bytes: 4096,
+            materialized_bytes: 640,
+            ..CacheStats::default()
+        };
+        let dump = m.dump(&cache, &scratch, "scalar");
 
         let mut families_in_order = Vec::new();
         let mut typed = std::collections::HashSet::new();
@@ -774,6 +794,12 @@ mod tests {
             at("serve_key_cache_pinned_keys").map(|i| i + 1)
         );
         assert!(dump.contains("\nserve_scratch_free_bytes 4096\n"));
+        // The cache's reservation beside what it holds; a widening is an
+        // expansion as a miss is.
+        assert!(dump.contains("\nserve_key_cache_resident_bytes 4096\n"));
+        assert!(dump.contains("\nserve_cache_materialized_bytes 640\n"));
+        assert!(dump.contains("\nserve_cache_widenings_total 2\n"));
+        assert!(dump.contains("\nserve_key_expansions_total 5\n"));
 
         // Quantile estimates honour the bucket that fed them.
         assert!(dump.contains("serve_stage_latency_us_quantile{stage=\"kernel\",q=\"0.5\"}"));

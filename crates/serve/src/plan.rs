@@ -1,71 +1,135 @@
-//! The key plan: which switching keys a request needs, and the one place
-//! a handler reads them from.
+//! The key plan: which switching keys a request needs, at what level, and
+//! the one place a handler reads them from.
 //!
 //! 1. The worker plans a request's keys from the request it decoded —
 //!    [`KeyPlan::for_request`] from an evaluation op's fields,
-//!    [`KeyPlan::for_program`] from a stored program's manifest: relin
-//!    yes/no plus the Galois elements. This is the only code in the crate
-//!    that turns a rotation step into a Galois element.
-//! 2. It pins the plan ([`PinnedKeys::pin`]), runs the request, and
-//!    unpins. Handlers read keys from the pinned set and nowhere else.
+//!    [`KeyPlan::for_program`] from a stored program's validated
+//!    instructions: relin yes/no plus the Galois elements, each with the
+//!    limb count its key switches run at. This is the only code in the
+//!    crate that turns a rotation step into a Galois element.
+//! 2. It pins the plan ([`PinnedKeys::pin`]), which expands a missing key
+//!    at that limb count only, runs the request, and unpins. Handlers read
+//!    keys from the pinned set and nowhere else.
 
 use crate::cache::KeyKind;
 use crate::protocol::{ErrorCode, Request};
 use crate::server::ServerState;
 use crate::session::Session;
+use ckks::serialize::ciphertext_limb_count;
 use ckks::{CkksContext, GaloisKeys, SwitchingKey};
-use fhe_program::program::{bsgs_galois_steps, KeyManifest};
+use fhe_program::program::{bsgs_baby_dim, bsgs_galois_steps, Instr, Program, ProgramInfo};
 use std::sync::Arc;
 
-/// The keys one request needs.
+/// The keys one request needs, each with the largest limb count a key
+/// switch of the request runs at — what a missing key is expanded at.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub(crate) struct KeyPlan {
-    pub(crate) relin: bool,
-    /// `(rotation step, Galois element)`, steps that rotate only, one
-    /// entry per distinct element.
-    pub(crate) galois: Vec<(i64, u64)>,
+    /// The relin key's limb count, if the request multiplies.
+    pub(crate) relin: Option<usize>,
+    /// `(rotation step, Galois element, limb count)`, steps that rotate
+    /// only, one entry per distinct element.
+    pub(crate) galois: Vec<(i64, u64, usize)>,
 }
 
 impl KeyPlan {
-    fn new(ctx: &CkksContext, relin: bool, steps: impl IntoIterator<Item = i64>) -> Self {
+    fn new(
+        ctx: &CkksContext,
+        relin: Option<usize>,
+        steps: impl IntoIterator<Item = (i64, usize)>,
+    ) -> Self {
         let mut plan = KeyPlan {
             relin,
             galois: Vec::new(),
         };
-        for s in steps {
+        for (s, ell) in steps {
             // A multiple of the slot count (0 among them) is a copy.
             let element = ctx.rotation_element(s);
-            if element != 1 && !plan.galois.iter().any(|&(_, e)| e == element) {
-                plan.galois.push((s, element));
+            if element == 1 {
+                continue;
+            }
+            match plan.galois.iter_mut().find(|(_, e, _)| *e == element) {
+                Some((_, _, at)) => *at = (*at).max(ell),
+                None => plan.galois.push((s, element, ell)),
             }
         }
         plan
     }
 
-    /// The keys a decoded evaluation request names: the relin key for a
+    /// The keys a decoded evaluation request names — the relin key for a
     /// `Mult`, a `Rotate`'s step, a `Bsgs`'s baby and giant steps by the
-    /// validator's own walk. A `RunProgram` names none itself; its stored
-    /// program's manifest does ([`KeyPlan::for_program`]).
+    /// validator's own walk — at the limb count its ciphertext operand's
+    /// header names (the larger of a `Mult`'s two; `L` for a header that
+    /// does not parse, which fails the request when it is decoded). A
+    /// `RunProgram` names none itself; its stored program does
+    /// ([`KeyPlan::for_program`]).
     pub(crate) fn for_request(ctx: &CkksContext, req: &Request<'_>) -> Self {
+        let level = |ct: &[u8]| ciphertext_limb_count(ctx, ct).unwrap_or(ctx.params().levels());
         match req {
-            Request::Mult(..) => KeyPlan::new(ctx, true, []),
-            Request::Rotate(steps, _) => KeyPlan::new(ctx, false, [*steps]),
-            Request::Bsgs(n1, diagonals, _) => {
+            Request::Mult(a, b) => KeyPlan::new(ctx, Some(level(a).max(level(b))), []),
+            Request::Rotate(steps, ct) => KeyPlan::new(ctx, None, [(*steps, level(ct))]),
+            Request::Bsgs(n1, diagonals, ct) => {
                 let offsets: Vec<usize> = diagonals.iter().map(|&(d, _)| d).collect();
-                KeyPlan::new(ctx, false, bsgs_galois_steps(&offsets, *n1))
+                let ell = level(ct);
+                let steps = bsgs_galois_steps(&offsets, *n1).into_iter();
+                KeyPlan::new(ctx, None, steps.map(|s| (s, ell)))
             }
             _ => KeyPlan::default(),
         }
     }
 
-    /// The exact keys a stored program's manifest names.
-    pub(crate) fn for_program(ctx: &CkksContext, manifest: &KeyManifest) -> Self {
-        KeyPlan::new(ctx, manifest.relin, manifest.galois_steps.iter().copied())
+    /// The exact keys a stored program's manifest names, each at the
+    /// largest working limb count (`InstrMeta::ell`) among the
+    /// instructions that read it: a `Mult` the relin key, a `Rotate` its
+    /// step's key, a `BsgsMatVec` its baby and giant steps' keys, and a
+    /// folded ladder every stage's keys, its combined steps among them.
+    pub(crate) fn for_program(ctx: &CkksContext, program: &Program, info: &ProgramInfo) -> Self {
+        let mut relin = None;
+        let mut steps: Vec<(i64, usize)> = Vec::new();
+        for (instr, meta) in program.instrs.iter().zip(&info.instrs) {
+            match instr {
+                Instr::Mult { .. } => relin = relin.max(Some(meta.ell)),
+                Instr::Rotate { steps: s, .. } => steps.push((*s, meta.ell)),
+                Instr::BsgsMatVec { mat, .. } => {
+                    let decl = program.matrices.iter().find(|m| &m.name == mat);
+                    let offsets = &decl.expect("a validated program declares it").offsets;
+                    let baby = bsgs_baby_dim(offsets.len());
+                    steps.extend(
+                        bsgs_galois_steps(offsets, baby)
+                            .into_iter()
+                            .map(|s| (s, meta.ell)),
+                    );
+                }
+                _ => {}
+            }
+        }
+        for ladder in &info.ladders {
+            let rungs = &info.instrs[ladder.start..ladder.start + 2 * ladder.rungs];
+            let ell = rungs.iter().map(|m| m.ell).max().unwrap_or(0);
+            steps.extend(ladder.stages.iter().flatten().map(|&s| (s, ell)));
+        }
+        // The manifest is the key set; the walk above only levels it. A
+        // key the walk missed would be read at any level: expand it whole.
+        let levels = ctx.params().levels();
+        let reads: Vec<(u64, usize)> = steps
+            .iter()
+            .map(|&(s, ell)| (ctx.rotation_element(s), ell))
+            .collect();
+        let at = |step: i64| {
+            let element = ctx.rotation_element(step);
+            let of_key = reads.iter().filter(|&&(e, _)| e == element);
+            of_key.map(|&(_, ell)| ell).max().unwrap_or(levels)
+        };
+        let manifest = &info.manifest;
+        KeyPlan::new(
+            ctx,
+            manifest.relin.then(|| relin.unwrap_or(levels)),
+            manifest.galois_steps.iter().map(|&s| (s, at(s))),
+        )
     }
 
     /// Whether the request needs no key at all.
     pub(crate) fn is_empty(&self) -> bool {
-        !self.relin && self.galois.is_empty()
+        self.relin.is_none() && self.galois.is_empty()
     }
 }
 
@@ -83,20 +147,21 @@ pub(crate) struct PinnedKeys {
 
 impl PinnedKeys {
     /// Pins every key of `plan` for session `sid`, which the worker looked
-    /// up when it decoded the request.
+    /// up when it decoded the request, each expanded at least at its
+    /// planned limb count.
     pub(crate) fn pin(state: &ServerState, sid: u64, session: &Session, plan: KeyPlan) -> Self {
-        let pin = |kind| {
+        let pin = |kind, ell| {
             let bytes = session.key_bytes(kind)?;
             state
                 .cache
-                .get_or_expand_pinned(&state.ctx, sid, kind, &bytes)
+                .get_or_expand_pinned(&state.ctx, sid, kind, &bytes, ell)
         };
         let galois = plan.galois.iter();
         PinnedKeys {
             sid,
-            relin: plan.relin.then(|| pin(KeyKind::Relin)),
+            relin: plan.relin.map(|ell| pin(KeyKind::Relin, ell)),
             galois: galois
-                .map(|&(s, e)| (s, e, pin(KeyKind::Galois(e))))
+                .map(|&(s, e, ell)| (s, e, pin(KeyKind::Galois(e), ell)))
                 .collect(),
         }
     }
@@ -139,6 +204,7 @@ mod tests {
     use super::*;
     use crate::protocol::{split_session, BodyWriter, Opcode};
     use ckks::CkksParams;
+    use fhe_program::program::{CtDecl, ProgramEnv};
 
     fn ctx() -> Arc<CkksContext> {
         CkksContext::new(
@@ -166,17 +232,33 @@ mod tests {
         let ctx = ctx();
         let of = |op, body: &[u8]| plan_of(&ctx, op, body);
 
+        // An operand whose header does not parse plans the whole key.
         let mut w = BodyWriter::new();
         w.u64(7).i64(-3).raw(b"ciphertext");
         assert_eq!(split_session(&w.0).map(|(sid, _)| sid), Some(7));
         let rotate = of(Opcode::Rotate, &w.0).unwrap();
-        assert_eq!(rotate.galois, vec![(-3, ctx.rotation_element(-3))]);
+        assert_eq!(rotate.galois, vec![(-3, ctx.rotation_element(-3), 3)]);
         assert!(!rotate.is_empty());
 
         let mut two = BodyWriter::new();
         two.u64(7).blob(b"a").blob(b"b");
         let mult = of(Opcode::Mult, &two.0).unwrap();
-        assert!(mult.relin && mult.galois.is_empty());
+        assert!(mult.relin == Some(3) && mult.galois.is_empty());
+
+        // Otherwise the key is planned at the limb count the header names:
+        // the operand's, the larger of a `Mult`'s two.
+        let header = |limbs: u32| {
+            let mut h = b"MADf\x01".to_vec();
+            h.extend_from_slice(&32u32.to_le_bytes());
+            h.extend_from_slice(&limbs.to_le_bytes());
+            h
+        };
+        let mut low = BodyWriter::new();
+        low.u64(7).i64(-3).raw(&header(1));
+        assert_eq!(of(Opcode::Rotate, &low.0).unwrap().galois[0].2, 1);
+        let mut mixed = BodyWriter::new();
+        mixed.u64(7).blob(&header(2)).blob(&header(1));
+        assert_eq!(of(Opcode::Mult, &mixed.0).unwrap().relin, Some(2));
 
         // Keyless ops, rotate-by-zero and by a whole turn plan nothing; a
         // run program's request names no key itself (its manifest does);
@@ -203,15 +285,62 @@ mod tests {
         ] {
             assert_eq!(of(op, body), None, "{op:?}");
         }
+    }
 
-        let manifest = KeyManifest {
-            relin: true,
-            galois_steps: vec![1, 2, ctx.params().slots() as i64],
+    #[test]
+    fn a_program_plans_each_key_at_the_highest_level_that_reads_it() {
+        let ctx = ctx(); // L = 3
+        let slots = ctx.params().slots() as i64;
+        let rot = |dst: &str, a: &str, steps| Instr::Rotate {
+            dst: dst.into(),
+            a: a.into(),
+            steps,
         };
-        let program = KeyPlan::for_program(&ctx, &manifest);
-        assert!(program.relin);
-        let steps: Vec<i64> = program.galois.iter().map(|&(s, _)| s).collect();
-        assert_eq!(steps, [1, 2]);
+        let add = |dst: &str, a: &str, b: &str| Instr::Add {
+            dst: dst.into(),
+            a: a.into(),
+            b: b.into(),
+        };
+        let program = Program {
+            name: "levels".into(),
+            ct_inputs: vec![CtDecl {
+                name: "x".into(),
+                level: 3,
+            }],
+            instrs: vec![
+                Instr::Mult {
+                    dst: "m".into(),
+                    a: "x".into(),
+                    b: "x".into(),
+                },
+                rot("a", "x", 1),
+                rot("b", "m", 1),
+                rot("c", "m", 2),
+                rot("d", "m", slots),
+                // A ladder on `m` (level 2): rungs 4 and 8 fold into the
+                // one stage {4, 8, 12}, 12 a combined step.
+                rot("t", "m", 4),
+                add("m", "m", "t"),
+                rot("t", "m", 8),
+                add("m", "m", "t"),
+            ],
+            outputs: ["m", "a", "b", "c", "d"].map(String::from).to_vec(),
+            ..Program::default()
+        };
+        let env = ProgramEnv {
+            levels: 3,
+            slots: slots as usize,
+        };
+        let info = program.validate(&env).expect("a valid program");
+        assert_eq!(info.ladders.len(), 1, "the ladder folds");
+        let plan = KeyPlan::for_program(&ctx, &program, &info);
+        assert_eq!(plan.relin, Some(3));
+        let mut steps: Vec<(i64, usize)> = plan.galois.iter().map(|&(s, _, l)| (s, l)).collect();
+        steps.sort_unstable();
+        // Step 1 is read at level 3 (of `x`) and at 2: it plans 3.
+        assert_eq!(steps, [(1, 3), (2, 2), (4, 2), (8, 2), (12, 2)]);
+        let manifest: Vec<i64> = info.manifest.galois_steps.clone();
+        assert_eq!(manifest, [1, 2, 4, 8, 12]);
     }
 
     #[test]
@@ -233,7 +362,7 @@ mod tests {
         let plan = |body: &[u8]| plan_of(&ctx, Opcode::Bsgs, body);
         let planned = |n1: u32, offsets: &[u32]| -> Vec<i64> {
             let plan = plan(&body(n1, offsets)).expect("a valid body");
-            plan.galois.iter().map(|&(s, _)| s).collect()
+            plan.galois.iter().map(|&(s, _, _)| s).collect()
         };
         // Baby step 1 (offset 3), giants {2} (offsets 2 and 3 both map to 2).
         let full = body(2, &[0, 2, 3]);

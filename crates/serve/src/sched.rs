@@ -314,7 +314,10 @@ mod tests {
             let bytes = serialize_switching_key(key);
             let kind = KeyKind::Galois(element);
             if i == 0 {
-                state.cache.get_or_expand_pinned(&ctx, sid, kind, &bytes)
+                let top = ctx.params().levels();
+                state
+                    .cache
+                    .get_or_expand_pinned(&ctx, sid, kind, &bytes, top)
             } else {
                 state.cache.get_or_expand(&ctx, sid, kind, &bytes)
             }

@@ -143,6 +143,52 @@ fn a_relin_key_with_the_wrong_digit_count_is_malformed_at_upload() {
     server.shutdown();
 }
 
+/// A Galois key is checked whole at upload: an unreduced residue in a limb
+/// that a level-2 rotation never reads — which the level's expansion would
+/// never decode — is `Malformed` then, not a latent fault of a later
+/// rotation at a higher level.
+#[test]
+fn a_galois_key_with_an_unreduced_residue_above_the_level_is_malformed_at_upload() {
+    use ckks::serialize::{deserialize_switching_key_at, serialize_galois_keys};
+    let ctx = small_ctx(); // L = 3, α = k = 2, dnum = 2
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    let mut rng = StdRng::seed_from_u64(10);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1], false);
+    let good = serialize_galois_keys(&gk);
+
+    // The bundle's one key sits behind its count, element and length; its
+    // `b_0` behind the key's header, digit count, seed flag and seed. Q-limb
+    // 2 of `b_0` is above level 2.
+    let full = ctx.full_basis();
+    let key_at = 5 + 4 + 8 + 4;
+    let b0_at = key_at + 5 + 8 + 8 * full.len() + 4 + 1 + 32;
+    let word_at = b0_at + 2 * 8 * full.degree();
+    let mut bad = good.clone();
+    bad[word_at..word_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(
+        deserialize_switching_key_at(&ctx, &bad[key_at..], 2).is_ok(),
+        "a level-2 expansion never reads the bad limb"
+    );
+    let upload = |client: &mut Client, bundle: &[u8]| {
+        let mut w = BodyWriter::new();
+        w.u64(sid).raw(bundle);
+        client.call_raw(Opcode::UploadGalois as u8, &w.0)
+    };
+    expect_code(upload(&mut client, &bad), ErrorCode::Malformed);
+
+    upload(&mut client, &good).unwrap();
+    let pt = Encoder::new(ctx.clone())
+        .encode(&[Complex::new(0.5, 0.0)], 2, ctx.params().scale())
+        .unwrap();
+    let ct = Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
+    assert_eq!(client.rotate(sid, &ct, 1).unwrap().limb_count(), 2);
+    server.shutdown();
+}
+
 /// A `Bsgs` body whose diagonal offsets repeat or descend is refused, as a
 /// program's `MatDecl` is: a repeated offset would replace a diagonal, and
 /// the client would get the product of a matrix it never sent. A rotation
