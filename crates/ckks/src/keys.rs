@@ -1,7 +1,8 @@
 //! Key material: secret, public, relinearization, Galois and generic
-//! switching keys, including the paper's **key compression** optimization
-//! (a PRNG seed replaces the uniformly random first polynomial of every
-//! switching key, halving its DRAM footprint — Section 3.2).
+//! switching keys. Every switching key is generated in the paper's **key
+//! compression** form (Section 3.2): a 32-byte PRNG seed regenerates the
+//! uniformly random first polynomial `a_j` of every digit, so a key is
+//! stored and sent as its seed plus the `b_j`, half its expanded bytes.
 
 use crate::context::CkksContext;
 use fhe_math::poly::{Representation, RnsPoly};
@@ -60,16 +61,15 @@ pub struct DigitKey {
 #[derive(Clone)]
 pub struct SwitchingKey {
     pub(crate) digits: Vec<DigitKey>,
-    /// When produced by seeded generation, the seed that regenerates every
-    /// `a_j` — the transferable form of the key-compression optimization.
-    pub(crate) seed: Option<[u8; 32]>,
+    /// The seed that regenerates every `a_j` — the transferable form of
+    /// the key-compression optimization.
+    pub(crate) seed: [u8; 32],
 }
 
 impl fmt::Debug for SwitchingKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SwitchingKey")
             .field("digits", &self.digits.len())
-            .field("compressed", &self.seed.is_some())
             .finish()
     }
 }
@@ -78,12 +78,6 @@ impl SwitchingKey {
     /// Number of digit keys (`dnum`).
     pub fn digit_count(&self) -> usize {
         self.digits.len()
-    }
-
-    /// True if the key carries a seed from which the `a_j` components can
-    /// be regenerated (key compression).
-    pub fn is_compressed(&self) -> bool {
-        self.seed.is_some()
     }
 
     /// Size in bytes when both polynomials of every digit are stored.
@@ -95,8 +89,8 @@ impl SwitchingKey {
             .sum()
     }
 
-    /// Size in bytes when the `a_j` are replaced by the 32-byte seed —
-    /// exactly half plus the seed, the paper's 2× key-read reduction.
+    /// Size in bytes of the stored form, the `a_j` replaced by the 32-byte
+    /// seed — exactly half plus the seed, the paper's 2× key-read reduction.
     pub fn compressed_size_bytes(&self) -> u64 {
         let per_poly = |p: &RnsPoly| 8 * p.degree() as u64 * p.limb_count() as u64;
         32 + self.digits.iter().map(|d| per_poly(&d.b)).sum::<u64>()
@@ -146,21 +140,6 @@ impl GaloisKeys {
     /// Iterates over `(galois_element, key)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &SwitchingKey)> {
         self.keys.iter().map(|(&k, v)| (k, v.as_ref()))
-    }
-
-    /// Total serialized size of the set in bytes, honouring each key's
-    /// compression state.
-    pub fn total_bytes(&self) -> u64 {
-        self.keys
-            .values()
-            .map(|k| {
-                if k.is_compressed() {
-                    k.compressed_size_bytes()
-                } else {
-                    k.size_bytes()
-                }
-            })
-            .sum()
     }
 
     /// The key for Galois element `k`, if generated.
@@ -263,15 +242,15 @@ impl KeyGenerator {
     /// `Q ∪ P` basis, evaluation representation — e.g. `s²` or `σ_k(s)`)
     /// to the secret `s`.
     ///
-    /// When `seed` is `Some`, the `a_j` components are derived from the
-    /// seed (key compression); the returned key records the seed so callers
-    /// can measure or transmit the compressed form.
+    /// The `a_j` components are regenerated from `seed` (key compression);
+    /// `rng` draws only the errors `e_j`. The key records the seed, which
+    /// with the `b_j` is its wire form.
     pub fn switching_key<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         src: &RnsPoly,
         sk: &SecretKey,
-        seed: Option<[u8; 32]>,
+        seed: [u8; 32],
     ) -> SwitchingKey {
         assert_eq!(
             src.limb_count(),
@@ -282,8 +261,6 @@ impl KeyGenerator {
         let full = self.ctx.full_basis().clone();
         let n = self.ctx.params().degree();
         let l = self.ctx.params().levels();
-        let dnum = self.ctx.params().dnum();
-        let moduli: Vec<u64> = full.moduli().iter().map(|m| m.value()).collect();
 
         // [P]_{q_i} for the g_j factors.
         let p_mod_q: Vec<u64> = (0..l)
@@ -297,17 +274,8 @@ impl KeyGenerator {
             })
             .collect();
 
-        let mut seeded_a = seed.map(|seed| self.ctx.seeded_key_a(seed, l).into_iter());
-        let mut digits = Vec::with_capacity(dnum);
-        for j in 0..dnum {
-            let a = match seeded_a.as_mut() {
-                Some(a) => a.next().expect("one a_j per digit"),
-                None => RnsPoly::from_flat(
-                    full.clone(),
-                    sample_uniform_flat(rng, &moduli, n),
-                    Representation::Evaluation,
-                ),
-            };
+        let mut digits = Vec::new();
+        for (j, mut a) in self.ctx.seeded_key_a(seed, l).into_iter().enumerate() {
             let e_signed = sample_gaussian(rng, n);
             let mut b = RnsPoly::from_signed_coeffs(full.clone(), &e_signed);
             b.to_eval();
@@ -325,7 +293,6 @@ impl KeyGenerator {
             let mut lifted = src.clone();
             lifted.mul_scalar_per_limb_assign(&factors);
             b.add_assign(&lifted);
-            let mut a = a;
             a.set_operand_class(OperandClass::Key);
             b.set_operand_class(OperandClass::Key);
             digits.push(DigitKey { a, b });
@@ -333,19 +300,20 @@ impl KeyGenerator {
         SwitchingKey { digits, seed }
     }
 
-    /// Generates the relinearization key (`s² → s`).
+    /// Generates the relinearization key (`s² → s`), its seed the first
+    /// draw from `rng`.
     pub fn relin_key<R: Rng + ?Sized>(&self, rng: &mut R, sk: &SecretKey) -> RelinKey {
-        let mut s2 = sk.full.clone();
-        s2.mul_assign_pointwise(&sk.full);
-        RelinKey(self.switching_key(rng, &s2, sk, None))
-    }
-
-    /// Generates the relinearization key in compressed (seeded) form.
-    pub fn relin_key_compressed<R: Rng + ?Sized>(&self, rng: &mut R, sk: &SecretKey) -> RelinKey {
         let seed = rng.gen::<[u8; 32]>();
         let mut s2 = sk.full.clone();
         s2.mul_assign_pointwise(&sk.full);
-        RelinKey(self.switching_key(rng, &s2, sk, Some(seed)))
+        RelinKey(self.switching_key(rng, &s2, sk, seed))
+    }
+
+    /// [`KeyGenerator::relin_key`] under its old name, kept only for the
+    /// benchmark harness; ROADMAP item 1(d) deletes it.
+    #[doc(hidden)]
+    pub fn relin_key_compressed<R: Rng + ?Sized>(&self, rng: &mut R, sk: &SecretKey) -> RelinKey {
+        self.relin_key(rng, sk)
     }
 
     /// `σ_k(s)` over `Q ∪ P` in evaluation representation: the signed
@@ -367,57 +335,28 @@ impl KeyGenerator {
         src
     }
 
-    /// Generates the Galois key for element `k` (`σ_k(s) → s`).
+    /// Generates the Galois key for element `k` (`σ_k(s) → s`), its seed
+    /// the first draw from `rng`.
     pub fn galois_key<R: Rng + ?Sized>(&self, rng: &mut R, sk: &SecretKey, k: u64) -> SwitchingKey {
-        self.switching_key(rng, &self.automorphed_secret(sk, k), sk, None)
+        let seed = rng.gen::<[u8; 32]>();
+        self.switching_key(rng, &self.automorphed_secret(sk, k), sk, seed)
     }
 
-    /// Generates the Galois key for element `k` in compressed (seeded)
-    /// form — the key-compression optimization applied where it matters
-    /// most, since bootstrapping carries tens of rotation keys.
+    /// [`KeyGenerator::galois_key`] under its old name, kept only for the
+    /// benchmark harness; ROADMAP item 1(d) deletes it.
+    #[doc(hidden)]
     pub fn galois_key_compressed<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         sk: &SecretKey,
         k: u64,
     ) -> SwitchingKey {
-        let seed = rng.gen::<[u8; 32]>();
-        self.switching_key(rng, &self.automorphed_secret(sk, k), sk, Some(seed))
-    }
-
-    /// One key per distinct Galois element of `steps` (then conjugation,
-    /// if asked), each made by `key` in that order.
-    fn galois_key_set(
-        &self,
-        steps: &[i64],
-        with_conjugation: bool,
-        mut key: impl FnMut(u64) -> SwitchingKey,
-    ) -> GaloisKeys {
-        let conjugation = with_conjugation.then(|| self.ctx.conjugation_element());
-        let elements = steps.iter().map(|&s| self.ctx.rotation_element(s));
-        let mut keys = HashMap::new();
-        for k in elements.chain(conjugation) {
-            keys.entry(k).or_insert_with(|| Arc::new(key(k)));
-        }
-        GaloisKeys { keys }
-    }
-
-    /// Generates a fully seeded Galois key set: every key can be
-    /// serialized at half size and regenerated from its seed.
-    pub fn galois_keys_compressed<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        sk: &SecretKey,
-        steps: &[i64],
-        with_conjugation: bool,
-    ) -> GaloisKeys {
-        self.galois_key_set(steps, with_conjugation, |k| {
-            self.galois_key_compressed(rng, sk, k)
-        })
+        self.galois_key(rng, sk, k)
     }
 
     /// Generates Galois keys for the given rotation steps (plus optional
-    /// conjugation).
+    /// conjugation): one [`KeyGenerator::galois_key`] per distinct element,
+    /// in that order.
     pub fn galois_keys<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -425,7 +364,27 @@ impl KeyGenerator {
         steps: &[i64],
         with_conjugation: bool,
     ) -> GaloisKeys {
-        self.galois_key_set(steps, with_conjugation, |k| self.galois_key(rng, sk, k))
+        let conjugation = with_conjugation.then(|| self.ctx.conjugation_element());
+        let elements = steps.iter().map(|&s| self.ctx.rotation_element(s));
+        let mut keys = HashMap::new();
+        for k in elements.chain(conjugation) {
+            keys.entry(k)
+                .or_insert_with(|| Arc::new(self.galois_key(rng, sk, k)));
+        }
+        GaloisKeys { keys }
+    }
+
+    /// [`KeyGenerator::galois_keys`] under its old name, kept only for the
+    /// benchmark harness; ROADMAP item 1(d) deletes it.
+    #[doc(hidden)]
+    pub fn galois_keys_compressed<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        sk: &SecretKey,
+        steps: &[i64],
+        with_conjugation: bool,
+    ) -> GaloisKeys {
+        self.galois_keys(rng, sk, steps, with_conjugation)
     }
 }
 
@@ -483,7 +442,6 @@ mod tests {
         let sk = kg.secret_key(&mut rng);
         let rlk = kg.relin_key(&mut rng, &sk);
         assert_eq!(rlk.switching_key().digit_count(), 2);
-        assert!(!rlk.switching_key().is_compressed());
         let full = rlk.switching_key().size_bytes();
         let compressed = rlk.switching_key().compressed_size_bytes();
         // Compression halves the key (plus the 32-byte seed).
@@ -497,9 +455,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let sk = kg.secret_key(&mut rng);
         let seed = [7u8; 32];
-        let k1 = kg.switching_key(&mut rng, &sk.full.clone(), &sk, Some(seed));
-        let k2 = kg.switching_key(&mut rng, &sk.full.clone(), &sk, Some(seed));
-        assert!(k1.is_compressed());
+        let k1 = kg.switching_key(&mut rng, &sk.full.clone(), &sk, seed);
+        let k2 = kg.switching_key(&mut rng, &sk.full.clone(), &sk, seed);
         for (d1, d2) in k1.digits.iter().zip(&k2.digits) {
             for i in 0..d1.a.limb_count() {
                 assert_eq!(d1.a.limb(i), d2.a.limb(i), "a must be seed-determined");
@@ -507,6 +464,44 @@ mod tests {
         }
         // b differs (fresh error), as required for security.
         assert_ne!(k1.digits[0].b.limb(0), k2.digits[0].b.limb(0));
+    }
+
+    /// Asserts two keys equal digit for digit, limb for limb, and in seed.
+    fn assert_same_key(x: &SwitchingKey, y: &SwitchingKey) {
+        assert_eq!(x.seed, y.seed);
+        assert_eq!(x.digit_count(), y.digit_count());
+        for (dx, dy) in x.digits.iter().zip(&y.digits) {
+            assert_eq!(dx.a.flat(), dy.a.flat());
+            assert_eq!(dx.b.flat(), dy.b.flat());
+        }
+    }
+
+    #[test]
+    fn each_name_and_its_old_twin_make_the_same_key() {
+        let ctx = ctx();
+        let kg = KeyGenerator::new(ctx.clone());
+        let sk = kg.secret_key(&mut StdRng::seed_from_u64(6));
+        let (mut x, mut y) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+        let element = ctx.rotation_element(3);
+        assert_same_key(
+            kg.relin_key(&mut x, &sk).switching_key(),
+            kg.relin_key_compressed(&mut y, &sk).switching_key(),
+        );
+        assert_same_key(
+            &kg.galois_key(&mut x, &sk, element),
+            &kg.galois_key_compressed(&mut y, &sk, element),
+        );
+        let steps = [1, 2, -1];
+        let (gx, gy) = (
+            kg.galois_keys(&mut x, &sk, &steps, true),
+            kg.galois_keys_compressed(&mut y, &sk, &steps, true),
+        );
+        assert_eq!(gx.len(), gy.len());
+        for (k, key) in gx.iter() {
+            assert_same_key(key, gy.get(k).expect("same elements"));
+        }
+        // Both generators are left in the same state.
+        assert_eq!(x.gen::<u64>(), y.gen::<u64>());
     }
 
     #[test]

@@ -375,7 +375,7 @@ mod tests {
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
         let sk_src = kg.secret_key(&mut rng);
-        let ksk = kg.switching_key(&mut rng, &sk_src.full, &sk, None);
+        let ksk = kg.switching_key(&mut rng, &sk_src.full, &sk, [7; 32]);
 
         for ell in [1usize, 2, 3, 4] {
             let x = random_poly(&ctx, ell, 100 + ell as u64);
@@ -406,7 +406,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
-        let ksk = kg.switching_key(&mut rng, &sk.full.clone(), &sk, None);
+        let ksk = kg.switching_key(&mut rng, &sk.full.clone(), &sk, [7; 32]);
         let x = random_poly(&ctx, 4, 9);
 
         // Warm-up.
@@ -447,7 +447,7 @@ mod tests {
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
         let sk_src = kg.secret_key(&mut rng);
-        let ksk = kg.switching_key(&mut rng, &sk_src.full, &sk, None);
+        let ksk = kg.switching_key(&mut rng, &sk_src.full, &sk, [7; 32]);
 
         let x = random_poly(&ctx, 4, 4);
         let auto = ctx.automorphism(5);
@@ -485,7 +485,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
-        let ksk = kg.switching_key(&mut rng, &sk.full.clone(), &sk, None);
+        let ksk = kg.switching_key(&mut rng, &sk.full.clone(), &sk, [7; 32]);
         let x1 = random_poly(&ctx, 3, 6);
         let x2 = random_poly(&ctx, 3, 7);
         let r1 = inner_product(&ctx, &decompose_and_raise(&ctx, &x1), &ksk);

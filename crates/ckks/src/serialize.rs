@@ -2,7 +2,7 @@
 //! Galois (rotation) key bundles.
 //!
 //! The switching-key format makes the paper's **key compression**
-//! (§3.2) concrete: a seeded key serializes as the 32-byte seed plus only
+//! (§3.2) concrete: every key serializes as its 32-byte seed plus only
 //! the `b` polynomials — exactly half the bytes of an expanded key — and
 //! deserialization regenerates every `a_j` from the seed. This is the
 //! "transfer the short PRNG key in place of the first switching key
@@ -12,8 +12,11 @@
 //! them compressed until an operation actually needs one.
 //!
 //! Format (little-endian throughout): a 4-byte magic, a format version,
-//! the shape header (degree, limb count, limb moduli for validation), the
-//! scale as IEEE-754 bits, then the raw limb words.
+//! the shape header (degree, limb count, limb moduli for validation), then
+//! for a ciphertext or plaintext the scale as IEEE-754 bits and the raw
+//! limb words; for a switching key the digit count, the form byte
+//! `SEEDED_KEY` (1), the seed and the `b_j`'s limb words. A key or a Galois
+//! key set is exactly that long: a byte after it is an error.
 
 use crate::context::CkksContext;
 use crate::keys::{DigitKey, GaloisKeys, SwitchingKey};
@@ -26,6 +29,9 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MADf";
 const VERSION: u8 = 1;
+/// A switching key's form byte, the one value it takes: a seed and the
+/// `b_j` follow. Any other value is [`SerializeError::BadHeader`].
+const SEEDED_KEY: u8 = 1;
 
 /// Error from deserialization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +48,8 @@ pub enum SerializeError {
     UnreducedResidue,
     /// A switching key's digit count (carried) is not the context's `dnum`.
     DigitCount(usize),
+    /// Bytes (the count carried) follow a complete key or key set.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for SerializeError {
@@ -57,6 +65,7 @@ impl fmt::Display for SerializeError {
             }
             SerializeError::UnreducedResidue => write!(f, "residue out of range"),
             SerializeError::DigitCount(d) => write!(f, "{d} key digits, not the context's dnum"),
+            SerializeError::TrailingBytes(n) => write!(f, "{n} bytes after the end"),
         }
     }
 }
@@ -164,6 +173,13 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(
             self.bytes(8)?.try_into().expect("8 bytes"),
         ))
+    }
+    /// Whether the buffer ends here.
+    fn finish(&self) -> Result<(), SerializeError> {
+        match self.buf.len() - self.pos {
+            0 => Ok(()),
+            n => Err(SerializeError::TrailingBytes(n)),
+        }
     }
     /// Appends the limbs of one polynomial over `basis` to `flat`, a limb
     /// at a time ([`read_limb`]).
@@ -375,29 +391,16 @@ pub fn lease_plaintext(ctx: &CkksContext, bytes: &[u8]) -> Result<Plaintext, Ser
     Reader::new(bytes)?.plaintext(ctx, Some(ctx.scratch()))
 }
 
-/// Appends a switching key's wire form to `out`. A seeded key is written
-/// in compressed form: the seed plus only the `b` polynomials (half the
-/// bytes); an unseeded key writes both polynomials per digit.
+/// Appends a switching key's wire form to `out`: the seed plus only the
+/// `b` polynomials (half the bytes of the expanded key).
 pub fn write_switching_key(key: &SwitchingKey, out: &mut Vec<u8>) {
     let mut w = Writer::new(out);
-    let basis = key.digits[0].a.basis();
-    write_basis_header(&mut w, basis);
+    write_basis_header(&mut w, key.digits[0].b.basis());
     w.u32(key.digits.len() as u32);
-    match key.seed {
-        Some(seed) => {
-            w.0.push(1);
-            w.0.extend_from_slice(&seed);
-            for d in &key.digits {
-                w.poly_limbs(&d.b);
-            }
-        }
-        None => {
-            w.0.push(0);
-            for d in &key.digits {
-                w.poly_limbs(&d.a);
-                w.poly_limbs(&d.b);
-            }
-        }
+    w.0.push(SEEDED_KEY);
+    w.0.extend_from_slice(&key.seed);
+    for d in &key.digits {
+        w.poly_limbs(&d.b);
     }
 }
 
@@ -411,10 +414,9 @@ pub fn serialize_switching_key(key: &SwitchingKey) -> Vec<u8> {
 /// A switching key's wire form, parsed once: the header checked against
 /// the context, the polynomials still bytes.
 struct KeyWire<'a> {
-    seed: Option<[u8; 32]>,
-    /// The `a_j, b_j` of every digit, or only the `b_j` behind a seed, each
-    /// `|Q ∪ P|` limbs of `N` words.
-    polys: &'a [u8],
+    seed: [u8; 32],
+    /// The `b_j` of every digit, each `|Q ∪ P|` limbs of `N` words.
+    b: &'a [u8],
 }
 
 impl<'a> KeyWire<'a> {
@@ -427,31 +429,28 @@ impl<'a> KeyWire<'a> {
         if digit_count != dnum {
             return Err(SerializeError::DigitCount(digit_count));
         }
-        let seed = match r.bytes(1)?[0] {
-            0 => None,
-            1 => Some(r.bytes(32)?.try_into().expect("32 bytes")),
-            _ => return Err(SerializeError::BadHeader),
-        };
-        let per_digit = if seed.is_some() { 1 } else { 2 };
-        let polys = r.bytes(per_digit * dnum * full.len() * 8 * full.degree())?;
-        Ok(KeyWire { seed, polys })
+        if r.bytes(1)?[0] != SEEDED_KEY {
+            return Err(SerializeError::BadHeader);
+        }
+        let seed = r.bytes(32)?.try_into().expect("32 bytes");
+        let b = r.bytes(dnum * full.len() * 8 * full.degree())?;
+        r.finish()?;
+        Ok(KeyWire { seed, b })
     }
 
-    /// Limb `i` of `Q ∪ P` of wire polynomial `p`, as bytes.
-    fn limb(&self, ctx: &CkksContext, p: usize, i: usize) -> &'a [u8] {
+    /// Limb `i` of `Q ∪ P` of `b_j`, as bytes.
+    fn limb(&self, ctx: &CkksContext, j: usize, i: usize) -> &'a [u8] {
         let full = ctx.full_basis();
         let limb_bytes = 8 * full.degree();
-        let at = (p * full.len() + i) * limb_bytes;
-        &self.polys[at..at + limb_bytes]
+        let at = (j * full.len() + i) * limb_bytes;
+        &self.b[at..at + limb_bytes]
     }
 
     /// Whether every stored residue is below its modulus, nothing decoded.
     fn check(&self, ctx: &CkksContext) -> Result<(), SerializeError> {
-        let full = ctx.full_basis();
-        let polys = self.polys.len() / (8 * full.degree() * full.len());
-        for p in 0..polys {
-            for (i, m) in full.moduli().iter().enumerate() {
-                if !all_below(words(self.limb(ctx, p, i)), m.value()) {
+        for j in 0..ctx.params().dnum() {
+            for (i, m) in ctx.full_basis().moduli().iter().enumerate() {
+                if !all_below(words(self.limb(ctx, j, i)), m.value()) {
                     return Err(SerializeError::UnreducedResidue);
                 }
             }
@@ -459,17 +458,18 @@ impl<'a> KeyWire<'a> {
         Ok(())
     }
 
-    /// The key expanded at limb count `ell`: the `b_j` (and written `a_j`)
-    /// of its digits decoded and checked at its limbs only, then a seed's
-    /// `a_j` drawn at those limbs.
+    /// The key expanded at limb count `ell`: the `b_j` of its digits
+    /// decoded and checked at its limbs only, then the seed's `a_j` drawn
+    /// at those limbs (`CkksContext::seeded_key_a`, the expansion key
+    /// generation runs too).
     fn expand(&self, ctx: &CkksContext, ell: usize) -> Result<SwitchingKey, SerializeError> {
-        let (digits, limbs) = (ctx.key_digits_at(ell), ctx.key_limbs_at(ell));
+        let limbs = ctx.key_limbs_at(ell);
         let basis = ctx.raised_basis(ell);
         let full = ctx.full_basis();
-        let poly = |p: usize| -> Result<RnsPoly, SerializeError> {
+        let b_j = |j: usize| -> Result<RnsPoly, SerializeError> {
             let mut flat = Vec::with_capacity(limbs.len() * full.degree());
             for &i in &limbs {
-                read_limb(self.limb(ctx, p, i), full.modulus(i).value(), &mut flat)?;
+                read_limb(self.limb(ctx, j, i), full.modulus(i).value(), &mut flat)?;
             }
             Ok(RnsPoly::from_flat(
                 basis.clone(),
@@ -477,19 +477,11 @@ impl<'a> KeyWire<'a> {
                 Representation::Evaluation,
             ))
         };
-        // The wire's polynomials are all read and checked before a seed is
-        // expanded.
-        let (a, b): (Vec<RnsPoly>, Vec<RnsPoly>) = match self.seed {
-            Some(seed) => {
-                let b = (0..digits).map(poly).collect::<Result<_, _>>()?;
-                (ctx.seeded_key_a(seed, ell), b)
-            }
-            None => {
-                let a = (0..digits).map(|j| poly(2 * j)).collect::<Result<_, _>>()?;
-                let b = (0..digits).map(|j| poly(2 * j + 1));
-                (a, b.collect::<Result<_, _>>()?)
-            }
-        };
+        // Every `b_j` is read and checked before the seed is expanded.
+        let b: Vec<RnsPoly> = (0..ctx.key_digits_at(ell))
+            .map(b_j)
+            .collect::<Result<_, _>>()?;
+        let a = ctx.seeded_key_a(self.seed, ell);
         let digits = a.into_iter().zip(b).map(|(a, b)| DigitKey { a, b });
         Ok(SwitchingKey {
             digits: digits.collect(),
@@ -498,14 +490,14 @@ impl<'a> KeyWire<'a> {
     }
 }
 
-/// Deserializes a switching key, regenerating the `a` components from the
-/// seed when the key was written in compressed form: the whole key, the
-/// top-level case of [`deserialize_switching_key_at`].
+/// Deserializes a switching key, regenerating the `a` components from its
+/// seed: the whole key, the top-level case of
+/// [`deserialize_switching_key_at`].
 ///
 /// # Errors
 ///
 /// Returns [`SerializeError`] on malformed input, a modulus-chain mismatch,
-/// or a digit count other than the context's `dnum`.
+/// a digit count other than the context's `dnum`, or bytes after the key.
 pub fn deserialize_switching_key(
     ctx: &CkksContext,
     bytes: &[u8],
@@ -516,7 +508,7 @@ pub fn deserialize_switching_key(
 /// Deserializes a switching key expanded at limb count `ell`: the
 /// [`CkksContext::key_digits_at`] digits a key switch at up to `ell` limbs
 /// reads, over `Q_ℓ ∪ P`. Only those limbs are decoded and range-checked,
-/// and only those of a seeded key's `a_j` regenerated; the rest of the
+/// and only those of the `a_j` regenerated from the seed; the rest of the
 /// wire form is checked only for its length (see [`check_switching_key`]).
 /// Such a key gives every key switch at `ell` limbs or fewer the bits the
 /// whole key gives, and is not itself a wire form: serialize the whole key.
@@ -581,7 +573,8 @@ pub fn serialize_galois_keys(keys: &GaloisKeys) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`SerializeError`] on malformed input.
+/// Returns [`SerializeError`] on malformed input, including bytes after
+/// the last entry.
 pub fn galois_key_set_entries(bytes: &[u8]) -> Result<Vec<(u64, &[u8])>, SerializeError> {
     let mut r = Reader::new(bytes)?;
     let count = r.u32()? as usize;
@@ -595,11 +588,12 @@ pub fn galois_key_set_entries(bytes: &[u8]) -> Result<Vec<(u64, &[u8])>, Seriali
         let len = r.u32()? as usize;
         entries.push((element, r.bytes(len)?));
     }
+    r.finish()?;
     Ok(entries)
 }
 
-/// Deserializes a Galois key set, regenerating seeded keys' `a` components
-/// from their seeds.
+/// Deserializes a Galois key set, regenerating each key's `a` components
+/// from its seed.
 ///
 /// # Errors
 ///
@@ -669,17 +663,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let keygen = KeyGenerator::new(ctx.clone());
         let sk = keygen.secret_key(&mut rng);
-        let plain_key = keygen.relin_key(&mut rng, &sk);
-        let seeded_key = keygen.relin_key_compressed(&mut rng, &sk);
+        let seeded_key = keygen.relin_key(&mut rng, &sk);
 
-        let plain_bytes = serialize_switching_key(plain_key.switching_key());
+        let expanded_bytes = seeded_key.switching_key().size_bytes();
         let compressed_bytes = serialize_switching_key(seeded_key.switching_key());
         // Header overhead aside, compressed ≈ half of expanded.
         assert!(
-            (compressed_bytes.len() as f64) < 0.55 * plain_bytes.len() as f64,
-            "{} vs {}",
+            (compressed_bytes.len() as f64) < 0.55 * expanded_bytes as f64,
+            "{} vs {expanded_bytes}",
             compressed_bytes.len(),
-            plain_bytes.len()
         );
 
         // Deserialize and use for a real multiplication.
@@ -718,24 +710,19 @@ mod tests {
         let full = ctx.full_basis();
         let poly_bytes = 8 * full.len() * full.degree();
         let count_at = 5 + 8 + 8 * full.len();
-        for (key, polys_per_digit) in [
-            (keygen.relin_key_compressed(&mut rng, &sk), 1),
-            (keygen.relin_key(&mut rng, &sk), 2),
-        ] {
-            let good = serialize_switching_key(key.switching_key());
-            assert!(deserialize_switching_key(&ctx, &good).is_ok());
-            // One digit fewer and one more, the bytes cut or padded to
-            // match, as a tampered upload would be.
-            for found in [1usize, 3] {
-                let mut bytes = good.clone();
-                bytes[count_at..count_at + 4].copy_from_slice(&(found as u32).to_le_bytes());
-                let digit_bytes = polys_per_digit * poly_bytes;
-                bytes.resize(good.len() - 2 * digit_bytes + found * digit_bytes, 0);
-                assert_eq!(
-                    deserialize_switching_key(&ctx, &bytes).err(),
-                    Some(SerializeError::DigitCount(found))
-                );
-            }
+        let key = keygen.relin_key(&mut rng, &sk);
+        let good = serialize_switching_key(key.switching_key());
+        assert!(deserialize_switching_key(&ctx, &good).is_ok());
+        // One digit fewer and one more, the bytes cut or padded to match,
+        // as a tampered upload would be.
+        for found in [1usize, 3] {
+            let mut bytes = good.clone();
+            bytes[count_at..count_at + 4].copy_from_slice(&(found as u32).to_le_bytes());
+            bytes.resize(good.len() - 2 * poly_bytes + found * poly_bytes, 0);
+            assert_eq!(
+                deserialize_switching_key(&ctx, &bytes).err(),
+                Some(SerializeError::DigitCount(found))
+            );
         }
     }
 
@@ -840,36 +827,68 @@ mod tests {
         let sk = keygen.secret_key(&mut rng);
         let full = ctx.full_basis();
         let limb_bytes = 8 * full.degree();
-        let polys_at = 5 + 8 + 8 * full.len() + 4 + 1;
-        for (key, seed_bytes) in [
-            (keygen.relin_key_compressed(&mut rng, &sk), 32),
-            (keygen.relin_key(&mut rng, &sk), 0),
+        let b_at = 5 + 8 + 8 * full.len() + 4 + 1 + 32;
+        let key = keygen.relin_key(&mut rng, &sk);
+        let good = serialize_switching_key(key.switching_key());
+        assert_eq!(check_switching_key(&ctx, &good), Ok(()));
+        // An unreduced word in Q-limb 2 of `b_0`: a level-2 expansion never
+        // decodes it, the check and the whole key do.
+        let mut bad = good.clone();
+        let at = b_at + 2 * limb_bytes;
+        bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(deserialize_switching_key_at(&ctx, &bad, 2).is_ok());
+        for err in [
+            check_switching_key(&ctx, &bad).err(),
+            deserialize_switching_key(&ctx, &bad).err(),
         ] {
-            let good = serialize_switching_key(key.switching_key());
-            assert_eq!(check_switching_key(&ctx, &good), Ok(()));
-            // An unreduced word in Q-limb 2 of the first wire polynomial: a
-            // level-2 expansion never decodes it, the check and the whole
-            // key do.
-            let mut bad = good.clone();
-            let at = polys_at + seed_bytes + 2 * limb_bytes;
-            bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-            assert!(deserialize_switching_key_at(&ctx, &bad, 2).is_ok());
-            for err in [
-                check_switching_key(&ctx, &bad).err(),
-                deserialize_switching_key(&ctx, &bad).err(),
-            ] {
-                assert_eq!(err, Some(SerializeError::UnreducedResidue));
+            assert_eq!(err, Some(SerializeError::UnreducedResidue));
+        }
+        // A short key is short, and a long one long, at every level.
+        let cut = &good[..good.len() - 1];
+        let mut long = good.clone();
+        long.push(0);
+        for (bytes, want) in [
+            (cut, SerializeError::Truncated),
+            (&long[..], SerializeError::TrailingBytes(1)),
+        ] {
+            assert_eq!(check_switching_key(&ctx, bytes), Err(want.clone()));
+            assert_eq!(
+                deserialize_switching_key_at(&ctx, bytes, 1).err(),
+                Some(want)
+            );
+        }
+    }
+
+    #[test]
+    fn a_key_from_every_generator_name_roundtrips_limb_for_limb() {
+        let ctx = ctx();
+        let mut rng = StdRng::seed_from_u64(19);
+        let keygen = KeyGenerator::new(ctx.clone());
+        let sk = keygen.secret_key(&mut rng);
+        let element = ctx.rotation_element(1);
+        let mut keys = vec![
+            keygen.relin_key(&mut rng, &sk).0,
+            keygen.relin_key_compressed(&mut rng, &sk).0,
+            keygen.galois_key(&mut rng, &sk, element),
+            keygen.galois_key_compressed(&mut rng, &sk, element),
+            keygen.switching_key(&mut rng, &sk.full.clone(), &sk, [3; 32]),
+        ];
+        for set in [
+            keygen.galois_keys(&mut rng, &sk, &[1, -2], true),
+            keygen.galois_keys_compressed(&mut rng, &sk, &[1, -2], true),
+        ] {
+            keys.extend(set.iter().map(|(_, key)| key.clone()));
+        }
+        for key in &keys {
+            let back = deserialize_switching_key(&ctx, &serialize_switching_key(key)).unwrap();
+            assert_eq!(back.seed, key.seed);
+            assert_eq!(back.digits.len(), key.digits.len());
+            for (orig, got) in key.digits.iter().zip(&back.digits) {
+                for i in 0..orig.a.limb_count() {
+                    assert_eq!(orig.a.limb(i), got.a.limb(i));
+                    assert_eq!(orig.b.limb(i), got.b.limb(i));
+                }
             }
-            // A short key is short at every level.
-            let cut = &good[..good.len() - 1];
-            assert_eq!(
-                check_switching_key(&ctx, cut),
-                Err(SerializeError::Truncated)
-            );
-            assert_eq!(
-                deserialize_switching_key_at(&ctx, cut, 1).err(),
-                Some(SerializeError::Truncated)
-            );
         }
     }
 
@@ -916,7 +935,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(15);
         let keygen = KeyGenerator::new(ctx.clone());
         let sk = keygen.secret_key(&mut rng);
-        let gk = keygen.galois_keys_compressed(&mut rng, &sk, &[1, 2, -1], true);
+        let gk = keygen.galois_keys(&mut rng, &sk, &[1, 2, -1], true);
         let bytes = serialize_galois_keys(&gk);
 
         // Splitting yields one compressed entry per key, cheaply.
@@ -924,8 +943,7 @@ mod tests {
         assert_eq!(entries.len(), gk.len());
         for (element, key_bytes) in &entries {
             assert!(gk.get(*element).is_some());
-            let key = deserialize_switching_key(&ctx, key_bytes).unwrap();
-            assert!(key.is_compressed());
+            assert_eq!(check_switching_key(&ctx, key_bytes), Ok(()));
         }
 
         // Full deserialization reproduces every key bit-exactly.
@@ -949,6 +967,12 @@ mod tests {
             galois_key_set_entries(&bytes[..bytes.len() - 9]),
             Err(SerializeError::Truncated)
         ));
+        let mut long = bytes.clone();
+        long.push(0);
+        assert_eq!(
+            galois_key_set_entries(&long).err(),
+            Some(SerializeError::TrailingBytes(1))
+        );
     }
 
     /// The writer this module had before the bulk one — a word at a time,
@@ -990,14 +1014,9 @@ mod tests {
         fn switching_key(key: &SwitchingKey) -> Vec<u8> {
             let mut w = Self::header(key.digits[0].a.basis());
             w.0.extend_from_slice(&(key.digits.len() as u32).to_le_bytes());
-            w.0.push(u8::from(key.seed.is_some()));
-            if let Some(seed) = key.seed {
-                w.0.extend_from_slice(&seed);
-            }
+            w.0.push(1);
+            w.0.extend_from_slice(&key.seed);
             for d in &key.digits {
-                if key.seed.is_none() {
-                    w.poly(&d.a);
-                }
                 w.poly(&d.b);
             }
             w.0
@@ -1024,16 +1043,11 @@ mod tests {
             let ct = Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
             proptest::prop_assert_eq!(serialize_ciphertext(&ct), Reference::ciphertext(&ct));
             proptest::prop_assert_eq!(serialize_plaintext(&pt), Reference::plaintext(&pt));
-            for key in [
-                keygen.relin_key(&mut rng, &sk),
-                keygen.relin_key_compressed(&mut rng, &sk),
-            ] {
-                let key = key.switching_key();
-                proptest::prop_assert_eq!(
-                    serialize_switching_key(key),
-                    Reference::switching_key(key)
-                );
-            }
+            let key = keygen.relin_key(&mut rng, &sk);
+            proptest::prop_assert_eq!(
+                serialize_switching_key(key.switching_key()),
+                Reference::switching_key(key.switching_key())
+            );
             // The append-into form lands the same bytes behind whatever
             // the buffer already holds.
             let mut framed = b"header".to_vec();

@@ -1,9 +1,9 @@
 //! The `MADf` wire format, pinned: recorded digests of what a fixed
-//! ciphertext, plaintext and switching key (seeded and unseeded) serialize
-//! to, and the decoder's two data-dependent rejections — an out-of-range
-//! residue anywhere in any limb, and a cut anywhere in the message — probed
-//! at every position a bulk codec could get wrong (the first, middle and
-//! last word of a limb; one byte either side of every field boundary).
+//! ciphertext, plaintext and switching key serialize to, and the decoder's
+//! data-dependent rejections — an out-of-range residue anywhere in any
+//! limb, and a cut anywhere in the message — probed at every position a
+//! bulk codec could get wrong (the first, middle and last word of a limb;
+//! one byte either side of every field boundary), and a key's form byte.
 
 use ckks::serialize::{
     deserialize_ciphertext, deserialize_plaintext, deserialize_switching_key, serialize_ciphertext,
@@ -39,7 +39,6 @@ struct Fixture {
     ct: Ciphertext,
     pt: Plaintext,
     seeded: SwitchingKey,
-    unseeded: SwitchingKey,
 }
 
 fn fixture() -> Fixture {
@@ -62,13 +61,11 @@ fn fixture() -> Fixture {
         .relin_key_compressed(&mut rng, &sk)
         .switching_key()
         .clone();
-    let unseeded = kg.relin_key(&mut rng, &sk).switching_key().clone();
     Fixture {
         ctx,
         ct,
         pt,
         seeded,
-        unseeded,
     }
 }
 
@@ -94,14 +91,12 @@ fn wire_bytes_match_the_recorded_digests() {
         ("ciphertext", serialize_ciphertext(&f.ct)),
         ("plaintext", serialize_plaintext(&f.pt)),
         ("seeded key", serialize_switching_key(&f.seeded)),
-        ("unseeded key", serialize_switching_key(&f.unseeded)),
     ]
     .map(|(name, bytes)| (name, bytes.len(), fnv1a(&bytes)));
     let want = [
         ("ciphertext", 1581usize, 0x6b4d_839e_2d03_cd92u64),
         ("plaintext", 549, 0x3b63_bbb7_8e11_f19a),
         ("seeded key", 3170, 0x1c20_bc9d_b217_46e7),
-        ("unseeded key", 6210, 0x65d3_a320_b59f_5669),
     ];
     assert_eq!(got, want, "got {got:#x?}");
 }
@@ -166,25 +161,36 @@ fn an_out_of_range_residue_is_rejected_wherever_it_sits() {
         ctx.level_basis(CT_LEVEL - 1),
         |b| deserialize_plaintext(ctx, b),
     );
-    // Keys: basis header (no scale), digit count, flag byte, then for a
-    // seeded key the seed and one `b` per digit, otherwise `a` and `b`.
+    // Keys: basis header (no scale), digit count, form byte, the seed,
+    // then one `b` per digit.
     let full = ctx.full_basis();
     let key_base = payload_offset(full.len()) - 8 + 4 + 1;
-    let digits = f.seeded.digit_count();
     assert_residues_checked(
         &serialize_switching_key(&f.seeded),
         key_base + 32,
-        digits,
+        f.seeded.digit_count(),
         full,
         |b| deserialize_switching_key(ctx, b),
     );
-    assert_residues_checked(
-        &serialize_switching_key(&f.unseeded),
-        key_base,
-        2 * digits,
-        full,
-        |b| deserialize_switching_key(ctx, b),
-    );
+}
+
+/// A key's form byte takes one value, `1` (a seed and the `b_j` follow):
+/// any other is a bad header.
+#[test]
+fn a_key_form_byte_other_than_seeded_is_a_bad_header() {
+    let f = fixture();
+    let good = serialize_switching_key(&f.seeded);
+    let form_at = payload_offset(f.ctx.full_basis().len()) - 8 + 4;
+    assert_eq!(good[form_at], 1);
+    for form in [0u8, 2, 0xff] {
+        let mut bytes = good.clone();
+        bytes[form_at] = form;
+        assert_eq!(
+            deserialize_switching_key(&f.ctx, &bytes).err(),
+            Some(SerializeError::BadHeader),
+            "form byte {form}"
+        );
+    }
 }
 
 /// Every cut within a byte of a field or limb boundary of `good` — and the
@@ -254,12 +260,6 @@ fn a_cut_at_any_field_or_limb_boundary_is_truncated() {
     assert_cuts_truncated(
         &seeded,
         boundaries(&header(full, &[4, 1, 32]), seeded.len(), limb_bytes),
-        |b| deserialize_switching_key(ctx, b),
-    );
-    let unseeded = serialize_switching_key(&f.unseeded);
-    assert_cuts_truncated(
-        &unseeded,
-        boundaries(&header(full, &[4, 1]), unseeded.len(), limb_bytes),
         |b| deserialize_switching_key(ctx, b),
     );
 }

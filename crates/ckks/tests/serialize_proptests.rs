@@ -81,7 +81,6 @@ proptest! {
         let rlk = kg.relin_key_compressed(&mut rng, &sk);
         let bytes = serialize_switching_key(rlk.switching_key());
         let back = deserialize_switching_key(&ctx, &bytes).unwrap();
-        prop_assert!(back.is_compressed());
         // The regenerated key serializes to the identical compressed form,
         // which (because `a` is seed-determined) pins the whole key.
         prop_assert_eq!(serialize_switching_key(&back), bytes);

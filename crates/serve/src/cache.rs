@@ -1,7 +1,7 @@
 //! The byte-budgeted switching-key cache — the paper's compute-for-memory
 //! trade made operational.
 //!
-//! Sessions store keys only in their seeded-compressed wire form (half
+//! Sessions store keys only in their wire form, seed and `b_j` (half
 //! size, §3.2), checked whole at upload. An evaluation op asks the cache
 //! for the *expanded* key at the limb count `ℓ` its key switches run at;
 //! on a miss the cache regenerates only what a key switch at `ℓ` reads —
@@ -161,7 +161,7 @@ impl KeyCache {
     }
 
     /// Returns the whole expanded key for `(session, kind)`, expanding
-    /// `compressed` (a serialized switching-key message, typically seeded)
+    /// `compressed` (a serialized switching-key message: seed and `b_j`)
     /// on a miss and evicting per policy to stay within budget: the
     /// `ℓ = L` lookup, which serves a key switch at any level.
     ///
@@ -423,7 +423,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
-        let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1, 2, 4], false);
+        let gk = kg.galois_keys(&mut rng, &sk, &[1, 2, 4], false);
         let blobs = gk.iter().map(|(_, k)| serialize_switching_key(k)).collect();
         (ctx, blobs)
     }

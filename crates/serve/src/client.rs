@@ -206,8 +206,8 @@ impl Client {
         Ok(u64::from_le_bytes(*sid))
     }
 
-    /// Uploads the relinearization key (send the seeded/compressed form —
-    /// it is half the bytes and the server stores it compressed).
+    /// Uploads the relinearization key in its wire form (seed and `b_j`,
+    /// half the bytes), which the server stores as sent.
     ///
     /// # Errors
     ///
@@ -498,8 +498,8 @@ fn classify(e: &ClientError) -> RetryClass {
 /// Owns one logical session and survives connection loss transparently:
 /// on reconnect it opens a fresh server session and re-uploads the
 /// *stored compressed wire bytes* of every key, so the server state after
-/// recovery is byte-identical to the original upload (seeded keys expand
-/// bit-exactly). Transient server errors (`Overloaded`,
+/// recovery is byte-identical to the original upload (every key expands
+/// bit-exactly from its seed). Transient server errors (`Overloaded`,
 /// `DeadlineExceeded`, `Internal`, `NoSession`) are retried under
 /// [`RetryPolicy`]; client-side mistakes are surfaced immediately.
 ///

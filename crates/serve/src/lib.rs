@@ -11,8 +11,8 @@
 //! crate operationalizes the paper's two memory levers:
 //!
 //! - **Key compression (§3.2)** on the wire and at rest: clients upload
-//!   seeded keys at half size, sessions store only that compressed form,
-//!   and the [`cache::KeyCache`] regenerates full keys from seeds on
+//!   every key as its seed and `b_j` (half size), sessions store only that
+//!   form, and the [`cache::KeyCache`] regenerates full keys from seeds on
 //!   demand under a server-wide byte budget — trading compute for
 //!   resident key memory, with LRU eviction.
 //! - **Deterministic evaluation** end to end: seeded expansion is

@@ -291,7 +291,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
-        let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1, 2], false);
+        let gk = kg.galois_keys(&mut rng, &sk, &[1, 2], false);
         let state = ServerState {
             shared: Arc::new(SharedState {
                 evaluator: Evaluator::new(ctx.clone()),

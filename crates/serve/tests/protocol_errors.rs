@@ -143,6 +143,56 @@ fn a_relin_key_with_the_wrong_digit_count_is_malformed_at_upload() {
     server.shutdown();
 }
 
+/// A key's wire form is exactly its length: a relin key with one byte
+/// after its last `b_j` is `Malformed` at upload, so a session never
+/// stores (and counts) the padding.
+#[test]
+fn a_relin_key_with_a_trailing_byte_is_malformed_at_upload() {
+    let ctx = small_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    let mut rng = StdRng::seed_from_u64(12);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let good = serialize_switching_key(kg.relin_key(&mut rng, &sk).switching_key());
+    let upload = |client: &mut Client, key: &[u8]| {
+        let mut w = BodyWriter::new();
+        w.u64(sid).raw(key);
+        client.call_raw(Opcode::UploadRelin as u8, &w.0)
+    };
+    let mut long = good.clone();
+    long.push(0);
+    expect_code(upload(&mut client, &long), ErrorCode::Malformed);
+    upload(&mut client, &good).unwrap();
+    server.shutdown();
+}
+
+/// As a relin key, so a Galois bundle: one byte after its last entry is
+/// `Malformed` at upload.
+#[test]
+fn a_galois_bundle_with_a_trailing_byte_is_malformed_at_upload() {
+    use ckks::serialize::serialize_galois_keys;
+    let ctx = small_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    let mut rng = StdRng::seed_from_u64(13);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let good = serialize_galois_keys(&kg.galois_keys(&mut rng, &sk, &[1, 2], false));
+    let upload = |client: &mut Client, bundle: &[u8]| {
+        let mut w = BodyWriter::new();
+        w.u64(sid).raw(bundle);
+        client.call_raw(Opcode::UploadGalois as u8, &w.0)
+    };
+    let mut long = good.clone();
+    long.push(0);
+    expect_code(upload(&mut client, &long), ErrorCode::Malformed);
+    upload(&mut client, &good).unwrap();
+    server.shutdown();
+}
+
 /// A Galois key is checked whole at upload: an unreduced residue in a limb
 /// that a level-2 rotation never reads — which the level's expansion would
 /// never decode — is `Malformed` then, not a latent fault of a later

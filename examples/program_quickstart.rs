@@ -69,7 +69,7 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(7);
     let kg = KeyGenerator::new(ctx.clone());
     let sk = kg.secret_key(&mut rng);
-    let gk = kg.galois_keys_compressed(&mut rng, &sk, &info.manifest.galois_steps, false);
+    let gk = kg.galois_keys(&mut rng, &sk, &info.manifest.galois_steps, false);
     let encoder = Encoder::new(ctx.clone());
     let encryptor = Encryptor::new(ctx.clone());
     let decryptor = Decryptor::new(ctx.clone());

@@ -38,7 +38,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(7);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
-        let rlk = kg.relin_key_compressed(&mut rng, &sk);
+        let rlk = kg.relin_key(&mut rng, &sk);
         let wire = serialize_switching_key(rlk.switching_key());
         mad::scheme::serialize::deserialize_switching_key(&ctx, &wire)
             .unwrap()
@@ -61,8 +61,8 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(100 + tenant);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
-        let rlk = kg.relin_key_compressed(&mut rng, &sk);
-        let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1], false);
+        let rlk = kg.relin_key(&mut rng, &sk);
+        let gk = kg.galois_keys(&mut rng, &sk, &[1], false);
 
         let mut client = Client::connect(server.local_addr(), ctx.clone()).expect("connects");
         let sid = client.hello().expect("session");
