@@ -89,8 +89,11 @@ impl SwitchingKey {
             .sum()
     }
 
-    /// Size in bytes of the stored form, the `a_j` replaced by the 32-byte
-    /// seed — exactly half plus the seed, the paper's 2× key-read reduction.
+    /// Size in bytes of the seeded form held as 8-byte words, the `a_j`
+    /// replaced by the 32-byte seed — exactly half plus the seed, the
+    /// paper's 2× key-read reduction. The wire form
+    /// ([`crate::serialize::serialize_switching_key`]) packs each residue
+    /// at its modulus's width and is smaller still.
     pub fn compressed_size_bytes(&self) -> u64 {
         let per_poly = |p: &RnsPoly| 8 * p.degree() as u64 * p.limb_count() as u64;
         32 + self.digits.iter().map(|d| per_poly(&d.b)).sum::<u64>()

@@ -3,7 +3,7 @@
 //!
 //! The switching-key format makes the paper's **key compression**
 //! (§3.2) concrete: every key serializes as its 32-byte seed plus only
-//! the `b` polynomials — exactly half the bytes of an expanded key — and
+//! the `b` polynomials — exactly half the residues of an expanded key — and
 //! deserialization regenerates every `a_j` from the seed. This is the
 //! "transfer the short PRNG key in place of the first switching key
 //! polynomial" folklore the paper measures. [`serialize_galois_keys`]
@@ -11,24 +11,30 @@
 //! ship every hoisting key in one framed message and the server can keep
 //! them compressed until an operation actually needs one.
 //!
-//! Format (little-endian throughout): a 4-byte magic, a format version,
-//! the shape header (degree, limb count, limb moduli for validation), then
-//! for a ciphertext or plaintext the scale as IEEE-754 bits and the raw
-//! limb words; for a switching key the digit count, the form byte
-//! `SEEDED_KEY` (1), the seed and the `b_j`'s limb words. A key or a Galois
-//! key set is exactly that long: a byte after it is an error.
+//! Format version 2, little-endian throughout: a 4-byte magic, the version
+//! byte, the shape header (degree, limb count, limb moduli as 8-byte words
+//! for validation), then for a ciphertext or plaintext the scale as
+//! IEEE-754 bits and the limbs; for a switching key the digit count, the
+//! form byte `SEEDED_KEY` (1), the seed and the `b_j`'s limbs. Every limb
+//! mod `q` is its `N` residues packed at `fhe_math::codec::limb_width(q)`
+//! bytes each — 5 for a 40-bit prime, 8 only above 56 bits — so a limb's
+//! place in a message is a prefix sum of its predecessors' widths, never
+//! `8·N` a limb. Every message is exactly that long: a byte after it is an
+//! error. Version 1 (8-byte words) is [`SerializeError::VersionMismatch`].
 
 use crate::context::CkksContext;
 use crate::keys::{DigitKey, GaloisKeys, SwitchingKey};
 use crate::plaintext::{Ciphertext, Plaintext};
+use fhe_math::codec::{limb_width, pack_limb, unpack_limb};
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::rns::RnsBasis;
+use fhe_math::Modulus;
 use fhe_math::ScratchPool;
 use std::fmt;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MADf";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 /// A switching key's form byte, the one value it takes: a seed and the
 /// `b_j` follow. Any other value is [`SerializeError::BadHeader`].
 const SEEDED_KEY: u8 = 1;
@@ -48,7 +54,7 @@ pub enum SerializeError {
     UnreducedResidue,
     /// A switching key's digit count (carried) is not the context's `dnum`.
     DigitCount(usize),
-    /// Bytes (the count carried) follow a complete key or key set.
+    /// Bytes (the count carried) follow a complete message.
     TrailingBytes(usize),
 }
 
@@ -72,6 +78,13 @@ impl fmt::Display for SerializeError {
 
 impl std::error::Error for SerializeError {}
 
+/// The wire bytes of one polynomial over `basis`: every limb at its
+/// modulus's width.
+fn poly_wire_len(basis: &RnsBasis) -> usize {
+    let words: usize = basis.moduli().iter().map(|m| limb_width(m.value())).sum();
+    words * basis.degree()
+}
+
 /// Appends `MADf` fields to a caller-owned buffer — a request frame or a
 /// reply under construction, so a payload is written where it is sent from.
 struct Writer<'a>(&'a mut Vec<u8>);
@@ -88,53 +101,63 @@ impl<'a> Writer<'a> {
     fn u64(&mut self, v: u64) {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
-    /// All limbs of `p`: one reserve, then the words converted a block at a
-    /// time on the stack and appended — the destination is written once
-    /// and never zero-filled first.
+    /// All limbs of `p`, each packed at its modulus's width straight into
+    /// the buffer after one reserve.
     fn poly_limbs(&mut self, p: &RnsPoly) {
-        const BLOCK_WORDS: usize = 512;
-        self.0.reserve(8 * p.flat().len());
-        let mut block = [0u8; 8 * BLOCK_WORDS];
-        for words in p.flat().chunks(BLOCK_WORDS) {
-            let bytes = &mut block[..8 * words.len()];
-            for (dst, &x) in bytes.chunks_exact_mut(8).zip(words) {
-                dst.copy_from_slice(&x.to_le_bytes());
-            }
-            self.0.extend_from_slice(bytes);
+        let basis = p.basis();
+        self.0.reserve(poly_wire_len(basis));
+        for (i, m) in basis.moduli().iter().enumerate() {
+            pack_limb(p.limb(i), limb_width(m.value()), self.0);
         }
     }
 }
 
-/// True when every word of `limb` is a residue below `q`, in one
-/// branch-free pass. Supported moduli are below `2^62`, so `x < q` exactly
-/// when `x − q` wraps negative while `x` itself has a clear top bit: the
-/// AND of `(x − q) & !x` over the limb keeps its sign bit iff no word is
-/// out of range. (A `max` fold decides the same thing but serializes on
-/// its compare — it measured slower than a branch per coefficient.)
-fn all_below(limb: impl IntoIterator<Item = u64>, q: u64) -> bool {
-    debug_assert!(q < 1 << 62);
-    let ok = limb
-        .into_iter()
-        .fold(u64::MAX, |ok, x| ok & x.wrapping_sub(q) & !x);
-    ok >> 63 == 1
+/// Appends the limbs over `moduli` packed in `bytes` (exactly their wire
+/// length) to `flat`, each range-checked in the pass that widens it.
+fn read_limbs<'m>(
+    bytes: &[u8],
+    moduli: impl IntoIterator<Item = &'m Modulus>,
+    n: usize,
+    flat: &mut Vec<u64>,
+) -> Result<(), SerializeError> {
+    let mut at = 0;
+    for m in moduli {
+        let w = limb_width(m.value());
+        if !unpack_limb(&bytes[at..at + w * n], w, m.value(), flat) {
+            return Err(SerializeError::UnreducedResidue);
+        }
+        at += w * n;
+    }
+    Ok(())
 }
 
-/// The words of a limb as written.
-fn words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
-    bytes
-        .chunks_exact(8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-}
-
-/// Appends one limb's words, `bytes` as written, to `flat`: bulk word
-/// copy, then the range check over the limb while it is still in cache.
-fn read_limb(bytes: &[u8], q: u64, flat: &mut Vec<u64>) -> Result<(), SerializeError> {
-    let at = flat.len();
-    flat.extend(words(bytes));
-    if all_below(flat[at..].iter().copied(), q) {
-        Ok(())
-    } else {
-        Err(SerializeError::UnreducedResidue)
+/// One polynomial over `basis` from exactly its wire bytes. With a `pool`,
+/// its storage is leased there — for a request-scoped operand, whose holder
+/// recycles it so the next decode or kernel output leases the same buffer.
+/// Without, it is the caller's own heap buffer: a result a client keeps.
+fn read_poly(
+    bytes: &[u8],
+    basis: &Arc<RnsBasis>,
+    pool: Option<&ScratchPool>,
+) -> Result<RnsPoly, SerializeError> {
+    let len = basis.len() * basis.degree();
+    let mut flat = match pool {
+        Some(pool) => pool.take_vec(len),
+        None => Vec::with_capacity(len),
+    };
+    flat.clear();
+    match read_limbs(bytes, basis.moduli(), basis.degree(), &mut flat) {
+        Ok(()) => Ok(RnsPoly::from_flat(
+            basis.clone(),
+            flat,
+            Representation::Evaluation,
+        )),
+        Err(e) => {
+            if let Some(pool) = pool {
+                pool.recycle_vec(flat);
+            }
+            Err(e)
+        }
     }
 }
 
@@ -181,46 +204,13 @@ impl<'a> Reader<'a> {
             n => Err(SerializeError::TrailingBytes(n)),
         }
     }
-    /// Appends the limbs of one polynomial over `basis` to `flat`, a limb
-    /// at a time ([`read_limb`]).
-    fn limbs(&mut self, basis: &RnsBasis, flat: &mut Vec<u64>) -> Result<(), SerializeError> {
-        let n = basis.degree();
-        for m in basis.moduli() {
-            read_limb(self.bytes(8 * n)?, m.value(), flat)?;
-        }
-        Ok(())
-    }
-    /// One polynomial over `basis`. With a `pool`, its storage is leased
-    /// there — for a request-scoped operand, whose holder recycles it so
-    /// the next decode or kernel output leases the same buffer. Without,
-    /// it is the caller's own heap buffer: a result a client keeps, or a
-    /// switching key, which the key cache owns until eviction frees it
-    /// (leasing those would drain the pool of the buffers kernels need
-    /// back).
-    fn poly(
-        &mut self,
-        basis: &Arc<RnsBasis>,
-        pool: Option<&ScratchPool>,
-    ) -> Result<RnsPoly, SerializeError> {
-        let len = basis.len() * basis.degree();
-        let mut flat = match pool {
-            Some(pool) => pool.take_vec(len),
-            None => Vec::with_capacity(len),
-        };
-        flat.clear();
-        match self.limbs(basis, &mut flat) {
-            Ok(()) => Ok(RnsPoly::from_flat(
-                basis.clone(),
-                flat,
-                Representation::Evaluation,
-            )),
-            Err(e) => {
-                if let Some(pool) = pool {
-                    pool.recycle_vec(flat);
-                }
-                Err(e)
-            }
-        }
+    /// The last `polys` polynomials over `basis` of the message, still
+    /// bytes: exactly what is left of it, or `Truncated` /
+    /// `TrailingBytes` before any limb is decoded.
+    fn tail_polys(&mut self, basis: &RnsBasis, polys: usize) -> Result<&'a [u8], SerializeError> {
+        let bytes = self.bytes(polys * poly_wire_len(basis))?;
+        self.finish()?;
+        Ok(bytes)
     }
     /// A ciphertext's two components behind its header and scale.
     fn ciphertext(
@@ -230,8 +220,9 @@ impl<'a> Reader<'a> {
     ) -> Result<Ciphertext, SerializeError> {
         let basis = self.level_basis(ctx)?;
         let scale = f64::from_bits(self.u64()?);
-        let c0 = self.poly(basis, pool)?;
-        match self.poly(basis, pool) {
+        let (c0, c1) = self.tail_polys(basis, 2)?.split_at(poly_wire_len(basis));
+        let c0 = read_poly(c0, basis, pool)?;
+        match read_poly(c1, basis, pool) {
             Ok(c1) => Ok(Ciphertext::new(c0, c1, scale)),
             Err(e) => {
                 if let Some(pool) = pool {
@@ -249,7 +240,7 @@ impl<'a> Reader<'a> {
     ) -> Result<Plaintext, SerializeError> {
         let basis = self.level_basis(ctx)?;
         let scale = f64::from_bits(self.u64()?);
-        let poly = self.poly(basis, pool)?;
+        let poly = read_poly(self.tail_polys(basis, 1)?, basis, pool)?;
         Ok(Plaintext { poly, scale })
     }
     /// The level basis a ciphertext or plaintext header names by its limb
@@ -332,8 +323,8 @@ pub fn ciphertext_limb_count(ctx: &CkksContext, bytes: &[u8]) -> Result<usize, S
 ///
 /// # Errors
 ///
-/// Returns [`SerializeError`] on malformed input or a modulus-chain
-/// mismatch.
+/// Returns [`SerializeError`] on malformed input, a modulus-chain
+/// mismatch, or bytes after the ciphertext.
 pub fn deserialize_ciphertext(
     ctx: &CkksContext,
     bytes: &[u8],
@@ -374,8 +365,8 @@ pub fn serialize_plaintext(pt: &Plaintext) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`SerializeError`] on malformed input or a modulus-chain
-/// mismatch.
+/// Returns [`SerializeError`] on malformed input, a modulus-chain
+/// mismatch, or bytes after the plaintext.
 pub fn deserialize_plaintext(ctx: &CkksContext, bytes: &[u8]) -> Result<Plaintext, SerializeError> {
     Reader::new(bytes)?.plaintext(ctx, None)
 }
@@ -392,7 +383,7 @@ pub fn lease_plaintext(ctx: &CkksContext, bytes: &[u8]) -> Result<Plaintext, Ser
 }
 
 /// Appends a switching key's wire form to `out`: the seed plus only the
-/// `b` polynomials (half the bytes of the expanded key).
+/// `b` polynomials (half the residues of the expanded key).
 pub fn write_switching_key(key: &SwitchingKey, out: &mut Vec<u8>) {
     let mut w = Writer::new(out);
     write_basis_header(&mut w, key.digits[0].b.basis());
@@ -415,8 +406,11 @@ pub fn serialize_switching_key(key: &SwitchingKey) -> Vec<u8> {
 /// the context, the polynomials still bytes.
 struct KeyWire<'a> {
     seed: [u8; 32],
-    /// The `b_j` of every digit, each `|Q ∪ P|` limbs of `N` words.
+    /// The `b_j` of every digit, each `|Q ∪ P|` limbs of `N` packed words.
     b: &'a [u8],
+    /// Limb `i` of a `b_j` is bytes `at[i]..at[i + 1]` of it: the prefix
+    /// sums of the limb widths over `Q ∪ P`, `at[|Q ∪ P|]` a whole `b_j`.
+    at: Vec<usize>,
 }
 
 impl<'a> KeyWire<'a> {
@@ -433,26 +427,42 @@ impl<'a> KeyWire<'a> {
             return Err(SerializeError::BadHeader);
         }
         let seed = r.bytes(32)?.try_into().expect("32 bytes");
-        let b = r.bytes(dnum * full.len() * 8 * full.degree())?;
-        r.finish()?;
-        Ok(KeyWire { seed, b })
+        let at: Vec<usize> = std::iter::once(0)
+            .chain(full.moduli().iter().scan(0, |at, m| {
+                *at += limb_width(m.value()) * full.degree();
+                Some(*at)
+            }))
+            .collect();
+        let b = r.tail_polys(full, dnum)?;
+        Ok(KeyWire { seed, b, at })
     }
 
     /// Limb `i` of `Q ∪ P` of `b_j`, as bytes.
-    fn limb(&self, ctx: &CkksContext, j: usize, i: usize) -> &'a [u8] {
-        let full = ctx.full_basis();
-        let limb_bytes = 8 * full.degree();
-        let at = (j * full.len() + i) * limb_bytes;
-        &self.b[at..at + limb_bytes]
+    fn limb(&self, j: usize, i: usize) -> &'a [u8] {
+        let poly = j * self.at[self.at.len() - 1];
+        &self.b[poly + self.at[i]..poly + self.at[i + 1]]
     }
 
-    /// Whether every stored residue is below its modulus, nothing decoded.
+    /// Appends limb `i` of `b_j`, decoded and range-checked, to `flat`.
+    fn read_limb(
+        &self,
+        ctx: &CkksContext,
+        j: usize,
+        i: usize,
+        flat: &mut Vec<u64>,
+    ) -> Result<(), SerializeError> {
+        let m = ctx.full_basis().modulus(i);
+        read_limbs(self.limb(j, i), [m], ctx.params().degree(), flat)
+    }
+
+    /// Whether every stored residue is below its modulus, nothing kept: one
+    /// limb-sized buffer takes each limb in turn.
     fn check(&self, ctx: &CkksContext) -> Result<(), SerializeError> {
+        let mut limb = Vec::with_capacity(ctx.params().degree());
         for j in 0..ctx.params().dnum() {
-            for (i, m) in ctx.full_basis().moduli().iter().enumerate() {
-                if !all_below(words(self.limb(ctx, j, i)), m.value()) {
-                    return Err(SerializeError::UnreducedResidue);
-                }
+            for i in 0..ctx.full_basis().len() {
+                limb.clear();
+                self.read_limb(ctx, j, i, &mut limb)?;
             }
         }
         Ok(())
@@ -465,11 +475,10 @@ impl<'a> KeyWire<'a> {
     fn expand(&self, ctx: &CkksContext, ell: usize) -> Result<SwitchingKey, SerializeError> {
         let limbs = ctx.key_limbs_at(ell);
         let basis = ctx.raised_basis(ell);
-        let full = ctx.full_basis();
         let b_j = |j: usize| -> Result<RnsPoly, SerializeError> {
-            let mut flat = Vec::with_capacity(limbs.len() * full.degree());
+            let mut flat = Vec::with_capacity(limbs.len() * ctx.params().degree());
             for &i in &limbs {
-                read_limb(self.limb(ctx, j, i), full.modulus(i).value(), &mut flat)?;
+                self.read_limb(ctx, j, i, &mut flat)?;
             }
             Ok(RnsPoly::from_flat(
                 basis.clone(),
@@ -708,7 +717,7 @@ mod tests {
         let keygen = KeyGenerator::new(ctx.clone());
         let sk = keygen.secret_key(&mut rng);
         let full = ctx.full_basis();
-        let poly_bytes = 8 * full.len() * full.degree();
+        let poly_bytes = poly_wire_len(full);
         let count_at = 5 + 8 + 8 * full.len();
         let key = keygen.relin_key(&mut rng, &sk);
         let good = serialize_switching_key(key.switching_key());
@@ -795,6 +804,12 @@ mod tests {
             deserialize_ciphertext(&ctx, &bytes),
             Err(SerializeError::VersionMismatch(v)) if v == VERSION + 1
         ));
+        // Version 1, the 8-byte-word layout, is no longer read.
+        bytes[4] = 1;
+        assert_eq!(
+            deserialize_ciphertext(&ctx, &bytes).err(),
+            Some(SerializeError::VersionMismatch(1))
+        );
         // A short buffer is Truncated, not a header error.
         assert!(matches!(
             deserialize_ciphertext(&ctx, &bytes[..3]),
@@ -820,22 +835,49 @@ mod tests {
     }
 
     #[test]
+    fn a_ciphertext_or_plaintext_is_exactly_its_length() {
+        let ctx = ctx();
+        let mut rng = StdRng::seed_from_u64(20);
+        let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+        let pt = Encoder::new(ctx.clone())
+            .encode(&[Complex::new(0.5, 0.25)], 2, ctx.params().scale())
+            .unwrap();
+        let ct = Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
+        let leases = ctx.scratch().stats().leases;
+        for pad in [1usize, 8] {
+            let mut long = serialize_ciphertext(&ct);
+            long.resize(long.len() + pad, 0);
+            let want = Some(SerializeError::TrailingBytes(pad));
+            assert_eq!(deserialize_ciphertext(&ctx, &long).err(), want);
+            assert_eq!(lease_ciphertext(&ctx, &long).err(), want);
+            let mut long = serialize_plaintext(&pt);
+            long.resize(long.len() + pad, 0);
+            assert_eq!(deserialize_plaintext(&ctx, &long).err(), want);
+            assert_eq!(lease_plaintext(&ctx, &long).err(), want);
+        }
+        // The length is checked before a limb is decoded, so a refused
+        // lease took no buffer from the pool.
+        assert_eq!(ctx.scratch().stats().leases, leases);
+    }
+
+    #[test]
     fn a_key_is_checked_whole_and_expanded_by_level() {
         let ctx = ctx(); // L = 3, α = k = 2, dnum = 2
         let mut rng = StdRng::seed_from_u64(17);
         let keygen = KeyGenerator::new(ctx.clone());
         let sk = keygen.secret_key(&mut rng);
         let full = ctx.full_basis();
-        let limb_bytes = 8 * full.degree();
+        let n = full.degree();
+        let width = |i: usize| limb_width(full.modulus(i).value());
         let b_at = 5 + 8 + 8 * full.len() + 4 + 1 + 32;
         let key = keygen.relin_key(&mut rng, &sk);
         let good = serialize_switching_key(key.switching_key());
         assert_eq!(check_switching_key(&ctx, &good), Ok(()));
-        // An unreduced word in Q-limb 2 of `b_0`: a level-2 expansion never
+        // An all-ones field in Q-limb 2 of `b_0`: a level-2 expansion never
         // decodes it, the check and the whole key do.
         let mut bad = good.clone();
-        let at = b_at + 2 * limb_bytes;
-        bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let at = b_at + (width(0) + width(1)) * n;
+        bad[at..at + width(2)].fill(0xff);
         assert!(deserialize_switching_key_at(&ctx, &bad, 2).is_ok());
         for err in [
             check_switching_key(&ctx, &bad).err(),
@@ -975,9 +1017,9 @@ mod tests {
         );
     }
 
-    /// The writer this module had before the bulk one — a word at a time,
-    /// field by field — kept as the reference the bulk writer must match
-    /// byte for byte.
+    /// A writer a word at a time, field by field, and a residue a byte at
+    /// a time — the low `limb_width(q)` bytes of each, little-endian — kept
+    /// as the reference the packed writer must match byte for byte.
     struct Reference(Vec<u8>);
 
     impl Reference {
@@ -993,8 +1035,9 @@ mod tests {
         }
         fn poly(&mut self, p: &RnsPoly) {
             for i in 0..p.limb_count() {
+                let w = limb_width(p.basis().modulus(i).value());
                 for &x in p.limb(i) {
-                    self.0.extend_from_slice(&x.to_le_bytes());
+                    self.0.extend((0..w).map(|b| (x >> (8 * b)) as u8));
                 }
             }
         }

@@ -17,8 +17,11 @@
 use ckks::hoisting::{
     apply_bsgs, apply_hoisted, bsgs_required_steps, rotate_hoisted, LinearTransform,
 };
-use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
+use ckks::{
+    Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator, Plaintext,
+};
 use fhe_math::cfft::Complex;
+use fhe_math::{RnsBasis, RnsPoly};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -35,6 +38,35 @@ fn ctx() -> Arc<CkksContext> {
             .build()
             .unwrap(),
     )
+}
+
+/// A ciphertext in the layout the digests below were recorded over:
+/// version 1 of `MADf` — magic, version, degree, limb count, moduli,
+/// scale, then every residue as an 8-byte little-endian word. The wire now
+/// packs each residue at its modulus's width (version 2), which would move
+/// every digest with no kernel moving; hashing this fixed layout keeps
+/// each recorded value a statement about kernel outputs alone.
+fn serialize_ciphertext(ct: &Ciphertext) -> Vec<u8> {
+    recorded_layout(ct.c0().basis(), ct.scale(), &[ct.c0(), ct.c1()])
+}
+
+/// A plaintext in the recorded layout (see [`serialize_ciphertext`]).
+fn serialize_plaintext(pt: &Plaintext) -> Vec<u8> {
+    recorded_layout(pt.poly().basis(), pt.scale(), &[pt.poly()])
+}
+
+fn recorded_layout(basis: &RnsBasis, scale: f64, polys: &[&RnsPoly]) -> Vec<u8> {
+    let mut out = b"MADf\x01".to_vec();
+    out.extend_from_slice(&(basis.degree() as u32).to_le_bytes());
+    out.extend_from_slice(&(basis.len() as u32).to_le_bytes());
+    for m in basis.moduli() {
+        out.extend_from_slice(&m.value().to_le_bytes());
+    }
+    out.extend_from_slice(&scale.to_bits().to_le_bytes());
+    for p in polys {
+        out.extend(p.flat().iter().flat_map(|x| x.to_le_bytes()));
+    }
+    out
 }
 
 /// Flattens a ciphertext to its raw words, which the digests hash.
@@ -263,7 +295,6 @@ fn automorph_then_keyswitch(p: &Pinned, ct: &Ciphertext, steps: i64) -> Cipherte
 /// at every level, an automorphism-then-key-switch rotation, `rescale` and
 /// `rotate_hoisted`.
 fn kernel_digest(ctx: Arc<CkksContext>) -> u64 {
-    use ckks::serialize::{serialize_ciphertext, serialize_plaintext};
     let p = Pinned::new(ctx);
     let (ctx, ev) = (&p.ctx, &p.ev);
     let scale = ctx.params().scale();
@@ -294,7 +325,6 @@ fn kernel_digest(ctx: Arc<CkksContext>) -> u64 {
 /// The **schedule digest**: the serialized outputs of `mul_with_key` and
 /// `apply_bsgs`, whose bits follow from *which* kernels they sequence.
 fn schedule_digest(ctx: Arc<CkksContext>) -> u64 {
-    use ckks::serialize::serialize_ciphertext;
     let p = Pinned::new(ctx);
     let ev = &p.ev;
     let [ca, cb] = &p.cts;
@@ -311,7 +341,6 @@ fn schedule_digest(ctx: Arc<CkksContext>) -> u64 {
 /// The serialized output of `apply_hoisted` on the pinned transform (its
 /// offsets `1..=3` are among the generated keys).
 fn hoisted_digest(ctx: Arc<CkksContext>) -> u64 {
-    use ckks::serialize::serialize_ciphertext;
     let p = Pinned::new(ctx);
     let mut hash = FNV_OFFSET;
     let out = apply_hoisted(&p.ev, &p.encoder, &p.cts[0], &p.lt, &p.gk);

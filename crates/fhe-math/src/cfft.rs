@@ -9,7 +9,8 @@
 //! scheme is the automorphism `x ↦ x^{5^r}`.
 //!
 //! The butterflies are the standard Cooley–Tukey network; only the twiddle
-//! indexing (through the rotation group) differs from a textbook FFT.
+//! indexing (through the rotation group) differs from a textbook FFT, and
+//! it is resolved once, into a table per stage, when the tables are built.
 
 use std::f64::consts::PI;
 use std::fmt;
@@ -94,11 +95,16 @@ impl Neg for Complex {
 #[derive(Clone)]
 pub struct SpecialFft {
     slots: usize,
-    m: usize,
-    /// ζ^k = e^{2πik/M} for k in [0, M).
-    zeta_pows: Vec<Complex>,
     /// 5^j mod M for j in [0, n).
     rot_group: Vec<usize>,
+    /// The forward stage of width `len` reads its `len/2` twiddles from
+    /// `forward_twiddles[len/2..len]`: entry `len/2 + j` is
+    /// `ζ^{(5^j mod 4·len)·M/(4·len)}`, ζ = e^{2πi/M}. Built once, so no
+    /// butterfly divides or gathers from a table of every power of ζ.
+    forward_twiddles: Vec<Complex>,
+    /// The inverse stages' twiddles, laid out as `forward_twiddles`:
+    /// `ζ^{(4·len − 5^j mod 4·len)·M/(4·len)}`.
+    inverse_twiddles: Vec<Complex>,
 }
 
 impl fmt::Debug for SpecialFft {
@@ -107,6 +113,11 @@ impl fmt::Debug for SpecialFft {
             .field("slots", &self.slots)
             .finish()
     }
+}
+
+/// ζ^k = e^{2πik/M}.
+fn zeta(k: usize, m: usize) -> Complex {
+    Complex::cis(2.0 * PI * k as f64 / m as f64)
 }
 
 fn bit_reverse_permute(vals: &mut [Complex]) {
@@ -132,20 +143,29 @@ impl SpecialFft {
     pub fn new(slots: usize) -> Self {
         assert!(slots.is_power_of_two(), "slot count must be a power of two");
         let m = 4 * slots;
-        let zeta_pows = (0..m)
-            .map(|k| Complex::cis(2.0 * PI * k as f64 / m as f64))
-            .collect();
         let mut rot_group = Vec::with_capacity(slots);
         let mut five_pow = 1usize;
         for _ in 0..slots {
             rot_group.push(five_pow);
             five_pow = (five_pow * 5) % m;
         }
+        let mut forward_twiddles = vec![Complex::default(); slots];
+        let mut inverse_twiddles = vec![Complex::default(); slots];
+        let mut len = 2;
+        while len <= slots {
+            let (len_h, len_q) = (len >> 1, len << 2);
+            for (j, &r) in rot_group[..len_h].iter().enumerate() {
+                let r = r % len_q;
+                forward_twiddles[len_h + j] = zeta(r * (m / len_q), m);
+                inverse_twiddles[len_h + j] = zeta((len_q - r) * (m / len_q), m);
+            }
+            len <<= 1;
+        }
         Self {
             slots,
-            m,
-            zeta_pows,
             rot_group,
+            forward_twiddles,
+            inverse_twiddles,
         }
     }
 
@@ -208,16 +228,14 @@ impl SpecialFft {
     pub fn forward_stage(&self, vals: &mut [Complex], len: usize) {
         assert_eq!(vals.len(), self.slots);
         assert!(len.is_power_of_two() && (2..=self.slots).contains(&len));
-        let n = self.slots;
         let len_h = len >> 1;
-        let len_q = len << 2;
-        for base in (0..n).step_by(len) {
-            for j in 0..len_h {
-                let idx = (self.rot_group[j] % len_q) * (self.m / len_q);
-                let u = vals[base + j];
-                let v = vals[base + j + len_h] * self.zeta_pows[idx];
-                vals[base + j] = u + v;
-                vals[base + j + len_h] = u - v;
+        let twiddles = &self.forward_twiddles[len_h..len];
+        for block in vals.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(len_h);
+            for ((x, y), &w) in lo.iter_mut().zip(hi).zip(twiddles) {
+                let (u, v) = (*x, *y * w);
+                *x = u + v;
+                *y = u - v;
             }
         }
     }
@@ -228,16 +246,14 @@ impl SpecialFft {
     pub fn inverse_stage(&self, vals: &mut [Complex], len: usize) {
         assert_eq!(vals.len(), self.slots);
         assert!(len.is_power_of_two() && (2..=self.slots).contains(&len));
-        let n = self.slots;
         let len_h = len >> 1;
-        let len_q = len << 2;
-        for base in (0..n).step_by(len) {
-            for j in 0..len_h {
-                let idx = (len_q - (self.rot_group[j] % len_q)) * (self.m / len_q);
-                let u = vals[base + j] + vals[base + j + len_h];
-                let v = (vals[base + j] - vals[base + j + len_h]) * self.zeta_pows[idx];
-                vals[base + j] = u;
-                vals[base + j + len_h] = v;
+        let twiddles = &self.inverse_twiddles[len_h..len];
+        for block in vals.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(len_h);
+            for ((x, y), &w) in lo.iter_mut().zip(hi).zip(twiddles) {
+                let (u, v) = (*x + *y, (*x - *y) * w);
+                *x = u;
+                *y = v;
             }
         }
     }
@@ -248,7 +264,7 @@ impl SpecialFft {
     /// Output slot `k` is the polynomial evaluated at `ζ^{5^k}`.
     pub fn forward_reference(&self, coeffs: &[Complex]) -> Vec<Complex> {
         assert_eq!(coeffs.len(), self.slots);
-        let n = self.slots;
+        let (n, m) = (self.slots, 4 * self.slots);
         (0..n)
             .map(|k| {
                 let point_exp = self.rot_group[k];
@@ -257,7 +273,7 @@ impl SpecialFft {
                     // x^j term with coefficient c (complex shorthand for the
                     // pair of real coefficients at j and j+n, since
                     // ζ^{n·5^k} = i for all k in the rotation group).
-                    let w = self.zeta_pows[(point_exp * j) % self.m];
+                    let w = zeta((point_exp * j) % m, m);
                     acc = acc + c * w;
                 }
                 acc
@@ -283,6 +299,58 @@ mod tests {
         assert!(close(a.conj().conj(), a, 1e-12));
         assert!(close(Complex::cis(PI), Complex::new(-1.0, 0.0), 1e-12));
         assert!(close(-a + a, Complex::default(), 1e-12));
+    }
+
+    /// The stages as they read a table of every power of ζ before the
+    /// per-stage tables: index `(5^j mod 4·len)·M/(4·len)` per butterfly.
+    fn indexed_stage(fft: &SpecialFft, vals: &mut [Complex], len: usize, inverse: bool) {
+        let m = 4 * fft.slots;
+        let zeta_pows: Vec<Complex> = (0..m)
+            .map(|k| Complex::cis(2.0 * PI * k as f64 / m as f64))
+            .collect();
+        let (len_h, len_q) = (len >> 1, len << 2);
+        for base in (0..fft.slots).step_by(len) {
+            for j in 0..len_h {
+                let r = fft.rot_group[j] % len_q;
+                let r = if inverse { len_q - r } else { r };
+                let w = zeta_pows[r * (m / len_q)];
+                let (a, b) = (vals[base + j], vals[base + j + len_h]);
+                if inverse {
+                    vals[base + j] = a + b;
+                    vals[base + j + len_h] = (a - b) * w;
+                } else {
+                    vals[base + j] = a + b * w;
+                    vals[base + j + len_h] = a - b * w;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stages_are_bit_identical_to_the_indexed_twiddles() {
+        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        for n in [2usize, 4, 8, 64, 1024, 4096] {
+            let fft = SpecialFft::new(n);
+            let input: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 1.3).cos() - 0.2))
+                .collect();
+            let mut len = 2;
+            while len <= n {
+                for inverse in [false, true] {
+                    let (mut got, mut want) = (input.clone(), input.clone());
+                    if inverse {
+                        fft.inverse_stage(&mut got, len);
+                    } else {
+                        fft.forward_stage(&mut got, len);
+                    }
+                    indexed_stage(&fft, &mut want, len, inverse);
+                    assert_eq!(bits(&got), bits(&want), "n {n} len {len} inverse {inverse}");
+                }
+                len <<= 1;
+            }
+        }
     }
 
     #[test]

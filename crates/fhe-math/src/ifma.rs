@@ -48,11 +48,20 @@
 //! permutes — turns them into one 8-word block per lane, stored into that
 //! lane's limb of its digit's own buffer, so nothing is zero-filled first.
 //!
+//! The limb codec (`codec`) packs eight words of a limb into `8·w` bytes
+//! with one `vpermb` and a masked store, and unpacks them with a masked
+//! load, the inverse `vpermb` (zeroing the bytes above `w`) and one
+//! `cmplt_epu64` against the modulus. It needs `avx512bw` and `avx512vbmi`,
+//! not IFMA, so it has its own proof, [`PackLanes`].
+//!
 //! This is the crate's only `unsafe` code. A [`Lanes`] is made only after
-//! the CPU was found to have `avx512f` and `avx512ifma`, which is what the
-//! `unsafe fn`s below require; the rest is memory access through
-//! fixed-size arrays, and the seeded expansion's stores into buffers it
-//! reserved itself, each written whole before its length is set.
+//! the CPU was found to have `avx512f` and `avx512ifma`, and a
+//! [`PackLanes`] only after it was found to have `avx512f`, `avx512bw` and
+//! `avx512vbmi`, which is what the `unsafe fn`s below require; the rest is
+//! memory access through fixed-size arrays, the seeded expansion's stores
+//! into buffers it reserved itself, and the codec's masked loads and
+//! stores inside slices and reserved capacity, each buffer written whole
+//! before its length is set.
 //!
 //! [`ShoupPair::shoup`]: crate::backend::ShoupPair::shoup
 //! [`lane_products`]: crate::modular::lane_products
@@ -89,6 +98,74 @@ pub(crate) fn detected() -> bool {
             false
         }
     })
+}
+
+/// Whether this CPU has `avx512f`, `avx512bw` and `avx512vbmi` (detected
+/// once): what the limb codec's byte permutes need.
+fn vbmi_detected() -> bool {
+    static DETECTED: OnceLock<bool> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vbmi")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
+/// Proof that this CPU has the byte permutes; only [`pack_lanes`] makes
+/// one.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PackLanes(());
+
+/// The limb codec's lanes, or `None` where its portable body runs: a CPU
+/// without `avx512vbmi`.
+pub(crate) fn pack_lanes() -> Option<PackLanes> {
+    vbmi_detected().then_some(PackLanes(()))
+}
+
+impl PackLanes {
+    /// Appends the whole 8-word blocks of `words`, each word packed to its
+    /// low `w` bytes little-endian, to `out`; see `codec::pack_limb`.
+    /// `words.len()` is a multiple of 8 and `w` is in `1..=8`.
+    pub(crate) fn pack(self, words: &[u64], w: usize, out: &mut Vec<u8>) {
+        assert!(words.len().is_multiple_of(8) && (1..=8).contains(&w));
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `self` exists only where `vbmi_detected()` found avx512f,
+        // avx512bw and avx512vbmi, the target features of the function;
+        // the assertion above is the rest of its contract.
+        unsafe {
+            x86::pack(words, w, out);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (words, w, out);
+            unreachable!("a `PackLanes` is only made on x86-64");
+        }
+    }
+
+    /// Appends the words of the whole `8·w`-byte blocks of `bytes` to
+    /// `out`, and returns whether every one is below `q`; see
+    /// `codec::unpack_limb`. `bytes.len()` is a multiple of `8·w` and `w`
+    /// is in `1..=8`.
+    pub(crate) fn unpack(self, bytes: &[u8], w: usize, q: u64, out: &mut Vec<u64>) -> bool {
+        assert!((1..=8).contains(&w) && bytes.len().is_multiple_of(8 * w));
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as `pack`.
+        unsafe {
+            x86::unpack(bytes, w, q, out)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (bytes, w, q, out);
+            unreachable!("a `PackLanes` is only made on x86-64");
+        }
+    }
 }
 
 /// Proof that this CPU has the lanes; only [`lanes`], [`sum_lanes`],
@@ -1139,5 +1216,92 @@ mod x86 {
             unsafe { v.set_len(per_poly * n) }
         }
         out
+    }
+
+    /// The bytes of a block of eight `w`-byte words, as a byte mask: its
+    /// low `8·w` bits.
+    #[inline]
+    fn packed_mask(w: usize) -> __mmask64 {
+        u64::MAX >> (64 - 8 * w)
+    }
+
+    /// The limb codec's packing; see [`super::PackLanes::pack`]. Per block
+    /// of eight words: one `vpermb` gathers the low `w` bytes of each word
+    /// to the front, and a masked store writes those `8·w` bytes and no
+    /// more.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `avx512f`, `avx512bw` and `avx512vbmi`,
+    /// `words.len()` must be a multiple of 8 and `w` in `1..=8`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    pub(super) unsafe fn pack(words: &[u64], w: usize, out: &mut Vec<u8>) {
+        let blocks = words.as_chunks::<8>().0;
+        let len = 8 * w * blocks.len();
+        out.reserve(len);
+        // Byte `k` of a packed block is byte `k mod w` of word `⌊k/w⌋`.
+        let mut order = [0u8; 64];
+        for (k, o) in order.iter_mut().enumerate().take(8 * w) {
+            *o = (k / w * 8 + k % w) as u8;
+        }
+        // SAFETY: `order` is 64 readable bytes.
+        let order = unsafe { _mm512_loadu_epi8(order.as_ptr().cast()) };
+        let mask = packed_mask(w);
+        // SAFETY: `out` has `len` bytes of spare capacity, reserved above.
+        let dst = unsafe { out.as_mut_ptr().add(out.len()) };
+        for (i, block) in blocks.iter().enumerate() {
+            let packed = _mm512_permutexvar_epi8(order, load(block));
+            // SAFETY: bytes `8·w·i .. 8·w·(i + 1)` of the spare capacity;
+            // the mask writes no byte past them.
+            unsafe { _mm512_mask_storeu_epi8(dst.add(8 * w * i).cast(), mask, packed) }
+        }
+        // SAFETY: every one of the `len` bytes was written by one block.
+        unsafe { out.set_len(out.len() + len) }
+    }
+
+    /// The limb codec's unpacking; see [`super::PackLanes::unpack`]. Per
+    /// block of `8·w` bytes: a masked load reads those bytes and no more,
+    /// one `vpermb` spreads them to the low `w` bytes of eight words and
+    /// zeroes the rest, and `cmplt_epu64` checks each word against `q`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have `avx512f`, `avx512bw` and `avx512vbmi`,
+    /// `bytes.len()` must be a multiple of `8·w` and `w` in `1..=8`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    pub(super) unsafe fn unpack(bytes: &[u8], w: usize, q: u64, out: &mut Vec<u64>) -> bool {
+        let blocks = bytes.len() / (8 * w);
+        out.reserve(8 * blocks);
+        // Byte `b < w` of word `j` is byte `j·w + b` of the packed block;
+        // the bytes above `w` are zeroed (`keep`).
+        let mut order = [0u8; 64];
+        let mut keep: __mmask64 = 0;
+        for (k, o) in order.iter_mut().enumerate() {
+            if k % 8 < w {
+                *o = (k / 8 * w + k % 8) as u8;
+                keep |= 1 << k;
+            }
+        }
+        // SAFETY: `order` is 64 readable bytes.
+        let order = unsafe { _mm512_loadu_epi8(order.as_ptr().cast()) };
+        let mask = packed_mask(w);
+        let q = _mm512_set1_epi64(q as i64);
+        let mut below: __mmask8 = 0xff;
+        let src = bytes.as_ptr();
+        // SAFETY: `out` has `8·blocks` words of spare capacity.
+        let dst = unsafe { out.as_mut_ptr().add(out.len()) };
+        for i in 0..blocks {
+            // SAFETY: bytes `8·w·i .. 8·w·(i + 1)` of `bytes`; the mask
+            // reads no byte past them.
+            let packed = unsafe { _mm512_maskz_loadu_epi8(mask, src.add(8 * w * i).cast()) };
+            let x = _mm512_maskz_permutexvar_epi8(keep, order, packed);
+            below &= _mm512_cmplt_epu64_mask(x, q);
+            // SAFETY: words `8·i .. 8·(i + 1)` of the spare capacity.
+            unsafe { _mm512_storeu_epi64(dst.add(8 * i).cast(), x) }
+        }
+        // SAFETY: every one of the `8·blocks` words was written by one
+        // block.
+        unsafe { out.set_len(out.len() + 8 * blocks) }
+        below == 0xff
     }
 }

@@ -1,5 +1,6 @@
 #![warn(missing_docs)]
-// The one exception is `ifma`, the AVX-512 IFMA lane bodies of the kernels.
+// The one exception is `ifma`, the AVX-512 lane bodies of the kernels and
+// of the limb codec.
 #![deny(unsafe_code)]
 // Hot kernels index several slices in lockstep (limbs, roots, outputs);
 // the explicit-index form mirrors the paper's pseudocode and stays clear.
@@ -34,6 +35,9 @@
 //!   used by `Rotate` and `Conjugate`.
 //! - [`cfft`]: the complex "special" FFT over the canonical embedding used
 //!   by the CKKS encoder.
+//! - [`codec`]: the limb codec every wire format packs residues with, each
+//!   word at its modulus's byte width, on AVX-512 VBMI lanes where the CPU
+//!   has them.
 //! - [`bigint`]: a minimal arbitrary-precision unsigned integer used for CRT
 //!   reconstruction in decoding and in tests.
 //! - [`sampling`]: secret/noise distributions (ternary, centered binomial,
@@ -72,6 +76,7 @@ pub mod automorph;
 pub mod backend;
 pub mod bigint;
 pub mod cfft;
+pub mod codec;
 #[allow(unsafe_code)]
 mod ifma;
 pub mod modular;

@@ -27,8 +27,10 @@ use fhe_program::ExecInputs;
 use std::collections::BTreeMap;
 use std::io::Read;
 
-/// Protocol version carried in every frame.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// Protocol version carried in every frame. Version 2 carries `MADf`
+/// version 2 payloads (residues packed at their moduli's widths), so a
+/// version-1 peer is refused at its first frame, not at its first operand.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Default ceiling on a single frame's length field (64 MiB) — large
 /// enough for a full rotation-key bundle at demo scale, small enough to

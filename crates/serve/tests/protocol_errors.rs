@@ -9,6 +9,7 @@ mod counting_alloc;
 use ckks::serialize::{serialize_ciphertext, serialize_switching_key};
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
+use fhe_math::codec::limb_width;
 use fhe_serve::protocol::{read_frame, BodyWriter, FrameRead, Opcode, DEFAULT_MAX_FRAME_BYTES};
 use fhe_serve::{
     Client, ClientError, ErrorCode, FaultDecision, FaultMix, FaultPlan, RetryPolicy,
@@ -111,6 +112,45 @@ fn structured_errors_cover_the_misuse_space() {
     server.shutdown();
 }
 
+/// A ciphertext operand is exactly its length: padding after it — behind a
+/// `Rotate`'s steps, where the operand is the body's rest, or inside an
+/// `Add` blob whose length counts the padding — is `Malformed`, not
+/// ignored.
+#[test]
+fn a_padded_operand_is_malformed() {
+    let ctx = small_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    let mut rng = StdRng::seed_from_u64(14);
+    let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+    let pt = Encoder::new(ctx.clone())
+        .encode(&[Complex::new(0.5, 0.0)], 3, ctx.params().scale())
+        .unwrap();
+    let ct =
+        serialize_ciphertext(&Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk));
+    let mut padded = ct.clone();
+    padded.extend_from_slice(&[0; 8]);
+
+    // A rotation by zero needs no key: only the operand can refuse it.
+    let rotate = |client: &mut Client, operand: &[u8]| {
+        let mut w = BodyWriter::new();
+        w.u64(sid).i64(0).raw(operand);
+        client.call_raw(Opcode::Rotate as u8, &w.0)
+    };
+    expect_code(rotate(&mut client, &padded), ErrorCode::Malformed);
+    assert_eq!(rotate(&mut client, &ct).unwrap(), ct);
+
+    let add = |client: &mut Client, a: &[u8]| {
+        let mut w = BodyWriter::new();
+        w.u64(sid).blob(a).blob(&ct);
+        client.call_raw(Opcode::Add as u8, &w.0)
+    };
+    expect_code(add(&mut client, &padded), ErrorCode::Malformed);
+    add(&mut client, &ct).unwrap();
+    server.shutdown();
+}
+
 /// A relin key whose digit count is not the context's `dnum` is refused at
 /// upload, so no `Mult` ever runs a key switch it cannot finish.
 #[test]
@@ -124,12 +164,14 @@ fn a_relin_key_with_the_wrong_digit_count_is_malformed_at_upload() {
     let sk = kg.secret_key(&mut rng);
     let good = serialize_switching_key(kg.relin_key_compressed(&mut rng, &sk).switching_key());
 
-    // One digit: the count rewritten and the second `b` cut off.
+    // One digit: the count rewritten and the second `b` cut off, each of
+    // its limbs packed at its modulus's width.
     let full = ctx.full_basis();
     let count_at = 5 + 8 + 8 * full.len();
+    let b_bytes: usize = full.moduli().iter().map(|m| limb_width(m.value())).sum();
     let mut one = good.clone();
     one[count_at..count_at + 4].copy_from_slice(&1u32.to_le_bytes());
-    one.truncate(good.len() - 8 * full.len() * full.degree());
+    one.truncate(good.len() - b_bytes * full.degree());
     let mut w = BodyWriter::new();
     w.u64(sid).raw(&one);
     expect_code(
@@ -213,12 +255,15 @@ fn a_galois_key_with_an_unreduced_residue_above_the_level_is_malformed_at_upload
     // The bundle's one key sits behind its count, element and length; its
     // `b_0` behind the key's header, digit count, seed flag and seed. Q-limb
     // 2 of `b_0` is above level 2.
+    // Limbs are packed at their moduli's widths: the all-ones field of
+    // that limb's first word is out of range.
     let full = ctx.full_basis();
+    let width = |i: usize| limb_width(full.modulus(i).value());
     let key_at = 5 + 4 + 8 + 4;
     let b0_at = key_at + 5 + 8 + 8 * full.len() + 4 + 1 + 32;
-    let word_at = b0_at + 2 * 8 * full.degree();
+    let word_at = b0_at + (width(0) + width(1)) * full.degree();
     let mut bad = good.clone();
-    bad[word_at..word_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    bad[word_at..word_at + width(2)].fill(0xff);
     assert!(
         deserialize_switching_key_at(&ctx, &bad[key_at..], 2).is_ok(),
         "a level-2 expansion never reads the bad limb"

@@ -130,8 +130,9 @@ fn a_dribbled_add_frame_gets_the_byte_identical_reply() {
 
 #[test]
 fn a_frame_larger_than_any_one_read_arrives_in_64k_slices() {
-    // 4 limbs of 2048 coefficients: 128 KiB a ciphertext, 256 KiB a frame.
-    let ctx = ctx(11, 4);
+    // 4 limbs of 4096 coefficients at 5 and 4 bytes a residue: 136 KiB a
+    // ciphertext, 272 KiB a frame.
+    let ctx = ctx(12, 4);
     let rig = rig(&ctx, ServeConfig::default());
     assert!(rig.request.len() > 4 * (64 << 10));
     let mut stream = connect(&rig.server);
