@@ -17,10 +17,10 @@ use std::time::Duration;
 /// Tuning knobs for [`crate::Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Independent shard loops; sessions are placed by consistent
-    /// hashing of the session id, and each shard owns its own session
-    /// table, key-cache slice (`key_cache_budget / shards`), worker
-    /// queue and worker pool. The default reads `MAD_SERVE_SHARDS`
+    /// Independent shards; sessions are placed by consistent hashing of
+    /// the session id, and each shard owns its own session table,
+    /// key-cache slice (`key_cache_budget / shards`), worker queue and
+    /// worker pool. The default reads `MAD_SERVE_SHARDS`
     /// (clamped to `1..=`[`MAX_SHARDS`], default 1).
     pub shards: usize,
     /// Worker threads executing FHE ops, **per shard**; `0` runs one.
@@ -46,7 +46,7 @@ pub struct ServeConfig {
     /// Request-tracing knobs ([`crate::obs`]); tracing itself is always
     /// on.
     pub obs: ObsConfig,
-    /// Deterministic fault schedule threaded through the shard loops
+    /// Deterministic fault schedule consulted by the connection threads
     /// and worker pools; `None` (the default) serves faithfully and
     /// never consults a plan.
     pub fault_plan: Option<Arc<FaultPlan>>,

@@ -3,7 +3,7 @@
 //! A worker [`decode`]s a request once, pins the keys it plans from the
 //! decoded form ([`Decoded::pin`]), and [`execute`] deserializes the
 //! operands, runs the evaluator call(s) and serializes the result straight
-//! into the reply frame the shard loop will write, attributing
+//! into the reply frame the connection thread will write, attributing
 //! decode/serialize time to the executing request's trace. Keyed ops read
 //! their switching keys from the request's [`PinnedKeys`] — handlers
 //! never touch the shard's `KeyCache` (the one exception is
@@ -111,7 +111,7 @@ pub(crate) fn execute(
             // The body is not read: an older client's batching-hint byte
             // opens a session like an empty body does. The shard-local
             // manager mints an id that hashes back to this shard, so the
-            // session's keyed traffic never migrates.
+            // session's keyed traffic comes back to this queue.
             let sid = state.sessions.create();
             // 8 LE bytes of session id, a reserved flags byte (always 1,
             // so the backend name stays at offset 9 for existing clients),

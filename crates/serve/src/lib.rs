@@ -22,14 +22,15 @@
 //!
 //! The stack is std-only: a framed TCP protocol ([`protocol`]) over the
 //! `MADf` serialization, a session manager ([`session`]), and a scale-out
-//! server ([`server`]) of N independent shard loops driving nonblocking
-//! sockets. Each request takes one path: its shard loop checks the frame
-//! header and hands it to the shard's bounded worker queue; a worker
-//! decodes the body once ([`protocol`] holds every request body's
-//! layout), pins the keys it plans from that, runs it and unpins.
-//! Sessions are placed on shards by consistent hashing of the session id
-//! ([`shard`]), so a tenant's compressed keys, cache slice and programs
-//! live on exactly one shard. Plain-text metrics ([`metrics`]) aggregate across
+//! server ([`server`]) of N independent shards behind one blocking thread
+//! per connection. Each request takes one path: its connection's thread
+//! reads the frame, checks its header and hands it to the bounded worker
+//! queue of the shard that owns its session; a worker decodes the body
+//! once ([`protocol`] holds every request body's layout), pins the keys it
+//! plans from that, runs it and unpins. Sessions are placed on shards by
+//! consistent hashing of the session id ([`shard`]), so a tenant's
+//! compressed keys, cache slice and programs live on exactly one shard.
+//! Plain-text metrics ([`metrics`]) aggregate across
 //! shards with per-shard labels, and request-scoped tracing attributes
 //! per-stage latency with the owning shard stamped on every timeline
 //! ([`obs`]). [`client::Client`]

@@ -525,14 +525,14 @@ impl Metrics {
             &mut out,
             "serve_shards",
             "gauge",
-            "Number of independent shard loops.",
+            "Number of independent shards.",
         );
         let _ = writeln!(out, "serve_shards {}", shards.len());
         let labeled: [ShardFamily; 8] = [
             (
                 "serve_shard_requests_total",
                 "counter",
-                "Requests accepted by this shard's loop.",
+                "Requests sent to this shard's worker queue.",
                 |s| s.requests,
             ),
             (

@@ -8,8 +8,8 @@
 //! Threads stamp stage transitions as they happen:
 //!
 //! ```text
-//! reader (shard loop)    worker                           reader
-//! ───────────────────    ──────                           ──────
+//! connection thread      worker                           connection thread
+//! ─────────────────      ──────                           ─────────────────
 //! parse ─ enqueue ─────── pickup ─ key ─ decode/kernel ─ write
 //!          └─── queue ────┘              └─ serialize ─┘
 //! ```
@@ -19,7 +19,8 @@
 //! execution, `decode`/`serialize` are measured inside the execution
 //! window through a thread-local slot for the executing request, `kernel`
 //! is the rest of that window (the FHE math itself), and `write` is the
-//! reply flush.
+//! reply's blocking write, which lasts until the socket has taken its last
+//! byte — for a large reply, until the client has read most of it.
 //! Finished timelines land in a fixed-size ring (plus a dedicated slot
 //! that always retains the slowest request seen, so a tail outlier can
 //! never be overwritten by later traffic) and, past a configurable
@@ -102,7 +103,8 @@ impl Stage {
 pub(crate) struct RequestTrace {
     id: u64,
     op: Opcode,
-    /// The shard loop that parsed (and owns) this request.
+    /// The shard that owns this request: its session's, or the
+    /// connection's home shard for a session-less op.
     shard: u32,
     /// When the frame was parsed; every offset below is relative to it.
     start: Instant,

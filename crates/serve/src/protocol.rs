@@ -322,8 +322,7 @@ const READ_AHEAD_MIN: usize = 64 << 10;
 /// reserved only up to `max(64 KiB, 2 × the bytes held)`, so the memory a
 /// peer makes us commit follows the bytes it has sent, not the length it
 /// announced. Returns the bytes appended — fewer than `want` means end of
-/// stream. On an error (`WouldBlock` included) whatever arrived before it
-/// is already in `buf`.
+/// stream. On an error whatever arrived before it is already in `buf`.
 pub(crate) fn read_into<R: Read>(
     r: &mut R,
     buf: &mut Vec<u8>,
@@ -389,8 +388,10 @@ pub fn read_frame_into<R: Read>(
     }))
 }
 
-/// What a read buffer holds at a frame boundary — the nonblocking
-/// analogue of [`FrameRead`], computed without consuming anything.
+/// What a read buffer holds at a frame boundary — the buffered analogue
+/// of [`FrameRead`], computed without consuming anything. Kept only for
+/// the benchmark harness; ROADMAP item 1(d) deletes it.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameStatus {
     /// Not enough buffered bytes for a verdict or a full frame yet.
@@ -412,7 +413,9 @@ pub enum FrameStatus {
 
 /// Classifies the front of `buf` without consuming it. `max_len` bounds
 /// the length field exactly as in [`read_frame`], so a byte stream fed
-/// through a buffer yields the same verdicts as the blocking reader.
+/// through a buffer yields the same verdicts as the blocking reader. Kept
+/// only for the benchmark harness; ROADMAP item 1(d) deletes it.
+#[doc(hidden)]
 pub fn peek_frame(buf: &[u8], max_len: u32) -> FrameStatus {
     let Some(len_bytes) = buf.get(..4) else {
         return FrameStatus::Incomplete;
@@ -432,11 +435,13 @@ pub fn peek_frame(buf: &[u8], max_len: u32) -> FrameStatus {
 }
 
 /// Detaches the complete frame at the front of `buf`, which
-/// [`peek_frame`] must have reported [`FrameStatus::Ready`] for.
+/// [`peek_frame`] must have reported [`FrameStatus::Ready`] for. Kept only
+/// for the benchmark harness; ROADMAP item 1(d) deletes it.
 ///
 /// # Panics
 ///
 /// Panics if the buffer does not start with a complete frame.
+#[doc(hidden)]
 pub fn take_frame(buf: &mut Vec<u8>) -> Frame {
     let FrameStatus::Ready { wire_len } = peek_frame(buf, u32::MAX) else {
         panic!("take_frame without a Ready peek");

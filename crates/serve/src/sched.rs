@@ -1,12 +1,12 @@
 //! Scheduling: the one send path onto a shard's worker queue, and the
 //! worker pool behind it.
 //!
-//! Every request reaches a worker the same way: the shard loop parses its
-//! frame header and hands it to [`dispatch`] — one `try_send` on the
-//! shard's bounded queue, so a full queue is answered at once with
-//! `Overloaded`. Every request executes the same way too: a worker
-//! decodes its body once, pins the keys it plans from what it decoded,
-//! runs it, and unpins.
+//! Every request reaches a worker the same way: its connection's thread
+//! checks the frame header and hands the body to [`dispatch`] — one
+//! `try_send` on the owning shard's bounded queue, so a full queue is
+//! answered at once with `Overloaded`. Every request executes the same
+//! way too: a worker decodes its body once, pins the keys it plans from
+//! what it decoded, runs it, and unpins.
 //!
 //! **Workers** pop jobs, drop any whose deadline passed while queued, and
 //! run ops under `catch_unwind` so a panic becomes a structured
@@ -17,9 +17,8 @@ use crate::fault::FaultDecision;
 use crate::metrics::Metrics;
 use crate::obs::{RequestTrace, Stage};
 use crate::plan::PinnedKeys;
-use crate::protocol::{begin_frame, ErrorCode, Opcode, FRAME_HEADER_LEN};
+use crate::protocol::{begin_frame, ErrorCode, Opcode};
 use crate::server::ServerState;
-use crate::transport::ReplySignal;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
@@ -27,38 +26,39 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One parsed request on its way to a worker. It carries the
-/// connection's two buffers with it — the request frame exactly as it was
+/// connection's two buffers with it — the request body exactly as it was
 /// read, and the (empty) buffer the reply is built in — and both ride
-/// back in the [`Reply`], so a connection allocates for its largest
-/// request and reply once.
+/// back in the [`Reply`], with the reply sender, so a connection allocates
+/// for its largest request and reply, and its reply channel, once.
 pub(crate) struct Job {
     pub(crate) op: Opcode,
-    /// The whole request frame as read off the socket; the body starts
-    /// behind the header ([`Job::body`]).
-    pub(crate) frame: Vec<u8>,
+    /// The request body as read off the socket, behind its frame header.
+    pub(crate) body: Vec<u8>,
     /// Where the reply frame is built: cleared, capacity kept from the
     /// connection's previous reply.
     pub(crate) out: Vec<u8>,
     /// When this request's deadline clock started: at enqueue.
     pub(crate) deadline_start: Instant,
     pub(crate) reply: Sender<Reply>,
-    /// The request's timeline. The shard loop keeps a second handle and
-    /// finishes the trace after flushing the reply.
+    /// The request's timeline. The connection thread keeps a second
+    /// handle and finishes the trace after writing the reply.
     pub(crate) trace: Arc<RequestTrace>,
     /// A worker-side fault drawn for this request by the fault plan.
     pub(crate) chaos: Option<FaultDecision>,
 }
 
-/// What a worker hands back to the shard loop.
+/// What a worker hands back to the connection thread.
 pub(crate) struct Reply {
     /// Zero, or the [`ErrorCode`] the request failed with.
     pub(crate) status: u8,
     /// The reply frame — header reserved by [`begin_frame`], body behind
-    /// it; the shard loop stamps the header and writes it out as is.
+    /// it; the connection thread stamps the header and writes it out as is.
     pub(crate) frame: Vec<u8>,
     /// The request's buffer, spent: the connection reads its next frame
     /// into it.
     pub(crate) spent: Vec<u8>,
+    /// The job's reply sender, back for the connection's next job.
+    pub(crate) reply_to: Sender<Reply>,
 }
 
 impl Job {
@@ -67,10 +67,12 @@ impl Job {
     fn send(self, status: u8) {
         // A send fails only when the connection is gone; nobody is left
         // to want the buffers either.
+        let reply_to = self.reply.clone();
         let _ = self.reply.send(Reply {
             status,
             frame: self.out,
-            spent: self.frame,
+            spent: self.body,
+            reply_to,
         });
     }
 
@@ -101,12 +103,7 @@ pub(crate) fn dispatch(
     work.try_send(job).inspect_err(|_| metrics.retracted())
 }
 
-pub(crate) fn worker_loop(
-    state: &ServerState,
-    rx: &Mutex<Receiver<Job>>,
-    deadline: Duration,
-    signal: &ReplySignal,
-) {
+pub(crate) fn worker_loop(state: &ServerState, rx: &Mutex<Receiver<Job>>, deadline: Duration) {
     loop {
         let job = {
             let rx = rx.lock().expect("queue poisoned");
@@ -114,8 +111,6 @@ pub(crate) fn worker_loop(
         };
         let Ok(job) = job else { break };
         run_job(state, job, deadline);
-        // Wake the shard loop: a reply is ready for pickup.
-        signal.notify();
     }
 }
 
@@ -140,7 +135,7 @@ fn admit_job(state: &ServerState, job: Job, deadline: Duration) -> Option<Job> {
                 }
             }
             // WorkerPanic fires inside catch_unwind during execution;
-            // loop-side faults never reach the queue.
+            // read- and write-side faults never reach the queue.
             _ => {}
         }
     }
@@ -176,8 +171,8 @@ fn run_job(state: &ServerState, job: Job, deadline: Duration) {
     let Some(mut job) = admit_job(state, job, deadline) else {
         return;
     };
-    let frame = std::mem::take(&mut job.frame);
-    let request = decode(state, job.op, &frame[FRAME_HEADER_LEN..]);
+    let body = std::mem::take(&mut job.body);
+    let request = decode(state, job.op, &body);
     let mut keys = PinnedKeys::default();
     let pin_start = Instant::now();
     if let Some(pinned) = request.as_ref().ok().and_then(|r| r.pin(state)) {
@@ -189,9 +184,9 @@ fn run_job(state: &ServerState, job: Job, deadline: Duration) {
     begin_frame(&mut out);
     let result = {
         // Guard scope: exec accounting, the op-latency histogram and the
-        // deep-trace bridge close before the reply is sent, so the shard
-        // loop can never finish the trace while the worker is still
-        // writing to it.
+        // deep-trace bridge close before the reply is sent, so the
+        // connection thread can never finish the trace while the worker is
+        // still writing to it.
         let _exec = state.obs.enter_exec(&state.metrics, &job.trace);
         catch_unwind(AssertUnwindSafe(|| {
             if job.chaos == Some(FaultDecision::WorkerPanic) {
@@ -203,7 +198,7 @@ fn run_job(state: &ServerState, job: Job, deadline: Duration) {
         }))
     };
     job.out = out;
-    job.frame = frame;
+    job.body = body;
     match outcome(result) {
         Ok(()) => job.send(0),
         Err(reply) => job.fail(reply),
@@ -225,13 +220,13 @@ mod tests {
     use rand::SeedableRng;
     use std::sync::mpsc::sync_channel;
 
-    /// A keyed rotate for session 1, as the shard loop builds one, and the
-    /// end its reply arrives at.
+    /// A keyed rotate for session 1, as a connection thread builds one, and
+    /// the end its reply arrives at.
     fn rotate_job(chaos: Option<FaultDecision>) -> (Job, Receiver<Reply>) {
         let (tx, rx) = std::sync::mpsc::channel();
         let job = Job {
             op: Opcode::Rotate,
-            frame: Vec::new(),
+            body: Vec::new(),
             out: Vec::new(),
             deadline_start: Instant::now(),
             reply: tx,
@@ -302,7 +297,6 @@ mod tests {
                 shards: Vec::new(),
                 fault: None,
             }),
-            shard: 0,
             sessions: Arc::new(SessionManager::new()),
             cache: Arc::new(KeyCache::new(u64::MAX, EvictionPolicy::Lru)),
         };

@@ -1,22 +1,23 @@
-//! The server: a nonblocking acceptor feeding N independent shard
-//! loops, each with its own session table, key-cache slice (`1/N` of the
-//! global byte budget) and bounded worker pool — one thread, one queue
-//! and `workers` threads per shard. This module owns the shared state and
+//! The server: an acceptor giving every connection a thread of its own,
+//! and N independent shards, each with its own session table, key-cache
+//! slice (`1/N` of the global byte budget) and bounded worker queue
+//! served by `workers` threads. This module owns the shared state and
 //! thread start-up/shutdown; the threads themselves live in
-//! `crate::transport` (acceptor, shard loop), `crate::sched` (the send
-//! onto the worker queue, workers) and
-//! `crate::exec` (the op handlers), and the one decision they share —
-//! which keys a request needs and where a handler reads them — in
-//! `crate::plan`.
+//! `crate::transport` (acceptor, connection threads), `crate::sched` (the
+//! send onto a worker queue, workers) and `crate::exec` (the op handlers),
+//! and the one decision they share — which keys a request needs and where
+//! a handler reads them — in `crate::plan`.
 //!
 //! Metrics and tracing stay global: one [`Metrics`] registry aggregates
 //! across shards (the dump appends per-shard labeled families), and the
 //! `Observer` stamps the owning shard into every request timeline.
 //!
-//! Shutdown is a graceful drain: the acceptor exits (closing the
-//! listening port), each shard loop collects and flushes the replies it
-//! is owed and returns, dropping the only sender on its worker queue; its
-//! workers run what is queued and exit, and every thread is joined.
+//! Shutdown is a graceful drain in four steps: the acceptor exits
+//! (closing the listening port); the read side of every open connection
+//! is shut, so a blocked read ends at its frame boundary while a reply
+//! still owed goes out; the connection threads are joined; and the
+//! worker queues' senders drop, so the workers run what is queued and
+//! exit, and are joined.
 
 use crate::cache::{CacheStats, KeyCache};
 use crate::config::ServeConfig;
@@ -25,11 +26,11 @@ use crate::metrics::{Metrics, ShardSnapshot};
 use crate::obs::{chrome_trace_json, FinishedTrace, Observer};
 use crate::sched::{worker_loop, Job};
 use crate::session::SessionManager;
-use crate::transport::{accept_loop, shard_loop, ReplySignal, RoutedConn};
+use crate::transport::{accept_loop, Transport};
 use ckks::{CkksContext, Encoder, Evaluator};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -54,7 +55,7 @@ pub(crate) struct SharedState {
 pub(crate) struct ShardPublic {
     pub(crate) sessions: Arc<SessionManager>,
     pub(crate) cache: Arc<KeyCache>,
-    /// Requests this shard dispatched to its worker pool.
+    /// Requests sent to this shard's worker queue.
     pub(crate) requests: AtomicU64,
 }
 
@@ -96,7 +97,6 @@ impl SharedState {
 /// another shard's slice.
 pub(crate) struct ServerState {
     pub(crate) shared: Arc<SharedState>,
-    pub(crate) shard: usize,
     pub(crate) sessions: Arc<SessionManager>,
     pub(crate) cache: Arc<KeyCache>,
 }
@@ -108,17 +108,11 @@ impl std::ops::Deref for ServerState {
     }
 }
 
-fn spawn(name: String, f: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+fn spawn<T: Send + 'static>(name: String, f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
     std::thread::Builder::new()
         .name(name)
         .spawn(f)
         .expect("spawn server thread")
-}
-
-/// One shard's runtime threads, joined in [`Server::shutdown`].
-struct ShardRuntime {
-    loop_handle: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 /// A running server; dropping without [`Server::shutdown`] aborts
@@ -126,16 +120,17 @@ struct ShardRuntime {
 pub struct Server {
     addr: SocketAddr,
     state: Arc<SharedState>,
-    shutdown: Arc<AtomicBool>,
-    acceptor: JoinHandle<()>,
-    shards: Vec<ShardRuntime>,
+    transport: Arc<Transport>,
+    /// Returns the connection threads still running when it exits.
+    acceptor: JoinHandle<Vec<JoinHandle<()>>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds a loopback listener on an OS-assigned port and starts the
-    /// acceptor and the per-shard loops and worker pools. Shards are
-    /// clamped to `1..=`[`crate::MAX_SHARDS`], and workers and queue
-    /// capacity to at least 1.
+    /// acceptor and every shard's workers. Shards are clamped to
+    /// `1..=`[`crate::MAX_SHARDS`], and workers and queue capacity to at
+    /// least 1.
     ///
     /// # Errors
     ///
@@ -165,69 +160,46 @@ impl Server {
             shards: shard_public,
             fault: config.fault_plan.clone(),
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
 
-        // The connection-migration fabric: every shard (and the
-        // acceptor) can hand a connection to any shard.
-        let (conn_txs, conn_rxs): (Vec<Sender<RoutedConn>>, Vec<Receiver<RoutedConn>>) =
-            (0..shard_count).map(|_| std::sync::mpsc::channel()).unzip();
-
-        let mut shards = Vec::with_capacity(shard_count);
-        for (i, conn_rx) in conn_rxs.into_iter().enumerate() {
-            let public = &shared.shards[i];
+        let mut queues = Vec::with_capacity(shard_count);
+        let mut workers = Vec::with_capacity(shard_count * config.workers);
+        for (i, public) in shared.shards.iter().enumerate() {
             let state = Arc::new(ServerState {
                 shared: shared.clone(),
-                shard: i,
                 sessions: public.sessions.clone(),
                 cache: public.cache.clone(),
             });
-            let signal = Arc::new(ReplySignal::default());
             let (work_tx, work_rx) = sync_channel::<Job>(config.queue_capacity);
             let work_rx = Arc::new(Mutex::new(work_rx));
-
-            let workers: Vec<JoinHandle<()>> = (0..config.workers)
-                .map(|w| {
-                    let state = state.clone();
-                    let rx = work_rx.clone();
-                    let signal = signal.clone();
-                    let deadline = config.request_deadline;
-                    spawn(format!("serve-w{i}-{w}"), move || {
-                        worker_loop(&state, &rx, deadline, &signal);
-                    })
-                })
-                .collect();
-
-            // The loop owns the only sender on the worker queue.
-            let loop_handle = {
-                let shutdown = shutdown.clone();
-                let conn_txs = conn_txs.clone();
-                let max_frame = config.max_frame_bytes;
-                spawn(format!("serve-shard-{i}"), move || {
-                    shard_loop(
-                        &state, &shutdown, work_tx, &conn_rx, &conn_txs, &signal, max_frame,
-                    );
-                })
-            };
-            shards.push(ShardRuntime {
-                loop_handle,
-                workers,
-            });
+            for w in 0..config.workers {
+                let state = state.clone();
+                let rx = work_rx.clone();
+                let deadline = config.request_deadline;
+                workers.push(spawn(format!("serve-w{i}-{w}"), move || {
+                    worker_loop(&state, &rx, deadline);
+                }));
+            }
+            queues.push(work_tx);
         }
 
+        let transport = Arc::new(Transport::new(
+            shared.clone(),
+            queues,
+            config.max_frame_bytes,
+        ));
         let acceptor = {
-            let shared = shared.clone();
-            let shutdown = shutdown.clone();
+            let transport = transport.clone();
             spawn("serve-acceptor".into(), move || {
-                accept_loop(&shared, &listener, &shutdown, &conn_txs);
+                accept_loop(&transport, listener)
             })
         };
 
         Ok(Server {
             addr,
             state: shared,
-            shutdown,
+            transport,
             acceptor,
-            shards,
+            workers,
         })
     }
 
@@ -236,7 +208,7 @@ impl Server {
         self.addr
     }
 
-    /// The number of shard loops this server runs.
+    /// The number of shards this server runs.
     pub fn shard_count(&self) -> usize {
         self.state.shards.len()
     }
@@ -304,22 +276,24 @@ impl Server {
     }
 
     /// Graceful drain: stop accepting (the listening port closes with
-    /// the acceptor), let every shard flush the replies it is owed, let
-    /// queued requests finish, then join every thread.
+    /// the acceptor), end every connection at its frame boundary once the
+    /// reply it is owed has gone out, let queued requests finish, then
+    /// join every thread.
     pub fn shutdown(self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.transport.shutdown.store(true, Ordering::SeqCst);
         // The acceptor wakes on its poll tick and exits, dropping the
         // listener — new connects are refused from here on.
-        let _ = self.acceptor.join();
-        // Each shard loop exits once its connections are gone (idle ones close immediately;
-        // ones owed a reply first collect and flush it). Its return drops
-        // the only worker-queue sender, so its workers drain the queue
-        // and exit.
-        for shard in self.shards {
-            let _ = shard.loop_handle.join();
-            for h in shard.workers {
-                let _ = h.join();
-            }
+        let conns = self.acceptor.join().unwrap_or_default();
+        self.transport.close_reads();
+        for conn in conns {
+            let _ = conn.join();
+        }
+        // The connection threads are gone; dropping the last handle on the
+        // transport drops the worker queues' senders, so the workers drain
+        // their queues and exit.
+        drop(self.transport);
+        for worker in self.workers {
+            let _ = worker.join();
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Session-to-shard placement.
 //!
-//! The serving runtime runs N independent shard loops; a session — and
+//! The serving runtime runs N independent shards; a session — and
 //! with it the tenant's compressed keys, expanded-key cache entries and
 //! program table — lives entirely on the shard chosen by [`shard_of`].
 //! Placement uses the jump consistent hash of Lamping & Veach ("A Fast,
@@ -9,8 +9,8 @@
 //! one of the new shards, never between surviving ones, so a resize
 //! invalidates the minimum number of cache slices.
 
-/// The shard owning `session_id` in a server running `shards` shard
-/// loops. Deterministic and stable: the same `(session_id, shards)`
+/// The shard owning `session_id` in a server running `shards` shards.
+/// Deterministic and stable: the same `(session_id, shards)`
 /// pair always maps to the same shard, in `0..shards`.
 ///
 /// # Panics

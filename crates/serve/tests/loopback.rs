@@ -11,10 +11,14 @@ use fhe_apps::helr_step_program;
 use fhe_math::cfft::Complex;
 use fhe_program::program::ProgramEnv;
 use fhe_program::{execute, ExecInputs, ExecKeys};
-use fhe_serve::{Client, EvictionPolicy, ServeConfig, Server};
+use fhe_serve::protocol::{frame_bytes, read_frame, BodyWriter, FrameRead, Opcode};
+use fhe_serve::{Client, EvictionPolicy, FaultDecision, FaultMix, FaultPlan, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn helr_ctx() -> Arc<CkksContext> {
     CkksContext::new(
@@ -263,6 +267,101 @@ fn graceful_drain_then_connect_refused() {
     // The listener is gone: a fresh connection must fail.
     assert!(
         std::net::TcpStream::connect(addr).is_err(),
+        "post-shutdown connect should be refused"
+    );
+}
+
+/// Shutdown with two connections open: one has sent half a frame, the
+/// other has a request in flight, held on its worker by an injected delay.
+/// `Server::shutdown` returns, the reply in flight still arrives whole and
+/// byte-identical, the half-frame connection closes unanswered, and the
+/// port refuses new connections.
+#[test]
+fn shutdown_answers_the_request_in_flight_and_closes_a_half_frame() {
+    let ctx = helr_ctx();
+    // The first evaluation frame draws a delay and nothing else is
+    // faulted; seed 10 draws 299 ms, far longer than the steps below take.
+    let mix = FaultMix {
+        read_error: 0,
+        write_abort: 0,
+        delay: 1000,
+        eviction_storm: 0,
+        session_reset: 0,
+        overloaded: 0,
+        worker_panic: 0,
+        delay_cap: Duration::from_millis(500),
+        spare_setup: true,
+    };
+    let plan = Arc::new(FaultPlan::new(10, mix, 1));
+    let config = ServeConfig {
+        fault_plan: Some(plan.clone()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(ctx.clone(), config).unwrap();
+    let addr = server.local_addr();
+    let mut rng = StdRng::seed_from_u64(5400);
+    let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+    let encoder = Encoder::new(ctx.clone());
+    let encryptor = Encryptor::new(ctx.clone());
+    let v: Vec<f64> = (0..ctx.params().slots()).map(|i| i as f64 * 0.02).collect();
+    let a = encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &v);
+    let b = encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &v);
+    let expected = serialize_ciphertext(&Evaluator::new(ctx.clone()).add(&a, &b));
+
+    // A served connection that then sends half an `Add` frame and stalls.
+    let mut stalled = TcpStream::connect(addr).unwrap();
+    stalled
+        .write_all(&frame_bytes(Opcode::Hello as u8, &[]))
+        .unwrap();
+    let stalled_sid = match read_frame(&mut stalled, u32::MAX).unwrap() {
+        FrameRead::Frame(f) if f.tag == 0 => u64::from_le_bytes(f.body[..8].try_into().unwrap()),
+        other => panic!("expected a Hello reply, got {other:?}"),
+    };
+    let mut body = BodyWriter::new();
+    let a_bytes = serialize_ciphertext(&a);
+    body.u64(stalled_sid).blob(&a_bytes).blob(&a_bytes);
+    let frame = frame_bytes(Opcode::Add as u8, &body.0);
+    stalled.write_all(&frame[..frame.len() / 2]).unwrap();
+
+    // A request in flight: parsed (the plan has drawn its delay), not yet
+    // answered.
+    let mut client = Client::connect(addr, ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    let in_flight =
+        std::thread::spawn(move || client.add(sid, &a, &b).map(|ct| serialize_ciphertext(&ct)));
+    while plan.injected_count() == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        !in_flight.is_finished(),
+        "the request finished before shutdown"
+    );
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("Server::shutdown did not return");
+    let reply = in_flight
+        .join()
+        .unwrap()
+        .expect("the request in flight was answered");
+    assert_eq!(reply, expected, "the reply in flight diverged");
+    assert!(
+        matches!(plan.injected()[0].fault, FaultDecision::Delay(d) if d >= Duration::from_millis(200)),
+        "the delay that held the request in flight: {:?}",
+        plan.injected()
+    );
+    let unanswered = read_frame(&mut stalled, u32::MAX);
+    assert!(
+        matches!(unanswered, Ok(FrameRead::Eof) | Err(_)),
+        "the half-frame connection got {unanswered:?}"
+    );
+    assert!(
+        TcpStream::connect(addr).is_err(),
         "post-shutdown connect should be refused"
     );
 }
