@@ -238,7 +238,7 @@ impl Bootstrapper {
             out.to_eval();
             out
         };
-        Ciphertext::new(raise(&ct.c0), raise(&ct.c1), ct.scale)
+        Ciphertext::new(raise(&ct.c0), raise(ct.c1()), ct.scale)
     }
 
     /// **CoeffToSlot**: `fftIter` hoisted matrix products.

@@ -2,6 +2,7 @@
 //! and automorphism tables shared by every operation.
 
 use crate::params::CkksParams;
+use crate::plaintext::CiphertextSeed;
 use fhe_math::automorph::{conjugation_galois_element, rotation_galois_element, Automorphism};
 use fhe_math::backend::UnrolledBackend;
 use fhe_math::poly::{ModDownContext, Representation, RnsPoly};
@@ -37,7 +38,8 @@ pub struct CkksContext {
     extender_cache: Mutex<HashMap<(usize, usize), Arc<BasisExtender>>>,
     automorphism_cache: Mutex<HashMap<u64, Arc<Automorphism>>>,
     /// The expansion of a switching key's seed into its `dnum` `a_j` over
-    /// `Q ∪ P`, or any level's share of them, its jumps built once here.
+    /// `Q ∪ P`, or any level's share of them, its jumps built once here;
+    /// a fresh ciphertext's `c_1` is limbs `0..ℓ` of its first polynomial.
     key_a: SeededUniform,
     /// Reusable word buffers for the hot ring operations: after warm-up,
     /// key switching and rescaling allocate nothing per call.
@@ -262,9 +264,36 @@ impl CkksContext {
     pub(crate) fn seeded_key_a(&self, seed: [u8; 32], ell: usize) -> Vec<RnsPoly> {
         let (digits, limbs) = (self.key_digits_at(ell), self.key_limbs_at(ell));
         let basis = self.raised_basis(ell);
-        (self.key_a.expand_limbs(seed, digits, &limbs).into_iter())
+        let mut a: Vec<Vec<u64>> = (0..digits)
+            .map(|_| Vec::with_capacity(limbs.len() * basis.degree()))
+            .collect();
+        self.key_a.expand_limbs(seed, &limbs, &mut a);
+        (a.into_iter())
             .map(|a| RnsPoly::from_flat(basis.clone(), a, Representation::Evaluation))
             .collect()
+    }
+
+    /// The `c_1` a fresh symmetric encryption at limb count `ell` takes
+    /// from `seed`: limbs `0..ℓ` of the first polynomial a switching key's
+    /// seed expands into — `StdRng::from_seed(seed)`'s uniform draws over
+    /// `Q_ℓ`, so a lower level's `c_1` is a limb prefix of a higher one's —
+    /// drawn into `buf` (emptied first): a fresh buffer for a ciphertext
+    /// its caller keeps, a pool lease for a request-scoped operand.
+    pub(crate) fn seeded_c1(
+        &self,
+        seed: &CiphertextSeed,
+        ell: usize,
+        mut buf: Vec<u64>,
+    ) -> RnsPoly {
+        let limbs: Vec<usize> = (0..ell).collect();
+        buf.clear();
+        self.key_a
+            .expand_limbs(seed.0, &limbs, std::slice::from_mut(&mut buf));
+        RnsPoly::from_flat(
+            self.level_basis(ell).clone(),
+            buf,
+            Representation::Evaluation,
+        )
     }
 
     /// The Galois element for a slot rotation by `steps`.

@@ -2,9 +2,9 @@
 
 use crate::context::CkksContext;
 use crate::keys::{PublicKey, SecretKey};
-use crate::plaintext::{Ciphertext, Plaintext};
-use fhe_math::poly::{Representation, RnsPoly};
-use fhe_math::sampling::{sample_gaussian, sample_ternary, sample_uniform_flat};
+use crate::plaintext::{Ciphertext, CiphertextSeed, Plaintext};
+use fhe_math::poly::RnsPoly;
+use fhe_math::sampling::{sample_gaussian, sample_ternary};
 use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
@@ -27,7 +27,10 @@ impl Encryptor {
         Self { ctx }
     }
 
-    /// Symmetric encryption: `(c_0, c_1) = (−a·s + m + e, a)`.
+    /// Symmetric encryption: `(c_0, c_1) = (−a·s + m + e, a)`, with `a`
+    /// expanded from a 32-byte seed drawn from `rng` (then `e`). The
+    /// ciphertext keeps the seed, so it travels as `c_0` plus the seed —
+    /// the key-compression trade (§3.2) applied to a fresh operand.
     pub fn encrypt_symmetric<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -37,19 +40,15 @@ impl Encryptor {
         let ell = pt.limb_count();
         let basis = self.ctx.level_basis(ell).clone();
         let n = self.ctx.params().degree();
-        let moduli: Vec<u64> = basis.moduli().iter().map(|m| m.value()).collect();
-        let a = RnsPoly::from_flat(
-            basis.clone(),
-            sample_uniform_flat(rng, &moduli, n),
-            Representation::Evaluation,
-        );
+        let seed = CiphertextSeed(rng.gen());
+        let a = self.ctx.seeded_c1(&seed, ell, Vec::with_capacity(ell * n));
         let mut c0 = RnsPoly::from_signed_coeffs(basis, &sample_gaussian(rng, n));
         c0.to_eval();
         let mut as_term = a.clone();
         as_term.mul_assign_pointwise(&sk.at_level(ell));
         c0.sub_assign(&as_term);
         c0.add_assign(&pt.poly);
-        Ciphertext::new(c0, a, pt.scale)
+        Ciphertext::seeded(c0, a, pt.scale, seed)
     }
 
     /// Public-key encryption: `(v·pk_0 + m + e_0, v·pk_1 + e_1)` with
@@ -100,7 +99,7 @@ impl Decryptor {
     /// Decrypts to a plaintext: `m = c_0 + c_1·s`.
     pub fn decrypt(&self, ct: &Ciphertext, sk: &SecretKey) -> Plaintext {
         let ell = ct.limb_count();
-        let mut m = ct.c1.clone();
+        let mut m = ct.c1().clone();
         m.mul_assign_pointwise(&sk.at_level(ell));
         m.add_assign(&ct.c0);
         let _ = &self.ctx; // decryption needs no context state beyond the key

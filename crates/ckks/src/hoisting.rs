@@ -287,7 +287,7 @@ pub(crate) fn switch_automorphisms<'k>(
             let Some((auto, ksk)) = map else {
                 return ct.clone();
             };
-            let digits = digits.get_or_insert_with(|| decompose_and_raise(ctx, &ct.c1));
+            let digits = digits.get_or_insert_with(|| decompose_and_raise(ctx, ct.c1()));
             let raised = hoisted_inner_product(ctx, digits, &auto, ksk);
             let (v, u) = complete(ctx, &raised);
             raised.recycle(pool);
@@ -379,7 +379,7 @@ pub fn rotate_fold(
     // `None` while the running `c1` is still the caller's.
     let mut c1: Option<RnsPoly> = None;
     for stage in stages {
-        let current = c1.as_ref().unwrap_or(&ct.c1);
+        let current = c1.as_ref().unwrap_or(ct.c1());
         // The steps that rotate, each with its table and key; every other
         // step adds the running sum to itself.
         let keyed: Vec<_> = stage
@@ -487,7 +487,7 @@ pub fn apply_hoisted(
     // A baby dimension of `slots` makes every diagonal a baby step: no
     // giant steps, nothing pre-rotated.
     let encoded = lt.encoded(ctx, encoder, ell, lt.slots);
-    let digits = decompose_and_raise(ctx, &ct.c1);
+    let digits = decompose_and_raise(ctx, ct.c1());
 
     // Raised-basis accumulators for the keyswitched parts, base-basis ones
     // for the σ(c0)·pt parts and the unrotated diagonal (the Q-prefix of a
@@ -496,7 +496,7 @@ pub fn apply_hoisted(
     for (&d, pt) in lt.diagonals.keys().zip(&encoded.polys) {
         if d == 0 {
             accumulate(&mut acc_c0, &ct.c0, pt, base, pool);
-            accumulate(&mut acc_c1, &ct.c1, pt, base, pool);
+            accumulate(&mut acc_c1, ct.c1(), pt, base, pool);
             continue;
         }
         let (auto, ksk) = rotation(ctx, gk, d as i64);
@@ -548,12 +548,12 @@ fn raised_baby_steps(
     if steps.is_empty() {
         return babies;
     }
-    let digits = decompose_and_raise(ctx, &ct.c1);
+    let digits = decompose_and_raise(ctx, ct.c1());
     for &b in steps {
         let baby = if b == 0 {
             let raised = ctx.raised_basis(ct.limb_count());
             RaisedKeySwitch {
-                u: pmod_up_with(&ct.c1, raised.clone(), pool),
+                u: pmod_up_with(ct.c1(), raised.clone(), pool),
                 v: pmod_up_with(&ct.c0, raised.clone(), pool),
             }
         } else {
@@ -625,7 +625,7 @@ pub fn apply_bsgs(
         // The inner sum Σ_b pt_{g,b} ⊙ rot_b(ct); a raised one is the total
         // itself (group 0) or comes down to be rotated.
         let (c0, c1) = if unrotated_alone(group) {
-            pair_sum(base, &[(group[0].1, &ct.c0, &ct.c1)], None, pool)
+            pair_sum(base, &[(group[0].1, &ct.c0, ct.c1())], None, pool)
         } else {
             let legs: Vec<_> = group
                 .iter()
@@ -808,7 +808,7 @@ mod tests {
             .collect();
         let pt = encoder.encode(&v, 3, ctx.params().scale()).unwrap();
         let ct = encryptor.encrypt_symmetric(&mut rng, &pt, &sk);
-        let bytes = |ct: &Ciphertext| [ct.c0.flat(), ct.c1.flat()].concat();
+        let bytes = |ct: &Ciphertext| [ct.c0.flat(), ct.c1().flat()].concat();
 
         // One rotation: alone or hoisted, the same bits; a multiple of the
         // slot count is a copy.

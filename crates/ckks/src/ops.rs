@@ -81,7 +81,7 @@ impl Evaluator {
         if ct.limb_count() == ell {
             ct.clone()
         } else {
-            Ciphertext::new(ct.c0.drop_to(ell), ct.c1.drop_to(ell), ct.scale)
+            Ciphertext::new(ct.c0.drop_to(ell), ct.c1().drop_to(ell), ct.scale)
         }
     }
 
@@ -134,7 +134,7 @@ impl Evaluator {
         };
         let (mut c0, mut c1) = (lease(), lease());
         op(&a.c0, &b.c0, &mut c0);
-        op(&a.c1, &b.c1, &mut c1);
+        op(a.c1(), b.c1(), &mut c1);
         Ciphertext::new(c0, c1, a.scale)
     }
 
@@ -145,7 +145,7 @@ impl Evaluator {
         let ell = a.limb_count().min(pt.limb_count());
         let out = Ciphertext::new(
             self.lease_prefix(&a.c0, ell),
-            self.lease_prefix(&a.c1, ell),
+            self.lease_prefix(a.c1(), ell),
             a.scale,
         );
         (out, self.restricted(&pt.poly, ell))
@@ -173,7 +173,7 @@ impl Evaluator {
     pub fn neg(&self, a: &Ciphertext) -> Ciphertext {
         let mut out = a.clone();
         out.c0.negate();
-        out.c1.negate();
+        out.c1_mut().negate();
         out
     }
 
@@ -195,7 +195,7 @@ impl Evaluator {
     pub fn mul_plain_no_rescale(&self, a: &Ciphertext, pt: &Plaintext) -> Ciphertext {
         let (mut out, p) = self.with_plain(a, pt);
         out.c0.mul_assign_pointwise(&p);
-        out.c1.mul_assign_pointwise(&p);
+        out.c1_mut().mul_assign_pointwise(&p);
         self.release(p);
         out.scale *= pt.scale;
         out
@@ -221,7 +221,7 @@ impl Evaluator {
                 .collect();
         let mut out = a.clone();
         out.c0.mul_scalar_per_limb_assign(&factors);
-        out.c1.mul_scalar_per_limb_assign(&factors);
+        out.c1_mut().mul_scalar_per_limb_assign(&factors);
         out.scale *= aux_scale;
         out
     }
@@ -244,7 +244,7 @@ impl Evaluator {
         mult.to_eval();
         let mut out = a.clone();
         out.c0.mul_assign_pointwise(&mult);
-        out.c1.mul_assign_pointwise(&mult);
+        out.c1_mut().mul_assign_pointwise(&mult);
         out.scale *= aux_scale;
         out
     }
@@ -272,7 +272,7 @@ impl Evaluator {
         let q_last = a.c0.basis().modulus(a.limb_count() - 1).value() as f64;
         Ciphertext::new(
             rescale_with(&a.c0, pool),
-            rescale_with(&a.c1, pool),
+            rescale_with(a.c1(), pool),
             a.scale / q_last,
         )
     }
@@ -293,9 +293,9 @@ impl Evaluator {
         };
         let (mut d0, mut d1, mut d2) = (lease(), lease(), lease());
         a.c0.mul_pointwise_into(&b.c0, &mut d0);
-        a.c0.mul_pointwise_into(&b.c1, &mut d1);
-        d1.mul_add_assign_pointwise(&a.c1, &b.c0);
-        a.c1.mul_pointwise_into(&b.c1, &mut d2);
+        a.c0.mul_pointwise_into(b.c1(), &mut d1);
+        d1.mul_add_assign_pointwise(a.c1(), &b.c0);
+        a.c1().mul_pointwise_into(b.c1(), &mut d2);
         (d0, d1, d2, a.scale * b.scale)
     }
 

@@ -11,20 +11,32 @@
 //! ship every hoisting key in one framed message and the server can keep
 //! them compressed until an operation actually needs one.
 //!
-//! Format version 2, little-endian throughout: a 4-byte magic, the version
+//! Fresh ciphertexts make the same trade: a symmetric encryption expands
+//! its uniform `c_1` from a 32-byte seed it keeps, and travels as `c_0`
+//! plus that seed. The decoder regenerates `c_1` into the storage a dense
+//! `c_1` would take — a scratch-pool lease for [`lease_ciphertext`] — and
+//! the decoded ciphertext keeps the seed, so an operand echoed back
+//! unchanged goes back compact. A computed ciphertext has no seed and is
+//! written whole.
+//!
+//! Format version 3, little-endian throughout: a 4-byte magic, the version
 //! byte, the shape header (degree, limb count, limb moduli as 8-byte words
-//! for validation), then for a ciphertext or plaintext the scale as
-//! IEEE-754 bits and the limbs; for a switching key the digit count, the
-//! form byte `SEEDED_KEY` (1), the seed and the `b_j`'s limbs. Every limb
-//! mod `q` is its `N` residues packed at `fhe_math::codec::limb_width(q)`
-//! bytes each — 5 for a 40-bit prime, 8 only above 56 bits — so a limb's
-//! place in a message is a prefix sum of its predecessors' widths, never
-//! `8·N` a limb. Every message is exactly that long: a byte after it is an
-//! error. Version 1 (8-byte words) is [`SerializeError::VersionMismatch`].
+//! for validation), then for a plaintext the scale as IEEE-754 bits and
+//! the limbs; for a ciphertext the scale, a form byte and either `c_0`'s
+//! and `c_1`'s limbs (`DENSE`, 0) or `c_0`'s limbs and the seed
+//! (`SEEDED`, 1); for a switching key the digit count, the form byte
+//! `SEEDED`, the seed and the `b_j`'s limbs. Any other form byte is
+//! [`SerializeError::BadHeader`]. Every limb mod `q` is its `N` residues
+//! packed at `fhe_math::codec::limb_width(q)` bytes each — 5 for a 40-bit
+//! prime, 8 only above 56 bits — so a limb's place in a message is a prefix
+//! sum of its predecessors' widths, never `8·N` a limb. Every message is
+//! exactly that long: a byte after it is an error. Versions 1 (8-byte
+//! words) and 2 (no ciphertext form byte) are
+//! [`SerializeError::VersionMismatch`].
 
 use crate::context::CkksContext;
 use crate::keys::{DigitKey, GaloisKeys, SwitchingKey};
-use crate::plaintext::{Ciphertext, Plaintext};
+use crate::plaintext::{Ciphertext, CiphertextSeed, Plaintext};
 use fhe_math::codec::{limb_width, pack_limb, unpack_limb};
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::rns::RnsBasis;
@@ -34,10 +46,13 @@ use std::fmt;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MADf";
-const VERSION: u8 = 2;
-/// A switching key's form byte, the one value it takes: a seed and the
-/// `b_j` follow. Any other value is [`SerializeError::BadHeader`].
-const SEEDED_KEY: u8 = 1;
+const VERSION: u8 = 3;
+/// The form byte of a message whose uniform polynomials travel as their
+/// 32-byte seed: a switching key's one form (the seed, then the `b_j`) and
+/// a fresh ciphertext's (`c_0`, then the seed).
+const SEEDED: u8 = 1;
+/// A ciphertext's other form byte: `c_0`'s limbs, then `c_1`'s.
+const DENSE: u8 = 0;
 
 /// Error from deserialization.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,20 +146,26 @@ fn read_limbs<'m>(
     Ok(())
 }
 
-/// One polynomial over `basis` from exactly its wire bytes. With a `pool`,
-/// its storage is leased there — for a request-scoped operand, whose holder
-/// recycles it so the next decode or kernel output leases the same buffer.
-/// Without, it is the caller's own heap buffer: a result a client keeps.
+/// Storage for one decoded polynomial over `basis`. With a `pool`, it is
+/// leased there — for a request-scoped operand, whose holder recycles it so
+/// the next decode or kernel output leases the same buffer. Without, it is
+/// the caller's own heap buffer: a result a client keeps.
+fn poly_buffer(basis: &RnsBasis, pool: Option<&ScratchPool>) -> Vec<u64> {
+    let len = basis.len() * basis.degree();
+    match pool {
+        Some(pool) => pool.take_vec(len),
+        None => Vec::with_capacity(len),
+    }
+}
+
+/// One polynomial over `basis` from exactly its wire bytes, in
+/// [`poly_buffer`]'s storage.
 fn read_poly(
     bytes: &[u8],
     basis: &Arc<RnsBasis>,
     pool: Option<&ScratchPool>,
 ) -> Result<RnsPoly, SerializeError> {
-    let len = basis.len() * basis.degree();
-    let mut flat = match pool {
-        Some(pool) => pool.take_vec(len),
-        None => Vec::with_capacity(len),
-    };
+    let mut flat = poly_buffer(basis, pool);
     flat.clear();
     match read_limbs(bytes, basis.moduli(), basis.degree(), &mut flat) {
         Ok(()) => Ok(RnsPoly::from_flat(
@@ -212,7 +233,8 @@ impl<'a> Reader<'a> {
         self.finish()?;
         Ok(bytes)
     }
-    /// A ciphertext's two components behind its header and scale.
+    /// A ciphertext behind its header: the scale, the form byte, and
+    /// `c_1`'s limbs or the seed it expands from after `c_0`'s.
     fn ciphertext(
         mut self,
         ctx: &CkksContext,
@@ -220,16 +242,29 @@ impl<'a> Reader<'a> {
     ) -> Result<Ciphertext, SerializeError> {
         let basis = self.level_basis(ctx)?;
         let scale = f64::from_bits(self.u64()?);
-        let (c0, c1) = self.tail_polys(basis, 2)?.split_at(poly_wire_len(basis));
-        let c0 = read_poly(c0, basis, pool)?;
-        match read_poly(c1, basis, pool) {
-            Ok(c1) => Ok(Ciphertext::new(c0, c1, scale)),
-            Err(e) => {
-                if let Some(pool) = pool {
-                    c0.recycle(pool);
+        match self.bytes(1)?[0] {
+            DENSE => {
+                let (c0, c1) = self.tail_polys(basis, 2)?.split_at(poly_wire_len(basis));
+                let c0 = read_poly(c0, basis, pool)?;
+                match read_poly(c1, basis, pool) {
+                    Ok(c1) => Ok(Ciphertext::new(c0, c1, scale)),
+                    Err(e) => {
+                        if let Some(pool) = pool {
+                            c0.recycle(pool);
+                        }
+                        Err(e)
+                    }
                 }
-                Err(e)
             }
+            SEEDED => {
+                let c0 = self.bytes(poly_wire_len(basis))?;
+                let seed = CiphertextSeed(self.bytes(32)?.try_into().expect("32 bytes"));
+                self.finish()?;
+                let c0 = read_poly(c0, basis, pool)?;
+                let c1 = ctx.seeded_c1(&seed, basis.len(), poly_buffer(basis, pool));
+                Ok(Ciphertext::seeded(c0, c1, scale, seed))
+            }
+            _ => Err(SerializeError::BadHeader),
         }
     }
     /// A plaintext's polynomial behind its header and scale.
@@ -288,13 +323,20 @@ fn check_basis_header(r: &mut Reader<'_>, basis: &RnsBasis) -> Result<(), Serial
     Ok(())
 }
 
-/// Appends a ciphertext's wire form to `out`.
+/// Appends a ciphertext's wire form to `out`: `c_0` and the seed while
+/// the ciphertext keeps one ([`Ciphertext::is_seeded`]), else both
+/// components.
 pub fn write_ciphertext(ct: &Ciphertext, out: &mut Vec<u8>) {
     let mut w = Writer::new(out);
     write_basis_header(&mut w, ct.c0().basis());
     w.u64(ct.scale().to_bits());
+    let seed = ct.seed();
+    w.0.push(if seed.is_some() { SEEDED } else { DENSE });
     w.poly_limbs(ct.c0());
-    w.poly_limbs(ct.c1());
+    match seed {
+        Some(seed) => w.0.extend_from_slice(&seed.0),
+        None => w.poly_limbs(ct.c1()),
+    }
 }
 
 /// Serializes a ciphertext.
@@ -388,7 +430,7 @@ pub fn write_switching_key(key: &SwitchingKey, out: &mut Vec<u8>) {
     let mut w = Writer::new(out);
     write_basis_header(&mut w, key.digits[0].b.basis());
     w.u32(key.digits.len() as u32);
-    w.0.push(SEEDED_KEY);
+    w.0.push(SEEDED);
     w.0.extend_from_slice(&key.seed);
     for d in &key.digits {
         w.poly_limbs(&d.b);
@@ -423,7 +465,7 @@ impl<'a> KeyWire<'a> {
         if digit_count != dnum {
             return Err(SerializeError::DigitCount(digit_count));
         }
-        if r.bytes(1)?[0] != SEEDED_KEY {
+        if r.bytes(1)?[0] != SEEDED {
             return Err(SerializeError::BadHeader);
         }
         let seed = r.bytes(32)?.try_into().expect("32 bytes");
@@ -761,14 +803,22 @@ mod tests {
             deserialize_ciphertext(&ctx, &good[..good.len() - 3]),
             Err(SerializeError::Truncated)
         ));
-        // Unreduced residue: set a word to u64::MAX.
-        let mut unred = good.clone();
-        let last = unred.len() - 4;
-        unred[last..].copy_from_slice(&[0xff; 4]);
-        assert!(matches!(
-            deserialize_ciphertext(&ctx, &unred),
-            Err(SerializeError::UnreducedResidue) | Err(SerializeError::Truncated)
+        // Unreduced residue: the top bytes of the last word of `c_1` in
+        // the dense form, and of `c_0` (just before the seed) in the seeded
+        // one, all ones.
+        let dense = serialize_ciphertext(&Ciphertext::new(
+            ct.c0().clone(),
+            ct.c1().clone(),
+            ct.scale(),
         ));
+        for (bytes, end) in [(&dense, dense.len()), (&good, good.len() - 32)] {
+            let mut unred = bytes.clone();
+            unred[end - 4..end].copy_from_slice(&[0xff; 4]);
+            assert_eq!(
+                deserialize_ciphertext(&ctx, &unred).err(),
+                Some(SerializeError::UnreducedResidue)
+            );
+        }
         // Wrong context (different primes).
         let other = CkksContext::new(
             CkksParams::builder()
@@ -804,12 +854,15 @@ mod tests {
             deserialize_ciphertext(&ctx, &bytes),
             Err(SerializeError::VersionMismatch(v)) if v == VERSION + 1
         ));
-        // Version 1, the 8-byte-word layout, is no longer read.
-        bytes[4] = 1;
-        assert_eq!(
-            deserialize_ciphertext(&ctx, &bytes).err(),
-            Some(SerializeError::VersionMismatch(1))
-        );
+        // Version 1, the 8-byte-word layout, and version 2, a ciphertext
+        // with no form byte, are no longer read.
+        for old in [1, 2] {
+            bytes[4] = old;
+            assert_eq!(
+                deserialize_ciphertext(&ctx, &bytes).err(),
+                Some(SerializeError::VersionMismatch(old))
+            );
+        }
         // A short buffer is Truncated, not a header error.
         assert!(matches!(
             deserialize_ciphertext(&ctx, &bytes[..3]),
@@ -843,13 +896,21 @@ mod tests {
             .encode(&[Complex::new(0.5, 0.25)], 2, ctx.params().scale())
             .unwrap();
         let ct = Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
+        let dense = Ciphertext::new(ct.c0().clone(), ct.c1().clone(), ct.scale());
         let leases = ctx.scratch().stats().leases;
         for pad in [1usize, 8] {
-            let mut long = serialize_ciphertext(&ct);
-            long.resize(long.len() + pad, 0);
             let want = Some(SerializeError::TrailingBytes(pad));
-            assert_eq!(deserialize_ciphertext(&ctx, &long).err(), want);
-            assert_eq!(lease_ciphertext(&ctx, &long).err(), want);
+            for ct in [&ct, &dense] {
+                let mut long = serialize_ciphertext(ct);
+                long.resize(long.len() + pad, 0);
+                assert_eq!(deserialize_ciphertext(&ctx, &long).err(), want);
+                assert_eq!(lease_ciphertext(&ctx, &long).err(), want);
+                let short = &long[..long.len() - pad - 1];
+                assert_eq!(
+                    lease_ciphertext(&ctx, short).err(),
+                    Some(SerializeError::Truncated)
+                );
+            }
             let mut long = serialize_plaintext(&pt);
             long.resize(long.len() + pad, 0);
             assert_eq!(deserialize_plaintext(&ctx, &long).err(), want);
@@ -1044,8 +1105,12 @@ mod tests {
         fn ciphertext(ct: &Ciphertext) -> Vec<u8> {
             let mut w = Self::header(ct.c0().basis());
             w.0.extend_from_slice(&ct.scale().to_bits().to_le_bytes());
+            w.0.push(ct.seed().is_some().into());
             w.poly(ct.c0());
-            w.poly(ct.c1());
+            match ct.seed() {
+                Some(seed) => w.0.extend_from_slice(&seed.0),
+                None => w.poly(ct.c1()),
+            }
             w.0
         }
         fn plaintext(pt: &Plaintext) -> Vec<u8> {
@@ -1084,7 +1149,11 @@ mod tests {
                 .encode(&[Complex::new(re, -re)], level, ctx.params().scale())
                 .unwrap();
             let ct = Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
+            proptest::prop_assert!(ct.is_seeded());
             proptest::prop_assert_eq!(serialize_ciphertext(&ct), Reference::ciphertext(&ct));
+            let dense = Evaluator::new(ctx.clone()).neg(&ct);
+            proptest::prop_assert!(!dense.is_seeded());
+            proptest::prop_assert_eq!(serialize_ciphertext(&dense), Reference::ciphertext(&dense));
             proptest::prop_assert_eq!(serialize_plaintext(&pt), Reference::plaintext(&pt));
             let key = keygen.relin_key(&mut rng, &sk);
             proptest::prop_assert_eq!(
@@ -1106,10 +1175,40 @@ mod tests {
         for len in [0usize, 4, 5, 64, 1000] {
             let garbage: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
             let _ = deserialize_ciphertext(&ctx, &garbage);
+            let _ = lease_ciphertext(&ctx, &garbage);
             let _ = deserialize_switching_key(&ctx, &garbage);
             let _ = deserialize_plaintext(&ctx, &garbage);
             let _ = galois_key_set_entries(&garbage);
             let _ = deserialize_galois_keys(&ctx, &garbage);
+        }
+        // Garbage behind a valid ciphertext header and scale, under each
+        // form byte: the dense and seeded bodies at and around their
+        // lengths, and a form byte neither of them is.
+        let basis = ctx.level_basis(2);
+        let head = Reference::header(basis).0.len() + 8;
+        let poly = poly_wire_len(basis);
+        for form in [DENSE, SEEDED, 2, 0xff] {
+            for body in [
+                0,
+                31,
+                32,
+                33,
+                poly - 1,
+                poly,
+                poly + 32,
+                2 * poly,
+                2 * poly + 1,
+            ] {
+                let mut bytes = Reference::header(basis).0;
+                bytes.extend((head..head + 8 + body).map(|_| rng.gen::<u8>()));
+                bytes[head - 8..head].copy_from_slice(&1.0f64.to_bits().to_le_bytes());
+                bytes.insert(head, form);
+                let got = deserialize_ciphertext(&ctx, &bytes);
+                assert_eq!(lease_ciphertext(&ctx, &bytes).is_ok(), got.is_ok());
+                if ![DENSE, SEEDED].contains(&form) {
+                    assert_eq!(got.err(), Some(SerializeError::BadHeader));
+                }
+            }
         }
     }
 }

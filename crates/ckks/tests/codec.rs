@@ -1,11 +1,12 @@
-//! The `MADf` wire format, pinned: recorded digests of what a fixed
-//! ciphertext, plaintext and switching key serialize to, a hand-built
-//! version-2 message the digests answer to, and the decoder's
-//! data-dependent rejections — an out-of-range packed field anywhere in any
-//! limb, and a cut anywhere in the message — probed at every position a
-//! packed codec could get wrong (the first, middle and last word of a limb;
-//! one byte either side of every field and limb boundary, limbs at their
-//! modulus widths), and a key's form byte.
+//! The `MADf` wire format, pinned: recorded digests of what a fixed fresh
+//! (seeded) and computed (dense) ciphertext, plaintext and switching key
+//! serialize to, hand-built version-3 messages of both ciphertext forms
+//! the digests answer to, and the decoder's data-dependent rejections — an
+//! out-of-range packed field anywhere in any limb, and a cut anywhere in
+//! the message — probed at every position a packed codec could get wrong
+//! (the first, middle and last word of a limb; one byte either side of
+//! every field and limb boundary, limbs at their modulus widths), and the
+//! form bytes of a key and of a ciphertext.
 
 use ckks::serialize::{
     deserialize_ciphertext, deserialize_plaintext, deserialize_switching_key, serialize_ciphertext,
@@ -16,6 +17,7 @@ use ckks::{
 };
 use fhe_math::cfft::Complex;
 use fhe_math::codec::limb_width;
+use fhe_math::sampling::sample_uniform_flat;
 use fhe_math::RnsBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +41,10 @@ fn ctx() -> Arc<CkksContext> {
 
 struct Fixture {
     ctx: Arc<CkksContext>,
+    /// A fresh encryption, which keeps its seed.
     ct: Ciphertext,
+    /// The same components with no seed, as a computed result has.
+    dense: Ciphertext,
     pt: Plaintext,
     seeded: SwitchingKey,
 }
@@ -64,9 +69,11 @@ fn fixture() -> Fixture {
         .relin_key_compressed(&mut rng, &sk)
         .switching_key()
         .clone();
+    let dense = Ciphertext::new(ct.c0().clone(), ct.c1().clone(), ct.scale());
     Fixture {
         ctx,
         ct,
+        dense,
         pt,
         seeded,
     }
@@ -78,8 +85,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Offset of the first limb in a ciphertext or plaintext message of `ell`
-/// limbs: magic, version, degree, limb count, moduli, scale.
+/// Offset of the first limb in a plaintext message of `ell` limbs: magic,
+/// version, degree, limb count, moduli, scale. A ciphertext's form byte
+/// follows the scale, so its first limb is one byte further on.
 fn payload_offset(ell: usize) -> usize {
     4 + 1 + 4 + 4 + 8 * ell + 8
 }
@@ -90,31 +98,35 @@ fn limb_bytes(basis: &RnsBasis, i: usize) -> usize {
     limb_width(basis.modulus(i).value()) * basis.degree()
 }
 
-/// Recorded when limbs were first packed at their modulus widths (format
-/// version 2), and anchored to the format's definition by
+/// Recorded when a ciphertext gained its form byte (format version 3),
+/// and anchored to the format's definition by
 /// `a_hand_built_message_is_the_wire_format`: any change to these digests
 /// is a wire format change, not a refactor.
 #[test]
 fn wire_bytes_match_the_recorded_digests() {
     let f = fixture();
     let got = [
-        ("ciphertext", serialize_ciphertext(&f.ct)),
+        ("fresh ciphertext", serialize_ciphertext(&f.ct)),
+        ("dense ciphertext", serialize_ciphertext(&f.dense)),
         ("plaintext", serialize_plaintext(&f.pt)),
         ("seeded key", serialize_switching_key(&f.seeded)),
     ]
     .map(|(name, bytes)| (name, bytes.len(), fnv1a(&bytes)));
     let want = [
-        ("ciphertext", 877usize, 0x1fa4_dae8_0ab3_2f99u64),
-        ("plaintext", 325, 0x50c5_b9bb_575e_67cf),
-        ("seeded key", 2082, 0xf562_b4d5_3bfb_6c4a),
+        ("fresh ciphertext", 494usize, 0x492c_e41d_847c_2aa6u64),
+        ("dense ciphertext", 878, 0xfe7c_f3c0_3501_d0d8),
+        ("plaintext", 325, 0xe081_c08e_22c9_da70),
+        ("seeded key", 2082, 0x45a3_8620_7fe7_656e),
     ];
     assert_eq!(got, want, "got {got:#x?}");
 }
 
-/// A one-limb ciphertext written out by hand from the format's definition
-/// — header fields, then each residue as its low `⌈bitlen(q)/8⌉` bytes,
-/// little-endian — decodes to exactly the residues it was built from and
-/// serializes back to the same bytes.
+/// One-limb ciphertexts written out by hand from the format's definition
+/// — header fields, the scale, the form byte, then each residue as its low
+/// `⌈bitlen(q)/8⌉` bytes, little-endian, and in the seeded form the 32-byte
+/// seed in place of `c_1` — decode to exactly the residues they were built
+/// from (a seeded `c_1` is `StdRng::from_seed(seed)`'s uniform draws mod
+/// `q`) and serialize back to the same bytes.
 #[test]
 fn a_hand_built_message_is_the_wire_format() {
     let ctx = ctx();
@@ -123,26 +135,41 @@ fn a_hand_built_message_is_the_wire_format() {
     assert_eq!((n, q >> 35), (32, 1), "a 36-bit first prime at N = 32");
     let scale = 2f64.powi(30);
     let residue = |poly: u64, k: u64| (0x01_0203_0405 + poly * 0x100 + k) % q;
-    let mut msg = b"MADf".to_vec();
-    msg.push(2);
-    msg.extend_from_slice(&[32, 0, 0, 0, 1, 0, 0, 0]);
-    msg.extend_from_slice(&q.to_le_bytes());
-    msg.extend_from_slice(&scale.to_bits().to_le_bytes());
-    for poly in 0..2 {
-        for k in 0..n as u64 {
-            msg.extend_from_slice(&residue(poly, k).to_le_bytes()[..5]);
+    let seed: [u8; 32] = std::array::from_fn(|i| 0xa0 ^ i as u8);
+    for form in [0u8, 1] {
+        let mut msg = b"MADf".to_vec();
+        msg.push(3);
+        msg.extend_from_slice(&[32, 0, 0, 0, 1, 0, 0, 0]);
+        msg.extend_from_slice(&q.to_le_bytes());
+        msg.extend_from_slice(&scale.to_bits().to_le_bytes());
+        msg.push(form);
+        let polys = if form == 1 { 1 } else { 2 };
+        for poly in 0..polys {
+            for k in 0..n as u64 {
+                msg.extend_from_slice(&residue(poly, k).to_le_bytes()[..5]);
+            }
         }
+        if form == 1 {
+            msg.extend_from_slice(&seed);
+        }
+        assert_eq!(
+            msg.len(),
+            5 + 4 + 4 + 8 + 8 + 1 + polys as usize * 32 * 5 + 32 * form as usize
+        );
+        // Coefficient 0 of `c0`: 0x01_0203_0405 as five bytes, low first.
+        assert_eq!(msg[30..35], [0x05, 0x04, 0x03, 0x02, 0x01]);
+        let ct = deserialize_ciphertext(&ctx, &msg).unwrap();
+        assert_eq!(ct.scale(), scale);
+        assert_eq!(ct.is_seeded(), form == 1);
+        let c0: Vec<u64> = (0..n as u64).map(|k| residue(0, k)).collect();
+        let c1 = match form {
+            1 => sample_uniform_flat(&mut StdRng::from_seed(seed), &[q], n),
+            _ => (0..n as u64).map(|k| residue(1, k)).collect(),
+        };
+        assert_eq!(ct.c0().limb(0), &c0[..], "form {form}");
+        assert_eq!(ct.c1().limb(0), &c1[..], "form {form}");
+        assert_eq!(serialize_ciphertext(&ct), msg);
     }
-    assert_eq!(msg.len(), 5 + 4 + 4 + 8 + 8 + 2 * 32 * 5);
-    // Coefficient 0 of `c0`: 0x01_0203_0405 as five bytes, low first.
-    assert_eq!(msg[29..34], [0x05, 0x04, 0x03, 0x02, 0x01]);
-    let ct = deserialize_ciphertext(&ctx, &msg).unwrap();
-    assert_eq!(ct.scale(), scale);
-    for (poly, c) in [ct.c0(), ct.c1()].into_iter().enumerate() {
-        let want: Vec<u64> = (0..n as u64).map(|k| residue(poly as u64, k)).collect();
-        assert_eq!(c.limb(0), &want[..], "poly {poly}");
-    }
-    assert_eq!(serialize_ciphertext(&ct), msg);
 }
 
 /// Overwrites the packed field of word `word` of limb `limb`, the limbs
@@ -171,14 +198,13 @@ fn poke(
 /// as `UnreducedResidue`, while `q − 1` in the same place decodes.
 fn assert_residues_checked<T>(
     good: &[u8],
-    base: usize,
-    polys: usize,
+    (base, polys, tail): (usize, usize, usize),
     basis: &RnsBasis,
     decode: impl Fn(&[u8]) -> Result<T, SerializeError>,
 ) {
     let n = basis.degree();
     let poly_bytes: usize = (0..basis.len()).map(|i| limb_bytes(basis, i)).sum();
-    assert_eq!(good.len(), base + polys * poly_bytes, "layout");
+    assert_eq!(good.len(), base + polys * poly_bytes + tail, "layout");
     for poly in 0..polys {
         for limb in 0..basis.len() {
             let q = basis.modulus(limb).value();
@@ -206,17 +232,19 @@ fn assert_residues_checked<T>(
 fn an_out_of_range_residue_is_rejected_wherever_it_sits() {
     let f = fixture();
     let ctx = &f.ctx;
-    assert_residues_checked(
-        &serialize_ciphertext(&f.ct),
-        payload_offset(CT_LEVEL),
-        2,
-        ctx.level_basis(CT_LEVEL),
-        |b| deserialize_ciphertext(ctx, b),
-    );
+    // A ciphertext's limbs start after its form byte; a fresh one's seed
+    // follows `c_0`.
+    for (ct, polys, tail) in [(&f.dense, 2, 0), (&f.ct, 1, 32)] {
+        assert_residues_checked(
+            &serialize_ciphertext(ct),
+            (payload_offset(CT_LEVEL) + 1, polys, tail),
+            ctx.level_basis(CT_LEVEL),
+            |b| deserialize_ciphertext(ctx, b),
+        );
+    }
     assert_residues_checked(
         &serialize_plaintext(&f.pt),
-        payload_offset(CT_LEVEL - 1),
-        1,
+        (payload_offset(CT_LEVEL - 1), 1, 0),
         ctx.level_basis(CT_LEVEL - 1),
         |b| deserialize_plaintext(ctx, b),
     );
@@ -226,10 +254,44 @@ fn an_out_of_range_residue_is_rejected_wherever_it_sits() {
     let key_base = payload_offset(full.len()) - 8 + 4 + 1;
     assert_residues_checked(
         &serialize_switching_key(&f.seeded),
-        key_base + 32,
-        f.seeded.digit_count(),
+        (key_base + 32, f.seeded.digit_count(), 0),
         full,
         |b| deserialize_switching_key(ctx, b),
+    );
+}
+
+/// A ciphertext's form byte is `0` (dense: `c_1`'s limbs follow `c_0`'s)
+/// or `1` (seeded: the seed follows `c_0`): any other is a bad header, and
+/// a form byte that does not match the body's length is truncated or
+/// trailing.
+#[test]
+fn a_ciphertext_form_byte_is_dense_or_seeded() {
+    let f = fixture();
+    let form_at = payload_offset(CT_LEVEL);
+    let (seeded, dense) = (serialize_ciphertext(&f.ct), serialize_ciphertext(&f.dense));
+    assert_eq!((seeded[form_at], dense[form_at]), (1, 0));
+    for good in [&seeded, &dense] {
+        for form in [2u8, 0xff] {
+            let mut bytes = good.clone();
+            bytes[form_at] = form;
+            assert_eq!(
+                deserialize_ciphertext(&f.ctx, &bytes).err(),
+                Some(SerializeError::BadHeader),
+                "form byte {form}"
+            );
+        }
+    }
+    let mut as_dense = seeded.clone();
+    as_dense[form_at] = 0;
+    assert_eq!(
+        deserialize_ciphertext(&f.ctx, &as_dense).err(),
+        Some(SerializeError::Truncated)
+    );
+    let mut as_seeded = dense.clone();
+    as_seeded[form_at] = 1;
+    assert_eq!(
+        deserialize_ciphertext(&f.ctx, &as_seeded).err(),
+        Some(SerializeError::TrailingBytes(dense.len() - seeded.len()))
     );
 }
 
@@ -275,8 +337,14 @@ fn assert_cuts_truncated<T>(
 
 /// Field boundaries of a message of `len` bytes: the fixed header's
 /// fields, then `polys` polynomials' limbs over `basis`, each at its
-/// modulus's width.
-fn boundaries(header_fields: &[usize], len: usize, polys: usize, basis: &RnsBasis) -> Vec<usize> {
+/// modulus's width, then the `tail` fields.
+fn boundaries(
+    header_fields: &[usize],
+    len: usize,
+    polys: usize,
+    basis: &RnsBasis,
+    tail: &[usize],
+) -> Vec<usize> {
     let mut out = vec![0];
     let mut at = 0;
     for field in header_fields {
@@ -288,6 +356,10 @@ fn boundaries(header_fields: &[usize], len: usize, polys: usize, basis: &RnsBasi
             at += limb_bytes(basis, i);
             out.push(at);
         }
+    }
+    for field in tail {
+        at += field;
+        out.push(at);
     }
     assert_eq!(at, len, "layout");
     out
@@ -304,17 +376,20 @@ fn a_cut_at_any_field_or_limb_boundary_is_truncated() {
         fields
     };
 
-    let ct = serialize_ciphertext(&f.ct);
-    assert_cuts_truncated(
-        &ct,
-        boundaries(
-            &header(CT_LEVEL, &[8]),
-            ct.len(),
-            2,
-            ctx.level_basis(CT_LEVEL),
-        ),
-        |b| deserialize_ciphertext(ctx, b),
-    );
+    for (ct, polys, tail) in [(&f.dense, 2, &[][..]), (&f.ct, 1, &[32][..])] {
+        let ct = serialize_ciphertext(ct);
+        assert_cuts_truncated(
+            &ct,
+            boundaries(
+                &header(CT_LEVEL, &[8, 1]),
+                ct.len(),
+                polys,
+                ctx.level_basis(CT_LEVEL),
+                tail,
+            ),
+            |b| deserialize_ciphertext(ctx, b),
+        );
+    }
     let pt = serialize_plaintext(&f.pt);
     assert_cuts_truncated(
         &pt,
@@ -323,6 +398,7 @@ fn a_cut_at_any_field_or_limb_boundary_is_truncated() {
             pt.len(),
             1,
             ctx.level_basis(CT_LEVEL - 1),
+            &[],
         ),
         |b| deserialize_plaintext(ctx, b),
     );
@@ -335,6 +411,7 @@ fn a_cut_at_any_field_or_limb_boundary_is_truncated() {
             seeded.len(),
             f.seeded.digit_count(),
             full,
+            &[],
         ),
         |b| deserialize_switching_key(ctx, b),
     );

@@ -13,8 +13,11 @@
 //! bytes behind a masked store, and the reverse is a masked load, the
 //! inverse permute and one unsigned compare against `q`. Everywhere else,
 //! and for the words past the last whole block, the portable body runs. It
-//! is const-generic over `w` and shifts eight words into `w` `u64`s, so
-//! every shift is a constant.
+//! is const-generic over `w`, so every shift and mask is a constant: it
+//! packs eight words into `w` `u64`s by shifts, and unpacks each word as one
+//! unaligned 8-byte little-endian load at its `w`-byte offset masked to `w`
+//! bytes (the last words, whose 8 bytes would reach past the limb, are read
+//! `w` bytes each).
 
 use crate::ifma;
 
@@ -88,15 +91,21 @@ fn pack_portable(words: &[u64], w: usize, out: &mut Vec<u8>) {
 /// [`unpack_limb`] without the lanes.
 fn unpack_portable(bytes: &[u8], w: usize, q: u64, out: &mut Vec<u64>) -> bool {
     match w {
-        1 => unpack_blocks::<1>(bytes, q, out),
-        2 => unpack_blocks::<2>(bytes, q, out),
-        3 => unpack_blocks::<3>(bytes, q, out),
-        4 => unpack_blocks::<4>(bytes, q, out),
-        5 => unpack_blocks::<5>(bytes, q, out),
-        6 => unpack_blocks::<6>(bytes, q, out),
-        7 => unpack_blocks::<7>(bytes, q, out),
-        _ => unpack_blocks::<8>(bytes, q, out),
+        1 => unpack_words::<1>(bytes, q, out),
+        2 => unpack_words::<2>(bytes, q, out),
+        3 => unpack_words::<3>(bytes, q, out),
+        4 => unpack_words::<4>(bytes, q, out),
+        5 => unpack_words::<5>(bytes, q, out),
+        6 => unpack_words::<6>(bytes, q, out),
+        7 => unpack_words::<7>(bytes, q, out),
+        _ => unpack_words::<8>(bytes, q, out),
     }
+}
+
+/// How many of `len` packed `W`-byte words have all 8 bytes from their
+/// start inside the `W·len` bytes: every word but the last `⌈8/W⌉ − 1`.
+fn whole_loads<const W: usize>(len: usize) -> usize {
+    (W * len + W).saturating_sub(8) / W
 }
 
 /// Word `i` of a block starts at bit `8·W·i` of the block's `W` `u64`s:
@@ -125,38 +134,31 @@ fn pack_blocks<const W: usize>(words: &[u64], out: &mut Vec<u8>) {
     }
 }
 
-/// The reverse of [`pack_blocks`], with the range check folded in: `x < q`
-/// exactly when `x − q` wraps negative while `x` itself has a clear top bit
-/// (every supported `q` is below `2^62`), so the AND of `(x − q) & !x` over
-/// the limb keeps its sign bit iff no word is out of range.
-fn unpack_blocks<const W: usize>(bytes: &[u8], q: u64, out: &mut Vec<u64>) -> bool {
+/// The reverse of [`pack_blocks`], with the range check folded in: each
+/// word is one unaligned 8-byte little-endian load masked to `W` bytes (the
+/// last words read `W` bytes each), and `x < q` exactly when `x − q` wraps
+/// negative while `x` itself has a clear top bit (every supported `q` is
+/// below `2^62`), so the AND of `(x − q) & !x` over the limb keeps its sign
+/// bit iff no word is out of range.
+fn unpack_words<const W: usize>(bytes: &[u8], q: u64, out: &mut Vec<u64>) -> bool {
     debug_assert!(q < 1 << 62);
     let field = u64::MAX >> (64 - 8 * W);
-    let mut ok = u64::MAX;
-    let mut blocks = bytes.chunks_exact(8 * W);
+    let len = bytes.len() / W;
+    let whole = whole_loads::<W>(len);
     let at = out.len();
-    out.resize(at + 8 * blocks.len(), 0);
-    for (block, dst) in (&mut blocks).zip(out[at..].chunks_exact_mut(8)) {
-        let mut acc = [0u64; W];
-        for (a, b) in acc.iter_mut().zip(block.chunks_exact(8)) {
-            *a = u64::from_le_bytes(b.try_into().expect("8 bytes"));
-        }
-        for (i, x) in dst.iter_mut().enumerate() {
-            let (k, s) = (8 * W * i / 64, 8 * W * i % 64);
-            let mut v = acc[k] >> s;
-            if s + 8 * W > 64 {
-                v |= acc[k + 1] << (64 - s);
-            }
-            *x = v & field;
-            ok &= x.wrapping_sub(q) & !*x;
-        }
+    out.resize(at + len, 0);
+    let (head, tail) = out[at..].split_at_mut(whole);
+    let mut ok = u64::MAX;
+    for (i, x) in head.iter_mut().enumerate() {
+        let word = u64::from_le_bytes(bytes[W * i..W * i + 8].try_into().expect("8 bytes"));
+        *x = word & field;
+        ok &= x.wrapping_sub(q) & !*x;
     }
-    for b in blocks.remainder().chunks_exact(W) {
+    for (b, x) in bytes[W * whole..].chunks_exact(W).zip(tail) {
         let mut word = [0u8; 8];
         word[..W].copy_from_slice(b);
-        let x = u64::from_le_bytes(word);
-        ok &= x.wrapping_sub(q) & !x;
-        out.push(x);
+        *x = u64::from_le_bytes(word);
+        ok &= x.wrapping_sub(q) & !*x;
     }
     ok >> 63 == 1
 }

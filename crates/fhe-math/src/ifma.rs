@@ -40,13 +40,15 @@
 //! for `sub_scale_shoup`, the lift's shifted word `x < from < 2^50`.
 //!
 //! The seeded expansion runs eight xoshiro256++ generators, one per lane,
-//! each started, and restarted where its limbs skip part of the stream, by
+//! each started, and restarted where its words skip part of the stream, by
 //! a GF(2) jump to its own stretch of the one stream
-//! (`sampling::SeededUniform` says which). Eight steps draw eight words per
-//! lane; the `Uniform` draw `⌊r·q/2^64⌋` for `q < 2^50` is two `madd52hi`
-//! and one `madd52lo`; an 8×8 transpose — the short stages' three
-//! permutes — turns them into one 8-word block per lane, stored into that
-//! lane's limb of its digit's own buffer, so nothing is zero-filled first.
+//! (`sampling::SeededUniform` says which): the selection's limbs are cut
+//! into eighths and every lane draws the same number of them, so no lane
+//! idles whatever the limb count. Eight steps draw eight words per lane;
+//! the `Uniform` draw `⌊r·q/2^64⌋` for `q < 2^50` is two `madd52hi` and one
+//! `madd52lo`; an 8×8 transpose — the short stages' three permutes — turns
+//! them into one 8-word block per lane, stored into that lane's eighth of
+//! its limb in its polynomial's buffer, so nothing is zero-filled first.
 //!
 //! The limb codec (`codec`) packs eight words of a limb into `8·w` bytes
 //! with one `vpermb` and a masked store, and unpacks them with a masked
@@ -72,6 +74,9 @@ use crate::ntt::NttTable;
 use crate::sampling::LimbDraw;
 use crate::xoshiro::State;
 use std::sync::OnceLock;
+
+/// The lanes of one register: eight 64-bit words.
+pub(crate) const LANES: usize = 8;
 
 /// Moduli below this bound take the lanes: `4q < 2^52`.
 const MODULUS_BOUND: u64 = 1 << 50;
@@ -198,9 +203,10 @@ pub(crate) fn extension_lanes(ext: &BasisExtView<'_>) -> Option<Lanes> {
 
 /// The lanes for seeded uniform expansion into `n`-word limbs mod
 /// `moduli`, or `None` where the portable body runs: a CPU without IFMA, a
-/// modulus at or above `2^50`, or `n` not a multiple of 8.
+/// modulus at or above `2^50`, or `n` not a multiple of 64 (a lane draws
+/// eighths of a limb, in 8-word blocks).
 pub(crate) fn uniform_lanes(moduli: &[u64], n: usize) -> Option<Lanes> {
-    (detected() && n.is_multiple_of(8) && moduli.iter().all(|&q| q < MODULUS_BOUND))
+    (detected() && n.is_multiple_of(8 * LANES) && moduli.iter().all(|&q| q < MODULUS_BOUND))
         .then_some(Lanes(()))
 }
 
@@ -319,31 +325,33 @@ impl Lanes {
         }
     }
 
-    /// The limbs `draws` names, drawn by eight generators into `polys`
-    /// buffers of equal length (draw `g` is limb `g mod m/polys` of buffer
-    /// `g·polys/m`): lane `j` draws `[j·c, (j+1)·c)` of the `m`,
-    /// `c = ⌈m/8⌉`, starting each run of stream-adjacent limbs from
-    /// `restart(t)`, the state at limb `t`'s first word; see
-    /// `sampling::SeededUniform`. Every modulus is below `2^50` and `n` is a
-    /// multiple of 8.
+    /// The limbs `draws` names, drawn by eight generators and appended to
+    /// the `out.len()` buffers, an equal share each (draw `g` is limb
+    /// `g mod m/polys` of buffer `g·polys/m`): with every limb cut into
+    /// eighths, lane `j` draws eighths `[j·m, (j+1)·m)` of the `8·m`,
+    /// starting each run of stream-adjacent eighths from `restart(u)`, the
+    /// state at eighth `u = 8t + r` of the stream (eighth `r` of limb `t`);
+    /// see `sampling::SeededUniform`. Every modulus is below `2^50` and `n`
+    /// is a multiple of 64.
     pub(crate) fn uniform(
         self,
         draws: &[LimbDraw],
-        polys: usize,
+        out: &mut [Vec<u64>],
         n: usize,
         restart: &dyn Fn(usize) -> State,
-    ) -> Vec<Vec<u64>> {
-        assert!(n.is_multiple_of(8) && draws.len() == polys * (draws.len() / polys.max(1)));
+    ) {
+        let polys = out.len();
+        assert!(n.is_multiple_of(8 * LANES) && draws.len() == polys * (draws.len() / polys.max(1)));
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `self` exists only where `detected()` found avx512f and
         // avx512ifma, the target features of the function; the assertion
         // above is the rest of its contract.
         unsafe {
-            x86::uniform(draws, polys, n, &|t| restart(t).0)
+            x86::uniform(draws, out, n, &|u| restart(u).0)
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (draws, polys, n, restart);
+            let _ = (draws, out, n, restart);
             unreachable!("a `Lanes` is only made on x86-64");
         }
     }
@@ -1139,48 +1147,55 @@ mod x86 {
     }
 
     /// Seeded uniform expansion; see [`super::Lanes::uniform`]. Per 8-slot
-    /// block of a lane's current limb: eight steps draw eight words per
+    /// block of a lane's current eighth: eight steps draw eight words per
     /// lane, [`lemire`] maps each into its lane's modulus, and
     /// [`transpose`] turns the eight draws of a lane into one register,
-    /// stored into that lane's limb of its buffer. Every lane crosses a
-    /// limb boundary at the same step, so a lane's modulus changes, and a
-    /// lane restarts from a jumped state, only between limbs; a lane past
-    /// the last limb draws and stores nothing.
+    /// stored into that lane's eighth of its limb. Every lane crosses an
+    /// eighth's boundary at the same step, so a lane's modulus changes, and
+    /// a lane restarts from a jumped state, only between eighths.
     ///
     /// # Safety
     ///
     /// The CPU must have `avx512f` and `avx512ifma`, `n` must be a
-    /// multiple of 8, and `draws` must split evenly into `polys` buffers:
-    /// then every word of every buffer is written before its length is
-    /// set.
+    /// multiple of 64, and `draws` must split evenly into the `out.len()`
+    /// buffers: then every appended word of every buffer is written before
+    /// its length is set.
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) unsafe fn uniform(
         draws: &[LimbDraw],
-        polys: usize,
+        out: &mut [Vec<u64>],
         n: usize,
         restart: &dyn Fn(usize) -> [u64; 4],
-    ) -> Vec<Vec<u64>> {
-        let per_poly = draws.len() / polys.max(1);
-        let per_lane = draws.len().div_ceil(8);
-        let mut out: Vec<Vec<u64>> = (0..polys)
-            .map(|_| Vec::with_capacity(per_poly * n))
+    ) {
+        let per_poly = draws.len() / out.len().max(1);
+        let eighth = n / 8;
+        // `8·m` eighths over eight lanes: `m` each.
+        let per_lane = draws.len();
+        let buffers: Vec<*mut u64> = out
+            .iter_mut()
+            .map(|v| {
+                v.reserve(per_poly * n);
+                // SAFETY: the end of the buffer's initialised words.
+                unsafe { v.as_mut_ptr().add(v.len()) }
+            })
             .collect();
-        let buffers: Vec<*mut u64> = out.iter_mut().map(|v| v.as_mut_ptr()).collect();
         let mut s = [_mm512_setzero_si512(); 4];
         for k in 0..per_lane {
-            // Lane `j` is on draw `j·per_lane + k`.
+            // Lane `j` is on eighth `e = j·per_lane + k`: eighth `e mod 8`
+            // of draw `⌊e/8⌋`.
             let mut q = [1u64; 8];
             let mut dst = [std::ptr::null_mut::<u64>(); 8];
             let mut starts: [Option<[u64; 4]>; 8] = [None; 8];
             for j in 0..8 {
-                let g = j * per_lane + k;
-                let Some(d) = draws.get(g) else { continue };
+                let e = j * per_lane + k;
+                let (g, r) = (e / 8, e % 8);
+                let d = draws[g];
                 q[j] = d.q;
-                // SAFETY: limb `g mod per_poly` of a buffer of
-                // `per_poly·n` words' capacity.
-                dst[j] = unsafe { buffers[g / per_poly].add(g % per_poly * n) };
-                if k == 0 || draws[g - 1].t + 1 != d.t {
-                    starts[j] = Some(restart(d.t));
+                // SAFETY: eighth `r` of limb `g mod per_poly` of a buffer
+                // with `per_poly·n` words of spare capacity.
+                dst[j] = unsafe { buffers[g / per_poly].add(g % per_poly * n + r * eighth) };
+                if k == 0 || (r == 0 && draws[g - 1].t + 1 != d.t) {
+                    starts[j] = Some(restart(8 * d.t + r));
                 }
             }
             if starts.iter().any(Option::is_some) {
@@ -1196,26 +1211,23 @@ mod x86 {
                 s = words.map(|w| load(&w));
             }
             let q = load(&q);
-            for at in (0..n).step_by(8) {
+            for at in (0..eighth).step_by(8) {
                 let mut rows = [_mm512_setzero_si512(); 8];
                 for row in &mut rows {
                     *row = lemire(next(&mut s), q);
                 }
                 for (&d, col) in dst.iter().zip(transpose(rows)) {
-                    if !d.is_null() {
-                        // SAFETY: words `at..at + 8` of the lane's limb.
-                        unsafe { _mm512_storeu_epi64(d.add(at).cast(), col) }
-                    }
+                    // SAFETY: words `at..at + 8` of the lane's eighth.
+                    unsafe { _mm512_storeu_epi64(d.add(at).cast(), col) }
                 }
             }
         }
-        for v in &mut out {
-            // SAFETY: every draw belongs to one lane at one `k`, whose
-            // blocks wrote all `n` of its words, and the draws tile every
-            // buffer.
-            unsafe { v.set_len(per_poly * n) }
+        for v in out.iter_mut() {
+            // SAFETY: every eighth of every draw belongs to one lane at one
+            // `k`, whose blocks wrote all `n/8` of its words, and the draws
+            // tile the appended words of every buffer.
+            unsafe { v.set_len(v.len() + per_poly * n) }
         }
-        out
     }
 
     /// The bytes of a block of eight `w`-byte words, as a byte mask: its

@@ -43,8 +43,9 @@
 //! - [`sampling`]: secret/noise distributions (ternary, centered binomial,
 //!   rounded Gaussian), uniform limbs, and the seeded expansion
 //!   ([`sampling::SeededUniform`]) that regenerates a compressed key's
-//!   `a_j` — every limb, or only those a level reads — on eight
-//!   jump-ahead generators on IFMA lanes where it can.
+//!   `a_j` — every limb, or only those a level reads — and a fresh
+//!   ciphertext's `c_1`, into caller buffers, on eight jump-ahead
+//!   generators on IFMA lanes where it can.
 //! - [`scratch`]: the reusable buffer pool behind the allocation-free hot
 //!   paths.
 //! - [`parallel`]: only `compiled()`, always `false` — every kernel call

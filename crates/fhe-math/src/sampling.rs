@@ -92,29 +92,33 @@ pub fn sample_uniform_flat<R: Rng + ?Sized>(rng: &mut R, moduli: &[u64], n: usiz
 /// The uniform polynomials a seed expands into, for one shape: exactly
 /// what `StdRng::from_seed(seed)` followed by `count` calls of
 /// [`sample_uniform_flat`]`(rng, moduli, n)` draws — the `a_j` of a seeded
-/// switching key — or any selection of their limbs.
+/// switching key, or (its first polynomial) a fresh ciphertext's `c_1` —
+/// or any selection of their limbs.
 ///
 /// The vendored `Uniform` takes one draw `r` per word and maps it to
 /// `⌊r·q/2^64⌋`, so limb `i` of polynomial `p` is the `n` draws from
 /// stream offset `t·n`, `t = p·|moduli| + i`. A selection of limbs is drawn
-/// in runs of limbs that follow each other in the stream, each run from the
-/// seed's state jumped to its first word; the jump to every limb is built
-/// once, by [`SeededUniform::new`]. [`SeededUniform::expand`] is the
-/// selection of every limb of every polynomial: one run.
+/// in runs that follow each other in the stream, each run from the seed's
+/// state jumped to its first word; the jump to every place a run can start
+/// is built once, by [`SeededUniform::new`]. [`SeededUniform::expand`] is
+/// the selection of every limb of every polynomial: one run.
 ///
 /// Where the CPU has AVX-512 IFMA, every modulus is below `2^50` and `n` is
-/// a multiple of 8, eight xoshiro256++ generators on lanes draw the
-/// selection at once: of its `m` limbs, lane `j` draws `[j·c, (j+1)·c)`,
-/// `c = ⌈m/8⌉`, restarting from a jumped state wherever its next limb does
-/// not follow its last. Elsewhere one generator draws them in order. Both
-/// emit the same words.
+/// a multiple of 64, eight xoshiro256++ generators on lanes draw the
+/// selection at once, its words split evenly between them: with each limb
+/// cut into eighths of `n/8` words, lane `j` draws eighths `[j·m, (j+1)·m)`
+/// of the selection's `8·m`, restarting from a jumped state wherever its
+/// next eighth does not follow its last in the stream. Elsewhere one
+/// generator draws the limbs in order. Both emit the same words.
 #[derive(Clone, Debug)]
 pub struct SeededUniform {
     moduli: Vec<u64>,
     n: usize,
     count: usize,
-    /// `jumps[t]`: from the stream's start to limb `t`'s first word, `t·n`
-    /// steps, for every limb of the `count·|moduli|`.
+    /// From the stream's start to every place a run can start in the
+    /// `count·|moduli|` limbs: where the lanes draw, `jumps[8t + r]` to
+    /// eighth `r` of limb `t` (`(8t + r)·n/8` steps); where one generator
+    /// does, `jumps[t]` to limb `t` (`t·n` steps).
     jumps: Vec<Jump>,
     lanes: Option<Lanes>,
 }
@@ -136,16 +140,18 @@ impl SeededUniform {
     /// Panics if a modulus is zero.
     pub fn new(moduli: &[u64], n: usize, count: usize) -> Self {
         assert!(moduli.iter().all(|&q| q > 0), "a modulus is zero");
-        let limb = Jump::new(n as u64);
-        let jumps = std::iter::successors(Some(Jump::new(0)), |j| Some(j.then(&limb)))
-            .take(count * moduli.len())
+        let lanes = ifma::uniform_lanes(moduli, n);
+        let split = if lanes.is_some() { ifma::LANES } else { 1 };
+        let step = Jump::new((n / split) as u64);
+        let jumps = std::iter::successors(Some(Jump::new(0)), |j| Some(j.then(&step)))
+            .take(count * moduli.len() * split)
             .collect();
         Self {
             moduli: moduli.to_vec(),
             n,
             count,
             jumps,
-            lanes: ifma::uniform_lanes(moduli, n),
+            lanes,
         }
     }
 
@@ -153,20 +159,26 @@ impl SeededUniform {
     /// buffer of its own as [`sample_uniform_flat`] returns it.
     pub fn expand(&self, seed: [u8; 32]) -> Vec<Vec<u64>> {
         let every: Vec<usize> = (0..self.moduli.len()).collect();
-        self.expand_limbs(seed, self.count, &every)
+        let mut out: Vec<Vec<u64>> = (0..self.count)
+            .map(|_| Vec::with_capacity(every.len() * self.n))
+            .collect();
+        self.expand_limbs(seed, &every, &mut out);
+        out
     }
 
-    /// The first `polys` of the polynomials `seed` expands into, each at
-    /// only the limbs `limbs` (increasing indices into the moduli): buffer
-    /// `p` holds, in that order, those limbs of [`SeededUniform::expand`]'s
-    /// polynomial `p`, and nothing else is drawn.
+    /// The first `out.len()` of the polynomials `seed` expands into, each
+    /// at only the limbs `limbs` (increasing indices into the moduli):
+    /// appends to buffer `p`, in that order, those limbs of
+    /// [`SeededUniform::expand`]'s polynomial `p`, and draws nothing else.
+    /// A buffer grows only if its spare capacity is short of the
+    /// `limbs.len()·n` words.
     ///
     /// # Panics
     ///
-    /// Panics if `polys` exceeds the shape's count, or `limbs` is not
-    /// strictly increasing within the moduli.
-    pub fn expand_limbs(&self, seed: [u8; 32], polys: usize, limbs: &[usize]) -> Vec<Vec<u64>> {
-        let width = self.moduli.len();
+    /// Panics if there are more buffers than the shape's count, or `limbs`
+    /// is not strictly increasing within the moduli.
+    pub fn expand_limbs(&self, seed: [u8; 32], limbs: &[usize], out: &mut [Vec<u64>]) {
+        let (width, polys) = (self.moduli.len(), out.len());
         assert!(polys <= self.count, "{polys} polynomials of {}", self.count);
         assert!(
             limbs.windows(2).all(|w| w[0] < w[1]) && limbs.last().is_none_or(|&i| i < width),
@@ -181,14 +193,11 @@ impl SeededUniform {
             })
             .collect();
         let first = State::from_seed(seed);
-        let restart = |t: usize| first.jumped(&self.jumps[t]);
+        let restart = |u: usize| first.jumped(&self.jumps[u]);
         if let Some(lanes) = self.lanes {
-            return lanes.uniform(&draws, polys, self.n, &restart);
+            return lanes.uniform(&draws, out, self.n, &restart);
         }
         let per_poly = limbs.len();
-        let mut out: Vec<Vec<u64>> = (0..polys)
-            .map(|_| Vec::with_capacity(per_poly * self.n))
-            .collect();
         let mut state = first;
         for (g, d) in draws.iter().enumerate() {
             if g == 0 || draws[g - 1].t + 1 != d.t {
@@ -198,7 +207,6 @@ impl SeededUniform {
             out[g / per_poly]
                 .extend((0..self.n).map(|_| ((state.next() as u128 * q) >> 64) as u64));
         }
-        out
     }
 }
 
@@ -276,14 +284,21 @@ mod tests {
             ifma::detected()
         );
         assert!(SeededUniform::new(&[1 << 50, 97], 64, 3).lanes.is_none());
-        assert!(SeededUniform::new(&narrow, 20, 3).lanes.is_none());
+        assert!(SeededUniform::new(&narrow, 32, 3).lanes.is_none());
     }
 
     #[test]
-    fn every_limb_has_its_jump() {
-        let shape = SeededUniform::new(&[97, 101, 103], 16, 4);
-        assert_eq!(shape.jumps.len(), 12);
-        assert_eq!(shape.jumps[5], Jump::new(5 * 16));
+    fn every_limb_or_eighth_has_its_jump() {
+        let serial = SeededUniform::new(&[97, 101, 103], 32, 4);
+        assert_eq!(serial.jumps.len(), 12);
+        assert_eq!(serial.jumps[5], Jump::new(5 * 32));
+        let shape = SeededUniform::new(&[97, 101, 103], 64, 4);
+        let split = if ifma::detected() { 8 } else { 1 };
+        assert_eq!(shape.jumps.len(), 12 * split);
+        assert_eq!(
+            shape.jumps[5 * split + split - 1],
+            Jump::new(6 * 64 - 64 / split as u64)
+        );
     }
 
     #[test]

@@ -42,15 +42,41 @@ fn times_x(a: Poly) -> Poly {
     r
 }
 
-/// `a·b mod p`, by Horner's rule over the bits of `a`.
-fn mul(a: Poly, b: Poly) -> Poly {
-    let mut r = [0; 4];
-    for i in (0..256).rev() {
-        r = times_x(r);
-        if a[i / 64] >> (i % 64) & 1 == 1 {
-            for (r, b) in r.iter_mut().zip(b) {
-                *r ^= b;
+/// `v(x)·base mod p` for every `v` of degree below 4, indexed by its bits.
+fn nibble_multiples(base: Poly) -> [Poly; 16] {
+    let mut table = [[0; 4]; 16];
+    let mut power = base;
+    for bit in 0..4 {
+        for (v, t) in table.iter_mut().enumerate() {
+            if v >> bit & 1 == 1 {
+                for (t, w) in t.iter_mut().zip(power) {
+                    *t ^= w;
+                }
             }
+        }
+        power = times_x(power);
+    }
+    table
+}
+
+/// `a·b mod p`, by Horner's rule over the nibbles of `a`, branch-free:
+/// each step multiplies the product by `x^4`, folding the nibble that
+/// leaves the top back in as its multiple of `x^256 ≡ CHARACTERISTIC`, and
+/// adds the next nibble's multiple of `b`.
+fn mul(a: Poly, b: Poly) -> Poly {
+    let (of_b, of_top) = (nibble_multiples(b), nibble_multiples(CHARACTERISTIC));
+    let mut r = [0u64; 4];
+    for k in (0..64).rev() {
+        let top = (r[3] >> 60) as usize;
+        r = [
+            r[0] << 4,
+            r[1] << 4 | r[0] >> 60,
+            r[2] << 4 | r[1] >> 60,
+            r[3] << 4 | r[2] >> 60,
+        ];
+        let nibble = (a[k / 16] >> (4 * (k % 16)) & 0xf) as usize;
+        for ((r, t), b) in r.iter_mut().zip(of_top[top]).zip(of_b[nibble]) {
+            *r ^= t ^ b;
         }
     }
     r

@@ -6,18 +6,22 @@
 //! them.
 //!
 //! The expansion runs on eight AVX-512 IFMA lanes when the CPU has them,
-//! every modulus is below `2^50` and `n` is a multiple of 8, and serially
-//! otherwise. So the moduli here fall on both sides of `2^50`, and the limb
-//! totals (10, 12, 24, 33, 60) leave the last lanes short or empty. On a CPU
-//! without IFMA every test still passes, exercising the serial body only.
+//! every modulus is below `2^50` and `n` is a multiple of 64, and serially
+//! otherwise. The lanes split a selection's words evenly, an eighth of a
+//! limb at a time, so a lane's stretch starts part-way through a limb
+//! unless the limb count is a multiple of 8. So the moduli here fall on
+//! both sides of `2^50`, and the limb totals (1, 2, 3, 6, 10, 12, 24, 33,
+//! 60) put the lanes' starts at every eighth. On a CPU without IFMA every
+//! test still passes, exercising the serial body only.
 
 use fhe_math::sampling::{sample_uniform_flat, SeededUniform};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Limb sizes: the smallest the lanes take, and the benchmark's rings.
-const DEGREES: [usize; 5] = [16, 32, 4096, 8192, 16384];
+/// Limb sizes: one the lanes never take, the smallest they take, and the
+/// benchmark's rings.
+const DEGREES: [usize; 5] = [32, 64, 4096, 8192, 16384];
 
 /// `(count, limbs per polynomial)`: 10, 12, 24, 33 and 60 limbs in all —
 /// the last is the `dnum = 4`, `L + α = 15` key of the thrash ring.
@@ -111,7 +115,7 @@ fn assert_selects_like_the_full_expansion(
     limbs: &[usize],
 ) {
     let shape = SeededUniform::new(moduli, n, count);
-    let got = shape.expand_limbs(seed, polys, limbs);
+    let got = expand_limbs(&shape, seed, polys, limbs, n);
     let want = slices(&shape.expand(seed), polys, limbs, n);
     assert_eq!(got.len(), polys);
     for (p, (got, want)) in got.iter().zip(&want).enumerate() {
@@ -122,6 +126,22 @@ fn assert_selects_like_the_full_expansion(
             moduli.len()
         );
     }
+}
+
+/// [`SeededUniform::expand_limbs`] into `polys` fresh buffers, each
+/// reserved at exactly the selection's size.
+fn expand_limbs(
+    shape: &SeededUniform,
+    seed: [u8; 32],
+    polys: usize,
+    limbs: &[usize],
+    n: usize,
+) -> Vec<Vec<u64>> {
+    let mut out: Vec<Vec<u64>> = (0..polys)
+        .map(|_| Vec::with_capacity(limbs.len() * n))
+        .collect();
+    shape.expand_limbs(seed, limbs, &mut out);
+    out
 }
 
 /// A key switch's selection at `ell` of `levels` Q-limbs and `special`
@@ -153,17 +173,50 @@ fn a_raised_selection_is_the_matching_slices_of_the_full_expansion() {
 fn degenerate_selections_draw_nothing_or_everything() {
     let mut rng = StdRng::seed_from_u64(3);
     let moduli = moduli(&mut rng, 5, false);
-    let shape = SeededUniform::new(&moduli, 16, 3);
-    assert!(shape.expand_limbs([1; 32], 0, &[0, 1]).is_empty());
-    assert!(shape
-        .expand_limbs([1; 32], 2, &[])
-        .iter()
-        .all(Vec::is_empty));
-    let every: Vec<usize> = (0..5).collect();
-    assert_eq!(
-        shape.expand_limbs([1; 32], 3, &every),
-        shape.expand([1; 32])
-    );
+    for n in [32, 64] {
+        let shape = SeededUniform::new(&moduli, n, 3);
+        assert!(expand_limbs(&shape, [1; 32], 0, &[0, 1], n).is_empty());
+        assert!(expand_limbs(&shape, [1; 32], 2, &[], n)
+            .iter()
+            .all(Vec::is_empty));
+        let every: Vec<usize> = (0..5).collect();
+        assert_eq!(
+            expand_limbs(&shape, [1; 32], 3, &every, n),
+            shape.expand([1; 32])
+        );
+    }
+}
+
+#[test]
+fn a_short_selection_fills_every_lane() {
+    // A fresh ciphertext's `c_1` at a low level is a few limbs of the first
+    // polynomial: 1, 2, 3 and 6 limbs leave whole-limb lanes idle, 10 a
+    // ragged last round. Each is the prefix of the first polynomial, and
+    // the same limbs picked out of the middle of the second.
+    let mut rng = StdRng::seed_from_u64(0x1a4e);
+    for n in [1 << 12, 1 << 13] {
+        let moduli = moduli(&mut rng, 15, false);
+        for m in [1usize, 2, 3, 6, 10] {
+            let seed: [u8; 32] = rng.gen();
+            let prefix: Vec<usize> = (0..m).collect();
+            assert_selects_like_the_full_expansion(seed, &moduli, n, 2, 1, &prefix);
+            let inner: Vec<usize> = (15 - m..15).collect();
+            assert_selects_like_the_full_expansion(seed, &moduli, n, 2, 2, &inner);
+        }
+    }
+}
+
+#[test]
+fn an_expansion_appends_behind_what_a_buffer_holds() {
+    let mut rng = StdRng::seed_from_u64(0xa99e);
+    let moduli = moduli(&mut rng, 6, false);
+    let shape = SeededUniform::new(&moduli, 4096, 2);
+    let want = expand_limbs(&shape, [9; 32], 2, &[1, 2, 4], 4096);
+    let mut out = vec![vec![7u64; 5], vec![]];
+    shape.expand_limbs([9; 32], &[1, 2, 4], &mut out);
+    assert_eq!(out[0][..5], [7; 5]);
+    assert_eq!(out[0][5..], want[0][..]);
+    assert_eq!(out[1], want[1]);
 }
 
 proptest! {

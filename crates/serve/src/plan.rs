@@ -248,7 +248,7 @@ mod tests {
         // Otherwise the key is planned at the limb count the header names:
         // the operand's, the larger of a `Mult`'s two.
         let header = |limbs: u32| {
-            let mut h = b"MADf\x02".to_vec();
+            let mut h = b"MADf\x03".to_vec();
             h.extend_from_slice(&32u32.to_le_bytes());
             h.extend_from_slice(&limbs.to_le_bytes());
             h

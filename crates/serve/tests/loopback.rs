@@ -450,6 +450,46 @@ fn warm_rotate_loop_stops_missing_the_scratch_pool() {
     server.shutdown();
 }
 
+/// A rotation by the slot count is a key-free copy, so a fresh operand
+/// comes back as it went: in the seeded form (`c_0` and the seed), the
+/// bytes the library's own rotation serializes to.
+#[test]
+fn a_served_whole_turn_of_a_fresh_operand_replies_seeded() {
+    let ctx = helr_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut rng = StdRng::seed_from_u64(7000);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1], false);
+    let encoder = Encoder::new(ctx.clone());
+    let encryptor = Encryptor::new(ctx.clone());
+    let slots = ctx.params().slots();
+    let v: Vec<f64> = (0..slots).map(|i| i as f64 * 0.03).collect();
+    let ct = encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &v);
+    assert!(ct.is_seeded());
+
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    let ev = Evaluator::new(ctx.clone());
+    for steps in [slots as i64, -2 * slots as i64] {
+        let local = ev.rotate(&ct, steps, &gk);
+        assert!(local.is_seeded(), "the library's copy keeps the seed");
+        let remote = client.rotate(sid, &ct, steps).unwrap();
+        assert!(remote.is_seeded(), "rotate {steps}: the reply is seeded");
+        assert_eq!(serialize_ciphertext(&remote), serialize_ciphertext(&local));
+        assert_eq!(serialize_ciphertext(&remote), serialize_ciphertext(&ct));
+    }
+    // A real rotation is computed, and comes back whole.
+    client.upload_galois(sid, &gk).unwrap();
+    let turned = client.rotate(sid, &ct, 1).unwrap();
+    assert!(!turned.is_seeded());
+    assert_eq!(
+        serialize_ciphertext(&turned),
+        serialize_ciphertext(&ev.rotate(&ct, 1, &gk))
+    );
+    server.shutdown();
+}
+
 /// A zero queue capacity is served as one, as zero workers are: keyed
 /// requests run instead of all being refused `Overloaded`.
 #[test]

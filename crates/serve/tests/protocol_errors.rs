@@ -151,6 +151,53 @@ fn a_padded_operand_is_malformed() {
     server.shutdown();
 }
 
+/// A fresh operand travels seeded (`c_0`, then the 32-byte seed its `c_1`
+/// expands from, behind form byte 1): a form byte that is neither form, a
+/// seed cut short or a byte after the seed is `Malformed`, in a `Rotate`'s
+/// trailing operand and in an `Add` blob alike.
+#[test]
+fn a_seeded_operand_with_a_bad_form_a_short_seed_or_a_trailing_byte_is_malformed() {
+    let ctx = small_ctx();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    let mut rng = StdRng::seed_from_u64(15);
+    let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+    let pt = Encoder::new(ctx.clone())
+        .encode(&[Complex::new(0.25, 0.5)], 3, ctx.params().scale())
+        .unwrap();
+    let fresh = Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
+    assert!(fresh.is_seeded());
+    let ct = serialize_ciphertext(&fresh);
+    // Magic, version, degree, limb count, three moduli, the scale.
+    let form_at = 4 + 1 + 4 + 4 + 8 * 3 + 8;
+    assert_eq!(ct[form_at], 1, "a fresh operand is seeded");
+    let mut bad_form = ct.clone();
+    bad_form[form_at] = 2;
+    let short_seed = ct[..ct.len() - 1].to_vec();
+    let mut trailing = ct.clone();
+    trailing.push(0);
+
+    let rotate = |client: &mut Client, operand: &[u8]| {
+        let mut w = BodyWriter::new();
+        w.u64(sid).i64(0).raw(operand);
+        client.call_raw(Opcode::Rotate as u8, &w.0)
+    };
+    let add = |client: &mut Client, a: &[u8]| {
+        let mut w = BodyWriter::new();
+        w.u64(sid).blob(a).blob(&ct);
+        client.call_raw(Opcode::Add as u8, &w.0)
+    };
+    for operand in [&bad_form, &short_seed, &trailing] {
+        expect_code(rotate(&mut client, operand), ErrorCode::Malformed);
+        expect_code(add(&mut client, operand), ErrorCode::Malformed);
+    }
+    // The session still serves the well-formed operand.
+    assert_eq!(rotate(&mut client, &ct).unwrap(), ct);
+    add(&mut client, &ct).unwrap();
+    server.shutdown();
+}
+
 /// A relin key whose digit count is not the context's `dnum` is refused at
 /// upload, so no `Mult` ever runs a key switch it cannot finish.
 #[test]
