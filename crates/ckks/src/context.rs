@@ -38,8 +38,8 @@ pub struct CkksContext {
     extender_cache: Mutex<HashMap<(usize, usize), Arc<BasisExtender>>>,
     automorphism_cache: Mutex<HashMap<u64, Arc<Automorphism>>>,
     /// The expansion of a switching key's seed into its `dnum` `a_j` over
-    /// `Q ∪ P`, or any level's share of them, its jumps built once here;
-    /// a fresh ciphertext's `c_1` is limbs `0..ℓ` of its first polynomial.
+    /// `Q ∪ P`, drawn a limb at a time, its jumps built once here; a fresh
+    /// ciphertext's `c_1` is limbs `0..ℓ` of its first polynomial.
     key_a: SeededUniform,
     /// Reusable word buffers for the hot ring operations: after warm-up,
     /// key switching and rescaling allocate nothing per call.
@@ -241,11 +241,13 @@ impl CkksContext {
         }
     }
 
-    /// Bytes of a whole expanded switching key: both polynomials of each of
-    /// the `dnum` digits over `Q ∪ P`.
+    /// Bytes of a whole switching key as it is held: the `b_j` of each of
+    /// the `dnum` digits over `Q ∪ P` in 8-byte words, plus the 32-byte
+    /// seed its `a_j` are drawn from — [`crate::SwitchingKey::size_bytes`]
+    /// of any whole key, half the residues of the key with its `a_j`.
     pub fn switching_key_bytes(&self) -> u64 {
         let words = self.full_basis.len() * self.full_basis.degree();
-        (2 * self.params.dnum() * words * 8) as u64
+        (32 + self.params.dnum() * words * 8) as u64
     }
 
     /// The limbs of `Q ∪ P` a switching key expanded at limb count `ell`
@@ -256,21 +258,20 @@ impl CkksContext {
             .collect()
     }
 
-    /// The `a_j` the switching key `seed` regenerates (key compression),
-    /// expanded at limb count `ell` ([`CkksContext::key_digits_at`] digits
-    /// over `Q_ℓ ∪ P`): `StdRng::from_seed(seed)`'s uniform draws over
-    /// `Q ∪ P`, digit after digit, with only those limbs drawn, each
-    /// polynomial in its own buffer.
-    pub(crate) fn seeded_key_a(&self, seed: [u8; 32], ell: usize) -> Vec<RnsPoly> {
-        let (digits, limbs) = (self.key_digits_at(ell), self.key_limbs_at(ell));
-        let basis = self.raised_basis(ell);
-        let mut a: Vec<Vec<u64>> = (0..digits)
-            .map(|_| Vec::with_capacity(limbs.len() * basis.degree()))
-            .collect();
-        self.key_a.expand_limbs(seed, &limbs, &mut a);
-        (a.into_iter())
-            .map(|a| RnsPoly::from_flat(basis.clone(), a, Representation::Evaluation))
-            .collect()
+    /// Limb `limb` of `Q ∪ P` of the first `digits` of the `a_j` the
+    /// switching-key seed `seed` stands for, appended to `out` digit after
+    /// digit: `StdRng::from_seed(seed)`'s uniform draws over `Q ∪ P`, digit
+    /// after digit, at stream position `j·|Q ∪ P| + limb` for digit `j`,
+    /// and nothing else drawn. A key switch and key generation draw each
+    /// limb so just before they multiply it; no `a_j` is ever held whole.
+    pub(crate) fn draw_key_a(
+        &self,
+        seed: [u8; 32],
+        limb: usize,
+        digits: usize,
+        out: &mut Vec<u64>,
+    ) {
+        self.key_a.expand_limb(seed, limb, digits, out);
     }
 
     /// The `c_1` a fresh symmetric encryption at limb count `ell` takes
@@ -337,7 +338,7 @@ mod tests {
         assert_eq!(ctx.key_digits_at(4), 2);
         assert_eq!(ctx.key_digits_at(2), 1);
         assert_eq!(ctx.key_limbs_at(2), [0, 1, 4, 5]);
-        assert_eq!(ctx.switching_key_bytes(), 2 * 2 * 6 * 32 * 8);
+        assert_eq!(ctx.switching_key_bytes(), 32 + 2 * 6 * 32 * 8);
         // q_0 is the large modulus.
         assert!(ctx.q_basis().modulus(0).bits() >= 35);
         assert!(ctx.q_basis().modulus(1).bits() <= 31);

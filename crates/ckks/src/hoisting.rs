@@ -625,13 +625,13 @@ pub fn apply_bsgs(
         // The inner sum Σ_b pt_{g,b} ⊙ rot_b(ct); a raised one is the total
         // itself (group 0) or comes down to be rotated.
         let (c0, c1) = if unrotated_alone(group) {
-            pair_sum(base, &[(group[0].1, &ct.c0, ct.c1())], None, pool)
+            pair_sum(base, &[(group[0].1, &ct.c0, ct.c1())], pool)
         } else {
             let legs: Vec<_> = group
                 .iter()
                 .map(|&(b, pt)| (pt, &babies[&b].v, &babies[&b].u))
                 .collect();
-            let (v, u) = pair_sum(raised, &legs, None, pool);
+            let (v, u) = pair_sum(raised, &legs, pool);
             let inner = RaisedKeySwitch { u, v };
             if giant == 0 {
                 total = Some(inner);

@@ -1,10 +1,13 @@
 //! Key material: secret, public, relinearization, Galois and generic
-//! switching keys. Every switching key is generated in the paper's **key
-//! compression** form (Section 3.2): a 32-byte PRNG seed regenerates the
-//! uniformly random first polynomial `a_j` of every digit, so a key is
-//! stored and sent as its seed plus the `b_j`, half its expanded bytes.
+//! switching keys. Every switching key is generated and held in the
+//! paper's **key compression** form (Section 3.2): a 32-byte PRNG seed
+//! stands for the uniformly random first polynomial `a_j` of every digit,
+//! so a key is stored, sent and read as its seed plus the `b_j`, half the
+//! residues of the key with its `a_j`; the key switch draws each limb of
+//! the `a_j` as it multiplies it.
 
 use crate::context::CkksContext;
+use fhe_math::backend::{ShoupPair, UnrolledBackend};
 use fhe_math::poly::{Representation, RnsPoly};
 use fhe_math::sampling::{sample_gaussian, sample_ternary, sample_uniform_flat};
 use fhe_math::telemetry::OperandClass;
@@ -49,27 +52,25 @@ impl fmt::Debug for PublicKey {
     }
 }
 
-/// One digit of a switching key: a pair `(a_j, b_j)` over `Q ∪ P`.
-#[derive(Clone)]
-pub struct DigitKey {
-    pub(crate) a: RnsPoly,
-    pub(crate) b: RnsPoly,
-}
-
 /// A switching key `ksk_{s_src → s_dst}` in the Han–Ki hybrid structure: a
-/// `2 × dnum` matrix of polynomials over `R_{PQ}` (Eq. 2 of the paper).
+/// `2 × dnum` matrix of polynomials over `R_{PQ}` (Eq. 2 of the paper),
+/// held in the paper's key-compression form — the `b_j` row, and the
+/// 32-byte seed the uniform `a_j` row is drawn from, a limb at a time,
+/// by every key switch that reads it ([`crate::keyswitch::inner_product`]).
+/// No `a_j` is stored.
 #[derive(Clone)]
 pub struct SwitchingKey {
-    pub(crate) digits: Vec<DigitKey>,
-    /// The seed that regenerates every `a_j` — the transferable form of
-    /// the key-compression optimization.
+    /// The `b_j`, digit by digit, over `Q_ℓ' ∪ P` for the limb count `ℓ'`
+    /// the key holds (`L` for a whole key).
+    pub(crate) b: Vec<RnsPoly>,
+    /// The seed every `a_j` is drawn from.
     pub(crate) seed: [u8; 32],
 }
 
 impl fmt::Debug for SwitchingKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SwitchingKey")
-            .field("digits", &self.digits.len())
+            .field("digits", &self.b.len())
             .finish()
     }
 }
@@ -77,26 +78,18 @@ impl fmt::Debug for SwitchingKey {
 impl SwitchingKey {
     /// Number of digit keys (`dnum`).
     pub fn digit_count(&self) -> usize {
-        self.digits.len()
+        self.b.len()
     }
 
-    /// Size in bytes when both polynomials of every digit are stored.
-    pub fn size_bytes(&self) -> u64 {
-        let per_poly = |p: &RnsPoly| 8 * p.degree() as u64 * p.limb_count() as u64;
-        self.digits
-            .iter()
-            .map(|d| per_poly(&d.a) + per_poly(&d.b))
-            .sum()
-    }
-
-    /// Size in bytes of the seeded form held as 8-byte words, the `a_j`
-    /// replaced by the 32-byte seed — exactly half plus the seed, the
-    /// paper's 2× key-read reduction. The wire form
+    /// Bytes the key holds: its `b_j` as 8-byte words, plus the 32-byte
+    /// seed — half the residues of the key with its `a_j`, the paper's 2×
+    /// key-read reduction. A whole key's is
+    /// [`CkksContext::switching_key_bytes`]. The wire form
     /// ([`crate::serialize::serialize_switching_key`]) packs each residue
     /// at its modulus's width and is smaller still.
-    pub fn compressed_size_bytes(&self) -> u64 {
-        let per_poly = |p: &RnsPoly| 8 * p.degree() as u64 * p.limb_count() as u64;
-        32 + self.digits.iter().map(|d| per_poly(&d.b)).sum::<u64>()
+    pub fn size_bytes(&self) -> u64 {
+        let words: usize = self.b.iter().map(|b| b.flat().len()).sum();
+        32 + 8 * words as u64
     }
 }
 
@@ -245,9 +238,16 @@ impl KeyGenerator {
     /// `Q ∪ P` basis, evaluation representation — e.g. `s²` or `σ_k(s)`)
     /// to the secret `s`.
     ///
-    /// The `a_j` components are regenerated from `seed` (key compression);
-    /// `rng` draws only the errors `e_j`. The key records the seed, which
-    /// with the `b_j` is its wire form.
+    /// The `a_j` components are drawn from `seed` (key compression);
+    /// `rng` draws only the errors `e_j`, one per digit in digit order.
+    /// The key records the seed, which with the `b_j` is what it holds.
+    ///
+    /// `b_j = e_j − a_j·s + [P]_{q_i}·src` on digit `j`'s limbs, `e_j −
+    /// a_j·s` elsewhere, is finished one limb at a time: limb `i` of every
+    /// `a_j` is drawn into one tile, then each `b_j`'s limb `i` is
+    /// negated, accumulates `a_j·s`, is negated back and, on digit `j`'s
+    /// limbs, gains `[P]_{q_i}·src` — no `a_j`, `a_j·s` or copy of `src`
+    /// is ever held whole.
     pub fn switching_key<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -264,43 +264,38 @@ impl KeyGenerator {
         let full = self.ctx.full_basis().clone();
         let n = self.ctx.params().degree();
         let l = self.ctx.params().levels();
-
-        // [P]_{q_i} for the g_j factors.
-        let p_mod_q: Vec<u64> = (0..l)
-            .map(|i| {
-                let qi = full.modulus(i);
-                let mut p = 1u64;
-                for pj in self.ctx.p_basis().moduli() {
-                    p = qi.mul(p, qi.reduce(pj.value()));
-                }
-                p
+        let dnum = self.ctx.params().dnum();
+        let mut b: Vec<RnsPoly> = (0..dnum)
+            .map(|_| {
+                let mut e = RnsPoly::from_signed_coeffs(full.clone(), &sample_gaussian(rng, n));
+                e.to_eval();
+                e.set_operand_class(OperandClass::Key);
+                e
             })
             .collect();
-
-        let mut digits = Vec::new();
-        for (j, mut a) in self.ctx.seeded_key_a(seed, l).into_iter().enumerate() {
-            let e_signed = sample_gaussian(rng, n);
-            let mut b = RnsPoly::from_signed_coeffs(full.clone(), &e_signed);
-            b.to_eval();
-            // b_j = e_j − a_j·s + P·g_j·src
-            let mut as_term = a.clone();
-            as_term.mul_assign_pointwise(&sk.full);
-            b.sub_assign(&as_term);
-            // P·g_j·src: per-limb constant — [P]_{q_i} on digit-j limbs,
-            // zero elsewhere (including all special limbs).
-            let digit_range = self.ctx.digit_range(l, j);
-            let mut factors = vec![0u64; full.len()];
-            for i in digit_range {
-                factors[i] = p_mod_q[i];
+        let pool = self.ctx.scratch();
+        let mut a = pool.take_vec(dnum * n);
+        for i in 0..full.len() {
+            let m = full.modulus(i);
+            a.clear();
+            self.ctx.draw_key_a(seed, i, dnum, &mut a);
+            for (j, (b, a)) in b.iter_mut().zip(a.chunks_exact_mut(n)).enumerate() {
+                let limb = b.limb_mut(i);
+                UnrolledBackend.pointwise_neg(m, limb);
+                UnrolledBackend.pointwise_mul_add(m, limb, a, sk.full.limb(i));
+                UnrolledBackend.pointwise_neg(m, limb);
+                if self.ctx.digit_range(l, j).contains(&i) {
+                    // [P]_{q_i}·src_i, in the tile limb `a_j` no longer needs.
+                    let p = (self.ctx.p_basis().moduli().iter())
+                        .fold(1, |p, pj| m.mul(p, m.reduce(pj.value())));
+                    a.copy_from_slice(src.limb(i));
+                    UnrolledBackend.scale_shoup(m, a, ShoupPair::new(m, p));
+                    UnrolledBackend.pointwise_add(m, limb, a);
+                }
             }
-            let mut lifted = src.clone();
-            lifted.mul_scalar_per_limb_assign(&factors);
-            b.add_assign(&lifted);
-            a.set_operand_class(OperandClass::Key);
-            b.set_operand_class(OperandClass::Key);
-            digits.push(DigitKey { a, b });
         }
-        SwitchingKey { digits, seed }
+        pool.recycle_vec(a);
+        SwitchingKey { b, seed }
     }
 
     /// Generates the relinearization key (`s² → s`), its seed the first
@@ -445,10 +440,27 @@ mod tests {
         let sk = kg.secret_key(&mut rng);
         let rlk = kg.relin_key(&mut rng, &sk);
         assert_eq!(rlk.switching_key().digit_count(), 2);
-        let full = rlk.switching_key().size_bytes();
-        let compressed = rlk.switching_key().compressed_size_bytes();
-        // Compression halves the key (plus the 32-byte seed).
-        assert_eq!(full / 2 + 32, compressed);
+        // The seed plus the `b_j` alone: two digits of six 32-word limbs.
+        assert_eq!(rlk.switching_key().size_bytes(), 32 + 2 * 6 * 32 * 8);
+        assert_eq!(rlk.switching_key().size_bytes(), ctx.switching_key_bytes());
+    }
+
+    /// The `a_j` of `key`'s first `digits` digits over `Q ∪ P`, as the key
+    /// switch draws them: limb by limb from the key's seed.
+    fn drawn_a(ctx: &CkksContext, key: &SwitchingKey, digits: usize) -> Vec<RnsPoly> {
+        let (full, n) = (ctx.full_basis(), ctx.params().degree());
+        let mut a = vec![Vec::new(); digits];
+        let mut limb = Vec::new();
+        for i in 0..full.len() {
+            limb.clear();
+            ctx.draw_key_a(key.seed, i, digits, &mut limb);
+            for (a, drawn) in a.iter_mut().zip(limb.chunks_exact(n)) {
+                a.extend_from_slice(drawn);
+            }
+        }
+        (a.into_iter())
+            .map(|a| RnsPoly::from_flat(full.clone(), a, Representation::Evaluation))
+            .collect()
     }
 
     #[test]
@@ -460,22 +472,48 @@ mod tests {
         let seed = [7u8; 32];
         let k1 = kg.switching_key(&mut rng, &sk.full.clone(), &sk, seed);
         let k2 = kg.switching_key(&mut rng, &sk.full.clone(), &sk, seed);
-        for (d1, d2) in k1.digits.iter().zip(&k2.digits) {
-            for i in 0..d1.a.limb_count() {
-                assert_eq!(d1.a.limb(i), d2.a.limb(i), "a must be seed-determined");
+        let (a1, a2) = (drawn_a(&ctx, &k1, 2), drawn_a(&ctx, &k2, 2));
+        for (d1, d2) in a1.iter().zip(&a2) {
+            for i in 0..d1.limb_count() {
+                assert_eq!(d1.limb(i), d2.limb(i), "a must be seed-determined");
             }
         }
         // b differs (fresh error), as required for security.
-        assert_ne!(k1.digits[0].b.limb(0), k2.digits[0].b.limb(0));
+        assert_ne!(k1.b[0].limb(0), k2.b[0].limb(0));
+        // With the drawn a_j each digit is an RLWE sample of its lifted
+        // source: b_j + a_j·s − [P]·g_j·src is the small error e_j.
+        for (j, (b, a)) in k1.b.iter().zip(&a1).enumerate() {
+            let mut e = a.clone();
+            e.mul_assign_pointwise(&sk.full);
+            e.add_assign(b);
+            let p_basis = ctx.p_basis();
+            let mut lifted = sk.full.clone();
+            let factors: Vec<u64> = (0..ctx.full_basis().len())
+                .map(|i| {
+                    let m = ctx.full_basis().modulus(i);
+                    let p =
+                        (p_basis.moduli().iter()).fold(1, |p, pj| m.mul(p, m.reduce(pj.value())));
+                    if ctx.digit_range(4, j).contains(&i) {
+                        p
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            lifted.mul_scalar_per_limb_assign(&factors);
+            e.sub_assign(&lifted);
+            e.to_coeff();
+            assert!(e.inf_norm() < 30.0, "digit {j}: norm {}", e.inf_norm());
+        }
     }
 
-    /// Asserts two keys equal digit for digit, limb for limb, and in seed.
+    /// Asserts two keys equal digit for digit, limb for limb, and in seed
+    /// (which fixes every drawn `a_j`).
     fn assert_same_key(x: &SwitchingKey, y: &SwitchingKey) {
         assert_eq!(x.seed, y.seed);
         assert_eq!(x.digit_count(), y.digit_count());
-        for (dx, dy) in x.digits.iter().zip(&y.digits) {
-            assert_eq!(dx.a.flat(), dy.a.flat());
-            assert_eq!(dx.b.flat(), dy.b.flat());
+        for (bx, by) in x.b.iter().zip(&y.b) {
+            assert_eq!(bx.flat(), by.flat());
         }
     }
 

@@ -3,13 +3,15 @@
 //!
 //! The switching-key format makes the paper's **key compression**
 //! (§3.2) concrete: every key serializes as its 32-byte seed plus only
-//! the `b` polynomials — exactly half the residues of an expanded key — and
-//! deserialization regenerates every `a_j` from the seed. This is the
-//! "transfer the short PRNG key in place of the first switching key
-//! polynomial" folklore the paper measures. [`serialize_galois_keys`]
-//! extends the same trade to a whole rotation-key set, so a client can
-//! ship every hoisting key in one framed message and the server can keep
-//! them compressed until an operation actually needs one.
+//! the `b` polynomials — exactly half the residues of the key with its
+//! `a_j` — and deserialization decodes the `b_j` back into the form a key
+//! is held in, seed and `b_j`; the key switch draws the `a_j` from the
+//! seed as it reads them. This is the "transfer the short PRNG key in
+//! place of the first switching key polynomial" folklore the paper
+//! measures. [`serialize_galois_keys`] extends the same trade to a whole
+//! rotation-key set, so a client can ship every hoisting key in one framed
+//! message and the server can keep them packed until an operation actually
+//! needs one.
 //!
 //! Fresh ciphertexts make the same trade: a symmetric encryption expands
 //! its uniform `c_1` from a 32-byte seed it keeps, and travels as `c_0`
@@ -35,7 +37,7 @@
 //! [`SerializeError::VersionMismatch`].
 
 use crate::context::CkksContext;
-use crate::keys::{DigitKey, GaloisKeys, SwitchingKey};
+use crate::keys::{GaloisKeys, SwitchingKey};
 use crate::plaintext::{Ciphertext, CiphertextSeed, Plaintext};
 use fhe_math::codec::{limb_width, pack_limb, unpack_limb};
 use fhe_math::poly::{Representation, RnsPoly};
@@ -428,12 +430,12 @@ pub fn lease_plaintext(ctx: &CkksContext, bytes: &[u8]) -> Result<Plaintext, Ser
 /// `b` polynomials (half the residues of the expanded key).
 pub fn write_switching_key(key: &SwitchingKey, out: &mut Vec<u8>) {
     let mut w = Writer::new(out);
-    write_basis_header(&mut w, key.digits[0].b.basis());
-    w.u32(key.digits.len() as u32);
+    write_basis_header(&mut w, key.b[0].basis());
+    w.u32(key.b.len() as u32);
     w.0.push(SEEDED);
     w.0.extend_from_slice(&key.seed);
-    for d in &key.digits {
-        w.poly_limbs(&d.b);
+    for b in &key.b {
+        w.poly_limbs(b);
     }
 }
 
@@ -510,10 +512,9 @@ impl<'a> KeyWire<'a> {
         Ok(())
     }
 
-    /// The key expanded at limb count `ell`: the `b_j` of its digits
-    /// decoded and checked at its limbs only, then the seed's `a_j` drawn
-    /// at those limbs (`CkksContext::seeded_key_a`, the expansion key
-    /// generation runs too).
+    /// The key at limb count `ell`: the `b_j` of its digits decoded and
+    /// checked at its limbs only, beside the seed the key switch draws the
+    /// `a_j` from.
     fn expand(&self, ctx: &CkksContext, ell: usize) -> Result<SwitchingKey, SerializeError> {
         let limbs = ctx.key_limbs_at(ell);
         let basis = ctx.raised_basis(ell);
@@ -528,21 +529,17 @@ impl<'a> KeyWire<'a> {
                 Representation::Evaluation,
             ))
         };
-        // Every `b_j` is read and checked before the seed is expanded.
-        let b: Vec<RnsPoly> = (0..ctx.key_digits_at(ell))
-            .map(b_j)
-            .collect::<Result<_, _>>()?;
-        let a = ctx.seeded_key_a(self.seed, ell);
-        let digits = a.into_iter().zip(b).map(|(a, b)| DigitKey { a, b });
         Ok(SwitchingKey {
-            digits: digits.collect(),
+            b: (0..ctx.key_digits_at(ell))
+                .map(b_j)
+                .collect::<Result<_, _>>()?,
             seed: self.seed,
         })
     }
 }
 
-/// Deserializes a switching key, regenerating the `a` components from its
-/// seed: the whole key, the top-level case of
+/// Deserializes a switching key — its seed and its `b_j`, the form a key
+/// is held in: the whole key, the top-level case of
 /// [`deserialize_switching_key_at`].
 ///
 /// # Errors
@@ -558,9 +555,9 @@ pub fn deserialize_switching_key(
 
 /// Deserializes a switching key expanded at limb count `ell`: the
 /// [`CkksContext::key_digits_at`] digits a key switch at up to `ell` limbs
-/// reads, over `Q_ℓ ∪ P`. Only those limbs are decoded and range-checked,
-/// and only those of the `a_j` regenerated from the seed; the rest of the
-/// wire form is checked only for its length (see [`check_switching_key`]).
+/// reads, over `Q_ℓ ∪ P`. Only those limbs of the `b_j` are decoded and
+/// range-checked; the rest of the wire form is checked only for its length
+/// (see [`check_switching_key`]).
 /// Such a key gives every key switch at `ell` limbs or fewer the bits the
 /// whole key gives, and is not itself a wire form: serialize the whole key.
 ///
@@ -686,6 +683,23 @@ mod tests {
         )
     }
 
+    /// Asserts `got` is `orig`'s key: the same `b_j` limb for limb, and
+    /// the same `a_j` limbs drawn from its seed.
+    fn assert_same_key(ctx: &CkksContext, orig: &SwitchingKey, got: &SwitchingKey) {
+        assert_eq!(orig.b.len(), got.b.len());
+        for (x, y) in orig.b.iter().zip(&got.b) {
+            assert_eq!(x.flat(), y.flat());
+        }
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        for i in 0..ctx.full_basis().len() {
+            x.clear();
+            y.clear();
+            ctx.draw_key_a(orig.seed, i, orig.b.len(), &mut x);
+            ctx.draw_key_a(got.seed, i, got.b.len(), &mut y);
+            assert_eq!(x, y, "a_j limb {i} must draw the same");
+        }
+    }
+
     #[test]
     fn ciphertext_roundtrip_bit_exact() {
         let ctx = ctx();
@@ -716,28 +730,20 @@ mod tests {
         let sk = keygen.secret_key(&mut rng);
         let seeded_key = keygen.relin_key(&mut rng, &sk);
 
-        let expanded_bytes = seeded_key.switching_key().size_bytes();
+        // Held as seed and `b_j`: half the residues of the key with its
+        // `a_j`; on the wire, header overhead aside, no more than that.
+        let held_bytes = seeded_key.switching_key().size_bytes();
+        let with_a = 2 * (held_bytes - 32);
         let compressed_bytes = serialize_switching_key(seeded_key.switching_key());
-        // Header overhead aside, compressed ≈ half of expanded.
         assert!(
-            (compressed_bytes.len() as f64) < 0.55 * expanded_bytes as f64,
-            "{} vs {expanded_bytes}",
+            (compressed_bytes.len() as f64) < 0.55 * with_a as f64,
+            "{} vs {with_a}",
             compressed_bytes.len(),
         );
 
         // Deserialize and use for a real multiplication.
         let restored = deserialize_switching_key(&ctx, &compressed_bytes).unwrap();
-        for (orig, got) in seeded_key
-            .switching_key()
-            .digits
-            .iter()
-            .zip(&restored.digits)
-        {
-            for i in 0..orig.a.limb_count() {
-                assert_eq!(orig.a.limb(i), got.a.limb(i), "a must regenerate exactly");
-                assert_eq!(orig.b.limb(i), got.b.limb(i));
-            }
-        }
+        assert_same_key(&ctx, seeded_key.switching_key(), &restored);
         let encoder = Encoder::new(ctx.clone());
         let encryptor = Encryptor::new(ctx.clone());
         let decryptor = Decryptor::new(ctx.clone());
@@ -985,13 +991,7 @@ mod tests {
         for key in &keys {
             let back = deserialize_switching_key(&ctx, &serialize_switching_key(key)).unwrap();
             assert_eq!(back.seed, key.seed);
-            assert_eq!(back.digits.len(), key.digits.len());
-            for (orig, got) in key.digits.iter().zip(&back.digits) {
-                for i in 0..orig.a.limb_count() {
-                    assert_eq!(orig.a.limb(i), got.a.limb(i));
-                    assert_eq!(orig.b.limb(i), got.b.limb(i));
-                }
-            }
+            assert_same_key(&ctx, key, &back);
         }
     }
 
@@ -1053,13 +1053,7 @@ mod tests {
         let back = deserialize_galois_keys(&ctx, &bytes).unwrap();
         assert_eq!(back.len(), gk.len());
         for (element, key) in gk.iter() {
-            let restored = back.get(element).unwrap();
-            for (orig, got) in key.digits.iter().zip(&restored.digits) {
-                for i in 0..orig.a.limb_count() {
-                    assert_eq!(orig.a.limb(i), got.a.limb(i));
-                    assert_eq!(orig.b.limb(i), got.b.limb(i));
-                }
-            }
+            assert_same_key(&ctx, key, back.get(element).unwrap());
         }
 
         // Corrupt bundle headers are rejected, not panicked on.
@@ -1120,12 +1114,12 @@ mod tests {
             w.0
         }
         fn switching_key(key: &SwitchingKey) -> Vec<u8> {
-            let mut w = Self::header(key.digits[0].a.basis());
-            w.0.extend_from_slice(&(key.digits.len() as u32).to_le_bytes());
+            let mut w = Self::header(key.b[0].basis());
+            w.0.extend_from_slice(&(key.b.len() as u32).to_le_bytes());
             w.0.push(1);
             w.0.extend_from_slice(&key.seed);
-            for d in &key.digits {
-                w.poly(&d.b);
+            for b in &key.b {
+                w.poly(b);
             }
             w.0
         }

@@ -254,10 +254,9 @@ fn compressed_relin_key_computes_identically() {
     let a = h.values(|_| Complex::new(0.6, 0.2));
     let sk = h.keygen.secret_key(&mut h.rng);
     let rlk_compressed = h.keygen.relin_key_compressed(&mut h.rng, &sk);
-    assert!(
-        rlk_compressed.switching_key().compressed_size_bytes()
-            < rlk_compressed.switching_key().size_bytes() / 2 + 64
-    );
+    // Held as the seed plus one row of the 2 × dnum matrix: the `b_j`.
+    let row = 8 * 3 * h.ctx.full_basis().len() as u64 * h.ctx.params().degree() as u64;
+    assert_eq!(rlk_compressed.switching_key().size_bytes(), 32 + row);
     let scale = h.ctx.params().scale();
     let pa = h.encoder.encode(&a, 4, scale).unwrap();
     let ct = h.encryptor.encrypt_symmetric(&mut h.rng, &pa, &sk);
@@ -289,11 +288,15 @@ fn compressed_galois_keys_halve_bytes_and_rotate_identically() {
     let sk = h.keygen.secret_key(&mut h.rng);
     let keys = h.keygen.galois_keys(&mut h.rng, &sk, &[1, 2, 4], true);
     assert_eq!(keys.iter().count(), 4);
-    let expanded: u64 = keys.iter().map(|(_, k)| k.size_bytes()).sum();
+    // Each key is held at half the residues of the key with its `a_j`,
+    // and travels packed at its moduli's widths, smaller still.
+    let held: u64 = keys.iter().map(|(_, k)| k.size_bytes()).sum();
+    assert_eq!(held, 4 * h.ctx.switching_key_bytes());
+    let with_a = 2 * (held - 4 * 32);
     let wire = serialize_galois_keys(&keys);
     assert!(
-        (wire.len() as f64) < 0.55 * expanded as f64,
-        "{} vs {expanded}",
+        (wire.len() as f64) < 0.55 * with_a as f64,
+        "{} vs {with_a}",
         wire.len()
     );
 
@@ -329,8 +332,9 @@ fn repeated_multiplication_leaves_the_scratch_pool_bounded() {
     // pool, and every buffer a `Mult` touches is a lease: the three tensor
     // legs (the operands are read in place, nothing is cloned), a raised
     // digit and its iNTT staging copy per digit, the two raised
-    // accumulators the lifted legs are added into, and the special-limb
-    // copy plus the output of each of the two merged ModDowns.
+    // accumulators the lifted legs are added into, the tile the key's
+    // `a_j` are drawn into a limb at a time, and the special-limb copy
+    // plus the output of each of the two merged ModDowns.
     h.evaluator
         .mul_with_key(&ct, &ct, rlk.switching_key())
         .recycle(pool);
@@ -343,5 +347,5 @@ fn repeated_multiplication_leaves_the_scratch_pool_bounded() {
     let after = pool.stats();
     assert_eq!(warm.misses, after.misses, "a warm Mult allocated");
     let beta = h.ctx.params().beta_at(4) as u64;
-    assert_eq!(after.leases - warm.leases, 5 * (3 + 2 * beta + 2 + 4));
+    assert_eq!(after.leases - warm.leases, 5 * (3 + 2 * beta + 2 + 1 + 4));
 }

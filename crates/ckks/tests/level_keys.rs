@@ -176,10 +176,11 @@ fn the_top_level_is_the_whole_key() {
     assert_eq!(serialize_switching_key(&whole), bytes);
     let at_top = deserialize_switching_key_at(&ctx, &bytes, 5).unwrap();
     assert_eq!(serialize_switching_key(&at_top), bytes);
-    // Two of five Q-limbs and the two special limbs, of one digit.
+    // The seed, and the `b_j` of one digit at two of five Q-limbs and the
+    // two special limbs.
     let low = deserialize_switching_key_at(&ctx, &bytes, 2).unwrap();
     assert_eq!(low.digit_count(), 1);
-    assert_eq!(low.size_bytes(), 2 * 4 * 64 * 8);
+    assert_eq!(low.size_bytes(), 32 + 4 * 64 * 8);
 }
 
 #[test]

@@ -245,8 +245,9 @@ fn warm_fold_allocates_nothing_from_the_pool() {
         // The raised `c0` and the two buffers of the last ModDown; per
         // stage the ModUp's digit and staging copy per digit and the two
         // buffers of its ModDown; per step the permuted `c0`, the permuted
-        // digits and the inner product's two sums.
-        let per_stage = |steps: u64| 2 * beta + 2 + steps * (1 + beta + 2);
+        // digits, the inner product's two sums and the tile it draws the
+        // key's `a_j` into a limb at a time.
+        let per_stage = |steps: u64| 2 * beta + 2 + steps * (1 + beta + 2 + 1);
         let want: u64 = 3 + stages
             .iter()
             .map(|s| per_stage(s.len() as u64))

@@ -102,22 +102,15 @@ impl AlgoOpts {
         Self::default()
     }
 
-    /// Everything on (the paper's final configuration).
+    /// Everything on (the paper's final configuration): the schedule the
+    /// functional library runs, its key switches reading each key's `b_j`
+    /// and drawing the `a_j` from the seed.
     pub fn all() -> Self {
         Self {
             moddown_merge: true,
             moddown_hoist: true,
             modup_hoist: true,
             key_compression: true,
-        }
-    }
-
-    /// The schedule the functional library runs: every optimization but
-    /// key compression, since each key switch reads an expanded key.
-    pub fn library() -> Self {
-        Self {
-            key_compression: false,
-            ..Self::all()
         }
     }
 

@@ -962,7 +962,7 @@ impl CostModel {
     /// charged to its first `Rotate` and a `BsgsMatVec` is the
     /// double-hoisted schedule over pre-encoded diagonals, and otherwise
     /// each rung is priced as written and a `BsgsMatVec` is
-    /// [`CostModel::pt_mat_vec_mult`]. At [`crate::opts::AlgoOpts::library`]
+    /// [`CostModel::pt_mat_vec_mult`]. At [`crate::opts::AlgoOpts::all`]
     /// this is exactly the schedule the `fhe-program` executor runs.
     pub fn program_cost(&self, program: &Program, info: &ProgramInfo) -> ProgramCost {
         let n = self.params.degree();
@@ -2061,7 +2061,7 @@ mod tests {
         };
         let library = MadConfig {
             caching: CachingLevel::Baseline,
-            algo: AlgoOpts::library(),
+            algo: AlgoOpts::all(),
         };
         let m = CostModel::new(params, library);
         let rungs: Vec<i64> = (0..13).map(|i| 1i64 << i).collect();
@@ -2137,7 +2137,7 @@ mod tests {
         stages.push(vec![1 << 13]);
         stages.push(vec![5, 1 << 13, 5 + (1 << 13)]);
         let fold = |caching| {
-            let algo = AlgoOpts::library();
+            let algo = AlgoOpts::all();
             CostModel::new(params, MadConfig { caching, algo }).rotate_fold(7, &stages)
         };
         let one_limb = fold(CachingLevel::OneLimb);
@@ -2157,9 +2157,9 @@ mod tests {
         let bytes = |c: Cost| (c.ct_read, c.ct_write, c.key_read, c.pt_read);
         assert_eq!(
             bytes(fold(CachingLevel::Baseline)),
-            (394_526_720, 299_368_448, 165_150_720, 0)
+            (394_526_720, 299_368_448, 82_575_360, 0)
         );
-        assert_eq!(bytes(one_limb), (340_393_984, 245_235_712, 165_150_720, 0));
+        assert_eq!(bytes(one_limb), (340_393_984, 245_235_712, 82_575_360, 0));
     }
 
     #[test]
@@ -2234,7 +2234,7 @@ mod tests {
             let caching = CachingLevel::OneLimb;
             CostModel::new(params, MadConfig { caching, algo })
         };
-        let m = at(AlgoOpts::library());
+        let m = at(AlgoOpts::all());
         let priced = m.program_cost(&p, &info);
         assert_eq!(priced.per_instr.len(), p.instrs.len());
         // The fold equals the sum of the per-instruction rows.
@@ -2246,7 +2246,11 @@ mod tests {
         let two_rotates = m.rotate(4) * 2;
         let pair: Cost = priced.per_instr[1..3].iter().copied().sum();
         assert!(pair.ops() < two_rotates.ops(), "hoisting must save compute");
-        let unhoisted = at(AlgoOpts::none()).program_cost(&p, &info);
+        let unhoisted = at(AlgoOpts {
+            key_compression: true,
+            ..AlgoOpts::none()
+        })
+        .program_cost(&p, &info);
         assert_eq!(unhoisted.per_instr[1..3], [m.rotate(4); 2]);
         // The price is what the configuration's algorithms say. At the
         // library's schedule a `Mult` is the merged sequence and a

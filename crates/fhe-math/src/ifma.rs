@@ -4,7 +4,7 @@
 //! pointwise products, for the streaming kernel that carries every
 //! single-word pass — add, sub, neg, the scalar ops, the Shoup scalings
 //! and the centred lift — and for the seeded uniform expansion that
-//! regenerates a compressed switching key's `a_j`.
+//! draws a switching key's `a_j`, a limb at a time, inside the key switch.
 //!
 //! `vpmadd52luq` / `vpmadd52huq` multiply the low 52 bits of each 64-bit
 //! lane and add the low / high 52 bits of the 104-bit product to an
@@ -42,7 +42,8 @@
 //! The seeded expansion runs eight xoshiro256++ generators, one per lane,
 //! each started, and restarted where its words skip part of the stream, by
 //! a GF(2) jump to its own stretch of the one stream
-//! (`sampling::SeededUniform` says which): the selection's limbs are cut
+//! (`sampling::SeededUniform` says which) — the lanes that restart at one
+//! step jumped together, in one 8-lane pass: the selection's limbs are cut
 //! into eighths and every lane draws the same number of them, so no lane
 //! idles whatever the limb count. Eight steps draw eight words per lane;
 //! the `Uniform` draw `⌊r·q/2^64⌋` for `q < 2^50` is two `madd52hi` and one
@@ -72,7 +73,7 @@ use crate::backend::{BasisExtView, DigitTerm, SlotOp, Start};
 use crate::modular::Modulus;
 use crate::ntt::NttTable;
 use crate::sampling::LimbDraw;
-use crate::xoshiro::State;
+use crate::xoshiro::{Jump, State};
 use std::sync::OnceLock;
 
 /// The lanes of one register: eight 64-bit words.
@@ -329,29 +330,34 @@ impl Lanes {
     /// the `out.len()` buffers, an equal share each (draw `g` is limb
     /// `g mod m/polys` of buffer `g·polys/m`): with every limb cut into
     /// eighths, lane `j` draws eighths `[j·m, (j+1)·m)` of the `8·m`,
-    /// starting each run of stream-adjacent eighths from `restart(u)`, the
-    /// state at eighth `u = 8t + r` of the stream (eighth `r` of limb `t`);
-    /// see `sampling::SeededUniform`. Every modulus is below `2^50` and `n`
-    /// is a multiple of 64.
+    /// starting each run of stream-adjacent eighths from `first` jumped by
+    /// `jumps[u]`, the state at eighth `u = 8t + r` of the stream (eighth
+    /// `r` of limb `t`); see `sampling::SeededUniform`. Every modulus is
+    /// below `2^50` and `n` is a multiple of 64.
     pub(crate) fn uniform(
         self,
         draws: &[LimbDraw],
         out: &mut [Vec<u64>],
         n: usize,
-        restart: &dyn Fn(usize) -> State,
+        first: State,
+        jumps: &[Jump],
     ) {
         let polys = out.len();
         assert!(n.is_multiple_of(8 * LANES) && draws.len() == polys * (draws.len() / polys.max(1)));
+        assert!(
+            draws.iter().all(|d| 8 * d.t + 7 < jumps.len()),
+            "an eighth without its jump"
+        );
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `self` exists only where `detected()` found avx512f and
-        // avx512ifma, the target features of the function; the assertion
-        // above is the rest of its contract.
+        // avx512ifma, the target features of the function; the assertions
+        // above are the rest of its contract.
         unsafe {
-            x86::uniform(draws, out, n, &|u| restart(u).0)
+            x86::uniform(draws, out, n, first.0, jumps)
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
-            let _ = (draws, out, n, restart);
+            let _ = (draws, out, n, first, jumps);
             unreachable!("a `Lanes` is only made on x86-64");
         }
     }
@@ -364,6 +370,7 @@ mod x86 {
     use crate::modular::{lane_products, Modulus};
     use crate::ntt::NttTable;
     use crate::sampling::LimbDraw;
+    use crate::xoshiro::Jump;
     use std::arch::x86_64::*;
 
     /// One register: eight words.
@@ -1146,26 +1153,54 @@ mod x86 {
         [c0, c1, c2, c3, c4, c5, c6, c7]
     }
 
+    /// Eight jumps of one state in one pass: lane `j` of the result is
+    /// `first` jumped by `jumps[j]`, the sum of the states `i` steps on
+    /// over the bits `i` set in lane `j`'s jump. Every lane walks the same
+    /// 256 steps from `first`, so the pass costs what one serial
+    /// `State::jumped` does, for eight.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn jumped(first: [u64; 4], jumps: &[[u64; 4]; 8]) -> [__m512i; 4] {
+        let mut s = first.map(|w| _mm512_set1_epi64(w as i64));
+        let mut sum = [_mm512_setzero_si512(); 4];
+        for word in 0..4 {
+            let mut bits = load(&jumps.map(|j| j[word]));
+            for _ in 0..64 {
+                let set = _mm512_test_epi64_mask(bits, _mm512_set1_epi64(1));
+                for (sum, &s) in sum.iter_mut().zip(&s) {
+                    *sum = _mm512_mask_xor_epi64(*sum, set, *sum, s);
+                }
+                bits = _mm512_srli_epi64::<1>(bits);
+                next(&mut s);
+            }
+        }
+        sum
+    }
+
     /// Seeded uniform expansion; see [`super::Lanes::uniform`]. Per 8-slot
     /// block of a lane's current eighth: eight steps draw eight words per
     /// lane, [`lemire`] maps each into its lane's modulus, and
     /// [`transpose`] turns the eight draws of a lane into one register,
     /// stored into that lane's eighth of its limb. Every lane crosses an
     /// eighth's boundary at the same step, so a lane's modulus changes, and
-    /// a lane restarts from a jumped state, only between eighths.
+    /// a lane restarts from a jumped state, only between eighths; the lanes
+    /// that restart at one boundary take their states from one
+    /// [`jumped`] pass.
     ///
     /// # Safety
     ///
     /// The CPU must have `avx512f` and `avx512ifma`, `n` must be a
-    /// multiple of 64, and `draws` must split evenly into the `out.len()`
-    /// buffers: then every appended word of every buffer is written before
-    /// its length is set.
+    /// multiple of 64, `draws` must split evenly into the `out.len()`
+    /// buffers, and every eighth of every draw must have its jump: then
+    /// every appended word of every buffer is written before its length is
+    /// set.
     #[target_feature(enable = "avx512f,avx512ifma")]
     pub(super) unsafe fn uniform(
         draws: &[LimbDraw],
         out: &mut [Vec<u64>],
         n: usize,
-        restart: &dyn Fn(usize) -> [u64; 4],
+        first: [u64; 4],
+        jumps: &[Jump],
     ) {
         let per_poly = draws.len() / out.len().max(1);
         let eighth = n / 8;
@@ -1185,7 +1220,8 @@ mod x86 {
             // of draw `⌊e/8⌋`.
             let mut q = [1u64; 8];
             let mut dst = [std::ptr::null_mut::<u64>(); 8];
-            let mut starts: [Option<[u64; 4]>; 8] = [None; 8];
+            let mut restart = [[0u64; 4]; 8];
+            let mut restarts: __mmask8 = 0;
             for j in 0..8 {
                 let e = j * per_lane + k;
                 let (g, r) = (e / 8, e % 8);
@@ -1195,20 +1231,15 @@ mod x86 {
                 // with `per_poly·n` words of spare capacity.
                 dst[j] = unsafe { buffers[g / per_poly].add(g % per_poly * n + r * eighth) };
                 if k == 0 || (r == 0 && draws[g - 1].t + 1 != d.t) {
-                    starts[j] = Some(restart(8 * d.t + r));
+                    restart[j] = jumps[8 * d.t + r].words();
+                    restarts |= 1 << j;
                 }
             }
-            if starts.iter().any(Option::is_some) {
-                let mut words = [[0u64; 8]; 4];
-                for (w, r) in words.iter_mut().zip(s) {
-                    store(w, r);
+            if restarts != 0 {
+                let started = jumped(first, &restart);
+                for (s, started) in s.iter_mut().zip(started) {
+                    *s = _mm512_mask_mov_epi64(*s, restarts, started);
                 }
-                for (j, start) in starts.iter().enumerate() {
-                    for (w, &x) in words.iter_mut().zip(start.iter().flatten()) {
-                        w[j] = x;
-                    }
-                }
-                s = words.map(|w| load(&w));
             }
             let q = load(&q);
             for at in (0..eighth).step_by(8) {

@@ -108,8 +108,10 @@ pub fn sample_uniform_flat<R: Rng + ?Sized>(rng: &mut R, moduli: &[u64], n: usiz
 /// selection at once, its words split evenly between them: with each limb
 /// cut into eighths of `n/8` words, lane `j` draws eighths `[j·m, (j+1)·m)`
 /// of the selection's `8·m`, restarting from a jumped state wherever its
-/// next eighth does not follow its last in the stream. Elsewhere one
-/// generator draws the limbs in order. Both emit the same words.
+/// next eighth does not follow its last in the stream; the lanes that
+/// restart at one eighth's boundary are jumped together, in one 8-lane
+/// pass of 256 steps. Elsewhere one generator draws the limbs in order.
+/// Both emit the same words.
 #[derive(Clone, Debug)]
 pub struct SeededUniform {
     moduli: Vec<u64>,
@@ -192,16 +194,45 @@ impl SeededUniform {
                 })
             })
             .collect();
+        self.draw(seed, &draws, out);
+    }
+
+    /// Limb `limb` of each of the first `polys` polynomials `seed` expands
+    /// into, appended to `out` polynomial after polynomial: the words
+    /// [`SeededUniform::expand_limbs`] would append for `&[limb]` to
+    /// `polys` buffers, in one. `out` grows only if its spare capacity is
+    /// short of the `polys·n` words — the one-limb draw a key switch makes
+    /// just before it multiplies that limb.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `polys` exceeds the shape's count or `limb` is not a
+    /// modulus index.
+    pub fn expand_limb(&self, seed: [u8; 32], limb: usize, polys: usize, out: &mut Vec<u64>) {
+        let width = self.moduli.len();
+        assert!(polys <= self.count, "{polys} polynomials of {}", self.count);
+        assert!(limb < width, "limb {limb} of {width}");
+        let draws: Vec<LimbDraw> = (0..polys)
+            .map(|p| LimbDraw {
+                t: p * width + limb,
+                q: self.moduli[limb],
+            })
+            .collect();
+        self.draw(seed, &draws, std::slice::from_mut(out));
+    }
+
+    /// Appends the limbs `draws` names to the `out.len()` buffers, an equal
+    /// share each in order.
+    fn draw(&self, seed: [u8; 32], draws: &[LimbDraw], out: &mut [Vec<u64>]) {
         let first = State::from_seed(seed);
-        let restart = |u: usize| first.jumped(&self.jumps[u]);
         if let Some(lanes) = self.lanes {
-            return lanes.uniform(&draws, out, self.n, &restart);
+            return lanes.uniform(draws, out, self.n, first, &self.jumps);
         }
-        let per_poly = limbs.len();
+        let per_poly = draws.len() / out.len().max(1);
         let mut state = first;
         for (g, d) in draws.iter().enumerate() {
             if g == 0 || draws[g - 1].t + 1 != d.t {
-                state = restart(d.t);
+                state = first.jumped(&self.jumps[d.t]);
             }
             let q = d.q as u128;
             out[g / per_poly]
@@ -299,6 +330,23 @@ mod tests {
             shape.jumps[5 * split + split - 1],
             Jump::new(6 * 64 - 64 / split as u64)
         );
+    }
+
+    #[test]
+    fn one_limb_of_several_polynomials_is_their_selected_limbs() {
+        // Lane-sized (where the CPU has the lanes) and portable shapes.
+        for n in [64, 32] {
+            let shape = SeededUniform::new(&[97, (1 << 40) + 15, 103, 1 << 30], n, 3);
+            for limb in 0..4 {
+                for polys in 0..=3 {
+                    let mut want = vec![Vec::new(); polys];
+                    shape.expand_limbs([5; 32], &[limb], &mut want);
+                    let mut got = vec![7];
+                    shape.expand_limb([5; 32], limb, polys, &mut got);
+                    assert_eq!(got, [vec![7], want.concat()].concat(), "n {n} limb {limb}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -104,6 +104,12 @@ impl Jump {
     pub(crate) fn then(&self, other: &Jump) -> Self {
         Jump(mul(self.0, other.0))
     }
+
+    /// The coefficients of `x^d mod p(x)`, as [`CHARACTERISTIC`]: bit `i`
+    /// set where [`State::jumped`] sums the state `i` steps on.
+    pub(crate) fn words(&self) -> [u64; 4] {
+        self.0
+    }
 }
 
 /// A xoshiro256++ state.

@@ -98,7 +98,7 @@ fn model(caching: CachingLevel) -> CostModel {
         SCHEME,
         MadConfig {
             caching,
-            algo: AlgoOpts::library(),
+            algo: AlgoOpts::all(),
         },
     )
 }

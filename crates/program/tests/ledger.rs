@@ -62,7 +62,11 @@ type Recorded = (&'static str, [u64; 4], Option<[u64; 3]>);
 /// 93 + 57 → 71 + 44, `ProgAggregate` 150 + 86 → 106 + 60), more bytes
 /// through an 8-limb cache (`HelrMicro` 276,480 / 158,720 / 73,728 →
 /// 360,960 / 208,384 / 88,064: four key reads where three were, and a
-/// raised `c0` as large as the cache).
+/// raised `c0` as large as the cache). Every keyed row's `key_read` then
+/// halved, and its `dram_read` fell by the same bytes, nothing else
+/// moving, when the key switch stopped reading stored `a_j` and began
+/// drawing them from the key's seed (`HelrMicro` 360,960 / 88,064 →
+/// 316,928 / 44,032).
 const RECORDED: [Recorded; 19] = [
     ("Add", [0, 640, 0, 0], Some([10240, 5120, 0])),
     ("PtAdd", [0, 320, 0, 0], Some([5120, 2560, 0])),
@@ -72,7 +76,7 @@ const RECORDED: [Recorded; 19] = [
     (
         "KeySwitch",
         [15232, 19968, 21, 11],
-        Some([35328, 21504, 16384]),
+        Some([27136, 21504, 8192]),
     ),
     ("ModUp", [6144, 8576, 11, 5], None),
     ("KSKInnerProd", [2048, 1024, 0, 0], None),
@@ -81,36 +85,32 @@ const RECORDED: [Recorded; 19] = [
     // formulation (decompose `c1`, then permute the digits): the same ops
     // and transforms, and the trace now sees the β permuted digit copies, as
     // it does `RotateFold`'s — 44,032 / 29,184 bytes before.
-    (
-        "Rotate",
-        [15232, 20288, 21, 11],
-        Some([51200, 34816, 16384]),
-    ),
-    ("Mult", [17280, 20800, 19, 13], Some([64512, 35840, 16384])),
+    ("Rotate", [15232, 20288, 21, 11], Some([43008, 34816, 8192])),
+    ("Mult", [17280, 20800, 19, 13], Some([56320, 35840, 8192])),
     (
         "MultStandard",
         [19072, 25792, 29, 13],
-        Some([69632, 40960, 16384]),
+        Some([61440, 40960, 8192]),
     ),
     (
         "BsgsMatVec",
         [34944, 42496, 40, 24],
-        Some([155136, 95744, 32768]),
+        Some([138752, 95744, 16384]),
     ),
     (
         "RotateFold",
         [31360, 42560, 37, 19],
-        Some([255488, 156160, 65536]),
+        Some([222720, 156160, 32768]),
     ),
     (
         "HelrMicro",
         [59968, 77440, 71, 44],
-        Some([360960, 208384, 88064]),
+        Some([316928, 208384, 44032]),
     ),
     (
         "ResNetMicro",
         [68544, 80000, 70, 41],
-        Some([420864, 208896, 96256]),
+        Some([372736, 208896, 48128]),
     ),
     ("ProgAggregate", [80896, 111488, 106, 60], None),
     ("ProgDotProduct", [47360, 54144, 46, 26], None),

@@ -119,7 +119,7 @@ fn fixture() -> &'static Fixture {
                 },
                 MadConfig {
                     caching: CachingLevel::Baseline,
-                    algo: AlgoOpts::library(),
+                    algo: AlgoOpts::all(),
                 },
             ),
         }

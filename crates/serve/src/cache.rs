@@ -1,21 +1,25 @@
 //! The byte-budgeted switching-key cache — the paper's compute-for-memory
 //! trade made operational.
 //!
-//! Sessions store keys only in their wire form, seed and `b_j` (half
-//! size, §3.2), checked whole at upload. An evaluation op asks the cache
-//! for the *expanded* key at the limb count `ℓ` its key switches run at;
-//! on a miss the cache regenerates only what a key switch at `ℓ` reads —
-//! the first `β(ℓ)` digits over `Q_ℓ ∪ P`, `b_j` decoded and `a_j` drawn
-//! from the seed at those limbs (`deserialize_switching_key_at`), the whole
-//! key at `ℓ = L` — and evicts other entries until it fits. A later
+//! Sessions store keys only in their wire form, seed and packed `b_j`
+//! (half size, §3.2), checked whole at upload. An evaluation op asks the
+//! cache for the *expanded* key at the limb count `ℓ` its key switches
+//! run at — the form a key is held in, its seed and its `b_j` as 8-byte
+//! words, whose `a_j` the key switch draws from the seed as it reads them;
+//! on a miss the cache unpacks only what a key switch at `ℓ` reads — the
+//! `b_j` of the first `β(ℓ)` digits over `Q_ℓ ∪ P`
+//! (`deserialize_switching_key_at`), the whole key at `ℓ = L` — and
+//! evicts other entries until it fits. A later
 //! request at a higher level widens the entry in place: a hit, and one
 //! more expansion, counted by [`CacheStats::widenings`]. A request for an
 //! evicted key pays the expansion again — the regenerate-from-seed cost the
 //! benchmark harness reports as `fhe_serve.cache.miss_us` against
 //! `fhe_serve.cache.hit_us` on its `serve_thrash` workload.
 //!
-//! The budget charges every entry its whole key's size, however little of
-//! it is expanded ([`CacheStats::resident_bytes`] is that reservation;
+//! The budget charges every entry its whole key's size,
+//! `CkksContext::switching_key_bytes` — a whole key's `size_bytes`, the
+//! unit a budget of so many keys is counted in — however little of it is
+//! expanded ([`CacheStats::resident_bytes`] is that reservation;
 //! [`CacheStats::materialized_bytes`] is what the entries hold). So which
 //! lookup hits, misses, evicts or is pinned does not depend on the levels
 //! the keys are read at: it is what a cache of whole keys would do.
@@ -480,8 +484,9 @@ mod tests {
             whole.size_bytes(),
             "the whole key reserved"
         );
-        // One digit over Q_1 ∪ P: 3 of the whole key's 2·5 limb-polys.
-        assert_eq!(low.size_bytes(), whole.size_bytes() * 3 / 10);
+        // The seed, and one `b_j` over Q_1 ∪ P: 3 of the whole key's 2·5
+        // limbs.
+        assert_eq!(low.size_bytes() - 32, (whole.size_bytes() - 32) * 3 / 10);
         assert_eq!(s.materialized_bytes, low.size_bytes());
         assert_eq!(s.expanded_bytes, low.size_bytes());
         // A higher level widens the entry in place: a hit, one expansion;

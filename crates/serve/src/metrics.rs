@@ -414,7 +414,7 @@ impl Metrics {
             &mut out,
             "serve_key_expansion_bytes_total",
             "counter",
-            "Bytes of switching-key material regenerated from seeds.",
+            "Bytes of switching-key material unpacked into held keys.",
             cache.expanded_bytes,
         );
 
