@@ -176,13 +176,19 @@ impl CkksContext {
     /// `{q_{ℓ-1}} ∪ P` in one pass — the paper's **ModDown merge**
     /// optimization (Figure 4c), which fuses the key-switch `ModDown` with
     /// the subsequent `Rescale`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ell` is not a level, or is 1 with `merged` — before the
+    /// cache is locked, so a bad call leaves it usable.
     pub fn moddown_context(&self, ell: usize, merged: bool) -> Arc<ModDownContext> {
+        assert!((1..=self.params.levels()).contains(&ell), "no level {ell}");
+        assert!(ell >= 2 || !merged, "merged ModDown needs a limb to drop");
         let mut cache = self.moddown_cache.lock().expect("poisoned");
         cache
             .entry((ell, merged))
             .or_insert_with(|| {
                 if merged {
-                    assert!(ell >= 2, "merged ModDown needs a limb to drop");
                     let keep = self.level_bases[ell - 2].clone();
                     let drop = self.q_basis.select(&[ell - 1]).concat(&self.p_basis);
                     Arc::new(ModDownContext::new(keep, &drop))
@@ -197,7 +203,14 @@ impl CkksContext {
     /// The memoized basis extender for key-switching digit `j` at limb
     /// count `ell`: from the digit limbs to their complement
     /// `(Q_ℓ \ digit) ∪ P`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ell` is not a level or digit `j` holds no limb at it —
+    /// before the cache is locked, so a bad call leaves it usable.
     pub fn digit_extender(&self, ell: usize, j: usize) -> Arc<BasisExtender> {
+        assert!((1..=self.params.levels()).contains(&ell), "no level {ell}");
+        assert!(j * self.params.alpha() < ell, "no digit {j} at {ell} limbs");
         let mut cache = self.extender_cache.lock().expect("poisoned");
         cache
             .entry((ell, j))
@@ -217,7 +230,17 @@ impl CkksContext {
     }
 
     /// The memoized automorphism table for Galois element `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is even or `k ≥ 2N` — before the cache is locked, so
+    /// a bad call leaves it usable.
     pub fn automorphism(&self, k: u64) -> Arc<Automorphism> {
+        let two_n = 2 * self.params.degree() as u64;
+        assert!(
+            k % 2 == 1 && k < two_n,
+            "Galois element must be odd and < 2N"
+        );
         let mut cache = self.automorphism_cache.lock().expect("poisoned");
         cache
             .entry(k)
@@ -379,6 +402,18 @@ mod tests {
         let auto1 = ctx.automorphism(5);
         let auto2 = ctx.automorphism(5);
         assert!(Arc::ptr_eq(&auto1, &auto2));
+    }
+
+    /// A cache's preconditions are checked before it is locked: a merged
+    /// `ModDown` at one limb panics and leaves the cache unpoisoned, so
+    /// every later key switch still finds it.
+    #[test]
+    fn a_refused_moddown_context_leaves_its_cache_usable() {
+        let ctx = small_ctx();
+        let refused = std::panic::catch_unwind(|| ctx.moddown_context(1, true));
+        assert!(refused.is_err(), "one limb has none to drop");
+        let merged = ctx.moddown_context(2, true);
+        assert!(Arc::ptr_eq(&merged, &ctx.moddown_context(2, true)));
     }
 
     #[test]

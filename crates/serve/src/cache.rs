@@ -127,12 +127,12 @@ impl CacheStats {
 }
 
 /// A byte-budgeted cache of expanded switching keys, shared by every
-/// worker.
+/// request its shard runs.
 ///
 /// One mutex guards the whole cache — entries, byte ledger and counters
 /// — held across expansion on a miss.
 /// That serializes concurrent misses — a deliberate simplification at
-/// this scale (it also prevents two workers from expanding the same key
+/// this scale (it also prevents two requests from expanding the same key
 /// twice); a production server would expand outside the lock with a
 /// per-entry in-flight marker.
 pub struct KeyCache {
@@ -188,7 +188,7 @@ impl KeyCache {
     /// below it widens — and takes a pin on the entry before releasing
     /// the cache lock. A pinned entry survives budget eviction, eviction
     /// storms, and policy pressure until every pin is released via
-    /// [`KeyCache::unpin`]. A worker pins a request's whole key plan up
+    /// [`KeyCache::unpin`]. A request's whole key plan is pinned up
     /// front so the request can never re-expand a key mid-flight.
     ///
     /// # Errors

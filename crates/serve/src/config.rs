@@ -19,23 +19,24 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Independent shards; sessions are placed by consistent hashing of
     /// the session id, and each shard owns its own session table,
-    /// key-cache slice (`key_cache_budget / shards`), worker queue and
-    /// worker pool. The default reads `MAD_SERVE_SHARDS`
+    /// key-cache slice (`key_cache_budget / shards`) and admission gate.
+    /// The default reads `MAD_SERVE_SHARDS`
     /// (clamped to `1..=`[`MAX_SHARDS`], default 1).
     pub shards: usize,
-    /// Worker threads executing FHE ops, **per shard**; `0` runs one.
+    /// Requests running at once, **per shard**, each on its own
+    /// connection's thread: the permits of the shard's gate. `0` runs one.
     pub workers: usize,
-    /// Bounded worker-queue length per shard: the most parsed requests
-    /// waiting for a worker at once. Past it, a request gets
-    /// `Overloaded`. `0` is served as 1.
+    /// Per shard, the most parsed requests waiting for a permit at once.
+    /// Past it, a request gets `Overloaded`. `0` is served as 1.
     pub queue_capacity: usize,
     /// Global byte budget for expanded switching keys, split evenly
     /// across the per-shard [`crate::KeyCache`]s.
     pub key_cache_budget: u64,
     /// Cache eviction policy.
     pub eviction: EvictionPolicy,
-    /// Maximum time a request may wait in the queue before a worker
-    /// starts it; exceeded requests answer `DeadlineExceeded`.
+    /// Maximum time from a request's arrival at its shard's gate to the
+    /// start of its run, checked once its permit is granted (after any
+    /// injected delay); exceeded requests answer `DeadlineExceeded`.
     pub request_deadline: Duration,
     /// Ceiling on a single frame.
     pub max_frame_bytes: u32,
@@ -46,9 +47,8 @@ pub struct ServeConfig {
     /// Request-tracing knobs ([`crate::obs`]); tracing itself is always
     /// on.
     pub obs: ObsConfig,
-    /// Deterministic fault schedule consulted by the connection threads
-    /// and worker pools; `None` (the default) serves faithfully and
-    /// never consults a plan.
+    /// Deterministic fault schedule consulted by the connection threads;
+    /// `None` (the default) serves faithfully and never consults a plan.
     pub fault_plan: Option<Arc<FaultPlan>>,
 }
 

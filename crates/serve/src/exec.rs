@@ -1,9 +1,9 @@
 //! Execution: one request in, one reply body out.
 //!
-//! A worker [`decode`]s a request once, pins the keys it plans from the
-//! decoded form ([`Decoded::pin`]), and [`execute`] deserializes the
-//! operands, runs the evaluator call(s) and serializes the result straight
-//! into the reply frame the connection thread will write, attributing
+//! The connection thread that read a request [`decode`]s it once, pins the
+//! keys it plans from the decoded form ([`Decoded::pin`]), and [`execute`]
+//! deserializes the operands, runs the evaluator call(s) and serializes
+//! the result straight into the reply frame that thread writes, attributing
 //! decode/serialize time to the executing request's trace. Keyed ops read
 //! their switching keys from the request's [`PinnedKeys`] — handlers
 //! never touch the shard's `KeyCache` (the one exception is
@@ -34,7 +34,7 @@ fn fail<T>(code: ErrorCode, msg: impl Into<String>) -> Result<T, (ErrorCode, Str
     Err((code, msg.into()))
 }
 
-/// A request as its worker decoded it, operands still bytes: every
+/// A request as its connection thread decoded it, operands still bytes: every
 /// session-scoped op with its session id and session, looked up once.
 pub(crate) enum Decoded<'a> {
     /// `Hello`, `Metrics` or `TraceDump`, with the body as sent.
@@ -111,7 +111,7 @@ pub(crate) fn execute(
             // The body is not read: an older client's batching-hint byte
             // opens a session like an empty body does. The shard-local
             // manager mints an id that hashes back to this shard, so the
-            // session's keyed traffic comes back to this queue.
+            // session's keyed traffic comes back to this shard.
             let sid = state.sessions.create();
             // 8 LE bytes of session id, a reserved flags byte (always 1,
             // so the backend name stays at offset 9 for existing clients),
@@ -239,6 +239,9 @@ pub(crate) fn execute(
         }
         Decoded::Eval(_, _, Request::Bsgs(n1, diagonals, ct)) => {
             let ct = read_ct(state, ct)?;
+            if ct.limb_count() < 2 {
+                return fail(ErrorCode::Malformed, "no level left to multiply at");
+            }
             let slots = state.ctx.params().slots();
             let diagonals = diagonals.into_iter().map(|(d, v)| (d, slot_values(v)));
             let lt = LinearTransform::from_diagonals(diagonals.collect(), slots);

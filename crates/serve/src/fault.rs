@@ -20,7 +20,7 @@
 //! |---|---|---|
 //! | [`FaultDecision::ReadError`] | connection reader | connection drops with no reply |
 //! | [`FaultDecision::WriteAbort`] | response writer | a torn (partial) response frame, then EOF |
-//! | [`FaultDecision::Delay`] | worker dequeue | extra latency, possibly `DeadlineExceeded` |
+//! | [`FaultDecision::Delay`] | permit grant | extra latency, possibly `DeadlineExceeded` |
 //! | [`FaultDecision::EvictionStorm`] | key cache | silent re-expansion cost (bit-exact results) |
 //! | [`FaultDecision::SessionReset`] | session table | `NoSession`, forcing re-setup + key re-upload |
 //! | [`FaultDecision::Overloaded`] | admission | synthetic `Overloaded`, back off and retry |
@@ -76,7 +76,8 @@ pub struct FaultMix {
     pub read_error: u16,
     /// Weight of writing a truncated response frame then dropping.
     pub write_abort: u16,
-    /// Weight of artificial latency before the worker starts the op.
+    /// Weight of artificial latency before a request with its permit
+    /// starts the op.
     pub delay: u16,
     /// Weight of forcibly evicting every cached key expansion.
     pub eviction_storm: u16,
@@ -85,7 +86,7 @@ pub struct FaultMix {
     /// Weight of answering with a synthetic `Overloaded` instead of
     /// executing.
     pub overloaded: u16,
-    /// Weight of panicking mid-request inside the worker.
+    /// Weight of panicking mid-request inside the op's guard.
     pub worker_panic: u16,
     /// Upper bound on an injected [`FaultDecision::Delay`].
     pub delay_cap: Duration,
@@ -112,7 +113,7 @@ impl FaultMix {
         }
     }
 
-    /// Scheduling-focused mix: dequeue latency and overload pushback on
+    /// Scheduling-focused mix: admission latency and overload pushback on
     /// evaluation opcodes only.
     pub fn latency() -> Self {
         Self {
@@ -129,7 +130,7 @@ impl FaultMix {
     }
 
     /// Everything at once: the full taxonomy at moderate weights,
-    /// including mid-request worker panics and cache eviction storms.
+    /// including mid-request panics and cache eviction storms.
     pub fn havoc() -> Self {
         Self {
             read_error: 60,
@@ -169,19 +170,20 @@ pub enum FaultDecision {
         /// injection site clamps this below the full frame length).
         keep: usize,
     },
-    /// Sleep this long after dequeue, before the deadline check — the
-    /// injected latency counts against the request deadline exactly like
-    /// real queue delay.
+    /// Sleep this long once the permit is granted, before the deadline
+    /// check, holding the permit — the injected latency counts against
+    /// the request deadline exactly like real queue delay.
     Delay(Duration),
     /// Evict every expanded key from the [`crate::cache::KeyCache`].
     EvictionStorm,
     /// Close every server-side session and purge the cache, as if the
     /// server lost its session table.
     SessionReset,
-    /// Answer `Overloaded` without enqueuing, as if the queue were full.
+    /// Answer `Overloaded` without entering the gate, as if its line were
+    /// full.
     Overloaded,
-    /// Panic inside the worker mid-request; `catch_unwind` must convert
-    /// it to a structured `Internal` error.
+    /// Panic mid-request, inside the op's guard; `catch_unwind` must
+    /// convert it to a structured `Internal` error.
     WorkerPanic,
 }
 

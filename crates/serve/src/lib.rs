@@ -23,15 +23,16 @@
 //! The stack is std-only: a framed TCP protocol ([`protocol`]) over the
 //! `MADf` serialization, a session manager ([`session`]), and a scale-out
 //! server ([`server`]) of N independent shards behind one blocking thread
-//! per connection. Each request takes one path: its connection's thread
-//! reads the frame, checks its header and hands it to the bounded worker
-//! queue of the shard that owns its session; a worker decodes the body
-//! once ([`protocol`] holds every request body's layout), pins the keys it
-//! plans from that, runs it and unpins. Sessions are placed on shards by
-//! consistent hashing of the session id ([`shard`]), so a tenant's
-//! compressed keys, cache slice and programs live on exactly one shard.
-//! Plain-text metrics ([`metrics`]) aggregate across
-//! shards with per-shard labels, and request-scoped tracing attributes
+//! per connection. Each request takes one path, all on its connection's
+//! thread: read the frame, check its header, take a permit from the
+//! admission gate of the shard that owns its session (a bounded line, so
+//! a full one is answered `Overloaded`), decode the body once
+//! ([`protocol`] holds every request body's layout), pin the keys planned
+//! from that, run it, unpin, free the permit and write the reply.
+//! Sessions are placed on shards by consistent hashing of the session id
+//! ([`shard`]), so a tenant's compressed keys, cache slice and programs
+//! live on exactly one shard. Plain-text metrics ([`metrics`]) aggregate
+//! across shards with per-shard labels, and request-scoped tracing attributes
 //! per-stage latency with the owning shard stamped on every timeline
 //! ([`obs`]). [`client::Client`]
 //! is the matching blocking client, and [`client::RetryingClient`] wraps
@@ -41,7 +42,7 @@
 //! There is one build. A deterministic fault-injection layer ([`fault`])
 //! is always compiled: a seeded [`fault::FaultPlan`] set as
 //! [`ServeConfig::fault_plan`] injects I/O errors, torn frames, latency,
-//! eviction storms, overload rejections, and worker panics on a fixed
+//! eviction storms, overload rejections, and mid-request panics on a fixed
 //! schedule, so every failure a test observes replays bit-for-bit from
 //! its seed. Without a plan (the default) no injection site consults
 //! anything but that empty `Option`.

@@ -155,7 +155,7 @@ impl Histogram {
 pub struct ShardSnapshot {
     /// The shard index (the `shard="i"` label value).
     pub shard: usize,
-    /// Requests this shard has accepted into its queue.
+    /// Requests this shard's gate has taken.
     pub requests: u64,
     /// Sessions currently open on this shard.
     pub sessions: u64,
@@ -187,19 +187,20 @@ pub struct Metrics {
     stage_latency: [Histogram; Stage::ALL.len()],
     /// End-to-end request latency (accept → reply written).
     e2e_latency: Histogram,
-    /// Requests accepted into the queue.
+    /// Requests accepted by a shard's gate.
     pub requests_total: AtomicU64,
     /// Responses carrying a non-zero status.
     pub errors_total: AtomicU64,
-    /// Requests rejected at enqueue because the queue was full.
+    /// Requests refused at a gate because its line was full.
     pub rejected_overload: AtomicU64,
-    /// Requests dropped at dequeue because their deadline had passed.
+    /// Requests refused at their permit's grant because their deadline
+    /// had passed.
     pub rejected_deadline: AtomicU64,
     /// Frame bytes read off the wire (including headers).
     pub bytes_read: AtomicU64,
     /// Frame bytes written to the wire (including headers).
     pub bytes_written: AtomicU64,
-    /// Requests currently queued (enqueued, not yet picked up).
+    /// Requests currently waiting for a permit.
     pub queue_depth: AtomicU64,
     /// High-water mark of `queue_depth`.
     pub queue_peak: AtomicU64,
@@ -233,21 +234,20 @@ impl Metrics {
         &self.e2e_latency
     }
 
-    /// Marks a request entering the queue.
+    /// Marks a request arriving at a gate.
     pub fn enqueued(&self) {
         self.requests_total.fetch_add(1, Ordering::Relaxed);
         let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         self.queue_peak.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Marks a request leaving the queue.
+    /// Marks a request granted its permit.
     pub fn dequeued(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Undoes [`Metrics::enqueued`] when the bounded queue rejected the
-    /// request (callers count the enqueue *before* the send so a worker
-    /// can never observe a negative depth).
+    /// Undoes [`Metrics::enqueued`] when a gate refused the request with
+    /// its line full.
     pub fn retracted(&self) {
         self.requests_total.fetch_sub(1, Ordering::Relaxed);
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -285,7 +285,7 @@ impl Metrics {
             (
                 "serve_requests_total",
                 "counter",
-                "Requests accepted into the queue.",
+                "Requests accepted by a shard's gate.",
                 rel(&self.requests_total),
             ),
             (
@@ -297,7 +297,7 @@ impl Metrics {
             (
                 "serve_rejected_overload_total",
                 "counter",
-                "Requests rejected because the queue was full.",
+                "Requests rejected because the gate's line was full.",
                 rel(&self.rejected_overload),
             ),
             (
@@ -321,7 +321,7 @@ impl Metrics {
             (
                 "serve_queue_depth",
                 "gauge",
-                "Requests currently queued (enqueued, not yet picked up).",
+                "Requests currently waiting for a shard's permit.",
                 rel(&self.queue_depth),
             ),
             (
@@ -532,7 +532,7 @@ impl Metrics {
             (
                 "serve_shard_requests_total",
                 "counter",
-                "Requests sent to this shard's worker queue.",
+                "Requests this shard's gate accepted, each run on its connection's thread.",
                 |s| s.requests,
             ),
             (

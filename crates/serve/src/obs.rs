@@ -3,19 +3,18 @@
 //! (Chrome trace-event) exporter behind the `TraceDump` opcode.
 //!
 //! Every request gets an id at frame parse and a lock-free
-//! `RequestTrace` that rides on the job through the whole lifecycle;
-//! there is no untraced mode.
-//! Threads stamp stage transitions as they happen:
+//! `RequestTrace` that follows it through the whole lifecycle; there is
+//! no untraced mode. The connection thread that read the request runs it
+//! and stamps each stage transition as it happens:
 //!
 //! ```text
-//! connection thread      worker                           connection thread
-//! ─────────────────      ──────                           ─────────────────
-//! parse ─ enqueue ─────── pickup ─ key ─ decode/kernel ─ write
-//!          └─── queue ────┘              └─ serialize ─┘
+//! parse ─ gate ────── grant ─ key ─ decode/kernel ─ permit freed ─ write
+//!          └─ queue ──┘             └─ serialize ─┘
 //! ```
 //!
 //! The taxonomy ([`Stage`]) partitions end-to-end latency: `queue` is
-//! time waiting for a worker, `key` the request's pin phase before
+//! time waiting at the shard's gate for a permit (a stage under a
+//! microsecond counts as one), `key` the request's pin phase before
 //! execution, `decode`/`serialize` are measured inside the execution
 //! window through a thread-local slot for the executing request, `kernel`
 //! is the rest of that window (the FHE math itself), and `write` is the
@@ -29,12 +28,12 @@
 //!
 //! Every request that runs also carries the kernel sub-spans (`ModUp`,
 //! `KSKInnerProd`, `ModDown`, `Mult`, `Prog.<Mnemonic>`…) the math layer
-//! opened on the worker's own thread while it ran: the execution guard —
-//! the one way a job's execution is stamped, and the one clock behind the
+//! opened on its own thread while it ran: the execution guard — the one
+//! way a request's execution is stamped, and the one clock behind the
 //! `serve_op_latency_us` histogram — turns on
 //! `fhe_math::telemetry`'s per-thread span capture and moves the list, at
 //! most [`SUBSPAN_CAP`] long, into the timeline when execution ends.
-//! Nothing process-global is switched on and no other worker's spans can
+//! Nothing process-global is switched on and no other request's spans can
 //! land in the list, so concurrent requests each get their own.
 
 use crate::config::ObsConfig;
@@ -52,7 +51,7 @@ use std::time::{Duration, Instant};
 /// microseconds between threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Waiting in the worker queue for a worker to pick the job up.
+    /// Waiting at the shard's gate for an execution permit.
     Queue,
     /// Deserializing request payloads (ciphertexts, plaintexts).
     Decode,
@@ -97,9 +96,9 @@ impl Stage {
 }
 
 /// The live, lock-free timeline of one in-flight request. Stamps and
-/// accumulators are relaxed atomics: each field is written by exactly
-/// one thread at a time (reader → worker → reader) and read
-/// only at finish, so no ordering stronger than `Relaxed` is needed.
+/// accumulators are relaxed atomics: each field is written by the
+/// request's connection thread and read only at finish, so no ordering
+/// stronger than `Relaxed` is needed.
 pub(crate) struct RequestTrace {
     id: u64,
     op: Opcode,
@@ -108,8 +107,8 @@ pub(crate) struct RequestTrace {
     shard: u32,
     /// When the frame was parsed; every offset below is relative to it.
     start: Instant,
-    /// Offset when the reader enqueued the job (timeline anchor for the
-    /// queue span).
+    /// Offset when the request reached its shard's gate (timeline anchor
+    /// for the queue span).
     enqueued_us: AtomicU64,
     /// Offset when handler execution began.
     exec_begin_us: AtomicU64,
@@ -134,17 +133,18 @@ impl RequestTrace {
         self.stage_us[stage.index()].fetch_add((d.as_micros() as u64).max(1), Relaxed);
     }
 
-    /// Reader-side: the job is about to enter the worker queue.
+    /// The request is about to enter its shard's gate.
     pub(crate) fn mark_enqueued(&self) {
         self.enqueued_us.store(self.elapsed_us(), Relaxed);
     }
 
-    /// Worker-side: the job was popped from the worker queue.
+    /// The request's permit was granted: the queue stage ends, however
+    /// short it was.
     pub(crate) fn mark_picked(&self) {
         let waited = self
             .elapsed_us()
             .saturating_sub(self.enqueued_us.load(Relaxed));
-        self.stage_us[Stage::Queue.index()].fetch_add(waited, Relaxed);
+        self.add_stage(Stage::Queue, Duration::from_micros(waited));
     }
 
     fn since_start(&self, at: Instant) -> u64 {
@@ -285,7 +285,7 @@ impl TraceRing {
 }
 
 thread_local! {
-    /// The trace of the request the current worker thread is executing,
+    /// The trace of the request the current thread is executing,
     /// letting the `decode`/`serialize` helpers attribute their time
     /// without threading a handle through every handler signature.
     static CURRENT: RefCell<Option<Arc<RequestTrace>>> = const { RefCell::new(None) };
@@ -356,8 +356,8 @@ impl Observer {
     /// stamps the window, installs `trace` for stage attribution, and
     /// turns on the thread's span capture. When the guard drops, the op
     /// observes the window in `metrics`'s `serve_op_latency_us`. Drop the
-    /// guard *before* sending the reply, so the reader can never finish
-    /// the trace mid-update.
+    /// guard *before* the reply is written, so the window never counts
+    /// the write and the trace is whole when it is finished.
     pub(crate) fn enter_exec<'m>(
         &self,
         metrics: &'m Metrics,
@@ -492,10 +492,15 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
         let request = format!("request:{} (status {})", t.op, t.status);
         slice(&mut out, &request, t.start_us, t.total_us.max(1));
         // Pre-execution spans at their true offsets: queue begins at
-        // enqueue, then the request's pin phase.
+        // enqueue, then the request's pin phase, both clipped at the
+        // execution window (a stage under a microsecond counts as one).
         let mut cursor = t.start_us + t.enqueued_us;
+        let exec_start = t.start_us + t.exec_begin_us;
         for s in [Stage::Queue, Stage::Key] {
-            let dur = t.stage_us(s);
+            let mut dur = t.stage_us(s);
+            if t.exec_us > 0 {
+                dur = dur.min(exec_start.saturating_sub(cursor));
+            }
             if dur > 0 {
                 slice(&mut out, s.name(), cursor, dur);
                 cursor += dur;
@@ -503,7 +508,6 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
         }
         // Execution window with its attribution slices.
         if t.exec_us > 0 {
-            let exec_start = t.start_us + t.exec_begin_us;
             slice(&mut out, "exec", exec_start, t.exec_us);
             let mut cursor = exec_start;
             for s in [Stage::Decode, Stage::Kernel, Stage::Serialize] {

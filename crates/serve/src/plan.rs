@@ -1,7 +1,7 @@
 //! The key plan: which switching keys a request needs, at what level, and
 //! the one place a handler reads them from.
 //!
-//! 1. The worker plans a request's keys from the request it decoded —
+//! 1. A request's keys are planned from the request as decoded —
 //!    [`KeyPlan::for_request`] from an evaluation op's fields,
 //!    [`KeyPlan::for_program`] from a stored program's validated
 //!    instructions: relin yes/no plus the Galois elements, each with the
@@ -146,8 +146,8 @@ pub(crate) struct PinnedKeys {
 }
 
 impl PinnedKeys {
-    /// Pins every key of `plan` for session `sid`, which the worker looked
-    /// up when it decoded the request, each expanded at least at its
+    /// Pins every key of `plan` for session `sid`, which was looked up
+    /// when the request was decoded, each expanded at least at its
     /// planned limb count.
     pub(crate) fn pin(state: &ServerState, sid: u64, session: &Session, plan: KeyPlan) -> Self {
         let pin = |kind, ell| {
@@ -219,7 +219,7 @@ mod tests {
         )
     }
 
-    /// What the worker plans for one frame body: `None` when the body
+    /// What is planned for one frame body: `None` when the body
     /// does not decode (it is answered `Malformed` before any pin).
     fn plan_of(ctx: &CkksContext, op: Opcode, body: &[u8]) -> Option<KeyPlan> {
         let (_sid, fields) = split_session(body)?;

@@ -16,7 +16,7 @@
 //! `u32` length prefixes wherever more than one payload shares a body.
 //!
 //! It is also the one codec of every evaluation request body: `Call` for
-//! the clients, `Request` and `ProgramInputs` for the worker.
+//! the clients, `Request` and `ProgramInputs` for the server.
 
 use ckks::hoisting::LinearTransform;
 use ckks::serialize::{write_ciphertext, write_plaintext};
@@ -215,7 +215,7 @@ impl ErrorCode {
     /// Whether a client may transparently retry after this error.
     ///
     /// Transient conditions — pushback ([`ErrorCode::Overloaded`]), queue
-    /// congestion ([`ErrorCode::DeadlineExceeded`]), an isolated worker
+    /// congestion ([`ErrorCode::DeadlineExceeded`]), an isolated handler
     /// panic ([`ErrorCode::Internal`]), or a lost server-side session
     /// ([`ErrorCode::NoSession`], which additionally needs session
     /// re-setup) — are retryable: every evaluation opcode is a pure
@@ -671,7 +671,7 @@ fn bound<'i, T>(inputs: &'i BTreeMap<String, T>, name: &str) -> Result<&'i T, St
 
 /// An evaluation request as the server decodes it: scalars read, every
 /// ciphertext, plaintext and diagonal still the bytes it arrived as — the
-/// worker deserializes them once the request's keys are pinned.
+/// server deserializes them once the request's keys are pinned.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Request<'a> {
     Add(&'a [u8], &'a [u8]),
@@ -724,7 +724,7 @@ impl<'a> Request<'a> {
 
 /// A program's declared inputs in declaration order (per matrix, its
 /// declared diagonals): the library's values for the encoder
-/// ([`ProgramInputs::bind`]), bytes for the worker ([`InputBytes`]).
+/// ([`ProgramInputs::bind`]), bytes for the server ([`InputBytes`]).
 pub(crate) struct ProgramInputs<C, V> {
     pub(crate) cts: Vec<C>,
     pub(crate) pts: Vec<V>,

@@ -1,16 +1,19 @@
-//! Scheduling: the one send path onto a shard's worker queue, and the
-//! worker pool behind it.
+//! Admission and execution: each shard's gate, and how a connection's
+//! thread runs the requests it reads.
 //!
-//! Every request reaches a worker the same way: its connection's thread
-//! checks the frame header and hands the body to [`dispatch`] — one
-//! `try_send` on the owning shard's bounded queue, so a full queue is
-//! answered at once with `Overloaded`. Every request executes the same
-//! way too: a worker decodes its body once, pins the keys it plans from
-//! what it decoded, runs it, and unpins.
-//!
-//! **Workers** pop jobs, drop any whose deadline passed while queued, and
-//! run ops under `catch_unwind` so a panic becomes a structured
-//! [`ErrorCode::Internal`] instead of a dead worker.
+//! A request runs on the thread of the connection that read it. What
+//! bounds a shard's load is its [`Gate`]: `workers` permits, so at most
+//! that many of its requests execute at once, and a line of at most
+//! `queue_capacity` requests waiting for one, served in arrival order. A
+//! request that finds the line full is answered `Overloaded` at once —
+//! backpressure, never buffering. Every admitted request executes the same
+//! way: once its permit is granted, worker-side chaos acts and the
+//! deadline is checked ([`run`]); then, under `catch_unwind`, so that a
+//! panic becomes a structured [`ErrorCode::Internal`], it is decoded once,
+//! the keys it plans from what was decoded are pinned, and it runs. The
+//! permit is an RAII [`Permit`]: the caller drops it once the reply frame
+//! is built, before the blocking write, and an unwinding thread drops it
+//! too.
 
 use crate::exec::{decode, execute};
 use crate::fault::FaultDecision;
@@ -20,135 +23,130 @@ use crate::plan::PinnedKeys;
 use crate::protocol::{begin_frame, ErrorCode, Opcode};
 use crate::server::ServerState;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Instant;
 
-/// One parsed request on its way to a worker. It carries the
-/// connection's two buffers with it — the request body exactly as it was
-/// read, and the (empty) buffer the reply is built in — and both ride
-/// back in the [`Reply`], with the reply sender, so a connection allocates
-/// for its largest request and reply, and its reply channel, once.
-pub(crate) struct Job {
-    pub(crate) op: Opcode,
-    /// The request body as read off the socket, behind its frame header.
-    pub(crate) body: Vec<u8>,
-    /// Where the reply frame is built: cleared, capacity kept from the
-    /// connection's previous reply.
-    pub(crate) out: Vec<u8>,
-    /// When this request's deadline clock started: at enqueue.
-    pub(crate) deadline_start: Instant,
-    pub(crate) reply: Sender<Reply>,
-    /// The request's timeline. The connection thread keeps a second
-    /// handle and finishes the trace after writing the reply.
-    pub(crate) trace: Arc<RequestTrace>,
-    /// A worker-side fault drawn for this request by the fault plan.
-    pub(crate) chaos: Option<FaultDecision>,
+/// One shard's admission gate: a counter of running requests with
+/// `permits` slots, and a line of at most `capacity` waiting requests,
+/// granted in the order they arrived.
+pub(crate) struct Gate {
+    permits: usize,
+    capacity: u64,
+    line: Mutex<Line>,
+    turn: Condvar,
+    /// Requests the gate took: granted at once or put in line
+    /// (`serve_shard_requests_total`).
+    admitted: AtomicU64,
 }
 
-/// What a worker hands back to the connection thread.
-pub(crate) struct Reply {
-    /// Zero, or the [`ErrorCode`] the request failed with.
-    pub(crate) status: u8,
-    /// The reply frame — header reserved by [`begin_frame`], body behind
-    /// it; the connection thread stamps the header and writes it out as is.
-    pub(crate) frame: Vec<u8>,
-    /// The request's buffer, spent: the connection reads its next frame
-    /// into it.
-    pub(crate) spent: Vec<u8>,
-    /// The job's reply sender, back for the connection's next job.
-    pub(crate) reply_to: Sender<Reply>,
+/// The gate's state. Tickets `head..next` are waiting; `head` goes next.
+#[derive(Default)]
+struct Line {
+    running: usize,
+    head: u64,
+    next: u64,
 }
 
-impl Job {
-    /// Delivers `self.out` — a frame begun with [`begin_frame`], its body
-    /// appended — as the reply, under `status`.
-    fn send(self, status: u8) {
-        // A send fails only when the connection is gone; nobody is left
-        // to want the buffers either.
-        let reply_to = self.reply.clone();
-        let _ = self.reply.send(Reply {
-            status,
-            frame: self.out,
-            spent: self.body,
-            reply_to,
-        });
-    }
-
-    /// Delivers an error reply: `(status, message)` as [`outcome`] shapes
-    /// it, in place of whatever the reply buffer held.
-    fn fail(mut self, (status, msg): (u8, Vec<u8>)) {
-        begin_frame(&mut self.out);
-        self.out.extend_from_slice(&msg);
-        self.send(status);
-    }
-}
-
-/// Hands one parsed job to its shard's worker queue — the only way a
-/// request reaches a worker. The job is counted in `serve_queue_depth`
-/// before the send (a worker may pop, and decrement, the instant
-/// `try_send` returns) and retracted if the queue refuses it. `Err` hands
-/// the job back: `Full` → the caller answers `Overloaded`;
-/// `Disconnected` (the workers are gone, a shutdown race) → the caller
-/// drops the connection.
-#[allow(clippy::result_large_err)] // the job itself, as `try_send` returns it
-pub(crate) fn dispatch(
-    work: &SyncSender<Job>,
-    metrics: &Metrics,
-    job: Job,
-) -> Result<(), TrySendError<Job>> {
-    metrics.enqueued();
-    job.trace.mark_enqueued();
-    work.try_send(job).inspect_err(|_| metrics.retracted())
-}
-
-pub(crate) fn worker_loop(state: &ServerState, rx: &Mutex<Receiver<Job>>, deadline: Duration) {
-    loop {
-        let job = {
-            let rx = rx.lock().expect("queue poisoned");
-            rx.recv()
-        };
-        let Ok(job) = job else { break };
-        run_job(state, job, deadline);
-    }
-}
-
-/// Per-job admission: apply worker-side chaos faults, then check the
-/// deadline. Returns `None` (after replying `DeadlineExceeded`) if the
-/// job must not run.
-fn admit_job(state: &ServerState, job: Job, deadline: Duration) -> Option<Job> {
-    if let Some(fault) = job.chaos {
-        match fault {
-            // Slept *before* the deadline check so injected latency
-            // counts against the request deadline exactly like real
-            // queueing delay.
-            FaultDecision::Delay(d) => std::thread::sleep(d),
-            FaultDecision::EvictionStorm => {
-                state.cache.evict_all();
-            }
-            // Each lost session is purged as `CloseSession` purges it,
-            // pinned expansions included.
-            FaultDecision::SessionReset => {
-                for sid in state.sessions.close_all() {
-                    state.cache.purge_session(sid);
-                }
-            }
-            // WorkerPanic fires inside catch_unwind during execution;
-            // read- and write-side faults never reach the queue.
-            _ => {}
+impl Gate {
+    pub(crate) fn new(permits: usize, capacity: usize) -> Self {
+        Gate {
+            permits,
+            capacity: capacity as u64,
+            line: Mutex::default(),
+            turn: Condvar::new(),
+            admitted: AtomicU64::new(0),
         }
     }
-    if job.deadline_start.elapsed() > deadline {
+
+    fn line(&self) -> MutexGuard<'_, Line> {
+        self.line.lock().expect("gate poisoned")
+    }
+
+    /// Requests this gate has taken.
+    pub(crate) fn admitted(&self) -> u64 {
+        self.admitted.load(Ordering::Relaxed)
+    }
+
+    /// Admits one request, blocking until it holds a permit. It counts in
+    /// `serve_queue_depth` from entry until the grant; a request that finds
+    /// `capacity` others waiting is refused (`None`), its count retracted
+    /// and an overload rejection counted instead.
+    pub(crate) fn enter(&self, metrics: &Metrics, trace: &RequestTrace) -> Option<Permit<'_>> {
+        metrics.enqueued();
+        trace.mark_enqueued();
+        let mut line = self.line();
+        let free = line.head == line.next && line.running < self.permits;
+        if !free && line.next - line.head >= self.capacity {
+            drop(line);
+            metrics.retracted();
+            metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+        if !free {
+            let ticket = line.next;
+            line.next += 1;
+            while line.head != ticket || line.running >= self.permits {
+                line = self.turn.wait(line).expect("gate poisoned");
+            }
+            line.head += 1;
+            // The next in line may find a permit free too.
+            self.turn.notify_all();
+        }
+        line.running += 1;
+        drop(line);
+        metrics.dequeued();
+        trace.mark_picked();
+        Some(Permit(self))
+    }
+}
+
+/// A granted execution slot on a shard; dropping it frees the slot.
+pub(crate) struct Permit<'a>(&'a Gate);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.line().running -= 1;
+        self.0.turn.notify_all();
+    }
+}
+
+/// Worker-side chaos, then the deadline check, for a request whose permit
+/// was just granted. `Err` is the `DeadlineExceeded` reply.
+fn admit(
+    state: &ServerState,
+    chaos: Option<FaultDecision>,
+    queued_at: Instant,
+) -> Result<(), (u8, Vec<u8>)> {
+    match chaos {
+        // Slept *before* the deadline check so injected latency counts
+        // against the request deadline exactly like real queueing delay.
+        Some(FaultDecision::Delay(d)) => std::thread::sleep(d),
+        Some(FaultDecision::EvictionStorm) => {
+            state.cache.evict_all();
+        }
+        // Each lost session is purged as `CloseSession` purges it, pinned
+        // expansions included.
+        Some(FaultDecision::SessionReset) => {
+            for sid in state.sessions.close_all() {
+                state.cache.purge_session(sid);
+            }
+        }
+        // WorkerPanic fires inside catch_unwind during execution; read-
+        // and write-side faults act on the connection.
+        _ => {}
+    }
+    let deadline = state.request_deadline;
+    if queued_at.elapsed() > deadline {
         state
             .metrics
             .rejected_deadline
             .fetch_add(1, Ordering::Relaxed);
         let msg = format!("queued longer than {deadline:?}").into_bytes();
-        job.fail((ErrorCode::DeadlineExceeded as u8, msg));
-        return None;
+        return Err((ErrorCode::DeadlineExceeded as u8, msg));
     }
-    Some(job)
+    Ok(())
 }
 
 /// What a guarded handler run produced, or the error reply to send: the
@@ -163,47 +161,50 @@ fn outcome<T>(
     }
 }
 
-/// Runs one popped job: admit it, decode it, pin the keys it plans (a
-/// keyless request pins nothing), execute it, deliver its reply, unpin.
-fn run_job(state: &ServerState, job: Job, deadline: Duration) {
-    state.metrics.dequeued();
-    job.trace.mark_picked();
-    let Some(mut job) = admit_job(state, job, deadline) else {
-        return;
-    };
-    let body = std::mem::take(&mut job.body);
-    let request = decode(state, job.op, &body);
-    let mut keys = PinnedKeys::default();
-    let pin_start = Instant::now();
-    if let Some(pinned) = request.as_ref().ok().and_then(|r| r.pin(state)) {
-        keys = pinned;
-        // The pin phase runs before the execution window opens.
-        job.trace.add_stage(Stage::Key, pin_start.elapsed());
-    }
-    let mut out = std::mem::take(&mut job.out);
-    begin_frame(&mut out);
-    let result = {
-        // Guard scope: exec accounting, the op-latency histogram and the
-        // deep-trace bridge close before the reply is sent, so the
-        // connection thread can never finish the trace while the worker is
-        // still writing to it.
-        let _exec = state.obs.enter_exec(&state.metrics, &job.trace);
-        catch_unwind(AssertUnwindSafe(|| {
-            if job.chaos == Some(FaultDecision::WorkerPanic) {
+/// Runs one request whose permit is held — admit it, decode it, pin the
+/// keys it plans (a keyless request pins nothing), execute it, unpin —
+/// and builds its reply frame in `out`. Returns the reply's status.
+pub(crate) fn run(
+    state: &ServerState,
+    op: Opcode,
+    body: &[u8],
+    trace: &Arc<RequestTrace>,
+    chaos: Option<FaultDecision>,
+    queued_at: Instant,
+    out: &mut Vec<u8>,
+) -> u8 {
+    begin_frame(out);
+    let result = admit(state, chaos, queued_at).and_then(|()| {
+        let mut keys = PinnedKeys::default();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let request = decode(state, op, body);
+            let pin_start = Instant::now();
+            if let Some(pinned) = request.as_ref().ok().and_then(|r| r.pin(state)) {
+                keys = pinned;
+                // The pin phase runs before the execution window opens.
+                trace.add_stage(Stage::Key, pin_start.elapsed());
+            }
+            // Guard scope: exec accounting, the op-latency histogram and
+            // the deep-trace bridge close before the reply is written.
+            let _exec = state.obs.enter_exec(&state.metrics, trace);
+            if chaos == Some(FaultDecision::WorkerPanic) {
                 panic!("injected chaos panic");
             }
             // A request that failed to decode answers inside the window,
             // as every request does.
-            execute(state, request?, &keys, &mut out)
-        }))
-    };
-    job.out = out;
-    job.body = body;
-    match outcome(result) {
-        Ok(()) => job.send(0),
-        Err(reply) => job.fail(reply),
+            execute(state, request?, &keys, out)
+        }));
+        keys.unpin(state);
+        outcome(result)
+    });
+    match result {
+        Ok(()) => 0,
+        Err((status, msg)) => {
+            begin_frame(out);
+            out.extend_from_slice(&msg);
+            status
+        }
     }
-    keys.unpin(state);
 }
 
 #[cfg(test)]
@@ -218,61 +219,11 @@ mod tests {
     use ckks::{CkksContext, CkksParams, Encoder, Evaluator, KeyGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::mpsc::sync_channel;
+    use std::time::Duration;
 
-    /// A keyed rotate for session 1, as a connection thread builds one, and
-    /// the end its reply arrives at.
-    fn rotate_job(chaos: Option<FaultDecision>) -> (Job, Receiver<Reply>) {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let job = Job {
-            op: Opcode::Rotate,
-            body: Vec::new(),
-            out: Vec::new(),
-            deadline_start: Instant::now(),
-            reply: tx,
-            trace: Observer::new(ObsConfig::baseline()).begin(Opcode::Rotate, 0),
-            chaos,
-        };
-        (job, rx)
-    }
-
-    /// Regression for the queue-depth leak: a job sent into a dead worker
-    /// channel (shutdown race) must be retired from the
-    /// `serve_queue_depth` gauge, or depth drifts upward forever. A live
-    /// channel keeps the count until a worker pops, and a full one refuses
-    /// the job without counting it.
-    #[test]
-    fn dispatch_retires_depth_when_workers_are_gone() {
-        let metrics = Metrics::new();
-        let (work, rx) = sync_channel::<Job>(1);
-        let depth = || metrics.queue_depth.load(Ordering::Relaxed);
-
-        // Live channel: depth stays until a worker pops and dequeues.
-        assert!(dispatch(&work, &metrics, rotate_job(None).0).is_ok());
-        assert_eq!(depth(), 1);
-
-        // Full channel: the job comes back, uncounted.
-        let full = dispatch(&work, &metrics, rotate_job(None).0);
-        assert!(matches!(full, Err(TrySendError::Full(_))));
-        assert_eq!(depth(), 1);
-        drop(rx.recv().unwrap());
-        metrics.dequeued();
-        assert_eq!(depth(), 0);
-
-        // Dead channel: the send itself must retire the job.
-        drop(rx);
-        let dead = dispatch(&work, &metrics, rotate_job(None).0);
-        assert!(matches!(dead, Err(TrySendError::Disconnected(_))));
-        assert_eq!(depth(), 0, "shutdown race leaked depth");
-        assert_eq!(metrics.requests_total.load(Ordering::Relaxed), 1);
-    }
-
-    /// A session reset purges each lost session's expansions exactly as
-    /// `CloseSession` does: pinned ones too, and none counted as an
-    /// eviction. A key pinned by a request on another worker must not stay
-    /// resident for a session that no longer exists once it is unpinned.
-    #[test]
-    fn a_session_reset_purges_the_lost_sessions_keys() {
+    /// A shard's view of a fresh server whose requests may wait up to
+    /// `deadline`.
+    fn state(deadline: Duration) -> ServerState {
         let ctx = CkksContext::new(
             CkksParams::builder()
                 .log_degree(5)
@@ -283,23 +234,86 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        let mut rng = StdRng::seed_from_u64(42);
-        let kg = KeyGenerator::new(ctx.clone());
-        let sk = kg.secret_key(&mut rng);
-        let gk = kg.galois_keys(&mut rng, &sk, &[1, 2], false);
-        let state = ServerState {
+        ServerState {
             shared: Arc::new(SharedState {
                 evaluator: Evaluator::new(ctx.clone()),
                 encoder: Encoder::new(ctx.clone()),
-                ctx: ctx.clone(),
+                ctx,
                 metrics: Metrics::new(),
                 obs: Observer::new(ObsConfig::baseline()),
                 shards: Vec::new(),
                 fault: None,
+                request_deadline: deadline,
             }),
             sessions: Arc::new(SessionManager::new()),
             cache: Arc::new(KeyCache::new(u64::MAX, EvictionPolicy::Lru)),
-        };
+        }
+    }
+
+    /// `serve_queue_depth` counts a request from its entry to its grant:
+    /// one waiting for the only permit counts until the permit is freed,
+    /// one refused at a full line leaves the depth as it was, and one
+    /// refused for its deadline has retired its count at the grant, like
+    /// every request that gets one.
+    #[test]
+    fn the_gate_counts_depth_from_entry_to_grant() {
+        let state = state(Duration::from_millis(1));
+        let metrics = &state.metrics;
+        let depth = || metrics.queue_depth.load(Ordering::Relaxed);
+        let trace = || state.obs.begin(Opcode::Rotate, 0);
+        let gate = Gate::new(1, 1);
+
+        let held = gate.enter(metrics, &trace()).expect("a free permit");
+        assert_eq!(depth(), 0, "a grant retires the depth at once");
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| gate.enter(metrics, &trace()).is_some());
+            while depth() != 1 {
+                std::thread::yield_now();
+            }
+            // The line is full: refused, uncounted.
+            assert!(gate.enter(metrics, &trace()).is_none());
+            assert_eq!(depth(), 1, "a refusal moved the depth");
+            assert_eq!(metrics.rejected_overload.load(Ordering::Relaxed), 1);
+            drop(held);
+            assert!(waiter.join().unwrap(), "the waiter got the freed permit");
+        });
+        assert_eq!(depth(), 0, "the grant retired the waiter");
+        assert_eq!(metrics.requests_total.load(Ordering::Relaxed), 2);
+        assert_eq!(gate.admitted(), 2);
+
+        // Past its deadline at the grant: refused, its depth retired.
+        let (mut out, trace) = (Vec::new(), trace());
+        let permit = gate.enter(metrics, &trace).expect("a free permit");
+        let queued_at = Instant::now() - Duration::from_millis(5);
+        let status = run(
+            &state,
+            Opcode::Hello,
+            &[],
+            &trace,
+            None,
+            queued_at,
+            &mut out,
+        );
+        drop(permit);
+        assert_eq!(status, ErrorCode::DeadlineExceeded as u8);
+        assert_eq!(metrics.rejected_deadline.load(Ordering::Relaxed), 1);
+        assert_eq!(depth(), 0, "a deadline refusal leaked depth");
+        assert!(state.sessions.is_empty(), "the refused Hello ran");
+    }
+
+    /// A session reset purges each lost session's expansions exactly as
+    /// `CloseSession` does: pinned ones too, and none counted as an
+    /// eviction. A key pinned by a request running on another connection
+    /// must not stay resident for a session that no longer exists once it
+    /// is unpinned.
+    #[test]
+    fn a_session_reset_purges_the_lost_sessions_keys() {
+        let state = state(Duration::from_secs(30));
+        let ctx = state.ctx.clone();
+        let mut rng = StdRng::seed_from_u64(42);
+        let kg = KeyGenerator::new(ctx.clone());
+        let sk = kg.secret_key(&mut rng);
+        let gk = kg.galois_keys(&mut rng, &sk, &[1, 2], false);
         let sid = state.sessions.create();
         assert_eq!(sid, 1);
         // One key pinned by a request in flight, one merely resident.
@@ -320,8 +334,8 @@ mod tests {
         }
         assert_eq!(state.cache.stats().resident_keys, 2);
 
-        let (job, _reply) = rotate_job(Some(FaultDecision::SessionReset));
-        assert!(admit_job(&state, job, Duration::from_secs(30)).is_some());
+        let chaos = Some(FaultDecision::SessionReset);
+        assert!(admit(&state, chaos, Instant::now()).is_ok());
         state.cache.unpin(sid, KeyKind::Galois(elements[0]));
 
         assert!(state.sessions.is_empty());

@@ -1,38 +1,37 @@
 //! The server: an acceptor giving every connection a thread of its own,
 //! and N independent shards, each with its own session table, key-cache
-//! slice (`1/N` of the global byte budget) and bounded worker queue
-//! served by `workers` threads. This module owns the shared state and
-//! thread start-up/shutdown; the threads themselves live in
-//! `crate::transport` (acceptor, connection threads), `crate::sched` (the
-//! send onto a worker queue, workers) and `crate::exec` (the op handlers),
-//! and the one decision they share — which keys a request needs and where
-//! a handler reads them — in `crate::plan`.
+//! slice (`1/N` of the global byte budget) and admission gate
+//! (`workers` permits, a line of `queue_capacity`). This module owns the
+//! shared state and thread start-up/shutdown; the threads themselves live
+//! in `crate::transport` (acceptor, connection threads), what a connection
+//! thread does with a request in `crate::sched` (the gate, running one
+//! admitted request) and `crate::exec` (the op handlers), and the one
+//! decision they share — which keys a request needs and where a handler
+//! reads them — in `crate::plan`.
 //!
 //! Metrics and tracing stay global: one [`Metrics`] registry aggregates
 //! across shards (the dump appends per-shard labeled families), and the
 //! `Observer` stamps the owning shard into every request timeline.
 //!
-//! Shutdown is a graceful drain in four steps: the acceptor exits
+//! Shutdown is a graceful drain in three steps: the acceptor exits
 //! (closing the listening port); the read side of every open connection
 //! is shut, so a blocked read ends at its frame boundary while a reply
-//! still owed goes out; the connection threads are joined; and the
-//! worker queues' senders drop, so the workers run what is queued and
-//! exit, and are joined.
+//! still owed goes out; and the connection threads are joined.
 
 use crate::cache::{CacheStats, KeyCache};
 use crate::config::ServeConfig;
 use crate::fault::FaultPlan;
 use crate::metrics::{Metrics, ShardSnapshot};
 use crate::obs::{chrome_trace_json, FinishedTrace, Observer};
-use crate::sched::{worker_loop, Job};
+use crate::sched::Gate;
 use crate::session::SessionManager;
 use crate::transport::{accept_loop, Transport};
 use ckks::{CkksContext, Encoder, Evaluator};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// State every shard sees: the crypto context, the global metrics and
 /// tracing registries, and a window onto every shard's tenant-owning
@@ -48,15 +47,19 @@ pub(crate) struct SharedState {
     pub(crate) shards: Vec<ShardPublic>,
     /// The fault schedule, if the server was started with one.
     pub(crate) fault: Option<Arc<FaultPlan>>,
+    /// How long a request may wait for its permit
+    /// ([`ServeConfig::request_deadline`]).
+    pub(crate) request_deadline: Duration,
 }
 
-/// One shard's tenant-owning structures, visible to every thread for
-/// metrics aggregation.
+/// One shard's tenant-owning structures and its admission gate, visible
+/// to every thread (the gate to every connection thread, the rest for
+/// metrics aggregation).
 pub(crate) struct ShardPublic {
     pub(crate) sessions: Arc<SessionManager>,
     pub(crate) cache: Arc<KeyCache>,
-    /// Requests sent to this shard's worker queue.
-    pub(crate) requests: AtomicU64,
+    /// What bounds how many of this shard's requests run at once.
+    pub(crate) gate: Gate,
 }
 
 impl SharedState {
@@ -69,7 +72,7 @@ impl SharedState {
             agg.accumulate(&stats);
             snaps.push(ShardSnapshot {
                 shard: i,
-                requests: s.requests.load(Ordering::Relaxed),
+                requests: s.gate.admitted(),
                 sessions: s.sessions.len() as u64,
                 cache: stats,
                 budget_bytes: s.cache.budget_bytes(),
@@ -108,13 +111,6 @@ impl std::ops::Deref for ServerState {
     }
 }
 
-fn spawn<T: Send + 'static>(name: String, f: impl FnOnce() -> T + Send + 'static) -> JoinHandle<T> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(f)
-        .expect("spawn server thread")
-}
-
 /// A running server; dropping without [`Server::shutdown`] aborts
 /// non-gracefully (threads are detached), so call `shutdown`.
 pub struct Server {
@@ -123,18 +119,17 @@ pub struct Server {
     transport: Arc<Transport>,
     /// Returns the connection threads still running when it exits.
     acceptor: JoinHandle<Vec<JoinHandle<()>>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds a loopback listener on an OS-assigned port and starts the
-    /// acceptor and every shard's workers. Shards are clamped to
-    /// `1..=`[`crate::MAX_SHARDS`], and workers and queue capacity to at
-    /// least 1.
+    /// acceptor. Shards are clamped to `1..=`[`crate::MAX_SHARDS`], and
+    /// workers and queue capacity to at least 1.
     ///
     /// # Errors
     ///
-    /// Propagates listener-creation I/O errors.
+    /// Propagates the I/O errors of creating the listener and of spawning
+    /// the acceptor thread.
     pub fn start(ctx: Arc<CkksContext>, mut config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         listener.set_nonblocking(true)?;
@@ -148,7 +143,7 @@ impl Server {
             .map(|i| ShardPublic {
                 sessions: Arc::new(SessionManager::new_for_shard(i, shard_count)),
                 cache: Arc::new(KeyCache::new(per_shard_budget, config.eviction)),
-                requests: AtomicU64::new(0),
+                gate: Gate::new(config.workers, config.queue_capacity),
             })
             .collect();
         let shared = Arc::new(SharedState {
@@ -159,39 +154,24 @@ impl Server {
             obs: Observer::new(config.obs.clone()),
             shards: shard_public,
             fault: config.fault_plan.clone(),
+            request_deadline: config.request_deadline,
         });
 
-        let mut queues = Vec::with_capacity(shard_count);
-        let mut workers = Vec::with_capacity(shard_count * config.workers);
-        for (i, public) in shared.shards.iter().enumerate() {
-            let state = Arc::new(ServerState {
+        let shards = shared
+            .shards
+            .iter()
+            .map(|public| ServerState {
                 shared: shared.clone(),
                 sessions: public.sessions.clone(),
                 cache: public.cache.clone(),
-            });
-            let (work_tx, work_rx) = sync_channel::<Job>(config.queue_capacity);
-            let work_rx = Arc::new(Mutex::new(work_rx));
-            for w in 0..config.workers {
-                let state = state.clone();
-                let rx = work_rx.clone();
-                let deadline = config.request_deadline;
-                workers.push(spawn(format!("serve-w{i}-{w}"), move || {
-                    worker_loop(&state, &rx, deadline);
-                }));
-            }
-            queues.push(work_tx);
-        }
-
-        let transport = Arc::new(Transport::new(
-            shared.clone(),
-            queues,
-            config.max_frame_bytes,
-        ));
+            })
+            .collect();
+        let transport = Arc::new(Transport::new(shards, config.max_frame_bytes));
         let acceptor = {
             let transport = transport.clone();
-            spawn("serve-acceptor".into(), move || {
-                accept_loop(&transport, listener)
-            })
+            std::thread::Builder::new()
+                .name("serve-acceptor".into())
+                .spawn(move || accept_loop(&transport, listener))?
         };
 
         Ok(Server {
@@ -199,7 +179,6 @@ impl Server {
             state: shared,
             transport,
             acceptor,
-            workers,
         })
     }
 
@@ -277,8 +256,7 @@ impl Server {
 
     /// Graceful drain: stop accepting (the listening port closes with
     /// the acceptor), end every connection at its frame boundary once the
-    /// reply it is owed has gone out, let queued requests finish, then
-    /// join every thread.
+    /// reply it is owed has gone out, then join every connection thread.
     pub fn shutdown(self) {
         self.transport.shutdown.store(true, Ordering::SeqCst);
         // The acceptor wakes on its poll tick and exits, dropping the
@@ -287,13 +265,6 @@ impl Server {
         self.transport.close_reads();
         for conn in conns {
             let _ = conn.join();
-        }
-        // The connection threads are gone; dropping the last handle on the
-        // transport drops the worker queues' senders, so the workers drain
-        // their queues and exit.
-        drop(self.transport);
-        for worker in self.workers {
-            let _ = worker.join();
         }
     }
 }

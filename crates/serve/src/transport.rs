@@ -4,23 +4,23 @@
 //! - The **acceptor** polls a nonblocking listener (a 2 ms nap between
 //!   empty polls, so it notices shutdown) and gives each fresh connection
 //!   a home shard, round-robin, and a thread of its own.
-//! - Each **connection thread** reads one frame with the blocking reader
-//!   the client uses ([`read_frame_into`]), straight into the connection's
-//!   request buffer; checks its header and sends the body — never copied
-//!   out of that buffer — to one shard's bounded worker queue with one
-//!   `try_send` ([`dispatch`]; a full queue is answered at once with
-//!   [`ErrorCode::Overloaded`] — backpressure, never buffering); blocks on
-//!   the one reply channel it made; writes the reply frame the worker
-//!   built, as it is; and only then reads the next frame, so each
-//!   connection sees strict request/response ordering. The connection's
-//!   two buffers make that round trip with every request, so it allocates
+//! - Each **connection thread** runs the requests it reads. It reads one
+//!   frame with the blocking reader the client uses ([`read_frame_into`]),
+//!   straight into the connection's request buffer; checks its header;
+//!   enters the gate of the shard that owns the request
+//!   ([`crate::sched::Gate`]; a full line is answered at once with
+//!   [`ErrorCode::Overloaded`] — backpressure, never buffering); runs it
+//!   there, the body never copied out of that buffer, building the reply
+//!   frame in the connection's reply buffer ([`crate::sched::run`]); frees
+//!   the permit; writes the reply; and only then reads the next frame, so
+//!   each connection sees strict request/response ordering and allocates
 //!   for its largest request and reply once.
 //! - **Routing** is consistent hashing of the session id
-//!   ([`crate::shard::shard_of`]): a keyed frame goes to the queue of the
-//!   shard that owns its session, and `Hello`, `Metrics` and `TraceDump`
-//!   to the connection's home shard, whose `Hello` mints an id that hashes
-//!   back to it. A tenant's keys, cache entries and programs live on
-//!   exactly one shard, whichever connection drives them.
+//!   ([`crate::shard::shard_of`]): a keyed frame runs on the shard that
+//!   owns its session, and `Hello`, `Metrics` and `TraceDump` on the
+//!   connection's home shard, whose `Hello` mints an id that hashes back
+//!   to it. A tenant's keys, cache entries and programs live on exactly
+//!   one shard, whichever connection drives them.
 
 use crate::fault::FaultDecision;
 use crate::obs::Stage;
@@ -28,24 +28,21 @@ use crate::protocol::{
     begin_frame, finish_frame, read_frame_into, split_session, ErrorCode, FrameRead, Opcode,
     FRAME_HEADER_LEN, PROTOCOL_VERSION,
 };
-use crate::sched::{dispatch, Job, Reply};
-use crate::server::SharedState;
+use crate::sched::run;
+use crate::server::ServerState;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// What the acceptor and every connection thread share.
 pub(crate) struct Transport {
-    shared: Arc<SharedState>,
-    /// Each shard's worker queue, by shard id. These are the only senders:
-    /// once the server, the acceptor and every connection thread have let
-    /// go of the transport, the workers drain their queues and exit.
-    queues: Vec<SyncSender<Job>>,
+    /// Each shard's view of the server, by shard id; every view shares
+    /// one `SharedState` (metrics, tracing, the fault plan).
+    shards: Vec<ServerState>,
     max_frame: u32,
     pub(crate) shutdown: AtomicBool,
     /// A handle on each open connection's socket, by connection number, so
@@ -54,14 +51,9 @@ pub(crate) struct Transport {
 }
 
 impl Transport {
-    pub(crate) fn new(
-        shared: Arc<SharedState>,
-        queues: Vec<SyncSender<Job>>,
-        max_frame: u32,
-    ) -> Self {
+    pub(crate) fn new(shards: Vec<ServerState>, max_frame: u32) -> Self {
         Transport {
-            shared,
-            queues,
+            shards,
             max_frame,
             shutdown: AtomicBool::new(false),
             open: Mutex::default(),
@@ -74,7 +66,7 @@ impl Transport {
 
     /// Shuts the read side of every open connection: a thread blocked
     /// reading between frames sees end of stream and closes, one blocked
-    /// mid-frame closes unanswered, and one waiting on a worker still
+    /// mid-frame closes unanswered, and one running a request still
     /// writes the reply it owes.
     pub(crate) fn close_reads(&self) {
         for stream in self.open().values() {
@@ -99,8 +91,7 @@ pub(crate) fn accept_loop(
             std::thread::sleep(Duration::from_millis(2));
             continue;
         };
-        transport
-            .shared
+        transport.shards[0]
             .metrics
             .connections_total
             .fetch_add(1, Ordering::Relaxed);
@@ -108,7 +99,7 @@ pub(crate) fn accept_loop(
         for closed in conns.extract_if(.., |conn| conn.is_finished()) {
             let _ = closed.join();
         }
-        let (id, home) = (next, (next % transport.queues.len() as u64) as usize);
+        let (id, home) = (next, (next % transport.shards.len() as u64) as usize);
         next += 1;
         let Ok(handle) = stream.try_clone() else {
             continue;
@@ -130,21 +121,17 @@ pub(crate) fn accept_loop(
     conns
 }
 
-/// One connection's thread: read a frame, send it to its shard's worker
-/// queue, wait for the reply and write it — until the peer closes, a read
-/// or write fails, or the server shuts down between frames.
+/// One connection's thread: read a frame, run it on the shard that owns
+/// it and write the reply — until the peer closes, a read or write fails,
+/// or the server shuts down between frames.
 fn serve_conn(t: &Transport, mut stream: &TcpStream, home: usize) -> std::io::Result<()> {
     // The listener is nonblocking, and some platforms hand its sockets
     // over the same way.
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
-    let metrics = &t.shared.metrics;
-    // The reply sender travels with each job and back with its reply; a
-    // job dropped unanswered takes it along and disconnects the channel.
-    let (reply_to, replies) = std::sync::mpsc::channel();
-    let mut reply_to = Some(reply_to);
-    // The frame being read, and the reply being built: each rides to the
-    // worker and back with every request.
+    let shared = &t.shards[home].shared;
+    let metrics = &shared.metrics;
+    // The frame being read, and the reply being built.
     let (mut request, mut reply) = (Vec::new(), Vec::new());
     while !t.shutdown.load(Ordering::SeqCst) {
         let read = read_frame_into(&mut stream, t.max_frame, std::mem::take(&mut request))?;
@@ -174,10 +161,10 @@ fn serve_conn(t: &Transport, mut stream: &TcpStream, home: usize) -> std::io::Re
             continue;
         };
         // Chaos: with a plan, exactly one decision per parsed frame.
-        // Read-side faults act right here; worker-side faults ride on the
-        // job; a write abort fires when the reply comes back.
+        // Read-side faults act right here; worker-side faults once the
+        // request holds its permit; a write abort when the reply is built.
         let (mut chaos, mut write_abort) = (None, None);
-        if let Some(fault) = t.shared.fault.as_ref().and_then(|plan| plan.decide(op)) {
+        if let Some(fault) = shared.fault.as_ref().and_then(|plan| plan.decide(op)) {
             metrics.faults_injected.fetch_add(1, Ordering::Relaxed);
             match fault {
                 // A failed socket read: the connection dies with no reply
@@ -194,81 +181,48 @@ fn serve_conn(t: &Transport, mut stream: &TcpStream, home: usize) -> std::io::Re
                 other => chaos = Some(other),
             }
         }
-        let shard = owner(op, &request, t.queues.len()).unwrap_or(home);
-        let trace = t.shared.obs.begin(op, shard as u32);
-        let job = Job {
-            op,
-            body: std::mem::take(&mut request),
-            out: std::mem::take(&mut reply),
-            deadline_start: Instant::now(),
-            reply: reply_to
-                .take()
-                .expect("the reply sender is back between requests"),
-            trace: trace.clone(),
-            chaos,
-        };
-        match dispatch(&t.queues[shard], metrics, job) {
-            Ok(()) => {
-                t.shared.shards[shard]
-                    .requests
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Err(TrySendError::Full(job)) => {
-                metrics.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                (request, reply, reply_to) = (job.body, job.out, Some(job.reply));
-                refuse(
-                    t,
-                    stream,
-                    &mut reply,
-                    ErrorCode::Overloaded,
-                    "queue full, retry later",
-                )?;
+        let shard = owner(op, &request, t.shards.len()).unwrap_or(home);
+        let state = &t.shards[shard];
+        let trace = shared.obs.begin(op, shard as u32);
+        let queued_at = Instant::now();
+        let status = {
+            let Some(_permit) = state.shards[shard].gate.enter(metrics, &trace) else {
+                let msg = "queue full, retry later";
+                refuse(t, stream, &mut reply, ErrorCode::Overloaded, msg)?;
                 continue;
-            }
-            // The workers are gone (a shutdown race): drop the connection.
-            Err(TrySendError::Disconnected(_)) => return Ok(()),
-        }
-        let Ok(Reply {
-            status,
-            mut frame,
-            spent,
-            reply_to: back,
-        }) = replies.recv()
-        else {
-            // The job was dropped unanswered, its worker dead outside the
-            // panic guard, and the reply sender with it: answer, and close.
-            let msg = "worker dropped the request";
-            return refuse(t, stream, &mut reply, ErrorCode::Internal, msg);
+            };
+            run(state, op, &request, &trace, chaos, queued_at, &mut reply)
+            // The permit is freed here: the reply is built, and a client
+            // that stops reading holds no execution slot.
         };
-        reply_to = Some(back);
-        if !op.is_upload() {
-            request = spent;
+        if op.is_upload() {
+            // The largest and rarest frames a session sends: not kept.
+            request = Vec::new();
         }
         if let Some(keep) = write_abort {
             // Torn frame: a strict prefix of the real reply, then the
             // connection drops. No error or byte accounting, and the trace
             // is abandoned — a reply that never made it is not timeline
             // data.
-            finish_frame(&mut frame, status);
-            frame.truncate(keep.min(frame.len().saturating_sub(1)));
-            return stream.write_all(&frame);
+            finish_frame(&mut reply, status);
+            reply.truncate(keep.min(reply.len().saturating_sub(1)));
+            return stream.write_all(&reply);
         }
-        let picked = Instant::now();
-        let written = send(t, stream, &mut frame, status);
-        // The write stage runs from reply pickup to the last byte taken by
-        // the socket. A failed write finishes the trace all the same: the
-        // reply was produced.
-        trace.add_stage(Stage::Write, picked.elapsed());
-        t.shared.obs.finish(metrics, &trace, status);
+        let built = Instant::now();
+        let written = send(t, stream, &mut reply, status);
+        // The write stage runs from the built reply to the last byte taken
+        // by the socket. A failed write finishes the trace all the same:
+        // the reply was produced.
+        trace.add_stage(Stage::Write, built.elapsed());
+        shared.obs.finish(metrics, &trace, status);
         written?;
-        reply = frame;
     }
     Ok(())
 }
 
 /// The shard a keyed frame's session lives on; `None` — the connection's
 /// home shard — for `Hello`, `Metrics` and `TraceDump`, and for a body too
-/// short to name a session, which the worker rejects as malformed.
+/// short to name a session, which [`run`] rejects as malformed.
 fn owner(op: Opcode, body: &[u8], shards: usize) -> Option<usize> {
     let (sid, _) = split_session(body).filter(|_| op.has_session())?;
     Some(crate::shard::shard_of(sid, shards))
@@ -283,7 +237,7 @@ fn send(
     frame: &mut [u8],
     status: u8,
 ) -> std::io::Result<()> {
-    let metrics = &t.shared.metrics;
+    let metrics = &t.shards[0].metrics;
     if status != 0 {
         metrics.errors_total.fetch_add(1, Ordering::Relaxed);
     }

@@ -12,13 +12,17 @@ use fhe_math::cfft::Complex;
 use fhe_program::program::ProgramEnv;
 use fhe_program::{execute, ExecInputs, ExecKeys};
 use fhe_serve::protocol::{frame_bytes, read_frame, BodyWriter, FrameRead, Opcode};
-use fhe_serve::{Client, EvictionPolicy, FaultDecision, FaultMix, FaultPlan, ServeConfig, Server};
+use fhe_serve::{
+    Client, ClientError, ErrorCode, EvictionPolicy, FaultDecision, FaultMix, FaultPlan,
+    ServeConfig, Server,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn helr_ctx() -> Arc<CkksContext> {
     CkksContext::new(
@@ -520,6 +524,115 @@ fn a_zero_queue_capacity_still_serves_keyed_requests() {
         .pop()
         .expect("one rotation");
     assert_eq!(serialize_ciphertext(&remote), serialize_ciphertext(&local));
+    server.shutdown();
+}
+
+/// The value of a label-less sample in a metrics dump.
+fn gauge(dump: &str, name: &str) -> u64 {
+    let line = dump
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+    line.unwrap_or_else(|| panic!("{name} missing from the dump"))
+        .parse()
+        .unwrap()
+}
+
+/// A request that never gets its reply out still frees its shard's
+/// execution slot. One permit and a line of one: an `Add` that panics on
+/// an injected fault, one held past its deadline by an injected delay, and
+/// one whose client hangs up while it waits in line. Then an `Add` on a
+/// fresh connection answers within 5 s, and `serve_queue_depth` reads 0.
+#[test]
+fn every_way_a_request_ends_frees_its_permit() {
+    let ctx = helr_ctx();
+    let deadline = Duration::from_millis(250);
+    let mix = FaultMix {
+        read_error: 0,
+        write_abort: 0,
+        delay: 500,
+        eviction_storm: 0,
+        session_reset: 0,
+        overloaded: 0,
+        worker_panic: 500,
+        delay_cap: Duration::from_secs(2),
+        spare_setup: true,
+    };
+    // The first seed whose plan panics on the first evaluation frame and
+    // holds the second for at least a second.
+    let seed = (0..)
+        .find(|&seed| {
+            let plan = FaultPlan::new(seed, mix.clone(), 2);
+            let draws = [plan.decide(Opcode::Add), plan.decide(Opcode::Add)];
+            matches!(draws, [Some(FaultDecision::WorkerPanic), Some(FaultDecision::Delay(d))]
+                if d >= Duration::from_secs(1))
+        })
+        .unwrap();
+    let plan = Arc::new(FaultPlan::new(seed, mix, 2));
+    let config = ServeConfig {
+        shards: 1,
+        workers: 1,
+        queue_capacity: 1,
+        request_deadline: deadline,
+        fault_plan: Some(plan.clone()),
+        ..ServeConfig::default()
+    };
+    let server = Server::start(ctx.clone(), config).unwrap();
+    let addr = server.local_addr();
+    let mut rng = StdRng::seed_from_u64(9000);
+    let sk = KeyGenerator::new(ctx.clone()).secret_key(&mut rng);
+    let encoder = Encoder::new(ctx.clone());
+    let encryptor = Encryptor::new(ctx.clone());
+    let v: Vec<f64> = (0..ctx.params().slots()).map(|i| i as f64 * 0.04).collect();
+    let a = Arc::new(encrypt_vec(&ctx, &encoder, &encryptor, &sk, &mut rng, &v));
+    let expected = serialize_ciphertext(&Evaluator::new(ctx.clone()).add(&a, &a));
+    let code = |result: Result<Ciphertext, ClientError>| match result {
+        Err(ClientError::Server { code, .. }) => code,
+        other => panic!("expected an error reply, got {:?}", other.map(|_| ())),
+    };
+
+    let mut client = Client::connect(addr, ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    assert_eq!(code(client.add(sid, &a, &a)), ErrorCode::Internal);
+
+    let (held_tx, held) = channel();
+    let operand = a.clone();
+    std::thread::spawn(move || {
+        let _ = held_tx.send(client.add(sid, &operand, &operand));
+    });
+    while plan.injected_count() < 2 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The delayed request holds the permit: this one waits in line, and
+    // its client leaves without reading the reply.
+    let mut hangs_up = TcpStream::connect(addr).unwrap();
+    let mut body = BodyWriter::new();
+    let a_bytes = serialize_ciphertext(&a);
+    body.u64(sid).blob(&a_bytes).blob(&a_bytes);
+    hangs_up
+        .write_all(&frame_bytes(Opcode::Add as u8, &body.0))
+        .unwrap();
+    let asked = Instant::now();
+    while gauge(&server.metrics_dump(), "serve_queue_depth") != 1 {
+        assert!(asked.elapsed() < Duration::from_secs(10), "nothing waited");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    drop(hangs_up);
+    let held = held
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the delayed request was never answered");
+    assert_eq!(code(held), ErrorCode::DeadlineExceeded);
+
+    let (fresh_tx, fresh) = channel();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr, ctx).unwrap();
+        let sid = client.hello().unwrap();
+        let _ = fresh_tx.send(client.add(sid, &a, &a).map(|ct| serialize_ciphertext(&ct)));
+    });
+    let reply = fresh
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a fresh Add was not answered within 5 s");
+    assert_eq!(reply.unwrap(), expected);
+    assert_eq!(gauge(&server.metrics_dump(), "serve_queue_depth"), 0);
     server.shutdown();
 }
 

@@ -6,6 +6,7 @@
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
+use ckks::hoisting::LinearTransform;
 use ckks::serialize::{serialize_ciphertext, serialize_switching_key};
 use ckks::{Ciphertext, CkksContext, CkksParams, Encoder, Encryptor, Evaluator, KeyGenerator};
 use fhe_math::cfft::Complex;
@@ -383,6 +384,52 @@ fn bsgs_offsets_must_increase_and_a_whole_turn_is_a_free_copy() {
             ErrorCode::Malformed,
         );
     }
+    server.shutdown();
+}
+
+/// A `Bsgs` of a one-limb ciphertext has no level left to multiply at: it
+/// is `Malformed`, as a `Mult`, `PtMult` or `Rescale` of one is, whatever
+/// its diagonals. Refused before it runs, it cannot fail inside the
+/// context's shared caches, so a later `Rotate` from another session still
+/// answers exactly what the library computes.
+#[test]
+fn a_one_limb_bsgs_is_malformed_and_rotations_still_run() {
+    let ctx = small_ctx();
+    let slots = ctx.params().slots();
+    let server = Server::start(ctx.clone(), ServeConfig::default()).unwrap();
+    let mut rng = StdRng::seed_from_u64(15);
+    let kg = KeyGenerator::new(ctx.clone());
+    let sk = kg.secret_key(&mut rng);
+    let gk = kg.galois_keys_compressed(&mut rng, &sk, &[1, 2], false);
+    let (encoder, encryptor) = (Encoder::new(ctx.clone()), Encryptor::new(ctx.clone()));
+    let mut encrypt = |limbs| {
+        let pt = encoder
+            .encode(&[Complex::new(0.25, 0.5)], limbs, ctx.params().scale())
+            .unwrap();
+        encryptor.encrypt_symmetric(&mut rng, &pt, &sk)
+    };
+    let (low, top) = (encrypt(1), encrypt(3));
+    assert_eq!(low.limb_count(), 1);
+
+    let mut client = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let sid = client.hello().unwrap();
+    client.upload_galois(sid, &gk).unwrap();
+    for offsets in [&[1, 2][..], &[0]] {
+        let diagonal = vec![Complex::new(0.125, 0.0); slots];
+        let diagonals = offsets.iter().map(|&d| (d, diagonal.clone())).collect();
+        let lt = LinearTransform::from_diagonals(diagonals, slots);
+        match client.bsgs(sid, &low, &lt, 2) {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("one-limb bsgs over {offsets:?}: {:?}", other.map(|_| ())),
+        }
+    }
+
+    let mut other = Client::connect(server.local_addr(), ctx.clone()).unwrap();
+    let other_sid = other.hello().unwrap();
+    other.upload_galois(other_sid, &gk).unwrap();
+    let remote = other.rotate(other_sid, &top, 1).unwrap();
+    let local = Evaluator::new(ctx.clone()).rotate(&top, 1, &gk);
+    assert_eq!(serialize_ciphertext(&remote), serialize_ciphertext(&local));
     server.shutdown();
 }
 
