@@ -215,7 +215,7 @@ impl CostModel {
         if digit_reads_charged {
             c.ct_read += b * w * limb;
         }
-        let key_bytes = 2 * b * w * limb;
+        let key_bytes = 2 * (b - empty as u64) * w * limb;
         c.key_read += if self.config.algo.key_compression {
             key_bytes / 2
         } else {
@@ -681,6 +681,19 @@ mod tests {
         let b = compressed.keyswitch(35);
         assert_eq!(b.key_read * 2, a.key_read);
         assert_eq!(b.ops(), a.ops());
+    }
+
+    /// At ℓ = 24 = 2α, `β_at` counts a third digit of no limbs: it meets
+    /// no key, so no key bytes are charged for it.
+    #[test]
+    fn an_empty_digit_reads_no_key() {
+        let m = model(CachingLevel::OneLimb);
+        let (ell, k) = (24, m.params.special_limbs() as u64);
+        assert_eq!(m.params.beta_at(ell), 3);
+        let three = m.ksk_inner_product(ell, 3, true, true);
+        let two = m.ksk_inner_product(ell, 2, true, true);
+        assert_eq!(three.key_read, two.key_read);
+        assert_eq!(three.key_read, 2 * 2 * (ell as u64 + k) * m.limb());
     }
 
     #[test]

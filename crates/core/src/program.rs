@@ -275,19 +275,30 @@ pub struct ProgramEnv {
     pub slots: usize,
 }
 
-/// Keys a program needs: relinearization and the exact Galois step set.
+/// Keys a program needs: relinearization and the exact Galois step set,
+/// each key with the level it is read at.
 ///
 /// `BsgsMatVec` contributes the same steps `apply_bsgs` rotates by: each
 /// non-zero baby step `offset mod n1` some diagonal lands on plus each
 /// distinct non-zero giant step `(offset / n1) · n1`. A folded ladder
 /// ([`folded_ladders`]) contributes, beside its rungs, each paired stage's
 /// combined step ([`ladder_stages`]).
+///
+/// A key's level is the largest working limb count ([`InstrMeta::ell`])
+/// among the instructions that read it: a `Mult` reads the relin key, a
+/// `Rotate` its step's key, a `BsgsMatVec` its baby and giant steps' keys,
+/// and a folded ladder — at the largest `ell` of its rungs — every stage
+/// step, combined steps included.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyManifest {
     /// True when any `Mult` appears (relinearization key required).
     pub relin: bool,
     /// Sorted, de-duplicated rotation steps (step 0 never appears).
     pub galois_steps: Vec<i64>,
+    /// The relin key's level, 0 when `relin` is false.
+    pub relin_level: usize,
+    /// Each of `galois_steps`' key levels, in the same order.
+    pub galois_levels: Vec<usize>,
 }
 
 /// Role of an instruction in the rotation-hoisting schedule.
@@ -725,7 +736,12 @@ impl Program {
         }
 
         let mut manifest = KeyManifest::default();
-        let mut galois: BTreeSet<i64> = BTreeSet::new();
+        // Each rotating step with its key's level so far.
+        let mut galois: BTreeMap<i64, usize> = BTreeMap::new();
+        let read_at = |galois: &mut BTreeMap<i64, usize>, step: i64, ell: usize| {
+            let level = galois.entry(step).or_default();
+            *level = (*level).max(ell);
+        };
         let mut metas = Vec::with_capacity(self.instrs.len());
 
         let read = |regs: &BTreeMap<String, (usize, u32)>,
@@ -793,12 +809,13 @@ impl Program {
                         });
                     }
                     manifest.relin = true;
+                    manifest.relin_level = manifest.relin_level.max(ell);
                     (ell, ell - 1, ea + eb - 1)
                 }
                 Instr::Rotate { a, steps, .. } => {
                     let (la, ea) = read(&regs, idx, a)?;
                     if rotates(*steps, env.slots) {
-                        galois.insert(*steps);
+                        read_at(&mut galois, *steps, la);
                     } else {
                         hoist = HoistRole::Copy;
                     }
@@ -835,7 +852,9 @@ impl Program {
                         });
                     }
                     let n1 = bsgs_baby_dim(decl.offsets.len());
-                    galois.extend(bsgs_galois_steps(&decl.offsets, n1));
+                    for step in bsgs_galois_steps(&decl.offsets, n1) {
+                        read_at(&mut galois, step, la);
+                    }
                     (la, la - 1, ea)
                 }
                 Instr::Bootstrap { a, to_level, .. } => {
@@ -877,8 +896,10 @@ impl Program {
                 })
                 .collect();
             let stages = ladder_stages(&steps, env.slots);
-            let combined = stages.iter().filter_map(|stage| stage.get(2));
-            galois.extend(combined.filter(|&&s| rotates(s, env.slots)));
+            let ell = metas[start..start + 2 * rungs].iter().map(|m| m.ell).max();
+            for &step in stages.iter().flatten().filter(|&&s| rotates(s, env.slots)) {
+                read_at(&mut galois, step, ell.expect("a ladder has rungs"));
+            }
             metas[start].fold = FoldRole::Leader(ladders.len());
             for m in &mut metas[start + 1..start + 2 * rungs] {
                 m.fold = FoldRole::Member;
@@ -902,7 +923,7 @@ impl Program {
             outputs.push(state);
         }
 
-        manifest.galois_steps = galois.into_iter().collect();
+        (manifest.galois_steps, manifest.galois_levels) = galois.into_iter().unzip();
         Ok(ProgramInfo {
             manifest,
             instrs: metas,
@@ -1994,6 +2015,54 @@ mod tests {
         assert_eq!(ladders_of(&instrs, &names(&["x"])), [(3, 2)]);
         instrs.truncate(5);
         assert_eq!(ladders_of(&instrs, &names(&["x", "r"])), []);
+    }
+
+    /// Each manifest key's level is the largest `ell` among the
+    /// instructions that read it — a folded ladder's stage steps, its
+    /// combined step among them, at the ladder's — and a copy reads none.
+    #[test]
+    fn the_manifest_levels_each_key_at_the_highest_read() {
+        let slots = 16;
+        let p = Program {
+            name: "levels".into(),
+            ct_inputs: vec![CtDecl {
+                name: "x".into(),
+                level: 3,
+            }],
+            instrs: [
+                vec![
+                    Instr::Mult {
+                        dst: "m".into(),
+                        a: "x".into(),
+                        b: "x".into(),
+                    },
+                    rot("a", "x", 1),
+                    rot("b", "m", 1),
+                    rot("c", "m", 2),
+                    rot("d", "m", slots),
+                ],
+                // A ladder on `m` (level 2): one stage {4, 8, 12}.
+                ladder("m", "t", &[4, 8]),
+            ]
+            .concat(),
+            outputs: names(&["m", "a", "b", "c", "d"]),
+            ..Program::default()
+        };
+        let env = ProgramEnv {
+            levels: 3,
+            slots: slots as usize,
+        };
+        let manifest = p.validate(&env).unwrap().manifest;
+        assert!(manifest.relin);
+        assert_eq!(manifest.relin_level, 3);
+        assert_eq!(manifest.galois_steps, [1, 2, 4, 8, 12]);
+        // Step 1 is read at level 3 (of `x`) and at 2: its key is at 3.
+        assert_eq!(manifest.galois_levels, [3, 2, 2, 2, 2]);
+        // BSGS reads its baby and giant steps at its operand's level.
+        let manifest = small_program().validate(&self::env()).unwrap().manifest;
+        assert_eq!(manifest.galois_steps, [1, 2, 4, 13]);
+        assert_eq!(manifest.relin_level, 5);
+        assert_eq!(manifest.galois_levels, [4, 4, 4, 4]);
     }
 
     #[test]

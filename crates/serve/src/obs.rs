@@ -2,10 +2,11 @@
 //! of recent request timelines, a slow-request log, and a Perfetto
 //! (Chrome trace-event) exporter behind the `TraceDump` opcode.
 //!
-//! Every request gets an id at frame parse and a lock-free
-//! `RequestTrace` that follows it through the whole lifecycle; there is
-//! no untraced mode. The connection thread that read the request runs it
-//! and stamps each stage transition as it happens:
+//! Every request gets an id at frame parse and a `RequestTrace` that
+//! follows it through the whole lifecycle; there is no untraced mode. The
+//! trace is a plain struct: the connection thread that read the request
+//! owns it, runs the request and stamps each stage transition as it
+//! happens:
 //!
 //! ```text
 //! parse ─ gate ────── grant ─ key ─ decode/kernel ─ permit freed ─ write
@@ -16,7 +17,8 @@
 //! time waiting at the shard's gate for a permit (a stage under a
 //! microsecond counts as one), `key` the request's pin phase before
 //! execution, `decode`/`serialize` are measured inside the execution
-//! window through a thread-local slot for the executing request, `kernel`
+//! window into a per-thread tally the execution guard folds into the
+//! trace when the window closes, `kernel`
 //! is the rest of that window (the FHE math itself), and `write` is the
 //! reply's blocking write, which lasts until the socket has taken its last
 //! byte — for a large reply, until the client has read most of it.
@@ -40,10 +42,10 @@ use crate::config::ObsConfig;
 use crate::metrics::Metrics;
 use crate::protocol::Opcode;
 use fhe_math::telemetry::ChromeTrace;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// The request lifecycle stages latency is attributed to. Together the
@@ -95,10 +97,8 @@ impl Stage {
     }
 }
 
-/// The live, lock-free timeline of one in-flight request. Stamps and
-/// accumulators are relaxed atomics: each field is written by the
-/// request's connection thread and read only at finish, so no ordering
-/// stronger than `Relaxed` is needed.
+/// The live timeline of one in-flight request: a plain struct the
+/// request's connection thread owns from frame parse to finish.
 pub(crate) struct RequestTrace {
     id: u64,
     op: Opcode,
@@ -107,44 +107,37 @@ pub(crate) struct RequestTrace {
     shard: u32,
     /// When the frame was parsed; every offset below is relative to it.
     start: Instant,
-    /// Offset when the request reached its shard's gate (timeline anchor
-    /// for the queue span).
-    enqueued_us: AtomicU64,
+    /// When the request reached its shard's gate: the queue span's anchor,
+    /// and what the request deadline is measured from.
+    pub(crate) enqueued: Instant,
     /// Offset when handler execution began.
-    exec_begin_us: AtomicU64,
+    exec_begin_us: u64,
     /// Total handler execution time.
-    exec_us: AtomicU64,
-    stage_us: [AtomicU64; Stage::ALL.len()],
+    exec_us: u64,
+    stage_us: [u64; Stage::ALL.len()],
     /// Kernel sub-spans of the handler run, offsets from `start`.
-    subspans: Mutex<Vec<SubSpan>>,
+    subspans: Vec<SubSpan>,
 }
 
 impl RequestTrace {
-    fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
     /// Adds a measured duration to `stage` (also used from outside the
     /// execution window: the pin phase, the reply flush). A
     /// stage that ran is on the timeline: one that finished inside a
     /// microsecond — serializing a toy-ring ciphertext does — counts as
     /// one, not none.
-    pub(crate) fn add_stage(&self, stage: Stage, d: Duration) {
-        self.stage_us[stage.index()].fetch_add((d.as_micros() as u64).max(1), Relaxed);
+    pub(crate) fn add_stage(&mut self, stage: Stage, d: Duration) {
+        self.stage_us[stage.index()] += (d.as_micros() as u64).max(1);
     }
 
     /// The request is about to enter its shard's gate.
-    pub(crate) fn mark_enqueued(&self) {
-        self.enqueued_us.store(self.elapsed_us(), Relaxed);
+    pub(crate) fn mark_enqueued(&mut self) {
+        self.enqueued = Instant::now();
     }
 
     /// The request's permit was granted: the queue stage ends, however
     /// short it was.
-    pub(crate) fn mark_picked(&self) {
-        let waited = self
-            .elapsed_us()
-            .saturating_sub(self.enqueued_us.load(Relaxed));
-        self.add_stage(Stage::Queue, Duration::from_micros(waited));
+    pub(crate) fn mark_picked(&mut self) {
+        self.add_stage(Stage::Queue, self.enqueued.elapsed());
     }
 
     fn since_start(&self, at: Instant) -> u64 {
@@ -238,57 +231,54 @@ impl FinishedTrace {
 /// that always retains the slowest request seen — a burst of fast
 /// requests can age ordinary entries out, but never the tail outlier.
 struct TraceRing {
-    slots: Vec<Mutex<Option<FinishedTrace>>>,
-    head: AtomicUsize,
-    slowest: Mutex<Option<FinishedTrace>>,
+    capacity: usize,
+    /// `(recent, slowest)`: the last `capacity` timelines, oldest first.
+    held: Mutex<(VecDeque<FinishedTrace>, Option<FinishedTrace>)>,
 }
 
 impl TraceRing {
     fn new(capacity: usize) -> Self {
         Self {
-            slots: (0..capacity.max(1)).map(|_| Mutex::new(None)).collect(),
-            head: AtomicUsize::new(0),
-            slowest: Mutex::new(None),
+            capacity: capacity.max(1),
+            held: Mutex::default(),
         }
     }
 
     fn push(&self, t: FinishedTrace) {
-        {
-            let mut slowest = self.slowest.lock().expect("poisoned");
-            if slowest.as_ref().is_none_or(|s| t.total_us > s.total_us) {
-                *slowest = Some(t.clone());
-            }
+        let (recent, slowest) = &mut *self.held.lock().expect("poisoned");
+        if slowest.as_ref().is_none_or(|s| t.total_us > s.total_us) {
+            *slowest = Some(t.clone());
         }
-        let idx = self.head.fetch_add(1, Relaxed) % self.slots.len();
-        *self.slots[idx].lock().expect("poisoned") = Some(t);
+        if recent.len() == self.capacity {
+            recent.pop_front();
+        }
+        recent.push_back(t);
     }
 
     /// Recent traces (oldest first), with the retained slowest appended
     /// if it already aged out of the ring proper.
     fn snapshot(&self) -> Vec<FinishedTrace> {
-        let head = self.head.load(Relaxed);
-        let n = self.slots.len();
-        let mut out: Vec<FinishedTrace> = (0..n)
-            .filter_map(|i| self.slots[(head + i) % n].lock().expect("poisoned").clone())
-            .collect();
-        if let Some(s) = self.slowest.lock().expect("poisoned").clone() {
-            if !out.iter().any(|t| t.id == s.id) {
-                out.push(s);
-            }
+        let (recent, slowest) = &*self.held.lock().expect("poisoned");
+        let mut out: Vec<FinishedTrace> = recent.iter().cloned().collect();
+        if let Some(s) = slowest
+            .as_ref()
+            .filter(|s| !out.iter().any(|t| t.id == s.id))
+        {
+            out.push(s.clone());
         }
         out
     }
 
     fn slowest(&self) -> Option<FinishedTrace> {
-        self.slowest.lock().expect("poisoned").clone()
+        self.held.lock().expect("poisoned").1.clone()
     }
 }
 
 thread_local! {
-    /// The trace of the request the current thread is executing,
-    /// letting the `decode`/`serialize` helpers attribute their time
-    /// without threading a handle through every handler signature.
-    static CURRENT: RefCell<Option<Arc<RequestTrace>>> = const { RefCell::new(None) };
+    /// Stage µs the `decode`/`serialize` helpers measured on this thread
+    /// since the current execution window opened, so they attribute their
+    /// time without threading the trace through every handler signature.
+    static WINDOW_STAGES: Cell<[u64; Stage::ALL.len()]> = const { Cell::new([0; Stage::ALL.len()]) };
 }
 
 /// Times `f` against `stage` of the request the current thread is
@@ -296,11 +286,11 @@ thread_local! {
 pub(crate) fn time_stage<T>(stage: Stage, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
     let r = f();
-    let d = t0.elapsed();
-    CURRENT.with(|c| {
-        if let Some(t) = &*c.borrow() {
-            t.add_stage(stage, d);
-        }
+    let us = (t0.elapsed().as_micros() as u64).max(1);
+    WINDOW_STAGES.with(|c| {
+        let mut stages = c.get();
+        stages[stage.index()] += us;
+        c.set(stages);
     });
     r
 }
@@ -338,50 +328,53 @@ impl Observer {
     }
 
     /// Opens a trace for a freshly-parsed request on `shard`.
-    pub(crate) fn begin(&self, op: Opcode, shard: u32) -> Arc<RequestTrace> {
-        Arc::new(RequestTrace {
+    pub(crate) fn begin(&self, op: Opcode, shard: u32) -> RequestTrace {
+        let start = Instant::now();
+        RequestTrace {
             id: self.next_id.fetch_add(1, Relaxed),
             op,
             shard,
-            start: Instant::now(),
-            enqueued_us: AtomicU64::new(0),
-            exec_begin_us: AtomicU64::new(0),
-            exec_us: AtomicU64::new(0),
+            start,
+            enqueued: start,
+            exec_begin_us: 0,
+            exec_us: 0,
             stage_us: Default::default(),
-            subspans: Mutex::new(Vec::new()),
-        })
+            subspans: Vec::new(),
+        }
     }
 
     /// Marks one request's execution window on the current thread:
-    /// stamps the window, installs `trace` for stage attribution, and
-    /// turns on the thread's span capture. When the guard drops, the op
-    /// observes the window in `metrics`'s `serve_op_latency_us`. Drop the
-    /// guard *before* the reply is written, so the window never counts
-    /// the write and the trace is whole when it is finished.
-    pub(crate) fn enter_exec<'m>(
+    /// stamps the window, starts the thread's stage attribution, and
+    /// turns on its span capture. When the guard drops — on the panic
+    /// path too — it records the window, the attributed stages and the
+    /// sub-spans in `trace`, and the op observes the window in
+    /// `metrics`'s `serve_op_latency_us`. Drop the guard *before* the
+    /// reply is written, so the window never counts the write.
+    pub(crate) fn enter_exec<'a>(
         &self,
-        metrics: &'m Metrics,
-        trace: &Arc<RequestTrace>,
-    ) -> ExecGuard<'m> {
+        metrics: &'a Metrics,
+        trace: &'a mut RequestTrace,
+    ) -> ExecGuard<'a> {
         // One reading for both ends of the window, so a sub-span can
         // never end after `exec_begin_us + exec_us`.
         let start = Instant::now();
-        trace.exec_begin_us.store(trace.since_start(start), Relaxed);
-        CURRENT.with(|c| *c.borrow_mut() = Some(trace.clone()));
+        trace.exec_begin_us = trace.since_start(start);
+        WINDOW_STAGES.with(|c| c.take());
         fhe_math::telemetry::capture_spans(SUBSPAN_CAP);
-        ExecGuard { start, metrics }
+        ExecGuard {
+            start,
+            metrics,
+            trace,
+        }
     }
 
     /// Commits a finished request: derives the kernel remainder,
     /// observes the per-stage and end-to-end histograms, pushes the
     /// timeline into the ring and (over threshold) the slow log.
-    pub(crate) fn finish(&self, metrics: &Metrics, trace: &RequestTrace, status: u8) {
-        let total_us = trace.elapsed_us();
-        let exec_us = trace.exec_us.load(Relaxed);
-        let mut stages = [0u64; Stage::ALL.len()];
-        for s in Stage::ALL {
-            stages[s.index()] = trace.stage_us[s.index()].load(Relaxed);
-        }
+    pub(crate) fn finish(&self, metrics: &Metrics, trace: RequestTrace, status: u8) {
+        let total_us = trace.start.elapsed().as_micros() as u64;
+        let exec_us = trace.exec_us;
+        let mut stages = trace.stage_us;
         // The kernel stage is the rest of the execution window: time not
         // attributed to decode or serialization. Key access (the pin
         // phase) ran before the window opened.
@@ -404,10 +397,10 @@ impl Observer {
             start_us: (trace.start - self.epoch).as_micros() as u64,
             total_us,
             stages,
-            enqueued_us: trace.enqueued_us.load(Relaxed),
-            exec_begin_us: trace.exec_begin_us.load(Relaxed),
+            enqueued_us: trace.since_start(trace.enqueued),
+            exec_begin_us: trace.exec_begin_us,
             exec_us,
-            subspans: std::mem::take(&mut *trace.subspans.lock().expect("poisoned")),
+            subspans: trace.subspans,
         };
         if total_us >= self.cfg.slow_threshold.as_micros() as u64 {
             let mut slow = self.slow.lock().expect("poisoned");
@@ -444,22 +437,23 @@ impl Observer {
 }
 
 /// RAII execution marker returned by [`Observer::enter_exec`].
-pub(crate) struct ExecGuard<'m> {
+pub(crate) struct ExecGuard<'a> {
     start: Instant,
-    metrics: &'m Metrics,
+    metrics: &'a Metrics,
+    trace: &'a mut RequestTrace,
 }
 
 impl Drop for ExecGuard<'_> {
     fn drop(&mut self) {
         let window = self.start.elapsed();
-        let exec_us = window.as_micros() as u64;
         let spans = fhe_math::telemetry::capture_spans(0);
-        let Some(t) = CURRENT.with(|c| c.borrow_mut().take()) else {
-            return;
-        };
+        let t = &mut *self.trace;
         self.metrics.latency(t.op).observe(window);
-        t.exec_us.store(exec_us, Relaxed);
-        let subspans = spans
+        t.exec_us = window.as_micros() as u64;
+        for (stage, us) in t.stage_us.iter_mut().zip(WINDOW_STAGES.with(|c| c.take())) {
+            *stage += us;
+        }
+        t.subspans = spans
             .into_iter()
             .map(|s| SubSpan {
                 name: s.name,
@@ -467,10 +461,6 @@ impl Drop for ExecGuard<'_> {
                 end_us: t.since_start(s.end),
             })
             .collect();
-        let Ok(mut slot) = t.subspans.lock() else {
-            return;
-        };
-        *slot = subspans;
     }
 }
 
@@ -606,14 +596,14 @@ mod tests {
             ring_capacity: 8,
             slow_threshold: Duration::ZERO,
         });
-        let trace = obs.begin(Opcode::Add, 0);
+        let mut trace = obs.begin(Opcode::Add, 0);
         trace.mark_enqueued();
         trace.mark_picked();
         {
-            let _g = obs.enter_exec(&metrics, &trace);
-            trace.add_stage(Stage::Decode, Duration::from_micros(5));
+            let _g = obs.enter_exec(&metrics, &mut trace);
         }
-        obs.finish(&metrics, &trace, 0);
+        trace.add_stage(Stage::Decode, Duration::from_micros(5));
+        obs.finish(&metrics, trace, 0);
         assert_eq!(obs.recent().len(), 1);
         assert_eq!(metrics.e2e_latency().count(), 1);
         assert_eq!(metrics.stage_latency(Stage::Decode).count(), 1);
@@ -628,15 +618,15 @@ mod tests {
     fn the_execution_window_is_the_op_latency_clock() {
         let metrics = Metrics::new();
         let obs = Observer::new(ObsConfig::baseline());
-        let trace = obs.begin(Opcode::Rotate, 0);
+        let mut trace = obs.begin(Opcode::Rotate, 0);
         {
-            let _g = obs.enter_exec(&metrics, &trace);
+            let _g = obs.enter_exec(&metrics, &mut trace);
             std::thread::sleep(Duration::from_millis(1));
             assert_eq!(metrics.latency(Opcode::Rotate).count(), 0);
         }
         let h = metrics.latency(Opcode::Rotate);
         assert_eq!(h.count(), 1);
-        let exec_us = trace.exec_us.load(Relaxed);
+        let exec_us = trace.exec_us;
         assert!(exec_us >= 1_000);
         assert_eq!(h.sum(), exec_us);
     }
@@ -645,7 +635,7 @@ mod tests {
     fn key_access_before_the_window_leaves_the_kernel_stage_whole() {
         let metrics = Metrics::new();
         let obs = Observer::new(ObsConfig::baseline());
-        let trace = obs.begin(Opcode::Rotate, 0);
+        let mut trace = obs.begin(Opcode::Rotate, 0);
         trace.mark_enqueued();
         trace.mark_picked();
         // The request's pin phase runs before the execution window opens.
@@ -653,13 +643,13 @@ mod tests {
         std::thread::sleep(Duration::from_millis(1));
         trace.add_stage(Stage::Key, pin.elapsed());
         {
-            let _g = obs.enter_exec(&metrics, &trace);
+            let _g = obs.enter_exec(&metrics, &mut trace);
             time_stage(Stage::Decode, || {
                 std::thread::sleep(Duration::from_micros(100))
             });
             std::thread::sleep(Duration::from_millis(2));
         }
-        obs.finish(&metrics, &trace, 0);
+        obs.finish(&metrics, trace, 0);
         let t = &obs.recent()[0];
         let rest = t.exec_us - t.stage_us(Stage::Decode) - t.stage_us(Stage::Serialize);
         assert!(t.stage_us(Stage::Key) >= 1_000);
@@ -715,9 +705,9 @@ mod tests {
     fn a_request_keeps_its_first_subspans_up_to_the_cap() {
         let metrics = Metrics::new();
         let obs = Observer::new(ObsConfig::baseline());
-        let trace = obs.begin(Opcode::RunProgram, 0);
+        let mut trace = obs.begin(Opcode::RunProgram, 0);
         {
-            let _g = obs.enter_exec(&metrics, &trace);
+            let _g = obs.enter_exec(&metrics, &mut trace);
             let _outer = fhe_math::telemetry::span("outer");
             for _ in 0..SUBSPAN_CAP + 10 {
                 drop(fhe_math::telemetry::span("inner"));
@@ -725,7 +715,7 @@ mod tests {
         }
         // Spans opened once the guard is gone belong to no request.
         drop(fhe_math::telemetry::span("late"));
-        obs.finish(&metrics, &trace, 0);
+        obs.finish(&metrics, trace, 0);
         let t = &obs.recent()[0];
         assert_eq!(t.subspans.len(), SUBSPAN_CAP);
         assert_eq!(t.subspans[0].name, "outer");

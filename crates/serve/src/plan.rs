@@ -3,10 +3,10 @@
 //!
 //! 1. A request's keys are planned from the request as decoded —
 //!    [`KeyPlan::for_request`] from an evaluation op's fields,
-//!    [`KeyPlan::for_program`] from a stored program's validated
-//!    instructions: relin yes/no plus the Galois elements, each with the
-//!    limb count its key switches run at. This is the only code in the
-//!    crate that turns a rotation step into a Galois element.
+//!    [`KeyPlan::for_program`] from a stored program's key manifest, which
+//!    the validator levels: relin yes/no plus the Galois elements, each
+//!    with the limb count its key switches run at. This is the only code
+//!    in the crate that turns a rotation step into a Galois element.
 //! 2. It pins the plan ([`PinnedKeys::pin`]), which expands a missing key
 //!    at that limb count only, runs the request, and unpins. Handlers read
 //!    keys from the pinned set and nowhere else.
@@ -17,7 +17,7 @@ use crate::server::ServerState;
 use crate::session::Session;
 use ckks::serialize::ciphertext_limb_count;
 use ckks::{CkksContext, GaloisKeys, SwitchingKey};
-use fhe_program::program::{bsgs_baby_dim, bsgs_galois_steps, Instr, Program, ProgramInfo};
+use fhe_program::program::{bsgs_galois_steps, Program, ProgramInfo};
 use std::sync::Arc;
 
 /// The keys one request needs, each with the largest limb count a key
@@ -77,53 +77,17 @@ impl KeyPlan {
         }
     }
 
-    /// The exact keys a stored program's manifest names, each at the
-    /// largest working limb count (`InstrMeta::ell`) among the
-    /// instructions that read it: a `Mult` the relin key, a `Rotate` its
-    /// step's key, a `BsgsMatVec` its baby and giant steps' keys, and a
-    /// folded ladder every stage's keys, its combined steps among them.
-    pub(crate) fn for_program(ctx: &CkksContext, program: &Program, info: &ProgramInfo) -> Self {
-        let mut relin = None;
-        let mut steps: Vec<(i64, usize)> = Vec::new();
-        for (instr, meta) in program.instrs.iter().zip(&info.instrs) {
-            match instr {
-                Instr::Mult { .. } => relin = relin.max(Some(meta.ell)),
-                Instr::Rotate { steps: s, .. } => steps.push((*s, meta.ell)),
-                Instr::BsgsMatVec { mat, .. } => {
-                    let decl = program.matrices.iter().find(|m| &m.name == mat);
-                    let offsets = &decl.expect("a validated program declares it").offsets;
-                    let baby = bsgs_baby_dim(offsets.len());
-                    steps.extend(
-                        bsgs_galois_steps(offsets, baby)
-                            .into_iter()
-                            .map(|s| (s, meta.ell)),
-                    );
-                }
-                _ => {}
-            }
-        }
-        for ladder in &info.ladders {
-            let rungs = &info.instrs[ladder.start..ladder.start + 2 * ladder.rungs];
-            let ell = rungs.iter().map(|m| m.ell).max().unwrap_or(0);
-            steps.extend(ladder.stages.iter().flatten().map(|&s| (s, ell)));
-        }
-        // The manifest is the key set; the walk above only levels it. A
-        // key the walk missed would be read at any level: expand it whole.
-        let levels = ctx.params().levels();
-        let reads: Vec<(u64, usize)> = steps
-            .iter()
-            .map(|&(s, ell)| (ctx.rotation_element(s), ell))
-            .collect();
-        let at = |step: i64| {
-            let element = ctx.rotation_element(step);
-            let of_key = reads.iter().filter(|&&(e, _)| e == element);
-            of_key.map(|&(_, ell)| ell).max().unwrap_or(levels)
-        };
+    /// The exact keys a stored program's manifest names, each at the level
+    /// the validator recorded for it (`KeyManifest::{relin_level,
+    /// galois_levels}`): the largest working limb count among the
+    /// instructions that read it. `info` is `program`'s validation.
+    pub(crate) fn for_program(ctx: &CkksContext, _program: &Program, info: &ProgramInfo) -> Self {
         let manifest = &info.manifest;
+        let levels = manifest.galois_levels.iter().copied();
         KeyPlan::new(
             ctx,
-            manifest.relin.then(|| relin.unwrap_or(levels)),
-            manifest.galois_steps.iter().map(|&s| (s, at(s))),
+            manifest.relin.then_some(manifest.relin_level),
+            manifest.galois_steps.iter().copied().zip(levels),
         )
     }
 
@@ -204,7 +168,7 @@ mod tests {
     use super::*;
     use crate::protocol::{split_session, BodyWriter, Opcode};
     use ckks::CkksParams;
-    use fhe_program::program::{CtDecl, ProgramEnv};
+    use fhe_program::program::{CtDecl, Instr, ProgramEnv};
 
     fn ctx() -> Arc<CkksContext> {
         CkksContext::new(

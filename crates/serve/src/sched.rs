@@ -24,7 +24,7 @@ use crate::protocol::{begin_frame, ErrorCode, Opcode};
 use crate::server::ServerState;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// One shard's admission gate: a counter of running requests with
@@ -72,7 +72,7 @@ impl Gate {
     /// `serve_queue_depth` from entry until the grant; a request that finds
     /// `capacity` others waiting is refused (`None`), its count retracted
     /// and an overload rejection counted instead.
-    pub(crate) fn enter(&self, metrics: &Metrics, trace: &RequestTrace) -> Option<Permit<'_>> {
+    pub(crate) fn enter(&self, metrics: &Metrics, trace: &mut RequestTrace) -> Option<Permit<'_>> {
         metrics.enqueued();
         trace.mark_enqueued();
         let mut line = self.line();
@@ -113,11 +113,12 @@ impl Drop for Permit<'_> {
 }
 
 /// Worker-side chaos, then the deadline check, for a request whose permit
-/// was just granted. `Err` is the `DeadlineExceeded` reply.
+/// was just granted after it reached the gate at `enqueued`. `Err` is the
+/// `DeadlineExceeded` reply.
 fn admit(
     state: &ServerState,
     chaos: Option<FaultDecision>,
-    queued_at: Instant,
+    enqueued: Instant,
 ) -> Result<(), (u8, Vec<u8>)> {
     match chaos {
         // Slept *before* the deadline check so injected latency counts
@@ -138,7 +139,7 @@ fn admit(
         _ => {}
     }
     let deadline = state.request_deadline;
-    if queued_at.elapsed() > deadline {
+    if enqueued.elapsed() > deadline {
         state
             .metrics
             .rejected_deadline
@@ -168,13 +169,12 @@ pub(crate) fn run(
     state: &ServerState,
     op: Opcode,
     body: &[u8],
-    trace: &Arc<RequestTrace>,
+    trace: &mut RequestTrace,
     chaos: Option<FaultDecision>,
-    queued_at: Instant,
     out: &mut Vec<u8>,
 ) -> u8 {
     begin_frame(out);
-    let result = admit(state, chaos, queued_at).and_then(|()| {
+    let result = admit(state, chaos, trace.enqueued).and_then(|()| {
         let mut keys = PinnedKeys::default();
         let result = catch_unwind(AssertUnwindSafe(|| {
             let request = decode(state, op, body);
@@ -185,7 +185,7 @@ pub(crate) fn run(
                 trace.add_stage(Stage::Key, pin_start.elapsed());
             }
             // Guard scope: exec accounting, the op-latency histogram and
-            // the deep-trace bridge close before the reply is written.
+            // the kernel sub-spans close before the reply is written.
             let _exec = state.obs.enter_exec(&state.metrics, trace);
             if chaos == Some(FaultDecision::WorkerPanic) {
                 panic!("injected chaos panic");
@@ -219,6 +219,7 @@ mod tests {
     use ckks::{CkksContext, CkksParams, Encoder, Evaluator, KeyGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
     use std::time::Duration;
 
     /// A shard's view of a fresh server whose requests may wait up to
@@ -263,15 +264,15 @@ mod tests {
         let trace = || state.obs.begin(Opcode::Rotate, 0);
         let gate = Gate::new(1, 1);
 
-        let held = gate.enter(metrics, &trace()).expect("a free permit");
+        let held = gate.enter(metrics, &mut trace()).expect("a free permit");
         assert_eq!(depth(), 0, "a grant retires the depth at once");
         std::thread::scope(|s| {
-            let waiter = s.spawn(|| gate.enter(metrics, &trace()).is_some());
+            let waiter = s.spawn(|| gate.enter(metrics, &mut trace()).is_some());
             while depth() != 1 {
                 std::thread::yield_now();
             }
             // The line is full: refused, uncounted.
-            assert!(gate.enter(metrics, &trace()).is_none());
+            assert!(gate.enter(metrics, &mut trace()).is_none());
             assert_eq!(depth(), 1, "a refusal moved the depth");
             assert_eq!(metrics.rejected_overload.load(Ordering::Relaxed), 1);
             drop(held);
@@ -282,18 +283,10 @@ mod tests {
         assert_eq!(gate.admitted(), 2);
 
         // Past its deadline at the grant: refused, its depth retired.
-        let (mut out, trace) = (Vec::new(), trace());
-        let permit = gate.enter(metrics, &trace).expect("a free permit");
-        let queued_at = Instant::now() - Duration::from_millis(5);
-        let status = run(
-            &state,
-            Opcode::Hello,
-            &[],
-            &trace,
-            None,
-            queued_at,
-            &mut out,
-        );
+        let (mut out, mut trace) = (Vec::new(), trace());
+        let permit = gate.enter(metrics, &mut trace).expect("a free permit");
+        trace.enqueued = Instant::now() - Duration::from_millis(5);
+        let status = run(&state, Opcode::Hello, &[], &mut trace, None, &mut out);
         drop(permit);
         assert_eq!(status, ErrorCode::DeadlineExceeded as u8);
         assert_eq!(metrics.rejected_deadline.load(Ordering::Relaxed), 1);

@@ -13,10 +13,13 @@
 //! across shards (the dump appends per-shard labeled families), and the
 //! `Observer` stamps the owning shard into every request timeline.
 //!
-//! Shutdown is a graceful drain in three steps: the acceptor exits
-//! (closing the listening port); the read side of every open connection
-//! is shut, so a blocked read ends at its frame boundary while a reply
-//! still owed goes out; and the connection threads are joined.
+//! No thread polls or wakes on a timer: the acceptor blocks in `accept`,
+//! each connection thread in its socket read or at its shard's gate.
+//! Shutdown is a graceful drain in three steps: the acceptor is woken by
+//! one connect to its own port and exits (closing the listening port);
+//! the read side of every open connection is shut, so a blocked read ends
+//! at its frame boundary while a reply still owed goes out; and the
+//! connection threads are joined.
 
 use crate::cache::{CacheStats, KeyCache};
 use crate::config::ServeConfig;
@@ -27,7 +30,7 @@ use crate::sched::Gate;
 use crate::session::SessionManager;
 use crate::transport::{accept_loop, Transport};
 use ckks::{CkksContext, Encoder, Evaluator};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -132,7 +135,6 @@ impl Server {
     /// the acceptor thread.
     pub fn start(ctx: Arc<CkksContext>, mut config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         config.shards = config.shards.clamp(1, crate::shard::MAX_SHARDS);
         config.workers = config.workers.max(1);
@@ -259,8 +261,10 @@ impl Server {
     /// reply it is owed has gone out, then join every connection thread.
     pub fn shutdown(self) {
         self.transport.shutdown.store(true, Ordering::SeqCst);
-        // The acceptor wakes on its poll tick and exits, dropping the
-        // listener — new connects are refused from here on.
+        // Wake the acceptor blocked in `accept`: it sees the flag and
+        // exits, dropping the listener — new connects are refused from
+        // here on.
+        let _ = TcpStream::connect(self.addr);
         let conns = self.acceptor.join().unwrap_or_default();
         self.transport.close_reads();
         for conn in conns {

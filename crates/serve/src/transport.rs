@@ -1,9 +1,11 @@
 //! Transport: the acceptor, one blocking thread per connection, framing,
 //! and session-to-shard routing.
 //!
-//! - The **acceptor** polls a nonblocking listener (a 2 ms nap between
-//!   empty polls, so it notices shutdown) and gives each fresh connection
-//!   a home shard, round-robin, and a thread of its own.
+//! - The **acceptor** blocks in `accept` and gives each fresh connection
+//!   a home shard, round-robin, and a thread of its own. Between
+//!   connections it sleeps in the kernel: shutdown wakes it with one
+//!   connect to its own port, and only a failed `accept` naps before the
+//!   next try.
 //! - Each **connection thread** runs the requests it reads. It reads one
 //!   frame with the blocking reader the client uses ([`read_frame_into`]),
 //!   straight into the connection's request buffer; checks its header;
@@ -76,18 +78,23 @@ impl Transport {
 }
 
 /// The acceptor thread: gives each fresh connection a home shard,
-/// round-robin, and a thread, until shutdown; then drops the listener
-/// (closing the port) and returns the connection threads still running.
+/// round-robin, and a thread, until shutdown — the connection that wakes
+/// it then is not served; then drops the listener (closing the port) and
+/// returns the connection threads still running.
 pub(crate) fn accept_loop(
     transport: &Arc<Transport>,
     listener: TcpListener,
 ) -> Vec<JoinHandle<()>> {
     let mut conns: Vec<JoinHandle<()>> = Vec::new();
     let mut next = 0u64;
-    while !transport.shutdown.load(Ordering::SeqCst) {
-        let Ok((stream, _peer)) = listener.accept() else {
-            // Nothing to accept (or a transient accept error): nap and
-            // poll the shutdown flag.
+    loop {
+        let accepted = listener.accept();
+        if transport.shutdown.load(Ordering::SeqCst) {
+            return conns;
+        }
+        let Ok((stream, _peer)) = accepted else {
+            // An accept error (out of file descriptors, say) would recur
+            // at once: nap so it cannot spin the thread.
             std::thread::sleep(Duration::from_millis(2));
             continue;
         };
@@ -118,16 +125,12 @@ pub(crate) fn accept_loop(
             Err(_) => drop(transport.open().remove(&id)),
         }
     }
-    conns
 }
 
 /// One connection's thread: read a frame, run it on the shard that owns
 /// it and write the reply — until the peer closes, a read or write fails,
 /// or the server shuts down between frames.
 fn serve_conn(t: &Transport, mut stream: &TcpStream, home: usize) -> std::io::Result<()> {
-    // The listener is nonblocking, and some platforms hand its sockets
-    // over the same way.
-    stream.set_nonblocking(false)?;
     stream.set_nodelay(true)?;
     let shared = &t.shards[home].shared;
     let metrics = &shared.metrics;
@@ -183,15 +186,14 @@ fn serve_conn(t: &Transport, mut stream: &TcpStream, home: usize) -> std::io::Re
         }
         let shard = owner(op, &request, t.shards.len()).unwrap_or(home);
         let state = &t.shards[shard];
-        let trace = shared.obs.begin(op, shard as u32);
-        let queued_at = Instant::now();
+        let mut trace = shared.obs.begin(op, shard as u32);
         let status = {
-            let Some(_permit) = state.shards[shard].gate.enter(metrics, &trace) else {
+            let Some(_permit) = state.shards[shard].gate.enter(metrics, &mut trace) else {
                 let msg = "queue full, retry later";
                 refuse(t, stream, &mut reply, ErrorCode::Overloaded, msg)?;
                 continue;
             };
-            run(state, op, &request, &trace, chaos, queued_at, &mut reply)
+            run(state, op, &request, &mut trace, chaos, &mut reply)
             // The permit is freed here: the reply is built, and a client
             // that stops reading holds no execution slot.
         };
@@ -214,7 +216,7 @@ fn serve_conn(t: &Transport, mut stream: &TcpStream, home: usize) -> std::io::Re
         // by the socket. A failed write finishes the trace all the same:
         // the reply was produced.
         trace.add_stage(Stage::Write, built.elapsed());
-        shared.obs.finish(metrics, &trace, status);
+        shared.obs.finish(metrics, trace, status);
         written?;
     }
     Ok(())
