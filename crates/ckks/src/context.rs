@@ -38,8 +38,8 @@ pub struct CkksContext {
     extender_cache: Mutex<HashMap<(usize, usize), Arc<BasisExtender>>>,
     automorphism_cache: Mutex<HashMap<u64, Arc<Automorphism>>>,
     /// The expansion of a switching key's seed into its `dnum` `a_j` over
-    /// `Q ∪ P`, drawn a limb at a time, its jumps built once here; a fresh
-    /// ciphertext's `c_1` is limbs `0..ℓ` of its first polynomial.
+    /// `Q ∪ P`, drawn a limb at a time; a fresh ciphertext's `c_1` is limbs
+    /// `0..ℓ` of its first polynomial.
     key_a: SeededUniform,
     /// Reusable word buffers for the hot ring operations: after warm-up,
     /// key switching and rescaling allocate nothing per call.
@@ -283,9 +283,9 @@ impl CkksContext {
 
     /// Limb `limb` of `Q ∪ P` of the first `digits` of the `a_j` the
     /// switching-key seed `seed` stands for, appended to `out` digit after
-    /// digit: `StdRng::from_seed(seed)`'s uniform draws over `Q ∪ P`, digit
-    /// after digit, at stream position `j·|Q ∪ P| + limb` for digit `j`,
-    /// and nothing else drawn. A key switch and key generation draw each
+    /// digit: limb `j·|Q ∪ P| + limb` of the seed's expansion for digit
+    /// `j`, each limb a stream of its own drawn from `(seed, limb)`
+    /// (`SeededUniform`), and nothing else drawn. A key switch and key generation draw each
     /// limb so just before they multiply it; no `a_j` is ever held whole.
     pub(crate) fn draw_key_a(
         &self,
@@ -299,8 +299,8 @@ impl CkksContext {
 
     /// The `c_1` a fresh symmetric encryption at limb count `ell` takes
     /// from `seed`: limbs `0..ℓ` of the first polynomial a switching key's
-    /// seed expands into — `StdRng::from_seed(seed)`'s uniform draws over
-    /// `Q_ℓ`, so a lower level's `c_1` is a limb prefix of a higher one's —
+    /// seed expands into — limb `i` drawn from `(seed, i)` alone, so a
+    /// lower level's `c_1` is a limb prefix of a higher one's —
     /// drawn into `buf` (emptied first): a fresh buffer for a ciphertext
     /// its caller keeps, a pool lease for a request-scoped operand.
     pub(crate) fn seeded_c1(

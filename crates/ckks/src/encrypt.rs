@@ -4,7 +4,7 @@ use crate::context::CkksContext;
 use crate::keys::{PublicKey, SecretKey};
 use crate::plaintext::{Ciphertext, CiphertextSeed, Plaintext};
 use fhe_math::poly::RnsPoly;
-use fhe_math::sampling::{sample_gaussian, sample_ternary};
+use fhe_math::sampling::{fresh_seed, sample_gaussian, sample_ternary};
 use rand::Rng;
 use std::fmt;
 use std::sync::Arc;
@@ -28,7 +28,7 @@ impl Encryptor {
     }
 
     /// Symmetric encryption: `(c_0, c_1) = (−a·s + m + e, a)`, with `a`
-    /// expanded from a 32-byte seed drawn from `rng` (then `e`). The
+    /// expanded from a [`fresh_seed`] drawn from `rng` (then `e`). The
     /// ciphertext keeps the seed, so it travels as `c_0` plus the seed —
     /// the key-compression trade (§3.2) applied to a fresh operand.
     pub fn encrypt_symmetric<R: Rng + ?Sized>(
@@ -40,7 +40,7 @@ impl Encryptor {
         let ell = pt.limb_count();
         let basis = self.ctx.level_basis(ell).clone();
         let n = self.ctx.params().degree();
-        let seed = CiphertextSeed(rng.gen());
+        let seed = CiphertextSeed(fresh_seed(rng));
         let a = self.ctx.seeded_c1(&seed, ell, Vec::with_capacity(ell * n));
         let mut c0 = RnsPoly::from_signed_coeffs(basis, &sample_gaussian(rng, n));
         c0.to_eval();

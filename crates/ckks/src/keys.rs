@@ -9,7 +9,7 @@
 use crate::context::CkksContext;
 use fhe_math::backend::{ShoupPair, UnrolledBackend};
 use fhe_math::poly::{Representation, RnsPoly};
-use fhe_math::sampling::{sample_gaussian, sample_ternary, sample_uniform_flat};
+use fhe_math::sampling::{fresh_seed, sample_gaussian, sample_ternary, SeededUniform};
 use fhe_math::telemetry::OperandClass;
 use rand::Rng;
 use std::collections::HashMap;
@@ -213,12 +213,15 @@ impl KeyGenerator {
         SecretKey { signed, full }
     }
 
-    /// Derives the public key `(−a·s + e, a)` over the full `Q` basis.
+    /// Derives the public key `(−a·s + e, a)` over the full `Q` basis, `a`
+    /// expanded from a [`fresh_seed`] drawn from `rng` (then `e`).
     pub fn public_key<R: Rng + ?Sized>(&self, rng: &mut R, sk: &SecretKey) -> PublicKey {
         let basis = self.ctx.q_basis().clone();
         let n = self.ctx.params().degree();
         let moduli: Vec<u64> = basis.moduli().iter().map(|m| m.value()).collect();
-        let a_flat = sample_uniform_flat(rng, &moduli, n);
+        let a_flat = SeededUniform::new(&moduli, n, 1)
+            .expand(fresh_seed(rng))
+            .remove(0);
         let a = RnsPoly::from_flat(basis.clone(), a_flat, Representation::Evaluation);
         let e_signed = sample_gaussian(rng, n);
         let mut e = RnsPoly::from_signed_coeffs(basis.clone(), &e_signed);
@@ -298,10 +301,10 @@ impl KeyGenerator {
         SwitchingKey { b, seed }
     }
 
-    /// Generates the relinearization key (`s² → s`), its seed the first
-    /// draw from `rng`.
+    /// Generates the relinearization key (`s² → s`), its seed a
+    /// [`fresh_seed`], the first draw from `rng`.
     pub fn relin_key<R: Rng + ?Sized>(&self, rng: &mut R, sk: &SecretKey) -> RelinKey {
-        let seed = rng.gen::<[u8; 32]>();
+        let seed = fresh_seed(rng);
         let mut s2 = sk.full.clone();
         s2.mul_assign_pointwise(&sk.full);
         RelinKey(self.switching_key(rng, &s2, sk, seed))
@@ -334,9 +337,9 @@ impl KeyGenerator {
     }
 
     /// Generates the Galois key for element `k` (`σ_k(s) → s`), its seed
-    /// the first draw from `rng`.
+    /// a [`fresh_seed`], the first draw from `rng`.
     pub fn galois_key<R: Rng + ?Sized>(&self, rng: &mut R, sk: &SecretKey, k: u64) -> SwitchingKey {
-        let seed = rng.gen::<[u8; 32]>();
+        let seed = fresh_seed(rng);
         self.switching_key(rng, &self.automorphed_secret(sk, k), sk, seed)
     }
 
@@ -443,6 +446,29 @@ mod tests {
         // The seed plus the `b_j` alone: two digits of six 32-word limbs.
         assert_eq!(rlk.switching_key().size_bytes(), 32 + 2 * 6 * 32 * 8);
         assert_eq!(rlk.switching_key().size_bytes(), ctx.switching_key_bytes());
+    }
+
+    #[test]
+    fn a_published_seed_is_not_the_callers_stream() {
+        let ctx = ctx();
+        let kg = KeyGenerator::new(ctx.clone());
+        let mut rng = StdRng::seed_from_u64(5);
+        let sk = kg.secret_key(&mut rng);
+        let raw = |rng: &StdRng| rng.clone().gen::<[u8; 32]>();
+        let next = raw(&rng);
+        assert_ne!(kg.relin_key(&mut rng, &sk).switching_key().seed, next);
+        let next = raw(&rng);
+        assert_ne!(kg.galois_key(&mut rng, &sk, 3).seed, next);
+        let next = raw(&rng);
+        let pt = crate::Encoder::new(ctx.clone())
+            .encode(
+                &[fhe_math::cfft::Complex::new(0.5, 0.0)],
+                2,
+                ctx.params().scale(),
+            )
+            .unwrap();
+        let ct = crate::Encryptor::new(ctx.clone()).encrypt_symmetric(&mut rng, &pt, &sk);
+        assert_ne!(ct.seed().expect("a fresh ciphertext is seeded").0, next);
     }
 
     /// The `a_j` of `key`'s first `digits` digits over `Q ∪ P`, as the key

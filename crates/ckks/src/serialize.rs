@@ -21,7 +21,7 @@
 //! unchanged goes back compact. A computed ciphertext has no seed and is
 //! written whole.
 //!
-//! Format version 3, little-endian throughout: a 4-byte magic, the version
+//! Format version 4, little-endian throughout: a 4-byte magic, the version
 //! byte, the shape header (degree, limb count, limb moduli as 8-byte words
 //! for validation), then for a plaintext the scale as IEEE-754 bits and
 //! the limbs; for a ciphertext the scale, a form byte and either `c_0`'s
@@ -48,7 +48,7 @@ use std::fmt;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"MADf";
-const VERSION: u8 = 3;
+const VERSION: u8 = 4;
 /// The form byte of a message whose uniform polynomials travel as their
 /// 32-byte seed: a switching key's one form (the seed, then the `b_j`) and
 /// a fresh ciphertext's (`c_0`, then the seed).

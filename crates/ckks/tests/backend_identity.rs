@@ -21,6 +21,17 @@
 //! hand (`c_1 = sample_uniform_flat(StdRng::from_seed(seed), Q_ℓ, N)`).
 //! Only the fresh ciphertexts (and the keys drawn after them) moved; no
 //! kernel did.
+//!
+//! Every digest was re-recorded a third time when each limb of a seed's
+//! expansion became a stream of its own (generator `(t, w mod 8)` draws
+//! word `w` of limb `t`) and every published seed the first 32 bytes of a
+//! ChaCha20 block keyed by 32 bytes of the caller's RNG. Each is the value
+//! a scratch copy of the code before that change computed with only the
+//! expansion's scalar body (its lanes off), the seed draws of
+//! `relin_key`, `galois_key`, `encrypt_symmetric` and `public_key`, and
+//! the wire's version byte changed; the change, its lanes on, reproduces
+//! every one. Only the keys' `a_j` and the fresh `c_1` moved; no kernel
+//! did. Each test's doc keeps the value before.
 
 use ckks::hoisting::{
     apply_bsgs, apply_hoisted, bsgs_required_steps, rotate_hoisted, LinearTransform,
@@ -94,9 +105,10 @@ fn assert_digest(want: u64, f: impl Fn(Arc<CkksContext>) -> Vec<u64>) {
     assert_eq!(hash, want, "{hash:#018x}");
 }
 
+/// Read `0xbc4f_93fa_f306_1f0d` before each limb was its own stream.
 #[test]
 fn encrypt_decrypt_is_bit_identical() {
-    assert_digest(0xbc4f_93fa_f306_1f0d, |ctx| {
+    assert_digest(0xe69a_61a2_8d0f_5236, |ctx| {
         let mut rng = StdRng::seed_from_u64(404);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
@@ -112,9 +124,10 @@ fn encrypt_decrypt_is_bit_identical() {
     });
 }
 
+/// Read `0x1cf3_0a52_5375_85ab` before each limb was its own stream.
 #[test]
 fn multiply_relinearize_rotate_rescale_are_bit_identical() {
-    assert_digest(0x1cf3_0a52_5375_85ab, |ctx| {
+    assert_digest(0x0270_ffbb_df3c_d56b, |ctx| {
         let mut rng = StdRng::seed_from_u64(101);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
@@ -144,9 +157,10 @@ fn multiply_relinearize_rotate_rescale_are_bit_identical() {
     });
 }
 
+/// Read `0xbecd_a9ef_aa89_67cf` before each limb was its own stream.
 #[test]
 fn hoisted_rotations_are_bit_identical() {
-    assert_digest(0xbecd_a9ef_aa89_67cf, |ctx| {
+    assert_digest(0x0e97_2dea_9ba2_d7eb, |ctx| {
         let mut rng = StdRng::seed_from_u64(202);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
@@ -166,9 +180,10 @@ fn hoisted_rotations_are_bit_identical() {
     });
 }
 
+/// Read `0xd8cd_7a37_6332_5b6e` before each limb was its own stream.
 #[test]
 fn bsgs_matvec_is_bit_identical() {
-    assert_digest(0xd8cd_7a37_6332_5b6e, |ctx| {
+    assert_digest(0x5800_b1f2_87c1_54b1, |ctx| {
         let mut rng = StdRng::seed_from_u64(303);
         let kg = KeyGenerator::new(ctx.clone());
         let sk = kg.secret_key(&mut rng);
@@ -387,12 +402,13 @@ fn assert_pinned(digest: fn(Arc<CkksContext>) -> u64, want: [u64; 2]) {
 /// produced since the per-digit inner-product and thrice-reduced
 /// `basis_ext_block` kernels), and not to be edited: a schedule change
 /// must leave every one of these kernels' outputs alone. (Only a change of
-/// the inputs re-records it, as the module doc lists.)
+/// the inputs re-records it, as the module doc lists; before each limb was
+/// its own stream it read `[0xbfd3_f8ec_cd2e_8dcd, 0x5917_fad1_1245_27cb]`.)
 #[test]
 fn kernel_outputs_match_the_recorded_digests() {
     assert_pinned(
         kernel_digest,
-        [0xbfd3_f8ec_cd2e_8dcd, 0x5917_fad1_1245_27cb],
+        [0xb8de_9692_f0ae_5600, 0x9b6e_c44d_5b5e_9e05],
     );
 }
 
@@ -403,22 +419,26 @@ fn kernel_outputs_match_the_recorded_digests() {
 /// giant group, the last ModDown merged with the rescale). On the commit
 /// the kernel digest was recorded on, with a ModDown pair per baby step and
 /// a full `rotate` per giant step, this read `[0x867a_6e95_f31a_cb68,
-/// 0xa162_9c07_25d8_3088]`; the kernel digest above did not move.
+/// 0xa162_9c07_25d8_3088]`; the kernel digest above did not move. Before
+/// each limb was its own stream it read `[0x0721_c2f7_ab17_2497,
+/// 0x84f2_1628_219e_40af]`.
 #[test]
 fn schedule_outputs_match_the_recorded_digests() {
     assert_pinned(
         schedule_digest,
-        [0x0721_c2f7_ab17_2497, 0x84f2_1628_219e_40af],
+        [0x9c82_f73c_52e2_ab72, 0xc031_0a93_5fd8_ea63],
     );
 }
 
 /// `apply_hoisted` encodes each diagonal once (in the raised basis, whose
 /// Q-prefix serves the base-basis legs) and keeps the encodings; recorded
-/// while it still encoded every diagonal twice per call.
+/// while it still encoded every diagonal twice per call. Before each limb
+/// was its own stream it read `[0x6bb1_39d6_a172_80fb,
+/// 0xa54c_00d8_5565_b296]`.
 #[test]
 fn apply_hoisted_matches_the_digest_recorded_before_it_shared_encodings() {
     assert_pinned(
         hoisted_digest,
-        [0x6bb1_39d6_a172_80fb, 0xa54c_00d8_5565_b296],
+        [0xb58d_7ec9_3703_d373, 0x52e5_5b28_f6fe_0aae],
     );
 }

@@ -1,6 +1,6 @@
 //! The `MADf` wire format, pinned: recorded digests of what a fixed fresh
 //! (seeded) and computed (dense) ciphertext, plaintext and switching key
-//! serialize to, hand-built version-3 messages of both ciphertext forms
+//! serialize to, hand-built version-4 messages of both ciphertext forms
 //! the digests answer to, and the decoder's data-dependent rejections — an
 //! out-of-range packed field anywhere in any limb, and a cut anywhere in
 //! the message — probed at every position a packed codec could get wrong
@@ -17,7 +17,7 @@ use ckks::{
 };
 use fhe_math::cfft::Complex;
 use fhe_math::codec::limb_width;
-use fhe_math::sampling::sample_uniform_flat;
+use fhe_math::sampling::SeededUniform;
 use fhe_math::RnsBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,7 +99,12 @@ fn limb_bytes(basis: &RnsBasis, i: usize) -> usize {
 }
 
 /// Recorded when a ciphertext gained its form byte (format version 3),
-/// and anchored to the format's definition by
+/// re-recorded once for version 4, when a seed's expansion became one
+/// stream per limb and every published seed a ChaCha20 block (the values
+/// a scratch copy of the code before that change computes with only the
+/// expansion's scalar body, the seed sites and the version byte changed;
+/// at version 3 they read `0x492c_e41d_847c_2aa6`, `0xfe7c_f3c0_3501_d0d8`,
+/// `0xe081_c08e_22c9_da70` and `0x45a3_8620_7fe7_656e`), and anchored to the format's definition by
 /// `a_hand_built_message_is_the_wire_format`: any change to these digests
 /// is a wire format change, not a refactor.
 #[test]
@@ -113,10 +118,10 @@ fn wire_bytes_match_the_recorded_digests() {
     ]
     .map(|(name, bytes)| (name, bytes.len(), fnv1a(&bytes)));
     let want = [
-        ("fresh ciphertext", 494usize, 0x492c_e41d_847c_2aa6u64),
-        ("dense ciphertext", 878, 0xfe7c_f3c0_3501_d0d8),
-        ("plaintext", 325, 0xe081_c08e_22c9_da70),
-        ("seeded key", 2082, 0x45a3_8620_7fe7_656e),
+        ("fresh ciphertext", 494usize, 0xca72_f77a_1379_8eabu64),
+        ("dense ciphertext", 878, 0x675e_8f1c_3665_5d9e),
+        ("plaintext", 325, 0x1dde_efb8_33af_5a59),
+        ("seeded key", 2082, 0x9c69_da09_2176_ae24),
     ];
     assert_eq!(got, want, "got {got:#x?}");
 }
@@ -125,8 +130,8 @@ fn wire_bytes_match_the_recorded_digests() {
 /// — header fields, the scale, the form byte, then each residue as its low
 /// `⌈bitlen(q)/8⌉` bytes, little-endian, and in the seeded form the 32-byte
 /// seed in place of `c_1` — decode to exactly the residues they were built
-/// from (a seeded `c_1` is `StdRng::from_seed(seed)`'s uniform draws mod
-/// `q`) and serialize back to the same bytes.
+/// from (a seeded `c_1` is limb 0 of the seed's expansion mod `q`) and
+/// serialize back to the same bytes.
 #[test]
 fn a_hand_built_message_is_the_wire_format() {
     let ctx = ctx();
@@ -138,7 +143,7 @@ fn a_hand_built_message_is_the_wire_format() {
     let seed: [u8; 32] = std::array::from_fn(|i| 0xa0 ^ i as u8);
     for form in [0u8, 1] {
         let mut msg = b"MADf".to_vec();
-        msg.push(3);
+        msg.push(4);
         msg.extend_from_slice(&[32, 0, 0, 0, 1, 0, 0, 0]);
         msg.extend_from_slice(&q.to_le_bytes());
         msg.extend_from_slice(&scale.to_bits().to_le_bytes());
@@ -163,7 +168,7 @@ fn a_hand_built_message_is_the_wire_format() {
         assert_eq!(ct.is_seeded(), form == 1);
         let c0: Vec<u64> = (0..n as u64).map(|k| residue(0, k)).collect();
         let c1 = match form {
-            1 => sample_uniform_flat(&mut StdRng::from_seed(seed), &[q], n),
+            1 => SeededUniform::new(&[q], n, 1).expand(seed).remove(0),
             _ => (0..n as u64).map(|k| residue(1, k)).collect(),
         };
         assert_eq!(ct.c0().limb(0), &c0[..], "form {form}");

@@ -44,8 +44,8 @@
 //!   rounded Gaussian), uniform limbs, and the seeded expansion
 //!   ([`sampling::SeededUniform`]) that regenerates a compressed key's
 //!   `a_j` — every limb, or only those a level reads — and a fresh
-//!   ciphertext's `c_1`, into caller buffers, on eight jump-ahead
-//!   generators on IFMA lanes where it can.
+//!   ciphertext's `c_1`, into caller buffers, each limb its own eight
+//!   generators, on IFMA lanes where it can.
 //! - [`scratch`]: the reusable buffer pool behind the allocation-free hot
 //!   paths.
 //! - [`parallel`]: only `compiled()`, always `false` — every kernel call
@@ -89,7 +89,6 @@ pub mod rns;
 pub mod sampling;
 pub mod scratch;
 pub mod telemetry;
-mod xoshiro;
 
 pub use backend::ShoupPair;
 pub use modular::Modulus;

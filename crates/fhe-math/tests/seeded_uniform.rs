@@ -1,38 +1,69 @@
-//! Seeded expansion against the stream it reproduces: for random seeds and
-//! the all-zero seed, [`SeededUniform::expand`] must return exactly the
-//! polynomials that `StdRng::from_seed(seed)` followed by `count` calls of
-//! [`sample_uniform_flat`] draws, each in a buffer of exactly its own size,
-//! and [`SeededUniform::expand_limbs`] exactly the limbs it selects of
-//! them.
+//! Seeded expansion against its definition: for random seeds and the
+//! all-zero seed, [`SeededUniform::expand`] must return exactly the
+//! polynomials [`reference`] restates — limb `t` of the expansion a stream
+//! of its own, word `w` the `⌊w/8⌋`-th output of xoshiro256++ generator
+//! `(t, w mod 8)` mapped below `q` — each in a buffer of exactly its own
+//! size, and [`SeededUniform::expand_limbs`] exactly the limbs it selects
+//! of them. A pinned digest catches a silent redefinition, and an
+//! independence check catches generators that are not told apart.
 //!
 //! The expansion runs on eight AVX-512 IFMA lanes when the CPU has them,
-//! every modulus is below `2^50` and `n` is a multiple of 64, and serially
-//! otherwise. The lanes split a selection's words evenly, an eighth of a
-//! limb at a time, so a lane's stretch starts part-way through a limb
-//! unless the limb count is a multiple of 8. So the moduli here fall on
-//! both sides of `2^50`, and the limb totals (1, 2, 3, 6, 10, 12, 24, 33,
-//! 60) put the lanes' starts at every eighth. On a CPU without IFMA every
-//! test still passes, exercising the serial body only.
+//! every modulus is below `2^50` and `n` is a multiple of 8, and on eight
+//! scalar states otherwise. So the moduli here fall on both sides of
+//! `2^50`, and one degree (20) is not a multiple of 8. On a CPU without
+//! IFMA every test still passes, exercising the scalar body only.
 
-use fhe_math::sampling::{sample_uniform_flat, SeededUniform};
+use fhe_math::sampling::SeededUniform;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Limb sizes: one the lanes never take, the smallest they take, and the
-/// benchmark's rings.
-const DEGREES: [usize; 5] = [32, 64, 4096, 8192, 16384];
+/// Limb sizes: one the lanes never take (not a multiple of 8), two short
+/// ones, and the benchmark's rings.
+const DEGREES: [usize; 6] = [20, 32, 64, 4096, 8192, 16384];
 
 /// `(count, limbs per polynomial)`: 10, 12, 24, 33 and 60 limbs in all —
 /// the last is the `dnum = 4`, `L + α = 15` key of the thrash ring.
 const SHAPES: [(usize, usize); 5] = [(2, 5), (3, 4), (3, 8), (3, 11), (4, 15)];
 
-/// What `StdRng::from_seed(seed)` and `count` serial draws give.
+/// SplitMix64's output function.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The definition, one word at a time: generator `(t, j)` starts from
+/// `mix64(seed_k ⊕ mix64(4·(8t + j) + k + 1))` for its state words `k`,
+/// word 3 with its low bit set, and steps as xoshiro256++.
 fn reference(seed: [u8; 32], moduli: &[u64], n: usize, count: usize) -> Vec<Vec<u64>> {
-    let mut rng = StdRng::from_seed(seed);
-    (0..count)
-        .map(|_| sample_uniform_flat(&mut rng, moduli, n))
-        .collect()
+    let seed_word = |k: usize| u64::from_le_bytes(seed[8 * k..8 * k + 8].try_into().unwrap());
+    let mut out = vec![Vec::new(); count];
+    for (p, poly) in out.iter_mut().enumerate() {
+        for (i, &q) in moduli.iter().enumerate() {
+            let t = (p * moduli.len() + i) as u64;
+            let mut states = [[0u64; 4]; 8];
+            for (j, s) in states.iter_mut().enumerate() {
+                for (k, word) in s.iter_mut().enumerate() {
+                    *word = mix64(seed_word(k) ^ mix64(4 * (8 * t + j as u64) + k as u64 + 1));
+                }
+                s[3] |= 1;
+            }
+            for w in 0..n {
+                let s = &mut states[w % 8];
+                let r = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+                let x = s[1] << 17;
+                s[2] ^= s[0];
+                s[3] ^= s[1];
+                s[1] ^= s[2];
+                s[0] ^= s[3];
+                s[2] ^= x;
+                s[3] = s[3].rotate_left(45);
+                poly.push(((r as u128 * q as u128) >> 64) as u64);
+            }
+        }
+    }
+    out
 }
 
 /// `limbs` moduli from `rng`: widths from 1 bit up to just below `2^50`
@@ -89,6 +120,69 @@ fn the_all_zero_seed_expands_like_the_stream() {
     for (count, limbs) in SHAPES {
         let moduli = moduli(&mut rng, limbs, false);
         assert_expands_like_the_stream([0; 32], &moduli, 4096, count);
+    }
+}
+
+/// FNV-1a over the little-endian bytes of every word of `polys`.
+fn digest(polys: &[Vec<u64>]) -> u64 {
+    polys.iter().flatten().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        w.to_le_bytes().iter().fold(h, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    })
+}
+
+/// A redefinition of the expansion (another derivation, another map, a
+/// reordering of the lanes) fails here even if the reference follows it:
+/// one fixed seed's expansion, on a narrow shape (the lanes, where the CPU
+/// has them) and a wide one (the scalar body), hashes to a recorded value.
+#[test]
+fn a_fixed_seed_expands_to_the_recorded_digest() {
+    let seed: [u8; 32] = std::array::from_fn(|i| i as u8);
+    let narrow = [(1 << 50) - 27, 97, (1 << 36) + 31];
+    let wide = [(1 << 60) - 93, 65_537];
+    let got = [
+        digest(&SeededUniform::new(&narrow, 64, 2).expand(seed)),
+        digest(&SeededUniform::new(&wide, 64, 2).expand(seed)),
+    ];
+    assert_eq!(
+        got,
+        [0x2fe4_ef10_6496_728b, 0x18d3_87ee_0195_f651],
+        "{got:#018x?}"
+    );
+}
+
+/// The generators of one expansion are told apart: no two `(limb, lane)`
+/// generators share their first output (word `j < 8` of limb `t` is
+/// generator `(t, j)`'s first, mapped below `q ≈ 2^50`), and in every limb
+/// each of 16 equal buckets of `[0, q)` holds `n/16` words within a
+/// quarter — over `8 192` words a bucket's count has σ ≈ 22, so a quarter
+/// (128) is about six σ.
+#[test]
+fn every_limb_and_lane_draws_its_own_stream() {
+    let n = 8192;
+    let moduli = [
+        (1 << 50) - 27,
+        (1 << 50) - 55,
+        (1 << 49) + 69,
+        (1 << 50) - 1,
+    ];
+    let expansion = SeededUniform::new(&moduli, n, 4).expand([0x3c; 32]);
+    let mut first = std::collections::HashSet::new();
+    for (p, poly) in expansion.iter().enumerate() {
+        for (i, (&q, limb)) in moduli.iter().zip(poly.chunks_exact(n)).enumerate() {
+            for (j, &w) in limb[..8].iter().enumerate() {
+                assert!(first.insert(w), "polynomial {p} limb {i} lane {j}");
+            }
+            let mut buckets = [0usize; 16];
+            for &w in limb {
+                buckets[(w as u128 * 16 / q as u128) as usize] += 1;
+            }
+            assert!(
+                buckets.iter().all(|&b| b.abs_diff(n / 16) <= n / 64),
+                "polynomial {p} limb {i}: {buckets:?}"
+            );
+        }
     }
 }
 
@@ -241,7 +335,7 @@ proptest! {
         case in any::<u64>(),
         zero_seed in 0u8..6,
         wide in any::<bool>(),
-        n in prop::sample::select(DEGREES[..3].to_vec()),
+        n in prop::sample::select(DEGREES[..4].to_vec()),
         (count, limbs) in prop::sample::select(SHAPES.to_vec()),
         pick in any::<u64>(),
     ) {

@@ -89,9 +89,7 @@ impl Decoded<'_> {
         let ctx = &state.ctx;
         let (sid, session, plan) = match self {
             Decoded::Eval(sid, s, req) => (sid, s, KeyPlan::for_request(ctx, req)),
-            Decoded::Program(sid, s, p, _) => {
-                (sid, s, KeyPlan::for_program(ctx, &p.program, &p.info))
-            }
+            Decoded::Program(sid, s, p, _) => (sid, s, KeyPlan::for_program(ctx, &p.info)),
             _ => return None,
         };
         (!plan.is_empty()).then(|| PinnedKeys::pin(state, *sid, session, plan))

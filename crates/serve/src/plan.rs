@@ -17,7 +17,7 @@ use crate::server::ServerState;
 use crate::session::Session;
 use ckks::serialize::ciphertext_limb_count;
 use ckks::{CkksContext, GaloisKeys, SwitchingKey};
-use fhe_program::program::{bsgs_galois_steps, Program, ProgramInfo};
+use fhe_program::program::{bsgs_galois_steps, ProgramInfo};
 use std::sync::Arc;
 
 /// The keys one request needs, each with the largest limb count a key
@@ -80,8 +80,8 @@ impl KeyPlan {
     /// The exact keys a stored program's manifest names, each at the level
     /// the validator recorded for it (`KeyManifest::{relin_level,
     /// galois_levels}`): the largest working limb count among the
-    /// instructions that read it. `info` is `program`'s validation.
-    pub(crate) fn for_program(ctx: &CkksContext, _program: &Program, info: &ProgramInfo) -> Self {
+    /// instructions that read it. `info` is the program's validation.
+    pub(crate) fn for_program(ctx: &CkksContext, info: &ProgramInfo) -> Self {
         let manifest = &info.manifest;
         let levels = manifest.galois_levels.iter().copied();
         KeyPlan::new(
@@ -168,7 +168,7 @@ mod tests {
     use super::*;
     use crate::protocol::{split_session, BodyWriter, Opcode};
     use ckks::CkksParams;
-    use fhe_program::program::{CtDecl, Instr, ProgramEnv};
+    use fhe_program::program::{CtDecl, Instr, Program, ProgramEnv};
 
     fn ctx() -> Arc<CkksContext> {
         CkksContext::new(
@@ -212,7 +212,7 @@ mod tests {
         // Otherwise the key is planned at the limb count the header names:
         // the operand's, the larger of a `Mult`'s two.
         let header = |limbs: u32| {
-            let mut h = b"MADf\x03".to_vec();
+            let mut h = b"MADf\x04".to_vec();
             h.extend_from_slice(&32u32.to_le_bytes());
             h.extend_from_slice(&limbs.to_le_bytes());
             h
@@ -297,7 +297,7 @@ mod tests {
         };
         let info = program.validate(&env).expect("a valid program");
         assert_eq!(info.ladders.len(), 1, "the ladder folds");
-        let plan = KeyPlan::for_program(&ctx, &program, &info);
+        let plan = KeyPlan::for_program(&ctx, &info);
         assert_eq!(plan.relin, Some(3));
         let mut steps: Vec<(i64, usize)> = plan.galois.iter().map(|&(s, _, l)| (s, l)).collect();
         steps.sort_unstable();

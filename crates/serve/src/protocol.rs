@@ -27,11 +27,12 @@ use fhe_program::ExecInputs;
 use std::collections::BTreeMap;
 use std::io::Read;
 
-/// Protocol version carried in every frame. Version 3 carries `MADf`
-/// version 3 payloads (residues packed at their moduli's widths, a fresh
-/// ciphertext as `c_0` plus its seed), so an older peer is refused at its
-/// first frame, not at its first operand.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// Protocol version carried in every frame. Version 4 carries `MADf`
+/// version 4 payloads (residues packed at their moduli's widths, a fresh
+/// ciphertext as `c_0` plus its seed, a seed expanded one stream per
+/// limb), so an older peer is refused at its first frame, not at its first
+/// operand.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Default ceiling on a single frame's length field (64 MiB) — large
 /// enough for a full rotation-key bundle at demo scale, small enough to
